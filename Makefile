@@ -2,11 +2,8 @@
 # toolchain is the only dependency.
 
 GO ?= go
-BENCH_OUT ?= BENCH_gemm.json
-BENCH_N ?= 1024
-BENCH_WORKERS ?= 4
 
-.PHONY: build test vet race crash-test cluster-test factor-smoke fuzz verify bench bench-check bench-kernels bench-server bench-factor serve serve-bench clean
+.PHONY: build test vet race crash-test cluster-test fuzz verify bench bench-test serve clean
 
 build:
 	$(GO) build ./...
@@ -50,54 +47,26 @@ cluster-test:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
 
-# factor-smoke is the Ext-K regression gate at smoke size: both tiled
-# factorizations on both pools, every run numerically verified against the
-# serial reference — it fails on a wrong factor or a broken DAG, fast.
-factor-smoke:
-	$(GO) run ./cmd/pdlbench -exp factor -n 256 -tile 64 -reps 1
+# bench-test vets and tests the benchmark, a Go module of its own that the
+# root `go test ./...` does not reach. Its tests include the -smoke run: every
+# workload once at toy size, each result verified — both tiled factorizations
+# on the homogeneous and the skewed pool among them.
+bench-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, race subset,
-# crash/recovery suite, multi-process cluster smoke, factorization smoke.
-verify: build test vet race crash-test cluster-test factor-smoke
+# crash/recovery suite, multi-process cluster smoke, benchmark tests.
+verify: build test vet race crash-test cluster-test bench-test
 
-# bench runs the Ext-I pipeline: the Go benchmark pass over the GEMM
-# kernels, then the measured harness that writes $(BENCH_OUT) including the
-# workers×n kernel scaling matrix (GOMAXPROCS pinned per point).
-bench: bench-kernels
-	$(GO) run ./cmd/pdlbench -exp gemm -gemmn $(BENCH_N) -workers $(BENCH_WORKERS) -matrix -out $(BENCH_OUT)
-
-# bench-check re-measures the dispatch rows and compares them against the
-# committed $(BENCH_OUT) baseline; exits nonzero when any scheduler's
-# µs/task regresses beyond +15% (tune with `-tol`). CI runs it non-blocking.
-bench-check:
-	$(GO) run ./cmd/pdlbench -exp check -baseline $(BENCH_OUT)
-
-bench-kernels:
-	$(GO) test -run=^$$ -bench=Gemm -benchtime=1x .
-
-# bench-server measures the pdlserved HTTP query path (cached vs uncached),
-# so cache effectiveness shows up in the perf trajectory.
-bench-server:
-	$(GO) test -run=^$$ -bench=ServerQuery -benchtime=200x .
-
-# bench-factor regenerates the committed Ext-K rows (tiled Cholesky + LU,
-# ws vs dmda on homogeneous and 1-fast+3-slow pools).
-bench-factor:
-	$(GO) run ./cmd/pdlbench -exp factor -reps 2 -out BENCH_factor.json
-
-# serve-bench is the Ext-L load harness: spin a loopback pdlserved, wait for
-# /healthz, replay the query/predict/observe mix at swept concurrency, and
-# write SERVE_bench.json with server-side p50/p99 per level.
-serve-bench:
-	@$(GO) build -o /tmp/pdlserved-bench ./cmd/pdlserved
-	@/tmp/pdlserved-bench -addr 127.0.0.1:18080 & echo $$! > /tmp/pdlserved-bench.pid; \
-	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	$(GO) run ./cmd/pdlbench -exp serve -server http://127.0.0.1:18080 -out SERVE_bench.json; \
-	rc=$$?; kill $$(cat /tmp/pdlserved-bench.pid); rm -f /tmp/pdlserved-bench.pid; exit $$rc
+# bench runs the repo's one measuring pipeline (see benchmark/README.md):
+# seven verified workloads, host-scaled medians; `bash benchmark/run.sh
+# -compare A.json B.json` is the regression check.
+bench:
+	bash benchmark/run.sh
 
 # serve runs the registry service locally with the example platforms loaded.
 serve:
 	$(GO) run ./cmd/pdlserved -addr :8080 -preload internal/pdlxml/testdata
 
 clean:
-	rm -f $(BENCH_OUT)
+	rm -rf .bench_build benchmark/out

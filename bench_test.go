@@ -33,7 +33,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/repo"
 	"repro/internal/server"
-	"repro/internal/trace"
 )
 
 // benchN is the default simulated problem size. The paper uses N=8192; the
@@ -169,7 +168,7 @@ func BenchmarkRealCPUScaling(b *testing.B) {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			pl := discover.MustPlatform("this-host")
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RealDGEMM(pl, 384, 96, workers, false); err != nil {
+				if _, err := experiments.RealDGEMM(pl, 384, 96, workers, false, "", nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -202,86 +201,6 @@ func BenchmarkGemmKernels(b *testing.B) {
 				}
 			}
 			b.ReportMetric(blas.FlopsGEMM(n, n, n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
-}
-
-// BenchmarkGemmDispatch measures real-engine dispatch overhead per scheduler
-// (Ext-I's A/B): a fork graph of 2000 no-op tasks on 4 workers, so the
-// metric is queue traffic, not kernel time. The "ws+trace" variant repeats
-// the work-stealing point with causal tracing enabled — its delta against
-// "ws" is the tracing overhead — and "dmda" prices the model-driven
-// push-time placement.
-func BenchmarkGemmDispatch(b *testing.B) {
-	for _, sched := range []string{"eager", "ws", "ws+trace", "dmda"} {
-		b.Run(sched, func(b *testing.B) {
-			var us, steals float64
-			for i := 0; i < b.N; i++ {
-				points, err := experiments.DispatchBench(2000, 4, 1, sched)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range points {
-					if p.Scheduler == sched {
-						us = p.MicrosPerTask
-						steals = float64(p.Steals)
-					}
-				}
-			}
-			b.ReportMetric(us, "us/task")
-			b.ReportMetric(steals, "steals")
-		})
-	}
-}
-
-// BenchmarkHeteroDispatch compares blind work-stealing against model-driven
-// dmda placement on a skewed pool (one fast worker, three 20× slower ones)
-// at realistic millisecond task granularity — the setting dmda exists for.
-// The fast_share metric is the fraction of tasks the fast worker executed.
-func BenchmarkHeteroDispatch(b *testing.B) {
-	for _, sched := range []string{"ws", "dmda"} {
-		b.Run(sched, func(b *testing.B) {
-			var makespan, fastShare float64
-			for i := 0; i < b.N; i++ {
-				points, err := experiments.HeteroDispatchBench(120, 3, 1, sched)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range points {
-					if p.Scheduler == sched {
-						makespan = p.Seconds
-						fastShare = p.FastShare
-					}
-				}
-			}
-			b.ReportMetric(makespan, "makespan_s")
-			b.ReportMetric(fastShare, "fast_share")
-		})
-	}
-}
-
-// BenchmarkRealGemmTracing measures tracing overhead at realistic task
-// granularity: the real-engine tiled DGEMM (384², 96² tiles) with and
-// without causal tracing, identical code path either way. Tile kernels run
-// for milliseconds, so the fixed per-event recording cost (~140ns, visible
-// in BenchmarkGemmDispatch/ws+trace where tasks are no-ops) vanishes into
-// the noise — the "off" vs "on" delta is the overhead a real workload pays
-// for always-on tracing.
-func BenchmarkRealGemmTracing(b *testing.B) {
-	for _, name := range []string{"off", "on"} {
-		traced := name == "on"
-		b.Run(name, func(b *testing.B) {
-			pl := discover.MustPlatform("this-host")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var tr *trace.Trace
-				if traced {
-					tr = trace.New()
-				}
-				if _, err := experiments.RealDGEMMWithTrace(pl, 384, 96, 4, false, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -2,13 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"io"
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 func TestFig5Small(t *testing.T) {
@@ -59,51 +55,50 @@ func TestFaultsExperiment(t *testing.T) {
 	}
 }
 
-// TestGemmBenchJSON smoke-tests the Ext-I pipeline end to end: the table
-// renders, the -out artefact is written, and the JSON round-trips into the
-// struct the harness serialises with both schedulers present.
-func TestGemmBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_gemm.json")
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "gemm", "-gemmn", "128", "-workers", "2", "-out", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Ext-I", "kernel/packed", "dispatch/eager", "dispatch/ws"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("missing %q:\n%s", want, out.String())
+// TestExperimentTable runs every experiment the table names at toy size.
+func TestExperimentTable(t *testing.T) {
+	for _, e := range experimentTable {
+		var out bytes.Buffer
+		args := []string{"-exp", e.name, "-n", "1024", "-tile", "256", "-realn", "128"}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
 		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench experiments.GemmBenchData
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("BENCH_gemm.json does not parse: %v", err)
-	}
-	if bench.Experiment != "gemm-bench" || len(bench.Kernels) == 0 {
-		t.Fatalf("unexpected bench contents: %+v", bench)
-	}
-	scheds := map[string]bool{}
-	for _, d := range bench.Dispatch {
-		scheds[d.Scheduler] = true
-		if d.Seconds <= 0 || d.Tasks <= 0 {
-			t.Errorf("dispatch point %+v has non-positive measurements", d)
-		}
-	}
-	if !scheds["eager"] || !scheds["ws"] {
-		t.Errorf("dispatch A/B incomplete, got %v", scheds)
-	}
-	for _, k := range bench.Kernels {
-		if k.GFlops <= 0 {
-			t.Errorf("kernel point %+v has non-positive GFLOP/s", k)
+		if !strings.Contains(out.String(), "==") {
+			t.Fatalf("%s produced no table:\n%s", e.name, out.String())
 		}
 	}
 }
 
+// TestExplicitSizesHonoured: faults and cluster have defaults of their own,
+// which must give way to what the user typed even when that equals Figure 5's
+// defaults.
+func TestExplicitSizesHonoured(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "faults"}, "DGEMM 4096 "},
+		{[]string{"-exp", "faults", "-n", "8192", "-tile", "1024"}, "DGEMM 8192 "},
+		{[]string{"-exp", "cluster", "-n", "256", "-tile", "64"}, "n=256 tile=64"},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: missing %q:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+}
+
+// TestUnknownExperiment: a name outside the table fails, including the ones
+// this command took while it still recorded and compared measurements (that
+// pipeline is benchmark/ now).
 func TestUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "warp"}, &out); err == nil {
-		t.Fatal("unknown experiment must fail")
+	for _, name := range []string{"warp", "gemm", "check", "serve", "factor"} {
+		err := run([]string{"-exp", name}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("-exp %s: err = %v, want unknown experiment", name, err)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 func main() {
 	n := flag.Int("n", 8192, "matrix extent")
 	tile := flag.Int("tile", 1024, "tile extent")
-	sched := flag.String("sched", "dmda", "scheduler (sim: any policy; the real-mode cross-check honours eager, ws and dmda)")
+	sched := flag.String("sched", "dmda", "scheduler (sim: any policy; the real-mode cross-check runs dmda as dmda and everything else as ws)")
 	traceTo := flag.String("trace", "", "write a Chrome trace of the real-mode cross-check here")
 	flag.Parse()
 
@@ -51,7 +51,7 @@ func main() {
 		return
 	}
 	host := discover.MustPlatform("this-host")
-	rep, err := experiments.RealDGEMMSched(host, 256, 64, 0, true, *sched)
+	rep, err := experiments.RealDGEMM(host, 256, 64, 0, true, *sched, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

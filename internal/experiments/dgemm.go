@@ -136,27 +136,10 @@ func SimDGEMM(pl *core.Platform, n, tile int, scheduler string) (*taskrt.Report,
 }
 
 // RealDGEMM runs the tiled DGEMM graph on real goroutine workers under the
-// default work-stealing dispatcher and verifies the numerical result against
-// the serial kernel for small sizes.
-func RealDGEMM(pl *core.Platform, n, tile, workers int, verify bool) (*taskrt.Report, error) {
-	return realDGEMM(pl, n, tile, workers, verify, "", nil)
-}
-
-// RealDGEMMSched is RealDGEMM under an explicit real-engine scheduler
-// ("eager", "ws" or "dmda"; empty selects the default).
-func RealDGEMMSched(pl *core.Platform, n, tile, workers int, verify bool, sched string) (*taskrt.Report, error) {
-	return realDGEMM(pl, n, tile, workers, verify, sched, nil)
-}
-
-// RealDGEMMWithTrace is RealDGEMM recording causal spans into tr (nil runs
-// untraced) — the A/B pair behind the tracing-overhead benchmark at
-// realistic task granularity, where tile kernels run for milliseconds and
-// the per-event recording cost disappears into the noise.
-func RealDGEMMWithTrace(pl *core.Platform, n, tile, workers int, verify bool, tr *trace.Trace) (*taskrt.Report, error) {
-	return realDGEMM(pl, n, tile, workers, verify, "", tr)
-}
-
-func realDGEMM(pl *core.Platform, n, tile, workers int, verify bool, sched string, tr *trace.Trace) (*taskrt.Report, error) {
+// named real-engine scheduler ("ws" or "dmda"; empty selects the default
+// work stealing), recording causal spans into tr when it is non-nil, and
+// with verify checks the numerical result against the serial kernel.
+func RealDGEMM(pl *core.Platform, n, tile, workers int, verify bool, sched string, tr *trace.Trace) (*taskrt.Report, error) {
 	rt, err := taskrt.New(taskrt.Config{Platform: pl, Mode: taskrt.Real, Scheduler: sched, Workers: workers, Trace: tr})
 	if err != nil {
 		return nil, err
@@ -185,14 +168,14 @@ func realDGEMM(pl *core.Platform, n, tile, workers int, verify bool, sched strin
 // named scheduler (empty selects the default) with causal tracing enabled
 // and returns the trace, annotated with the dispatcher, the selected GEMM
 // micro-kernel ISA and the problem size — the artefact behind
-// `pdlbench -exp gemm -trace out.json` and the README tracing walkthrough.
+// `examples/dgemm -trace out.json`, the README tracing walkthrough.
 func TraceGemmRun(n, tile, workers int, verify bool, sched string) (*trace.Trace, *taskrt.Report, error) {
 	pl, err := discover.Platform("this-host")
 	if err != nil {
 		return nil, nil, err
 	}
 	tr := trace.New()
-	rep, err := realDGEMM(pl, n, tile, workers, verify, sched, tr)
+	rep, err := RealDGEMM(pl, n, tile, workers, verify, sched, tr)
 	if err != nil {
 		return nil, nil, err
 	}

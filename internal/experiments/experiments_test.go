@@ -157,7 +157,7 @@ func TestCrossover(t *testing.T) {
 
 func TestRealDGEMMVerifies(t *testing.T) {
 	pl := discover.MustPlatform("this-host")
-	rep, err := RealDGEMM(pl, 128, 32, 4, true)
+	rep, err := RealDGEMM(pl, 128, 32, 4, true, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/discover"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/taskrt"
@@ -312,262 +309,49 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 	return rt.SubmitBatch(graph)
 }
 
-// FactorRow is one measured factorization run.
-type FactorRow struct {
-	Kind            string  `json:"kind"`
-	Pool            string  `json:"pool"`
-	Scheduler       string  `json:"scheduler"`
-	N               int     `json:"n"`
-	Tile            int     `json:"tile"`
-	Workers         int     `json:"workers"`
-	Tasks           int     `json:"tasks"`
-	Seconds         float64 `json:"seconds"`
-	CritPathSeconds float64 `json:"critpath_seconds"`
-	CritPathTasks   int     `json:"critpath_tasks"`
-	MaxAbsErr       float64 `json:"max_abs_err"`
-	FastShare       float64 `json:"fast_share,omitempty"`
-	Steals          int     `json:"steals"`
-}
-
-// runFactor executes one tiled factorization in real mode, verifies the
-// result against the serial reference factorization of the same matrix when
-// verify is set, and reports the traced critical path.
-func runFactor(kind string, pl *core.Platform, workers int, sched string, n, tile int, models *perfmodel.Store, verify bool) (*taskrt.Report, trace.CriticalPath, float64, error) {
+// RealFactor runs one tiled factorization (kind "cholesky" or "lu") of a
+// seeded n×n matrix in real mode on pl under the named scheduler, with
+// models feeding dmda's placement (nil lets it self-calibrate). The result
+// must match the serial reference factorization of the same matrix to 1e-9;
+// the traced critical path comes back beside the report.
+func RealFactor(kind string, pl *core.Platform, n, tile, workers int, sched string, models *perfmodel.Store) (*taskrt.Report, trace.CriticalPath, error) {
+	var (
+		m, ref *blas.Matrix
+		submit func(*taskrt.Runtime, int, int, *blas.Matrix) error
+		serial func(*blas.Matrix) error
+	)
+	switch kind {
+	case "cholesky":
+		m, ref = NewSPDMatrix(n, factorSeed), NewSPDMatrix(n, factorSeed)
+		submit, serial = SubmitTiledCholesky, blas.Potrf
+	case "lu":
+		m, ref = NewDiagDominantMatrix(n, factorSeed), NewDiagDominantMatrix(n, factorSeed)
+		submit, serial = SubmitTiledLU, blas.Getrf
+	default:
+		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: unknown factorization %q", kind)
+	}
 	tr := trace.New()
 	rt, err := taskrt.New(taskrt.Config{
 		Platform: pl, Mode: taskrt.Real, Scheduler: sched,
 		Workers: workers, Models: models, Trace: tr,
 	})
 	if err != nil {
-		return nil, trace.CriticalPath{}, 0, err
+		return nil, trace.CriticalPath{}, err
 	}
-	var m *blas.Matrix
-	switch kind {
-	case "cholesky":
-		m = NewSPDMatrix(n, factorSeed)
-		err = SubmitTiledCholesky(rt, n, tile, m)
-	case "lu":
-		m = NewDiagDominantMatrix(n, factorSeed)
-		err = SubmitTiledLU(rt, n, tile, m)
-	default:
-		return nil, trace.CriticalPath{}, 0, fmt.Errorf("experiments: unknown factorization %q", kind)
-	}
-	if err != nil {
-		return nil, trace.CriticalPath{}, 0, err
+	if err := submit(rt, n, tile, m); err != nil {
+		return nil, trace.CriticalPath{}, err
 	}
 	rep, err := rt.Run()
 	if err != nil {
-		return nil, trace.CriticalPath{}, 0, err
-	}
-	maxErr := 0.0
-	if verify {
-		// The serial reference factors a clone of the same seeded matrix;
-		// regions neither path touches compare exactly, factored regions to
-		// rounding. The issue's acceptance bar is 1e-9 at n=512.
-		ref := func() *blas.Matrix {
-			if kind == "cholesky" {
-				return NewSPDMatrix(n, factorSeed)
-			}
-			return NewDiagDominantMatrix(n, factorSeed)
-		}()
-		if kind == "cholesky" {
-			err = blas.Potrf(ref)
-		} else {
-			err = blas.Getrf(ref)
-		}
-		if err != nil {
-			return nil, trace.CriticalPath{}, 0, fmt.Errorf("experiments: reference %s: %w", kind, err)
-		}
-		maxErr = blas.MaxDiff(m, ref)
-		if maxErr > 1e-9 {
-			return nil, trace.CriticalPath{}, 0, fmt.Errorf("experiments: tiled %s diverges from reference by %g", kind, maxErr)
-		}
-	}
-	return rep, tr.CriticalPath(), maxErr, nil
-}
-
-// RealFactor runs one tiled factorization (kind "cholesky" or "lu") on the
-// discovered this-host platform under the named scheduler and returns the
-// report with the result verified against the serial reference.
-func RealFactor(kind string, n, tile, workers int, sched string) (*taskrt.Report, trace.CriticalPath, error) {
-	pl, err := discover.Platform("this-host")
-	if err != nil {
 		return nil, trace.CriticalPath{}, err
 	}
-	rep, cp, _, err := runFactor(kind, pl, workers, sched, n, tile, nil, true)
-	return rep, cp, err
-}
-
-// heteroFactorPlatform builds the skewed pool: one fast x86 worker plus
-// slowWorkers x86slow workers.
-func heteroFactorPlatform(slowWorkers int) (*core.Platform, error) {
-	return core.NewBuilder("factor-hetero").
-		Master("fast", core.Arch("x86"), core.Qty(1)).
-		Master("slow", core.Arch("x86slow"), core.Qty(slowWorkers)).
-		Build()
-}
-
-// warmFactorModels calibrates per-codelet performance models by timing each
-// fast kernel once at tile granularity, then records fast and slow rates at
-// sizes bracketing the real task flops — so dmda places from history on its
-// first placement instead of discovering the 1-fast+N-slow skew online.
-func warmFactorModels(kind string, tile int) (*perfmodel.Store, error) {
-	models := perfmodel.NewStore()
-	type cal struct {
-		codelet string
-		flops   float64
-		run     func() error
+	// Regions neither path touches compare exactly, factored regions to
+	// rounding.
+	if err := serial(ref); err != nil {
+		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: reference %s: %w", kind, err)
 	}
-	var cals []cal
-	if kind == "cholesky" {
-		spd := NewSPDMatrix(tile, factorSeed)
-		panel := blas.NewMatrix(tile, tile)
-		panel.FillRandom(factorSeed + 1)
-		fac := NewSPDMatrix(tile, factorSeed+2)
-		if err := blas.Potrf(fac); err != nil {
-			return nil, err
-		}
-		other := blas.NewMatrix(tile, tile)
-		other.FillRandom(factorSeed + 3)
-		acc := NewSPDMatrix(tile, factorSeed+4)
-		cals = []cal{
-			{"potrf", blas.FlopsPOTRF(tile), func() error { return blas.Potrf(NewSPDMatrix(tile, factorSeed)) }},
-			{"trsm_rlt", blas.FlopsTRSM(tile, tile), func() error { return blas.TrsmRLT(fac, panel.Clone()) }},
-			{"syrk_nt", blas.FlopsSYRK(tile, tile), func() error { return blas.SyrkNT(panel, spd.Clone()) }},
-			{"gemm_nt", blas.FlopsGEMM(tile, tile, tile), func() error { return blas.GemmNT(panel, other, acc.Clone()) }},
-		}
-	} else {
-		dd := NewDiagDominantMatrix(tile, factorSeed)
-		fac := NewDiagDominantMatrix(tile, factorSeed+1)
-		if err := blas.Getrf(fac); err != nil {
-			return nil, err
-		}
-		panel := blas.NewMatrix(tile, tile)
-		panel.FillRandom(factorSeed + 2)
-		other := blas.NewMatrix(tile, tile)
-		other.FillRandom(factorSeed + 3)
-		cals = []cal{
-			{"getrf", blas.FlopsGETRF(tile), func() error { return blas.Getrf(NewDiagDominantMatrix(tile, factorSeed)) }},
-			{"trsm_llu", blas.FlopsTRSM(tile, tile), func() error { return blas.TrsmLLUnit(fac, panel.Clone()) }},
-			{"trsm_ru", blas.FlopsTRSM(tile, tile), func() error { return blas.TrsmRU(fac, panel.Clone()) }},
-			{"gemm_sub", blas.FlopsGEMM(tile, tile, tile), func() error { return blas.GemmSub(panel, other, dd.Clone()) }},
-		}
+	if d := blas.MaxDiff(m, ref); d > 1e-9 {
+		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: tiled %s diverges from reference by %g", kind, d)
 	}
-	for _, c := range cals {
-		start := time.Now()
-		if err := c.run(); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start).Seconds()
-		if elapsed <= 0 {
-			elapsed = 1e-6
-		}
-		rate := c.flops / elapsed // fast-arch flops/s for this kernel
-		for _, scale := range []float64{0.5, 1, 2} {
-			sz := c.flops * scale
-			if err := models.Model(c.codelet, "x86").Record(sz, sz/rate); err != nil {
-				return nil, err
-			}
-			if err := models.Model(c.codelet, "x86slow").Record(sz, sz/rate+sz/factorSlowRate); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return models, nil
-}
-
-// FactorExperiment sweeps ws vs dmda for one factorization kind on the
-// homogeneous this-host pool and on the skewed 1-fast+slowWorkers pool,
-// verifying numerics on every run and reporting the traced critical path.
-// Timed rows keep the best of reps repetitions.
-func FactorExperiment(kind string, n, tile, workers, slowWorkers, reps int) (*Result, []FactorRow, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	host, err := discover.Platform("this-host")
-	if err != nil {
-		return nil, nil, err
-	}
-	hetero, err := heteroFactorPlatform(slowWorkers)
-	if err != nil {
-		return nil, nil, err
-	}
-	type pool struct {
-		name    string
-		pl      *core.Platform
-		workers int
-		warm    bool
-	}
-	pools := []pool{
-		{fmt.Sprintf("smp%d", workers), host, workers, false},
-		{fmt.Sprintf("1fast+%dslow", slowWorkers), hetero, 1 + slowWorkers, true},
-	}
-	res := &Result{
-		Name:    fmt.Sprintf("Ext-K: tiled %s (n=%d, tile=%d)", kind, n, tile),
-		Headers: []string{"pool", "sched", "tasks", "makespan_s", "critpath_s", "crit_tasks", "fast_share", "steals", "max_abs_err"},
-		Notes: []string{
-			"critpath_s is the traced longest dependency chain: the makespan lower bound",
-			"every run factors the real matrix; max_abs_err compares against the serial reference",
-		},
-	}
-	var rows []FactorRow
-	for _, p := range pools {
-		var models *perfmodel.Store
-		if p.warm {
-			if models, err = warmFactorModels(kind, tile); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, sched := range []string{"ws", "dmda"} {
-			var best *FactorRow
-			for r := 0; r < reps; r++ {
-				rep, cp, maxErr, err := runFactor(kind, p.pl, p.workers, sched, n, tile, models, true)
-				if err != nil {
-					return nil, nil, fmt.Errorf("experiments: %s %s/%s: %w", kind, p.name, sched, err)
-				}
-				row := FactorRow{
-					Kind: kind, Pool: p.name, Scheduler: sched,
-					N: n, Tile: tile, Workers: p.workers, Tasks: rep.Tasks,
-					Seconds:         rep.MakespanSeconds,
-					CritPathSeconds: cp.Length,
-					CritPathTasks:   len(cp.TaskIDs),
-					MaxAbsErr:       maxErr,
-					Steals:          rep.Steals,
-				}
-				if p.warm {
-					if u, ok := rep.UnitByID("worker0"); ok && rep.Tasks > 0 {
-						row.FastShare = float64(u.Tasks) / float64(rep.Tasks)
-					}
-				}
-				if best == nil || row.Seconds < best.Seconds {
-					best = &row
-				}
-			}
-			rows = append(rows, *best)
-			fastShare := "-"
-			if p.warm {
-				fastShare = f2(best.FastShare)
-			}
-			res.AddRow(p.name, sched, fmt.Sprint(best.Tasks), f4(best.Seconds),
-				f4(best.CritPathSeconds), fmt.Sprint(best.CritPathTasks),
-				fastShare, fmt.Sprint(best.Steals), fmt.Sprintf("%.2e", best.MaxAbsErr))
-		}
-	}
-	return res, rows, nil
-}
-
-// FactorBenchData is the JSON artefact of `pdlbench -exp cholesky|lu|factor
-// -out BENCH_factor.json`.
-type FactorBenchData struct {
-	GoMaxProcs int         `json:"gomaxprocs"`
-	Rows       []FactorRow `json:"rows"`
-}
-
-// WriteJSON writes the bench rows to path.
-func (d *FactorBenchData) WriteJSON(path string) error {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return rep, tr.CriticalPath(), nil
 }

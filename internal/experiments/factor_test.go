@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/discover"
+	"repro/internal/perfmodel"
 	"repro/internal/taskrt"
 )
 
@@ -65,71 +68,80 @@ func TestSubmitTiledLUSimGraphShape(t *testing.T) {
 	}
 }
 
-func TestRealTiledCholeskyVerifies(t *testing.T) {
-	for _, sched := range []string{"ws", "dmda"} {
-		rep, cp, err := RealFactor("cholesky", 256, 64, 4, sched)
-		if err != nil {
-			t.Fatalf("%s: %v", sched, err)
-		}
-		if want := cholTasks(4); rep.Tasks != want {
-			t.Fatalf("%s: %d tasks, want %d", sched, rep.Tasks, want)
-		}
-		// The k-chain POTRF→TRSM→SYRK→POTRF gives a path of at least T
-		// tasks; the traced critical path must see it.
-		if cp.Length <= 0 || len(cp.TaskIDs) < 4 {
-			t.Fatalf("%s: degenerate critical path %+v", sched, cp)
-		}
-		if cp.Length > rep.MakespanSeconds*1.001 {
-			t.Fatalf("%s: critical path %.6fs exceeds makespan %.6fs", sched, cp.Length, rep.MakespanSeconds)
-		}
-	}
-}
-
-func TestRealTiledLUVerifies(t *testing.T) {
-	rep, cp, err := RealFactor("lu", 256, 64, 4, "dmda")
+// checkRealFactor runs one factorization kind at n=256, tile=64 (a 4×4 grid)
+// on the homogeneous this-host pool under both real policies, and on a
+// 1-fast+2-slow "x86slow" pool under dmda with models warmed for the kind's
+// codelets at tile granularity — fast at an assumed 1 GFLOP/s, slow with the
+// flops/factorSlowRate sleep on top — so dmda places from history on its
+// first decision, as the benchmark's lu-skew workload does. Every run is held
+// to the same bar: the DAG's task count, a critical path that sees the
+// k-chain (at least T tasks) and is no longer than the makespan. RealFactor
+// itself fails the run when the numerics miss 1e-9.
+func checkRealFactor(t *testing.T, kind string, wantTasks int, codelets ...string) {
+	t.Helper()
+	const n, tile, T = 256, 64, 4
+	skewed, err := core.NewBuilder("factor-hetero").
+		Master("fast", core.Arch("x86"), core.Qty(1)).
+		Master("slow", core.Arch("x86slow"), core.Qty(2)).
+		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := luTasks(4); rep.Tasks != want {
-		t.Fatalf("%d tasks, want %d", rep.Tasks, want)
+	models := perfmodel.NewStore()
+	tileFlops := blas.FlopsGEMM(tile, tile, tile)
+	for _, cl := range codelets {
+		for _, sz := range []float64{tileFlops / 8, tileFlops / 2, tileFlops * 2} {
+			if err := models.Model(cl, "x86").Record(sz, sz/1e9); err != nil {
+				t.Fatal(err)
+			}
+			if err := models.Model(cl, "x86slow").Record(sz, sz/1e9+sz/factorSlowRate); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if cp.Length <= 0 || len(cp.TaskIDs) < 4 {
-		t.Fatalf("degenerate critical path %+v", cp)
+	for _, p := range []struct {
+		name    string
+		pl      *core.Platform
+		workers int
+		sched   string
+		models  *perfmodel.Store
+	}{
+		{"smp4/ws", discover.MustPlatform("this-host"), 4, "ws", nil},
+		{"smp4/dmda", discover.MustPlatform("this-host"), 4, "dmda", nil},
+		{"1fast+2slow/dmda", skewed, 3, "dmda", models},
+	} {
+		rep, cp, err := RealFactor(kind, p.pl, n, tile, p.workers, p.sched, p.models)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if rep.Tasks != wantTasks {
+			t.Fatalf("%s: %d tasks, want %d", p.name, rep.Tasks, wantTasks)
+		}
+		if cp.Length <= 0 || len(cp.TaskIDs) < T {
+			t.Fatalf("%s: degenerate critical path %+v", p.name, cp)
+		}
+		if cp.Length > rep.MakespanSeconds*1.001 {
+			t.Fatalf("%s: critical path %.6fs exceeds makespan %.6fs", p.name, cp.Length, rep.MakespanSeconds)
+		}
 	}
 }
 
+func TestRealTiledCholeskyVerifies(t *testing.T) {
+	checkRealFactor(t, "cholesky", cholTasks(4), "potrf", "trsm_rlt", "syrk_nt", "gemm_nt")
+}
+
+func TestRealTiledLUVerifies(t *testing.T) {
+	checkRealFactor(t, "lu", luTasks(4), "getrf", "trsm_llu", "trsm_ru", "gemm_sub")
+}
+
 // TestTiledCholeskyAcceptanceBar is the issue's acceptance criterion:
-// max-abs error < 1e-9 at n=512 (runFactor fails the run when the bar is
+// max-abs error < 1e-9 at n=512 (RealFactor fails the run when the bar is
 // missed, so success here is the assertion).
 func TestTiledCholeskyAcceptanceBar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=512 factorization in -short mode")
 	}
-	if _, _, err := RealFactor("cholesky", 512, 128, 0, "dmda"); err != nil {
+	if _, _, err := RealFactor("cholesky", discover.MustPlatform("this-host"), 512, 128, 0, "dmda", nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFactorExperimentSkewedPool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hetero sweep in -short mode")
-	}
-	res, rows, err := FactorExperiment("cholesky", 192, 64, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // {smp, hetero} × {ws, dmda}
-		t.Fatalf("%d rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.MaxAbsErr > 1e-9 {
-			t.Fatalf("%s/%s error %g above bar", r.Pool, r.Scheduler, r.MaxAbsErr)
-		}
-		if r.CritPathSeconds <= 0 {
-			t.Fatalf("%s/%s missing critical path", r.Pool, r.Scheduler)
-		}
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("result table has %d rows", len(res.Rows))
 	}
 }

@@ -265,7 +265,7 @@ func RealCPUScaling(n, tile int, workers []int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := RealDGEMM(pl, n, tile, w, false)
+		rep, err := RealDGEMM(pl, n, tile, w, false, "", nil)
 		if err != nil {
 			return nil, err
 		}

@@ -120,9 +120,15 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 // once, in dependency order, on every real-engine scheduler. Each kernel
 // asserts its dependencies already completed before it starts — a dispatcher
 // that released a task early, lost one, or double-ran one fails here, and the
-// run doubles as a -race exercise of the batched push paths.
+// run doubles as a -race exercise of the batched push paths. The Real engine
+// implements ws and dmda; "eager" and "heft" stand for the policies it does
+// not, which must complete just the same and report the ws that ran them.
 func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
-	for _, sched := range []string{"eager", "ws", "dmda"} {
+	for _, sched := range []string{"ws", "dmda", "eager", "heft"} {
+		ran := "ws"
+		if sched == "dmda" {
+			ran = "dmda"
+		}
 		for _, seed := range []int64{1, 2, 3} {
 			var mu sync.Mutex
 			counts := map[*Task]int{}
@@ -163,6 +169,9 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			rep, err := rt.Run()
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sched, seed, err)
+			}
+			if rep.Scheduler != ran {
+				t.Fatalf("%s seed %d: report names scheduler %q, want %q", sched, seed, rep.Scheduler, ran)
 			}
 			if rep.Tasks != len(batch) {
 				t.Fatalf("%s seed %d: report says %d tasks, submitted %d", sched, seed, rep.Tasks, len(batch))

@@ -79,11 +79,9 @@ func (s *creditSem) acquire(done, abort <-chan struct{}) bool {
 // synchronisation: one queue pass and one semaphore release for the whole
 // batch.
 //
-//   - chanDispatcher is the single shared FIFO the engine used historically
-//     (StarPU's eager central queue): one buffered channel every worker
-//     drains, selected by Scheduler "eager". It is kept both as the
-//     behavioural baseline and so the bench pipeline can measure the
-//     dispatch-overhead delta against the stealing engine in one binary.
+// The Real engine implements exactly two policies, "ws" and "dmda"; every
+// other Config.Scheduler name runs (and is reported as) "ws".
+//
 //   - stealDispatcher gives each worker a Chase-Lev deque plus one shared
 //     injector for pushes from outside the pool. A worker that completes a
 //     task pushes newly-ready dependents onto its own deque and pops them
@@ -137,57 +135,6 @@ const takeRetry = -2
 // blacklisted. Queues of offline workers stay stealable either way.
 type offlineAware interface {
 	setOffline(w int, offline bool)
-}
-
-// chanDispatcher: the single-channel baseline.
-type chanDispatcher struct {
-	queue chan *Task
-	sem   *creditSem
-}
-
-// newChanDispatcher sizes the queue so pushes never block: a task occupies
-// at most one slot at a time, even across retries.
-func newChanDispatcher(workers, tasks int) *chanDispatcher {
-	return &chanDispatcher{
-		queue: make(chan *Task, tasks),
-		sem:   newCreditSem(workers + tasks),
-	}
-}
-
-func (d *chanDispatcher) push(from int, t *Task) {
-	d.queue <- t
-	d.sem.release(1)
-}
-
-func (d *chanDispatcher) pushBatch(from int, ts []*Task) {
-	for _, t := range ts {
-		d.queue <- t
-	}
-	d.sem.release(len(ts))
-}
-
-func (d *chanDispatcher) acquire(done, abort <-chan struct{}) bool {
-	return d.sem.acquire(done, abort)
-}
-
-func (d *chanDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
-	select {
-	case t := <-d.queue:
-		return t, -1
-	case <-abort:
-		return nil, -1
-	}
-}
-
-func (d *chanDispatcher) stolen(int) int { return 0 }
-
-func (d *chanDispatcher) finished(int, *Task, time.Duration, bool) {}
-
-func (d *chanDispatcher) depth(w int) int {
-	if w < 0 {
-		return len(d.queue)
-	}
-	return 0
 }
 
 // stealDispatcher: per-worker Chase-Lev deques, a shared injector, and

@@ -31,10 +31,10 @@ var errInjected = fmt.Errorf("taskrt: injected fault")
 // Dispatch is work-stealing by default: each worker owns a Chase-Lev deque,
 // completions push newly-ready dependents onto the completing worker's own
 // deque (the locality hint — the dependent's inputs are still hot in that
-// worker's cache), and idle workers steal FIFO from victims. Scheduler
-// "eager" selects the historical single-shared-channel dispatch instead, so
-// the two can be compared in one binary (see dispatch.go), and "dmda" routes
-// each push to the worker with the earliest model-predicted finish time —
+// worker's cache), and idle workers steal FIFO from victims. That is "ws",
+// the policy every Scheduler name but "dmda" runs as and Report.Scheduler
+// reports. "dmda" routes each push to the worker with the earliest
+// model-predicted finish time —
 // perfmodel history per worker architecture plus interconnect-modelled
 // transfer cost for operands not resident on the worker's memory node (one
 // node per platform master, costs from the PDL's declared interconnects) —
@@ -73,8 +73,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 	archs := workerArchs(rt.cfg.Platform, workers)
 
 	// Pre-validate: every task must have a runnable implementation for every
-	// worker architecture — eager and work-stealing dispatch route blindly,
-	// so any worker may end up with any task.
+	// worker architecture — work-stealing dispatch routes blindly and dmda's
+	// steal path ignores architecture, so any worker may end up with any task.
 	var distinct []string
 	seenArch := map[string]bool{}
 	for _, a := range archs {
@@ -116,10 +116,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	var disp dispatcher
-	switch rt.cfg.Scheduler {
-	case "eager":
-		disp = newChanDispatcher(workers, len(rt.tasks))
-	case "dmda":
+	sched := "ws" // what eager, heft and random run as too
+	if rt.cfg.Scheduler == "dmda" {
+		sched = "dmda"
 		// dmda is model-driven: without a caller-provided store it still
 		// self-calibrates within the run (the engine records every execution
 		// into Models below), so give it a private one rather than running
@@ -130,7 +129,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 		nodes, nodeIDs := workerNodes(rt.cfg.Platform, workers)
 		costs := interconnectCosts(rt.cfg.Platform, nodeIDs)
 		disp = newDmdaDispatcher(archs, nodes, costs, rt.tasks, rt.cfg.Models)
-	default:
+	} else {
 		disp = newStealDispatcher(workers, len(rt.tasks))
 	}
 
@@ -568,7 +567,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 	rep := &Report{
 		Mode:            Real,
-		Scheduler:       rt.cfg.Scheduler,
+		Scheduler:       sched,
 		Tasks:           len(rt.tasks),
 		MakespanSeconds: elapsed.Seconds(),
 		FailedAttempts:  failedAttempts,

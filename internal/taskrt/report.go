@@ -14,13 +14,15 @@ type UnitStats struct {
 	// BusySeconds is virtual time in Sim mode, wall time in Real mode.
 	BusySeconds float64
 	// Steals counts tasks this unit obtained from other units' queues
-	// (real-mode work-stealing dispatch only).
+	// (Real mode only).
 	Steals int
 }
 
 // Report is the outcome of Runtime.Run.
 type Report struct {
-	Mode      Mode
+	Mode Mode
+	// Scheduler is the policy that actually ran: the requested name in Sim
+	// mode, "ws" or "dmda" in Real mode (which runs every other name as ws).
 	Scheduler string
 	Tasks     int
 	// MakespanSeconds is the end-to-end execution time: virtual in Sim
@@ -44,8 +46,8 @@ type Report struct {
 	// Blacklisted lists the units taken out of scheduling by failures and
 	// still offline at the end of the run, sorted.
 	Blacklisted []string
-	// Steals totals the per-unit steal counts (real-mode work-stealing
-	// dispatch only; 0 under the "eager" single-queue dispatch and in Sim).
+	// Steals totals the per-unit steal counts (Real mode only, where both
+	// dispatchers steal; 0 in Sim).
 	Steals int
 }
 

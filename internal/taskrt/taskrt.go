@@ -106,9 +106,10 @@ type Config struct {
 	// Scheduler names the scheduling policy: "eager", "dmda", "heft", "ws"
 	// (work stealing) or "random". Empty defaults to "ws" in Real mode
 	// (per-worker deques with stealing) and "eager" in Sim mode. The Real
-	// engine implements "eager", "ws" and "dmda" (model-predicted earliest
-	// finish time placement; see dispatch.go) and treats any other policy as
-	// "ws"; the Sim engine implements all five.
+	// engine implements exactly "ws" and "dmda" (model-predicted earliest
+	// finish time placement; see dispatch.go); it runs any other policy as
+	// "ws" and reports "ws" in Report.Scheduler and the trace's scheduler
+	// meta. The Sim engine implements all five.
 	Scheduler string
 	// Workers overrides the Real-mode worker count (default: the platform's
 	// x86 unit count).
@@ -357,7 +358,7 @@ func (rt *Runtime) Run() (*Report, error) {
 	recordReport(rep)
 	if tr := rt.cfg.Trace; tr != nil {
 		tr.SetMeta("mode", rt.cfg.Mode.String())
-		tr.SetMeta("scheduler", rt.cfg.Scheduler)
+		tr.SetMeta("scheduler", rep.Scheduler)
 		tr.SetMeta("tasks", strconv.Itoa(rep.Tasks))
 		// The most recent traced run backs pdlserved's /debug/trace.
 		trace.Publish(tr)

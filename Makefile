@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race crash-test cluster-test fuzz verify bench bench-test serve clean
+.PHONY: build test vet race test-purego crash-test cluster-test fuzz verify bench bench-test serve clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ vet:
 # heartbeats) with its shared HTTP client.
 race:
 	$(GO) test -race ./internal/taskrt/... ./internal/trace/... ./internal/metrics/... ./internal/perfmodel/... ./internal/dynamic/... ./internal/blas/... ./internal/registry/... ./internal/server/... ./internal/query/... ./internal/cluster/... ./internal/client/...
+
+# test-purego builds internal/blas without its AVX2/FMA assembly, so every
+# packed product and factorization kernel — and the tiled factorizations of
+# internal/experiments on top of them — runs on the portable micro-kernel that
+# hosts without AVX2 get and that no test on an AVX2 host would otherwise reach.
+test-purego:
+	$(GO) test -tags purego ./internal/blas/... ./internal/experiments/...
 
 # crash-test exercises the durability layer's recovery guarantees under the
 # race detector: byte-granular journal truncation, corrupt-snapshot fallback,
@@ -54,9 +61,10 @@ fuzz:
 bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# verify is the tier-1 gate: build, full tests, vet, race subset,
-# crash/recovery suite, multi-process cluster smoke, benchmark tests.
-verify: build test vet race crash-test cluster-test bench-test
+# verify is the tier-1 gate: build, full tests, vet, race subset, the
+# portable-kernel build, crash/recovery suite, multi-process cluster smoke,
+# benchmark tests.
+verify: build test vet race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

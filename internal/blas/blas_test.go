@@ -56,6 +56,81 @@ func TestSubView(t *testing.T) {
 	m.Sub(3, 3, 2, 2)
 }
 
+// TestSubEmptyViewsOnEveryEdge: a zero-height or zero-width view is legal
+// wherever its corner is in range, including the far edges where the corner
+// lies past the last element, and every method is a no-op on it.
+func TestSubEmptyViewsOnEveryEdge(t *testing.T) {
+	parent := NewMatrix(4, 6)
+	inner := parent.Sub(1, 1, 3, 5) // a view whose Data ends exactly at its last element
+	for _, m := range []*Matrix{parent, inner} {
+		for _, e := range []struct {
+			name             string
+			i, j, rows, cols int
+		}{
+			{"top", 0, 1, 0, 2},
+			{"left", 1, 0, 2, 0},
+			{"bottom", m.Rows, 1, 0, m.Cols - 1},
+			{"bottom corner", m.Rows, m.Cols, 0, 0},
+			{"right", 1, m.Cols, m.Rows - 1, 0},
+			{"right, last row", m.Rows - 1, m.Cols, 1, 0},
+			{"interior", 2, 2, 0, 0},
+		} {
+			v := m.Sub(e.i, e.j, e.rows, e.cols)
+			if v.Rows != e.rows || v.Cols != e.cols || v.Stride != m.Stride {
+				t.Fatalf("%s: got %dx%d stride %d", e.name, v.Rows, v.Cols, v.Stride)
+			}
+			v.Zero()
+			v.FillRandom(1)
+			v.FillIdentity()
+			if c := v.Clone(); c.Rows != e.rows || c.Cols != e.cols {
+				t.Fatalf("%s: Clone is %dx%d", e.name, c.Rows, c.Cols)
+			}
+			if !Equal(v, v, 0) || MaxDiff(v, v) != 0 {
+				t.Fatalf("%s: empty view differs from itself", e.name)
+			}
+			if w := v.Sub(0, 0, e.rows, e.cols); w.Rows != e.rows || w.Cols != e.cols {
+				t.Fatalf("%s: Sub of the empty view is %dx%d", e.name, w.Rows, w.Cols)
+			}
+		}
+	}
+	for i := range parent.Data {
+		if parent.Data[i] != 0 {
+			t.Fatalf("a method on an empty view wrote parent.Data[%d]", i)
+		}
+	}
+}
+
+// TestEqualAndMaxDiffSeeNaN: every `diff > tol` verification in the repo
+// goes through MaxDiff, and NaN compares false with everything — an all-NaN
+// result used to report diff 0.
+func TestEqualAndMaxDiffSeeNaN(t *testing.T) {
+	ref := NewMatrix(8, 8)
+	ref.FillRandom(1)
+	for _, poison := range []func(m *Matrix){
+		func(m *Matrix) { m.Sub(2, 2, 4, 4).Set(1, 3, math.NaN()) },
+		func(m *Matrix) { m.Set(7, 7, math.NaN()) },
+		func(m *Matrix) {
+			for i := range m.Data {
+				m.Data[i] = math.NaN()
+			}
+		},
+	} {
+		bad := ref.Clone()
+		poison(bad)
+		for _, pair := range [][2]*Matrix{{ref, bad}, {bad, ref}, {bad, bad}} {
+			if d := MaxDiff(pair[0], pair[1]); !math.IsInf(d, 1) {
+				t.Fatalf("MaxDiff over a NaN-poisoned tile = %g, want +Inf", d)
+			}
+			if Equal(pair[0], pair[1], math.Inf(1)) {
+				t.Fatal("Equal accepted a NaN-poisoned tile")
+			}
+		}
+	}
+	if d := MaxDiff(ref, ref.Clone()); d != 0 {
+		t.Fatalf("MaxDiff of a clone = %g", d)
+	}
+}
+
 func TestNewMatrixPanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

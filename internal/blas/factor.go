@@ -5,6 +5,24 @@
 // the subtracting GEMM). All kernels operate in place on stride-aware views,
 // so a tile task mutates its slice of the parent matrix directly — the same
 // zero-copy convention the DGEMM harness uses.
+//
+// Every kernel does its bulk flops in the packed driver of pack.go. The
+// three updates are one call each: GemmSub is C −= A·B, GemmNT is C −= A·Bᵀ
+// and SyrkNT is GemmNT with B = A restricted to C's lower triangle. The
+// solves and factorizations are recursive: split the triangle in two at a
+// multiple of microN, finish the first half, apply it to the second half with
+// one of those updates, finish the second half. At factorBase or below the
+// recursion ends in the unblocked loop. The invariants the recursion keeps:
+//
+//   - a triangular operand is read only inside its named triangle (an LU tile
+//     holds L and U in one array; a Cholesky tile's strictly-upper part is
+//     never written), because the halves are diagonal blocks of the same
+//     triangle and the off-diagonal block on the named side;
+//   - pivot and diagonal errors carry the index in the caller's matrix, not
+//     in the block where they were found;
+//   - a kernel is single-threaded, allocates nothing once the pack pool is
+//     warm (views are values, see Matrix.view), and is bit-deterministic for
+//     a given shape: the split points depend on the extents only.
 
 package blas
 
@@ -12,6 +30,28 @@ import (
 	"fmt"
 	"math"
 )
+
+// factorBase is the triangle order at or below which the recursive kernels
+// run their unblocked loop. Below it the packed driver's per-call packing
+// costs more than the scalar loop it would replace.
+const factorBase = 16
+
+// factorBlock is the panel depth the factor kernels hand the packed driver:
+// a 128-tile's whole k extent, so C is read and written once per update.
+const factorBlock = 128
+
+// update applies C −= A·op(B), the one way a finished half reaches the other
+// half (and all of GemmSub, GemmNT and SyrkNT): the packed driver,
+// single-threaded inside a task.
+func update(a, b, c *Matrix, op product) {
+	op.neg = true
+	packedProduct(a, b, c, op, factorBlock, 1)
+}
+
+// splitAt returns where a triangle of order n > factorBase is halved: near
+// the middle, on a micro-tile boundary so the first half packs into full
+// strips.
+func splitAt(n int) int { return roundUp(n/2, microN) }
 
 // Potrf computes the lower-triangular Cholesky factor of a symmetric
 // positive-definite matrix in place: on return the lower triangle of a
@@ -23,6 +63,26 @@ func Potrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("blas: Potrf needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
+	return potrf(a, 0)
+}
+
+// potrf factors a, whose first pivot is pivot off of the caller's matrix.
+func potrf(a *Matrix, off int) error {
+	n := a.Rows
+	if n <= factorBase {
+		return potrfBase(a, off)
+	}
+	n1 := splitAt(n)
+	a11, a21, a22 := a.view(0, 0, n1, n1), a.view(n1, 0, n-n1, n1), a.view(n1, n1, n-n1, n-n1)
+	if err := potrf(&a11, off); err != nil {
+		return err
+	}
+	trsmRight(&a11, &a21, true)
+	update(&a21, &a21, &a22, product{transB: true, lower: true})
+	return potrf(&a22, off+n1)
+}
+
+func potrfBase(a *Matrix, off int) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {
 		rowj := a.Data[j*a.Stride : j*a.Stride+j+1]
@@ -31,7 +91,7 @@ func Potrf(a *Matrix) error {
 			d -= rowj[k] * rowj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return fmt.Errorf("blas: Potrf pivot %d is %g: matrix not positive definite", j, d)
+			return fmt.Errorf("blas: Potrf pivot %d is %g: matrix not positive definite", off+j, d)
 		}
 		d = math.Sqrt(d)
 		rowj[j] = d
@@ -47,6 +107,17 @@ func Potrf(a *Matrix) error {
 	return nil
 }
 
+// zeroDiagonal returns the first index whose diagonal element of t is zero,
+// or −1.
+func zeroDiagonal(t *Matrix) int {
+	for j := 0; j < t.Rows; j++ {
+		if t.Data[j*t.Stride+j] == 0 {
+			return j
+		}
+	}
+	return -1
+}
+
 // TrsmRLT solves X·Lᵀ = B in place (B := B·L⁻ᵀ) where l is the lower
 // non-unit triangular factor produced by Potrf. This is the Cholesky panel
 // solve: A[i][k] := A[i][k]·L[k][k]⁻ᵀ.
@@ -54,24 +125,78 @@ func TrsmRLT(l, b *Matrix) error {
 	if l.Rows != l.Cols || l.Rows != b.Cols {
 		return fmt.Errorf("blas: TrsmRLT shape mismatch: L %dx%d, B %dx%d", l.Rows, l.Cols, b.Rows, b.Cols)
 	}
-	n := l.Rows
-	for j := 0; j < n; j++ {
-		if l.At(j, j) == 0 {
-			return fmt.Errorf("blas: TrsmRLT zero diagonal at %d", j)
-		}
+	if j := zeroDiagonal(l); j >= 0 {
+		return fmt.Errorf("blas: TrsmRLT zero diagonal at %d", j)
 	}
-	for i := 0; i < b.Rows; i++ {
-		row := b.Data[i*b.Stride : i*b.Stride+n]
-		for j := 0; j < n; j++ {
-			lrow := l.Data[j*l.Stride : j*l.Stride+j+1]
-			s := row[j]
-			for k := 0; k < j; k++ {
-				s -= row[k] * lrow[k]
-			}
-			row[j] = s / lrow[j]
-		}
-	}
+	trsmRight(l, b, true)
 	return nil
+}
+
+// trsmRight solves X·T = B in place on checked operands, where the upper
+// triangle T is u itself (trans false, TrsmRU) or lᵀ (trans true, TrsmRLT: t
+// holds the lower factor and T[k][j] is read from t[j][k]). Either way
+// X₁ = B₁·T₁₁⁻¹, B₂ −= X₁·T₁₂, X₂ = B₂·T₂₂⁻¹.
+func trsmRight(t, b *Matrix, trans bool) {
+	n, m := t.Rows, b.Rows
+	if n <= factorBase {
+		trsmRightBase(t, b, trans)
+		return
+	}
+	n1 := splitAt(n)
+	t11, t22 := t.view(0, 0, n1, n1), t.view(n1, n1, n-n1, n-n1)
+	t12 := t.view(0, n1, n1, n-n1)
+	if trans {
+		t12 = t.view(n1, 0, n-n1, n1) // L₂₁, which the driver reads transposed
+	}
+	b1, b2 := b.view(0, 0, m, n1), b.view(0, n1, m, n-n1)
+	trsmRight(&t11, &b1, trans)
+	update(&b1, &t12, &b2, product{transB: trans})
+	trsmRight(&t22, &b2, trans)
+}
+
+// trsmRightBase is the unblocked right solve: for every row of b,
+// row[j] = (row[j] − Σ_{k<j} row[k]·T[k][j]) / T[j][j]. Each sum is one
+// dependent chain, so four rows of b are carried at once: four chains in
+// flight, and each element of T loaded once for the four.
+func trsmRightBase(t, b *Matrix, trans bool) {
+	n, m := t.Rows, b.Rows
+	sk, sj := t.Stride, 1 // T[k][j] = t.Data[k*sk+j*sj]
+	if trans {
+		sk, sj = 1, t.Stride
+	}
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0 := b.Data[i*b.Stride:][:n]
+		r1 := b.Data[(i+1)*b.Stride:][:n]
+		r2 := b.Data[(i+2)*b.Stride:][:n]
+		r3 := b.Data[(i+3)*b.Stride:][:n]
+		for j := 0; j < n; j++ {
+			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+			at := j * sj
+			for k := 0; k < j; k++ {
+				tv := t.Data[at]
+				at += sk
+				s0 -= r0[k] * tv
+				s1 -= r1[k] * tv
+				s2 -= r2[k] * tv
+				s3 -= r3[k] * tv
+			}
+			d := t.Data[at]
+			r0[j], r1[j], r2[j], r3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < m; i++ {
+		row := b.Data[i*b.Stride:][:n]
+		for j := 0; j < n; j++ {
+			s := row[j]
+			at := j * sj
+			for k := 0; k < j; k++ {
+				s -= row[k] * t.Data[at]
+				at += sk
+			}
+			row[j] = s / t.Data[at]
+		}
+	}
 }
 
 // SyrkNT applies the symmetric rank-k trailing update C := C − A·Aᵀ to the
@@ -81,19 +206,7 @@ func SyrkNT(a, c *Matrix) error {
 	if c.Rows != c.Cols || c.Rows != a.Rows {
 		return fmt.Errorf("blas: SyrkNT shape mismatch: A %dx%d, C %dx%d", a.Rows, a.Cols, c.Rows, c.Cols)
 	}
-	k := a.Cols
-	for i := 0; i < c.Rows; i++ {
-		ai := a.Data[i*a.Stride : i*a.Stride+k]
-		ci := c.Data[i*c.Stride : i*c.Stride+i+1]
-		for j := 0; j <= i; j++ {
-			aj := a.Data[j*a.Stride : j*a.Stride+k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += ai[p] * aj[p]
-			}
-			ci[j] -= s
-		}
-	}
+	update(a, a, c, product{transB: true, lower: true})
 	return nil
 }
 
@@ -105,19 +218,7 @@ func GemmNT(a, b, c *Matrix) error {
 		return fmt.Errorf("blas: GemmNT shape mismatch: A %dx%d, B %dx%d, C %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	k := a.Cols
-	for i := 0; i < c.Rows; i++ {
-		ai := a.Data[i*a.Stride : i*a.Stride+k]
-		ci := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for j := 0; j < c.Cols; j++ {
-			bj := b.Data[j*b.Stride : j*b.Stride+k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += ai[p] * bj[p]
-			}
-			ci[j] -= s
-		}
-	}
+	update(a, b, c, product{transB: true})
 	return nil
 }
 
@@ -130,12 +231,35 @@ func Getrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("blas: Getrf needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
+	return getrf(a, 0)
+}
+
+// getrf factors a, whose first pivot is pivot off of the caller's matrix:
+// A₁₁ = L₁₁·U₁₁, U₁₂ = L₁₁⁻¹·A₁₂, L₂₁ = A₂₁·U₁₁⁻¹, A₂₂ −= L₂₁·U₁₂, A₂₂ = L₂₂·U₂₂.
+func getrf(a *Matrix, off int) error {
+	n := a.Rows
+	if n <= factorBase {
+		return getrfBase(a, off)
+	}
+	n1 := splitAt(n)
+	a11, a12 := a.view(0, 0, n1, n1), a.view(0, n1, n1, n-n1)
+	a21, a22 := a.view(n1, 0, n-n1, n1), a.view(n1, n1, n-n1, n-n1)
+	if err := getrf(&a11, off); err != nil {
+		return err
+	}
+	trsmLLUnit(&a11, &a12)
+	trsmRight(&a11, &a21, false)
+	update(&a21, &a12, &a22, product{})
+	return getrf(&a22, off+n1)
+}
+
+func getrfBase(a *Matrix, off int) error {
 	n := a.Rows
 	for k := 0; k < n; k++ {
 		rowk := a.Data[k*a.Stride : k*a.Stride+n]
 		p := rowk[k]
 		if p == 0 || math.IsNaN(p) {
-			return fmt.Errorf("blas: Getrf zero pivot at %d (matrix needs pivoting)", k)
+			return fmt.Errorf("blas: Getrf zero pivot at %d (matrix needs pivoting)", off+k)
 		}
 		for i := k + 1; i < n; i++ {
 			rowi := a.Data[i*a.Stride : i*a.Stride+n]
@@ -156,22 +280,57 @@ func TrsmLLUnit(l, b *Matrix) error {
 	if l.Rows != l.Cols || l.Rows != b.Rows {
 		return fmt.Errorf("blas: TrsmLLUnit shape mismatch: L %dx%d, B %dx%d", l.Rows, l.Cols, b.Rows, b.Cols)
 	}
-	n := l.Rows
+	trsmLLUnit(l, b)
+	return nil
+}
+
+// trsmLLUnit is TrsmLLUnit on checked operands: X₁ = L₁₁⁻¹·B₁,
+// B₂ −= L₂₁·X₁, X₂ = L₂₂⁻¹·B₂.
+func trsmLLUnit(l, b *Matrix) {
+	n, m := l.Rows, b.Cols
+	if n <= factorBase {
+		trsmLLUnitBase(l, b)
+		return
+	}
+	n1 := splitAt(n)
+	l11, l21, l22 := l.view(0, 0, n1, n1), l.view(n1, 0, n-n1, n1), l.view(n1, n1, n-n1, n-n1)
+	b1, b2 := b.view(0, 0, n1, m), b.view(n1, 0, n-n1, m)
+	trsmLLUnit(&l11, &b1)
+	update(&l21, &b1, &b2, product{})
+	trsmLLUnit(&l22, &b2)
+}
+
+// trsmLLUnitBase is the unblocked left solve: row i of b loses l[i][k] times
+// row k for every k < i, in order of k. Four k are applied per pass over
+// row i, so the row is loaded and stored once for the four.
+func trsmLLUnitBase(l, b *Matrix) {
+	n, m := l.Rows, b.Cols
 	for i := 1; i < n; i++ {
-		rowi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-		lrow := l.Data[i*l.Stride : i*l.Stride+i]
-		for k := 0; k < i; k++ {
-			lik := lrow[k]
-			if lik == 0 {
-				continue
+		rowi := b.Data[i*b.Stride:][:m]
+		lrow := l.Data[i*l.Stride:][:i]
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			l0, l1, l2, l3 := lrow[k], lrow[k+1], lrow[k+2], lrow[k+3]
+			k0 := b.Data[k*b.Stride:][:m]
+			k1 := b.Data[(k+1)*b.Stride:][:m]
+			k2 := b.Data[(k+2)*b.Stride:][:m]
+			k3 := b.Data[(k+3)*b.Stride:][:m]
+			for j, v := range rowi {
+				v -= l0 * k0[j]
+				v -= l1 * k1[j]
+				v -= l2 * k2[j]
+				v -= l3 * k3[j]
+				rowi[j] = v
 			}
-			rowk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
-			for j := range rowi {
-				rowi[j] -= lik * rowk[j]
+		}
+		for ; k < i; k++ {
+			lik := lrow[k]
+			rowk := b.Data[k*b.Stride:][:m]
+			for j, v := range rowk {
+				rowi[j] -= lik * v
 			}
 		}
 	}
-	return nil
 }
 
 // TrsmRU solves X·U = B in place (B := B·U⁻¹) where u holds a non-unit
@@ -181,22 +340,10 @@ func TrsmRU(u, b *Matrix) error {
 	if u.Rows != u.Cols || u.Rows != b.Cols {
 		return fmt.Errorf("blas: TrsmRU shape mismatch: U %dx%d, B %dx%d", u.Rows, u.Cols, b.Rows, b.Cols)
 	}
-	n := u.Rows
-	for j := 0; j < n; j++ {
-		if u.At(j, j) == 0 {
-			return fmt.Errorf("blas: TrsmRU zero diagonal at %d", j)
-		}
+	if j := zeroDiagonal(u); j >= 0 {
+		return fmt.Errorf("blas: TrsmRU zero diagonal at %d", j)
 	}
-	for i := 0; i < b.Rows; i++ {
-		row := b.Data[i*b.Stride : i*b.Stride+n]
-		for j := 0; j < n; j++ {
-			s := row[j]
-			for k := 0; k < j; k++ {
-				s -= row[k] * u.At(k, j)
-			}
-			row[j] = s / u.At(j, j)
-		}
-	}
+	trsmRight(u, b, false)
 	return nil
 }
 
@@ -206,21 +353,7 @@ func GemmSub(a, b, c *Matrix) error {
 		return fmt.Errorf("blas: GemmSub shape mismatch: A %dx%d, B %dx%d, C %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	k := a.Cols
-	for i := 0; i < c.Rows; i++ {
-		ai := a.Data[i*a.Stride : i*a.Stride+k]
-		ci := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b.Data[p*b.Stride : p*b.Stride+c.Cols]
-			for j := range ci {
-				ci[j] -= av * bp[j]
-			}
-		}
-	}
+	update(a, b, c, product{})
 	return nil
 }
 

@@ -2,8 +2,138 @@ package blas
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
+
+// The naive full-size loops the blocked kernels of factor.go replaced, kept
+// as the oracles the new kernels are checked against. Operands are assumed
+// conformable.
+
+func potrfNaive(a *Matrix) {
+	n := a.Rows
+	for j := 0; j < n; j++ {
+		rowj := a.Data[j*a.Stride : j*a.Stride+j+1]
+		d := rowj[j]
+		for k := 0; k < j; k++ {
+			d -= rowj[k] * rowj[k]
+		}
+		d = math.Sqrt(d)
+		rowj[j] = d
+		for i := j + 1; i < n; i++ {
+			rowi := a.Data[i*a.Stride : i*a.Stride+j+1]
+			s := rowi[j]
+			for k := 0; k < j; k++ {
+				s -= rowi[k] * rowj[k]
+			}
+			rowi[j] = s / d
+		}
+	}
+}
+
+func trsmRLTNaive(l, b *Matrix) {
+	n := l.Rows
+	for i := 0; i < b.Rows; i++ {
+		row := b.Data[i*b.Stride : i*b.Stride+n]
+		for j := 0; j < n; j++ {
+			lrow := l.Data[j*l.Stride : j*l.Stride+j+1]
+			s := row[j]
+			for k := 0; k < j; k++ {
+				s -= row[k] * lrow[k]
+			}
+			row[j] = s / lrow[j]
+		}
+	}
+}
+
+func syrkNTNaive(a, c *Matrix) {
+	k := a.Cols
+	for i := 0; i < c.Rows; i++ {
+		ai := a.Data[i*a.Stride : i*a.Stride+k]
+		ci := c.Data[i*c.Stride : i*c.Stride+i+1]
+		for j := 0; j <= i; j++ {
+			aj := a.Data[j*a.Stride : j*a.Stride+k]
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += ai[p] * aj[p]
+			}
+			ci[j] -= s
+		}
+	}
+}
+
+func gemmNTNaive(a, b, c *Matrix) {
+	k := a.Cols
+	for i := 0; i < c.Rows; i++ {
+		ai := a.Data[i*a.Stride : i*a.Stride+k]
+		ci := c.Data[i*c.Stride : i*c.Stride+c.Cols]
+		for j := 0; j < c.Cols; j++ {
+			bj := b.Data[j*b.Stride : j*b.Stride+k]
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += ai[p] * bj[p]
+			}
+			ci[j] -= s
+		}
+	}
+}
+
+func getrfNaive(a *Matrix) {
+	n := a.Rows
+	for k := 0; k < n; k++ {
+		rowk := a.Data[k*a.Stride : k*a.Stride+n]
+		p := rowk[k]
+		for i := k + 1; i < n; i++ {
+			rowi := a.Data[i*a.Stride : i*a.Stride+n]
+			lik := rowi[k] / p
+			rowi[k] = lik
+			for j := k + 1; j < n; j++ {
+				rowi[j] -= lik * rowk[j]
+			}
+		}
+	}
+}
+
+func trsmLLUnitNaive(l, b *Matrix) {
+	for i := 1; i < l.Rows; i++ {
+		rowi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
+		lrow := l.Data[i*l.Stride : i*l.Stride+i]
+		for k := 0; k < i; k++ {
+			rowk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
+			for j := range rowi {
+				rowi[j] -= lrow[k] * rowk[j]
+			}
+		}
+	}
+}
+
+func trsmRUNaive(u, b *Matrix) {
+	n := u.Rows
+	for i := 0; i < b.Rows; i++ {
+		row := b.Data[i*b.Stride : i*b.Stride+n]
+		for j := 0; j < n; j++ {
+			s := row[j]
+			for k := 0; k < j; k++ {
+				s -= row[k] * u.At(k, j)
+			}
+			row[j] = s / u.At(j, j)
+		}
+	}
+}
+
+func gemmSubNaive(a, b, c *Matrix) {
+	k := a.Cols
+	for i := 0; i < c.Rows; i++ {
+		ci := c.Data[i*c.Stride : i*c.Stride+c.Cols]
+		for p := 0; p < k; p++ {
+			av := a.At(i, p)
+			bp := b.Data[p*b.Stride : p*b.Stride+c.Cols]
+			for j := range ci {
+				ci[j] -= av * bp[j]
+			}
+		}
+	}
+}
 
 // symDiagDominant builds a symmetric diagonally-dominant matrix (hence SPD
 // by Gershgorin): off-diagonals in [-1, 1), diagonal = n.
@@ -280,6 +410,296 @@ func TestFactorShapeErrors(t *testing.T) {
 	for i, err := range bad {
 		if err == nil {
 			t.Fatalf("case %d: shape mismatch accepted", i)
+		}
+	}
+}
+
+// carve lays tiles of the given shapes side by side in parent, leaving the
+// bottom row and everything below a shorter tile as guard cells: operands
+// and results are strided views of one parent with no gap between them, so
+// a kernel that strays past an extent lands in a neighbour or a guard.
+func carve(parent *Matrix, shapes [][2]int) []*Matrix {
+	tiles, col := make([]*Matrix, len(shapes)), 0
+	for i, sh := range shapes {
+		tiles[i] = parent.Sub(0, col, sh[0], sh[1])
+		col += sh[1]
+	}
+	return tiles
+}
+
+// carveParent allocates the parent carve needs, every cell set to poison.
+func carveParent(shapes [][2]int, poison float64) *Matrix {
+	rows, cols := 0, 0
+	for _, sh := range shapes {
+		rows, cols = max(rows, sh[0]), cols+sh[1]
+	}
+	parent := NewMatrix(rows+1, cols)
+	for i := range parent.Data {
+		parent.Data[i] = poison
+	}
+	return parent
+}
+
+// fillWhere copies src into dst where keep(i, j) holds and leaves dst (the
+// poison) elsewhere.
+func fillWhere(dst, src *Matrix, keep func(i, j int) bool) {
+	for i := 0; i < src.Rows; i++ {
+		for j := 0; j < src.Cols; j++ {
+			if keep(i, j) {
+				dst.Set(i, j, src.At(i, j))
+			}
+		}
+	}
+}
+
+func all(i, j int) bool         { return true }
+func lower(i, j int) bool       { return j <= i }
+func strictLower(i, j int) bool { return j < i }
+func upper(i, j int) bool       { return j >= i }
+
+func randomMatrix(rows, cols int, seed int64) *Matrix {
+	m := NewMatrix(rows, cols)
+	m.FillRandom(seed)
+	return m
+}
+
+// sameBitsOrWithin reports the first cell where got and want neither hold
+// the same bits (how an untouched poison or guard cell passes) nor differ by
+// at most tol.
+func sameBitsOrWithin(got, want *Matrix, tol float64) (i, j int, ok bool) {
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			g, w := got.At(i, j), want.At(i, j)
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.Abs(g-w) <= tol) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// factorCase is one kernel under test: the tile shapes for triangle order n
+// and free extents m and k, how the tiles are filled, the kernel and its
+// oracle.
+type factorCase struct {
+	name   string
+	shapes func(n, m, k int) [][2]int
+	fill   func(t []*Matrix, seed int64)
+	kernel func(t []*Matrix) error
+	oracle func(t []*Matrix)
+}
+
+// factoredSPD and factoredDD are well-conditioned triangular operands: the
+// oracle's factors of a diagonally dominant matrix.
+func factoredSPD(n int, seed int64) *Matrix {
+	a := symDiagDominant(n, seed)
+	potrfNaive(a)
+	return a
+}
+
+func factoredDD(n int, seed int64) *Matrix {
+	a := diagDominant(n, seed)
+	getrfNaive(a)
+	return a
+}
+
+var factorCases = []factorCase{
+	{"Potrf",
+		func(n, m, k int) [][2]int { return [][2]int{{n, n}} },
+		func(t []*Matrix, seed int64) { fillWhere(t[0], symDiagDominant(t[0].Rows, seed), lower) },
+		func(t []*Matrix) error { return Potrf(t[0]) },
+		func(t []*Matrix) { potrfNaive(t[0]) }},
+	{"TrsmRLT",
+		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {m, n}} },
+		func(t []*Matrix, seed int64) {
+			fillWhere(t[0], factoredSPD(t[0].Rows, seed), lower)
+			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
+		},
+		func(t []*Matrix) error { return TrsmRLT(t[0], t[1]) },
+		func(t []*Matrix) { trsmRLTNaive(t[0], t[1]) }},
+	{"SyrkNT",
+		func(n, m, k int) [][2]int { return [][2]int{{n, k}, {n, n}} },
+		func(t []*Matrix, seed int64) {
+			fillWhere(t[0], randomMatrix(t[0].Rows, t[0].Cols, seed), all)
+			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), lower)
+		},
+		func(t []*Matrix) error { return SyrkNT(t[0], t[1]) },
+		func(t []*Matrix) { syrkNTNaive(t[0], t[1]) }},
+	{"GemmNT",
+		func(n, m, k int) [][2]int { return [][2]int{{m, k}, {n, k}, {m, n}} },
+		func(t []*Matrix, seed int64) {
+			for i := range t {
+				fillWhere(t[i], randomMatrix(t[i].Rows, t[i].Cols, seed+int64(i)), all)
+			}
+		},
+		func(t []*Matrix) error { return GemmNT(t[0], t[1], t[2]) },
+		func(t []*Matrix) { gemmNTNaive(t[0], t[1], t[2]) }},
+	{"Getrf",
+		func(n, m, k int) [][2]int { return [][2]int{{n, n}} },
+		func(t []*Matrix, seed int64) { fillWhere(t[0], diagDominant(t[0].Rows, seed), all) },
+		func(t []*Matrix) error { return Getrf(t[0]) },
+		func(t []*Matrix) { getrfNaive(t[0]) }},
+	{"TrsmLLUnit",
+		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {n, m}} },
+		func(t []*Matrix, seed int64) {
+			fillWhere(t[0], factoredDD(t[0].Rows, seed), strictLower)
+			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
+		},
+		func(t []*Matrix) error { return TrsmLLUnit(t[0], t[1]) },
+		func(t []*Matrix) { trsmLLUnitNaive(t[0], t[1]) }},
+	{"TrsmRU",
+		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {m, n}} },
+		func(t []*Matrix, seed int64) {
+			fillWhere(t[0], factoredDD(t[0].Rows, seed), upper)
+			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
+		},
+		func(t []*Matrix) error { return TrsmRU(t[0], t[1]) },
+		func(t []*Matrix) { trsmRUNaive(t[0], t[1]) }},
+	{"GemmSub",
+		func(n, m, k int) [][2]int { return [][2]int{{m, k}, {k, n}, {m, n}} },
+		func(t []*Matrix, seed int64) {
+			for i := range t {
+				fillWhere(t[i], randomMatrix(t[i].Rows, t[i].Cols, seed+int64(i)), all)
+			}
+		},
+		func(t []*Matrix) error { return GemmSub(t[0], t[1], t[2]) },
+		func(t []*Matrix) { gemmSubNaive(t[0], t[1], t[2]) }},
+}
+
+// TestFactorKernelsAgreeWithNaive runs all eight kernels against the naive
+// oracles on extents that are multiples of neither the micro-tile nor
+// factorBase, as adjacent strided views of one parent. Every cell the kernel
+// has no business with — the unused triangle of a triangular operand, the
+// strictly-upper triangle of a SyrkNT/Potrf result, the guard cells — holds a
+// poison, once NaN (a read of it spreads into the result) and once a finite
+// sentinel (a write over it shows), and the whole parent must come back equal
+// to the oracle's: poison bit for bit, results to 1e-11·n. A second run on
+// the same input must give the same bits.
+func TestFactorKernelsAgreeWithNaive(t *testing.T) {
+	sizes := []int{1, 3, 31, 33, 100, 129, 257}
+	for _, fc := range factorCases {
+		for si, n := range sizes {
+			m, k := sizes[(si+3)%len(sizes)], sizes[(si+5)%len(sizes)]
+			for _, poison := range []float64{math.NaN(), 1e30} {
+				shapes := fc.shapes(n, m, k)
+				seed := int64(1000*si + 7)
+				build := func() (*Matrix, []*Matrix) {
+					parent := carveParent(shapes, poison)
+					tiles := carve(parent, shapes)
+					fc.fill(tiles, seed)
+					return parent, tiles
+				}
+				want, wantTiles := build()
+				fc.oracle(wantTiles)
+				got, gotTiles := build()
+				if err := fc.kernel(gotTiles); err != nil {
+					t.Fatalf("%s n=%d m=%d k=%d: %v", fc.name, n, m, k, err)
+				}
+				tol := 1e-11 * float64(max(n, m, k))
+				if i, j, ok := sameBitsOrWithin(got, want, tol); !ok {
+					t.Fatalf("%s n=%d m=%d k=%d poison=%g: parent cell (%d,%d) = %g, oracle %g",
+						fc.name, n, m, k, poison, i, j, got.At(i, j), want.At(i, j))
+				}
+				again, againTiles := build()
+				if err := fc.kernel(againTiles); err != nil {
+					t.Fatal(err)
+				}
+				if i, j, ok := sameBitsOrWithin(again, got, -1); !ok {
+					t.Fatalf("%s n=%d: second run differs at (%d,%d): %g then %g",
+						fc.name, n, i, j, got.At(i, j), again.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestFactorKernelsZeroExtents: every kernel is a no-op, not a panic, when
+// an extent is zero — blocked callers produce such trailing views, here taken
+// with Sub at the far corner of a parent, where a zero-height view starts one
+// row past the end of the data.
+func TestFactorKernelsZeroExtents(t *testing.T) {
+	for _, fc := range factorCases {
+		for _, e := range [][3]int{{0, 5, 5}, {5, 0, 5}, {5, 5, 0}, {0, 0, 0}} {
+			shapes := fc.shapes(e[0], e[1], e[2])
+			parent := NewMatrix(8, 8)
+			parent.FillRandom(1)
+			before := parent.Clone()
+			tiles := make([]*Matrix, len(shapes))
+			zero := false
+			for i, sh := range shapes {
+				tiles[i] = parent.Sub(8-sh[0], 8-sh[1], sh[0], sh[1])
+				zero = zero || sh[0] == 0 || sh[1] == 0
+			}
+			if !zero {
+				continue // this kernel has no operand with that extent
+			}
+			if err := fc.kernel(tiles); err != nil {
+				t.Fatalf("%s %v: %v", fc.name, e, err)
+			}
+			// Either the result itself is empty or the product has no terms.
+			if d := MaxDiff(parent, before); d != 0 {
+				t.Fatalf("%s %v: changed the parent by %g", fc.name, e, d)
+			}
+		}
+	}
+}
+
+// TestFactorErrorsCarryGlobalIndex: a bad pivot found inside a recursive
+// block is reported with its index in the caller's matrix.
+func TestFactorErrorsCarryGlobalIndex(t *testing.T) {
+	const n, bad = 200, 150
+	for _, v := range []float64{-1, math.NaN()} {
+		a := symDiagDominant(n, 3)
+		a.Set(bad, bad, v)
+		err := Potrf(a)
+		if err == nil || !strings.Contains(err.Error(), "pivot 150 ") {
+			t.Fatalf("Potrf with a[150][150]=%g: %v, want pivot 150", v, err)
+		}
+	}
+	for _, v := range []float64{0, math.NaN()} {
+		a := diagDominant(n, 4)
+		for j := 0; j < n; j++ {
+			a.Set(bad, j, 0) // a zero row makes pivot 150 exactly zero
+		}
+		a.Set(bad, bad, v)
+		err := Getrf(a)
+		if err == nil || !strings.Contains(err.Error(), "pivot at 150 ") {
+			t.Fatalf("Getrf with row 150 zero and a[150][150]=%g: %v, want pivot at 150", v, err)
+		}
+	}
+	tri := factoredDD(n, 5)
+	tri.Set(bad, bad, 0)
+	if err := TrsmRU(tri, NewMatrix(3, n)); err == nil || !strings.HasSuffix(err.Error(), "at 150") {
+		t.Fatalf("TrsmRU zero diagonal: %v", err)
+	}
+	if err := TrsmRLT(tri, NewMatrix(3, n)); err == nil || !strings.HasSuffix(err.Error(), "at 150") {
+		t.Fatalf("TrsmRLT zero diagonal: %v", err)
+	}
+}
+
+// TestFactorKernelsDoNotAllocate: at the benchmark's tile size, on strided
+// views, a warmed-up kernel call allocates nothing — pack buffers and the
+// micro-tile accumulator come from packPool, internal views are values.
+func TestFactorKernelsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	const n = 128
+	for _, fc := range factorCases {
+		shapes := fc.shapes(n, n, n)
+		parent := carveParent(shapes, 0)
+		tiles := carve(parent, shapes)
+		fc.fill(tiles, 9)
+		fresh := parent.Clone()
+		run := func() {
+			copy(parent.Data, fresh.Data) // a factored tile is not the input of the next call
+			if err := fc.kernel(tiles); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s allocates %.0f objects per call at tile %d, want 0", fc.name, allocs, n)
 		}
 	}
 }

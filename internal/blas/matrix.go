@@ -1,9 +1,11 @@
 // Package blas implements the dense linear-algebra kernels the paper's case
 // study exercises: double-precision matrix multiplication (DGEMM, the
 // GotoBLAS2/CuBLAS workload of Section IV-D), matrix-vector multiplication,
-// AXPY and the vector addition of the paper's annotation example. Kernels
-// come in serial naive, cache-blocked and parallel blocked variants so the
-// task runtime has genuinely different implementations to choose between.
+// AXPY and the vector addition of the paper's annotation example, plus the
+// Cholesky and LU tile kernels of the factorization experiments (factor.go).
+// DGEMM comes in serial naive, cache-blocked and packed variants so the task
+// runtime has genuinely different implementations to choose between; the
+// packed driver (pack.go) is also what every factorization kernel runs on.
 package blas
 
 import (
@@ -35,15 +37,26 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
 
 // Sub returns a view of the rows×cols tile with upper-left corner (i, j).
-// The view shares storage with m.
+// The view shares storage with m. Zero extents are legal on every edge
+// (Sub(m.Rows, j, 0, cols) included) and give an empty view.
 func (m *Matrix) Sub(i, j, rows, cols int) *Matrix {
 	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
 		panic(fmt.Sprintf("blas: Sub(%d,%d,%d,%d) out of %dx%d", i, j, rows, cols, m.Rows, m.Cols))
 	}
-	return &Matrix{
-		Rows: rows, Cols: cols, Stride: m.Stride,
-		Data: m.Data[i*m.Stride+j:],
+	v := m.view(i, j, rows, cols)
+	return &v
+}
+
+// view is Sub by value and without the bounds check, for kernels that carve
+// an operand they have already validated: blocked algorithms take many views
+// per call and must not allocate. A zero-height view addresses nothing — its
+// corner may lie one row past the end of Data.
+func (m *Matrix) view(i, j, rows, cols int) Matrix {
+	v := Matrix{Rows: rows, Cols: cols, Stride: m.Stride}
+	if rows > 0 {
+		v.Data = m.Data[i*m.Stride+j:]
 	}
+	return v
 }
 
 // Clone returns a compact deep copy.
@@ -90,23 +103,16 @@ func (m *Matrix) FillIdentity() {
 }
 
 // Equal reports whether two matrices have identical shape and elements
-// within tolerance tol.
+// within tolerance tol. A NaN on either side is a difference.
 func Equal(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
-				return false
-			}
-		}
-	}
-	return true
+	d := MaxDiff(a, b)
+	return d <= tol && !math.IsInf(d, 1) // +Inf is "no answer", whatever tol says
 }
 
 // MaxDiff returns the maximum absolute element difference between two
-// same-shaped matrices.
+// same-shaped matrices, +Inf on a shape mismatch or as soon as any element
+// difference is NaN — every `diff > tol` verification in the repo goes
+// through here, and NaN compares false with everything.
 func MaxDiff(a, b *Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return math.Inf(1)
@@ -114,7 +120,11 @@ func MaxDiff(a, b *Matrix) float64 {
 	max := 0.0
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
-			if d := math.Abs(a.At(i, j) - b.At(i, j)); d > max {
+			d := math.Abs(a.At(i, j) - b.At(i, j))
+			if math.IsNaN(d) {
+				return math.Inf(1)
+			}
+			if d > max {
 				max = d
 			}
 		}

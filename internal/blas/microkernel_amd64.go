@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package blas
 
@@ -8,7 +8,10 @@ package blas
 // — roughly an order of magnitude over the scalar mul+add ceiling the Go
 // compiler can reach (it never vectorizes float64 loops and does not emit
 // FMA on amd64). Selection happens once at init via CPUID; hosts without
-// AVX2, FMA or OS-enabled YMM state keep the portable kernel.
+// AVX2, FMA or OS-enabled YMM state keep the portable kernel, and so does any
+// build with the purego tag (`make test-purego`), which leaves this file out
+// so that CI on an AVX2 host still runs every packed product and factor
+// kernel on the fallback.
 
 func init() {
 	if cpuHasAVX2FMA() {

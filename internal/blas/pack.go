@@ -5,106 +5,146 @@ import (
 	"sync/atomic"
 )
 
-// Packed GEMM: the GotoBLAS-style kernel the paper's case study calls
-// "highly optimized". C += A·B is decomposed into kc-deep panels; within
-// each panel, B is packed once into strips of microN columns and A into
+// The packed driver: the GotoBLAS-style kernel the paper's case study calls
+// "highly optimized", and the one place every matrix product of this package
+// — DGEMM and the updates inside the factorization kernels of factor.go —
+// is computed. C += σ·A·op(B) is decomposed into kc-deep panels; within each
+// panel, op(B) is packed once into strips of microN columns and A into
 // strips of microM rows, both k-major and zero-padded to full strips, so the
 // register-tiled micro-kernel (microkernel.go) streams unit-stride memory
-// regardless of the operands' strides. Pack buffers are recycled through a
-// sync.Pool so tiled task-runtime workloads (many GemmPacked calls on tile
-// views) allocate only on first use. The parallel variant splits the
-// row-panels of C across worker goroutines; every worker packs its own A
-// strips while sharing the read-only packed B panel, and workers claim
-// strips from an atomic counter so uneven strips cannot imbalance the pool.
+// regardless of the operands' strides. σ ∈ {+1, −1} only picks the sign of
+// the write-back and op ∈ {identity, transpose} only picks which pack routine
+// reads b; the micro-kernel, the A pack, the buffer pool and the strip loop
+// are shared. Pack buffers are recycled through a sync.Pool so tiled
+// task-runtime workloads (many calls on tile views) allocate only on first
+// use. The parallel variant splits the row-panels of C across worker
+// goroutines; every worker packs its own A strips while sharing the
+// read-only packed B panel, and workers claim strips from an atomic counter
+// so uneven strips cannot imbalance the pool.
 
 // packPanelCols bounds the width of one packed B panel: kc×packPanelCols
 // doubles must stay cache-resident, and a bound keeps the pack buffers small
 // for very wide matrices.
 const packPanelCols = 2048
 
+// packScratch is one pooled pack buffer together with the micro-tile
+// accumulator of the strip loop that owns it. microKernel is called through
+// a variable, so an accumulator declared on the stack would move to the heap
+// on every strip; here it is recycled with the buffer.
+type packScratch struct {
+	buf []float64
+	out microAccum
+}
+
 // packPool recycles pack buffers across calls (and across the goroutines of
 // the parallel path).
-var packPool = sync.Pool{New: func() any { return new([]float64) }}
+var packPool = sync.Pool{New: func() any { return new(packScratch) }}
 
-// packBuf returns a pooled buffer of length n.
-func packBuf(n int) *[]float64 {
-	p := packPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+// packBuf returns a pooled scratch whose buffer has length n.
+func packBuf(n int) *packScratch {
+	p := packPool.Get().(*packScratch)
+	if cap(p.buf) < n {
+		p.buf = make([]float64, n)
 	}
-	*p = (*p)[:n]
+	p.buf = p.buf[:n]
 	return p
 }
 
 // roundUp returns v rounded up to a multiple of q.
 func roundUp(v, q int) int { return (v + q - 1) / q * q }
 
-// packPanelA copies the mb×kb block of a at (i0, p0) into pa as zero-padded
-// strips of microM rows, k-major: strip s holds rows i0+s*microM.. and its
-// element (p, r) lands at pa[s*kb*microM + p*microM + r].
-func packPanelA(a *Matrix, i0, p0, mb, kb int, pa []float64) {
-	idx := 0
-	for i := 0; i < mb; i += microM {
-		ih := min(microM, mb-i)
-		for p := 0; p < kb; p++ {
-			base := (i0+i)*a.Stride + p0 + p
-			for r := 0; r < microM; r++ {
-				v := 0.0
-				if r < ih {
-					v = a.Data[base+r*a.Stride]
-				}
-				pa[idx] = v
-				idx++
+// product selects what the one packed driver computes, C += σ·A·op(B). The
+// zero value is the plain DGEMM update C += A·B.
+type product struct {
+	neg    bool // σ = −1: the product is subtracted
+	transB bool // op(B) = Bᵀ: b is n×k and element (p, j) of op(B) is b[j][p]
+	lower  bool // C is square and only its lower triangle, diagonal included, is written
+}
+
+// packRows copies the rows×kb block of m at (r0, p0) into dst as zero-padded
+// strips of w rows, k-major: strip s holds rows r0+s*w.. and its element
+// (p, r) lands at dst[s*kb*w + p*w + r]. With w = microM this is the A pack;
+// with w = microN it packs Bᵀ, whose "columns" are rows of b.
+func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
+	for i := 0; i < rows; i += w {
+		strip := dst[i*kb : (i+w)*kb]
+		h := min(w, rows-i)
+		r := 0
+		for ; r+4 <= h; r += 4 { // four rows per pass: a full strip of microM or microN rows needs no other loop
+			s0 := m.Data[(r0+i+r)*m.Stride+p0:][:kb]
+			s1 := m.Data[(r0+i+r+1)*m.Stride+p0:][:kb]
+			s2 := m.Data[(r0+i+r+2)*m.Stride+p0:][:kb]
+			s3 := m.Data[(r0+i+r+3)*m.Stride+p0:][:kb]
+			for p, v := range s0 {
+				d := strip[p*w+r:][:4]
+				d[0], d[1], d[2], d[3] = v, s1[p], s2[p], s3[p]
+			}
+		}
+		for ; r < h; r++ {
+			for p, v := range m.Data[(r0+i+r)*m.Stride+p0:][:kb] {
+				strip[p*w+r] = v
+			}
+		}
+		if h < w {
+			for p := 0; p < kb; p++ {
+				clear(strip[p*w+h : (p+1)*w])
 			}
 		}
 	}
 }
 
-// packPanelB copies the kb×nb block of b at (p0, j0) into pb as zero-padded
+// packCols copies the kb×nb block of b at (p0, j0) into pb as zero-padded
 // strips of microN columns, k-major: strip s holds columns j0+s*microN.. and
 // its element (p, q) lands at pb[s*kb*microN + p*microN + q].
-func packPanelB(b *Matrix, p0, j0, kb, nb int, pb []float64) {
-	idx := 0
+func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 	for j := 0; j < nb; j += microN {
+		strip := pb[j*kb : (j+microN)*kb]
 		jw := min(microN, nb-j)
 		for p := 0; p < kb; p++ {
-			base := (p0+p)*b.Stride + j0 + j
-			for q := 0; q < microN; q++ {
-				v := 0.0
-				if q < jw {
-					v = b.Data[base+q]
-				}
-				pb[idx] = v
-				idx++
-			}
+			dst := strip[p*microN : (p+1)*microN]
+			n := copy(dst, b.Data[(p0+p)*b.Stride+j0+j:][:jw])
+			clear(dst[n:])
 		}
 	}
 }
 
-// packedStrip multiplies one packed A row-strip against the shared packed B
-// panel and accumulates into C. pa holds the strip's packed panel (filled
-// here); pb is the caller's packed B panel for (p0, j0).
-func packedStrip(a, c *Matrix, pa, pb []float64, i0, p0, j0, mb, kb, nb int) {
-	packPanelA(a, i0, p0, mb, kb, pa)
-	var out microAccum
+// packedStrip multiplies one packed A row-strip against the shared packed
+// op(B) panel and applies it to C — the one strip loop and the one
+// micro-kernel call site of every packed product. ps holds the strip's packed
+// panel (filled here); pb is the caller's packed panel for (p0, j0).
+func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
+	pa, out := ps.buf, &ps.out
+	packRows(a, i0, p0, mb, kb, microM, pa)
 	for i := 0; i < mb; i += microM {
 		ih := min(microM, mb-i)
-		sa := pa[(i/microM)*kb*microM:]
+		sa := pa[i*kb:]
 		for j := 0; j < nb; j += microN {
+			// diag is how many columns of this micro-tile's first row lie on
+			// or below C's diagonal; each later row has one more.
+			diag := i0 + i - j0 - j + 1
+			if op.lower && diag+ih-1 <= 0 {
+				break // this micro-tile and every one to its right is strictly upper
+			}
+			microKernel(kb, sa, pb[j*kb:], out)
 			jw := min(microN, nb-j)
-			sb := pb[(j/microN)*kb*microN:]
-			microKernel(kb, sa, sb, &out)
 			for r := 0; r < ih; r++ {
+				w := jw
+				if op.lower {
+					w = min(jw, diag+r)
+				}
+				if w <= 0 {
+					continue
+				}
 				crow := c.Data[(i0+i+r)*c.Stride+j0+j:]
-				acc := out[r*microN : r*microN+microN]
-				if jw == microN {
-					crow = crow[:microN]
+				crow = crow[:w]
+				acc := out[r*microN:][:w]
+				if op.neg {
 					for q, v := range acc {
-						crow[q] += v
+						crow[q] -= v
 					}
 				} else {
-					for q := 0; q < jw; q++ {
-						crow[q] += acc[q]
+					for q, v := range acc {
+						crow[q] += v
 					}
 				}
 			}
@@ -118,7 +158,7 @@ func packedStrip(a, c *Matrix, pa, pb []float64, i0, p0, j0, mb, kb, nb int) {
 // locality a plain blocked loop loses; the register tile then turns the
 // recovered bandwidth into flops.
 func GemmPacked(a, b, c *Matrix, block int) error {
-	return gemmPacked(a, b, c, block, 1)
+	return GemmPackedParallel(a, b, c, block, 1)
 }
 
 // GemmPackedParallel computes C += A·B on the packed micro-kernel path with
@@ -126,70 +166,78 @@ func GemmPacked(a, b, c *Matrix, block int) error {
 // clampWorkers). The panel decomposition — and therefore the floating-point
 // result — is identical for every worker count.
 func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
-	return gemmPacked(a, b, c, block, workers)
-}
-
-func gemmPacked(a, b, c *Matrix, block, workers int) error {
-	m, n, k, err := shapeGEMM(a, b, c)
-	if err != nil {
+	if _, _, _, err := shapeGEMM(a, b, c); err != nil {
 		return err
 	}
+	packedProduct(a, b, c, product{}, block, workers)
+	return nil
+}
+
+// packedProduct is the packed driver: C += σ·A·op(B) for conformable
+// operands (callers check shapes), a no-op when any extent is zero. The
+// micro-kernel, the A pack, the buffer pool and the strip loop are the same
+// for every product; op picks the B pack and the sign and triangle of the
+// write-back.
+func packedProduct(a, b, c *Matrix, op product, block, workers int) {
+	m, n, k := c.Rows, c.Cols, a.Cols
 	if m == 0 || n == 0 || k == 0 {
-		return nil // degenerate: nothing to accumulate
+		return
 	}
-	kc := clampBlock(block)
-	if kc > k {
-		kc = k
-	}
+	kc := min(clampBlock(block), k)
 	mc := roundUp(kc, microM)
-	nc := packPanelCols
-	if n < nc {
-		nc = n
-	}
+	nc := min(packPanelCols, n)
 	strips := (m + mc - 1) / mc
 	workers = clampWorkers(workers, strips)
 
-	pb := packBuf(roundUp(nc, microN) * kc)
-	defer packPool.Put(pb)
-	paLen := func(kb int) int {
-		if mc > m {
-			return roundUp(m, microM) * kb
-		}
-		return mc * kb // mc is already a microM multiple
-	}
+	ps := packBuf(roundUp(nc, microN) * kc)
+	defer packPool.Put(ps)
+	pb := ps.buf
+	paLen := min(mc, roundUp(m, microM)) * kc
 	for p0 := 0; p0 < k; p0 += kc {
 		kb := min(kc, k-p0)
 		for j0 := 0; j0 < n; j0 += nc {
 			nb := min(nc, n-j0)
-			packPanelB(b, p0, j0, kb, nb, (*pb)[:roundUp(nb, microN)*kb])
+			if op.transB {
+				packRows(b, j0, p0, nb, kb, microN, pb)
+			} else {
+				packCols(b, p0, j0, kb, nb, pb)
+			}
 			if workers == 1 {
-				pa := packBuf(paLen(kb))
+				pa := packBuf(paLen)
 				for i0 := 0; i0 < m; i0 += mc {
-					packedStrip(a, c, *pa, *pb, i0, p0, j0, min(mc, m-i0), kb, nb)
+					packedStrip(a, c, pa, pb, i0, p0, j0, min(mc, m-i0), kb, nb, op)
 				}
 				packPool.Put(pa)
 				continue
 			}
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					pa := packBuf(paLen(kb))
-					defer packPool.Put(pa)
-					for {
-						s := int(next.Add(1)) - 1
-						if s >= strips {
-							return
-						}
-						i0 := s * mc
-						packedStrip(a, c, *pa, *pb, i0, p0, j0, min(mc, m-i0), kb, nb)
-					}
-				}()
-			}
-			wg.Wait()
+			packedStripsParallel(*a, *c, pb, p0, j0, kb, nb, mc, paLen, op, workers)
 		}
 	}
-	return nil
+}
+
+// packedStripsParallel runs one panel's strips on workers goroutines, which
+// claim strips from an atomic counter so uneven strips cannot imbalance
+// them. Every worker packs its own A strips and shares the read-only pb. The
+// operands arrive by value so that only this path moves them to the heap.
+func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc, paLen int, op product, workers int) {
+	strips := (c.Rows + mc - 1) / mc
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pa := packBuf(paLen)
+			defer packPool.Put(pa)
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= strips {
+					return
+				}
+				i0 := s * mc
+				packedStrip(&a, &c, pa, pb, i0, p0, j0, min(mc, c.Rows-i0), kb, nb, op)
+			}
+		}()
+	}
+	wg.Wait()
 }

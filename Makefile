@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race test-purego crash-test cluster-test fuzz verify bench bench-test serve clean
+.PHONY: build test vet race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,13 @@ verify: build test vet race test-purego crash-test cluster-test bench-test
 # -compare A.json B.json` is the regression check.
 bench:
 	bash benchmark/run.sh
+
+# loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
+# non-test Go outside benchmark/ — in total and per package directory.
+LOC_FILES = git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/'
+loc:
+	@$(LOC_FILES) | xargs cat | wc -l
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[1] "/" p[2] : (n > 1 ? p[1] : "."); s[d] += $$1 } END { for (d in s) printf "%7d %s\n", s[d], d }' | sort -k2
 
 # serve runs the registry service locally with the example platforms loaded.
 serve:

@@ -13,6 +13,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
@@ -209,12 +210,10 @@ func NewMaster(cfg Config) (*Master, error) {
 	return m, nil
 }
 
-// Default transfer characteristics for a node without a declared route:
-// a LAN hop (~1 GB/s, 200µs).
-const (
-	defaultNodeBandwidth = 1 << 30
-	defaultNodeLatencyNS = 200e3
-)
+// lanLink prices the master→node path when the platform declares no route
+// for it, and stands in for an undeclared property on a hop of one that it
+// does: a LAN hop, 1 GiB/s and 200 µs.
+var lanLink = placement.Link{LatNanos: 200e3, NanosPerByte: 1e9 / (1 << 30)}
 
 // nodeState is the master's view of one node during a run. All fields are
 // owned by the run loop goroutine except the control client and forcedDown.
@@ -230,21 +229,18 @@ type nodeState struct {
 	// rejoin.
 	forcedDown atomic.Bool
 
-	alive    bool
-	info     InfoResponse
-	maxCred  int
-	credits  int
-	backlog  float64 // outstanding estimate, nanoseconds
-	suspects int     // consecutive transport errors on the data plane
+	alive   bool
+	info    InfoResponse
+	maxCred int
+	credits int
+	// backlog is the placement.Candidate.Charge of every invocation in
+	// flight on the node, nanoseconds: dispatch adds it, release returns it.
+	backlog  int64
+	suspects int // consecutive transport errors on the data plane
 	has      map[int]uint64
 
-	// Modelled transfer cost of the master→node route.
-	latNanos     float64
-	nanosPerByte float64
-
-	// Fallback estimate: mean observed round-trip on this node.
-	obsCount int
-	obsMean  float64 // nanoseconds
+	link placement.Link    // the master→node route
+	obs  placement.History // kernel time observed on this node
 
 	// Straggler detector state: EWMA of observed/estimated latency over
 	// model-placed tasks, and how many such observations exist.
@@ -279,10 +275,9 @@ type inflightRec struct {
 	task     *taskrt.Task
 	node     *nodeState
 	specs    []AccessSpec
-	est      float64 // charged estimate (slowdown-penalised), nanoseconds
-	modelEst float64 // unscaled perfmodel estimate, nanoseconds (0 unless reason "model")
-	released bool    // credit/backlog already returned (node died)
-	shipped  int64   // encoded bytes inlined (set by the dispatch goroutine)
+	cand     placement.Candidate // the node's winning bid: its Charge is on node.backlog until released
+	released bool                // credit/backlog already returned
+	shipped  int64               // encoded bytes inlined (set by the dispatch goroutine)
 	inlines  int
 }
 
@@ -299,6 +294,9 @@ type runState struct {
 	done     map[int]bool
 	inflight map[int]*inflightRec
 	ready    []*taskrt.Task
+
+	obs    placement.History // kernel time observed on every node: the cold estimate
+	cursor uint64            // placement.Pick cursor, advanced per choose
 
 	events chan event
 	stop   chan struct{}
@@ -375,9 +373,11 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %v", nc.Name, err)
 		}
-		n := &nodeState{cfg: nc, ctl: ctl, has: map[int]uint64{}}
+		n := &nodeState{cfg: nc, ctl: ctl, has: map[int]uint64{}, link: lanLink}
 		n.stats.Name = nc.Name
-		n.latNanos, n.nanosPerByte = m.routeCost(nc.PU)
+		if l, ok := placement.RouteLink(m.cfg.Platform, m.cfg.MasterPU, nc.PU, lanLink); ok {
+			n.link = l
+		}
 		st.nodes = append(st.nodes, n)
 		cm.nodeUp.With(nc.Name).Set(0)
 		go st.heartbeat(n)
@@ -515,33 +515,6 @@ func (st *runState) publishMerged() *trace.Trace {
 	return merged
 }
 
-// routeCost prices the master→node path from the platform's declared
-// interconnects, or the LAN defaults when unroutable.
-func (m *Master) routeCost(pu string) (latNanos, nanosPerByte float64) {
-	latNanos, nanosPerByte = defaultNodeLatencyNS, 1e9/float64(defaultNodeBandwidth)
-	if m.cfg.Platform == nil || m.cfg.MasterPU == "" || pu == "" {
-		return
-	}
-	route, err := m.cfg.Platform.Route(m.cfg.MasterPU, pu)
-	if err != nil || len(route) == 0 {
-		return
-	}
-	lat, perByte := 0.0, 0.0
-	for _, ic := range route {
-		l, ok := ic.LatencySeconds()
-		if !ok {
-			l = defaultNodeLatencyNS / 1e9
-		}
-		bw, ok := ic.BandwidthBytesPerSec()
-		if !ok || bw <= 0 {
-			bw = defaultNodeBandwidth
-		}
-		lat += l * 1e9
-		perByte += 1e9 / bw
-	}
-	return lat, perByte
-}
-
 func (st *runState) aliveCount() int {
 	n := 0
 	for _, node := range st.nodes {
@@ -614,7 +587,7 @@ func (st *runState) nodeUp(n *nodeState, info InfoResponse) {
 	cm.nodeUp.With(n.cfg.Name).Set(1)
 	st.m.logf("cluster: node %s up (archs %v, %d workers, %d codelets)",
 		n.cfg.Name, info.Archs, info.Workers, len(info.Codelets))
-	st.traceInstant(trace.Recover, n.cfg.Name, "", trace.NoTask)
+	st.instant(trace.Event{Kind: trace.Recover, Node: n.cfg.Name, TaskID: trace.NoTask})
 }
 
 // nodeDown blacklists the node and resubmits everything it had in flight.
@@ -633,21 +606,34 @@ func (st *runState) nodeDown(n *nodeState) {
 	cm.slowdown.Delete(n.cfg.Name)
 	n.slowEWMA, n.slowSamples = 0, 0
 	st.m.logf("cluster: node %s dead; resubmitting its in-flight tasks", n.cfg.Name)
-	st.traceInstant(trace.Blacklist, n.cfg.Name, "", trace.NoTask)
-	for id, rec := range st.inflight {
-		if rec.node != n || rec.released {
+	st.instant(trace.Event{Kind: trace.Blacklist, Node: n.cfg.Name, TaskID: trace.NoTask})
+	for _, rec := range st.inflight {
+		if rec.node != n || !st.release(rec) {
 			continue
 		}
-		rec.released = true
-		cm.inflight.With(n.cfg.Name).Dec()
-		delete(st.inflight, id)
 		n.stats.Resubmits++
 		st.resubmissions++
 		cm.resubmits.With(n.cfg.Name).Inc()
 		st.requeueWithBackoff(rec.task)
 	}
 	cm.inflight.With(n.cfg.Name).Set(0)
-	n.credits, n.backlog = 0, 0
+	n.credits = 0
+}
+
+// release returns the credit and the backlog charge dispatch took for rec,
+// once: false when they were already returned (the node died first, or this
+// is the late result of an invocation nodeDown resubmitted).
+func (st *runState) release(rec *inflightRec) bool {
+	if rec.released {
+		return false
+	}
+	rec.released = true
+	n := rec.node
+	n.credits++
+	n.backlog -= rec.cand.Charge()
+	cm.inflight.With(n.cfg.Name).Dec()
+	delete(st.inflight, rec.task.ID())
+	return true
 }
 
 // requeueWithBackoff schedules the task back into ready after a capped
@@ -675,23 +661,21 @@ func (n *nodeState) nodeRuns(codelet string) bool {
 	return false
 }
 
-// estimate returns the predicted execution nanoseconds for the task on the
-// node and the decision source (model/fallback/cold).
-func (st *runState) estimate(t *taskrt.Task, n *nodeState) (float64, string) {
-	if t.Flops > 0 {
-		for _, arch := range n.info.Archs {
-			if t.Codelet.ImplFor(arch) == nil {
-				continue
-			}
-			if sec, ok := st.m.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
-				return sec * 1e9, "model"
-			}
+// modelNanos is the perfmodel's estimate for the task on the first of the
+// node's architectures that has one.
+func (st *runState) modelNanos(t *taskrt.Task, n *nodeState) (int64, bool) {
+	if t.Flops <= 0 {
+		return 0, false
+	}
+	for _, arch := range n.info.Archs {
+		if t.Codelet.ImplFor(arch) == nil {
+			continue
+		}
+		if sec, ok := st.m.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
+			return int64(sec * 1e9), true
 		}
 	}
-	if n.obsCount > 0 {
-		return n.obsMean, "fallback"
-	}
-	return 1e6, "cold" // 1ms: nonzero so backlog still differentiates nodes
+	return 0, false
 }
 
 // hasVersion reports whether the node is believed to cache the handle at
@@ -704,56 +688,43 @@ func (n *nodeState) hasVersion(id int, ver uint64) bool {
 
 // transferNanos prices the payloads that would need inlining for the task
 // on the node, given the node's version cache.
-func (st *runState) transferNanos(t *taskrt.Task, n *nodeState) float64 {
-	total := 0.0
+func (st *runState) transferNanos(t *taskrt.Task, n *nodeState) int64 {
+	var total int64
 	for _, a := range t.Accesses {
 		id := a.Handle.ID()
-		if n.hasVersion(id, st.ver[id]) {
-			continue
+		if !n.hasVersion(id, st.ver[id]) {
+			total += n.link.Nanos(a.Handle.Bytes)
 		}
-		total += n.latNanos + float64(a.Handle.Bytes)*n.nanosPerByte
 	}
 	return total
 }
 
-// placement is one EFT decision: the chosen node, the charged (penalised)
-// estimate, the transfer term, the prediction source, and — when the source
-// was the perfmodel — the unscaled estimate the straggler detector compares
-// observations against.
-type placement struct {
-	node     *nodeState
-	est      float64 // charged, nanoseconds (model estimate × node penalty)
-	xfer     float64 // nanoseconds
-	reason   string  // "model", "fallback", "cold"
-	modelEst float64 // unscaled model estimate, 0 unless reason == "model"
-}
-
-// choose picks the node with the earliest modelled finish time among alive
-// nodes with free credit that can run the codelet. Each node's execution
-// estimate is scaled by its slowdown penalty (EWMA of observed/estimated
-// latency, floored at 1), so detected stragglers bid with their real speed
-// rather than the model's optimism.
-func (st *runState) choose(t *taskrt.Task) (placement, bool) {
-	var best placement
-	bestScore := 0.0
-	for _, n := range st.nodes {
+// choose offers every alive node with free credit that can run the codelet
+// to a placement.Pick — internal/placement's rule, one level up from the
+// dmda dispatcher: backlog, the estimate chain over the shared perfmodel and
+// the node's observed kernel times, the node's straggler score as slowdown
+// (so a detected straggler bids with its real speed rather than the model's
+// optimism), and the price of inlining what its version cache lacks.
+func (st *runState) choose(t *taskrt.Task) (*nodeState, placement.Candidate, bool) {
+	pick := placement.NewPick(len(st.nodes), st.cursor, t.Priority > 0)
+	st.cursor++
+	for k := range st.nodes {
+		i := pick.At(k)
+		n := st.nodes[i]
 		if !n.alive || n.credits <= 0 || !n.nodeRuns(t.Codelet.Name) {
 			continue
 		}
-		est, reason := st.estimate(t, n)
-		modelEst := 0.0
-		if reason == "model" {
-			modelEst = est
-		}
-		est *= n.penalty()
-		xfer := st.transferNanos(t, n)
-		score := n.backlog + est + xfer
-		if best.node == nil || score < bestScore {
-			best = placement{node: n, est: est, xfer: xfer, reason: reason, modelEst: modelEst}
-			bestScore = score
-		}
+		model, ok := st.modelNanos(t, n)
+		exec, src := placement.Estimate(model, ok, n.obs, st.obs)
+		pick.Offer(i, n.backlog, placement.Candidate{
+			Exec: exec, Xfer: st.transferNanos(t, n), Slowdown: n.slowEWMA, Source: src,
+		})
 	}
-	return best, best.node != nil
+	i, c, ok := pick.Best()
+	if !ok {
+		return nil, c, false
+	}
+	return st.nodes[i], c, true
 }
 
 // dispatchReady places as many ready tasks as node credits allow.
@@ -765,7 +736,7 @@ func (st *runState) dispatchReady() {
 		if st.done[t.ID()] || st.inflight[t.ID()] != nil {
 			continue // resubmitted and already handled
 		}
-		p, ok := st.choose(t)
+		n, c, ok := st.choose(t)
 		if !ok {
 			defer2 = append(defer2, t)
 			if st.aliveCount() == 0 {
@@ -773,14 +744,13 @@ func (st *runState) dispatchReady() {
 			}
 			continue
 		}
-		st.dispatch(t, p)
+		st.dispatch(t, n, c)
 	}
 	st.ready = append(defer2, st.ready...)
 }
 
 // dispatch charges the node and ships the invocation asynchronously.
-func (st *runState) dispatch(t *taskrt.Task, p placement) {
-	n := p.node
+func (st *runState) dispatch(t *taskrt.Task, n *nodeState, c placement.Candidate) {
 	specs := make([]AccessSpec, len(t.Accesses))
 	inline := make([]bool, len(t.Accesses))
 	for i, a := range t.Accesses {
@@ -794,13 +764,16 @@ func (st *runState) dispatch(t *taskrt.Task, p placement) {
 		}
 		inline[i] = !n.hasVersion(id, st.ver[id])
 	}
-	rec := &inflightRec{task: t, node: n, specs: specs, est: p.est, modelEst: p.modelEst}
+	rec := &inflightRec{task: t, node: n, specs: specs, cand: c}
 	st.inflight[t.ID()] = rec
 	n.credits--
-	n.backlog += p.est + p.xfer
+	n.backlog += c.Charge()
 	cm.inflight.With(n.cfg.Name).Inc()
-	cm.decisions.With(p.reason).Inc()
-	st.traceDispatch(t, n, p.reason, p.xfer)
+	cm.decisions.With(c.Source.String()).Inc()
+	st.instant(trace.Event{
+		Kind: trace.Place, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(),
+		From: c.Source.String(), Transfer: float64(c.Xfer) / 1e9,
+	})
 
 	var parents []int
 	for _, d := range t.Deps() {
@@ -883,16 +856,7 @@ func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inl
 // resubmission) are dropped before any state changes.
 func (st *runState) handleResult(ev event) (bool, error) {
 	rec, n, t := ev.rec, ev.rec.node, ev.rec.task
-	if !rec.released {
-		rec.released = true
-		n.credits++
-		n.backlog -= rec.est
-		if n.backlog < 0 {
-			n.backlog = 0
-		}
-		cm.inflight.With(n.cfg.Name).Dec()
-		delete(st.inflight, t.ID())
-	}
+	st.release(rec)
 	// Ingest piggybacked worker spans before the exactly-once drop: even a
 	// duplicate attempt really executed, and the merged timeline should show
 	// it (that is how duplicated work becomes visible).
@@ -960,7 +924,7 @@ func (st *runState) handleResult(ev event) (bool, error) {
 		st.retriedTasks[t.ID()] = true
 		cm.retries.With(n.cfg.Name).Inc()
 		st.attempts[t.ID()]++
-		st.traceInstant(trace.Retry, n.cfg.Name, t.Label, t.ID())
+		st.instant(trace.Event{Kind: trace.Retry, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID()})
 		if st.attempts[t.ID()] >= st.m.cfg.MaxAttempts {
 			return false, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
 				t.ID(), t.Label, st.attempts[t.ID()], n.cfg.Name, ev.resp.Error)
@@ -1005,12 +969,14 @@ func (st *runState) handleResult(ev event) (bool, error) {
 		cm.transferB.With(n.cfg.Name).Add(float64(rec.shipped))
 	}
 	st.observeResidual(n, t, rec, resp.ExecSeconds)
-	// Feed the round-trip into the node's fallback mean and the shared
-	// perfmodel (keyed by the arch the worker actually used).
+	// Feed the kernel time into the node's and the pool's observed history
+	// and the shared perfmodel (keyed by the arch the worker actually used).
 	if resp.ExecSeconds > 0 {
-		nanos := resp.ExecSeconds * 1e9
-		n.obsMean = (n.obsMean*float64(n.obsCount) + nanos) / float64(n.obsCount+1)
-		n.obsCount++
+		nanos := int64(resp.ExecSeconds * 1e9)
+		n.obs.Nanos += nanos
+		n.obs.Count++
+		st.obs.Nanos += nanos
+		st.obs.Count++
 		if t.Flops > 0 && resp.Arch != "" {
 			st.m.cfg.Models.Model(t.Codelet.Name, resp.Arch).Record(t.Flops, resp.ExecSeconds)
 		}
@@ -1024,29 +990,15 @@ func (st *runState) handleResult(ev event) (bool, error) {
 	return true, nil
 }
 
-// traceDispatch records the placement decision (and, when data moved, a
-// transfer span) against the target node.
-func (st *runState) traceDispatch(t *taskrt.Task, n *nodeState, reason string, xferNanos float64) {
+// instant records ev on the master's trace as happening now, against the
+// node ev names.
+func (st *runState) instant(ev trace.Event) {
 	tr := st.m.cfg.Trace
 	if tr == nil {
 		return
 	}
-	now := time.Since(st.start).Seconds()
-	tr.Record(trace.Event{
-		Kind: trace.Place, Unit: st.m.cfg.Name, Node: n.cfg.Name,
-		Label: t.Label, TaskID: t.ID(), From: reason,
-		Transfer: xferNanos / 1e9, Start: now, End: now,
-	})
-}
-
-func (st *runState) traceInstant(kind trace.Kind, node, label string, taskID int) {
-	tr := st.m.cfg.Trace
-	if tr == nil {
-		return
-	}
-	now := time.Since(st.start).Seconds()
-	tr.Record(trace.Event{
-		Kind: kind, Unit: st.m.cfg.Name, Node: node,
-		Label: label, TaskID: taskID, Start: now, End: now,
-	})
+	ev.Unit = st.m.cfg.Name
+	ev.Start = time.Since(st.start).Seconds()
+	ev.End = ev.Start
+	tr.Record(ev)
 }

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/placement"
 	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
@@ -55,24 +55,16 @@ func (c StragglerConfig) withDefaults() StragglerConfig {
 // enabled reports whether detection is active.
 func (c StragglerConfig) enabled() bool { return c.Multiple > 0 }
 
-// penalty is the factor a node's execution estimates are scaled by in EFT
-// placement: its slowdown score, floored at 1 so healthy or fast nodes are
-// never rewarded for beating the model (that is the model's job to learn).
-func (n *nodeState) penalty() float64 {
-	if n.slowEWMA > 1 {
-		return n.slowEWMA
-	}
-	return 1
-}
-
 // observeResidual runs on the loop goroutine for every successful execution
-// that was placed on a perfmodel estimate (rec.modelEst > 0).
+// that was placed on a perfmodel estimate; the residual is against that
+// estimate unscaled (Candidate.Exec, not the slowdown-scaled Charge).
 func (st *runState) observeResidual(n *nodeState, t *taskrt.Task, rec *inflightRec, obsSeconds float64) {
 	cfg := st.m.cfg.Straggler
-	if !cfg.enabled() || rec.modelEst <= 0 || obsSeconds <= 0 {
+	modelEst := float64(rec.cand.Exec)
+	if !cfg.enabled() || rec.cand.Source != placement.Model || modelEst <= 0 || obsSeconds <= 0 {
 		return
 	}
-	ratio := obsSeconds * 1e9 / rec.modelEst
+	ratio := obsSeconds * 1e9 / modelEst
 	cm.residual.With(n.cfg.Name).Observe(ratio)
 	if n.slowSamples == 0 {
 		n.slowEWMA = ratio
@@ -87,27 +79,14 @@ func (st *runState) observeResidual(n *nodeState, t *taskrt.Task, rec *inflightR
 		n.stats.Stragglers++
 		cm.stragglers.With(n.cfg.Name).Inc()
 		reason := fmt.Sprintf("x%.1f vs model (est %.3fms obs %.3fms score x%.1f)",
-			ratio, rec.modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
-		st.traceStraggler(n, t, reason)
+			ratio, modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
+		st.instant(trace.Event{Kind: trace.Straggler, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(), From: reason})
 		st.m.logf("cluster: straggler: node=%s task=%d label=%q attempt=%d ratio=%.2f est_ms=%.3f obs_ms=%.3f score=%.2f",
-			n.cfg.Name, t.ID(), t.Label, st.attempts[t.ID()], ratio, rec.modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
+			n.cfg.Name, t.ID(), t.Label, st.attempts[t.ID()], ratio, modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
 	}
 	if cfg.BlacklistScore > 0 && n.slowEWMA >= cfg.BlacklistScore && n.alive {
 		st.m.logf("cluster: node %s slowdown score %.2f >= %.2f; blacklisting",
 			n.cfg.Name, n.slowEWMA, cfg.BlacklistScore)
 		st.nodeDown(n)
 	}
-}
-
-// traceStraggler records the detection instant against the flagged node.
-func (st *runState) traceStraggler(n *nodeState, t *taskrt.Task, reason string) {
-	tr := st.m.cfg.Trace
-	if tr == nil {
-		return
-	}
-	now := time.Since(st.start).Seconds()
-	tr.Record(trace.Event{
-		Kind: trace.Straggler, Unit: st.m.cfg.Name, Node: n.cfg.Name,
-		Label: t.Label, TaskID: t.ID(), From: reason, Start: now, End: now,
-	})
 }

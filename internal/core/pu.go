@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"strings"
+
+	"repro/internal/units"
 )
 
 // MemoryRegion describes a directly addressable memory space attached to a
@@ -21,24 +22,8 @@ func (m *MemoryRegion) SizeBytes() (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	n, err := p.Int()
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	mult := uint64(1)
-	switch strings.ToLower(p.Unit) {
-	case "", "b":
-		mult = 1
-	case "kb":
-		mult = 1 << 10
-	case "mb":
-		mult = 1 << 20
-	case "gb":
-		mult = 1 << 30
-	default:
-		return 0, false
-	}
-	return uint64(n) * mult, true
+	n, err := units.Size(p.Value, p.Unit)
+	return n, err == nil
 }
 
 // Interconnect describes a communication facility between two processing
@@ -56,51 +41,24 @@ type Interconnect struct {
 }
 
 // BandwidthBytesPerSec returns the BANDWIDTH property converted to bytes per
-// second (property unit GB/s, MB/s or B/s; unitless means B/s).
+// second (unitless means B/s).
 func (ic *Interconnect) BandwidthBytesPerSec() (float64, bool) {
-	p, ok := ic.Descriptor.Get("BANDWIDTH")
-	if !ok {
-		return 0, false
-	}
-	v, err := p.Float()
-	if err != nil {
-		return 0, false
-	}
-	switch strings.ToLower(p.Unit) {
-	case "", "b/s":
-		return v, true
-	case "kb/s":
-		return v * (1 << 10), true
-	case "mb/s":
-		return v * (1 << 20), true
-	case "gb/s":
-		return v * (1 << 30), true
-	}
-	return 0, false
+	return ic.quantity("BANDWIDTH", units.Bandwidth)
 }
 
-// LatencySeconds returns the LATENCY property converted to seconds (property
-// unit us, ms or s; unitless means seconds).
+// LatencySeconds returns the LATENCY property converted to seconds (unitless
+// means seconds).
 func (ic *Interconnect) LatencySeconds() (float64, bool) {
-	p, ok := ic.Descriptor.Get("LATENCY")
+	return ic.quantity("LATENCY", units.Duration)
+}
+
+func (ic *Interconnect) quantity(name string, parse func(value, unit string) (float64, error)) (float64, bool) {
+	p, ok := ic.Descriptor.Get(name)
 	if !ok {
 		return 0, false
 	}
-	v, err := p.Float()
-	if err != nil {
-		return 0, false
-	}
-	switch strings.ToLower(p.Unit) {
-	case "", "s":
-		return v, true
-	case "ms":
-		return v * 1e-3, true
-	case "us", "µs":
-		return v * 1e-6, true
-	case "ns":
-		return v * 1e-9, true
-	}
-	return 0, false
+	v, err := parse(p.Value, p.Unit)
+	return v, err == nil
 }
 
 // Connects reports whether the interconnect joins PUs a and b (in either

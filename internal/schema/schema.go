@@ -13,9 +13,9 @@ package schema
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // Kind classifies the value space of a property.
@@ -86,6 +86,7 @@ func (s Spec) check(p core.Property) error {
 	if s.NeedUnit && p.Unit == "" {
 		return fail("missing unit (kind %s)", s.Kind)
 	}
+	var err error // a unit table's verdict on a quantitative kind
 	switch s.Kind {
 	case KindString:
 		return nil
@@ -102,21 +103,13 @@ func (s Spec) check(p core.Property) error {
 			return fail("value %q is not a bool", p.Value)
 		}
 	case KindSize:
-		if _, err := ParseSize(p.Value, p.Unit); err != nil {
-			return fail("%v", err)
-		}
+		_, err = units.Size(p.Value, p.Unit)
 	case KindFrequency:
-		if _, err := ParseFrequency(p.Value, p.Unit); err != nil {
-			return fail("%v", err)
-		}
+		_, err = units.Frequency(p.Value, p.Unit)
 	case KindBandwidth:
-		if _, err := ParseBandwidth(p.Value, p.Unit); err != nil {
-			return fail("%v", err)
-		}
+		_, err = units.Bandwidth(p.Value, p.Unit)
 	case KindDuration:
-		if _, err := ParseDuration(p.Value, p.Unit); err != nil {
-			return fail("%v", err)
-		}
+		_, err = units.Duration(p.Value, p.Unit)
 	case KindEnum:
 		for _, v := range s.Enum {
 			if p.Value == v {
@@ -125,84 +118,8 @@ func (s Spec) check(p core.Property) error {
 		}
 		return fail("value %q not in enum %v", p.Value, s.Enum)
 	}
+	if err != nil {
+		return fail("schema: %v", err)
+	}
 	return nil
-}
-
-// ParseSize converts a value/unit pair into bytes. An empty unit means bytes.
-func ParseSize(value, unit string) (uint64, error) {
-	n, err := strconv.ParseUint(strings.TrimSpace(value), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad size value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "b":
-		return n, nil
-	case "kb", "kib":
-		return n << 10, nil
-	case "mb", "mib":
-		return n << 20, nil
-	case "gb", "gib":
-		return n << 30, nil
-	case "tb", "tib":
-		return n << 40, nil
-	}
-	return 0, fmt.Errorf("schema: unknown size unit %q", unit)
-}
-
-// ParseFrequency converts a value/unit pair into Hz. An empty unit means Hz.
-func ParseFrequency(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad frequency value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "hz":
-		return f, nil
-	case "khz":
-		return f * 1e3, nil
-	case "mhz":
-		return f * 1e6, nil
-	case "ghz":
-		return f * 1e9, nil
-	}
-	return 0, fmt.Errorf("schema: unknown frequency unit %q", unit)
-}
-
-// ParseBandwidth converts a value/unit pair into bytes per second.
-func ParseBandwidth(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad bandwidth value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "b/s":
-		return f, nil
-	case "kb/s":
-		return f * (1 << 10), nil
-	case "mb/s":
-		return f * (1 << 20), nil
-	case "gb/s":
-		return f * (1 << 30), nil
-	}
-	return 0, fmt.Errorf("schema: unknown bandwidth unit %q", unit)
-}
-
-// ParseDuration converts a value/unit pair into seconds. An empty unit means
-// seconds.
-func ParseDuration(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad duration value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "s":
-		return f, nil
-	case "ms":
-		return f * 1e-3, nil
-	case "us", "µs":
-		return f * 1e-6, nil
-	case "ns":
-		return f * 1e-9, nil
-	}
-	return 0, fmt.Errorf("schema: unknown duration unit %q", unit)
 }

@@ -6,59 +6,71 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
+// What validates must be what the runtime reads: on every row the size
+// validator, the core accessor and the unit table give the same verdict (the
+// converted values themselves are internal/units' table test).
 func TestParseSize(t *testing.T) {
 	cases := []struct {
 		value, unit string
-		want        uint64
 		ok          bool
 	}{
-		{"1", "", 1, true},
-		{"1", "B", 1, true},
-		{"1", "kB", 1024, true},
-		{"1572864", "kB", 1572864 * 1024, true},
-		{"2", "MB", 2 << 20, true},
-		{"3", "GB", 3 << 30, true},
-		{"1", "TB", 1 << 40, true},
-		{"1", "KiB", 1024, true},
-		{"-1", "kB", 0, false},
-		{"x", "kB", 0, false},
-		{"1", "parsecs", 0, false},
+		{"1", "", true},
+		{"1", "B", true},
+		{"1572864", "kB", true},
+		{"2", "MB", true},
+		{"3", "GB", true},
+		{"1", "TB", true},
+		{"1", "KiB", true},
+		{"4", "GiB", true},
+		{"16777216", "TiB", false}, // 2^64 bytes: an error, not a wrap to 0
+		{"1.5", "GB", false},
+		{"-1", "kB", false},
+		{"x", "kB", false},
+		{"1", "parsecs", false},
 	}
 	for _, c := range cases {
-		got, err := ParseSize(c.value, c.unit)
+		want, err := units.Size(c.value, c.unit)
 		if (err == nil) != c.ok {
-			t.Errorf("ParseSize(%q,%q) err=%v; want ok=%v", c.value, c.unit, err, c.ok)
-			continue
+			t.Errorf("units.Size(%q,%q) err=%v; want ok=%v", c.value, c.unit, err, c.ok)
 		}
-		if c.ok && got != c.want {
-			t.Errorf("ParseSize(%q,%q) = %d; want %d", c.value, c.unit, got, c.want)
+		p := core.Property{Name: core.PropMemSize, Value: c.value, Unit: c.unit, Fixed: true}
+		if err := (Spec{Kind: KindSize}).check(p); (err == nil) != c.ok {
+			t.Errorf("check(%q,%q) err=%v; want ok=%v", c.value, c.unit, err, c.ok)
+		}
+		var mr core.MemoryRegion
+		mr.Descriptor.Set(p)
+		if size, ok := mr.SizeBytes(); ok != c.ok || size != want {
+			t.Errorf("SizeBytes(%q,%q) = %d, %v; the unit table says %d, %v", c.value, c.unit, size, ok, want, err)
 		}
 	}
 }
 
 func TestParseFrequencyBandwidthDuration(t *testing.T) {
-	if hz, err := ParseFrequency("2660", "MHz"); err != nil || hz != 2.66e9 {
-		t.Errorf("ParseFrequency = %g, %v", hz, err)
+	cases := []struct {
+		kind        Kind
+		value, unit string
+		ok          bool
+	}{
+		{KindFrequency, "2660", "MHz", true},
+		{KindFrequency, "2.66", "GHz", true},
+		{KindFrequency, "1", "eV", false},
+		{KindBandwidth, "5", "GB/s", true},
+		{KindBandwidth, "x", "GB/s", false},
+		{KindDuration, "10", "us", true},
+		{KindDuration, "10", "fortnights", false},
 	}
-	if hz, err := ParseFrequency("2.66", "GHz"); err != nil || hz != 2.66e9 {
-		t.Errorf("ParseFrequency GHz = %g, %v", hz, err)
-	}
-	if _, err := ParseFrequency("1", "eV"); err == nil {
-		t.Error("bad frequency unit accepted")
-	}
-	if bw, err := ParseBandwidth("5", "GB/s"); err != nil || bw != 5*(1<<30) {
-		t.Errorf("ParseBandwidth = %g, %v", bw, err)
-	}
-	if _, err := ParseBandwidth("x", "GB/s"); err == nil {
-		t.Error("bad bandwidth value accepted")
-	}
-	if s, err := ParseDuration("10", "us"); err != nil || s < 9.9e-6 || s > 10.1e-6 {
-		t.Errorf("ParseDuration = %g, %v", s, err)
-	}
-	if _, err := ParseDuration("10", "fortnights"); err == nil {
-		t.Error("bad duration unit accepted")
+	for _, c := range cases {
+		err := Spec{Kind: c.kind}.check(core.Property{Name: "A", Value: c.value, Unit: c.unit})
+		if (err == nil) != c.ok {
+			t.Errorf("%s check(%q,%q) err=%v; want ok=%v", c.kind, c.value, c.unit, err, c.ok)
+		}
+		// The text validation reports is the one it always has.
+		if err != nil && !strings.HasPrefix(err.Error(), "property A: schema: ") {
+			t.Errorf("%s check(%q,%q) error %q lost its prefix", c.kind, c.value, c.unit, err)
+		}
 	}
 }
 
@@ -253,14 +265,14 @@ func TestValidatePlatformChecksLinkDescriptors(t *testing.T) {
 	}
 }
 
-// Property-based: ParseSize is monotone in the unit ladder.
+// Property-based: sizes are monotone in the unit ladder.
 func TestQuickSizeUnitsMonotone(t *testing.T) {
 	f := func(n uint16) bool {
 		v := int64(n%1000) + 1
 		s := func(u string) uint64 {
-			b, err := ParseSize(strings.TrimSpace(fmtInt(v)), u)
+			b, err := units.Size(strings.TrimSpace(fmtInt(v)), u)
 			if err != nil {
-				t.Fatalf("ParseSize: %v", err)
+				t.Fatalf("units.Size: %v", err)
 			}
 			return b
 		}

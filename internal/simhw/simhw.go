@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/placement"
 )
 
 // Unit is one simulated processing-unit instance.
@@ -56,14 +57,14 @@ type Machine struct {
 	numNodes int
 }
 
-// Defaults applied when a PDL document omits calibration or link properties:
-// a conservative CPU-core rate and a PCIe-2.0-class link.
+// Defaults applied when a PDL document omits calibration properties: a
+// conservative CPU-core rate. A link that omits BANDWIDTH or LATENCY gets the
+// bus-class default the real engine's placement prices with
+// (placement.BusBandwidth, placement.BusLatency).
 const (
 	DefaultGFlopsDP   = 8.0
 	DefaultEfficiency = 0.7
 	DefaultLaunchS    = 1e-6
-	DefaultLinkBW     = 5.0 * (1 << 30) // bytes/s
-	DefaultLinkLat    = 10e-6
 )
 
 // FromPlatform builds the simulated machine from a PDL platform. Quantities
@@ -112,11 +113,11 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 		}
 		bw, ok := ic.BandwidthBytesPerSec()
 		if !ok {
-			bw = DefaultLinkBW
+			bw = placement.BusBandwidth
 		}
 		lat, ok := ic.LatencySeconds()
 		if !ok {
-			lat = DefaultLinkLat
+			lat = placement.BusLatency
 		}
 		m.addLink(from, to, bw, lat)
 		if ic.Duplex {
@@ -127,8 +128,8 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 	// links (abstract patterns): default PCIe characteristics.
 	for _, u := range m.Units {
 		if u.MemNode != 0 && m.link(0, u.MemNode) == nil {
-			m.addLink(0, u.MemNode, DefaultLinkBW, DefaultLinkLat)
-			m.addLink(u.MemNode, 0, DefaultLinkBW, DefaultLinkLat)
+			m.addLink(0, u.MemNode, placement.BusBandwidth, placement.BusLatency)
+			m.addLink(u.MemNode, 0, placement.BusBandwidth, placement.BusLatency)
 		}
 	}
 	if len(m.Units) == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -175,11 +176,11 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 	}
 	h := &Handle{Name: "h", Bytes: 1 << 20}
 	task := &Task{Codelet: cl, Accesses: []Access{RW(h)}, Flops: 1e9}
-	costs := [][]xferCost{
-		{{}, {latNanos: 1e4, nanosPerByte: 0.2}},
-		{{latNanos: 1e4, nanosPerByte: 0.2}, {}},
+	links := [][]placement.Link{
+		{{}, {LatNanos: 1e4, NanosPerByte: 0.2}},
+		{{LatNanos: 1e4, NanosPerByte: 0.2}, {}},
 	}
-	d := newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 1}, costs, []*Task{task}, models)
+	d := newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 1}, links, []*Task{task}, models)
 	abort := make(chan struct{})
 	allocs := testing.AllocsPerRun(200, func() {
 		d.push(-1, task)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 )
 
 // creditSem is the counting semaphore behind every dispatcher's credit
@@ -123,19 +124,16 @@ type dispatcher interface {
 	// the attempt never executed the kernel (injected fault at launch), so
 	// observed-time statistics stay honest.
 	finished(w int, t *Task, d time.Duration, ran bool)
+	// setOffline tells a dispatcher that routes at push time whether the
+	// fault-tolerance layer has blacklisted worker w. Queues of offline
+	// workers stay stealable either way.
+	setOffline(w int, offline bool)
 }
 
 // takeRetry is the sentinel victim index a dispatcher's take returns (with a
 // nil task) after handing the worker's credit back to the semaphore: the
 // worker must loop through acquire rather than treat the nil as an abort.
 const takeRetry = -2
-
-// offlineAware is implemented by dispatchers that route at push time and
-// therefore must know which workers the fault-tolerance layer has
-// blacklisted. Queues of offline workers stay stealable either way.
-type offlineAware interface {
-	setOffline(w int, offline bool)
-}
 
 // stealDispatcher: per-worker Chase-Lev deques, a shared injector, and
 // per-worker steal counters (owner-written, merged after shutdown).
@@ -234,6 +232,8 @@ func (d *stealDispatcher) stolen(w int) int { return int(d.steals[w]) }
 
 func (d *stealDispatcher) finished(int, *Task, time.Duration, bool) {}
 
+func (d *stealDispatcher) setOffline(int, bool) {} // nothing is routed: thieves find the work
+
 func (d *stealDispatcher) depth(w int) int {
 	if w >= 0 {
 		return d.deques[w].size()
@@ -243,32 +243,10 @@ func (d *stealDispatcher) depth(w int) int {
 	return len(d.inj)
 }
 
-// Placement-decision sources, in falling confidence order. They label the
-// taskrt_sched_decisions_total metrics family and the trace.Place events.
-const (
-	placeModel    = "model"    // perfmodel estimate for the worker's arch
-	placeFallback = "fallback" // worker's observed mean task time
-	placeCold     = "cold"     // no history anywhere: zero-cost estimate
-)
-
 // maxNodes bounds the memory-node count the data-aware machinery handles:
 // handle residency is a 64-bit bitmask (one bit per platform master).
 // Platforms with more masters than bits fall back to transfer-blind dmda.
 const maxNodes = 64
-
-// Interconnects declared without BANDWIDTH/LATENCY properties get the same
-// defaults the sim engine assumes (internal/simhw): 5 GiB/s, 10 µs.
-const (
-	defaultLinkBandwidth = 5 << 30 // bytes/s
-	defaultLinkLatencyNS = 10e3    // nanoseconds
-)
-
-// xferCost is the modelled cost of moving bytes between two memory nodes:
-// total latency plus inverse bandwidth, summed over the PDL-declared route.
-type xferCost struct {
-	latNanos     float64
-	nanosPerByte float64
-}
 
 // predSnap caches one (codelet, arch, size) perfmodel estimate together with
 // the model version it was computed at. Placement revalidates with two loads
@@ -306,7 +284,8 @@ type dmdaWorker struct {
 	node    int // memory node (platform master index) this worker lives on
 	offline atomic.Bool
 	// outstanding is the predicted nanoseconds of work queued on or running
-	// on this worker — the queued-work term of the EFT score.
+	// on this worker: the placement.Candidate.Charge of every task placed
+	// here and not yet finished or stolen.
 	outstanding atomic.Int64
 	// busyNanos/completed feed the observed-mean fallback estimate.
 	busyNanos atomic.Int64
@@ -322,72 +301,65 @@ type dmdaWorker struct {
 }
 
 // dmdaDispatcher implements StarPU's dmda (deque model, data aware) policy
-// on the real engine: push scores every online worker with an expected
-// finish time — outstanding backlog, plus the predicted execution time of
-// the task on that worker's architecture, plus the modelled time to move
-// any non-resident read operands onto that worker's memory node — and
-// routes the task to the minimum. Residency is tracked per handle as a
-// bitmask of memory nodes: a write moves the handle to the writer's node, a
-// placement marks the chosen node resident ahead of dequeue (the prefetch
-// hint — later siblings reading the same handle see the transfer already
-// paid and co-locate). Prediction sources fall back in order: the cached
-// perfmodel estimate for (codelet, arch), the worker's observed mean task
-// time, then the pool-wide observed mean while the worker is cold — cold
-// workers compete on backlog like everyone else instead of taking absolute
-// priority, which is what previously sent every homogeneous placement to
-// the same few workers and forced a steal for the rest. Workers whose own
+// on the real engine: push routes every task to the online worker with the
+// earliest predicted finish time. The rule itself — score, estimate fallback
+// chain, tie-break, what is charged to a backlog — is internal/placement's;
+// this type supplies the values it is applied to. Backlogs and observed
+// times are per-worker atomics; the model estimate comes from the
+// per-codelet predSnap cache; the transfer term prices each read operand not
+// resident on the candidate's memory node over the cheapest link from a node
+// that holds it. Residency is tracked per handle as a bitmask of memory
+// nodes: a write moves the handle to the writer's node, a placement marks
+// the chosen node resident ahead of dequeue (prefetch). Workers whose own
 // queue runs dry steal from victims, so a misprediction costs a steal (and
 // its transfer charge) rather than idle time.
 type dmdaDispatcher struct {
 	workers []dmdaWorker
 	sem     *creditSem
-	rr      atomic.Int64 // rotation cursor: varies tie-breaks across pushes
+	rr      atomic.Uint64 // start cursor for placement.Pick: varies tie-breaks across pushes
 
-	// Data-awareness tables, fixed at construction. costs[i][j] models a
+	// Data-awareness tables, fixed at construction. links[i][j] prices a
 	// transfer from node i to node j; dataAware is false when the platform
 	// declares no routes (or has >maxNodes masters), which zeroes the
 	// transfer term and skips residency upkeep entirely.
 	dataAware bool
-	nodes     int
-	costs     [][]xferCost
+	links     [][]placement.Link
 
 	// Pool-wide observed totals for the cold estimate.
 	totBusy      atomic.Int64
 	totCompleted atomic.Int64
 
-	// Cached decision counters (taskrt_sched_decisions_total{policy="dmda"}).
-	decModel, decFallback, decCold *metrics.Counter
-	prefetches                     *metrics.Counter
-	xferSeconds                    *metrics.Counter
+	// taskrt_sched_decisions_total{policy="dmda"}, indexed by placement.Source.
+	decisions   [placement.Cold + 1]*metrics.Counter
+	prefetches  *metrics.Counter
+	xferSeconds *metrics.Counter
 	// onPlace, when non-nil, observes every placement (trace recording).
-	// xferNanos is the modelled transfer time folded into the decision.
-	onPlace func(w int, t *Task, reason string, xferNanos int64)
+	onPlace func(w int, t *Task, c placement.Candidate)
 }
 
 // newDmdaDispatcher builds the routing state: per-worker deques sized for
-// the whole task set, the distinct-arch table, the node transfer-cost
+// the whole task set, the distinct-arch table, the node-to-node link
 // matrix, and the per-codelet estimate caches (tasks' pred fields are
 // assigned here — the only map lookups on the dmda path happen now).
-func newDmdaDispatcher(archs []string, nodes []int, costs [][]xferCost, tasks []*Task, models *perfmodel.Store) *dmdaDispatcher {
+func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, tasks []*Task, models *perfmodel.Store) *dmdaDispatcher {
 	d := &dmdaDispatcher{
 		workers:     make([]dmdaWorker, len(archs)),
 		sem:         newCreditSem(len(archs) + len(tasks)),
-		nodes:       len(costs),
-		costs:       costs,
-		decModel:    rtm.schedDecisions.With("dmda", placeModel),
-		decFallback: rtm.schedDecisions.With("dmda", placeFallback),
-		decCold:     rtm.schedDecisions.With("dmda", placeCold),
+		links:       links,
 		prefetches:  rtm.prefetches,
 		xferSeconds: rtm.schedTransfer,
 	}
-	for i := range costs {
-		for j := range costs[i] {
-			if i != j && (costs[i][j].latNanos > 0 || costs[i][j].nanosPerByte > 0) {
+	for src := range d.decisions {
+		d.decisions[src] = rtm.schedDecisions.With("dmda", placement.Source(src).String())
+	}
+	for i := range links {
+		for j := range links[i] {
+			if i != j && links[i][j] != (placement.Link{}) {
 				d.dataAware = true
 			}
 		}
 	}
-	if d.nodes > maxNodes {
+	if len(links) > maxNodes {
 		d.dataAware = false
 	}
 	distinct := make([]string, 0, 4)
@@ -429,11 +401,12 @@ func newDmdaDispatcher(archs []string, nodes []int, costs [][]xferCost, tasks []
 	return d
 }
 
-// estimate predicts t's execution time on worker w in nanoseconds, tagged
-// with the prediction source. The model path is lock-free in steady state:
-// the cached snapshot is valid until a Record bumps the model version.
-func (d *dmdaDispatcher) estimate(t *Task, w int) (nanos int64, source string) {
+// candidate is t's bid for worker w: execution estimate and the given
+// transfer time. The model path is lock-free in steady state: the cached
+// snapshot is valid until a Record bumps the model version.
+func (d *dmdaDispatcher) candidate(t *Task, w int, xfer int64) placement.Candidate {
 	wk := &d.workers[w]
+	var snap predSnap // zero value: the model has no answer
 	if pe := t.pred; pe != nil {
 		ai := wk.archIdx
 		v := pe.models[ai].Version()
@@ -443,25 +416,26 @@ func (d *dmdaDispatcher) estimate(t *Task, w int) (nanos int64, source string) {
 			s = &predSnap{version: v, flops: t.Flops, nanos: int64(sec * 1e9), ok: ok}
 			pe.snaps[ai].Store(s)
 		}
-		if s.ok {
-			return s.nanos, placeModel
-		}
+		snap = *s
 	}
-	if n := wk.completed.Load(); n > 0 {
-		return wk.busyNanos.Load() / n, placeFallback
+	if snap.ok {
+		// Estimate's first link, taken here so the steady state does not
+		// load the four history counters every finishing worker writes.
+		return placement.Candidate{Exec: snap.nanos, Xfer: xfer, Source: placement.Model}
 	}
-	// Cold worker: charge the pool-wide observed mean so untried workers
-	// still accumulate backlog instead of becoming zero-cost magnets.
-	if n := d.totCompleted.Load(); n > 0 {
-		return d.totBusy.Load() / n, placeCold
-	}
-	return 0, placeCold
+	exec, src := placement.Estimate(0, false,
+		placement.History{Nanos: wk.busyNanos.Load(), Count: wk.completed.Load()},
+		placement.History{Nanos: d.totBusy.Load(), Count: d.totCompleted.Load()})
+	return placement.Candidate{Exec: exec, Xfer: xfer, Source: src}
 }
 
 // transferToNode models the nanoseconds needed to make t's read operands
 // resident on the given memory node: for each handle not already resident
 // there, the cheapest declared route from any node that holds it.
 func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
+	if !d.dataAware {
+		return 0
+	}
 	var total int64
 	for _, a := range t.Accesses {
 		h := a.Handle
@@ -473,13 +447,11 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 			continue
 		}
 		best := int64(-1)
-		for src := 0; src < d.nodes; src++ {
+		for src := range d.links {
 			if mask&(1<<uint(src)) == 0 {
 				continue
 			}
-			c := &d.costs[src][node]
-			cost := int64(c.latNanos + c.nanosPerByte*float64(h.Bytes))
-			if best < 0 || cost < best {
+			if cost := d.links[src][node].Nanos(h.Bytes); best < 0 || cost < best {
 				best = cost
 			}
 		}
@@ -490,90 +462,64 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 	return total
 }
 
-// choose scores the online workers and returns the winner, the decision
-// source, the predicted nanoseconds charged to its backlog (execution +
-// transfer), and the transfer component alone. It allocates nothing: the
-// per-node transfer costs live in a stack array and the estimate cache
-// replaces the old per-worker map-and-lock lookups.
-func (d *dmdaDispatcher) choose(t *Task) (w int, source string, charge, xfer int64) {
+// choose offers every online worker to a placement.Pick and returns the
+// winner. It allocates nothing: the per-node transfer times live in a stack
+// array and the estimate cache replaces per-worker map-and-lock lookups.
+func (d *dmdaDispatcher) choose(t *Task) (int, placement.Candidate) {
 	var xferByNode [maxNodes]int64
-	dataAware := d.dataAware && len(t.Accesses) > 0
-	if dataAware {
-		for n := 0; n < d.nodes; n++ {
+	if d.dataAware && len(t.Accesses) > 0 {
+		for n := range d.links {
 			xferByNode[n] = d.transferToNode(t, n)
 		}
 	}
-	nw := len(d.workers)
-	// Rotate the scan start so equal-EFT candidates spread instead of
-	// piling onto the lowest-indexed worker.
-	start := int(d.rr.Add(1)-1) % nw
-	best, bestEFT, bestEst, bestXfer := -1, int64(0), int64(0), int64(0)
-	bestSrc := placeCold
-	for i := 0; i < nw; i++ {
-		wi := start + i
-		if wi >= nw {
-			wi -= nw
-		}
-		wk := &d.workers[wi]
-		if wk.offline.Load() {
-			continue
-		}
-		est, src := d.estimate(t, wi)
-		x := xferByNode[wk.node]
-		eft := wk.outstanding.Load() + est + x
-		better := best < 0 || eft < bestEFT
-		// Critical-path hint: when a prioritised task sees two workers with
-		// the same finish time, take the one that executes it faster — the
-		// chain's next dependency releases sooner even though this task's
-		// completion instant is nominally equal.
-		if !better && t.Priority > 0 && eft == bestEFT && est < bestEst {
-			better = true
-		}
-		if better {
-			best, bestEFT, bestEst, bestXfer, bestSrc = wi, eft, est, x, src
+	pick := placement.NewPick(len(d.workers), d.rr.Add(1)-1, t.Priority > 0)
+	for k := range d.workers {
+		w := pick.At(k)
+		if wk := &d.workers[w]; !wk.offline.Load() {
+			pick.Offer(w, wk.outstanding.Load(), d.candidate(t, w, xferByNode[wk.node]))
 		}
 	}
-	if best < 0 {
+	w, c, ok := pick.Best()
+	if !ok {
 		// Every worker offline: place round-robin anyway — the queue stays
 		// stealable, and the engine aborts if no worker can ever recover.
-		wi := start
-		est, src := d.estimate(t, wi)
-		return wi, src, est, 0
+		w = pick.At(0)
+		c = d.candidate(t, w, 0)
 	}
-	return best, bestSrc, bestEst + bestXfer, bestXfer
+	return w, c
 }
 
-// place routes one task: score, charge, mark residency (the prefetch hint),
-// enqueue. The semaphore release is left to push/pushBatch so a batch pays
-// for it once.
-func (d *dmdaDispatcher) place(t *Task) {
-	w, reason, charge, xfer := d.choose(t)
-	switch reason {
-	case placeModel:
-		d.decModel.Inc()
-	case placeFallback:
-		d.decFallback.Inc()
-	default:
-		d.decCold.Inc()
+// prefetch marks t's read operands resident on the node t is about to run
+// on, ahead of the move: later siblings reading the same handle see the
+// transfer already paid and co-locate.
+func (d *dmdaDispatcher) prefetch(t *Task, node int) {
+	if !d.dataAware {
+		return
 	}
-	t.estNanos = charge
+	for _, a := range t.Accesses {
+		if a.Mode.Reads() && a.Handle.markResident(node) {
+			d.prefetches.Inc()
+		}
+	}
+}
+
+// place routes one task: score, charge, prefetch, enqueue. The semaphore
+// release is left to push/pushBatch so a batch pays for it once.
+func (d *dmdaDispatcher) place(t *Task) {
+	w, c := d.choose(t)
+	d.decisions[c.Source].Inc()
+	t.estNanos = c.Charge()
 	wk := &d.workers[w]
-	wk.outstanding.Add(charge)
-	if d.dataAware {
-		for _, a := range t.Accesses {
-			if a.Mode.Reads() && a.Handle.markResident(wk.node) {
-				d.prefetches.Inc()
-			}
-		}
-		if xfer > 0 {
-			d.xferSeconds.Add(float64(xfer) / 1e9)
-		}
+	wk.outstanding.Add(t.estNanos)
+	d.prefetch(t, wk.node)
+	if c.Xfer > 0 {
+		d.xferSeconds.Add(float64(c.Xfer) / 1e9)
 	}
 	wk.pushMu.Lock()
 	wk.q.push(t)
 	wk.pushMu.Unlock()
 	if d.onPlace != nil {
-		d.onPlace(w, t, reason, xfer)
+		d.onPlace(w, t, c)
 	}
 }
 
@@ -623,9 +569,9 @@ const dmdaStealBackoff = 50 * time.Microsecond
 const dmdaStealForceAfter = 10 * time.Millisecond
 
 // stealFrom takes the newest task from the victim's queue (the one that
-// would have waited longest behind the victim's backlog) and transfers its
-// outstanding-work charge to the thief at the thief's own estimate plus the
-// transfer cost of moving the task's operands to the thief's node.
+// would have waited longest behind the victim's backlog), releases its charge
+// from the victim and charges the thief its own candidate for the task:
+// the thief's estimate plus moving the task's operands to the thief's node.
 //
 // The steal is EFT-aware unless forced: dmda's placement already routed the
 // task to the best expected finish time, so a thief only improves matters
@@ -644,11 +590,8 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 		vk.pushMu.Unlock()
 		return nil, false
 	}
-	est, _ := d.estimate(t, thief)
-	if d.dataAware && len(t.Accesses) > 0 {
-		est += d.transferToNode(t, tk.node)
-	}
-	if !force && tk.outstanding.Load()+est >= vk.outstanding.Load() {
+	c := d.candidate(t, thief, d.transferToNode(t, tk.node))
+	if !force && !placement.StealPays(c, tk.outstanding.Load(), vk.outstanding.Load()) {
 		// The victim finishes its backlog (which ends with t — pop takes
 		// the newest placement) before the thief could finish t alone:
 		// put it back where the model wanted it.
@@ -658,15 +601,9 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 	}
 	vk.pushMu.Unlock()
 	vk.outstanding.Add(-t.estNanos)
-	if d.dataAware && len(t.Accesses) > 0 {
-		for _, a := range t.Accesses {
-			if a.Mode.Reads() && a.Handle.markResident(tk.node) {
-				d.prefetches.Inc()
-			}
-		}
-	}
-	t.estNanos = est
-	tk.outstanding.Add(est)
+	d.prefetch(t, tk.node)
+	t.estNanos = c.Charge()
+	tk.outstanding.Add(t.estNanos)
 	return t, false
 }
 

@@ -174,7 +174,8 @@ func RandomFaultPlan(seed int64, units []string, horizon float64) *FaultPlan {
 // codelet errors are retried instead of aborting the run).
 type RetryPolicy struct {
 	// MaxAttempts caps how often one task may fail before Run gives up
-	// (default 4).
+	// (default 4). Run's error then names the task, the attempt count, the
+	// unit of the last attempt and the last cause.
 	MaxAttempts int
 	// BackoffBase is the first retry delay in seconds (default 1ms); the
 	// delay doubles per failed attempt of the same task.

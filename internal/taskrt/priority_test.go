@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 )
 
 // A batch released together must be consumed highest-priority first on an
@@ -22,7 +23,7 @@ func TestDmdaPushBatchOrdersByPriority(t *testing.T) {
 		{Codelet: cl, Priority: 3, Label: "p3a"},
 		{Codelet: cl, Priority: 3, Label: "p3b"},
 	}
-	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]xferCost{{{}}}, tasks, nil)
+	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, tasks, nil)
 	batch := append([]*Task(nil), tasks...)
 	d.pushBatch(-1, batch)
 	// The caller's slice must keep its submission order (SubmitBatch owns it).
@@ -53,7 +54,7 @@ func TestDmdaPushBatchKeepsOrderWithoutPriorities(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, &Task{Codelet: cl, Label: fmt.Sprintf("t%d", i)})
 	}
-	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]xferCost{{{}}}, tasks, nil)
+	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, tasks, nil)
 	d.pushBatch(-1, tasks)
 	abort := make(chan struct{})
 	for i := 0; i < 8; i++ {
@@ -82,9 +83,9 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 		}
 	}
 	task := &Task{Codelet: cl, Flops: 2e6, Priority: 1}
-	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]xferCost{{{}}}, []*Task{task}, models)
-	estFast, _ := d.estimate(task, 0)
-	estSlow, _ := d.estimate(task, 1)
+	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, models)
+	estFast := d.candidate(task, 0, 0).Exec
+	estSlow := d.candidate(task, 1, 0).Exec
 	if estFast <= 0 || estSlow <= estFast {
 		t.Fatalf("model estimates fast=%d slow=%d, want 0 < fast < slow", estFast, estSlow)
 	}
@@ -93,7 +94,7 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 	// choose rotates its scan start every call: the hint must win from both
 	// starting points.
 	for i := 0; i < 4; i++ {
-		w, _, _, _ := d.choose(task)
+		w, _ := d.choose(task)
 		if w != 0 {
 			t.Fatalf("call %d: prioritised task tied on EFT placed on slow worker", i)
 		}
@@ -103,7 +104,7 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 	task.Priority = 0
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		w, _, _, _ := d.choose(task)
+		w, _ := d.choose(task)
 		seen[w] = true
 	}
 	if !seen[1] {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
@@ -127,8 +128,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 			rt.cfg.Models = perfmodel.NewStore()
 		}
 		nodes, nodeIDs := workerNodes(rt.cfg.Platform, workers)
-		costs := interconnectCosts(rt.cfg.Platform, nodeIDs)
-		disp = newDmdaDispatcher(archs, nodes, costs, rt.tasks, rt.cfg.Models)
+		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(rt.cfg.Platform, nodeIDs), rt.tasks, rt.cfg.Models)
 	} else {
 		disp = newStealDispatcher(workers, len(rt.tasks))
 	}
@@ -251,13 +251,13 @@ func (rt *Runtime) runReal() (*Report, error) {
 	// in proportion).
 	if dd, ok := disp.(*dmdaDispatcher); ok && tracing {
 		tr := rt.cfg.Trace
-		dd.onPlace = func(w int, t *Task, reason string, xferNanos int64) {
+		dd.onPlace = func(w int, t *Task, c placement.Candidate) {
 			now := time.Since(start).Seconds()
 			tr.Record(trace.Event{
 				Kind: trace.Place, Unit: workerUnitID(w), Worker: w,
 				TaskID: t.id, Label: taskLabel(t),
-				Start: now, End: now, From: reason,
-				Transfer: float64(xferNanos) / 1e9,
+				Start: now, End: now, From: c.Source.String(),
+				Transfer: float64(c.Xfer) / 1e9,
 				Attempt:  int(t.attempt.Load()),
 			})
 		}
@@ -341,6 +341,66 @@ func (rt *Runtime) runReal() (*Report, error) {
 				}
 				sh.Record(ev)
 			}
+			// setOffline publishes this worker's blacklisting (or recovery):
+			// gauge, dispatcher routing, trace instant, tracker. Called
+			// without mu.
+			setOffline := func(offline bool) {
+				kind, gauge := trace.Recover, 0.0
+				if offline {
+					kind, gauge = trace.Blacklist, 1
+				}
+				blGauge.Set(gauge)
+				disp.setOffline(worker, offline)
+				now := time.Now()
+				rec(kind, nil, 0, now, now, "")
+				if rt.cfg.Tracker != nil {
+					// Best effort: the tracker may not know worker ids.
+					if offline {
+						_ = rt.cfg.Tracker.SetOffline(unitID)
+					} else {
+						_ = rt.cfg.Tracker.SetOnline(unitID)
+					}
+				}
+			}
+			// attemptFailed is the failure slow path for one attempt of t on
+			// this worker, detected at the given instant: it books the
+			// attempt and either schedules the retry or, at MaxAttempts,
+			// fails the run. blacklist also takes this worker out of the pool
+			// (its deque stays stealable); recovers says it will be back. A
+			// false return means the run has failed and the worker must exit.
+			attemptFailed := func(t *Task, cause error, detected time.Time, blacklist, recovers bool) bool {
+				mu.Lock()
+				failedAttempts++
+				retriedSet[t.id] = true
+				attempts[t.id]++
+				n := attempts[t.id]
+				t.attempt.Store(int32(n))
+				if n >= policy.MaxAttempts {
+					fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s: %w",
+						t.Codelet.Name, t.Label, n, unitID, cause))
+					mu.Unlock()
+					resolve()
+					return false
+				}
+				backoff := policy.backoffDuration(n)
+				requeue(t, backoff)
+				if blacklist {
+					blacklisted[unitID] = true
+					alive--
+					if recovers {
+						recovering++
+					}
+					if alive == 0 && recovering == 0 && pending.Load() > 0 {
+						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
+					}
+				}
+				mu.Unlock()
+				rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
+				if blacklist {
+					setOffline(true)
+				}
+				return true
+			}
 			for {
 				if !disp.acquire(done, abort) {
 					return
@@ -396,44 +456,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 					// The kernel never ran: release the dispatcher's
 					// outstanding-work charge without skewing observed means.
 					disp.finished(worker, t, 0, false)
-					mu.Lock()
-					failedAttempts++
-					retriedSet[t.id] = true
-					attempts[t.id]++
-					n := attempts[t.id]
-					t.attempt.Store(int32(n))
-					if n >= policy.MaxAttempts {
-						fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s: %w",
-							t.Codelet.Name, t.Label, n, unitID, errInjected))
-						mu.Unlock()
-						resolve()
-						return
-					}
-					backoff := policy.backoffDuration(n)
-					requeue(t, backoff)
-					// Blacklist this worker; other workers keep draining (its
-					// deque remains stealable).
-					blacklisted[unitID] = true
-					alive--
-					if inj.RecoverAfter > 0 {
-						recovering++
-					}
-					if alive == 0 && recovering == 0 && pending.Load() > 0 {
-						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
-					}
-					mu.Unlock()
-					rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
-					blGauge.Set(1)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, true)
-					}
-					now := time.Now()
-					rec(trace.Blacklist, nil, 0, now, now, "")
-					if rt.cfg.Tracker != nil {
-						_ = rt.cfg.Tracker.SetOffline(unitID) // best effort: tracker may not know worker ids
-					}
-					if inj.RecoverAfter <= 0 {
-						return // permanently dead
+					recovers := inj.RecoverAfter > 0
+					if !attemptFailed(t, errInjected, detected, true, recovers) || !recovers {
+						return // run failed, or this worker is permanently dead
 					}
 					select {
 					case <-time.After(time.Duration(inj.RecoverAfter * float64(time.Second))):
@@ -445,15 +470,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					alive++
 					recovering--
 					mu.Unlock()
-					blGauge.Set(0)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, false)
-					}
-					now = time.Now()
-					rec(trace.Recover, nil, 0, now, now, "")
-					if rt.cfg.Tracker != nil {
-						_ = rt.cfg.Tracker.SetOnline(unitID)
-					}
+					setOffline(false)
 					continue
 				}
 
@@ -507,46 +524,16 @@ func (rt *Runtime) runReal() (*Report, error) {
 					resolve()
 					return
 				}
-				mu.Lock()
-				failedAttempts++
-				retriedSet[t.id] = true
-				attempts[t.id]++
-				n := attempts[t.id]
-				t.attempt.Store(int32(n))
 				if wdog {
+					mu.Lock()
 					watchdogTrips++
-				}
-				if n >= policy.MaxAttempts {
-					fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts: %w", t.Codelet.Name, t.Label, n, err))
 					mu.Unlock()
-					resolve()
+				}
+				// A hung kernel condemns its worker: the unit cannot be trusted
+				// (the orphaned goroutine may still hold it).
+				if !attemptFailed(t, err, detected, wdog, false) || wdog {
 					return
 				}
-				backoff := policy.backoffDuration(n)
-				requeue(t, backoff)
-				if wdog {
-					// A hung kernel condemns its worker: the unit cannot be
-					// trusted (the orphaned goroutine may still hold it).
-					blacklisted[unitID] = true
-					alive--
-					if alive == 0 && recovering == 0 && pending.Load() > 0 {
-						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
-					}
-					mu.Unlock()
-					rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
-					blGauge.Set(1)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, true)
-					}
-					now := time.Now()
-					rec(trace.Blacklist, nil, 0, now, now, "")
-					if rt.cfg.Tracker != nil {
-						_ = rt.cfg.Tracker.SetOffline(unitID)
-					}
-					return
-				}
-				mu.Unlock()
-				rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
 			}
 		}(w)
 	}
@@ -630,39 +617,19 @@ func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
 	return nodes, ids
 }
 
-// interconnectCosts models the PDL-declared transfer cost between every pair
-// of master memory nodes: latency plus inverse bandwidth summed over the
-// shortest declared route, with sim-engine defaults for links that omit
-// BANDWIDTH or LATENCY. Node pairs with no declared route cost zero —
-// platforms that declare no interconnects get exactly the transfer-blind
-// dmda behaviour they had before.
-func interconnectCosts(pl *core.Platform, ids []string) [][]xferCost {
-	costs := make([][]xferCost, len(ids))
-	for i := range costs {
-		costs[i] = make([]xferCost, len(ids))
-		for j := range costs[i] {
-			if i == j {
-				continue
-			}
-			path, err := pl.Route(ids[i], ids[j])
-			if err != nil {
-				continue
-			}
-			for _, ic := range path {
-				lat, ok := ic.LatencySeconds()
-				if !ok {
-					lat = defaultLinkLatencyNS / 1e9
-				}
-				bw, ok := ic.BandwidthBytesPerSec()
-				if !ok || bw <= 0 {
-					bw = defaultLinkBandwidth
-				}
-				costs[i][j].latNanos += lat * 1e9
-				costs[i][j].nanosPerByte += 1e9 / bw
-			}
+// interconnectLinks prices a transfer between every pair of master memory
+// nodes over the PDL's declared route, with the bus-class default for hops
+// that omit BANDWIDTH or LATENCY. Node pairs with no declared route cost zero
+// — platforms that declare no interconnects get transfer-blind dmda.
+func interconnectLinks(pl *core.Platform, ids []string) [][]placement.Link {
+	links := make([][]placement.Link, len(ids))
+	for i := range links {
+		links[i] = make([]placement.Link, len(ids))
+		for j := range links[i] {
+			links[i][j], _ = placement.RouteLink(pl, ids[i], ids[j], placement.Bus())
 		}
 	}
-	return costs
+	return links
 }
 
 // taskTimeout derives the real-mode watchdog timeout for a task: perfmodel

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/perfmodel"
+	"repro/internal/placement"
 )
 
 // buildSkewedDmda returns a two-worker dmda dispatcher whose perfmodel makes
@@ -25,7 +26,7 @@ func buildSkewedDmda(t *testing.T) (*dmdaDispatcher, *Task) {
 		}
 	}
 	task := &Task{Codelet: cl, Flops: 2e6}
-	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]xferCost{{{}}}, []*Task{task}, models)
+	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, models)
 	return d, task
 }
 

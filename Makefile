@@ -21,7 +21,7 @@ vet:
 # descriptors, the parallel BLAS kernels, the registry/server/query stack
 # behind pdlserved (copy-on-write snapshots, LRU query cache, shared query
 # roots), and the cluster master/worker engine (event loop, ship goroutines,
-# heartbeats) with its shared HTTP client.
+# per-node execute streams and their pending tables, heartbeats).
 race:
 	$(GO) test -race ./internal/taskrt/... ./internal/trace/... ./internal/metrics/... ./internal/perfmodel/... ./internal/dynamic/... ./internal/blas/... ./internal/registry/... ./internal/server/... ./internal/query/... ./internal/cluster/... ./internal/client/...
 
@@ -49,10 +49,14 @@ crash-test:
 cluster-test:
 	PDL_CLUSTER_SMOKE=1 PDL_SMOKE_ARTIFACTS=$(SMOKE_ARTIFACTS) $(GO) test -run TestClusterSmoke -v -timeout 300s ./internal/cluster/smoke
 
-# fuzz runs a time-boxed exploration of the journal record decoder on top of
-# the committed seed corpus (which plain `go test` already replays).
+# fuzz runs a time-boxed exploration of the decoders that read untrusted
+# bytes — the journal record decoder, the cluster payload frame decoder and
+# the worker's execute-stream request reader — each on top of its committed
+# seed corpus (which plain `go test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzRequestReader -fuzztime=10s ./internal/cluster
 
 # bench-test vets and tests the benchmark, a Go module of its own that the
 # root `go test ./...` does not reach. Its tests include the -smoke run: every

@@ -1,11 +1,12 @@
 // Command pdlworkerd is a cluster execution node: it serves the cluster
-// worker protocol (POST /v1/execute, GET /v1/info, GET /v1/trace,
-// GET /healthz, GET /metrics) over the codelets in the shared cluster
-// registry, and announces itself to a pdlserved instance — registering its
-// PDL platform description, taking a worker lease, heartbeating it, and
-// streaming execution observations into the server's perfmodels — so
-// masters can discover execution nodes through the same registry that
-// holds the platform descriptions they execute against.
+// worker protocol (POST /v1/execute — one long-lived request/response stream
+// per master — GET /v1/info, GET /v1/trace, GET /healthz, GET /metrics) over
+// the codelets in the shared cluster registry, and announces itself to a
+// pdlserved instance — registering its PDL platform description, taking a
+// worker lease, heartbeating it, and streaming execution observations into
+// the server's perfmodels — so masters can discover execution nodes through
+// the same registry that holds the platform descriptions they execute
+// against.
 //
 // Usage:
 //
@@ -202,7 +203,9 @@ func run(args []string) error {
 	}
 	log.Printf("pdlworkerd: shutting down")
 	// Drop the lease eagerly (best-effort — expiry would reap it anyway),
-	// stop accepting, then wait for in-flight executions.
+	// end the execute streams once their in-flight kernels have answered (a
+	// stream never goes idle, so Shutdown alone would wait out its whole
+	// grace period), then stop the listener.
 	if ctl != nil {
 		dctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		if err := ctl.Delete(dctx, "/workers/"+*name); err != nil && !client.IsStatus(err, http.StatusNotFound) {
@@ -210,12 +213,12 @@ func run(args []string) error {
 		}
 		cancel()
 	}
+	w.Drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Printf("pdlworkerd: shutdown: %v", err)
 	}
-	w.Wait()
 	if observer != nil {
 		if left := observer.Close(5 * time.Second); left > 0 {
 			log.Printf("pdlworkerd: %d observations unsent at shutdown", left)

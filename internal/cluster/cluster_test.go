@@ -556,19 +556,21 @@ func TestClusterNeedDataSelfHeals(t *testing.T) {
 	}
 }
 
-// flakyProxy wraps a worker handler with a controllable failure mode. Once
-// tripped, control endpoints return 503; execute requests either hang until
-// release (simulating a wedged node) or delay then serve (simulating a
-// slow node whose late results race the resubmitted copies).
+// flakyProxy wraps a worker handler with a controllable failure mode, applied
+// to the execute stream one request message at a time. Once tripped, control
+// endpoints return 503 and new streams are refused; a request message either
+// hangs until release (a wedged node), is delayed and then served (a slow node
+// whose late results race the resubmitted copies), or ends the stream there —
+// the messages before it still answer, it and everything behind it get none.
 type flakyProxy struct {
 	inner    http.Handler
 	mu       sync.Mutex
 	executes int
-	tripAt   int  // trip when the Nth execute arrives (0: only manual)
+	tripAt   int  // trip when the Nth request message arrives (0: only manual)
 	execOnly bool // tripped: fail only executes, keep control endpoints healthy
 	tripped  bool
-	hang     chan struct{} // non-nil: tripped executes block here
-	delay    time.Duration // tripped executes sleep, then serve for real
+	hang     chan struct{} // non-nil: tripped messages (and stream opens) block here
+	delay    time.Duration // tripped messages sleep, then are served for real
 }
 
 func (f *flakyProxy) setTripped(v bool) {
@@ -577,33 +579,82 @@ func (f *flakyProxy) setTripped(v bool) {
 	f.mu.Unlock()
 }
 
+// arrive counts one request message and reports whether the proxy is tripped
+// as it arrives.
+func (f *flakyProxy) arrive() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.executes++
+	// One-shot: re-arming would immediately re-trip a recovered node.
+	if f.tripAt > 0 && f.executes >= f.tripAt {
+		f.tripped = true
+		f.tripAt = 0
+	}
+	return f.tripped
+}
+
 func (f *flakyProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	isExec := r.Method == http.MethodPost && r.URL.Path == PathExecute
 	f.mu.Lock()
-	if isExec {
-		f.executes++
-		// One-shot: re-arming would immediately re-trip a recovered node.
-		if f.tripAt > 0 && f.executes >= f.tripAt {
-			f.tripped = true
-			f.tripAt = 0
-		}
-	}
 	tripped := f.tripped
 	f.mu.Unlock()
-	if !tripped || (f.execOnly && !isExec) {
+	switch {
+	case isExec && (!tripped || f.delay > 0):
+		// The worker reads its requests from the relay, which sees them first.
+		pr, pw := io.Pipe()
+		go f.relay(r.Body, pw)
+		inner := r.Clone(r.Context())
+		inner.Body = pr
+		f.inner.ServeHTTP(rw, inner)
+	case !tripped || (f.execOnly && !isExec):
 		f.inner.ServeHTTP(rw, r)
-		return
+	default:
+		if isExec && f.hang != nil {
+			<-f.hang
+		}
+		http.Error(rw, `{"error":"node down"}`, http.StatusServiceUnavailable)
 	}
-	if isExec {
+}
+
+// relay forwards the stream's request messages to the worker until one of them
+// ends it.
+func (f *flakyProxy) relay(from io.Reader, to *io.PipeWriter) {
+	var (
+		dec     = gob.NewDecoder(from)
+		enc     = gob.NewEncoder(to)
+		encMu   sync.Mutex
+		delayed sync.WaitGroup
+	)
+	forward := func(req *ExecRequest) {
+		encMu.Lock()
+		defer encMu.Unlock()
+		enc.Encode(req) // fails only once the worker stopped reading
+	}
+	for {
+		req := new(ExecRequest)
+		if err := dec.Decode(req); err != nil {
+			break
+		}
+		if !f.arrive() {
+			forward(req)
+			continue
+		}
+		if f.delay > 0 {
+			delayed.Add(1)
+			go func() {
+				defer delayed.Done()
+				time.Sleep(f.delay)
+				forward(req)
+			}()
+			continue
+		}
 		if f.hang != nil {
 			<-f.hang
-		} else if f.delay > 0 {
-			time.Sleep(f.delay)
-			f.inner.ServeHTTP(rw, r)
-			return
 		}
+		break
 	}
-	http.Error(rw, `{"error":"node down"}`, http.StatusServiceUnavailable)
+	delayed.Wait()
+	to.Close()
 }
 
 func TestClusterWorkerDeathResubmits(t *testing.T) {

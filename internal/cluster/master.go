@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,7 +64,9 @@ type Config struct {
 	// AllDeadTimeout aborts the run after every node has been dead this
 	// long with work outstanding. Default 30s.
 	AllDeadTimeout time.Duration
-	// ExecTimeout bounds one invocation round-trip. Default 2m.
+	// ExecTimeout bounds one invocation, from its hand-off to the node's
+	// stream to its response: past it that invocation alone fails with a
+	// transport error, its neighbours on the stream carry on. Default 2m.
 	ExecTimeout time.Duration
 	// Trace, when set, records master-side spans (placements, transfers,
 	// retries, node state changes) stamped Node=Name. Worker-side kernel
@@ -82,8 +84,9 @@ type Config struct {
 	PublishEvery int
 	// Name is the master's node label in traces. Default "master".
 	Name string
-	// HTTP is the data-plane client. Default: dedicated client, no global
-	// timeout (ExecTimeout bounds each call).
+	// HTTP is the data-plane client, which holds one streaming POST per node
+	// open for the whole run — so it must not set a Timeout. Default: a
+	// dedicated client (ExecTimeout bounds each invocation).
 	HTTP *http.Client
 	Logf func(format string, args ...any)
 }
@@ -216,10 +219,18 @@ func NewMaster(cfg Config) (*Master, error) {
 var lanLink = placement.Link{LatNanos: 200e3, NanosPerByte: 1e9 / (1 << 30)}
 
 // nodeState is the master's view of one node during a run. All fields are
-// owned by the run loop goroutine except the control client and forcedDown.
+// owned by the run loop goroutine except the control client, forcedDown and
+// the execute stream.
 type nodeState struct {
 	cfg NodeConfig
 	ctl *client.Client
+
+	// stream is the node's current execute stream, opened by the first ship
+	// goroutine that needs one; streamed records that one was opened before,
+	// which makes the next a reconnect.
+	streamMu sync.Mutex
+	stream   *execStream
+	streamed bool
 
 	// forcedDown tells the heartbeat goroutine the loop declared the node
 	// dead on its own evidence (consecutive transport suspects) while the
@@ -298,9 +309,10 @@ type runState struct {
 	obs    placement.History // kernel time observed on every node: the cold estimate
 	cursor uint64            // placement.Pick cursor, advanced per choose
 
-	events chan event
-	stop   chan struct{}
-	start  time.Time
+	events  chan event
+	stop    chan struct{}
+	readers sync.WaitGroup // the execute streams' reader goroutines
+	start   time.Time
 
 	failedAttempts int
 	retriedTasks   map[int]bool
@@ -326,6 +338,16 @@ func (st *runState) send(ev event) {
 	case st.events <- ev:
 	case <-st.stop:
 	}
+}
+
+// shutdown ends the run's goroutines: heartbeats and timers see stop, every
+// node's stream is retired and its reader waited for.
+func (st *runState) shutdown() {
+	close(st.stop)
+	for _, n := range st.nodes {
+		n.retireStream()
+	}
+	st.readers.Wait()
 }
 
 func (m *Master) logf(format string, args ...any) {
@@ -359,7 +381,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		start:        time.Now(),
 		retriedTasks: map[int]bool{},
 	}
-	defer close(st.stop)
+	defer st.shutdown()
 
 	if tr := m.cfg.Trace; tr != nil {
 		tr.SetMeta(trace.MetaNode, m.cfg.Name)
@@ -380,6 +402,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		}
 		st.nodes = append(st.nodes, n)
 		cm.nodeUp.With(nc.Name).Set(0)
+		cm.reconnects.With(nc.Name) // the series exists from the first scrape, at 0
 		go st.heartbeat(n)
 	}
 
@@ -572,8 +595,11 @@ func (st *runState) nodeUp(n *nodeState, info InfoResponse) {
 	n.info = info
 	n.suspects = 0
 	// Fresh (or restarted) process: its cache is unknown, so forget what we
-	// believed resident — every first access re-inlines.
+	// believed resident — every first access re-inlines — and talk to it on a
+	// fresh stream. Whatever the old one still owed was resubmitted by
+	// nodeDown.
 	n.has = map[int]uint64{}
+	n.retireStream()
 	n.maxCred = st.m.cfg.MaxInflight
 	if n.maxCred <= 0 {
 		w := info.Workers
@@ -794,7 +820,8 @@ func (st *runState) dispatch(t *taskrt.Task, n *nodeState, c placement.Candidate
 	go st.ship(rec, req, payloads, inline)
 }
 
-// ship encodes inline payloads and performs the execute round-trip. Runs
+// ship encodes inline payloads and writes the invocation to the node's
+// execute stream; the stream's reader goroutine delivers the outcome. Runs
 // outside the loop goroutine; it only touches payloads of the task's own
 // accesses, whose writers have all been applied (DAG order), so the reads
 // race with nothing.
@@ -813,41 +840,13 @@ func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inl
 		rec.shipped += int64(len(data))
 		rec.inlines++
 	}
-	body, err := encodeGob(req)
+	s, err := st.stream(rec.node)
+	if err == nil {
+		err = s.submit(rec, req)
+	}
 	if err != nil {
 		st.send(event{kind: evResult, rec: rec, err: err})
-		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), st.m.cfg.ExecTimeout)
-	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, rec.node.cfg.Addr+PathExecute, bytes.NewReader(body))
-	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
-	}
-	httpReq.Header.Set("Content-Type", ContentTypeGob)
-	httpResp, err := st.m.http.Do(httpReq)
-	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
-	}
-	defer httpResp.Body.Close()
-	data, err := io.ReadAll(httpResp.Body)
-	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		st.send(event{kind: evResult, rec: rec,
-			err: fmt.Errorf("execute returned %d: %s", httpResp.StatusCode, bytes.TrimSpace(data))})
-		return
-	}
-	var resp ExecResponse
-	if err := decodeGob(data, &resp); err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
-	}
-	st.send(event{kind: evResult, rec: rec, resp: &resp})
 }
 
 // handleResult applies one round-trip outcome. Returns whether a task

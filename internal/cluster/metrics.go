@@ -26,6 +26,8 @@ var cm = struct {
 	stragglers  *metrics.CounterVec   // {node}
 	slowdown    *metrics.GaugeVec     // {node}
 	residual    *metrics.HistogramVec // {node}
+	execRTT     *metrics.HistogramVec // {node}
+	reconnects  *metrics.CounterVec   // {node}
 }{
 	tasks: metrics.Default.CounterVec("taskrt_cluster_tasks_total",
 		"Tasks completed and applied, by executing node.", "node"),
@@ -55,6 +57,10 @@ var cm = struct {
 		"EWMA of observed/estimated kernel latency per node (1 = on model; series deleted when the node dies).", "node"),
 	residual: metrics.Default.HistogramVec("taskrt_cluster_residual_ratio",
 		"Observed/estimated kernel latency for model-placed tasks, by node.", residualBuckets, "node"),
+	execRTT: metrics.Default.HistogramVec("taskrt_cluster_exec_rtt_seconds",
+		"One invocation on the node's execute stream, from its request fully written to its response read: wire, remote queue, kernel.", clusterTaskBuckets, "node"),
+	reconnects: metrics.Default.CounterVec("taskrt_cluster_stream_reconnects_total",
+		"Execute streams opened to the node after its first of the run: one per broken stream or rejoin.", "node"),
 }
 
 // residualBuckets resolve the observed/estimated ratio: < 1 is faster than

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bytes"
+	"encoding/gob"
 	"io"
 	"net/http"
 	"testing"
@@ -13,17 +13,29 @@ import (
 	"repro/internal/taskrt"
 )
 
-// okTransport answers every execute round-trip in process with a successful
-// 1 ms kernel: the master's dispatch/ship/handleResult path runs for real
-// with no listener behind the node addresses.
+// okTransport answers every request on an execute stream in process with a
+// successful 1 ms kernel: the master's dispatch/ship/stream/handleResult path
+// runs for real with no listener behind the node addresses.
 type okTransport struct{}
 
 func (okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	body, err := encodeGob(&ExecResponse{OK: true, ExecSeconds: 1e-3, Arch: "x86"})
-	if err != nil {
-		return nil, err
-	}
-	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)), Request: r}, nil
+	pr, pw := io.Pipe()
+	go func() {
+		defer r.Body.Close()
+		dec, enc := gob.NewDecoder(r.Body), gob.NewEncoder(pw)
+		for {
+			var req ExecRequest
+			err := dec.Decode(&req)
+			if err == nil {
+				err = enc.Encode(&ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, OK: true, ExecSeconds: 1e-3, Arch: "x86"})
+			}
+			if err != nil {
+				pw.Close()
+				return
+			}
+		}
+	}()
+	return &http.Response{StatusCode: http.StatusOK, Body: pr, Request: r}, nil
 }
 
 // fakeRun is a runState over alive, unprobed nodes (x86, four credits, LAN
@@ -34,11 +46,31 @@ func fakeRun(t *testing.T, models *perfmodel.Store, nodeNames []string, tasks in
 	for _, name := range nodeNames {
 		cfg.Nodes = append(cfg.Nodes, NodeConfig{Name: name, Addr: "http://" + name + ".invalid"})
 	}
-	m, err := NewMaster(cfg)
+	cl, err := taskrt.NewCodelet("k", taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := taskrt.NewCodelet("k", taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+	st := newRunState(t, cfg, func(rt *taskrt.Runtime) []*taskrt.Task {
+		batch := make([]*taskrt.Task, tasks)
+		for i := range batch {
+			h := rt.NewHandle("h", 32, blas.NewMatrix(2, 2))
+			batch[i] = &taskrt.Task{Codelet: cl, Accesses: []taskrt.Access{taskrt.R(h)}, Flops: 1e6}
+		}
+		return batch
+	})
+	for _, n := range st.nodes {
+		n.alive, n.credits = true, 4
+		n.info = InfoResponse{Archs: []string{"x86"}}
+	}
+	return st
+}
+
+// newRunState is a runState for cfg over the graph batch submits, its nodes
+// not yet up and no loop running: the test plays the loop, calling nodeUp,
+// dispatch and handleResult itself.
+func newRunState(t *testing.T, cfg Config, batch func(*taskrt.Runtime) []*taskrt.Task) *runState {
+	t.Helper()
+	m, err := NewMaster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +78,7 @@ func fakeRun(t *testing.T, models *perfmodel.Store, nodeNames []string, tasks in
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]*taskrt.Task, tasks)
-	for i := range batch {
-		h := rt.NewHandle("h", 32, blas.NewMatrix(2, 2))
-		batch[i] = &taskrt.Task{Codelet: cl, Accesses: []taskrt.Access{taskrt.R(h)}, Flops: 1e6}
-	}
-	if err := rt.SubmitBatch(batch); err != nil {
+	if err := rt.SubmitBatch(batch(rt)); err != nil {
 		t.Fatal(err)
 	}
 	graph, handles, err := rt.Graph()
@@ -63,15 +90,12 @@ func fakeRun(t *testing.T, models *perfmodel.Store, nodeNames []string, tasks in
 		ver:   make([]uint64, len(handles)),
 		indeg: map[int]int{}, attempts: map[int]int{},
 		done: map[int]bool{}, inflight: map[int]*inflightRec{},
-		events: make(chan event, tasks), stop: make(chan struct{}),
+		events: make(chan event, len(graph)), stop: make(chan struct{}),
 		start: time.Now(), retriedTasks: map[int]bool{},
 	}
-	t.Cleanup(func() { close(st.stop) })
-	for _, nc := range cfg.Nodes {
-		st.nodes = append(st.nodes, &nodeState{
-			cfg: nc, alive: true, credits: 4, has: map[int]uint64{},
-			info: InfoResponse{Archs: []string{"x86"}}, link: lanLink,
-		})
+	t.Cleanup(st.shutdown)
+	for _, nc := range m.cfg.Nodes {
+		st.nodes = append(st.nodes, &nodeState{cfg: nc, has: map[int]uint64{}, link: lanLink})
 	}
 	return st
 }

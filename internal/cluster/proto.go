@@ -18,12 +18,27 @@
 // under a first-writer-wins done-check, which makes resubmission after node
 // failure exactly-once: a late result from a presumed-dead node either
 // applies first (the resubmitted copy is dropped) or is dropped itself.
+//
+// Wire: the master holds one POST /v1/execute per node open for the whole run
+// and uses it in both directions at once — ExecRequest values go up the
+// request body, ExecResponse values come down the response body, each side
+// through a single gob encoder/decoder, so gob's type descriptors cross the
+// connection once per node. Responses come back in the order kernels finish
+// and are matched to requests by (TaskID, Attempt). Handle payloads travel
+// inside those messages as opaque []byte frames (EncodePayload): a tag byte,
+// and for matrices and float64 slices the raw little-endian elements. A
+// stream that ends or breaks with requests unanswered fails each of them once
+// with a transport error; the node's next dispatch opens a fresh stream. A
+// one-shot POST carrying a single request is a stream of length one.
 package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"unsafe"
 
 	"repro/internal/blas"
 	"repro/internal/trace"
@@ -43,9 +58,11 @@ const (
 	// fleet scraper federates the taskrt_worker_* families it finds here.
 	PathMetrics = "/metrics"
 
-	// ContentTypeGob marks the execute request/response encoding. gob is
-	// chosen over JSON for the data plane: payloads are dense float64
-	// matrices, and gob moves them as raw bytes instead of decimal text.
+	// ContentTypeGob marks the execute request and response bodies: a gob
+	// stream of ExecRequest (resp. ExecResponse) values. gob carries the
+	// envelope — ids, versions, spans — and moves the []byte payload frames
+	// inside it untouched; the frames themselves are not gob (gob would
+	// spend a varint per float64), see EncodePayload.
 	ContentTypeGob = "application/x-gob"
 )
 
@@ -63,9 +80,10 @@ type ExecRequest struct {
 	Accesses []AccessSpec
 }
 
-// AccessSpec is one data access of the invocation. When Inline is nil the
-// worker must already cache (HandleID, Version); responding NeedData makes
-// the master re-inline — a cache miss, never a fault.
+// AccessSpec is one data access of the invocation. Inline is the payload as
+// an EncodePayload frame; when it is nil the worker must already cache
+// (HandleID, Version), and responding NeedData makes the master re-inline —
+// a cache miss, never a fault.
 type AccessSpec struct {
 	HandleID int
 	Name     string
@@ -77,7 +95,8 @@ type AccessSpec struct {
 
 // Written is one produced payload: the new contents of a written handle at
 // Version = request Version + 1 (writers are serialised by the task graph,
-// so the successor version is deterministic).
+// so the successor version is deterministic). Payload is an EncodePayload
+// frame.
 type Written struct {
 	HandleID int
 	Version  uint64
@@ -117,45 +136,164 @@ type InfoResponse struct {
 	Codelets []string `json:"codelets"`
 }
 
-// RegisterPayloadType registers a concrete payload type for the gob-based
-// payload codec, as encoding/gob requires for interface-typed values.
-// *blas.Matrix, []float64, []byte and the scalar types are pre-registered.
+// RegisterPayloadType registers a concrete payload type for the gob fallback
+// of the payload codec, as encoding/gob requires for interface-typed values.
+// []int and the scalar types are pre-registered; *blas.Matrix, []float64 and
+// []byte never reach gob (see EncodePayload).
 func RegisterPayloadType(v any) { gob.Register(v) }
 
 func init() {
-	RegisterPayloadType(&blas.Matrix{})
-	RegisterPayloadType([]float64(nil))
-	RegisterPayloadType([]byte(nil))
 	RegisterPayloadType([]int(nil))
 	RegisterPayloadType(float64(0))
 	RegisterPayloadType(int(0))
 	RegisterPayloadType("")
 }
 
+// A payload frame is one tag byte and a body. The dense types ship as raw
+// little-endian bytes; everything else rides in a gob box behind its own tag.
+const (
+	frameMatrix  = 'M' // rows, cols as uint64, then rows×cols float64s, row-major and compact
+	frameFloat64 = 'F' // float64s to the end of the frame
+	frameBytes   = 'B' // bytes to the end of the frame
+	frameGob     = 'G' // gob(payloadBox)
+
+	matrixHeader = 1 + 8 + 8
+)
+
 // payloadBox wraps the interface value so gob carries the concrete type.
 type payloadBox struct{ V any }
 
-// EncodePayload serialises a handle payload for the wire. Matrix views are
-// compacted first: a Sub() view aliases the parent's backing array from its
-// origin to the end, and encoding that raw would ship the whole parent.
+// EncodePayload serialises a handle payload into a frame. A matrix ships only
+// its own rows×cols elements whatever its stride: a Sub() view aliases the
+// parent's backing array from its origin to the end, and the rows are copied
+// out of it one by one straight into the frame.
 func EncodePayload(v any) ([]byte, error) {
-	if m, ok := v.(*blas.Matrix); ok && (m.Stride != m.Cols || len(m.Data) != m.Rows*m.Cols) {
-		v = m.Clone()
+	switch p := v.(type) {
+	case *blas.Matrix:
+		if p == nil || p.Rows < 0 || p.Cols < 0 {
+			return nil, fmt.Errorf("cluster: encoding payload: invalid matrix %v", p)
+		}
+		out := make([]byte, matrixHeader+8*p.Rows*p.Cols)
+		out[0] = frameMatrix
+		binary.LittleEndian.PutUint64(out[1:], uint64(p.Rows))
+		binary.LittleEndian.PutUint64(out[9:], uint64(p.Cols))
+		body := out[matrixHeader:]
+		if p.Stride == p.Cols {
+			putFloat64s(body, p.Data[:p.Rows*p.Cols])
+		} else {
+			for i := 0; i < p.Rows; i++ {
+				putFloat64s(body[8*i*p.Cols:], p.Data[i*p.Stride:i*p.Stride+p.Cols])
+			}
+		}
+		return out, nil
+	case []float64:
+		out := make([]byte, 1+8*len(p))
+		out[0] = frameFloat64
+		putFloat64s(out[1:], p)
+		return out, nil
+	case []byte:
+		out := make([]byte, 1+len(p))
+		out[0] = frameBytes
+		copy(out[1:], p)
+		return out, nil
 	}
 	var buf bytes.Buffer
+	buf.WriteByte(frameGob)
 	if err := gob.NewEncoder(&buf).Encode(payloadBox{V: v}); err != nil {
 		return nil, fmt.Errorf("cluster: encoding payload: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodePayload reverses EncodePayload.
+// DecodePayload reverses EncodePayload. Frames arrive from the network, so
+// every malformed one — empty, unknown tag, short header, a shape whose
+// rows×cols×8 is not exactly the body's length, trailing bytes — is an
+// error, and the shape is checked against the bytes present before anything
+// is allocated: a raw frame never allocates more than it is long.
 func DecodePayload(data []byte) (any, error) {
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("cluster: decoding payload: %w", err)
+	if len(data) == 0 {
+		return nil, fmt.Errorf("cluster: decoding payload: empty frame")
 	}
-	return box.V, nil
+	body := data[1:]
+	switch data[0] {
+	case frameMatrix:
+		if len(data) < matrixHeader {
+			return nil, fmt.Errorf("cluster: decoding payload: matrix header truncated at %d bytes", len(data))
+		}
+		rows, cols := binary.LittleEndian.Uint64(data[1:]), binary.LittleEndian.Uint64(data[9:])
+		body = data[matrixHeader:]
+		// Both dimensions fit 31 bits, so their product cannot overflow; an
+		// empty matrix keeps its other dimension.
+		elems := uint64(len(body) / 8)
+		if len(body)%8 != 0 || rows > math.MaxInt32 || cols > math.MaxInt32 || rows*cols != elems {
+			return nil, fmt.Errorf("cluster: decoding payload: %d×%d matrix in a %d-byte body", rows, cols, len(body))
+		}
+		m := &blas.Matrix{Rows: int(rows), Cols: int(cols), Stride: int(cols), Data: make([]float64, elems)}
+		getFloat64s(m.Data, body)
+		return m, nil
+	case frameFloat64:
+		if len(body)%8 != 0 {
+			return nil, fmt.Errorf("cluster: decoding payload: %d-byte body is not whole float64s", len(body))
+		}
+		out := make([]float64, len(body)/8)
+		getFloat64s(out, body)
+		return out, nil
+	case frameBytes:
+		out := make([]byte, len(body))
+		copy(out, body)
+		return out, nil
+	case frameGob:
+		r := bytes.NewReader(body)
+		var box payloadBox
+		if err := gob.NewDecoder(r).Decode(&box); err != nil {
+			return nil, fmt.Errorf("cluster: decoding payload: %w", err)
+		}
+		if r.Len() != 0 {
+			return nil, fmt.Errorf("cluster: decoding payload: %d trailing bytes", r.Len())
+		}
+		return box.V, nil
+	}
+	return nil, fmt.Errorf("cluster: decoding payload: unknown frame tag %#x", data[0])
+}
+
+// hostLittleEndian says float64s sit in memory the way the frame lays them
+// out, so moving them is a copy; elsewhere each is converted.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes views the slice's own memory as bytes.
+func float64Bytes(f []float64) []byte {
+	if len(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 8*len(f))
+}
+
+func putFloat64s(dst []byte, src []float64) {
+	if hostLittleEndian {
+		copy(dst, float64Bytes(src))
+		return
+	}
+	putFloat64sPortable(dst, src)
+}
+
+func getFloat64s(dst []float64, src []byte) {
+	if hostLittleEndian {
+		copy(float64Bytes(dst), src)
+		return
+	}
+	getFloat64sPortable(dst, src)
+}
+
+func putFloat64sPortable(dst []byte, src []float64) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+func getFloat64sPortable(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // ApplyPayload merges a received payload into an existing one, returning
@@ -198,17 +336,4 @@ func ApplyPayload(dst, src any) (any, error) {
 	default:
 		return src, nil
 	}
-}
-
-// encodeGob/decodeGob move the execute request/response bodies.
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

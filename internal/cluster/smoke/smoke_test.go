@@ -93,6 +93,7 @@ func TestClusterSmoke(t *testing.T) {
 
 		merged := fetchMergedTrace(t, rep)
 		checkFleetMetrics(t, base, rep)
+		checkClusterMetrics(t)
 		writeArtifacts(t, merged, base)
 	})
 
@@ -204,6 +205,25 @@ func checkFleetMetrics(t *testing.T, base string, rep *cluster.Report) {
 		time.Sleep(250 * time.Millisecond)
 	}
 	t.Fatalf("federated fleet metrics never appeared; last scrape:\n%s", grepLines(body, "taskrt_fleet_"))
+}
+
+// checkClusterMetrics asserts the master-side stream families — what
+// writeArtifacts saves as cluster_metrics.txt — carry a series per node after
+// a healthy run: every invocation's round trip observed, no reconnect.
+func checkClusterMetrics(t *testing.T) {
+	t.Helper()
+	var b strings.Builder
+	metrics.Default.WritePrometheus(&b)
+	for _, node := range []string{"smoke-a", "smoke-b"} {
+		for _, series := range []string{
+			`taskrt_cluster_exec_rtt_seconds_count{node="` + node + `"}`,
+			`taskrt_cluster_stream_reconnects_total{node="` + node + `"} 0`,
+		} {
+			if !strings.Contains(b.String(), series) {
+				t.Errorf("master metrics lack %s:\n%s", series, grepLines(b.String(), "taskrt_cluster_"))
+			}
+		}
+	}
 }
 
 // writeArtifacts persists the merged Chrome trace and the metrics snapshots

@@ -1,0 +1,235 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"sync"
+	"time"
+)
+
+// execStream is the master's end of one node's execute stream: a single POST
+// whose request body carries ExecRequest values up and whose response body
+// brings ExecResponse values down, each through one gob encoder/decoder for
+// the life of the connection. Ship goroutines write, one reader goroutine
+// reads; the pending table between them is what turns an answer, a timeout or
+// a break into exactly one evResult per invocation.
+type execStream struct {
+	st   *runState
+	node *nodeState
+	body *io.PipeWriter // the request body; closed by end
+	stop context.CancelFunc
+
+	wmu sync.Mutex // one request message on the wire at a time
+	enc *gob.Encoder
+
+	mu      sync.Mutex
+	pending map[int]*pendingExec // by task id; the run loop keeps at most one invocation of a task in flight
+	err     error                // why the stream ended; nil while it is usable
+}
+
+// pendingExec is one invocation written (or being written) to the stream and
+// not yet resolved.
+type pendingExec struct {
+	rec     *inflightRec
+	attempt int
+	timeout *time.Timer
+	sent    time.Time // when the request was fully written; zero until then
+}
+
+// openStream starts the node's execute POST and the reader goroutine that
+// carries it. It does not wait for the node: requests may be written at once,
+// and a refused or failed POST surfaces as the stream breaking under them.
+func (st *runState) openStream(n *nodeState) (*execStream, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.cfg.Addr+PathExecute, pr)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	req.Header.Set("Content-Type", ContentTypeGob)
+	// The body never ends on its own, and a server that answers an error
+	// without reading it would first wait for it to. Asking for 100 Continue
+	// lets such a server answer at once, and the worker's first read grants it.
+	req.Header.Set("Expect", "100-continue")
+	s := &execStream{
+		st: st, node: n, body: pw, stop: cancel,
+		enc: gob.NewEncoder(pw), pending: map[int]*pendingExec{},
+	}
+	st.readers.Add(1)
+	go s.read(req)
+	return s, nil
+}
+
+// submit registers rec as pending and writes its request. Past registration
+// the invocation's outcome — including a failed write, which breaks the
+// stream for everyone on it — arrives as an event; an error return means the
+// stream had already ended and nothing was registered.
+func (s *execStream) submit(rec *inflightRec, req *ExecRequest) error {
+	id := req.TaskID
+	p := &pendingExec{rec: rec, attempt: req.Attempt}
+	s.mu.Lock()
+	if s.err != nil {
+		s.mu.Unlock()
+		return s.err
+	}
+	s.pending[id] = p
+	p.timeout = time.AfterFunc(s.st.m.cfg.ExecTimeout, func() {
+		if s.take(id, p.attempt) != nil {
+			s.st.send(event{kind: evResult, rec: rec,
+				err: fmt.Errorf("no response from %s within %s", s.node.cfg.Name, s.st.m.cfg.ExecTimeout)})
+		}
+	})
+	s.mu.Unlock()
+
+	s.wmu.Lock()
+	err := s.enc.Encode(req)
+	s.wmu.Unlock()
+	if err != nil {
+		// A partly written message leaves the encoder and the peer's decoder
+		// out of step: the stream is unusable from here.
+		s.fail(fmt.Errorf("writing to %s: %w", s.node.cfg.Name, err))
+		return nil
+	}
+	s.mu.Lock()
+	if s.pending[id] == p {
+		p.sent = time.Now()
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// take removes and returns the pending invocation a response (or a timeout)
+// for (id, attempt) resolves; nil when there is none — already resolved, or a
+// stale answer to an invocation this stream no longer waits for.
+func (s *execStream) take(id, attempt int) *pendingExec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.pending[id]
+	if p == nil || p.attempt != attempt {
+		return nil
+	}
+	delete(s.pending, id)
+	p.timeout.Stop()
+	return p
+}
+
+// read performs the POST and turns its response body into evResult events
+// until the stream ends. The worker sends its headers on reading the first
+// request, and from then on a dead connection shows up here as a read error;
+// one that dies before that leaves Do waiting on the request body, and is left
+// to the per-record timeouts and the heartbeat.
+func (s *execStream) read(req *http.Request) {
+	defer s.st.readers.Done()
+	httpResp, err := s.st.m.http.Do(req)
+	if err != nil {
+		s.fail(fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err))
+		return
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512)) // best effort: the status alone is the error
+		s.fail(fmt.Errorf("execute stream to %s: status %d: %s", s.node.cfg.Name, httpResp.StatusCode, bytes.TrimSpace(msg)))
+		return
+	}
+	dec := gob.NewDecoder(httpResp.Body)
+	for {
+		resp := new(ExecResponse)
+		if err := dec.Decode(resp); err != nil {
+			if err == io.EOF {
+				err = errors.New("closed by the node")
+			}
+			s.fail(fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err))
+			return
+		}
+		p := s.take(resp.TaskID, resp.Attempt)
+		if p == nil {
+			continue
+		}
+		if !p.sent.IsZero() {
+			cm.execRTT.With(s.node.cfg.Name).Observe(time.Since(p.sent).Seconds())
+		}
+		s.st.send(event{kind: evResult, rec: p.rec, resp: resp})
+	}
+}
+
+// end closes the stream, once, and returns the invocations it still owed an
+// answer.
+func (s *execStream) end(err error) map[int]*pendingExec {
+	s.mu.Lock()
+	if s.err != nil {
+		s.mu.Unlock()
+		return nil
+	}
+	s.err = err
+	owed := s.pending
+	s.pending = nil
+	s.mu.Unlock()
+	for _, p := range owed {
+		p.timeout.Stop()
+	}
+	s.body.CloseWithError(err)
+	s.stop()
+	return owed
+}
+
+// fail ends a broken stream and reports every invocation still pending on it
+// as a transport error, each once.
+func (s *execStream) fail(err error) {
+	for _, p := range s.end(err) {
+		s.st.send(event{kind: evResult, rec: p.rec, err: err})
+	}
+}
+
+var (
+	errStreamRetired = errors.New("execute stream retired")
+	errRunOver       = errors.New("run is over")
+)
+
+// stream returns the node's open stream, opening one when there is none or
+// the last one broke. Ship goroutines of one node queue here behind a single
+// open; none is opened once the run has stopped, so shutdown retires them all.
+func (st *runState) stream(n *nodeState) (*execStream, error) {
+	n.streamMu.Lock()
+	defer n.streamMu.Unlock()
+	select {
+	case <-st.stop:
+		return nil, errRunOver
+	default:
+	}
+	if s := n.stream; s != nil {
+		s.mu.Lock()
+		ok := s.err == nil
+		s.mu.Unlock()
+		if ok {
+			return s, nil
+		}
+	}
+	s, err := st.openStream(n)
+	if err != nil {
+		return nil, err
+	}
+	if n.streamed {
+		cm.reconnects.With(n.cfg.Name).Inc()
+	}
+	n.stream, n.streamed = s, true
+	return s, nil
+}
+
+// retireStream closes the node's stream without reporting what was pending
+// on it: for a node that comes back up, whose in-flight records nodeDown
+// already resubmitted, and at the end of the run.
+func (n *nodeState) retireStream() {
+	n.streamMu.Lock()
+	s := n.stream
+	n.stream = nil
+	n.streamMu.Unlock()
+	if s != nil {
+		s.end(errStreamRetired)
+	}
+}

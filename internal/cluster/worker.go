@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -46,7 +49,8 @@ type WorkerConfig struct {
 	// the deterministic gray failure the master's straggler detector is
 	// tested against. Failure events in the plan are ignored here.
 	Faults *taskrt.FaultPlan
-	// MaxBodyBytes bounds execute request bodies (default 256 MiB).
+	// MaxBodyBytes bounds each request message on an execute stream (default
+	// 256 MiB); the stream itself is as long as the master's run.
 	MaxBodyBytes int64
 	// CacheEntries bounds the handle cache (default 65536 entries).
 	// Eviction is arbitrary: an evicted handle resurfaces as NeedData and
@@ -96,7 +100,11 @@ type Worker struct {
 	cache      map[int]cacheEntry
 	cacheBytes int64
 
-	execs sync.WaitGroup
+	// The open execute streams, so Drain can stop each one reading; nil once
+	// draining, when new streams are refused.
+	streamMu sync.Mutex
+	streams  map[*http.ResponseController]struct{}
+	streamWG sync.WaitGroup
 }
 
 // workerMetrics is the node-local instrument set, in a private registry per
@@ -177,6 +185,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		start:    time.Now(),
 		cache:    map[int]cacheEntry{},
 		delays:   cfg.Faults.DelaysForUnit(cfg.Name),
+		streams:  map[*http.ResponseController]struct{}{},
 	}
 	for _, c := range cfg.Codelets {
 		if _, dup := w.codelets[c.Name]; dup {
@@ -249,6 +258,7 @@ func (w *Worker) Handler() http.Handler {
 			"cache_entries":    entries,
 			"cached_bytes":     bytes,
 			"inflight_kernels": w.inflight.Load(),
+			"open_streams":     w.openStreams(),
 			"slots":            w.cfg.Slots,
 			"uptime_seconds":   time.Since(w.start).Seconds(),
 		})
@@ -276,8 +286,31 @@ func (w *Worker) handleTrace(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Wait blocks until in-flight executions finish (graceful shutdown).
-func (w *Worker) Wait() { w.execs.Wait() }
+// Drain is the graceful-shutdown step: it refuses new execute streams, stops
+// every open one reading further requests, and returns once each has
+// answered the invocations it had already accepted and ended its response. A
+// stream never goes idle on its own, so http.Server.Shutdown alone would sit
+// out its whole grace period; call Drain first.
+func (w *Worker) Drain() {
+	w.streamMu.Lock()
+	open := w.streams
+	w.streams = nil
+	w.streamMu.Unlock()
+	for rc := range open {
+		// An already-due deadline fails the stream's pending (or next) body
+		// read, which its handler takes as the end of the requests.
+		if err := rc.SetReadDeadline(time.Now()); err != nil {
+			w.logf("cluster: worker %s: draining a stream: %v", w.cfg.Name, err)
+		}
+	}
+	w.streamWG.Wait()
+}
+
+func (w *Worker) openStreams() int {
+	w.streamMu.Lock()
+	defer w.streamMu.Unlock()
+	return len(w.streams)
+}
 
 // runnableImpl picks the first configured arch the codelet implements with
 // a real function.
@@ -296,27 +329,141 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
+// streamWindow bounds the invocations one stream may have accepted and not
+// yet answered — decoded payloads held while waiting for a slot. Past it the
+// stream stops reading and TCP pushes back on the sender.
+const streamWindow = 64
+
+// handleExecute serves one execute stream: ExecRequest values are read off the
+// request body until it ends, each runs as soon as a slot frees, and every
+// ExecResponse is written and flushed the moment its kernel finishes, in
+// completion order. A one-shot POST is the stream of length one.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
-	if err != nil {
-		http.Error(rw, "reading body: "+err.Error(), http.StatusBadRequest)
+	rc := http.NewResponseController(rw)
+	if err := rc.EnableFullDuplex(); err != nil {
+		http.Error(rw, "execute needs a full-duplex connection: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	var req ExecRequest
-	if err := decodeGob(body, &req); err != nil {
-		http.Error(rw, "decoding request: "+err.Error(), http.StatusBadRequest)
+	w.streamMu.Lock()
+	draining := w.streams == nil
+	if !draining {
+		w.streams[rc] = struct{}{}
+		w.streamWG.Add(1)
+	}
+	w.streamMu.Unlock()
+	if draining {
+		http.Error(rw, "worker is draining", http.StatusServiceUnavailable)
 		return
 	}
-	w.execs.Add(1)
-	defer w.execs.Done()
-	resp := w.execute(&req)
-	data, err := encodeGob(resp)
-	if err != nil {
-		http.Error(rw, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
+	defer func() {
+		w.streamMu.Lock()
+		delete(w.streams, rc)
+		w.streamMu.Unlock()
+		w.streamWG.Done()
+	}()
+
 	rw.Header().Set("Content-Type", ContentTypeGob)
-	rw.Write(data)
+	var (
+		reqs    = newRequestReader(r.Body, w.cfg.MaxBodyBytes)
+		enc     = gob.NewEncoder(rw)
+		encMu   sync.Mutex // one response message on the wire at a time
+		window  = make(chan struct{}, streamWindow)
+		running sync.WaitGroup
+	)
+	for first := true; ; first = false {
+		window <- struct{}{}
+		req, err := reqs.next()
+		if err != nil {
+			// The requests stop here and the accepted ones still answer. The
+			// connection ending — cleanly, torn, reset, or by Drain's deadline
+			// — is the sender's to report; bytes that are not a request, or
+			// too many of them, are worth a line here.
+			var conn net.Error
+			if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &conn) {
+				w.logf("cluster: worker %s: execute stream from %s: %v", w.cfg.Name, r.RemoteAddr, err)
+			}
+			break
+		}
+		if first {
+			// The sender learns of a dead connection from the response body,
+			// and has that only once the headers are in: they go out with the
+			// stream's first request read, not its first answer written.
+			// (Not sooner: answering a sender that asked for 100 Continue
+			// before reading from it tells it to keep its body.)
+			rw.WriteHeader(http.StatusOK)
+			if err := rc.Flush(); err != nil {
+				break
+			}
+		}
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			defer func() { <-window }()
+			resp := w.execute(req)
+			encMu.Lock()
+			defer encMu.Unlock()
+			err := enc.Encode(resp)
+			if err == nil {
+				err = rc.Flush()
+			}
+			if err != nil {
+				w.logf("cluster: worker %s: answering task %d: %v", w.cfg.Name, req.TaskID, err)
+			}
+		}()
+	}
+	running.Wait()
+}
+
+// requestReader reads the ExecRequest messages of one stream, holding each to
+// the worker's message bound.
+type requestReader struct {
+	dec *gob.Decoder
+	lim *limitReader
+}
+
+func newRequestReader(r io.Reader, max int64) *requestReader {
+	lim := &limitReader{r: r, max: max}
+	return &requestReader{dec: gob.NewDecoder(lim), lim: lim}
+}
+
+// next returns the stream's next request: io.EOF at a clean end, any other
+// error when the bytes are not a request or exceed the bound.
+func (rr *requestReader) next() (*ExecRequest, error) {
+	rr.lim.left = rr.lim.max
+	req := new(ExecRequest)
+	if err := rr.dec.Decode(req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// limitReader fails reads past left bytes. Unlike io.LimitedReader its budget
+// is refilled to max (per message), and it is an io.ByteReader so that gob
+// reads through it directly: a bufio layer in between would read ahead into
+// the next message on this one's budget.
+type limitReader struct {
+	r         io.Reader
+	max, left int64
+	one       [1]byte
+}
+
+var errMessageTooLarge = errors.New("request message exceeds the worker's MaxBodyBytes")
+
+func (l *limitReader) Read(p []byte) (int, error) {
+	if l.left <= 0 {
+		return 0, errMessageTooLarge
+	}
+	if int64(len(p)) > l.left {
+		p = p[:l.left]
+	}
+	n, err := l.r.Read(p)
+	l.left -= int64(n)
+	return n, err
+}
+
+func (l *limitReader) ReadByte() (byte, error) {
+	_, err := io.ReadFull(l, l.one[:])
+	return l.one[0], err
 }
 
 // execute resolves payloads, runs the kernel on a free slot and packages

@@ -10,6 +10,7 @@
 //
 // See DESIGN.md for the system inventory and per-experiment index,
 // EXPERIMENTS.md for paper-vs-measured results, and the examples/ directory
-// for runnable end-to-end programs. The benchmark suite in bench_test.go
-// regenerates the paper's Figure 5 and the ablation experiments.
+// for runnable end-to-end programs. cmd/pdlbench regenerates the paper's
+// Figure 5 and the ablation tables; benchmark/ (bash benchmark/run.sh) is the
+// one pipeline that records and compares performance numbers.
 package repro

@@ -14,15 +14,19 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strconv"
 
+	"repro/internal/blas"
 	"repro/internal/discover"
 	"repro/internal/experiments"
+	"repro/internal/taskrt"
+	"repro/internal/trace"
 )
 
 func main() {
 	n := flag.Int("n", 8192, "matrix extent")
 	tile := flag.Int("tile", 1024, "tile extent")
-	sched := flag.String("sched", "dmda", "scheduler (sim: any policy; the real-mode cross-check runs dmda as dmda and everything else as ws)")
+	sched := flag.String("sched", "dmda", "scheduler (sim: eager, ws, dmda, heft or random; the real-mode cross-check implements only ws and dmda and rejects the rest)")
 	traceTo := flag.String("trace", "", "write a Chrome trace of the real-mode cross-check here")
 	flag.Parse()
 
@@ -35,26 +39,28 @@ func main() {
 
 	// Real-mode cross-check on this host: the tiled task graph computes the
 	// same result as the serial blocked kernel. With -trace, the run records
-	// causal spans and writes a Perfetto-loadable Chrome trace.
+	// causal spans and writes a Perfetto-loadable Chrome trace annotated with
+	// the dispatcher, the GEMM micro-kernel ISA and the problem size.
 	fmt.Println()
+	const realN, realTile = 256, 64
+	cfg := taskrt.Config{Platform: discover.MustPlatform("this-host"), Mode: taskrt.Real, Scheduler: *sched}
 	if *traceTo != "" {
-		tr, rep, err := experiments.TraceGemmRun(256, 64, 0, true, *sched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteChromeFile(*traceTo); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("real-mode cross-check (N=256): %d tasks in %.4fs, result verified\n",
-			rep.Tasks, rep.MakespanSeconds)
-		fmt.Printf("wrote %s (%d events; load in https://ui.perfetto.dev)\n", *traceTo, tr.Len())
-		return
+		cfg.Trace = trace.New()
 	}
-	host := discover.MustPlatform("this-host")
-	rep, err := experiments.RealDGEMM(host, 256, 64, 0, true, *sched, nil)
+	rep, err := experiments.Run(cfg, experiments.GEMM(realN, realTile, experiments.NewGemmMatrices(realN, 42)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("real-mode cross-check (N=256): %d tasks in %.4fs, result verified\n",
-		rep.Tasks, rep.MakespanSeconds)
+	fmt.Printf("real-mode cross-check (N=%d): %d tasks in %.4fs, result verified\n",
+		realN, rep.Tasks, rep.MakespanSeconds)
+	if tr := cfg.Trace; tr != nil {
+		tr.SetMeta("dispatcher", rep.Scheduler)
+		tr.SetMeta("microkernel", blas.KernelISA())
+		tr.SetMeta("n", strconv.Itoa(realN))
+		tr.SetMeta("tile", strconv.Itoa(realTile))
+		if err := tr.WriteChromeFile(*traceTo); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %s (%d events; load in https://ui.perfetto.dev)\n", *traceTo, tr.Len())
+	}
 }

@@ -34,17 +34,10 @@ func simRun(pl *dynamic.Tracker, faults *taskrt.FaultPlan, tr *trace.Trace) *tas
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := taskrt.New(taskrt.Config{
+	rep, err := experiments.Run(taskrt.Config{
 		Platform: snap, Mode: taskrt.Sim, Scheduler: "dmda",
 		Faults: faults, Tracker: pl, Trace: tr,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := experiments.SubmitTiledGEMM(rt, n, tile, nil); err != nil {
-		log.Fatal(err)
-	}
-	rep, err := rt.Run()
+	}, experiments.GEMM(n, tile, nil))
 	if err != nil {
 		log.Fatal(err)
 	}

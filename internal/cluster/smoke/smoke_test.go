@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -64,9 +63,9 @@ func TestClusterSmoke(t *testing.T) {
 
 	t.Run("HappyPath", func(t *testing.T) {
 		tr := trace.New()
-		rep, diff := runMaster(t, nodes, 256, 64, tr, nil)
-		if diff > 1e-8 {
-			t.Fatalf("distributed result wrong (maxdiff %g)", diff)
+		rep, verr := runMaster(t, nodes, 256, 64, tr, nil)
+		if verr != nil {
+			t.Fatalf("distributed result wrong: %v", verr)
 		}
 		if rep.Tasks != 64 {
 			t.Fatalf("tasks = %d, want 64", rep.Tasks)
@@ -109,10 +108,10 @@ func TestClusterSmoke(t *testing.T) {
 			}
 			workerB.Process.Kill()
 		}()
-		rep, diff := runMaster(t, nodes, 512, 64, tr, nil)
+		rep, verr := runMaster(t, nodes, 512, 64, tr, nil)
 		<-killed
-		if diff > 1e-8 {
-			t.Fatalf("result wrong after mid-flight kill (maxdiff %g)", diff)
+		if verr != nil {
+			t.Fatalf("result wrong after mid-flight kill: %v", verr)
 		}
 		if rep.Tasks != 512 {
 			t.Fatalf("tasks = %d, want 512", rep.Tasks)
@@ -284,9 +283,10 @@ func grepLines(text, sub string) string {
 }
 
 // runMaster drives an in-process cluster master over a tiled C += A·B graph
-// against the given worker nodes and verifies the distributed result
-// against the local blocked reference, returning the report and maxdiff.
-func runMaster(t *testing.T, nodes []cluster.NodeConfig, n, tile int, tr *trace.Trace, mut func(*cluster.Config)) (*cluster.Report, float64) {
+// against the given worker nodes and returns the report beside the GEMM
+// workload's verdict on the distributed result (nil when it matches the
+// local blocked reference to 1e-8).
+func runMaster(t *testing.T, nodes []cluster.NodeConfig, n, tile int, tr *trace.Trace, mut func(*cluster.Config)) (*cluster.Report, error) {
 	t.Helper()
 	pl, err := core.NewBuilder("smoke-master").Master("host", core.Arch("x86"), core.Qty(1)).Build()
 	if err != nil {
@@ -296,8 +296,8 @@ func runMaster(t *testing.T, nodes []cluster.NodeConfig, n, tile int, tr *trace.
 	if err != nil {
 		t.Fatal(err)
 	}
-	mats := experiments.NewGemmMatrices(n, 7)
-	if err := experiments.SubmitTiledGEMM(rt, n, tile, mats); err != nil {
+	w := experiments.GEMM(n, tile, experiments.NewGemmMatrices(n, 7))
+	if err := w.Submit(rt); err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{
@@ -317,11 +317,7 @@ func runMaster(t *testing.T, nodes []cluster.NodeConfig, n, tile int, tr *trace.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := blas.NewMatrix(n, n)
-	if err := blas.GemmBlocked(mats.A, mats.B, ref, blas.DefaultBlock); err != nil {
-		t.Fatal(err)
-	}
-	return rep, blas.MaxDiff(ref, mats.C)
+	return rep, w.Verify()
 }
 
 // buildBinaries compiles the daemons under test into a temp dir.

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -91,8 +90,8 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mats := NewGemmMatrices(cfg.N, 42)
-	if err := SubmitTiledGEMM(rt, cfg.N, cfg.Tile, mats); err != nil {
+	w := GEMM(cfg.N, cfg.Tile, NewGemmMatrices(cfg.N, 42))
+	if err := w.Submit(rt); err != nil {
 		return nil, err
 	}
 
@@ -109,13 +108,8 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 		return nil, err
 	}
 
-	ref := blas.NewMatrix(cfg.N, cfg.N)
-	if err := blas.GemmBlocked(mats.A, mats.B, ref, blas.DefaultBlock); err != nil {
+	if err := w.Verify(); err != nil {
 		return nil, err
-	}
-	diff := blas.MaxDiff(ref, mats.C)
-	if diff > 1e-8 {
-		return nil, fmt.Errorf("experiments: distributed DGEMM wrong (maxdiff %g)", diff)
 	}
 
 	res := &Result{
@@ -133,7 +127,7 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 	res.AddRow("total", fmt.Sprint(rep.Tasks), f4(rep.MakespanSeconds), "",
 		f2(float64(rep.TransferBytes)/(1<<20)), fmt.Sprint(rep.Resubmissions), strings.Join(rep.DeadNodes, " "))
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("result verified against local blocked GEMM (maxdiff %.2e)", diff),
+		"result verified against local blocked GEMM",
 		fmt.Sprintf("makespan %.4fs, %d transfers (%0.1f MB shipped)",
 			rep.MakespanSeconds, rep.Transfers, float64(rep.TransferBytes)/(1<<20)))
 	if rep.FailedAttempts > 0 || rep.Resubmissions > 0 {

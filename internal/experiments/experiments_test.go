@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/discover"
+	"repro/internal/taskrt"
 )
 
 func TestResultTable(t *testing.T) {
@@ -157,7 +158,7 @@ func TestCrossover(t *testing.T) {
 
 func TestRealDGEMMVerifies(t *testing.T) {
 	pl := discover.MustPlatform("this-host")
-	rep, err := RealDGEMM(pl, 128, 32, 4, true, "", nil)
+	rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Real, Workers: 4}, GEMM(128, 32, NewGemmMatrices(128, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}

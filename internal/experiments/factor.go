@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/core"
-	"repro/internal/partition"
-	"repro/internal/perfmodel"
 	"repro/internal/taskrt"
-	"repro/internal/trace"
 )
 
 // The tiled factorization experiments: right-looking Cholesky and LU
@@ -29,9 +25,6 @@ import (
 // needs tens of milliseconds for it, so model-aware (dmda) placement has
 // something real to win over work stealing.
 const factorSlowRate = 5e7
-
-// factorSeed seeds the experiment matrices deterministically.
-const factorSeed int64 = 99
 
 // NewSPDMatrix returns a symmetric diagonally-dominant — hence positive
 // definite — n×n matrix: off-diagonals in [-1, 1), diagonal = n.
@@ -58,11 +51,14 @@ func NewDiagDominantMatrix(n int, seed int64) *blas.Matrix {
 	return m
 }
 
-// payloadMatrix extracts payload i as a matrix view.
-func payloadMatrix(tc *taskrt.TaskContext, i int) (*blas.Matrix, error) {
-	m, ok := tc.Payload(i).(*blas.Matrix)
-	if !ok {
-		return nil, fmt.Errorf("experiments: %s payload %d is %T, want *blas.Matrix", tc.Task.Codelet.Name, i, tc.Payload(i))
+// operands returns the task's first n payloads as the matrix views they
+// must be, in access order.
+func operands(tc *taskrt.TaskContext, n int) (m [3]*blas.Matrix, err error) {
+	for i := 0; i < n; i++ {
+		var ok bool
+		if m[i], ok = tc.Payload(i).(*blas.Matrix); !ok {
+			return m, fmt.Errorf("experiments: %s payload %d is %T, want *blas.Matrix", tc.Task.Codelet.Name, i, tc.Payload(i))
+		}
 	}
 	return m, nil
 }
@@ -70,45 +66,33 @@ func payloadMatrix(tc *taskrt.TaskContext, i int) (*blas.Matrix, error) {
 // kernel1 adapts an in-place single-tile kernel (payload 0 = the RW tile).
 func kernel1(f func(*blas.Matrix) error) func(*taskrt.TaskContext) error {
 	return func(tc *taskrt.TaskContext) error {
-		a, err := payloadMatrix(tc, 0)
+		m, err := operands(tc, 1)
 		if err != nil {
 			return err
 		}
-		return f(a)
+		return f(m[0])
 	}
 }
 
 // kernel2 adapts a two-operand kernel (payload 0 read, payload 1 readwrite).
 func kernel2(f func(_, _ *blas.Matrix) error) func(*taskrt.TaskContext) error {
 	return func(tc *taskrt.TaskContext) error {
-		a, err := payloadMatrix(tc, 0)
+		m, err := operands(tc, 2)
 		if err != nil {
 			return err
 		}
-		b, err := payloadMatrix(tc, 1)
-		if err != nil {
-			return err
-		}
-		return f(a, b)
+		return f(m[0], m[1])
 	}
 }
 
 // kernel3 adapts a three-operand kernel (payloads 0, 1 read, 2 readwrite).
 func kernel3(f func(_, _, _ *blas.Matrix) error) func(*taskrt.TaskContext) error {
 	return func(tc *taskrt.TaskContext) error {
-		a, err := payloadMatrix(tc, 0)
+		m, err := operands(tc, 3)
 		if err != nil {
 			return err
 		}
-		b, err := payloadMatrix(tc, 1)
-		if err != nil {
-			return err
-		}
-		c, err := payloadMatrix(tc, 2)
-		if err != nil {
-			return err
-		}
-		return f(a, b, c)
+		return f(m[0], m[1], m[2])
 	}
 }
 
@@ -158,36 +142,6 @@ func luCodelets() (getrf, trsmRow, trsmCol, gemm *taskrt.Codelet) {
 	return
 }
 
-// factorHandles builds one handle per tile of the factored matrix (views
-// into m when non-nil, size-only otherwise) and returns them with the grid
-// dimensions.
-func factorHandles(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) ([]*taskrt.Handle, int, error) {
-	if n <= 0 || tile <= 0 || tile > n {
-		return nil, 0, fmt.Errorf("experiments: bad factor extent n=%d tile=%d", n, tile)
-	}
-	tiles, err := partition.Grid2D(n, n, tile, tile)
-	if err != nil {
-		return nil, 0, err
-	}
-	rows, cols := partition.GridDims(n, n, tile, tile)
-	if rows != cols {
-		return nil, 0, fmt.Errorf("experiments: factor grid %dx%d not square", rows, cols)
-	}
-	hs := make([]*taskrt.Handle, len(tiles))
-	for idx, t := range tiles {
-		var payload any
-		if m != nil {
-			payload = m.Sub(t.Row, t.Col, t.M, t.N)
-		}
-		hs[idx] = rt.NewHandle(
-			fmt.Sprintf("A[%d,%d]", t.I, t.J),
-			int64(t.M)*int64(t.N)*8,
-			payload,
-		)
-	}
-	return hs, rows, nil
-}
-
 // SubmitTiledCholesky builds the classic right-looking tiled Cholesky DAG
 // over the lower triangle of the n×n matrix: for each step k, POTRF on the
 // diagonal tile, TRSM down the panel, then SYRK/GEMM across the trailing
@@ -199,13 +153,12 @@ func factorHandles(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) ([]*taskrt.H
 // When m is nil the graph carries size-only handles (simulation); with m
 // the handles reference tile views and the kernels factor it in place.
 func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
-	hs, T, err := factorHandles(rt, n, tile, m)
+	g, err := newTileGrid(n, tile)
 	if err != nil {
 		return err
 	}
-	tiles, _ := partition.Grid2D(n, n, tile, tile)
+	hs, T, dim := g.handles(rt, "A", m), g.T, g.dim
 	at := func(i, j int) *taskrt.Handle { return hs[i*T+j] }
-	dim := func(i int) int { return tiles[i*T+i].M }
 
 	potrf, trsm, syrk, gemm := cholCodelets()
 	var graph []*taskrt.Task
@@ -255,13 +208,12 @@ func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error 
 // the full n×n tile grid: GETRF on the diagonal, TRSM along the U row and
 // the L column, GEMM across the trailing submatrix.
 func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
-	hs, T, err := factorHandles(rt, n, tile, m)
+	g, err := newTileGrid(n, tile)
 	if err != nil {
 		return err
 	}
-	tiles, _ := partition.Grid2D(n, n, tile, tile)
+	hs, T, dim := g.handles(rt, "A", m), g.T, g.dim
 	at := func(i, j int) *taskrt.Handle { return hs[i*T+j] }
-	dim := func(i int) int { return tiles[i*T+i].M }
 
 	getrf, trsmRow, trsmCol, gemm := luCodelets()
 	var graph []*taskrt.Task
@@ -307,51 +259,4 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 		}
 	}
 	return rt.SubmitBatch(graph)
-}
-
-// RealFactor runs one tiled factorization (kind "cholesky" or "lu") of a
-// seeded n×n matrix in real mode on pl under the named scheduler, with
-// models feeding dmda's placement (nil lets it self-calibrate). The result
-// must match the serial reference factorization of the same matrix to 1e-9;
-// the traced critical path comes back beside the report.
-func RealFactor(kind string, pl *core.Platform, n, tile, workers int, sched string, models *perfmodel.Store) (*taskrt.Report, trace.CriticalPath, error) {
-	var (
-		m, ref *blas.Matrix
-		submit func(*taskrt.Runtime, int, int, *blas.Matrix) error
-		serial func(*blas.Matrix) error
-	)
-	switch kind {
-	case "cholesky":
-		m, ref = NewSPDMatrix(n, factorSeed), NewSPDMatrix(n, factorSeed)
-		submit, serial = SubmitTiledCholesky, blas.Potrf
-	case "lu":
-		m, ref = NewDiagDominantMatrix(n, factorSeed), NewDiagDominantMatrix(n, factorSeed)
-		submit, serial = SubmitTiledLU, blas.Getrf
-	default:
-		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: unknown factorization %q", kind)
-	}
-	tr := trace.New()
-	rt, err := taskrt.New(taskrt.Config{
-		Platform: pl, Mode: taskrt.Real, Scheduler: sched,
-		Workers: workers, Models: models, Trace: tr,
-	})
-	if err != nil {
-		return nil, trace.CriticalPath{}, err
-	}
-	if err := submit(rt, n, tile, m); err != nil {
-		return nil, trace.CriticalPath{}, err
-	}
-	rep, err := rt.Run()
-	if err != nil {
-		return nil, trace.CriticalPath{}, err
-	}
-	// Regions neither path touches compare exactly, factored regions to
-	// rounding.
-	if err := serial(ref); err != nil {
-		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: reference %s: %w", kind, err)
-	}
-	if d := blas.MaxDiff(m, ref); d > 1e-9 {
-		return nil, trace.CriticalPath{}, fmt.Errorf("experiments: tiled %s diverges from reference by %g", kind, d)
-	}
-	return rep, tr.CriticalPath(), nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/discover"
 	"repro/internal/perfmodel"
 	"repro/internal/taskrt"
+	"repro/internal/trace"
 )
 
 // cholTasks is the tiled Cholesky task-count formula for a T×T tile grid:
@@ -22,20 +23,33 @@ func luTasks(t int) int {
 	return t + t*(t-1) + (t-1)*t*(2*t-1)/6
 }
 
+// factorMatrix seeds the matrix each factorization is stable on without
+// pivoting: symmetric positive definite for Cholesky, diagonally dominant
+// for LU.
+func factorMatrix(kind string, n int) *blas.Matrix {
+	const seed = 99
+	if kind == "cholesky" {
+		return NewSPDMatrix(n, seed)
+	}
+	return NewDiagDominantMatrix(n, seed)
+}
+
+func mustFactor(t *testing.T, kind string, n, tile int, m *blas.Matrix) Workload {
+	t.Helper()
+	w, err := Factor(kind, n, tile, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestSubmitTiledCholeskySimGraphShape(t *testing.T) {
 	pl, err := discover.Platform("xeon-cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, T := range []int{2, 4, 6} {
-		rt, err := taskrt.New(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := SubmitTiledCholesky(rt, T*32, 32, nil); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := rt.Run()
+		rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"}, mustFactor(t, "cholesky", T*32, 32, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,14 +65,7 @@ func TestSubmitTiledLUSimGraphShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, T := range []int{2, 4, 6} {
-		rt, err := taskrt.New(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := SubmitTiledLU(rt, T*32, 32, nil); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := rt.Run()
+		rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"}, mustFactor(t, "lu", T*32, 32, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +82,8 @@ func TestSubmitTiledLUSimGraphShape(t *testing.T) {
 // flops/factorSlowRate sleep on top — so dmda places from history on its
 // first decision, as the benchmark's lu-skew workload does. Every run is held
 // to the same bar: the DAG's task count, a critical path that sees the
-// k-chain (at least T tasks) and is no longer than the makespan. RealFactor
-// itself fails the run when the numerics miss 1e-9.
+// k-chain (at least T tasks) and is no longer than the makespan. Run itself
+// fails when the numerics miss Factor's 1e-9.
 func checkRealFactor(t *testing.T, kind string, wantTasks int, codelets ...string) {
 	t.Helper()
 	const n, tile, T = 256, 64, 4
@@ -110,10 +117,15 @@ func checkRealFactor(t *testing.T, kind string, wantTasks int, codelets ...strin
 		{"smp4/dmda", discover.MustPlatform("this-host"), 4, "dmda", nil},
 		{"1fast+2slow/dmda", skewed, 3, "dmda", models},
 	} {
-		rep, cp, err := RealFactor(kind, p.pl, n, tile, p.workers, p.sched, p.models)
+		tr := trace.New()
+		rep, err := Run(taskrt.Config{
+			Platform: p.pl, Mode: taskrt.Real, Scheduler: p.sched,
+			Workers: p.workers, Models: p.models, Trace: tr,
+		}, mustFactor(t, kind, n, tile, factorMatrix(kind, n)))
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
+		cp := tr.CriticalPath()
 		if rep.Tasks != wantTasks {
 			t.Fatalf("%s: %d tasks, want %d", p.name, rep.Tasks, wantTasks)
 		}
@@ -135,13 +147,14 @@ func TestRealTiledLUVerifies(t *testing.T) {
 }
 
 // TestTiledCholeskyAcceptanceBar is the issue's acceptance criterion:
-// max-abs error < 1e-9 at n=512 (RealFactor fails the run when the bar is
-// missed, so success here is the assertion).
+// max-abs error < 1e-9 at n=512 (Run fails when Factor's Verify misses the
+// bar, so success here is the assertion).
 func TestTiledCholeskyAcceptanceBar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=512 factorization in -short mode")
 	}
-	if _, _, err := RealFactor("cholesky", discover.MustPlatform("this-host"), 512, 128, 0, "dmda", nil); err != nil {
+	cfg := taskrt.Config{Platform: discover.MustPlatform("this-host"), Mode: taskrt.Real, Scheduler: "dmda"}
+	if _, err := Run(cfg, mustFactor(t, "cholesky", 512, 128, factorMatrix("cholesky", 512))); err != nil {
 		t.Fatal(err)
 	}
 }

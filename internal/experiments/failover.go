@@ -57,7 +57,7 @@ func DynamicFailover(n, tile int) (*Result, error) {
 			return nil, err
 		}
 		gpus := len(query.MustSelect(snap, "//Worker[ARCHITECTURE=gpu]"))
-		res.AddRow(stage.label, fmt.Sprint(gpus), f4(rep.MakespanSeconds), fmt.Sprint(rep.TasksOnArch("gpu")))
+		res.AddRow(stage.label, fmt.Sprint(gpus), f4(rep.MakespanSeconds), onArch(rep, "gpu"))
 	}
 	res.Notes = append(res.Notes, "tracker events: "+strings.Join(events, " "))
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/blas"
 	"repro/internal/discover"
 	"repro/internal/taskrt"
 )
@@ -79,33 +78,15 @@ func TestQuickRealDGEMMSurvivesRandomFaults(t *testing.T) {
 	f := func(seed int64) bool {
 		plan := taskrt.RandomFaultPlan(seed, []string{"worker1", "worker2"}, 0.05)
 		pl := discover.MustPlatform("this-host")
-		rt, err := taskrt.New(taskrt.Config{
+		_, err := Run(taskrt.Config{
 			Platform: pl,
 			Mode:     taskrt.Real,
 			Workers:  3,
 			Faults:   plan,
 			Retry:    taskrt.RetryPolicy{MaxAttempts: 10, TaskTimeout: 0.05},
-		})
+		}, GEMM(n, tile, NewGemmMatrices(n, seed)))
 		if err != nil {
-			t.Log(err)
-			return false
-		}
-		mats := NewGemmMatrices(n, seed)
-		if err := SubmitTiledGEMM(rt, n, tile, mats); err != nil {
-			t.Log(err)
-			return false
-		}
-		if _, err := rt.Run(); err != nil {
 			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		ref := blas.NewMatrix(n, n)
-		if err := blas.GemmBlocked(mats.A, mats.B, ref, blas.DefaultBlock); err != nil {
-			t.Log(err)
-			return false
-		}
-		if d := blas.MaxDiff(ref, mats.C); d > 1e-8 {
-			t.Logf("seed %d: diverges by %g", seed, d)
 			return false
 		}
 		return true

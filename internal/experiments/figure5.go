@@ -39,6 +39,21 @@ var Fig5Series = []struct {
 	{"starpu+2gpu", "xeon-2gpu"},
 }
 
+// simOn runs the tiled DGEMM in simulation on the named catalog platform.
+func simOn(platform string, n, tile int, sched string) (*taskrt.Report, error) {
+	pl, err := discover.Platform(platform)
+	if err != nil {
+		return nil, err
+	}
+	return SimDGEMM(pl, n, tile, sched)
+}
+
+// mb and onArch format the report cells most tables print: megabytes
+// transferred and the tasks that ran on one architecture.
+func mb(rep *taskrt.Report) string { return f2(float64(rep.TransferBytes) / (1 << 20)) }
+
+func onArch(rep *taskrt.Report, arch string) string { return fmt.Sprint(rep.TasksOnArch(arch)) }
+
 // Figure5 regenerates the paper's Figure 5: speedup of the translated DGEMM
 // programs over the single-threaded input program. All three series run the
 // same task graph; only the PDL platform description changes — which is the
@@ -53,25 +68,14 @@ func Figure5(cfg Fig5Config) (*Result, error) {
 	}
 	var base *taskrt.Report
 	for _, s := range Fig5Series {
-		pl, err := discover.Platform(s.Platform)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := SimDGEMM(pl, cfg.N, cfg.Tile, cfg.Scheduler)
+		rep, err := simOn(s.Platform, cfg.N, cfg.Tile, cfg.Scheduler)
 		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", s.Label, err)
 		}
 		if base == nil {
 			base = rep
 		}
-		res.AddRow(
-			s.Label,
-			s.Platform,
-			f4(rep.MakespanSeconds),
-			f2(rep.Speedup(base)),
-			fmt.Sprint(rep.TasksOnArch("gpu")),
-			f2(float64(rep.TransferBytes)/(1<<20)),
-		)
+		res.AddRow(s.Label, s.Platform, f4(rep.MakespanSeconds), f2(rep.Speedup(base)), onArch(rep, "gpu"), mb(rep))
 	}
 	res.Notes = append(res.Notes,
 		"paper shape: starpu+2gpu > starpu > single = 1.0; absolute factors depend on calibration (see EXPERIMENTS.md)")
@@ -89,18 +93,11 @@ func SchedulerSweep(n, tile int, scheds []string) (*Result, error) {
 		Headers: []string{"scheduler", "makespan[s]", "gpu-tasks", "cpu-tasks", "transfers[MB]"},
 	}
 	for _, s := range scheds {
-		pl, err := discover.Platform("xeon-2gpu")
+		rep, err := simOn("xeon-2gpu", n, tile, s)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := SimDGEMM(pl, n, tile, s)
-		if err != nil {
-			return nil, err
-		}
-		res.AddRow(s, f4(rep.MakespanSeconds),
-			fmt.Sprint(rep.TasksOnArch("gpu")),
-			fmt.Sprint(rep.TasksOnArch("x86")),
-			f2(float64(rep.TransferBytes)/(1<<20)))
+		res.AddRow(s, f4(rep.MakespanSeconds), onArch(rep, "gpu"), onArch(rep, "x86"), mb(rep))
 	}
 	return res, nil
 }
@@ -121,16 +118,11 @@ func TileSweep(n int, tiles []int, sched string) (*Result, error) {
 		if tile > n {
 			continue
 		}
-		pl, err := discover.Platform("xeon-2gpu")
+		rep, err := simOn("xeon-2gpu", n, tile, sched)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := SimDGEMM(pl, n, tile, sched)
-		if err != nil {
-			return nil, err
-		}
-		res.AddRow(fmt.Sprint(tile), fmt.Sprint(rep.Tasks),
-			f4(rep.MakespanSeconds), f2(float64(rep.TransferBytes)/(1<<20)))
+		res.AddRow(fmt.Sprint(tile), fmt.Sprint(rep.Tasks), f4(rep.MakespanSeconds), mb(rep))
 	}
 	return res, nil
 }
@@ -142,11 +134,7 @@ func BandwidthSweep(n, tile int, factors []float64) (*Result, error) {
 	if len(factors) == 0 {
 		factors = []float64{0.1, 0.25, 0.5, 1, 2, 4}
 	}
-	cpuPl, err := discover.Platform("xeon-cpu")
-	if err != nil {
-		return nil, err
-	}
-	cpuRep, err := SimDGEMM(cpuPl, n, tile, "dmda")
+	cpuRep, err := simOn("xeon-cpu", n, tile, "dmda")
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +154,7 @@ func BandwidthSweep(n, tile int, factors []float64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.AddRow(f2(f), f2(5*f), f4(rep.MakespanSeconds),
-			f2(rep.Speedup(cpuRep)), fmt.Sprint(rep.TasksOnArch("gpu")))
+		res.AddRow(f2(f), f2(5*f), f4(rep.MakespanSeconds), f2(rep.Speedup(cpuRep)), onArch(rep, "gpu"))
 	}
 	res.Notes = append(res.Notes, "speedup-vs-cpu < 1 means the GPUs stopped paying off at that bandwidth")
 	return res, nil
@@ -224,19 +211,11 @@ func Crossover(sizes []int, tile int) (*Result, error) {
 				t = 1024
 			}
 		}
-		cpuPl, err := discover.Platform("xeon-cpu")
+		cpuRep, err := simOn("xeon-cpu", n, t, "dmda")
 		if err != nil {
 			return nil, err
 		}
-		cpuRep, err := SimDGEMM(cpuPl, n, t, "dmda")
-		if err != nil {
-			return nil, err
-		}
-		gpuPl, err := discover.Platform("xeon-2gpu")
-		if err != nil {
-			return nil, err
-		}
-		gpuRep, err := SimDGEMM(gpuPl, n, t, "dmda")
+		gpuRep, err := simOn("xeon-2gpu", n, t, "dmda")
 		if err != nil {
 			return nil, err
 		}
@@ -259,13 +238,13 @@ func RealCPUScaling(n, tile int, workers []int) (*Result, error) {
 		Name:    fmt.Sprintf("Ext-E: real-mode CPU scaling, DGEMM %d tile %d on this host", n, tile),
 		Headers: []string{"workers", "wall[s]", "speedup"},
 	}
+	pl, err := discover.Platform("this-host")
+	if err != nil {
+		return nil, err
+	}
 	var base float64
 	for _, w := range workers {
-		pl, err := discover.Platform("this-host")
-		if err != nil {
-			return nil, err
-		}
-		rep, err := RealDGEMM(pl, n, tile, w, false, "", nil)
+		rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Real, Workers: w}, GEMM(n, tile, NewGemmMatrices(n, 42)))
 		if err != nil {
 			return nil, err
 		}

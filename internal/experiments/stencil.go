@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/core"
 	"repro/internal/discover"
 	"repro/internal/taskrt"
 )
@@ -67,24 +65,28 @@ func SubmitStencil(rt *taskrt.Runtime, n, chunks, iters int, bufs *StencilBuffer
 	if n <= 0 || chunks <= 0 || iters <= 0 || chunks > n {
 		return fmt.Errorf("experiments: bad stencil extent n=%d chunks=%d iters=%d", n, chunks, iters)
 	}
+	// Chunk c covers [c·per, end(c)): the last one takes the remainder, and
+	// each generation's handle of a chunk is as large as the chunk.
 	per := n / chunks
-	bytes := int64(per) * 8
-	cl := stencilCodelet()
-	gen := make([]*taskrt.Handle, chunks)
-	for c := range gen {
-		gen[c] = rt.NewHandle(fmt.Sprintf("u0[%d]", c), bytes, nil)
-	}
-	for it := 0; it < iters; it++ {
-		next := make([]*taskrt.Handle, chunks)
-		for c := 0; c < chunks; c++ {
-			next[c] = rt.NewHandle(fmt.Sprintf("u%d[%d]", it+1, c), bytes, nil)
+	end := func(c int) int {
+		if c == chunks-1 {
+			return n
 		}
+		return (c + 1) * per
+	}
+	newGen := func(it int) []*taskrt.Handle {
+		gen := make([]*taskrt.Handle, chunks)
+		for c := range gen {
+			gen[c] = rt.NewHandle(fmt.Sprintf("u%d[%d]", it, c), int64(end(c)-c*per)*8, nil)
+		}
+		return gen
+	}
+	cl := stencilCodelet()
+	gen := newGen(0)
+	for it := 0; it < iters; it++ {
+		next := newGen(it + 1)
 		for c := 0; c < chunks; c++ {
-			lo := c * per
-			hi := lo + per
-			if c == chunks-1 {
-				hi = n
-			}
+			lo, hi := c*per, end(c)
 			// The written handle carries the payload (first access).
 			if bufs != nil {
 				src, dst := bufs.forIteration(it)
@@ -161,43 +163,6 @@ func serialJacobi(u0 []float64, iters int) []float64 {
 	return cur
 }
 
-// SimStencil runs the Jacobi graph in simulation.
-func SimStencil(pl *core.Platform, n, chunks, iters int, scheduler string) (*taskrt.Report, error) {
-	rt, err := taskrt.New(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: scheduler})
-	if err != nil {
-		return nil, err
-	}
-	if err := SubmitStencil(rt, n, chunks, iters, nil); err != nil {
-		return nil, err
-	}
-	return rt.Run()
-}
-
-// RealStencil runs a real Jacobi sweep on goroutine workers and verifies the
-// result against the serial reference.
-func RealStencil(pl *core.Platform, n, chunks, iters, workers int) (*taskrt.Report, error) {
-	rt, err := taskrt.New(taskrt.Config{Platform: pl, Mode: taskrt.Real, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	bufs := NewStencilBuffers(n)
-	ref := serialJacobi(bufs.A, iters)
-	if err := SubmitStencil(rt, n, chunks, iters, bufs); err != nil {
-		return nil, err
-	}
-	rep, err := rt.Run()
-	if err != nil {
-		return nil, err
-	}
-	got := bufs.Final(iters)
-	for i := range ref {
-		if math.Abs(got[i]-ref[i]) > 1e-12 {
-			return nil, fmt.Errorf("experiments: stencil diverges at %d: %g vs %g", i, got[i], ref[i])
-		}
-	}
-	return rep, nil
-}
-
 // StencilSweep is experiment Ext-G: the halo-exchange workload across
 // platforms and schedulers — the counterpoint to Figure 5, showing where the
 // GPU platform does NOT pay off.
@@ -211,13 +176,11 @@ func StencilSweep(n, chunks, iters int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := SimStencil(pl, n, chunks, iters, "dmda")
+		rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"}, Stencil(n, chunks, iters, nil))
 		if err != nil {
 			return nil, err
 		}
-		res.AddRow(name, f4(rep.MakespanSeconds),
-			fmt.Sprint(rep.TasksOnArch("gpu")),
-			f2(float64(rep.TransferBytes)/(1<<20)))
+		res.AddRow(name, f4(rep.MakespanSeconds), onArch(rep, "gpu"), mb(rep))
 	}
 	res.Notes = append(res.Notes,
 		"low arithmetic intensity: the GPU platform should show little or no advantage over 8 cores")

@@ -5,24 +5,29 @@ import (
 	"testing"
 
 	"repro/internal/discover"
+	"repro/internal/taskrt"
 )
 
+// simStencil runs the size-only Jacobi graph in simulation under eager.
+func simStencil(platform string, n, chunks, iters int) (*taskrt.Report, error) {
+	cfg := taskrt.Config{Platform: discover.MustPlatform(platform), Mode: taskrt.Sim, Scheduler: "eager"}
+	return Run(cfg, Stencil(n, chunks, iters, nil))
+}
+
 func TestSubmitStencilValidation(t *testing.T) {
-	pl := discover.MustPlatform("xeon-1core")
-	if _, err := SimStencil(pl, 0, 4, 2, "eager"); err == nil {
+	if _, err := simStencil("xeon-1core", 0, 4, 2); err == nil {
 		t.Fatal("n=0 must fail")
 	}
-	if _, err := SimStencil(pl, 16, 32, 2, "eager"); err == nil {
+	if _, err := simStencil("xeon-1core", 16, 32, 2); err == nil {
 		t.Fatal("chunks > n must fail")
 	}
-	if _, err := SimStencil(pl, 16, 4, 0, "eager"); err == nil {
+	if _, err := simStencil("xeon-1core", 16, 4, 0); err == nil {
 		t.Fatal("iters=0 must fail")
 	}
 }
 
 func TestSimStencilTaskCountAndChains(t *testing.T) {
-	pl := discover.MustPlatform("xeon-cpu")
-	rep, err := SimStencil(pl, 1<<20, 8, 10, "eager")
+	rep, err := simStencil("xeon-cpu", 1<<20, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +44,41 @@ func TestSimStencilTaskCountAndChains(t *testing.T) {
 }
 
 func TestRealStencilVerifies(t *testing.T) {
-	pl := discover.MustPlatform("this-host")
-	rep, err := RealStencil(pl, 4096, 8, 6, 4)
+	cfg := taskrt.Config{Platform: discover.MustPlatform("this-host"), Mode: taskrt.Real, Workers: 4}
+	rep, err := Run(cfg, Stencil(4096, 8, 6, NewStencilBuffers(4096)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Tasks != 48 {
 		t.Fatalf("tasks = %d", rep.Tasks)
+	}
+}
+
+// chunks ∤ n: the last chunk takes the remainder, its handle is sized for
+// what it covers, and the sweep still matches the serial reference.
+func TestStencilUnevenLastChunk(t *testing.T) {
+	const n, chunks, iters = 1003, 8, 5 // per = 125, last chunk 128
+	rt, err := taskrt.New(taskrt.Config{Platform: discover.MustPlatform("xeon-1core"), Mode: taskrt.Sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SubmitStencil(rt, n, chunks, iters, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, handles, err := rt.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, h := range handles[:chunks] {
+		total += h.Bytes
+	}
+	if last := handles[chunks-1].Bytes; last != 128*8 || total != n*8 {
+		t.Fatalf("generation 0: last handle %d bytes (want %d), all chunks %d bytes (want %d)", last, 128*8, total, n*8)
+	}
+	cfg := taskrt.Config{Platform: discover.MustPlatform("this-host"), Mode: taskrt.Real, Workers: 3}
+	if _, err := Run(cfg, Stencil(n, chunks, iters, NewStencilBuffers(n))); err != nil {
+		t.Fatal(err)
 	}
 }
 

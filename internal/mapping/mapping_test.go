@@ -168,3 +168,33 @@ func TestPlanProgramErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// The two toolchain steps no benchmark/ row times: variant pre-selection
+// against a PDL document, and the whole translation of one program (parse,
+// register, plan). Run with `go test -bench . ./internal/mapping`.
+func BenchmarkPreselect(b *testing.B) {
+	r := repo.NewWithLibrary()
+	pl := discover.MustPlatform("xeon-2gpu")
+	for i := 0; i < b.N; i++ {
+		if _, err := Preselect(r, repo.IfaceDGEMM, pl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTranslate(b *testing.B) {
+	pl := discover.MustPlatform("xeon-2gpu")
+	for i := 0; i < b.N; i++ {
+		prog, err := csrc.ParseProgram(program)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := repo.NewWithLibrary()
+		if err := r.RegisterProgram(prog, repo.DefaultKernels()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := PlanProgram(prog, r, pl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

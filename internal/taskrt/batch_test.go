@@ -120,15 +120,9 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 // once, in dependency order, on every real-engine scheduler. Each kernel
 // asserts its dependencies already completed before it starts — a dispatcher
 // that released a task early, lost one, or double-ran one fails here, and the
-// run doubles as a -race exercise of the batched push paths. The Real engine
-// implements ws and dmda; "eager" and "heft" stand for the policies it does
-// not, which must complete just the same and report the ws that ran them.
+// run doubles as a -race exercise of the batched push paths.
 func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
-	for _, sched := range []string{"ws", "dmda", "eager", "heft"} {
-		ran := "ws"
-		if sched == "dmda" {
-			ran = "dmda"
-		}
+	for _, sched := range []string{"ws", "dmda"} {
 		for _, seed := range []int64{1, 2, 3} {
 			var mu sync.Mutex
 			counts := map[*Task]int{}
@@ -170,8 +164,8 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sched, seed, err)
 			}
-			if rep.Scheduler != ran {
-				t.Fatalf("%s seed %d: report names scheduler %q, want %q", sched, seed, rep.Scheduler, ran)
+			if rep.Scheduler != sched {
+				t.Fatalf("%s seed %d: report names scheduler %q", sched, seed, rep.Scheduler)
 			}
 			if rep.Tasks != len(batch) {
 				t.Fatalf("%s seed %d: report says %d tasks, submitted %d", sched, seed, rep.Tasks, len(batch))
@@ -187,6 +181,21 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			if v := violations.Load(); v != 0 {
 				t.Errorf("%s seed %d: %d tasks started before a dependency finished", sched, seed, v)
 			}
+		}
+	}
+}
+
+// The Real engine implements ws and dmda only: New refuses the sim-only
+// policies in Real mode, naming the two it has, and still admits all five in
+// Sim mode.
+func TestRealModeRejectsSimOnlySchedulers(t *testing.T) {
+	for _, sched := range []string{"eager", "heft", "random"} {
+		_, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Real, Scheduler: sched})
+		if err == nil || !strings.Contains(err.Error(), `"ws"`) || !strings.Contains(err.Error(), `"dmda"`) {
+			t.Errorf("Real %s: err = %v, want a rejection naming ws and dmda", sched, err)
+		}
+		if _, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Sim, Scheduler: sched}); err != nil {
+			t.Errorf("Sim %s: %v", sched, err)
 		}
 	}
 }

@@ -117,9 +117,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	var disp dispatcher
-	sched := "ws" // what eager, heft and random run as too
-	if rt.cfg.Scheduler == "dmda" {
-		sched = "dmda"
+	if rt.cfg.Scheduler == "dmda" { // New admits only ws and dmda in Real mode
 		// dmda is model-driven: without a caller-provided store it still
 		// self-calibrates within the run (the engine records every execution
 		// into Models below), so give it a private one rather than running
@@ -554,7 +552,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 	rep := &Report{
 		Mode:            Real,
-		Scheduler:       sched,
+		Scheduler:       rt.cfg.Scheduler,
 		Tasks:           len(rt.tasks),
 		MakespanSeconds: elapsed.Seconds(),
 		FailedAttempts:  failedAttempts,

@@ -103,13 +103,11 @@ type Config struct {
 	Platform *core.Platform
 	// Mode selects the engine (default Real).
 	Mode Mode
-	// Scheduler names the scheduling policy: "eager", "dmda", "heft", "ws"
-	// (work stealing) or "random". Empty defaults to "ws" in Real mode
-	// (per-worker deques with stealing) and "eager" in Sim mode. The Real
-	// engine implements exactly "ws" and "dmda" (model-predicted earliest
-	// finish time placement; see dispatch.go); it runs any other policy as
-	// "ws" and reports "ws" in Report.Scheduler and the trace's scheduler
-	// meta. The Sim engine implements all five.
+	// Scheduler names the scheduling policy. The Sim engine implements
+	// "eager" (its default), "ws", "dmda", "heft" and "random"; the Real
+	// engine implements "ws" (per-worker deques with stealing, its default)
+	// and "dmda" (model-predicted earliest finish time placement; see
+	// dispatch.go), and New rejects the other three in Real mode.
 	Scheduler string
 	// Workers overrides the Real-mode worker count (default: the platform's
 	// x86 unit count).
@@ -173,7 +171,11 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	switch cfg.Scheduler {
-	case "", "eager", "dmda", "heft", "random", "ws":
+	case "", "dmda", "ws":
+	case "eager", "heft", "random":
+		if cfg.Mode == Real {
+			return nil, fmt.Errorf("taskrt: scheduler %q exists in Sim mode only; Real mode implements \"ws\" and \"dmda\"", cfg.Scheduler)
+		}
 	default:
 		return nil, fmt.Errorf("taskrt: unknown scheduler %q", cfg.Scheduler)
 	}

@@ -20,7 +20,7 @@ vet:
 # recorded from every worker while Save snapshots them, the dynamic
 # descriptors, the parallel BLAS kernels, the registry/server/query stack
 # behind pdlserved (copy-on-write snapshots, LRU query cache, shared query
-# roots), and the cluster master/worker engine (event loop, ship goroutines,
+# roots), and the cluster master/worker engine (event loop, per-node senders,
 # per-node execute streams and their pending tables, heartbeats).
 race:
 	$(GO) test -race ./internal/taskrt/... ./internal/trace/... ./internal/metrics/... ./internal/perfmodel/... ./internal/dynamic/... ./internal/blas/... ./internal/registry/... ./internal/server/... ./internal/query/... ./internal/cluster/... ./internal/client/...

@@ -483,7 +483,10 @@ func fastMaster(t testing.TB, nodes []NodeConfig, mut func(*Config)) *Master {
 }
 
 func TestClusterGEMMTwoNodes(t *testing.T) {
-	cl := gemmTestCodelet(t, 0)
+	// A kernel long enough that the run outlasts the second node's first
+	// heartbeat: sixteen chains of instant kernels can finish on one node
+	// before the other is known to be up.
+	cl := gemmTestCodelet(t, time.Millisecond)
 	tr := trace.New()
 	_, srv1 := startWorker(t, "w1", cl, WorkerConfig{Slots: 2})
 	_, srv2 := startWorker(t, "w2", cl, WorkerConfig{Slots: 2})
@@ -504,28 +507,51 @@ func TestClusterGEMMTwoNodes(t *testing.T) {
 	}
 	verifyGemm(t, a, b, c)
 
-	if rep.Tasks != 64 {
-		t.Fatalf("report tasks = %d, want 64", rep.Tasks)
+	// 4×4 C tiles, each the chain of its four k-steps: sixteen invocations
+	// carry the 64 tasks, and what the report says follows from that.
+	const tasks, chains, perChain, tiles = 64, 16, 4, 48
+	if rep.Tasks != tasks {
+		t.Fatalf("report tasks = %d, want %d", rep.Tasks, tasks)
 	}
-	total := 0
+	total, needData := 0, 0
 	for _, n := range rep.PerNode {
 		total += n.Tasks
+		needData += n.NeedData
 		if n.Dead {
 			t.Fatalf("node %s reported dead in a healthy run", n.Name)
+		}
+		if n.Tasks != perChain*n.Returns {
+			t.Errorf("node %s: %d tasks applied with %d written payloads; want one C tile per chain of %d", n.Name, n.Tasks, n.Returns, perChain)
 		}
 	}
 	if total != rep.Tasks {
 		t.Fatalf("per-node tasks sum to %d, want %d (exactly-once violated)", total, rep.Tasks)
 	}
-	if rep.TransferBytes == 0 {
-		t.Fatal("no transfer bytes accounted: inlining not recorded")
+	// Residency follows stream order, so a healthy run bounces nothing and
+	// every dispatch is applied.
+	if needData != 0 || rep.Invocations != chains || rep.Returns != chains {
+		t.Errorf("%d invocations, %d returns, %d NeedData bounces; want %d, %d and none", rep.Invocations, rep.Returns, needData, chains, chains)
 	}
-	if len(tr.OfKind(trace.Place)) != 64+rep.PerNode[0].NeedData+rep.PerNode[1].NeedData {
-		// One Place per dispatch; NeedData bounces redispatch.
-		t.Fatalf("place events = %d for %d tasks", len(tr.OfKind(trace.Place)), rep.Tasks)
+	if want := int64(chains) * (16*16*8 + matrixHeader); rep.ReturnBytes != want {
+		t.Errorf("returned %d bytes, want %d: each C tile once, at its final version", rep.ReturnBytes, want)
 	}
-	if rep.String() == "" {
-		t.Fatal("empty report text")
+	// No tile travels to a node twice, whatever was in flight when it was
+	// needed again.
+	if rep.TransferBytes == 0 || rep.Transfers > 2*tiles {
+		t.Errorf("%d transfers (%d bytes); want some, and at most every tile to each node (%d)", rep.Transfers, rep.TransferBytes, 2*tiles)
+	}
+	// One Place per member: per-task joins on the trace hold.
+	placed := map[int]int{}
+	for _, e := range tr.OfKind(trace.Place) {
+		placed[e.TaskID]++
+	}
+	for id := 0; id < tasks; id++ {
+		if placed[id] != 1 {
+			t.Fatalf("task %d has %d Place events, want 1", id, placed[id])
+		}
+	}
+	if !strings.Contains(rep.String(), "invocations=16") || !strings.Contains(rep.String(), "returns=16") {
+		t.Errorf("report text lacks the invocation and return counts:\n%s", rep)
 	}
 }
 
@@ -692,8 +718,12 @@ func TestClusterWorkerDeathResubmits(t *testing.T) {
 	if len(rep.DeadNodes) != 1 || rep.DeadNodes[0] != "doomed" {
 		t.Fatalf("dead nodes = %v, want [doomed]", rep.DeadNodes)
 	}
-	if rep.Resubmissions == 0 {
-		t.Fatal("tasks wedged on the dead node must have been resubmitted")
+	// The proxy let two requests through before it wedged: the doomed node
+	// answered at most those two chains, whole, and every task of every chain
+	// it still held was resubmitted and ran on the survivor.
+	const perChain = 4
+	if rep.Resubmissions == 0 || rep.Resubmissions%perChain != 0 {
+		t.Fatalf("resubmissions = %d, want the member tasks of at least one wedged chain", rep.Resubmissions)
 	}
 	var okTasks, doomedTasks int
 	for _, n := range rep.PerNode {
@@ -702,13 +732,16 @@ func TestClusterWorkerDeathResubmits(t *testing.T) {
 			okTasks = n.Tasks
 		case "doomed":
 			doomedTasks = n.Tasks
+			if n.Resubmits != rep.Resubmissions {
+				t.Errorf("doomed node resubmits = %d, report total %d", n.Resubmits, rep.Resubmissions)
+			}
 		}
 	}
 	if okTasks+doomedTasks != rep.Tasks {
 		t.Fatalf("task split %d+%d != %d", okTasks, doomedTasks, rep.Tasks)
 	}
-	if okTasks < 60 {
-		t.Fatalf("survivor ran %d tasks, expected to carry the run", okTasks)
+	if doomedTasks%perChain != 0 || doomedTasks > 2*perChain {
+		t.Fatalf("doomed node applied %d tasks, want whole chains and at most the two answered before the wedge", doomedTasks)
 	}
 }
 
@@ -799,8 +832,8 @@ func TestClusterNodeRejoinIsCleared(t *testing.T) {
 	if bouncy.Dead {
 		t.Fatal("recovered node still blacklisted at end of run")
 	}
-	if bouncy.Tasks <= 2 {
-		t.Fatalf("recovered node ran %d tasks, want more than its pre-death 2", bouncy.Tasks)
+	if bouncy.Tasks <= 8 {
+		t.Fatalf("recovered node ran %d tasks, want more than the two chains it answered before it died", bouncy.Tasks)
 	}
 }
 
@@ -935,14 +968,12 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	}
 	defer close(st.stop)
 	task := tasks[0]
-	specs := []AccessSpec{{HandleID: h.ID(), Name: "C", Mode: int(taskrt.ReadWrite), Version: 0}}
-
 	// NeedData bounce: suspects reset, stale residency dropped.
 	n.suspects, n.has[h.ID()] = 1, 0
-	rec := &inflightRec{task: task, node: n, specs: specs}
+	rec := &inflightRec{members: []member{{task: task}}, node: n}
 	st.inflight[task.ID()] = rec
 	if done, err := st.handleResult(event{kind: evResult, rec: rec,
-		resp: &ExecResponse{TaskID: task.ID(), NeedData: []int{h.ID()}}}); done || err != nil {
+		resp: &ExecResponse{TaskID: task.ID(), NeedData: []int{h.ID()}}}); done != 0 || err != nil {
 		t.Fatalf("NeedData handling: done=%v err=%v", done, err)
 	}
 	if n.suspects != 0 {
@@ -955,10 +986,10 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	// In-band failure: suspects reset, written-handle residency dropped.
 	st.ready = nil
 	n.suspects, n.has[h.ID()] = 1, 1
-	rec = &inflightRec{task: task, node: n, specs: specs}
+	rec = &inflightRec{members: []member{{task: task}}, node: n}
 	st.inflight[task.ID()] = rec
 	if done, err := st.handleResult(event{kind: evResult, rec: rec,
-		resp: &ExecResponse{TaskID: task.ID(), Error: "kernel exploded"}}); done || err != nil {
+		resp: &ExecResponse{TaskID: task.ID(), Error: "kernel exploded"}}); done != 0 || err != nil {
 		t.Fatalf("in-band failure handling: done=%v err=%v", done, err)
 	}
 	if n.suspects != 0 {
@@ -1012,7 +1043,8 @@ func TestMasterNoRunnableCodelet(t *testing.T) {
 // instants) into one epoch-aligned timeline, and every span keeps its
 // causal identity.
 func TestClusterMergedTraceSpans(t *testing.T) {
-	cl := gemmTestCodelet(t, 0)
+	// (A kernel long enough for both nodes to be up, as in TwoNodes.)
+	cl := gemmTestCodelet(t, time.Millisecond)
 	tr := trace.New()
 	_, srv1 := startWorker(t, "w1", cl, WorkerConfig{Slots: 2})
 	_, srv2 := startWorker(t, "w2", cl, WorkerConfig{Slots: 2})

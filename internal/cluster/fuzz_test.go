@@ -104,9 +104,21 @@ func fuzzSeeds(t testing.TB) (frames, streams map[string][]byte) {
 	if err := gob.NewEncoder(&big).Encode(&ExecRequest{Accesses: []AccessSpec{{Inline: make([]byte, 1<<13)}}}); err != nil {
 		t.Fatal(err)
 	}
+	// A chain: the head, and two steps behind it that name the versions the
+	// steps before them leave.
+	var chain bytes.Buffer
+	step := func(id int, ver uint64, inline []byte) ExecStep {
+		return ExecStep{TaskID: id, Codelet: "dgemm", Label: "t", Flops: 1e6, Parents: []int{id - 1},
+			Accesses: []AccessSpec{{HandleID: 9, Name: "C", Bytes: 48, Mode: 3, Version: ver, Inline: inline}}}
+	}
+	if err := gob.NewEncoder(&chain).Encode(newExecRequest([]ExecStep{step(1, 2, tile), step(2, 3, nil), step(3, 4, nil)})); err != nil {
+		t.Fatal(err)
+	}
 	streams = map[string][]byte{
 		"two-requests": two.Bytes(),
 		"torn":         two.Bytes()[:two.Len()-9],
+		"chain":        chain.Bytes(),
+		"chain-torn":   chain.Bytes()[:chain.Len()-9], // ends inside the last step
 		"over-bound":   big.Bytes(),
 		"huge-length":  {0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3},
 		"empty":        {},
@@ -142,6 +154,15 @@ func TestFuzzSeedsCoverBothOutcomes(t *testing.T) {
 	}
 	if n, err := count(streams["torn"]); n != 1 || err == io.EOF || err == nil {
 		t.Errorf("torn: %d requests, then %v", n, err)
+	}
+	if n, err := count(streams["chain"]); n != 1 || err != io.EOF {
+		t.Errorf("chain: %d requests, then %v", n, err)
+	}
+	if req, err := newRequestReader(bytes.NewReader(streams["chain"]), 1<<12).next(); err != nil || len(req.Next) != 2 || req.Next[1].Accesses[0].Version != 4 {
+		t.Errorf("chain: decoded %+v, %v; want the head and two steps behind it", req, err)
+	}
+	if n, err := count(streams["chain-torn"]); n != 0 || err == io.EOF || err == nil {
+		t.Errorf("chain-torn: %d requests, then %v", n, err)
 	}
 	if n, err := count(streams["over-bound"]); n != 0 || err == nil {
 		t.Errorf("over-bound: %d requests, then %v", n, err)

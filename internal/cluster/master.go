@@ -95,11 +95,14 @@ type Config struct {
 type NodeStats struct {
 	Name          string
 	Tasks         int
+	Invocations   int     // requests dispatched to the node, each a chain of one or more tasks
 	BusySeconds   float64 // summed kernel seconds reported by the node
 	Transfers     int     // payloads inlined (cache misses by version)
 	TransferBytes int64   // encoded bytes shipped
+	Returns       int     // written payloads the node sent back and the master applied
+	ReturnBytes   int64   // their encoded bytes
 	Retries       int     // in-band failures requeued
-	Resubmits     int     // tasks reassigned after this node died
+	Resubmits     int     // member tasks of the chains reassigned after this node died
 	NeedData      int     // dispatches bounced for missing cached data
 	Stragglers    int     // tasks flagged by the latency-anomaly detector
 	Slowdown      float64 // final EWMA of observed/estimated latency (0 = no data)
@@ -113,9 +116,12 @@ type Report struct {
 	PerNode         []NodeStats
 	FailedAttempts  int
 	RetriedTasks    int
-	Resubmissions   int
+	Resubmissions   int // member tasks of the chains lost to dead nodes
+	Invocations     int
 	Transfers       int
 	TransferBytes   int64
+	Returns         int
+	ReturnBytes     int64
 	DeadNodes       []string
 	Stragglers      int
 	// Trace is the merged cluster timeline (master spans + worker kernel
@@ -126,8 +132,9 @@ type Report struct {
 // String renders a human-readable summary, in the shape of taskrt.Report.
 func (r *Report) String() string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "mode=cluster sched=eft tasks=%d makespan=%.6fs transfers=%d (%.1f MB)",
-		r.Tasks, r.MakespanSeconds, r.Transfers, float64(r.TransferBytes)/(1<<20))
+	fmt.Fprintf(&b, "mode=cluster sched=eft tasks=%d invocations=%d makespan=%.6fs transfers=%d (%.1f MB) returns=%d (%.1f MB)",
+		r.Tasks, r.Invocations, r.MakespanSeconds, r.Transfers, float64(r.TransferBytes)/(1<<20),
+		r.Returns, float64(r.ReturnBytes)/(1<<20))
 	if r.FailedAttempts > 0 || r.Resubmissions > 0 || len(r.DeadNodes) > 0 {
 		fmt.Fprintf(&b, " failures=%d retried=%d resubmitted=%d dead=%v",
 			r.FailedAttempts, r.RetriedTasks, r.Resubmissions, r.DeadNodes)
@@ -138,8 +145,9 @@ func (r *Report) String() string {
 		if r.MakespanSeconds > 0 {
 			util = n.BusySeconds / r.MakespanSeconds
 		}
-		fmt.Fprintf(&b, "  %-10s tasks=%-5d busy=%.6fs util=%.0f%% shipped=%.1fMB",
-			n.Name, n.Tasks, n.BusySeconds, util*100, float64(n.TransferBytes)/(1<<20))
+		fmt.Fprintf(&b, "  %-10s tasks=%-5d invocations=%-5d busy=%.6fs util=%.0f%% shipped=%.1fMB returned=%.1fMB",
+			n.Name, n.Tasks, n.Invocations, n.BusySeconds, util*100,
+			float64(n.TransferBytes)/(1<<20), float64(n.ReturnBytes)/(1<<20))
 		if n.Resubmits > 0 || n.Dead {
 			fmt.Fprintf(&b, " resubmitted=%d dead=%v", n.Resubmits, n.Dead)
 		}
@@ -219,15 +227,23 @@ func NewMaster(cfg Config) (*Master, error) {
 var lanLink = placement.Link{LatNanos: 200e3, NanosPerByte: 1e9 / (1 << 30)}
 
 // nodeState is the master's view of one node during a run. All fields are
-// owned by the run loop goroutine except the control client, forcedDown and
-// the execute stream.
+// owned by the run loop goroutine except the control client, forcedDown, the
+// send queue and the execute stream.
 type nodeState struct {
 	cfg NodeConfig
 	ctl *client.Client
 
-	// stream is the node's current execute stream, opened by the first ship
-	// goroutine that needs one; streamed records that one was opened before,
-	// which makes the next a reconnect.
+	// sendq holds the invocations dispatched to the node and not yet written
+	// to its stream, in dispatch order; sending says a sender goroutine is
+	// draining it. One sender at a time is what makes the stream's order the
+	// dispatch order, which the residency record below relies on.
+	sendMu  sync.Mutex
+	sendq   []*outbound
+	sending bool
+
+	// stream is the node's current execute stream, opened by the sender when
+	// it needs one; streamed records that one was opened before, which makes
+	// the next a reconnect.
 	streamMu sync.Mutex
 	stream   *execStream
 	streamed bool
@@ -248,7 +264,10 @@ type nodeState struct {
 	// flight on the node, nanoseconds: dispatch adds it, release returns it.
 	backlog  int64
 	suspects int // consecutive transport errors on the data plane
-	has      map[int]uint64
+	// has is the version of each handle the node's cache is believed to hold:
+	// recorded when a payload is dispatched inline (the stream delivers it
+	// before anything dispatched later) and when a chain's writes are applied.
+	has map[int]uint64
 
 	link placement.Link    // the master→node route
 	obs  placement.History // kernel time observed on this node
@@ -282,14 +301,50 @@ type event struct {
 	info InfoResponse
 }
 
+// inflightRec is one invocation in flight: a chain of tasks on a node. Every
+// member's id maps to it in runState.inflight.
 type inflightRec struct {
-	task     *taskrt.Task
+	members  []member // the chain, head first
 	node     *nodeState
-	specs    []AccessSpec
-	cand     placement.Candidate // the node's winning bid: its Charge is on node.backlog until released
+	cand     placement.Candidate // the node's winning bid for the whole chain: its Charge is on node.backlog until released
 	released bool                // credit/backlog already returned
-	shipped  int64               // encoded bytes inlined (set by the dispatch goroutine)
+	shipped  int64               // encoded bytes inlined (set by the node's sender)
 	inlines  int
+}
+
+// member is one task of a chain with the chosen node's estimate for it, which
+// its observed kernel time is later held against.
+type member struct {
+	task *taskrt.Task
+	exec int64 // placement.Estimate's answer, nanoseconds
+	src  placement.Source
+}
+
+func (rec *inflightRec) head() *taskrt.Task { return rec.members[0].task }
+
+// forgetResidency drops the node's believed residency of the handles the
+// chain accesses: all of them, or only the ones a step writes.
+func (rec *inflightRec) forgetResidency(writtenOnly bool) {
+	for _, m := range rec.members {
+		for _, a := range m.task.Accesses {
+			if !writtenOnly || a.Mode.Writes() {
+				delete(rec.node.has, a.Handle.ID())
+			}
+		}
+	}
+}
+
+// outbound is a dispatched invocation on its way to the node's stream. The
+// payloads to inline are encoded by the sender, off the loop goroutine.
+type outbound struct {
+	rec    *inflightRec
+	req    *ExecRequest
+	inline []inlinePayload
+}
+
+type inlinePayload struct {
+	spec    *AccessSpec // in req
+	payload any
 }
 
 // runState is the mutable state of one Run, owned by the loop goroutine.
@@ -309,10 +364,10 @@ type runState struct {
 	obs    placement.History // kernel time observed on every node: the cold estimate
 	cursor uint64            // placement.Pick cursor, advanced per choose
 
-	events  chan event
-	stop    chan struct{}
-	readers sync.WaitGroup // the execute streams' reader goroutines
-	start   time.Time
+	events chan event
+	stop   chan struct{}
+	bg     sync.WaitGroup // the execute streams' reader goroutines and the nodes' senders
+	start  time.Time
 
 	failedAttempts int
 	retriedTasks   map[int]bool
@@ -341,13 +396,15 @@ func (st *runState) send(ev event) {
 }
 
 // shutdown ends the run's goroutines: heartbeats and timers see stop, every
-// node's stream is retired and its reader waited for.
+// node's stream is retired — which fails a sender's write in progress, and
+// what it has left to send fails at once — and readers and senders are waited
+// for.
 func (st *runState) shutdown() {
 	close(st.stop)
 	for _, n := range st.nodes {
 		n.retireStream()
 	}
-	st.readers.Wait()
+	st.bg.Wait()
 }
 
 func (m *Master) logf(format string, args ...any) {
@@ -455,9 +512,9 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if completed {
-				remaining--
-				st.sincePublish++
+			if completed > 0 {
+				remaining -= completed
+				st.sincePublish += completed
 				if m.cfg.PublishEvery > 0 && st.sincePublish >= m.cfg.PublishEvery {
 					st.publishMerged()
 					st.sincePublish = 0
@@ -478,8 +535,11 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		if n.stats.Dead {
 			rep.DeadNodes = append(rep.DeadNodes, n.cfg.Name)
 		}
+		rep.Invocations += n.stats.Invocations
 		rep.Transfers += n.stats.Transfers
 		rep.TransferBytes += n.stats.TransferBytes
+		rep.Returns += n.stats.Returns
+		rep.ReturnBytes += n.stats.ReturnBytes
 		rep.Stragglers += n.stats.Stragglers
 		rep.PerNode = append(rep.PerNode, n.stats)
 	}
@@ -634,16 +694,27 @@ func (st *runState) nodeDown(n *nodeState) {
 	st.m.logf("cluster: node %s dead; resubmitting its in-flight tasks", n.cfg.Name)
 	st.instant(trace.Event{Kind: trace.Blacklist, Node: n.cfg.Name, TaskID: trace.NoTask})
 	for _, rec := range st.inflight {
-		if rec.node != n || !st.release(rec) {
-			continue
+		if rec.node == n && st.release(rec) {
+			st.resubmit(rec)
 		}
-		n.stats.Resubmits++
-		st.resubmissions++
-		cm.resubmits.With(n.cfg.Name).Inc()
-		st.requeueWithBackoff(rec.task)
 	}
+	// What was queued for the node and not yet sent was just resubmitted with
+	// the rest: it must not reach the node's next incarnation.
+	n.sendMu.Lock()
+	n.sendq = nil
+	n.sendMu.Unlock()
 	cm.inflight.With(n.cfg.Name).Set(0)
 	n.credits = 0
+}
+
+// resubmit requeues the head of a chain its dead node will not answer, and
+// counts every member as lost work.
+func (st *runState) resubmit(rec *inflightRec) {
+	n, lost := rec.node, len(rec.members)
+	n.stats.Resubmits += lost
+	st.resubmissions += lost
+	cm.resubmits.With(n.cfg.Name).Add(float64(lost))
+	st.requeueWithBackoff(rec.head())
 }
 
 // release returns the credit and the backlog charge dispatch took for rec,
@@ -658,7 +729,9 @@ func (st *runState) release(rec *inflightRec) bool {
 	n.credits++
 	n.backlog -= rec.cand.Charge()
 	cm.inflight.With(n.cfg.Name).Dec()
-	delete(st.inflight, rec.task.ID())
+	for _, m := range rec.members {
+		delete(st.inflight, m.task.ID())
+	}
 	return true
 }
 
@@ -712,26 +785,76 @@ func (n *nodeState) hasVersion(id int, ver uint64) bool {
 	return ok && v == ver
 }
 
-// transferNanos prices the payloads that would need inlining for the task
-// on the node, given the node's version cache.
-func (st *runState) transferNanos(t *taskrt.Task, n *nodeState) int64 {
-	var total int64
-	for _, a := range t.Accesses {
-		id := a.Handle.ID()
-		if !n.hasVersion(id, st.ver[id]) {
-			total += n.link.Nanos(a.Handle.Bytes)
+// chainBehind returns t and the linear run of the graph behind it: each next
+// member is the previous one's only dependent and waits on nothing else that
+// is still to finish. Nobody outside the chain waits on its interior, so
+// running it as one invocation delays no one.
+func (st *runState) chainBehind(t *taskrt.Task) []*taskrt.Task {
+	run := []*taskrt.Task{t}
+	for {
+		next := t.Dependents()
+		if len(next) != 1 || st.indeg[next[0].ID()] != 1 {
+			return run
 		}
+		t = next[0]
+		run = append(run, t)
 	}
-	return total
 }
 
-// choose offers every alive node with free credit that can run the codelet
-// to a placement.Pick — internal/placement's rule, one level up from the
-// dmda dispatcher: backlog, the estimate chain over the shared perfmodel and
-// the node's observed kernel times, the node's straggler score as slowdown
-// (so a detected straggler bids with its real speed rather than the model's
-// optimism), and the price of inlining what its version cache lacks.
-func (st *runState) choose(t *taskrt.Task) (*nodeState, placement.Candidate, bool) {
+// eachAccess walks a chain's accesses in step order. ver is the version the
+// step will find: the master's, plus the chain's own writes before it. inline
+// says the payload must travel with the request: the chain touches the handle
+// here first and the node is not believed to hold the master's version.
+func (st *runState) eachAccess(chain []member, n *nodeState, visit func(step int, a taskrt.Access, ver uint64, inline bool)) {
+	writes := map[int]uint64{} // handle id → the chain's writes so far
+	for k, m := range chain {
+		for _, a := range m.task.Accesses {
+			id := a.Handle.ID()
+			w, touched := writes[id]
+			visit(k, a, st.ver[id]+w, !touched && !n.hasVersion(id, st.ver[id]))
+			if a.Mode.Writes() {
+				w++
+			}
+			writes[id] = w
+		}
+	}
+}
+
+// bid is the node's offer for the chain headed by run[0]: as much of run as
+// the node can execute (the head it can, choose checked), priced as one
+// candidate — the members' estimates summed, and the transfer of every
+// payload that would go inline, each once.
+func (st *runState) bid(run []*taskrt.Task, n *nodeState) ([]member, placement.Candidate) {
+	chain := make([]member, 0, len(run))
+	c := placement.Candidate{Slowdown: n.slowEWMA}
+	for k, t := range run {
+		if k > 0 && !n.nodeRuns(t.Codelet.Name) {
+			break
+		}
+		model, ok := st.modelNanos(t, n)
+		exec, src := placement.Estimate(model, ok, n.obs, st.obs)
+		chain = append(chain, member{task: t, exec: exec, src: src})
+		c.Exec += exec
+	}
+	c.Source = chain[0].src
+	st.eachAccess(chain, n, func(_ int, a taskrt.Access, _ uint64, inline bool) {
+		if inline {
+			c.Xfer += n.link.Nanos(a.Handle.Bytes)
+		}
+	})
+	return chain, c
+}
+
+// choose offers the chain behind t, as every alive node with free credit that
+// can run t would take it, to a placement.Pick — internal/placement's rule,
+// one level up from the dmda dispatcher: backlog, the estimate chain over the
+// shared perfmodel and the node's observed kernel times, the node's straggler
+// score as slowdown (so a detected straggler bids with its real speed rather
+// than the model's optimism), and the price of inlining what its version
+// cache lacks — so the node already holding a chain's operands wins it.
+func (st *runState) choose(t *taskrt.Task) (*nodeState, []member, placement.Candidate, bool) {
+	run := st.chainBehind(t)
+	chains := make([][]member, len(st.nodes))
 	pick := placement.NewPick(len(st.nodes), st.cursor, t.Priority > 0)
 	st.cursor++
 	for k := range st.nodes {
@@ -740,138 +863,185 @@ func (st *runState) choose(t *taskrt.Task) (*nodeState, placement.Candidate, boo
 		if !n.alive || n.credits <= 0 || !n.nodeRuns(t.Codelet.Name) {
 			continue
 		}
-		model, ok := st.modelNanos(t, n)
-		exec, src := placement.Estimate(model, ok, n.obs, st.obs)
-		pick.Offer(i, n.backlog, placement.Candidate{
-			Exec: exec, Xfer: st.transferNanos(t, n), Slowdown: n.slowEWMA, Source: src,
-		})
+		chain, c := st.bid(run, n)
+		chains[i] = chain
+		pick.Offer(i, n.backlog, c)
 	}
 	i, c, ok := pick.Best()
 	if !ok {
-		return nil, c, false
+		return nil, nil, c, false
 	}
-	return st.nodes[i], c, true
+	return st.nodes[i], chains[i], c, true
 }
 
-// dispatchReady places as many ready tasks as node credits allow.
+// freeCredit reports whether some alive node can take another invocation.
+func (st *runState) freeCredit() bool {
+	for _, n := range st.nodes {
+		if n.alive && n.credits > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// dispatchReady places ready tasks, in order, while some node has credit. A
+// task no node with credit can run keeps its place at the front.
 func (st *runState) dispatchReady() {
-	var defer2 []*taskrt.Task
-	for len(st.ready) > 0 {
+	var deferred []*taskrt.Task
+	for len(st.ready) > 0 && st.freeCredit() {
 		t := st.ready[0]
 		st.ready = st.ready[1:]
 		if st.done[t.ID()] || st.inflight[t.ID()] != nil {
 			continue // resubmitted and already handled
 		}
-		n, c, ok := st.choose(t)
+		n, chain, c, ok := st.choose(t)
 		if !ok {
-			defer2 = append(defer2, t)
-			if st.aliveCount() == 0 {
-				break // wait for a node; keep remaining ready intact
-			}
+			deferred = append(deferred, t)
 			continue
 		}
-		st.dispatch(t, n, c)
+		st.dispatch(n, chain, c)
 	}
-	st.ready = append(defer2, st.ready...)
+	if len(deferred) > 0 {
+		st.ready = append(deferred, st.ready...)
+	}
 }
 
-// dispatch charges the node and ships the invocation asynchronously.
-func (st *runState) dispatch(t *taskrt.Task, n *nodeState, c placement.Candidate) {
-	specs := make([]AccessSpec, len(t.Accesses))
-	inline := make([]bool, len(t.Accesses))
-	for i, a := range t.Accesses {
+// dispatch charges the node one credit and the chain's bid, records what the
+// request will make resident there, and queues it for the node's sender.
+func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate) {
+	rec := &inflightRec{members: chain, node: n, cand: c}
+	n.credits--
+	n.backlog += c.Charge()
+	n.stats.Invocations++
+	cm.inflight.With(n.cfg.Name).Inc()
+	cm.invocationTasks.Observe(float64(len(chain)))
+
+	steps := make([]ExecStep, len(chain))
+	for k, m := range chain {
+		t := m.task
+		st.inflight[t.ID()] = rec
+		cm.decisions.With(m.src.String()).Inc()
+		place := trace.Event{Kind: trace.Place, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(), From: m.src.String()}
+		if k == 0 {
+			place.Transfer = float64(c.Xfer) / 1e9 // the chain's, on its head
+		}
+		st.instant(place)
+		var parents []int
+		for _, d := range t.Deps() {
+			parents = append(parents, d.ID())
+		}
+		steps[k] = ExecStep{
+			TaskID:   t.ID(),
+			Attempt:  st.attempts[t.ID()],
+			Codelet:  t.Codelet.Name,
+			Label:    t.Label,
+			Flops:    t.Flops,
+			Parents:  parents,
+			Accesses: make([]AccessSpec, 0, len(t.Accesses)), // never regrown: out.inline points into it
+		}
+	}
+	out := &outbound{rec: rec}
+	st.eachAccess(chain, n, func(k int, a taskrt.Access, ver uint64, inline bool) {
 		id := a.Handle.ID()
-		specs[i] = AccessSpec{
+		steps[k].Accesses = append(steps[k].Accesses, AccessSpec{
 			HandleID: id,
 			Name:     a.Handle.Name,
 			Bytes:    a.Handle.Bytes,
 			Mode:     int(a.Mode),
-			Version:  st.ver[id],
+			Version:  ver,
+		})
+		if inline {
+			n.has[id] = ver
+			out.inline = append(out.inline, inlinePayload{&steps[k].Accesses[len(steps[k].Accesses)-1], a.Handle.Payload})
 		}
-		inline[i] = !n.hasVersion(id, st.ver[id])
-	}
-	rec := &inflightRec{task: t, node: n, specs: specs, cand: c}
-	st.inflight[t.ID()] = rec
-	n.credits--
-	n.backlog += c.Charge()
-	cm.inflight.With(n.cfg.Name).Inc()
-	cm.decisions.With(c.Source.String()).Inc()
-	st.instant(trace.Event{
-		Kind: trace.Place, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(),
-		From: c.Source.String(), Transfer: float64(c.Xfer) / 1e9,
 	})
+	out.req = newExecRequest(steps)
 
-	var parents []int
-	for _, d := range t.Deps() {
-		parents = append(parents, d.ID())
+	n.sendMu.Lock()
+	n.sendq = append(n.sendq, out)
+	start := !n.sending
+	n.sending = true
+	n.sendMu.Unlock()
+	if start {
+		st.bg.Add(1)
+		go st.sender(n)
 	}
-	req := &ExecRequest{
-		TaskID:  t.ID(),
-		Attempt: st.attempts[t.ID()],
-		Codelet: t.Codelet.Name,
-		Label:   t.Label,
-		Flops:   t.Flops,
-		Parents: parents,
-	}
-	payloads := make([]any, len(t.Accesses))
-	for i, a := range t.Accesses {
-		payloads[i] = a.Handle.Payload
-	}
-	go st.ship(rec, req, payloads, inline)
 }
 
-// ship encodes inline payloads and writes the invocation to the node's
-// execute stream; the stream's reader goroutine delivers the outcome. Runs
-// outside the loop goroutine; it only touches payloads of the task's own
-// accesses, whose writers have all been applied (DAG order), so the reads
-// race with nothing.
-func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inline []bool) {
-	req.Accesses = append([]AccessSpec(nil), rec.specs...)
-	for i := range req.Accesses {
-		if !inline[i] {
-			continue
-		}
-		data, err := EncodePayload(payloads[i])
-		if err != nil {
-			st.send(event{kind: evResult, rec: rec, err: fmt.Errorf("encoding handle %d: %w", req.Accesses[i].HandleID, err)})
+// sender writes the node's queued invocations to its execute stream in
+// dispatch order, and exits when the queue is empty; dispatch starts the next.
+func (st *runState) sender(n *nodeState) {
+	defer st.bg.Done()
+	for {
+		n.sendMu.Lock()
+		if len(n.sendq) == 0 {
+			n.sending = false
+			n.sendMu.Unlock()
 			return
 		}
-		req.Accesses[i].Inline = data
-		rec.shipped += int64(len(data))
-		rec.inlines++
-	}
-	s, err := st.stream(rec.node)
-	if err == nil {
-		err = s.submit(rec, req)
-	}
-	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
+		out := n.sendq[0]
+		n.sendq = n.sendq[1:]
+		n.sendMu.Unlock()
+		if err := st.ship(n, out); err != nil {
+			st.send(event{kind: evResult, rec: out.rec, err: err})
+		}
 	}
 }
 
-// handleResult applies one round-trip outcome. Returns whether a task
-// newly completed. This is the exactly-once point: results for tasks
-// already done (late arrivals from presumed-dead nodes, duplicates after
-// resubmission) are dropped before any state changes.
-func (st *runState) handleResult(ev event) (bool, error) {
-	rec, n, t := ev.rec, ev.rec.node, ev.rec.task
-	st.release(rec)
+// ship encodes the inline payloads and writes the request to the node's
+// stream, whose reader goroutine delivers the outcome; an error means it never
+// got that far. It reads only payloads of the chain's own accesses, whose
+// writers outside the chain have all been applied (DAG order) and which
+// nothing is applied to while the chain is in flight, so the reads race with
+// nothing.
+func (st *runState) ship(n *nodeState, out *outbound) error {
+	for _, in := range out.inline {
+		data, err := EncodePayload(in.payload)
+		if err != nil {
+			return fmt.Errorf("encoding handle %d: %w", in.spec.HandleID, err)
+		}
+		in.spec.Inline = data
+		out.rec.shipped += int64(len(data))
+		out.rec.inlines++
+	}
+	s, err := st.stream(n)
+	if err != nil {
+		return err
+	}
+	return s.submit(out.rec, out.req)
+}
+
+// handleResult applies one invocation's outcome and returns how many tasks
+// newly completed: the whole chain or none. This is the exactly-once point:
+// results for chains already done (late arrivals from presumed-dead nodes,
+// duplicates after resubmission) are dropped before any state changes. The
+// head stands for the chain in both checks — no member can be done or in
+// flight elsewhere while the head, which they all wait on, is neither.
+func (st *runState) handleResult(ev event) (int, error) {
+	rec, n, head := ev.rec, ev.rec.node, ev.rec.head()
+	live := st.release(rec)
 	// Ingest piggybacked worker spans before the exactly-once drop: even a
 	// duplicate attempt really executed, and the merged timeline should show
 	// it (that is how duplicated work becomes visible).
 	if ev.resp != nil {
 		st.ingestSpans(n, ev.resp)
 	}
-	if st.done[t.ID()] {
-		return false, nil // duplicate of a completed task: exactly-once drop
+	if st.done[head.ID()] {
+		return 0, nil // duplicate of a completed chain: exactly-once drop
 	}
-	if cur := st.inflight[t.ID()]; cur != nil && cur != rec {
+	if cur := st.inflight[head.ID()]; cur != nil && cur != rec {
 		// A late result from a presumed-dead node, while the resubmitted
 		// copy is already in flight. Drop even a success: the copy was
 		// dispatched from identical inputs and will produce the same
 		// output, and applying now would race with the copy's payload
 		// encoding.
-		return false, nil
+		return 0, nil
+	}
+	resp := ev.resp
+	if !live && (resp == nil || !resp.OK) {
+		// The node died under this record and nodeDown requeued the head: a
+		// late non-result changes nothing.
+		return 0, nil
 	}
 
 	switch {
@@ -880,42 +1050,44 @@ func (st *runState) handleResult(ev event) (bool, error) {
 		// task, so no attempt is consumed; repeated faults take the node
 		// down ahead of the heartbeat's verdict.
 		n.suspects++
-		st.m.logf("cluster: node %s transport error (task %d): %v", n.cfg.Name, t.ID(), ev.err)
+		st.m.logf("cluster: node %s transport error (task %d): %v", n.cfg.Name, head.ID(), ev.err)
 		if n.suspects >= 2 && n.alive {
 			st.nodeDown(n)
-			// nodeDown resubmits in-flight tasks, but this rec was already
-			// released above — requeue it explicitly.
-			n.stats.Resubmits++
-			st.resubmissions++
-			cm.resubmits.With(n.cfg.Name).Inc()
+			// nodeDown resubmits the node's in-flight chains, but this rec
+			// was already released above — resubmit it explicitly.
+			st.resubmit(rec)
+			return 0, nil
 		}
-		st.requeueWithBackoff(t)
-		return false, nil
+		st.requeueWithBackoff(head)
+		return 0, nil
 
-	case len(ev.resp.NeedData) > 0:
-		// Worker cache miss (eviction or restart): forget the stale
-		// residency and redispatch; no attempt consumed, no backoff. The
+	case len(resp.NeedData) > 0:
+		// Worker cache miss (eviction or restart): redispatch at once; no
+		// attempt consumed, no backoff. Forget the node's residency of every
+		// handle the chain touches, not only the ones it named: the bounced
+		// request carried payloads too, and in a cache smaller than a chain's
+		// operands admitting those may be what evicted these — forgetting the
+		// named ones alone lets two halves of the operands bounce each other
+		// out forever. The retry travels whole, so it always runs. The
 		// completed round-trip also proves transport is healthy, so clear
 		// suspicion like the other in-band outcomes do.
 		n.suspects = 0
-		for _, id := range ev.resp.NeedData {
-			delete(n.has, id)
-		}
+		rec.forgetResidency(false)
 		n.stats.NeedData++
 		cm.needData.With(n.cfg.Name).Inc()
-		st.ready = append(st.ready, t)
-		return false, nil
+		st.ready = append(st.ready, head)
+		return 0, nil
 
-	case !ev.resp.OK:
-		// In-band execution failure: consumes an attempt. The failed kernel
-		// may have mutated write-mode payloads in place (the worker drops
-		// its cache entries for them), so forget their residency too and
-		// re-inline canonical bytes on the retry instead of trusting — or
-		// bouncing off — the node's copy.
-		for _, spec := range rec.specs {
-			if taskrt.AccessMode(spec.Mode).Writes() {
-				delete(n.has, spec.HandleID)
-			}
+	case !resp.OK:
+		// In-band execution failure at one step: that member pays an attempt
+		// and the chain starts over from the master's unchanged state. The
+		// steps before it, and the failing kernel itself, may have mutated
+		// write-mode payloads in place — the worker keeps none of them — so
+		// forget their residency and re-inline canonical bytes on the retry.
+		rec.forgetResidency(true)
+		t := head
+		if k := resp.FailedStep; k > 0 && k < len(rec.members) {
+			t = rec.members[k].task
 		}
 		n.suspects = 0
 		st.failedAttempts++
@@ -925,68 +1097,78 @@ func (st *runState) handleResult(ev event) (bool, error) {
 		st.attempts[t.ID()]++
 		st.instant(trace.Event{Kind: trace.Retry, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID()})
 		if st.attempts[t.ID()] >= st.m.cfg.MaxAttempts {
-			return false, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
-				t.ID(), t.Label, st.attempts[t.ID()], n.cfg.Name, ev.resp.Error)
+			return 0, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
+				t.ID(), t.Label, st.attempts[t.ID()], n.cfg.Name, resp.Error)
 		}
-		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, st.attempts[t.ID()], ev.resp.Error)
-		st.requeueWithBackoff(t)
-		return false, nil
+		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, st.attempts[t.ID()], resp.Error)
+		st.requeueWithBackoff(head)
+		return 0, nil
 	}
 
-	// Success: apply writes under first-writer-wins (the done-check above),
-	// update residency, release dependents.
+	// Success: apply the chain's writes under first-writer-wins (the
+	// done-check above), update residency, mark every member done and release
+	// the dependents of each — for all but the tail, the next member.
+	if len(resp.Ran) != len(rec.members) {
+		return 0, fmt.Errorf("cluster: task %d result from %s reports %d steps run of a chain of %d",
+			head.ID(), n.cfg.Name, len(resp.Ran), len(rec.members))
+	}
 	n.suspects = 0
-	resp := ev.resp
 	for _, wr := range resp.Written {
+		if wr.HandleID < 0 || wr.HandleID >= len(st.handles) {
+			return 0, fmt.Errorf("cluster: task %d result from %s writes unknown handle %d", head.ID(), n.cfg.Name, wr.HandleID)
+		}
 		h := st.handles[wr.HandleID]
 		v, err := DecodePayload(wr.Payload)
 		if err != nil {
-			return false, fmt.Errorf("cluster: task %d result, handle %d: %w", t.ID(), wr.HandleID, err)
+			return 0, fmt.Errorf("cluster: task %d result, handle %d: %w", head.ID(), wr.HandleID, err)
 		}
 		applied, err := ApplyPayload(h.Payload, v)
 		if err != nil {
-			return false, fmt.Errorf("cluster: task %d result, handle %d: %w", t.ID(), wr.HandleID, err)
+			return 0, fmt.Errorf("cluster: task %d result, handle %d: %w", head.ID(), wr.HandleID, err)
 		}
 		h.Payload = applied
 		st.ver[wr.HandleID] = wr.Version
 		n.has[wr.HandleID] = wr.Version
+		n.stats.ReturnBytes += int64(len(wr.Payload))
+		cm.returnB.With(n.cfg.Name).Add(float64(len(wr.Payload)))
 	}
-	for _, spec := range rec.specs {
-		if !taskrt.AccessMode(spec.Mode).Writes() {
-			n.has[spec.HandleID] = spec.Version
-		}
-	}
-	st.done[t.ID()] = true
-	n.stats.Tasks++
-	n.stats.BusySeconds += resp.ExecSeconds
+	n.stats.Returns += len(resp.Written)
 	n.stats.Transfers += rec.inlines
 	n.stats.TransferBytes += rec.shipped
-	cm.tasks.With(n.cfg.Name).Inc()
-	cm.taskSeconds.With(n.cfg.Name).Observe(resp.ExecSeconds)
 	if rec.inlines > 0 {
 		cm.transfers.With(n.cfg.Name).Add(float64(rec.inlines))
 		cm.transferB.With(n.cfg.Name).Add(float64(rec.shipped))
 	}
-	st.observeResidual(n, t, rec, resp.ExecSeconds)
-	// Feed the kernel time into the node's and the pool's observed history
-	// and the shared perfmodel (keyed by the arch the worker actually used).
-	if resp.ExecSeconds > 0 {
-		nanos := int64(resp.ExecSeconds * 1e9)
-		n.obs.Nanos += nanos
-		n.obs.Count++
-		st.obs.Nanos += nanos
-		st.obs.Count++
-		if t.Flops > 0 && resp.Arch != "" {
-			st.m.cfg.Models.Model(t.Codelet.Name, resp.Arch).Record(t.Flops, resp.ExecSeconds)
+	for _, m := range rec.members {
+		st.done[m.task.ID()] = true
+	}
+	for k, m := range rec.members {
+		t, ran := m.task, resp.Ran[k]
+		n.stats.Tasks++
+		n.stats.BusySeconds += ran.Seconds
+		cm.tasks.With(n.cfg.Name).Inc()
+		cm.taskSeconds.With(n.cfg.Name).Observe(ran.Seconds)
+		st.observeResidual(n, m, ran.Seconds)
+		// Feed the kernel time into the node's and the pool's observed history
+		// and the shared perfmodel (keyed by the arch the worker actually used).
+		if ran.Seconds > 0 {
+			nanos := int64(ran.Seconds * 1e9)
+			n.obs.Nanos += nanos
+			n.obs.Count++
+			st.obs.Nanos += nanos
+			st.obs.Count++
+			if t.Flops > 0 && ran.Arch != "" {
+				st.m.cfg.Models.Model(t.Codelet.Name, ran.Arch).Record(t.Flops, ran.Seconds)
+			}
+		}
+		for _, dep := range t.Dependents() {
+			st.indeg[dep.ID()]--
+			if st.indeg[dep.ID()] == 0 && !st.done[dep.ID()] {
+				st.ready = append(st.ready, dep)
+			}
 		}
 	}
-	for _, dep := range t.Dependents() {
-		st.indeg[dep.ID()]--
-		if st.indeg[dep.ID()] == 0 {
-			st.ready = append(st.ready, dep)
-		}
-	}
-	return true, nil
+	return len(rec.members), nil
 }
 
 // instant records ev on the master's trace as happening now, against the

@@ -17,6 +17,7 @@ var cm = struct {
 	inflight    *metrics.GaugeVec     // {node}
 	transfers   *metrics.CounterVec   // {node}
 	transferB   *metrics.CounterVec   // {node}
+	returnB     *metrics.CounterVec   // {node}
 	retries     *metrics.CounterVec   // {node}
 	resubmits   *metrics.CounterVec   // {node}
 	needData    *metrics.CounterVec   // {node}
@@ -28,6 +29,8 @@ var cm = struct {
 	residual    *metrics.HistogramVec // {node}
 	execRTT     *metrics.HistogramVec // {node}
 	reconnects  *metrics.CounterVec   // {node}
+
+	invocationTasks *metrics.Histogram
 }{
 	tasks: metrics.Default.CounterVec("taskrt_cluster_tasks_total",
 		"Tasks completed and applied, by executing node.", "node"),
@@ -39,10 +42,12 @@ var cm = struct {
 		"Payloads inlined to the node (worker cache misses by version).", "node"),
 	transferB: metrics.Default.CounterVec("taskrt_cluster_transfer_bytes_total",
 		"Encoded payload bytes shipped to the node.", "node"),
+	returnB: metrics.Default.CounterVec("taskrt_cluster_return_bytes_total",
+		"Encoded bytes of the written payloads the node sent back and the master applied: one frame per handle a chain wrote, at its final version.", "node"),
 	retries: metrics.Default.CounterVec("taskrt_cluster_retries_total",
 		"Failed attempts re-queued with backoff, by node of the failure.", "node"),
 	resubmits: metrics.Default.CounterVec("taskrt_cluster_resubmits_total",
-		"In-flight tasks resubmitted after their node was declared dead.", "node"),
+		"Tasks (every member of each in-flight chain) resubmitted after their node was declared dead.", "node"),
 	needData: metrics.Default.CounterVec("taskrt_cluster_need_data_total",
 		"Dispatches bounced for missing cached data and re-inlined (not a fault).", "node"),
 	nodeUp: metrics.Default.GaugeVec("taskrt_cluster_node_up",
@@ -58,10 +63,14 @@ var cm = struct {
 	residual: metrics.Default.HistogramVec("taskrt_cluster_residual_ratio",
 		"Observed/estimated kernel latency for model-placed tasks, by node.", residualBuckets, "node"),
 	execRTT: metrics.Default.HistogramVec("taskrt_cluster_exec_rtt_seconds",
-		"One invocation on the node's execute stream, from its request fully written to its response read: wire, remote queue, kernel.", clusterTaskBuckets, "node"),
+		"One invocation on the node's execute stream, from its request fully written to its response read: wire, remote queue, the chain's kernels.", clusterTaskBuckets, "node"),
 	reconnects: metrics.Default.CounterVec("taskrt_cluster_stream_reconnects_total",
 		"Execute streams opened to the node after its first of the run: one per broken stream or rejoin.", "node"),
+	invocationTasks: metrics.Default.Histogram("taskrt_cluster_invocation_tasks",
+		"Tasks per dispatched invocation: the length of the chain the master fused behind the task it placed.", invocationBuckets),
 }
+
+var invocationBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // residualBuckets resolve the observed/estimated ratio: < 1 is faster than
 // modelled, the high tail is where stragglers live.

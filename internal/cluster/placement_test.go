@@ -14,11 +14,12 @@ import (
 )
 
 // okTransport answers every request on an execute stream in process with a
-// successful 1 ms kernel: the master's dispatch/ship/stream/handleResult path
-// runs for real with no listener behind the node addresses.
-type okTransport struct{}
+// successful 1 ms kernel per step: the master's dispatch/sender/stream/
+// handleResult path runs for real with no listener behind the node addresses.
+// seen, when set, is told each request as it arrives.
+type okTransport struct{ seen func(*ExecRequest) }
 
-func (okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+func (tr okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	pr, pw := io.Pipe()
 	go func() {
 		defer r.Body.Close()
@@ -27,7 +28,14 @@ func (okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 			var req ExecRequest
 			err := dec.Decode(&req)
 			if err == nil {
-				err = enc.Encode(&ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, OK: true, ExecSeconds: 1e-3, Arch: "x86"})
+				if tr.seen != nil {
+					tr.seen(&req)
+				}
+				ran := make([]StepRun, 1+len(req.Next))
+				for i := range ran {
+					ran[i] = StepRun{Seconds: 1e-3, Arch: "x86"}
+				}
+				err = enc.Encode(&ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, OK: true, Ran: ran})
 			}
 			if err != nil {
 				pw.Close()
@@ -110,7 +118,7 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 	placeAll := func(tasks []*taskrt.Task) {
 		t.Helper()
 		for _, task := range tasks {
-			n, c, ok := st.choose(task)
+			n, chain, c, ok := st.choose(task)
 			if !ok {
 				t.Fatalf("task %d: no node chosen", task.ID())
 			}
@@ -118,7 +126,7 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 				t.Fatalf("task %d: inlining a non-resident payload priced at %d ns", task.ID(), c.Xfer)
 			}
 			before := n.backlog
-			st.dispatch(task, n, c)
+			st.dispatch(n, chain, c)
 			if n.backlog-before != c.Charge() {
 				t.Fatalf("dispatch charged %d ns, Candidate.Charge is %d", n.backlog-before, c.Charge())
 			}
@@ -127,7 +135,7 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 
 	placeAll(st.tasks[:k-2])
 	for i := 0; i < k-2; i++ {
-		if done, err := st.handleResult(<-st.events); !done || err != nil {
+		if done, err := st.handleResult(<-st.events); done != 1 || err != nil {
 			t.Fatalf("result %d: done=%v err=%v", i, done, err)
 		}
 	}
@@ -167,7 +175,7 @@ func TestMasterChoose(t *testing.T) {
 		st := fakeRun(t, models, []string{"slow", "healthy"}, 1)
 		st.nodes[0].slowEWMA = 3
 		for i := 0; i < 4; i++ { // every tie-break start
-			n, c, ok := st.choose(st.tasks[0])
+			n, _, c, ok := st.choose(st.tasks[0])
 			if !ok || n != st.nodes[1] {
 				t.Fatalf("pick %d: chose %v, want the healthy node", i, n)
 			}
@@ -177,7 +185,7 @@ func TestMasterChoose(t *testing.T) {
 		}
 		// The penalty is charged, not just scored.
 		st.nodes[1].alive = false
-		_, c, _ := st.choose(st.tasks[0])
+		_, _, c, _ := st.choose(st.tasks[0])
 		if want := 3*c.Exec + c.Xfer; c.Charge() != want || c.Exec <= 0 {
 			t.Fatalf("straggler charge %d, want 3 × exec + xfer = %d", c.Charge(), want)
 		}
@@ -188,16 +196,157 @@ func TestMasterChoose(t *testing.T) {
 		h := st.tasks[0].Accesses[0].Handle
 		st.nodes[1].has[h.ID()] = st.ver[h.ID()]
 		for i := 0; i < 4; i++ {
-			n, c, ok := st.choose(st.tasks[0])
+			n, _, c, ok := st.choose(st.tasks[0])
 			if !ok || n != st.nodes[1] || c.Xfer != 0 {
 				t.Fatalf("pick %d: chose %v with xfer %d, want the resident node at 0", i, n, c.Xfer)
 			}
 		}
 		// A stale version is not residency.
 		st.ver[h.ID()]++
-		_, c, _ := st.choose(st.tasks[0])
+		_, _, c, _ := st.choose(st.tasks[0])
 		if c.Xfer != lanLink.Nanos(h.Bytes) {
 			t.Fatalf("stale version priced at %d ns, want one inlined payload = %d", c.Xfer, lanLink.Nanos(h.Bytes))
 		}
 	})
+}
+
+// dispatchReady places in ready order and stops when the last credit goes:
+// what it could not place keeps its order, a task no node with credit can run
+// keeps its place at the front, and no pick — each advances the tie-break
+// cursor — is spent on a task with nowhere to go.
+func TestDispatchReadyStopsAtTheLastCredit(t *testing.T) {
+	const k = 12
+	mk := func(name string) *taskrt.Codelet {
+		cl, err := taskrt.NewCodelet(name, taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	cfg := Config{HTTP: &http.Client{Transport: okTransport{}},
+		Nodes: []NodeConfig{{Name: "a", Addr: "http://a.invalid"}, {Name: "b", Addr: "http://b.invalid"}}}
+	st := newRunState(t, cfg, func(rt *taskrt.Runtime) []*taskrt.Task {
+		batch := []*taskrt.Task{{Codelet: mk("only-b")}}
+		for common := mk("k"); len(batch) <= k; {
+			batch = append(batch, &taskrt.Task{Codelet: common})
+		}
+		return batch
+	})
+	a, b := st.nodes[0], st.nodes[1]
+	a.alive, a.credits, a.info = true, 4, InfoResponse{Archs: []string{"x86"}, Codelets: []string{"k"}}
+	b.alive, b.credits, b.info = true, 0, InfoResponse{Archs: []string{"x86"}, Codelets: []string{"k", "only-b"}} // busy: only a takes work
+	stuck := st.tasks[0]
+	st.tasks = st.tasks[1:]
+	st.ready = append([]*taskrt.Task{stuck}, st.tasks...)
+
+	st.dispatchReady()
+	if a.credits != 0 || len(st.inflight) != 4 {
+		t.Fatalf("after the first pass: a holds %d credits, %d in flight; want 0 and 4", a.credits, len(st.inflight))
+	}
+	for i, task := range st.tasks[:4] {
+		if rec := st.inflight[task.ID()]; rec == nil || rec.node != a {
+			t.Fatalf("ready task %d was not placed on the node with credit", i)
+		}
+	}
+	want := append([]*taskrt.Task{stuck}, st.tasks[4:]...)
+	if len(st.ready) != len(want) {
+		t.Fatalf("%d tasks left ready, want %d", len(st.ready), len(want))
+	}
+	for i := range want {
+		if st.ready[i] != want[i] {
+			t.Fatalf("ready[%d] is out of order after the pass", i)
+		}
+	}
+	if st.cursor != 5 {
+		t.Errorf("the pass made %d picks, want 5: the stuck task and four placements", st.cursor)
+	}
+
+	// No credit anywhere: the pass touches nothing.
+	st.dispatchReady()
+	if st.cursor != 5 || len(st.ready) != len(want) || st.ready[0] != stuck {
+		t.Errorf("a pass with no free credit made picks or reordered ready (cursor %d)", st.cursor)
+	}
+
+	// Credit on b: the stuck task goes first, then the rest in order.
+	b.credits = 2
+	st.dispatchReady()
+	if rec := st.inflight[stuck.ID()]; rec == nil || rec.node != b {
+		t.Fatal("the deferred task did not go first once its node had credit")
+	}
+	if rec := st.inflight[st.tasks[4].ID()]; rec == nil || rec.node != b || len(st.ready) != k-5 || st.ready[0] != st.tasks[5] {
+		t.Fatalf("after credit on b: %d ready, want task 4 placed on b and task 5 next", len(st.ready))
+	}
+}
+
+// A chain is one bid: the members' estimates summed, each payload that must
+// travel priced once however many steps touch it, and nothing for the versions
+// the chain makes itself. The node that already holds the chain's shared
+// operands wins it, and dispatch records what the request makes resident.
+func TestMasterChoosePricesTheChainAsOneBid(t *testing.T) {
+	const steps = 4
+	models := perfmodel.NewStore()
+	for _, flops := range []float64{5e5, 1e6, 2e6} {
+		if err := models.Model("k", "x86").Record(flops, flops/1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := taskrt.NewCodelet("k", taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Models: models, HTTP: &http.Client{Transport: okTransport{}},
+		Nodes: []NodeConfig{{Name: "cold", Addr: "http://cold.invalid"}, {Name: "warm", Addr: "http://warm.invalid"}}}
+	var row, acc *taskrt.Handle
+	st := newRunState(t, cfg, func(rt *taskrt.Runtime) []*taskrt.Task {
+		row = rt.NewHandle("row", 1<<20, blas.NewMatrix(2, 2)) // read by every step
+		acc = rt.NewHandle("acc", 1<<10, blas.NewMatrix(2, 2)) // written by every step
+		batch := make([]*taskrt.Task, steps)
+		for i := range batch {
+			batch[i] = &taskrt.Task{Codelet: cl, Accesses: []taskrt.Access{taskrt.R(row), taskrt.RW(acc)}, Flops: 1e6}
+		}
+		return batch
+	})
+	for _, task := range st.tasks {
+		st.indeg[task.ID()] = len(task.Deps())
+	}
+	for _, n := range st.nodes {
+		n.alive, n.credits = true, 4
+		n.info = InfoResponse{Archs: []string{"x86"}}
+	}
+	cold, warm := st.nodes[0], st.nodes[1]
+	warm.has[row.ID()] = 0
+
+	one, _ := st.modelNanos(st.tasks[0], warm)
+	for i := 0; i < 4; i++ { // every tie-break start
+		n, chain, c, ok := st.choose(st.tasks[0])
+		if !ok || n != warm || len(chain) != steps {
+			t.Fatalf("pick %d: a chain of %d on %v, want all %d steps on the node holding the row", i, len(chain), n, steps)
+		}
+		if c.Exec != steps*one || c.Xfer != lanLink.Nanos(acc.Bytes) {
+			t.Fatalf("pick %d: bid exec %d xfer %d, want %d × %d and the accumulator alone, once (%d)", i, c.Exec, c.Xfer, steps, one, lanLink.Nanos(acc.Bytes))
+		}
+	}
+	warm.alive = false
+	_, _, c, _ := st.choose(st.tasks[0])
+	if want := lanLink.Nanos(row.Bytes) + lanLink.Nanos(acc.Bytes); c.Xfer != want {
+		t.Fatalf("cold node's transfer %d, want the row and the accumulator once each = %d", c.Xfer, want)
+	}
+
+	// An interior member is not a head: behind it the chain is what is left.
+	if run := st.chainBehind(st.tasks[1]); len(run) != steps-1 {
+		t.Errorf("chain behind member 1 has %d tasks, want %d", len(run), steps-1)
+	}
+
+	n, chain, c, _ := st.choose(st.tasks[0])
+	st.dispatch(n, chain, c)
+	if !cold.hasVersion(row.ID(), 0) || !cold.hasVersion(acc.ID(), 0) {
+		t.Error("dispatch did not record the inlined payloads as resident at the versions sent")
+	}
+	if done, err := st.handleResult(<-st.events); done != steps || err != nil {
+		t.Fatalf("chain result: done=%d err=%v", done, err)
+	}
+	if st.ver[acc.ID()] != 0 || cold.stats.Transfers != 2 {
+		// okTransport writes nothing back, so the version stays; two payloads went.
+		t.Errorf("version %d, %d transfers; want 0 and 2", st.ver[acc.ID()], cold.stats.Transfers)
+	}
 }

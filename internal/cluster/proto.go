@@ -7,26 +7,71 @@
 // distributed level: each worker node is described by its own PDL document
 // (registered with pdlserved alongside a worker lease), the master's
 // placement uses per-(codelet, arch) perfmodels plus declared-interconnect
-// transfer modelling — the same earliest-finish-time shape as the in-process
-// dmda dispatcher, promoted to node granularity — and the fault-tolerance
-// layer (retry, blacklist, rejoin) is likewise lifted from worker
-// goroutines to whole nodes.
+// transfer modelling — the same earliest-finish-time rule as the in-process
+// dmda dispatcher (internal/placement), promoted to node granularity — and
+// the fault-tolerance layer (retry, blacklist, rejoin) is likewise lifted from
+// worker goroutines to whole nodes.
 //
-// Ownership model: the master owns data truth. Canonical payloads live in
-// the submitted Runtime's handles; workers hold version-tagged caches. A
-// task's writes take effect only when its result is applied on the master,
-// under a first-writer-wins done-check, which makes resubmission after node
-// failure exactly-once: a late result from a presumed-dead node either
-// applies first (the resubmitted copy is dropped) or is dropped itself.
+// Unit of work: an invocation is a chain — a task and the linear run of the
+// graph behind it, each next member being the previous one's only dependent
+// and waiting on nothing else (for tiled GEMM, the k-steps of one C tile).
+// The master forms the chain when it places the head, prices it as one bid
+// and ships it as one ExecRequest; the worker runs the steps in order on one
+// held slot and answers once. A single task is the chain of length one
+// through the same code. A node is the paper's Hybrid PU seen from above: it
+// is handed a sub-DAG and reports only that sub-DAG's outputs.
+//
+// Ownership: the master owns data truth. Canonical payloads live in the
+// submitted Runtime's handles; workers hold version-tagged caches. A chain's
+// writes take effect only when its one response is applied on the master, so
+//
+//   - handle versions, done flags and dependents advance for the whole chain
+//     at once or not at all: the versions between a chain's first and last
+//     write never exist on the master and never cross the link;
+//   - every member id maps to the chain's one in-flight record, and a result
+//     is dropped when its head is already done or in flight under another
+//     record — first writer wins, which makes resubmission after node failure
+//     exactly-once: a late result from a presumed-dead node either applies
+//     first (the resubmitted copy is dropped) or is dropped itself;
+//   - an in-band failure at step k costs member k an attempt, requeues the
+//     head and forgets the node's residency of every handle any step writes;
+//     NeedData — some step named a version the worker lacks, so nothing ran —
+//     forgets its residency of every handle the chain touches and redispatches
+//     the head at once, whole; a node's death requeues the heads it held, and
+//     chains form again from the master's state as it is then;
+//   - a chain holds one credit and one placement.Candidate.Charge on its
+//     node, so Σ node backlog == Σ Charge of in-flight records; the straggler
+//     residual is taken per member against that member's own estimate, and
+//     each member gets its own trace.Place.
+//
+// The cost of a chain is what a node's death loses: at most one chain of
+// kernel work per credit.
+//
+// Residency follows stream order. The master writes each node's requests in
+// dispatch order (one sender per node draining a FIFO) and the worker admits a
+// request's inline payloads into its cache as it reads the request, before
+// reading the next. So the master records "node holds handle at version" the
+// moment it dispatches the payload inline, and a later request — even one
+// dispatched while the first is still in flight — refers to it by version
+// alone. The record is a belief: a worker that lacks a referenced version
+// (eviction, restart, a request lost with its stream) answers NeedData and
+// the master re-inlines.
+//
+// Checkout: a worker removes a write-mode operand from its cache when it
+// resolves the request and puts it back, at the chain's final version, only
+// when every step succeeded. While a kernel mutates the object in place, and
+// after it failed, timed out or was abandoned with a broken stream, no
+// request can resolve it: a retry by reference gets NeedData and canonical
+// bytes, never a half-written or twice-applied object.
 //
 // Wire: the master holds one POST /v1/execute per node open for the whole run
 // and uses it in both directions at once — ExecRequest values go up the
 // request body, ExecResponse values come down the response body, each side
 // through a single gob encoder/decoder, so gob's type descriptors cross the
-// connection once per node. Responses come back in the order kernels finish
-// and are matched to requests by (TaskID, Attempt). Handle payloads travel
-// inside those messages as opaque []byte frames (EncodePayload): a tag byte,
-// and for matrices and float64 slices the raw little-endian elements. A
+// connection once per node. Responses come back in the order chains finish
+// and are matched to requests by the head's (TaskID, Attempt). Handle payloads
+// travel inside those messages as opaque []byte frames (EncodePayload): a tag
+// byte, and for matrices and float64 slices the raw little-endian elements. A
 // stream that ends or breaks with requests unanswered fails each of them once
 // with a transport error; the node's next dispatch opens a fresh stream. A
 // one-shot POST carrying a single request is a stream of length one.
@@ -66,7 +111,10 @@ const (
 	ContentTypeGob = "application/x-gob"
 )
 
-// ExecRequest is one codelet invocation shipped to a worker.
+// ExecRequest is one invocation shipped to a worker: a chain of steps run in
+// order on one slot. The head step is spelled out in the request's own fields
+// (a one-task invocation is just those); Next holds the steps behind it.
+// TaskID and Attempt of the head identify the invocation on the stream.
 type ExecRequest struct {
 	TaskID  int
 	Attempt int
@@ -78,12 +126,43 @@ type ExecRequest struct {
 	// cluster-wide critical path after merging.
 	Parents  []int
 	Accesses []AccessSpec
+	Next     []ExecStep
 }
 
-// AccessSpec is one data access of the invocation. Inline is the payload as
-// an EncodePayload frame; when it is nil the worker must already cache
-// (HandleID, Version), and responding NeedData makes the master re-inline —
-// a cache miss, never a fault.
+// ExecStep is one codelet execution of a chain, with the fields ExecRequest
+// gives its head. A step's Version of a handle an earlier step writes is that
+// step's output: the master's version plus the writes before it.
+type ExecStep struct {
+	TaskID   int
+	Attempt  int
+	Codelet  string
+	Label    string
+	Flops    float64
+	Parents  []int
+	Accesses []AccessSpec
+}
+
+// steps returns the chain in execution order, head first.
+func (r *ExecRequest) steps() []ExecStep {
+	steps := make([]ExecStep, 0, 1+len(r.Next))
+	steps = append(steps, ExecStep{TaskID: r.TaskID, Attempt: r.Attempt, Codelet: r.Codelet, Label: r.Label,
+		Flops: r.Flops, Parents: r.Parents, Accesses: r.Accesses})
+	return append(steps, r.Next...)
+}
+
+// newExecRequest is the request that carries the steps, a chain in execution
+// order (at least one step); the head's Accesses stay the same array.
+func newExecRequest(steps []ExecStep) *ExecRequest {
+	h := steps[0]
+	return &ExecRequest{TaskID: h.TaskID, Attempt: h.Attempt, Codelet: h.Codelet, Label: h.Label,
+		Flops: h.Flops, Parents: h.Parents, Accesses: h.Accesses, Next: steps[1:]}
+}
+
+// AccessSpec is one data access of a step. Inline is the payload as an
+// EncodePayload frame, which the worker caches at Version before resolving
+// anything; when it is nil the worker must already hold (HandleID, Version) —
+// cached, or written by an earlier step of the same chain — and responding
+// NeedData makes the master re-inline: a cache miss, never a fault.
 type AccessSpec struct {
 	HandleID int
 	Name     string
@@ -93,39 +172,50 @@ type AccessSpec struct {
 	Inline   []byte
 }
 
-// Written is one produced payload: the new contents of a written handle at
-// Version = request Version + 1 (writers are serialised by the task graph,
-// so the successor version is deterministic). Payload is an EncodePayload
-// frame.
+// Written is one produced payload: the contents of a handle the chain wrote,
+// at the version its last writing step leaves it — the version the request
+// named plus one per writing step (writers are serialised by the task graph,
+// so successor versions are deterministic). Payload is an EncodePayload frame.
 type Written struct {
 	HandleID int
 	Version  uint64
 	Payload  []byte
 }
 
-// ExecResponse reports one invocation's outcome.
+// ExecResponse reports one invocation's outcome. OK means every step ran;
+// otherwise NeedData or Error says why none of the chain's writes exist.
 type ExecResponse struct {
 	TaskID  int
 	Attempt int
 	OK      bool
 	Error   string
+	// FailedStep is the index in the chain of the step Error is about.
+	FailedStep int
 	// NeedData lists handle ids referenced by version but absent from the
 	// worker's cache; the master re-inlines and redispatches.
-	NeedData    []int
-	Written     []Written
-	ExecSeconds float64
-	Arch        string
-	Unit        string // executing lane, for merged traces ("worker0", ...)
+	NeedData []int
+	// Written holds each handle the chain wrote once, in first-write order.
+	Written []Written
+	// Ran describes each step that ran to completion, in chain order.
+	Ran  []StepRun
+	Unit string // executing lane, for merged traces ("worker0", ...)
 
-	// Spans are the trace events this invocation recorded on the worker
-	// (execution span, and any it can cheaply piggyback), with times as
-	// offsets from the worker's epoch. Shipping them on the response gives
-	// the master a live, complete span stream without a second round-trip.
+	// Spans are the trace events this invocation recorded on the worker (one
+	// execution span per step run), with times as offsets from the worker's
+	// epoch. Shipping them on the response gives the master a live, complete
+	// span stream without a second round-trip.
 	Spans []trace.Event
 	// EpochMicros is the worker process's start time (µs since the Unix
 	// epoch): the time base of the span offsets, which trace.Merge uses to
 	// align per-node timelines into one.
 	EpochMicros int64
+}
+
+// StepRun is one completed kernel execution: its time and the architecture of
+// the implementation the worker chose, which keys the perfmodel it feeds.
+type StepRun struct {
+	Seconds float64
+	Arch    string
 }
 
 // InfoResponse describes a worker to masters (GET /v1/info, JSON).

@@ -73,10 +73,19 @@ func TestClusterSmoke(t *testing.T) {
 		if len(rep.DeadNodes) != 0 || rep.Resubmissions != 0 {
 			t.Fatalf("healthy run saw failures: %+v", rep)
 		}
+		// 4×4 C tiles, each the chain of its four k-steps: sixteen requests go
+		// out, sixteen C tiles come back, and with residency following stream
+		// order nothing bounces.
+		if rep.Invocations != 16 || rep.Returns != 16 || rep.ReturnBytes == 0 {
+			t.Fatalf("%d invocations, %d returns (%d bytes); want 16 chains and one written tile each", rep.Invocations, rep.Returns, rep.ReturnBytes)
+		}
 		both := 0
 		for _, n := range rep.PerNode {
 			if n.Tasks > 0 {
 				both++
+			}
+			if n.NeedData != 0 {
+				t.Errorf("node %s bounced %d dispatches in a healthy run", n.Name, n.NeedData)
 			}
 			if n.Stragglers != 0 {
 				// Non-blocking: with ~50µs kernels, scheduler jitter alone
@@ -97,8 +106,9 @@ func TestClusterSmoke(t *testing.T) {
 	})
 
 	t.Run("WorkerKilledMidFlight", func(t *testing.T) {
-		// A bigger graph so plenty of work remains when the victim dies;
-		// kill smoke-b once the master has dispatched a meaningful prefix.
+		// A bigger graph — 64 chains of eight 128³ k-steps — so plenty of work
+		// remains when the victim dies; kill smoke-b once the master has
+		// dispatched a meaningful prefix.
 		tr := trace.New()
 		killed := make(chan struct{})
 		go func() {
@@ -108,7 +118,7 @@ func TestClusterSmoke(t *testing.T) {
 			}
 			workerB.Process.Kill()
 		}()
-		rep, verr := runMaster(t, nodes, 512, 64, tr, nil)
+		rep, verr := runMaster(t, nodes, 1024, 128, tr, nil)
 		<-killed
 		if verr != nil {
 			t.Fatalf("result wrong after mid-flight kill: %v", verr)
@@ -119,8 +129,10 @@ func TestClusterSmoke(t *testing.T) {
 		if len(rep.DeadNodes) != 1 || rep.DeadNodes[0] != "smoke-b" {
 			t.Fatalf("dead nodes = %v, want [smoke-b]", rep.DeadNodes)
 		}
-		if rep.Resubmissions == 0 {
-			t.Fatal("no resubmissions despite mid-flight kill")
+		// Resubmissions count the member tasks of the chains the victim held:
+		// eight k-steps behind each C tile.
+		if rep.Resubmissions == 0 || rep.Resubmissions%8 != 0 {
+			t.Fatalf("resubmissions = %d, want the members of at least one lost chain of 8", rep.Resubmissions)
 		}
 		t.Logf("failover: %s", rep)
 	})
@@ -213,6 +225,9 @@ func checkClusterMetrics(t *testing.T) {
 	t.Helper()
 	var b strings.Builder
 	metrics.Default.WritePrometheus(&b)
+	if !strings.Contains(b.String(), "taskrt_cluster_invocation_tasks_count 16") {
+		t.Errorf("master metrics lack the sixteen invocations' chain lengths:\n%s", grepLines(b.String(), "taskrt_cluster_invocation"))
+	}
 	for _, node := range []string{"smoke-a", "smoke-b"} {
 		for _, series := range []string{
 			`taskrt_cluster_exec_rtt_seconds_count{node="` + node + `"}`,

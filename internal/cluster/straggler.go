@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/placement"
-	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
 
@@ -56,12 +55,13 @@ func (c StragglerConfig) withDefaults() StragglerConfig {
 func (c StragglerConfig) enabled() bool { return c.Multiple > 0 }
 
 // observeResidual runs on the loop goroutine for every successful execution
-// that was placed on a perfmodel estimate; the residual is against that
-// estimate unscaled (Candidate.Exec, not the slowdown-scaled Charge).
-func (st *runState) observeResidual(n *nodeState, t *taskrt.Task, rec *inflightRec, obsSeconds float64) {
-	cfg := st.m.cfg.Straggler
-	modelEst := float64(rec.cand.Exec)
-	if !cfg.enabled() || rec.cand.Source != placement.Model || modelEst <= 0 || obsSeconds <= 0 {
+// of a chain member that was placed on a perfmodel estimate; the residual is
+// against that member's own estimate, unscaled (not the slowdown-scaled
+// Charge of the chain).
+func (st *runState) observeResidual(n *nodeState, m member, obsSeconds float64) {
+	cfg, t := st.m.cfg.Straggler, m.task
+	modelEst := float64(m.exec)
+	if !cfg.enabled() || m.src != placement.Model || modelEst <= 0 || obsSeconds <= 0 {
 		return
 	}
 	ratio := obsSeconds * 1e9 / modelEst

@@ -15,7 +15,7 @@ import (
 // execStream is the master's end of one node's execute stream: a single POST
 // whose request body carries ExecRequest values up and whose response body
 // brings ExecResponse values down, each through one gob encoder/decoder for
-// the life of the connection. Ship goroutines write, one reader goroutine
+// the life of the connection. The node's sender writes, one reader goroutine
 // reads; the pending table between them is what turns an answer, a timeout or
 // a break into exactly one evResult per invocation.
 type execStream struct {
@@ -24,11 +24,10 @@ type execStream struct {
 	body *io.PipeWriter // the request body; closed by end
 	stop context.CancelFunc
 
-	wmu sync.Mutex // one request message on the wire at a time
-	enc *gob.Encoder
+	enc *gob.Encoder // the node's sender's alone: one writer, so one request message on the wire at a time
 
 	mu      sync.Mutex
-	pending map[int]*pendingExec // by task id; the run loop keeps at most one invocation of a task in flight
+	pending map[int]*pendingExec // by the head's task id; the run loop keeps at most one invocation of a task in flight
 	err     error                // why the stream ended; nil while it is usable
 }
 
@@ -61,7 +60,7 @@ func (st *runState) openStream(n *nodeState) (*execStream, error) {
 		st: st, node: n, body: pw, stop: cancel,
 		enc: gob.NewEncoder(pw), pending: map[int]*pendingExec{},
 	}
-	st.readers.Add(1)
+	st.bg.Add(1)
 	go s.read(req)
 	return s, nil
 }
@@ -87,10 +86,7 @@ func (s *execStream) submit(rec *inflightRec, req *ExecRequest) error {
 	})
 	s.mu.Unlock()
 
-	s.wmu.Lock()
-	err := s.enc.Encode(req)
-	s.wmu.Unlock()
-	if err != nil {
+	if err := s.enc.Encode(req); err != nil {
 		// A partly written message leaves the encoder and the peer's decoder
 		// out of step: the stream is unusable from here.
 		s.fail(fmt.Errorf("writing to %s: %w", s.node.cfg.Name, err))
@@ -125,7 +121,7 @@ func (s *execStream) take(id, attempt int) *pendingExec {
 // one that dies before that leaves Do waiting on the request body, and is left
 // to the per-record timeouts and the heartbeat.
 func (s *execStream) read(req *http.Request) {
-	defer s.st.readers.Done()
+	defer s.st.bg.Done()
 	httpResp, err := s.st.m.http.Do(req)
 	if err != nil {
 		s.fail(fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err))
@@ -192,8 +188,8 @@ var (
 )
 
 // stream returns the node's open stream, opening one when there is none or
-// the last one broke. Ship goroutines of one node queue here behind a single
-// open; none is opened once the run has stopped, so shutdown retires them all.
+// the last one broke. Only the node's sender asks; none is opened once the run
+// has stopped, so shutdown retires them all.
 func (st *runState) stream(n *nodeState) (*execStream, error) {
 	n.streamMu.Lock()
 	defer n.streamMu.Unlock()

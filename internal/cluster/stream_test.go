@@ -210,11 +210,7 @@ func liveRun(t *testing.T, name string, w *Worker, srv *httptest.Server, cl *tas
 func dispatchAll(t *testing.T, st *runState, tasks []*taskrt.Task) {
 	t.Helper()
 	for _, task := range tasks {
-		n, c, ok := st.choose(task)
-		if !ok {
-			t.Fatalf("task %d: no node chosen", task.ID())
-		}
-		st.dispatch(task, n, c)
+		placeHead(t, st, task)
 	}
 }
 
@@ -288,10 +284,10 @@ func TestStreamBreakFailsEveryPendingOnce(t *testing.T) {
 			t.Fatalf("outcome %d after the cut: resp=%v err=%v, want a transport error", i, ev.resp, ev.err)
 		}
 		if failed[ev.rec] {
-			t.Fatalf("task %d failed twice", ev.rec.task.ID())
+			t.Fatalf("task %d failed twice", ev.rec.head().ID())
 		}
 		failed[ev.rec] = true
-		if done, err := st.handleResult(ev); done || err != nil {
+		if done, err := st.handleResult(ev); done != 0 || err != nil {
 			t.Fatalf("handling transport error %d: done=%v err=%v", i, done, err)
 		}
 	}
@@ -322,9 +318,7 @@ func TestStreamBreakFailsEveryPendingOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if completed {
-			done++
-		}
+		done += completed
 	}
 	for i, c := range cells {
 		if c.Data[0] != 1 {
@@ -382,10 +376,10 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 	begin := time.Now()
 	for i := 0; i < k-1; i++ {
 		ev := nextResult(t, st)
-		if ev.err != nil || ev.rec.task == hung {
-			t.Fatalf("neighbour %d of the hung kernel: task %d err %v", i, ev.rec.task.ID(), ev.err)
+		if ev.err != nil || ev.rec.head() == hung {
+			t.Fatalf("neighbour %d of the hung kernel: task %d err %v", i, ev.rec.head().ID(), ev.err)
 		}
-		if done, err := st.handleResult(ev); !done || err != nil {
+		if done, err := st.handleResult(ev); done != 1 || err != nil {
 			t.Fatalf("neighbour %d: done=%v err=%v", i, done, err)
 		}
 	}
@@ -393,10 +387,10 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 		t.Fatalf("the neighbours took %s: they waited for the hung kernel's timeout", d)
 	}
 	ev := nextResult(t, st)
-	if ev.rec.task != hung || ev.err == nil {
-		t.Fatalf("third outcome: task %d err %v, want the hung task timing out", ev.rec.task.ID(), ev.err)
+	if ev.rec.head() != hung || ev.err == nil {
+		t.Fatalf("third outcome: task %d err %v, want the hung task timing out", ev.rec.head().ID(), ev.err)
 	}
-	if done, err := st.handleResult(ev); done || err != nil {
+	if done, err := st.handleResult(ev); done != 0 || err != nil {
 		t.Fatalf("handling the timeout: done=%v err=%v", done, err)
 	}
 	stream := currentStream(n)
@@ -404,9 +398,20 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 		t.Fatalf("one timeout: stream %v, suspects %d, alive %v; want the stream kept and one suspect", stream, n.suspects, n.alive)
 	}
 
-	// The retry is a later attempt of the same task on the same stream, and
-	// hangs too; the first attempt's answer arrives while it is pending.
+	// The retry is a later attempt of the same task on the same stream. The
+	// hung kernel holds the cell checked out of the worker's cache, so the
+	// retry by reference bounces once and travels again with the master's
+	// bytes; then it hangs too, and the first attempt's answer arrives while
+	// it is pending.
 	st.attempts[hung.ID()] = 1
+	dispatchAll(t, st, []*taskrt.Task{hung})
+	ev = nextResult(t, st)
+	if ev.err != nil || len(ev.resp.NeedData) != 1 {
+		t.Fatalf("retry by reference while the hung kernel holds the cell: resp=%+v err=%v, want NeedData", ev.resp, ev.err)
+	}
+	if done, err := st.handleResult(ev); done != 0 || err != nil {
+		t.Fatalf("handling the bounce: done=%v err=%v", done, err)
+	}
 	dispatchAll(t, st, []*taskrt.Task{hung})
 	waitFor(t, "the retry to reach its kernel", func() bool { return hangs.Load() == 2 })
 	close(gates[0])
@@ -418,7 +423,7 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 	if ev.err != nil || ev.resp.Attempt != 1 {
 		t.Fatalf("retry outcome: resp=%+v err=%v, want attempt 1's answer", ev.resp, ev.err)
 	}
-	if done, err := st.handleResult(ev); !done || err != nil {
+	if done, err := st.handleResult(ev); done != 1 || err != nil {
 		t.Fatalf("retry: done=%v err=%v", done, err)
 	}
 	if currentStream(n) != stream {
@@ -431,8 +436,8 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 	}
 }
 
-// Concurrent ships to one node share its stream: whatever the interleaving,
-// every request is answered once.
+// A burst of dispatches to one node shares its stream: every request is
+// answered once.
 func TestStreamConcurrentShips(t *testing.T) {
 	const k, node = 32, "busy-node"
 	cl, err := taskrt.NewCodelet("bump",
@@ -445,7 +450,7 @@ func TestStreamConcurrentShips(t *testing.T) {
 	}
 	w, srv := startWorker(t, node, cl, WorkerConfig{Slots: 4})
 	st, cells := liveRun(t, node, w, srv, cl, k, nil)
-	dispatchAll(t, st, st.tasks) // k ship goroutines at once
+	dispatchAll(t, st, st.tasks)
 	seen := map[*inflightRec]bool{}
 	for i := 0; i < k; i++ {
 		ev := nextResult(t, st)
@@ -453,7 +458,7 @@ func TestStreamConcurrentShips(t *testing.T) {
 			t.Fatalf("outcome %d: duplicate=%v err=%v", i, seen[ev.rec], ev.err)
 		}
 		seen[ev.rec] = true
-		if done, err := st.handleResult(ev); !done || err != nil {
+		if done, err := st.handleResult(ev); done != 1 || err != nil {
 			t.Fatalf("outcome %d: done=%v err=%v", i, done, err)
 		}
 	}

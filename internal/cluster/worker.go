@@ -74,7 +74,7 @@ const DefaultTraceCap = trace.DefaultShardCapacity
 type cacheEntry struct {
 	version uint64
 	payload any
-	bytes   int64 // encoded size when it arrived inline (0 for local stores)
+	bytes   int64 // the size its AccessSpec declared
 }
 
 // Worker executes shipped codelet invocations. It is an http.Handler
@@ -85,11 +85,7 @@ type Worker struct {
 	slots    chan int // free-list of slot ids, naming trace lanes
 	start    time.Time
 
-	// tr is the node trace (cfg.Trace or private); shards are the per-slot
-	// lock-free span buffers feeding it. A shard is only touched while its
-	// slot is held, preserving the single-producer invariant.
-	tr     *trace.Trace
-	shards []*trace.Shard
+	tr     *trace.Trace // the node trace (cfg.Trace or private)
 	delays []taskrt.FaultEvent
 
 	met       *workerMetrics
@@ -208,10 +204,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w.tr.SetMeta(trace.MetaNode, cfg.Name)
 	w.tr.SetMeta(trace.MetaEpochMicros, fmt.Sprintf("%d", w.start.UnixMicro()))
-	w.shards = make([]*trace.Shard, cfg.Slots)
-	for i := range w.shards {
-		w.shards[i] = w.tr.NewShard(0)
-	}
 	w.met = newWorkerMetrics(w)
 	return w, nil
 }
@@ -335,9 +327,10 @@ func (w *Worker) logf(format string, args ...any) {
 const streamWindow = 64
 
 // handleExecute serves one execute stream: ExecRequest values are read off the
-// request body until it ends, each runs as soon as a slot frees, and every
-// ExecResponse is written and flushed the moment its kernel finishes, in
-// completion order. A one-shot POST is the stream of length one.
+// request body until it ends, each is admitted — its inline payloads cached,
+// its operands resolved — before the next is read, runs as soon as a slot
+// frees, and every ExecResponse is written and flushed the moment its chain
+// finishes, in completion order. A one-shot POST is the stream of length one.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(rw)
 	if err := rc.EnableFullDuplex(); err != nil {
@@ -395,11 +388,12 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
+		inv := w.admit(req)
 		running.Add(1)
 		go func() {
 			defer running.Done()
 			defer func() { <-window }()
-			resp := w.execute(req)
+			resp := w.execute(inv)
 			encMu.Lock()
 			defer encMu.Unlock()
 			err := enc.Encode(resp)
@@ -466,157 +460,232 @@ func (l *limitReader) ReadByte() (byte, error) {
 	return l.one[0], err
 }
 
-// execute resolves payloads, runs the kernel on a free slot and packages
-// written payloads. All failures that relate to the invocation itself come
-// back OK=false in-band; only transport-level problems surface as HTTP
-// errors (and count against the node on the master).
-func (w *Worker) execute(req *ExecRequest) *ExecResponse {
-	resp := &ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, Unit: w.cfg.Name}
-	cl, ok := w.codelets[req.Codelet]
-	if !ok {
-		resp.Error = fmt.Sprintf("worker %s has no codelet %q", w.cfg.Name, req.Codelet)
-		return resp
+// invocation is an admitted request: every step bound to its implementation
+// and its operands, or resp already saying why it cannot run.
+type invocation struct {
+	resp  *ExecResponse
+	steps []boundStep
+	// held are the write-mode operands checked out of the cache, in
+	// first-write order, each at the version the chain will leave it.
+	held []*heldPayload
+}
+
+type boundStep struct {
+	ExecStep
+	cl   *taskrt.Codelet
+	im   *taskrt.Impl
+	data []any
+}
+
+// heldPayload is a cache entry taken out while the chain that writes it runs.
+type heldPayload struct {
+	id      int
+	from    uint64 // the version it was cached at
+	version uint64 // after the chain's writes so far
+	payload any
+	bytes   int64
+}
+
+// admit binds a request to this worker, on the stream's reader goroutine and
+// so in stream order: inline payloads enter the cache at their spec version,
+// then every operand of every step resolves from the cache — or, at the
+// version an earlier step leaves it, from what the chain itself holds — and
+// the write-mode ones are checked out of it. A version that is not there
+// makes the whole invocation NeedData with nothing taken. Failures that relate
+// to the invocation come back in-band (resp.Error); only transport-level
+// problems surface as HTTP errors and count against the node on the master.
+func (w *Worker) admit(req *ExecRequest) *invocation {
+	inv := &invocation{resp: &ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, Unit: w.cfg.Name}}
+	fail := func(k int, format string, args ...any) *invocation {
+		inv.resp.FailedStep, inv.resp.Error = k, fmt.Sprintf(format, args...)
+		return inv
 	}
-	im := w.runnableImpl(cl)
-	if im == nil {
-		resp.Error = fmt.Sprintf("worker %s (archs %v) cannot run codelet %q", w.cfg.Name, w.cfg.Archs, req.Codelet)
-		return resp
+	steps := req.steps()
+	inv.steps = make([]boundStep, len(steps))
+	type inline struct {
+		spec    *AccessSpec
+		payload any
+	}
+	var inlines []inline
+	for k, s := range steps {
+		cl, ok := w.codelets[s.Codelet]
+		if !ok {
+			return fail(k, "worker %s has no codelet %q", w.cfg.Name, s.Codelet)
+		}
+		im := w.runnableImpl(cl)
+		if im == nil {
+			return fail(k, "worker %s (archs %v) cannot run codelet %q", w.cfg.Name, w.cfg.Archs, s.Codelet)
+		}
+		inv.steps[k] = boundStep{ExecStep: s, cl: cl, im: im, data: make([]any, len(s.Accesses))}
+		for i := range s.Accesses {
+			a := &s.Accesses[i]
+			if a.Inline == nil {
+				continue
+			}
+			v, err := DecodePayload(a.Inline)
+			if err != nil {
+				return fail(k, "handle %d (%s): %v", a.HandleID, a.Name, err)
+			}
+			inlines = append(inlines, inline{a, v})
+			a.Inline = nil // decoded: the frame need not live as long as the invocation
+		}
 	}
 
-	// Resolve payloads: inline data enters the cache at its spec version;
-	// references must hit the cache exactly, else the master re-inlines.
-	payloads := make([]any, len(req.Accesses))
 	w.mu.Lock()
-	for i, a := range req.Accesses {
-		if a.Inline != nil {
-			continue
-		}
-		e, ok := w.cache[a.HandleID]
-		if !ok || e.version != a.Version {
-			resp.NeedData = append(resp.NeedData, a.HandleID)
-			continue
-		}
-		payloads[i] = e.payload
+	defer w.mu.Unlock()
+	for _, in := range inlines {
+		w.cacheStoreLocked(in.spec.HandleID, in.spec.Version, in.payload, in.spec.Bytes)
 	}
-	w.mu.Unlock()
-	if len(resp.NeedData) > 0 {
+	for k := range inv.steps {
+		s := &inv.steps[k]
+		for i, a := range s.Accesses {
+			h := inv.holds(a.HandleID)
+			switch {
+			case h != nil && h.version == a.Version:
+				s.data[i] = h.payload
+			case h != nil:
+				inv.resp.NeedData = append(inv.resp.NeedData, a.HandleID)
+				continue
+			default:
+				e, ok := w.cache[a.HandleID]
+				if !ok || e.version != a.Version {
+					inv.resp.NeedData = append(inv.resp.NeedData, a.HandleID)
+					continue
+				}
+				s.data[i] = e.payload
+				if taskrt.AccessMode(a.Mode).Writes() {
+					h = &heldPayload{id: a.HandleID, from: e.version, version: e.version, payload: e.payload, bytes: e.bytes}
+					inv.held = append(inv.held, h)
+					w.cacheDeleteLocked(a.HandleID)
+				}
+			}
+			if taskrt.AccessMode(a.Mode).Writes() {
+				h.version++
+			}
+		}
+	}
+	if len(inv.resp.NeedData) > 0 {
+		// Nothing ran: what was checked out goes back as it was.
+		for _, h := range inv.held {
+			w.cacheStoreLocked(h.id, h.from, h.payload, h.bytes)
+		}
+		inv.held = nil
 		w.met.needData.Inc()
+	}
+	// The operands are bound, so trimming after them can cost this invocation
+	// nothing: one whose payloads all came inline runs whatever the cap.
+	w.cacheTrimLocked()
+	return inv
+}
+
+// holds returns the chain's checked-out copy of the handle, nil when it has
+// none. (A chain writes a handful of handles: a scan beats a map.)
+func (inv *invocation) holds(id int) *heldPayload {
+	for _, h := range inv.held {
+		if h.id == id {
+			return h
+		}
+	}
+	return nil
+}
+
+// execute runs an admitted invocation's steps in order on one slot and
+// packages what they wrote. A failing step ends the chain: what it held stays
+// out of the cache, since a kernel may have mutated it in place.
+func (w *Worker) execute(inv *invocation) *ExecResponse {
+	resp := inv.resp
+	if resp.Error != "" || len(resp.NeedData) > 0 {
 		return resp
 	}
-	for i, a := range req.Accesses {
-		if a.Inline == nil {
-			continue
-		}
-		v, err := DecodePayload(a.Inline)
-		if err != nil {
-			resp.Error = fmt.Sprintf("handle %d (%s): %v", a.HandleID, a.Name, err)
-			return resp
-		}
-		payloads[i] = v
-	}
-
 	slot := <-w.slots
 	defer func() { w.slots <- slot }()
 	resp.Unit = fmt.Sprintf("worker%d", slot)
-	resp.Arch = im.Arch
+	resp.EpochMicros = w.start.UnixMicro()
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	nth := w.execCount.Add(1)
 
-	// The synthetic task carries what kernels may consult (label, flops);
-	// identity fields stay zero — handle identity lives in the AccessSpec.
-	tc := &taskrt.TaskContext{
-		WorkerID: slot,
-		Arch:     im.Arch,
-		Data:     payloads,
-		Task:     &taskrt.Task{Codelet: cl, Flops: req.Flops, Label: req.Label},
-	}
-	begin := time.Now()
-	// Injected slowdown sleeps inside the measured window, so the delay
-	// inflates ExecSeconds, the recorded span and every model observation —
-	// indistinguishable from a genuinely slow node, which is the point.
-	if d := w.injectedDelay(int(nth)); d > 0 {
-		w.met.delayed.Add(d.Seconds())
-		time.Sleep(d)
-	}
-	err := im.Func(tc)
-	elapsed := time.Since(begin)
-	w.recordSpan(resp, req, slot, begin, elapsed, err == nil)
-	w.met.kernel.With(req.Codelet).Observe(elapsed.Seconds())
-	if err != nil {
-		// The kernel may have partially mutated write-mode payloads in
-		// place before failing. A cache-resident one would survive still
-		// tagged with its pre-write version and feed the retry corrupted
-		// data, so drop every written handle; the master re-inlines
-		// canonical bytes on the next attempt.
-		w.mu.Lock()
-		for _, a := range req.Accesses {
-			if taskrt.AccessMode(a.Mode).Writes() {
-				w.cacheDeleteLocked(a.HandleID)
-			}
+	for k := range inv.steps {
+		s := &inv.steps[k]
+		nth := w.execCount.Add(1)
+		// The synthetic task carries what kernels may consult (label, flops);
+		// identity fields stay zero — handle identity lives in the AccessSpec.
+		tc := &taskrt.TaskContext{
+			WorkerID: slot,
+			Arch:     s.im.Arch,
+			Data:     s.data,
+			Task:     &taskrt.Task{Codelet: s.cl, Flops: s.Flops, Label: s.Label},
 		}
-		w.mu.Unlock()
-		w.met.failures.With(req.Codelet).Inc()
-		resp.Error = err.Error()
-		return resp
-	}
-	resp.ExecSeconds = elapsed.Seconds()
-	w.met.executions.With(req.Codelet, im.Arch).Inc()
-
-	// Cache contents now valid here: reads at their spec version, writes at
-	// the successor version (the task graph serialises writers, so
-	// reqVersion+1 is the version the master will assign on apply).
-	w.mu.Lock()
-	for i, a := range req.Accesses {
-		mode := taskrt.AccessMode(a.Mode)
-		ver := a.Version
-		if mode.Writes() {
-			ver++
+		begin := time.Now()
+		// Injected slowdown sleeps inside the measured window, so the delay
+		// inflates the reported seconds, the recorded span and every model observation —
+		// indistinguishable from a genuinely slow node, which is the point.
+		if d := w.injectedDelay(int(nth)); d > 0 {
+			w.met.delayed.Add(d.Seconds())
+			time.Sleep(d)
 		}
-		w.cacheStoreLocked(a.HandleID, ver, payloads[i], a.Bytes)
-	}
-	w.mu.Unlock()
-	for i, a := range req.Accesses {
-		if !taskrt.AccessMode(a.Mode).Writes() {
-			continue
-		}
-		data, err := EncodePayload(payloads[i])
+		err := s.im.Func(tc)
+		elapsed := time.Since(begin)
+		w.recordSpan(resp, &s.ExecStep, slot, begin, elapsed, err == nil)
+		w.met.kernel.With(s.Codelet).Observe(elapsed.Seconds())
 		if err != nil {
-			resp.Error = fmt.Sprintf("handle %d (%s): %v", a.HandleID, a.Name, err)
+			w.met.failures.With(s.Codelet).Inc()
+			resp.FailedStep, resp.Error = k, err.Error()
 			return resp
 		}
-		resp.Written = append(resp.Written, Written{HandleID: a.HandleID, Version: a.Version + 1, Payload: data})
-	}
-	resp.OK = true
-
-	if req.Flops > 0 {
-		if w.cfg.Models != nil {
-			if err := w.cfg.Models.Model(req.Codelet, im.Arch).Record(req.Flops, elapsed.Seconds()); err != nil {
-				w.logf("cluster: worker %s: recording observation: %v", w.cfg.Name, err)
+		resp.Ran = append(resp.Ran, StepRun{Seconds: elapsed.Seconds(), Arch: s.im.Arch})
+		w.met.executions.With(s.Codelet, s.im.Arch).Inc()
+		if s.Flops > 0 {
+			if w.cfg.Models != nil {
+				if err := w.cfg.Models.Model(s.Codelet, s.im.Arch).Record(s.Flops, elapsed.Seconds()); err != nil {
+					w.logf("cluster: worker %s: recording observation: %v", w.cfg.Name, err)
+				}
+			}
+			if w.cfg.OnObservation != nil {
+				w.cfg.OnObservation(s.Codelet, s.im.Arch, s.Flops, elapsed.Seconds())
 			}
 		}
-		if w.cfg.OnObservation != nil {
-			w.cfg.OnObservation(req.Codelet, im.Arch, req.Flops, elapsed.Seconds())
-		}
 	}
+
+	for _, h := range inv.held {
+		data, err := EncodePayload(h.payload)
+		if err != nil {
+			resp.FailedStep, resp.Error = len(inv.steps)-1, fmt.Sprintf("handle %d: %v", h.id, err)
+			resp.Written = nil
+			return resp
+		}
+		resp.Written = append(resp.Written, Written{HandleID: h.id, Version: h.version, Payload: data})
+	}
+	// Every step succeeded: what the chain wrote is valid here at the version
+	// the master will assign on apply.
+	w.mu.Lock()
+	for _, h := range inv.held {
+		w.cacheStoreLocked(h.id, h.version, h.payload, h.bytes)
+	}
+	w.cacheTrimLocked()
+	w.mu.Unlock()
+	resp.OK = true
 	return resp
 }
 
-// cacheStoreLocked inserts under the entry cap, evicting arbitrarily when
-// full (misses self-heal via NeedData), and keeps the declared-bytes
+// cacheStoreLocked inserts or replaces an entry, keeping the declared-bytes
 // accounting the /healthz and /metrics surfaces report.
 func (w *Worker) cacheStoreLocked(id int, ver uint64, payload any, bytes int64) {
-	if _, exists := w.cache[id]; !exists && len(w.cache) >= w.cfg.CacheEntries {
-		for victim := range w.cache {
-			w.cacheDeleteLocked(victim)
-			break
-		}
-	}
 	if old, exists := w.cache[id]; exists {
 		w.cacheBytes -= old.bytes
 	}
 	w.cache[id] = cacheEntry{version: ver, payload: payload, bytes: bytes}
 	w.cacheBytes += bytes
+}
+
+// cacheTrimLocked evicts arbitrarily down to the entry cap; misses self-heal
+// via NeedData.
+func (w *Worker) cacheTrimLocked() {
+	for victim := range w.cache {
+		if len(w.cache) <= w.cfg.CacheEntries {
+			return
+		}
+		w.cacheDeleteLocked(victim)
+	}
 }
 
 // cacheDeleteLocked removes an entry, keeping the byte accounting honest.
@@ -644,11 +713,10 @@ func (w *Worker) injectedDelay(nth int) time.Duration {
 	return time.Duration(total * float64(time.Second))
 }
 
-// recordSpan writes the execution span into the slot's shard, flushes it to
-// the node trace (so /v1/trace readers see it immediately) and piggybacks it
-// on the response — the push half of distributed trace propagation. The
-// shard is owned by the held slot, so Record never contends.
-func (w *Worker) recordSpan(resp *ExecResponse, req *ExecRequest, slot int, begin time.Time, elapsed time.Duration, ok bool) {
+// recordSpan writes a step's execution span into the node trace (so /v1/trace
+// readers see it immediately; the trace enforces TraceCap) and piggybacks it
+// on the response — the push half of distributed trace propagation.
+func (w *Worker) recordSpan(resp *ExecResponse, step *ExecStep, slot int, begin time.Time, elapsed time.Duration, ok bool) {
 	kind := trace.Task
 	if !ok {
 		kind = trace.Failure
@@ -658,16 +726,14 @@ func (w *Worker) recordSpan(resp *ExecResponse, req *ExecRequest, slot int, begi
 		Kind:      kind,
 		Unit:      resp.Unit,
 		Node:      w.cfg.Name,
-		Label:     req.Label,
-		TaskID:    req.TaskID,
-		ParentIDs: req.Parents,
-		Attempt:   req.Attempt,
+		Label:     step.Label,
+		TaskID:    step.TaskID,
+		ParentIDs: step.Parents,
+		Attempt:   step.Attempt,
 		Worker:    slot,
 		Start:     start,
 		End:       start + elapsed.Seconds(),
 	}
-	w.shards[slot].Record(e)
-	w.shards[slot].Flush()
+	w.tr.Record(e)
 	resp.Spans = append(resp.Spans, e)
-	resp.EpochMicros = w.start.UnixMicro()
 }

@@ -112,24 +112,31 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 		return nil, err
 	}
 
+	mb := func(bytes int64) string { return f2(float64(bytes) / (1 << 20)) }
 	res := &Result{
 		Name:    fmt.Sprintf("cluster: distributed tiled DGEMM n=%d tile=%d (%d nodes)", cfg.N, cfg.Tile, len(nodes)),
-		Headers: []string{"node", "tasks", "busy_s", "util", "shipped_MB", "resubmits", "dead"},
+		Headers: []string{"node", "tasks", "invocations", "busy_s", "util", "shipped_MB", "returned_MB", "resubmits", "dead"},
 	}
 	for _, n := range rep.PerNode {
 		util := 0.0
 		if rep.MakespanSeconds > 0 {
 			util = n.BusySeconds / rep.MakespanSeconds
 		}
-		res.AddRow(n.Name, fmt.Sprint(n.Tasks), f4(n.BusySeconds), f2(util),
-			f2(float64(n.TransferBytes)/(1<<20)), fmt.Sprint(n.Resubmits), fmt.Sprint(n.Dead))
+		res.AddRow(n.Name, fmt.Sprint(n.Tasks), fmt.Sprint(n.Invocations), f4(n.BusySeconds), f2(util),
+			mb(n.TransferBytes), mb(n.ReturnBytes), fmt.Sprint(n.Resubmits), fmt.Sprint(n.Dead))
 	}
-	res.AddRow("total", fmt.Sprint(rep.Tasks), f4(rep.MakespanSeconds), "",
-		f2(float64(rep.TransferBytes)/(1<<20)), fmt.Sprint(rep.Resubmissions), strings.Join(rep.DeadNodes, " "))
+	res.AddRow("total", fmt.Sprint(rep.Tasks), fmt.Sprint(rep.Invocations), f4(rep.MakespanSeconds), "",
+		mb(rep.TransferBytes), mb(rep.ReturnBytes), fmt.Sprint(rep.Resubmissions), strings.Join(rep.DeadNodes, " "))
+	// ship_ratio is bytes sent down over the three operands' size. Its floor
+	// for p nodes that each take a band of C's rows: every node needs its
+	// band of A and of C and all of B, (2 + p)/3 of the operands in all.
+	operands := 3 * 8 * float64(cfg.N) * float64(cfg.N)
 	res.Notes = append(res.Notes,
 		"result verified against local blocked GEMM",
-		fmt.Sprintf("makespan %.4fs, %d transfers (%0.1f MB shipped)",
-			rep.MakespanSeconds, rep.Transfers, float64(rep.TransferBytes)/(1<<20)))
+		fmt.Sprintf("makespan %.4fs, %d tasks in %d invocations, %d transfers (%s MB shipped), %d returns (%s MB returned)",
+			rep.MakespanSeconds, rep.Tasks, rep.Invocations, rep.Transfers, mb(rep.TransferBytes), rep.Returns, mb(rep.ReturnBytes)),
+		fmt.Sprintf("ship_ratio %.2f against a %d-node bound of %.2f",
+			float64(rep.TransferBytes)/operands, len(nodes), float64(2+len(nodes))/3))
 	if rep.FailedAttempts > 0 || rep.Resubmissions > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf("fault tolerance: %d failed attempts, %d task(s) retried, %d resubmission(s)",
 			rep.FailedAttempts, rep.RetriedTasks, rep.Resubmissions))

@@ -223,7 +223,11 @@ func (t *Trace) enforceLimitLocked() {
 		}
 		t.dropped += uint64(over)
 		t.droppedTotal += uint64(over)
-		t.events = append(t.events[:0], t.events[over:]...)
+		// Slide, don't shift: a trace at its limit drops one event per Record,
+		// and moving the other limit−1 down each time is what a cluster worker
+		// past its TraceCap would pay per kernel. The array's dead prefix is
+		// let go when append next outgrows it.
+		t.events = t.events[over:]
 	}
 }
 

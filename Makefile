@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
+.PHONY: build test vet lint-engine-state race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# lint-engine-state keeps the engines' per-run books in tables indexed by
+# Task.ID()/Handle.ID() (dense by construction): no map keyed by a task or
+# handle pointer, and none keyed by an id, may grow back in the files that hold
+# engine state.
+lint-engine-state:
+	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -65,10 +72,10 @@ fuzz:
 bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# verify is the tier-1 gate: build, full tests, vet, race subset, the
-# portable-kernel build, crash/recovery suite, multi-process cluster smoke,
-# benchmark tests.
-verify: build test vet race test-purego crash-test cluster-test bench-test
+# verify is the tier-1 gate: build, full tests, vet, the engine-state lint,
+# race subset, the portable-kernel build, crash/recovery suite, multi-process
+# cluster smoke, benchmark tests.
+verify: build test vet lint-engine-state race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

@@ -32,9 +32,6 @@ func cellRun(t *testing.T, servers map[string]*httptest.Server, workers map[stri
 		mut(&cfg)
 	}
 	st := newRunState(t, cfg, build)
-	for _, task := range st.tasks {
-		st.indeg[task.ID()] = len(task.Deps())
-	}
 	for _, n := range st.nodes {
 		st.nodeUp(n, workers[n.cfg.Name].Info())
 	}
@@ -75,7 +72,43 @@ func placeHead(t testing.TB, st *runState, head *taskrt.Task) *inflightRec {
 		t.Fatalf("task %d: no node chosen", head.ID())
 	}
 	st.dispatch(n, chain, c)
-	return st.inflight[head.ID()]
+	return st.task[head.ID()].inflight
+}
+
+// inflightRecs lists the invocations in flight, each once, in the order of
+// their first member.
+func (st *runState) inflightRecs() []*inflightRec {
+	var recs []*inflightRec
+	seen := map[*inflightRec]bool{}
+	for i := range st.task {
+		if rec := st.task[i].inflight; rec != nil && !seen[rec] {
+			seen[rec] = true
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// doneCount is how many tasks the master has applied.
+func (st *runState) doneCount() int {
+	k := 0
+	for i := range st.task {
+		if st.task[i].done {
+			k++
+		}
+	}
+	return k
+}
+
+// residents is how many handles the node is believed to cache.
+func (n *nodeState) residents() int {
+	k := 0
+	for _, c := range n.has {
+		if c.ok {
+			k++
+		}
+	}
+	return k
 }
 
 // checkBacklog asserts Σ node backlog == Σ Charge() of in-flight records, one
@@ -83,13 +116,13 @@ func placeHead(t testing.TB, st *runState, head *taskrt.Task) *inflightRec {
 func checkBacklog(t *testing.T, st *runState) {
 	t.Helper()
 	charged, held := map[*nodeState]int64{}, map[*nodeState]int{}
-	seen := map[*inflightRec]bool{}
-	for _, rec := range st.inflight {
-		if !seen[rec] {
-			seen[rec] = true
-			charged[rec.node] += rec.cand.Charge()
-			held[rec.node]++
-		}
+	recs := st.inflightRecs()
+	if len(recs) != st.flying {
+		t.Fatalf("%d records in flight by the task table, %d by the counter", len(recs), st.flying)
+	}
+	for _, rec := range recs {
+		charged[rec.node] += rec.cand.Charge()
+		held[rec.node]++
 	}
 	for _, n := range st.nodes {
 		if n.backlog != charged[n] || (n.alive && n.maxCred-n.credits != held[n]) {
@@ -127,7 +160,7 @@ func TestChainMidChainKernelFailure(t *testing.T) {
 		t.Fatalf("the chain behind the head has %d members, want %d", len(rec.members), length)
 	}
 	for _, task := range st.tasks {
-		if st.inflight[task.ID()] != rec {
+		if st.task[task.ID()].inflight != rec {
 			t.Fatalf("member %d does not map to the chain's record", task.ID())
 		}
 	}
@@ -140,23 +173,23 @@ func TestChainMidChainKernelFailure(t *testing.T) {
 	if done, err := st.handleResult(ev); done != 0 || err != nil {
 		t.Fatalf("handling the failure: done=%d err=%v", done, err)
 	}
-	if st.ver[h] != 0 || cell.Data[0] != 0 || len(st.done) != 0 {
-		t.Fatalf("after a failed chain: version %d, cell %g, %d tasks done; want the pre-chain state", st.ver[h], cell.Data[0], len(st.done))
+	if st.ver[h] != 0 || cell.Data[0] != 0 || st.doneCount() != 0 {
+		t.Fatalf("after a failed chain: version %d, cell %g, %d tasks done; want the pre-chain state", st.ver[h], cell.Data[0], st.doneCount())
 	}
 	for i, task := range st.tasks {
 		want := 0
 		if i == failAt {
 			want = 1
 		}
-		if st.attempts[task.ID()] != want {
-			t.Errorf("member %d charged %d attempts, want %d", i, st.attempts[task.ID()], want)
+		if st.task[task.ID()].attempts != want {
+			t.Errorf("member %d charged %d attempts, want %d", i, st.task[task.ID()].attempts, want)
 		}
 	}
-	if _, resident := n.has[h]; resident {
+	if n.has[h].ok {
 		t.Error("the failed chain's written handle is still believed resident")
 	}
-	if len(st.inflight) != 0 {
-		t.Errorf("%d member ids still map to the failed record", len(st.inflight))
+	if recs := st.inflightRecs(); len(recs) != 0 || st.flying != 0 {
+		t.Errorf("%d records still in flight (counter %d) after the failed one was handled", len(recs), st.flying)
 	}
 	checkBacklog(t, st)
 
@@ -165,8 +198,8 @@ func TestChainMidChainKernelFailure(t *testing.T) {
 	if done, err := st.handleResult(ev); done != length || err != nil {
 		t.Fatalf("retry: done=%d err=%v (resp %+v)", done, err, ev.resp)
 	}
-	if cell.Data[0] != length || st.ver[h] != length || n.has[h] != length {
-		t.Fatalf("after the retry: cell %g at version %d (node believed at %d), want %d applications", cell.Data[0], st.ver[h], n.has[h], length)
+	if cell.Data[0] != length || st.ver[h] != length || !n.hasVersion(h, length) {
+		t.Fatalf("after the retry: cell %g at version %d (node believed at %+v), want %d applications", cell.Data[0], st.ver[h], n.has[h], length)
 	}
 	if n.stats.Returns != 1 || n.stats.Invocations != 2 || n.stats.Tasks != length {
 		t.Errorf("stats %+v: want one written payload for the chain, two invocations, %d tasks", n.stats, length)
@@ -203,7 +236,7 @@ func TestChainNeedDataAtLaterStep(t *testing.T) {
 	})
 	n, head := st.nodes[0], st.tasks[0]
 	c, x := st.tasks[1].Accesses[1].Handle.ID(), st.tasks[1].Accesses[0].Handle.ID()
-	n.has[x] = 0 // a stale belief: the worker never saw it
+	n.has[x] = cached{0, true} // a stale belief: the worker never saw it
 
 	if rec := placeHead(t, st, head); len(rec.members) != 3 {
 		t.Fatalf("chain of %d members, want 3", len(rec.members))
@@ -218,9 +251,9 @@ func TestChainNeedDataAtLaterStep(t *testing.T) {
 	if done, err := st.handleResult(ev); done != 0 || err != nil {
 		t.Fatalf("handling NeedData: done=%d err=%v", done, err)
 	}
-	if len(st.ready) != 1 || st.ready[0] != head || st.ver[c] != 0 || len(n.has) != 0 || st.attempts[head.ID()] != 0 {
+	if len(st.ready) != 1 || st.ready[0] != head || st.ver[c] != 0 || n.residents() != 0 || st.task[head.ID()].attempts != 0 {
 		t.Fatalf("after the bounce: ready %v, version %d, residency %v, attempts %d; want the head ready at once and everything the chain touches forgotten",
-			st.ready, st.ver[c], n.has, st.attempts[head.ID()])
+			st.ready, st.ver[c], n.has, st.task[head.ID()].attempts)
 	}
 	st.dispatchReady()
 	if done, err := st.handleResult(nextResult(t, st)); done != 3 || err != nil {
@@ -264,8 +297,8 @@ func TestChainNodeKilledMidChain(t *testing.T) {
 	if first.node.stats.Resubmits != length || st.resubmissions != length {
 		t.Fatalf("resubmissions = %d (node %d), want every member of the lost chain: %d", st.resubmissions, first.node.stats.Resubmits, length)
 	}
-	if len(st.inflight) != 0 {
-		t.Fatalf("%d member ids still in flight on the dead node", len(st.inflight))
+	if recs := st.inflightRecs(); len(recs) != 0 || st.flying != 0 {
+		t.Fatalf("%d records still in flight on the dead node (counter %d)", len(recs), st.flying)
 	}
 	checkBacklog(t, st)
 
@@ -282,8 +315,8 @@ func TestChainNodeKilledMidChain(t *testing.T) {
 	if done, err := st.handleResult(late); done != 0 || err != nil {
 		t.Fatalf("late result: done=%d err=%v, want it dropped", done, err)
 	}
-	if cell.Data[0] != 0 || len(st.done) != 0 {
-		t.Fatalf("the late result moved state: cell %g, %d done", cell.Data[0], len(st.done))
+	if cell.Data[0] != 0 || st.doneCount() != 0 {
+		t.Fatalf("the late result moved state: cell %g, %d done", cell.Data[0], st.doneCount())
 	}
 	gates[1].open()
 	if done, err := st.handleResult(nextResult(t, st)); done != length || err != nil {
@@ -732,5 +765,61 @@ func runRandomGraph(t *testing.T, seed int64) {
 	}
 	if applied != tasks {
 		t.Errorf("seed %d: %d tasks applied, want each of %d exactly once", seed, applied, tasks)
+	}
+}
+
+// The backoff before a chain's retry follows the member whose attempt failed,
+// by taskrt's one formula (base·2^(n−1) after its n-th failure): a chain whose
+// third step keeps failing waits base, then twice base. The master used to
+// read the head's count — never charged here — and so retried at a flat base,
+// and its own shift was one doubling ahead of the formula.
+func TestBackoffFollowsFailingMember(t *testing.T) {
+	const length, failAt, base = 4, 2, 80 * time.Millisecond
+	cl, err := taskrt.NewCodelet("bump",
+		taskrt.Impl{Arch: "x86", Func: func(tc *taskrt.TaskContext) error {
+			if tc.Task.Label == strconv.Itoa(failAt) {
+				return fmt.Errorf("step %d always fails", failAt)
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, srv := startWorker(t, "n", cl, WorkerConfig{})
+	st := cellRun(t, map[string]*httptest.Server{"n": srv}, map[string]*Worker{"n": w},
+		func(cfg *Config) { cfg.BackoffBase, cfg.BackoffCap = base, 8*base },
+		cellChain(cl, blas.NewMatrix(1, 1), length))
+	head := st.tasks[0]
+
+	for failure, factor := range []time.Duration{1, 2} {
+		placeHead(t, st, head)
+		ev := nextResult(t, st)
+		if ev.err != nil || ev.resp.OK || ev.resp.FailedStep != failAt {
+			t.Fatalf("outcome %d: resp=%+v err=%v, want an in-band failure at step %d", failure, ev.resp, ev.err, failAt)
+		}
+		handled := time.Now()
+		if done, err := st.handleResult(ev); done != 0 || err != nil {
+			t.Fatalf("handling failure %d: done=%d err=%v", failure, done, err)
+		}
+		if got := st.task[st.tasks[failAt].ID()].attempts; got != failure+1 || st.task[head.ID()].attempts != 0 {
+			t.Fatalf("after failure %d: the failing member is charged %d attempts and the head %d", failure, got, st.task[head.ID()].attempts)
+		}
+		select {
+		case ev := <-st.events:
+			if ev.kind != evRequeue || ev.task != head {
+				t.Fatalf("after failure %d: event %+v, want the head requeued", failure, ev)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("failure %d: the head was never requeued", failure)
+		}
+		// A timer never fires early, so the lower bound is exact; the upper one
+		// only has to tell this step from the next doubling on a busy host.
+		want := factor * base
+		if waited := time.Since(handled); waited < want-time.Millisecond || waited >= 2*want {
+			t.Fatalf("failure %d of the member: the chain waited %v, want %v (base %v doubled per failure of that member)", failure+1, waited, want, base)
+		}
+	}
+	if st.retriedTasks != 1 || st.failedAttempts != 2 {
+		t.Fatalf("%d tasks retried over %d failed attempts, want 1 over 2", st.retriedTasks, st.failedAttempts)
 	}
 }

@@ -956,22 +956,17 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &nodeState{cfg: NodeConfig{Name: "n"}, alive: true, has: map[int]uint64{}}
-	st := &runState{
-		m: m, tasks: tasks, handles: handles,
-		ver:   make([]uint64, len(handles)),
-		indeg: map[int]int{}, attempts: map[int]int{},
-		done: map[int]bool{}, inflight: map[int]*inflightRec{},
-		events: make(chan event, 4), stop: make(chan struct{}),
-		start: time.Now(), retriedTasks: map[int]bool{},
-		nodes: []*nodeState{n},
+	st, err := m.newRun(tasks, handles)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer close(st.stop)
-	task := tasks[0]
+	n, task := st.nodes[0], tasks[0]
+	n.alive = true
 	// NeedData bounce: suspects reset, stale residency dropped.
-	n.suspects, n.has[h.ID()] = 1, 0
+	n.suspects, n.has[h.ID()] = 1, cached{0, true}
 	rec := &inflightRec{members: []member{{task: task}}, node: n}
-	st.inflight[task.ID()] = rec
+	st.task[task.ID()].inflight = rec
 	if done, err := st.handleResult(event{kind: evResult, rec: rec,
 		resp: &ExecResponse{TaskID: task.ID(), NeedData: []int{h.ID()}}}); done != 0 || err != nil {
 		t.Fatalf("NeedData handling: done=%v err=%v", done, err)
@@ -979,15 +974,15 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	if n.suspects != 0 {
 		t.Fatalf("NeedData round-trip left suspects=%d, want 0", n.suspects)
 	}
-	if _, resident := n.has[h.ID()]; resident {
+	if n.has[h.ID()].ok {
 		t.Fatal("NeedData must drop the stale residency belief")
 	}
 
 	// In-band failure: suspects reset, written-handle residency dropped.
 	st.ready = nil
-	n.suspects, n.has[h.ID()] = 1, 1
+	n.suspects, n.has[h.ID()] = 1, cached{1, true}
 	rec = &inflightRec{members: []member{{task: task}}, node: n}
-	st.inflight[task.ID()] = rec
+	st.task[task.ID()].inflight = rec
 	if done, err := st.handleResult(event{kind: evResult, rec: rec,
 		resp: &ExecResponse{TaskID: task.ID(), Error: "kernel exploded"}}); done != 0 || err != nil {
 		t.Fatalf("in-band failure handling: done=%v err=%v", done, err)
@@ -995,7 +990,7 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	if n.suspects != 0 {
 		t.Fatalf("in-band failure left suspects=%d, want 0", n.suspects)
 	}
-	if _, resident := n.has[h.ID()]; resident {
+	if n.has[h.ID()].ok {
 		t.Fatal("in-band failure must drop residency of written handles (worker dropped its copy)")
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // DebugHandler is the master-side observability surface: the live merged
-// cluster trace (republished every Config.PublishEvery completions while a
-// run progresses), the process metrics including the taskrt_cluster_*
+// cluster trace (republished every publishEvery completions while a run
+// progresses), the process metrics including the taskrt_cluster_*
 // families, and pprof. A master is usually embedded (pdlbench, a test, an
 // application), so this is a handler to mount rather than a daemon feature —
 // pdlserved wires the equivalent endpoints itself.

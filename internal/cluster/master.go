@@ -57,8 +57,9 @@ type Config struct {
 	HeartbeatEvery   time.Duration // default 250ms
 	HeartbeatTimeout time.Duration // default = HeartbeatEvery
 	HeartbeatMisses  int           // default 3
-	// Retry backoff for failed attempts: BackoffBase doubled per attempt,
-	// capped at BackoffCap. Defaults 25ms / 1s.
+	// Retry backoff: BackoffBase after a task's first failed attempt, doubled
+	// per further one, capped at BackoffCap (taskrt.RetryPolicy.Backoff).
+	// Defaults 25ms / 1s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// AllDeadTimeout aborts the run after every node has been dead this
@@ -77,11 +78,6 @@ type Config struct {
 	// flag at 4× the model estimate after 3 samples; set Multiple negative
 	// to disable).
 	Straggler StragglerConfig
-	// PublishEvery is how many task completions elapse between live
-	// re-publishes of the merged cluster trace to trace.Published (the
-	// /debug/trace surface). Default 64; negative disables live publishing
-	// (the final merge still lands in Report.Trace).
-	PublishEvery int
 	// Name is the master's node label in traces. Default "master".
 	Name string
 	// HTTP is the data-plane client, which holds one streaming POST per node
@@ -211,15 +207,16 @@ func NewMaster(cfg Config) (*Master, error) {
 		cfg.Name = "master"
 	}
 	cfg.Straggler = cfg.Straggler.withDefaults()
-	if cfg.PublishEvery == 0 {
-		cfg.PublishEvery = 64
-	}
 	m := &Master{cfg: cfg, http: cfg.HTTP}
 	if m.http == nil {
 		m.http = &http.Client{}
 	}
 	return m, nil
 }
+
+// publishEvery is how many task completions elapse between live re-publishes
+// of the merged cluster trace to trace.Published (the /debug/trace surface).
+const publishEvery = 64
 
 // lanLink prices the master→node path when the platform declares no route
 // for it, and stands in for an undeclared property on a hop of one that it
@@ -264,10 +261,11 @@ type nodeState struct {
 	// flight on the node, nanoseconds: dispatch adds it, release returns it.
 	backlog  int64
 	suspects int // consecutive transport errors on the data plane
-	// has is the version of each handle the node's cache is believed to hold:
-	// recorded when a payload is dispatched inline (the stream delivers it
-	// before anything dispatched later) and when a chain's writes are applied.
-	has map[int]uint64
+	// has is the version of each handle, by id, the node's cache is believed
+	// to hold: recorded when a payload is dispatched inline (the stream
+	// delivers it before anything dispatched later) and when a chain's writes
+	// are applied.
+	has []cached
 
 	link placement.Link    // the master→node route
 	obs  placement.History // kernel time observed on this node
@@ -301,8 +299,14 @@ type event struct {
 	info InfoResponse
 }
 
+// cached is a node's believed copy of one handle; the zero value is "none".
+type cached struct {
+	ver uint64
+	ok  bool
+}
+
 // inflightRec is one invocation in flight: a chain of tasks on a node. Every
-// member's id maps to it in runState.inflight.
+// member's taskState points at it.
 type inflightRec struct {
 	members  []member // the chain, head first
 	node     *nodeState
@@ -328,7 +332,7 @@ func (rec *inflightRec) forgetResidency(writtenOnly bool) {
 	for _, m := range rec.members {
 		for _, a := range m.task.Accesses {
 			if !writtenOnly || a.Mode.Writes() {
-				delete(rec.node.has, a.Handle.ID())
+				rec.node.has[a.Handle.ID()] = cached{}
 			}
 		}
 	}
@@ -354,12 +358,11 @@ type runState struct {
 	handles []*taskrt.Handle
 	nodes   []*nodeState
 
-	ver      []uint64 // current version per handle id
-	indeg    map[int]int
-	attempts map[int]int
-	done     map[int]bool
-	inflight map[int]*inflightRec
-	ready    []*taskrt.Task
+	ver    []uint64    // current version per handle id
+	walk   []uint64    // eachAccess's scratch per handle id, zero between walks
+	task   []taskState // by task id
+	flying int         // invocations in flight
+	ready  []*taskrt.Task
 
 	obs    placement.History // kernel time observed on every node: the cold estimate
 	cursor uint64            // placement.Pick cursor, advanced per choose
@@ -370,7 +373,7 @@ type runState struct {
 	start  time.Time
 
 	failedAttempts int
-	retriedTasks   map[int]bool
+	retriedTasks   int
 	resubmissions  int
 
 	// Worker-side kernel spans, keyed by (node, process epoch) so a
@@ -380,6 +383,14 @@ type runState struct {
 	nodeTraces     map[nodeEpoch]*trace.Trace
 	nodeTraceOrder []nodeEpoch
 	sincePublish   int
+}
+
+// taskState is the master's record of one task.
+type taskState struct {
+	indeg    int          // dependencies not yet done
+	attempts int          // in-band failures charged to it
+	done     bool         // applied, exactly once
+	inflight *inflightRec // the invocation carrying it now, if any
 }
 
 // nodeEpoch identifies one worker process incarnation.
@@ -413,6 +424,41 @@ func (m *Master) logf(format string, args ...any) {
 	}
 }
 
+// newRun builds the state of one run over a graph: a record per task, a
+// version per handle, and every configured node — down until its heartbeat
+// says otherwise — with the price of its link from the master.
+func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runState, error) {
+	st := &runState{
+		m:       m,
+		tasks:   tasks,
+		handles: handles,
+		ver:     make([]uint64, len(handles)),
+		walk:    make([]uint64, len(handles)),
+		task:    make([]taskState, len(tasks)),
+		events:  make(chan event, 64),
+		stop:    make(chan struct{}),
+		start:   time.Now(),
+	}
+	for _, t := range tasks {
+		st.task[t.ID()].indeg = len(t.Deps())
+	}
+	for _, nc := range m.cfg.Nodes {
+		ctl, err := client.New(nc.Addr,
+			client.WithHTTPClient(&http.Client{Timeout: m.cfg.HeartbeatTimeout}),
+			client.WithRetry(0, 0))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: node %s: %v", nc.Name, err)
+		}
+		n := &nodeState{cfg: nc, ctl: ctl, has: make([]cached, len(handles)), link: lanLink}
+		n.stats.Name = nc.Name
+		if l, ok := placement.RouteLink(m.cfg.Platform, m.cfg.MasterPU, nc.PU, lanLink); ok {
+			n.link = l
+		}
+		st.nodes = append(st.nodes, n)
+	}
+	return st, nil
+}
+
 // Run executes a fully-submitted (and not yet run) Runtime's graph across
 // the configured nodes, applying results into the Runtime's handle payloads
 // exactly once. It is the cluster-wide counterpart of Runtime.Run.
@@ -424,19 +470,9 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	if len(tasks) == 0 {
 		return &Report{}, nil
 	}
-	st := &runState{
-		m:            m,
-		tasks:        tasks,
-		handles:      handles,
-		ver:          make([]uint64, len(handles)),
-		indeg:        make(map[int]int, len(tasks)),
-		attempts:     map[int]int{},
-		done:         make(map[int]bool, len(tasks)),
-		inflight:     map[int]*inflightRec{},
-		events:       make(chan event, 64),
-		stop:         make(chan struct{}),
-		start:        time.Now(),
-		retriedTasks: map[int]bool{},
+	st, err := m.newRun(tasks, handles)
+	if err != nil {
+		return nil, err
 	}
 	defer st.shutdown()
 
@@ -444,27 +480,12 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		tr.SetMeta(trace.MetaNode, m.cfg.Name)
 		tr.SetMeta(trace.MetaEpochMicros, fmt.Sprintf("%d", st.start.UnixMicro()))
 	}
-
-	for _, nc := range m.cfg.Nodes {
-		ctl, err := client.New(nc.Addr,
-			client.WithHTTPClient(&http.Client{Timeout: m.cfg.HeartbeatTimeout}),
-			client.WithRetry(0, 0))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %s: %v", nc.Name, err)
-		}
-		n := &nodeState{cfg: nc, ctl: ctl, has: map[int]uint64{}, link: lanLink}
-		n.stats.Name = nc.Name
-		if l, ok := placement.RouteLink(m.cfg.Platform, m.cfg.MasterPU, nc.PU, lanLink); ok {
-			n.link = l
-		}
-		st.nodes = append(st.nodes, n)
-		cm.nodeUp.With(nc.Name).Set(0)
-		cm.reconnects.With(nc.Name) // the series exists from the first scrape, at 0
+	for _, n := range st.nodes {
+		cm.nodeUp.With(n.cfg.Name).Set(0)
+		cm.reconnects.With(n.cfg.Name) // the series exists from the first scrape, at 0
 		go st.heartbeat(n)
 	}
-
 	for _, t := range tasks {
-		st.indeg[t.ID()] = len(t.Deps())
 		if len(t.Deps()) == 0 {
 			st.ready = append(st.ready, t)
 		}
@@ -479,7 +500,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	}()
 	for remaining > 0 {
 		st.dispatchReady()
-		if len(st.inflight) == 0 && len(st.ready) > 0 && st.aliveCount() > 0 {
+		if st.flying == 0 && len(st.ready) > 0 && st.aliveCount() > 0 {
 			// Nothing in flight means every alive node has full credit, yet
 			// no ready task was placeable: the codelet runs nowhere.
 			t := st.ready[0]
@@ -515,7 +536,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 			if completed > 0 {
 				remaining -= completed
 				st.sincePublish += completed
-				if m.cfg.PublishEvery > 0 && st.sincePublish >= m.cfg.PublishEvery {
+				if st.sincePublish >= publishEvery {
 					st.publishMerged()
 					st.sincePublish = 0
 				}
@@ -527,7 +548,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		Tasks:           len(tasks),
 		MakespanSeconds: time.Since(st.start).Seconds(),
 		FailedAttempts:  st.failedAttempts,
-		RetriedTasks:    len(st.retriedTasks),
+		RetriedTasks:    st.retriedTasks,
 		Resubmissions:   st.resubmissions,
 	}
 	for _, n := range st.nodes {
@@ -658,7 +679,7 @@ func (st *runState) nodeUp(n *nodeState, info InfoResponse) {
 	// believed resident — every first access re-inlines — and talk to it on a
 	// fresh stream. Whatever the old one still owed was resubmitted by
 	// nodeDown.
-	n.has = map[int]uint64{}
+	clear(n.has)
 	n.retireStream()
 	n.maxCred = st.m.cfg.MaxInflight
 	if n.maxCred <= 0 {
@@ -693,8 +714,8 @@ func (st *runState) nodeDown(n *nodeState) {
 	n.slowEWMA, n.slowSamples = 0, 0
 	st.m.logf("cluster: node %s dead; resubmitting its in-flight tasks", n.cfg.Name)
 	st.instant(trace.Event{Kind: trace.Blacklist, Node: n.cfg.Name, TaskID: trace.NoTask})
-	for _, rec := range st.inflight {
-		if rec.node == n && st.release(rec) {
+	for i := range st.task {
+		if rec := st.task[i].inflight; rec != nil && rec.node == n && st.release(rec) {
 			st.resubmit(rec)
 		}
 	}
@@ -714,7 +735,7 @@ func (st *runState) resubmit(rec *inflightRec) {
 	n.stats.Resubmits += lost
 	st.resubmissions += lost
 	cm.resubmits.With(n.cfg.Name).Add(float64(lost))
-	st.requeueWithBackoff(rec.head())
+	st.requeueWithBackoff(rec.head(), st.task[rec.head().ID()].attempts)
 }
 
 // release returns the credit and the backlog charge dispatch took for rec,
@@ -729,22 +750,20 @@ func (st *runState) release(rec *inflightRec) bool {
 	n.credits++
 	n.backlog -= rec.cand.Charge()
 	cm.inflight.With(n.cfg.Name).Dec()
+	st.flying--
 	for _, m := range rec.members {
-		delete(st.inflight, m.task.ID())
+		st.task[m.task.ID()].inflight = nil
 	}
 	return true
 }
 
-// requeueWithBackoff schedules the task back into ready after a capped
-// exponential delay derived from its attempt count.
-func (st *runState) requeueWithBackoff(t *taskrt.Task) {
+// requeueWithBackoff schedules the task back into ready after the delay that
+// follows a task's failures-th failed attempt — taskrt's one backoff formula,
+// over the master's base and cap.
+func (st *runState) requeueWithBackoff(t *taskrt.Task, failures int) {
 	cfg := st.m.cfg
-	d := cfg.BackoffBase << uint(st.attempts[t.ID()])
-	if d > cfg.BackoffCap || d <= 0 {
-		d = cfg.BackoffCap
-	}
-	task := t
-	time.AfterFunc(d, func() { st.send(event{kind: evRequeue, task: task}) })
+	d := taskrt.RetryPolicy{BackoffBase: cfg.BackoffBase.Seconds(), BackoffCap: cfg.BackoffCap.Seconds()}.Backoff(failures)
+	time.AfterFunc(d, func() { st.send(event{kind: evRequeue, task: t}) })
 }
 
 // nodeRuns reports whether the node advertises the codelet as runnable.
@@ -778,11 +797,10 @@ func (st *runState) modelNanos(t *taskrt.Task, n *nodeState) (int64, bool) {
 }
 
 // hasVersion reports whether the node is believed to cache the handle at
-// exactly this version. The explicit ok-check matters: handles start at
-// version 0, and a missing map entry must not read as "version 0 resident".
+// exactly this version. The ok flag matters: handles start at version 0, and
+// an entry never recorded must not read as "version 0 resident".
 func (n *nodeState) hasVersion(id int, ver uint64) bool {
-	v, ok := n.has[id]
-	return ok && v == ver
+	return n.has[id] == cached{ver, true}
 }
 
 // chainBehind returns t and the linear run of the graph behind it: each next
@@ -793,7 +811,7 @@ func (st *runState) chainBehind(t *taskrt.Task) []*taskrt.Task {
 	run := []*taskrt.Task{t}
 	for {
 		next := t.Dependents()
-		if len(next) != 1 || st.indeg[next[0].ID()] != 1 {
+		if len(next) != 1 || st.task[next[0].ID()].indeg != 1 {
 			return run
 		}
 		t = next[0]
@@ -806,16 +824,24 @@ func (st *runState) chainBehind(t *taskrt.Task) []*taskrt.Task {
 // says the payload must travel with the request: the chain touches the handle
 // here first and the node is not believed to hold the master's version.
 func (st *runState) eachAccess(chain []member, n *nodeState, visit func(step int, a taskrt.Access, ver uint64, inline bool)) {
-	writes := map[int]uint64{} // handle id → the chain's writes so far
+	// st.walk[id] is one more than the chain's writes to the handle so far, 0
+	// while the chain has not touched it.
 	for k, m := range chain {
 		for _, a := range m.task.Accesses {
 			id := a.Handle.ID()
-			w, touched := writes[id]
-			visit(k, a, st.ver[id]+w, !touched && !n.hasVersion(id, st.ver[id]))
-			if a.Mode.Writes() {
-				w++
+			touched := st.walk[id] > 0
+			if !touched {
+				st.walk[id] = 1
 			}
-			writes[id] = w
+			visit(k, a, st.ver[id]+st.walk[id]-1, !touched && !n.hasVersion(id, st.ver[id]))
+			if a.Mode.Writes() {
+				st.walk[id]++
+			}
+		}
+	}
+	for _, m := range chain {
+		for _, a := range m.task.Accesses {
+			st.walk[a.Handle.ID()] = 0
 		}
 	}
 }
@@ -891,7 +917,7 @@ func (st *runState) dispatchReady() {
 	for len(st.ready) > 0 && st.freeCredit() {
 		t := st.ready[0]
 		st.ready = st.ready[1:]
-		if st.done[t.ID()] || st.inflight[t.ID()] != nil {
+		if ts := &st.task[t.ID()]; ts.done || ts.inflight != nil {
 			continue // resubmitted and already handled
 		}
 		n, chain, c, ok := st.choose(t)
@@ -914,12 +940,13 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 	n.backlog += c.Charge()
 	n.stats.Invocations++
 	cm.inflight.With(n.cfg.Name).Inc()
+	st.flying++
 	cm.invocationTasks.Observe(float64(len(chain)))
 
 	steps := make([]ExecStep, len(chain))
 	for k, m := range chain {
 		t := m.task
-		st.inflight[t.ID()] = rec
+		st.task[t.ID()].inflight = rec
 		cm.decisions.With(m.src.String()).Inc()
 		place := trace.Event{Kind: trace.Place, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(), From: m.src.String()}
 		if k == 0 {
@@ -932,7 +959,7 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 		}
 		steps[k] = ExecStep{
 			TaskID:   t.ID(),
-			Attempt:  st.attempts[t.ID()],
+			Attempt:  st.task[t.ID()].attempts,
 			Codelet:  t.Codelet.Name,
 			Label:    t.Label,
 			Flops:    t.Flops,
@@ -951,7 +978,7 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 			Version:  ver,
 		})
 		if inline {
-			n.has[id] = ver
+			n.has[id] = cached{ver, true}
 			out.inline = append(out.inline, inlinePayload{&steps[k].Accesses[len(steps[k].Accesses)-1], a.Handle.Payload})
 		}
 	})
@@ -1026,10 +1053,10 @@ func (st *runState) handleResult(ev event) (int, error) {
 	if ev.resp != nil {
 		st.ingestSpans(n, ev.resp)
 	}
-	if st.done[head.ID()] {
+	if st.task[head.ID()].done {
 		return 0, nil // duplicate of a completed chain: exactly-once drop
 	}
-	if cur := st.inflight[head.ID()]; cur != nil && cur != rec {
+	if cur := st.task[head.ID()].inflight; cur != nil && cur != rec {
 		// A late result from a presumed-dead node, while the resubmitted
 		// copy is already in flight. Drop even a success: the copy was
 		// dispatched from identical inputs and will produce the same
@@ -1058,7 +1085,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 			st.resubmit(rec)
 			return 0, nil
 		}
-		st.requeueWithBackoff(head)
+		st.requeueWithBackoff(head, st.task[head.ID()].attempts)
 		return 0, nil
 
 	case len(resp.NeedData) > 0:
@@ -1079,11 +1106,13 @@ func (st *runState) handleResult(ev event) (int, error) {
 		return 0, nil
 
 	case !resp.OK:
-		// In-band execution failure at one step: that member pays an attempt
-		// and the chain starts over from the master's unchanged state. The
-		// steps before it, and the failing kernel itself, may have mutated
-		// write-mode payloads in place — the worker keeps none of them — so
-		// forget their residency and re-inline canonical bytes on the retry.
+		// In-band execution failure at one step: that member pays an attempt —
+		// and sets the backoff, so a chain whose third step keeps failing backs
+		// off as that step would alone — and the chain starts over from the
+		// master's unchanged state. The steps before it, and the failing kernel
+		// itself, may have mutated write-mode payloads in place — the worker
+		// keeps none of them — so forget their residency and re-inline
+		// canonical bytes on the retry.
 		rec.forgetResidency(true)
 		t := head
 		if k := resp.FailedStep; k > 0 && k < len(rec.members) {
@@ -1092,16 +1121,19 @@ func (st *runState) handleResult(ev event) (int, error) {
 		n.suspects = 0
 		st.failedAttempts++
 		n.stats.Retries++
-		st.retriedTasks[t.ID()] = true
 		cm.retries.With(n.cfg.Name).Inc()
-		st.attempts[t.ID()]++
-		st.instant(trace.Event{Kind: trace.Retry, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID()})
-		if st.attempts[t.ID()] >= st.m.cfg.MaxAttempts {
-			return 0, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
-				t.ID(), t.Label, st.attempts[t.ID()], n.cfg.Name, resp.Error)
+		ts := &st.task[t.ID()]
+		ts.attempts++
+		if ts.attempts == 1 {
+			st.retriedTasks++
 		}
-		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, st.attempts[t.ID()], resp.Error)
-		st.requeueWithBackoff(head)
+		st.instant(trace.Event{Kind: trace.Retry, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID()})
+		if ts.attempts >= st.m.cfg.MaxAttempts {
+			return 0, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
+				t.ID(), t.Label, ts.attempts, n.cfg.Name, resp.Error)
+		}
+		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, ts.attempts, resp.Error)
+		st.requeueWithBackoff(head, ts.attempts)
 		return 0, nil
 	}
 
@@ -1128,7 +1160,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 		}
 		h.Payload = applied
 		st.ver[wr.HandleID] = wr.Version
-		n.has[wr.HandleID] = wr.Version
+		n.has[wr.HandleID] = cached{wr.Version, true}
 		n.stats.ReturnBytes += int64(len(wr.Payload))
 		cm.returnB.With(n.cfg.Name).Add(float64(len(wr.Payload)))
 	}
@@ -1140,7 +1172,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 		cm.transferB.With(n.cfg.Name).Add(float64(rec.shipped))
 	}
 	for _, m := range rec.members {
-		st.done[m.task.ID()] = true
+		st.task[m.task.ID()].done = true
 	}
 	for k, m := range rec.members {
 		t, ran := m.task, resp.Ran[k]
@@ -1162,8 +1194,9 @@ func (st *runState) handleResult(ev event) (int, error) {
 			}
 		}
 		for _, dep := range t.Dependents() {
-			st.indeg[dep.ID()]--
-			if st.indeg[dep.ID()] == 0 && !st.done[dep.ID()] {
+			ds := &st.task[dep.ID()]
+			ds.indeg--
+			if ds.indeg == 0 && !ds.done {
 				st.ready = append(st.ready, dep)
 			}
 		}

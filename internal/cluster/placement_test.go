@@ -5,9 +5,9 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/taskrt"
@@ -93,18 +93,12 @@ func newRunState(t *testing.T, cfg Config, batch func(*taskrt.Runtime) []*taskrt
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &runState{
-		m: m, tasks: graph, handles: handles,
-		ver:   make([]uint64, len(handles)),
-		indeg: map[int]int{}, attempts: map[int]int{},
-		done: map[int]bool{}, inflight: map[int]*inflightRec{},
-		events: make(chan event, len(graph)), stop: make(chan struct{}),
-		start: time.Now(), retriedTasks: map[int]bool{},
+	st, err := m.newRun(graph, handles)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st.events = make(chan event, len(graph)) // nobody drains it but the test
 	t.Cleanup(st.shutdown)
-	for _, nc := range m.cfg.Nodes {
-		st.nodes = append(st.nodes, &nodeState{cfg: nc, has: map[int]uint64{}, link: lanLink})
-	}
 	return st
 }
 
@@ -156,8 +150,8 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 			t.Errorf("node %s after nodeDown: backlog %d ns, want 0", n.cfg.Name, n.backlog)
 		}
 	}
-	if len(st.inflight) != 0 {
-		t.Errorf("%d invocations still in flight after every node died", len(st.inflight))
+	if st.flying != 0 {
+		t.Errorf("%d invocations still in flight after every node died", st.flying)
 	}
 }
 
@@ -194,7 +188,7 @@ func TestMasterChoose(t *testing.T) {
 	t.Run("resident version wins over inlining", func(t *testing.T) {
 		st := fakeRun(t, models, []string{"cold", "resident"}, 1)
 		h := st.tasks[0].Accesses[0].Handle
-		st.nodes[1].has[h.ID()] = st.ver[h.ID()]
+		st.nodes[1].has[h.ID()] = cached{st.ver[h.ID()], true}
 		for i := 0; i < 4; i++ {
 			n, _, c, ok := st.choose(st.tasks[0])
 			if !ok || n != st.nodes[1] || c.Xfer != 0 {
@@ -240,11 +234,11 @@ func TestDispatchReadyStopsAtTheLastCredit(t *testing.T) {
 	st.ready = append([]*taskrt.Task{stuck}, st.tasks...)
 
 	st.dispatchReady()
-	if a.credits != 0 || len(st.inflight) != 4 {
-		t.Fatalf("after the first pass: a holds %d credits, %d in flight; want 0 and 4", a.credits, len(st.inflight))
+	if a.credits != 0 || st.flying != 4 {
+		t.Fatalf("after the first pass: a holds %d credits, %d in flight; want 0 and 4", a.credits, st.flying)
 	}
 	for i, task := range st.tasks[:4] {
-		if rec := st.inflight[task.ID()]; rec == nil || rec.node != a {
+		if rec := st.task[task.ID()].inflight; rec == nil || rec.node != a {
 			t.Fatalf("ready task %d was not placed on the node with credit", i)
 		}
 	}
@@ -270,10 +264,10 @@ func TestDispatchReadyStopsAtTheLastCredit(t *testing.T) {
 	// Credit on b: the stuck task goes first, then the rest in order.
 	b.credits = 2
 	st.dispatchReady()
-	if rec := st.inflight[stuck.ID()]; rec == nil || rec.node != b {
+	if rec := st.task[stuck.ID()].inflight; rec == nil || rec.node != b {
 		t.Fatal("the deferred task did not go first once its node had credit")
 	}
-	if rec := st.inflight[st.tasks[4].ID()]; rec == nil || rec.node != b || len(st.ready) != k-5 || st.ready[0] != st.tasks[5] {
+	if rec := st.task[st.tasks[4].ID()].inflight; rec == nil || rec.node != b || len(st.ready) != k-5 || st.ready[0] != st.tasks[5] {
 		t.Fatalf("after credit on b: %d ready, want task 4 placed on b and task 5 next", len(st.ready))
 	}
 }
@@ -306,15 +300,12 @@ func TestMasterChoosePricesTheChainAsOneBid(t *testing.T) {
 		}
 		return batch
 	})
-	for _, task := range st.tasks {
-		st.indeg[task.ID()] = len(task.Deps())
-	}
 	for _, n := range st.nodes {
 		n.alive, n.credits = true, 4
 		n.info = InfoResponse{Archs: []string{"x86"}}
 	}
 	cold, warm := st.nodes[0], st.nodes[1]
-	warm.has[row.ID()] = 0
+	warm.has[row.ID()] = cached{0, true}
 
 	one, _ := st.modelNanos(st.tasks[0], warm)
 	for i := 0; i < 4; i++ { // every tie-break start
@@ -348,5 +339,70 @@ func TestMasterChoosePricesTheChainAsOneBid(t *testing.T) {
 	if st.ver[acc.ID()] != 0 || cold.stats.Transfers != 2 {
 		// okTransport writes nothing back, so the version stays; two payloads went.
 		t.Errorf("version %d, %d transfers; want 0 and 2", st.ver[acc.ID()], cold.stats.Transfers)
+	}
+}
+
+// The PDL prices the master's links: a node anchored to a PU gets the summed
+// declared route from MasterPU, a node the platform cannot route to — its PU
+// declared but unconnected, or not anchored at all — gets the LAN default, and
+// a chain that must carry its operands goes to the node behind the cheaper
+// link.
+func TestMasterPricesLinksFromThePDL(t *testing.T) {
+	// head —(10 GB/s, 5 µs)— switch —(5 GB/s, 15 µs)— near; island apart.
+	pl, err := core.NewBuilder("fabric").
+		Master("head", core.Arch("x86")).
+		Master("switch", core.Arch("x86")).
+		Master("near", core.Arch("x86")).
+		Master("island", core.Arch("x86")).
+		Link(core.ICTypePCIe, "head", "switch", core.Bandwidth(10), core.Latency(5)).
+		Link(core.ICTypePCIe, "switch", "near", core.Bandwidth(5), core.Latency(15)).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := taskrt.NewCodelet("k", taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: pl, MasterPU: "head", Nodes: []NodeConfig{
+		{Name: "island", Addr: "http://island.invalid", PU: "island"},
+		{Name: "near", Addr: "http://near.invalid", PU: "near"},
+		{Name: "unanchored", Addr: "http://unanchored.invalid"},
+	}}
+	var row, acc *taskrt.Handle
+	st := newRunState(t, cfg, func(rt *taskrt.Runtime) []*taskrt.Task {
+		row = rt.NewHandle("row", 8<<20, blas.NewMatrix(2, 2))
+		acc = rt.NewHandle("acc", 1<<10, blas.NewMatrix(2, 2))
+		batch := make([]*taskrt.Task, 3)
+		for i := range batch {
+			batch[i] = &taskrt.Task{Codelet: cl, Accesses: []taskrt.Access{taskrt.R(row), taskrt.RW(acc)}, Flops: 1e6}
+		}
+		return batch
+	})
+
+	twoHops := placement.Link{LatNanos: 20e3, NanosPerByte: 1e9/(10*(1<<30)) + 1e9/(5*(1<<30))}
+	if routed, ok := placement.RouteLink(pl, "head", "near", lanLink); !ok || routed != twoHops {
+		t.Fatalf("RouteLink(head→near) = %+v, %v; want the two hops summed: %+v", routed, ok, twoHops)
+	}
+	want := map[string]placement.Link{"near": twoHops, "island": lanLink, "unanchored": lanLink}
+	for _, n := range st.nodes {
+		if n.link != want[n.cfg.Name] {
+			t.Errorf("node %s: link %+v, want %+v", n.cfg.Name, n.link, want[n.cfg.Name])
+		}
+	}
+
+	for _, n := range st.nodes {
+		n.alive, n.credits = true, 4
+		n.info = InfoResponse{Archs: []string{"x86"}}
+	}
+	near := st.nodes[1]
+	for i := 0; i < 2*len(st.nodes); i++ { // every tie-break start
+		n, chain, c, ok := st.choose(st.tasks[0])
+		if !ok || n != near || len(chain) != 3 {
+			t.Fatalf("pick %d: a chain of %d on %v, want all 3 steps on the node two declared hops away", i, len(chain), n)
+		}
+		if want := twoHops.Nanos(row.Bytes) + twoHops.Nanos(acc.Bytes); c.Xfer != want || c.Xfer >= lanLink.Nanos(row.Bytes) {
+			t.Fatalf("pick %d: transfer priced %d ns, want the declared route's %d ns, below the LAN's %d", i, c.Xfer, want, lanLink.Nanos(row.Bytes))
+		}
 	}
 }

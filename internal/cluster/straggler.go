@@ -15,7 +15,7 @@ import (
 // slowdown score back-pressures the EFT placer — a slow node's estimates are
 // scaled up, so work drains toward healthy nodes ("Revisiting Matrix Product
 // on Master-Worker Platforms": stragglers dominate makespan unless the
-// master adapts). An optional score threshold escalates to blacklisting.
+// master adapts). Eviction stays with the heartbeats.
 
 // StragglerConfig tunes the master's detector.
 type StragglerConfig struct {
@@ -30,11 +30,6 @@ type StragglerConfig struct {
 	// Alpha is the EWMA weight of the newest residual in the node slowdown
 	// score (first observation seeds the score directly). Default 0.25.
 	Alpha float64
-	// BlacklistScore, when > 0, declares a node down once its slowdown
-	// score reaches it — the detector's escalation from deprioritise to
-	// evict. The node rejoins through the normal heartbeat path if it
-	// recovers. Zero leaves eviction to heartbeats alone.
-	BlacklistScore float64
 }
 
 // withDefaults fills zero fields.
@@ -82,11 +77,6 @@ func (st *runState) observeResidual(n *nodeState, m member, obsSeconds float64) 
 			ratio, modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
 		st.instant(trace.Event{Kind: trace.Straggler, Node: n.cfg.Name, Label: t.Label, TaskID: t.ID(), From: reason})
 		st.m.logf("cluster: straggler: node=%s task=%d label=%q attempt=%d ratio=%.2f est_ms=%.3f obs_ms=%.3f score=%.2f",
-			n.cfg.Name, t.ID(), t.Label, st.attempts[t.ID()], ratio, modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
-	}
-	if cfg.BlacklistScore > 0 && n.slowEWMA >= cfg.BlacklistScore && n.alive {
-		st.m.logf("cluster: node %s slowdown score %.2f >= %.2f; blacklisting",
-			n.cfg.Name, n.slowEWMA, cfg.BlacklistScore)
-		st.nodeDown(n)
+			n.cfg.Name, t.ID(), t.Label, st.task[t.ID()].attempts, ratio, modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
 	}
 }

@@ -293,8 +293,8 @@ func TestStreamBreakFailsEveryPendingOnce(t *testing.T) {
 	}
 	// Σ node backlog == Σ Charge() of in-flight records, and nothing is in
 	// flight.
-	if len(st.inflight) != 0 || n.backlog != 0 {
-		t.Fatalf("after the break: %d in flight, backlog %d ns; want 0 and 0", len(st.inflight), n.backlog)
+	if st.flying != 0 || n.backlog != 0 {
+		t.Fatalf("after the break: %d in flight, backlog %d ns; want 0 and 0", st.flying, n.backlog)
 	}
 	if n.alive {
 		t.Fatal("k consecutive transport errors left the node up")
@@ -403,7 +403,7 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 	// retry by reference bounces once and travels again with the master's
 	// bytes; then it hangs too, and the first attempt's answer arrives while
 	// it is pending.
-	st.attempts[hung.ID()] = 1
+	st.task[hung.ID()].attempts = 1
 	dispatchAll(t, st, []*taskrt.Task{hung})
 	ev = nextResult(t, st)
 	if ev.err != nil || len(ev.resp.NeedData) != 1 {

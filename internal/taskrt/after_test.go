@@ -92,4 +92,63 @@ func TestExplicitDependencyValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not yet submitted") {
 		t.Fatalf("err = %v", err)
 	}
+	// A task of another runtime is not a dependency either, even where its id
+	// names a task of this one.
+	other, err := New(Config{Platform: cpuPlatform(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, own := &Task{Codelet: cl}, &Task{Codelet: cl}
+	if err := other.Submit(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Submit(own); err != nil {
+		t.Fatal(err)
+	}
+	if foreign.ID() != own.ID() {
+		t.Fatalf("ids %d and %d: rejected submissions must not consume ids", foreign.ID(), own.ID())
+	}
+	err = rt.Submit(&Task{Codelet: cl, After: []*Task{foreign}})
+	if err == nil || !strings.Contains(err.Error(), "not yet submitted") {
+		t.Fatalf("dependency on another runtime's task: err = %v", err)
+	}
+	if err := rt.Submit(own); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("second submission of one task: err = %v", err)
+	}
+	if len(foreign.Dependents()) != 0 || rt.Tasks() != 1 {
+		t.Fatalf("rejected submissions left %d dependents on the foreign task and %d tasks registered", len(foreign.Dependents()), rt.Tasks())
+	}
+}
+
+// TestSubmitRejectsForeignHandle: engine state is indexed by handle id, so a
+// handle registered with another runtime must be refused at Submit rather
+// than read someone else's row at Run.
+func TestSubmitRejectsForeignHandle(t *testing.T) {
+	rt, err := New(Config{Platform: cpuPlatform(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(Config{Platform: cpuPlatform(t, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := noopCodelet(t, "n")
+	own := rt.NewHandle("own", 8, nil)
+	foreign := other.NewHandle("foreign", 8, nil) // same id as own
+	far := other.NewHandle("far", 8, nil)         // an id rt never issued
+	for _, h := range []*Handle{foreign, far} {
+		err := rt.Submit(&Task{Codelet: cl, Accesses: []Access{R(own), W(h)}})
+		if err == nil || !strings.Contains(err.Error(), "not registered with this runtime") {
+			t.Fatalf("handle %q: err = %v", h.Name, err)
+		}
+	}
+	if rt.Tasks() != 0 {
+		t.Fatalf("%d tasks registered by rejected submissions", rt.Tasks())
+	}
+	if err := rt.Submit(&Task{Codelet: cl, Accesses: []Access{RW(own)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

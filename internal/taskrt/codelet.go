@@ -94,6 +94,11 @@ type Handle struct {
 	Payload any
 	home    int
 
+	// Submission history, from which Submit derives dependencies: the last
+	// task to write the handle and the tasks that read it since.
+	lastW   *Task
+	readers []*Task
+
 	// resident is a bitmask of the memory nodes (platform master indices)
 	// currently holding a valid copy, maintained by the data-aware dmda
 	// dispatcher. Zero is the unset state and is read as 1<<home. A write
@@ -189,8 +194,9 @@ type Task struct {
 	id         int
 	deps       []*Task
 	dependents []*Task
-	// attempt counts failed attempts so far: the failure slow path stores,
-	// the next executing worker loads it to stamp its trace spans.
+	// attempt counts failed attempts so far — the engines' only copy: the
+	// failure path increments it (sim loop, real engine's slow path), the next
+	// execution loads it to stamp its trace spans.
 	attempt atomic.Int32
 	// estNanos is the execution+transfer prediction the dmda dispatcher
 	// charged to a worker's backlog when it placed this task; released by

@@ -218,8 +218,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff returns the capped exponential delay in seconds before retry
-// attempt n (n counts failures so far, starting at 1).
+// backoff returns the capped exponential delay in seconds before the retry
+// that follows a task's n-th failure (n starts at 1): BackoffBase·2^(n−1), at
+// most BackoffCap. It is the one backoff formula; p has its defaults filled.
 func (p RetryPolicy) backoff(n int) float64 {
 	if n < 1 {
 		n = 1
@@ -231,9 +232,12 @@ func (p RetryPolicy) backoff(n int) float64 {
 	return d
 }
 
-// backoffDuration is backoff as a wall-clock duration (Real mode).
-func (p RetryPolicy) backoffDuration(n int) time.Duration {
-	return time.Duration(p.backoff(n) * float64(time.Second))
+// Backoff is the wall-clock delay before the retry that follows a task's n-th
+// failure (n starts at 1; zero fields take their defaults). The real engine
+// and the cluster master wait this long; the sim adds the same seconds to
+// virtual time.
+func (p RetryPolicy) Backoff(n int) time.Duration {
+	return time.Duration(p.withDefaults().backoff(n) * float64(time.Second))
 }
 
 // ftEnabled reports whether the fault-tolerance machinery is active: an

@@ -141,9 +141,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 	var (
 		mu             sync.Mutex // guards the failure slow path below
 		firstErr       error
-		attempts       = make([]int, len(rt.tasks))
-		retriedSet     = map[int]bool{}
 		failedAttempts = 0
+		retriedTasks   = 0
 		watchdogTrips  = 0
 		alive          = workers
 		recovering     = 0
@@ -205,31 +204,11 @@ func (rt *Runtime) runReal() (*Report, error) {
 		timers[tm] = struct{}{}
 	}
 
-	// Causal-span preparation: resolve every task's parent ids once, up
-	// front, so the recording hot path copies a shared slice header instead
-	// of walking t.deps under load.
 	tracing := rt.cfg.Trace != nil
-	var parents [][]int
+	var parents [][]int // causal spans: every task's parent ids, resolved up front
 	shardCap := 0
 	if tracing {
-		// One flat backing array for all parent lists: a single allocation
-		// instead of one tiny slice per task.
-		total := 0
-		for _, t := range rt.tasks {
-			total += len(t.deps)
-		}
-		backing := make([]int, 0, total)
-		parents = make([][]int, len(rt.tasks))
-		for _, t := range rt.tasks {
-			if len(t.deps) == 0 {
-				continue
-			}
-			off := len(backing)
-			for _, d := range t.deps {
-				backing = append(backing, d.id)
-			}
-			parents[t.id] = backing[off:len(backing):len(backing)]
-		}
+		parents = parentIDs(rt.tasks)
 		// Bound each shard to the run's size (x2 for retry/steal/failure
 		// events) rather than the 64k default, so a worker can never buffer
 		// more than the run could have produced.
@@ -369,10 +348,10 @@ func (rt *Runtime) runReal() (*Report, error) {
 			attemptFailed := func(t *Task, cause error, detected time.Time, blacklist, recovers bool) bool {
 				mu.Lock()
 				failedAttempts++
-				retriedSet[t.id] = true
-				attempts[t.id]++
-				n := attempts[t.id]
-				t.attempt.Store(int32(n))
+				n := int(t.attempt.Add(1))
+				if n == 1 {
+					retriedTasks++
+				}
 				if n >= policy.MaxAttempts {
 					fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s: %w",
 						t.Codelet.Name, t.Label, n, unitID, cause))
@@ -380,7 +359,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					resolve()
 					return false
 				}
-				backoff := policy.backoffDuration(n)
+				backoff := policy.Backoff(n)
 				requeue(t, backoff)
 				if blacklist {
 					blacklisted[unitID] = true
@@ -438,7 +417,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 						// failure after the timeout.
 						d := rt.taskTimeout(t, st.arch, policy)
 						if d <= 0 {
-							d = policy.backoffDuration(policy.MaxAttempts) // bounded stand-in
+							d = policy.Backoff(policy.MaxAttempts) // bounded stand-in
 						}
 						select {
 						case <-time.After(d):
@@ -556,7 +535,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 		Tasks:           len(rt.tasks),
 		MakespanSeconds: elapsed.Seconds(),
 		FailedAttempts:  failedAttempts,
-		RetriedTasks:    len(retriedSet),
+		RetriedTasks:    retriedTasks,
 		WatchdogTrips:   watchdogTrips,
 	}
 	for id := range blacklisted {

@@ -1,12 +1,15 @@
 package taskrt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/dynamic"
+	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/simhw"
@@ -20,6 +23,7 @@ type simUnit struct {
 	idx   int // lane index, stamped into trace spans as Worker
 	res   sim.Resource
 	tasks int
+	hist  *metrics.Histogram // taskrt_task_seconds{unit}
 
 	started   int         // attempts launched on this unit (fault triggers)
 	downUntil sim.Time    // transient blacklisting: unavailable before this
@@ -30,27 +34,34 @@ type simUnit struct {
 // availAt returns when the unit can next start work, accounting for both
 // occupancy and transient blacklisting.
 func (su *simUnit) availAt() sim.Time {
-	a := su.res.Available()
-	if su.downUntil > a {
-		a = su.downUntil
-	}
-	return a
+	return max(su.res.Available(), su.downUntil)
 }
 
 // simFailure describes one failed attempt to the scheduling loop.
 type simFailure struct {
-	at       sim.Time // detection time
-	unit     string
-	unitIdx  int
-	watchdog bool
+	at sim.Time // detection time
+	on *simUnit
 }
 
-// simState is the mutable state of one simulated execution.
+// simTask is the engine's record of one task.
+type simTask struct {
+	remaining int      // dependencies not yet completed
+	readyAt   sim.Time // when the last of them completed, or a retry's backoff ends
+}
+
+// simState is the mutable state of one simulated execution: plain tables
+// indexed by Task.ID() and Handle.ID(), which are dense by construction.
 type simState struct {
 	machine *simhw.Machine
 	units   []*simUnit
-	dma     []sim.Resource           // one DMA engine per memory node
-	valid   map[*Handle]map[int]bool // coherence: nodes holding a valid copy
+	cands   []*simUnit     // compatibleUnits' scratch, reused per task
+	dma     []sim.Resource // one DMA engine per memory node
+	handles []*Handle
+	// valid is the coherence table, one row of len(dma) nodes per handle:
+	// valid[h.id*len(dma)+node] says node holds a valid copy of h.
+	valid   []bool
+	tasks   []simTask // by task id
+	parents [][]int   // parentIDs, when tracing
 	rng     *rand.Rand
 	tracer  *trace.Trace
 
@@ -65,8 +76,15 @@ type simState struct {
 	transferCount int
 
 	failedAttempts int
+	retriedTasks   int
 	watchdogTrips  int
 	failedUnits    []string // permanently blacklisted by failures, in order
+}
+
+// copies returns h's row of the coherence table, one flag per memory node.
+func (st *simState) copies(h *Handle) []bool {
+	n := len(st.dma)
+	return st.valid[h.id*n : (h.id+1)*n]
 }
 
 // runSim executes the task graph in virtual time via greedy list scheduling
@@ -80,7 +98,9 @@ func (rt *Runtime) runSim() (*Report, error) {
 	st := &simState{
 		machine: machine,
 		dma:     make([]sim.Resource, machine.NumNodes()),
-		valid:   map[*Handle]map[int]bool{},
+		handles: rt.handles,
+		valid:   make([]bool, len(rt.handles)*machine.NumNodes()),
+		tasks:   make([]simTask, len(rt.tasks)),
 		rng:     rand.New(rand.NewSource(rt.cfg.Seed)),
 		tracer:  rt.cfg.Trace,
 		ft:      rt.ftEnabled(),
@@ -88,38 +108,31 @@ func (rt *Runtime) runSim() (*Report, error) {
 		tracker: rt.cfg.Tracker,
 		models:  rt.cfg.Models,
 	}
+	if st.tracer != nil {
+		st.parents = parentIDs(rt.tasks)
+	}
 	// Units the tracker already reports offline start blacklisted: the
 	// in-flight path honours the same descriptor state the re-plan path
 	// (dynamic.Tracker.Snapshot) would have pruned.
-	preOffline := map[string]bool{}
+	var offline []string
 	if st.tracker != nil {
-		for _, id := range st.tracker.OfflineUnits() {
-			preOffline[id] = true
-		}
+		offline = st.tracker.OfflineUnits()
 	}
 	for _, u := range machine.Units {
-		su := &simUnit{hw: u, idx: len(st.units)}
+		su := &simUnit{hw: u, idx: len(st.units), hist: rtm.taskSeconds.With(u.ID), dead: unitAllowed(u.ID, offline)}
 		if evs := rt.cfg.Faults.forUnit(u.ID); len(evs) > 0 {
 			su.faults = &faultQueue{events: evs}
-		}
-		if preOffline[u.ID] || preOffline[baseUnitID(u.ID)] {
-			su.dead = true
 		}
 		st.units = append(st.units, su)
 	}
 	for _, h := range rt.handles {
-		st.valid[h] = map[int]bool{h.home: true}
+		st.copies(h)[h.home] = true
 	}
 
-	// Dependency bookkeeping.
-	remaining := make(map[*Task]int, len(rt.tasks))
-	readyAt := make(map[*Task]sim.Time, len(rt.tasks))
-	attempts := make(map[*Task]int)
-	retried := make(map[*Task]bool)
 	var ready []*Task
 	for _, t := range rt.tasks {
-		remaining[t] = len(t.deps)
-		if remaining[t] == 0 {
+		st.tasks[t.id].remaining = len(t.deps)
+		if len(t.deps) == 0 {
 			ready = append(ready, t)
 		}
 	}
@@ -133,12 +146,13 @@ func (rt *Runtime) runSim() (*Report, error) {
 		ti := rt.pickTaskIndex(ready, st)
 		t := ready[ti]
 		ready = append(ready[:ti], ready[ti+1:]...)
+		rec := &st.tasks[t.id]
 
-		u, err := rt.pickUnit(t, st, readyAt[t])
+		u, err := rt.pickUnit(t, st, rec.readyAt)
 		if err != nil {
 			return nil, err
 		}
-		end, fail, err := st.execute(t, u, readyAt[t], attempts[t])
+		end, fail, err := st.execute(t, u, rec.readyAt)
 		if err != nil {
 			return nil, err
 		}
@@ -148,35 +162,34 @@ func (rt *Runtime) runSim() (*Report, error) {
 			// recovery), so the retry lands on a different unit — and when
 			// the whole PU class is gone, on a different implementation
 			// variant (GPU codelet → CPU variant) via compatibleUnits.
-			attempts[t]++
-			retried[t] = true
+			n := int(t.attempt.Add(1))
 			st.failedAttempts++
-			if attempts[t] >= st.policy.MaxAttempts {
-				return nil, fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
-					t.Codelet.Name, t.Label, attempts[t], fail.unit)
+			if n == 1 {
+				st.retriedTasks++
 			}
-			retryAt := fail.at + sim.Time(st.policy.backoff(attempts[t]))
+			if n >= st.policy.MaxAttempts {
+				return nil, fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
+					t.Codelet.Name, t.Label, n, fail.on.hw.ID)
+			}
+			retryAt := fail.at + sim.Time(st.policy.backoff(n))
 			if st.tracer != nil {
 				st.tracer.Record(trace.Event{
-					Kind: trace.Retry, Unit: fail.unit, Label: taskLabel(t),
+					Kind: trace.Retry, Unit: fail.on.hw.ID, Label: taskLabel(t),
 					Start: float64(fail.at), End: float64(retryAt),
-					TaskID: t.id, Attempt: attempts[t], Worker: fail.unitIdx,
+					TaskID: t.id, Attempt: n, Worker: fail.on.idx,
 				})
 			}
-			readyAt[t] = retryAt
+			rec.readyAt = retryAt
 			ready = append(ready, t)
 			continue
 		}
-		if end > makespan {
-			makespan = end
-		}
+		makespan = max(makespan, end)
 		completed++
 		for _, d := range t.dependents {
-			if end > readyAt[d] {
-				readyAt[d] = end
-			}
-			remaining[d]--
-			if remaining[d] == 0 {
+			dr := &st.tasks[d.id]
+			dr.readyAt = max(dr.readyAt, end)
+			dr.remaining--
+			if dr.remaining == 0 {
 				ready = append(ready, d)
 			}
 		}
@@ -191,7 +204,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 		TransferSeconds: st.transferSecs,
 		TransferCount:   st.transferCount,
 		FailedAttempts:  st.failedAttempts,
-		RetriedTasks:    len(retried),
+		RetriedTasks:    st.retriedTasks,
 		WatchdogTrips:   st.watchdogTrips,
 	}
 	rep.Blacklisted = append(rep.Blacklisted, st.failedUnits...)
@@ -212,17 +225,28 @@ func taskLabel(t *Task) string {
 	return t.Codelet.Name
 }
 
-// taskParents resolves a task's dependency ids for trace spans (nil when the
-// task is a DAG root).
-func taskParents(t *Task) []int {
-	if len(t.deps) == 0 {
-		return nil
+// parentIDs resolves every task's dependency ids for trace spans, once per
+// traced run: row t.id lists t's parents (nil for a DAG root). The rows share
+// one backing array, so a span copies a slice header instead of walking
+// t.deps.
+func parentIDs(tasks []*Task) [][]int {
+	total := 0
+	for _, t := range tasks {
+		total += len(t.deps)
 	}
-	ps := make([]int, len(t.deps))
-	for i, d := range t.deps {
-		ps[i] = d.id
+	backing := make([]int, 0, total)
+	parents := make([][]int, len(tasks))
+	for _, t := range tasks {
+		if len(t.deps) == 0 {
+			continue
+		}
+		off := len(backing)
+		for _, d := range t.deps {
+			backing = append(backing, d.id)
+		}
+		parents[t.id] = backing[off:len(backing):len(backing)]
 	}
-	return ps
+	return parents
 }
 
 // baseUnitID maps a quantity-expanded instance id back to the descriptor id
@@ -240,6 +264,12 @@ func baseUnitID(id string) string {
 		break
 	}
 	return id
+}
+
+// unitAllowed reports whether a unit id is one of the named PUs or a
+// quantity-expanded instance of one ("host" names "host.3").
+func unitAllowed(id string, pus []string) bool {
+	return slices.Contains(pus, id) || slices.Contains(pus, baseUnitID(id))
 }
 
 // kernelSeconds returns the virtual execution time of t's implementation on
@@ -266,52 +296,79 @@ func (st *simState) watchdogTimeout(t *Task, su *simUnit) float64 {
 	return est * st.policy.WatchdogFactor
 }
 
-// execute commits task t onto unit u: stages the required transfers,
-// occupies the unit and updates coherence. It returns the completion time,
-// or a non-nil simFailure when an injected fault killed the attempt.
-// attempt numbers this try of t (0 = first), stamped into trace spans.
-func (st *simState) execute(t *Task, su *simUnit, ready sim.Time, attempt int) (sim.Time, *simFailure, error) {
+// stage is the one walk over t's read operands that are not valid on su's
+// memory node (pure writes need no inbound copy): it returns when the last of
+// them is there, for a task that cannot start before ready. Committing, each
+// copy comes from its cheapest source and is booked on the node's DMA engine,
+// where copies queue one behind the other. Predicting — dmda's cost function —
+// each missing operand is priced as if it alone followed the engine's current
+// horizon. The prediction stays optimistic on purpose: serialising it as the
+// commit does moved Figure 5 at tile 256 from 4.9596 s to 5.6994 s (GPU tasks
+// 21 258 → 19 539), because every GPU bid then carries its whole operand
+// queue and tiles drain to the CPUs.
+func (st *simState) stage(t *Task, su *simUnit, ready sim.Time, commit bool) (sim.Time, error) {
 	node := su.hw.MemNode
-	if su.downUntil > ready {
-		ready = su.downUntil
-	}
+	ready = max(ready, su.downUntil)
 	dataReady := ready
 	for _, a := range t.Accesses {
-		if !a.Mode.Reads() {
-			continue // pure writes need no inbound copy
-		}
-		v := st.valid[a.Handle]
-		if v[node] {
+		if !a.Mode.Reads() || st.copies(a.Handle)[node] {
 			continue
 		}
 		src, dur, err := st.cheapestSource(a.Handle, node)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		s, e := st.dma[node].Acquire(ready, sim.Time(dur))
-		st.transferBytes += a.Handle.Bytes
-		st.transferSecs += dur
-		st.transferCount++
-		if st.tracer != nil {
-			st.tracer.Record(trace.Event{
-				Kind: trace.Transfer, Unit: fmt.Sprintf("node%d", node),
-				Label: a.Handle.Name, Start: float64(s), End: float64(e),
-				Bytes:  a.Handle.Bytes,
-				TaskID: t.id, Worker: su.idx, From: fmt.Sprintf("node%d", src),
-			})
+		var arrives sim.Time
+		if commit {
+			arrives = st.transfer(a.Handle, src, node, ready, dur, t.id, su.idx)
+		} else {
+			arrives = max(ready, st.dma[node].Available()) + sim.Time(dur)
 		}
-		if e > dataReady {
-			dataReady = e
-		}
+		dataReady = max(dataReady, arrives)
+	}
+	return dataReady, nil
+}
+
+// transfer books one copy of h from src to dst, dur seconds long and starting
+// no earlier than ready, on dst's DMA engine; it returns the arrival time.
+// taskID and worker attribute the traced span (worker -1: no unit waits).
+func (st *simState) transfer(h *Handle, src, dst int, ready sim.Time, dur float64, taskID, worker int) sim.Time {
+	s, e := st.dma[dst].Acquire(ready, sim.Time(dur))
+	st.transferBytes += h.Bytes
+	st.transferSecs += dur
+	st.transferCount++
+	if st.tracer != nil {
+		st.tracer.Record(trace.Event{
+			Kind: trace.Transfer, Unit: fmt.Sprintf("node%d", dst),
+			Label: h.Name, Start: float64(s), End: float64(e), Bytes: h.Bytes,
+			TaskID: taskID, Worker: worker, From: fmt.Sprintf("node%d", src),
+		})
+	}
+	return e
+}
+
+// taskSpan is the trace span of the current attempt of t on su.
+func (st *simState) taskSpan(kind trace.Kind, t *Task, su *simUnit, start, end sim.Time) trace.Event {
+	return trace.Event{
+		Kind: kind, Unit: su.hw.ID, Label: taskLabel(t),
+		Start: float64(start), End: float64(end),
+		TaskID: t.id, ParentIDs: st.parents[t.id], Attempt: int(t.attempt.Load()), Worker: su.idx,
+	}
+}
+
+// execute commits task t onto unit su: stages the required transfers,
+// occupies the unit and updates coherence. It returns the completion time,
+// or a non-nil simFailure when an injected fault killed the attempt.
+func (st *simState) execute(t *Task, su *simUnit, ready sim.Time) (sim.Time, *simFailure, error) {
+	dataReady, err := st.stage(t, su, ready, true)
+	if err != nil {
+		return 0, nil, err
 	}
 	dur := sim.Time(kernelSeconds(st.machine, t, su.hw))
-	start := dataReady
-	if a := su.res.Available(); a > start {
-		start = a
-	}
+	start := max(dataReady, su.res.Available())
 	su.started++
 	if st.ft {
-		if fail, err := st.checkFault(t, su, start, dur, attempt); fail != nil || err != nil {
+		if fail, err := st.checkFault(t, su, start, dur); fail != nil || err != nil {
 			return 0, fail, err
 		}
 	}
@@ -319,27 +376,29 @@ func (st *simState) execute(t *Task, su *simUnit, ready sim.Time, attempt int) (
 	// the start the fault check used.
 	_, end := su.res.Acquire(dataReady, dur)
 	su.tasks++
-	rtm.taskSeconds.With(su.hw.ID).Observe(float64(dur))
+	su.hist.Observe(float64(dur))
 	if st.tracer != nil {
-		st.tracer.Record(trace.Event{
-			Kind: trace.Task, Unit: su.hw.ID, Label: taskLabel(t),
-			Start: float64(start), End: float64(end),
-			TaskID: t.id, ParentIDs: taskParents(t), Attempt: attempt, Worker: su.idx,
-		})
+		st.tracer.Record(st.taskSpan(trace.Task, t, su, start, end))
 	}
 	// Commit coherence after execution.
+	node := su.hw.MemNode
 	for _, a := range t.Accesses {
-		if a.Mode.Writes() {
-			st.valid[a.Handle] = map[int]bool{node: true}
-			if st.ft && node != 0 {
-				// Checkpoint device writes to host RAM so recovery never
-				// depends on state held by a unit that may die: the
-				// write-back cost is charged to the host DMA engine and
-				// counted as a transfer.
-				st.mirrorToHost(a.Handle, node, end, t.id)
+		row := st.copies(a.Handle)
+		if !a.Mode.Writes() {
+			row[node] = true
+			continue
+		}
+		clear(row)
+		row[node] = true
+		if st.ft && node != 0 {
+			// Checkpoint device writes to host RAM so recovery never depends
+			// on state held by a unit that may die: the write-back is charged
+			// to the host DMA engine and counted as a transfer. With no route
+			// the node keeps the only copy.
+			if wb, err := st.machine.TransferTime(node, 0, a.Handle.Bytes); err == nil {
+				st.transfer(a.Handle, node, 0, end, wb, t.id, -1)
+				row[0] = true
 			}
-		} else {
-			st.valid[a.Handle][node] = true
 		}
 	}
 	return end, nil, nil
@@ -349,7 +408,7 @@ func (st *simState) execute(t *Task, su *simUnit, ready sim.Time, attempt int) (
 // it: the unit is occupied for the wasted window, blacklisted (with optional
 // recovery), its device memory is invalidated, and the failure is traced and
 // mirrored into the dynamic tracker.
-func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time, attempt int) (*simFailure, error) {
+func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simFailure, error) {
 	f := su.faults.pending()
 	if f == nil {
 		return nil, nil
@@ -362,10 +421,7 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time, attemp
 	case f.AtTime > 0 && float64(start+dur) > f.AtTime:
 		// The unit dies at AtTime: mid-kernel when the attempt spans it,
 		// at launch when the unit was already dead.
-		detect = sim.Time(f.AtTime)
-		if detect < start {
-			detect = start
-		}
+		detect = max(sim.Time(f.AtTime), start)
 	default:
 		return nil, nil
 	}
@@ -380,47 +436,33 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time, attemp
 	if wasted := detect - start; wasted > 0 {
 		su.res.Acquire(start, wasted)
 	}
-	if st.tracer != nil {
-		st.tracer.Record(trace.Event{
-			Kind: trace.Failure, Unit: su.hw.ID, Label: taskLabel(t),
-			Start: float64(start), End: float64(detect),
-			TaskID: t.id, ParentIDs: taskParents(t), Attempt: attempt, Worker: su.idx,
-		})
-	}
-	// Blacklist the unit. Tracker notifications are emitted in engine
-	// processing order; the trace events carry the virtual times.
-	if f.RecoverAfter > 0 {
+	// Blacklist the unit, for good or until it recovers. Tracker
+	// notifications are emitted in engine processing order; the trace events
+	// carry the virtual times.
+	recovers := f.RecoverAfter > 0
+	if recovers {
 		su.downUntil = detect + sim.Time(f.RecoverAfter)
-		if st.tracer != nil {
-			st.tracer.Record(trace.Event{
-				Kind: trace.Blacklist, Unit: su.hw.ID,
-				Start: float64(detect), End: float64(detect),
-				TaskID: trace.NoTask, Worker: su.idx,
-			})
-			st.tracer.Record(trace.Event{
-				Kind: trace.Recover, Unit: su.hw.ID,
-				Start: float64(su.downUntil), End: float64(su.downUntil),
-				TaskID: trace.NoTask, Worker: su.idx,
-			})
-		}
-		if st.tracker != nil {
-			// Best effort: the tracker only knows descriptor-level ids.
-			if st.tracker.SetOffline(su.hw.ID) == nil {
-				_ = st.tracker.SetOnline(su.hw.ID)
-			}
-		}
 	} else {
 		su.dead = true
 		st.failedUnits = append(st.failedUnits, su.hw.ID)
-		if st.tracer != nil {
+	}
+	if st.tracer != nil {
+		st.tracer.Record(st.taskSpan(trace.Failure, t, su, start, detect))
+		instant := func(kind trace.Kind, at sim.Time) {
 			st.tracer.Record(trace.Event{
-				Kind: trace.Blacklist, Unit: su.hw.ID,
-				Start: float64(detect), End: float64(detect),
+				Kind: kind, Unit: su.hw.ID, Start: float64(at), End: float64(at),
 				TaskID: trace.NoTask, Worker: su.idx,
 			})
 		}
-		if st.tracker != nil {
-			_ = st.tracker.SetOffline(su.hw.ID)
+		instant(trace.Blacklist, detect)
+		if recovers {
+			instant(trace.Recover, su.downUntil)
+		}
+	}
+	if st.tracker != nil {
+		// Best effort: the tracker only knows descriptor-level ids.
+		if st.tracker.SetOffline(su.hw.ID) == nil && recovers {
+			_ = st.tracker.SetOnline(su.hw.ID)
 		}
 	}
 	// Never reuse state on the dead unit: every copy in its device memory is
@@ -432,50 +474,30 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time, attemp
 			return nil, err
 		}
 	}
-	return &simFailure{at: detect, unit: su.hw.ID, unitIdx: su.idx, watchdog: f.Hang}, nil
+	return &simFailure{at: detect, on: su}, nil
 }
 
 // invalidateNode drops every valid copy held by a failed device's memory.
 func (st *simState) invalidateNode(node int) error {
-	for h, set := range st.valid {
-		if !set[node] {
+	for _, h := range st.handles {
+		row := st.copies(h)
+		if !row[node] {
 			continue
 		}
-		delete(set, node)
-		if len(set) == 0 {
+		row[node] = false
+		if !slices.Contains(row, true) {
 			return fmt.Errorf("taskrt: handle %q lost its last valid copy with memory node %d", h.Name, node)
 		}
 	}
 	return nil
 }
 
-// mirrorToHost write-backs a freshly written device copy to host RAM.
-// taskID attributes the transfer to the task whose write is checkpointed.
-func (st *simState) mirrorToHost(h *Handle, node int, ready sim.Time, taskID int) {
-	dur, err := st.machine.TransferTime(node, 0, h.Bytes)
-	if err != nil {
-		return // no route: node keeps the only copy
-	}
-	s, e := st.dma[0].Acquire(ready, sim.Time(dur))
-	st.transferBytes += h.Bytes
-	st.transferSecs += dur
-	st.transferCount++
-	if st.tracer != nil {
-		st.tracer.Record(trace.Event{
-			Kind: trace.Transfer, Unit: "node0",
-			Label: h.Name, Start: float64(s), End: float64(e),
-			Bytes:  h.Bytes,
-			TaskID: taskID, Worker: -1, From: fmt.Sprintf("node%d", node),
-		})
-	}
-	st.valid[h][0] = true
-}
-
-// cheapestSource picks the valid copy of h that is cheapest to move to dst.
+// cheapestSource picks the valid copy of h that is cheapest to move to dst
+// (the lowest node among equals).
 func (st *simState) cheapestSource(h *Handle, dst int) (src int, seconds float64, err error) {
 	best := -1
 	bestT := math.Inf(1)
-	for node, ok := range st.valid[h] {
+	for node, ok := range st.copies(h) {
 		if !ok {
 			continue
 		}
@@ -496,41 +518,18 @@ func (st *simState) cheapestSource(h *Handle, dst int) (src int, seconds float64
 // estimateEFT predicts the earliest finish time of t on unit u given
 // current resource horizons — the dmda cost function.
 func (st *simState) estimateEFT(t *Task, su *simUnit, ready sim.Time) sim.Time {
-	node := su.hw.MemNode
-	if su.downUntil > ready {
-		ready = su.downUntil
+	dataReady, err := st.stage(t, su, ready, false)
+	if err != nil {
+		return sim.Time(math.Inf(1))
 	}
-	dataReady := ready
-	for _, a := range t.Accesses {
-		if !a.Mode.Reads() {
-			continue
-		}
-		if st.valid[a.Handle][node] {
-			continue
-		}
-		_, dur, err := st.cheapestSource(a.Handle, node)
-		if err != nil {
-			return sim.Time(math.Inf(1))
-		}
-		s := ready
-		if st.dma[node].Available() > s {
-			s = st.dma[node].Available()
-		}
-		if e := s + sim.Time(dur); e > dataReady {
-			dataReady = e
-		}
-	}
-	start := dataReady
-	if a := su.availAt(); a > start {
-		start = a
-	}
-	return start + sim.Time(kernelSeconds(st.machine, t, su.hw))
+	return max(dataReady, su.availAt()) + sim.Time(kernelSeconds(st.machine, t, su.hw))
 }
 
 // compatibleUnits returns the units that have an implementation for t,
-// satisfy the task's Where placement constraint and are not blacklisted.
+// satisfy the task's Where placement constraint and are not blacklisted. The
+// result is valid until the next call.
 func (st *simState) compatibleUnits(t *Task) []*simUnit {
-	var out []*simUnit
+	out := st.cands[:0]
 	for _, su := range st.units {
 		if su.dead {
 			continue // blacklisted by a failure (or offline in the tracker)
@@ -543,18 +542,13 @@ func (st *simState) compatibleUnits(t *Task) []*simUnit {
 		}
 		out = append(out, su)
 	}
+	st.cands = out
 	return out
 }
 
-// unitAllowed reports whether a (possibly quantity-expanded) unit id matches
-// one of the allowed PU ids.
-func unitAllowed(id string, where []string) bool {
-	for _, w := range where {
-		if id == w || (len(id) > len(w) && id[:len(w)] == w && id[len(w)] == '.') {
-			return true
-		}
-	}
-	return false
+// earliest returns the first of cands to become available.
+func earliest(cands []*simUnit) *simUnit {
+	return slices.MinFunc(cands, func(a, b *simUnit) int { return cmp.Compare(a.availAt(), b.availAt()) })
 }
 
 // pickTaskIndex chooses which ready task to schedule next.
@@ -598,13 +592,7 @@ func (rt *Runtime) pickUnit(t *Task, st *simState, ready sim.Time) (*simUnit, er
 		// submission; an idle unit steals when the owner is backed up. In
 		// list-scheduling terms: run on the owner unless another compatible
 		// unit would start strictly earlier.
-		owner := cands[t.id%len(cands)]
-		best := owner
-		for _, su := range cands {
-			if su.availAt() < best.availAt() {
-				best = su
-			}
-		}
+		owner, best := cands[t.id%len(cands)], earliest(cands)
 		if owner.availAt() <= best.availAt() || owner.availAt() <= ready {
 			return owner, nil
 		}
@@ -619,12 +607,6 @@ func (rt *Runtime) pickUnit(t *Task, st *simState, ready sim.Time) (*simUnit, er
 		}
 		return best, nil
 	default: // eager: earliest-available compatible unit (central greedy queue)
-		best := cands[0]
-		for _, su := range cands[1:] {
-			if su.availAt() < best.availAt() {
-				best = su
-			}
-		}
-		return best, nil
+		return earliest(cands), nil
 	}
 }

@@ -2,6 +2,7 @@ package taskrt
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,5 +283,49 @@ func TestReportHelpers(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "a") || strings.Contains(s, "  b ") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestSimRunAllocations bounds what one simulated task may allocate: the
+// engine's state is tables indexed by task and handle id, sized once per run.
+// A fresh map per written tile — how coherence was once kept — costs 8
+// allocations a task on this graph and fails the bound; the tables cost under
+// one.
+func TestSimRunAllocations(t *testing.T) {
+	const T, tileBytes, maxPerTask = 8, 256 * 256 * 8, 2.0
+	for _, sched := range []string{"dmda", "eager"} {
+		rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A T×T×T tiled DGEMM: 512 tasks, each C tile a chain of T updates.
+		cl := dgemmCodelet(t)
+		var a, b, c [T * T]*Handle
+		for i := range a {
+			a[i] = rt.NewHandle("A", tileBytes, nil)
+			b[i] = rt.NewHandle("B", tileBytes, nil)
+			c[i] = rt.NewHandle("C", tileBytes, nil)
+		}
+		for i := 0; i < T; i++ {
+			for j := 0; j < T; j++ {
+				for k := 0; k < T; k++ {
+					if err := rt.Submit(&Task{Codelet: cl, Flops: 2 * 256 * 256 * 256,
+						Accesses: []Access{R(a[i*T+k]), R(b[k*T+j]), RW(c[i*T+j])}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perTask := float64(after.Mallocs-before.Mallocs) / float64(rt.Tasks())
+		t.Logf("%s: %d tasks, %.2f allocations per task", sched, rt.Tasks(), perTask)
+		if perTask > maxPerTask {
+			t.Errorf("%s: %.2f allocations per task, want at most %.1f", sched, perTask, maxPerTask)
+		}
 	}
 }

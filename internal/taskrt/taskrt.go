@@ -153,11 +153,8 @@ const (
 // Runtime accepts task submissions and executes them with Run.
 type Runtime struct {
 	cfg     Config
-	handles []*Handle
-	tasks   []*Task
-	nextID  int
-	lastW   map[*Handle]*Task
-	readers map[*Handle][]*Task
+	handles []*Handle    // by Handle.ID()
+	tasks   []*Task      // by Task.ID()
 	state   atomic.Int32 // stateIdle → stateRunning → stateDone
 }
 
@@ -194,11 +191,7 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	return &Runtime{
-		cfg:     cfg,
-		lastW:   map[*Handle]*Task{},
-		readers: map[*Handle][]*Task{},
-	}, nil
+	return &Runtime{cfg: cfg}, nil
 }
 
 // Submit registers a task for execution and derives its dependencies from
@@ -250,20 +243,38 @@ func (rt *Runtime) submitOne(t *Task) error {
 	if len(t.Codelet.Impls) == 0 {
 		return fmt.Errorf("taskrt: codelet %q has no implementations", t.Codelet.Name)
 	}
+	if t.id < len(rt.tasks) && rt.tasks[t.id] == t {
+		return fmt.Errorf("taskrt: task %q submitted twice", t.Codelet.Name)
+	}
 	for i, a := range t.Accesses {
-		if a.Handle == nil {
+		h := a.Handle
+		if h == nil {
 			return fmt.Errorf("taskrt: task %q accesses nil handle", t.Codelet.Name)
+		}
+		// Every engine keeps its books in tables indexed by handle id: a
+		// handle of another runtime would read someone else's row.
+		if h.id >= len(rt.handles) || rt.handles[h.id] != h {
+			return fmt.Errorf("taskrt: task %q accesses handle %q, which is not registered with this runtime", t.Codelet.Name, h.Name)
 		}
 		// Tasks touch a handful of handles: a linear scan beats allocating a
 		// set on every submission.
 		for _, b := range t.Accesses[:i] {
-			if b.Handle == a.Handle {
-				return fmt.Errorf("taskrt: task %q accesses handle %q twice", t.Codelet.Name, a.Handle.Name)
+			if b.Handle == h {
+				return fmt.Errorf("taskrt: task %q accesses handle %q twice", t.Codelet.Name, h.Name)
 			}
 		}
 	}
-	t.id = rt.nextID
-	rt.nextID++
+	for _, dep := range t.After {
+		if dep == nil {
+			return fmt.Errorf("taskrt: task %q has nil explicit dependency", t.Codelet.Name)
+		}
+		if dep.id >= len(rt.tasks) || rt.tasks[dep.id] != dep {
+			return fmt.Errorf("taskrt: task %q depends on a task not yet submitted to this runtime", t.Codelet.Name)
+		}
+	}
+	// Valid: only now does the task take an id, so ids stay dense — the index
+	// of the task in rt.tasks — whatever was rejected before it.
+	t.id = len(rt.tasks)
 
 	addDep := func(dep *Task) {
 		if dep == nil || dep == t {
@@ -278,19 +289,6 @@ func (rt *Runtime) submitOne(t *Task) error {
 		dep.dependents = append(dep.dependents, t)
 	}
 	for _, dep := range t.After {
-		if dep == nil {
-			return fmt.Errorf("taskrt: task %q has nil explicit dependency", t.Codelet.Name)
-		}
-		found := false
-		for _, prior := range rt.tasks {
-			if prior == dep {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("taskrt: task %q depends on a task not yet submitted", t.Codelet.Name)
-		}
 		addDep(dep)
 	}
 	for _, a := range t.Accesses {
@@ -298,16 +296,16 @@ func (rt *Runtime) submitOne(t *Task) error {
 		if a.Mode.Reads() || a.Mode == Write {
 			// Even pure writes must wait for the previous writer (output
 			// dependency) and for readers (anti dependency).
-			addDep(rt.lastW[h])
+			addDep(h.lastW)
 		}
 		if a.Mode.Writes() {
-			for _, r := range rt.readers[h] {
+			for _, r := range h.readers {
 				addDep(r)
 			}
-			rt.readers[h] = nil
-			rt.lastW[h] = t
+			h.readers = nil
+			h.lastW = t
 		} else {
-			rt.readers[h] = append(rt.readers[h], t)
+			h.readers = append(h.readers, t)
 		}
 	}
 	rt.tasks = append(rt.tasks, t)

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ vet:
 # engine state.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
+
+# lint-trace-schema keeps internal/trace saying each thing once: a Chrome
+# event's args are trace.Event's own JSON encoding, so chrome.go spells none of
+# its field names, and a Trace holds one event list, so neither it nor the
+# Shard that flushes into it has a second storage arm.
+lint-trace-schema:
+	@! grep -nE '"(attempt|parents|transfer|bytes|from|node)"' internal/trace/chrome.go
+	@! grep -n 'blocks' internal/trace/trace.go internal/trace/shard.go
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -72,10 +80,10 @@ fuzz:
 bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# verify is the tier-1 gate: build, full tests, vet, the engine-state lint,
-# race subset, the portable-kernel build, crash/recovery suite, multi-process
-# cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state race test-purego crash-test cluster-test bench-test
+# verify is the tier-1 gate: build, full tests, vet, the engine-state and
+# trace-schema lints, race subset, the portable-kernel build, crash/recovery
+# suite, multi-process cluster smoke, benchmark tests.
+verify: build test vet lint-engine-state lint-trace-schema race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

@@ -118,7 +118,7 @@ func runCluster(o *options) (*experiments.Result, error) {
 	if merged := trace.Published(); merged != nil {
 		tr = merged
 	}
-	if err := tr.WriteChromeFile(o.traceTo); err != nil {
+	if err := tr.WriteFile(o.traceTo, trace.FormatChrome); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(o.stdout, "wrote %s (%d events; load in https://ui.perfetto.dev)\n", o.traceTo, tr.Len())

@@ -272,18 +272,8 @@ func preloadOne(reg *registry.Registry, persist *registry.Persistence, name, pat
 	if err != nil {
 		return err
 	}
-	prepared, err := reg.Prepare(name, data)
-	if err != nil {
-		return err
-	}
-	if cur, ok := reg.Get(name); ok && cur.ETag == prepared.ETag() {
-		return nil // already recovered with identical content
-	}
-	if persist != nil {
-		return persist.LogPut(name, prepared.XML(), func() { reg.CommitPrepared(prepared) })
-	}
-	reg.CommitPrepared(prepared)
-	return nil
+	_, _, err = persist.Put(reg, name, data)
+	return err
 }
 
 // runExport recovers the store from a data dir and writes it as a tar

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -89,6 +90,9 @@ func summarize(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "meta:  %s\n", strings.Join(pairs, " "))
 	}
+	if d := tr.Dropped(); d > 0 {
+		fmt.Fprintf(stdout, "lost:  %d events dropped by a full buffer before they could be read\n", d)
+	}
 	if steals+retries+failures+transfers > 0 {
 		fmt.Fprintf(stdout, "flow:  %d steals, %d retries, %d failures, %d transfers\n",
 			steals, retries, failures, transfers)
@@ -139,31 +143,25 @@ func convert(args []string, stdout io.Writer) error {
 		return fmt.Errorf("usage: pdltrace convert [-to chrome|jsonl] <in> <out>")
 	}
 	in, out := fs.Arg(0), fs.Arg(1)
-	format := *to
-	if format == "" {
-		if strings.HasSuffix(out, ".jsonl") {
-			format = "jsonl"
-		} else {
-			format = "chrome"
-		}
-	}
+	format := cmp.Or(*to, formatOf(out))
 	tr, err := trace.ReadFile(in)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "chrome":
-		err = tr.WriteChromeFile(out)
-	case "jsonl":
-		err = tr.WriteJSONLFile(out)
-	default:
-		return fmt.Errorf("unknown format %q (want chrome or jsonl)", format)
-	}
-	if err != nil {
+	if err := tr.WriteFile(out, format); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%s, %d events)\n", out, format, tr.Len())
 	return nil
+}
+
+// formatOf picks an output file's format by its extension: .jsonl is JSONL,
+// anything else Chrome JSON.
+func formatOf(path string) string {
+	if strings.HasSuffix(path, ".jsonl") {
+		return trace.FormatJSONL
+	}
+	return trace.FormatChrome
 }
 
 // merge combines per-node traces (pdlworkerd -trace outputs plus the
@@ -193,12 +191,7 @@ func merge(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(*out, ".jsonl") {
-		err = merged.WriteJSONLFile(*out)
-	} else {
-		err = merged.WriteChromeFile(*out)
-	}
-	if err != nil {
+	if err := merged.WriteFile(*out, formatOf(*out)); err != nil {
 		return err
 	}
 	nodes := map[string]bool{}

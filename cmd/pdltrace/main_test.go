@@ -17,7 +17,7 @@ func writeSample(t *testing.T, path string) {
 	tr.Record(trace.Event{Kind: trace.Task, Unit: "worker0", Label: "root", Start: 0, End: 1, TaskID: 0})
 	tr.Record(trace.Event{Kind: trace.Steal, Unit: "worker1", Start: 1, End: 1, TaskID: 1, Worker: 1, From: "worker0"})
 	tr.Record(trace.Event{Kind: trace.Task, Unit: "worker1", Label: "leaf", Start: 1, End: 3, TaskID: 1, ParentIDs: []int{0}, Worker: 1})
-	if err := tr.WriteChromeFile(path); err != nil {
+	if err := tr.WriteFile(path, trace.FormatChrome); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,19 +84,25 @@ func TestDiff(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	dir := t.TempDir()
-	writeNode := func(name string, epochMicros int64, path string) {
+	// Each node's buffer overflowed before its one surviving span: lost
+	// spans lost on the node.
+	writeNode := func(name string, epochMicros int64, lost int, path string) {
 		tr := trace.New()
 		tr.SetMeta(trace.MetaNode, name)
 		tr.SetMeta(trace.MetaEpochMicros, fmt.Sprintf("%d", epochMicros))
+		tr.SetLimit(1)
+		for i := 0; i < lost; i++ {
+			tr.Record(trace.Event{Kind: trace.Task, Unit: "worker0", Label: "lost", TaskID: 100 + i})
+		}
 		tr.Record(trace.Event{Kind: trace.Task, Unit: "worker0", Label: name + "-task", Start: 0, End: 0.5, TaskID: 0})
-		if err := tr.WriteJSONLFile(path); err != nil {
+		if err := tr.WriteFile(path, trace.FormatJSONL); err != nil {
 			t.Fatal(err)
 		}
 	}
 	inA := filepath.Join(dir, "a.jsonl")
 	inB := filepath.Join(dir, "b.jsonl")
-	writeNode("alpha", 1_000_000, inA)
-	writeNode("beta", 1_500_000, inB)
+	writeNode("alpha", 1_000_000, 2, inA)
+	writeNode("beta", 1_500_000, 3, inB)
 
 	merged := filepath.Join(dir, "merged.jsonl")
 	var out strings.Builder
@@ -137,6 +143,17 @@ func TestMerge(t *testing.T) {
 	for _, want := range []string{`"node:alpha"`, `"node:beta"`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("chrome merge lacks %s process lane", want)
+		}
+	}
+
+	// The merged timeline, in either format, still says 2 + 3 spans were lost.
+	for _, path := range []string{merged, chrome} {
+		out.Reset()
+		if err := run([]string{"summarize", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "lost:  5 events dropped") {
+			t.Fatalf("summarize %s does not report the inputs' 5 dropped events:\n%s", path, out.String())
 		}
 	}
 }

@@ -228,7 +228,7 @@ func run(args []string) error {
 		}
 	}
 	if *traceTo != "" {
-		if err := tr.WriteJSONLFile(*traceTo); err != nil {
+		if err := tr.WriteFile(*traceTo, trace.FormatJSONL); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		log.Printf("pdlworkerd: wrote %s (%d events)", *traceTo, tr.Len())

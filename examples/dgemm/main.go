@@ -58,7 +58,7 @@ func main() {
 		tr.SetMeta("microkernel", blas.KernelISA())
 		tr.SetMeta("n", strconv.Itoa(realN))
 		tr.SetMeta("tile", strconv.Itoa(realTile))
-		if err := tr.WriteChromeFile(*traceTo); err != nil {
+		if err := tr.WriteFile(*traceTo, trace.FormatChrome); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d events; load in https://ui.perfetto.dev)\n", *traceTo, tr.Len())

@@ -16,22 +16,7 @@ import (
 // pdlserved wires the equivalent endpoints itself.
 func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /debug/trace", func(rw http.ResponseWriter, r *http.Request) {
-		tr := trace.Published()
-		if tr == nil {
-			http.Error(rw, "no trace published yet", http.StatusNotFound)
-			return
-		}
-		switch r.URL.Query().Get("format") {
-		case "jsonl":
-			rw.Header().Set("Content-Type", "application/jsonl")
-			tr.WriteJSONL(rw)
-		default:
-			rw.Header().Set("Content-Type", "application/json")
-			rw.Header().Set("Content-Disposition", `attachment; filename="cluster_trace.json"`)
-			tr.WriteChrome(rw)
-		}
-	})
+	mux.HandleFunc("GET /debug/trace", trace.Handler)
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		metrics.Default.WritePrometheus(rw)

@@ -252,7 +252,7 @@ func writeArtifacts(t *testing.T, merged *trace.Trace, base string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := merged.WriteChromeFile(filepath.Join(dir, "cluster_trace.json")); err != nil {
+	if err := merged.WriteFile(filepath.Join(dir, "cluster_trace.json"), trace.FormatChrome); err != nil {
 		t.Fatal(err)
 	}
 	fleet := fetchText(t, base+"/metrics")

@@ -264,18 +264,15 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// handleTrace serves the node's span buffer as JSONL. ?drain=1 atomically
-// hands the buffer over and clears it, so a polling collector sees every
-// span exactly once.
+// handleTrace serves the node's span buffer, as JSONL unless ?format= says
+// otherwise. ?drain=1 atomically hands the buffer over and clears it, so a
+// polling collector sees every span exactly once.
 func (w *Worker) handleTrace(rw http.ResponseWriter, r *http.Request) {
-	tr := w.tr
+	src := w.Trace
 	if r.URL.Query().Get("drain") == "1" {
-		tr = w.tr.Drain()
+		src = w.tr.Drain
 	}
-	rw.Header().Set("Content-Type", "application/jsonl")
-	if err := tr.WriteJSONL(rw); err != nil {
-		w.logf("cluster: worker %s: writing trace: %v", w.cfg.Name, err)
-	}
+	trace.Serve(rw, r, src, trace.FormatJSONL)
 }
 
 // Drain is the graceful-shutdown step: it refuses new execute streams, stops

@@ -333,8 +333,14 @@ func (p *Persistence) SetFsyncObserver(fn func(time.Duration)) {
 }
 
 // commit appends one journal record and, once it is durable, runs the
-// in-memory commit under the same lock — journal order is commit order.
+// in-memory commit under the same lock — journal order is commit order. A nil
+// p is a store without a durability layer: apply runs directly. This is the
+// one place that choice is made; Put and the Log* methods inherit it.
 func (p *Persistence) commit(op byte, body any, apply func()) error {
+	if p == nil {
+		apply()
+		return nil
+	}
 	if p.readOnly.Load() {
 		return ErrReadOnly
 	}
@@ -374,6 +380,24 @@ func (p *Persistence) degrade(err error) {
 	if p.readOnly.CompareAndSwap(false, true) {
 		p.logf("pdlserved: JOURNAL WRITE FAILED, degrading to read-only: %v", err)
 	}
+}
+
+// Put is reg.Put made durable, the one write path of a platform document
+// (the PUT handler and pdlserved's preload): validate, return the stored entry
+// unchanged when the canonical document is the one already there — nothing is
+// journaled, re-uploads stay free — otherwise journal it, then commit. The
+// error is Prepare's or, wrapping ErrReadOnly, the journal's; after the latter
+// nothing was committed.
+func (p *Persistence) Put(reg *Registry, name string, xmlDoc []byte) (entry *Entry, changed bool, err error) {
+	prepared, err := reg.Prepare(name, xmlDoc)
+	if err != nil {
+		return nil, false, err
+	}
+	if cur, ok := reg.Get(name); ok && cur.ETag == prepared.ETag() {
+		return cur, false, nil
+	}
+	err = p.LogPut(name, prepared.XML(), func() { entry, changed = reg.CommitPrepared(prepared) })
+	return entry, changed, err
 }
 
 // LogPut journals a committed platform upload, then runs apply to publish

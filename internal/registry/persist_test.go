@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -393,6 +394,54 @@ func TestJournalFailureDegradesToReadOnly(t *testing.T) {
 		t.Fatal("restart after degradation lost committed state")
 	}
 	p2.Close()
+}
+
+// Persistence.Put is the one write path of a document, with or without a
+// journal: a nil Persistence commits directly, a live one journals exactly
+// the uploads that change the store, and a broken one commits nothing.
+func TestPutJournalsOrCommitsDirectly(t *testing.T) {
+	doc, doc2 := platformXML("a", 1), platformXML("a", 2)
+
+	var none *Persistence
+	mem := New()
+	if e, changed, err := none.Put(mem, "a", doc); err != nil || !changed || e.Revision != 1 {
+		t.Fatalf("in-memory Put = (%+v, %v, %v), want revision 1, changed", e, changed, err)
+	}
+	if _, changed, err := none.Put(mem, "a", doc); err != nil || changed {
+		t.Fatalf("in-memory re-Put = (changed %v, %v), want unchanged", changed, err)
+	}
+	if _, _, err := none.Put(mem, "a", []byte("<Platform")); err == nil || errors.Is(err, ErrReadOnly) {
+		t.Fatalf("malformed document: err = %v, want Prepare's error", err)
+	}
+
+	dir := t.TempDir()
+	p, reg, _ := openHarness(t, dir, PersistOptions{Fsync: false})
+	for i, step := range []struct {
+		doc     []byte
+		changed bool
+		appends uint64
+	}{{doc, true, 1}, {doc, false, 1}, {doc2, true, 2}} {
+		_, changed, err := p.Put(reg, "a", step.doc)
+		if err != nil || changed != step.changed {
+			t.Fatalf("step %d: Put = (changed %v, %v), want changed %v", i, changed, err, step.changed)
+		}
+		if got := p.Stats().Appends; got != step.appends {
+			t.Fatalf("step %d: %d journal records, want %d (an identical re-upload journals nothing)", i, got, step.appends)
+		}
+	}
+	p.SimulateJournalFailure()
+	if _, _, err := p.Put(reg, "b", doc); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Put on a broken journal: err = %v, want ErrReadOnly", err)
+	}
+	if _, ok := reg.Get("b"); ok {
+		t.Fatal("Put committed a document the journal refused")
+	}
+	p.Close()
+	p2, reg2, _ := openHarness(t, dir, PersistOptions{Fsync: false})
+	defer p2.Close()
+	if e, ok := reg2.Get("a"); !ok || e.Revision != 2 || reg2.Len() != 1 {
+		t.Fatalf("recovered store: a = %+v (%v), %d platforms; want a at revision 2 alone", e, ok, reg2.Len())
+	}
 }
 
 func errorsIsReadOnly(err error) bool {

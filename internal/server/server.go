@@ -150,7 +150,7 @@ func (s *Server) routes() {
 	s.route("POST /workers/{id}", s.handleWorkerPut)
 	s.route("POST /workers/{id}/heartbeat", s.handleWorkerBeat)
 	s.route("DELETE /workers/{id}", s.handleWorkerDelete)
-	s.route("GET /debug/trace", s.handleDebugTrace)
+	s.route("GET /debug/trace", trace.Handler)
 }
 
 // Handler returns the root handler (for http.Server or httptest).
@@ -262,31 +262,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, b.String())
 }
 
-// handleDebugTrace serves the most recently published execution trace in
-// Chrome trace_event JSON (default, loadable in Perfetto) or JSONL
-// (?format=jsonl) — the HTTP face of the causal span layer.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	tr := trace.Published()
-	if tr == nil {
-		writeError(w, http.StatusNotFound, "no trace has been recorded in this process")
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		if err := tr.WriteChrome(w); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := tr.WriteJSONL(w); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown trace format %q (want chrome or jsonl)", format))
-	}
-}
-
 // platformInfo is the JSON projection of a registry entry (sans document).
 type platformInfo struct {
 	Name     string   `json:"name"`
@@ -331,36 +306,19 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
-	prepared, err := s.reg.Prepare(name, body)
+	// Write-ahead ordering: the canonical document reaches the journal (and
+	// disk, under -fsync) before the in-memory commit publishes it. A journal
+	// failure means the mutation is not acknowledged.
+	entry, changed, err := s.persist.Put(s.reg, name, body)
 	if err != nil {
 		if ve, ok := registry.AsValidationError(err); ok {
 			writeError(w, http.StatusUnprocessableEntity, "platform failed validation", ve.Problems...)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var (
-		entry   *registry.Entry
-		changed bool
-	)
-	if cur, ok := s.reg.Get(name); ok && cur.ETag == prepared.ETag() {
-		// Content-hash dedupe: nothing would change, so nothing is
-		// journaled — re-uploads of identical documents stay free.
-		entry, changed = cur, false
-	} else if s.persist != nil {
-		// Write-ahead ordering: the canonical document reaches the journal
-		// (and disk, under -fsync) before the in-memory commit publishes
-		// it. A journal failure means the mutation is not acknowledged.
-		err := s.persist.LogPut(name, prepared.XML(), func() {
-			entry, changed = s.reg.CommitPrepared(prepared)
-		})
-		if err != nil {
+		} else if errors.Is(err, registry.ErrReadOnly) {
 			writeJournalError(w, err)
-			return
+		} else {
+			writeError(w, http.StatusBadRequest, err.Error())
 		}
-	} else {
-		entry, changed = s.reg.CommitPrepared(prepared)
+		return
 	}
 	w.Header().Set("ETag", entry.ETag)
 	code := http.StatusOK
@@ -412,14 +370,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown platform")
 		return
 	}
-	if s.persist != nil {
-		err := s.persist.LogDelete(name, func() { s.reg.Delete(name) })
-		if err != nil {
-			writeJournalError(w, err)
-			return
-		}
-	} else {
-		s.reg.Delete(name)
+	if err := s.persist.LogDelete(name, func() { s.reg.Delete(name) }); err != nil {
+		writeJournalError(w, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": true, "version": s.reg.Version()})
 }
@@ -561,27 +514,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "observation needs codelet, positive size and positive seconds")
 		return
 	}
-	if s.persist != nil {
-		// Validate before journaling (an unattributable observation must
-		// never be written ahead), then journal, then record.
-		if err := s.tuner.CheckObservable(e.Platform); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		var obsErr error
-		err := s.persist.LogObserve(e.Name, obs.Codelet, obs.Size, obs.Seconds, func() {
-			obsErr = s.tuner.Observe(e.Platform, obs.Codelet, obs.Size, obs.Seconds)
-		})
-		if err != nil {
-			writeJournalError(w, err)
-			return
-		}
-		if obsErr != nil {
-			writeError(w, http.StatusUnprocessableEntity, obsErr.Error())
-			return
-		}
-	} else if err := s.tuner.Observe(e.Platform, obs.Codelet, obs.Size, obs.Seconds); err != nil {
+	// Validate before journaling (an unattributable observation must never
+	// be written ahead), then journal, then record.
+	if err := s.tuner.CheckObservable(e.Platform); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
+	var obsErr error
+	err := s.persist.LogObserve(e.Name, obs.Codelet, obs.Size, obs.Seconds, func() {
+		obsErr = s.tuner.Observe(e.Platform, obs.Codelet, obs.Size, obs.Seconds)
+	})
+	if err != nil {
+		writeJournalError(w, err)
+		return
+	}
+	if obsErr != nil {
+		writeError(w, http.StatusUnprocessableEntity, obsErr.Error())
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{"recorded": true})

@@ -80,8 +80,8 @@ func (s *creditSem) acquire(done, abort <-chan struct{}) bool {
 // synchronisation: one queue pass and one semaphore release for the whole
 // batch.
 //
-// The Real engine implements exactly two policies, "ws" and "dmda"; every
-// other Config.Scheduler name runs (and is reported as) "ws".
+// The Real engine implements exactly two policies, "ws" (the default) and
+// "dmda"; New rejects every other Config.Scheduler name in Real mode.
 //
 //   - stealDispatcher gives each worker a Chase-Lev deque plus one shared
 //     injector for pushes from outside the pool. A worker that completes a
@@ -565,7 +565,7 @@ const dmdaStealBackoff = 50 * time.Microsecond
 // throttle: when a worker's sweeps keep being declined while the whole pool
 // completes nothing for this long, the placement model is presumed wrong
 // (the victim is hung, offline, or far slower than predicted) and the next
-// sweep steals unconditionally.
+// sweep steals unconditionally; taskrt_steal_forced_total counts those steals.
 const dmdaStealForceAfter = 10 * time.Millisecond
 
 // stealFrom takes the newest task from the victim's queue (the one that
@@ -631,6 +631,9 @@ func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
 			t, unfav := d.stealFrom(w, victim, force)
 			if t != nil {
 				wk.steals.Add(1)
+				if force {
+					rtm.forcedSteals.Inc()
+				}
 				wk.stallDone = -1
 				return t, victim
 			}

@@ -36,6 +36,7 @@ var rtm = struct {
 	queueDepth     *metrics.GaugeVec     // {unit}
 	steals         *metrics.CounterVec   // {unit}
 	schedDecisions *metrics.CounterVec   // {policy, reason}
+	forcedSteals   *metrics.Counter
 	prefetches     *metrics.Counter
 	schedTransfer  *metrics.Counter
 	retries        *metrics.Counter
@@ -63,6 +64,8 @@ var rtm = struct {
 		"Tasks obtained by stealing from another worker's deque, by thief unit.", "unit"),
 	schedDecisions: metrics.Default.CounterVec("taskrt_sched_decisions_total",
 		"Real-engine placement decisions by policy and prediction source: model = perfmodel history, fallback = observed worker mean, cold = no history anywhere.", "policy", "reason"),
+	forcedSteals: metrics.Default.Counter("taskrt_steal_forced_total",
+		"Steals the dmda force valve let through unconditionally: a thief's sweeps were declined as EFT-unfavorable while the whole pool completed nothing for dmdaStealForceAfter, so the placement model is presumed wrong. A finding whenever it moves."),
 	prefetches: metrics.Default.Counter("taskrt_prefetch_hints_total",
 		"Prefetch hints issued by the data-aware dmda dispatcher: placements that marked a read operand resident on the target memory node ahead of dequeue."),
 	schedTransfer: metrics.Default.Counter("taskrt_sched_transfer_seconds_total",

@@ -33,8 +33,7 @@ var errInjected = fmt.Errorf("taskrt: injected fault")
 // completions push newly-ready dependents onto the completing worker's own
 // deque (the locality hint — the dependent's inputs are still hot in that
 // worker's cache), and idle workers steal FIFO from victims. That is "ws",
-// the policy every Scheduler name but "dmda" runs as and Report.Scheduler
-// reports. "dmda" routes each push to the worker with the earliest
+// the default. "dmda" routes each push to the worker with the earliest
 // model-predicted finish time —
 // perfmodel history per worker architecture plus interconnect-modelled
 // transfer cost for operands not resident on the worker's memory node (one
@@ -217,6 +216,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 			shardCap = trace.DefaultShardCapacity
 		}
 		rt.cfg.Trace.SetMeta("workers", strconv.Itoa(workers))
+		// One growth for the run: dmda's Place records and every worker's
+		// Flush land in the same list.
+		rt.cfg.Trace.Reserve(shardCap)
 	}
 
 	start := time.Now()

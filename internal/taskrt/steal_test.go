@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 )
@@ -91,5 +92,64 @@ func TestDmdaStealForcedAfterPoolStall(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("force valve never fired: hung victim's queue was never rescued")
 		}
+	}
+}
+
+// The force valve is a safety valve, so it is counted: a run whose victim is
+// 100× slower than its model says must move taskrt_steal_forced_total (the
+// thief is declined until the pool has completed nothing for
+// dmdaStealForceAfter, then steals anyway), and a healthy homogeneous run
+// must not.
+func TestDmdaStealForceValveIsCounted(t *testing.T) {
+	sleeper := func(d time.Duration) func(*TaskContext) error {
+		return func(*TaskContext) error { time.Sleep(d); return nil }
+	}
+	run := func(pl *core.Platform, cl *Codelet, models *perfmodel.Store, tasks int) float64 {
+		t.Helper()
+		rt, err := New(Config{Platform: pl, Mode: Real, Scheduler: "dmda", Models: models})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tasks; i++ {
+			if err := rt.Submit(&Task{Codelet: cl, Flops: 1e6}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := rtm.forcedSteals.Value()
+		if rep, err := rt.Run(); err != nil || rep.Tasks != tasks {
+			t.Fatalf("run: %v (report %+v)", err, rep)
+		}
+		return rtm.forcedSteals.Value() - before
+	}
+
+	// The model puts the fast worker at 0.2 ms a task and the slow one at its
+	// true 5 ms, so all six tasks are placed on the fast worker and the slow
+	// one's steals are declined (5 ms alone > 1.2 ms of backlog). In truth the
+	// fast worker takes 20 ms: nothing completes for 10 ms and the valve opens.
+	wrong, err := NewCodelet("wrong",
+		Impl{Arch: "x86", Func: sleeper(20 * time.Millisecond)},
+		Impl{Arch: "x86slow", Func: sleeper(5 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := perfmodel.NewStore()
+	for _, sz := range []float64{5e5, 1e6, 2e6} {
+		if err := models.Model("wrong", "x86").Record(sz, sz/1e6*0.2e-3); err != nil {
+			t.Fatal(err)
+		}
+		if err := models.Model("wrong", "x86slow").Record(sz, sz/1e6*5e-3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if forced := run(heteroPlatform(t, 1), wrong, models, 6); forced < 1 {
+		t.Errorf("victim 100× slower than its model: %v forced steals counted, want at least 1", forced)
+	}
+
+	healthy, err := NewCodelet("healthy", Impl{Arch: "x86", Func: sleeper(200 * time.Microsecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced := run(cpuPlatform(t, 4), healthy, nil, 64); forced != 0 {
+		t.Errorf("healthy homogeneous run: %v forced steals counted, want 0", forced)
 	}
 }

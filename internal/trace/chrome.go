@@ -1,11 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
+	"strconv"
 )
 
 // Chrome trace_event export: the JSON object format consumed by Perfetto
@@ -15,23 +16,22 @@ import (
 // and steal provenance are flow events ("s"/"f") drawn as arrows between
 // lanes. Timestamps are microseconds, per the format.
 //
-// The exporter writes every span's causal identifiers (kind, task, parents,
-// attempt, worker, from, bytes, unit) into args, so ReadChrome can
-// reconstruct the original Trace losslessly — the Chrome file is a full
-// serialisation, not just a rendering.
+// A span's args are the Event's own JSON encoding — the same object a JSONL
+// line holds — so ReadChrome reconstructs the original Trace losslessly: the
+// Chrome file is a full serialisation, not just a rendering.
 
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int            `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string          `json:"name"`
+	Cat  string          `json:"cat,omitempty"`
+	Ph   string          `json:"ph"`
+	Ts   float64         `json:"ts"`
+	Dur  float64         `json:"dur,omitempty"`
+	Pid  int             `json:"pid"`
+	Tid  int             `json:"tid"`
+	ID   int             `json:"id,omitempty"`
+	BP   string          `json:"bp,omitempty"`
+	S    string          `json:"s,omitempty"`
+	Args json.RawMessage `json:"args,omitempty"`
 }
 
 type chromeFile struct {
@@ -40,76 +40,49 @@ type chromeFile struct {
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
+// chromeDropped is the otherData key that carries Trace.Dropped beside the
+// metadata (the format has no other place for it); written only when
+// non-zero, reserved as a metadata key.
+const chromeDropped = "dropped"
+
 const chromePid = 0
 
 // usec converts trace seconds to trace_event microseconds.
 func usec(s float64) float64 { return s * 1e6 }
 
-// eventArgs serialises the span identifiers for lossless re-import.
-func eventArgs(e Event) map[string]any {
-	args := map[string]any{
-		"kind": e.Kind.String(),
-		"unit": e.Unit,
-		"task": e.TaskID,
-	}
-	if len(e.ParentIDs) > 0 {
-		args["parents"] = e.ParentIDs
-	}
-	if e.Attempt != 0 {
-		args["attempt"] = e.Attempt
-	}
-	if e.Worker != 0 {
-		args["worker"] = e.Worker
-	}
-	if e.Bytes != 0 {
-		args["bytes"] = e.Bytes
-	}
-	if e.From != "" {
-		args["from"] = e.From
-	}
-	if e.Transfer != 0 {
-		args["transfer"] = e.Transfer
-	}
-	if e.Label != "" {
-		args["label"] = e.Label
-	}
-	if e.Node != "" {
-		args["node"] = e.Node
-	}
-	return args
+// metaArgs encodes the one argument of a Chrome metadata event.
+func metaArgs(key string, v any) json.RawMessage {
+	b, _ := json.Marshal(map[string]any{key: v}) // a string or an int: cannot fail
+	return b
 }
 
 // WriteChrome writes the trace in Chrome trace_event JSON. Output is
-// deterministic for a given trace: lanes are sorted by unit id, events by
-// (start, unit, label), flow ids assigned in that order. Events from
+// deterministic for a given trace: lanes are sorted by unit id, events in
+// export order (sortEvents), flow ids assigned in that order. Events from
 // different cluster nodes (Event.Node) become separate trace processes —
 // one pid per node, "pdl" (pid 0) for node-less events — so a merged
 // multi-node trace renders with per-node lane groups in Perfetto.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	events := t.Events()
 	meta := t.Meta()
+	if d := t.Dropped(); d > 0 {
+		meta[chromeDropped] = strconv.FormatUint(d, 10)
+	}
 
-	// Process assignment: sorted node names → pids. Node-less events share
-	// the historical "pdl" process at pid 0.
+	// Process assignment: sorted node names → pids 1..n. Node-less events
+	// share the historical "pdl" process: "" is not in the map, so it reads
+	// as chromePid.
 	pidOf := map[string]int{}
 	var nodes []string
 	for _, e := range events {
-		if e.Node != "" {
-			if _, ok := pidOf[e.Node]; !ok {
-				pidOf[e.Node] = 0
-				nodes = append(nodes, e.Node)
-			}
+		if _, ok := pidOf[e.Node]; !ok && e.Node != "" {
+			pidOf[e.Node] = 0
+			nodes = append(nodes, e.Node)
 		}
 	}
 	sort.Strings(nodes)
 	for i, n := range nodes {
 		pidOf[n] = chromePid + 1 + i
-	}
-	pidFor := func(e Event) int {
-		if e.Node == "" {
-			return chromePid
-		}
-		return pidOf[e.Node]
 	}
 
 	// Lane assignment: per process, sorted unit ids → tids 0..n-1.
@@ -120,7 +93,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	laneOf := map[laneKey]int{}
 	unitsByPid := map[int][]string{}
 	for _, e := range events {
-		pid := pidFor(e)
+		pid := pidOf[e.Node]
 		k := laneKey{pid, e.Unit}
 		if _, ok := laneOf[k]; !ok && e.Unit != "" {
 			laneOf[k] = 0
@@ -131,7 +104,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	emitProcess := func(pid int, name string) {
 		out = append(out, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
+			Args: metaArgs("name", name),
 		})
 		units := unitsByPid[pid]
 		sort.Strings(units)
@@ -139,11 +112,11 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			laneOf[laneKey{pid, u}] = i
 			out = append(out, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
-				Args: map[string]any{"name": u},
+				Args: metaArgs("name", u),
 			})
 			out = append(out, chromeEvent{
 				Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: i,
-				Args: map[string]any{"sort_index": i},
+				Args: metaArgs("sort_index", i),
 			})
 		}
 	}
@@ -154,77 +127,49 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		emitProcess(pidOf[n], "node:"+n)
 	}
 
-	// Successful executions by task id, for dependency flow endpoints.
-	taskEvent := map[int]Event{}
-	for _, e := range events {
-		if e.Kind != Task || e.TaskID < 0 {
-			continue
-		}
-		if prev, ok := taskEvent[e.TaskID]; !ok || e.End > prev.End {
-			taskEvent[e.TaskID] = e
-		}
-	}
+	taskEvent := latestTasks(events) // dependency flow endpoints
 
-	name := func(e Event) string {
-		if e.Label != "" {
-			return e.Label
-		}
-		return e.Kind.String()
-	}
-
+	// arrow draws a flow from one (time, process, lane) to another.
 	flowID := 0
+	arrow := func(name string, ts0 float64, pid0, tid0 int, ts1 float64, pid1, tid1 int) {
+		flowID++
+		out = append(out,
+			chromeEvent{Name: name, Cat: name, Ph: "s", ID: flowID, Ts: ts0, Pid: pid0, Tid: tid0},
+			chromeEvent{Name: name, Cat: name, Ph: "f", BP: "e", ID: flowID, Ts: ts1, Pid: pid1, Tid: tid1})
+	}
 	for _, e := range events {
-		pid := pidFor(e)
+		pid := pidOf[e.Node]
 		lane := laneOf[laneKey{pid, e.Unit}]
+		args, err := json.Marshal(e)
+		if err != nil {
+			return fmt.Errorf("trace: encoding %s event of task %d: %w", e.Kind, e.TaskID, err)
+		}
 		switch e.Kind {
 		case Task, Transfer, Failure, Retry:
 			out = append(out, chromeEvent{
-				Name: name(e), Cat: e.Kind.String(), Ph: "X",
+				Name: cmp.Or(e.Label, e.Kind.String()), Cat: e.Kind.String(), Ph: "X",
 				Ts: usec(e.Start), Dur: usec(e.Duration()),
-				Pid: pid, Tid: lane, Args: eventArgs(e),
+				Pid: pid, Tid: lane, Args: args,
 			})
 			if e.Kind != Task {
 				break
 			}
 			// Dependency arrows: parent end → child start.
 			for _, p := range e.ParentIDs {
-				pe, ok := taskEvent[p]
-				if !ok {
-					continue
+				if pe, ok := taskEvent[p]; ok {
+					ppid := pidOf[pe.Node]
+					arrow("dep", usec(pe.End), ppid, laneOf[laneKey{ppid, pe.Unit}], usec(e.Start), pid, lane)
 				}
-				ppid := pidFor(pe)
-				flowID++
-				out = append(out,
-					chromeEvent{
-						Name: "dep", Cat: "dep", Ph: "s", ID: flowID,
-						Ts: usec(pe.End), Pid: ppid, Tid: laneOf[laneKey{ppid, pe.Unit}],
-					},
-					chromeEvent{
-						Name: "dep", Cat: "dep", Ph: "f", BP: "e", ID: flowID,
-						Ts: usec(e.Start), Pid: pid, Tid: lane,
-					})
 			}
 		case Steal, Blacklist, Recover, Place, Straggler:
 			out = append(out, chromeEvent{
 				Name: e.Kind.String(), Cat: e.Kind.String(), Ph: "i",
-				Ts: usec(e.Start), Pid: pid, Tid: lane, S: "t",
-				Args: eventArgs(e),
+				Ts: usec(e.Start), Pid: pid, Tid: lane, S: "t", Args: args,
 			})
 			// Steal arrows: victim lane → thief lane (same process: steals
 			// never cross nodes).
-			if e.Kind == Steal && e.From != "" {
-				if victim, ok := laneOf[laneKey{pid, e.From}]; ok {
-					flowID++
-					out = append(out,
-						chromeEvent{
-							Name: "steal", Cat: "steal", Ph: "s", ID: flowID,
-							Ts: usec(e.Start), Pid: pid, Tid: victim,
-						},
-						chromeEvent{
-							Name: "steal", Cat: "steal", Ph: "f", BP: "e", ID: flowID,
-							Ts: usec(e.Start), Pid: pid, Tid: lane,
-						})
-				}
+			if victim, ok := laneOf[laneKey{pid, e.From}]; e.Kind == Steal && ok {
+				arrow("steal", usec(e.Start), pid, victim, usec(e.Start), pid, lane)
 			}
 		}
 	}
@@ -238,78 +183,45 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	})
 }
 
-// WriteChromeFile writes the Chrome trace to a file.
-func (t *Trace) WriteChromeFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadChrome reconstructs a Trace from Chrome trace_event JSON previously
 // produced by WriteChrome (metadata and flow events are consumed, spans are
-// rebuilt from the args written by the exporter).
+// rebuilt from the Event each carries in args).
 func ReadChrome(r io.Reader) (*Trace, error) {
 	var file chromeFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&file); err != nil {
+	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("trace: decoding chrome trace: %w", err)
 	}
-	return fromChrome(&file)
-}
-
-func fromChrome(file *chromeFile) (*Trace, error) {
+	if file.TraceEvents == nil {
+		return nil, fmt.Errorf("trace: chrome trace has no traceEvents")
+	}
 	t := New()
 	for k, v := range file.OtherData {
-		t.SetMeta(k, v)
+		if k != chromeDropped {
+			t.SetMeta(k, v)
+			continue
+		}
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: chrome otherData.%s: %w", chromeDropped, err)
+		}
+		t.addDroppedLocked(n)
 	}
 	for _, ce := range file.TraceEvents {
 		if ce.Ph != "X" && ce.Ph != "i" {
 			continue // metadata and flow events carry no spans
 		}
-		kindStr, _ := ce.Args["kind"].(string)
-		if kindStr == "" {
-			return nil, fmt.Errorf("trace: chrome event %q lacks args.kind (not a pdl trace?)", ce.Name)
-		}
-		kind, err := ParseKind(kindStr)
-		if err != nil {
-			return nil, err
-		}
-		e := Event{
-			Kind:   kind,
-			Start:  ce.Ts / 1e6,
-			End:    (ce.Ts + ce.Dur) / 1e6,
-			TaskID: argInt(ce.Args, "task", NoTask),
-			Worker: argInt(ce.Args, "worker", 0),
-		}
-		e.Unit, _ = ce.Args["unit"].(string)
-		e.Label, _ = ce.Args["label"].(string)
-		e.From, _ = ce.Args["from"].(string)
-		e.Node, _ = ce.Args["node"].(string)
-		e.Attempt = argInt(ce.Args, "attempt", 0)
-		e.Bytes = int64(argInt(ce.Args, "bytes", 0))
-		e.Transfer, _ = ce.Args["transfer"].(float64)
-		if ps, ok := ce.Args["parents"].([]any); ok {
-			for _, p := range ps {
-				if f, ok := p.(float64); ok {
-					e.ParentIDs = append(e.ParentIDs, int(f))
-				}
+		// Chrome's microseconds stand in for the times of files written
+		// before args carried start and end; the kind has no stand-in.
+		e := Event{Kind: -1, Start: ce.Ts / 1e6, End: (ce.Ts + ce.Dur) / 1e6, TaskID: NoTask}
+		if len(ce.Args) > 0 {
+			if err := json.Unmarshal(ce.Args, &e); err != nil {
+				return nil, fmt.Errorf("trace: chrome event %q: %w", ce.Name, err)
 			}
 		}
-		t.Record(e)
+		if e.Kind < 0 {
+			return nil, fmt.Errorf("trace: chrome event %q lacks args.kind (not a pdl trace?)", ce.Name)
+		}
+		t.events = append(t.events, e)
 	}
 	return t, nil
-}
-
-// argInt reads an integer arg (decoded by encoding/json as float64).
-func argInt(args map[string]any, key string, def int) int {
-	if f, ok := args[key].(float64); ok {
-		return int(f)
-	}
-	return def
 }

@@ -23,18 +23,7 @@ type CriticalPath struct {
 // (Failure events) never appear on the path. Tasks whose parents were not
 // traced are treated as roots.
 func (t *Trace) CriticalPath() CriticalPath {
-	events := t.snapshot()
-
-	// Latest successful execution per task id.
-	byID := map[int]Event{}
-	for _, e := range events {
-		if e.Kind != Task || e.TaskID < 0 {
-			continue
-		}
-		if prev, ok := byID[e.TaskID]; !ok || e.End > prev.End {
-			byID[e.TaskID] = e
-		}
-	}
+	byID := latestTasks(t.snapshot())
 	if len(byID) == 0 {
 		return CriticalPath{}
 	}
@@ -95,4 +84,19 @@ func (t *Trace) CriticalPath() CriticalPath {
 		cp.Events = append(cp.Events, byID[path[i]])
 	}
 	return cp
+}
+
+// latestTasks indexes the Task events by task id, keeping for a retried task
+// its latest (the successful) execution.
+func latestTasks(events []Event) map[int]Event {
+	byID := map[int]Event{}
+	for _, e := range events {
+		if e.Kind != Task || e.TaskID < 0 {
+			continue
+		}
+		if prev, ok := byID[e.TaskID]; !ok || e.End > prev.End {
+			byID[e.TaskID] = e
+		}
+	}
+	return byID
 }

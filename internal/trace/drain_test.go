@@ -6,7 +6,7 @@ import (
 )
 
 // Drain must move everything recorded so far (direct records, flushed shard
-// blocks, the dropped count) into the snapshot, keep metadata on both sides,
+// events, the dropped count) into the snapshot, keep metadata on both sides,
 // and leave the receiver recording — the contract behind a collector
 // repeatedly draining a live worker trace.
 func TestDrainMovesEventsKeepsMeta(t *testing.T) {
@@ -43,10 +43,9 @@ func TestDrainMovesEventsKeepsMeta(t *testing.T) {
 	}
 }
 
-// SetLimit must bound the trace between drains: oldest events (in the
-// trace's iteration order — flushed blocks first, then direct records) are
-// discarded past the cap, counted in Dropped (drain-scoped) and
-// DroppedTotal (monotonic).
+// SetLimit must bound the trace between drains: the oldest events, in
+// arrival order, are discarded past the cap, counted in Dropped
+// (drain-scoped) and DroppedTotal (monotonic).
 func TestSetLimitDropsOldest(t *testing.T) {
 	tr := New()
 	tr.SetLimit(5)
@@ -64,8 +63,8 @@ func TestSetLimitDropsOldest(t *testing.T) {
 		t.Fatalf("survivors are not the newest events: %+v", events)
 	}
 
-	// The worker pattern: every span arrives as a flushed shard block, and
-	// whole blocks are dropped oldest-first.
+	// Flushed shards are bounded exactly as direct records are: limit 6 after
+	// two flushed shards of 4 keeps the newest 6.
 	tr2 := New()
 	tr2.SetLimit(6)
 	for round := 0; round < 2; round++ {
@@ -75,30 +74,30 @@ func TestSetLimitDropsOldest(t *testing.T) {
 		}
 		sh.Flush()
 	}
-	if got := tr2.Len(); got != 4 {
-		t.Fatalf("Len = %d after block drop, want 4", got)
+	if got := tr2.Len(); got != 6 {
+		t.Fatalf("Len = %d after two flushes, want 6", got)
 	}
-	if got := tr2.Events()[0].TaskID; got != 4 {
-		t.Fatalf("oldest surviving span is task %d, want 4", got)
+	if got := tr2.Events()[0].TaskID; got != 2 {
+		t.Fatalf("oldest surviving span is task %d, want 2", got)
 	}
-	if d := tr2.DroppedTotal(); d != 4 {
-		t.Fatalf("DroppedTotal = %d, want 4", d)
+	if d := tr2.DroppedTotal(); d != 2 {
+		t.Fatalf("DroppedTotal = %d, want 2", d)
 	}
 
 	// Drain resets the per-drain count but not the monotonic one, and the
 	// receiver keeps enforcing its limit afterwards.
 	snap := tr2.Drain()
-	if snap.Dropped() != 4 || tr2.Dropped() != 0 {
+	if snap.Dropped() != 2 || tr2.Dropped() != 0 {
 		t.Fatalf("drain moved dropped wrong: snap=%d recv=%d", snap.Dropped(), tr2.Dropped())
 	}
-	if d := tr2.DroppedTotal(); d != 4 {
+	if d := tr2.DroppedTotal(); d != 2 {
 		t.Fatalf("DroppedTotal reset by Drain: %d", d)
 	}
 	for i := 0; i < 10; i++ {
 		tr2.Record(Event{Kind: Task, TaskID: 100 + i})
 	}
-	if got, d := tr2.Len(), tr2.DroppedTotal(); got != 6 || d != 8 {
-		t.Fatalf("post-drain enforcement: Len=%d DroppedTotal=%d, want 6 and 8", got, d)
+	if got, d := tr2.Len(), tr2.DroppedTotal(); got != 6 || d != 6 {
+		t.Fatalf("post-drain enforcement: Len=%d DroppedTotal=%d, want 6 and 6", got, d)
 	}
 
 	// SetLimit(0) removes the bound.

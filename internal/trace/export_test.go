@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,7 +33,8 @@ func richSample() *Trace {
 	return t
 }
 
-// sameTrace asserts two traces carry identical events and metadata.
+// sameTrace asserts two traces carry identical events, metadata and drop
+// count.
 func sameTrace(t *testing.T, want, got *Trace) {
 	t.Helper()
 	we, ge := want.Events(), got.Events()
@@ -46,6 +48,9 @@ func sameTrace(t *testing.T, want, got *Trace) {
 	}
 	if !reflect.DeepEqual(want.Meta(), got.Meta()) {
 		t.Fatalf("meta = %v; want %v", got.Meta(), want.Meta())
+	}
+	if want.Dropped() != got.Dropped() {
+		t.Fatalf("dropped = %d; want %d", got.Dropped(), want.Dropped())
 	}
 }
 
@@ -72,6 +77,18 @@ func TestChromeGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("chrome output drifted from %s (re-run with -update if intended):\n%s", golden, buf.String())
 	}
+}
+
+// Chrome files written before args became the Event's own encoding (a
+// hand-written subset of the same keys, times only as ts/dur microseconds)
+// must keep reading back: chrome.v1.golden.json is richSample as the
+// exporter wrote it then.
+func TestChromeReadsV1Files(t *testing.T) {
+	got, err := ReadFile(filepath.Join("testdata", "chrome.v1.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTrace(t, richSample(), got)
 }
 
 // The Chrome file carries full span identity in args, so importing it back
@@ -166,11 +183,14 @@ func TestReadFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "t.json")
 	jsonl := filepath.Join(dir, "t.jsonl")
-	if err := tr.WriteChromeFile(chrome); err != nil {
+	if err := tr.WriteFile(chrome, FormatChrome); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteJSONLFile(jsonl); err != nil {
+	if err := tr.WriteFile(jsonl, FormatJSONL); err != nil {
 		t.Fatal(err)
+	}
+	if err := tr.WriteFile(filepath.Join(dir, "t.svg"), "svg"); err == nil {
+		t.Fatal("WriteFile accepted an unknown format")
 	}
 	for _, path := range []string{chrome, jsonl} {
 		got, err := ReadFile(path)
@@ -212,4 +232,120 @@ func TestChromePlaceTransferRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTrace(t, tr, got)
+}
+
+// fullEvent returns an Event with every exported field set to a distinct
+// non-zero value, by reflection: a field added to Event is filled here
+// without anyone remembering to.
+func fullEvent(t *testing.T) Event {
+	t.Helper()
+	var e Event
+	v := reflect.ValueOf(&e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int{i, i + 1}))
+		default:
+			t.Fatalf("Event.%s has kind %s: teach fullEvent to fill it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return e
+}
+
+// One schema: whatever fields Event has, both file formats carry all of
+// them. Fails the day someone adds a field one format does not round-trip.
+func TestEventSchemaOnce(t *testing.T) {
+	e := fullEvent(t)
+	v := reflect.ValueOf(e)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fullEvent left Event.%s zero", v.Type().Field(i).Name)
+		}
+	}
+	tr := New()
+	tr.SetMeta("scheduler", "dmda")
+	tr.Record(e)
+	for _, format := range []string{FormatChrome, FormatJSONL} {
+		var buf bytes.Buffer
+		if err := formats[format].write(tr, &buf); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		got, err := ReadBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		sameTrace(t, tr, got)
+	}
+}
+
+// Exports are deterministic: the same events recorded in any order — two
+// dmda Place instants in the same nanosecond included — produce the same
+// bytes in both formats.
+func TestExportOrderIsTotal(t *testing.T) {
+	events := richSample().Events()
+	for id := 10; id < 14; id++ { // same start, unit and label: ordered by task id
+		events = append(events, Event{Kind: Place, Unit: "worker0", Label: "gemm", Start: 2, End: 2, TaskID: id, From: "model"})
+	}
+	events = append(events,
+		Event{Kind: Task, Unit: "worker0", Label: "gemm", Start: 2, End: 3, TaskID: 10, Node: "w2"},
+		Event{Kind: Task, Unit: "worker0", Label: "gemm", Start: 2, End: 3, TaskID: 10, Node: "w1"},
+		Event{Kind: Failure, Unit: "worker0", Label: "gemm", Start: 2, End: 3, TaskID: 10, Node: "w1"},
+		Event{Kind: Failure, Unit: "worker0", Label: "gemm", Start: 2, End: 3, TaskID: 10, Node: "w1", Attempt: 1})
+	export := func(order []int) (chrome, jsonl string) {
+		tr := New()
+		for _, i := range order {
+			tr.Record(events[i])
+		}
+		var c, j bytes.Buffer
+		if err := tr.WriteChrome(&c); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteJSONL(&j); err != nil {
+			t.Fatal(err)
+		}
+		return c.String(), j.String()
+	}
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	wantChrome, wantJSONL := export(order)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		chrome, jsonl := export(order)
+		if chrome != wantChrome || jsonl != wantJSONL {
+			t.Fatalf("round %d: export depends on recording order %v", round, order)
+		}
+	}
+}
+
+// A drop count must survive both file formats: a re-read timeline that lost
+// spans says so.
+func TestDroppedRoundTrips(t *testing.T) {
+	tr := richSample()
+	tr.SetLimit(7)
+	if tr.Dropped() != 3 {
+		t.Fatalf("dropped = %d; want 3", tr.Dropped())
+	}
+	for _, format := range []string{FormatChrome, FormatJSONL} {
+		path := filepath.Join(t.TempDir(), "t")
+		if err := tr.WriteFile(path, format); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTrace(t, tr, got)
+		if got.DroppedTotal() != 3 {
+			t.Fatalf("%s: DroppedTotal = %d; want 3", format, got.DroppedTotal())
+		}
+	}
 }

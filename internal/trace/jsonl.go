@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // JSONL stream format: line 1 is a header object naming the format and
@@ -27,7 +26,7 @@ type jsonlHeader struct {
 const jsonlFormat = "pdltrace"
 
 // WriteJSONL writes the trace as a JSONL stream: header line, then one
-// event per line in deterministic (start, unit, label) order.
+// event per line in export order (sortEvents).
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	events := t.Events()
 	bw := bufio.NewWriter(w)
@@ -47,19 +46,6 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteJSONLFile writes the JSONL stream to a file.
-func (t *Trace) WriteJSONLFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadJSONL reconstructs a Trace from a JSONL stream.
@@ -83,6 +69,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	for k, v := range hdr.Meta {
 		t.SetMeta(k, v)
 	}
+	t.addDroppedLocked(hdr.Dropped)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -93,47 +80,10 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return nil, fmt.Errorf("trace: JSONL line %d: %w", line, err)
 		}
-		t.Record(e)
+		t.events = append(t.events, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	return t, nil
-}
-
-// ReadBytes parses a serialised trace in either supported format, sniffing
-// the header: a Chrome trace is one JSON object with a traceEvents key, a
-// JSONL stream starts with the pdltrace header line.
-func ReadBytes(data []byte) (*Trace, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if nl := bytes.IndexByte(trimmed, '\n'); nl >= 0 {
-		var hdr jsonlHeader
-		if json.Unmarshal(trimmed[:nl], &hdr) == nil && hdr.Format == jsonlFormat {
-			return ReadJSONL(bytes.NewReader(trimmed))
-		}
-	} else {
-		// A single line can still be a (header-only) JSONL trace.
-		var hdr jsonlHeader
-		if json.Unmarshal(trimmed, &hdr) == nil && hdr.Format == jsonlFormat {
-			return ReadJSONL(bytes.NewReader(trimmed))
-		}
-	}
-	var file chromeFile
-	if err := json.Unmarshal(trimmed, &file); err == nil && file.TraceEvents != nil {
-		return fromChrome(&file)
-	}
-	return nil, fmt.Errorf("trace: unrecognised trace format (want Chrome trace_event JSON or pdltrace JSONL)")
-}
-
-// ReadFile parses a trace file in either supported format.
-func ReadFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t, err := ReadBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
 }

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 )
 
@@ -27,7 +28,9 @@ const (
 //
 // Metadata merges with a "node/" prefix per input (e.g. "w1/epoch_us"),
 // keeping node-specific keys apart; unprefixed keys from the first input
-// win for everything else.
+// win for everything else. The result's Dropped is the sum of the inputs':
+// a span lost on any node is lost from the cluster timeline. Events stay in
+// input order — Events and the exporters impose the one export order.
 func Merge(inputs ...*Trace) (*Trace, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("trace: merge of zero traces")
@@ -40,27 +43,20 @@ func Merge(inputs ...*Trace) (*Trace, error) {
 	}
 	parts := make([]part, 0, len(inputs))
 	haveEpochs := true
-	var minEpoch int64
-	epochSeen := false
+	minEpoch := int64(math.MaxInt64)
 	for i, tr := range inputs {
 		if tr == nil {
 			return nil, fmt.Errorf("trace: merge input %d is nil", i)
 		}
 		meta := tr.Meta()
-		p := part{tr: tr, node: meta[MetaNode]}
-		if p.node == "" {
-			p.node = fmt.Sprintf("n%d", i)
-		}
+		p := part{tr: tr, node: cmp.Or(meta[MetaNode], fmt.Sprintf("n%d", i))}
 		if s := meta[MetaEpochMicros]; s != "" {
 			us, err := strconv.ParseInt(s, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("trace: merge input %d (%s): bad %s %q: %v", i, p.node, MetaEpochMicros, s, err)
 			}
 			p.epoch = us
-			if !epochSeen || us < minEpoch {
-				minEpoch = us
-			}
-			epochSeen = true
+			minEpoch = min(minEpoch, us)
 		} else {
 			// An input without an epoch disables time alignment entirely:
 			// shifting only some inputs would skew their relative order.
@@ -70,45 +66,29 @@ func Merge(inputs ...*Trace) (*Trace, error) {
 	}
 
 	out := New()
-	var merged []Event
 	for _, p := range parts {
 		shift := 0.0
 		if haveEpochs {
 			shift = float64(p.epoch-minEpoch) / 1e6
 		}
-		for _, e := range p.tr.Events() {
+		for _, e := range p.tr.snapshot() {
 			if e.Node == "" {
 				e.Node = p.node
 			}
 			e.Start += shift
 			e.End += shift
-			merged = append(merged, e)
+			out.events = append(out.events, e)
 		}
 		for k, v := range p.tr.Meta() {
 			out.SetMeta(p.node+"/"+k, v)
 		}
+		out.addDroppedLocked(p.tr.Dropped())
 	}
 	// First input's unprefixed metadata wins for trace-level keys.
 	for k, v := range parts[0].tr.Meta() {
 		if k != MetaNode && k != MetaEpochMicros {
 			out.SetMeta(k, v)
 		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Unit != b.Unit {
-			return a.Unit < b.Unit
-		}
-		return a.TaskID < b.TaskID
-	})
-	for _, e := range merged {
-		out.Record(e)
 	}
 	return out, nil
 }

@@ -301,6 +301,28 @@ func TestMergeMultiEpochMultiAttempt(t *testing.T) {
 	}
 }
 
+// Spans lost on any node are lost from the cluster timeline: the merged
+// trace reports the sum of its inputs' drops, not 0.
+func TestMergeSumsDropped(t *testing.T) {
+	a, b, c := nodeSample("w1", 1_000_000), nodeSample("w2", 1_000_000), nodeSample("w3", 1_000_000)
+	a.SetLimit(1) // drops 1
+	sh := b.NewShard(4)
+	for i := 0; i < 7; i++ { // the shard drops its first chunk of 4
+		sh.Record(Event{Kind: Task, Unit: "worker0", TaskID: 10 + i})
+	}
+	sh.Flush()
+	m, err := Merge(a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Dropped(); got != 5 {
+		t.Fatalf("merged Dropped = %d; want 1 + 4 + 0", got)
+	}
+	if got := m.Len(); got != 1+5+2 {
+		t.Fatalf("merged Len = %d; want 8", got)
+	}
+}
+
 func TestMergeErrors(t *testing.T) {
 	if _, err := Merge(); err == nil {
 		t.Fatal("Merge() of nothing succeeded")

@@ -6,10 +6,9 @@ package trace
 const DefaultShardCapacity = 1 << 16
 
 // shardChunk is the allocation unit of a shard. Chunks are sealed when full
-// and handed to the parent Trace at Flush by ownership transfer — never
-// copied — so the recording path's total allocation is exactly the events
-// recorded: no doubling-growth copies, no merge copy, no GC churn beyond
-// the data itself.
+// and never grown, so the recording path's total allocation is exactly the
+// events recorded: no doubling-growth copies while the worker runs. The one
+// copy is Flush's, after it.
 const shardChunk = 1024
 
 // Shard is a single-producer event buffer owned by one worker goroutine.
@@ -41,7 +40,7 @@ func (t *Trace) NewShard(capacity int) *Shard {
 	return &Shard{parent: t, limit: capacity}
 }
 
-// Record buffers an event. Owner goroutine only; never blocks, never locks,
+// Record buffers an event. Owner goroutine only; never waits, never locks,
 // never copies previously recorded events. Once the buffered total would
 // exceed the shard's capacity, the oldest sealed chunks are dropped (in
 // chunk granularity) and counted as dropped.
@@ -72,21 +71,20 @@ func (s *Shard) Len() int { return s.buffered + len(s.cur) }
 // Dropped reports how many events this shard discarded before Flush.
 func (s *Shard) Dropped() uint64 { return s.dropped }
 
-// Flush hands the buffered chunks to the parent trace in recording order
-// and resets the shard for reuse. Ownership transfers — no event is copied
-// — so merging a worker's whole history is O(chunks), not O(events).
+// Flush appends the buffered events to the parent trace in recording order
+// and resets the shard for reuse.
 func (s *Shard) Flush() {
 	if s.Len() == 0 && s.dropped == 0 {
 		return
 	}
-	s.parent.mu.Lock()
-	s.parent.blocks = append(s.parent.blocks, s.chunks...)
-	if len(s.cur) > 0 {
-		s.parent.blocks = append(s.parent.blocks, s.cur)
+	p := s.parent
+	p.mu.Lock()
+	for _, c := range s.chunks {
+		p.events = append(p.events, c...)
 	}
-	s.parent.dropped += s.dropped
-	s.parent.droppedTotal += s.dropped
-	s.parent.enforceLimitLocked()
-	s.parent.mu.Unlock()
+	p.events = append(p.events, s.cur...)
+	p.addDroppedLocked(s.dropped)
+	p.enforceLimitLocked()
+	p.mu.Unlock()
 	s.chunks, s.cur, s.buffered, s.dropped = nil, nil, 0, 0
 }

@@ -10,14 +10,16 @@
 // observations can now be related ... to abstract architectural patterns").
 //
 // Recording is cheap on hot paths: workers record into per-worker Shards
-// (lock-free single-producer ring buffers) that merge into the Trace at
+// (lock-free single-producer buffers) that are appended to the Trace at
 // Flush, so the work-stealing dispatch loop never contends on the trace
 // mutex.
 package trace
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,58 +58,37 @@ const (
 	Straggler
 )
 
+// kindNames is the one table behind String, ParseKind and both file formats.
+var kindNames = [...]string{
+	Task: "task", Transfer: "transfer", Failure: "failure", Retry: "retry",
+	Blacklist: "blacklist", Recover: "recover", Steal: "steal", Place: "place",
+	Straggler: "straggler",
+}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case Task:
-		return "task"
-	case Transfer:
-		return "transfer"
-	case Failure:
-		return "failure"
-	case Retry:
-		return "retry"
-	case Blacklist:
-		return "blacklist"
-	case Recover:
-		return "recover"
-	case Steal:
-		return "steal"
-	case Place:
-		return "place"
-	case Straggler:
-		return "straggler"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // ParseKind inverts Kind.String.
 func ParseKind(s string) (Kind, error) {
-	for k := Task; k <= Straggler; k++ {
-		if k.String() == s {
-			return k, nil
-		}
+	if k := slices.Index(kindNames[:], s); k >= 0 {
+		return Kind(k), nil
 	}
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
 }
 
-// MarshalJSON encodes the kind by name, keeping JSONL traces readable and
-// stable across reorderings of the Kind constants.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+// MarshalText encodes the kind by name, keeping both file formats readable
+// and stable across reorderings of the Kind constants.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalJSON decodes a kind name.
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	parsed, err := ParseKind(s)
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
+// UnmarshalText decodes a kind name.
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseKind(string(text))
+	return err
 }
 
 // NoTask marks events that are not attributable to a task (unit-level
@@ -115,7 +96,9 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 const NoTask = -1
 
 // Event is one traced occurrence. Times are seconds (virtual in sim mode,
-// wall-clock offsets in real mode).
+// wall-clock offsets in real mode). Its JSON encoding is the one schema of
+// both file formats: a JSONL line is an Event, and so is a Chrome event's
+// args — a field added here is carried by both with no further edit.
 type Event struct {
 	Kind  Kind    `json:"kind"`
 	Unit  string  `json:"unit"`            // executing PU id, or destination memory node for transfers
@@ -161,16 +144,14 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 // records from multiple workers); hot paths should prefer per-worker Shards
 // over direct Record calls.
 type Trace struct {
-	mu      sync.Mutex
-	events  []Event   // direct Record() appends
-	blocks  [][]Event // chunks transferred whole from flushed Shards
-	meta    map[string]string
-	dropped uint64
+	mu     sync.Mutex
+	events []Event // in arrival order: direct Records and flushed Shards alike
+	meta   map[string]string
 	// limit bounds the events held between drains (0 = unbounded); see
 	// SetLimit. droppedTotal counts every drop for the life of the trace —
 	// unlike dropped it survives Drain, so a metric fed from it is monotonic.
-	limit        int
-	droppedTotal uint64
+	limit                 int
+	dropped, droppedTotal uint64
 }
 
 // New returns an empty trace.
@@ -184,51 +165,45 @@ func (t *Trace) Record(e Event) {
 	t.enforceLimitLocked()
 }
 
+// Reserve makes room for n more events, so that a run which knows its size
+// grows the list once instead of at every Record and Flush.
+func (t *Trace) Reserve(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.events = slices.Grow(t.events, n)
+}
+
 // SetLimit bounds how many events the trace holds (0 or negative removes
-// the bound). Once the limit is exceeded the oldest events are discarded —
-// whole flushed-shard blocks first, then direct records — and counted in
-// Dropped and DroppedTotal. A collector that drains regularly never hits
-// the bound; a trace nobody drains stops growing instead of eating the
-// process (the pdlworkerd span buffer sets this).
+// the bound). Once the limit is exceeded the oldest events are discarded
+// and counted in Dropped and DroppedTotal. A collector that drains regularly
+// never hits the bound; a trace nobody drains stops growing instead of
+// eating the process (the pdlworkerd span buffer sets this).
 func (t *Trace) SetLimit(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	t.limit = n
+	t.limit = max(n, 0)
 	t.enforceLimitLocked()
 }
 
-// enforceLimitLocked discards oldest events past the limit. Block drops are
-// whole-block (ownership-transferred shard chunks are never split), so the
-// trace may briefly undershoot the limit by up to one block. Callers hold
+// enforceLimitLocked discards the oldest events past the limit. Callers hold
 // t.mu.
 func (t *Trace) enforceLimitLocked() {
-	if t.limit <= 0 {
-		return
-	}
-	over := t.lenLocked() - t.limit
-	for over > 0 && len(t.blocks) > 0 {
-		n := len(t.blocks[0])
-		t.dropped += uint64(n)
-		t.droppedTotal += uint64(n)
-		over -= n
-		t.blocks[0] = nil
-		t.blocks = t.blocks[1:]
-	}
-	if over > 0 {
-		if over > len(t.events) {
-			over = len(t.events)
-		}
-		t.dropped += uint64(over)
-		t.droppedTotal += uint64(over)
+	if over := len(t.events) - t.limit; t.limit > 0 && over > 0 {
+		t.addDroppedLocked(uint64(over))
 		// Slide, don't shift: a trace at its limit drops one event per Record,
 		// and moving the other limit−1 down each time is what a cluster worker
 		// past its TraceCap would pay per kernel. The array's dead prefix is
 		// let go when append next outgrows it.
 		t.events = t.events[over:]
 	}
+}
+
+// addDroppedLocked counts n events lost before they could be read: by this
+// trace's limit, by a flushed shard's, or by a trace this one was merged or
+// read back from. Callers hold t.mu, or have not shared t yet.
+func (t *Trace) addDroppedLocked(n uint64) {
+	t.dropped += n
+	t.droppedTotal += n
 }
 
 // SetMeta attaches a metadata key/value to the trace (scheduler, kernel ISA,
@@ -247,15 +222,14 @@ func (t *Trace) Meta() map[string]string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[string]string, len(t.meta))
-	for k, v := range t.meta {
-		out[k] = v
-	}
+	maps.Copy(out, t.meta)
 	return out
 }
 
-// Dropped reports how many events were overwritten in shard ring buffers or
+// Dropped reports how many events were overwritten in shard buffers or
 // discarded by the trace's own limit before they could be read (0 unless a
-// run overflowed). Drain resets it along with the events it accounts for.
+// run overflowed). Both file formats and Merge carry it; Drain resets it
+// along with the events it accounts for.
 func (t *Trace) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -271,63 +245,39 @@ func (t *Trace) DroppedTotal() uint64 {
 	return t.droppedTotal
 }
 
-// lenLocked counts all recorded events. Callers hold t.mu.
-func (t *Trace) lenLocked() int {
-	n := len(t.events)
-	for _, b := range t.blocks {
-		n += len(b)
-	}
-	return n
-}
-
-// eachLocked visits every recorded event: flushed shard blocks first, then
-// direct records. Callers hold t.mu. Aggregates iterate in place instead of
-// flattening, so reads never copy the event set.
-func (t *Trace) eachLocked(f func(e *Event)) {
-	for _, b := range t.blocks {
-		for i := range b {
-			f(&b[i])
-		}
-	}
-	for i := range t.events {
-		f(&t.events[i])
-	}
-}
-
-// sortEvents orders events by start time, ties broken by unit then label,
-// so exported output is deterministic.
+// sortEvents puts events into the one export order: by start time, then
+// node, unit, task id, kind and attempt. The sort is stable, so events equal
+// in all six keep their recording order and every export of the same events
+// is byte-identical however the recorders interleaved.
 func sortEvents(out []Event) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	slices.SortStableFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c // nearly always: spare the tie-breakers' string compares
 		}
-		if out[i].Unit != out[j].Unit {
-			return out[i].Unit < out[j].Unit
-		}
-		return out[i].Label < out[j].Label
+		return cmp.Or(
+			cmp.Compare(a.Node, b.Node),
+			cmp.Compare(a.Unit, b.Unit),
+			cmp.Compare(a.TaskID, b.TaskID),
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.Attempt, b.Attempt),
+		)
 	})
 }
 
-// Events returns a copy of the recorded events sorted by start time (ties
-// broken by unit then label, so output is deterministic). This is the one
-// O(n log n) entry point, paid per export; the aggregate helpers below
-// compute over the raw slice instead.
+// Events returns a copy of the recorded events in export order (see
+// sortEvents). This is the one O(n log n) entry point, paid per export; the
+// aggregate helpers below compute over the raw slice instead.
 func (t *Trace) Events() []Event {
 	out := t.snapshot()
 	sortEvents(out)
 	return out
 }
 
-// snapshot flattens all recorded events into one exact-size slice without
-// sorting.
+// snapshot copies the recorded events in arrival order.
 func (t *Trace) snapshot() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, t.lenLocked())
-	for _, b := range t.blocks {
-		out = append(out, b...)
-	}
-	return append(out, t.events...)
+	return slices.Clone(t.events)
 }
 
 // Drain atomically moves the recorded events into a returned snapshot
@@ -340,18 +290,8 @@ func (t *Trace) snapshot() []Event {
 func (t *Trace) Drain() *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := &Trace{
-		events:  t.events,
-		blocks:  t.blocks,
-		dropped: t.dropped,
-	}
-	if len(t.meta) > 0 {
-		out.meta = make(map[string]string, len(t.meta))
-		for k, v := range t.meta {
-			out.meta[k] = v
-		}
-	}
-	t.events, t.blocks, t.dropped = nil, nil, 0
+	out := &Trace{events: t.events, dropped: t.dropped, meta: maps.Clone(t.meta)}
+	t.events, t.dropped = nil, 0
 	return out
 }
 
@@ -359,7 +299,7 @@ func (t *Trace) Drain() *Trace {
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lenLocked()
+	return len(t.events)
 }
 
 // Makespan returns the latest End across all events (0 for empty traces).
@@ -368,24 +308,22 @@ func (t *Trace) Makespan() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	end := 0.0
-	t.eachLocked(func(e *Event) {
-		if e.End > end {
-			end = e.End
-		}
-	})
+	for i := range t.events {
+		end = max(end, t.events[i].End)
+	}
 	return end
 }
 
-// OfKind returns the recorded events of one kind in deterministic order.
-// Only the matching subset is sorted, not the whole trace.
+// OfKind returns the recorded events of one kind in export order. Only the
+// matching subset is sorted, not the whole trace.
 func (t *Trace) OfKind(k Kind) []Event {
 	t.mu.Lock()
 	var out []Event
-	t.eachLocked(func(e *Event) {
-		if e.Kind == k {
-			out = append(out, *e)
+	for i := range t.events {
+		if t.events[i].Kind == k {
+			out = append(out, t.events[i])
 		}
-	})
+	}
 	t.mu.Unlock()
 	sortEvents(out)
 	return out
@@ -408,7 +346,8 @@ type UnitStats struct {
 func (t *Trace) ByUnit() []UnitStats {
 	t.mu.Lock()
 	agg := map[string]*UnitStats{}
-	t.eachLocked(func(e *Event) {
+	for i := range t.events {
+		e := &t.events[i]
 		s := agg[e.Unit]
 		if s == nil {
 			s = &UnitStats{Unit: e.Unit}
@@ -429,7 +368,7 @@ func (t *Trace) ByUnit() []UnitStats {
 		case Retry:
 			s.Retries++
 		}
-	})
+	}
 	t.mu.Unlock()
 	out := make([]UnitStats, 0, len(agg))
 	for _, s := range agg {
@@ -443,18 +382,14 @@ func (t *Trace) ByUnit() []UnitStats {
 // spanning [0, makespan]. Task time renders as '#', transfer time as '~',
 // idle as '.'. Rows are sorted by unit id.
 func (t *Trace) Gantt(width int) string {
-	if width < 10 {
-		width = 10
-	}
+	width = max(width, 10)
 	events := t.Events()
 	if len(events) == 0 {
 		return "(empty trace)\n"
 	}
 	makespan := 0.0
 	for _, e := range events {
-		if e.End > makespan {
-			makespan = e.End
-		}
+		makespan = max(makespan, e.End)
 	}
 	if makespan <= 0 {
 		return "(zero-length trace)\n"
@@ -462,14 +397,7 @@ func (t *Trace) Gantt(width int) string {
 	rows := map[string][]byte{}
 	var units []string
 	cell := func(ts float64) int {
-		c := int(ts / makespan * float64(width))
-		if c >= width {
-			c = width - 1
-		}
-		if c < 0 {
-			c = 0
-		}
-		return c
+		return max(0, min(width-1, int(ts/makespan*float64(width))))
 	}
 	for _, e := range events {
 		var mark byte

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ lint-engine-state:
 lint-trace-schema:
 	@! grep -nE '"(attempt|parents|transfer|bytes|from|node)"' internal/trace/chrome.go
 	@! grep -n 'blocks' internal/trace/trace.go internal/trace/shard.go
+
+# lint-cluster-owners keeps each fact of the cluster engine in one place: the
+# run loop alone writes a node's liveness (no atomic hand-off to a heartbeat
+# that keeps its own copy, no up/down verdicts arriving as events), an
+# invocation is one record from dispatch to outcome, and a fault plan holds
+# failures only (a worker's slowdown is WorkerConfig.Delay).
+lint-cluster-owners:
+	@! grep -nE 'sync/atomic|forcedDown|evNodeUp|evNodeDown' internal/cluster/master.go
+	@! grep -rnE 'type (outbound|pendingExec) ' internal/cluster
+	@! grep -nE 'Delay|DelaysForUnit' internal/taskrt/fault.go
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -80,10 +90,10 @@ fuzz:
 bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# verify is the tier-1 gate: build, full tests, vet, the engine-state and
-# trace-schema lints, race subset, the portable-kernel build, crash/recovery
+# verify is the tier-1 gate: build, full tests, vet, the engine-state,
+# trace-schema and cluster-owner lints, race subset, the portable-kernel build, crash/recovery
 # suite, multi-process cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

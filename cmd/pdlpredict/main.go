@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/discover"
 	"repro/internal/experiments"
 	"repro/internal/pdlxml"
@@ -42,6 +44,8 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+func flopsOf(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pdlpredict", flag.ContinueOnError)
@@ -61,21 +65,26 @@ func run(args []string, stdout io.Writer) error {
 	if *platform == "" || (*models == "" && *server == "") {
 		return fmt.Errorf("usage: pdlpredict -observe|-predict|-rank -platform <name> (-models <file.json> | -server <url>)")
 	}
-	flopsOf := func(size int) float64 {
-		return 2 * float64(size) * float64(size) * float64(size)
-	}
-	if *server != "" {
-		return runServer(*server, *platform, *observe, *doPred, *rank, flopsOf(*n), stdout)
-	}
-	pl, err := discover.Platform(*platform)
-	if err != nil {
-		return err
-	}
-	tuner := predict.NewTuner()
-	if _, err := os.Stat(*models); err == nil {
-		if err := tuner.Store().Load(*models); err != nil {
+	// Only -predict and -rank against a server may name a platform the catalog lacks.
+	var (
+		pl  *core.Platform
+		st  *backend
+		err error
+	)
+	if *server == "" || *observe {
+		if pl, err = discover.Platform(*platform); err != nil {
 			return err
 		}
+	}
+	if *server != "" {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		st, err = serverBackend(ctx, *server, *platform, pl)
+	} else {
+		st, err = localBackend(pl, *models)
+	}
+	if err != nil {
+		return err
 	}
 	switch {
 	case *observe:
@@ -92,19 +101,19 @@ func run(args []string, stdout io.Writer) error {
 			if rep.TasksOnArch("gpu") > rep.TasksOnArch("x86") {
 				variant = "dgemm_cublas"
 			}
-			if err := tuner.Observe(pl, variant, flopsOf(size), rep.MakespanSeconds); err != nil {
+			if err := st.observe(variant, flopsOf(size), rep.MakespanSeconds); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "observed %s n=%d: %.4fs (%s)\n", *platform, size, rep.MakespanSeconds, variant)
 		}
-		if err := tuner.Store().Save(*models); err != nil {
+		where, err := st.commit()
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "saved models to %s\n", *models)
-		return nil
+		fmt.Fprintln(stdout, where)
 	case *doPred:
 		for _, variant := range []string{"dgemm_cublas", "dgemm_goto"} {
-			pred, err := tuner.Predict(pl, variant, flopsOf(*n))
+			pred, err := st.predict(variant, flopsOf(*n))
 			if err != nil {
 				fmt.Fprintf(stdout, "%-14s no prediction (%v)\n", variant, err)
 				continue
@@ -112,111 +121,101 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "%-14s predicted %.4fs via pattern %q (%d samples)\n",
 				variant, pred.Seconds, pred.Pattern, pred.Samples)
 		}
-		return nil
 	case *rank:
-		ranked, err := tuner.RankVariants(repo.NewWithLibrary(), repo.IfaceDGEMM, pl, flopsOf(*n))
+		order, err := st.rank(flopsOf(*n))
 		if err != nil {
 			return err
 		}
-		for i, rk := range ranked {
-			if rk.Err != nil {
-				fmt.Fprintf(stdout, "%d. %-14s (no observations)\n", i+1, rk.Variant.Name)
-				continue
-			}
-			fmt.Fprintf(stdout, "%d. %-14s %.4fs via %q\n", i+1, rk.Variant.Name, rk.Prediction.Seconds, rk.Prediction.Pattern)
-		}
-		return nil
-	}
-	return fmt.Errorf("pass one of -observe, -predict or -rank")
-}
-
-// runServer performs the same three actions against a pdlserved registry:
-// the model store lives server-side, keyed by the uploaded platform
-// documents, so observations from many hosts pool into one corpus.
-func runServer(base, platform string, observe, doPred, rank bool, flops float64, stdout io.Writer) error {
-	ctl, err := client.New(base, client.WithRetry(2, 200*time.Millisecond))
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	switch {
-	case observe:
-		pl, err := discover.Platform(platform)
-		if err != nil {
-			return err
-		}
-		// The observe endpoint models against the registered document, so
-		// upload it first (idempotent PUT).
-		xml, err := pdlxml.Marshal(pl)
-		if err != nil {
-			return err
-		}
-		if err := ctl.PutBytes(ctx, "/platforms/"+platform, "application/xml", xml); err != nil {
-			return err
-		}
-		for _, size := range []int{1024, 2048, 4096} {
-			rep, err := experiments.SimDGEMM(pl, size, 512, "dmda")
-			if err != nil {
-				return err
-			}
-			variant := "dgemm_goto"
-			if rep.TasksOnArch("gpu") > rep.TasksOnArch("x86") {
-				variant = "dgemm_cublas"
-			}
-			err = ctl.PostJSON(ctx, "/platforms/"+platform+"/observe", map[string]any{
-				"codelet": variant,
-				"size":    2 * float64(size) * float64(size) * float64(size),
-				"seconds": rep.MakespanSeconds,
-			}, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "observed %s n=%d: %.4fs (%s)\n", platform, size, rep.MakespanSeconds, variant)
-		}
-		fmt.Fprintf(stdout, "streamed observations to %s\n", ctl.Base())
-		return nil
-	case doPred:
-		for _, variant := range []string{"dgemm_cublas", "dgemm_goto"} {
-			var pred struct {
-				Pattern string  `json:"pattern"`
-				Seconds float64 `json:"seconds"`
-				Samples int     `json:"samples"`
-			}
-			path := "/platforms/" + platform + "/predict?" + url.Values{
-				"codelet": {variant}, "size": {strconv.FormatFloat(flops, 'f', -1, 64)},
-			}.Encode()
-			if err := ctl.GetJSON(ctx, path, &pred); err != nil {
-				fmt.Fprintf(stdout, "%-14s no prediction (%v)\n", variant, err)
-				continue
-			}
-			fmt.Fprintf(stdout, "%-14s predicted %.4fs via pattern %q (%d samples)\n",
-				variant, pred.Seconds, pred.Pattern, pred.Samples)
-		}
-		return nil
-	case rank:
-		var out struct {
-			Ranked []struct {
-				Variant string  `json:"variant"`
-				Seconds float64 `json:"seconds"`
-				Pattern string  `json:"pattern"`
-				Error   string  `json:"error"`
-			} `json:"ranked"`
-		}
-		path := "/platforms/" + platform + "/rank?" + url.Values{
-			"iface": {repo.IfaceDGEMM}, "size": {strconv.FormatFloat(flops, 'f', -1, 64)},
-		}.Encode()
-		if err := ctl.GetJSON(ctx, path, &out); err != nil {
-			return err
-		}
-		for i, rk := range out.Ranked {
-			if rk.Error != "" {
+		for i, rk := range order {
+			if rk.Pattern == "" { // no pattern's model covers the variant
 				fmt.Fprintf(stdout, "%d. %-14s (no observations)\n", i+1, rk.Variant)
 				continue
 			}
 			fmt.Fprintf(stdout, "%d. %-14s %.4fs via %q\n", i+1, rk.Variant, rk.Seconds, rk.Pattern)
 		}
-		return nil
+	default:
+		return fmt.Errorf("pass one of -observe, -predict or -rank")
 	}
-	return fmt.Errorf("pass one of -observe, -predict or -rank")
+	return nil
+}
+
+// backend is one model store as the three actions use it: a local JSON file
+// behind a predict.Tuner, or a pdlserved registry, where observations from
+// many hosts pool into one corpus keyed by the uploaded platform documents.
+type backend struct {
+	observe func(variant string, size, seconds float64) error
+	commit  func() (string, error) // makes the observations durable and says where they went
+	predict func(variant string, size float64) (predict.Prediction, error)
+	rank    func(size float64) ([]ranked, error) // the variants that match the platform, best first
+}
+
+// ranked is one variant's place in a ranking; Pattern names the model behind
+// the estimate and is empty when no model covers the variant. Like
+// predict.Prediction, it decodes from the server's JSON by field name.
+type ranked struct {
+	Variant, Pattern string
+	Seconds          float64
+}
+
+func localBackend(pl *core.Platform, path string) (*backend, error) {
+	tuner := predict.NewTuner()
+	if err := tuner.Store().Load(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	return &backend{
+		observe: func(variant string, size, seconds float64) error { return tuner.Observe(pl, variant, size, seconds) },
+		commit:  func() (string, error) { return "saved models to " + path, tuner.Store().Save(path) },
+		predict: func(variant string, size float64) (predict.Prediction, error) {
+			return tuner.Predict(pl, variant, size)
+		},
+		rank: func(size float64) ([]ranked, error) {
+			all, err := tuner.RankVariants(repo.NewWithLibrary(), repo.IfaceDGEMM, pl, size)
+			out := make([]ranked, len(all))
+			for i, rk := range all {
+				out[i] = ranked{Variant: rk.Variant.Name, Pattern: rk.Prediction.Pattern, Seconds: rk.Prediction.Seconds}
+			}
+			return out, err
+		},
+	}, nil
+}
+
+// serverBackend keeps the models in the registry at base. A non-nil pl is
+// about to be observed: the observe endpoint models against the registered
+// document, so it is uploaded first (an idempotent PUT).
+func serverBackend(ctx context.Context, base, platform string, pl *core.Platform) (*backend, error) {
+	ctl, err := client.New(base, client.WithRetry(2, 200*time.Millisecond))
+	if err != nil {
+		return nil, err
+	}
+	if pl != nil {
+		xml, err := pdlxml.Marshal(pl)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctl.PutBytes(ctx, "/platforms/"+platform, "application/xml", xml); err != nil {
+			return nil, err
+		}
+	}
+	ask := func(what, key, value string, size float64, into any) error {
+		return ctl.GetJSON(ctx, "/platforms/"+platform+"/"+what+"?"+url.Values{
+			key: {value}, "size": {strconv.FormatFloat(size, 'f', -1, 64)},
+		}.Encode(), into)
+	}
+	return &backend{
+		observe: func(variant string, size, seconds float64) error {
+			return ctl.PostJSON(ctx, "/platforms/"+platform+"/observe",
+				map[string]any{"codelet": variant, "size": size, "seconds": seconds}, nil)
+		},
+		commit: func() (string, error) { return "streamed observations to " + ctl.Base(), nil },
+		predict: func(variant string, size float64) (predict.Prediction, error) {
+			var p predict.Prediction
+			err := ask("predict", "codelet", variant, size, &p)
+			return p, err
+		},
+		rank: func(size float64) ([]ranked, error) {
+			var out struct{ Ranked []ranked }
+			err := ask("rank", "iface", repo.IfaceDGEMM, size, &out)
+			return out.Ranked, err
+		},
+	}, nil
 }

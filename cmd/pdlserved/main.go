@@ -48,13 +48,13 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/registry"
 	"repro/internal/server"
@@ -176,14 +176,7 @@ func run(args []string) error {
 
 	handler := srv.Handler()
 	if *pprofOn {
-		outer := http.NewServeMux()
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", handler)
-		handler = outer
+		handler = metrics.WithPprof(handler)
 	}
 
 	httpSrv := &http.Server{

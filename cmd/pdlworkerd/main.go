@@ -37,7 +37,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,10 +48,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/discover"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/pdlxml"
-	"repro/internal/perfmodel"
 	"repro/internal/server"
-	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
 
@@ -116,16 +114,10 @@ func run(args []string) error {
 	// writes a JSONL file on exit.
 	tr := trace.New()
 
-	var faults *taskrt.FaultPlan
-	if *slowBy < 0 {
-		return fmt.Errorf("-fault-delay must be >= 0, got %s", *slowBy)
-	}
 	if *slowBy > 0 {
-		faults = &taskrt.FaultPlan{Events: []taskrt.FaultEvent{{Unit: *name, Delay: slowBy.Seconds()}}}
 		log.Printf("pdlworkerd: injecting %s of extra latency into every kernel (straggler injection)", *slowBy)
 	}
 
-	models := perfmodel.NewStore()
 	var observe func(codelet, arch string, size, seconds float64)
 	var observer *asyncObserver
 	var ctl *client.Client
@@ -146,11 +138,10 @@ func run(args []string) error {
 		Codelets:      experiments.ClusterCodelets(),
 		Archs:         archs,
 		Slots:         *slots,
-		Models:        models,
 		OnObservation: observe,
 		Trace:         tr,
 		TraceCap:      *traceCap,
-		Faults:        faults,
+		Delay:         *slowBy,
 		Logf:          log.Printf,
 	})
 	if err != nil {
@@ -166,14 +157,7 @@ func run(args []string) error {
 	}
 	handler := w.Handler()
 	if *pprofOn {
-		outer := http.NewServeMux()
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", handler)
-		handler = outer
+		handler = metrics.WithPprof(handler)
 	}
 	httpSrv := &http.Server{Handler: handler}
 
@@ -238,44 +222,38 @@ func run(args []string) error {
 
 // loadPlatform resolves -platform: an existing file path is parsed as PDL
 // XML, a known catalog name builds that platform, and the empty string
-// probes the running host. The platform is renamed to the node name so each
-// worker's document registers distinctly.
-func loadPlatform(spec, nodeName string, host *discover.HostInfo) (pl *platform, err error) {
-	switch {
-	case spec == "":
-		p, err := discover.Generate(discover.Options{Name: nodeName, Host: host})
-		if err != nil {
-			return nil, err
-		}
-		return &platform{Platform: p, Name: p.Name}, nil
-	default:
-		if _, statErr := os.Stat(spec); statErr == nil {
-			p, err := pdlxml.ReadFile(spec)
-			if err != nil {
-				return nil, fmt.Errorf("parsing %s: %w", spec, err)
-			}
-			return &platform{Platform: p, Name: p.Name}, nil
-		}
-		p, err := discover.Platform(spec)
-		if err != nil {
-			return nil, fmt.Errorf("unknown platform %q (not a file, not in catalog: %v)", spec, err)
-		}
-		return &platform{Platform: p, Name: p.Name}, nil
+// probes the running host, under the node's name so that each worker's
+// document registers distinctly.
+func loadPlatform(spec, nodeName string, host *discover.HostInfo) (*core.Platform, error) {
+	if spec == "" {
+		return discover.Generate(discover.Options{Name: nodeName, Host: host})
 	}
+	if _, statErr := os.Stat(spec); statErr == nil {
+		pl, err := pdlxml.ReadFile(spec)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", spec, err)
+		}
+		return pl, nil
+	}
+	pl, err := discover.Platform(spec)
+	if err != nil {
+		return nil, fmt.Errorf("unknown platform %q (not a file, not in catalog: %v)", spec, err)
+	}
+	return pl, nil
 }
 
 // registerLoop keeps the node registered: upload the platform document,
 // take the worker lease, then heartbeat at a third of the TTL,
 // re-registering whenever the server restarted (404) or was draining (the
 // client's retry/backoff already absorbs transient 503s).
-func registerLoop(ctx context.Context, ctl *client.Client, pl *platform, w *cluster.Worker, advertise string, ttl time.Duration) {
+func registerLoop(ctx context.Context, ctl *client.Client, pl *core.Platform, w *cluster.Worker, advertise string, ttl time.Duration) {
 	beat := ttl / 3
 	if beat <= 0 {
 		beat = 5 * time.Second
 	}
 	registered := false
 	register := func() {
-		xml, err := pdlxml.Marshal(pl.Platform)
+		xml, err := pdlxml.Marshal(pl)
 		if err != nil {
 			log.Printf("pdlworkerd: marshalling platform: %v", err)
 			return
@@ -331,13 +309,6 @@ func registerLoop(ctx context.Context, ctl *client.Client, pl *platform, w *clus
 			log.Printf("pdlworkerd: heartbeat: %v", err)
 		}
 	}
-}
-
-// platform pairs a parsed platform with the registry name it is stored
-// under.
-type platform struct {
-	Platform *core.Platform
-	Name     string
 }
 
 // advertiseHost rewrites wildcard listen addresses into something another

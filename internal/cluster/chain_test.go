@@ -294,8 +294,8 @@ func TestChainNodeKilledMidChain(t *testing.T) {
 	first := placeHead(t, st, head)
 	waitFor(t, "the chain to reach its second step", func() bool { return reached.Load() == 1 })
 	st.nodeDown(first.node)
-	if first.node.stats.Resubmits != length || st.resubmissions != length {
-		t.Fatalf("resubmissions = %d (node %d), want every member of the lost chain: %d", st.resubmissions, first.node.stats.Resubmits, length)
+	if first.node.stats.Resubmits != length {
+		t.Fatalf("resubmissions = %d, want every member of the lost chain: %d", first.node.stats.Resubmits, length)
 	}
 	if recs := st.inflightRecs(); len(recs) != 0 || st.flying != 0 {
 		t.Fatalf("%d records still in flight on the dead node (counter %d)", len(recs), st.flying)
@@ -759,12 +759,18 @@ func runRandomGraph(t *testing.T, seed int64) {
 			}
 		}
 	}
-	applied := 0
+	applied, retries, resubmits := 0, 0, 0
 	for _, n := range rep.PerNode {
 		applied += n.Tasks
+		retries += n.Retries
+		resubmits += n.Resubmits
 	}
 	if applied != tasks {
 		t.Errorf("seed %d: %d tasks applied, want each of %d exactly once", seed, applied, tasks)
+	}
+	if rep.FailedAttempts != retries || rep.Resubmissions != resubmits {
+		t.Errorf("seed %d: report counts %d failed attempts and %d resubmissions, its nodes %d and %d",
+			seed, rep.FailedAttempts, rep.Resubmissions, retries, resubmits)
 	}
 }
 
@@ -819,7 +825,7 @@ func TestBackoffFollowsFailingMember(t *testing.T) {
 			t.Fatalf("failure %d of the member: the chain waited %v, want %v (base %v doubled per failure of that member)", failure+1, waited, want, base)
 		}
 	}
-	if st.retriedTasks != 1 || st.failedAttempts != 2 {
-		t.Fatalf("%d tasks retried over %d failed attempts, want 1 over 2", st.retriedTasks, st.failedAttempts)
+	if failed := st.nodes[0].stats.Retries; st.retriedTasks != 1 || failed != 2 {
+		t.Fatalf("%d tasks retried over %d failed attempts, want 1 over 2", st.retriedTasks, failed)
 	}
 }

@@ -461,7 +461,7 @@ func fastMaster(t testing.TB, nodes []NodeConfig, mut func(*Config)) *Master {
 	cfg := Config{
 		Nodes:          nodes,
 		HeartbeatEvery: 10 * time.Millisecond,
-		// The generous timeout matters under -race: a healthy /healthz can
+		// The generous timeout matters under -race: a healthy probe can
 		// take tens of milliseconds there, and false timeouts declare live
 		// nodes dead. Tripped proxies fail with an immediate 503, so death
 		// detection in the failure tests stays at misses×cadence.
@@ -892,10 +892,9 @@ func TestClusterRetryAfterMutatingFailure(t *testing.T) {
 }
 
 func TestClusterSuspectDeclaredNodeRejoins(t *testing.T) {
-	// Transport errors on the data plane take a node down ahead of the
-	// heartbeat's verdict while /healthz keeps answering. The heartbeat
-	// goroutine must converge to the loop's view and re-announce the node,
-	// or a single-node cluster aborts despite its node being healthy.
+	// Transport errors on the data plane take a node down while its control
+	// plane keeps answering. The next answered probe must bring it back, or a
+	// single-node cluster aborts despite its node being healthy.
 	cl := gemmTestCodelet(t, time.Millisecond)
 	w, err := NewWorker(WorkerConfig{
 		Name: "shaky", Archs: []string{"x86"}, Slots: 1,
@@ -1101,6 +1100,33 @@ func TestClusterMergedTraceSpans(t *testing.T) {
 	}
 }
 
+// Delay is the worker's one slowdown setting: slept before every kernel, inside
+// the time the kernel is reported to have taken.
+func TestWorkerDelay(t *testing.T) {
+	nop, err := taskrt.NewCodelet("nop", taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := WorkerConfig{Name: "w", Archs: []string{"x86"}, Codelets: []*taskrt.Codelet{nop}, Delay: -time.Millisecond}
+	if _, err := NewWorker(cfg); err == nil {
+		t.Fatal("NewWorker accepted a negative Delay")
+	}
+	cfg.Delay = 20 * time.Millisecond
+	w, err := NewWorker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := w.execute(w.admit(&ExecRequest{Codelet: "nop"}))
+	if !resp.OK || len(resp.Ran) != 1 || resp.Ran[0].Seconds < cfg.Delay.Seconds() {
+		t.Fatalf("a nop kernel under a %s Delay: %+v, want it to report at least the delay", cfg.Delay, resp)
+	}
+	var scrape strings.Builder
+	w.Metrics().WritePrometheus(&scrape)
+	if want := "taskrt_worker_injected_delay_seconds_total 0.02\n"; !strings.Contains(scrape.String(), want) {
+		t.Fatalf("scrape lacks %q:\n%s", want, scrape.String())
+	}
+}
+
 // TestStragglerDetection injects a gray failure — one node that stays
 // correct but runs every kernel ~40x slower than the perfmodel estimate —
 // and asserts the master's detector flags it: straggler counters in the
@@ -1110,12 +1136,7 @@ func TestStragglerDetection(t *testing.T) {
 	cl := gemmTestCodelet(t, time.Millisecond)
 	tr := trace.New()
 	_, fastSrv := startWorker(t, "strag-fast", cl, WorkerConfig{Slots: 2})
-	_, slowSrv := startWorker(t, "strag-slow", cl, WorkerConfig{
-		Slots: 2,
-		Faults: &taskrt.FaultPlan{Events: []taskrt.FaultEvent{
-			{Unit: "strag-slow", Delay: 0.04},
-		}},
-	})
+	_, slowSrv := startWorker(t, "strag-slow", cl, WorkerConfig{Slots: 2, Delay: 40 * time.Millisecond})
 
 	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
 	if err != nil {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"net/http"
-	"net/http/pprof"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -18,13 +17,7 @@ func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /debug/trace", trace.Handler)
 	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		metrics.Default.WritePrometheus(rw)
+		metrics.Serve(rw, metrics.Default)
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return metrics.WithPprof(mux)
 }

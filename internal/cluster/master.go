@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -82,7 +81,8 @@ type Config struct {
 	Name string
 	// HTTP is the data-plane client, which holds one streaming POST per node
 	// open for the whole run — so it must not set a Timeout. Default: a
-	// dedicated client (ExecTimeout bounds each invocation).
+	// dedicated client (ExecTimeout bounds each invocation). The heartbeat's
+	// probes go over its Transport too, each bounded by HeartbeatTimeout.
 	HTTP *http.Client
 	Logf func(format string, args ...any)
 }
@@ -224,8 +224,8 @@ const publishEvery = 64
 var lanLink = placement.Link{LatNanos: 200e3, NanosPerByte: 1e9 / (1 << 30)}
 
 // nodeState is the master's view of one node during a run. All fields are
-// owned by the run loop goroutine except the control client, forcedDown, the
-// send queue and the execute stream.
+// owned by the run loop goroutine except the control client (the node's
+// heartbeat's), the send queue and the execute stream.
 type nodeState struct {
 	cfg NodeConfig
 	ctl *client.Client
@@ -235,7 +235,7 @@ type nodeState struct {
 	// draining it. One sender at a time is what makes the stream's order the
 	// dispatch order, which the residency record below relies on.
 	sendMu  sync.Mutex
-	sendq   []*outbound
+	sendq   []*inflightRec
 	sending bool
 
 	// stream is the node's current execute stream, opened by the sender when
@@ -245,22 +245,17 @@ type nodeState struct {
 	stream   *execStream
 	streamed bool
 
-	// forcedDown tells the heartbeat goroutine the loop declared the node
-	// dead on its own evidence (consecutive transport suspects) while the
-	// control plane still answered. The heartbeat swaps it off and reverts
-	// to /v1/info probing so a healthy node re-announces itself; without
-	// the handoff the two alive states diverge and the node could never
-	// rejoin.
-	forcedDown atomic.Bool
-
-	alive   bool
-	info    InfoResponse
-	maxCred int
-	credits int
+	// alive is the one record of the node's liveness: the loop sets it, from
+	// probe outcomes (probed) and data-plane transport errors (handleResult).
+	alive    bool
+	misses   int // consecutive failed probes while alive
+	suspects int // consecutive transport errors on the data plane
+	info     InfoResponse
+	maxCred  int
+	credits  int
 	// backlog is the placement.Candidate.Charge of every invocation in
 	// flight on the node, nanoseconds: dispatch adds it, release returns it.
-	backlog  int64
-	suspects int // consecutive transport errors on the data plane
+	backlog int64
 	// has is the version of each handle, by id, the node's cache is believed
 	// to hold: recorded when a payload is dispatched inline (the stream
 	// delivers it before anything dispatched later) and when a chain's writes
@@ -282,10 +277,9 @@ type nodeState struct {
 type eventKind int
 
 const (
-	evResult eventKind = iota
-	evRequeue
-	evNodeUp
-	evNodeDown
+	evResult  eventKind = iota // rec's outcome: resp, or err when the transport failed
+	evRequeue                  // task's backoff is over
+	evProbed                   // node answered a heartbeat probe with info, or failed it with err
 	evAllDead
 )
 
@@ -305,15 +299,28 @@ type cached struct {
 	ok  bool
 }
 
-// inflightRec is one invocation in flight: a chain of tasks on a node. Every
-// member's taskState points at it.
+// inflightRec is one invocation from dispatch to outcome: a chain of tasks on
+// a node. The members' taskStates, the node's sendq and the stream's pending
+// table all point at this one record; each field has one owner at a time, and
+// the lock or channel it is handed over through orders the two.
 type inflightRec struct {
+	// The loop's.
 	members  []member // the chain, head first
 	node     *nodeState
 	cand     placement.Candidate // the node's winning bid for the whole chain: its Charge is on node.backlog until released
 	released bool                // credit/backlog already returned
-	shipped  int64               // encoded bytes inlined (set by the node's sender)
-	inlines  int
+
+	// Built by dispatch, then the node's sender's until the request is
+	// written: ship encodes each inline payload into its spec in req, counts
+	// it and drops inline. The loop reads the counts with the outcome.
+	req     *ExecRequest
+	inline  []inlinePayload
+	shipped int64 // encoded bytes inlined
+	inlines int
+
+	// The stream's, under its mu, while the record is pending on it.
+	timeout *time.Timer // fails this invocation alone, ExecTimeout after submit
+	sent    time.Time   // when the request was fully written; zero until then
 }
 
 // member is one task of a chain with the chosen node's estimate for it, which
@@ -338,16 +345,10 @@ func (rec *inflightRec) forgetResidency(writtenOnly bool) {
 	}
 }
 
-// outbound is a dispatched invocation on its way to the node's stream. The
-// payloads to inline are encoded by the sender, off the loop goroutine.
-type outbound struct {
-	rec    *inflightRec
-	req    *ExecRequest
-	inline []inlinePayload
-}
-
+// inlinePayload is a payload that travels in a request, beside its spec there:
+// the master's still to be encoded into it, the worker's just decoded from it.
 type inlinePayload struct {
-	spec    *AccessSpec // in req
+	spec    *AccessSpec
 	payload any
 }
 
@@ -372,9 +373,7 @@ type runState struct {
 	bg     sync.WaitGroup // the execute streams' reader goroutines and the nodes' senders
 	start  time.Time
 
-	failedAttempts int
-	retriedTasks   int
-	resubmissions  int
+	retriedTasks int // tasks with at least one failed attempt
 
 	// Worker-side kernel spans, keyed by (node, process epoch) so a
 	// restarted worker gets a fresh, correctly-aligned input trace instead
@@ -443,8 +442,9 @@ func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runSta
 		st.task[t.ID()].indeg = len(t.Deps())
 	}
 	for _, nc := range m.cfg.Nodes {
+		// Config.HTTP's transport, under the per-probe Timeout its streaming client cannot have.
 		ctl, err := client.New(nc.Addr,
-			client.WithHTTPClient(&http.Client{Timeout: m.cfg.HeartbeatTimeout}),
+			client.WithHTTPClient(&http.Client{Transport: m.http.Transport, Timeout: m.cfg.HeartbeatTimeout}),
 			client.WithRetry(0, 0))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %v", nc.Name, err)
@@ -517,10 +517,8 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 
 		ev := <-st.events
 		switch ev.kind {
-		case evNodeUp:
-			st.nodeUp(ev.node, ev.info)
-		case evNodeDown:
-			st.nodeDown(ev.node)
+		case evProbed:
+			st.probed(ev.node, ev.info, ev.err)
 		case evRequeue:
 			st.ready = append(st.ready, ev.task)
 		case evAllDead:
@@ -547,15 +545,15 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	rep := &Report{
 		Tasks:           len(tasks),
 		MakespanSeconds: time.Since(st.start).Seconds(),
-		FailedAttempts:  st.failedAttempts,
 		RetriedTasks:    st.retriedTasks,
-		Resubmissions:   st.resubmissions,
 	}
 	for _, n := range st.nodes {
 		n.stats.Dead = !n.alive
 		if n.stats.Dead {
 			rep.DeadNodes = append(rep.DeadNodes, n.cfg.Name)
 		}
+		rep.FailedAttempts += n.stats.Retries
+		rep.Resubmissions += n.stats.Resubmits
 		rep.Invocations += n.stats.Invocations
 		rep.Transfers += n.stats.Transfers
 		rep.TransferBytes += n.stats.TransferBytes
@@ -629,41 +627,35 @@ func (st *runState) aliveCount() int {
 	return n
 }
 
-// heartbeat probes the node until the run ends: /v1/info while down (the
-// probe doubles as capability discovery on first contact and after
-// restarts), /healthz while up.
+// heartbeat probes the node's /v1/info every HeartbeatEvery until the run ends
+// (n.ctl bounds each probe by HeartbeatTimeout) and reports each outcome to the
+// loop. It keeps nothing: what an answer or a silence means is probed's to decide.
 func (st *runState) heartbeat(n *nodeState) {
-	cfg := st.m.cfg
-	alive := false
-	misses := 0
 	for {
-		if n.forcedDown.Swap(false) {
-			// The loop blacklisted the node while /healthz still answered;
-			// fall back to /v1/info probing so it can be re-announced.
-			alive, misses = false, 0
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.HeartbeatTimeout)
-		if !alive {
-			var info InfoResponse
-			if err := n.ctl.GetJSON(ctx, PathInfo, &info); err == nil {
-				alive, misses = true, 0
-				st.send(event{kind: evNodeUp, node: n, info: info})
-			}
-		} else if err := n.ctl.GetJSON(ctx, PathHealthz, nil); err != nil {
-			misses++
-			cm.hbMisses.With(n.cfg.Name).Inc()
-			if misses >= cfg.HeartbeatMisses {
-				alive = false
-				st.send(event{kind: evNodeDown, node: n})
-			}
-		} else {
-			misses = 0
-		}
-		cancel()
+		var info InfoResponse
+		err := n.ctl.GetJSON(context.Background(), PathInfo, &info)
+		st.send(event{kind: evProbed, node: n, info: info, err: err})
 		select {
 		case <-st.stop:
 			return
-		case <-time.After(cfg.HeartbeatEvery):
+		case <-time.After(st.m.cfg.HeartbeatEvery):
+		}
+	}
+}
+
+// probed is the only place a probe changes what the master believes of a
+// node: an answer brings a down node up, however it went down, with what it
+// now advertises; HeartbeatMisses failed probes in a row take an up node down.
+func (st *runState) probed(n *nodeState, info InfoResponse, err error) {
+	switch {
+	case err == nil:
+		n.misses = 0
+		st.nodeUp(n, info)
+	case n.alive:
+		n.misses++
+		cm.hbMisses.With(n.cfg.Name).Inc()
+		if n.misses >= st.m.cfg.HeartbeatMisses {
+			st.nodeDown(n)
 		}
 	}
 }
@@ -703,7 +695,6 @@ func (st *runState) nodeDown(n *nodeState) {
 		return
 	}
 	n.alive = false
-	n.forcedDown.Store(true)
 	cm.nodeUp.With(n.cfg.Name).Set(0)
 	// A dead node must not linger in scrapes as a ghost: its inflight gauge
 	// goes to zero here (each resubmitted rec below also decrements, but a
@@ -733,7 +724,6 @@ func (st *runState) nodeDown(n *nodeState) {
 func (st *runState) resubmit(rec *inflightRec) {
 	n, lost := rec.node, len(rec.members)
 	n.stats.Resubmits += lost
-	st.resubmissions += lost
 	cm.resubmits.With(n.cfg.Name).Add(float64(lost))
 	st.requeueWithBackoff(rec.head(), st.task[rec.head().ID()].attempts)
 }
@@ -964,10 +954,9 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 			Label:    t.Label,
 			Flops:    t.Flops,
 			Parents:  parents,
-			Accesses: make([]AccessSpec, 0, len(t.Accesses)), // never regrown: out.inline points into it
+			Accesses: make([]AccessSpec, 0, len(t.Accesses)), // never regrown: rec.inline points into it
 		}
 	}
-	out := &outbound{rec: rec}
 	st.eachAccess(chain, n, func(k int, a taskrt.Access, ver uint64, inline bool) {
 		id := a.Handle.ID()
 		steps[k].Accesses = append(steps[k].Accesses, AccessSpec{
@@ -979,13 +968,13 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 		})
 		if inline {
 			n.has[id] = cached{ver, true}
-			out.inline = append(out.inline, inlinePayload{&steps[k].Accesses[len(steps[k].Accesses)-1], a.Handle.Payload})
+			rec.inline = append(rec.inline, inlinePayload{&steps[k].Accesses[len(steps[k].Accesses)-1], a.Handle.Payload})
 		}
 	})
-	out.req = newExecRequest(steps)
+	rec.req = newExecRequest(steps)
 
 	n.sendMu.Lock()
-	n.sendq = append(n.sendq, out)
+	n.sendq = append(n.sendq, rec)
 	start := !n.sending
 	n.sending = true
 	n.sendMu.Unlock()
@@ -1006,11 +995,11 @@ func (st *runState) sender(n *nodeState) {
 			n.sendMu.Unlock()
 			return
 		}
-		out := n.sendq[0]
+		rec := n.sendq[0]
 		n.sendq = n.sendq[1:]
 		n.sendMu.Unlock()
-		if err := st.ship(n, out); err != nil {
-			st.send(event{kind: evResult, rec: out.rec, err: err})
+		if err := st.ship(rec); err != nil {
+			st.send(event{kind: evResult, rec: rec, err: err})
 		}
 	}
 }
@@ -1021,21 +1010,22 @@ func (st *runState) sender(n *nodeState) {
 // writers outside the chain have all been applied (DAG order) and which
 // nothing is applied to while the chain is in flight, so the reads race with
 // nothing.
-func (st *runState) ship(n *nodeState, out *outbound) error {
-	for _, in := range out.inline {
+func (st *runState) ship(rec *inflightRec) error {
+	for _, in := range rec.inline {
 		data, err := EncodePayload(in.payload)
 		if err != nil {
 			return fmt.Errorf("encoding handle %d: %w", in.spec.HandleID, err)
 		}
 		in.spec.Inline = data
-		out.rec.shipped += int64(len(data))
-		out.rec.inlines++
+		rec.shipped += int64(len(data))
+		rec.inlines++
 	}
-	s, err := st.stream(n)
+	rec.inline = nil
+	s, err := st.stream(rec.node)
 	if err != nil {
 		return err
 	}
-	return s.submit(out.rec, out.req)
+	return s.submit(rec)
 }
 
 // handleResult applies one invocation's outcome and returns how many tasks
@@ -1075,7 +1065,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 	case ev.err != nil:
 		// Transport-level failure: the infrastructure faulted, not the
 		// task, so no attempt is consumed; repeated faults take the node
-		// down ahead of the heartbeat's verdict.
+		// down without waiting for its probes to fail.
 		n.suspects++
 		st.m.logf("cluster: node %s transport error (task %d): %v", n.cfg.Name, head.ID(), ev.err)
 		if n.suspects >= 2 && n.alive {
@@ -1083,9 +1073,9 @@ func (st *runState) handleResult(ev event) (int, error) {
 			// nodeDown resubmits the node's in-flight chains, but this rec
 			// was already released above — resubmit it explicitly.
 			st.resubmit(rec)
-			return 0, nil
+		} else {
+			st.requeueWithBackoff(head, st.task[head.ID()].attempts)
 		}
-		st.requeueWithBackoff(head, st.task[head.ID()].attempts)
 		return 0, nil
 
 	case len(resp.NeedData) > 0:
@@ -1119,7 +1109,6 @@ func (st *runState) handleResult(ev event) (int, error) {
 			t = rec.members[k].task
 		}
 		n.suspects = 0
-		st.failedAttempts++
 		n.stats.Retries++
 		cm.retries.With(n.cfg.Name).Inc()
 		ts := &st.task[t.ID()]

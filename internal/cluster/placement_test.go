@@ -102,6 +102,21 @@ func newRunState(t *testing.T, cfg Config, batch func(*taskrt.Runtime) []*taskrt
 	return st
 }
 
+// Once its request is on the stream a record points at no payload: the sender
+// encoded each into the request and dropped the list.
+func TestShippedRecordHoldsNoPayload(t *testing.T) {
+	st := fakeRun(t, nil, []string{"a"}, 1)
+	rec := placeHead(t, st, st.tasks[0])
+	// The answer follows the request, so ship is done with the record.
+	if ev := nextResult(t, st); ev.rec != rec || ev.err != nil {
+		t.Fatalf("outcome %+v, want the record's answer", ev)
+	}
+	if rec.inline != nil || rec.inlines != 1 || rec.shipped == 0 || rec.req.Accesses[0].Inline == nil {
+		t.Fatalf("after ship: %d payloads still referenced, %d inlined as %d bytes, frame in the request: %v",
+			len(rec.inline), rec.inlines, rec.shipped, rec.req.Accesses[0].Inline != nil)
+	}
+}
+
 // What dispatch adds to a node's backlog — execution estimate and the price
 // of the payloads it inlines — is what the result, or the node's death, takes
 // back. The master used to release the estimate alone, so every inlined byte

@@ -26,18 +26,12 @@ type execStream struct {
 
 	enc *gob.Encoder // the node's sender's alone: one writer, so one request message on the wire at a time
 
-	mu      sync.Mutex
-	pending map[int]*pendingExec // by the head's task id; the run loop keeps at most one invocation of a task in flight
-	err     error                // why the stream ended; nil while it is usable
-}
-
-// pendingExec is one invocation written (or being written) to the stream and
-// not yet resolved.
-type pendingExec struct {
-	rec     *inflightRec
-	attempt int
-	timeout *time.Timer
-	sent    time.Time // when the request was fully written; zero until then
+	mu sync.Mutex
+	// pending holds the invocations written (or being written) to the stream
+	// and not yet resolved, by the head's task id: the run loop keeps at most
+	// one invocation of a task in flight.
+	pending map[int]*inflightRec
+	err     error // why the stream ended; nil while it is usable
 }
 
 // openStream starts the node's execute POST and the reader goroutine that
@@ -58,7 +52,7 @@ func (st *runState) openStream(n *nodeState) (*execStream, error) {
 	req.Header.Set("Expect", "100-continue")
 	s := &execStream{
 		st: st, node: n, body: pw, stop: cancel,
-		enc: gob.NewEncoder(pw), pending: map[int]*pendingExec{},
+		enc: gob.NewEncoder(pw), pending: map[int]*inflightRec{},
 	}
 	st.bg.Add(1)
 	go s.read(req)
@@ -69,32 +63,31 @@ func (st *runState) openStream(n *nodeState) (*execStream, error) {
 // the invocation's outcome — including a failed write, which breaks the
 // stream for everyone on it — arrives as an event; an error return means the
 // stream had already ended and nothing was registered.
-func (s *execStream) submit(rec *inflightRec, req *ExecRequest) error {
-	id := req.TaskID
-	p := &pendingExec{rec: rec, attempt: req.Attempt}
+func (s *execStream) submit(rec *inflightRec) error {
+	id := rec.req.TaskID
 	s.mu.Lock()
 	if s.err != nil {
 		s.mu.Unlock()
 		return s.err
 	}
-	s.pending[id] = p
-	p.timeout = time.AfterFunc(s.st.m.cfg.ExecTimeout, func() {
-		if s.take(id, p.attempt) != nil {
+	s.pending[id] = rec
+	rec.timeout = time.AfterFunc(s.st.m.cfg.ExecTimeout, func() {
+		if s.take(id, rec.req.Attempt) != nil {
 			s.st.send(event{kind: evResult, rec: rec,
 				err: fmt.Errorf("no response from %s within %s", s.node.cfg.Name, s.st.m.cfg.ExecTimeout)})
 		}
 	})
 	s.mu.Unlock()
 
-	if err := s.enc.Encode(req); err != nil {
+	if err := s.enc.Encode(rec.req); err != nil {
 		// A partly written message leaves the encoder and the peer's decoder
 		// out of step: the stream is unusable from here.
 		s.fail(fmt.Errorf("writing to %s: %w", s.node.cfg.Name, err))
 		return nil
 	}
 	s.mu.Lock()
-	if s.pending[id] == p {
-		p.sent = time.Now()
+	if s.pending[id] == rec {
+		rec.sent = time.Now()
 	}
 	s.mu.Unlock()
 	return nil
@@ -103,16 +96,16 @@ func (s *execStream) submit(rec *inflightRec, req *ExecRequest) error {
 // take removes and returns the pending invocation a response (or a timeout)
 // for (id, attempt) resolves; nil when there is none — already resolved, or a
 // stale answer to an invocation this stream no longer waits for.
-func (s *execStream) take(id, attempt int) *pendingExec {
+func (s *execStream) take(id, attempt int) *inflightRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.pending[id]
-	if p == nil || p.attempt != attempt {
+	rec := s.pending[id]
+	if rec == nil || rec.req.Attempt != attempt {
 		return nil
 	}
 	delete(s.pending, id)
-	p.timeout.Stop()
-	return p
+	rec.timeout.Stop()
+	return rec
 }
 
 // read performs the POST and turns its response body into evResult events
@@ -143,20 +136,20 @@ func (s *execStream) read(req *http.Request) {
 			s.fail(fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err))
 			return
 		}
-		p := s.take(resp.TaskID, resp.Attempt)
-		if p == nil {
+		rec := s.take(resp.TaskID, resp.Attempt)
+		if rec == nil {
 			continue
 		}
-		if !p.sent.IsZero() {
-			cm.execRTT.With(s.node.cfg.Name).Observe(time.Since(p.sent).Seconds())
+		if !rec.sent.IsZero() {
+			cm.execRTT.With(s.node.cfg.Name).Observe(time.Since(rec.sent).Seconds())
 		}
-		s.st.send(event{kind: evResult, rec: p.rec, resp: resp})
+		s.st.send(event{kind: evResult, rec: rec, resp: resp})
 	}
 }
 
 // end closes the stream, once, and returns the invocations it still owed an
 // answer.
-func (s *execStream) end(err error) map[int]*pendingExec {
+func (s *execStream) end(err error) map[int]*inflightRec {
 	s.mu.Lock()
 	if s.err != nil {
 		s.mu.Unlock()
@@ -166,8 +159,8 @@ func (s *execStream) end(err error) map[int]*pendingExec {
 	owed := s.pending
 	s.pending = nil
 	s.mu.Unlock()
-	for _, p := range owed {
-		p.timeout.Stop()
+	for _, rec := range owed {
+		rec.timeout.Stop()
 	}
 	s.body.CloseWithError(err)
 	s.stop()
@@ -177,8 +170,8 @@ func (s *execStream) end(err error) map[int]*pendingExec {
 // fail ends a broken stream and reports every invocation still pending on it
 // as a transport error, each once.
 func (s *execStream) fail(err error) {
-	for _, p := range s.end(err) {
-		s.st.send(event{kind: evResult, rec: p.rec, err: err})
+	for _, rec := range s.end(err) {
+		s.st.send(event{kind: evResult, rec: rec, err: err})
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
@@ -33,9 +32,6 @@ type WorkerConfig struct {
 	// Slots bounds concurrent executions (default 1): the node-local
 	// equivalent of the runtime's worker count.
 	Slots int
-	// Models, when set, records one observation per execution — the live
-	// perfmodel the node streams to pdlserved and serves to masters.
-	Models *perfmodel.Store
 	// OnObservation, when set, is called after each successful execution
 	// (pdlworkerd wires it to POST /platforms/{name}/observe).
 	OnObservation func(codelet, arch string, size, seconds float64)
@@ -44,11 +40,10 @@ type WorkerConfig struct {
 	// with node + epoch metadata, spans piggyback on execute responses, and
 	// GET /v1/trace serves (or drains) the buffer.
 	Trace *trace.Trace
-	// Faults, when set, is a slowdown-injection plan: Delay events whose
-	// Unit matches Name add their Delay seconds to every (gated) kernel —
-	// the deterministic gray failure the master's straggler detector is
-	// tested against. Failure events in the plan are ignored here.
-	Faults *taskrt.FaultPlan
+	// Delay is slept before every kernel, inside its measured time: the
+	// deterministic gray failure the master's straggler detector is tested
+	// against (pdlworkerd -fault-delay). Negative is an error.
+	Delay time.Duration
 	// MaxBodyBytes bounds each request message on an execute stream (default
 	// 256 MiB); the stream itself is as long as the master's run.
 	MaxBodyBytes int64
@@ -85,12 +80,10 @@ type Worker struct {
 	slots    chan int // free-list of slot ids, naming trace lanes
 	start    time.Time
 
-	tr     *trace.Trace // the node trace (cfg.Trace or private)
-	delays []taskrt.FaultEvent
+	tr *trace.Trace // the node trace (cfg.Trace or private)
 
-	met       *workerMetrics
-	inflight  atomic.Int64
-	execCount atomic.Int64
+	met      *workerMetrics
+	inflight atomic.Int64
 
 	mu         sync.Mutex
 	cache      map[int]cacheEntry
@@ -129,7 +122,7 @@ func newWorkerMetrics(w *Worker) *workerMetrics {
 		needData: reg.Counter("taskrt_worker_needdata_total",
 			"Invocations bounced for missing cached payload versions."),
 		delayed: reg.Counter("taskrt_worker_injected_delay_seconds_total",
-			"Seconds of fault-plan slowdown injected into kernels."),
+			"Seconds of configured slowdown (Delay) injected into kernels."),
 	}
 	reg.GaugeFunc("taskrt_worker_inflight_kernels",
 		"Invocations currently holding an execution slot.",
@@ -169,10 +162,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 65536
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
+	if cfg.Delay < 0 {
+		return nil, fmt.Errorf("cluster: worker %s: negative Delay %s", cfg.Name, cfg.Delay)
 	}
 	w := &Worker{
 		cfg:      cfg,
@@ -180,7 +171,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		slots:    make(chan int, cfg.Slots),
 		start:    time.Now(),
 		cache:    map[int]cacheEntry{},
-		delays:   cfg.Faults.DelaysForUnit(cfg.Name),
 		streams:  map[*http.ResponseController]struct{}{},
 	}
 	for _, c := range cfg.Codelets {
@@ -257,9 +247,7 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET "+PathTrace, w.handleTrace)
 	mux.HandleFunc("GET "+PathMetrics, func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		w.met.reg.WritePrometheus(rw)
-		metrics.Default.WritePrometheus(rw)
+		metrics.Serve(rw, w.met.reg, metrics.Default)
 	})
 	return mux
 }
@@ -499,11 +487,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 	}
 	steps := req.steps()
 	inv.steps = make([]boundStep, len(steps))
-	type inline struct {
-		spec    *AccessSpec
-		payload any
-	}
-	var inlines []inline
+	var inlines []inlinePayload
 	for k, s := range steps {
 		cl, ok := w.codelets[s.Codelet]
 		if !ok {
@@ -523,7 +507,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 			if err != nil {
 				return fail(k, "handle %d (%s): %v", a.HandleID, a.Name, err)
 			}
-			inlines = append(inlines, inline{a, v})
+			inlines = append(inlines, inlinePayload{a, v})
 			a.Inline = nil // decoded: the frame need not live as long as the invocation
 		}
 	}
@@ -603,7 +587,6 @@ func (w *Worker) execute(inv *invocation) *ExecResponse {
 
 	for k := range inv.steps {
 		s := &inv.steps[k]
-		nth := w.execCount.Add(1)
 		// The synthetic task carries what kernels may consult (label, flops);
 		// identity fields stay zero — handle identity lives in the AccessSpec.
 		tc := &taskrt.TaskContext{
@@ -613,10 +596,9 @@ func (w *Worker) execute(inv *invocation) *ExecResponse {
 			Task:     &taskrt.Task{Codelet: s.cl, Flops: s.Flops, Label: s.Label},
 		}
 		begin := time.Now()
-		// Injected slowdown sleeps inside the measured window, so the delay
-		// inflates the reported seconds, the recorded span and every model observation —
-		// indistinguishable from a genuinely slow node, which is the point.
-		if d := w.injectedDelay(int(nth)); d > 0 {
+		// Inside the measured window, so that everything downstream of it —
+		// reported seconds, span, model observations — sees a slower node.
+		if d := w.cfg.Delay; d > 0 {
 			w.met.delayed.Add(d.Seconds())
 			time.Sleep(d)
 		}
@@ -631,15 +613,8 @@ func (w *Worker) execute(inv *invocation) *ExecResponse {
 		}
 		resp.Ran = append(resp.Ran, StepRun{Seconds: elapsed.Seconds(), Arch: s.im.Arch})
 		w.met.executions.With(s.Codelet, s.im.Arch).Inc()
-		if s.Flops > 0 {
-			if w.cfg.Models != nil {
-				if err := w.cfg.Models.Model(s.Codelet, s.im.Arch).Record(s.Flops, elapsed.Seconds()); err != nil {
-					w.logf("cluster: worker %s: recording observation: %v", w.cfg.Name, err)
-				}
-			}
-			if w.cfg.OnObservation != nil {
-				w.cfg.OnObservation(s.Codelet, s.im.Arch, s.Flops, elapsed.Seconds())
-			}
+		if s.Flops > 0 && w.cfg.OnObservation != nil {
+			w.cfg.OnObservation(s.Codelet, s.im.Arch, s.Flops, elapsed.Seconds())
 		}
 	}
 
@@ -691,23 +666,6 @@ func (w *Worker) cacheDeleteLocked(id int) {
 		w.cacheBytes -= e.bytes
 		delete(w.cache, id)
 	}
-}
-
-// injectedDelay sums the fault plan's active slowdowns for this execution
-// (nth is 1-based): ungated delays always apply, AtTime gates open that many
-// seconds after process start, AfterTasks gates from the Nth execution on.
-func (w *Worker) injectedDelay(nth int) time.Duration {
-	total := 0.0
-	for _, f := range w.delays {
-		switch {
-		case f.AfterTasks > 0 && nth < f.AfterTasks:
-			continue
-		case f.AtTime > 0 && time.Since(w.start).Seconds() < f.AtTime:
-			continue
-		}
-		total += f.Delay
-	}
-	return time.Duration(total * float64(time.Second))
 }
 
 // recordSpan writes a step's execution span into the node trace (so /v1/trace

@@ -246,20 +246,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// handleMetrics renders three layers in one scrape: the server's own
+// families, the task runtime's taskrt_* in the shared registry, and the
+// fleet's — node-labelled taskrt_fleet_* re-exported from the latest scrape
+// of every leased worker, so one endpoint shows the whole cluster.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	s.metrics.reg.WritePrometheus(&b)
-	if s.cfg.RuntimeMetrics != nil {
-		// The runtime layer: taskrt_* families registered in the shared
-		// registry, so one scrape covers HTTP service and task runtime.
-		s.cfg.RuntimeMetrics.WritePrometheus(&b)
-	}
-	// The fleet layer: node-labelled taskrt_fleet_* families re-exported
-	// from the most recent scrape of every leased worker, so one endpoint
-	// shows kernel latency and cache state across the whole cluster.
-	s.fleet.WritePrometheus(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, b.String())
+	metrics.Serve(w, s.metrics.reg, s.cfg.RuntimeMetrics, s.fleet)
 }
 
 // platformInfo is the JSON projection of a registry entry (sans document).

@@ -37,19 +37,6 @@ type FaultEvent struct {
 	// after failure detection (a transient fault). Zero means the unit is
 	// blacklisted for the rest of the run.
 	RecoverAfter float64
-	// Delay, when > 0, turns the event into a slowdown injection instead of
-	// a failure: the unit stays correct but every kernel takes Delay extra
-	// seconds — the gray failure a straggler detector exists to catch. Only
-	// the cluster worker (whose Unit is the node name) applies delays; the
-	// in-process engines ignore them. Triggers are optional gates here: an
-	// untriggered delay is active from the start, AtTime activates it after
-	// that many wall-clock seconds, AfterTasks from the Nth execution on.
-	Delay float64
-}
-
-// trigger reports which triggers the event has configured.
-func (f *FaultEvent) trigger() (byTime bool, byTasks bool) {
-	return f.AtTime > 0, f.AfterTasks > 0
 }
 
 // FaultPlan is a deterministic schedule of injected failures. For a fixed
@@ -64,56 +51,31 @@ type FaultPlan struct {
 	Events []FaultEvent
 }
 
-// Validate checks that every event names a unit and has exactly one trigger
-// (failure events) or at most one (delay events, whose trigger is an
-// optional activation gate).
+// Validate checks that every event names a unit and has exactly one trigger.
 func (p *FaultPlan) Validate() error {
 	for i := range p.Events {
 		f := &p.Events[i]
 		if f.Unit == "" {
 			return fmt.Errorf("taskrt: fault event %d has no unit", i)
 		}
-		byTime, byTasks := f.trigger()
-		if f.Delay > 0 {
-			if byTime && byTasks {
-				return fmt.Errorf("taskrt: delay event %d (unit %q) may gate on at most one of AtTime/AfterTasks", i, f.Unit)
-			}
-		} else if byTime == byTasks {
+		if (f.AtTime > 0) == (f.AfterTasks > 0) {
 			return fmt.Errorf("taskrt: fault event %d (unit %q) needs exactly one of AtTime/AfterTasks", i, f.Unit)
 		}
-		if f.AtTime < 0 || f.AfterTasks < 0 || f.RecoverAfter < 0 || f.Delay < 0 {
+		if f.AtTime < 0 || f.AfterTasks < 0 || f.RecoverAfter < 0 {
 			return fmt.Errorf("taskrt: fault event %d (unit %q) has negative timing", i, f.Unit)
 		}
 	}
 	return nil
 }
 
-// forUnit returns the plan's failure events for one unit, in slice order.
-// Delay events are excluded: the in-process engines' fault queues fire
-// crashes and hangs, and must not misread a gated slowdown as one.
+// forUnit returns the plan's events for one unit, in slice order.
 func (p *FaultPlan) forUnit(unit string) []FaultEvent {
 	if p == nil {
 		return nil
 	}
 	var out []FaultEvent
 	for _, f := range p.Events {
-		if f.Unit == unit && f.Delay <= 0 {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// DelaysForUnit returns the plan's slowdown injections for one unit, in
-// slice order — the cluster worker's view of the plan (its unit is the node
-// name).
-func (p *FaultPlan) DelaysForUnit(unit string) []FaultEvent {
-	if p == nil {
-		return nil
-	}
-	var out []FaultEvent
-	for _, f := range p.Events {
-		if f.Unit == unit && f.Delay > 0 {
+		if f.Unit == unit {
 			out = append(out, f)
 		}
 	}

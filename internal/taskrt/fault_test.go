@@ -15,9 +15,10 @@ import (
 
 func TestFaultPlanValidate(t *testing.T) {
 	bad := []FaultPlan{
-		{Events: []FaultEvent{{AtTime: 1}}},                              // no unit
-		{Events: []FaultEvent{{Unit: "dev0"}}},                           // no trigger
-		{Events: []FaultEvent{{Unit: "dev0", AtTime: 1, AfterTasks: 1}}}, // both triggers
+		{Events: []FaultEvent{{AtTime: 1}}},                                 // no unit
+		{Events: []FaultEvent{{Unit: "dev0"}}},                              // no trigger
+		{Events: []FaultEvent{{Unit: "dev0", Hang: true, RecoverAfter: 1}}}, // no trigger: every event is a failure, and a failure needs one
+		{Events: []FaultEvent{{Unit: "dev0", AtTime: 1, AfterTasks: 1}}},    // both triggers
 		{Events: []FaultEvent{{Unit: "dev0", AtTime: 1, RecoverAfter: -1}}},
 	}
 	for i, p := range bad {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -53,9 +54,29 @@ func (g tileGrid) handles(rt *taskrt.Runtime, name string, m *blas.Matrix) []*ta
 		if m != nil {
 			payload = m.Sub(t.Row, t.Col, t.M, t.N)
 		}
-		hs[idx] = rt.NewHandle(fmt.Sprintf("%s[%d,%d]", name, t.I, t.J), int64(t.M)*int64(t.N)*8, payload)
+		hs[idx] = rt.NewHandle(indexed(name, t.I, t.J), int64(t.M)*int64(t.N)*8, payload)
 	}
 	return hs
+}
+
+// appendIndexed appends name[i,j,...] to buf: the spelling of every tile
+// handle's name and every task's label here.
+func appendIndexed(buf []byte, name string, idx ...int) []byte {
+	buf = append(append(buf, name...), '[')
+	for n, i := range idx {
+		if n > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+	}
+	return append(buf, ']')
+}
+
+// indexed returns name[i,j,...], formatted on the stack: a graph of T³ tasks
+// labels every one of them, traced or not.
+func indexed(name string, idx ...int) string {
+	var buf [48]byte
+	return string(appendIndexed(buf[:0], name, idx...))
 }
 
 // SubmitTiledGEMM builds the StarPU-style tiled DGEMM task graph for
@@ -79,23 +100,26 @@ func SubmitTiledGEMM(rt *taskrt.Runtime, n, tile int, mats *GemmMatrices) error 
 
 	// Build the whole graph first and submit it as one batch: dependency
 	// derivation is identical to per-task Submit calls, but the runtime pays
-	// the submission lifecycle synchronisation once for the T³ tasks.
-	graph := make([]*taskrt.Task, 0, T*T*T)
+	// the submission lifecycle synchronisation once for the T³ tasks. The
+	// tasks and their access lists are cut from two slabs, not allocated one
+	// by one; a task is only ever reached through its pointer into the slab.
+	tasks := make([]taskrt.Task, T*T*T)
+	accesses := make([]taskrt.Access, 3*len(tasks))
+	graph := make([]*taskrt.Task, 0, len(tasks))
+	var label [64]byte
 	for i := 0; i < T; i++ {
 		for j := 0; j < T; j++ {
 			for k := 0; k < T; k++ {
+				t, acc := &tasks[len(graph)], accesses[3*len(graph):][:3:3]
+				acc[0], acc[1], acc[2] = taskrt.R(hA[i*T+k]), taskrt.R(hB[k*T+j]), taskrt.RW(hC[i*T+j])
+				l := appendIndexed(label[:0], "C", i, j)
+				l = appendIndexed(append(l, "+="...), "A", i, k)
+				l = appendIndexed(append(l, '*'), "B", k, j)
 				// Tile extents differ at the edges; flops follow the actual
 				// tile triple.
-				graph = append(graph, &taskrt.Task{
-					Codelet: cl,
-					Accesses: []taskrt.Access{
-						taskrt.R(hA[i*T+k]),
-						taskrt.R(hB[k*T+j]),
-						taskrt.RW(hC[i*T+j]),
-					},
-					Flops: blas.FlopsGEMM(g.dim(i), g.dim(j), g.dim(k)),
-					Label: fmt.Sprintf("C[%d,%d]+=A[%d,%d]*B[%d,%d]", i, j, i, k, k, j),
-				})
+				t.Codelet, t.Accesses, t.Label = cl, acc, string(l)
+				t.Flops = blas.FlopsGEMM(g.dim(i), g.dim(j), g.dim(k))
+				graph = append(graph, t)
 			}
 		}
 	}

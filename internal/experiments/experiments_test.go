@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,6 +43,65 @@ func TestSimDGEMMTaskCount(t *testing.T) {
 	// 4x4 grid, k in 0..3: 64 tasks.
 	if rep.Tasks != 64 {
 		t.Fatalf("tasks = %d; want 64", rep.Tasks)
+	}
+}
+
+// TestTiledGEMMLabels pins the spelling of what SubmitTiledGEMM writes with
+// strconv into a stack buffer to the format strings it replaced, on a grid
+// with two-digit indices.
+func TestTiledGEMMLabels(t *testing.T) {
+	rt, err := taskrt.New(taskrt.Config{Platform: discover.MustPlatform("xeon-1core"), Mode: taskrt.Sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const T = 11
+	if err := SubmitTiledGEMM(rt, T*8, 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	tasks, handles, err := rt.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, task := range tasks {
+		i, j, k := n/(T*T), n/T%T, n%T
+		if want := fmt.Sprintf("C[%d,%d]+=A[%d,%d]*B[%d,%d]", i, j, i, k, k, j); task.Label != want {
+			t.Fatalf("task %d is labelled %q, want %q", n, task.Label, want)
+		}
+	}
+	for n, h := range handles {
+		if want := fmt.Sprintf("%c[%d,%d]", "ABC"[n/(T*T)], n/T%T, n%T); h.Name != want {
+			t.Fatalf("handle %d is named %q, want %q", n, h.Name, want)
+		}
+	}
+}
+
+// TestSimDGEMMAllocations bounds what one task of Figure 5's graph costs in
+// allocations from SubmitTiledGEMM to the end of the simulated run (the run
+// alone is bounded by taskrt's TestSimRunAllocations). Tasks and access
+// lists come from two slabs, a label is formatted on the stack, and Submit
+// cuts the one deps and the one dependents cell a chain member needs from a
+// shared chunk: that leaves a task its label string and its share of the
+// handles' reader lists, 1.6 allocations. One allocation each for the Task,
+// its []Access, fmt.Sprintf, deps and dependents, as before, measures 5.6.
+func TestSimDGEMMAllocations(t *testing.T) {
+	const maxPerTask = 2.0
+	rt, err := taskrt.New(taskrt.Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: taskrt.Sim, Scheduler: "dmda"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := SubmitTiledGEMM(rt, 8192, 256, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.Mallocs-before.Mallocs) / float64(rt.Tasks())
+	t.Logf("%d tasks, %.2f allocations per task", rt.Tasks(), perTask)
+	if perTask > maxPerTask {
+		t.Errorf("%.2f allocations per task, want at most %.1f", perTask, maxPerTask)
 	}
 }
 

@@ -170,7 +170,7 @@ func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error 
 			Accesses: []taskrt.Access{taskrt.RW(at(k, k))},
 			Flops:    blas.FlopsPOTRF(nk),
 			Priority: 3*age + 2,
-			Label:    fmt.Sprintf("POTRF[%d]", k),
+			Label:    indexed("POTRF", k),
 		})
 		for i := k + 1; i < T; i++ {
 			graph = append(graph, &taskrt.Task{
@@ -178,7 +178,7 @@ func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error 
 				Accesses: []taskrt.Access{taskrt.R(at(k, k)), taskrt.RW(at(i, k))},
 				Flops:    blas.FlopsTRSM(nk, dim(i)),
 				Priority: 3*age + 1,
-				Label:    fmt.Sprintf("TRSM[%d,%d]", i, k),
+				Label:    indexed("TRSM", i, k),
 			})
 		}
 		for i := k + 1; i < T; i++ {
@@ -188,7 +188,7 @@ func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error 
 				Accesses: []taskrt.Access{taskrt.R(at(i, k)), taskrt.RW(at(i, i))},
 				Flops:    blas.FlopsSYRK(mi, nk),
 				Priority: 3 * age,
-				Label:    fmt.Sprintf("SYRK[%d,%d]", i, k),
+				Label:    indexed("SYRK", i, k),
 			})
 			for j := k + 1; j < i; j++ {
 				graph = append(graph, &taskrt.Task{
@@ -196,7 +196,7 @@ func SubmitTiledCholesky(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error 
 					Accesses: []taskrt.Access{taskrt.R(at(i, k)), taskrt.R(at(j, k)), taskrt.RW(at(i, j))},
 					Flops:    blas.FlopsGEMM(mi, dim(j), nk),
 					Priority: 3 * age,
-					Label:    fmt.Sprintf("GEMM[%d,%d,%d]", i, j, k),
+					Label:    indexed("GEMM", i, j, k),
 				})
 			}
 		}
@@ -225,7 +225,7 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 			Accesses: []taskrt.Access{taskrt.RW(at(k, k))},
 			Flops:    blas.FlopsGETRF(nk),
 			Priority: 3*age + 2,
-			Label:    fmt.Sprintf("GETRF[%d]", k),
+			Label:    indexed("GETRF", k),
 		})
 		for j := k + 1; j < T; j++ {
 			graph = append(graph, &taskrt.Task{
@@ -233,7 +233,7 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 				Accesses: []taskrt.Access{taskrt.R(at(k, k)), taskrt.RW(at(k, j))},
 				Flops:    blas.FlopsTRSM(nk, dim(j)),
 				Priority: 3*age + 1,
-				Label:    fmt.Sprintf("TRSM-U[%d,%d]", k, j),
+				Label:    indexed("TRSM-U", k, j),
 			})
 		}
 		for i := k + 1; i < T; i++ {
@@ -242,7 +242,7 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 				Accesses: []taskrt.Access{taskrt.R(at(k, k)), taskrt.RW(at(i, k))},
 				Flops:    blas.FlopsTRSM(nk, dim(i)),
 				Priority: 3*age + 1,
-				Label:    fmt.Sprintf("TRSM-L[%d,%d]", i, k),
+				Label:    indexed("TRSM-L", i, k),
 			})
 		}
 		for i := k + 1; i < T; i++ {
@@ -253,7 +253,7 @@ func SubmitTiledLU(rt *taskrt.Runtime, n, tile int, m *blas.Matrix) error {
 					Accesses: []taskrt.Access{taskrt.R(at(i, k)), taskrt.R(at(k, j)), taskrt.RW(at(i, j))},
 					Flops:    blas.FlopsGEMM(mi, dim(j), nk),
 					Priority: 3 * age,
-					Label:    fmt.Sprintf("GEMM[%d,%d,%d]", i, j, k),
+					Label:    indexed("GEMM", i, j, k),
 				})
 			}
 		}

@@ -103,7 +103,7 @@ func SubmitStencil(rt *taskrt.Runtime, n, chunks, iters int, bufs *StencilBuffer
 				Codelet:  cl,
 				Accesses: accesses,
 				Flops:    4 * float64(hi-lo),
-				Label:    fmt.Sprintf("jacobi[%d,%d]", it, c),
+				Label:    indexed("jacobi", it, c),
 			}); err != nil {
 				return err
 			}

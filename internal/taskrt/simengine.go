@@ -62,6 +62,7 @@ type simState struct {
 	valid   []bool
 	tasks   []simTask // by task id
 	parents [][]int   // parentIDs, when tracing
+	nodes   []string  // a memory node's lane in transfer spans, when tracing
 	rng     *rand.Rand
 	tracer  *trace.Trace
 
@@ -70,6 +71,9 @@ type simState struct {
 	policy  RetryPolicy
 	tracker *dynamic.Tracker
 	models  *perfmodel.Store
+
+	completed int      // tasks finished
+	makespan  sim.Time // when the last of them ended
 
 	transferBytes int64
 	transferSecs  float64
@@ -87,10 +91,8 @@ func (st *simState) copies(h *Handle) []bool {
 	return st.valid[h.id*n : (h.id+1)*n]
 }
 
-// runSim executes the task graph in virtual time via greedy list scheduling
-// with the configured policy. The algorithm is deterministic for a given
-// (platform, task graph, scheduler, seed, fault plan).
-func (rt *Runtime) runSim() (*Report, error) {
+// newSimState builds the state of one simulated execution of rt's graph.
+func (rt *Runtime) newSimState() (*simState, error) {
 	machine, err := simhw.FromPlatform(rt.cfg.Platform)
 	if err != nil {
 		return nil, err
@@ -110,6 +112,11 @@ func (rt *Runtime) runSim() (*Report, error) {
 	}
 	if st.tracer != nil {
 		st.parents = parentIDs(rt.tasks)
+		for node := range st.dma {
+			st.nodes = append(st.nodes, fmt.Sprintf("node%d", node))
+		}
+		// Every task leaves at least one span.
+		st.tracer.Reserve(len(rt.tasks))
 	}
 	// Units the tracker already reports offline start blacklisted: the
 	// in-flight path honours the same descriptor state the re-plan path
@@ -128,78 +135,100 @@ func (rt *Runtime) runSim() (*Report, error) {
 	for _, h := range rt.handles {
 		st.copies(h)[h.home] = true
 	}
-
-	var ready []*Task
 	for _, t := range rt.tasks {
 		st.tasks[t.id].remaining = len(t.deps)
+	}
+	return st, nil
+}
+
+// runSim executes the task graph in virtual time via greedy list scheduling
+// with the configured policy. The algorithm is deterministic for a given
+// (platform, task graph, scheduler, seed, fault plan).
+func (rt *Runtime) runSim() (*Report, error) {
+	st, err := rt.newSimState()
+	if err != nil {
+		return nil, err
+	}
+	ready := readyQueue{heft: rt.cfg.Scheduler == "heft"}
+	if rt.cfg.Scheduler == "random" {
+		ready.rng = st.rng
+	}
+	for _, t := range rt.tasks {
 		if len(t.deps) == 0 {
-			ready = append(ready, t)
+			ready.push(t)
 		}
 	}
-
-	var makespan sim.Time
-	completed := 0
-	for completed < len(rt.tasks) {
-		if len(ready) == 0 {
-			return nil, fmt.Errorf("taskrt: task graph deadlock (cycle?) with %d tasks pending", len(rt.tasks)-completed)
+	for st.completed < len(rt.tasks) {
+		if ready.empty() {
+			return nil, fmt.Errorf("taskrt: task graph deadlock (cycle?) with %d tasks pending", len(rt.tasks)-st.completed)
 		}
-		ti := rt.pickTaskIndex(ready, st)
-		t := ready[ti]
-		ready = append(ready[:ti], ready[ti+1:]...)
-		rec := &st.tasks[t.id]
-
-		u, err := rt.pickUnit(t, st, rec.readyAt)
-		if err != nil {
+		if err := rt.simStep(st, ready.pop(), ready.push); err != nil {
 			return nil, err
-		}
-		end, fail, err := st.execute(t, u, rec.readyAt)
-		if err != nil {
-			return nil, err
-		}
-		if fail != nil {
-			// Failure recovery: re-queue the task with capped exponential
-			// backoff. The failed unit is blacklisted (permanently or until
-			// recovery), so the retry lands on a different unit — and when
-			// the whole PU class is gone, on a different implementation
-			// variant (GPU codelet → CPU variant) via compatibleUnits.
-			n := int(t.attempt.Add(1))
-			st.failedAttempts++
-			if n == 1 {
-				st.retriedTasks++
-			}
-			if n >= st.policy.MaxAttempts {
-				return nil, fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
-					t.Codelet.Name, t.Label, n, fail.on.hw.ID)
-			}
-			retryAt := fail.at + sim.Time(st.policy.backoff(n))
-			if st.tracer != nil {
-				st.tracer.Record(trace.Event{
-					Kind: trace.Retry, Unit: fail.on.hw.ID, Label: taskLabel(t),
-					Start: float64(fail.at), End: float64(retryAt),
-					TaskID: t.id, Attempt: n, Worker: fail.on.idx,
-				})
-			}
-			rec.readyAt = retryAt
-			ready = append(ready, t)
-			continue
-		}
-		makespan = max(makespan, end)
-		completed++
-		for _, d := range t.dependents {
-			dr := &st.tasks[d.id]
-			dr.readyAt = max(dr.readyAt, end)
-			dr.remaining--
-			if dr.remaining == 0 {
-				ready = append(ready, d)
-			}
 		}
 	}
+	return st.report(rt.cfg.Scheduler), nil
+}
 
+// simStep schedules one ready task: it picks the unit, runs the attempt and
+// pushes what became ready — the task's released dependents, or after a
+// failed attempt the task itself.
+func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
+	rec := &st.tasks[t.id]
+	u, err := rt.pickUnit(t, st, rec.readyAt)
+	if err != nil {
+		return err
+	}
+	end, fail, err := st.execute(t, u, rec.readyAt)
+	if err != nil {
+		return err
+	}
+	if fail != nil {
+		// Failure recovery: re-queue the task with capped exponential
+		// backoff. The failed unit is blacklisted (permanently or until
+		// recovery), so the retry lands on a different unit — and when
+		// the whole PU class is gone, on a different implementation
+		// variant (GPU codelet → CPU variant) via compatibleUnits.
+		n := int(t.attempt.Add(1))
+		st.failedAttempts++
+		if n == 1 {
+			st.retriedTasks++
+		}
+		if n >= st.policy.MaxAttempts {
+			return fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
+				t.Codelet.Name, t.Label, n, fail.on.hw.ID)
+		}
+		retryAt := fail.at + sim.Time(st.policy.backoff(n))
+		if st.tracer != nil {
+			st.tracer.Record(trace.Event{
+				Kind: trace.Retry, Unit: fail.on.hw.ID, Label: taskLabel(t),
+				Start: float64(fail.at), End: float64(retryAt),
+				TaskID: t.id, Attempt: n, Worker: fail.on.idx,
+			})
+		}
+		rec.readyAt = retryAt
+		push(t)
+		return nil
+	}
+	st.makespan = max(st.makespan, end)
+	st.completed++
+	for _, d := range t.dependents {
+		dr := &st.tasks[d.id]
+		dr.readyAt = max(dr.readyAt, end)
+		dr.remaining--
+		if dr.remaining == 0 {
+			push(d)
+		}
+	}
+	return nil
+}
+
+// report sums the finished run up.
+func (st *simState) report(scheduler string) *Report {
 	rep := &Report{
 		Mode:            Sim,
-		Scheduler:       rt.cfg.Scheduler,
-		Tasks:           len(rt.tasks),
-		MakespanSeconds: float64(makespan),
+		Scheduler:       scheduler,
+		Tasks:           len(st.tasks),
+		MakespanSeconds: float64(st.makespan),
 		TransferBytes:   st.transferBytes,
 		TransferSeconds: st.transferSecs,
 		TransferCount:   st.transferCount,
@@ -214,7 +243,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 			ID: su.hw.ID, Arch: su.hw.Arch, Tasks: su.tasks, BusySeconds: float64(su.res.Busy()),
 		})
 	}
-	return rep, nil
+	return rep
 }
 
 // taskLabel names a task in traces.
@@ -339,9 +368,9 @@ func (st *simState) transfer(h *Handle, src, dst int, ready sim.Time, dur float6
 	st.transferCount++
 	if st.tracer != nil {
 		st.tracer.Record(trace.Event{
-			Kind: trace.Transfer, Unit: fmt.Sprintf("node%d", dst),
+			Kind: trace.Transfer, Unit: st.nodes[dst],
 			Label: h.Name, Start: float64(s), End: float64(e), Bytes: h.Bytes,
-			TaskID: taskID, Worker: worker, From: fmt.Sprintf("node%d", src),
+			TaskID: taskID, Worker: worker, From: st.nodes[src],
 		})
 	}
 	return e
@@ -551,30 +580,95 @@ func earliest(cands []*simUnit) *simUnit {
 	return slices.MinFunc(cands, func(a, b *simUnit) int { return cmp.Compare(a.availAt(), b.availAt()) })
 }
 
-// pickTaskIndex chooses which ready task to schedule next.
-func (rt *Runtime) pickTaskIndex(ready []*Task, st *simState) int {
-	switch rt.cfg.Scheduler {
-	case "heft":
-		// Largest work first (a static upward-rank approximation).
-		best, bestFlops := 0, -1.0
-		for i, t := range ready {
-			if t.Flops > bestFlops {
-				best, bestFlops = i, t.Flops
-			}
-		}
-		return best
-	case "random":
-		return st.rng.Intn(len(ready))
-	default: // eager, dmda: priority then FIFO
-		best := 0
-		for i, t := range ready {
-			if t.Priority > ready[best].Priority ||
-				(t.Priority == ready[best].Priority && t.id < ready[best].id) {
-				best = i
-			}
-		}
-		return best
+// readyItem is a waiting task beside the keys it is ordered by, copied out of
+// the task so that a comparison reads the queue's own array only.
+type readyItem struct {
+	t     *Task
+	prio  int     // Task.Priority; 0 under heft
+	flops float64 // Task.Flops under heft; 0 otherwise
+	tie   int     // the task's id; under heft its arrival number
+}
+
+// before reports whether a is taken ahead of b.
+func (a readyItem) before(b readyItem) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
 	}
+	if a.flops != b.flops {
+		return a.flops > b.flops
+	}
+	return a.tie < b.tie
+}
+
+// readyQueue hands out the tasks whose dependencies have completed in the
+// scheduler's order. Each order is total, so a run does not depend on how the
+// queue is laid out, and a retried task re-enters as a new arrival.
+//   - eager, ws, dmda: highest Priority first, equal priorities by id;
+//   - heft: largest Flops first (a static upward-rank approximation), equal
+//     work by arrival;
+//   - random: one seeded draw over the waiting tasks in order of arrival.
+//
+// The first two are a binary heap on before, O(log ready) a task however wide
+// the graph (a tiled GEMM keeps every C chain ready at once). random needs the
+// k-th arrival: its tasks wait in arrival order and pop closes the gap.
+type readyQueue struct {
+	items    []readyItem // the heap
+	arrived  []*Task     // in its place under random
+	heft     bool
+	rng      *rand.Rand // the run's source under random, else nil
+	arrivals int
+}
+
+func (q *readyQueue) empty() bool { return len(q.items)+len(q.arrived) == 0 }
+
+func (q *readyQueue) push(t *Task) {
+	if q.rng != nil {
+		q.arrived = append(q.arrived, t)
+		return
+	}
+	it := readyItem{t: t, prio: t.Priority, tie: t.id}
+	if q.heft {
+		// The linear scan this queue replaced started its search at -1
+		// flops: less work than that ranks as -1.
+		it = readyItem{t: t, flops: max(t.Flops, -1), tie: q.arrivals}
+	}
+	q.arrivals++
+	i := len(q.items)
+	q.items = append(q.items, it)
+	for i > 0 && it.before(q.items[(i-1)/2]) {
+		q.items[i] = q.items[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	q.items[i] = it
+}
+
+// pop removes and returns the next task of a non-empty queue.
+func (q *readyQueue) pop() *Task {
+	if q.rng != nil {
+		i := q.rng.Intn(len(q.arrived))
+		t := q.arrived[i]
+		q.arrived = append(q.arrived[:i], q.arrived[i+1:]...)
+		return t
+	}
+	n := len(q.items) - 1
+	top, last := q.items[0].t, q.items[n]
+	q.items = q.items[:n]
+	// Sift the last item down from the root.
+	i := 0
+	for child := 1; child < n; child = 2*i + 1 {
+		if child+1 < n && q.items[child+1].before(q.items[child]) {
+			child++
+		}
+		if !q.items[child].before(last) {
+			break
+		}
+		q.items[i] = q.items[child]
+		i = child
+	}
+	if n > 0 {
+		q.items[i] = last
+	}
+	return top
 }
 
 // pickUnit chooses the unit for task t.

@@ -1,12 +1,18 @@
 package taskrt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/discover"
+	"repro/internal/trace"
 )
 
 // dgemmCodelet is a two-variant codelet: an x86 kernel and a (sim-only) gpu
@@ -219,31 +225,291 @@ func TestSimNoCompatibleUnit(t *testing.T) {
 	}
 }
 
+// TestSimPriorityOrdering reads the order a single core ran the tasks in off
+// the trace: task spans on one unit start in the order they were taken.
 func TestSimPriorityOrdering(t *testing.T) {
-	// On a single core, the high-priority task runs first even when
-	// submitted last.
-	rt, err := New(Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: "eager"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl := dgemmCodelet(t)
-	low := &Task{Codelet: cl, Flops: 1e9, Label: "low"}
-	high := &Task{Codelet: cl, Flops: 1e9, Priority: 10, Label: "high"}
-	_ = rt.Submit(low)
-	_ = rt.Submit(high)
-	rep, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build func() []*Task // in submission order
+		want  []string       // labels in execution order
+	}{
+		{"high priority first even when submitted last", func() []*Task {
+			return []*Task{
+				{Codelet: cl, Flops: 1e9, Label: "low"},
+				{Codelet: cl, Flops: 1e9, Priority: 10, Label: "high"},
+			}
+		}, []string{"high", "low"}},
+		{"released late, taken ahead of every waiting lower priority", func() []*Task {
+			root := &Task{Codelet: cl, Flops: 1e9, Label: "root"}
+			return []*Task{
+				root,
+				{Codelet: cl, Flops: 1e9, Label: "low1"},
+				{Codelet: cl, Flops: 1e9, Priority: 1, Label: "mid"},
+				{Codelet: cl, Flops: 1e9, Label: "low2"},
+				{Codelet: cl, Flops: 1e9, Priority: 10, Label: "high", After: []*Task{root}},
+			}
+		}, []string{"mid", "root", "high", "low1", "low2"}},
 	}
-	_ = rep
-	// Both ran on the same unit; makespan equals the serial sum. Priority
-	// correctness is observable through deterministic transfer-free order:
-	// recheck via a dependent reader pattern instead.
-	// (Order assertion: high priority index picked first.)
-	// Simplest check: pickTaskIndex prefers priority.
-	idx := rt.pickTaskIndex([]*Task{low, high}, &simState{})
-	if idx != 1 {
-		t.Fatalf("pickTaskIndex = %d; want the high-priority task", idx)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.New()
+			rt, err := New(Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: "eager", Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.SubmitBatch(tc.build()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range tr.OfKind(trace.Task) { // sorted by start
+				got = append(got, e.Label)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("execution order %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// scanPick is how runSim chose the next task before readyQueue: a linear scan
+// of the ready tasks in arrival order. It stays as the oracle the queue's
+// order is defined by.
+func scanPick(sched string, ready []*Task, rng *rand.Rand) int {
+	switch sched {
+	case "heft":
+		// Largest work first (a static upward-rank approximation).
+		best, bestFlops := 0, -1.0
+		for i, t := range ready {
+			if t.Flops > bestFlops {
+				best, bestFlops = i, t.Flops
+			}
+		}
+		return best
+	case "random":
+		return rng.Intn(len(ready))
+	default: // eager, ws, dmda: priority then FIFO
+		best := 0
+		for i, t := range ready {
+			if t.Priority > ready[best].Priority ||
+				(t.Priority == ready[best].Priority && t.id < ready[best].id) {
+				best = i
+			}
+		}
+		return best
+	}
+}
+
+// scanQueue is the ready set as the engine kept it then: a slice in arrival
+// order, closed up by an ordered removal after every pick.
+type scanQueue struct {
+	sched string
+	rng   *rand.Rand
+	ready []*Task
+}
+
+func (q *scanQueue) push(t *Task) { q.ready = append(q.ready, t) }
+
+func (q *scanQueue) pop() *Task {
+	i := scanPick(q.sched, q.ready, q.rng)
+	t := q.ready[i]
+	q.ready = append(q.ready[:i], q.ready[i+1:]...)
+	return t
+}
+
+// readySet is either of the two.
+type readySet interface {
+	push(*Task)
+	pop() *Task
+}
+
+// simulate is runSim's loop over the ready set mk returns: the engine's own
+// state and step, so only the order tasks are taken in can differ. It returns
+// that order beside the report.
+func simulate(rt *Runtime, mk func(sched string, rng *rand.Rand) readySet) (*Report, []int, error) {
+	st, err := rt.newSimState()
+	if err != nil {
+		return nil, nil, err
+	}
+	q := mk(rt.cfg.Scheduler, st.rng)
+	for _, t := range rt.tasks {
+		if len(t.deps) == 0 {
+			q.push(t)
+		}
+	}
+	var order []int
+	for st.completed < len(rt.tasks) {
+		t := q.pop()
+		order = append(order, t.id)
+		if err := rt.simStep(st, t, q.push); err != nil {
+			return nil, order, err
+		}
+	}
+	return st.report(rt.cfg.Scheduler), order, nil
+}
+
+// againstScan runs one graph — build submits it, afresh per run since tasks
+// count their own attempts — three ways: taken from scanQueue, taken from
+// readyQueue through the same loop, and through Run. The three must agree on
+// the order tasks were taken in, on every field of the report (floats by
+// their bits) and on every traced span; a run that fails must fail alike.
+// It returns the order, nil for a failed run.
+func againstScan(t *testing.T, cfg Config, build func(*Runtime)) []int {
+	t.Helper()
+	type outcome struct {
+		order  []int
+		report string // every field twice: to read, and in hex, exact for floats
+		events []trace.Event
+		err    string
+	}
+	run := func(exec func(*Runtime) (*Report, []int, error)) (o outcome) {
+		cfg := cfg
+		cfg.Trace = trace.New()
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build(rt)
+		rep, order, err := exec(rt)
+		if err != nil {
+			return outcome{order: order, err: err.Error()}
+		}
+		return outcome{order: order, report: fmt.Sprintf("%+v %x", *rep, *rep), events: cfg.Trace.Events()}
+	}
+	scan := run(func(rt *Runtime) (*Report, []int, error) {
+		return simulate(rt, func(sched string, rng *rand.Rand) readySet { return &scanQueue{sched: sched, rng: rng} })
+	})
+	queue := run(func(rt *Runtime) (*Report, []int, error) {
+		return simulate(rt, func(sched string, rng *rand.Rand) readySet {
+			if sched != "random" {
+				rng = nil
+			}
+			return &readyQueue{heft: sched == "heft", rng: rng}
+		})
+	})
+	if !reflect.DeepEqual(queue, scan) {
+		t.Errorf("%s: readyQueue and the scan disagree:\nqueue took %v\nscan took  %v\nqueue: %s %s\nscan:  %s %s",
+			cfg.Scheduler, queue.order, scan.order, queue.report, queue.err, scan.report, scan.err)
+	}
+	whole := run(func(rt *Runtime) (*Report, []int, error) {
+		rep, err := rt.Run()
+		return rep, scan.order, err // Run does not show its order; its spans do
+	})
+	if !reflect.DeepEqual(whole, scan) {
+		t.Errorf("%s: Run and the scan disagree:\nRun:  %s %s\nscan: %s %s", cfg.Scheduler, whole.report, whole.err, scan.report, scan.err)
+	}
+	if scan.err != "" {
+		return nil
+	}
+	return scan.order
+}
+
+// TestReadyQueueOrders spells the queue's three orders out on graphs small
+// enough to read, each also checked against the scan.
+func TestReadyQueueOrders(t *testing.T) {
+	cl := dgemmCodelet(t)
+	// t0 and t1 are ready at once and release t3 and t2 in that order, so the
+	// two children wait together with the larger id the earlier arrival.
+	crossed := func(rt *Runtime) {
+		t0 := &Task{Codelet: cl, Flops: 1e9, Priority: 9}
+		t1 := &Task{Codelet: cl, Flops: 1e9, Priority: 8}
+		t2 := &Task{Codelet: cl, Flops: 1e9, After: []*Task{t1}}
+		t3 := &Task{Codelet: cl, Flops: 1e9, After: []*Task{t0}}
+		if err := rt.SubmitBatch([]*Task{t0, t1, t2, t3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three equal tasks on a core whose first attempt crashes and recovers.
+	three := func(rt *Runtime) {
+		for i := 0; i < 3; i++ {
+			if err := rt.Submit(&Task{Codelet: cl, Flops: 1e9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The scan started its search for the largest work at -1 flops.
+	negative := func(rt *Runtime) {
+		for _, flops := range []float64{-5, -2, -0.5} {
+			if err := rt.Submit(&Task{Codelet: cl, Flops: flops}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	crashOnce := &FaultPlan{Events: []FaultEvent{{Unit: "host", AfterTasks: 1, RecoverAfter: 1e-3}}}
+	for _, tc := range []struct {
+		name, sched string
+		faults      *FaultPlan
+		build       func(*Runtime)
+		want        []int
+	}{
+		{"equal priorities go by id, not by arrival", "eager", nil, crossed, []int{0, 1, 2, 3}},
+		{"heft ties go by arrival, not by id", "heft", nil, crossed, []int{0, 1, 3, 2}},
+		{"heft ranks -1 flops and less alike", "heft", nil, negative, []int{2, 0, 1}},
+		{"a retry is heft's newest arrival", "heft", crashOnce, three, []int{0, 1, 2, 0}},
+		{"a retry keeps its id", "eager", crashOnce, three, []int{0, 0, 1, 2}},
+		// Seed 1 draws the last of three, then — pickUnit's draw between them,
+		// the retry back in last place — the last of three again, then the
+		// second of two.
+		{"random draws once per pick over arrival order", "random", crashOnce, three, []int{2, 2, 1, 0}},
+	} {
+		cfg := Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: tc.sched, Faults: tc.faults}
+		if got := againstScan(t, cfg, tc.build); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: tasks taken in order %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestQuickReadyQueueMatchesScan is the differential property: on seeded
+// random DAGs built to collide — three priorities, two work sizes, After
+// edges beside the data dependencies — under a random fault plan that makes
+// tasks retry, every sim scheduler takes the tasks from readyQueue in the
+// order the scan would have, and reports the same run to the bit.
+func TestQuickReadyQueueMatchesScan(t *testing.T) {
+	cl := dgemmCodelet(t)
+	f := func(seed int64, size uint8) bool {
+		build := func(rt *Runtime) {
+			rng := rand.New(rand.NewSource(seed))
+			var outs []*Handle
+			var tasks []*Task
+			for n := 0; n < 8+int(size%56); n++ {
+				out := rt.NewHandle("h", 1<<18, nil)
+				task := &Task{
+					Codelet:  cl,
+					Accesses: []Access{W(out)},
+					Flops:    float64(1+rng.Intn(2)) * 1e8,
+					Priority: rng.Intn(3),
+				}
+				// Mostly wide: half the tasks are roots.
+				if n > 0 && rng.Intn(2) == 0 {
+					task.Accesses = append(task.Accesses, R(outs[rng.Intn(n)]))
+					if rng.Intn(2) == 0 {
+						task.After = []*Task{tasks[rng.Intn(n)]}
+					}
+				}
+				if err := rt.Submit(task); err != nil {
+					t.Fatal(err)
+				}
+				outs, tasks = append(outs, out), append(tasks, task)
+			}
+		}
+		failed := t.Failed()
+		for _, sched := range []string{"eager", "ws", "dmda", "heft", "random"} {
+			againstScan(t, Config{
+				Platform:  discover.MustPlatform("xeon-2gpu"),
+				Mode:      Sim,
+				Scheduler: sched,
+				Seed:      seed,
+				Faults:    RandomFaultPlan(seed, []string{"dev0", "dev1", "host.1"}, 0.05),
+				Retry:     RetryPolicy{MaxAttempts: 12},
+			}, build)
+		}
+		return failed || !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -155,6 +155,7 @@ type Runtime struct {
 	cfg     Config
 	handles []*Handle    // by Handle.ID()
 	tasks   []*Task      // by Task.ID()
+	edges   []*Task      // unused cells of appendEdge's current chunk
 	state   atomic.Int32 // stateIdle → stateRunning → stateDone
 }
 
@@ -285,8 +286,8 @@ func (rt *Runtime) submitOne(t *Task) error {
 				return
 			}
 		}
-		t.deps = append(t.deps, dep)
-		dep.dependents = append(dep.dependents, t)
+		t.deps = rt.appendEdge(t.deps, dep)
+		dep.dependents = rt.appendEdge(dep.dependents, t)
 	}
 	for _, dep := range t.After {
 		addDep(dep)
@@ -310,6 +311,20 @@ func (rt *Runtime) submitOne(t *Task) error {
 	}
 	rt.tasks = append(rt.tasks, t)
 	return nil
+}
+
+// appendEdge appends t to a task's deps or dependents. In a chain a task has
+// one of each, so a list's first cell is cut from a chunk the runtime's tasks
+// share instead of being a heap slice of its own; a list that outgrows the
+// cell moves where append takes it.
+func (rt *Runtime) appendEdge(list []*Task, t *Task) []*Task {
+	if list == nil {
+		if len(rt.edges) == 0 {
+			rt.edges = make([]*Task, 512)
+		}
+		list, rt.edges = rt.edges[:0:1], rt.edges[1:]
+	}
+	return append(list, t)
 }
 
 // Tasks returns the number of submitted tasks.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,17 @@ lint-cluster-owners:
 	@! grep -nE 'sync/atomic|forcedDown|evNodeUp|evNodeDown' internal/cluster/master.go
 	@! grep -rnE 'type (outbound|pendingExec) ' internal/cluster
 	@! grep -nE 'Delay|DelaysForUnit' internal/taskrt/fault.go
+
+# lint-cluster-copy keeps a tile crossing the cluster link without being
+# wrapped: the engine's files write a frame from the payload (messageWriter) and
+# never build one (EncodePayload) or know its header, and proto.go holds one
+# frame writer and one frame reader — frameMatrix is named by its definition,
+# layFrame and messageReader.frame; matrixHeader by its definition, frameLen, and
+# that reader (its shape scratch and its two length checks).
+lint-cluster-copy:
+	@! grep -nE 'EncodePayload\(|matrixHeader|frameMatrix' internal/cluster/master.go internal/cluster/stream.go internal/cluster/worker.go
+	@test "$$(grep -c frameMatrix internal/cluster/proto.go)" -eq 3
+	@test "$$(grep -c matrixHeader internal/cluster/proto.go)" -eq 5
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -78,12 +89,14 @@ cluster-test:
 
 # fuzz runs a time-boxed exploration of the decoders that read untrusted
 # bytes — the journal record decoder, the cluster payload frame decoder and
-# the worker's execute-stream request reader — each on top of its committed
-# seed corpus (which plain `go test` already replays).
+# both ends of the execute stream, the worker's request reader and the
+# master's response reader — each on top of its committed seed corpus (which
+# plain `go test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRequestReader -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzResponseReader -fuzztime=10s ./internal/cluster
 
 # bench-test vets and tests the benchmark, a Go module of its own that the
 # root `go test ./...` does not reach. Its tests include the -smoke run: every
@@ -93,9 +106,9 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema and cluster-owner lints, race subset, the portable-kernel build, crash/recovery
+# trace-schema, cluster-owner and cluster-copy lints, race subset, the portable-kernel build, crash/recovery
 # suite, multi-process cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

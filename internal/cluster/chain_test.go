@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -406,7 +405,7 @@ func TestSenderOrderIsDispatchOrder(t *testing.T) {
 		defer mu.Unlock()
 		arrivals = append(arrivals, req.TaskID)
 		for _, a := range req.Accesses {
-			if a.Inline != nil {
+			if a.FrameLen > 0 {
 				inlined[a.HandleID]++
 			}
 		}
@@ -470,12 +469,13 @@ func (tt tamperTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	pr, pw := io.Pipe()
 	inner := resp.Body
 	go func() {
-		dec, enc := gob.NewDecoder(inner), gob.NewEncoder(pw)
+		in, out := newMessageReader(inner, 1<<30), newMessageWriter(pw)
 		for {
-			msg := new(ExecResponse)
-			err := dec.Decode(msg)
-			for c := tt.tamper(msg); err == nil && c > 0; c-- {
-				err = enc.Encode(msg)
+			msg, err := readResponse(in)
+			if err == nil {
+				for c := tt.tamper(msg); err == nil && c > 0; c-- {
+					err = out.write(msg, returnedFrames(msg))
+				}
 			}
 			if err != nil {
 				inner.Close()
@@ -572,10 +572,7 @@ func TestWorkerRunsChainInOrder(t *testing.T) {
 	if len(resp.Written) != 1 || resp.Written[0].HandleID != 7 || resp.Written[0].Version != 7 {
 		t.Fatalf("written = %+v, want handle 7 once, at version 7", resp.Written)
 	}
-	got, err := DecodePayload(resp.Written[0].Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resp.Written[0].payload
 	mu.Lock()
 	ran := fmt.Sprint(order)
 	mu.Unlock()

@@ -147,18 +147,26 @@ func TestDecodePayloadRejectsMalformed(t *testing.T) {
 }
 
 // The portable conversion loops are what a big-endian host runs; on this one
-// they must agree with the copy.
+// they must agree with the copy, appending to a frame and reading one off a
+// stream.
 func TestFloat64ConversionPathsAgree(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), 1, -math.Pi, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64}
-	fast, portable := make([]byte, 8*len(vals)), make([]byte, 8*len(vals))
-	putFloat64s(fast, vals)
-	putFloat64sPortable(portable, vals)
+	vals := make([]float64, 0, 1200)
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -math.Pi, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64} {
+		for i := 0; i < 170; i++ {
+			vals = append(vals, v*float64(i+1))
+		}
+	}
+	fast, portable := appendFloat64s(nil, vals), appendFloat64sPortable(nil, vals)
 	if !bytes.Equal(fast, portable) {
-		t.Fatalf("putFloat64s wrote % x, the portable loop % x", fast, portable)
+		t.Fatalf("appendFloat64s wrote % x, the portable loop % x", fast[:32], portable[:32])
 	}
 	a, b := make([]float64, len(vals)), make([]float64, len(vals))
-	getFloat64s(a, fast)
-	getFloat64sPortable(b, fast)
+	if err := readFloat64s(bytes.NewReader(fast), a, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := readFloat64s(bytes.NewReader(fast), b, false); err != nil {
+		t.Fatal(err)
+	}
 	for i := range vals {
 		if math.Float64bits(a[i]) != math.Float64bits(vals[i]) || math.Float64bits(b[i]) != math.Float64bits(vals[i]) {
 			t.Errorf("element %d: got %x and %x, want %x", i, math.Float64bits(a[i]), math.Float64bits(b[i]), math.Float64bits(vals[i]))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
@@ -311,11 +312,12 @@ type inflightRec struct {
 	released bool                // credit/backlog already returned
 
 	// Built by dispatch, then the node's sender's until the request is
-	// written: ship encodes each inline payload into its spec in req, counts
-	// it and drops inline. The loop reads the counts with the outcome.
+	// written: ship announces each inline payload's frame in its spec in req,
+	// counts it, drops inline and writes the frames behind the request. The
+	// loop reads the counts with the outcome.
 	req     *ExecRequest
 	inline  []inlinePayload
-	shipped int64 // encoded bytes inlined
+	shipped int64 // frame bytes inlined
 	inlines int
 
 	// The stream's, under its mu, while the record is pending on it.
@@ -345,13 +347,6 @@ func (rec *inflightRec) forgetResidency(writtenOnly bool) {
 	}
 }
 
-// inlinePayload is a payload that travels in a request, beside its spec there:
-// the master's still to be encoded into it, the worker's just decoded from it.
-type inlinePayload struct {
-	spec    *AccessSpec
-	payload any
-}
-
 // runState is the mutable state of one Run, owned by the loop goroutine.
 type runState struct {
 	m       *Master
@@ -364,6 +359,12 @@ type runState struct {
 	task   []taskState // by task id
 	flying int         // invocations in flight
 	ready  []*taskrt.Task
+
+	// What a node may send back, fixed when the run starts and read by the
+	// streams' readers: per handle id the frame length of its canonical payload
+	// (0 when that is not dense), and the bound on one response message.
+	returns []int64
+	respMax int64
 
 	obs    placement.History // kernel time observed on every node: the cold estimate
 	cursor uint64            // placement.Pick cursor, advanced per choose
@@ -438,8 +439,17 @@ func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runSta
 		stop:    make(chan struct{}),
 		start:   time.Now(),
 	}
+	// A response holds at most every task's span (label, parents), run record
+	// and written or missing entries, an error string, and every handle once.
+	st.respMax = 1 << 20
 	for _, t := range tasks {
 		st.task[t.ID()].indeg = len(t.Deps())
+		st.respMax += int64(256 + len(t.Label) + 16*len(t.Deps()) + 64*len(t.Accesses))
+	}
+	st.returns = make([]int64, len(handles))
+	for i, h := range handles {
+		st.returns[i], _ = frameLen(h.Payload)
+		st.respMax += st.returns[i] + looseFrame(h)
 	}
 	for _, nc := range m.cfg.Nodes {
 		// Config.HTTP's transport, under the per-probe Timeout its streaming client cannot have.
@@ -1004,28 +1014,55 @@ func (st *runState) sender(n *nodeState) {
 	}
 }
 
-// ship encodes the inline payloads and writes the request to the node's
-// stream, whose reader goroutine delivers the outcome; an error means it never
-// got that far. It reads only payloads of the chain's own accesses, whose
-// writers outside the chain have all been applied (DAG order) and which
-// nothing is applied to while the chain is in flight, so the reads race with
-// nothing.
+// ship announces the inline payloads' frames in the request and writes it and
+// them to the node's stream, whose reader goroutine delivers the outcome; an
+// error means it never got that far. It reads only payloads of the chain's own
+// accesses, whose writers outside the chain have all been applied (DAG order)
+// and which nothing is applied to while the chain is in flight, so the reads
+// race with nothing.
 func (st *runState) ship(rec *inflightRec) error {
-	for _, in := range rec.inline {
-		data, err := EncodePayload(in.payload)
-		if err != nil {
+	frames := make([]any, len(rec.inline))
+	for i, in := range rec.inline {
+		var err error
+		if frames[i], in.spec.FrameLen, err = announce(in.payload); err != nil {
 			return fmt.Errorf("encoding handle %d: %w", in.spec.HandleID, err)
 		}
-		in.spec.Inline = data
-		rec.shipped += int64(len(data))
-		rec.inlines++
+		rec.shipped += in.spec.FrameLen
 	}
-	rec.inline = nil
+	rec.inlines, rec.inline = len(rec.inline), nil
 	s, err := st.stream(rec.node)
 	if err != nil {
 		return err
 	}
-	return s.submit(rec)
+	return s.submit(rec, frames)
+}
+
+// looseFrame bounds the frame of a payload that is not dense: a gob box of
+// twice the handle's declared bytes, and a page for gob's own words.
+func looseFrame(h *taskrt.Handle) int64 { return 2*h.Bytes + 4096 }
+
+// returned checks what a node announces it wrote, on the stream's reader and
+// before a byte of the frame is read or memory found for it: the handle
+// exists, the answered chain writes it, and the frame is as long as the
+// handle's canonical payload frames to.
+func (st *runState) returned(rec *inflightRec, wr *Written) error {
+	id, n := wr.HandleID, wr.FrameLen
+	if id < 0 || id >= len(st.returns) {
+		return fmt.Errorf("task %d result writes unknown handle %d", rec.req.TaskID, id)
+	}
+	writes := false
+	for _, m := range rec.members {
+		for _, a := range m.task.Accesses {
+			writes = writes || a.Handle.ID() == id && a.Mode.Writes()
+		}
+	}
+	if !writes {
+		return fmt.Errorf("task %d result returns handle %d, which its chain does not write", rec.req.TaskID, id)
+	}
+	if want := st.returns[id]; n < 1 || want > 0 && n != want || want == 0 && n > looseFrame(st.handles[id]) {
+		return fmt.Errorf("task %d result announces %d bytes for handle %d, whose payload frames to %d", rec.req.TaskID, n, id, want)
+	}
+	return nil
 }
 
 // handleResult applies one invocation's outcome and returns how many tasks
@@ -1135,23 +1172,19 @@ func (st *runState) handleResult(ev event) (int, error) {
 	}
 	n.suspects = 0
 	for _, wr := range resp.Written {
-		if wr.HandleID < 0 || wr.HandleID >= len(st.handles) {
-			return 0, fmt.Errorf("cluster: task %d result from %s writes unknown handle %d", head.ID(), n.cfg.Name, wr.HandleID)
-		}
-		h := st.handles[wr.HandleID]
-		v, err := DecodePayload(wr.Payload)
+		h := st.handles[wr.HandleID] // in range: returned checked it before reading the frame
+		applied, err := ApplyPayload(h.Payload, wr.payload)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: task %d result, handle %d: %w", head.ID(), wr.HandleID, err)
 		}
-		applied, err := ApplyPayload(h.Payload, v)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: task %d result, handle %d: %w", head.ID(), wr.HandleID, err)
+		if m, ok := wr.payload.(*blas.Matrix); ok && applied != wr.payload {
+			staged.Put(m.Data)
 		}
 		h.Payload = applied
 		st.ver[wr.HandleID] = wr.Version
 		n.has[wr.HandleID] = cached{wr.Version, true}
-		n.stats.ReturnBytes += int64(len(wr.Payload))
-		cm.returnB.With(n.cfg.Name).Add(float64(len(wr.Payload)))
+		n.stats.ReturnBytes += wr.FrameLen
+		cm.returnB.With(n.cfg.Name).Add(float64(wr.FrameLen))
 	}
 	n.stats.Returns += len(resp.Written)
 	n.stats.Transfers += rec.inlines

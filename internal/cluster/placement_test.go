@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"io"
 	"net/http"
 	"testing"
@@ -23,19 +22,18 @@ func (tr okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	pr, pw := io.Pipe()
 	go func() {
 		defer r.Body.Close()
-		dec, enc := gob.NewDecoder(r.Body), gob.NewEncoder(pw)
+		in, out := newMessageReader(r.Body, 1<<30), newMessageWriter(pw)
 		for {
-			var req ExecRequest
-			err := dec.Decode(&req)
+			req, err := nextRequest(in)
 			if err == nil {
 				if tr.seen != nil {
-					tr.seen(&req)
+					tr.seen(req)
 				}
 				ran := make([]StepRun, 1+len(req.Next))
 				for i := range ran {
 					ran[i] = StepRun{Seconds: 1e-3, Arch: "x86"}
 				}
-				err = enc.Encode(&ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, OK: true, Ran: ran})
+				err = out.write(&ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, OK: true, Ran: ran}, nil)
 			}
 			if err != nil {
 				pw.Close()
@@ -76,7 +74,15 @@ func fakeRun(t *testing.T, models *perfmodel.Store, nodeNames []string, tasks in
 // newRunState is a runState for cfg over the graph batch submits, its nodes
 // not yet up and no loop running: the test plays the loop, calling nodeUp,
 // dispatch and handleResult itself.
-func newRunState(t *testing.T, cfg Config, batch func(*taskrt.Runtime) []*taskrt.Task) *runState {
+func newRunState(t testing.TB, cfg Config, batch func(*taskrt.Runtime) []*taskrt.Task) *runState {
+	t.Helper()
+	st := buildRunState(t, cfg, batch)
+	t.Cleanup(st.shutdown)
+	return st
+}
+
+// buildRunState is newRunState for a caller that shuts the run down itself.
+func buildRunState(t testing.TB, cfg Config, batch func(*taskrt.Runtime) []*taskrt.Task) *runState {
 	t.Helper()
 	m, err := NewMaster(cfg)
 	if err != nil {
@@ -98,12 +104,11 @@ func newRunState(t *testing.T, cfg Config, batch func(*taskrt.Runtime) []*taskrt
 		t.Fatal(err)
 	}
 	st.events = make(chan event, len(graph)) // nobody drains it but the test
-	t.Cleanup(st.shutdown)
 	return st
 }
 
 // Once its request is on the stream a record points at no payload: the sender
-// encoded each into the request and dropped the list.
+// announced each in the request, wrote it behind it and dropped the list.
 func TestShippedRecordHoldsNoPayload(t *testing.T) {
 	st := fakeRun(t, nil, []string{"a"}, 1)
 	rec := placeHead(t, st, st.tasks[0])
@@ -111,9 +116,9 @@ func TestShippedRecordHoldsNoPayload(t *testing.T) {
 	if ev := nextResult(t, st); ev.rec != rec || ev.err != nil {
 		t.Fatalf("outcome %+v, want the record's answer", ev)
 	}
-	if rec.inline != nil || rec.inlines != 1 || rec.shipped == 0 || rec.req.Accesses[0].Inline == nil {
-		t.Fatalf("after ship: %d payloads still referenced, %d inlined as %d bytes, frame in the request: %v",
-			len(rec.inline), rec.inlines, rec.shipped, rec.req.Accesses[0].Inline != nil)
+	if a := rec.req.Accesses[0]; rec.inline != nil || rec.inlines != 1 || rec.shipped == 0 || a.FrameLen != rec.shipped || a.Inline != nil {
+		t.Fatalf("after ship: %d payloads still referenced, %d inlined as %d bytes, %d announced in the request, %d inside it",
+			len(rec.inline), rec.inlines, rec.shipped, a.FrameLen, len(a.Inline))
 	}
 }
 

@@ -49,7 +49,7 @@
 //
 // Residency follows stream order. The master writes each node's requests in
 // dispatch order (one sender per node draining a FIFO) and the worker admits a
-// request's inline payloads into its cache as it reads the request, before
+// request's payloads into its cache as it reads the request, before
 // reading the next. So the master records "node holds handle at version" the
 // moment it dispatches the payload inline, and a later request — even one
 // dispatched while the first is still in flight — refers to it by version
@@ -62,27 +62,55 @@
 // when every step succeeded. While a kernel mutates the object in place, and
 // after it failed, timed out or was abandoned with a broken stream, no
 // request can resolve it: a retry by reference gets NeedData and canonical
-// bytes, never a half-written or twice-applied object.
+// bytes, never a half-written or twice-applied object. The object is back in
+// the cache before its frame is written, from that same memory, on the
+// response, and nothing writes to it meanwhile: a request checks it out only by
+// naming the chain's final version, which the master names only after applying
+// a response that carried it — this one, read to its last byte, so the write
+// is over; or a copy of the chain run elsewhere, and then the master does not
+// believe this node holds that version and sends the payload along, a new
+// object. A retry of the chain here names the version before its writes, which
+// bounces. The worker also enforces what this infers: a checkout waits for the
+// end of the response write the entry was announced on (cacheEntry.sent).
 //
 // Wire: the master holds one POST /v1/execute per node open for the whole run
-// and uses it in both directions at once — ExecRequest values go up the
-// request body, ExecResponse values come down the response body, each side
-// through a single gob encoder/decoder, so gob's type descriptors cross the
-// connection once per node. Responses come back in the order chains finish
-// and are matched to requests by the head's (TaskID, Attempt). Handle payloads
-// travel inside those messages as opaque []byte frames (EncodePayload): a tag
-// byte, and for matrices and float64 slices the raw little-endian elements. A
-// stream that ends or breaks with requests unanswered fails each of them once
-// with a transport error; the node's next dispatch opens a fresh stream. A
-// one-shot POST carrying a single request is a stream of length one.
+// and uses it in both directions at once — ExecRequest messages go up the
+// request body, ExecResponse messages come down the response body. A message
+// is an envelope and the payload frames it announces: the gob value — one
+// encoder/decoder per direction, so gob's type descriptors cross the
+// connection once per node — states each frame's length (AccessSpec.FrameLen,
+// Written.FrameLen) and the frames follow it in that order, outside gob. A
+// frame (layFrame) is a tag byte and, for matrices and float64 slices, the
+// shape and the raw little-endian elements: the sender writes it from the
+// payload's own memory (a strided view gathered into the stream's scratch
+// first), the worker reads the elements into the matrix it then caches. The
+// master reads a returned frame into a staging buffer and copies it into the
+// handle's storage when the loop applies the result, never directly: a frame
+// torn mid-body, or a result that loses first-writer-wins, must leave the
+// canonical bytes as they were. Each end bounds a message before allocating for
+// it: the worker holds envelope plus frames to MaxBodyBytes; the master holds a
+// response to a bound derived from the run's graph and a returned frame to the
+// frame length of the canonical payload of a handle the answered chain writes.
+// Responses come back in the order chains finish and are matched to requests
+// by the head's (TaskID, Attempt). A stream that ends or breaks with requests
+// unanswered — inside a frame included — fails each of them once with a
+// transport error; the node's next dispatch opens a fresh stream. A one-shot
+// POST carrying a single request is a stream of length one, and a client that
+// speaks bare gob may put each frame inside the envelope (AccessSpec.Inline)
+// and ignore what follows the response's.
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"repro/internal/blas"
@@ -104,10 +132,10 @@ const (
 	PathMetrics = "/metrics"
 
 	// ContentTypeGob marks the execute request and response bodies: a gob
-	// stream of ExecRequest (resp. ExecResponse) values. gob carries the
-	// envelope — ids, versions, spans — and moves the []byte payload frames
-	// inside it untouched; the frames themselves are not gob (gob would
-	// spend a varint per float64), see EncodePayload.
+	// stream of ExecRequest (resp. ExecResponse) values, each followed by the
+	// payload frames it announces. gob carries the envelope — ids, versions,
+	// spans — and not the frames: it would spend a varint per float64 and a
+	// copy per frame (see layFrame).
 	ContentTypeGob = "application/x-gob"
 )
 
@@ -127,6 +155,8 @@ type ExecRequest struct {
 	Parents  []int
 	Accesses []AccessSpec
 	Next     []ExecStep
+
+	received []inlinePayload // on the worker: the payloads that followed the envelope, each beside its spec
 }
 
 // ExecStep is one codelet execution of a chain, with the fields ExecRequest
@@ -158,28 +188,42 @@ func newExecRequest(steps []ExecStep) *ExecRequest {
 		Flops: h.Flops, Parents: h.Parents, Accesses: h.Accesses, Next: steps[1:]}
 }
 
-// AccessSpec is one data access of a step. Inline is the payload as an
-// EncodePayload frame, which the worker caches at Version before resolving
-// anything; when it is nil the worker must already hold (HandleID, Version) —
-// cached, or written by an earlier step of the same chain — and responding
-// NeedData makes the master re-inline: a cache miss, never a fault.
+// AccessSpec is one data access of a step. A positive FrameLen announces the
+// payload as a frame of that many bytes behind the envelope, in access order,
+// which the worker caches at Version before resolving anything; with none the
+// worker must already hold (HandleID, Version) — cached, or written by an
+// earlier step of the same chain — and responding NeedData makes the master
+// re-inline: a cache miss, never a fault. Inline is the frame carried inside
+// the envelope instead, as a bare-gob one-shot client sends it: accepted by
+// the worker, never sent by the master.
 type AccessSpec struct {
 	HandleID int
 	Name     string
 	Bytes    int64
 	Mode     int // taskrt.AccessMode numeric value
 	Version  uint64
+	FrameLen int64
 	Inline   []byte
+}
+
+// inlinePayload is a payload that travels with a request, beside its spec
+// there: the master's still to be written after it, the worker's just read.
+type inlinePayload struct {
+	spec    *AccessSpec
+	payload any
 }
 
 // Written is one produced payload: the contents of a handle the chain wrote,
 // at the version its last writing step leaves it — the version the request
 // named plus one per writing step (writers are serialised by the task graph,
-// so successor versions are deterministic). Payload is an EncodePayload frame.
+// so successor versions are deterministic). Its frame, FrameLen bytes, follows
+// the response in Written's order.
 type Written struct {
 	HandleID int
 	Version  uint64
-	Payload  []byte
+	FrameLen int64
+
+	payload any // on the master: what the frame held, staged until the chain's result is applied
 }
 
 // ExecResponse reports one invocation's outcome. OK means every step ran;
@@ -209,6 +253,8 @@ type ExecResponse struct {
 	// epoch): the time base of the span offsets, which trace.Merge uses to
 	// align per-node timelines into one.
 	EpochMicros int64
+
+	frames []any // on the worker: the payloads Written announces
 }
 
 // StepRun is one completed kernel execution: its time and the architecture of
@@ -229,7 +275,7 @@ type InfoResponse struct {
 // RegisterPayloadType registers a concrete payload type for the gob fallback
 // of the payload codec, as encoding/gob requires for interface-typed values.
 // []int and the scalar types are pre-registered; *blas.Matrix, []float64 and
-// []byte never reach gob (see EncodePayload).
+// []byte never reach gob (see layFrame).
 func RegisterPayloadType(v any) { gob.Register(v) }
 
 func init() {
@@ -253,97 +299,264 @@ const (
 // payloadBox wraps the interface value so gob carries the concrete type.
 type payloadBox struct{ V any }
 
-// EncodePayload serialises a handle payload into a frame. A matrix ships only
-// its own rows×cols elements whatever its stride: a Sub() view aliases the
-// parent's backing array from its origin to the end, and the rows are copied
-// out of it one by one straight into the frame.
-func EncodePayload(v any) ([]byte, error) {
+// rawFrame is a frame already built, written as it is: what a gob-boxed
+// payload becomes before its length can be announced.
+type rawFrame []byte
+
+// frameLen is the length of a dense payload's frame, known from its shape;
+// false for a value whose frame has to be built to be measured.
+func frameLen(v any) (int64, bool) {
 	switch p := v.(type) {
 	case *blas.Matrix:
 		if p == nil || p.Rows < 0 || p.Cols < 0 {
-			return nil, fmt.Errorf("cluster: encoding payload: invalid matrix %v", p)
+			return 0, false
 		}
-		out := make([]byte, matrixHeader+8*p.Rows*p.Cols)
-		out[0] = frameMatrix
-		binary.LittleEndian.PutUint64(out[1:], uint64(p.Rows))
-		binary.LittleEndian.PutUint64(out[9:], uint64(p.Cols))
-		body := out[matrixHeader:]
-		if p.Stride == p.Cols {
-			putFloat64s(body, p.Data[:p.Rows*p.Cols])
-		} else {
-			for i := 0; i < p.Rows; i++ {
-				putFloat64s(body[8*i*p.Cols:], p.Data[i*p.Stride:i*p.Stride+p.Cols])
-			}
-		}
-		return out, nil
+		return matrixHeader + 8*int64(p.Rows)*int64(p.Cols), true
 	case []float64:
-		out := make([]byte, 1+8*len(p))
-		out[0] = frameFloat64
-		putFloat64s(out[1:], p)
-		return out, nil
+		return 1 + 8*int64(len(p)), true
 	case []byte:
-		out := make([]byte, 1+len(p))
-		out[0] = frameBytes
-		copy(out[1:], p)
-		return out, nil
+		return 1 + int64(len(p)), true
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(frameGob)
-	if err := gob.NewEncoder(&buf).Encode(payloadBox{V: v}); err != nil {
-		return nil, fmt.Errorf("cluster: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
+	return 0, false
 }
 
-// DecodePayload reverses EncodePayload. Frames arrive from the network, so
-// every malformed one — empty, unknown tag, short header, a shape whose
-// rows×cols×8 is not exactly the body's length, trailing bytes — is an
-// error, and the shape is checked against the bytes present before anything
-// is allocated: a raw frame never allocates more than it is long.
-func DecodePayload(data []byte) (any, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("cluster: decoding payload: empty frame")
+// announce returns the length an envelope states for v's frame and what to
+// hand the message writer after it: v itself when its shape says the length,
+// otherwise the frame, built now.
+func announce(v any) (any, int64, error) {
+	if n, ok := frameLen(v); ok {
+		return v, n, nil
 	}
-	body := data[1:]
-	switch data[0] {
-	case frameMatrix:
-		if len(data) < matrixHeader {
-			return nil, fmt.Errorf("cluster: decoding payload: matrix header truncated at %d bytes", len(data))
+	frame, err := EncodePayload(v)
+	return rawFrame(frame), int64(len(frame)), err
+}
+
+// layFrame is the one frame writer: it lays v's frame out as two runs of
+// bytes, head then body. Where the payload's memory already is the wire form
+// — a compact matrix or a slice, on a little-endian host — body is that memory
+// and head only the tag and shape: writing the frame copies nothing. Otherwise
+// the whole frame is built in head: a Sub() view ships only its own rows×cols
+// elements, gathered row by row. head is appended to buf[:0], so passing the
+// last head back reuses its memory.
+func layFrame(v any, buf []byte) (head, body []byte, err error) {
+	switch p := v.(type) {
+	case *blas.Matrix:
+		if p == nil || p.Rows < 0 || p.Cols < 0 {
+			return nil, nil, fmt.Errorf("cluster: encoding payload: invalid matrix %v", p)
 		}
-		rows, cols := binary.LittleEndian.Uint64(data[1:]), binary.LittleEndian.Uint64(data[9:])
-		body = data[matrixHeader:]
+		head = append(buf[:0], frameMatrix)
+		head = binary.LittleEndian.AppendUint64(head, uint64(p.Rows))
+		head = binary.LittleEndian.AppendUint64(head, uint64(p.Cols))
+		if p.Stride == p.Cols && hostLittleEndian {
+			return head, float64Bytes(p.Data[:p.Rows*p.Cols]), nil
+		}
+		head = slices.Grow(head, 8*p.Rows*p.Cols)
+		for i := 0; i < p.Rows; i++ {
+			head = appendFloat64s(head, p.Data[i*p.Stride:i*p.Stride+p.Cols])
+		}
+		return head, nil, nil
+	case []float64:
+		if hostLittleEndian {
+			return append(buf[:0], frameFloat64), float64Bytes(p), nil
+		}
+		return appendFloat64s(append(buf[:0], frameFloat64), p), nil, nil
+	case []byte:
+		return append(buf[:0], frameBytes), p, nil
+	case rawFrame:
+		return buf[:0], p, nil
+	}
+	box := bytes.NewBuffer(append(buf[:0], frameGob))
+	if err := gob.NewEncoder(box).Encode(payloadBox{V: v}); err != nil {
+		return nil, nil, fmt.Errorf("cluster: encoding payload: %w", err)
+	}
+	return box.Bytes(), nil, nil
+}
+
+// EncodePayload serialises a handle payload into a frame of its own: layFrame's
+// two runs in one buffer.
+func EncodePayload(v any) ([]byte, error) {
+	n, _ := frameLen(v)
+	head, body, err := layFrame(v, make([]byte, 0, n))
+	return append(head, body...), err
+}
+
+// DecodePayload reverses EncodePayload: the frame reader over bytes in memory
+// (pooled, so that decoding allocates what it returns and nothing else).
+func DecodePayload(data []byte) (any, error) {
+	mr := memReaders.Get().(*messageReader)
+	defer memReaders.Put(mr)
+	src := mr.r.(*bytes.Reader)
+	src.Reset(data)
+	defer src.Reset(nil)
+	mr.left = int64(len(data))
+	return mr.frame(mr.left)
+}
+
+var memReaders = sync.Pool{New: func() any { return &messageReader{r: new(bytes.Reader)} }}
+
+// messageReader reads one direction of an execute stream: gob envelopes, and
+// after each the payload frames it announces, every message — frames included
+// — held to max bytes. It counts bytes as they are consumed from the buffered
+// reader under it and is gob's io.ByteReader, so gob adds no buffer of its own
+// and neither envelopes nor frames are read ahead of on another's budget.
+type messageReader struct {
+	r interface {
+		io.Reader
+		io.ByteReader
+	}
+	dec       *gob.Decoder
+	max, left int64
+	shape     [matrixHeader - 1]byte  // frame's scratch: a buffer handed to an io.Reader cannot live on the stack
+	floats    func(n int64) []float64 // when set, finds a payload's elements memory in place of make
+}
+
+func newMessageReader(r io.Reader, max int64) *messageReader {
+	mr := &messageReader{r: bufio.NewReader(r), max: max}
+	mr.dec = gob.NewDecoder(mr)
+	return mr
+}
+
+var errMessageTooLarge = errors.New("message exceeds its byte bound")
+
+func (mr *messageReader) Read(p []byte) (int, error) {
+	if mr.left <= 0 {
+		return 0, errMessageTooLarge
+	}
+	if int64(len(p)) > mr.left {
+		p = p[:mr.left]
+	}
+	n, err := mr.r.Read(p)
+	mr.left -= int64(n)
+	return n, err
+}
+
+func (mr *messageReader) ReadByte() (byte, error) {
+	if mr.left <= 0 {
+		return 0, errMessageTooLarge
+	}
+	b, err := mr.r.ReadByte()
+	if err == nil {
+		mr.left--
+	}
+	return b, err
+}
+
+// envelope starts the next message and decodes its gob value into v: io.EOF
+// at a clean end of the stream.
+func (mr *messageReader) envelope(v any) error {
+	mr.left = mr.max
+	return mr.dec.Decode(v)
+}
+
+// claim checks an announced frame length against what is left of the
+// message's budget, before anything is allocated for it.
+func (mr *messageReader) claim(n int64) error {
+	if n < 1 {
+		return fmt.Errorf("cluster: decoding payload: a frame of %d bytes", n)
+	}
+	if n > mr.left {
+		return errMessageTooLarge
+	}
+	return nil
+}
+
+// skip reads past an n-byte frame nobody wants.
+func (mr *messageReader) skip(n int64) error {
+	if err := mr.claim(n); err != nil {
+		return err
+	}
+	_, err := io.CopyN(io.Discard, mr, n)
+	return err
+}
+
+// frame is the one frame reader: it reads an n-byte frame into a new payload,
+// a matrix's or slice's elements straight into the memory it keeps. Frames
+// arrive from the network, so every malformed one — unknown tag, short header,
+// a shape whose rows×cols×8 is not exactly the body's length, trailing bytes —
+// is an error, and the shape is checked against the announced length, and that
+// against the budget, before anything is allocated.
+func (mr *messageReader) frame(n int64) (any, error) {
+	fail := func(format string, args ...any) (any, error) {
+		return nil, fmt.Errorf("cluster: decoding payload: "+format, args...)
+	}
+	if err := mr.claim(n); err != nil {
+		return nil, err
+	}
+	tag, err := mr.ReadByte()
+	if err != nil {
+		return fail("%w", err)
+	}
+	body := n - 1
+	switch tag {
+	case frameMatrix:
+		if n < matrixHeader {
+			return fail("matrix header truncated at %d bytes", n)
+		}
+		if _, err := io.ReadFull(mr, mr.shape[:]); err != nil {
+			return fail("%w", err)
+		}
+		rows, cols := binary.LittleEndian.Uint64(mr.shape[:]), binary.LittleEndian.Uint64(mr.shape[8:])
+		body = n - matrixHeader
 		// Both dimensions fit 31 bits, so their product cannot overflow; an
 		// empty matrix keeps its other dimension.
-		elems := uint64(len(body) / 8)
-		if len(body)%8 != 0 || rows > math.MaxInt32 || cols > math.MaxInt32 || rows*cols != elems {
-			return nil, fmt.Errorf("cluster: decoding payload: %d×%d matrix in a %d-byte body", rows, cols, len(body))
+		if body%8 != 0 || rows > math.MaxInt32 || cols > math.MaxInt32 || rows*cols != uint64(body/8) {
+			return fail("%d×%d matrix in a %d-byte body", rows, cols, body)
 		}
-		m := &blas.Matrix{Rows: int(rows), Cols: int(cols), Stride: int(cols), Data: make([]float64, elems)}
-		getFloat64s(m.Data, body)
-		return m, nil
+		data, err := mr.float64s(body / 8)
+		if err != nil {
+			return nil, err
+		}
+		return &blas.Matrix{Rows: int(rows), Cols: int(cols), Stride: int(cols), Data: data}, nil
 	case frameFloat64:
-		if len(body)%8 != 0 {
-			return nil, fmt.Errorf("cluster: decoding payload: %d-byte body is not whole float64s", len(body))
+		if body%8 != 0 {
+			return fail("%d-byte body is not whole float64s", body)
 		}
-		out := make([]float64, len(body)/8)
-		getFloat64s(out, body)
-		return out, nil
-	case frameBytes:
-		out := make([]byte, len(body))
-		copy(out, body)
-		return out, nil
-	case frameGob:
-		r := bytes.NewReader(body)
+		return mr.float64s(body / 8)
+	case frameBytes, frameGob:
+		out := make([]byte, body)
+		if _, err := io.ReadFull(mr, out); err != nil {
+			return fail("%w", err)
+		}
+		if tag == frameBytes {
+			return out, nil
+		}
+		r := bytes.NewReader(out)
 		var box payloadBox
 		if err := gob.NewDecoder(r).Decode(&box); err != nil {
-			return nil, fmt.Errorf("cluster: decoding payload: %w", err)
+			return fail("%w", err)
 		}
 		if r.Len() != 0 {
-			return nil, fmt.Errorf("cluster: decoding payload: %d trailing bytes", r.Len())
+			return fail("%d trailing bytes", r.Len())
 		}
 		return box.V, nil
 	}
-	return nil, fmt.Errorf("cluster: decoding payload: unknown frame tag %#x", data[0])
+	return fail("unknown frame tag %#x", tag)
+}
+
+// float64s reads n elements of the frame being read into new memory, or into
+// mr.floats'.
+func (mr *messageReader) float64s(n int64) ([]float64, error) {
+	var dst []float64
+	if mr.floats != nil {
+		dst = mr.floats(n)
+	} else {
+		dst = make([]float64, n)
+	}
+	if err := readFloat64s(mr, dst, hostLittleEndian); err != nil {
+		return nil, fmt.Errorf("cluster: decoding payload: %w", err)
+	}
+	return dst, nil
+}
+
+// readFloat64s fills dst with little-endian float64s from r: straight into
+// dst's memory where that is the wire form (native), through encoding/binary's
+// scratch buffer on a big-endian host.
+func readFloat64s(r io.Reader, dst []float64, native bool) error {
+	if native {
+		_, err := io.ReadFull(r, float64Bytes(dst))
+		return err
+	}
+	return binary.Read(r, binary.LittleEndian, dst)
 }
 
 // hostLittleEndian says float64s sit in memory the way the frame lays them
@@ -358,72 +571,85 @@ func float64Bytes(f []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 8*len(f))
 }
 
-func putFloat64s(dst []byte, src []float64) {
+func appendFloat64s(dst []byte, src []float64) []byte {
 	if hostLittleEndian {
-		copy(dst, float64Bytes(src))
-		return
+		return append(dst, float64Bytes(src)...)
 	}
-	putFloat64sPortable(dst, src)
+	return appendFloat64sPortable(dst, src)
 }
 
-func getFloat64s(dst []float64, src []byte) {
-	if hostLittleEndian {
-		copy(float64Bytes(dst), src)
-		return
+func appendFloat64sPortable(dst []byte, src []float64) []byte {
+	for _, v := range src {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	getFloat64sPortable(dst, src)
+	return dst
 }
 
-func putFloat64sPortable(dst []byte, src []float64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
+// messageWriter writes one direction of an execute stream. One writer at a
+// time: a message is several writes.
+type messageWriter struct {
+	bw      *bufio.Writer
+	enc     *gob.Encoder
+	scratch []byte // the last frame that had to be built, reused for the next
 }
 
-func getFloat64sPortable(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+func newMessageWriter(w io.Writer) *messageWriter {
+	bw := bufio.NewWriter(w)
+	return &messageWriter{bw: bw, enc: gob.NewEncoder(bw)}
+}
+
+// write sends one message — the envelope, then the payloads whose frame
+// lengths it announces (see announce), in order — and flushes it. An error
+// leaves the peer's reader out of step: the stream is unusable after.
+func (mw *messageWriter) write(envelope any, frames []any) error {
+	if err := mw.enc.Encode(envelope); err != nil {
+		return err
 	}
+	for _, v := range frames {
+		head, body, err := layFrame(v, mw.scratch)
+		if err != nil {
+			return err
+		}
+		mw.scratch = head
+		mw.bw.Write(head) // a failed write is Flush's to report
+		mw.bw.Write(body)
+	}
+	return mw.bw.Flush()
 }
 
 // ApplyPayload merges a received payload into an existing one, returning
 // the value to store. Matrices and slices copy element-wise into dst so
 // aliasing is preserved — the master's canonical payloads are often Sub()
 // views into one parent matrix, and replacing the view would detach the
-// tile from the matrix it verifies against. Shape mismatches and unknown
-// types fall back to replacement (dst nil means the handle had no local
-// payload yet).
+// tile from the matrix it verifies against. A kernel cannot resize an operand
+// through TaskContext.Data, so over any of the three dense types a src of
+// another type, shape or length is a protocol error, never a replacement. Any
+// other dst is replaced (nil means the handle had no local payload yet).
 func ApplyPayload(dst, src any) (any, error) {
+	mismatch := func() (any, error) { return nil, fmt.Errorf("cluster: applying %T over %T of another shape", src, dst) }
 	switch d := dst.(type) {
-	case nil:
-		return src, nil
 	case *blas.Matrix:
 		s, ok := src.(*blas.Matrix)
-		if !ok {
-			return nil, fmt.Errorf("cluster: applying %T over *blas.Matrix", src)
-		}
-		if s.Rows != d.Rows || s.Cols != d.Cols {
-			return nil, fmt.Errorf("cluster: applying %dx%d matrix over %dx%d", s.Rows, s.Cols, d.Rows, d.Cols)
+		if !ok || s.Rows != d.Rows || s.Cols != d.Cols {
+			return mismatch()
 		}
 		for i := 0; i < d.Rows; i++ {
 			copy(d.Data[i*d.Stride:i*d.Stride+d.Cols], s.Data[i*s.Stride:i*s.Stride+s.Cols])
 		}
-		return d, nil
 	case []float64:
 		s, ok := src.([]float64)
 		if !ok || len(s) != len(d) {
-			return src, nil
+			return mismatch()
 		}
 		copy(d, s)
-		return d, nil
 	case []byte:
 		s, ok := src.([]byte)
 		if !ok || len(s) != len(d) {
-			return src, nil
+			return mismatch()
 		}
 		copy(d, s)
-		return d, nil
 	default:
 		return src, nil
 	}
+	return dst, nil
 }

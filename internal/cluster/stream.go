@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,18 +12,18 @@ import (
 )
 
 // execStream is the master's end of one node's execute stream: a single POST
-// whose request body carries ExecRequest values up and whose response body
-// brings ExecResponse values down, each through one gob encoder/decoder for
-// the life of the connection. The node's sender writes, one reader goroutine
-// reads; the pending table between them is what turns an answer, a timeout or
-// a break into exactly one evResult per invocation.
+// whose request body carries ExecRequest messages up and whose response body
+// brings ExecResponse messages down, each through one message writer/reader
+// for the life of the connection. The node's sender writes, one reader
+// goroutine reads; the pending table between them is what turns an answer, a
+// timeout or a break into exactly one evResult per invocation.
 type execStream struct {
 	st   *runState
 	node *nodeState
 	body *io.PipeWriter // the request body; closed by end
 	stop context.CancelFunc
 
-	enc *gob.Encoder // the node's sender's alone: one writer, so one request message on the wire at a time
+	out *messageWriter // the node's sender's alone: one writer, so one request message on the wire at a time
 
 	mu sync.Mutex
 	// pending holds the invocations written (or being written) to the stream
@@ -52,18 +51,18 @@ func (st *runState) openStream(n *nodeState) (*execStream, error) {
 	req.Header.Set("Expect", "100-continue")
 	s := &execStream{
 		st: st, node: n, body: pw, stop: cancel,
-		enc: gob.NewEncoder(pw), pending: map[int]*inflightRec{},
+		out: newMessageWriter(pw), pending: map[int]*inflightRec{},
 	}
 	st.bg.Add(1)
 	go s.read(req)
 	return s, nil
 }
 
-// submit registers rec as pending and writes its request. Past registration
-// the invocation's outcome — including a failed write, which breaks the
-// stream for everyone on it — arrives as an event; an error return means the
-// stream had already ended and nothing was registered.
-func (s *execStream) submit(rec *inflightRec) error {
+// submit registers rec as pending and writes its request, then the payloads it
+// announces. Past registration the invocation's outcome — including a failed
+// write, which breaks the stream for everyone on it — arrives as an event; an
+// error return means the stream had already ended and nothing was registered.
+func (s *execStream) submit(rec *inflightRec, frames []any) error {
 	id := rec.req.TaskID
 	s.mu.Lock()
 	if s.err != nil {
@@ -79,9 +78,9 @@ func (s *execStream) submit(rec *inflightRec) error {
 	})
 	s.mu.Unlock()
 
-	if err := s.enc.Encode(rec.req); err != nil {
-		// A partly written message leaves the encoder and the peer's decoder
-		// out of step: the stream is unusable from here.
+	if err := s.out.write(rec.req, frames); err != nil {
+		// A partly written message leaves the peer's reader out of step: the
+		// stream is unusable from here.
 		s.fail(fmt.Errorf("writing to %s: %w", s.node.cfg.Name, err))
 		return nil
 	}
@@ -108,6 +107,45 @@ func (s *execStream) take(id, attempt int) *inflightRec {
 	return rec
 }
 
+// staged holds the memory returned tiles are staged in, between a stream's
+// reader, which fills it, and the loop, which copies it into the handle's
+// storage and puts it back.
+var staged sync.Pool
+
+func stagedFloats(n int64) []float64 {
+	if buf, _ := staged.Get().([]float64); int64(cap(buf)) >= n {
+		return buf[:n]
+	}
+	return make([]float64, n)
+}
+
+// next reads the stream's next response message and takes the invocation it
+// answers, nil for a stale answer, off the pending table. Each frame is read
+// only after the run has checked what the node announces for it (returned),
+// and into staging memory: the handle's own storage changes when the loop
+// applies the result, if it does. An error past the envelope comes with the
+// invocation, which the stream's end will no longer report.
+func (s *execStream) next(mr *messageReader) (*ExecResponse, *inflightRec, error) {
+	resp := new(ExecResponse)
+	if err := mr.envelope(resp); err != nil {
+		return nil, nil, err
+	}
+	rec := s.take(resp.TaskID, resp.Attempt)
+	for i := range resp.Written {
+		wr := &resp.Written[i]
+		var err error
+		if rec == nil {
+			err = mr.skip(wr.FrameLen) // nobody waits for these bytes; they are still in the way
+		} else if err = s.st.returned(rec, wr); err == nil {
+			wr.payload, err = mr.frame(wr.FrameLen)
+		}
+		if err != nil {
+			return nil, rec, err
+		}
+	}
+	return resp, rec, nil
+}
+
 // read performs the POST and turns its response body into evResult events
 // until the stream ends. The worker sends its headers on reading the first
 // request, and from then on a dead connection shows up here as a read error;
@@ -126,17 +164,21 @@ func (s *execStream) read(req *http.Request) {
 		s.fail(fmt.Errorf("execute stream to %s: status %d: %s", s.node.cfg.Name, httpResp.StatusCode, bytes.TrimSpace(msg)))
 		return
 	}
-	dec := gob.NewDecoder(httpResp.Body)
+	mr := newMessageReader(httpResp.Body, s.st.respMax)
+	mr.floats = stagedFloats
 	for {
-		resp := new(ExecResponse)
-		if err := dec.Decode(resp); err != nil {
+		resp, rec, err := s.next(mr)
+		if err != nil {
 			if err == io.EOF {
 				err = errors.New("closed by the node")
 			}
-			s.fail(fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err))
+			err = fmt.Errorf("execute stream to %s: %w", s.node.cfg.Name, err)
+			if rec != nil {
+				s.st.send(event{kind: evResult, rec: rec, err: err})
+			}
+			s.fail(err)
 			return
 		}
-		rec := s.take(resp.TaskID, resp.Attempt)
 		if rec == nil {
 			continue
 		}

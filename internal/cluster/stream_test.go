@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,7 +23,7 @@ import (
 // up as the test sends them, responses come back on a channel that closes
 // when the worker ends the response.
 type clientStream struct {
-	enc       *gob.Encoder
+	out       *messageWriter
 	body      *io.PipeWriter
 	responses chan *ExecResponse
 	status    chan int
@@ -33,7 +32,7 @@ type clientStream struct {
 func openClientStream(t *testing.T, url string) *clientStream {
 	t.Helper()
 	pr, pw := io.Pipe()
-	cs := &clientStream{enc: gob.NewEncoder(pw), body: pw, responses: make(chan *ExecResponse), status: make(chan int, 1)}
+	cs := &clientStream{out: newMessageWriter(pw), body: pw, responses: make(chan *ExecResponse), status: make(chan int, 1)}
 	go func() {
 		defer close(cs.responses)
 		defer close(cs.status)
@@ -44,10 +43,9 @@ func openClientStream(t *testing.T, url string) *clientStream {
 		}
 		defer resp.Body.Close()
 		cs.status <- resp.StatusCode
-		dec := gob.NewDecoder(resp.Body)
-		for {
-			r := new(ExecResponse)
-			if err := dec.Decode(r); err != nil {
+		for in := newMessageReader(resp.Body, 1<<30); ; {
+			r, err := readResponse(in)
+			if err != nil {
 				return
 			}
 			cs.responses <- r
@@ -59,7 +57,7 @@ func openClientStream(t *testing.T, url string) *clientStream {
 
 func (cs *clientStream) send(t *testing.T, req *ExecRequest) {
 	t.Helper()
-	if err := cs.enc.Encode(req); err != nil {
+	if err := cs.out.write(req, trailing(req)); err != nil {
 		t.Fatalf("writing request %d: %v", req.TaskID, err)
 	}
 }
@@ -150,7 +148,9 @@ func TestWorkerDrainAnswersInFlight(t *testing.T) {
 
 // MaxBodyBytes bounds each request message, not the stream: many messages
 // under it pass however much they add up to, one over it ends the stream
-// unanswered.
+// unanswered — whether the bytes over the bound sit inside the envelope, behind
+// it, or are only announced: a frame's announced length is held against what
+// is left of the message's budget before anything is allocated or read for it.
 func TestWorkerMaxBodyBytesBoundsEachMessage(t *testing.T) {
 	cl, err := taskrt.NewCodelet("nop",
 		taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
@@ -158,8 +158,6 @@ func TestWorkerMaxBodyBytesBoundsEachMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 64 << 10
-	_, srv := startWorker(t, "bounded", cl, WorkerConfig{MaxBodyBytes: bound})
-	cs := openClientStream(t, srv.URL)
 	request := func(id, payloadBytes int) *ExecRequest {
 		frame, err := EncodePayload(make([]byte, payloadBytes))
 		if err != nil {
@@ -168,16 +166,39 @@ func TestWorkerMaxBodyBytesBoundsEachMessage(t *testing.T) {
 		return &ExecRequest{TaskID: id, Codelet: "nop",
 			Accesses: []AccessSpec{{HandleID: id, Mode: int(taskrt.Read), Inline: frame}}}
 	}
-	const under = 5 // 5 × 40 KiB is three times the bound
-	for i := 0; i < under; i++ {
-		cs.send(t, request(i, 40<<10))
-		if r := <-cs.responses; r == nil || !r.OK || r.TaskID != i {
-			t.Fatalf("message %d under the bound: %+v", i, r)
-		}
-	}
-	cs.send(t, request(under, 2*bound))
-	if r, open := <-cs.responses; open {
-		t.Fatalf("a %d-byte message got an answer past a %d-byte bound: %+v", 2*bound, bound, r)
+	for form, send := range map[string]func(*clientStream, *ExecRequest){
+		"frame behind the envelope": func(cs *clientStream, req *ExecRequest) { cs.send(t, req) },
+		"frame inside the envelope": func(cs *clientStream, req *ExecRequest) {
+			if err := cs.out.write(req, nil); err != nil {
+				t.Fatalf("writing request %d: %v", req.TaskID, err)
+			}
+		},
+		"frame announced, never sent": func(cs *clientStream, req *ExecRequest) {
+			if a := &req.Accesses[0]; len(a.Inline) > bound {
+				a.FrameLen, a.Inline = int64(len(a.Inline)), nil // were the worker to wait for it, no answer and no end
+				if err := cs.out.write(req, nil); err != nil {
+					t.Fatalf("writing request %d: %v", req.TaskID, err)
+				}
+				return
+			}
+			cs.send(t, req)
+		},
+	} {
+		t.Run(form, func(t *testing.T) {
+			_, srv := startWorker(t, "bounded", cl, WorkerConfig{MaxBodyBytes: bound})
+			cs := openClientStream(t, srv.URL)
+			const under = 5 // 5 × 40 KiB is three times the bound
+			for i := 0; i < under; i++ {
+				send(cs, request(i, 40<<10))
+				if r := <-cs.responses; r == nil || !r.OK || r.TaskID != i {
+					t.Fatalf("message %d under the bound: %+v", i, r)
+				}
+			}
+			send(cs, request(under, 2*bound))
+			if r, open := <-cs.responses; open {
+				t.Fatalf("a %d-byte message got an answer past a %d-byte bound: %+v", 2*bound, bound, r)
+			}
+		})
 	}
 }
 
@@ -216,7 +237,7 @@ func dispatchAll(t *testing.T, st *runState, tasks []*taskrt.Task) {
 
 // awaitResult plays the loop until the next invocation outcome or for d:
 // requeues go back to ready, and nothing else is expected.
-func awaitResult(t *testing.T, st *runState, d time.Duration) (event, bool) {
+func awaitResult(t testing.TB, st *runState, d time.Duration) (event, bool) {
 	t.Helper()
 	timeout := time.After(d)
 	for {
@@ -236,7 +257,7 @@ func awaitResult(t *testing.T, st *runState, d time.Duration) (event, bool) {
 	}
 }
 
-func nextResult(t *testing.T, st *runState) event {
+func nextResult(t testing.TB, st *runState) event {
 	t.Helper()
 	ev, ok := awaitResult(t, st, 5*time.Second)
 	if !ok {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,6 +69,9 @@ type cacheEntry struct {
 	version uint64
 	payload any
 	bytes   int64 // the size its AccessSpec declared
+	// sent is closed once the response this payload was announced on has been
+	// written, from this memory; nil for a payload that arrived.
+	sent <-chan struct{}
 }
 
 // Worker executes shipped codelet invocations. It is an http.Handler
@@ -342,15 +344,15 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 
 	rw.Header().Set("Content-Type", ContentTypeGob)
 	var (
-		reqs    = newRequestReader(r.Body, w.cfg.MaxBodyBytes)
-		enc     = gob.NewEncoder(rw)
-		encMu   sync.Mutex // one response message on the wire at a time
+		reqs    = newMessageReader(r.Body, w.cfg.MaxBodyBytes)
+		out     = newMessageWriter(rw)
+		outMu   sync.Mutex // one response message on the wire at a time
 		window  = make(chan struct{}, streamWindow)
 		running sync.WaitGroup
 	)
 	for first := true; ; first = false {
 		window <- struct{}{}
-		req, err := reqs.next()
+		req, err := nextRequest(reqs)
 		if err != nil {
 			// The requests stop here and the accepted ones still answer. The
 			// connection ending — cleanly, torn, reset, or by Drain's deadline
@@ -379,9 +381,12 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 			defer running.Done()
 			defer func() { <-window }()
 			resp := w.execute(inv)
-			encMu.Lock()
-			defer encMu.Unlock()
-			err := enc.Encode(resp)
+			// The frames are written from memory execute has put back in the
+			// cache: "Checkout" in the package comment says what keeps it still.
+			defer close(inv.sent)
+			outMu.Lock()
+			defer outMu.Unlock()
+			err := out.write(resp, resp.frames)
 			if err == nil {
 				err = rc.Flush()
 			}
@@ -393,56 +398,32 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	running.Wait()
 }
 
-// requestReader reads the ExecRequest messages of one stream, holding each to
-// the worker's message bound.
-type requestReader struct {
-	dec *gob.Decoder
-	lim *limitReader
-}
-
-func newRequestReader(r io.Reader, max int64) *requestReader {
-	lim := &limitReader{r: r, max: max}
-	return &requestReader{dec: gob.NewDecoder(lim), lim: lim}
-}
-
-// next returns the stream's next request: io.EOF at a clean end, any other
-// error when the bytes are not a request or exceed the bound.
-func (rr *requestReader) next() (*ExecRequest, error) {
-	rr.lim.left = rr.lim.max
+// nextRequest returns the stream's next request, the payloads that followed it
+// read into the objects the cache will hold: io.EOF at a clean end, any other
+// error when the bytes are not a request or the message — envelope and frames
+// — exceeds the reader's bound.
+func nextRequest(rr *messageReader) (*ExecRequest, error) {
 	req := new(ExecRequest)
-	if err := rr.dec.Decode(req); err != nil {
+	if err := rr.envelope(req); err != nil {
 		return nil, err
 	}
+	for _, s := range req.steps() {
+		for i := range s.Accesses {
+			a := &s.Accesses[i]
+			if a.FrameLen == 0 {
+				continue
+			}
+			if a.Inline != nil {
+				return nil, fmt.Errorf("handle %d (%s) travels twice, inside the envelope and behind it", a.HandleID, a.Name)
+			}
+			v, err := rr.frame(a.FrameLen)
+			if err != nil {
+				return nil, fmt.Errorf("handle %d (%s): %w", a.HandleID, a.Name, err)
+			}
+			req.received = append(req.received, inlinePayload{a, v})
+		}
+	}
 	return req, nil
-}
-
-// limitReader fails reads past left bytes. Unlike io.LimitedReader its budget
-// is refilled to max (per message), and it is an io.ByteReader so that gob
-// reads through it directly: a bufio layer in between would read ahead into
-// the next message on this one's budget.
-type limitReader struct {
-	r         io.Reader
-	max, left int64
-	one       [1]byte
-}
-
-var errMessageTooLarge = errors.New("request message exceeds the worker's MaxBodyBytes")
-
-func (l *limitReader) Read(p []byte) (int, error) {
-	if l.left <= 0 {
-		return 0, errMessageTooLarge
-	}
-	if int64(len(p)) > l.left {
-		p = p[:l.left]
-	}
-	n, err := l.r.Read(p)
-	l.left -= int64(n)
-	return n, err
-}
-
-func (l *limitReader) ReadByte() (byte, error) {
-	_, err := io.ReadFull(l, l.one[:])
-	return l.one[0], err
 }
 
 // invocation is an admitted request: every step bound to its implementation
@@ -453,6 +434,10 @@ type invocation struct {
 	// held are the write-mode operands checked out of the cache, in
 	// first-write order, each at the version the chain will leave it.
 	held []*heldPayload
+	// sent is closed once the response is written, or failed to be: nothing
+	// reads the payloads it announced any more. The entries execute puts back
+	// carry it.
+	sent chan struct{}
 }
 
 type boundStep struct {
@@ -465,14 +450,13 @@ type boundStep struct {
 // heldPayload is a cache entry taken out while the chain that writes it runs.
 type heldPayload struct {
 	id      int
-	from    uint64 // the version it was cached at
-	version uint64 // after the chain's writes so far
-	payload any
-	bytes   int64
+	from    cacheEntry // as it was cached
+	version uint64     // after the chain's writes so far
 }
 
 // admit binds a request to this worker, on the stream's reader goroutine and
-// so in stream order: inline payloads enter the cache at their spec version,
+// so in stream order: the payloads that came with it — behind the envelope, or
+// inside it and decoded here — enter the cache at their spec version,
 // then every operand of every step resolves from the cache — or, at the
 // version an earlier step leaves it, from what the chain itself holds — and
 // the write-mode ones are checked out of it. A version that is not there
@@ -480,14 +464,14 @@ type heldPayload struct {
 // to the invocation come back in-band (resp.Error); only transport-level
 // problems surface as HTTP errors and count against the node on the master.
 func (w *Worker) admit(req *ExecRequest) *invocation {
-	inv := &invocation{resp: &ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, Unit: w.cfg.Name}}
+	inv := &invocation{resp: &ExecResponse{TaskID: req.TaskID, Attempt: req.Attempt, Unit: w.cfg.Name}, sent: make(chan struct{})}
 	fail := func(k int, format string, args ...any) *invocation {
 		inv.resp.FailedStep, inv.resp.Error = k, fmt.Sprintf(format, args...)
 		return inv
 	}
 	steps := req.steps()
 	inv.steps = make([]boundStep, len(steps))
-	var inlines []inlinePayload
+	inlines := req.received
 	for k, s := range steps {
 		cl, ok := w.codelets[s.Codelet]
 		if !ok {
@@ -515,7 +499,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, in := range inlines {
-		w.cacheStoreLocked(in.spec.HandleID, in.spec.Version, in.payload, in.spec.Bytes)
+		w.cacheStoreLocked(in.spec.HandleID, cacheEntry{version: in.spec.Version, payload: in.payload, bytes: in.spec.Bytes})
 	}
 	for k := range inv.steps {
 		s := &inv.steps[k]
@@ -523,7 +507,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 			h := inv.holds(a.HandleID)
 			switch {
 			case h != nil && h.version == a.Version:
-				s.data[i] = h.payload
+				s.data[i] = h.from.payload
 			case h != nil:
 				inv.resp.NeedData = append(inv.resp.NeedData, a.HandleID)
 				continue
@@ -535,7 +519,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 				}
 				s.data[i] = e.payload
 				if taskrt.AccessMode(a.Mode).Writes() {
-					h = &heldPayload{id: a.HandleID, from: e.version, version: e.version, payload: e.payload, bytes: e.bytes}
+					h = &heldPayload{id: a.HandleID, from: e, version: e.version}
 					inv.held = append(inv.held, h)
 					w.cacheDeleteLocked(a.HandleID)
 				}
@@ -548,7 +532,7 @@ func (w *Worker) admit(req *ExecRequest) *invocation {
 	if len(inv.resp.NeedData) > 0 {
 		// Nothing ran: what was checked out goes back as it was.
 		for _, h := range inv.held {
-			w.cacheStoreLocked(h.id, h.from, h.payload, h.bytes)
+			w.cacheStoreLocked(h.id, h.from)
 		}
 		inv.held = nil
 		w.met.needData.Inc()
@@ -571,12 +555,21 @@ func (inv *invocation) holds(id int) *heldPayload {
 }
 
 // execute runs an admitted invocation's steps in order on one slot and
-// packages what they wrote. A failing step ends the chain: what it held stays
+// announces what they wrote, for the response's writer to send from where it
+// lies. A failing step ends the chain: what it held stays
 // out of the cache, since a kernel may have mutated it in place.
 func (w *Worker) execute(inv *invocation) *ExecResponse {
 	resp := inv.resp
 	if resp.Error != "" || len(resp.NeedData) > 0 {
 		return resp
+	}
+	// A held payload may be what the last response about it was written from.
+	// That write is over ("Checkout" in the package comment), so this costs
+	// nothing: it makes an order inferred from the protocol one that is enforced.
+	for _, h := range inv.held {
+		if h.from.sent != nil {
+			<-h.from.sent
+		}
 	}
 	slot := <-w.slots
 	defer func() { w.slots <- slot }()
@@ -619,19 +612,20 @@ func (w *Worker) execute(inv *invocation) *ExecResponse {
 	}
 
 	for _, h := range inv.held {
-		data, err := EncodePayload(h.payload)
+		frame, n, err := announce(h.from.payload)
 		if err != nil {
 			resp.FailedStep, resp.Error = len(inv.steps)-1, fmt.Sprintf("handle %d: %v", h.id, err)
-			resp.Written = nil
+			resp.Written, resp.frames = nil, nil
 			return resp
 		}
-		resp.Written = append(resp.Written, Written{HandleID: h.id, Version: h.version, Payload: data})
+		resp.Written = append(resp.Written, Written{HandleID: h.id, Version: h.version, FrameLen: n})
+		resp.frames = append(resp.frames, frame)
 	}
 	// Every step succeeded: what the chain wrote is valid here at the version
 	// the master will assign on apply.
 	w.mu.Lock()
 	for _, h := range inv.held {
-		w.cacheStoreLocked(h.id, h.version, h.payload, h.bytes)
+		w.cacheStoreLocked(h.id, cacheEntry{version: h.version, payload: h.from.payload, bytes: h.from.bytes, sent: inv.sent})
 	}
 	w.cacheTrimLocked()
 	w.mu.Unlock()
@@ -641,12 +635,12 @@ func (w *Worker) execute(inv *invocation) *ExecResponse {
 
 // cacheStoreLocked inserts or replaces an entry, keeping the declared-bytes
 // accounting the /healthz and /metrics surfaces report.
-func (w *Worker) cacheStoreLocked(id int, ver uint64, payload any, bytes int64) {
+func (w *Worker) cacheStoreLocked(id int, e cacheEntry) {
 	if old, exists := w.cache[id]; exists {
 		w.cacheBytes -= old.bytes
 	}
-	w.cache[id] = cacheEntry{version: ver, payload: payload, bytes: bytes}
-	w.cacheBytes += bytes
+	w.cache[id] = e
+	w.cacheBytes += e.bytes
 }
 
 // cacheTrimLocked evicts arbitrarily down to the entry cap; misses self-heal

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test fuzz verify bench bench-test loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
 
 build:
 	$(GO) build ./...
@@ -59,7 +59,10 @@ lint-cluster-copy:
 # descriptors, the parallel BLAS kernels, the registry/server/query stack
 # behind pdlserved (copy-on-write snapshots, LRU query cache, shared query
 # roots), and the cluster master/worker engine (event loop, per-node senders,
-# per-node execute streams and their pending tables, heartbeats).
+# per-node execute streams and their pending tables, heartbeats). A -race build
+# leaves internal/blas's assembly out (the detector cannot see into it), so the
+# tile kernels these packages' tasks run are instrumented Go and a missing
+# dependency edge between two tile tasks still shows as a race.
 race:
 	$(GO) test -race ./internal/taskrt/... ./internal/trace/... ./internal/metrics/... ./internal/perfmodel/... ./internal/dynamic/... ./internal/blas/... ./internal/registry/... ./internal/server/... ./internal/query/... ./internal/cluster/... ./internal/client/...
 
@@ -115,6 +118,13 @@ verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners l
 # -compare A.json B.json` is the regression check.
 bench:
 	bash benchmark/run.sh
+
+# bench-blas is the per-layer number without the benchmark module: the four
+# Cholesky tile kernels and the tile DGEMM at tile 128 on strided views of a
+# 1024 parent, GF/s of the kernel call alone. It records nothing; numbers that
+# are compared come from `make bench`.
+bench-blas:
+	$(GO) test -run '^$$' -bench BenchmarkTileKernels -count 5 ./internal/blas
 
 # loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
 # non-test Go outside benchmark/ — in total and per package directory.

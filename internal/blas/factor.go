@@ -36,16 +36,12 @@ import (
 // costs more than the scalar loop it would replace.
 const factorBase = 16
 
-// factorBlock is the panel depth the factor kernels hand the packed driver:
-// a 128-tile's whole k extent, so C is read and written once per update.
-const factorBlock = 128
-
 // update applies C −= A·op(B), the one way a finished half reaches the other
 // half (and all of GemmSub, GemmNT and SyrkNT): the packed driver,
 // single-threaded inside a task.
 func update(a, b, c *Matrix, op product) {
 	op.neg = true
-	packedProduct(a, b, c, op, factorBlock, 1)
+	packedProduct(a, b, c, op, 1)
 }
 
 // splitAt returns where a triangle of order n > factorBase is halved: near
@@ -155,9 +151,11 @@ func trsmRight(t, b *Matrix, trans bool) {
 }
 
 // trsmRightBase is the unblocked right solve: for every row of b,
-// row[j] = (row[j] − Σ_{k<j} row[k]·T[k][j]) / T[j][j]. Each sum is one
-// dependent chain, so four rows of b are carried at once: four chains in
-// flight, and each element of T loaded once for the four.
+// row[j] = (row[j] − Σ_{k<j} row[k]·T[k][j]) / T[j][j], the terms subtracted
+// in order of k. Rows go stripRows at a time through solveStrip, on a
+// transposed copy (the row pack's four-row transpose, there and back) and
+// against a copy of the triangle that is T whichever way t stores it; the
+// last m mod stripRows rows are solved in place, one dependent chain each.
 func trsmRightBase(t, b *Matrix, trans bool) {
 	n, m := t.Rows, b.Rows
 	sk, sj := t.Stride, 1 // T[k][j] = t.Data[k*sk+j*sj]
@@ -165,25 +163,30 @@ func trsmRightBase(t, b *Matrix, trans bool) {
 		sk, sj = 1, t.Stride
 	}
 	i := 0
-	for ; i+4 <= m; i += 4 {
-		r0 := b.Data[i*b.Stride:][:n]
-		r1 := b.Data[(i+1)*b.Stride:][:n]
-		r2 := b.Data[(i+2)*b.Stride:][:n]
-		r3 := b.Data[(i+3)*b.Stride:][:n]
-		for j := 0; j < n; j++ {
-			s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
-			at := j * sj
-			for k := 0; k < j; k++ {
-				tv := t.Data[at]
-				at += sk
-				s0 -= r0[k] * tv
-				s1 -= r1[k] * tv
-				s2 -= r2[k] * tv
-				s3 -= r3[k] * tv
+	if n > 0 && m >= stripRows {
+		ps := packBuf(factorBase * (factorBase + stripRows))
+		tri, x := ps.buf[:factorBase*factorBase], ps.buf[factorBase*factorBase:]
+		for k := 0; k < n; k++ {
+			for j := k; j < n; j++ {
+				tri[k*factorBase+j] = t.Data[k*sk+j*sj]
 			}
-			d := t.Data[at]
-			r0[j], r1[j], r2[j], r3[j] = s0/d, s1/d, s2/d, s3/d
 		}
+		for ; i+stripRows <= m; i += stripRows {
+			rows := b.Data[i*b.Stride:]
+			packFour(n, rows, b.Stride, x, stripRows)
+			packFour(n, rows[4*b.Stride:], b.Stride, x[4:], stripRows)
+			solveStrip(n, x, tri)
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				packFour(stripRows, x[j*stripRows:], stripRows, rows[j:], b.Stride)
+			}
+			for ; j < n; j++ {
+				for r, v := range x[j*stripRows:][:stripRows] {
+					rows[r*b.Stride+j] = v
+				}
+			}
+		}
+		packPool.Put(ps)
 	}
 	for ; i < m; i++ {
 		row := b.Data[i*b.Stride:][:n]
@@ -195,6 +198,37 @@ func trsmRightBase(t, b *Matrix, trans bool) {
 				at += sk
 			}
 			row[j] = s / t.Data[at]
+		}
+	}
+}
+
+// stripRows is how many rows of b solveStrip carries at once: two YMM
+// registers of doubles per column.
+const stripRows = 8
+
+// solveStrip solves X·T = B for stripRows rows at once, in place on their
+// transpose: x[j*stripRows+r] is element j of row r, tri[k*factorBase+j] is
+// T[k][j] for k ≤ j < n ≤ factorBase. Column j is finished (divided by the
+// diagonal) and then taken out of every later column, so each element loses
+// its terms in the same order, rounded the same way, as in trsmRightBase's
+// in-place loop: which rows went through here does not show in the bits. It
+// points at the portable body below or at the AVX2 one (multiply, then
+// subtract — no FMA, for that reason), installed with the micro-kernel.
+var solveStrip = solveStripGo
+
+func solveStripGo(n int, x, tri []float64) {
+	for j := 0; j < n; j++ {
+		xj := x[j*stripRows:][:stripRows]
+		d := tri[j*factorBase+j]
+		for r := range xj {
+			xj[r] /= d
+		}
+		for l := j + 1; l < n; l++ {
+			tv := tri[j*factorBase+l]
+			xl := x[l*stripRows:][:stripRows]
+			for r, v := range xj {
+				xl[r] -= v * tv
+			}
 		}
 	}
 }

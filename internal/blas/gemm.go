@@ -16,8 +16,9 @@ func shapeGEMM(a, b, c *Matrix) (m, n, k int, err error) {
 	return a.Rows, b.Cols, a.Cols, nil
 }
 
-// DefaultBlock is the cache-blocking factor of the blocked kernels, sized so
-// three blocks fit comfortably in a 256 kB L2.
+// DefaultBlock is the cache-blocking factor of the scalar blocked kernels,
+// sized so three blocks fit comfortably in a 256 kB L2. The packed path has
+// its own panel depth (packDepth in pack.go).
 const DefaultBlock = 64
 
 // clampBlock normalizes a blocking-factor argument: non-positive values take
@@ -110,7 +111,8 @@ func GemmBlocked(a, b, c *Matrix, block int) error {
 // data-parallel CPU implementation the translator emits for the paper's
 // "starpu" series in real mode; it routes through the packed micro-kernel
 // path (GemmPackedParallel), so the parallel split and the per-core kernel
-// improve together.
+// improve together; block, the scalar kernels' blocking factor, is not read
+// there.
 func GemmParallel(a, b, c *Matrix, block, workers int) error {
 	return GemmPackedParallel(a, b, c, block, workers)
 }

@@ -1,4 +1,4 @@
-//go:build amd64 && !purego
+//go:build amd64 && !purego && !race
 
 package blas
 
@@ -7,36 +7,81 @@ package blas
 // A values and streams two B vectors, and sixteen flops retire per FMA pair
 // — roughly an order of magnitude over the scalar mul+add ceiling the Go
 // compiler can reach (it never vectorizes float64 loops and does not emit
-// FMA on amd64). Selection happens once at init via CPUID; hosts without
-// AVX2, FMA or OS-enabled YMM state keep the portable kernel, and so does any
-// build with the purego tag (`make test-purego`), which leaves this file out
-// so that CI on an AVX2 host still runs every packed product and factor
-// kernel on the fallback.
+// FMA on amd64) — and after the last k step the same registers are added to
+// (or, sign-flipped, subtracted from) the four rows of C they belong to. The
+// row pack's four-row pass has an AVX2 body too, a 4×4 register transpose,
+// and so has the eight-row triangular base solve of factor.go.
+// Selection happens once at init via CPUID; hosts without AVX2, FMA or
+// OS-enabled YMM state keep the portable bodies, and so does any build with
+// the purego tag (`make test-purego`), which leaves this file out so that CI
+// on an AVX2 host still runs every packed product and factor kernel on the
+// fallback.
+//
+// A -race build leaves it out as well. Every read of A and B and every write
+// of C in a packed product happens in this file's assembly, which the
+// race detector does not instrument: with it in, two tile tasks missing a
+// dependency edge would race on a tile unseen. With it out, `make race` runs
+// the portable kernels, whose accesses are ordinary instrumented Go.
 
 func init() {
 	if cpuHasAVX2FMA() {
 		microKernel = microKernelAVX2
+		packFour = packFourAVX2
+		solveStrip = solveStripAVX2
 		microKernelName = "avx2"
 	}
 }
 
-func microKernelAVX2(kb int, pa, pb []float64, out *microAccum) {
+func microKernelAVX2(kb int, pa, pb, c []float64, ldc int, neg bool) {
 	if kb <= 0 {
-		*out = microAccum{}
 		return
 	}
-	// Re-slice so the race detector and bounds checks see the exact extent
-	// the assembly will read.
+	// Re-slice so bounds checks cover the exact extent the assembly touches.
 	pa = pa[: kb*microM : kb*microM]
 	pb = pb[: kb*microN : kb*microN]
-	microAVX2(int64(kb), &pa[0], &pb[0], &out[0])
+	c = c[:(microM-1)*ldc+microN]
+	microAVX2(int64(kb), &pa[0], &pb[0], &c[0], int64(ldc), neg)
 }
 
-// microAVX2 computes out[i*8+j] = Σ_p pa[p*4+i]·pb[p*8+j] for a full 4×8
-// tile (implemented in microkernel_amd64.s).
+// microAVX2 applies c[i*ldc+j] ±= Σ_p pa[p*4+i]·pb[p*8+j] for a full 4×8
+// tile, kb ≥ 1 (implemented in microkernel_amd64.s).
 //
 //go:noescape
-func microAVX2(kb int64, pa, pb, out *float64)
+func microAVX2(kb int64, pa, pb, c *float64, ldc int64, neg bool)
+
+// packFourAVX2 transposes four k steps at a time in registers and leaves the
+// kb mod 4 tail to the portable body.
+func packFourAVX2(kb int, src []float64, ld int, dst []float64, w int) {
+	k4 := kb &^ 3
+	if k4 > 0 {
+		src, dst := src[:3*ld+k4], dst[:(k4-1)*w+4]
+		transpose4AVX2(int64(k4), &src[0], int64(ld), &dst[0], int64(w))
+	}
+	if k4 < kb {
+		packFourGo(kb-k4, src[k4:], ld, dst[k4*w:], w)
+	}
+}
+
+// transpose4AVX2 writes dst[p*w+r] = src[r*ld+p] for r < 4 and p < k4, k4 a
+// positive multiple of four (implemented in microkernel_amd64.s).
+//
+//go:noescape
+func transpose4AVX2(k4 int64, src *float64, ld int64, dst *float64, w int64)
+
+// solveStripAVX2 is solveStrip on two YMM registers per column.
+func solveStripAVX2(n int, x, tri []float64) {
+	if n <= 0 {
+		return
+	}
+	x, tri = x[:n*stripRows], tri[:(n-1)*factorBase+n]
+	solve8AVX2(int64(n), &x[0], &tri[0])
+}
+
+// solve8AVX2 is solveStripGo for 1 ≤ n ≤ factorBase (implemented in
+// microkernel_amd64.s; the diagonal stride there is factorBase+1 doubles).
+//
+//go:noescape
+func solve8AVX2(n int64, x, tri *float64)
 
 // cpuHasAVX2FMA reports whether this CPU and OS support the AVX2/FMA kernel:
 // CPUID must advertise FMA and AVX2, and XGETBV must confirm the OS saves

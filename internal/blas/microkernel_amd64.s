@@ -1,19 +1,27 @@
-//go:build amd64 && !purego
+//go:build amd64 && !purego && !race
 
 #include "textflag.h"
 
-// func microAVX2(kb int64, pa, pb, out *float64)
+// func microAVX2(kb int64, pa, pb, c *float64, ldc int64, neg bool)
 //
-// 4×8 DGEMM micro-kernel: out[i*8+j] = Σ_p pa[p*4+i]·pb[p*8+j].
+// 4×8 DGEMM micro-kernel: c[i*ldc+j] ±= Σ_p pa[p*4+i]·pb[p*8+j].
 // Y0..Y7 hold the accumulator tile (two YMM per row of four doubles each);
 // every k step loads one 8-wide B vector pair, broadcasts the four A values
-// and issues eight FMAs (64 flops). out is overwritten with the k-sum; the
-// Go caller adds the valid sub-rectangle into C.
-TEXT ·microAVX2(SB), NOSPLIT, $0-32
-	MOVQ kb+0(FP), CX
-	MOVQ pa+8(FP), SI
-	MOVQ pb+16(FP), DI
-	MOVQ out+24(FP), DX
+// and issues eight FMAs (64 flops). After the last step the sums are XORed
+// with Y15 — the sign bit in every lane when neg, zero otherwise, so one body
+// serves C += and C −= — and each row of C is loaded, added to and stored.
+TEXT ·microAVX2(SB), NOSPLIT, $0-41
+	MOVQ    kb+0(FP), CX
+	MOVQ    pa+8(FP), SI
+	MOVQ    pb+16(FP), DI
+	MOVQ    c+24(FP), DX
+	MOVQ    ldc+32(FP), BX
+	MOVBQZX neg+40(FP), AX
+
+	SHLQ         $63, AX
+	VMOVQ        AX, X15
+	VBROADCASTSD X15, Y15
+	SHLQ         $3, BX     // row stride of C in bytes
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -25,7 +33,7 @@ TEXT ·microAVX2(SB), NOSPLIT, $0-32
 	VXORPD Y7, Y7, Y7
 
 	TESTQ CX, CX
-	JZ    store
+	JZ    apply
 
 loop:
 	VMOVUPD (DI), Y12
@@ -50,15 +58,130 @@ loop:
 	DECQ CX
 	JNZ  loop
 
-store:
+apply:
+	VXORPD  Y15, Y0, Y0
+	VXORPD  Y15, Y1, Y1
+	VADDPD  (DX), Y0, Y0
+	VADDPD  32(DX), Y1, Y1
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
+	ADDQ    BX, DX
+	VXORPD  Y15, Y2, Y2
+	VXORPD  Y15, Y3, Y3
+	VADDPD  (DX), Y2, Y2
+	VADDPD  32(DX), Y3, Y3
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, 32(DX)
+	ADDQ    BX, DX
+	VXORPD  Y15, Y4, Y4
+	VXORPD  Y15, Y5, Y5
+	VADDPD  (DX), Y4, Y4
+	VADDPD  32(DX), Y5, Y5
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	ADDQ    BX, DX
+	VXORPD  Y15, Y6, Y6
+	VXORPD  Y15, Y7, Y7
+	VADDPD  (DX), Y6, Y6
+	VADDPD  32(DX), Y7, Y7
+	VMOVUPD Y6, (DX)
+	VMOVUPD Y7, 32(DX)
+	VZEROUPPER
+	RET
+
+// func transpose4AVX2(k4 int64, src *float64, ld int64, dst *float64, w int64)
+//
+// The row pack's four-row pass: dst[p*w+r] = src[r*ld+p] for r < 4, p < k4.
+// Four k steps per iteration: one vector load per source row, a 4×4 transpose
+// in registers (unpack pairs rows 0/1 and 2/3 within each 128-bit lane, the
+// lane permute gathers the halves), one vector store per k step.
+TEXT ·transpose4AVX2(SB), NOSPLIT, $0-40
+	MOVQ k4+0(FP), CX
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), AX
+	MOVQ dst+24(FP), DI
+	MOVQ w+32(FP), BX
+	SHLQ $3, AX           // source row stride in bytes
+	SHLQ $3, BX           // destination k-step stride in bytes
+	LEAQ (SI)(AX*2), R8   // row 2
+	LEAQ (BX)(BX*2), R9   // three k steps
+	SHRQ $2, CX
+
+tloop:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(AX*1), Y1
+	VMOVUPD (R8), Y2
+	VMOVUPD (R8)(AX*1), Y3
+
+	VUNPCKLPD Y1, Y0, Y4   // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD Y1, Y0, Y5   // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD Y3, Y2, Y6   // r2[0] r3[0] r2[2] r3[2]
+	VUNPCKHPD Y3, Y2, Y7   // r2[1] r3[1] r2[3] r3[3]
+
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (DI)(BX*2)
+	VMOVUPD Y3, (DI)(R9*1)
+
+	ADDQ $32, SI
+	ADDQ $32, R8
+	LEAQ (DI)(BX*4), DI
+	DECQ CX
+	JNZ  tloop
+	VZEROUPPER
+	RET
+
+// func solve8AVX2(n int64, x, tri *float64)
+//
+// The triangular base solve on eight transposed rows: column j of x (Y0, Y1)
+// is divided by T[j][j] and stored, then T[j][l] times it is taken out of
+// every later column l. Multiply and subtract are separate instructions: the
+// portable body rounds twice per term and this must give its bits.
+TEXT ·solve8AVX2(SB), NOSPLIT, $0-24
+	MOVQ n+0(FP), CX
+	MOVQ x+8(FP), SI
+	MOVQ tri+16(FP), DI   // walks the diagonal: &tri[j*16+j]
+
+jloop:
+	VBROADCASTSD (DI), Y2
+	VMOVUPD      (SI), Y0
+	VMOVUPD      32(SI), Y1
+	VDIVPD       Y2, Y0, Y0
+	VDIVPD       Y2, Y1, Y1
+	VMOVUPD      Y0, (SI)
+	VMOVUPD      Y1, 32(SI)
+	MOVQ         CX, BX
+	DECQ         BX       // later columns
+	JZ           done
+	LEAQ         8(DI), R8
+	LEAQ         64(SI), R9
+
+lloop:
+	VBROADCASTSD (R8), Y2
+	VMULPD       Y2, Y0, Y3
+	VMULPD       Y2, Y1, Y4
+	VMOVUPD      (R9), Y5
+	VMOVUPD      32(R9), Y6
+	VSUBPD       Y3, Y5, Y5
+	VSUBPD       Y4, Y6, Y6
+	VMOVUPD      Y5, (R9)
+	VMOVUPD      Y6, 32(R9)
+	ADDQ         $8, R8
+	ADDQ         $64, R9
+	DECQ         BX
+	JNZ          lloop
+
+	ADDQ $64, SI
+	ADDQ $136, DI
+	DECQ CX
+	JMP  jloop
+
+done:
 	VZEROUPPER
 	RET
 

@@ -8,29 +8,42 @@ import (
 // The packed driver: the GotoBLAS-style kernel the paper's case study calls
 // "highly optimized", and the one place every matrix product of this package
 // — DGEMM and the updates inside the factorization kernels of factor.go —
-// is computed. C += σ·A·op(B) is decomposed into kc-deep panels; within each
-// panel, op(B) is packed once into strips of microN columns and A into
-// strips of microM rows, both k-major and zero-padded to full strips, so the
-// register-tiled micro-kernel (microkernel.go) streams unit-stride memory
-// regardless of the operands' strides. σ ∈ {+1, −1} only picks the sign of
-// the write-back and op ∈ {identity, transpose} only picks which pack routine
+// is computed. C += σ·A·op(B) is decomposed into panels packDepth deep;
+// within each panel, op(B) is packed once into strips of microN columns and A
+// into strips of microM rows, both k-major and zero-padded to full strips, so
+// the register-tiled micro-kernel (microkernel.go) streams unit-stride memory
+// regardless of the operands' strides. σ ∈ {+1, −1} only picks the sign the
+// kernel applies and op ∈ {identity, transpose} only picks which pack routine
 // reads b; the micro-kernel, the A pack, the buffer pool and the strip loop
-// are shared. Pack buffers are recycled through a sync.Pool so tiled
-// task-runtime workloads (many calls on tile views) allocate only on first
-// use. The parallel variant splits the row-panels of C across worker
-// goroutines; every worker packs its own A strips while sharing the
-// read-only packed B panel, and workers claim strips from an atomic counter
-// so uneven strips cannot imbalance the pool.
+// are shared. The kernel applies a full micro-tile to C itself; the strip
+// loop's scratch tile exists only for the tiles an edge of C or the diagonal
+// of a lower-triangular C clips. The row pack (A always, and B of every
+// A·Bᵀ product, which is every product Cholesky does) moves four rows at a
+// time through packFour, a 4×4 register transpose where AVX2 is available.
+// Pack buffers are recycled through a sync.Pool so tiled task-runtime
+// workloads (many calls on tile views) allocate only on first use. The
+// parallel variant splits the row-panels of C across worker goroutines; every
+// worker packs its own A strips while sharing the read-only packed B panel,
+// and workers claim strips from an atomic counter so uneven strips cannot
+// imbalance the pool.
+
+// packDepth is the driver's one panel depth kc (and row-panel height): a
+// 128-tile's whole k extent, so a tile task reads and writes C once and packs
+// each operand once, and a 128×8 B strip plus a 128×4 A strip (12 kB) still
+// sit in L1 under the micro-kernel. Callers do not choose it: the block
+// argument of the exported GEMM entry points is the scalar kernels' blocking
+// factor, sized for their L2 footprint, and the packed path does not read it.
+const packDepth = 128
 
 // packPanelCols bounds the width of one packed B panel: kc×packPanelCols
 // doubles must stay cache-resident, and a bound keeps the pack buffers small
 // for very wide matrices.
 const packPanelCols = 2048
 
-// packScratch is one pooled pack buffer together with the micro-tile
-// accumulator of the strip loop that owns it. microKernel is called through
-// a variable, so an accumulator declared on the stack would move to the heap
-// on every strip; here it is recycled with the buffer.
+// packScratch is one pooled pack buffer together with the scratch micro-tile
+// of the strip loop that owns it, where the k-sum of a clipped tile lands.
+// microKernel is called through a variable, so a tile declared on the stack
+// would move to the heap on every strip; here it is recycled with the buffer.
 type packScratch struct {
 	buf []float64
 	out microAccum
@@ -70,15 +83,8 @@ func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 		strip := dst[i*kb : (i+w)*kb]
 		h := min(w, rows-i)
 		r := 0
-		for ; r+4 <= h; r += 4 { // four rows per pass: a full strip of microM or microN rows needs no other loop
-			s0 := m.Data[(r0+i+r)*m.Stride+p0:][:kb]
-			s1 := m.Data[(r0+i+r+1)*m.Stride+p0:][:kb]
-			s2 := m.Data[(r0+i+r+2)*m.Stride+p0:][:kb]
-			s3 := m.Data[(r0+i+r+3)*m.Stride+p0:][:kb]
-			for p, v := range s0 {
-				d := strip[p*w+r:][:4]
-				d[0], d[1], d[2], d[3] = v, s1[p], s2[p], s3[p]
-			}
+		for ; kb > 0 && r+4 <= h; r += 4 { // four rows per pass: a full strip of microM or microN rows needs no other loop
+			packFour(kb, m.Data[(r0+i+r)*m.Stride+p0:], m.Stride, strip[r:], w)
 		}
 		for ; r < h; r++ {
 			for p, v := range m.Data[(r0+i+r)*m.Stride+p0:][:kb] {
@@ -90,6 +96,20 @@ func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 				clear(strip[p*w+h : (p+1)*w])
 			}
 		}
+	}
+}
+
+// packFour writes four rows of kb ≥ 1 values — src[r*ld:][:kb] for r < 4 — as
+// four adjacent columns of a k-major strip w wide: dst[p*w+r] = src[r*ld+p].
+// It points at the portable body below or, installed by the same init as the
+// micro-kernel, at the AVX2 transpose, which uses this body for its tail.
+var packFour = packFourGo
+
+func packFourGo(kb int, src []float64, ld int, dst []float64, w int) {
+	s0, s1, s2, s3 := src[:kb], src[ld:][:kb], src[2*ld:][:kb], src[3*ld:][:kb]
+	for p, v := range s0 {
+		d := dst[p*w:][:4]
+		d[0], d[1], d[2], d[3] = v, s1[p], s2[p], s3[p]
 	}
 }
 
@@ -111,7 +131,11 @@ func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 // packedStrip multiplies one packed A row-strip against the shared packed
 // op(B) panel and applies it to C — the one strip loop and the one
 // micro-kernel call site of every packed product. ps holds the strip's packed
-// panel (filled here); pb is the caller's packed panel for (p0, j0).
+// panel (filled here); pb is the caller's packed panel for (p0, j0). A
+// micro-tile that lies wholly inside C (and, for a lower-triangular C, wholly
+// on or below the diagonal) is handed to the kernel as the address of C; any
+// other is computed by the same kernel onto ps.out, zeroed, and its valid
+// part added to C here. Either way C gains the one k-sum, added once.
 func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
 	pa, out := ps.buf, &ps.out
 	packRows(a, i0, p0, mb, kb, microM, pa)
@@ -125,8 +149,13 @@ func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb
 			if op.lower && diag+ih-1 <= 0 {
 				break // this micro-tile and every one to its right is strictly upper
 			}
-			microKernel(kb, sa, pb[j*kb:], out)
 			jw := min(microN, nb-j)
+			if ih == microM && jw == microN && (!op.lower || diag >= microN) {
+				microKernel(kb, sa, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
+				continue
+			}
+			*out = microAccum{}
+			microKernel(kb, sa, pb[j*kb:], out[:], microN, false)
 			for r := 0; r < ih; r++ {
 				w := jw
 				if op.lower {
@@ -135,27 +164,18 @@ func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb
 				if w <= 0 {
 					continue
 				}
-				crow := c.Data[(i0+i+r)*c.Stride+j0+j:]
-				crow = crow[:w]
-				acc := out[r*microN:][:w]
-				if op.neg {
-					for q, v := range acc {
-						crow[q] -= v
-					}
-				} else {
-					for q, v := range acc {
-						crow[q] += v
-					}
-				}
+				applyRow(c.Data[(i0+i+r)*c.Stride+j0+j:][:w], out[r*microN:], op.neg)
 			}
 		}
 	}
 }
 
 // GemmPacked computes C += A·B through the packed micro-kernel path,
-// single-threaded. block (clamped by clampBlock) sets the panel depth kc and
-// the row-panel height. On strided tile views (Sub) packing recovers the
-// locality a plain blocked loop loses; the register tile then turns the
+// single-threaded. block is the scalar kernels' blocking factor
+// (GemmBlocked); the packed path has its own panel depth, packDepth, and does
+// not read it — the parameter stays so that callers can switch kernels
+// without switching signatures. On strided tile views (Sub) packing recovers
+// the locality a plain blocked loop loses; the register tile then turns the
 // recovered bandwidth into flops.
 func GemmPacked(a, b, c *Matrix, block int) error {
 	return GemmPackedParallel(a, b, c, block, 1)
@@ -164,12 +184,13 @@ func GemmPacked(a, b, c *Matrix, block int) error {
 // GemmPackedParallel computes C += A·B on the packed micro-kernel path with
 // the row-panels of C split across workers goroutines (clamped by
 // clampWorkers). The panel decomposition — and therefore the floating-point
-// result — is identical for every worker count.
+// result — is identical for every worker count. block is not read (see
+// GemmPacked).
 func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
 	if _, _, _, err := shapeGEMM(a, b, c); err != nil {
 		return err
 	}
-	packedProduct(a, b, c, product{}, block, workers)
+	packedProduct(a, b, c, product{}, workers)
 	return nil
 }
 
@@ -178,12 +199,12 @@ func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
 // micro-kernel, the A pack, the buffer pool and the strip loop are the same
 // for every product; op picks the B pack and the sign and triangle of the
 // write-back.
-func packedProduct(a, b, c *Matrix, op product, block, workers int) {
+func packedProduct(a, b, c *Matrix, op product, workers int) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	kc := min(clampBlock(block), k)
+	kc := min(packDepth, k)
 	mc := roundUp(kc, microM)
 	nc := min(packPanelCols, n)
 	strips := (m + mc - 1) / mc

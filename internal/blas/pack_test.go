@@ -1,6 +1,8 @@
 package blas
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -8,6 +10,7 @@ import (
 func TestGemmPackedAgreesWithNaive(t *testing.T) {
 	for _, s := range []struct{ m, n, k int }{
 		{1, 1, 1}, {7, 9, 11}, {64, 64, 64}, {65, 63, 67}, {128, 32, 96},
+		{5, 7, 129}, {130, 70, 257}, // more than one packDepth panel, the last one short
 	} {
 		a, b, ref := randomGEMM(t, s.m, s.n, s.k, 11)
 		if err := GemmNaive(a, b, ref); err != nil {
@@ -48,17 +51,26 @@ func TestGemmPackedShapeAndDefaults(t *testing.T) {
 	if err := GemmPacked(a, b, c, 8); err == nil {
 		t.Fatal("shape mismatch must fail")
 	}
-	// block <= 0 falls back to DefaultBlock.
-	a2, b2, ref := randomGEMM(t, 16, 16, 16, 5)
+	// block is the scalar kernels' knob: the packed path gives the same bits
+	// for every value, the non-positive ones included.
+	a2, b2, ref := randomGEMM(t, 150, 40, 300, 5)
 	if err := GemmNaive(a2, b2, ref); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewMatrix(16, 16)
-	if err := GemmPacked(a2, b2, c2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if d := MaxDiff(ref, c2); d > 1e-9 {
-		t.Fatalf("default block maxdiff %g", d)
+	var first *Matrix
+	for _, block := range []int{0, -3, 1, 24, 1000} {
+		c2 := NewMatrix(150, 40)
+		if err := GemmPacked(a2, b2, c2, block); err != nil {
+			t.Fatal(err)
+		}
+		if d := MaxDiff(ref, c2); d > 1e-9 {
+			t.Fatalf("block %d maxdiff %g", block, d)
+		}
+		if first == nil {
+			first = c2
+		} else if _, _, same := sameBitsOrWithin(c2, first, -1); !same {
+			t.Fatalf("block %d changed the packed result", block)
+		}
 	}
 }
 
@@ -137,5 +149,160 @@ func TestQuickGemmPackedAgreesWithBlocked(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// viaScratch is the micro-kernel's previous contract on top of the current
+// one: the k-sum lands in a scratch tile and Go code adds all of it to C.
+// Installed as microKernel it sends every micro-tile of a product down the
+// scratch path, the full ones included.
+func viaScratch(kernel func(int, []float64, []float64, []float64, int, bool)) func(int, []float64, []float64, []float64, int, bool) {
+	return func(kb int, pa, pb, c []float64, ldc int, neg bool) {
+		var out microAccum
+		kernel(kb, pa, pb, out[:], microN, false)
+		for i := 0; i < microM; i++ {
+			applyRow(c[i*ldc:][:microN], out[i*microN:], neg)
+		}
+	}
+}
+
+// productCase is one random packed product on strided views: operands and C
+// are tiles of larger parents, C's parent filled with a sentinel around (and,
+// for a lower-triangular product, above the diagonal of) the view.
+type productCase struct {
+	op      product
+	a, b, c *Matrix
+	parent  *Matrix // C's parent
+}
+
+// sentinel is of the data's own magnitude: a stray ±= of a k-sum must change
+// its bits, which a huge value would absorb.
+const sentinel = 1.0 / 3
+
+func randomProduct(rng *rand.Rand) productCase {
+	op := product{neg: rng.Intn(2) == 0, transB: rng.Intn(2) == 0, lower: rng.Intn(3) == 0}
+	m, n, k := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(200)
+	if op.lower {
+		n = m
+	}
+	tile := func(rows, cols int) (view, parent *Matrix) {
+		i, j := rng.Intn(4), rng.Intn(11)
+		parent = NewMatrix(rows+i+2, cols+j+9)
+		parent.FillRandom(rng.Int63())
+		return parent.Sub(i, j, rows, cols), parent
+	}
+	pc := productCase{op: op}
+	pc.a, _ = tile(m, k)
+	if op.transB {
+		pc.b, _ = tile(n, k)
+	} else {
+		pc.b, _ = tile(k, n)
+	}
+	pc.c, pc.parent = tile(m, n)
+	inside := pc.c.Clone()
+	for i := range pc.parent.Data {
+		pc.parent.Data[i] = sentinel
+	}
+	keep := all
+	if op.lower {
+		keep = lower
+	}
+	fillWhere(pc.c, inside, keep)
+	return pc
+}
+
+// TestFusedWriteBackMatchesScratch: the kernel applying a full tile to C
+// gives, bit for bit, what the scratch-and-add path it replaced gave — over
+// random extents that are multiples of neither 4 nor 8, depths from 1 past
+// packDepth, strided views, both signs, both B orientations and the lower
+// triangle.
+func TestFusedWriteBackMatchesScratch(t *testing.T) {
+	kernel := microKernel
+	defer func() { microKernel = kernel }()
+	for seed := int64(0); seed < 300; seed++ {
+		fused, scratch := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
+		microKernel = kernel
+		packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
+		microKernel = viaScratch(kernel)
+		packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
+		if i, j, same := sameBitsOrWithin(fused.parent, scratch.parent, -1); !same {
+			t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) fused %g, via scratch %g", seed, fused.op,
+				fused.c.Rows, fused.c.Cols, fused.a.Cols, i, j, fused.parent.At(i, j), scratch.parent.At(i, j))
+		}
+	}
+}
+
+// TestKernelWritesOnlyItsTile: handing the kernel the address of C must not
+// let it write past C. A spy in front of the kernel checks every tile it is
+// pointed at inside C's parent: all 4×8 cells within the view and, for a
+// lower-triangular product, on or below the diagonal (a stray write of a
+// zero-padded row or column adds 0 and would not show in the values). After
+// each product every cell of the parent outside the view, and every
+// strictly-upper cell inside a lower-triangular one, still holds the
+// sentinel's bits.
+func TestKernelWritesOnlyItsTile(t *testing.T) {
+	kernel := microKernel
+	defer func() { microKernel = kernel }()
+	for seed := int64(0); seed < 300; seed++ {
+		pc := randomProduct(rand.New(rand.NewSource(seed)))
+		data := pc.parent.Data
+		i0, j0 := (len(data)-len(pc.c.Data))/pc.parent.Stride, (len(data)-len(pc.c.Data))%pc.parent.Stride
+		microKernel = func(kb int, pa, pb, c []float64, ldc int, neg bool) {
+			if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
+				at := len(data) - cap(c)
+				r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
+				if ldc != pc.parent.Stride || r < 0 || q < 0 || r+microM > pc.c.Rows || q+microN > pc.c.Cols || pc.op.lower && q+microN-1 > r {
+					t.Errorf("seed %d %+v C %dx%d: kernel pointed at tile (%d,%d) stride %d", seed, pc.op, pc.c.Rows, pc.c.Cols, r, q, ldc)
+				}
+			}
+			kernel(kb, pa, pb, c, ldc, neg)
+		}
+		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+		for i := 0; i < pc.parent.Rows; i++ {
+			for j := 0; j < pc.parent.Cols; j++ {
+				r, q := i-i0, j-j0
+				if r >= 0 && r < pc.c.Rows && q >= 0 && q < pc.c.Cols && (!pc.op.lower || q <= r) {
+					continue // the product's own cells
+				}
+				if got := pc.parent.At(i, j); math.Float64bits(got) != math.Float64bits(sentinel) {
+					t.Fatalf("seed %d %+v C %dx%d at (%d,%d): parent cell (%d,%d) = %g, want the sentinel",
+						seed, pc.op, pc.c.Rows, pc.c.Cols, i0, j0, i, j, got)
+				}
+			}
+		}
+	}
+}
+
+// TestPackRowsMatchesScalar: the row pack with the installed four-row pass
+// (the AVX2 transpose where there is one) fills every strip exactly as the
+// portable pass does, tails and zero padding included, and stays inside it.
+func TestPackRowsMatchesScalar(t *testing.T) {
+	installed := packFour
+	defer func() { packFour = installed }()
+	src := NewMatrix(24, 40)
+	src.FillRandom(8)
+	for _, w := range []int{microM, microN} {
+		for rows := 1; rows <= 17; rows++ {
+			for kb := 0; kb <= 19; kb++ {
+				pack := func(four func(int, []float64, int, []float64, int)) []float64 {
+					packFour = four
+					dst := make([]float64, roundUp(rows, w)*kb+w)
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					packRows(src, 3, 5, rows, kb, w, dst)
+					return dst
+				}
+				got, want := pack(installed), pack(packFourGo)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("w=%d rows=%d kb=%d: dst[%d] = %g, portable pack has %g", w, rows, kb, i, got[i], want[i])
+					}
+				}
+				if tail := want[len(want)-w:]; kb > 0 && tail[0] != sentinel {
+					t.Fatalf("w=%d rows=%d kb=%d: the pack wrote past its strips", w, rows, kb)
+				}
+			}
+		}
 	}
 }

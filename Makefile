@@ -19,9 +19,12 @@ vet:
 # handle pointer, and none keyed by an id, may grow back in the files that hold
 # engine state. The sim's ready tasks are one of those books, kept in the order
 # they are taken (readyQueue): a scan of them per pick may not grow back either.
+# Both engines run the same two policies, ws and dmda: a sim-only policy name
+# or a seeded draw may not come back into the engine, its config or codegen.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready' internal/taskrt/simengine.go
+	@! grep -nE '"(eager|heft|random)"|math/rand' internal/taskrt/simengine.go internal/taskrt/taskrt.go internal/codegen/gengo.go
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

@@ -132,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	exp := fs.String("exp", "fig5", "experiment: "+experimentNames()+" or all")
 	fs.IntVar(&o.n, "n", 8192, "matrix extent (faults defaults to 4096, cluster to 512)")
 	fs.IntVar(&o.tile, "tile", 1024, "tile extent (cluster defaults to 128)")
-	fs.StringVar(&o.sched, "sched", "dmda", "scheduler for fig5/tiles")
+	fs.StringVar(&o.sched, "sched", "dmda", "scheduler for fig5/tiles: ws or dmda")
 	fs.IntVar(&o.realN, "realn", 768, "matrix extent for the real-mode experiment")
 	fs.Int64Var(&o.seed, "seed", 1, "fault-plan seed for the faults experiment")
 	fs.StringVar(&o.traceTo, "trace", "", "cluster only: write the merged Chrome trace here (open in Perfetto)")

@@ -26,7 +26,7 @@ import (
 func main() {
 	n := flag.Int("n", 8192, "matrix extent")
 	tile := flag.Int("tile", 1024, "tile extent")
-	sched := flag.String("sched", "dmda", "scheduler (sim: eager, ws, dmda, heft or random; the real-mode cross-check implements only ws and dmda and rejects the rest)")
+	sched := flag.String("sched", "dmda", "scheduler of the simulation and the real-mode cross-check: ws or dmda")
 	traceTo := flag.String("trace", "", "write a Chrome trace of the real-mode cross-check here")
 	flag.Parse()
 

@@ -97,9 +97,8 @@ func (v SimVector) Split(d partition.Dist, pieces, blockSize int) ([]Piece, erro
 type ExecOptions struct {
 	// Mode selects the engine (taskrt.Real or taskrt.Sim).
 	Mode taskrt.Mode
-	// Scheduler names the taskrt scheduling policy ("" = the engine's
-	// default: eager in Sim mode, ws in Real mode, which implements only ws
-	// and dmda).
+	// Scheduler names the taskrt scheduling policy, "ws" or "dmda" in
+	// either mode ("" = ws).
 	Scheduler string
 	// Args binds call-site argument names to payloads. Splittable payloads
 	// are distributed per the annotation's DistSpecs; other payloads become

@@ -62,7 +62,6 @@ func FaultTolerance(n, tile int, seed int64) (*Result, error) {
 		Platform:  faultPl,
 		Mode:      taskrt.Sim,
 		Scheduler: "dmda",
-		Seed:      seed,
 		Faults: &taskrt.FaultPlan{Seed: seed, Events: []taskrt.FaultEvent{
 			{Unit: "dev0", AtTime: crashAt},
 			{Unit: "dev1", AtTime: crashAt},

@@ -86,7 +86,7 @@ func Figure5(cfg Fig5Config) (*Result, error) {
 // scheduling policy.
 func SchedulerSweep(n, tile int, scheds []string) (*Result, error) {
 	if len(scheds) == 0 {
-		scheds = []string{"eager", "ws", "dmda", "heft", "random"}
+		scheds = []string{"ws", "dmda"}
 	}
 	res := &Result{
 		Name:    fmt.Sprintf("Ext-A: scheduler comparison, DGEMM %d tile %d on xeon-2gpu", n, tile),

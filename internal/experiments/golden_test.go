@@ -77,7 +77,7 @@ func exactReports() (*Result, error) {
 		Headers: []string{"scheduler", "makespan", "transfer-seconds", "transfer-bytes", "transfers", "per-unit tasks/busy"},
 	}
 	bits := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
-	for _, sched := range []string{"eager", "ws", "dmda", "heft", "random"} {
+	for _, sched := range []string{"ws", "dmda"} {
 		rep, err := SimDGEMM(discover.MustPlatform("xeon-2gpu"), 4096, 256, sched)
 		if err != nil {
 			return nil, err

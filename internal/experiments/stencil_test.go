@@ -8,9 +8,9 @@ import (
 	"repro/internal/taskrt"
 )
 
-// simStencil runs the size-only Jacobi graph in simulation under eager.
+// simStencil runs the size-only Jacobi graph in simulation under ws.
 func simStencil(platform string, n, chunks, iters int) (*taskrt.Report, error) {
-	cfg := taskrt.Config{Platform: discover.MustPlatform(platform), Mode: taskrt.Sim, Scheduler: "eager"}
+	cfg := taskrt.Config{Platform: discover.MustPlatform(platform), Mode: taskrt.Sim, Scheduler: "ws"}
 	return Run(cfg, Stencil(n, chunks, iters, nil))
 }
 

@@ -117,6 +117,7 @@ type SitePlan struct {
 
 // Plan is the full static mapping of a program onto a platform.
 type Plan struct {
+	Program  *csrc.Program // the program planned
 	Platform *core.Platform
 	Repo     *repo.Repository
 	Sites    []*SitePlan
@@ -129,7 +130,7 @@ func PlanProgram(prog *csrc.Program, r *repo.Repository, pl *core.Platform) (*Pl
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	plan := &Plan{Platform: pl, Repo: r}
+	plan := &Plan{Program: prog, Platform: pl, Repo: r}
 	for _, es := range prog.ExecuteStmts() {
 		sel, err := Preselect(r, es.Annotation.Interface, pl)
 		if err != nil {

@@ -1,7 +1,9 @@
 package taskrt
 
 import (
+	"cmp"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,17 +187,40 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 	}
 }
 
-// The Real engine implements ws and dmda only: New refuses the sim-only
-// policies in Real mode, naming the two it has, and still admits all five in
-// Sim mode.
-func TestRealModeRejectsSimOnlySchedulers(t *testing.T) {
-	for _, sched := range []string{"eager", "heft", "random"} {
-		_, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Real, Scheduler: sched})
-		if err == nil || !strings.Contains(err.Error(), `"ws"`) || !strings.Contains(err.Error(), `"dmda"`) {
-			t.Errorf("Real %s: err = %v, want a rejection naming ws and dmda", sched, err)
+// Both engines implement ws and dmda and nothing else: in either mode New
+// admits those two and "" (which runs ws), and refuses every other name —
+// the policies the sim once had alone among them — with one message naming
+// the two it has.
+func TestSchedulerVocabulary(t *testing.T) {
+	var rejection string // the message with the refused name cut out
+	for _, mode := range []Mode{Sim, Real} {
+		for _, sched := range []string{"", "ws", "dmda"} {
+			rt, err := New(Config{Platform: cpuPlatform(t, 2), Mode: mode, Scheduler: sched})
+			if err != nil {
+				t.Fatalf("%v %q: %v", mode, sched, err)
+			}
+			if err := rt.Submit(&Task{Codelet: noopCodelet(t, "noop"), Flops: 1e6}); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rt.Run()
+			if err != nil {
+				t.Fatalf("%v %q: %v", mode, sched, err)
+			}
+			if want := cmp.Or(sched, "ws"); rep.Scheduler != want {
+				t.Errorf("%v %q: report names scheduler %q, want %q", mode, sched, rep.Scheduler, want)
+			}
 		}
-		if _, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Sim, Scheduler: sched}); err != nil {
-			t.Errorf("Sim %s: %v", sched, err)
+		for _, sched := range []string{"eager", "heft", "random", "bogus"} {
+			_, err := New(Config{Platform: cpuPlatform(t, 2), Mode: mode, Scheduler: sched})
+			if err == nil || !strings.Contains(err.Error(), `"ws"`) || !strings.Contains(err.Error(), `"dmda"`) {
+				t.Fatalf("%v %s: err = %v, want a rejection naming ws and dmda", mode, sched, err)
+			}
+			msg := strings.Replace(err.Error(), strconv.Quote(sched), "", 1)
+			if rejection == "" {
+				rejection = msg
+			} else if msg != rejection {
+				t.Errorf("%v %s: rejected with %q, others with %q", mode, sched, err, rejection)
+			}
 		}
 	}
 }

@@ -68,7 +68,7 @@ func simFaultRun(t *testing.T, sched string, tiles int, plan *FaultPlan, tracker
 }
 
 func TestSimFaultCrashBlacklistsAndCompletes(t *testing.T) {
-	for _, sched := range []string{"eager", "ws", "dmda", "heft", "random"} {
+	for _, sched := range []string{"ws", "dmda"} {
 		plan := &FaultPlan{Events: []FaultEvent{
 			{Unit: "dev0", AtTime: 0.001},
 			{Unit: "dev1", AfterTasks: 2},
@@ -138,8 +138,8 @@ func TestSimFaultRecoveryReadmitsUnit(t *testing.T) {
 }
 
 func TestSimFaultHangCostsWatchdogTimeout(t *testing.T) {
-	crash := simFaultRun(t, "eager", 32, &FaultPlan{Events: []FaultEvent{{Unit: "dev0", AfterTasks: 1}}}, nil, nil)
-	hang := simFaultRun(t, "eager", 32, &FaultPlan{Events: []FaultEvent{{Unit: "dev0", AfterTasks: 1, Hang: true}}}, nil, nil)
+	crash := simFaultRun(t, "ws", 32, &FaultPlan{Events: []FaultEvent{{Unit: "dev0", AfterTasks: 1}}}, nil, nil)
+	hang := simFaultRun(t, "ws", 32, &FaultPlan{Events: []FaultEvent{{Unit: "dev0", AfterTasks: 1, Hang: true}}}, nil, nil)
 	if hang.WatchdogTrips != 1 || crash.WatchdogTrips != 0 {
 		t.Fatalf("watchdog trips: hang=%d crash=%d", hang.WatchdogTrips, crash.WatchdogTrips)
 	}
@@ -256,7 +256,7 @@ func TestSimFaultMaxAttemptsExhausted(t *testing.T) {
 	rt, err := New(Config{
 		Platform:  discover.MustPlatform("xeon-1core"),
 		Mode:      Sim,
-		Scheduler: "eager",
+		Scheduler: "ws",
 		Retry:     RetryPolicy{MaxAttempts: 3},
 		Faults: &FaultPlan{Events: []FaultEvent{
 			{Unit: "host", AfterTasks: 1, RecoverAfter: 1e-3},
@@ -283,7 +283,7 @@ func TestSimFaultAllUnitsGone(t *testing.T) {
 	rt, err := New(Config{
 		Platform:  discover.MustPlatform("xeon-2gpu"),
 		Mode:      Sim,
-		Scheduler: "eager",
+		Scheduler: "ws",
 		Faults: &FaultPlan{Events: []FaultEvent{
 			{Unit: "dev0", AfterTasks: 1},
 			{Unit: "dev1", AfterTasks: 1},

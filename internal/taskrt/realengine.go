@@ -116,7 +116,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	var disp dispatcher
-	if rt.cfg.Scheduler == "dmda" { // New admits only ws and dmda in Real mode
+	if rt.cfg.Scheduler == "dmda" { // New admits only ws and dmda
 		// dmda is model-driven: without a caller-provided store it still
 		// self-calibrates within the run (the engine records every execution
 		// into Models below), so give it a private one rather than running

@@ -21,8 +21,8 @@ type UnitStats struct {
 // Report is the outcome of Runtime.Run.
 type Report struct {
 	Mode Mode
-	// Scheduler is the policy that ran: the requested name, or the engine's
-	// default when none was requested ("eager" in Sim mode, "ws" in Real).
+	// Scheduler is the policy that ran: the requested name, or "ws" when none
+	// was requested.
 	Scheduler string
 	Tasks     int
 	// MakespanSeconds is the end-to-end execution time: virtual in Sim

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -63,7 +62,6 @@ type simState struct {
 	tasks   []simTask // by task id
 	parents [][]int   // parentIDs, when tracing
 	nodes   []string  // a memory node's lane in transfer spans, when tracing
-	rng     *rand.Rand
 	tracer  *trace.Trace
 
 	// Fault tolerance.
@@ -103,7 +101,6 @@ func (rt *Runtime) newSimState() (*simState, error) {
 		handles: rt.handles,
 		valid:   make([]bool, len(rt.handles)*machine.NumNodes()),
 		tasks:   make([]simTask, len(rt.tasks)),
-		rng:     rand.New(rand.NewSource(rt.cfg.Seed)),
 		tracer:  rt.cfg.Trace,
 		ft:      rt.ftEnabled(),
 		policy:  rt.cfg.Retry.withDefaults(),
@@ -143,16 +140,13 @@ func (rt *Runtime) newSimState() (*simState, error) {
 
 // runSim executes the task graph in virtual time via greedy list scheduling
 // with the configured policy. The algorithm is deterministic for a given
-// (platform, task graph, scheduler, seed, fault plan).
+// (platform, task graph, scheduler, fault plan).
 func (rt *Runtime) runSim() (*Report, error) {
 	st, err := rt.newSimState()
 	if err != nil {
 		return nil, err
 	}
-	ready := readyQueue{heft: rt.cfg.Scheduler == "heft"}
-	if rt.cfg.Scheduler == "random" {
-		ready.rng = st.rng
-	}
+	var ready readyQueue
 	for _, t := range rt.tasks {
 		if len(t.deps) == 0 {
 			ready.push(t)
@@ -575,18 +569,12 @@ func (st *simState) compatibleUnits(t *Task) []*simUnit {
 	return out
 }
 
-// earliest returns the first of cands to become available.
-func earliest(cands []*simUnit) *simUnit {
-	return slices.MinFunc(cands, func(a, b *simUnit) int { return cmp.Compare(a.availAt(), b.availAt()) })
-}
-
 // readyItem is a waiting task beside the keys it is ordered by, copied out of
 // the task so that a comparison reads the queue's own array only.
 type readyItem struct {
-	t     *Task
-	prio  int     // Task.Priority; 0 under heft
-	flops float64 // Task.Flops under heft; 0 otherwise
-	tie   int     // the task's id; under heft its arrival number
+	t    *Task
+	prio int // Task.Priority
+	id   int // Task.ID()
 }
 
 // before reports whether a is taken ahead of b.
@@ -594,45 +582,23 @@ func (a readyItem) before(b readyItem) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
-	if a.flops != b.flops {
-		return a.flops > b.flops
-	}
-	return a.tie < b.tie
+	return a.id < b.id
 }
 
-// readyQueue hands out the tasks whose dependencies have completed in the
-// scheduler's order. Each order is total, so a run does not depend on how the
-// queue is laid out, and a retried task re-enters as a new arrival.
-//   - eager, ws, dmda: highest Priority first, equal priorities by id;
-//   - heft: largest Flops first (a static upward-rank approximation), equal
-//     work by arrival;
-//   - random: one seeded draw over the waiting tasks in order of arrival.
-//
-// The first two are a binary heap on before, O(log ready) a task however wide
-// the graph (a tiled GEMM keeps every C chain ready at once). random needs the
-// k-th arrival: its tasks wait in arrival order and pop closes the gap.
+// readyQueue hands out the tasks whose dependencies have completed, highest
+// Priority first and equal priorities by id, under both policies. The order is
+// total, so a run does not depend on how the queue is laid out, and a retried
+// task re-enters under its own id. It is a binary heap on before, O(log ready)
+// a task however wide the graph (a tiled GEMM keeps every C chain ready at
+// once).
 type readyQueue struct {
-	items    []readyItem // the heap
-	arrived  []*Task     // in its place under random
-	heft     bool
-	rng      *rand.Rand // the run's source under random, else nil
-	arrivals int
+	items []readyItem
 }
 
-func (q *readyQueue) empty() bool { return len(q.items)+len(q.arrived) == 0 }
+func (q *readyQueue) empty() bool { return len(q.items) == 0 }
 
 func (q *readyQueue) push(t *Task) {
-	if q.rng != nil {
-		q.arrived = append(q.arrived, t)
-		return
-	}
-	it := readyItem{t: t, prio: t.Priority, tie: t.id}
-	if q.heft {
-		// The linear scan this queue replaced started its search at -1
-		// flops: less work than that ranks as -1.
-		it = readyItem{t: t, flops: max(t.Flops, -1), tie: q.arrivals}
-	}
-	q.arrivals++
+	it := readyItem{t: t, prio: t.Priority, id: t.id}
 	i := len(q.items)
 	q.items = append(q.items, it)
 	for i > 0 && it.before(q.items[(i-1)/2]) {
@@ -644,12 +610,6 @@ func (q *readyQueue) push(t *Task) {
 
 // pop removes and returns the next task of a non-empty queue.
 func (q *readyQueue) pop() *Task {
-	if q.rng != nil {
-		i := q.rng.Intn(len(q.arrived))
-		t := q.arrived[i]
-		q.arrived = append(q.arrived[:i], q.arrived[i+1:]...)
-		return t
-	}
 	n := len(q.items) - 1
 	top, last := q.items[0].t, q.items[n]
 	q.items = q.items[:n]
@@ -678,29 +638,25 @@ func (rt *Runtime) pickUnit(t *Task, st *simState, ready sim.Time) (*simUnit, er
 		return nil, fmt.Errorf("taskrt: no unit can run codelet %q (impls %v; %d unit(s) blacklisted)",
 			t.Codelet.Name, t.Codelet.Archs(), len(st.failedUnits))
 	}
-	switch rt.cfg.Scheduler {
-	case "random":
-		return cands[st.rng.Intn(len(cands))], nil
-	case "ws":
+	if rt.cfg.Scheduler == "ws" {
 		// Work stealing: tasks are dealt round-robin to per-unit queues at
 		// submission; an idle unit steals when the owner is backed up. In
 		// list-scheduling terms: run on the owner unless another compatible
 		// unit would start strictly earlier.
-		owner, best := cands[t.id%len(cands)], earliest(cands)
+		owner := cands[t.id%len(cands)]
+		best := slices.MinFunc(cands, func(a, b *simUnit) int { return cmp.Compare(a.availAt(), b.availAt()) })
 		if owner.availAt() <= best.availAt() || owner.availAt() <= ready {
 			return owner, nil
 		}
 		return best, nil
-	case "dmda", "heft":
-		best := cands[0]
-		bestEFT := st.estimateEFT(t, best, ready)
-		for _, su := range cands[1:] {
-			if eft := st.estimateEFT(t, su, ready); eft < bestEFT {
-				best, bestEFT = su, eft
-			}
-		}
-		return best, nil
-	default: // eager: earliest-available compatible unit (central greedy queue)
-		return earliest(cands), nil
 	}
+	// dmda: the unit with the earliest estimated finish, transfers included.
+	best := cands[0]
+	bestEFT := st.estimateEFT(t, best, ready)
+	for _, su := range cands[1:] {
+		if eft := st.estimateEFT(t, su, ready); eft < bestEFT {
+			best, bestEFT = su, eft
+		}
+	}
+	return best, nil
 }

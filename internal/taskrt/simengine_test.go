@@ -68,7 +68,7 @@ func simRun(t testing.TB, platform, sched string, tiles int, flops float64, byte
 
 func TestSimSingleCoreMakespanMatchesCalibration(t *testing.T) {
 	// 10 tiles of 2 GFLOP on one 9.79 GF/s core: ~2.044 s total.
-	rep := simRun(t, "xeon-1core", "eager", 10, 2e9, 1<<20)
+	rep := simRun(t, "xeon-1core", "ws", 10, 2e9, 1<<20)
 	want := 10 * 2e9 / (10.64 * 0.92 * 1e9)
 	if math.Abs(rep.MakespanSeconds-want)/want > 0.01 {
 		t.Fatalf("makespan = %g; want ~%g", rep.MakespanSeconds, want)
@@ -79,8 +79,8 @@ func TestSimSingleCoreMakespanMatchesCalibration(t *testing.T) {
 }
 
 func TestSimEightCoresNearLinear(t *testing.T) {
-	one := simRun(t, "xeon-1core", "eager", 64, 2e9, 1<<20)
-	eight := simRun(t, "xeon-cpu", "eager", 64, 2e9, 1<<20)
+	one := simRun(t, "xeon-1core", "ws", 64, 2e9, 1<<20)
+	eight := simRun(t, "xeon-cpu", "ws", 64, 2e9, 1<<20)
 	sp := eight.Speedup(one)
 	if sp < 7.5 || sp > 8.1 {
 		t.Fatalf("8-core speedup = %g; want ~8", sp)
@@ -109,7 +109,7 @@ func TestSimGPUsBeatCPUs(t *testing.T) {
 }
 
 func TestSimDeterminism(t *testing.T) {
-	for _, sched := range []string{"eager", "dmda", "heft", "random"} {
+	for _, sched := range []string{"ws", "dmda"} {
 		a := simRun(t, "xeon-2gpu", sched, 32, 2e9, 4<<20)
 		b := simRun(t, "xeon-2gpu", sched, 32, 2e9, 4<<20)
 		if a.MakespanSeconds != b.MakespanSeconds {
@@ -119,7 +119,7 @@ func TestSimDeterminism(t *testing.T) {
 }
 
 func TestSimSchedulersAllComplete(t *testing.T) {
-	for _, sched := range []string{"eager", "dmda", "heft", "random"} {
+	for _, sched := range []string{"ws", "dmda"} {
 		rep := simRun(t, "xeon-2gpu", sched, 40, 2e9, 4<<20)
 		if rep.Tasks != 40 {
 			t.Errorf("%s: tasks = %d", sched, rep.Tasks)
@@ -137,20 +137,20 @@ func TestSimSchedulersAllComplete(t *testing.T) {
 	}
 }
 
-func TestSimDmdaBeatsRandomOnHeterogeneous(t *testing.T) {
+func TestSimDmdaBeatsWSOnHeterogeneous(t *testing.T) {
 	// With strong GPUs and transfer costs, cost-model scheduling should not
-	// lose to random placement.
+	// lose to cost-blind work stealing.
 	dmda := simRun(t, "xeon-2gpu", "dmda", 64, 4e9, 16<<20)
-	random := simRun(t, "xeon-2gpu", "random", 64, 4e9, 16<<20)
-	if dmda.MakespanSeconds > random.MakespanSeconds*1.05 {
-		t.Fatalf("dmda (%g) much worse than random (%g)", dmda.MakespanSeconds, random.MakespanSeconds)
+	ws := simRun(t, "xeon-2gpu", "ws", 64, 4e9, 16<<20)
+	if dmda.MakespanSeconds > ws.MakespanSeconds*1.05 {
+		t.Fatalf("dmda (%g) much worse than ws (%g)", dmda.MakespanSeconds, ws.MakespanSeconds)
 	}
 }
 
 func TestSimCoherenceWriteInvalidates(t *testing.T) {
 	// One datum ping-pongs between a gpu-only and an x86-only codelet:
 	// every round trip must transfer the datum both ways.
-	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "eager"})
+	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "ws"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSimCoherenceWriteInvalidates(t *testing.T) {
 
 func TestSimReadsDoNotInvalidate(t *testing.T) {
 	// After one transfer to the GPU, repeated reads need no further copies.
-	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "eager"})
+	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "ws"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSimPriorityOrdering(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := trace.New()
-			rt, err := New(Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: "eager", Trace: tr})
+			rt, err := New(Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: "ws", Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,45 +276,29 @@ func TestSimPriorityOrdering(t *testing.T) {
 }
 
 // scanPick is how runSim chose the next task before readyQueue: a linear scan
-// of the ready tasks in arrival order. It stays as the oracle the queue's
-// order is defined by.
-func scanPick(sched string, ready []*Task, rng *rand.Rand) int {
-	switch sched {
-	case "heft":
-		// Largest work first (a static upward-rank approximation).
-		best, bestFlops := 0, -1.0
-		for i, t := range ready {
-			if t.Flops > bestFlops {
-				best, bestFlops = i, t.Flops
-			}
+// of the ready tasks in arrival order, the highest priority and among equals
+// the lowest id. It stays as the oracle the queue's order is defined by.
+func scanPick(ready []*Task) int {
+	best := 0
+	for i, t := range ready {
+		if t.Priority > ready[best].Priority ||
+			(t.Priority == ready[best].Priority && t.id < ready[best].id) {
+			best = i
 		}
-		return best
-	case "random":
-		return rng.Intn(len(ready))
-	default: // eager, ws, dmda: priority then FIFO
-		best := 0
-		for i, t := range ready {
-			if t.Priority > ready[best].Priority ||
-				(t.Priority == ready[best].Priority && t.id < ready[best].id) {
-				best = i
-			}
-		}
-		return best
 	}
+	return best
 }
 
 // scanQueue is the ready set as the engine kept it then: a slice in arrival
 // order, closed up by an ordered removal after every pick.
 type scanQueue struct {
-	sched string
-	rng   *rand.Rand
 	ready []*Task
 }
 
 func (q *scanQueue) push(t *Task) { q.ready = append(q.ready, t) }
 
 func (q *scanQueue) pop() *Task {
-	i := scanPick(q.sched, q.ready, q.rng)
+	i := scanPick(q.ready)
 	t := q.ready[i]
 	q.ready = append(q.ready[:i], q.ready[i+1:]...)
 	return t
@@ -326,15 +310,14 @@ type readySet interface {
 	pop() *Task
 }
 
-// simulate is runSim's loop over the ready set mk returns: the engine's own
-// state and step, so only the order tasks are taken in can differ. It returns
-// that order beside the report.
-func simulate(rt *Runtime, mk func(sched string, rng *rand.Rand) readySet) (*Report, []int, error) {
+// simulate is runSim's loop over the ready set q: the engine's own state and
+// step, so only the order tasks are taken in can differ. It returns that order
+// beside the report.
+func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
 	st, err := rt.newSimState()
 	if err != nil {
 		return nil, nil, err
 	}
-	q := mk(rt.cfg.Scheduler, st.rng)
 	for _, t := range rt.tasks {
 		if len(t.deps) == 0 {
 			q.push(t)
@@ -379,17 +362,8 @@ func againstScan(t *testing.T, cfg Config, build func(*Runtime)) []int {
 		}
 		return outcome{order: order, report: fmt.Sprintf("%+v %x", *rep, *rep), events: cfg.Trace.Events()}
 	}
-	scan := run(func(rt *Runtime) (*Report, []int, error) {
-		return simulate(rt, func(sched string, rng *rand.Rand) readySet { return &scanQueue{sched: sched, rng: rng} })
-	})
-	queue := run(func(rt *Runtime) (*Report, []int, error) {
-		return simulate(rt, func(sched string, rng *rand.Rand) readySet {
-			if sched != "random" {
-				rng = nil
-			}
-			return &readyQueue{heft: sched == "heft", rng: rng}
-		})
-	})
+	scan := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &scanQueue{}) })
+	queue := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &readyQueue{}) })
 	if !reflect.DeepEqual(queue, scan) {
 		t.Errorf("%s: readyQueue and the scan disagree:\nqueue took %v\nscan took  %v\nqueue: %s %s\nscan:  %s %s",
 			cfg.Scheduler, queue.order, scan.order, queue.report, queue.err, scan.report, scan.err)
@@ -407,8 +381,8 @@ func againstScan(t *testing.T, cfg Config, build func(*Runtime)) []int {
 	return scan.order
 }
 
-// TestReadyQueueOrders spells the queue's three orders out on graphs small
-// enough to read, each also checked against the scan.
+// TestReadyQueueOrders spells the queue's order out on graphs small enough to
+// read, under both policies, each also checked against the scan.
 func TestReadyQueueOrders(t *testing.T) {
 	cl := dgemmCodelet(t)
 	// t0 and t1 are ready at once and release t3 and t2 in that order, so the
@@ -430,34 +404,21 @@ func TestReadyQueueOrders(t *testing.T) {
 			}
 		}
 	}
-	// The scan started its search for the largest work at -1 flops.
-	negative := func(rt *Runtime) {
-		for _, flops := range []float64{-5, -2, -0.5} {
-			if err := rt.Submit(&Task{Codelet: cl, Flops: flops}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	crashOnce := &FaultPlan{Events: []FaultEvent{{Unit: "host", AfterTasks: 1, RecoverAfter: 1e-3}}}
 	for _, tc := range []struct {
-		name, sched string
-		faults      *FaultPlan
-		build       func(*Runtime)
-		want        []int
+		name   string
+		faults *FaultPlan
+		build  func(*Runtime)
+		want   []int
 	}{
-		{"equal priorities go by id, not by arrival", "eager", nil, crossed, []int{0, 1, 2, 3}},
-		{"heft ties go by arrival, not by id", "heft", nil, crossed, []int{0, 1, 3, 2}},
-		{"heft ranks -1 flops and less alike", "heft", nil, negative, []int{2, 0, 1}},
-		{"a retry is heft's newest arrival", "heft", crashOnce, three, []int{0, 1, 2, 0}},
-		{"a retry keeps its id", "eager", crashOnce, three, []int{0, 0, 1, 2}},
-		// Seed 1 draws the last of three, then — pickUnit's draw between them,
-		// the retry back in last place — the last of three again, then the
-		// second of two.
-		{"random draws once per pick over arrival order", "random", crashOnce, three, []int{2, 2, 1, 0}},
+		{"equal priorities go by id, not by arrival", nil, crossed, []int{0, 1, 2, 3}},
+		{"a retry keeps its id", crashOnce, three, []int{0, 0, 1, 2}},
 	} {
-		cfg := Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: tc.sched, Faults: tc.faults}
-		if got := againstScan(t, cfg, tc.build); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: tasks taken in order %v, want %v", tc.name, got, tc.want)
+		for _, sched := range []string{"ws", "dmda"} {
+			cfg := Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: sched, Faults: tc.faults}
+			if got := againstScan(t, cfg, tc.build); !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %s: tasks taken in order %v, want %v", tc.name, sched, got, tc.want)
+			}
 		}
 	}
 }
@@ -465,8 +426,8 @@ func TestReadyQueueOrders(t *testing.T) {
 // TestQuickReadyQueueMatchesScan is the differential property: on seeded
 // random DAGs built to collide — three priorities, two work sizes, After
 // edges beside the data dependencies — under a random fault plan that makes
-// tasks retry, every sim scheduler takes the tasks from readyQueue in the
-// order the scan would have, and reports the same run to the bit.
+// tasks retry, both policies take the tasks from readyQueue in the order the
+// scan would have, and report the same run to the bit.
 func TestQuickReadyQueueMatchesScan(t *testing.T) {
 	cl := dgemmCodelet(t)
 	f := func(seed int64, size uint8) bool {
@@ -496,12 +457,11 @@ func TestQuickReadyQueueMatchesScan(t *testing.T) {
 			}
 		}
 		failed := t.Failed()
-		for _, sched := range []string{"eager", "ws", "dmda", "heft", "random"} {
+		for _, sched := range []string{"ws", "dmda"} {
 			againstScan(t, Config{
 				Platform:  discover.MustPlatform("xeon-2gpu"),
 				Mode:      Sim,
 				Scheduler: sched,
-				Seed:      seed,
 				Faults:    RandomFaultPlan(seed, []string{"dev0", "dev1", "host.1"}, 0.05),
 				Retry:     RetryPolicy{MaxAttempts: 12},
 			}, build)
@@ -559,7 +519,7 @@ func TestReportHelpers(t *testing.T) {
 // one.
 func TestSimRunAllocations(t *testing.T) {
 	const T, tileBytes, maxPerTask = 8, 256 * 256 * 8, 2.0
-	for _, sched := range []string{"dmda", "eager"} {
+	for _, sched := range []string{"dmda", "ws"} {
 		rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: sched})
 		if err != nil {
 			t.Fatal(err)

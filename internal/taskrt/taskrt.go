@@ -15,9 +15,9 @@
 //     calibrated simhw.Machine built from a PDL description — the
 //     substitution for the paper's GPU testbed.
 //
-// Schedulers are pluggable: eager (StarPU's default greedy central queue),
-// dmda (deque model data aware: minimise estimated completion including
-// transfer costs), heft (dmda with largest-work-first ordering) and random.
+// Both engines run the same two scheduling policies: ws (work stealing, the
+// default) and dmda (deque model data aware: minimise estimated completion
+// including transfer costs, StarPU's cost-model policy).
 package taskrt
 
 import (
@@ -103,17 +103,13 @@ type Config struct {
 	Platform *core.Platform
 	// Mode selects the engine (default Real).
 	Mode Mode
-	// Scheduler names the scheduling policy. The Sim engine implements
-	// "eager" (its default), "ws", "dmda", "heft" and "random"; the Real
-	// engine implements "ws" (per-worker deques with stealing, its default)
-	// and "dmda" (model-predicted earliest finish time placement; see
-	// dispatch.go), and New rejects the other three in Real mode.
+	// Scheduler names the scheduling policy, the same two in both modes:
+	// "ws" (work stealing, the default) and "dmda" (model-predicted earliest
+	// finish time placement; see dispatch.go for the Real engine's).
 	Scheduler string
 	// Workers overrides the Real-mode worker count (default: the platform's
 	// x86 unit count).
 	Workers int
-	// Seed seeds the random scheduler (default 1).
-	Seed int64
 	// Models, when non-nil, receives execution-time observations in Real
 	// mode (history-based performance models à la StarPU) and feeds the
 	// "dmda" scheduler's placement predictions. When nil with Scheduler
@@ -169,23 +165,11 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	switch cfg.Scheduler {
-	case "", "dmda", "ws":
-	case "eager", "heft", "random":
-		if cfg.Mode == Real {
-			return nil, fmt.Errorf("taskrt: scheduler %q exists in Sim mode only; Real mode implements \"ws\" and \"dmda\"", cfg.Scheduler)
-		}
+	case "":
+		cfg.Scheduler = "ws"
+	case "ws", "dmda":
 	default:
-		return nil, fmt.Errorf("taskrt: unknown scheduler %q", cfg.Scheduler)
-	}
-	if cfg.Scheduler == "" {
-		if cfg.Mode == Real {
-			cfg.Scheduler = "ws"
-		} else {
-			cfg.Scheduler = "eager"
-		}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+		return nil, fmt.Errorf("taskrt: unknown scheduler %q; both modes implement \"ws\" and \"dmda\"", cfg.Scheduler)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {

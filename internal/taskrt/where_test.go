@@ -9,8 +9,8 @@ import (
 
 func TestWherePinsPlacement(t *testing.T) {
 	// Pin all tasks to the GPUs even though an x86 impl exists and the
-	// eager scheduler would otherwise prefer the idle CPU cores.
-	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "eager"})
+	// ws scheduler would otherwise deal most of them to the CPU cores.
+	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "ws"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestWherePinsPlacement(t *testing.T) {
 
 func TestWhereMatchesExpandedInstances(t *testing.T) {
 	// "host" must match the quantity-expanded host.0..host.7 instances.
-	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "eager"})
+	rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "ws"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ lint-cluster-copy:
 	@! grep -nE 'EncodePayload\(|matrixHeader|frameMatrix' internal/cluster/master.go internal/cluster/stream.go internal/cluster/worker.go
 	@test "$$(grep -c frameMatrix internal/cluster/proto.go)" -eq 3
 	@test "$$(grep -c matrixHeader internal/cluster/proto.go)" -eq 5
+
+# lint-one-kernel keeps internal/blas at one register-tiled micro-kernel that
+# reads A in place: one micro-kernel TEXT in the assembly, and one A pack in
+# the driver, the zero-padded tail strip.
+lint-one-kernel:
+	@test "$$(grep -c '^TEXT ·micro' internal/blas/microkernel_amd64.s)" -eq 1
+	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -112,9 +119,10 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema, cluster-owner and cluster-copy lints, race subset, the portable-kernel build, crash/recovery
-# suite, multi-process cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy race test-purego crash-test cluster-test bench-test
+# trace-schema, cluster-owner, cluster-copy and one-kernel lints, race subset,
+# the portable-kernel build, crash/recovery suite, multi-process cluster
+# smoke, benchmark tests.
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh
@@ -124,10 +132,11 @@ bench:
 
 # bench-blas is the per-layer number without the benchmark module: the four
 # Cholesky tile kernels and the tile DGEMM at tile 128 on strided views of a
-# 1024 parent, GF/s of the kernel call alone. It records nothing; numbers that
+# 1024 parent, GF/s of the kernel call alone, and the micro-kernel alone on
+# L1-resident operands for both A layouts. It records nothing; numbers that
 # are compared come from `make bench`.
 bench-blas:
-	$(GO) test -run '^$$' -bench BenchmarkTileKernels -count 5 ./internal/blas
+	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkMicroKernel' -count 5 ./internal/blas
 
 # loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
 # non-test Go outside benchmark/ — in total and per package directory.

@@ -11,9 +11,10 @@ import (
 // operands arrive from L2/L3 rather than sitting in L1. The GF/s metric
 // counts the kernel call alone (timed by hand: stopping and starting the
 // benchmark timer costs more than a 128-tile kernel); ns/op also holds
-// restoring the tile a factorization or solve overwrites. `make bench-blas`
-// runs it; BenchmarkTileKernels/GemmNT etc. under -cpuprofile is the profile
-// EXPERIMENTS.md quotes.
+// restoring the tile a factorization or solve overwrites — put, whose row
+// copies are the runtime.memmove row of a profile (no tile kernel calls
+// memmove). `make bench-blas` runs it; BenchmarkTileKernels/GemmNT etc. under
+// -cpuprofile is the profile EXPERIMENTS.md quotes.
 func BenchmarkTileKernels(b *testing.B) {
 	const n, tile = 1024, 128
 	const grid = n / tile
@@ -63,6 +64,33 @@ func BenchmarkTileKernels(b *testing.B) {
 				busy += time.Since(t0)
 			}
 			b.ReportMetric(k.flops*float64(b.N)/busy.Seconds()/1e9, "GF/s")
+		})
+	}
+}
+
+// BenchmarkMicroKernel times the installed micro-kernel alone at kb = 128 on
+// operands that stay in L1 — one 6×128 A strip, one 128×8 B strip, one 6×8
+// tile of C — for both A layouts the driver passes: InPlace, rows of a
+// 128-wide A, and Packed, the k-major tail strip. Read beside
+// probe.fma_gflops, it is the kernel's share of the FMA peak with packing and
+// cache misses (BenchmarkTileKernels) taken out. `make bench-blas` runs it.
+func BenchmarkMicroKernel(b *testing.B) {
+	const kb = packDepth
+	pb := randomMatrix(kb, microN, 3).Data
+	c := make([]float64, microM*microN)
+	for _, l := range []struct {
+		name     string
+		a        []float64
+		ars, aks int
+	}{
+		{"InPlace", randomMatrix(microM, kb, 4).Data, kb, 1},
+		{"Packed", randomMatrix(kb, microM, 4).Data, 1, microM},
+	} {
+		b.Run(l.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				microKernel(kb, l.a, l.ars, l.aks, pb, c, microN, i&1 == 1) // alternate the sign so c stays bounded
+			}
+			b.ReportMetric(FlopsGEMM(microM, microN, kb)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
 		})
 	}
 }

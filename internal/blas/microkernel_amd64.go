@@ -2,15 +2,17 @@
 
 package blas
 
-// On amd64 the packed micro-kernel has an AVX2/FMA implementation: the 4×8
-// accumulator tile occupies eight YMM registers, each k step broadcasts four
-// A values and streams two B vectors, and sixteen flops retire per FMA pair
-// — roughly an order of magnitude over the scalar mul+add ceiling the Go
-// compiler can reach (it never vectorizes float64 loops and does not emit
-// FMA on amd64) — and after the last k step the same registers are added to
-// (or, sign-flipped, subtracted from) the four rows of C they belong to. The
-// row pack's four-row pass has an AVX2 body too, a 4×4 register transpose,
-// and so has the eight-row triangular base solve of factor.go.
+// On amd64 the packed micro-kernel has an AVX2/FMA implementation: the 6×8
+// accumulator tile occupies twelve YMM registers, each k step broadcasts six
+// A values — read from A's own rows, or from the packed tail strip, at the
+// strides the caller passes — and streams two B vectors, and sixteen flops
+// retire per FMA pair — roughly an order of magnitude over the scalar mul+add
+// ceiling the Go compiler can reach (it never vectorizes float64 loops and
+// does not emit FMA on amd64) — and after the last k step the same registers
+// are added to (or, sign-flipped, subtracted from) the six rows of C they
+// belong to. The row pack's four-row pass has an AVX2 body too, a 4×4
+// register transpose, and so has the eight-row triangular base solve of
+// factor.go.
 // Selection happens once at init via CPUID; hosts without AVX2, FMA or
 // OS-enabled YMM state keep the portable bodies, and so does any build with
 // the purego tag (`make test-purego`), which leaves this file out so that CI
@@ -32,22 +34,23 @@ func init() {
 	}
 }
 
-func microKernelAVX2(kb int, pa, pb, c []float64, ldc int, neg bool) {
+func microKernelAVX2(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 	if kb <= 0 {
 		return
 	}
-	// Re-slice so bounds checks cover the exact extent the assembly touches.
-	pa = pa[: kb*microM : kb*microM]
+	// Re-slice so bounds checks cover the exact extent the assembly touches:
+	// the last A element it reads is row microM−1 at step kb−1.
+	a = a[:(microM-1)*ars+(kb-1)*aks+1]
 	pb = pb[: kb*microN : kb*microN]
 	c = c[:(microM-1)*ldc+microN]
-	microAVX2(int64(kb), &pa[0], &pb[0], &c[0], int64(ldc), neg)
+	microAVX2(int64(kb), &a[0], int64(ars), int64(aks), &pb[0], &c[0], int64(ldc), neg)
 }
 
-// microAVX2 applies c[i*ldc+j] ±= Σ_p pa[p*4+i]·pb[p*8+j] for a full 4×8
+// microAVX2 applies c[i*ldc+j] ±= Σ_p a[p*aks+i*ars]·pb[p*8+j] for a full 6×8
 // tile, kb ≥ 1 (implemented in microkernel_amd64.s).
 //
 //go:noescape
-func microAVX2(kb int64, pa, pb, c *float64, ldc int64, neg bool)
+func microAVX2(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 
 // packFourAVX2 transposes four k steps at a time in registers and leaves the
 // kb mod 4 tail to the portable body.

@@ -2,26 +2,31 @@
 
 #include "textflag.h"
 
-// func microAVX2(kb int64, pa, pb, c *float64, ldc int64, neg bool)
+// func microAVX2(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 //
-// 4×8 DGEMM micro-kernel: c[i*ldc+j] ±= Σ_p pa[p*4+i]·pb[p*8+j].
-// Y0..Y7 hold the accumulator tile (two YMM per row of four doubles each);
-// every k step loads one 8-wide B vector pair, broadcasts the four A values
-// and issues eight FMAs (64 flops). After the last step the sums are XORed
-// with Y15 — the sign bit in every lane when neg, zero otherwise, so one body
-// serves C += and C −= — and each row of C is loaded, added to and stored.
-TEXT ·microAVX2(SB), NOSPLIT, $0-41
-	MOVQ    kb+0(FP), CX
-	MOVQ    pa+8(FP), SI
-	MOVQ    pb+16(FP), DI
-	MOVQ    c+24(FP), DX
-	MOVQ    ldc+32(FP), BX
-	MOVBQZX neg+40(FP), AX
+// 6×8 DGEMM micro-kernel: c[i*ldc+j] ±= Σ_p a[p*aks+i*ars]·pb[p*8+j], kb ≥ 1.
+// Y0..Y11 hold the accumulator tile (two YMM per row of four doubles each);
+// every k step loads one 8-wide B vector pair into Y12/Y13, broadcasts the six
+// A values two at a time into Y14/Y15 and issues twelve FMAs (96 flops). A is
+// addressed at whatever strides the caller passes — its own rows in place, or
+// the packed tail strip — rows 0–2 off SI and rows 3–5 off R8 = SI + 3·ars,
+// each at (R)(ars*1|*2). After the last step the sums are XORed with Y12 —
+// the sign bit in every lane when neg, zero otherwise, so one body serves
+// C += and C −= — and each row of C is loaded, added to and stored.
+TEXT ·microAVX2(SB), NOSPLIT, $0-57
+	MOVQ kb+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ ars+16(FP), AX
+	MOVQ aks+24(FP), R9
+	MOVQ pb+32(FP), DI
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), BX
 
-	SHLQ         $63, AX
-	VMOVQ        AX, X15
-	VBROADCASTSD X15, Y15
-	SHLQ         $3, BX     // row stride of C in bytes
+	SHLQ $3, AX            // A row stride in bytes
+	SHLQ $3, R9            // A k-step stride in bytes
+	SHLQ $3, BX            // row stride of C in bytes
+	LEAQ (AX)(AX*2), R8
+	ADDQ SI, R8            // row 3
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -31,61 +36,88 @@ TEXT ·microAVX2(SB), NOSPLIT, $0-41
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JZ    apply
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
 
 loop:
 	VMOVUPD (DI), Y12
 	VMOVUPD 32(DI), Y13
 
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	VBROADCASTSD 16(SI), Y10
-	VBROADCASTSD 24(SI), Y11
+	VBROADCASTSD (SI), Y14
+	VBROADCASTSD (SI)(AX*1), Y15
+	VFMADD231PD  Y12, Y14, Y0
+	VFMADD231PD  Y13, Y14, Y1
+	VFMADD231PD  Y12, Y15, Y2
+	VFMADD231PD  Y13, Y15, Y3
 
-	VFMADD231PD Y12, Y8, Y0
-	VFMADD231PD Y13, Y8, Y1
-	VFMADD231PD Y12, Y9, Y2
-	VFMADD231PD Y13, Y9, Y3
-	VFMADD231PD Y12, Y10, Y4
-	VFMADD231PD Y13, Y10, Y5
-	VFMADD231PD Y12, Y11, Y6
-	VFMADD231PD Y13, Y11, Y7
+	VBROADCASTSD (SI)(AX*2), Y14
+	VBROADCASTSD (R8), Y15
+	VFMADD231PD  Y12, Y14, Y4
+	VFMADD231PD  Y13, Y14, Y5
+	VFMADD231PD  Y12, Y15, Y6
+	VFMADD231PD  Y13, Y15, Y7
 
-	ADDQ $32, SI
+	VBROADCASTSD (R8)(AX*1), Y14
+	VBROADCASTSD (R8)(AX*2), Y15
+	VFMADD231PD  Y12, Y14, Y8
+	VFMADD231PD  Y13, Y14, Y9
+	VFMADD231PD  Y12, Y15, Y10
+	VFMADD231PD  Y13, Y15, Y11
+
+	ADDQ R9, SI
+	ADDQ R9, R8
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  loop
 
-apply:
-	VXORPD  Y15, Y0, Y0
-	VXORPD  Y15, Y1, Y1
+	MOVBQZX      neg+56(FP), AX
+	SHLQ         $63, AX
+	VMOVQ        AX, X12
+	VBROADCASTSD X12, Y12
+
+	VXORPD  Y12, Y0, Y0
+	VXORPD  Y12, Y1, Y1
 	VADDPD  (DX), Y0, Y0
 	VADDPD  32(DX), Y1, Y1
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	ADDQ    BX, DX
-	VXORPD  Y15, Y2, Y2
-	VXORPD  Y15, Y3, Y3
+	VXORPD  Y12, Y2, Y2
+	VXORPD  Y12, Y3, Y3
 	VADDPD  (DX), Y2, Y2
 	VADDPD  32(DX), Y3, Y3
 	VMOVUPD Y2, (DX)
 	VMOVUPD Y3, 32(DX)
 	ADDQ    BX, DX
-	VXORPD  Y15, Y4, Y4
-	VXORPD  Y15, Y5, Y5
+	VXORPD  Y12, Y4, Y4
+	VXORPD  Y12, Y5, Y5
 	VADDPD  (DX), Y4, Y4
 	VADDPD  32(DX), Y5, Y5
 	VMOVUPD Y4, (DX)
 	VMOVUPD Y5, 32(DX)
 	ADDQ    BX, DX
-	VXORPD  Y15, Y6, Y6
-	VXORPD  Y15, Y7, Y7
+	VXORPD  Y12, Y6, Y6
+	VXORPD  Y12, Y7, Y7
 	VADDPD  (DX), Y6, Y6
 	VADDPD  32(DX), Y7, Y7
 	VMOVUPD Y6, (DX)
 	VMOVUPD Y7, 32(DX)
+	ADDQ    BX, DX
+	VXORPD  Y12, Y8, Y8
+	VXORPD  Y12, Y9, Y9
+	VADDPD  (DX), Y8, Y8
+	VADDPD  32(DX), Y9, Y9
+	VMOVUPD Y8, (DX)
+	VMOVUPD Y9, 32(DX)
+	ADDQ    BX, DX
+	VXORPD  Y12, Y10, Y10
+	VXORPD  Y12, Y11, Y11
+	VADDPD  (DX), Y10, Y10
+	VADDPD  32(DX), Y11, Y11
+	VMOVUPD Y10, (DX)
+	VMOVUPD Y11, 32(DX)
 	VZEROUPPER
 	RET
 

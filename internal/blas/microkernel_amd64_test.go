@@ -9,12 +9,16 @@ import (
 )
 
 // TestMicroKernelsAgree runs the portable and the assembly micro-kernel on
-// the same strips: every element of the 4×8 tile within kb+1 ulps of the
+// the same strips: every element of the 6×8 tile within kb+1 ulps of the
 // magnitude it was summed at (the assembly fuses each multiply-add, the Go
 // body rounds twice), every element of c outside the tile untouched, and —
 // when an operand holds Inf or NaN, 0·Inf included — the same elements NaN.
 // Potrf reports an indefinite matrix because a NaN pivot arrives; a kernel
-// that dropped a 0·NaN term would hide it on one of the two builds.
+// that dropped a 0·NaN term would hide it on one of the two builds. Each
+// kernel also runs on the A strip in both layouts the driver passes — packed
+// k-major, and in place as rows at a random stride ≥ kb with other values in
+// the gaps, the slice ending at the strip's last element — and gives the
+// same bits for both.
 func TestMicroKernelsAgree(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
@@ -36,12 +40,35 @@ func TestMicroKernelsAgree(t *testing.T) {
 						p := rng.Intn(kb)
 						pa[p*microM+1] = 0 // 0·special in row 1, column 2
 						pb[p*microN+2] = special
-						pa[rng.Intn(kb)*microM+3] = special // special·finite across row 3
+						pa[rng.Intn(kb)*microM+5] = special // special·finite across row 5
+					}
+					lda := kb + rng.Intn(5)
+					rows := fill((microM-1)*lda + kb)
+					for p := 0; p < kb; p++ {
+						for i := 0; i < microM; i++ {
+							rows[i*lda+p] = pa[p*microM+i]
+						}
 					}
 					c0 := fill((microM-1)*ldc + microN + 3)
-					cGo, cAsm := append([]float64(nil), c0...), append([]float64(nil), c0...)
-					microKernelGo(kb, pa, pb, cGo, ldc, neg)
-					microKernelAVX2(kb, pa, pb, cAsm, ldc, neg)
+					run := func(kernel microKernelFunc, a []float64, ars, aks int) []float64 {
+						c := append([]float64(nil), c0...)
+						kernel(kb, a, ars, aks, pb, c, ldc, neg)
+						return c
+					}
+					cGo, cAsm := run(microKernelGo, pa, 1, microM), run(microKernelAVX2, pa, 1, microM)
+					for _, k := range []struct {
+						name   string
+						kernel microKernelFunc
+						want   []float64
+					}{{"go", microKernelGo, cGo}, {"asm", microKernelAVX2, cAsm}} {
+						got := run(k.kernel, rows, lda, 1)
+						for at := range got {
+							if math.Float64bits(got[at]) != math.Float64bits(k.want[at]) {
+								t.Fatalf("kb=%d lda=%d ldc=%d neg=%v special=%g: %s c[%d] is %g with A in place, %g packed",
+									kb, lda, ldc, neg, special, k.name, at, got[at], k.want[at])
+							}
+						}
+					}
 					for at := range c0 {
 						i, j := at/ldc, at%ldc
 						g, a := cGo[at], cAsm[at]

@@ -9,27 +9,28 @@ import (
 // "highly optimized", and the one place every matrix product of this package
 // — DGEMM and the updates inside the factorization kernels of factor.go —
 // is computed. C += σ·A·op(B) is decomposed into panels packDepth deep;
-// within each panel, op(B) is packed once into strips of microN columns and A
-// into strips of microM rows, both k-major and zero-padded to full strips, so
-// the register-tiled micro-kernel (microkernel.go) streams unit-stride memory
-// regardless of the operands' strides. σ ∈ {+1, −1} only picks the sign the
-// kernel applies and op ∈ {identity, transpose} only picks which pack routine
-// reads b; the micro-kernel, the A pack, the buffer pool and the strip loop
-// are shared. The kernel applies a full micro-tile to C itself; the strip
-// loop's scratch tile exists only for the tiles an edge of C or the diagonal
-// of a lower-triangular C clips. The row pack (A always, and B of every
-// A·Bᵀ product, which is every product Cholesky does) moves four rows at a
-// time through packFour, a 4×4 register transpose where AVX2 is available.
-// Pack buffers are recycled through a sync.Pool so tiled task-runtime
-// workloads (many calls on tile views) allocate only on first use. The
-// parallel variant splits the row-panels of C across worker goroutines; every
-// worker packs its own A strips while sharing the read-only packed B panel,
-// and workers claim strips from an atomic counter so uneven strips cannot
-// imbalance the pool.
+// within each panel, op(B) is packed once into k-major strips of microN
+// columns, zero-padded to full strips, so the register-tiled micro-kernel
+// (microkernel.go) streams B with unit stride whatever b's stride. A is not
+// copied: the kernel reads a full strip of microM rows where it lies, and
+// only the last mb mod microM rows of a row panel are packed, zero-padded,
+// into a microM×kb strip. σ ∈ {+1, −1} only picks the sign the kernel applies
+// and op ∈ {identity, transpose} only picks which pack routine reads b; the
+// micro-kernel, the buffer pool and the strip loop are shared. The kernel
+// applies a full micro-tile to C itself; the strip loop's scratch tile exists
+// only for the tiles an edge of C or the diagonal of a lower-triangular C
+// clips. The row pack (the A tail, and B of every A·Bᵀ product, which is
+// every product Cholesky does) moves four rows at a time through packFour, a
+// 4×4 register transpose where AVX2 is available. Pack buffers are recycled
+// through a sync.Pool so tiled task-runtime workloads (many calls on tile
+// views) allocate only on first use. The parallel variant splits the
+// row-panels of C across worker goroutines; every worker has its own tail
+// strip while sharing the read-only packed B panel, and workers claim strips
+// from an atomic counter so uneven strips cannot imbalance the pool.
 
 // packDepth is the driver's one panel depth kc (and row-panel height): a
 // 128-tile's whole k extent, so a tile task reads and writes C once and packs
-// each operand once, and a 128×8 B strip plus a 128×4 A strip (12 kB) still
+// B once, and a 128×8 B strip plus the 6×128 A rows it meets (14 kB) still
 // sit in L1 under the micro-kernel. Callers do not choose it: the block
 // argument of the exported GEMM entry points is the scalar kernels' blocking
 // factor, sized for their L2 footprint, and the packed path does not read it.
@@ -76,14 +77,14 @@ type product struct {
 
 // packRows copies the rows×kb block of m at (r0, p0) into dst as zero-padded
 // strips of w rows, k-major: strip s holds rows r0+s*w.. and its element
-// (p, r) lands at dst[s*kb*w + p*w + r]. With w = microM this is the A pack;
-// with w = microN it packs Bᵀ, whose "columns" are rows of b.
+// (p, r) lands at dst[s*kb*w + p*w + r]. With w = microM it packs A's tail
+// strip; with w = microN it packs Bᵀ, whose "columns" are rows of b.
 func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 	for i := 0; i < rows; i += w {
 		strip := dst[i*kb : (i+w)*kb]
 		h := min(w, rows-i)
 		r := 0
-		for ; kb > 0 && r+4 <= h; r += 4 { // four rows per pass: a full strip of microM or microN rows needs no other loop
+		for ; kb > 0 && r+4 <= h; r += 4 { // four rows per pass: a full strip of microN rows needs no other loop
 			packFour(kb, m.Data[(r0+i+r)*m.Stride+p0:], m.Stride, strip[r:], w)
 		}
 		for ; r < h; r++ {
@@ -128,20 +129,26 @@ func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 	}
 }
 
-// packedStrip multiplies one packed A row-strip against the shared packed
-// op(B) panel and applies it to C — the one strip loop and the one
-// micro-kernel call site of every packed product. ps holds the strip's packed
-// panel (filled here); pb is the caller's packed panel for (p0, j0). A
-// micro-tile that lies wholly inside C (and, for a lower-triangular C, wholly
-// on or below the diagonal) is handed to the kernel as the address of C; any
-// other is computed by the same kernel onto ps.out, zeroed, and its valid
-// part added to C here. Either way C gains the one k-sum, added once.
+// packedStrip multiplies one row panel of A against the shared packed op(B)
+// panel and applies it to C — the one strip loop and the one micro-kernel
+// call site of every packed product. Row strips go outside and column strips
+// inside, so C is walked along its rows. A full strip of microM rows is
+// handed to the kernel where it lies in A; only the mb mod microM tail is
+// packed, zero-padded, into ps.buf. pb is the caller's packed panel for
+// (p0, j0). A micro-tile that lies wholly inside C (and, for a
+// lower-triangular C, wholly on or below the diagonal) is handed to the
+// kernel as the address of C; any other is computed by the same kernel onto
+// ps.out, zeroed, and its valid part added to C here. Either way C gains the
+// one k-sum, added once.
 func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
-	pa, out := ps.buf, &ps.out
-	packRows(a, i0, p0, mb, kb, microM, pa)
+	out := &ps.out
 	for i := 0; i < mb; i += microM {
 		ih := min(microM, mb-i)
-		sa := pa[i*kb:]
+		sa, ars, aks := a.Data[(i0+i)*a.Stride+p0:], a.Stride, 1
+		if ih < microM {
+			sa, ars, aks = ps.buf, 1, microM
+			packRows(a, i0+i, p0, ih, kb, microM, sa)
+		}
 		for j := 0; j < nb; j += microN {
 			// diag is how many columns of this micro-tile's first row lie on
 			// or below C's diagonal; each later row has one more.
@@ -151,11 +158,11 @@ func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb
 			}
 			jw := min(microN, nb-j)
 			if ih == microM && jw == microN && (!op.lower || diag >= microN) {
-				microKernel(kb, sa, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
+				microKernel(kb, sa, ars, aks, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
 				continue
 			}
 			*out = microAccum{}
-			microKernel(kb, sa, pb[j*kb:], out[:], microN, false)
+			microKernel(kb, sa, ars, aks, pb[j*kb:], out[:], microN, false)
 			for r := 0; r < ih; r++ {
 				w := jw
 				if op.lower {
@@ -196,9 +203,9 @@ func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
 
 // packedProduct is the packed driver: C += σ·A·op(B) for conformable
 // operands (callers check shapes), a no-op when any extent is zero. The
-// micro-kernel, the A pack, the buffer pool and the strip loop are the same
-// for every product; op picks the B pack and the sign and triangle of the
-// write-back.
+// micro-kernel, the tail pack of A, the buffer pool and the strip loop are
+// the same for every product; op picks the B pack and the sign and triangle
+// of the write-back.
 func packedProduct(a, b, c *Matrix, op product, workers int) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if m == 0 || n == 0 || k == 0 {
@@ -213,7 +220,6 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 	ps := packBuf(roundUp(nc, microN) * kc)
 	defer packPool.Put(ps)
 	pb := ps.buf
-	paLen := min(mc, roundUp(m, microM)) * kc
 	for p0 := 0; p0 < k; p0 += kc {
 		kb := min(kc, k-p0)
 		for j0 := 0; j0 < n; j0 += nc {
@@ -224,23 +230,24 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 				packCols(b, p0, j0, kb, nb, pb)
 			}
 			if workers == 1 {
-				pa := packBuf(paLen)
+				pa := packBuf(microM * kb)
 				for i0 := 0; i0 < m; i0 += mc {
 					packedStrip(a, c, pa, pb, i0, p0, j0, min(mc, m-i0), kb, nb, op)
 				}
 				packPool.Put(pa)
 				continue
 			}
-			packedStripsParallel(*a, *c, pb, p0, j0, kb, nb, mc, paLen, op, workers)
+			packedStripsParallel(*a, *c, pb, p0, j0, kb, nb, mc, op, workers)
 		}
 	}
 }
 
 // packedStripsParallel runs one panel's strips on workers goroutines, which
 // claim strips from an atomic counter so uneven strips cannot imbalance
-// them. Every worker packs its own A strips and shares the read-only pb. The
-// operands arrive by value so that only this path moves them to the heap.
-func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc, paLen int, op product, workers int) {
+// them. Every worker has its own tail-strip buffer and shares the read-only
+// pb. The operands arrive by value so that only this path moves them to the
+// heap.
+func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op product, workers int) {
 	strips := (c.Rows + mc - 1) / mc
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -248,7 +255,7 @@ func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc, paLen i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pa := packBuf(paLen)
+			pa := packBuf(microM * kb)
 			defer packPool.Put(pa)
 			for {
 				s := int(next.Add(1)) - 1

@@ -156,19 +156,26 @@ func TestQuickGemmPackedAgreesWithBlocked(t *testing.T) {
 // one: the k-sum lands in a scratch tile and Go code adds all of it to C.
 // Installed as microKernel it sends every micro-tile of a product down the
 // scratch path, the full ones included.
-func viaScratch(kernel func(int, []float64, []float64, []float64, int, bool)) func(int, []float64, []float64, []float64, int, bool) {
-	return func(kb int, pa, pb, c []float64, ldc int, neg bool) {
+func viaScratch(kernel microKernelFunc) microKernelFunc {
+	return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 		var out microAccum
-		kernel(kb, pa, pb, out[:], microN, false)
+		kernel(kb, a, ars, aks, pb, out[:], microN, false)
 		for i := 0; i < microM; i++ {
 			applyRow(c[i*ldc:][:microN], out[i*microN:], neg)
 		}
 	}
 }
 
+// microKernelFunc is the type of microKernel, for the wrappers and spies the
+// tests install in its place.
+type microKernelFunc = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool)
+
 // productCase is one random packed product on strided views: operands and C
 // are tiles of larger parents, C's parent filled with a sentinel around (and,
-// for a lower-triangular product, above the diagonal of) the view.
+// for a lower-triangular product, above the diagonal of) the view. A's view
+// is flush against the end of its parent — its last row is the parent's last
+// row and its last column the parent's last column — so a read past A's last
+// row or column runs off the end of the parent's data.
 type productCase struct {
 	op      product
 	a, b, c *Matrix
@@ -185,20 +192,20 @@ func randomProduct(rng *rand.Rand) productCase {
 	if op.lower {
 		n = m
 	}
-	tile := func(rows, cols int) (view, parent *Matrix) {
+	tile := func(rows, cols, below, right int) (view, parent *Matrix) {
 		i, j := rng.Intn(4), rng.Intn(11)
-		parent = NewMatrix(rows+i+2, cols+j+9)
+		parent = NewMatrix(rows+i+below, cols+j+right)
 		parent.FillRandom(rng.Int63())
 		return parent.Sub(i, j, rows, cols), parent
 	}
 	pc := productCase{op: op}
-	pc.a, _ = tile(m, k)
+	pc.a, _ = tile(m, k, 0, 0)
 	if op.transB {
-		pc.b, _ = tile(n, k)
+		pc.b, _ = tile(n, k, 2, 9)
 	} else {
-		pc.b, _ = tile(k, n)
+		pc.b, _ = tile(k, n, 2, 9)
 	}
-	pc.c, pc.parent = tile(m, n)
+	pc.c, pc.parent = tile(m, n, 2, 9)
 	inside := pc.c.Clone()
 	for i := range pc.parent.Data {
 		pc.parent.Data[i] = sentinel
@@ -213,7 +220,7 @@ func randomProduct(rng *rand.Rand) productCase {
 
 // TestFusedWriteBackMatchesScratch: the kernel applying a full tile to C
 // gives, bit for bit, what the scratch-and-add path it replaced gave — over
-// random extents that are multiples of neither 4 nor 8, depths from 1 past
+// random extents that are multiples of neither 6 nor 8, depths from 1 past
 // packDepth, strided views, both signs, both B orientations and the lower
 // triangle.
 func TestFusedWriteBackMatchesScratch(t *testing.T) {
@@ -234,9 +241,9 @@ func TestFusedWriteBackMatchesScratch(t *testing.T) {
 
 // TestKernelWritesOnlyItsTile: handing the kernel the address of C must not
 // let it write past C. A spy in front of the kernel checks every tile it is
-// pointed at inside C's parent: all 4×8 cells within the view and, for a
-// lower-triangular product, on or below the diagonal (a stray write of a
-// zero-padded row or column adds 0 and would not show in the values). After
+// pointed at inside C's parent: all microM×microN cells within the view and,
+// for a lower-triangular product, on or below the diagonal (a stray write of
+// a zero-padded row or column adds 0 and would not show in the values). After
 // each product every cell of the parent outside the view, and every
 // strictly-upper cell inside a lower-triangular one, still holds the
 // sentinel's bits.
@@ -247,7 +254,7 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 		pc := randomProduct(rand.New(rand.NewSource(seed)))
 		data := pc.parent.Data
 		i0, j0 := (len(data)-len(pc.c.Data))/pc.parent.Stride, (len(data)-len(pc.c.Data))%pc.parent.Stride
-		microKernel = func(kb int, pa, pb, c []float64, ldc int, neg bool) {
+		microKernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 			if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
 				at := len(data) - cap(c)
 				r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
@@ -255,7 +262,7 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 					t.Errorf("seed %d %+v C %dx%d: kernel pointed at tile (%d,%d) stride %d", seed, pc.op, pc.c.Rows, pc.c.Cols, r, q, ldc)
 				}
 			}
-			kernel(kb, pa, pb, c, ldc, neg)
+			kernel(kb, a, ars, aks, pb, c, ldc, neg)
 		}
 		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
 		for i := 0; i < pc.parent.Rows; i++ {
@@ -270,6 +277,42 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelReadsOnlyItsRows: a full strip of A reaches the kernel where it
+// lies in A, so the kernel must read nothing of A's parent outside the
+// strip's microM rows and kb columns. A's view is flush against the end of
+// its parent (randomProduct): a read of a seventh row, or past column p0+kb,
+// from the bottom strip runs off the parent's data and panics on the
+// kernel's re-slice. A spy in front of the kernel checks every strip: one in
+// place starts inside A's view at A's stride and its rows and columns end
+// inside the view; any other is the packed tail, k-major microM wide.
+func TestKernelReadsOnlyItsRows(t *testing.T) {
+	kernel := microKernel
+	defer func() { microKernel = kernel }()
+	inPlace := 0
+	for seed := int64(0); seed < 300; seed++ {
+		pc := randomProduct(rand.New(rand.NewSource(seed)))
+		view := pc.a.Data
+		microKernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+			if &a[:cap(a)][cap(a)-1] != &view[len(view)-1] { // the packed tail
+				if ars != 1 || aks != microM || len(a) < microM*kb {
+					t.Errorf("seed %d A %dx%d: a packed strip of %d at strides (%d,%d)", seed, pc.a.Rows, pc.a.Cols, len(a), ars, aks)
+				}
+			} else if at := len(view) - cap(a); ars != pc.a.Stride || aks != 1 || at < 0 ||
+				at/ars+microM > pc.a.Rows || at%ars+kb > pc.a.Cols {
+				t.Errorf("seed %d A %dx%d stride %d: an in-place strip at offset %d, strides (%d,%d), depth %d",
+					seed, pc.a.Rows, pc.a.Cols, pc.a.Stride, at, ars, aks, kb)
+			} else {
+				inPlace++
+			}
+			kernel(kb, a, ars, aks, pb, c, ldc, neg)
+		}
+		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+	}
+	if inPlace == 0 {
+		t.Fatal("no strip of A was read in place")
 	}
 }
 

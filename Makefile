@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ lint-one-kernel:
 	@test "$$(grep -c '^TEXT ·micro' internal/blas/microkernel_amd64.s)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
+# lint-one-binding keeps one way from a task's payloads to a kernel's
+# arguments, taskrt.Kernel1/2/3: no other program code asserts a payload's type,
+# and the DGEMM payload struct that was a second convention stays gone.
+lint-one-binding:
+	@! git grep -nE '\.(Payload\([^)]*\)|Data\[[^]]*\])\.\(' -- internal cmd examples ':!*_test.go' ':!internal/taskrt/codelet.go'
+	@! git grep -n GemmPayload -- '*.go'
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -119,10 +126,10 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema, cluster-owner, cluster-copy and one-kernel lints, race subset,
-# the portable-kernel build, crash/recovery suite, multi-process cluster
-# smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel race test-purego crash-test cluster-test bench-test
+# trace-schema, cluster-owner, cluster-copy, one-kernel and one-binding lints,
+# race subset, the portable-kernel build, crash/recovery suite, multi-process
+# cluster smoke, benchmark tests.
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

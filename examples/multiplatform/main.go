@@ -61,14 +61,12 @@ func main() {
 		// The scale kernels: the x86 variant is runnable, the accelerator
 		// variants exist as simulated codelets.
 		kernels := map[string]func(*taskrt.TaskContext) error{
-			"scale_cpu": func(tc *taskrt.TaskContext) error {
-				if v, ok := tc.Payload(0).([]float64); ok {
-					for i := range v {
-						v[i] *= 2
-					}
+			"scale_cpu": taskrt.Kernel1(func(v []float64) error {
+				for i := range v {
+					v[i] *= 2
 				}
 				return nil
-			},
+			}),
 		}
 		if err := repository.RegisterProgram(prog, kernels); err != nil {
 			log.Fatal(err)

@@ -205,9 +205,9 @@ func TestGemmVariantsAgree(t *testing.T) {
 		for name, run := range map[string]func(a, b, c *Matrix) error{
 			"blocked":      func(a, b, c *Matrix) error { return GemmBlocked(a, b, c, 16) },
 			"blockedDflt":  func(a, b, c *Matrix) error { return GemmBlocked(a, b, c, 0) },
-			"parallel":     func(a, b, c *Matrix) error { return GemmParallel(a, b, c, 16, 4) },
-			"parallelAuto": func(a, b, c *Matrix) error { return GemmParallel(a, b, c, 16, 0) },
-			"parallel1":    func(a, b, c *Matrix) error { return GemmParallel(a, b, c, 16, 1) },
+			"parallel":     func(a, b, c *Matrix) error { return GemmPackedParallel(a, b, c, 16, 4) },
+			"parallelAuto": func(a, b, c *Matrix) error { return GemmPackedParallel(a, b, c, 16, 0) },
+			"parallel1":    func(a, b, c *Matrix) error { return GemmPackedParallel(a, b, c, 16, 1) },
 		} {
 			c := NewMatrix(s.m, s.n)
 			if err := run(a, b, c); err != nil {
@@ -233,7 +233,7 @@ func TestGemmShapeErrors(t *testing.T) {
 	if err := GemmBlocked(a, b, c, 8); err == nil {
 		t.Fatal("blocked must validate shapes")
 	}
-	if err := GemmParallel(a, b, c, 8, 2); err == nil {
+	if err := GemmPackedParallel(a, b, c, 8, 2); err == nil {
 		t.Fatal("parallel must validate shapes")
 	}
 }
@@ -249,63 +249,6 @@ func TestVecAdd(t *testing.T) {
 	}
 	if err := VecAdd(a, []float64{1}); err == nil {
 		t.Fatal("length mismatch must fail")
-	}
-}
-
-func TestVecAddParallelAgrees(t *testing.T) {
-	n := 10001
-	a := make([]float64, n)
-	b := make([]float64, n)
-	ref := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i)
-		b[i] = float64(2 * i)
-		ref[i] = float64(3 * i)
-	}
-	if err := VecAddParallel(a, b, 7); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != ref[i] {
-			t.Fatalf("a[%d] = %g; want %g", i, a[i], ref[i])
-		}
-	}
-	if err := VecAddParallel([]float64{1}, []float64{1, 2}, 2); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	small := []float64{1}
-	if err := VecAddParallel(small, []float64{2}, 8); err != nil || small[0] != 3 {
-		t.Fatalf("tiny parallel vecadd: %v %v", small, err)
-	}
-}
-
-func TestDaxpyGemvDot(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	if err := Daxpy(2, x, y); err != nil || y[0] != 12 || y[1] != 24 {
-		t.Fatalf("daxpy: %v", y)
-	}
-	if err := Daxpy(1, x, []float64{1}); err == nil {
-		t.Fatal("daxpy mismatch must fail")
-	}
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{1, 2, 3, 4})
-	yy := []float64{0, 0}
-	if err := Gemv(a, []float64{1, 1}, yy); err != nil || yy[0] != 3 || yy[1] != 7 {
-		t.Fatalf("gemv: %v", yy)
-	}
-	if err := Gemv(a, []float64{1}, yy); err == nil {
-		t.Fatal("gemv x mismatch must fail")
-	}
-	if err := Gemv(a, []float64{1, 1}, []float64{0}); err == nil {
-		t.Fatal("gemv y mismatch must fail")
-	}
-	d, err := Dot(x, x)
-	if err != nil || d != 5 {
-		t.Fatalf("dot = %g, %v", d, err)
-	}
-	if _, err := Dot(x, []float64{1}); err == nil {
-		t.Fatal("dot mismatch must fail")
 	}
 }
 
@@ -340,41 +283,6 @@ func TestQuickGemmBlockedAgreesWithNaive(t *testing.T) {
 			return false
 		}
 		return MaxDiff(ref, c) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property-based: (A·I)·x == A·x through Gemv for random matrices.
-func TestQuickGemvLinear(t *testing.T) {
-	f := func(nn uint8, seed int64) bool {
-		n := int(nn%16) + 1
-		a := NewMatrix(n, n)
-		a.FillRandom(seed)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = float64(i + 1)
-		}
-		y1 := make([]float64, n)
-		if Gemv(a, x, y1) != nil {
-			return false
-		}
-		// Scale x by 2: result must double.
-		x2 := make([]float64, n)
-		for i := range x {
-			x2[i] = 2 * x[i]
-		}
-		y2 := make([]float64, n)
-		if Gemv(a, x2, y2) != nil {
-			return false
-		}
-		for i := range y1 {
-			if math.Abs(y2[i]-2*y1[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -106,13 +106,3 @@ func GemmBlocked(a, b, c *Matrix, block int) error {
 	}
 	return nil
 }
-
-// GemmParallel computes C += A·B across `workers` goroutines. This is the
-// data-parallel CPU implementation the translator emits for the paper's
-// "starpu" series in real mode; it routes through the packed micro-kernel
-// path (GemmPackedParallel), so the parallel split and the per-core kernel
-// improve together; block, the scalar kernels' blocking factor, is not read
-// there.
-func GemmParallel(a, b, c *Matrix, block, workers int) error {
-	return GemmPackedParallel(a, b, c, block, workers)
-}

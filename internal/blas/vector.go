@@ -1,9 +1,6 @@
 package blas
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // VecAdd computes a[i] += b[i], the paper's annotated example task
 // ("vectoradd" with A:readwrite, B:read).
@@ -15,71 +12,4 @@ func VecAdd(a, b []float64) error {
 		a[i] += b[i]
 	}
 	return nil
-}
-
-// VecAddParallel splits VecAdd across workers goroutines.
-func VecAddParallel(a, b []float64, workers int) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("blas: vecadd length mismatch %d != %d", len(a), len(b))
-	}
-	workers = clampWorkers(workers, len(a))
-	if workers <= 1 {
-		return VecAdd(a, b)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(a) + workers - 1) / workers
-	for start := 0; start < len(a); start += chunk {
-		end := min(start+chunk, len(a))
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				a[i] += b[i]
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	return nil
-}
-
-// Daxpy computes y[i] += alpha*x[i].
-func Daxpy(alpha float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("blas: daxpy length mismatch %d != %d", len(x), len(y))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-	return nil
-}
-
-// Gemv computes y += A·x.
-func Gemv(a *Matrix, x, y []float64) error {
-	if len(x) != a.Cols {
-		return fmt.Errorf("blas: gemv x length %d, want %d", len(x), a.Cols)
-	}
-	if len(y) != a.Rows {
-		return fmt.Errorf("blas: gemv y length %d, want %d", len(y), a.Rows)
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] += s
-	}
-	return nil
-}
-
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("blas: dot length mismatch %d != %d", len(x), len(y))
-	}
-	s := 0.0
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s, nil
 }

@@ -267,12 +267,6 @@ func (c *Client) GetJSONConditional(ctx context.Context, path, etag string, out 
 	return resp.Header.Get("ETag"), false, nil
 }
 
-// GetBytes fetches path raw (the XML platform documents).
-func (c *Client) GetBytes(ctx context.Context, path string) ([]byte, error) {
-	_, data, err := c.do(ctx, http.MethodGet, path, nil, nil)
-	return data, err
-}
-
 // GetBytesConditional fetches path raw with If-None-Match when etag is
 // non-empty. On 304 it reports notModified=true with nil data; otherwise it
 // returns the body and the response's ETag for the next call.
@@ -294,15 +288,6 @@ func (c *Client) GetBytesConditional(ctx context.Context, path, etag string) (da
 // PostJSON sends in as a JSON body and decodes the response into out
 // (either may be nil).
 func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
-	return c.sendJSON(ctx, http.MethodPost, path, in, out)
-}
-
-// PutJSON sends in as a JSON body via PUT and decodes the response into out.
-func (c *Client) PutJSON(ctx context.Context, path string, in, out any) error {
-	return c.sendJSON(ctx, http.MethodPut, path, in, out)
-}
-
-func (c *Client) sendJSON(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	h := http.Header{"Content-Type": {"application/json"}}
 	if in != nil {
@@ -311,7 +296,7 @@ func (c *Client) sendJSON(ctx context.Context, method, path string, in, out any)
 			return fmt.Errorf("client: encoding %s body: %v", path, err)
 		}
 	}
-	_, data, err := c.do(ctx, method, path, h, body)
+	_, data, err := c.do(ctx, http.MethodPost, path, h, body)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/partition"
 	"repro/internal/pragma"
+	"repro/internal/repo"
 	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
@@ -145,15 +146,7 @@ func Execute(plan *mapping.Plan, opts ExecOptions) (*taskrt.Report, error) {
 
 func submitSite(rt *taskrt.Runtime, site *mapping.SitePlan, opts ExecOptions, fpe float64) error {
 	sel := site.Selection
-	// Build the multi-variant codelet from the surviving implementations:
-	// one impl per architecture (first variant of each arch wins, matching
-	// the repository's preference order).
-	var impls []taskrt.Impl
-	for _, arch := range sel.Archs() {
-		v := sel.ForArch(arch)[0]
-		impls = append(impls, taskrt.Impl{Arch: arch, Func: v.Kernel, SpeedFactor: v.SpeedFactor})
-	}
-	cl, err := taskrt.NewCodelet(sel.Interface, impls...)
+	cl, err := repo.Codelet(sel.Interface, sel.Variants)
 	if err != nil {
 		return err
 	}

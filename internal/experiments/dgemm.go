@@ -7,19 +7,17 @@ import (
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/partition"
+	"repro/internal/repo"
 	"repro/internal/taskrt"
 )
 
-// dgemmCodelet mirrors the case study's DGEMM task interface: a GotoBLAS-
-// like x86 kernel (runnable; payloads are the A, B and C tile views in
-// access order) and a CuBLAS-like gpu kernel (simulation-only).
+// dgemmCodelet is the case study's DGEMM task interface as the repository
+// holds it: dgemm_goto on x86 (runnable; payloads are the A, B and C tile
+// views in access order) and dgemm_cublas on gpu (simulation-only). It keeps
+// the name "dgemm", not the interface's: performance models, worker
+// registries and the workers' probes know the codelet by it.
 func dgemmCodelet() *taskrt.Codelet {
-	cl, err := taskrt.NewCodelet("dgemm",
-		taskrt.Impl{Arch: "x86", Func: kernel3(func(a, b, c *blas.Matrix) error {
-			return blas.GemmPacked(a, b, c, blas.DefaultBlock)
-		})},
-		taskrt.Impl{Arch: "gpu"},
-	)
+	cl, err := repo.Codelet("dgemm", repo.NewWithLibrary().VariantsFor(repo.IfaceDGEMM))
 	if err != nil {
 		panic(err) // static definition
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/blas"
@@ -51,51 +50,6 @@ func NewDiagDominantMatrix(n int, seed int64) *blas.Matrix {
 	return m
 }
 
-// operands returns the task's first n payloads as the matrix views they
-// must be, in access order.
-func operands(tc *taskrt.TaskContext, n int) (m [3]*blas.Matrix, err error) {
-	for i := 0; i < n; i++ {
-		var ok bool
-		if m[i], ok = tc.Payload(i).(*blas.Matrix); !ok {
-			return m, fmt.Errorf("experiments: %s payload %d is %T, want *blas.Matrix", tc.Task.Codelet.Name, i, tc.Payload(i))
-		}
-	}
-	return m, nil
-}
-
-// kernel1 adapts an in-place single-tile kernel (payload 0 = the RW tile).
-func kernel1(f func(*blas.Matrix) error) func(*taskrt.TaskContext) error {
-	return func(tc *taskrt.TaskContext) error {
-		m, err := operands(tc, 1)
-		if err != nil {
-			return err
-		}
-		return f(m[0])
-	}
-}
-
-// kernel2 adapts a two-operand kernel (payload 0 read, payload 1 readwrite).
-func kernel2(f func(_, _ *blas.Matrix) error) func(*taskrt.TaskContext) error {
-	return func(tc *taskrt.TaskContext) error {
-		m, err := operands(tc, 2)
-		if err != nil {
-			return err
-		}
-		return f(m[0], m[1])
-	}
-}
-
-// kernel3 adapts a three-operand kernel (payloads 0, 1 read, 2 readwrite).
-func kernel3(f func(_, _, _ *blas.Matrix) error) func(*taskrt.TaskContext) error {
-	return func(tc *taskrt.TaskContext) error {
-		m, err := operands(tc, 3)
-		if err != nil {
-			return err
-		}
-		return f(m[0], m[1], m[2])
-	}
-}
-
 // slowed wraps a kernel for the "x86slow" architecture: the real kernel
 // runs (numerics stay verifiable), then the worker sleeps in proportion to
 // task flops to emulate a slower processor.
@@ -125,20 +79,20 @@ func factorCodelet(name string, f func(*taskrt.TaskContext) error) *taskrt.Codel
 // cholCodelets returns the four tile operations of the right-looking tiled
 // Cholesky. Payload order follows access order.
 func cholCodelets() (potrf, trsm, syrk, gemm *taskrt.Codelet) {
-	potrf = factorCodelet("potrf", kernel1(blas.Potrf))
-	trsm = factorCodelet("trsm_rlt", kernel2(blas.TrsmRLT))
-	syrk = factorCodelet("syrk_nt", kernel2(blas.SyrkNT))
-	gemm = factorCodelet("gemm_nt", kernel3(blas.GemmNT))
+	potrf = factorCodelet("potrf", taskrt.Kernel1(blas.Potrf))
+	trsm = factorCodelet("trsm_rlt", taskrt.Kernel2(blas.TrsmRLT))
+	syrk = factorCodelet("syrk_nt", taskrt.Kernel2(blas.SyrkNT))
+	gemm = factorCodelet("gemm_nt", taskrt.Kernel3(blas.GemmNT))
 	return
 }
 
 // luCodelets returns the four tile operations of the right-looking tiled LU
 // without pivoting.
 func luCodelets() (getrf, trsmRow, trsmCol, gemm *taskrt.Codelet) {
-	getrf = factorCodelet("getrf", kernel1(blas.Getrf))
-	trsmRow = factorCodelet("trsm_llu", kernel2(blas.TrsmLLUnit))
-	trsmCol = factorCodelet("trsm_ru", kernel2(blas.TrsmRU))
-	gemm = factorCodelet("gemm_sub", kernel3(blas.GemmSub))
+	getrf = factorCodelet("getrf", taskrt.Kernel1(blas.Getrf))
+	trsmRow = factorCodelet("trsm_llu", taskrt.Kernel2(blas.TrsmLLUnit))
+	trsmCol = factorCodelet("trsm_ru", taskrt.Kernel2(blas.TrsmRU))
+	gemm = factorCodelet("gemm_sub", taskrt.Kernel3(blas.GemmSub))
 	return
 }
 

@@ -22,11 +22,7 @@ type stencilChunk struct {
 	lo, hi   int
 }
 
-func realStencilChunk(tc *taskrt.TaskContext) error {
-	p, ok := tc.Payload(0).(*stencilChunk)
-	if !ok {
-		return fmt.Errorf("experiments: stencil payload is %T", tc.Payload(0))
-	}
+func realStencilChunk(p *stencilChunk) error {
 	n := len(p.src)
 	for i := p.lo; i < p.hi; i++ {
 		left := p.src[i]
@@ -47,7 +43,7 @@ func realStencilChunk(tc *taskrt.TaskContext) error {
 // smaller fraction of peak than GEMM).
 func stencilCodelet() *taskrt.Codelet {
 	cl, err := taskrt.NewCodelet("jacobi1d",
-		taskrt.Impl{Arch: "x86", Func: realStencilChunk},
+		taskrt.Impl{Arch: "x86", Func: taskrt.Kernel1(realStencilChunk)},
 		taskrt.Impl{Arch: "gpu", SpeedFactor: 0.4},
 	)
 	if err != nil {

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -248,13 +247,4 @@ func stepMatches(step Step, pu *core.PU) bool {
 		}
 	}
 	return true
-}
-
-// Describe prints one line per matched PU; used by cmd/pdlquery.
-func Describe(pus []*core.PU) string {
-	out := ""
-	for _, p := range pus {
-		out += fmt.Sprintf("%s\n", p)
-	}
-	return out
 }

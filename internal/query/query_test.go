@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -193,14 +192,6 @@ func TestMustSelectPanics(t *testing.T) {
 		}
 	}()
 	MustSelect(pl, "///bad")
-}
-
-func TestDescribe(t *testing.T) {
-	pl := fixture(t)
-	s := Describe(MustSelect(pl, "//Worker[ARCHITECTURE=gpu]"))
-	if !strings.Contains(s, "gpu0") || !strings.Contains(s, "gpu1") {
-		t.Fatalf("Describe = %q", s)
-	}
 }
 
 func TestCompareStringFallback(t *testing.T) {

@@ -103,12 +103,6 @@ func WithCacheSize(n int) Option {
 	return func(r *Registry) { r.cache = NewCache(n) }
 }
 
-// WithSchemas validates uploads against the given schema registry instead of
-// schema.Default().
-func WithSchemas(s *schema.Registry) Option {
-	return func(r *Registry) { r.schemas = s }
-}
-
 // New returns an empty registry.
 func New(opts ...Option) *Registry {
 	r := &Registry{

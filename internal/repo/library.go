@@ -1,58 +1,32 @@
 package repo
 
 import (
-	"fmt"
-
 	"repro/internal/blas"
 	"repro/internal/pragma"
 	"repro/internal/taskrt"
 )
 
 // The built-in library variants of the paper's case study. The DGEMM
-// interface carries three implementations:
+// interface carries three implementations over the A, B and C tile views of
+// C += A·B, in access order:
 //
-//   - dgemm_goto: the GotoBLAS2 stand-in, a cache-blocked Go kernel for x86
-//     (real-mode runnable);
-//   - dgemm_goto_par: the same kernel parallelised over the tile rows, used
-//     when one task should occupy several cores;
+//   - dgemm_goto: the GotoBLAS2 stand-in, the packed micro-kernel path for
+//     x86, which keeps its locality on strided tile views (real-mode
+//     runnable);
+//   - dgemm_naive: the textbook triple loop on x86, a slower alternative
+//     for the autotuner to rank against dgemm_goto;
 //   - dgemm_cublas: the CuBLAS stand-in for gpu units — simulation-only,
 //     since no physical GPU is present; its cost comes from the PDL
 //     calibration.
 //
 // The vecadd interface mirrors the paper's annotation example.
 
-// GemmPayload is the payload convention of the dgemm variants: three matrix
-// views C += A·B.
-type GemmPayload struct {
-	A, B, C *blas.Matrix
-}
-
-func gemmKernel(blocked bool) func(*taskrt.TaskContext) error {
-	return func(tc *taskrt.TaskContext) error {
-		p, ok := tc.Payload(0).(*GemmPayload)
-		if !ok {
-			return fmt.Errorf("repo: dgemm payload is %T, want *GemmPayload", tc.Payload(0))
-		}
-		if blocked {
-			// The GotoBLAS2 stand-in uses the packing kernel, which keeps
-			// its locality on strided tile views.
-			return blas.GemmPacked(p.A, p.B, p.C, blas.DefaultBlock)
-		}
-		return blas.GemmNaive(p.A, p.B, p.C)
-	}
-}
-
-func vecaddKernel(tc *taskrt.TaskContext) error {
-	a, ok := tc.Payload(0).([]float64)
-	if !ok {
-		return fmt.Errorf("repo: vecadd payload 0 is %T, want []float64", tc.Payload(0))
-	}
-	b, ok := tc.Payload(1).([]float64)
-	if !ok {
-		return fmt.Errorf("repo: vecadd payload 1 is %T, want []float64", tc.Payload(1))
-	}
-	return blas.VecAdd(a, b)
-}
+var (
+	dgemmGoto = taskrt.Kernel3(func(a, b, c *blas.Matrix) error {
+		return blas.GemmPacked(a, b, c, blas.DefaultBlock)
+	})
+	vecAdd = taskrt.Kernel2(blas.VecAdd)
+)
 
 // Interface names of the built-in library.
 const (
@@ -73,13 +47,13 @@ func WithLibrary(r *Repository) (*Repository, error) {
 			Interface: IfaceDGEMM, Name: "dgemm_goto",
 			Targets: []string{"x86", "smp", "starpu", "seq"},
 			Params:  rwRead3, Arch: "x86",
-			Kernel: gemmKernel(true), Origin: Library,
+			Kernel: dgemmGoto, Origin: Library,
 		},
 		{
 			Interface: IfaceDGEMM, Name: "dgemm_naive",
 			Targets: []string{"x86", "seq"},
 			Params:  rwRead3, Arch: "x86",
-			Kernel: gemmKernel(false), SpeedFactor: 0.25, Origin: Library,
+			Kernel: taskrt.Kernel3(blas.GemmNaive), SpeedFactor: 0.25, Origin: Library,
 		},
 		{
 			Interface: IfaceDGEMM, Name: "dgemm_cublas",
@@ -94,7 +68,7 @@ func WithLibrary(r *Repository) (*Repository, error) {
 				{Name: "A", Mode: taskrt.ReadWrite},
 				{Name: "B", Mode: taskrt.Read},
 			},
-			Arch: "x86", Kernel: vecaddKernel, Origin: Library,
+			Arch: "x86", Kernel: vecAdd, Origin: Library,
 		},
 		{
 			Interface: IfaceVecAdd, Name: "vecadd_gpu",
@@ -128,8 +102,8 @@ func NewWithLibrary() *Repository {
 // become executable (the repository's "binary" for that variant).
 func DefaultKernels() map[string]func(*taskrt.TaskContext) error {
 	return map[string]func(*taskrt.TaskContext) error{
-		"vecadd01":  vecaddKernel,
-		"dgemm_seq": gemmKernel(true),
-		"dgemm01":   gemmKernel(true),
+		"vecadd01":  vecAdd,
+		"dgemm_seq": dgemmGoto,
+		"dgemm01":   dgemmGoto,
 	}
 }

@@ -9,6 +9,7 @@ package repo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/csrc"
@@ -131,6 +132,19 @@ func (r *Repository) Interfaces() []string {
 
 // Len returns the number of registered variants.
 func (r *Repository) Len() int { return len(r.byName) }
+
+// Codelet turns variants into the runtime codelet called name: one
+// implementation per architecture, the first variant of each in the order
+// given (the repository's preference order).
+func Codelet(name string, variants []*Variant) (*taskrt.Codelet, error) {
+	var impls []taskrt.Impl
+	for _, v := range variants {
+		if !slices.ContainsFunc(impls, func(im taskrt.Impl) bool { return im.Arch == v.Arch }) {
+			impls = append(impls, taskrt.Impl{Arch: v.Arch, Func: v.Kernel, SpeedFactor: v.SpeedFactor})
+		}
+	}
+	return taskrt.NewCodelet(name, impls...)
+}
 
 // targetArch maps a target platform pattern to the architecture tag its
 // kernels execute on.

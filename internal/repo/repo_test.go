@@ -72,16 +72,23 @@ func TestLibraryKernelsRun(t *testing.T) {
 	a, b, c := blas.NewMatrix(8, 8), blas.NewMatrix(8, 8), blas.NewMatrix(8, 8)
 	a.FillRandom(1)
 	b.FillIdentity()
-	tc := &taskrt.TaskContext{Data: []any{&GemmPayload{A: a, B: b, C: c}}}
-	if err := goto_.Kernel(tc); err != nil {
+	if err := goto_.Kernel(&taskrt.TaskContext{Data: []any{a, b, c}}); err != nil {
 		t.Fatal(err)
 	}
 	if !blas.Equal(a, c, 1e-12) {
 		t.Fatal("dgemm_goto kernel wrong")
 	}
-	// Wrong payload type errors cleanly.
-	if err := goto_.Kernel(&taskrt.TaskContext{Data: []any{42}}); err == nil {
+	naive, _ := r.ByName("dgemm_naive")
+	d := blas.NewMatrix(8, 8)
+	if err := naive.Kernel(&taskrt.TaskContext{Data: []any{a, b, d}}); err != nil || !blas.Equal(a, d, 1e-12) {
+		t.Fatalf("dgemm_naive kernel wrong: %v", err)
+	}
+	// A wrong payload type, or too few payloads, errors cleanly.
+	if err := goto_.Kernel(&taskrt.TaskContext{Data: []any{a, 42, c}}); err == nil {
 		t.Fatal("wrong payload must fail")
+	}
+	if err := goto_.Kernel(&taskrt.TaskContext{Data: []any{c}}); err == nil || !strings.Contains(err.Error(), "takes 3 payloads, the task has 1") {
+		t.Fatalf("a one-payload task must fail on arity, got %v", err)
 	}
 
 	va, _ := r.ByName("vecadd_x86")

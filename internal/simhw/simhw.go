@@ -28,11 +28,6 @@ type Unit struct {
 	LaunchS  float64 // per-kernel launch overhead in seconds
 }
 
-// CanRun reports whether the unit can execute an implementation targeted at
-// the given architecture tag ("x86" kernels run on any master-class x86
-// core, "gpu" kernels only on gpu units, and so on).
-func (u *Unit) CanRun(arch string) bool { return u.Arch == arch }
-
 // Link is a directed bandwidth/latency edge between two memory nodes.
 type Link struct {
 	From, To  int     // memory node ids
@@ -221,16 +216,6 @@ func (m *Machine) Unit(id string) *Unit {
 		}
 	}
 	return nil
-}
-
-// ScaleLinks multiplies every link bandwidth by factor; used by the
-// bandwidth-sweep ablation experiment.
-func (m *Machine) ScaleLinks(factor float64) {
-	for _, row := range m.links {
-		for _, l := range row {
-			l.Bandwidth *= factor
-		}
-	}
 }
 
 // String summarises the machine.

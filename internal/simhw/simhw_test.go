@@ -137,35 +137,6 @@ func TestFromPlatformRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestScaleLinks(t *testing.T) {
-	m, err := FromPlatform(discover.MustPlatform("xeon-2gpu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := m.Unit("dev0").MemNode
-	before, _ := m.TransferTime(0, node, 64<<20)
-	m.ScaleLinks(2)
-	after, _ := m.TransferTime(0, node, 64<<20)
-	if after >= before {
-		t.Fatalf("doubling bandwidth did not reduce transfer: %g -> %g", before, after)
-	}
-}
-
-func TestCanRun(t *testing.T) {
-	m, err := FromPlatform(discover.MustPlatform("xeon-2gpu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := m.UnitsByArch("x86")[0]
-	gpu := m.Unit("dev0")
-	if !cpu.CanRun("x86") || cpu.CanRun("gpu") {
-		t.Fatal("cpu CanRun wrong")
-	}
-	if !gpu.CanRun("gpu") || gpu.CanRun("x86") {
-		t.Fatal("gpu CanRun wrong")
-	}
-}
-
 func TestCellBladeMachine(t *testing.T) {
 	m, err := FromPlatform(discover.MustPlatform("cell-blade"))
 	if err != nil {

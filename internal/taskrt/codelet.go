@@ -20,6 +20,77 @@ type TaskContext struct {
 // Payload returns the i-th access payload.
 func (tc *TaskContext) Payload(i int) any { return tc.Data[i] }
 
+// Kernel1, Kernel2 and Kernel3 are the one way a kernel meets its payloads:
+// each binds f to the task's first n payloads, in access order, and returns
+// the function an Impl runs. Accesses past the n-th only order the task (the
+// stencil reads its neighbours through handles without payloads). A task with
+// fewer than n payloads, or a payload of the wrong type, is an error that
+// names the codelet and the payload; f is not reached.
+func Kernel1[A any](f func(A) error) func(*TaskContext) error {
+	return func(tc *TaskContext) error {
+		b := binder{tc: tc, n: 1}
+		a := bind[A](&b, 0)
+		if b.err != nil {
+			return b.err
+		}
+		return f(a)
+	}
+}
+
+// Kernel2 binds a two-payload kernel; see Kernel1.
+func Kernel2[A, B any](f func(A, B) error) func(*TaskContext) error {
+	return func(tc *TaskContext) error {
+		b := binder{tc: tc, n: 2}
+		x, y := bind[A](&b, 0), bind[B](&b, 1)
+		if b.err != nil {
+			return b.err
+		}
+		return f(x, y)
+	}
+}
+
+// Kernel3 binds a three-payload kernel; see Kernel1.
+func Kernel3[A, B, C any](f func(A, B, C) error) func(*TaskContext) error {
+	return func(tc *TaskContext) error {
+		b := binder{tc: tc, n: 3}
+		x, y, z := bind[A](&b, 0), bind[B](&b, 1), bind[C](&b, 2)
+		if b.err != nil {
+			return b.err
+		}
+		return f(x, y, z)
+	}
+}
+
+// binder checks one task's payloads against a kernel of arity n, keeping the
+// first mismatch.
+type binder struct {
+	tc  *TaskContext
+	n   int
+	err error
+}
+
+// bind returns payload i as a T, or T's zero value once b has failed.
+func bind[T any](b *binder, i int) (v T) {
+	if b.err == nil && len(b.tc.Data) < b.n {
+		b.err = fmt.Errorf("taskrt: codelet %q takes %d payloads, the task has %d", b.codelet(), b.n, len(b.tc.Data))
+	}
+	if b.err != nil {
+		return v
+	}
+	v, ok := b.tc.Data[i].(T)
+	if !ok {
+		b.err = fmt.Errorf("taskrt: codelet %q payload %d is %T, want %T", b.codelet(), i, b.tc.Data[i], v)
+	}
+	return v
+}
+
+func (b *binder) codelet() string {
+	if t := b.tc.Task; t != nil && t.Codelet != nil {
+		return t.Codelet.Name
+	}
+	return ""
+}
+
 // Impl is one architecture-specific implementation of a codelet, analogous
 // to StarPU's cpu_func/cuda_func fields and to the paper's task
 // implementation variants.

@@ -625,12 +625,3 @@ func (rt *Runtime) taskTimeout(t *Task, arch string, policy RetryPolicy) time.Du
 	}
 	return 0
 }
-
-// HostArch returns the architecture tag real-mode kernels must target for
-// the given platform.
-func HostArch(pl *core.Platform) string {
-	if len(pl.Masters) == 0 {
-		return ""
-	}
-	return pl.Masters[0].Architecture()
-}

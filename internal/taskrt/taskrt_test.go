@@ -78,6 +78,58 @@ func TestNewCodeletValidation(t *testing.T) {
 	}
 }
 
+func TestKernelBinding(t *testing.T) {
+	var got []any
+	k := Kernel3(func(a int, b string, c []float64) error {
+		got = []any{a, b, c}
+		return nil
+	})
+	task := &Task{Codelet: &Codelet{Name: "mix"}}
+	run := func(task *Task, data ...any) error {
+		got = nil
+		return k(&TaskContext{Data: data, Task: task})
+	}
+	vec := []float64{1}
+
+	// Trailing payloads only order the task: the kernel sees the first three.
+	if err := run(task, 7, "s", vec, "extra", 9); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != 7 || got[1] != "s" {
+		t.Fatalf("kernel saw %v", got)
+	}
+
+	for _, tc := range []struct {
+		data []any
+		want string
+	}{
+		{[]any{7}, `codelet "mix" takes 3 payloads, the task has 1`},
+		{[]any{}, `codelet "mix" takes 3 payloads, the task has 0`},
+		{[]any{"7", "s", vec}, `codelet "mix" payload 0 is string, want int`},
+		{[]any{7, 8, vec}, `codelet "mix" payload 1 is int, want string`},
+		{[]any{7, "s", nil}, `codelet "mix" payload 2 is <nil>, want []float64`},
+	} {
+		err := run(task, tc.data...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("payloads %v: err = %v, want %q", tc.data, err, tc.want)
+		}
+		if got != nil {
+			t.Errorf("payloads %v reached the kernel", tc.data)
+		}
+	}
+
+	// A bare context (no Task) is checked the same way and does not panic.
+	if err := run(nil, 7); err == nil || !strings.Contains(err.Error(), "takes 3 payloads") {
+		t.Fatalf("nil task: err = %v", err)
+	}
+	if err := Kernel1(func(int) error { return nil })(&TaskContext{Data: []any{"x"}}); err == nil {
+		t.Fatal("nil task with a wrong payload must fail")
+	}
+	if err := Kernel2(func(int, int) error { return nil })(&TaskContext{Data: []any{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil platform must fail")

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
 
 build:
 	$(GO) build ./...
@@ -138,12 +138,17 @@ bench:
 	bash benchmark/run.sh
 
 # bench-blas is the per-layer number without the benchmark module: the four
-# Cholesky tile kernels and the tile DGEMM at tile 128 on strided views of a
-# 1024 parent, GF/s of the kernel call alone, and the micro-kernel alone on
-# L1-resident operands for both A layouts. It records nothing; numbers that
-# are compared come from `make bench`.
+# Cholesky and the four LU tile kernels and the packed tile DGEMM at tile 128
+# on strided views of a 1024 parent, GF/s of the kernel call alone, and the
+# micro-kernel alone on L1-resident operands for both A layouts. It records
+# nothing; numbers that are compared come from `make bench`.
 bench-blas:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkMicroKernel' -count 5 ./internal/blas
+
+# bench-sim times the simulated Figure 5 (DGEMM 8192/256, dmda, its three
+# platforms) as graph build and run apart, µs and allocations per task each.
+bench-sim:
+	$(GO) test -run '^$$' -bench 'BenchmarkSimFigure5' -count 5 ./internal/experiments
 
 # loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
 # non-test Go outside benchmark/ — in total and per package directory.

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// BenchmarkTileKernels times the Cholesky tile kernels and the tile DGEMM at
-// the benchmark's tile size the way the task runtime calls them: on strided
-// 128×128 views of 1024×1024 parents, a different tile every call, so the
-// operands arrive from L2/L3 rather than sitting in L1. The GF/s metric
+// BenchmarkTileKernels times the Cholesky and LU tile kernels and the tile
+// DGEMM at the benchmark's tile size the way the task runtime calls them: on
+// strided 128×128 views of 1024×1024 parents, a different tile every call, so
+// the operands arrive from L2/L3 rather than sitting in L1. The GF/s metric
 // counts the kernel call alone (timed by hand: stopping and starting the
 // benchmark timer costs more than a 128-tile kernel); ns/op also holds
 // restoring the tile a factorization or solve overwrites — put, whose row
@@ -35,6 +35,13 @@ func BenchmarkTileKernels(b *testing.B) {
 		{"GemmNT", FlopsGEMM(tile, tile, tile), rnd, nil, GemmNT},
 		{"GemmPacked", FlopsGEMM(tile, tile, tile), rnd, nil,
 			func(a, b, c *Matrix) error { return GemmPacked(a, b, c, DefaultBlock) }},
+		{"Getrf", FlopsGETRF(tile), rnd, diagDominant(tile, 1),
+			func(_, _, c *Matrix) error { return Getrf(c) }},
+		{"TrsmLLUnit", FlopsTRSM(tile, tile), factoredDD(tile, 1), rnd,
+			func(l, _, c *Matrix) error { return TrsmLLUnit(l, c) }},
+		{"TrsmRU", FlopsTRSM(tile, tile), factoredDD(tile, 1), rnd,
+			func(u, _, c *Matrix) error { return TrsmRU(u, c) }},
+		{"GemmSub", FlopsGEMM(tile, tile, tile), rnd, nil, GemmSub},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			tileAt := func(p *Matrix, i int) *Matrix {

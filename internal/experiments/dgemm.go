@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -57,24 +58,18 @@ func (g tileGrid) handles(rt *taskrt.Runtime, name string, m *blas.Matrix) []*ta
 	return hs
 }
 
-// appendIndexed appends name[i,j,...] to buf: the spelling of every tile
-// handle's name and every task's label here.
-func appendIndexed(buf []byte, name string, idx ...int) []byte {
-	buf = append(append(buf, name...), '[')
+// indexed returns name[i,j,...], formatted on the stack: the spelling of every
+// tile handle's name and every factorization task's label here.
+func indexed(name string, idx ...int) string {
+	var arr [48]byte
+	buf := append(append(arr[:0], name...), '[')
 	for n, i := range idx {
 		if n > 0 {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendInt(buf, int64(i), 10)
 	}
-	return append(buf, ']')
-}
-
-// indexed returns name[i,j,...], formatted on the stack: a graph of T³ tasks
-// labels every one of them, traced or not.
-func indexed(name string, idx ...int) string {
-	var buf [48]byte
-	return string(appendIndexed(buf[:0], name, idx...))
+	return string(append(buf, ']'))
 }
 
 // SubmitTiledGEMM builds the StarPU-style tiled DGEMM task graph for
@@ -101,21 +96,34 @@ func SubmitTiledGEMM(rt *taskrt.Runtime, n, tile int, mats *GemmMatrices) error 
 	// the submission lifecycle synchronisation once for the T³ tasks. The
 	// tasks and their access lists are cut from two slabs, not allocated one
 	// by one; a task is only ever reached through its pointer into the slab.
+	// Every label, C[i,j]+=A[i,k]*B[k,j], is a substring of one string, grown
+	// once to its exact length (each tile's name appears in T labels).
 	tasks := make([]taskrt.Task, T*T*T)
 	accesses := make([]taskrt.Access, 3*len(tasks))
 	graph := make([]*taskrt.Task, 0, len(tasks))
-	var label [64]byte
+	size := len(tasks) * len("+=*")
+	for _, hs := range [][]*taskrt.Handle{hA, hB, hC} {
+		for _, h := range hs {
+			size += T * len(h.Name)
+		}
+	}
+	var labels strings.Builder
+	labels.Grow(size)
 	for i := 0; i < T; i++ {
 		for j := 0; j < T; j++ {
 			for k := 0; k < T; k++ {
 				t, acc := &tasks[len(graph)], accesses[3*len(graph):][:3:3]
-				acc[0], acc[1], acc[2] = taskrt.R(hA[i*T+k]), taskrt.R(hB[k*T+j]), taskrt.RW(hC[i*T+j])
-				l := appendIndexed(label[:0], "C", i, j)
-				l = appendIndexed(append(l, "+="...), "A", i, k)
-				l = appendIndexed(append(l, '*'), "B", k, j)
+				a, b, c := hA[i*T+k], hB[k*T+j], hC[i*T+j]
+				acc[0], acc[1], acc[2] = taskrt.R(a), taskrt.R(b), taskrt.RW(c)
+				from := labels.Len()
+				labels.WriteString(c.Name)
+				labels.WriteString("+=")
+				labels.WriteString(a.Name)
+				labels.WriteByte('*')
+				labels.WriteString(b.Name)
 				// Tile extents differ at the edges; flops follow the actual
 				// tile triple.
-				t.Codelet, t.Accesses, t.Label = cl, acc, string(l)
+				t.Codelet, t.Accesses, t.Label = cl, acc, labels.String()[from:]
 				t.Flops = blas.FlopsGEMM(g.dim(i), g.dim(j), g.dim(k))
 				graph = append(graph, t)
 			}

@@ -20,6 +20,7 @@ import (
 type simUnit struct {
 	hw    *simhw.Unit
 	idx   int // lane index, stamped into trace spans as Worker
+	class int // index into simState.bids: units of one class bid alike
 	res   sim.Resource
 	tasks int
 	hist  *metrics.Histogram // taskrt_task_seconds{unit}
@@ -53,9 +54,14 @@ type simTask struct {
 type simState struct {
 	machine *simhw.Machine
 	units   []*simUnit
-	cands   []*simUnit     // compatibleUnits' scratch, reused per task
-	dma     []sim.Resource // one DMA engine per memory node
-	handles []*Handle
+	// cands is compatibleUnits' last answer; candsFor is the codelet it holds
+	// for a task without Where, nil when it must be rebuilt.
+	cands    []*simUnit
+	candsFor *Codelet
+	bids     []classBid     // dmda's per-class scratch, one row per unit class
+	picks    int            // dmda picks so far: a bid row is current when stamped with it
+	dma      []sim.Resource // one DMA engine per memory node
+	handles  []*Handle
 	// valid is the coherence table, one row of len(dma) nodes per handle:
 	// valid[h.id*len(dma)+node] says node holds a valid copy of h.
 	valid   []bool
@@ -122,13 +128,27 @@ func (rt *Runtime) newSimState() (*simState, error) {
 	if st.tracker != nil {
 		offline = st.tracker.OfflineUnits()
 	}
+	// A unit's class is everything stage and kernelSeconds read of it.
+	type classKey struct {
+		arch         string
+		node         int
+		rate, launch float64
+	}
+	classes := map[classKey]int{}
 	for _, u := range machine.Units {
-		su := &simUnit{hw: u, idx: len(st.units), hist: rtm.taskSeconds.With(u.ID), dead: unitAllowed(u.ID, offline)}
+		key := classKey{u.Arch, u.MemNode, u.GFlopsDP, u.LaunchS}
+		class, ok := classes[key]
+		if !ok {
+			class = len(classes)
+			classes[key] = class
+		}
+		su := &simUnit{hw: u, idx: len(st.units), class: class, hist: rtm.taskSeconds.With(u.ID), dead: unitAllowed(u.ID, offline)}
 		if evs := rt.cfg.Faults.forUnit(u.ID); len(evs) > 0 {
 			su.faults = &faultQueue{events: evs}
 		}
 		st.units = append(st.units, su)
 	}
+	st.bids = make([]classBid, len(classes))
 	for _, h := range rt.handles {
 		st.copies(h)[h.home] = true
 	}
@@ -468,6 +488,7 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simF
 	} else {
 		su.dead = true
 		st.failedUnits = append(st.failedUnits, su.hw.ID)
+		st.candsFor = nil // the kept candidate list may hold su
 	}
 	if st.tracer != nil {
 		st.tracer.Record(st.taskSpan(trace.Failure, t, su, start, detect))
@@ -538,20 +559,45 @@ func (st *simState) cheapestSource(h *Handle, dst int) (src int, seconds float64
 	return best, bestT, nil
 }
 
-// estimateEFT predicts the earliest finish time of t on unit u given
-// current resource horizons — the dmda cost function.
-func (st *simState) estimateEFT(t *Task, su *simUnit, ready sim.Time) sim.Time {
+// bid is dmda's estimate of a task on a unit short of the unit's own horizon:
+// when the task's operands are on the unit's node, and how long its kernel
+// runs there. Every unit of a class that is up at the task's ready time makes
+// the same bid.
+type bid struct {
+	dataReady, kernel sim.Time
+}
+
+// finish is the earliest finish time of b on su: the kernel starts once the
+// operands are in and su is free.
+func (b bid) finish(su *simUnit) sim.Time {
+	return max(b.dataReady, su.availAt()) + b.kernel
+}
+
+// classBid is one class's bid and the pick (simState.picks) it was priced for.
+type classBid struct {
+	bid
+	pick int
+}
+
+// price is t's bid on su for a task that cannot start before ready, given
+// current resource horizons: with finish, the dmda cost function.
+func (st *simState) price(t *Task, su *simUnit, ready sim.Time) bid {
 	dataReady, err := st.stage(t, su, ready, false)
 	if err != nil {
-		return sim.Time(math.Inf(1))
+		dataReady = sim.Time(math.Inf(1)) // no route to su's node: never the best
 	}
-	return max(dataReady, su.availAt()) + sim.Time(kernelSeconds(st.machine, t, su.hw))
+	return bid{dataReady, sim.Time(kernelSeconds(st.machine, t, su.hw))}
 }
 
 // compatibleUnits returns the units that have an implementation for t,
 // satisfy the task's Where placement constraint and are not blacklisted. The
-// result is valid until the next call.
+// result is valid until the next call. Without Where it depends on t's
+// codelet alone, so it is kept for the next such task of that codelet until a
+// unit dies (checkFault).
 func (st *simState) compatibleUnits(t *Task) []*simUnit {
+	if len(t.Where) == 0 && t.Codelet == st.candsFor {
+		return st.cands
+	}
 	out := st.cands[:0]
 	for _, su := range st.units {
 		if su.dead {
@@ -565,7 +611,10 @@ func (st *simState) compatibleUnits(t *Task) []*simUnit {
 		}
 		out = append(out, su)
 	}
-	st.cands = out
+	st.cands, st.candsFor = out, nil
+	if len(t.Where) == 0 {
+		st.candsFor = t.Codelet
+	}
 	return out
 }
 
@@ -650,11 +699,25 @@ func (rt *Runtime) pickUnit(t *Task, st *simState, ready sim.Time) (*simUnit, er
 		}
 		return best, nil
 	}
-	// dmda: the unit with the earliest estimated finish, transfers included.
-	best := cands[0]
-	bestEFT := st.estimateEFT(t, best, ready)
-	for _, su := range cands[1:] {
-		if eft := st.estimateEFT(t, su, ready); eft < bestEFT {
+	// dmda: the unit with the earliest estimated finish, transfers included,
+	// the first in unit order among equals. A class's bid is priced once per
+	// pick; a unit still blacklisted at ready stages from its recovery instead,
+	// so it is priced alone.
+	st.picks++
+	var best *simUnit
+	var bestEFT sim.Time
+	for _, su := range cands {
+		var eft sim.Time
+		if su.downUntil > ready {
+			eft = st.price(t, su, ready).finish(su)
+		} else {
+			cb := &st.bids[su.class]
+			if cb.pick != st.picks {
+				cb.bid, cb.pick = st.price(t, su, ready), st.picks
+			}
+			eft = cb.finish(su)
+		}
+		if best == nil || eft < bestEFT {
 			best, bestEFT = su, eft
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/discover"
+	"repro/internal/sim"
+	"repro/internal/simhw"
 	"repro/internal/trace"
 )
 
@@ -334,6 +336,31 @@ func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
 	return st.report(rt.cfg.Scheduler), order, nil
 }
 
+// outcome is one run as the oracle tests compare it.
+type outcome struct {
+	order  []int
+	report string // every field twice: to read, and in hex, exact for floats
+	events []trace.Event
+	err    string
+}
+
+// runTraced builds a traced runtime from cfg, submits build's graph and runs
+// it with exec.
+func runTraced(t *testing.T, cfg Config, build func(*Runtime), exec func(*Runtime) (*Report, []int, error)) outcome {
+	t.Helper()
+	cfg.Trace = trace.New()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build(rt)
+	rep, order, err := exec(rt)
+	if err != nil {
+		return outcome{order: order, err: err.Error()}
+	}
+	return outcome{order: order, report: fmt.Sprintf("%+v %x", *rep, *rep), events: cfg.Trace.Events()}
+}
+
 // againstScan runs one graph — build submits it, afresh per run since tasks
 // count their own attempts — three ways: taken from scanQueue, taken from
 // readyQueue through the same loop, and through Run. The three must agree on
@@ -342,26 +369,7 @@ func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
 // It returns the order, nil for a failed run.
 func againstScan(t *testing.T, cfg Config, build func(*Runtime)) []int {
 	t.Helper()
-	type outcome struct {
-		order  []int
-		report string // every field twice: to read, and in hex, exact for floats
-		events []trace.Event
-		err    string
-	}
-	run := func(exec func(*Runtime) (*Report, []int, error)) (o outcome) {
-		cfg := cfg
-		cfg.Trace = trace.New()
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		build(rt)
-		rep, order, err := exec(rt)
-		if err != nil {
-			return outcome{order: order, err: err.Error()}
-		}
-		return outcome{order: order, report: fmt.Sprintf("%+v %x", *rep, *rep), events: cfg.Trace.Events()}
-	}
+	run := func(exec func(*Runtime) (*Report, []int, error)) outcome { return runTraced(t, cfg, build, exec) }
 	scan := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &scanQueue{}) })
 	queue := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &readyQueue{}) })
 	if !reflect.DeepEqual(queue, scan) {
@@ -470,6 +478,203 @@ func TestQuickReadyQueueMatchesScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanCands is compatibleUnits as it was before it kept its answer: every
+// unit filtered afresh for every task, into a slice of its own.
+func scanCands(st *simState, t *Task) []*simUnit {
+	var out []*simUnit
+	for _, su := range st.units {
+		if !su.dead && t.Codelet.ImplFor(su.hw.Arch) != nil && (len(t.Where) == 0 || unitAllowed(su.hw.ID, t.Where)) {
+			out = append(out, su)
+		}
+	}
+	return out
+}
+
+// scanBid is how dmda picked a unit before units bid by class: every
+// candidate priced alone, in unit order, the first among equals. It stays as
+// the oracle the class bid is defined by.
+func scanBid(st *simState, t *Task, ready sim.Time) *simUnit {
+	cands := scanCands(st, t)
+	if len(cands) == 0 {
+		return nil
+	}
+	best := cands[0]
+	bestEFT := st.price(t, best, ready).finish(best)
+	for _, su := range cands[1:] {
+		if eft := st.price(t, su, ready).finish(su); eft < bestEFT {
+			best, bestEFT = su, eft
+		}
+	}
+	return best
+}
+
+// bidCoverage counts what the class-bid property exercised.
+type bidCoverage struct {
+	picks  int // dmda picks checked against scanBid
+	alone  int // candidates still blacklisted at the task's ready time
+	deaths int // units blacklisted for good, each clearing the kept candidates
+}
+
+// simulateAgainstBid is runSim with two checks on the state every step starts
+// from: compatibleUnits answers what a fresh scan of the units answers, and
+// under dmda pickUnit takes the unit scanBid takes.
+func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, []int, error) {
+	st, err := rt.newSimState()
+	if err != nil {
+		return nil, nil, err
+	}
+	var q readyQueue
+	for _, task := range rt.tasks {
+		if len(task.deps) == 0 {
+			q.push(task)
+		}
+	}
+	for st.completed < len(rt.tasks) {
+		task := q.pop()
+		ready := st.tasks[task.id].readyAt
+		want := scanCands(st, task)
+		if got := st.compatibleUnits(task); !slices.Equal(got, want) {
+			t.Errorf("%s: task %d: compatibleUnits %v, a fresh scan %v", rt.cfg.Scheduler, task.id, unitIDs(got), unitIDs(want))
+		}
+		if rt.cfg.Scheduler == "dmda" && len(want) > 0 {
+			got, err := rt.pickUnit(task, st, ready)
+			if err != nil {
+				return nil, nil, err
+			}
+			if w := scanBid(st, task, ready); got != w {
+				t.Errorf("task %d at %g: the class bid picks %s, the per-unit bid %s", task.id, ready, got.hw.ID, w.hw.ID)
+			}
+			cov.picks++
+			for _, su := range want {
+				if su.downUntil > ready {
+					cov.alone++
+				}
+			}
+		}
+		dead := len(st.failedUnits)
+		if err := rt.simStep(st, task, q.push); err != nil {
+			return nil, nil, err
+		}
+		cov.deaths += len(st.failedUnits) - dead
+	}
+	return st.report(rt.cfg.Scheduler), nil, nil
+}
+
+func unitIDs(units []*simUnit) []string {
+	var ids []string
+	for _, su := range units {
+		ids = append(ids, su.hw.ID)
+	}
+	return ids
+}
+
+// TestQuickClassBidMatchesPerUnit is the differential property for dmda's
+// class bid and the kept candidate list: on seeded random DAGs over three
+// codelets with different unit sets, a quarter of the tasks restricted by a
+// random Where, under a random fault plan that mixes transient blacklisting
+// (units down past a task's ready time, priced alone) with permanent deaths
+// (which clear the kept candidates), on three platforms whose units fall into
+// three (xeon-2gpu: eight host cores and two distinct GPUs), ten (cell-blade:
+// every SPE on a memory node of its own) and two classes (gtx480), every pick
+// is the unit the per-unit scan picks, and the run — report to the bit, every
+// span — is the run Run makes.
+func TestQuickClassBidMatchesPerUnit(t *testing.T) {
+	all, err := NewCodelet("all", Impl{Arch: "x86"}, Impl{Arch: "gpu"}, Impl{Arch: "ppc"}, Impl{Arch: "spe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := NewCodelet("host", Impl{Arch: "x86"}, Impl{Arch: "ppc", SpeedFactor: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accel, err := NewCodelet("accel", Impl{Arch: "gpu"}, Impl{Arch: "spe"}, Impl{Arch: "x86", SpeedFactor: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	platforms := []struct {
+		name   string
+		faulty []string // units the fault plans draw from
+	}{
+		{"xeon-2gpu", []string{"dev0", "dev1", "host.1", "host.4"}},
+		{"cell-blade", []string{"ctl", "spe.2", "spe.5"}},
+		{"gtx480", []string{"dev0", "host.0", "host.2"}},
+	}
+	var cov bidCoverage
+	runs, failed := 0, 0
+	f := func(seed int64, size uint8) bool {
+		before := t.Failed()
+		for _, p := range platforms {
+			pl := discover.MustPlatform(p.name)
+			m, err := simhw.FromPlatform(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var where []string // every unit id and every id it was expanded from
+			for _, u := range m.Units {
+				where = append(where, u.ID)
+				if base := baseUnitID(u.ID); base != u.ID && !slices.Contains(where, base) {
+					where = append(where, base)
+				}
+			}
+			build := func(rt *Runtime) {
+				rng := rand.New(rand.NewSource(seed))
+				var outs []*Handle
+				for n := 0; n < 8+int(size%56); n++ {
+					out := rt.NewHandle("h", 1<<18, nil)
+					task := &Task{
+						Codelet:  []*Codelet{all, all, host, accel}[rng.Intn(4)],
+						Accesses: []Access{W(out)},
+						Flops:    float64(1+rng.Intn(2)) * 1e8,
+					}
+					if rng.Intn(4) == 0 {
+						task.Codelet = all
+						for range 1 + rng.Intn(3) {
+							task.Where = append(task.Where, where[rng.Intn(len(where))])
+						}
+					}
+					for _, r := range rng.Perm(n)[:min(n, rng.Intn(3))] {
+						task.Accesses = append(task.Accesses, R(outs[r]))
+					}
+					if err := rt.Submit(task); err != nil {
+						t.Fatal(err)
+					}
+					outs = append(outs, out)
+				}
+			}
+			for _, sched := range []string{"ws", "dmda"} {
+				cfg := Config{
+					Platform:  pl,
+					Mode:      Sim,
+					Scheduler: sched,
+					Faults:    RandomFaultPlan(seed, p.faulty, 0.05),
+					Retry:     RetryPolicy{MaxAttempts: 12},
+				}
+				checked := runTraced(t, cfg, build, func(rt *Runtime) (*Report, []int, error) { return simulateAgainstBid(t, rt, &cov) })
+				whole := runTraced(t, cfg, build, func(rt *Runtime) (*Report, []int, error) {
+					rep, err := rt.Run()
+					return rep, nil, err
+				})
+				if !reflect.DeepEqual(checked, whole) {
+					t.Errorf("%s, %s: Run and the checked run disagree:\nRun:     %s %s\nchecked: %s %s",
+						p.name, sched, whole.report, whole.err, checked.report, checked.err)
+				}
+				runs++
+				if whole.err != "" {
+					failed++
+				}
+			}
+		}
+		return before || !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d runs (%d failed alike), %+v", runs, failed, cov)
+	if cov.picks == 0 || cov.alone == 0 || cov.deaths == 0 {
+		t.Errorf("the graphs left an arm of the property unexercised: %d runs (%d failed), %+v", runs, failed, cov)
 	}
 }
 

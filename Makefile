@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,22 @@ lint-one-binding:
 	@! git grep -nE '\.(Payload\([^)]*\)|Data\[[^]]*\])\.\(' -- internal cmd examples ':!*_test.go' ':!internal/taskrt/codelet.go'
 	@! git grep -n GemmPayload -- '*.go'
 
+# lint-options keeps each configuration struct to the values some program sets:
+# the seventeen that no caller needed stay constants, the worker lease TTL stays
+# the registry's alone, and the backoff formula stays a function, not a
+# RetryPolicy built to call it.
+no_fields = ! awk '/^type $(2) struct/,/^}/ { print FILENAME ":" FNR ":" $$0 }' $(1) | grep -E ':[0-9]+:[[:space:]]+($(3))[[:space:]]'
+lint-options:
+	@$(call no_fields,internal/taskrt/fault.go,RetryPolicy,BackoffBase|BackoffCap|WatchdogFactor)
+	@$(call no_fields,internal/cluster/master.go,Config,Name|HeartbeatMisses|Straggler)
+	@$(call no_fields,internal/codegen/codegen.go,ExecOptions,BlockSize|FlopsPerElement)
+	@$(call no_fields,internal/codegen/gengo.go,GenOptions,PackageName)
+	@$(call no_fields,internal/discover/discover.go,Options,LinkGBs|LinkUSec)
+	@$(call no_fields,internal/server/server.go,Config,Repo|WorkerTTL)
+	@$(call no_fields,internal/experiments/cluster.go,ClusterConfig,Slots)
+	@! git grep -nwE 'StragglerConfig|DefaultWorkerTTL|lease-ttl' -- '*.go'
+	@! git grep -nE 'RetryPolicy\{[^}]*\}\.' -- '*.go'
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -126,10 +142,10 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema, cluster-owner, cluster-copy, one-kernel and one-binding lints,
+# trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding and options lints,
 # race subset, the portable-kernel build, crash/recovery suite, multi-process
 # cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

@@ -16,6 +16,8 @@
 //	pdlworkerd -addr :9091 -pprof -fault-delay 50ms
 //
 // Without -server the daemon runs standalone (masters address it directly).
+// With it, the lease's lifetime is the registry's to set: the daemon
+// heartbeats at a third of the ttl_seconds its registration is answered with.
 //
 // Observability: kernel execution spans are always recorded, stamped with
 // the node name and wall-clock epoch — masters collect them piggybacked on
@@ -72,7 +74,6 @@ func run(args []string) error {
 		archsCSV  = fs.String("archs", "", "comma-separated executable architecture tags (default: probed host arch)")
 		advertise = fs.String("advertise", "", "base URL masters should use to reach this node (default http://<addr>)")
 		traceTo   = fs.String("trace", "", "write the node's execution trace as pdltrace JSONL here on exit")
-		ttl       = fs.Duration("lease-ttl", server.DefaultWorkerTTL, "registry lease TTL the heartbeat cadence derives from (beat every ttl/3)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the worker listener")
 		slowBy    = fs.Duration("fault-delay", 0, "inject this extra latency into every kernel (straggler/gray-failure injection)")
 		traceCap  = fs.Int("trace-cap", 0, "max buffered execution spans before oldest-drop (0 = default cap, <0 = unbounded)")
@@ -177,7 +178,7 @@ func run(args []string) error {
 	}()
 
 	if ctl != nil {
-		go registerLoop(ctx, ctl, pl, w, *advertise, *ttl)
+		go registerLoop(ctx, ctl, pl, w, *advertise)
 	}
 
 	select {
@@ -243,14 +244,13 @@ func loadPlatform(spec, nodeName string, host *discover.HostInfo) (*core.Platfor
 }
 
 // registerLoop keeps the node registered: upload the platform document,
-// take the worker lease, then heartbeat at a third of the TTL,
-// re-registering whenever the server restarted (404) or was draining (the
-// client's retry/backoff already absorbs transient 503s).
-func registerLoop(ctx context.Context, ctl *client.Client, pl *core.Platform, w *cluster.Worker, advertise string, ttl time.Duration) {
-	beat := ttl / 3
-	if beat <= 0 {
-		beat = 5 * time.Second
-	}
+// take the worker lease, then heartbeat at a third of the TTL the registry
+// answered the registration with (ttl_seconds), re-registering whenever the
+// server restarted (404) or was draining (the client's retry/backoff already
+// absorbs transient 503s). Until a registration is answered, it is retried
+// every 5 s.
+func registerLoop(ctx context.Context, ctl *client.Client, pl *core.Platform, w *cluster.Worker, advertise string) {
+	beat := 5 * time.Second
 	registered := false
 	register := func() {
 		xml, err := pdlxml.Marshal(pl)
@@ -265,24 +265,30 @@ func registerLoop(ctx context.Context, ctl *client.Client, pl *core.Platform, w 
 			return
 		}
 		info := w.Info()
+		var lease struct {
+			TTLSeconds float64 `json:"ttl_seconds"`
+		}
 		err = ctl.PostJSON(rctx, "/workers/"+info.Name, server.WorkerInfo{
 			ID:       info.Name,
 			Addr:     advertise,
 			Platform: pl.Name,
 			Archs:    info.Archs,
 			Workers:  info.Workers,
-		}, nil)
+		}, &lease)
 		if err != nil {
 			log.Printf("pdlworkerd: registering lease: %v", err)
 			return
 		}
+		if lease.TTLSeconds > 0 {
+			beat = time.Duration(lease.TTLSeconds / 3 * float64(time.Second))
+		}
 		if !registered {
-			log.Printf("pdlworkerd: registered with %s as %s (platform %s)", ctl.Base(), info.Name, pl.Name)
+			log.Printf("pdlworkerd: registered with %s as %s (platform %s, heartbeat every %s)", ctl.Base(), info.Name, pl.Name, beat)
 		}
 		registered = true
 	}
 	register()
-	t := time.NewTicker(beat)
+	t := time.NewTimer(beat)
 	defer t.Stop()
 	for {
 		select {
@@ -290,24 +296,25 @@ func registerLoop(ctx context.Context, ctl *client.Client, pl *core.Platform, w 
 			return
 		case <-t.C:
 		}
+		if registered {
+			bctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			err := ctl.PostJSON(bctx, "/workers/"+w.Info().Name+"/heartbeat", nil, nil)
+			cancel()
+			switch {
+			case err == nil:
+			case client.IsStatus(err, http.StatusNotFound):
+				// Server lost the lease (restart or expiry): re-register.
+				registered = false
+			case ctx.Err() != nil:
+				return
+			default:
+				log.Printf("pdlworkerd: heartbeat: %v", err)
+			}
+		}
 		if !registered {
 			register()
-			continue
 		}
-		bctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		err := ctl.PostJSON(bctx, "/workers/"+w.Info().Name+"/heartbeat", nil, nil)
-		cancel()
-		switch {
-		case err == nil:
-		case client.IsStatus(err, http.StatusNotFound):
-			// Server lost the lease (restart or expiry): re-register.
-			registered = false
-			register()
-		case ctx.Err() != nil:
-			return
-		default:
-			log.Printf("pdlworkerd: heartbeat: %v", err)
-		}
+		t.Reset(beat)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestLivenessHasOneOwner(t *testing.T) {
 	n := st.nodes[0]
 	info := InfoResponse{Name: "live", Archs: []string{"x86"}, Workers: 2}
 	silence := errors.New("probe: connection refused")
-	misses := st.m.cfg.HeartbeatMisses
+	const misses = heartbeatMisses
 	missed := func() float64 { return cm.hbMisses.With("live").Value() }
 	missed0 := missed()
 
@@ -36,7 +36,7 @@ func TestLivenessHasOneOwner(t *testing.T) {
 		t.Fatalf("after an answered probe: alive=%v residents=%d credits=%d info=%+v", n.alive, n.residents(), n.credits, n.info)
 	}
 
-	// up → HeartbeatMisses failed probes in a row → down, its chains resubmitted.
+	// up → heartbeatMisses failed probes in a row → down, its chains resubmitted.
 	a, b := placeHead(t, st, st.tasks[0]), placeHead(t, st, st.tasks[1])
 	for round := 0; round < 2; round++ {
 		for i := 1; i < misses; i++ {

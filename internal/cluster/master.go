@@ -52,14 +52,13 @@ type Config struct {
 	// MaxAttempts bounds executions per task (in-band failures only;
 	// transport errors and cache misses do not consume attempts). Default 5.
 	MaxAttempts int
-	// Heartbeat parameters: probe cadence, per-probe timeout, and how many
+	// Heartbeat parameters: probe cadence and per-probe timeout; heartbeatMisses
 	// consecutive misses declare the node dead.
 	HeartbeatEvery   time.Duration // default 250ms
 	HeartbeatTimeout time.Duration // default = HeartbeatEvery
-	HeartbeatMisses  int           // default 3
 	// Retry backoff: BackoffBase after a task's first failed attempt, doubled
-	// per further one, capped at BackoffCap (taskrt.RetryPolicy.Backoff).
-	// Defaults 25ms / 1s.
+	// per further one, capped at BackoffCap (taskrt.Backoff). Defaults 25ms /
+	// 1s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// AllDeadTimeout aborts the run after every node has been dead this
@@ -70,16 +69,10 @@ type Config struct {
 	// transport error, its neighbours on the stream carry on. Default 2m.
 	ExecTimeout time.Duration
 	// Trace, when set, records master-side spans (placements, transfers,
-	// retries, node state changes) stamped Node=Name. Worker-side kernel
+	// retries, node state changes) stamped Node=masterName. Worker-side kernel
 	// spans arriving on execute responses are kept in per-(node, epoch)
 	// traces and merged with it for publishing and the final Report.Trace.
 	Trace *trace.Trace
-	// Straggler tunes the latency-anomaly detector (zero value = defaults:
-	// flag at 4× the model estimate after 3 samples; set Multiple negative
-	// to disable).
-	Straggler StragglerConfig
-	// Name is the master's node label in traces. Default "master".
-	Name string
 	// HTTP is the data-plane client, which holds one streaming POST per node
 	// open for the whole run — so it must not set a Timeout. Default: a
 	// dedicated client (ExecTimeout bounds each invocation). The heartbeat's
@@ -189,9 +182,6 @@ func NewMaster(cfg Config) (*Master, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = cfg.HeartbeatEvery
 	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 25 * time.Millisecond
 	}
@@ -204,10 +194,6 @@ func NewMaster(cfg Config) (*Master, error) {
 	if cfg.ExecTimeout <= 0 {
 		cfg.ExecTimeout = 2 * time.Minute
 	}
-	if cfg.Name == "" {
-		cfg.Name = "master"
-	}
-	cfg.Straggler = cfg.Straggler.withDefaults()
 	m := &Master{cfg: cfg, http: cfg.HTTP}
 	if m.http == nil {
 		m.http = &http.Client{}
@@ -218,6 +204,12 @@ func NewMaster(cfg Config) (*Master, error) {
 // publishEvery is how many task completions elapse between live re-publishes
 // of the merged cluster trace to trace.Published (the /debug/trace surface).
 const publishEvery = 64
+
+// heartbeatMisses failed probes in a row take an up node down.
+const heartbeatMisses = 3
+
+// masterName is the master's own node label in traces.
+const masterName = "master"
 
 // lanLink prices the master→node path when the platform declares no route
 // for it, and stands in for an undeclared property on a hop of one that it
@@ -487,7 +479,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	defer st.shutdown()
 
 	if tr := m.cfg.Trace; tr != nil {
-		tr.SetMeta(trace.MetaNode, m.cfg.Name)
+		tr.SetMeta(trace.MetaNode, masterName)
 		tr.SetMeta(trace.MetaEpochMicros, fmt.Sprintf("%d", st.start.UnixMicro()))
 	}
 	for _, n := range st.nodes {
@@ -655,7 +647,7 @@ func (st *runState) heartbeat(n *nodeState) {
 
 // probed is the only place a probe changes what the master believes of a
 // node: an answer brings a down node up, however it went down, with what it
-// now advertises; HeartbeatMisses failed probes in a row take an up node down.
+// now advertises; heartbeatMisses failed probes in a row take an up node down.
 func (st *runState) probed(n *nodeState, info InfoResponse, err error) {
 	switch {
 	case err == nil:
@@ -664,7 +656,7 @@ func (st *runState) probed(n *nodeState, info InfoResponse, err error) {
 	case n.alive:
 		n.misses++
 		cm.hbMisses.With(n.cfg.Name).Inc()
-		if n.misses >= st.m.cfg.HeartbeatMisses {
+		if n.misses >= heartbeatMisses {
 			st.nodeDown(n)
 		}
 	}
@@ -762,8 +754,8 @@ func (st *runState) release(rec *inflightRec) bool {
 // over the master's base and cap.
 func (st *runState) requeueWithBackoff(t *taskrt.Task, failures int) {
 	cfg := st.m.cfg
-	d := taskrt.RetryPolicy{BackoffBase: cfg.BackoffBase.Seconds(), BackoffCap: cfg.BackoffCap.Seconds()}.Backoff(failures)
-	time.AfterFunc(d, func() { st.send(event{kind: evRequeue, task: t}) })
+	d := taskrt.Backoff(cfg.BackoffBase.Seconds(), cfg.BackoffCap.Seconds(), failures)
+	time.AfterFunc(time.Duration(d*float64(time.Second)), func() { st.send(event{kind: evRequeue, task: t}) })
 }
 
 // nodeRuns reports whether the node advertises the codelet as runnable.
@@ -1233,7 +1225,7 @@ func (st *runState) instant(ev trace.Event) {
 	if tr == nil {
 		return
 	}
-	ev.Unit = st.m.cfg.Name
+	ev.Unit = masterName
 	ev.Start = time.Since(st.start).Seconds()
 	ev.End = ev.Start
 	tr.Record(ev)

@@ -53,10 +53,10 @@ func TestClusterSmoke(t *testing.T) {
 
 	// Two worker daemons that discover the registry and lease themselves.
 	workerA := startProc(t, bin["pdlworkerd"], "-addr", "127.0.0.1:0", "-name", "smoke-a",
-		"-server", base, "-slots", "2", "-lease-ttl", "3s")
+		"-server", base, "-slots", "2")
 	defer stopProc(workerA)
 	workerB := startProc(t, bin["pdlworkerd"], "-addr", "127.0.0.1:0", "-name", "smoke-b",
-		"-server", base, "-slots", "2", "-lease-ttl", "3s")
+		"-server", base, "-slots", "2")
 	defer stopProc(workerB)
 	nodes := waitWorkers(t, ctl, 2)
 	t.Logf("discovered %d workers via %s/workers: %+v", len(nodes), base, nodes)

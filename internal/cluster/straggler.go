@@ -17,46 +17,26 @@ import (
 // on Master-Worker Platforms": stragglers dominate makespan unless the
 // master adapts). Eviction stays with the heartbeats.
 
-// StragglerConfig tunes the master's detector.
-type StragglerConfig struct {
-	// Multiple flags a task when observed latency exceeds the model
-	// estimate its placement used by more than this factor. Default 4;
-	// negative disables detection entirely.
-	Multiple float64
-	// MinSamples is how many model-placed observations a node must have
-	// before tasks on it can be flagged — cold models mis-estimate, and a
-	// detector that cries wolf during warmup gets ignored. Default 3.
-	MinSamples int
-	// Alpha is the EWMA weight of the newest residual in the node slowdown
-	// score (first observation seeds the score directly). Default 0.25.
-	Alpha float64
-}
-
-// withDefaults fills zero fields.
-func (c StragglerConfig) withDefaults() StragglerConfig {
-	if c.Multiple == 0 {
-		c.Multiple = 4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	return c
-}
-
-// enabled reports whether detection is active.
-func (c StragglerConfig) enabled() bool { return c.Multiple > 0 }
+// The detector's thresholds. A task is flagged when its observed latency
+// exceeds stragglerMultiple × the model estimate its placement used, once its
+// node has stragglerMinSamples model-placed observations — cold models
+// mis-estimate, and a detector that cries wolf during warmup gets ignored.
+// stragglerAlpha is the EWMA weight of the newest residual in the node's
+// slowdown score (the first observation seeds the score directly).
+const (
+	stragglerMultiple   = 4.0
+	stragglerMinSamples = 3
+	stragglerAlpha      = 0.25
+)
 
 // observeResidual runs on the loop goroutine for every successful execution
 // of a chain member that was placed on a perfmodel estimate; the residual is
 // against that member's own estimate, unscaled (not the slowdown-scaled
 // Charge of the chain).
 func (st *runState) observeResidual(n *nodeState, m member, obsSeconds float64) {
-	cfg, t := st.m.cfg.Straggler, m.task
+	t := m.task
 	modelEst := float64(m.exec)
-	if !cfg.enabled() || m.src != placement.Model || modelEst <= 0 || obsSeconds <= 0 {
+	if m.src != placement.Model || modelEst <= 0 || obsSeconds <= 0 {
 		return
 	}
 	ratio := obsSeconds * 1e9 / modelEst
@@ -64,13 +44,13 @@ func (st *runState) observeResidual(n *nodeState, m member, obsSeconds float64) 
 	if n.slowSamples == 0 {
 		n.slowEWMA = ratio
 	} else {
-		n.slowEWMA = (1-cfg.Alpha)*n.slowEWMA + cfg.Alpha*ratio
+		n.slowEWMA = (1-stragglerAlpha)*n.slowEWMA + stragglerAlpha*ratio
 	}
 	n.slowSamples++
 	n.stats.Slowdown = n.slowEWMA
 	cm.slowdown.With(n.cfg.Name).Set(n.slowEWMA)
 
-	if n.slowSamples >= cfg.MinSamples && ratio > cfg.Multiple {
+	if n.slowSamples >= stragglerMinSamples && ratio > stragglerMultiple {
 		n.stats.Stragglers++
 		cm.stragglers.With(n.cfg.Name).Inc()
 		reason := fmt.Sprintf("x%.1f vs model (est %.3fms obs %.3fms score x%.1f)",

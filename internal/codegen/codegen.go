@@ -108,10 +108,6 @@ type ExecOptions struct {
 	// Pieces overrides the decomposition width (0 = total units of the
 	// resolved execution group, or of the whole platform without a group).
 	Pieces int
-	// BlockSize is the BLOCK_CYCLIC block size (default 1).
-	BlockSize int
-	// FlopsPerElement scales task cost estimates (default 1).
-	FlopsPerElement float64
 	// Trace optionally records per-task (and sim-mode per-transfer) events.
 	Trace *trace.Trace
 }
@@ -132,19 +128,22 @@ func Execute(plan *mapping.Plan, opts ExecOptions) (*taskrt.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fpe := opts.FlopsPerElement
-	if fpe <= 0 {
-		fpe = 1
-	}
 	for _, site := range plan.Sites {
-		if err := submitSite(rt, site, opts, fpe); err != nil {
+		if err := submitSite(rt, site, opts); err != nil {
 			return nil, err
 		}
 	}
 	return rt.Run()
 }
 
-func submitSite(rt *taskrt.Runtime, site *mapping.SitePlan, opts ExecOptions, fpe float64) error {
+// A BLOCK_CYCLIC distribution deals out blocks of blockSize elements, and a
+// task's cost estimate is flopsPerElement per element of its largest piece.
+const (
+	blockSize       = 1
+	flopsPerElement = 1.0
+)
+
+func submitSite(rt *taskrt.Runtime, site *mapping.SitePlan, opts ExecOptions) error {
 	sel := site.Selection
 	cl, err := repo.Codelet(sel.Interface, sel.Variants)
 	if err != nil {
@@ -175,10 +174,6 @@ func submitSite(rt *taskrt.Runtime, site *mapping.SitePlan, opts ExecOptions, fp
 	}
 	if pieces < 1 {
 		pieces = 1
-	}
-	blockSize := opts.BlockSize
-	if blockSize < 1 {
-		blockSize = 1
 	}
 
 	// Split every distributed argument; count pieces consistently.
@@ -260,7 +255,7 @@ func submitSite(rt *taskrt.Runtime, site *mapping.SitePlan, opts ExecOptions, fp
 		if err := rt.Submit(&taskrt.Task{
 			Codelet:  cl,
 			Accesses: accesses,
-			Flops:    fpe * float64(elems),
+			Flops:    flopsPerElement * float64(elems),
 			Label:    fmt.Sprintf("%s#%d", sel.Interface, k),
 			Where:    where,
 		}); err != nil {

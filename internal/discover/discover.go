@@ -52,13 +52,18 @@ type Options struct {
 	Host     *HostInfo // nil probes the real host
 	Devices  []Device  // accelerator devices to attach as Workers
 	Concrete bool      // attach full runtime-derived (unfixed, typed) properties
-	LinkGBs  float64   // host-device link bandwidth; default 5 GB/s (PCIe 2.0 x16 effective)
-	LinkUSec float64   // host-device link latency; default 10 µs
 }
+
+// The host-device link every generated platform declares: PCIe 2.0 x16's
+// effective 5 GB/s and a 10 µs latency.
+const (
+	linkGBs  = 5.0
+	linkUSec = 10.0
+)
 
 // Generate builds a validated PDL platform from the options: one Master for
 // the host (quantity = core count), one Worker per device, and a PCIe
-// interconnect from host to each device.
+// interconnect (linkGBs, linkUSec) from host to each device.
 func Generate(opts Options) (*core.Platform, error) {
 	name := opts.Name
 	if name == "" {
@@ -72,14 +77,6 @@ func Generate(opts Options) (*core.Platform, error) {
 	if host.Cores < 1 {
 		return nil, fmt.Errorf("discover: host with %d cores", host.Cores)
 	}
-	linkBW := opts.LinkGBs
-	if linkBW == 0 {
-		linkBW = 5.0
-	}
-	linkLat := opts.LinkUSec
-	if linkLat == 0 {
-		linkLat = 10.0
-	}
 
 	b := core.NewBuilder(name).
 		Master("host", core.Arch(host.Arch), core.Qty(host.Cores),
@@ -89,7 +86,7 @@ func Generate(opts Options) (*core.Platform, error) {
 		id := fmt.Sprintf("dev%d", i)
 		b.Worker(id, core.Arch(dev.Architecture()), core.InGroups("devset"))
 		b.Link(core.ICTypePCIe, "host", id,
-			core.Bandwidth(linkBW), core.Latency(linkLat), core.Scheme("dma"))
+			core.Bandwidth(linkGBs), core.Latency(linkUSec), core.Scheme("dma"))
 	}
 	pl, err := b.Build()
 	if err != nil {

@@ -30,10 +30,9 @@ type ClusterConfig struct {
 	// Nodes lists worker base URLs (pdlworkerd instances). Empty spawns
 	// InProcess loopback workers instead, so the experiment self-contains.
 	Nodes []string
-	// InProcess is the loopback worker count when Nodes is empty (default 2).
+	// InProcess is the loopback worker count when Nodes is empty (default 2),
+	// each running loopbackSlots kernels at a time.
 	InProcess int
-	// Slots is the per-loopback-worker execution parallelism (default 2).
-	Slots int
 	// Trace, when set, receives the master's placement/transfer spans.
 	Trace *trace.Trace
 }
@@ -51,9 +50,6 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 	}
 	if cfg.InProcess <= 0 {
 		cfg.InProcess = 2
-	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = 2
 	}
 
 	nodes := make([]cluster.NodeConfig, 0, len(cfg.Nodes))
@@ -73,7 +69,7 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 			nodes = append(nodes, cluster.NodeConfig{Name: name, Addr: addr})
 		}
 	} else {
-		stop, started, err := startLoopbackWorkers(cfg.InProcess, cfg.Slots)
+		stop, started, err := startLoopbackWorkers(cfg.InProcess)
 		if err != nil {
 			return nil, err
 		}
@@ -144,9 +140,12 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 	return res, nil
 }
 
+// loopbackSlots is each loopback worker's execution parallelism.
+const loopbackSlots = 2
+
 // startLoopbackWorkers spins up in-process cluster workers on loopback
 // listeners, returning their node configs and a stop function.
-func startLoopbackWorkers(count, slots int) (stop func(), nodes []cluster.NodeConfig, err error) {
+func startLoopbackWorkers(count int) (stop func(), nodes []cluster.NodeConfig, err error) {
 	var servers []*http.Server
 	stop = func() {
 		for _, s := range servers {
@@ -159,7 +158,7 @@ func startLoopbackWorkers(count, slots int) (stop func(), nodes []cluster.NodeCo
 			Name:     name,
 			Codelets: ClusterCodelets(),
 			Archs:    []string{"x86"},
-			Slots:    slots,
+			Slots:    loopbackSlots,
 		})
 		if err != nil {
 			stop()

@@ -63,7 +63,7 @@ func scrapeMaster(t *testing.T, ts *httptest.Server) string {
 }
 
 func TestFleetScrapeFederatesLeasedWorkers(t *testing.T) {
-	s, ts := workerServer(t, 0)
+	s, ts := workerServer(t)
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	w1.execs.Store(3)
 	w2.execs.Store(7)
@@ -104,7 +104,7 @@ func TestFleetScrapeFederatesLeasedWorkers(t *testing.T) {
 }
 
 func TestFleetScrapeDropsDeadNodes(t *testing.T) {
-	s, ts := workerServer(t, 0)
+	s, ts := workerServer(t)
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	w1.execs.Store(1)
 	w2.execs.Store(1)

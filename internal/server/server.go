@@ -36,7 +36,6 @@ import (
 type Config struct {
 	Registry *registry.Registry // required
 	Tuner    *predict.Tuner     // optional; NewTuner when nil
-	Repo     *repo.Repository   // optional; NewWithLibrary when nil
 
 	// Persist is the durability layer. When set, every mutation (platform
 	// PUT/DELETE, observation) is write-ahead journaled before it is
@@ -49,10 +48,6 @@ type Config struct {
 	MaxBodyBytes int64   // upload size cap; default 4 MiB
 	RateLimit    float64 // requests/second per client; <= 0 disables
 	RateBurst    float64 // bucket capacity; default 2*RateLimit (min 1)
-
-	// WorkerTTL is the lease lifetime for registered cluster workers;
-	// DefaultWorkerTTL when zero.
-	WorkerTTL time.Duration
 
 	AccessLog io.Writer // JSON lines; nil disables
 
@@ -96,9 +91,6 @@ func New(cfg Config) *Server {
 	if cfg.Tuner == nil {
 		cfg.Tuner = predict.NewTuner()
 	}
-	if cfg.Repo == nil {
-		cfg.Repo = repo.NewWithLibrary()
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 4 << 20
 	}
@@ -112,13 +104,13 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		tuner:   cfg.Tuner,
-		repo:    cfg.Repo,
+		repo:    repo.NewWithLibrary(),
 		persist: cfg.Persist,
 		metrics: newMetrics(),
 		limiter: newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		logger:  &accessLogger{w: cfg.AccessLog},
 		mux:     http.NewServeMux(),
-		workers: newWorkerTable(cfg.WorkerTTL),
+		workers: newWorkerTable(),
 		fleet:   metrics.NewFederator(),
 	}
 	s.metrics.registerGauges(s)

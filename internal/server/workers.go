@@ -17,9 +17,10 @@ import (
 // entries. This mirrors how the paper separates the durable platform
 // description from the transient population of units using it.
 
-// DefaultWorkerTTL is the lease lifetime when Config.WorkerTTL is zero;
-// pdlworkerd heartbeats at a third of this.
-const DefaultWorkerTTL = 15 * time.Second
+// workerTTL is the lease lifetime. The registry alone decides it: it answers
+// every registration, renewal and listing with it as ttl_seconds, and
+// pdlworkerd heartbeats at a third of the value its registration reply carries.
+const workerTTL = 15 * time.Second
 
 // WorkerInfo is the registration payload and the list projection of a
 // lease. Addr is the worker's execute endpoint base URL; Platform names the
@@ -45,15 +46,11 @@ type workerLease struct {
 type workerTable struct {
 	mu     sync.Mutex
 	leases map[string]*workerLease
-	ttl    time.Duration
 	now    func() time.Time
 }
 
-func newWorkerTable(ttl time.Duration) *workerTable {
-	if ttl <= 0 {
-		ttl = DefaultWorkerTTL
-	}
-	return &workerTable{leases: map[string]*workerLease{}, ttl: ttl, now: time.Now}
+func newWorkerTable() *workerTable {
+	return &workerTable{leases: map[string]*workerLease{}, now: time.Now}
 }
 
 // upsert registers or renews a lease, reporting whether it was new.
@@ -97,7 +94,7 @@ func (t *workerTable) drop(id string) bool {
 
 func (t *workerTable) pruneLocked(now time.Time) {
 	for id, l := range t.leases {
-		if now.Sub(l.LastSeen) > t.ttl {
+		if now.Sub(l.LastSeen) > workerTTL {
 			delete(t.leases, id)
 		}
 	}
@@ -162,7 +159,7 @@ func (s *Server) handleWorkerPut(w http.ResponseWriter, r *http.Request) {
 	if created {
 		code = http.StatusCreated
 	}
-	writeJSON(w, code, workerOut{WorkerInfo: info, TTLSeconds: s.workers.ttl.Seconds()})
+	writeJSON(w, code, workerOut{WorkerInfo: info, TTLSeconds: workerTTL.Seconds()})
 }
 
 func (s *Server) handleWorkerBeat(w http.ResponseWriter, r *http.Request) {
@@ -178,7 +175,7 @@ func (s *Server) handleWorkerBeat(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown worker lease (re-register)")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"renewed": true, "ttl_seconds": s.workers.ttl.Seconds()})
+	writeJSON(w, http.StatusOK, map[string]any{"renewed": true, "ttl_seconds": workerTTL.Seconds()})
 }
 
 func (s *Server) handleWorkerDelete(w http.ResponseWriter, r *http.Request) {
@@ -201,7 +198,7 @@ func (s *Server) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 	for _, l := range leases {
 		out = append(out, workerOut{
 			WorkerInfo: l.WorkerInfo,
-			TTLSeconds: s.workers.ttl.Seconds(),
+			TTLSeconds: workerTTL.Seconds(),
 			AgeSeconds: now.Sub(l.Registered).Seconds(),
 		})
 	}

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-func workerServer(t *testing.T, ttl time.Duration) (*Server, *httptest.Server) {
+func workerServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{WorkerTTL: ttl})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -30,7 +30,7 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 func TestWorkerRegisterListDeregister(t *testing.T) {
-	_, ts := workerServer(t, 0)
+	_, ts := workerServer(t)
 
 	resp := postJSON(t, ts.URL+"/workers/w1", WorkerInfo{
 		ID: "w1", Addr: "http://127.0.0.1:9001", Platform: "xeon-phi", Archs: []string{"x86"}, Workers: 4,
@@ -42,8 +42,8 @@ func TestWorkerRegisterListDeregister(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		t.Fatal(err)
 	}
-	if reg.TTLSeconds != DefaultWorkerTTL.Seconds() {
-		t.Fatalf("ttl = %v; want default %v", reg.TTLSeconds, DefaultWorkerTTL.Seconds())
+	if reg.TTLSeconds != workerTTL.Seconds() {
+		t.Fatalf("ttl = %v; want %v", reg.TTLSeconds, workerTTL.Seconds())
 	}
 
 	// Re-registration is an upsert, not a conflict.
@@ -85,7 +85,7 @@ func TestWorkerRegisterListDeregister(t *testing.T) {
 }
 
 func TestWorkerRegistrationValidation(t *testing.T) {
-	_, ts := workerServer(t, 0)
+	_, ts := workerServer(t)
 	// Missing addr.
 	if resp := postJSON(t, ts.URL+"/workers/w1", WorkerInfo{ID: "w1"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-addr status = %d; want 400", resp.StatusCode)
@@ -97,7 +97,7 @@ func TestWorkerRegistrationValidation(t *testing.T) {
 }
 
 func TestWorkerHeartbeatAndExpiry(t *testing.T) {
-	s, ts := workerServer(t, time.Hour)
+	s, ts := workerServer(t)
 	now := time.Now()
 	s.workers.now = func() time.Time { return now }
 
@@ -107,18 +107,18 @@ func TestWorkerHeartbeatAndExpiry(t *testing.T) {
 	}
 
 	// A beat inside the TTL keeps the lease alive past the original expiry.
-	now = now.Add(45 * time.Minute)
+	now = now.Add(workerTTL * 3 / 4)
 	if resp := postJSON(t, ts.URL+"/workers/w1/heartbeat", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("mid-ttl heartbeat status = %d", resp.StatusCode)
 	}
-	now = now.Add(45 * time.Minute)
+	now = now.Add(workerTTL * 3 / 4)
 	if got := s.workers.len(); got != 1 {
 		t.Fatalf("lease count after renewal = %d; want 1", got)
 	}
 
 	// Silence past the TTL expires the lease; the next beat demands
 	// re-registration.
-	now = now.Add(2 * time.Hour)
+	now = now.Add(2 * workerTTL)
 	if got := s.workers.len(); got != 0 {
 		t.Fatalf("lease count after expiry = %d; want 0", got)
 	}
@@ -130,7 +130,7 @@ func TestWorkerHeartbeatAndExpiry(t *testing.T) {
 // BeginDrain must refuse new lease obligations (register + heartbeat 503
 // with Retry-After) while leaving reads and the rest of the API serving.
 func TestDrainRefusesWorkerLeases(t *testing.T) {
-	s, ts := workerServer(t, 0)
+	s, ts := workerServer(t)
 	postJSON(t, ts.URL+"/workers/w1", WorkerInfo{ID: "w1", Addr: "http://x"})
 
 	s.BeginDrain()
@@ -173,7 +173,7 @@ func TestDrainRefusesWorkerLeases(t *testing.T) {
 }
 
 func TestWorkersMetricGauge(t *testing.T) {
-	_, ts := workerServer(t, 0)
+	_, ts := workerServer(t)
 	postJSON(t, ts.URL+"/workers/w1", WorkerInfo{ID: "w1", Addr: "http://x"})
 	postJSON(t, ts.URL+"/workers/w2", WorkerInfo{ID: "w2", Addr: "http://y"})
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -29,9 +29,9 @@ type FaultEvent struct {
 	// mode the attempt fails at launch, before the kernel touches data.
 	AfterTasks int
 	// Hang makes the failure manifest as a hung kernel instead of a crash:
-	// detection is delayed until the watchdog timeout (perfmodel estimate ×
-	// RetryPolicy.WatchdogFactor) expires, so hangs cost more than crashes
-	// but can never deadlock Run.
+	// detection is delayed until the watchdog timeout (the task's estimate ×
+	// watchdogFactor) expires, so hangs cost more than crashes but can never
+	// deadlock Run.
 	Hang bool
 	// RecoverAfter, when > 0, brings the unit back online this many seconds
 	// after failure detection (a transient fault). Zero means the unit is
@@ -139,28 +139,24 @@ type RetryPolicy struct {
 	// (default 4). Run's error then names the task, the attempt count, the
 	// unit of the last attempt and the last cause.
 	MaxAttempts int
-	// BackoffBase is the first retry delay in seconds (default 1ms); the
-	// delay doubles per failed attempt of the same task.
-	BackoffBase float64
-	// BackoffCap bounds the exponential backoff in seconds (default 100ms).
-	BackoffCap float64
-	// WatchdogFactor scales the per-codelet execution-time estimate into a
-	// hang-detection timeout (default 8). The estimate comes from the
-	// configured perfmodel store when it has samples, else from the
-	// simulator's own cost model (Sim mode only).
-	WatchdogFactor float64
 	// TaskTimeout is an absolute watchdog timeout in seconds used in Real
 	// mode when no perfmodel estimate is available (0 disables the
 	// fallback watchdog).
 	TaskTimeout float64
 }
 
-// Defaults for the zero-valued RetryPolicy fields.
+// DefaultMaxAttempts is RetryPolicy.MaxAttempts when zero.
+const DefaultMaxAttempts = 4
+
+// Retry timing, the same in both engines: the retry after a task's first
+// failure waits retryBackoffBase seconds, each further one twice the last, at
+// most retryBackoffCap. A hang is detected at watchdogFactor × the task's
+// estimate — perfmodel history when the store has samples, else (Sim mode)
+// the simulator's own cost model.
 const (
-	DefaultMaxAttempts    = 4
-	DefaultBackoffBase    = 1e-3
-	DefaultBackoffCap     = 0.1
-	DefaultWatchdogFactor = 8.0
+	retryBackoffBase = 1e-3
+	retryBackoffCap  = 0.1
+	watchdogFactor   = 8.0
 )
 
 // withDefaults fills zero fields.
@@ -168,38 +164,25 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = DefaultMaxAttempts
 	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = DefaultBackoffBase
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = DefaultBackoffCap
-	}
-	if p.WatchdogFactor <= 0 {
-		p.WatchdogFactor = DefaultWatchdogFactor
-	}
 	return p
 }
 
-// backoff returns the capped exponential delay in seconds before the retry
-// that follows a task's n-th failure (n starts at 1): BackoffBase·2^(n−1), at
-// most BackoffCap. It is the one backoff formula; p has its defaults filled.
-func (p RetryPolicy) backoff(n int) float64 {
+// Backoff returns the capped exponential delay in seconds before the retry
+// that follows a task's n-th failure (n starts at 1): base·2^(n−1), at most
+// limit. It is the one backoff formula: the sim adds it to virtual time, the
+// real engine (over retryBackoffBase and retryBackoffCap) and the cluster
+// master (over its own base and cap) wait it out.
+func Backoff(base, limit float64, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
-	d := p.BackoffBase * math.Pow(2, float64(n-1))
-	if d > p.BackoffCap {
-		d = p.BackoffCap
-	}
-	return d
+	return min(base*math.Pow(2, float64(n-1)), limit)
 }
 
-// Backoff is the wall-clock delay before the retry that follows a task's n-th
-// failure (n starts at 1; zero fields take their defaults). The real engine
-// and the cluster master wait this long; the sim adds the same seconds to
-// virtual time.
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	return time.Duration(p.withDefaults().backoff(n) * float64(time.Second))
+// retryWait is the real engine's wait before the retry that follows a task's
+// n-th failure.
+func retryWait(n int) time.Duration {
+	return time.Duration(Backoff(retryBackoffBase, retryBackoffCap, n) * float64(time.Second))
 }
 
 // ftEnabled reports whether the fault-tolerance machinery is active: an

@@ -70,7 +70,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	archs := workerArchs(rt.cfg.Platform, workers)
+	archs, nodes, nodeIDs := workerLayout(rt.cfg.Platform, workers)
 
 	// Pre-validate: every task must have a runnable implementation for every
 	// worker architecture — work-stealing dispatch routes blindly and dmda's
@@ -124,7 +124,6 @@ func (rt *Runtime) runReal() (*Report, error) {
 		if rt.cfg.Models == nil {
 			rt.cfg.Models = perfmodel.NewStore()
 		}
-		nodes, nodeIDs := workerNodes(rt.cfg.Platform, workers)
 		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(rt.cfg.Platform, nodeIDs), rt.tasks, rt.cfg.Models)
 	} else {
 		disp = newStealDispatcher(workers, len(rt.tasks))
@@ -361,7 +360,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					resolve()
 					return false
 				}
-				backoff := policy.Backoff(n)
+				backoff := retryWait(n)
 				requeue(t, backoff)
 				if blacklist {
 					blacklisted[unitID] = true
@@ -419,7 +418,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 						// failure after the timeout.
 						d := rt.taskTimeout(t, st.arch, policy)
 						if d <= 0 {
-							d = policy.Backoff(policy.MaxAttempts) // bounded stand-in
+							d = retryWait(policy.MaxAttempts) // bounded stand-in
 						}
 						select {
 						case <-time.After(d):
@@ -461,7 +460,11 @@ func (rt *Runtime) runReal() (*Report, error) {
 				t0 := time.Now()
 				var err error
 				wdog := false
-				if timeout := rt.taskTimeout(t, st.arch, policy); ft && timeout > 0 {
+				var timeout time.Duration // no watchdog without fault tolerance
+				if ft {
+					timeout = rt.taskTimeout(t, st.arch, policy)
+				}
+				if timeout > 0 {
 					// Watchdog: run the kernel aside and abandon it past the
 					// timeout (goroutines cannot be killed; the stuck kernel
 					// is orphaned and its worker blacklisted).
@@ -558,42 +561,29 @@ func (rt *Runtime) runReal() (*Report, error) {
 	return rep, nil
 }
 
-// workerArchs assigns one architecture per real-mode worker: platform
-// Masters expand in declaration order, each contributing EffectiveQuantity
-// workers of its architecture. An explicit Config.Workers override truncates
-// the expansion or pads it with the first master's architecture, preserving
-// the historical homogeneous behaviour on single-arch platforms.
-func workerArchs(pl *core.Platform, workers int) []string {
-	archs := make([]string, 0, workers)
-	for _, m := range pl.Masters {
+// workerLayout expands the platform's Masters into real-mode workers: in
+// declaration order, each contributes EffectiveQuantity workers of its
+// architecture on its own memory node (node i is master i; ids[i] is its PU
+// id, for route lookups against the PDL). An explicit Config.Workers override
+// truncates the expansion or pads it with the first master's architecture on
+// node 0, preserving the historical homogeneous behaviour on single-arch
+// platforms.
+func workerLayout(pl *core.Platform, workers int) (archs []string, nodes []int, ids []string) {
+	archs = make([]string, 0, workers)
+	nodes = make([]int, 0, workers)
+	ids = make([]string, len(pl.Masters))
+	for mi, m := range pl.Masters {
+		ids[mi] = m.ID
 		for i := 0; i < m.EffectiveQuantity() && len(archs) < workers; i++ {
 			archs = append(archs, m.Architecture())
+			nodes = append(nodes, mi)
 		}
 	}
 	for len(archs) < workers {
 		archs = append(archs, pl.Masters[0].Architecture())
-	}
-	return archs
-}
-
-// workerNodes assigns each real-mode worker the memory node of the platform
-// master it expands from: masters in declaration order define the node ids,
-// matching workerArchs exactly (padding beyond the expansion lands on node
-// 0). The returned ids name each node by its master's PU id, for route
-// lookups against the PDL.
-func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
-	nodes := make([]int, 0, workers)
-	ids := make([]string, len(pl.Masters))
-	for mi, m := range pl.Masters {
-		ids[mi] = m.ID
-		for i := 0; i < m.EffectiveQuantity() && len(nodes) < workers; i++ {
-			nodes = append(nodes, mi)
-		}
-	}
-	for len(nodes) < workers {
 		nodes = append(nodes, 0)
 	}
-	return nodes, ids
+	return archs, nodes, ids
 }
 
 // interconnectLinks prices a transfer between every pair of master memory
@@ -612,12 +602,12 @@ func interconnectLinks(pl *core.Platform, ids []string) [][]placement.Link {
 }
 
 // taskTimeout derives the real-mode watchdog timeout for a task: perfmodel
-// estimate × WatchdogFactor when history exists, else the absolute
+// estimate × watchdogFactor when history exists, else the absolute
 // RetryPolicy.TaskTimeout (0 = no watchdog).
 func (rt *Runtime) taskTimeout(t *Task, arch string, policy RetryPolicy) time.Duration {
 	if rt.cfg.Models != nil && t.Flops > 0 {
 		if est, ok := rt.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
-			return time.Duration(est * policy.WatchdogFactor * float64(time.Second))
+			return time.Duration(est * watchdogFactor * float64(time.Second))
 		}
 	}
 	if policy.TaskTimeout > 0 {

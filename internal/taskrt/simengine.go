@@ -211,7 +211,7 @@ func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
 			return fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
 				t.Codelet.Name, t.Label, n, fail.on.hw.ID)
 		}
-		retryAt := fail.at + sim.Time(st.policy.backoff(n))
+		retryAt := fail.at + sim.Time(Backoff(retryBackoffBase, retryBackoffCap, n))
 		if st.tracer != nil {
 			st.tracer.Record(trace.Event{
 				Kind: trace.Retry, Unit: fail.on.hw.ID, Label: taskLabel(t),
@@ -327,8 +327,8 @@ func kernelSeconds(m *simhw.Machine, t *Task, u *simhw.Unit) float64 {
 }
 
 // watchdogTimeout derives the hang-detection timeout for task t on unit su:
-// per-codelet perfmodel estimate × factor when history exists, else the
-// simulator's own cost model × factor.
+// per-codelet perfmodel estimate × watchdogFactor when history exists, else
+// the simulator's own cost model × watchdogFactor.
 func (st *simState) watchdogTimeout(t *Task, su *simUnit) float64 {
 	est := kernelSeconds(st.machine, t, su.hw)
 	if st.models != nil && t.Flops > 0 {
@@ -336,7 +336,7 @@ func (st *simState) watchdogTimeout(t *Task, su *simUnit) float64 {
 			est = e
 		}
 	}
-	return est * st.policy.WatchdogFactor
+	return est * watchdogFactor
 }
 
 // stage is the one walk over t's read operands that are not valid on su's

@@ -98,8 +98,8 @@ func (m Mode) String() string {
 // Config configures a Runtime.
 type Config struct {
 	// Platform describes the machine. In Sim mode it parameterises the
-	// hardware simulator; in Real mode its x86 capacity bounds the worker
-	// count.
+	// hardware simulator; in Real mode its Masters' units, whatever their
+	// architecture, are the workers (a ppc Master gives ppc workers).
 	Platform *core.Platform
 	// Mode selects the engine (default Real).
 	Mode Mode
@@ -107,8 +107,8 @@ type Config struct {
 	// "ws" (work stealing, the default) and "dmda" (model-predicted earliest
 	// finish time placement; see dispatch.go for the Real engine's).
 	Scheduler string
-	// Workers overrides the Real-mode worker count (default: the platform's
-	// x86 unit count).
+	// Workers overrides the Real-mode worker count (default: the effective
+	// unit count of every Master, whatever its architecture).
 	Workers int
 	// Models, when non-nil, receives execution-time observations in Real
 	// mode (history-based performance models à la StarPU) and feeds the

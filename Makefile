@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,14 @@ lint-options:
 	@! git grep -nwE 'StragglerConfig|DefaultWorkerTTL|lease-ttl' -- '*.go'
 	@! git grep -nE 'RetryPolicy\{[^}]*\}\.' -- '*.go'
 
+# lint-graph-state keeps a Task and a Handle to what their submitter wrote plus
+# their id, because the edges, the submission history and every run's books are
+# tables by id in the runtime and the engines, not fields or edge chunks.
+lint-graph-state:
+	@$(call no_fields,internal/taskrt/codelet.go,Task,deps|dependents|attempt|estNanos|pred)
+	@$(call no_fields,internal/taskrt/codelet.go,Handle,lastW|readers|resident|home)
+	@! grep -rn --include='*.go' appendEdge internal
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -142,10 +150,11 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding and options lints,
+# trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding, options
+# and graph-state lints,
 # race subset, the portable-kernel build, crash/recovery suite, multi-process
 # cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

@@ -1002,16 +1002,12 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	if err := rt.SubmitBatch([]*taskrt.Task{{Codelet: noop, Accesses: []taskrt.Access{taskrt.RW(h)}}}); err != nil {
 		t.Fatal(err)
 	}
-	tasks, handles, err := rt.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.newRun(tasks, handles)
+	st, err := m.newRun(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer close(st.stop)
-	n, task := st.nodes[0], tasks[0]
+	n, task := st.nodes[0], st.tasks[0]
 	n.alive = true
 	// NeedData bounce: suspects reset, stale residency dropped.
 	n.suspects, n.has[h.ID()] = 1, cached{0, true}

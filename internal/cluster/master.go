@@ -342,6 +342,7 @@ func (rec *inflightRec) forgetResidency(writtenOnly bool) {
 // runState is the mutable state of one Run, owned by the loop goroutine.
 type runState struct {
 	m       *Master
+	graph   *taskrt.Runtime // the edges: Deps and Dependents by id
 	tasks   []*taskrt.Task
 	handles []*taskrt.Handle
 	nodes   []*nodeState
@@ -416,12 +417,17 @@ func (m *Master) logf(format string, args ...any) {
 	}
 }
 
-// newRun builds the state of one run over a graph: a record per task, a
-// version per handle, and every configured node — down until its heartbeat
-// says otherwise — with the price of its link from the master.
-func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runState, error) {
+// newRun takes rt's graph and builds the state of one run over it: a record
+// per task, a version per handle, and every configured node — down until its
+// heartbeat says otherwise — with the price of its link from the master.
+func (m *Master) newRun(rt *taskrt.Runtime) (*runState, error) {
+	tasks, handles, err := rt.Graph()
+	if err != nil {
+		return nil, err
+	}
 	st := &runState{
 		m:       m,
+		graph:   rt,
 		tasks:   tasks,
 		handles: handles,
 		ver:     make([]uint64, len(handles)),
@@ -435,8 +441,9 @@ func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runSta
 	// and written or missing entries, an error string, and every handle once.
 	st.respMax = 1 << 20
 	for _, t := range tasks {
-		st.task[t.ID()].indeg = len(t.Deps())
-		st.respMax += int64(256 + len(t.Label) + 16*len(t.Deps()) + 64*len(t.Accesses))
+		deps := len(rt.Deps(t))
+		st.task[t.ID()].indeg = deps
+		st.respMax += int64(256 + len(t.Label) + 16*deps + 64*len(t.Accesses))
 	}
 	st.returns = make([]int64, len(handles))
 	for i, h := range handles {
@@ -465,18 +472,14 @@ func (m *Master) newRun(tasks []*taskrt.Task, handles []*taskrt.Handle) (*runSta
 // the configured nodes, applying results into the Runtime's handle payloads
 // exactly once. It is the cluster-wide counterpart of Runtime.Run.
 func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
-	tasks, handles, err := rt.Graph()
-	if err != nil {
-		return nil, err
-	}
-	if len(tasks) == 0 {
-		return &Report{}, nil
-	}
-	st, err := m.newRun(tasks, handles)
+	st, err := m.newRun(rt)
 	if err != nil {
 		return nil, err
 	}
 	defer st.shutdown()
+	if len(st.tasks) == 0 {
+		return &Report{}, nil
+	}
 
 	if tr := m.cfg.Trace; tr != nil {
 		tr.SetMeta(trace.MetaNode, masterName)
@@ -487,13 +490,13 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		cm.reconnects.With(n.cfg.Name) // the series exists from the first scrape, at 0
 		go st.heartbeat(n)
 	}
-	for _, t := range tasks {
-		if len(t.Deps()) == 0 {
+	for i, t := range st.tasks {
+		if st.task[i].indeg == 0 {
 			st.ready = append(st.ready, t)
 		}
 	}
 
-	remaining := len(tasks)
+	remaining := len(st.tasks)
 	var deadTimer *time.Timer
 	defer func() {
 		if deadTimer != nil {
@@ -545,7 +548,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	}
 
 	rep := &Report{
-		Tasks:           len(tasks),
+		Tasks:           len(st.tasks),
 		MakespanSeconds: time.Since(st.start).Seconds(),
 		RetriedTasks:    st.retriedTasks,
 	}
@@ -802,11 +805,11 @@ func (n *nodeState) hasVersion(id int, ver uint64) bool {
 func (st *runState) chainBehind(t *taskrt.Task) []*taskrt.Task {
 	run := []*taskrt.Task{t}
 	for {
-		next := t.Dependents()
-		if len(next) != 1 || st.task[next[0].ID()].indeg != 1 {
+		next := st.graph.Dependents(t)
+		if len(next) != 1 || st.task[next[0]].indeg != 1 {
 			return run
 		}
-		t = next[0]
+		t = st.tasks[next[0]]
 		run = append(run, t)
 	}
 }
@@ -945,17 +948,13 @@ func (st *runState) dispatch(n *nodeState, chain []member, c placement.Candidate
 			place.Transfer = float64(c.Xfer) / 1e9 // the chain's, on its head
 		}
 		st.instant(place)
-		var parents []int
-		for _, d := range t.Deps() {
-			parents = append(parents, d.ID())
-		}
 		steps[k] = ExecStep{
 			TaskID:   t.ID(),
 			Attempt:  st.task[t.ID()].attempts,
 			Codelet:  t.Codelet.Name,
 			Label:    t.Label,
 			Flops:    t.Flops,
-			Parents:  parents,
+			Parents:  st.graph.Deps(t),
 			Accesses: make([]AccessSpec, 0, len(t.Accesses)), // never regrown: rec.inline points into it
 		}
 	}
@@ -1207,11 +1206,11 @@ func (st *runState) handleResult(ev event) (int, error) {
 				st.m.cfg.Models.Model(t.Codelet.Name, ran.Arch).Record(t.Flops, ran.Seconds)
 			}
 		}
-		for _, dep := range t.Dependents() {
-			ds := &st.task[dep.ID()]
+		for _, dep := range st.graph.Dependents(t) {
+			ds := &st.task[dep]
 			ds.indeg--
 			if ds.indeg == 0 && !ds.done {
-				st.ready = append(st.ready, dep)
+				st.ready = append(st.ready, st.tasks[dep])
 			}
 		}
 	}

@@ -95,15 +95,11 @@ func buildRunState(t testing.TB, cfg Config, batch func(*taskrt.Runtime) []*task
 	if err := rt.SubmitBatch(batch(rt)); err != nil {
 		t.Fatal(err)
 	}
-	graph, handles, err := rt.Graph()
+	st, err := m.newRun(rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.newRun(graph, handles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.events = make(chan event, len(graph)) // nobody drains it but the test
+	st.events = make(chan event, len(st.tasks)) // nobody drains it but the test
 	return st
 }
 

@@ -67,7 +67,7 @@ func TestExplicitDependencyMixesWithDataDeps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(c.Deps()); got != 2 {
+	if got := len(rt.Deps(c)); got != 2 {
 		t.Fatalf("c deps = %d; want data dep on a plus explicit dep on b", got)
 	}
 	if _, err := rt.Run(); err != nil {
@@ -115,8 +115,8 @@ func TestExplicitDependencyValidation(t *testing.T) {
 	if err := rt.Submit(own); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("second submission of one task: err = %v", err)
 	}
-	if len(foreign.Dependents()) != 0 || rt.Tasks() != 1 {
-		t.Fatalf("rejected submissions left %d dependents on the foreign task and %d tasks registered", len(foreign.Dependents()), rt.Tasks())
+	if len(other.Dependents(foreign)) != 0 || rt.Tasks() != 1 {
+		t.Fatalf("rejected submissions left %d dependents on the foreign task and %d tasks registered", len(other.Dependents(foreign)), rt.Tasks())
 	}
 }
 

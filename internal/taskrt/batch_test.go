@@ -109,8 +109,8 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 	}
 	wantDep := func(t2 *Task, name string) {
 		t.Helper()
-		deps := t2.Deps()
-		if len(deps) != 1 || deps[0] != producer {
+		deps := rt.Deps(t2)
+		if len(deps) != 1 || deps[0] != producer.ID() {
 			t.Fatalf("%s deps = %v, want exactly the producer", name, deps)
 		}
 	}
@@ -127,12 +127,13 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 	for _, sched := range []string{"ws", "dmda"} {
 		for _, seed := range []int64{1, 2, 3} {
 			var mu sync.Mutex
+			var rt *Runtime
 			counts := map[*Task]int{}
 			done := map[*Task]*atomic.Bool{}
 			violations := atomic.Int64{}
 			cl, err := NewCodelet("batch", Impl{Arch: "x86", Func: func(tc *TaskContext) error {
-				for _, dep := range tc.Task.deps {
-					if !done[dep].Load() {
+				for _, dep := range rt.Deps(tc.Task) {
+					if !done[rt.tasks[dep]].Load() {
 						violations.Add(1)
 					}
 				}
@@ -146,7 +147,7 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := New(Config{
+			rt, err = New(Config{
 				Platform:  cpuPlatform(t, 4),
 				Mode:      Real,
 				Scheduler: sched,

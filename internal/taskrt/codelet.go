@@ -1,9 +1,6 @@
 package taskrt
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // TaskContext is handed to real-mode implementation functions.
 type TaskContext struct {
@@ -156,26 +153,13 @@ func (c *Codelet) Archs() []string {
 }
 
 // Handle names a datum managed by the runtime: its size drives transfer
-// costs in sim mode, its payload is what real-mode kernels operate on, and
-// its home node is where the datum initially lives.
+// costs, and its payload is what real-mode kernels operate on. Every datum
+// starts out in host RAM, memory node 0.
 type Handle struct {
 	id      int
 	Name    string
 	Bytes   int64
 	Payload any
-	home    int
-
-	// Submission history, from which Submit derives dependencies: the last
-	// task to write the handle and the tasks that read it since.
-	lastW   *Task
-	readers []*Task
-
-	// resident is a bitmask of the memory nodes (platform master indices)
-	// currently holding a valid copy, maintained by the data-aware dmda
-	// dispatcher. Zero is the unset state and is read as 1<<home. A write
-	// collapses the mask to the writer's node; a placement sets the chosen
-	// node's bit ahead of dequeue (the prefetch hint).
-	resident atomic.Uint64
 }
 
 // ID returns the registration-order id of the handle, stable for the life
@@ -183,44 +167,12 @@ type Handle struct {
 // the datum on the wire.
 func (h *Handle) ID() int { return h.id }
 
-// residentMask returns the effective residency bitmask (home when unset).
-func (h *Handle) residentMask() uint64 {
-	if m := h.resident.Load(); m != 0 {
-		return m
-	}
-	return 1 << uint(h.home%maxNodes)
-}
-
-// markResident sets node's residency bit, reporting whether it was newly
-// set — i.e. whether this placement implies a transfer worth prefetching.
-func (h *Handle) markResident(node int) bool {
-	bit := uint64(1) << uint(node)
-	for {
-		old := h.resident.Load()
-		cur := old
-		if cur == 0 {
-			cur = 1 << uint(h.home%maxNodes)
-		}
-		next := cur | bit
-		if next == cur && old != 0 {
-			return false
-		}
-		if h.resident.CompareAndSwap(old, next) {
-			return cur&bit == 0
-		}
-	}
-}
-
-// setResidentOnly collapses residency to a single node (after a write).
-func (h *Handle) setResidentOnly(node int) {
-	h.resident.Store(1 << uint(node))
-}
-
-// NewHandle registers a datum with the runtime. bytes must be non-negative;
-// home is the memory node where the datum initially resides (0 = host RAM).
+// NewHandle registers a datum of the given size with the runtime. A size of
+// zero or less moves between memory nodes for free.
 func (rt *Runtime) NewHandle(name string, bytes int64, payload any) *Handle {
 	h := &Handle{id: len(rt.handles), Name: name, Bytes: bytes, Payload: payload}
 	rt.handles = append(rt.handles, h)
+	rt.hist = append(rt.hist, handleHist{lastW: -1, first: -1, last: -1})
 	return h
 }
 
@@ -262,28 +214,10 @@ type Task struct {
 	// submitted to the same runtime.
 	After []*Task
 
-	id         int
-	deps       []*Task
-	dependents []*Task
-	// attempt counts failed attempts so far — the engines' only copy: the
-	// failure path increments it (sim loop, real engine's slow path), the next
-	// execution loads it to stamp its trace spans.
-	attempt atomic.Int32
-	// estNanos is the execution+transfer prediction the dmda dispatcher
-	// charged to a worker's backlog when it placed this task; released by
-	// finished. Guarded by the owning queue's hand-off, never concurrent.
-	estNanos int64
-	// pred caches the dmda perfmodel lookups for this task's codelet,
-	// assigned once at dispatcher construction so placement is map-free.
-	pred *predEntry
+	// id is the one thing the runtime writes into a task: the key of every
+	// table it and the engines keep about it (Runtime.Deps, Runtime.Dependents).
+	id int
 }
-
-// Deps returns the tasks this task waits for (for tests and tooling).
-func (t *Task) Deps() []*Task { return t.deps }
-
-// Dependents returns the tasks waiting on this task (the reverse dependency
-// edges), for external engines executing a Graph().
-func (t *Task) Dependents() []*Task { return t.dependents }
 
 // ID returns the submission-order id.
 func (t *Task) ID() int { return t.id }

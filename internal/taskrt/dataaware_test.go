@@ -180,7 +180,7 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 		{{}, {LatNanos: 1e4, NanosPerByte: 0.2}},
 		{{LatNanos: 1e4, NanosPerByte: 0.2}, {}},
 	}
-	d := newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 1}, links, []*Task{task}, models)
+	d := newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 1}, links, []*Task{task}, []*Handle{h}, models)
 	abort := make(chan struct{})
 	allocs := testing.AllocsPerRun(200, func() {
 		d.push(-1, task)

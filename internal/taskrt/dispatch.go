@@ -335,19 +335,36 @@ type dmdaDispatcher struct {
 	xferSeconds *metrics.Counter
 	// onPlace, when non-nil, observes every placement (trace recording).
 	onPlace func(w int, t *Task, c placement.Candidate)
+
+	// By task id: pred is the estimate cache of the task's codelet (nil when
+	// the model cannot answer for it), est what placing the task charged to a
+	// worker's backlog until finished releases it — guarded by the owning
+	// queue's hand-off, never concurrent.
+	pred []*predEntry
+	est  []int64
+	// resident is, by handle id, the bitmask of the memory nodes (platform
+	// master indices) holding a valid copy; zero reads as node 0, host RAM,
+	// where every datum starts. A write collapses it to the writer's node; a
+	// placement sets the chosen node's bit ahead of dequeue (the prefetch
+	// hint).
+	resident []atomic.Uint64
 }
 
 // newDmdaDispatcher builds the routing state: per-worker deques sized for
 // the whole task set, the distinct-arch table, the node-to-node link
-// matrix, and the per-codelet estimate caches (tasks' pred fields are
-// assigned here — the only map lookups on the dmda path happen now).
-func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, tasks []*Task, models *perfmodel.Store) *dmdaDispatcher {
+// matrix, the per-codelet estimate caches (every task's pred is looked up
+// here — the only map lookups on the dmda path happen now), and the tables
+// by task and by handle id.
+func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, tasks []*Task, handles []*Handle, models *perfmodel.Store) *dmdaDispatcher {
 	d := &dmdaDispatcher{
 		workers:     make([]dmdaWorker, len(archs)),
 		sem:         newCreditSem(len(archs) + len(tasks)),
 		links:       links,
 		prefetches:  rtm.prefetches,
 		xferSeconds: rtm.schedTransfer,
+		pred:        make([]*predEntry, len(tasks)),
+		est:         make([]int64, len(tasks)),
+		resident:    make([]atomic.Uint64, len(handles)),
 	}
 	for src := range d.decisions {
 		d.decisions[src] = rtm.schedDecisions.With("dmda", placement.Source(src).String())
@@ -396,7 +413,7 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 			}
 			byCodelet[t.Codelet] = pe
 		}
-		t.pred = pe
+		d.pred[t.id] = pe
 	}
 	return d
 }
@@ -407,7 +424,7 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 func (d *dmdaDispatcher) candidate(t *Task, w int, xfer int64) placement.Candidate {
 	wk := &d.workers[w]
 	var snap predSnap // zero value: the model has no answer
-	if pe := t.pred; pe != nil {
+	if pe := d.pred[t.id]; pe != nil {
 		ai := wk.archIdx
 		v := pe.models[ai].Version()
 		s := pe.snaps[ai].Load()
@@ -442,7 +459,7 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 		if !a.Mode.Reads() || h.Bytes <= 0 {
 			continue
 		}
-		mask := h.residentMask()
+		mask := d.residentMask(h.id)
 		if mask&(1<<uint(node)) != 0 {
 			continue
 		}
@@ -489,6 +506,31 @@ func (d *dmdaDispatcher) choose(t *Task) (int, placement.Candidate) {
 	return w, c
 }
 
+// residentMask returns the nodes holding handle h: its bitmask, or node 0
+// while the mask is unset.
+func (d *dmdaDispatcher) residentMask(h int) uint64 {
+	return max(d.resident[h].Load(), 1)
+}
+
+// markResident sets node's residency bit for handle h, reporting whether it
+// was newly set — i.e. whether this placement implies a transfer worth
+// prefetching.
+func (d *dmdaDispatcher) markResident(h, node int) bool {
+	bit := uint64(1) << uint(node)
+	r := &d.resident[h]
+	for {
+		old := r.Load()
+		cur := max(old, 1)
+		next := cur | bit
+		if next == cur && old != 0 {
+			return false
+		}
+		if r.CompareAndSwap(old, next) {
+			return cur&bit == 0
+		}
+	}
+}
+
 // prefetch marks t's read operands resident on the node t is about to run
 // on, ahead of the move: later siblings reading the same handle see the
 // transfer already paid and co-locate.
@@ -497,7 +539,7 @@ func (d *dmdaDispatcher) prefetch(t *Task, node int) {
 		return
 	}
 	for _, a := range t.Accesses {
-		if a.Mode.Reads() && a.Handle.markResident(node) {
+		if a.Mode.Reads() && d.markResident(a.Handle.id, node) {
 			d.prefetches.Inc()
 		}
 	}
@@ -508,9 +550,9 @@ func (d *dmdaDispatcher) prefetch(t *Task, node int) {
 func (d *dmdaDispatcher) place(t *Task) {
 	w, c := d.choose(t)
 	d.decisions[c.Source].Inc()
-	t.estNanos = c.Charge()
+	d.est[t.id] = c.Charge()
 	wk := &d.workers[w]
-	wk.outstanding.Add(t.estNanos)
+	wk.outstanding.Add(d.est[t.id])
 	d.prefetch(t, wk.node)
 	if c.Xfer > 0 {
 		d.xferSeconds.Add(float64(c.Xfer) / 1e9)
@@ -600,10 +642,10 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 		return nil, true
 	}
 	vk.pushMu.Unlock()
-	vk.outstanding.Add(-t.estNanos)
+	vk.outstanding.Add(-d.est[t.id])
 	d.prefetch(t, tk.node)
-	t.estNanos = c.Charge()
-	tk.outstanding.Add(t.estNanos)
+	d.est[t.id] = c.Charge()
+	tk.outstanding.Add(d.est[t.id])
 	return t, false
 }
 
@@ -672,7 +714,7 @@ func (d *dmdaDispatcher) depth(w int) int {
 
 func (d *dmdaDispatcher) finished(w int, t *Task, dur time.Duration, ran bool) {
 	wk := &d.workers[w]
-	wk.outstanding.Add(-t.estNanos)
+	wk.outstanding.Add(-d.est[t.id])
 	if !ran {
 		return
 	}
@@ -685,7 +727,7 @@ func (d *dmdaDispatcher) finished(w int, t *Task, dur time.Duration, ran bool) {
 		// produced. (Skipped when the kernel never ran — data unchanged.)
 		for _, a := range t.Accesses {
 			if a.Mode.Writes() {
-				a.Handle.setResidentOnly(wk.node)
+				d.resident[a.Handle.id].Store(1 << uint(wk.node))
 			}
 		}
 	}

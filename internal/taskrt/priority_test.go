@@ -23,7 +23,7 @@ func TestDmdaPushBatchOrdersByPriority(t *testing.T) {
 		{Codelet: cl, Priority: 3, Label: "p3a"},
 		{Codelet: cl, Priority: 3, Label: "p3b"},
 	}
-	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, tasks, nil)
+	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, numbered(tasks), nil, nil)
 	batch := append([]*Task(nil), tasks...)
 	d.pushBatch(-1, batch)
 	// The caller's slice must keep its submission order (SubmitBatch owns it).
@@ -42,6 +42,15 @@ func TestDmdaPushBatchOrdersByPriority(t *testing.T) {
 	}
 }
 
+// numbered gives tasks built without a runtime the dense ids a dispatcher's
+// tables are indexed by, as Submit would.
+func numbered(tasks []*Task) []*Task {
+	for i, t := range tasks {
+		t.id = i
+	}
+	return tasks
+}
+
 // An unprioritised batch must be placed in submission order: the k-chain of
 // an accumulation graph relies on placement order matching dependency-release
 // order, and sorting a flat batch would be wasted work.
@@ -54,7 +63,7 @@ func TestDmdaPushBatchKeepsOrderWithoutPriorities(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, &Task{Codelet: cl, Label: fmt.Sprintf("t%d", i)})
 	}
-	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, tasks, nil)
+	d := newDmdaDispatcher([]string{"x86"}, []int{0}, [][]placement.Link{{{}}}, numbered(tasks), nil, nil)
 	d.pushBatch(-1, tasks)
 	abort := make(chan struct{})
 	for i := 0; i < 8; i++ {
@@ -83,7 +92,7 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 		}
 	}
 	task := &Task{Codelet: cl, Flops: 2e6, Priority: 1}
-	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, models)
+	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, nil, models)
 	estFast := d.candidate(task, 0, 0).Exec
 	estSlow := d.candidate(task, 1, 0).Exec
 	if estFast <= 0 || estSlow <= estFast {

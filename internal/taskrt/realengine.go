@@ -124,16 +124,20 @@ func (rt *Runtime) runReal() (*Report, error) {
 		if rt.cfg.Models == nil {
 			rt.cfg.Models = perfmodel.NewStore()
 		}
-		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(rt.cfg.Platform, nodeIDs), rt.tasks, rt.cfg.Models)
+		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(rt.cfg.Platform, nodeIDs), rt.tasks, rt.handles, rt.cfg.Models)
 	} else {
 		disp = newStealDispatcher(workers, len(rt.tasks))
 	}
 
 	// Dependency counters and the unresolved-task count are atomics: the
-	// completion hot path touches no lock.
+	// completion hot path touches no lock. attempts counts each task's failed
+	// attempts: the failure slow path adds, the next execution reads it into
+	// its spans.
+	rt.transpose()
 	remaining := make([]atomic.Int32, len(rt.tasks))
-	for i, t := range rt.tasks {
-		remaining[i].Store(int32(len(t.deps)))
+	attempts := make([]atomic.Int32, len(rt.tasks))
+	for i := range remaining {
+		remaining[i].Store(int32(rt.depOff[i+1] - rt.depOff[i]))
 	}
 
 	var (
@@ -175,9 +179,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 	release := func(worker int, t *Task) { // successful completion on worker
 		buf := ws[worker].ready[:0]
-		for _, dep := range t.dependents {
-			if remaining[dep.id].Add(-1) == 0 {
-				buf = append(buf, dep)
+		for _, dep := range rt.succOf(t.id) {
+			if remaining[dep].Add(-1) == 0 {
+				buf = append(buf, rt.tasks[dep])
 			}
 		}
 		ws[worker].ready = buf
@@ -203,10 +207,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	tracing := rt.cfg.Trace != nil
-	var parents [][]int // causal spans: every task's parent ids, resolved up front
 	shardCap := 0
 	if tracing {
-		parents = parentIDs(rt.tasks)
 		// Bound each shard to the run's size (x2 for retry/steal/failure
 		// events) rather than the 64k default, so a worker can never buffer
 		// more than the run could have produced.
@@ -236,7 +238,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				TaskID: t.id, Label: taskLabel(t),
 				Start: now, End: now, From: c.Source.String(),
 				Transfer: float64(c.Xfer) / 1e9,
-				Attempt:  int(t.attempt.Load()),
+				Attempt:  int(attempts[t.id].Load()),
 			})
 		}
 	}
@@ -315,7 +317,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				if t != nil {
 					ev.Label = taskLabel(t)
 					ev.TaskID = t.id
-					ev.ParentIDs = parents[t.id]
+					ev.ParentIDs = rt.depsOf(t.id)
 				}
 				sh.Record(ev)
 			}
@@ -349,7 +351,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 			attemptFailed := func(t *Task, cause error, detected time.Time, blacklist, recovers bool) bool {
 				mu.Lock()
 				failedAttempts++
-				n := int(t.attempt.Add(1))
+				n := int(attempts[t.id].Add(1))
 				if n == 1 {
 					retriedTasks++
 				}
@@ -390,7 +392,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					}
 					return // aborted mid-sweep
 				}
-				attempt := int(t.attempt.Load())
+				attempt := int(attempts[t.id].Load())
 				if victim >= 0 {
 					now := time.Now()
 					rec(trace.Steal, t, attempt, now, now, workerUnitID(victim))

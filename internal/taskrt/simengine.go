@@ -47,6 +47,7 @@ type simFailure struct {
 type simTask struct {
 	remaining int      // dependencies not yet completed
 	readyAt   sim.Time // when the last of them completed, or a retry's backoff ends
+	attempt   int      // failed attempts so far, stamped into the task's spans
 }
 
 // simState is the mutable state of one simulated execution: plain tables
@@ -61,14 +62,13 @@ type simState struct {
 	bids     []classBid     // dmda's per-class scratch, one row per unit class
 	picks    int            // dmda picks so far: a bid row is current when stamped with it
 	dma      []sim.Resource // one DMA engine per memory node
-	handles  []*Handle
+	graph    *Runtime       // the task graph: its tasks, handles and edges
 	// valid is the coherence table, one row of len(dma) nodes per handle:
 	// valid[h.id*len(dma)+node] says node holds a valid copy of h.
-	valid   []bool
-	tasks   []simTask // by task id
-	parents [][]int   // parentIDs, when tracing
-	nodes   []string  // a memory node's lane in transfer spans, when tracing
-	tracer  *trace.Trace
+	valid  []bool
+	tasks  []simTask // by task id
+	nodes  []string  // a memory node's lane in transfer spans, when tracing
+	tracer *trace.Trace
 
 	// Fault tolerance.
 	ft      bool
@@ -101,10 +101,11 @@ func (rt *Runtime) newSimState() (*simState, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt.transpose()
 	st := &simState{
 		machine: machine,
 		dma:     make([]sim.Resource, machine.NumNodes()),
-		handles: rt.handles,
+		graph:   rt,
 		valid:   make([]bool, len(rt.handles)*machine.NumNodes()),
 		tasks:   make([]simTask, len(rt.tasks)),
 		tracer:  rt.cfg.Trace,
@@ -114,7 +115,6 @@ func (rt *Runtime) newSimState() (*simState, error) {
 		models:  rt.cfg.Models,
 	}
 	if st.tracer != nil {
-		st.parents = parentIDs(rt.tasks)
 		for node := range st.dma {
 			st.nodes = append(st.nodes, fmt.Sprintf("node%d", node))
 		}
@@ -149,11 +149,12 @@ func (rt *Runtime) newSimState() (*simState, error) {
 		st.units = append(st.units, su)
 	}
 	st.bids = make([]classBid, len(classes))
-	for _, h := range rt.handles {
-		st.copies(h)[h.home] = true
+	// Every datum starts out in host RAM.
+	for h := range rt.handles {
+		st.valid[h*len(st.dma)] = true
 	}
-	for _, t := range rt.tasks {
-		st.tasks[t.id].remaining = len(t.deps)
+	for id := range st.tasks {
+		st.tasks[id].remaining = rt.depOff[id+1] - rt.depOff[id]
 	}
 	return st, nil
 }
@@ -167,8 +168,8 @@ func (rt *Runtime) runSim() (*Report, error) {
 		return nil, err
 	}
 	var ready readyQueue
-	for _, t := range rt.tasks {
-		if len(t.deps) == 0 {
+	for id, t := range rt.tasks {
+		if st.tasks[id].remaining == 0 {
 			ready.push(t)
 		}
 	}
@@ -202,7 +203,8 @@ func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
 		// recovery), so the retry lands on a different unit — and when
 		// the whole PU class is gone, on a different implementation
 		// variant (GPU codelet → CPU variant) via compatibleUnits.
-		n := int(t.attempt.Add(1))
+		rec.attempt++
+		n := rec.attempt
 		st.failedAttempts++
 		if n == 1 {
 			st.retriedTasks++
@@ -225,12 +227,12 @@ func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
 	}
 	st.makespan = max(st.makespan, end)
 	st.completed++
-	for _, d := range t.dependents {
-		dr := &st.tasks[d.id]
+	for _, d := range rt.succOf(t.id) {
+		dr := &st.tasks[d]
 		dr.readyAt = max(dr.readyAt, end)
 		dr.remaining--
 		if dr.remaining == 0 {
-			push(d)
+			push(rt.tasks[d])
 		}
 	}
 	return nil
@@ -266,30 +268,6 @@ func taskLabel(t *Task) string {
 		return t.Label
 	}
 	return t.Codelet.Name
-}
-
-// parentIDs resolves every task's dependency ids for trace spans, once per
-// traced run: row t.id lists t's parents (nil for a DAG root). The rows share
-// one backing array, so a span copies a slice header instead of walking
-// t.deps.
-func parentIDs(tasks []*Task) [][]int {
-	total := 0
-	for _, t := range tasks {
-		total += len(t.deps)
-	}
-	backing := make([]int, 0, total)
-	parents := make([][]int, len(tasks))
-	for _, t := range tasks {
-		if len(t.deps) == 0 {
-			continue
-		}
-		off := len(backing)
-		for _, d := range t.deps {
-			backing = append(backing, d.id)
-		}
-		parents[t.id] = backing[off:len(backing):len(backing)]
-	}
-	return parents
 }
 
 // baseUnitID maps a quantity-expanded instance id back to the descriptor id
@@ -395,7 +373,7 @@ func (st *simState) taskSpan(kind trace.Kind, t *Task, su *simUnit, start, end s
 	return trace.Event{
 		Kind: kind, Unit: su.hw.ID, Label: taskLabel(t),
 		Start: float64(start), End: float64(end),
-		TaskID: t.id, ParentIDs: st.parents[t.id], Attempt: int(t.attempt.Load()), Worker: su.idx,
+		TaskID: t.id, ParentIDs: st.graph.depsOf(t.id), Attempt: st.tasks[t.id].attempt, Worker: su.idx,
 	}
 }
 
@@ -523,7 +501,7 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simF
 
 // invalidateNode drops every valid copy held by a failed device's memory.
 func (st *simState) invalidateNode(node int) error {
-	for _, h := range st.handles {
+	for _, h := range st.graph.handles {
 		row := st.copies(h)
 		if !row[node] {
 			continue

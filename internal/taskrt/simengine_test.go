@@ -321,7 +321,7 @@ func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
 		return nil, nil, err
 	}
 	for _, t := range rt.tasks {
-		if len(t.deps) == 0 {
+		if len(rt.Deps(t)) == 0 {
 			q.push(t)
 		}
 	}
@@ -528,7 +528,7 @@ func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, [
 	}
 	var q readyQueue
 	for _, task := range rt.tasks {
-		if len(task.deps) == 0 {
+		if len(rt.Deps(task)) == 0 {
 			q.push(task)
 		}
 	}

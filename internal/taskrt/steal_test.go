@@ -27,7 +27,7 @@ func buildSkewedDmda(t *testing.T) (*dmdaDispatcher, *Task) {
 		}
 	}
 	task := &Task{Codelet: cl, Flops: 2e6}
-	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, models)
+	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, nil, models)
 	return d, task
 }
 

@@ -22,6 +22,7 @@ package taskrt
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -146,13 +147,40 @@ const (
 	stateDone
 )
 
-// Runtime accepts task submissions and executes them with Run.
+// Runtime accepts task submissions and executes them with Run. What it derives
+// from them is kept in pointer-free tables indexed by id, so a Task or Handle
+// holds only what its submitter wrote.
 type Runtime struct {
 	cfg     Config
-	handles []*Handle    // by Handle.ID()
-	tasks   []*Task      // by Task.ID()
-	edges   []*Task      // unused cells of appendEdge's current chunk
-	state   atomic.Int32 // stateIdle → stateRunning → stateDone
+	handles []*Handle // by Handle.ID()
+	tasks   []*Task   // by Task.ID()
+
+	// The edges, in compressed sparse rows: task i waits on the ids
+	// deps[depOff[i]:depOff[i+1]] (depOff holds one entry more than there are
+	// tasks), and succ[succOff[i]:succOff[i+1]] wait on it — deps' transpose,
+	// built when an engine takes the graph (transpose).
+	deps, depOff  []int
+	succ, succOff []int
+
+	// hist is every handle's submission history, by handle id; a handle's
+	// readers since its last write are a list linked through reads.
+	hist  []handleHist
+	reads []readLink
+
+	state atomic.Int32 // stateIdle → stateRunning → stateDone
+}
+
+// handleHist is what Submit derives a handle's dependencies from: the last
+// task to write it and the first and last of its reads since (indices into
+// Runtime.reads). -1 is none.
+type handleHist struct {
+	lastW, first, last int32
+}
+
+// readLink is one read in the runtime's reader log: the reading task and the
+// next read of the same handle, -1 at the end of the list.
+type readLink struct {
+	task, next int32
 }
 
 // New creates a runtime. The platform must be a valid machine-model
@@ -176,7 +204,7 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 	}
-	return &Runtime{cfg: cfg}, nil
+	return &Runtime{cfg: cfg, depOff: []int{0}}, nil
 }
 
 // Submit registers a task for execution and derives its dependencies from
@@ -201,6 +229,8 @@ func (rt *Runtime) SubmitBatch(tasks []*Task) error {
 	if err := rt.submittable(); err != nil {
 		return err
 	}
+	rt.tasks = slices.Grow(rt.tasks, len(tasks))
+	rt.depOff = slices.Grow(rt.depOff, len(tasks))
 	for i, t := range tasks {
 		if err := rt.submitOne(t); err != nil {
 			return fmt.Errorf("batch task %d: %w", i, err)
@@ -228,7 +258,7 @@ func (rt *Runtime) submitOne(t *Task) error {
 	if len(t.Codelet.Impls) == 0 {
 		return fmt.Errorf("taskrt: codelet %q has no implementations", t.Codelet.Name)
 	}
-	if t.id < len(rt.tasks) && rt.tasks[t.id] == t {
+	if rt.owns(t) {
 		return fmt.Errorf("taskrt: task %q submitted twice", t.Codelet.Name)
 	}
 	for i, a := range t.Accesses {
@@ -253,77 +283,138 @@ func (rt *Runtime) submitOne(t *Task) error {
 		if dep == nil {
 			return fmt.Errorf("taskrt: task %q has nil explicit dependency", t.Codelet.Name)
 		}
-		if dep.id >= len(rt.tasks) || rt.tasks[dep.id] != dep {
+		if !rt.owns(dep) {
 			return fmt.Errorf("taskrt: task %q depends on a task not yet submitted to this runtime", t.Codelet.Name)
 		}
 	}
 	// Valid: only now does the task take an id, so ids stay dense — the index
-	// of the task in rt.tasks — whatever was rejected before it.
+	// of the task in rt.tasks — whatever was rejected before it. Its row of
+	// deps is what follows from here.
 	t.id = len(rt.tasks)
-
-	addDep := func(dep *Task) {
-		if dep == nil || dep == t {
-			return
-		}
-		for _, d := range t.deps {
-			if d == dep {
-				return
-			}
-		}
-		t.deps = rt.appendEdge(t.deps, dep)
-		dep.dependents = rt.appendEdge(dep.dependents, t)
-	}
+	id, from := int32(t.id), len(rt.deps)
 	for _, dep := range t.After {
-		addDep(dep)
+		rt.addDep(from, dep.id)
 	}
 	for _, a := range t.Accesses {
-		h := a.Handle
-		if a.Mode.Reads() || a.Mode == Write {
+		h := &rt.hist[a.Handle.id]
+		if (a.Mode.Reads() || a.Mode == Write) && h.lastW >= 0 {
 			// Even pure writes must wait for the previous writer (output
 			// dependency) and for readers (anti dependency).
-			addDep(h.lastW)
+			rt.addDep(from, int(h.lastW))
 		}
 		if a.Mode.Writes() {
-			for _, r := range h.readers {
-				addDep(r)
+			for r := h.first; r >= 0; r = rt.reads[r].next {
+				rt.addDep(from, int(rt.reads[r].task))
 			}
-			h.readers = nil
-			h.lastW = t
-		} else {
-			h.readers = append(h.readers, t)
+			*h = handleHist{lastW: id, first: -1, last: -1}
+			continue
 		}
+		link := int32(len(rt.reads))
+		rt.reads = append(rt.reads, readLink{task: id, next: -1})
+		if h.last >= 0 {
+			rt.reads[h.last].next = link
+		} else {
+			h.first = link
+		}
+		h.last = link
 	}
 	rt.tasks = append(rt.tasks, t)
+	rt.depOff = append(rt.depOff, len(rt.deps))
 	return nil
 }
 
-// appendEdge appends t to a task's deps or dependents. In a chain a task has
-// one of each, so a list's first cell is cut from a chunk the runtime's tasks
-// share instead of being a heap slice of its own; a list that outgrows the
-// cell moves where append takes it.
-func (rt *Runtime) appendEdge(list []*Task, t *Task) []*Task {
-	if list == nil {
-		if len(rt.edges) == 0 {
-			rt.edges = make([]*Task, 512)
-		}
-		list, rt.edges = rt.edges[:0:1], rt.edges[1:]
+// addDep appends dep to the row of deps that starts at from, unless the row
+// holds it already. A task waits on a handful of tasks: a scan of its row beats
+// keeping a set.
+func (rt *Runtime) addDep(from, dep int) {
+	if !slices.Contains(rt.deps[from:], dep) {
+		rt.deps = append(rt.deps, dep)
 	}
-	return append(list, t)
+}
+
+// owns reports whether t is a task this runtime accepted.
+func (rt *Runtime) owns(t *Task) bool {
+	return t.id < len(rt.tasks) && rt.tasks[t.id] == t
 }
 
 // Tasks returns the number of submitted tasks.
 func (rt *Runtime) Tasks() int { return len(rt.tasks) }
 
+// Deps returns the ids of the tasks t waits for, in the order Submit derived
+// them: its After list, then per access the handle's last writer and, for a
+// write, the handle's readers since, each once. It is nil for a task this
+// runtime did not accept. The slice is a row of the runtime's table: do not
+// write to it.
+func (rt *Runtime) Deps(t *Task) []int {
+	if !rt.owns(t) {
+		return nil
+	}
+	return rt.depsOf(t.id)
+}
+
+// Dependents returns the ids of the tasks waiting on t, ascending: the reverse
+// edges of Deps. It is nil for a task this runtime did not accept, and, like
+// Deps, a row of the runtime's table.
+func (rt *Runtime) Dependents(t *Task) []int {
+	if !rt.owns(t) {
+		return nil
+	}
+	rt.transpose()
+	return rt.succOf(t.id)
+}
+
+// depsOf is task id's row of deps, clipped so that an append cannot reach the
+// next row.
+func (rt *Runtime) depsOf(id int) []int {
+	lo, hi := rt.depOff[id], rt.depOff[id+1]
+	return rt.deps[lo:hi:hi]
+}
+
+// succOf is task id's row of succ; transpose must have run since the last
+// submission.
+func (rt *Runtime) succOf(id int) []int {
+	lo, hi := rt.succOff[id], rt.succOff[id+1]
+	return rt.succ[lo:hi:hi]
+}
+
+// transpose builds succ from deps, unless it is current, by one counting pass:
+// count each task's dependents, turn the counts into row starts, then fill the
+// rows visiting tasks in id order, so every row ascends.
+func (rt *Runtime) transpose() {
+	n := len(rt.tasks)
+	if len(rt.succOff) == n+1 {
+		return
+	}
+	off := make([]int, n+1)
+	for _, d := range rt.deps {
+		off[d+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	succ := make([]int, len(rt.deps))
+	for t := 0; t < n; t++ {
+		for _, d := range rt.depsOf(t) {
+			succ[off[d]] = t
+			off[d]++ // ends at the next row's start
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	rt.succ, rt.succOff = succ, off
+}
+
 // Graph hands the submitted task graph to an external engine: it returns
-// every task (in submission order, dependencies derived) together with every
-// registered handle, and consumes the runtime — the same single-shot
-// lifecycle Run enforces, so a graph can be executed either locally (Run) or
-// by an external engine (the cluster master), never both. Further Submit or
-// Run calls fail with the usual lifecycle errors.
+// every task (in submission order) together with every registered handle,
+// and consumes the runtime — the same single-shot lifecycle Run enforces, so
+// a graph can be executed either locally (Run) or by an external engine (the
+// cluster master), never both. Further Submit or Run calls fail with the
+// usual lifecycle errors; Deps and Dependents keep answering.
 func (rt *Runtime) Graph() (tasks []*Task, handles []*Handle, err error) {
 	if !rt.state.CompareAndSwap(stateIdle, stateDone) {
 		return nil, nil, fmt.Errorf("taskrt: Graph after Run or Graph; a runtime is single-shot, create a new one")
 	}
+	rt.transpose()
 	return rt.tasks, rt.handles, nil
 }
 

@@ -186,8 +186,8 @@ func TestDependencyDerivation(t *testing.T) {
 	}
 	depIDs := func(task *Task) []string {
 		var out []string
-		for _, d := range task.Deps() {
-			out = append(out, d.Label)
+		for _, d := range rt.Deps(task) {
+			out = append(out, rt.tasks[d].Label)
 		}
 		return out
 	}

@@ -87,11 +87,17 @@ lint-options:
 
 # lint-graph-state keeps a Task and a Handle to what their submitter wrote plus
 # their id, because the edges, the submission history and every run's books are
-# tables by id in the runtime and the engines, not fields or edge chunks.
+# tables by id in the Graph, the Runtime and the engines, not fields or edge
+# chunks, and keeps a Graph a value that any number of runs share, so no run
+# lifecycle comes back on the Runtime and no Graph() hands out its parts with
+# an error.
 lint-graph-state:
 	@$(call no_fields,internal/taskrt/codelet.go,Task,deps|dependents|attempt|estNanos|pred)
 	@$(call no_fields,internal/taskrt/codelet.go,Handle,lastW|readers|resident|home)
 	@! grep -rn --include='*.go' appendEdge internal
+	@! grep -rnE --include='*.go' 'stateIdle|stateRunning|stateDone|submittable' internal/taskrt
+	@! grep -rniw --include='*.go' --exclude='*_test.go' 'single-shot' .
+	@! grep -rnE --include='*.go' '[[:alnum:]_]+, [[:alnum:]_]+, err :?= .*\.Graph\(\)' internal
 
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
@@ -103,9 +109,12 @@ lint-graph-state:
 # per-node execute streams and their pending tables, heartbeats). A -race build
 # leaves internal/blas's assembly out (the detector cannot see into it), so the
 # tile kernels these packages' tasks run are instrumented Go and a missing
-# dependency edge between two tile tasks still shows as a race.
+# dependency edge between two tile tasks still shows as a race. From
+# internal/experiments it takes the serial-oracle tests, which run one graph on
+# both real dispatchers and through the cluster master.
 race:
 	$(GO) test -race ./internal/taskrt/... ./internal/trace/... ./internal/metrics/... ./internal/perfmodel/... ./internal/dynamic/... ./internal/blas/... ./internal/registry/... ./internal/server/... ./internal/query/... ./internal/cluster/... ./internal/client/...
+	$(GO) test -race -run '^TestSerialOracle' ./internal/experiments
 
 # test-purego builds internal/blas without its AVX2/FMA assembly, so every
 # packed product and factorization kernel — and the tiled factorizations of
@@ -171,7 +180,8 @@ bench-blas:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkMicroKernel' -count 5 ./internal/blas
 
 # bench-sim times the simulated Figure 5 (DGEMM 8192/256, dmda, its three
-# platforms) as graph build and run apart, µs and allocations per task each.
+# platforms) as graph build and run apart, and the whole figure with a build per
+# series and with one build, µs and allocations per task each.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimFigure5' -count 5 ./internal/experiments
 

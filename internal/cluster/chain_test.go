@@ -152,13 +152,13 @@ func TestChainMidChainKernelFailure(t *testing.T) {
 	w, srv := startWorker(t, "n", cl, WorkerConfig{})
 	cell := blas.NewMatrix(1, 1)
 	st := cellRun(t, map[string]*httptest.Server{"n": srv}, map[string]*Worker{"n": w}, nil, cellChain(cl, cell, length))
-	n, head, h := st.nodes[0], st.tasks[0], st.tasks[0].Accesses[0].Handle.ID()
+	n, head, h := st.nodes[0], st.graph.Tasks()[0], st.graph.Tasks()[0].Accesses[0].Handle.ID()
 
 	rec := placeHead(t, st, head)
 	if len(rec.members) != length {
 		t.Fatalf("the chain behind the head has %d members, want %d", len(rec.members), length)
 	}
-	for _, task := range st.tasks {
+	for _, task := range st.graph.Tasks() {
 		if st.task[task.ID()].inflight != rec {
 			t.Fatalf("member %d does not map to the chain's record", task.ID())
 		}
@@ -175,7 +175,7 @@ func TestChainMidChainKernelFailure(t *testing.T) {
 	if st.ver[h] != 0 || cell.Data[0] != 0 || st.doneCount() != 0 {
 		t.Fatalf("after a failed chain: version %d, cell %g, %d tasks done; want the pre-chain state", st.ver[h], cell.Data[0], st.doneCount())
 	}
-	for i, task := range st.tasks {
+	for i, task := range st.graph.Tasks() {
 		want := 0
 		if i == failAt {
 			want = 1
@@ -233,8 +233,8 @@ func TestChainNeedDataAtLaterStep(t *testing.T) {
 			{Codelet: cl, Accesses: []taskrt.Access{taskrt.RW(c)}},
 		}
 	})
-	n, head := st.nodes[0], st.tasks[0]
-	c, x := st.tasks[1].Accesses[1].Handle.ID(), st.tasks[1].Accesses[0].Handle.ID()
+	n, head := st.nodes[0], st.graph.Tasks()[0]
+	c, x := st.graph.Tasks()[1].Accesses[1].Handle.ID(), st.graph.Tasks()[1].Accesses[0].Handle.ID()
 	n.has[x] = cached{0, true} // a stale belief: the worker never saw it
 
 	if rec := placeHead(t, st, head); len(rec.members) != 3 {
@@ -288,7 +288,7 @@ func TestChainNodeKilledMidChain(t *testing.T) {
 	t.Cleanup(gates[1].open)
 	cell := blas.NewMatrix(1, 1)
 	st := cellRun(t, map[string]*httptest.Server{"a": sa, "b": sb}, map[string]*Worker{"a": wa, "b": wb}, nil, cellChain(cl, cell, length))
-	head := st.tasks[0]
+	head := st.graph.Tasks()[0]
 
 	first := placeHead(t, st, head)
 	waitFor(t, "the chain to reach its second step", func() bool { return reached.Load() == 1 })
@@ -353,7 +353,7 @@ func TestCheckoutRetryAfterTimeoutRunsOnCanonicalBytes(t *testing.T) {
 	cell.Data[0] = 2
 	st := cellRun(t, map[string]*httptest.Server{"n": srv}, map[string]*Worker{"n": w},
 		func(cfg *Config) { cfg.ExecTimeout = 100 * time.Millisecond }, cellChain(cl, cell, 1))
-	n, head := st.nodes[0], st.tasks[0]
+	n, head := st.nodes[0], st.graph.Tasks()[0]
 
 	placeHead(t, st, head)
 	ev := nextResult(t, st)
@@ -430,7 +430,7 @@ func TestSenderOrderIsDispatchOrder(t *testing.T) {
 	n.alive, n.credits, n.maxCred = true, k, k
 	n.info = InfoResponse{Archs: []string{"x86"}}
 
-	st.ready = append(st.ready, st.tasks...)
+	st.ready = append(st.ready, st.graph.Tasks()...)
 	st.dispatchReady() // k invocations queued back to back, none answered yet
 	if len(st.ready) != 0 {
 		t.Fatalf("%d tasks left undispatched", len(st.ready))
@@ -443,8 +443,8 @@ func TestSenderOrderIsDispatchOrder(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, id := range arrivals {
-		if id != st.tasks[i].ID() {
-			t.Fatalf("request %d on the stream is task %d, want task %d: the stream is out of dispatch order", i, id, st.tasks[i].ID())
+		if id != st.graph.Tasks()[i].ID() {
+			t.Fatalf("request %d on the stream is task %d, want task %d: the stream is out of dispatch order", i, id, st.graph.Tasks()[i].ID())
 		}
 	}
 	if inlined[shared] != 1 {
@@ -792,7 +792,7 @@ func TestBackoffFollowsFailingMember(t *testing.T) {
 	st := cellRun(t, map[string]*httptest.Server{"n": srv}, map[string]*Worker{"n": w},
 		func(cfg *Config) { cfg.BackoffBase, cfg.BackoffCap = base, 8*base },
 		cellChain(cl, blas.NewMatrix(1, 1), length))
-	head := st.tasks[0]
+	head := st.graph.Tasks()[0]
 
 	for failure, factor := range []time.Duration{1, 2} {
 		placeHead(t, st, head)
@@ -804,7 +804,7 @@ func TestBackoffFollowsFailingMember(t *testing.T) {
 		if done, err := st.handleResult(ev); done != 0 || err != nil {
 			t.Fatalf("handling failure %d: done=%d err=%v", failure, done, err)
 		}
-		if got := st.task[st.tasks[failAt].ID()].attempts; got != failure+1 || st.task[head.ID()].attempts != 0 {
+		if got := st.task[st.graph.Tasks()[failAt].ID()].attempts; got != failure+1 || st.task[head.ID()].attempts != 0 {
 			t.Fatalf("after failure %d: the failing member is charged %d attempts and the head %d", failure, got, st.task[head.ID()].attempts)
 		}
 		select {

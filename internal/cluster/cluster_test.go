@@ -1002,12 +1002,12 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	if err := rt.SubmitBatch([]*taskrt.Task{{Codelet: noop, Accesses: []taskrt.Access{taskrt.RW(h)}}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.newRun(rt)
+	st, err := m.newRun(rt.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer close(st.stop)
-	n, task := st.nodes[0], st.tasks[0]
+	n, task := st.nodes[0], st.graph.Tasks()[0]
 	n.alive = true
 	// NeedData bounce: suspects reset, stale residency dropped.
 	n.suspects, n.has[h.ID()] = 1, cached{0, true}

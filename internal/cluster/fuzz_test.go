@@ -94,7 +94,7 @@ func responseFuzzRun(t testing.TB) *execStream {
 			taskrt.R(rt.NewHandle("r", 8, blas.NewMatrix(1, 1))),
 		}}}
 	})
-	rec := &inflightRec{members: []member{{task: st.tasks[0]}}, node: st.nodes[0],
+	rec := &inflightRec{members: []member{{task: st.graph.Tasks()[0]}}, node: st.nodes[0],
 		req: &ExecRequest{TaskID: 0}, timeout: time.NewTimer(time.Hour)}
 	t.Cleanup(func() { rec.timeout.Stop() })
 	return &execStream{st: st, node: st.nodes[0], pending: map[int]*inflightRec{0: rec}}
@@ -125,7 +125,7 @@ func FuzzResponseReader(f *testing.F) {
 				switch {
 				case got == nil && wr.payload != nil:
 					t.Fatalf("a frame was staged for an answer nobody waits for: %+v", wr)
-				case got != nil && (wr.HandleID < 0 || wr.HandleID > 2 || wr.FrameLen > max(s.st.returns[wr.HandleID], looseFrame(s.st.handles[wr.HandleID]))):
+				case got != nil && (wr.HandleID < 0 || wr.HandleID > 2 || wr.FrameLen > max(s.st.returns[wr.HandleID], looseFrame(s.st.graph.Handles()[wr.HandleID]))):
 					t.Fatalf("staged %+v; handle bounds %+v", wr, s.st.returns)
 				}
 			}

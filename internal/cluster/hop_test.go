@@ -52,7 +52,7 @@ func tileHops(tb testing.TB, k int) (hop func(i int), stop func()) {
 	})
 	st.nodeUp(st.nodes[0], w.Info())
 	hop = func(i int) {
-		placeHead(tb, st, st.tasks[i])
+		placeHead(tb, st, st.graph.Tasks()[i])
 		ev := nextResult(tb, st)
 		if done, err := st.handleResult(ev); done != 1 || err != nil {
 			tb.Fatalf("hop %d: done=%d err=%v (transport: %v)", i, done, err, ev.err)
@@ -184,7 +184,7 @@ func TestTornReturnLeavesCanonicalBytes(t *testing.T) {
 	st.nodeUp(n, w.Info())
 	before := append([]float64(nil), parent.Data...)
 
-	placeHead(t, st, st.tasks[0])
+	placeHead(t, st, st.graph.Tasks()[0])
 	ev := nextResult(t, st)
 	if ev.err == nil || !torn.Load() {
 		t.Fatalf("outcome of the torn response: resp=%+v err=%v, want a transport error", ev.resp, ev.err)
@@ -355,7 +355,7 @@ func TestReturnedFrameIsCheckedBeforeItIsRead(t *testing.T) {
 			n := st.nodes[0]
 			n.alive, n.credits, n.info = true, 1, InfoResponse{Archs: []string{"x86"}}
 			before := largeAllocs()
-			placeHead(t, st, st.tasks[0])
+			placeHead(t, st, st.graph.Tasks()[0])
 			ev := nextResult(t, st)
 			if ev.err == nil || !strings.Contains(ev.err.Error(), tc.want) {
 				t.Fatalf("outcome resp=%+v err=%v, want the stream failed by an error containing %q", ev.resp, ev.err, tc.want)

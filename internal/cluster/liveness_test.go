@@ -37,7 +37,7 @@ func TestLivenessHasOneOwner(t *testing.T) {
 	}
 
 	// up → heartbeatMisses failed probes in a row → down, its chains resubmitted.
-	a, b := placeHead(t, st, st.tasks[0]), placeHead(t, st, st.tasks[1])
+	a, b := placeHead(t, st, st.graph.Tasks()[0]), placeHead(t, st, st.graph.Tasks()[1])
 	for round := 0; round < 2; round++ {
 		for i := 1; i < misses; i++ {
 			st.probed(n, InfoResponse{}, silence)
@@ -63,7 +63,7 @@ func TestLivenessHasOneOwner(t *testing.T) {
 	// plane answers, so the loop takes it down on its own evidence — and the
 	// next answered probe brings it back, with no handshake to forget.
 	st.probed(n, info, nil)
-	for i, task := range st.tasks[2:4] {
+	for i, task := range st.graph.Tasks()[2:4] {
 		rec := placeHead(t, st, task)
 		if done, err := st.handleResult(event{kind: evResult, rec: rec, err: errors.New("stream reset")}); done != 0 || err != nil {
 			t.Fatalf("transport error %d: done=%d err=%v", i+1, done, err)

@@ -341,11 +341,9 @@ func (rec *inflightRec) forgetResidency(writtenOnly bool) {
 
 // runState is the mutable state of one Run, owned by the loop goroutine.
 type runState struct {
-	m       *Master
-	graph   *taskrt.Runtime // the edges: Deps and Dependents by id
-	tasks   []*taskrt.Task
-	handles []*taskrt.Handle
-	nodes   []*nodeState
+	m     *Master
+	graph *taskrt.Graph // the tasks, the handles and the edges between them, by id
+	nodes []*nodeState
 
 	ver    []uint64    // current version per handle id
 	walk   []uint64    // eachAccess's scratch per handle id, zero between walks
@@ -417,31 +415,26 @@ func (m *Master) logf(format string, args ...any) {
 	}
 }
 
-// newRun takes rt's graph and builds the state of one run over it: a record
-// per task, a version per handle, and every configured node — down until its
-// heartbeat says otherwise — with the price of its link from the master.
-func (m *Master) newRun(rt *taskrt.Runtime) (*runState, error) {
-	tasks, handles, err := rt.Graph()
-	if err != nil {
-		return nil, err
-	}
+// newRun builds the state of one run over g: a record per task, a version per
+// handle, and every configured node — down until its heartbeat says otherwise —
+// with the price of its link from the master.
+func (m *Master) newRun(g *taskrt.Graph) (*runState, error) {
+	tasks, handles := g.Tasks(), g.Handles()
 	st := &runState{
-		m:       m,
-		graph:   rt,
-		tasks:   tasks,
-		handles: handles,
-		ver:     make([]uint64, len(handles)),
-		walk:    make([]uint64, len(handles)),
-		task:    make([]taskState, len(tasks)),
-		events:  make(chan event, 64),
-		stop:    make(chan struct{}),
-		start:   time.Now(),
+		m:      m,
+		graph:  g,
+		ver:    make([]uint64, len(handles)),
+		walk:   make([]uint64, len(handles)),
+		task:   make([]taskState, len(tasks)),
+		events: make(chan event, 64),
+		stop:   make(chan struct{}),
+		start:  time.Now(),
 	}
 	// A response holds at most every task's span (label, parents), run record
 	// and written or missing entries, an error string, and every handle once.
 	st.respMax = 1 << 20
 	for _, t := range tasks {
-		deps := len(rt.Deps(t))
+		deps := len(g.Deps(t))
 		st.task[t.ID()].indeg = deps
 		st.respMax += int64(256 + len(t.Label) + 16*deps + 64*len(t.Accesses))
 	}
@@ -468,16 +461,17 @@ func (m *Master) newRun(rt *taskrt.Runtime) (*runState, error) {
 	return st, nil
 }
 
-// Run executes a fully-submitted (and not yet run) Runtime's graph across
-// the configured nodes, applying results into the Runtime's handle payloads
-// exactly once. It is the cluster-wide counterpart of Runtime.Run.
+// Run executes rt.Graph() across the configured nodes, applying results into
+// the handles' payloads exactly once: the cluster-wide counterpart of
+// Runtime.Run. rt is left as it was, to take more tasks and run again.
 func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
-	st, err := m.newRun(rt)
+	st, err := m.newRun(rt.Graph())
 	if err != nil {
 		return nil, err
 	}
 	defer st.shutdown()
-	if len(st.tasks) == 0 {
+	tasks := st.graph.Tasks()
+	if len(tasks) == 0 {
 		return &Report{}, nil
 	}
 
@@ -490,13 +484,13 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		cm.reconnects.With(n.cfg.Name) // the series exists from the first scrape, at 0
 		go st.heartbeat(n)
 	}
-	for i, t := range st.tasks {
+	for i, t := range tasks {
 		if st.task[i].indeg == 0 {
 			st.ready = append(st.ready, t)
 		}
 	}
 
-	remaining := len(st.tasks)
+	remaining := len(tasks)
 	var deadTimer *time.Timer
 	defer func() {
 		if deadTimer != nil {
@@ -548,7 +542,7 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	}
 
 	rep := &Report{
-		Tasks:           len(st.tasks),
+		Tasks:           len(tasks),
 		MakespanSeconds: time.Since(st.start).Seconds(),
 		RetriedTasks:    st.retriedTasks,
 	}
@@ -809,7 +803,7 @@ func (st *runState) chainBehind(t *taskrt.Task) []*taskrt.Task {
 		if len(next) != 1 || st.task[next[0]].indeg != 1 {
 			return run
 		}
-		t = st.tasks[next[0]]
+		t = st.graph.Tasks()[next[0]]
 		run = append(run, t)
 	}
 }
@@ -1050,7 +1044,7 @@ func (st *runState) returned(rec *inflightRec, wr *Written) error {
 	if !writes {
 		return fmt.Errorf("task %d result returns handle %d, which its chain does not write", rec.req.TaskID, id)
 	}
-	if want := st.returns[id]; n < 1 || want > 0 && n != want || want == 0 && n > looseFrame(st.handles[id]) {
+	if want := st.returns[id]; n < 1 || want > 0 && n != want || want == 0 && n > looseFrame(st.graph.Handles()[id]) {
 		return fmt.Errorf("task %d result announces %d bytes for handle %d, whose payload frames to %d", rec.req.TaskID, n, id, want)
 	}
 	return nil
@@ -1163,7 +1157,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 	}
 	n.suspects = 0
 	for _, wr := range resp.Written {
-		h := st.handles[wr.HandleID] // in range: returned checked it before reading the frame
+		h := st.graph.Handles()[wr.HandleID] // in range: returned checked it before reading the frame
 		applied, err := ApplyPayload(h.Payload, wr.payload)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: task %d result, handle %d: %w", head.ID(), wr.HandleID, err)
@@ -1210,7 +1204,7 @@ func (st *runState) handleResult(ev event) (int, error) {
 			ds := &st.task[dep]
 			ds.indeg--
 			if ds.indeg == 0 && !ds.done {
-				st.ready = append(st.ready, st.tasks[dep])
+				st.ready = append(st.ready, st.graph.Tasks()[dep])
 			}
 		}
 	}

@@ -95,11 +95,11 @@ func buildRunState(t testing.TB, cfg Config, batch func(*taskrt.Runtime) []*task
 	if err := rt.SubmitBatch(batch(rt)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.newRun(rt)
+	st, err := m.newRun(rt.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.events = make(chan event, len(st.tasks)) // nobody drains it but the test
+	st.events = make(chan event, len(st.graph.Tasks())) // nobody drains it but the test
 	return st
 }
 
@@ -107,7 +107,7 @@ func buildRunState(t testing.TB, cfg Config, batch func(*taskrt.Runtime) []*task
 // announced each in the request, wrote it behind it and dropped the list.
 func TestShippedRecordHoldsNoPayload(t *testing.T) {
 	st := fakeRun(t, nil, []string{"a"}, 1)
-	rec := placeHead(t, st, st.tasks[0])
+	rec := placeHead(t, st, st.graph.Tasks()[0])
 	// The answer follows the request, so ship is done with the record.
 	if ev := nextResult(t, st); ev.rec != rec || ev.err != nil {
 		t.Fatalf("outcome %+v, want the record's answer", ev)
@@ -143,7 +143,7 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 		}
 	}
 
-	placeAll(st.tasks[:k-2])
+	placeAll(st.graph.Tasks()[:k-2])
 	for i := 0; i < k-2; i++ {
 		if done, err := st.handleResult(<-st.events); done != 1 || err != nil {
 			t.Fatalf("result %d: done=%v err=%v", i, done, err)
@@ -159,7 +159,7 @@ func TestMasterBacklogReleasesWhatDispatchCharged(t *testing.T) {
 	}
 
 	// The other way out: the node dies with invocations in flight.
-	placeAll(st.tasks[k-2:])
+	placeAll(st.graph.Tasks()[k-2:])
 	for _, n := range st.nodes {
 		st.nodeDown(n)
 		if n.backlog != 0 {
@@ -185,7 +185,7 @@ func TestMasterChoose(t *testing.T) {
 		st := fakeRun(t, models, []string{"slow", "healthy"}, 1)
 		st.nodes[0].slowEWMA = 3
 		for i := 0; i < 4; i++ { // every tie-break start
-			n, _, c, ok := st.choose(st.tasks[0])
+			n, _, c, ok := st.choose(st.graph.Tasks()[0])
 			if !ok || n != st.nodes[1] {
 				t.Fatalf("pick %d: chose %v, want the healthy node", i, n)
 			}
@@ -195,7 +195,7 @@ func TestMasterChoose(t *testing.T) {
 		}
 		// The penalty is charged, not just scored.
 		st.nodes[1].alive = false
-		_, _, c, _ := st.choose(st.tasks[0])
+		_, _, c, _ := st.choose(st.graph.Tasks()[0])
 		if want := 3*c.Exec + c.Xfer; c.Charge() != want || c.Exec <= 0 {
 			t.Fatalf("straggler charge %d, want 3 × exec + xfer = %d", c.Charge(), want)
 		}
@@ -203,17 +203,17 @@ func TestMasterChoose(t *testing.T) {
 
 	t.Run("resident version wins over inlining", func(t *testing.T) {
 		st := fakeRun(t, models, []string{"cold", "resident"}, 1)
-		h := st.tasks[0].Accesses[0].Handle
+		h := st.graph.Tasks()[0].Accesses[0].Handle
 		st.nodes[1].has[h.ID()] = cached{st.ver[h.ID()], true}
 		for i := 0; i < 4; i++ {
-			n, _, c, ok := st.choose(st.tasks[0])
+			n, _, c, ok := st.choose(st.graph.Tasks()[0])
 			if !ok || n != st.nodes[1] || c.Xfer != 0 {
 				t.Fatalf("pick %d: chose %v with xfer %d, want the resident node at 0", i, n, c.Xfer)
 			}
 		}
 		// A stale version is not residency.
 		st.ver[h.ID()]++
-		_, _, c, _ := st.choose(st.tasks[0])
+		_, _, c, _ := st.choose(st.graph.Tasks()[0])
 		if c.Xfer != lanLink.Nanos(h.Bytes) {
 			t.Fatalf("stale version priced at %d ns, want one inlined payload = %d", c.Xfer, lanLink.Nanos(h.Bytes))
 		}
@@ -245,20 +245,19 @@ func TestDispatchReadyStopsAtTheLastCredit(t *testing.T) {
 	a, b := st.nodes[0], st.nodes[1]
 	a.alive, a.credits, a.info = true, 4, InfoResponse{Archs: []string{"x86"}, Codelets: []string{"k"}}
 	b.alive, b.credits, b.info = true, 0, InfoResponse{Archs: []string{"x86"}, Codelets: []string{"k", "only-b"}} // busy: only a takes work
-	stuck := st.tasks[0]
-	st.tasks = st.tasks[1:]
-	st.ready = append([]*taskrt.Task{stuck}, st.tasks...)
+	stuck, tasks := st.graph.Tasks()[0], st.graph.Tasks()[1:]
+	st.ready = append([]*taskrt.Task{stuck}, tasks...)
 
 	st.dispatchReady()
 	if a.credits != 0 || st.flying != 4 {
 		t.Fatalf("after the first pass: a holds %d credits, %d in flight; want 0 and 4", a.credits, st.flying)
 	}
-	for i, task := range st.tasks[:4] {
+	for i, task := range tasks[:4] {
 		if rec := st.task[task.ID()].inflight; rec == nil || rec.node != a {
 			t.Fatalf("ready task %d was not placed on the node with credit", i)
 		}
 	}
-	want := append([]*taskrt.Task{stuck}, st.tasks[4:]...)
+	want := append([]*taskrt.Task{stuck}, tasks[4:]...)
 	if len(st.ready) != len(want) {
 		t.Fatalf("%d tasks left ready, want %d", len(st.ready), len(want))
 	}
@@ -283,7 +282,7 @@ func TestDispatchReadyStopsAtTheLastCredit(t *testing.T) {
 	if rec := st.task[stuck.ID()].inflight; rec == nil || rec.node != b {
 		t.Fatal("the deferred task did not go first once its node had credit")
 	}
-	if rec := st.task[st.tasks[4].ID()].inflight; rec == nil || rec.node != b || len(st.ready) != k-5 || st.ready[0] != st.tasks[5] {
+	if rec := st.task[tasks[4].ID()].inflight; rec == nil || rec.node != b || len(st.ready) != k-5 || st.ready[0] != tasks[5] {
 		t.Fatalf("after credit on b: %d ready, want task 4 placed on b and task 5 next", len(st.ready))
 	}
 }
@@ -323,9 +322,9 @@ func TestMasterChoosePricesTheChainAsOneBid(t *testing.T) {
 	cold, warm := st.nodes[0], st.nodes[1]
 	warm.has[row.ID()] = cached{0, true}
 
-	one, _ := st.modelNanos(st.tasks[0], warm)
+	one, _ := st.modelNanos(st.graph.Tasks()[0], warm)
 	for i := 0; i < 4; i++ { // every tie-break start
-		n, chain, c, ok := st.choose(st.tasks[0])
+		n, chain, c, ok := st.choose(st.graph.Tasks()[0])
 		if !ok || n != warm || len(chain) != steps {
 			t.Fatalf("pick %d: a chain of %d on %v, want all %d steps on the node holding the row", i, len(chain), n, steps)
 		}
@@ -334,17 +333,17 @@ func TestMasterChoosePricesTheChainAsOneBid(t *testing.T) {
 		}
 	}
 	warm.alive = false
-	_, _, c, _ := st.choose(st.tasks[0])
+	_, _, c, _ := st.choose(st.graph.Tasks()[0])
 	if want := lanLink.Nanos(row.Bytes) + lanLink.Nanos(acc.Bytes); c.Xfer != want {
 		t.Fatalf("cold node's transfer %d, want the row and the accumulator once each = %d", c.Xfer, want)
 	}
 
 	// An interior member is not a head: behind it the chain is what is left.
-	if run := st.chainBehind(st.tasks[1]); len(run) != steps-1 {
+	if run := st.chainBehind(st.graph.Tasks()[1]); len(run) != steps-1 {
 		t.Errorf("chain behind member 1 has %d tasks, want %d", len(run), steps-1)
 	}
 
-	n, chain, c, _ := st.choose(st.tasks[0])
+	n, chain, c, _ := st.choose(st.graph.Tasks()[0])
 	st.dispatch(n, chain, c)
 	if !cold.hasVersion(row.ID(), 0) || !cold.hasVersion(acc.ID(), 0) {
 		t.Error("dispatch did not record the inlined payloads as resident at the versions sent")
@@ -413,7 +412,7 @@ func TestMasterPricesLinksFromThePDL(t *testing.T) {
 	}
 	near := st.nodes[1]
 	for i := 0; i < 2*len(st.nodes); i++ { // every tie-break start
-		n, chain, c, ok := st.choose(st.tasks[0])
+		n, chain, c, ok := st.choose(st.graph.Tasks()[0])
 		if !ok || n != near || len(chain) != 3 {
 			t.Fatalf("pick %d: a chain of %d on %v, want all 3 steps on the node two declared hops away", i, len(chain), n)
 		}

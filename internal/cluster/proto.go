@@ -1,7 +1,6 @@
 // Package cluster executes taskrt task graphs across processes: a Master
-// consumes a fully-submitted (unrun) Runtime's graph and dispatches codelet
-// invocations over HTTP to Workers, which execute them against locally
-// registered implementations.
+// runs a Runtime's sealed Graph by dispatching codelet invocations over HTTP
+// to Workers, which execute them against locally registered implementations.
 //
 // This extends the paper's platform-description-driven scheduling to the
 // distributed level: each worker node is described by its own PDL document

@@ -293,7 +293,7 @@ func TestStreamBreakFailsEveryPendingOnce(t *testing.T) {
 	// The families live in the process-wide registry: count from here.
 	reconnects0, rtts0 := cm.reconnects.With(node).Value(), cm.execRTT.With(node).Count()
 
-	dispatchAll(t, st, st.tasks)
+	dispatchAll(t, st, st.graph.Tasks())
 	waitFor(t, "every invocation to reach a kernel", func() bool { return w.inflight.Load() == k })
 	first := currentStream(n)
 	srv.CloseClientConnections()
@@ -391,9 +391,9 @@ func TestExecTimeoutIsPerRecord(t *testing.T) {
 	w, srv := startWorker(t, node, cl, WorkerConfig{Slots: k + 1})
 	st, cells := liveRun(t, node, w, srv, cl, k, func(cfg *Config) { cfg.ExecTimeout = 150 * time.Millisecond })
 	n := st.nodes[0]
-	hung := st.tasks[0]
+	hung := st.graph.Tasks()[0]
 
-	dispatchAll(t, st, st.tasks)
+	dispatchAll(t, st, st.graph.Tasks())
 	begin := time.Now()
 	for i := 0; i < k-1; i++ {
 		ev := nextResult(t, st)
@@ -471,7 +471,7 @@ func TestStreamConcurrentShips(t *testing.T) {
 	}
 	w, srv := startWorker(t, node, cl, WorkerConfig{Slots: 4})
 	st, cells := liveRun(t, node, w, srv, cl, k, nil)
-	dispatchAll(t, st, st.tasks)
+	dispatchAll(t, st, st.graph.Tasks())
 	seen := map[*inflightRec]bool{}
 	for i := 0; i < k; i++ {
 		ev := nextResult(t, st)

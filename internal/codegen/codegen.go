@@ -119,21 +119,18 @@ type ExecOptions struct {
 // "highly platform specific code for data-partitioning, transfer and task
 // invocations".
 func Execute(plan *mapping.Plan, opts ExecOptions) (*taskrt.Report, error) {
-	rt, err := taskrt.New(taskrt.Config{
+	var rt taskrt.Runtime
+	for _, site := range plan.Sites {
+		if err := submitSite(&rt, site, opts); err != nil {
+			return nil, err
+		}
+	}
+	return taskrt.Run(rt.Graph(), taskrt.Config{
 		Platform:  plan.Platform,
 		Mode:      opts.Mode,
 		Scheduler: opts.Scheduler,
 		Trace:     opts.Trace,
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, site := range plan.Sites {
-		if err := submitSite(rt, site, opts); err != nil {
-			return nil, err
-		}
-	}
-	return rt.Run()
 }
 
 // A BLOCK_CYCLIC distribution deals out blocks of blockSize elements, and a

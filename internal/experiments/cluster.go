@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/taskrt"
 	"repro/internal/trace"
 )
@@ -77,17 +76,9 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 		nodes = started
 	}
 
-	host := core.NewBuilder("cluster-master").Master("host", core.Arch("x86"), core.Qty(1))
-	pl, err := host.Build()
-	if err != nil {
-		return nil, err
-	}
-	rt, err := taskrt.New(taskrt.Config{Platform: pl})
-	if err != nil {
-		return nil, err
-	}
+	var rt taskrt.Runtime // the master needs the graph, not a Config
 	w := GEMM(cfg.N, cfg.Tile, NewGemmMatrices(cfg.N, 42))
-	if err := w.Submit(rt); err != nil {
+	if err := w.Submit(&rt); err != nil {
 		return nil, err
 	}
 
@@ -99,7 +90,7 @@ func ClusterDGEMM(cfg ClusterConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.Run(rt)
+	rep, err := m.Run(&rt)
 	if err != nil {
 		return nil, err
 	}

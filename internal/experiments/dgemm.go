@@ -92,10 +92,10 @@ func SubmitTiledGEMM(rt *taskrt.Runtime, n, tile int, mats *GemmMatrices) error 
 	cl, T := dgemmCodelet(), g.T
 
 	// Build the whole graph first and submit it as one batch: dependency
-	// derivation is identical to per-task Submit calls, but the runtime pays
-	// the submission lifecycle synchronisation once for the T³ tasks. The
-	// tasks and their access lists are cut from two slabs, not allocated one
-	// by one; a task is only ever reached through its pointer into the slab.
+	// derivation is identical to per-task Submit calls, but the runtime grows
+	// its tables once for the T³ tasks. The tasks and their access lists are
+	// cut from two slabs, not allocated one by one; a task is only ever
+	// reached through its pointer into the slab.
 	// Every label, C[i,j]+=A[i,k]*B[k,j], is a substring of one string, grown
 	// once to its exact length (each tile's name appears in T labels).
 	tasks := make([]taskrt.Task, T*T*T)

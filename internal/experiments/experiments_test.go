@@ -58,17 +58,14 @@ func TestTiledGEMMLabels(t *testing.T) {
 	if err := SubmitTiledGEMM(rt, T*8, 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	tasks, handles, err := rt.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n, task := range tasks {
+	g := rt.Graph()
+	for n, task := range g.Tasks() {
 		i, j, k := n/(T*T), n/T%T, n%T
 		if want := fmt.Sprintf("C[%d,%d]+=A[%d,%d]*B[%d,%d]", i, j, i, k, k, j); task.Label != want {
 			t.Fatalf("task %d is labelled %q, want %q", n, task.Label, want)
 		}
 	}
-	for n, h := range handles {
+	for n, h := range g.Handles() {
 		if want := fmt.Sprintf("%c[%d,%d]", "ABC"[n/(T*T)], n/T%T, n%T); h.Name != want {
 			t.Fatalf("handle %d is named %q, want %q", n, h.Name, want)
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/discover"
 	"repro/internal/dynamic"
 	"repro/internal/query"
+	"repro/internal/taskrt"
 )
 
 // DynamicFailover is experiment Ext-F, exercising the paper's future-work
@@ -30,6 +31,10 @@ func DynamicFailover(n, tile int) (*Result, error) {
 		events = append(events, fmt.Sprintf("v%d:%s:%s", e.Version, e.Kind, e.PU))
 	})
 
+	g, err := GEMM(n, tile, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Name:    fmt.Sprintf("Ext-F: dynamic failover, DGEMM %d tile %d (dmda) on tracked xeon-2gpu", n, tile),
 		Headers: []string{"stage", "online-gpus", "makespan[s]", "gpu-tasks"},
@@ -52,7 +57,7 @@ func DynamicFailover(n, tile int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := SimDGEMM(snap, n, tile, "dmda")
+		rep, err := taskrt.Run(g, taskrt.Config{Platform: snap, Mode: taskrt.Sim, Scheduler: "dmda"})
 		if err != nil {
 			return nil, err
 		}

@@ -30,15 +30,19 @@ func FaultTolerance(n, tile int, seed int64) (*Result, error) {
 		seed = 1
 	}
 
+	g, err := GEMM(n, tile, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
 	// Clean heterogeneous run: the baseline the faulty run degrades from.
-	clean, err := simOn("xeon-2gpu", n, tile, "dmda")
+	clean, err := simOn(g, "xeon-2gpu", "dmda")
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
 
 	// CPU-only run: the paper's "starpu" line, the floor graceful
 	// degradation should approach when every GPU is gone.
-	cpuOnly, err := simOn("xeon-cpu", n, tile, "dmda")
+	cpuOnly, err := simOn(g, "xeon-cpu", "dmda")
 	if err != nil {
 		return nil, fmt.Errorf("cpu-only run: %w", err)
 	}
@@ -58,7 +62,7 @@ func FaultTolerance(n, tile int, seed int64) (*Result, error) {
 	tracker.OnChange(func(e dynamic.Event) {
 		trackerLog = append(trackerLog, fmt.Sprintf("v%d %s %s", e.Version, e.Kind, e.PU))
 	})
-	faulty, err := Run(taskrt.Config{
+	faulty, err := taskrt.Run(g, taskrt.Config{
 		Platform:  faultPl,
 		Mode:      taskrt.Sim,
 		Scheduler: "dmda",
@@ -67,7 +71,7 @@ func FaultTolerance(n, tile int, seed int64) (*Result, error) {
 			{Unit: "dev1", AtTime: crashAt},
 		}},
 		Tracker: tracker,
-	}, GEMM(n, tile, nil))
+	})
 	if err != nil {
 		return nil, fmt.Errorf("faulty run: %w", err)
 	}

@@ -39,13 +39,14 @@ var Fig5Series = []struct {
 	{"starpu+2gpu", "xeon-2gpu"},
 }
 
-// simOn runs the tiled DGEMM in simulation on the named catalog platform.
-func simOn(platform string, n, tile int, sched string) (*taskrt.Report, error) {
+// simOn runs g, built once for all the rows of a table, in virtual time on
+// the named catalog platform.
+func simOn(g *taskrt.Graph, platform, sched string) (*taskrt.Report, error) {
 	pl, err := discover.Platform(platform)
 	if err != nil {
 		return nil, err
 	}
-	return SimDGEMM(pl, n, tile, sched)
+	return taskrt.Run(g, taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: sched})
 }
 
 // mb and onArch format the report cells most tables print: megabytes
@@ -66,9 +67,13 @@ func Figure5(cfg Fig5Config) (*Result, error) {
 		Name:    fmt.Sprintf("Figure 5: DGEMM %dx%d speedup vs single-threaded input (tile %d, sched %s)", cfg.N, cfg.N, cfg.Tile, cfg.Scheduler),
 		Headers: []string{"series", "platform", "makespan[s]", "speedup", "gpu-tasks", "transfers[MB]"},
 	}
+	g, err := GEMM(cfg.N, cfg.Tile, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
 	var base *taskrt.Report
 	for _, s := range Fig5Series {
-		rep, err := simOn(s.Platform, cfg.N, cfg.Tile, cfg.Scheduler)
+		rep, err := simOn(g, s.Platform, cfg.Scheduler)
 		if err != nil {
 			return nil, fmt.Errorf("series %s: %w", s.Label, err)
 		}
@@ -92,8 +97,12 @@ func SchedulerSweep(n, tile int, scheds []string) (*Result, error) {
 		Name:    fmt.Sprintf("Ext-A: scheduler comparison, DGEMM %d tile %d on xeon-2gpu", n, tile),
 		Headers: []string{"scheduler", "makespan[s]", "gpu-tasks", "cpu-tasks", "transfers[MB]"},
 	}
+	g, err := GEMM(n, tile, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
 	for _, s := range scheds {
-		rep, err := simOn("xeon-2gpu", n, tile, s)
+		rep, err := simOn(g, "xeon-2gpu", s)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +127,11 @@ func TileSweep(n int, tiles []int, sched string) (*Result, error) {
 		if tile > n {
 			continue
 		}
-		rep, err := simOn("xeon-2gpu", n, tile, sched)
+		g, err := GEMM(n, tile, nil).Graph()
+		if err != nil {
+			return nil, err
+		}
+		rep, err := simOn(g, "xeon-2gpu", sched)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +147,11 @@ func BandwidthSweep(n, tile int, factors []float64) (*Result, error) {
 	if len(factors) == 0 {
 		factors = []float64{0.1, 0.25, 0.5, 1, 2, 4}
 	}
-	cpuRep, err := simOn("xeon-cpu", n, tile, "dmda")
+	g, err := GEMM(n, tile, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
+	cpuRep, err := simOn(g, "xeon-cpu", "dmda")
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +167,7 @@ func BandwidthSweep(n, tile int, factors []float64) (*Result, error) {
 		if err := scalePCIeBandwidth(pl, f); err != nil {
 			return nil, err
 		}
-		rep, err := SimDGEMM(pl, n, tile, "dmda")
+		rep, err := taskrt.Run(g, taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"})
 		if err != nil {
 			return nil, err
 		}
@@ -211,11 +228,15 @@ func Crossover(sizes []int, tile int) (*Result, error) {
 				t = 1024
 			}
 		}
-		cpuRep, err := simOn("xeon-cpu", n, t, "dmda")
+		g, err := GEMM(n, t, nil).Graph()
 		if err != nil {
 			return nil, err
 		}
-		gpuRep, err := simOn("xeon-2gpu", n, t, "dmda")
+		cpuRep, err := simOn(g, "xeon-cpu", "dmda")
+		if err != nil {
+			return nil, err
+		}
+		gpuRep, err := simOn(g, "xeon-2gpu", "dmda")
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/discover"
 	"repro/internal/taskrt"
 )
 
@@ -167,12 +166,12 @@ func StencilSweep(n, chunks, iters int) (*Result, error) {
 		Name:    fmt.Sprintf("Ext-G: 1-D Jacobi stencil, n=%d chunks=%d iters=%d (dmda)", n, chunks, iters),
 		Headers: []string{"platform", "makespan[s]", "gpu-tasks", "transfers[MB]"},
 	}
+	g, err := Stencil(n, chunks, iters, nil).Graph()
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range []string{"xeon-1core", "xeon-cpu", "xeon-2gpu"} {
-		pl, err := discover.Platform(name)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := Run(taskrt.Config{Platform: pl, Mode: taskrt.Sim, Scheduler: "dmda"}, Stencil(n, chunks, iters, nil))
+		rep, err := simOn(g, name, "dmda")
 		if err != nil {
 			return nil, err
 		}

@@ -65,10 +65,7 @@ func TestStencilUnevenLastChunk(t *testing.T) {
 	if err := SubmitStencil(rt, n, chunks, iters, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, handles, err := rt.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	handles := rt.Graph().Handles()
 	var total int64
 	for _, h := range handles[:chunks] {
 		total += h.Bytes

@@ -20,17 +20,24 @@ type Workload struct {
 	Verify func() error
 }
 
-// Run executes w under cfg — New, Submit, Run, Verify — and is the one way
-// this package, its examples and its tests run a graph on a taskrt engine.
+// Graph builds w's graph into a zero taskrt.Runtime: the program alone, which
+// every row of a table runs under its own Config.
+func (w Workload) Graph() (*taskrt.Graph, error) {
+	var rt taskrt.Runtime
+	if err := w.Submit(&rt); err != nil {
+		return nil, err
+	}
+	return rt.Graph(), nil
+}
+
+// Run executes w under cfg — Graph, taskrt.Run, Verify — and is the one way
+// this package, its examples and its tests run a workload on a taskrt engine.
 func Run(cfg taskrt.Config, w Workload) (*taskrt.Report, error) {
-	rt, err := taskrt.New(cfg)
+	g, err := w.Graph()
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Submit(rt); err != nil {
-		return nil, err
-	}
-	rep, err := rt.Run()
+	rep, err := taskrt.Run(g, cfg)
 	if err == nil && w.Verify != nil {
 		err = w.Verify()
 	}

@@ -47,27 +47,6 @@ func buildRandomDAGTasks(rt *Runtime, cl *Codelet, seed int64, layers, width int
 	return out
 }
 
-func TestSubmitBatchLifecycle(t *testing.T) {
-	cl, err := NewCodelet("noop", Impl{Arch: "x86", Func: func(*TaskContext) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(Config{Platform: cpuPlatform(t, 1), Mode: Real, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.SubmitBatch([]*Task{{Codelet: cl}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	err = rt.SubmitBatch([]*Task{{Codelet: cl}})
-	if err == nil || !strings.Contains(err.Error(), "Submit after Run") {
-		t.Fatalf("SubmitBatch after Run = %v, want lifecycle error", err)
-	}
-}
-
 // A failing task is reported by its batch index, and — matching sequential
 // Submit semantics — tasks before it stay registered.
 func TestSubmitBatchErrorIndex(t *testing.T) {
@@ -109,7 +88,7 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 	}
 	wantDep := func(t2 *Task, name string) {
 		t.Helper()
-		deps := rt.Deps(t2)
+		deps := rt.Graph().Deps(t2)
 		if len(deps) != 1 || deps[0] != producer.ID() {
 			t.Fatalf("%s deps = %v, want exactly the producer", name, deps)
 		}
@@ -127,13 +106,13 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 	for _, sched := range []string{"ws", "dmda"} {
 		for _, seed := range []int64{1, 2, 3} {
 			var mu sync.Mutex
-			var rt *Runtime
+			var g *Graph
 			counts := map[*Task]int{}
 			done := map[*Task]*atomic.Bool{}
 			violations := atomic.Int64{}
 			cl, err := NewCodelet("batch", Impl{Arch: "x86", Func: func(tc *TaskContext) error {
-				for _, dep := range rt.Deps(tc.Task) {
-					if !done[rt.tasks[dep]].Load() {
+				for _, dep := range g.Deps(tc.Task) {
+					if !done[g.Tasks()[dep]].Load() {
 						violations.Add(1)
 					}
 				}
@@ -147,7 +126,7 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err = New(Config{
+			rt, err := New(Config{
 				Platform:  cpuPlatform(t, 4),
 				Mode:      Real,
 				Scheduler: sched,
@@ -163,7 +142,8 @@ func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
 			for _, task := range batch {
 				done[task] = &atomic.Bool{}
 			}
-			rep, err := rt.Run()
+			g = rt.Graph()
+			rep, err := Run(g, rt.cfg)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sched, seed, err)
 			}

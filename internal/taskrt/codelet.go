@@ -162,16 +162,16 @@ type Handle struct {
 	Payload any
 }
 
-// ID returns the registration-order id of the handle, stable for the life
-// of the runtime — the key external engines (the cluster master) use to name
-// the datum on the wire.
+// ID returns the registration-order id of the handle, its index in every
+// Graph that holds it — the key external engines (the cluster master) use to
+// name the datum on the wire.
 func (h *Handle) ID() int { return h.id }
 
 // NewHandle registers a datum of the given size with the runtime. A size of
 // zero or less moves between memory nodes for free.
 func (rt *Runtime) NewHandle(name string, bytes int64, payload any) *Handle {
-	h := &Handle{id: len(rt.handles), Name: name, Bytes: bytes, Payload: payload}
-	rt.handles = append(rt.handles, h)
+	h := &Handle{id: len(rt.g.handles), Name: name, Bytes: bytes, Payload: payload}
+	rt.g.handles = append(rt.g.handles, h)
 	rt.hist = append(rt.hist, handleHist{lastW: -1, first: -1, last: -1})
 	return h
 }
@@ -210,12 +210,12 @@ type Task struct {
 	// real engine's anonymous worker pool ignores it.
 	Where []string
 	// After adds explicit control dependencies (StarPU's tag dependencies)
-	// on top of the implicit data-driven ones. Listed tasks must already be
-	// submitted to the same runtime.
+	// on top of the implicit data-driven ones. Listed tasks must be earlier
+	// tasks of the same graph.
 	After []*Task
 
 	// id is the one thing the runtime writes into a task: the key of every
-	// table it and the engines keep about it (Runtime.Deps, Runtime.Dependents).
+	// table the graph and the engines keep about it (Graph.Deps, Graph.Dependents).
 	id int
 }
 

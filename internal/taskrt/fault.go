@@ -188,8 +188,8 @@ func retryWait(n int) time.Duration {
 // ftEnabled reports whether the fault-tolerance machinery is active: an
 // injection plan, a dynamic tracker, or an explicit retry policy all switch
 // it on. Without any of them the engines keep their fail-fast behaviour.
-func (rt *Runtime) ftEnabled() bool {
-	return rt.cfg.Faults != nil || rt.cfg.Tracker != nil || rt.cfg.Retry != (RetryPolicy{})
+func (cfg *Config) ftEnabled() bool {
+	return cfg.Faults != nil || cfg.Tracker != nil || cfg.Retry != (RetryPolicy{})
 }
 
 // faultQueue is the per-unit runtime view of pending injected events.

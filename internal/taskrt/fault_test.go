@@ -544,61 +544,6 @@ func TestRealFailFastWithoutFaultTolerance(t *testing.T) {
 	}
 }
 
-func TestRunLifecycleGuards(t *testing.T) {
-	rt, err := New(Config{Platform: cpuPlatform(t, 1), Mode: Real, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := noopCodelet(t, "once")
-	if err := rt.Submit(&Task{Codelet: cl}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Run twice is rejected with a descriptive error.
-	if _, err := rt.Run(); err == nil || !strings.Contains(err.Error(), "Run called twice") {
-		t.Fatalf("second Run: %v", err)
-	}
-	// Submit after Run is rejected with a descriptive error.
-	if err := rt.Submit(&Task{Codelet: cl}); err == nil || !strings.Contains(err.Error(), "Submit after Run") {
-		t.Fatalf("Submit after Run: %v", err)
-	}
-}
-
-func TestSubmitDuringRunRejected(t *testing.T) {
-	block := make(chan struct{})
-	started := make(chan struct{})
-	cl, err := NewCodelet("slow", Impl{Arch: "x86", Func: func(*TaskContext) error {
-		close(started)
-		<-block
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(Config{Platform: cpuPlatform(t, 1), Mode: Real, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(&Task{Codelet: cl}); err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := rt.Run()
-		errCh <- err
-	}()
-	<-started
-	if err := rt.Submit(&Task{Codelet: cl}); err == nil || !strings.Contains(err.Error(), "Run is in progress") {
-		t.Fatalf("Submit during Run: %v", err)
-	}
-	close(block)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBaseUnitID(t *testing.T) {
 	for in, want := range map[string]string{
 		"host.3": "host", "dev0": "dev0", "spe.12": "spe",

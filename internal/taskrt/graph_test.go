@@ -3,10 +3,16 @@ package taskrt
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
+
+	"repro/internal/discover"
+	"repro/internal/trace"
 )
 
 // modeOn returns how task t accesses handle h, if it does.
@@ -145,11 +151,13 @@ func TestQuickGraphTablesMatchNaive(t *testing.T) {
 	}
 }
 
-// checkTables compares rt's edges with the naive derivation over accepted.
+// checkTables compares the edges of rt's graph with the naive derivation over
+// accepted.
 func checkTables(t *testing.T, at string, rt *Runtime, accepted []*Task) {
 	t.Helper()
-	if rt.Tasks() != len(accepted) || len(rt.depOff) != len(accepted)+1 {
-		t.Fatalf("%s: %d tasks and %d row offsets for %d accepted submissions", at, rt.Tasks(), len(rt.depOff), len(accepted))
+	g := rt.Graph()
+	if rt.Tasks() != len(accepted) || len(g.Tasks()) != len(accepted) || len(accepted) > 0 && len(g.depOff) != len(accepted)+1 {
+		t.Fatalf("%s: %d tasks and %d row offsets for %d accepted submissions", at, rt.Tasks(), len(g.depOff), len(accepted))
 	}
 	dependents := make([][]int, len(accepted))
 	for i, task := range accepted {
@@ -157,7 +165,7 @@ func checkTables(t *testing.T, at string, rt *Runtime, accepted []*Task) {
 			t.Fatalf("%s: accepted task %d has id %d", at, i, task.ID())
 		}
 		want := naiveDeps(accepted, i)
-		if got := rt.Deps(task); !slices.Equal(got, want) {
+		if got := g.Deps(task); !slices.Equal(got, want) {
 			t.Fatalf("%s: task %d: Deps %v, the naive derivation %v", at, i, got, want)
 		}
 		for _, d := range want {
@@ -165,7 +173,7 @@ func checkTables(t *testing.T, at string, rt *Runtime, accepted []*Task) {
 		}
 	}
 	for i, task := range accepted {
-		if got := rt.Dependents(task); !slices.Equal(got, dependents[i]) {
+		if got := g.Dependents(task); !slices.Equal(got, dependents[i]) {
 			t.Fatalf("%s: task %d: Dependents %v, the transpose %v", at, i, got, dependents[i])
 		}
 	}
@@ -176,5 +184,147 @@ func checkTables(t *testing.T, at string, rt *Runtime, accepted []*Task) {
 func TestTaskSize(t *testing.T) {
 	if size := unsafe.Sizeof(Task{}); size > 120 {
 		t.Errorf("Task is %d bytes, want at most 120", size)
+	}
+}
+
+// TestGraphIsAValue: one sealed tiled DGEMM graph (2048/256, 512 tasks) runs
+// under ws and dmda on each of Figure 5's three platforms, and every report is
+// the report of a graph built afresh for that run. Two runs of it started
+// together report the same again: they share the graph, and a -race build
+// checks that neither writes it.
+func TestGraphIsAValue(t *testing.T) {
+	const T, tile = 8, 256
+	build := func() *Graph {
+		var rt Runtime // no Config: it only builds the graph
+		submitTiledGEMM(t, &rt, T, tile)
+		return rt.Graph()
+	}
+	g := build()
+	for _, platform := range []string{"xeon-1core", "xeon-cpu", "xeon-2gpu"} {
+		for _, sched := range []string{"ws", "dmda"} {
+			cfg := Config{Platform: discover.MustPlatform(platform), Mode: Sim, Scheduler: sched}
+			want, err := Run(build(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: the shared graph reports\n%+v\na fresh build\n%+v", platform, sched, got, want)
+			}
+		}
+	}
+	cfg := Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: "dmda"}
+	want, err := Run(build(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps [2]*Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = Run(g, cfg)
+		}()
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("concurrent run %d reports\n%+v\na fresh build\n%+v", i, rep, want)
+		}
+	}
+}
+
+// A Graph holds what had been submitted when it was taken: a later Submit or
+// NewHandle does not reach it, and its Deps and Dependents know nothing of the
+// new task. The runtime accepts submissions after a Run, and the next Run
+// includes them.
+func TestGraphSnapshot(t *testing.T) {
+	rt, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := noopCodelet(t, "n")
+	h := rt.NewHandle("h", 8, nil)
+	first := &Task{Codelet: cl, Accesses: []Access{W(h)}, Flops: 1e6}
+	if err := rt.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	before := rt.Graph()
+	rep, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := &Task{Codelet: cl, Accesses: []Access{R(h), W(rt.NewHandle("late", 8, nil))}, Flops: 1e6}
+	if err := rt.Submit(late); err != nil {
+		t.Fatalf("Submit after Run: %v", err)
+	}
+	if len(before.Tasks()) != 1 || len(before.Handles()) != 1 {
+		t.Fatalf("the earlier graph holds %d tasks and %d handles, want 1 and 1", len(before.Tasks()), len(before.Handles()))
+	}
+	if before.Deps(late) != nil || before.Dependents(late) != nil || len(before.Dependents(first)) != 0 {
+		t.Fatalf("the earlier graph has edges of the later task: Deps %v, Dependents %v, first's dependents %v",
+			before.Deps(late), before.Dependents(late), before.Dependents(first))
+	}
+	after := rt.Graph()
+	if deps, dependents := after.Deps(late), after.Dependents(first); !slices.Equal(deps, []int{first.ID()}) || !slices.Equal(dependents, []int{late.ID()}) {
+		t.Fatalf("the later graph: late waits on %v, first is waited on by %v", deps, dependents)
+	}
+	again, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Tasks != rep.Tasks+1 {
+		t.Fatalf("the run after a Submit reports %d tasks, the one before %d", again.Tasks, rep.Tasks)
+	}
+}
+
+// A dmda run without Models self-calibrates into a store of its own, and the
+// store ends with the run: a second Run of the same runtime starts as cold as
+// the first, so the first task each places is priced the same way.
+func TestRealDmdaModelsPerRun(t *testing.T) {
+	cl, err := NewCodelet("nap", Impl{Arch: "x86", Func: func(*TaskContext) error {
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Real, Scheduler: "dmda", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.NewHandle("h", 8, nil)
+	for i := 0; i < 8; i++ {
+		if err := rt.Submit(&Task{Codelet: cl, Accesses: []Access{RW(h)}, Flops: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstPlace := func() string {
+		t.Helper()
+		rt.cfg.Trace = trace.New()
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range rt.cfg.Trace.Events() {
+			if ev.Kind == trace.Place {
+				return ev.From
+			}
+		}
+		t.Fatal("no placement traced")
+		return ""
+	}
+	if first, second := firstPlace(), firstPlace(); first != second {
+		t.Fatalf("the first placement is priced %q in the first run and %q in the second: the run's private models outlived it", first, second)
+	}
+	if rt.cfg.Models != nil {
+		t.Fatal("a run stored its private models into the runtime's config")
 	}
 }

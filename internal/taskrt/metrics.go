@@ -47,7 +47,7 @@ var rtm = struct {
 	transferB      *metrics.Counter
 }{
 	runs: metrics.Default.CounterVec("taskrt_runs_total",
-		"Completed Runtime.Run executions, by engine mode.", "mode"),
+		"Completed runs of a task graph, by engine mode.", "mode"),
 	runSeconds: metrics.Default.CounterVec("taskrt_run_seconds_total",
 		"Summed makespan of completed runs (wall in real mode, virtual in sim), by engine mode.", "mode"),
 	tasks: metrics.Default.CounterVec("taskrt_tasks_total",

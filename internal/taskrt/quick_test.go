@@ -285,7 +285,7 @@ func TestQuickMakespanLowerBounds(t *testing.T) {
 		}
 		n := buildRandomDAG(t, rt, seed, layers, width)
 		totalFlops := 0.0
-		for _, task := range rt.tasks {
+		for _, task := range rt.Graph().Tasks() {
 			totalFlops += task.Flops
 		}
 		rep, err := rt.Run()

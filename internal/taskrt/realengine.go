@@ -2,6 +2,7 @@ package taskrt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,34 +57,29 @@ var errInjected = fmt.Errorf("taskrt: injected fault")
 // and stopped on abort, so a failed run never leaves timers firing into a
 // dead run. Without fault tolerance, the first codelet error aborts the run
 // — the original fail-fast contract.
-func (rt *Runtime) runReal() (*Report, error) {
-	if len(rt.cfg.Platform.Masters) == 0 {
-		return nil, fmt.Errorf("taskrt: platform has no master")
-	}
-	workers := rt.cfg.Workers
+func runReal(g *Graph, cfg Config) (*Report, error) {
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 0
-		for _, m := range rt.cfg.Platform.Masters {
+		for _, m := range cfg.Platform.Masters {
 			workers += m.EffectiveQuantity()
 		}
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	archs, nodes, nodeIDs := workerLayout(rt.cfg.Platform, workers)
+	archs, nodes, nodeIDs := workerLayout(cfg.Platform, workers)
 
 	// Pre-validate: every task must have a runnable implementation for every
 	// worker architecture — work-stealing dispatch routes blindly and dmda's
 	// steal path ignores architecture, so any worker may end up with any task.
 	var distinct []string
-	seenArch := map[string]bool{}
 	for _, a := range archs {
-		if !seenArch[a] {
-			seenArch[a] = true
+		if !slices.Contains(distinct, a) {
 			distinct = append(distinct, a)
 		}
 	}
-	for _, t := range rt.tasks {
+	for _, t := range g.tasks {
 		for _, a := range distinct {
 			im := t.Codelet.ImplFor(a)
 			if im == nil || im.Func == nil {
@@ -92,8 +88,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 		}
 	}
 
-	ft := rt.ftEnabled()
-	policy := rt.cfg.Retry.withDefaults()
+	ft := cfg.ftEnabled()
+	policy := cfg.Retry.withDefaults()
 
 	// Worker-owned hot state: no lock is ever taken to update it. The main
 	// goroutine reads it only after wgWorkers.Wait().
@@ -110,34 +106,33 @@ func (rt *Runtime) runReal() (*Report, error) {
 	ws := make([]workerState, workers)
 	for w := 0; w < workers; w++ {
 		ws[w].arch = archs[w]
-		if evs := rt.cfg.Faults.forUnit(workerUnitID(w)); len(evs) > 0 {
+		if evs := cfg.Faults.forUnit(workerUnitID(w)); len(evs) > 0 {
 			ws[w].faults = &faultQueue{events: evs}
 		}
 	}
 
 	var disp dispatcher
-	if rt.cfg.Scheduler == "dmda" { // New admits only ws and dmda
+	if cfg.Scheduler == "dmda" { // validate admits only ws and dmda
 		// dmda is model-driven: without a caller-provided store it still
 		// self-calibrates within the run (the engine records every execution
 		// into Models below), so give it a private one rather than running
-		// the whole graph on the cold/fallback paths.
-		if rt.cfg.Models == nil {
-			rt.cfg.Models = perfmodel.NewStore()
+		// the whole graph on the cold/fallback paths. cfg is this run's copy.
+		if cfg.Models == nil {
+			cfg.Models = perfmodel.NewStore()
 		}
-		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(rt.cfg.Platform, nodeIDs), rt.tasks, rt.handles, rt.cfg.Models)
+		disp = newDmdaDispatcher(archs, nodes, interconnectLinks(cfg.Platform, nodeIDs), g.tasks, g.handles, cfg.Models)
 	} else {
-		disp = newStealDispatcher(workers, len(rt.tasks))
+		disp = newStealDispatcher(workers, len(g.tasks))
 	}
 
 	// Dependency counters and the unresolved-task count are atomics: the
 	// completion hot path touches no lock. attempts counts each task's failed
 	// attempts: the failure slow path adds, the next execution reads it into
 	// its spans.
-	rt.transpose()
-	remaining := make([]atomic.Int32, len(rt.tasks))
-	attempts := make([]atomic.Int32, len(rt.tasks))
+	remaining := make([]atomic.Int32, len(g.tasks))
+	attempts := make([]atomic.Int32, len(g.tasks))
 	for i := range remaining {
-		remaining[i].Store(int32(rt.depOff[i+1] - rt.depOff[i]))
+		remaining[i].Store(int32(g.depOff[i+1] - g.depOff[i]))
 	}
 
 	var (
@@ -154,10 +149,10 @@ func (rt *Runtime) runReal() (*Report, error) {
 		failed  atomic.Bool
 		pending atomic.Int64 // tasks not yet finally resolved
 	)
-	pending.Store(int64(len(rt.tasks)))
+	pending.Store(int64(len(g.tasks)))
 	done := make(chan struct{})  // closed when every task is resolved
 	abort := make(chan struct{}) // closed on the first fatal error
-	if len(rt.tasks) == 0 {
+	if len(g.tasks) == 0 {
 		close(done)
 	}
 	fail := func(err error) { // caller holds mu
@@ -179,9 +174,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 	release := func(worker int, t *Task) { // successful completion on worker
 		buf := ws[worker].ready[:0]
-		for _, dep := range rt.succOf(t.id) {
+		for _, dep := range g.succOf(t.id) {
 			if remaining[dep].Add(-1) == 0 {
-				buf = append(buf, rt.tasks[dep])
+				buf = append(buf, g.tasks[dep])
 			}
 		}
 		ws[worker].ready = buf
@@ -206,20 +201,20 @@ func (rt *Runtime) runReal() (*Report, error) {
 		timers[tm] = struct{}{}
 	}
 
-	tracing := rt.cfg.Trace != nil
+	tracing := cfg.Trace != nil
 	shardCap := 0
 	if tracing {
 		// Bound each shard to the run's size (x2 for retry/steal/failure
 		// events) rather than the 64k default, so a worker can never buffer
 		// more than the run could have produced.
-		shardCap = 2*len(rt.tasks) + 64
+		shardCap = 2*len(g.tasks) + 64
 		if shardCap > trace.DefaultShardCapacity {
 			shardCap = trace.DefaultShardCapacity
 		}
-		rt.cfg.Trace.SetMeta("workers", strconv.Itoa(workers))
+		cfg.Trace.SetMeta("workers", strconv.Itoa(workers))
 		// One growth for the run: dmda's Place records and every worker's
 		// Flush land in the same list.
-		rt.cfg.Trace.Reserve(shardCap)
+		cfg.Trace.Reserve(shardCap)
 	}
 
 	start := time.Now()
@@ -230,7 +225,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 	// the push path already pays O(workers) scoring, one mutexed append is
 	// in proportion).
 	if dd, ok := disp.(*dmdaDispatcher); ok && tracing {
-		tr := rt.cfg.Trace
+		tr := cfg.Trace
 		dd.onPlace = func(w int, t *Task, c placement.Candidate) {
 			now := time.Since(start).Seconds()
 			tr.Record(trace.Event{
@@ -244,8 +239,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	// Seed the dispatcher with the dependency-free tasks, as one batch.
-	seeds := make([]*Task, 0, len(rt.tasks))
-	for i, t := range rt.tasks {
+	seeds := make([]*Task, 0, len(g.tasks))
+	for i, t := range g.tasks {
 		if remaining[i].Load() == 0 {
 			seeds = append(seeds, t)
 		}
@@ -300,7 +295,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 			// merge into the Trace when the worker exits.
 			var sh *trace.Shard
 			if tracing {
-				sh = rt.cfg.Trace.NewShard(shardCap)
+				sh = cfg.Trace.NewShard(shardCap)
 				defer sh.Flush()
 			}
 			// rec buffers one causal span. t is nil for unit-level events
@@ -317,7 +312,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				if t != nil {
 					ev.Label = taskLabel(t)
 					ev.TaskID = t.id
-					ev.ParentIDs = rt.depsOf(t.id)
+					ev.ParentIDs = g.depsOf(t.id)
 				}
 				sh.Record(ev)
 			}
@@ -333,12 +328,12 @@ func (rt *Runtime) runReal() (*Report, error) {
 				disp.setOffline(worker, offline)
 				now := time.Now()
 				rec(kind, nil, 0, now, now, "")
-				if rt.cfg.Tracker != nil {
+				if cfg.Tracker != nil {
 					// Best effort: the tracker may not know worker ids.
 					if offline {
-						_ = rt.cfg.Tracker.SetOffline(unitID)
+						_ = cfg.Tracker.SetOffline(unitID)
 					} else {
-						_ = rt.cfg.Tracker.SetOnline(unitID)
+						_ = cfg.Tracker.SetOnline(unitID)
 					}
 				}
 			}
@@ -418,7 +413,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					if inj.Hang {
 						// A hung launch: the watchdog converts it into a
 						// failure after the timeout.
-						d := rt.taskTimeout(t, st.arch, policy)
+						d := cfg.taskTimeout(t, st.arch, policy)
 						if d <= 0 {
 							d = retryWait(policy.MaxAttempts) // bounded stand-in
 						}
@@ -464,7 +459,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				wdog := false
 				var timeout time.Duration // no watchdog without fault tolerance
 				if ft {
-					timeout = rt.taskTimeout(t, st.arch, policy)
+					timeout = cfg.taskTimeout(t, st.arch, policy)
 				}
 				if timeout > 0 {
 					// Watchdog: run the kernel aside and abandon it past the
@@ -487,8 +482,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 				if err == nil {
 					rec(trace.Task, t, attempt, t0, t0.Add(d), "")
 					hist.Observe(d.Seconds())
-					if rt.cfg.Models != nil && t.Flops > 0 && d > 0 {
-						_ = rt.cfg.Models.Model(t.Codelet.Name, st.arch).Record(t.Flops, d.Seconds())
+					if cfg.Models != nil && t.Flops > 0 && d > 0 {
+						_ = cfg.Models.Model(t.Codelet.Name, st.arch).Record(t.Flops, d.Seconds())
 					}
 					st.busy += d
 					st.count++
@@ -538,8 +533,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 	rep := &Report{
 		Mode:            Real,
-		Scheduler:       rt.cfg.Scheduler,
-		Tasks:           len(rt.tasks),
+		Scheduler:       cfg.Scheduler,
+		Tasks:           len(g.tasks),
 		MakespanSeconds: elapsed.Seconds(),
 		FailedAttempts:  failedAttempts,
 		RetriedTasks:    retriedTasks,
@@ -606,9 +601,9 @@ func interconnectLinks(pl *core.Platform, ids []string) [][]placement.Link {
 // taskTimeout derives the real-mode watchdog timeout for a task: perfmodel
 // estimate × watchdogFactor when history exists, else the absolute
 // RetryPolicy.TaskTimeout (0 = no watchdog).
-func (rt *Runtime) taskTimeout(t *Task, arch string, policy RetryPolicy) time.Duration {
-	if rt.cfg.Models != nil && t.Flops > 0 {
-		if est, ok := rt.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
+func (cfg *Config) taskTimeout(t *Task, arch string, policy RetryPolicy) time.Duration {
+	if cfg.Models != nil && t.Flops > 0 {
+		if est, ok := cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
 			return time.Duration(est * watchdogFactor * float64(time.Second))
 		}
 	}

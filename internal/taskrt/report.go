@@ -18,7 +18,7 @@ type UnitStats struct {
 	Steals int
 }
 
-// Report is the outcome of Runtime.Run.
+// Report is the outcome of one Run of a Graph.
 type Report struct {
 	Mode Mode
 	// Scheduler is the policy that ran: the requested name, or "ws" when none

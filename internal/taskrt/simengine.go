@@ -7,9 +7,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/dynamic"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/simhw"
 	"repro/internal/trace"
@@ -62,19 +60,17 @@ type simState struct {
 	bids     []classBid     // dmda's per-class scratch, one row per unit class
 	picks    int            // dmda picks so far: a bid row is current when stamped with it
 	dma      []sim.Resource // one DMA engine per memory node
-	graph    *Runtime       // the task graph: its tasks, handles and edges
+	graph    *Graph         // the task graph: its tasks, handles and edges
+	cfg      Config         // the run's: Scheduler, Trace, Tracker, Models
 	// valid is the coherence table, one row of len(dma) nodes per handle:
 	// valid[h.id*len(dma)+node] says node holds a valid copy of h.
-	valid  []bool
-	tasks  []simTask // by task id
-	nodes  []string  // a memory node's lane in transfer spans, when tracing
-	tracer *trace.Trace
+	valid []bool
+	tasks []simTask // by task id
+	nodes []string  // a memory node's lane in transfer spans, when tracing
 
 	// Fault tolerance.
-	ft      bool
-	policy  RetryPolicy
-	tracker *dynamic.Tracker
-	models  *perfmodel.Store
+	ft     bool
+	policy RetryPolicy
 
 	completed int      // tasks finished
 	makespan  sim.Time // when the last of them ended
@@ -95,38 +91,35 @@ func (st *simState) copies(h *Handle) []bool {
 	return st.valid[h.id*n : (h.id+1)*n]
 }
 
-// newSimState builds the state of one simulated execution of rt's graph.
-func (rt *Runtime) newSimState() (*simState, error) {
-	machine, err := simhw.FromPlatform(rt.cfg.Platform)
+// newSimState builds the state of one simulated execution of g under cfg.
+func newSimState(g *Graph, cfg Config) (*simState, error) {
+	machine, err := simhw.FromPlatform(cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	rt.transpose()
 	st := &simState{
 		machine: machine,
 		dma:     make([]sim.Resource, machine.NumNodes()),
-		graph:   rt,
-		valid:   make([]bool, len(rt.handles)*machine.NumNodes()),
-		tasks:   make([]simTask, len(rt.tasks)),
-		tracer:  rt.cfg.Trace,
-		ft:      rt.ftEnabled(),
-		policy:  rt.cfg.Retry.withDefaults(),
-		tracker: rt.cfg.Tracker,
-		models:  rt.cfg.Models,
+		graph:   g,
+		cfg:     cfg,
+		valid:   make([]bool, len(g.handles)*machine.NumNodes()),
+		tasks:   make([]simTask, len(g.tasks)),
+		ft:      cfg.ftEnabled(),
+		policy:  cfg.Retry.withDefaults(),
 	}
-	if st.tracer != nil {
+	if cfg.Trace != nil {
 		for node := range st.dma {
 			st.nodes = append(st.nodes, fmt.Sprintf("node%d", node))
 		}
 		// Every task leaves at least one span.
-		st.tracer.Reserve(len(rt.tasks))
+		cfg.Trace.Reserve(len(g.tasks))
 	}
 	// Units the tracker already reports offline start blacklisted: the
 	// in-flight path honours the same descriptor state the re-plan path
 	// (dynamic.Tracker.Snapshot) would have pruned.
 	var offline []string
-	if st.tracker != nil {
-		offline = st.tracker.OfflineUnits()
+	if cfg.Tracker != nil {
+		offline = cfg.Tracker.OfflineUnits()
 	}
 	// A unit's class is everything stage and kernelSeconds read of it.
 	type classKey struct {
@@ -143,18 +136,18 @@ func (rt *Runtime) newSimState() (*simState, error) {
 			classes[key] = class
 		}
 		su := &simUnit{hw: u, idx: len(st.units), class: class, hist: rtm.taskSeconds.With(u.ID), dead: unitAllowed(u.ID, offline)}
-		if evs := rt.cfg.Faults.forUnit(u.ID); len(evs) > 0 {
+		if evs := cfg.Faults.forUnit(u.ID); len(evs) > 0 {
 			su.faults = &faultQueue{events: evs}
 		}
 		st.units = append(st.units, su)
 	}
 	st.bids = make([]classBid, len(classes))
 	// Every datum starts out in host RAM.
-	for h := range rt.handles {
+	for h := range g.handles {
 		st.valid[h*len(st.dma)] = true
 	}
 	for id := range st.tasks {
-		st.tasks[id].remaining = rt.depOff[id+1] - rt.depOff[id]
+		st.tasks[id].remaining = g.depOff[id+1] - g.depOff[id]
 	}
 	return st, nil
 }
@@ -162,34 +155,34 @@ func (rt *Runtime) newSimState() (*simState, error) {
 // runSim executes the task graph in virtual time via greedy list scheduling
 // with the configured policy. The algorithm is deterministic for a given
 // (platform, task graph, scheduler, fault plan).
-func (rt *Runtime) runSim() (*Report, error) {
-	st, err := rt.newSimState()
+func runSim(g *Graph, cfg Config) (*Report, error) {
+	st, err := newSimState(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	var ready readyQueue
-	for id, t := range rt.tasks {
+	for id, t := range g.tasks {
 		if st.tasks[id].remaining == 0 {
 			ready.push(t)
 		}
 	}
-	for st.completed < len(rt.tasks) {
+	for st.completed < len(g.tasks) {
 		if ready.empty() {
-			return nil, fmt.Errorf("taskrt: task graph deadlock (cycle?) with %d tasks pending", len(rt.tasks)-st.completed)
+			return nil, fmt.Errorf("taskrt: task graph deadlock (cycle?) with %d tasks pending", len(g.tasks)-st.completed)
 		}
-		if err := rt.simStep(st, ready.pop(), ready.push); err != nil {
+		if err := st.step(ready.pop(), ready.push); err != nil {
 			return nil, err
 		}
 	}
-	return st.report(rt.cfg.Scheduler), nil
+	return st.report(), nil
 }
 
-// simStep schedules one ready task: it picks the unit, runs the attempt and
+// step schedules one ready task: it picks the unit, runs the attempt and
 // pushes what became ready — the task's released dependents, or after a
 // failed attempt the task itself.
-func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
+func (st *simState) step(t *Task, push func(*Task)) error {
 	rec := &st.tasks[t.id]
-	u, err := rt.pickUnit(t, st, rec.readyAt)
+	u, err := st.pickUnit(t, rec.readyAt)
 	if err != nil {
 		return err
 	}
@@ -214,8 +207,8 @@ func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
 				t.Codelet.Name, t.Label, n, fail.on.hw.ID)
 		}
 		retryAt := fail.at + sim.Time(Backoff(retryBackoffBase, retryBackoffCap, n))
-		if st.tracer != nil {
-			st.tracer.Record(trace.Event{
+		if st.cfg.Trace != nil {
+			st.cfg.Trace.Record(trace.Event{
 				Kind: trace.Retry, Unit: fail.on.hw.ID, Label: taskLabel(t),
 				Start: float64(fail.at), End: float64(retryAt),
 				TaskID: t.id, Attempt: n, Worker: fail.on.idx,
@@ -227,22 +220,22 @@ func (rt *Runtime) simStep(st *simState, t *Task, push func(*Task)) error {
 	}
 	st.makespan = max(st.makespan, end)
 	st.completed++
-	for _, d := range rt.succOf(t.id) {
+	for _, d := range st.graph.succOf(t.id) {
 		dr := &st.tasks[d]
 		dr.readyAt = max(dr.readyAt, end)
 		dr.remaining--
 		if dr.remaining == 0 {
-			push(rt.tasks[d])
+			push(st.graph.tasks[d])
 		}
 	}
 	return nil
 }
 
 // report sums the finished run up.
-func (st *simState) report(scheduler string) *Report {
+func (st *simState) report() *Report {
 	rep := &Report{
 		Mode:            Sim,
-		Scheduler:       scheduler,
+		Scheduler:       st.cfg.Scheduler,
 		Tasks:           len(st.tasks),
 		MakespanSeconds: float64(st.makespan),
 		TransferBytes:   st.transferBytes,
@@ -309,8 +302,8 @@ func kernelSeconds(m *simhw.Machine, t *Task, u *simhw.Unit) float64 {
 // the simulator's own cost model × watchdogFactor.
 func (st *simState) watchdogTimeout(t *Task, su *simUnit) float64 {
 	est := kernelSeconds(st.machine, t, su.hw)
-	if st.models != nil && t.Flops > 0 {
-		if e, ok := st.models.Model(t.Codelet.Name, su.hw.Arch).Estimate(t.Flops); ok {
+	if st.cfg.Models != nil && t.Flops > 0 {
+		if e, ok := st.cfg.Models.Model(t.Codelet.Name, su.hw.Arch).Estimate(t.Flops); ok {
 			est = e
 		}
 	}
@@ -358,8 +351,8 @@ func (st *simState) transfer(h *Handle, src, dst int, ready sim.Time, dur float6
 	st.transferBytes += h.Bytes
 	st.transferSecs += dur
 	st.transferCount++
-	if st.tracer != nil {
-		st.tracer.Record(trace.Event{
+	if st.cfg.Trace != nil {
+		st.cfg.Trace.Record(trace.Event{
 			Kind: trace.Transfer, Unit: st.nodes[dst],
 			Label: h.Name, Start: float64(s), End: float64(e), Bytes: h.Bytes,
 			TaskID: taskID, Worker: worker, From: st.nodes[src],
@@ -398,8 +391,8 @@ func (st *simState) execute(t *Task, su *simUnit, ready sim.Time) (sim.Time, *si
 	_, end := su.res.Acquire(dataReady, dur)
 	su.tasks++
 	su.hist.Observe(float64(dur))
-	if st.tracer != nil {
-		st.tracer.Record(st.taskSpan(trace.Task, t, su, start, end))
+	if st.cfg.Trace != nil {
+		st.cfg.Trace.Record(st.taskSpan(trace.Task, t, su, start, end))
 	}
 	// Commit coherence after execution.
 	node := su.hw.MemNode
@@ -468,10 +461,10 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simF
 		st.failedUnits = append(st.failedUnits, su.hw.ID)
 		st.candsFor = nil // the kept candidate list may hold su
 	}
-	if st.tracer != nil {
-		st.tracer.Record(st.taskSpan(trace.Failure, t, su, start, detect))
+	if st.cfg.Trace != nil {
+		st.cfg.Trace.Record(st.taskSpan(trace.Failure, t, su, start, detect))
 		instant := func(kind trace.Kind, at sim.Time) {
-			st.tracer.Record(trace.Event{
+			st.cfg.Trace.Record(trace.Event{
 				Kind: kind, Unit: su.hw.ID, Start: float64(at), End: float64(at),
 				TaskID: trace.NoTask, Worker: su.idx,
 			})
@@ -481,10 +474,10 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simF
 			instant(trace.Recover, su.downUntil)
 		}
 	}
-	if st.tracker != nil {
+	if st.cfg.Tracker != nil {
 		// Best effort: the tracker only knows descriptor-level ids.
-		if st.tracker.SetOffline(su.hw.ID) == nil && recovers {
-			_ = st.tracker.SetOnline(su.hw.ID)
+		if st.cfg.Tracker.SetOffline(su.hw.ID) == nil && recovers {
+			_ = st.cfg.Tracker.SetOnline(su.hw.ID)
 		}
 	}
 	// Never reuse state on the dead unit: every copy in its device memory is
@@ -659,13 +652,13 @@ func (q *readyQueue) pop() *Task {
 }
 
 // pickUnit chooses the unit for task t.
-func (rt *Runtime) pickUnit(t *Task, st *simState, ready sim.Time) (*simUnit, error) {
+func (st *simState) pickUnit(t *Task, ready sim.Time) (*simUnit, error) {
 	cands := st.compatibleUnits(t)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("taskrt: no unit can run codelet %q (impls %v; %d unit(s) blacklisted)",
 			t.Codelet.Name, t.Codelet.Archs(), len(st.failedUnits))
 	}
-	if rt.cfg.Scheduler == "ws" {
+	if st.cfg.Scheduler == "ws" {
 		// Work stealing: tasks are dealt round-robin to per-unit queues at
 		// submission; an idle unit steals when the owner is backed up. In
 		// list-scheduling terms: run on the owner unless another compatible

@@ -50,6 +50,30 @@ func submitTiles(t testing.TB, rt *Runtime, n int, flops float64, tileBytes int6
 	}
 }
 
+// submitTiledGEMM submits a T×T×T tiled DGEMM of tile×tile tiles: T³ tasks,
+// each C tile a chain of T updates.
+func submitTiledGEMM(t testing.TB, rt *Runtime, T, tile int) {
+	t.Helper()
+	bytes, flops := int64(tile*tile*8), 2*float64(tile*tile*tile)
+	cl := dgemmCodelet(t)
+	a, b, c := make([]*Handle, T*T), make([]*Handle, T*T), make([]*Handle, T*T)
+	for i := range a {
+		a[i] = rt.NewHandle("A", bytes, nil)
+		b[i] = rt.NewHandle("B", bytes, nil)
+		c[i] = rt.NewHandle("C", bytes, nil)
+	}
+	for i := 0; i < T; i++ {
+		for j := 0; j < T; j++ {
+			for k := 0; k < T; k++ {
+				if err := rt.Submit(&Task{Codelet: cl, Flops: flops,
+					Accesses: []Access{R(a[i*T+k]), R(b[k*T+j]), RW(c[i*T+j])}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 func simRun(t testing.TB, platform, sched string, tiles int, flops float64, bytes int64) *Report {
 	t.Helper()
 	rt, err := New(Config{
@@ -316,24 +340,25 @@ type readySet interface {
 // step, so only the order tasks are taken in can differ. It returns that order
 // beside the report.
 func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
-	st, err := rt.newSimState()
+	g := rt.Graph()
+	st, err := newSimState(g, rt.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, t := range rt.tasks {
-		if len(rt.Deps(t)) == 0 {
+	for _, t := range g.Tasks() {
+		if len(g.Deps(t)) == 0 {
 			q.push(t)
 		}
 	}
 	var order []int
-	for st.completed < len(rt.tasks) {
+	for st.completed < len(g.Tasks()) {
 		t := q.pop()
 		order = append(order, t.id)
-		if err := rt.simStep(st, t, q.push); err != nil {
+		if err := st.step(t, q.push); err != nil {
 			return nil, order, err
 		}
 	}
-	return st.report(rt.cfg.Scheduler), order, nil
+	return st.report(), order, nil
 }
 
 // outcome is one run as the oracle tests compare it.
@@ -361,8 +386,8 @@ func runTraced(t *testing.T, cfg Config, build func(*Runtime), exec func(*Runtim
 	return outcome{order: order, report: fmt.Sprintf("%+v %x", *rep, *rep), events: cfg.Trace.Events()}
 }
 
-// againstScan runs one graph — build submits it, afresh per run since tasks
-// count their own attempts — three ways: taken from scanQueue, taken from
+// againstScan runs one graph — build submits it into each run's traced
+// runtime — three ways: taken from scanQueue, taken from
 // readyQueue through the same loop, and through Run. The three must agree on
 // the order tasks were taken in, on every field of the report (floats by
 // their bits) and on every traced span; a run that fails must fail alike.
@@ -522,17 +547,18 @@ type bidCoverage struct {
 // from: compatibleUnits answers what a fresh scan of the units answers, and
 // under dmda pickUnit takes the unit scanBid takes.
 func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, []int, error) {
-	st, err := rt.newSimState()
+	g := rt.Graph()
+	st, err := newSimState(g, rt.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	var q readyQueue
-	for _, task := range rt.tasks {
-		if len(rt.Deps(task)) == 0 {
+	for _, task := range g.Tasks() {
+		if len(g.Deps(task)) == 0 {
 			q.push(task)
 		}
 	}
-	for st.completed < len(rt.tasks) {
+	for st.completed < len(g.Tasks()) {
 		task := q.pop()
 		ready := st.tasks[task.id].readyAt
 		want := scanCands(st, task)
@@ -540,7 +566,7 @@ func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, [
 			t.Errorf("%s: task %d: compatibleUnits %v, a fresh scan %v", rt.cfg.Scheduler, task.id, unitIDs(got), unitIDs(want))
 		}
 		if rt.cfg.Scheduler == "dmda" && len(want) > 0 {
-			got, err := rt.pickUnit(task, st, ready)
+			got, err := st.pickUnit(task, ready)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -555,12 +581,12 @@ func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, [
 			}
 		}
 		dead := len(st.failedUnits)
-		if err := rt.simStep(st, task, q.push); err != nil {
+		if err := st.step(task, q.push); err != nil {
 			return nil, nil, err
 		}
 		cov.deaths += len(st.failedUnits) - dead
 	}
-	return st.report(rt.cfg.Scheduler), nil, nil
+	return st.report(), nil, nil
 }
 
 func unitIDs(units []*simUnit) []string {
@@ -723,30 +749,13 @@ func TestReportHelpers(t *testing.T) {
 // allocations a task on this graph and fails the bound; the tables cost under
 // one.
 func TestSimRunAllocations(t *testing.T) {
-	const T, tileBytes, maxPerTask = 8, 256 * 256 * 8, 2.0
+	const T, maxPerTask = 8, 2.0
 	for _, sched := range []string{"dmda", "ws"} {
 		rt, err := New(Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: Sim, Scheduler: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A T×T×T tiled DGEMM: 512 tasks, each C tile a chain of T updates.
-		cl := dgemmCodelet(t)
-		var a, b, c [T * T]*Handle
-		for i := range a {
-			a[i] = rt.NewHandle("A", tileBytes, nil)
-			b[i] = rt.NewHandle("B", tileBytes, nil)
-			c[i] = rt.NewHandle("C", tileBytes, nil)
-		}
-		for i := 0; i < T; i++ {
-			for j := 0; j < T; j++ {
-				for k := 0; k < T; k++ {
-					if err := rt.Submit(&Task{Codelet: cl, Flops: 2 * 256 * 256 * 256,
-						Accesses: []Access{R(a[i*T+k]), R(b[k*T+j]), RW(c[i*T+j])}}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
+		submitTiledGEMM(t, rt, T, 256)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := rt.Run(); err != nil {

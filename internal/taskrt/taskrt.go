@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -96,7 +95,7 @@ func (m Mode) String() string {
 	return "sim"
 }
 
-// Config configures a Runtime.
+// Config configures a Runtime, or one Run of a Graph.
 type Config struct {
 	// Platform describes the machine. In Sim mode it parameterises the
 	// hardware simulator; in Real mode its Masters' units, whatever their
@@ -140,34 +139,44 @@ type Config struct {
 	Tracker *dynamic.Tracker
 }
 
-// Run lifecycle states (Runtime.state).
-const (
-	stateIdle int32 = iota // accepting submissions
-	stateRunning
-	stateDone
-)
+// validate checks cfg for New and Run, filling in the default scheduler.
+func (cfg Config) validate() (Config, error) {
+	if cfg.Platform == nil {
+		return cfg, fmt.Errorf("taskrt: nil platform")
+	}
+	if cfg.Mode != Real && cfg.Mode != Sim {
+		return cfg, fmt.Errorf("taskrt: unknown mode %v", cfg.Mode)
+	}
+	if err := cfg.Platform.Validate(); err != nil {
+		return cfg, err
+	}
+	switch cfg.Scheduler {
+	case "":
+		cfg.Scheduler = "ws"
+	case "ws", "dmda":
+	default:
+		return cfg, fmt.Errorf("taskrt: unknown scheduler %q; both modes implement \"ws\" and \"dmda\"", cfg.Scheduler)
+	}
+	if cfg.Faults != nil {
+		return cfg, cfg.Faults.Validate()
+	}
+	return cfg, nil
+}
 
-// Runtime accepts task submissions and executes them with Run. What it derives
-// from them is kept in pointer-free tables indexed by id, so a Task or Handle
-// holds only what its submitter wrote.
+// Runtime builds a task graph from submissions and runs it under its Config.
+// What it derives is kept in pointer-free tables indexed by id, so a Task or
+// Handle holds only what its submitter wrote. A zero Runtime builds a graph
+// with no Config, to Run under any. A Runtime is not safe for concurrent use.
 type Runtime struct {
-	cfg     Config
-	handles []*Handle // by Handle.ID()
-	tasks   []*Task   // by Task.ID()
-
-	// The edges, in compressed sparse rows: task i waits on the ids
-	// deps[depOff[i]:depOff[i+1]] (depOff holds one entry more than there are
-	// tasks), and succ[succOff[i]:succOff[i+1]] wait on it — deps' transpose,
-	// built when an engine takes the graph (transpose).
-	deps, depOff  []int
-	succ, succOff []int
+	cfg Config
+	// g is the graph so far, which Graph seals a copy of. Its succ/succOff are
+	// current when succOff has one entry more than there are tasks.
+	g Graph
 
 	// hist is every handle's submission history, by handle id; a handle's
 	// readers since its last write are a list linked through reads.
 	hist  []handleHist
 	reads []readLink
-
-	state atomic.Int32 // stateIdle → stateRunning → stateDone
 }
 
 // handleHist is what Submit derives a handle's dependencies from: the last
@@ -186,79 +195,27 @@ type readLink struct {
 // New creates a runtime. The platform must be a valid machine-model
 // instance.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.Platform == nil {
-		return nil, fmt.Errorf("taskrt: nil platform")
-	}
-	if err := cfg.Platform.Validate(); err != nil {
+	cfg, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
-	switch cfg.Scheduler {
-	case "":
-		cfg.Scheduler = "ws"
-	case "ws", "dmda":
-	default:
-		return nil, fmt.Errorf("taskrt: unknown scheduler %q; both modes implement \"ws\" and \"dmda\"", cfg.Scheduler)
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &Runtime{cfg: cfg, depOff: []int{0}}, nil
+	return &Runtime{cfg: cfg}, nil
 }
 
 // Submit registers a task for execution and derives its dependencies from
 // the data-access history: readers depend on the last writer of each handle;
 // writers additionally depend on all readers since that write (anti/output
 // dependencies), exactly the implicit data-driven ordering StarPU applies.
+// A task submitted after a Run is part of the next one.
 func (rt *Runtime) Submit(t *Task) error {
-	if err := rt.submittable(); err != nil {
-		return err
-	}
-	return rt.submitOne(t)
-}
-
-// SubmitBatch registers tasks in order with one lifecycle check for the
-// whole batch — the submission-side companion of the dispatcher's batched
-// push path. Dependency derivation is identical to calling Submit in a
-// loop: tasks later in the batch may depend on earlier ones (through shared
-// handles or After). On error the failing task is reported by its batch
-// index; tasks before it remain registered, exactly as sequential Submit
-// calls would leave them.
-func (rt *Runtime) SubmitBatch(tasks []*Task) error {
-	if err := rt.submittable(); err != nil {
-		return err
-	}
-	rt.tasks = slices.Grow(rt.tasks, len(tasks))
-	rt.depOff = slices.Grow(rt.depOff, len(tasks))
-	for i, t := range tasks {
-		if err := rt.submitOne(t); err != nil {
-			return fmt.Errorf("batch task %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// submittable checks the run lifecycle allows submissions.
-func (rt *Runtime) submittable() error {
-	switch rt.state.Load() {
-	case stateRunning:
-		return fmt.Errorf("taskrt: Submit while Run is in progress; submit all tasks before Run")
-	case stateDone:
-		return fmt.Errorf("taskrt: Submit after Run; a runtime is single-shot, create a new one")
-	}
-	return nil
-}
-
-// submitOne validates and registers one task (lifecycle already checked).
-func (rt *Runtime) submitOne(t *Task) error {
+	g := &rt.g
 	if t.Codelet == nil {
 		return fmt.Errorf("taskrt: task without codelet")
 	}
 	if len(t.Codelet.Impls) == 0 {
 		return fmt.Errorf("taskrt: codelet %q has no implementations", t.Codelet.Name)
 	}
-	if rt.owns(t) {
+	if g.owns(t) {
 		return fmt.Errorf("taskrt: task %q submitted twice", t.Codelet.Name)
 	}
 	for i, a := range t.Accesses {
@@ -268,7 +225,7 @@ func (rt *Runtime) submitOne(t *Task) error {
 		}
 		// Every engine keeps its books in tables indexed by handle id: a
 		// handle of another runtime would read someone else's row.
-		if h.id >= len(rt.handles) || rt.handles[h.id] != h {
+		if h.id >= len(g.handles) || g.handles[h.id] != h {
 			return fmt.Errorf("taskrt: task %q accesses handle %q, which is not registered with this runtime", t.Codelet.Name, h.Name)
 		}
 		// Tasks touch a handful of handles: a linear scan beats allocating a
@@ -283,15 +240,18 @@ func (rt *Runtime) submitOne(t *Task) error {
 		if dep == nil {
 			return fmt.Errorf("taskrt: task %q has nil explicit dependency", t.Codelet.Name)
 		}
-		if !rt.owns(dep) {
+		if !g.owns(dep) {
 			return fmt.Errorf("taskrt: task %q depends on a task not yet submitted to this runtime", t.Codelet.Name)
 		}
 	}
 	// Valid: only now does the task take an id, so ids stay dense — the index
-	// of the task in rt.tasks — whatever was rejected before it. Its row of
+	// of the task in g.tasks — whatever was rejected before it. Its row of
 	// deps is what follows from here.
-	t.id = len(rt.tasks)
-	id, from := int32(t.id), len(rt.deps)
+	if len(g.depOff) == 0 {
+		g.depOff = append(g.depOff, 0) // a zero Runtime's first row
+	}
+	t.id = len(g.tasks)
+	id, from := int32(t.id), len(g.deps)
 	for _, dep := range t.After {
 		rt.addDep(from, dep.id)
 	}
@@ -318,8 +278,26 @@ func (rt *Runtime) submitOne(t *Task) error {
 		}
 		h.last = link
 	}
-	rt.tasks = append(rt.tasks, t)
-	rt.depOff = append(rt.depOff, len(rt.deps))
+	g.tasks = append(g.tasks, t)
+	g.depOff = append(g.depOff, len(g.deps))
+	return nil
+}
+
+// SubmitBatch registers tasks in order, growing the runtime's tables once for
+// the whole batch — the submission-side companion of the dispatcher's batched
+// push path. Dependency derivation is identical to calling Submit in a
+// loop: tasks later in the batch may depend on earlier ones (through shared
+// handles or After). On error the failing task is reported by its batch
+// index; tasks before it remain registered, exactly as sequential Submit
+// calls would leave them.
+func (rt *Runtime) SubmitBatch(tasks []*Task) error {
+	rt.g.tasks = slices.Grow(rt.g.tasks, len(tasks))
+	rt.g.depOff = slices.Grow(rt.g.depOff, len(tasks)+1)
+	for i, t := range tasks {
+		if err := rt.Submit(t); err != nil {
+			return fmt.Errorf("batch task %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
@@ -327,127 +305,54 @@ func (rt *Runtime) submitOne(t *Task) error {
 // holds it already. A task waits on a handful of tasks: a scan of its row beats
 // keeping a set.
 func (rt *Runtime) addDep(from, dep int) {
-	if !slices.Contains(rt.deps[from:], dep) {
-		rt.deps = append(rt.deps, dep)
+	if !slices.Contains(rt.g.deps[from:], dep) {
+		rt.g.deps = append(rt.g.deps, dep)
 	}
-}
-
-// owns reports whether t is a task this runtime accepted.
-func (rt *Runtime) owns(t *Task) bool {
-	return t.id < len(rt.tasks) && rt.tasks[t.id] == t
 }
 
 // Tasks returns the number of submitted tasks.
-func (rt *Runtime) Tasks() int { return len(rt.tasks) }
+func (rt *Runtime) Tasks() int { return len(rt.g.tasks) }
 
-// Deps returns the ids of the tasks t waits for, in the order Submit derived
-// them: its After list, then per access the handle's last writer and, for a
-// write, the handle's readers since, each once. It is nil for a task this
-// runtime did not accept. The slice is a row of the runtime's table: do not
-// write to it.
-func (rt *Runtime) Deps(t *Task) []int {
-	if !rt.owns(t) {
-		return nil
+// Graph seals the tasks and handles submitted so far, with the edges between
+// them, into a Graph. Later submissions append past what the Graph holds, so
+// it never sees them; the runtime keeps accepting tasks, and its next Graph
+// includes them.
+func (rt *Runtime) Graph() *Graph {
+	g := &rt.g
+	if len(g.succOff) != len(g.tasks)+1 {
+		g.transpose()
 	}
-	return rt.depsOf(t.id)
+	sealed := *g
+	sealed.tasks, sealed.handles = slices.Clip(g.tasks), slices.Clip(g.handles)
+	sealed.deps, sealed.depOff = slices.Clip(g.deps), slices.Clip(g.depOff)
+	return &sealed
 }
 
-// Dependents returns the ids of the tasks waiting on t, ascending: the reverse
-// edges of Deps. It is nil for a task this runtime did not accept, and, like
-// Deps, a row of the runtime's table.
-func (rt *Runtime) Dependents(t *Task) []int {
-	if !rt.owns(t) {
-		return nil
-	}
-	rt.transpose()
-	return rt.succOf(t.id)
-}
-
-// depsOf is task id's row of deps, clipped so that an append cannot reach the
-// next row.
-func (rt *Runtime) depsOf(id int) []int {
-	lo, hi := rt.depOff[id], rt.depOff[id+1]
-	return rt.deps[lo:hi:hi]
-}
-
-// succOf is task id's row of succ; transpose must have run since the last
-// submission.
-func (rt *Runtime) succOf(id int) []int {
-	lo, hi := rt.succOff[id], rt.succOff[id+1]
-	return rt.succ[lo:hi:hi]
-}
-
-// transpose builds succ from deps, unless it is current, by one counting pass:
-// count each task's dependents, turn the counts into row starts, then fill the
-// rows visiting tasks in id order, so every row ascends.
-func (rt *Runtime) transpose() {
-	n := len(rt.tasks)
-	if len(rt.succOff) == n+1 {
-		return
-	}
-	off := make([]int, n+1)
-	for _, d := range rt.deps {
-		off[d+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	succ := make([]int, len(rt.deps))
-	for t := 0; t < n; t++ {
-		for _, d := range rt.depsOf(t) {
-			succ[off[d]] = t
-			off[d]++ // ends at the next row's start
-		}
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	rt.succ, rt.succOff = succ, off
-}
-
-// Graph hands the submitted task graph to an external engine: it returns
-// every task (in submission order) together with every registered handle,
-// and consumes the runtime — the same single-shot lifecycle Run enforces, so
-// a graph can be executed either locally (Run) or by an external engine (the
-// cluster master), never both. Further Submit or Run calls fail with the
-// usual lifecycle errors; Deps and Dependents keep answering.
-func (rt *Runtime) Graph() (tasks []*Task, handles []*Handle, err error) {
-	if !rt.state.CompareAndSwap(stateIdle, stateDone) {
-		return nil, nil, fmt.Errorf("taskrt: Graph after Run or Graph; a runtime is single-shot, create a new one")
-	}
-	rt.transpose()
-	return rt.tasks, rt.handles, nil
-}
-
-// Run executes every submitted task and returns the execution report. A
-// runtime is single-shot: Run may be called exactly once, and submissions
-// are rejected from the moment it starts. Calling Run again — concurrently
-// or after completion — returns a descriptive error instead of rerunning.
+// Run runs every task submitted so far: Run(rt.Graph(), cfg) with the
+// runtime's Config. It may be called again, after further submissions too.
 func (rt *Runtime) Run() (*Report, error) {
-	if !rt.state.CompareAndSwap(stateIdle, stateRunning) {
-		if rt.state.Load() == stateRunning {
-			return nil, fmt.Errorf("taskrt: Run called twice; a Run is already in progress")
-		}
-		return nil, fmt.Errorf("taskrt: Run called twice; the runtime already ran, create a new one")
+	return Run(rt.Graph(), rt.cfg)
+}
+
+// Run executes every task of g under cfg, which it validates as New does, and
+// returns the execution report. It never writes g; Graph says what a caller
+// of Real runs looks after.
+func Run(g *Graph, cfg Config) (*Report, error) {
+	cfg, err := cfg.validate()
+	if err != nil {
+		return nil, err
 	}
-	defer rt.state.Store(stateDone)
-	var (
-		rep *Report
-		err error
-	)
-	switch rt.cfg.Mode {
-	case Sim:
-		rep, err = rt.runSim()
-	case Real:
-		rep, err = rt.runReal()
-	default:
-		return nil, fmt.Errorf("taskrt: unknown mode %v", rt.cfg.Mode)
+	run := runReal
+	if cfg.Mode == Sim {
+		run = runSim
 	}
+	rep, err := run(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	recordReport(rep)
-	if tr := rt.cfg.Trace; tr != nil {
-		tr.SetMeta("mode", rt.cfg.Mode.String())
+	if tr := cfg.Trace; tr != nil {
+		tr.SetMeta("mode", cfg.Mode.String())
 		tr.SetMeta("scheduler", rep.Scheduler)
 		tr.SetMeta("tasks", strconv.Itoa(rep.Tasks))
 		// The most recent traced run backs pdlserved's /debug/trace.

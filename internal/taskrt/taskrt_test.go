@@ -140,6 +140,12 @@ func TestNewConfigValidation(t *testing.T) {
 	if _, err := New(Config{Platform: cpuPlatform(t, 2), Scheduler: "lottery"}); err == nil {
 		t.Fatal("unknown scheduler must fail")
 	}
+	if _, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Mode(7)}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("unknown mode: err = %v", err)
+	}
+	if _, err := Run(&Graph{}, Config{Platform: cpuPlatform(t, 2), Mode: Mode(7)}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("Run with an unknown mode: err = %v", err)
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -184,10 +190,11 @@ func TestDependencyDerivation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	g := rt.Graph()
 	depIDs := func(task *Task) []string {
 		var out []string
-		for _, d := range rt.Deps(task) {
-			out = append(out, rt.tasks[d].Label)
+		for _, d := range g.Deps(task) {
+			out = append(out, g.Tasks()[d].Label)
 		}
 		return out
 	}
@@ -327,23 +334,6 @@ func TestRealExecutionMissingImpl(t *testing.T) {
 	_ = rt.Submit(&Task{Codelet: gpuOnly})
 	if _, err := rt.Run(); err == nil || !strings.Contains(err.Error(), "no real implementation") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRuntimeSingleShot(t *testing.T) {
-	rt, err := New(Config{Platform: cpuPlatform(t, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rt.Submit(&Task{Codelet: noopCodelet(t, "n")})
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(&Task{Codelet: noopCodelet(t, "n")}); err == nil {
-		t.Fatal("submit after run must fail")
-	}
-	if _, err := rt.Run(); err == nil {
-		t.Fatal("second run must fail")
 	}
 }
 

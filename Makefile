@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,14 @@ lint-graph-state:
 	@! grep -rniw --include='*.go' --exclude='*_test.go' 'single-shot' .
 	@! grep -rnE --include='*.go' '[[:alnum:]_]+, [[:alnum:]_]+, err :?= .*\.Graph\(\)' internal
 
+# lint-one-format keeps everything pdlserved writes to disk in the journal's
+# one record framing: a snapshot is a compacted journal and a bundle is that
+# file, so no second framing, magic, file kind or archive format comes back,
+# and only wal.go computes a checksum.
+lint-one-format:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'archive/tar|snapshotMagic|snapshotState|readSnapshot|writeSnapshot|snapshot-%0' internal/registry cmd/pdlserved
+	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'hash/crc32' internal/registry)" = internal/registry/wal.go
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -124,11 +132,12 @@ test-purego:
 	$(GO) test -tags purego ./internal/blas/... ./internal/experiments/...
 
 # crash-test exercises the durability layer's recovery guarantees under the
-# race detector: byte-granular journal truncation, corrupt-snapshot fallback,
-# read-only degradation, bundle round-trips, and the HTTP-level restart and
-# 503 contracts.
+# race detector: byte-granular truncation of a journal's last record and of a
+# whole compaction, the fallback past a damaged image, the refusal of the old
+# snapshot format, read-only degradation, bundle round-trips, and the
+# HTTP-level restart, import and 503 contracts.
 crash-test:
-	$(GO) test -race -run 'CrashRecovery|TornAndCorrupt|AppendReplayTruncates|SnapshotRoundTrip|CorruptSnapshot|ReadOnly|FsyncdRecovery|Bundle|Import|Durable|JournalFailure|WALMetrics|DuplicateUpload' ./internal/registry/... ./internal/server/...
+	$(GO) test -race -run 'CrashRecovery|TornAndCorrupt|AppendReplayTruncates|SnapshotRoundTrip|CorruptSnapshot|OldFormat|ReadOnly|FsyncdRecovery|Bundle|Import|Durable|JournalFailure|WALMetrics|DuplicateUpload' ./internal/registry/... ./internal/server/...
 
 # cluster-test is the multi-process cluster smoke: it builds the real
 # pdlserved + pdlworkerd binaries, registers two workers through the
@@ -141,7 +150,8 @@ cluster-test:
 	PDL_CLUSTER_SMOKE=1 PDL_SMOKE_ARTIFACTS=$(SMOKE_ARTIFACTS) $(GO) test -run TestClusterSmoke -v -timeout 300s ./internal/cluster/smoke
 
 # fuzz runs a time-boxed exploration of the decoders that read untrusted
-# bytes — the journal record decoder, the cluster payload frame decoder and
+# bytes — the journal decoders (record, payload, image and replay: every byte
+# pdlserved reads at start-up), the cluster payload frame decoder and
 # both ends of the execute stream, the worker's request reader and the
 # master's response reader — each on top of its committed seed corpus (which
 # plain `go test` already replays).
@@ -159,11 +169,11 @@ bench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
-# trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding, options
-# and graph-state lints,
+# trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding, options,
+# graph-state and one-format lints,
 # race subset, the portable-kernel build, crash/recovery suite, multi-process
 # cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

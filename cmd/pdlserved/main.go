@@ -9,14 +9,16 @@
 //	pdlserved -addr :8080 -preload internal/pdlxml/testdata
 //	pdlserved -addr :8080 -rate 100 -burst 200 -max-body 1048576
 //	pdlserved -addr :8080 -data-dir /var/lib/pdlserved -snapshot-every 1000
-//	pdlserved export -data-dir /var/lib/pdlserved -out bundle.tar
-//	pdlserved import -data-dir /var/lib/pdlserved-new -in bundle.tar
+//	pdlserved export -data-dir /var/lib/pdlserved -out bundle.wal
+//	pdlserved import -data-dir /var/lib/pdlserved-new -in bundle.wal
 //
 // With -data-dir set, every mutation is write-ahead journaled (fsync'd by
-// default) and periodically compacted into snapshots; a restarted server
-// replays snapshot + journal and comes back with identical versions, ETags
-// and perfmodel history. The export/import subcommands move that state
-// between air-gapped environments as a tar bundle.
+// default) and every -snapshot-every records the journal is compacted: a new
+// journal begins with an image of the store in the same records. A restarted
+// server replays the newest image and the mutations after it and comes back
+// with identical versions, ETags and perfmodel history. The export/import
+// subcommands move that state between air-gapped environments as one file,
+// the compacted journal itself.
 //
 // Endpoints:
 //
@@ -98,8 +100,8 @@ func run(args []string) error {
 		drain         = fs.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
 		accessLog     = fs.String("access-log", "-", "access log destination: '-' for stderr, a path, or '' to disable")
 		traceFile     = fs.String("trace", "", "trace file (Chrome JSON or pdltrace JSONL) to serve at /debug/trace")
-		dataDir       = fs.String("data-dir", "", "durability directory for the write-ahead journal and snapshots ('' = in-memory only)")
-		snapshotEvery = fs.Int("snapshot-every", 1024, "compact a snapshot after this many journal records (0 disables automatic compaction)")
+		dataDir       = fs.String("data-dir", "", "durability directory for the write-ahead journal ('' = in-memory only)")
+		snapshotEvery = fs.Int("snapshot-every", 1024, "compact the journal after this many records (0 disables automatic compaction)")
 		fsync         = fs.Bool("fsync", true, "fsync the journal on every committed mutation")
 		fleetEvery    = fs.Duration("fleet-scrape", server.DefaultFleetScrapeEvery, "interval for scraping leased workers' /metrics into the federated taskrt_fleet_* export (0 disables)")
 		pprofOn       = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -146,8 +148,8 @@ func run(args []string) error {
 		}
 		defer persist.Close()
 		rec := persist.Recovery()
-		log.Printf("pdlserved: recovered %d platform(s) from %s (snapshot seq %d, %d journal record(s) replayed, torn tail: %v)",
-			reg.Len(), *dataDir, rec.SnapshotSeq, rec.ReplayedRecords, rec.TornTail)
+		log.Printf("pdlserved: recovered %d platform(s) from %s (base journal seq %d, %d record(s) replayed, torn tail: %v)",
+			reg.Len(), *dataDir, rec.BaseSeq, rec.ReplayedRecords, rec.TornTail)
 	}
 
 	if *preload != "" {
@@ -269,12 +271,13 @@ func preloadOne(reg *registry.Registry, persist *registry.Persistence, name, pat
 	return err
 }
 
-// runExport recovers the store from a data dir and writes it as a tar
-// bundle (fresh compacted snapshot + manifest) for air-gapped promotion.
+// runExport recovers the store from a data dir and writes it as a bundle —
+// a compacted journal holding just the store's image — for air-gapped
+// promotion.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("pdlserved export", flag.ContinueOnError)
 	dataDir := fs.String("data-dir", "", "durability directory to export (required)")
-	out := fs.String("out", "-", "bundle destination: a .tar path or '-' for stdout")
+	out := fs.String("out", "-", "bundle destination: a file path or '-' for stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -298,20 +301,20 @@ func runExport(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	man, err := persist.WriteBundle(w)
+	info, err := persist.WriteBundle(w)
 	if err != nil {
 		return fmt.Errorf("export: %w", err)
 	}
-	log.Printf("pdlserved: exported %d platform(s), store version %d", man.Platforms, man.StoreVersion)
+	log.Printf("pdlserved: exported %d platform(s), store version %d", info.Platforms, info.StoreVersion)
 	return nil
 }
 
 // runImport seeds an empty data dir from a bundle and verifies it by
-// running a full recovery over the imported snapshot.
+// running a full recovery over the imported journal.
 func runImport(args []string) error {
 	fs := flag.NewFlagSet("pdlserved import", flag.ContinueOnError)
 	dataDir := fs.String("data-dir", "", "empty durability directory to import into (required)")
-	in := fs.String("in", "-", "bundle source: a .tar path or '-' for stdin")
+	in := fs.String("in", "-", "bundle source: a file path or '-' for stdin")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -327,7 +330,7 @@ func runImport(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	man, err := registry.ImportBundle(r, *dataDir)
+	info, err := registry.ImportBundle(r, *dataDir)
 	if err != nil {
 		return fmt.Errorf("import: %w", err)
 	}
@@ -339,6 +342,6 @@ func runImport(args []string) error {
 	}
 	persist.Close()
 	log.Printf("pdlserved: imported %d platform(s) into %s (store version %d); serve with -data-dir %s",
-		reg.Len(), *dataDir, man.StoreVersion, *dataDir)
+		reg.Len(), *dataDir, info.StoreVersion, *dataDir)
 	return nil
 }

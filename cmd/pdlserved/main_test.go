@@ -111,7 +111,7 @@ func TestExportImportCommands(t *testing.T) {
 	}
 	persist.Close()
 
-	bundle := filepath.Join(t.TempDir(), "bundle.tar")
+	bundle := filepath.Join(t.TempDir(), "bundle.wal")
 	if err := runExport([]string{"-data-dir", srcData, "-out", bundle}); err != nil {
 		t.Fatalf("export: %v", err)
 	}

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"archive/tar"
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -90,6 +92,30 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 	if !ok || !bytes.Equal(g1.XML, g2.XML) || g1.Revision != g2.Revision {
 		t.Fatal("imported canonical XML or revision differs")
 	}
+
+	// A bundle is a compacted journal, so a data dir's own journal imports
+	// as one, mutations behind its image included.
+	if err := p2.LogDelete("edited", func() { reg2.Delete("edited") }); err != nil {
+		t.Fatal(err)
+	}
+	want := imageOf(t, reg2, tuner2)
+	journal, err := os.ReadFile(p2.ActiveJournalPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir3 := t.TempDir()
+	if info, err := ImportBundle(bytes.NewReader(journal), dir3); err != nil || info.Platforms != 2 {
+		t.Fatalf("import of a data dir's journal = %+v, %v", info, err)
+	}
+	reg3, tuner3 := New(), predict.NewTuner()
+	p3, err := OpenPersistence(dir3, reg3, tuner3, PersistOptions{Fsync: false, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	if got := imageOf(t, reg3, tuner3); !got.equal(want) {
+		t.Fatalf("import of a journal diverged:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 func TestImportRefusesNonEmptyDirAndGarbage(t *testing.T) {
@@ -109,9 +135,24 @@ func TestImportRefusesNonEmptyDirAndGarbage(t *testing.T) {
 	if _, err := ImportBundle(bytes.NewReader(bundle.Bytes()), srcDir); err == nil || !strings.Contains(err.Error(), "not empty") {
 		t.Fatalf("import into non-empty dir err = %v", err)
 	}
-	// Garbage stream refused, leaving the target empty.
+	// Garbage refused, and so is a bundle whose image is cut short, leaving
+	// the target empty.
 	dst := t.TempDir()
-	if _, err := ImportBundle(strings.NewReader("not a tar"), dst); err == nil {
-		t.Fatal("garbage bundle accepted")
+	for _, bad := range [][]byte{[]byte("not a journal"), bundle.Bytes()[:bundle.Len()-1]} {
+		if _, err := ImportBundle(bytes.NewReader(bad), dst); err == nil {
+			t.Fatalf("bundle %q accepted", bad)
+		}
+		if ents, _ := os.ReadDir(dst); len(ents) != 0 {
+			t.Fatalf("a refused bundle left %d files behind", len(ents))
+		}
+	}
+	// A tar bundle from an older pdlserved is refused with a message.
+	var old bytes.Buffer
+	tw := tar.NewWriter(&old)
+	tw.WriteHeader(&tar.Header{Name: "MANIFEST.json", Mode: 0o644, Size: 2})
+	tw.Write([]byte("{}"))
+	tw.Close()
+	if _, err := ImportBundle(&old, dst); err == nil || !strings.Contains(err.Error(), "older pdlserved") {
+		t.Fatalf("import of a tar bundle: err = %v", err)
 	}
 }

@@ -3,20 +3,23 @@ package registry
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
-// FuzzDecodeRecord throws arbitrary bytes at the journal record decoder
-// (framing + mutation payload). The contract under fuzz: never panic,
-// never allocate based on an untrusted length prefix, and either fail
-// cleanly or decode a payload that re-encodes to the identical framing.
-// Seed corpus lives in testdata/fuzz/FuzzDecodeRecord (run in every plain
-// `go test`; CI additionally runs -fuzz for a time-boxed exploration).
+// FuzzDecodeRecord throws arbitrary bytes at the journal decoders — the
+// record framing, the payload, a compacted journal's image, and the replay of
+// the mutations after it, which together are every byte recovery reads from a
+// data dir. The contract under fuzz: never panic, never allocate based on an
+// untrusted length prefix, and either fail cleanly or decode a payload that
+// re-encodes to the identical framing. Seed corpus lives in
+// testdata/fuzz/FuzzDecodeRecord (run in every plain `go test`; CI
+// additionally runs -fuzz for a time-boxed exploration).
 func FuzzDecodeRecord(f *testing.F) {
-	// Seeds: one valid record of each op, a truncated tail, a corrupted
-	// CRC, an oversized length claim, and junk.
-	putP, _ := encodeMutation(opPut, putRecord{Name: "plat", XML: []byte("<Platform name=\"p\"/>")})
-	delP, _ := encodeMutation(opDelete, deleteRecord{Name: "plat"})
-	obsP, _ := encodeMutation(opObserve, observeRecord{Platform: "plat", Codelet: "dgemm", Size: 128, Seconds: 0.25})
+	// Seeds: one valid record of each mutation op, a truncated tail, a
+	// corrupted CRC, an oversized length claim, and junk.
+	putP, _ := encodePayload(opPut, putRecord{Name: "plat", XML: []byte("<Platform name=\"p\"/>")})
+	delP, _ := encodePayload(opDelete, deleteRecord{Name: "plat"})
+	obsP, _ := encodePayload(opObserve, observeRecord{Platform: "plat", Codelet: "dgemm", Size: 128, Seconds: 0.25})
 	for _, payload := range [][]byte{putP, delP, obsP} {
 		rec, err := encodeRecord(payload)
 		if err != nil {
@@ -31,8 +34,31 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix
 	f.Add([]byte("not a journal at all"))
+	// A compacted journal: an image with a mutation behind it, whole and cut
+	// inside the image.
+	img, err := encodeImage(imageHead{Version: 3, SavedAt: time.Unix(1, 0).UTC()},
+		[]putRecord{{Name: "plat", XML: []byte("<x/>"), Revision: 2}}, []byte(`{"observations":[]}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	obsRec, _ := encodeRecord(obsP)
+	f.Add(append(img, obsRec...))
+	f.Add(img[:len(img)-5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every byte recovery reads goes through these two; they must not
+		// panic whatever they get.
+		if img, rest, err := decodeImage(data); err == nil && int64(len(data)-len(rest)) < img.Bytes {
+			t.Fatalf("image of %d bytes decoded from %d", img.Bytes, len(data)-len(rest))
+		}
+		if _, good, _ := replayRecords(data, func(r record) {
+			if !r.mutation() {
+				t.Fatalf("replay applied op %d, which is not a mutation", r.Op)
+			}
+		}); good > int64(len(data)) {
+			t.Fatalf("replay verified %d of %d bytes", good, len(data))
+		}
+
 		payload, rest, err := decodeRecord(data)
 		if err != nil {
 			// Failed decodes must consume nothing.
@@ -56,24 +82,32 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !bytes.Equal(rec, data[:len(data)-len(rest)]) {
 			t.Fatal("re-encoded record differs from consumed bytes")
 		}
-		// The mutation decoder must also be panic-free on whatever framing
+		// The payload decoder must also be panic-free on whatever framing
 		// let through; errors are fine.
-		if m, err := decodeMutation(payload); err == nil {
-			switch m.Op {
+		if r, err := decodePayload(payload); err == nil {
+			switch r.Op {
 			case opPut:
-				if m.Put == nil || m.Put.Name == "" {
+				if r.Put == nil || r.Put.Name == "" {
 					t.Fatal("valid put decode without name")
 				}
 			case opDelete:
-				if m.Delete == nil || m.Delete.Name == "" {
+				if r.Delete == nil || r.Delete.Name == "" {
 					t.Fatal("valid delete decode without name")
 				}
 			case opObserve:
-				if m.Observe == nil || m.Observe.Size <= 0 || m.Observe.Seconds <= 0 {
+				if r.Observe == nil || r.Observe.Size <= 0 || r.Observe.Seconds <= 0 {
 					t.Fatal("valid observe decode with non-positive sample")
 				}
+			case opImage:
+				if r.Image == nil || r.Image.Bytes < 0 {
+					t.Fatal("valid image head with a negative length")
+				}
+			case opPerf:
+				if len(r.Perf) == 0 {
+					t.Fatal("valid perf record without a body")
+				}
 			default:
-				t.Fatalf("decodeMutation accepted unknown op %d", m.Op)
+				t.Fatalf("decodePayload accepted unknown op %d", r.Op)
 			}
 		}
 	})

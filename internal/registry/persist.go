@@ -1,25 +1,25 @@
-// Persistence orchestrates the registry's durability layer: the write-ahead
-// journal (wal.go), periodic compacted snapshots (snapshot.go), recovery on
-// open, and the read-only degradation the HTTP layer surfaces as
-// 503 + Retry-After.
+// Persistence orchestrates the registry's durability layer: the journal
+// (wal.go), compaction, recovery on open, export/import bundles, and the
+// read-only degradation the HTTP layer surfaces as 503 + Retry-After.
 //
-// Data-dir layout — files are named by epoch sequence number:
+// Data-dir layout — one kind of file, named by epoch sequence number:
 //
-//	snapshot-%016d.snap   compacted store image (seq = epoch it begins)
-//	journal-%016d.wal     mutations since snapshot of the same seq
+//	journal-%016d.wal
 //
-// A compaction writes snapshot S+1 (containing everything committed so
-// far), switches appends to journal S+1, and then retires files older than
-// snapshot S — so the directory always holds the current epoch plus one
-// full fallback epoch. Recovery loads the newest verifiable snapshot and
-// replays every journal with seq >= that snapshot, in order; if the newest
-// snapshot is corrupt it falls back to the previous one, whose journal
-// still covers the gap.
+// Journal 0 starts from the empty store; every later journal is a compacted
+// one that starts from an image of the store (wal.go). A compaction writes
+// journal S+1, switches appends to it, and retires the journals before S, so
+// the directory always holds the current journal plus one full fallback.
+// Recovery restores the newest journal whose image verifies and replays its
+// mutations. If a newer journal's image does not verify, recovery falls back
+// to the one before and then replays the mutations recorded behind the
+// damaged image too, so a damaged image loses nothing.
 package registry
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // ErrReadOnly is returned for mutations after a journal write has failed:
@@ -39,8 +40,8 @@ import (
 var ErrReadOnly = errors.New("registry: persistence is read-only after a journal write failure")
 
 // PerfState is the perfmodel side of durability: the predict.Tuner
-// satisfies it. Snapshots embed SnapshotPerf's bytes verbatim; recovery
-// hands them back to RestorePerf and replays journaled observations through
+// satisfies it. An image embeds SnapshotPerf's bytes verbatim; recovery hands
+// them back to RestorePerf and replays journaled observations through
 // Observe.
 type PerfState interface {
 	SnapshotPerf() ([]byte, error)
@@ -65,13 +66,10 @@ type PersistOptions struct {
 
 // RecoveryInfo describes what open found and did.
 type RecoveryInfo struct {
-	SnapshotSeq       uint64 // snapshot epoch recovery started from (0 = none)
-	SnapshotLoaded    bool
-	SnapshotFallbacks int // corrupt snapshots skipped over
-	ReplayedRecords   int // journal records applied
-	SkippedRecords    int // journal records that failed to re-apply (logged)
-	TornTail          bool
-	TruncatedBytes    int64 // bytes discarded from the torn tail
+	BaseSeq         uint64 // journal whose image recovery started from (0 = none)
+	Fallbacks       int    // newer journals whose image did not verify
+	ReplayedRecords int    // mutation records applied
+	TornTail        bool
 }
 
 // PersistStats is the atomic counter block behind the pdlserved_wal_*
@@ -85,7 +83,7 @@ type PersistStats struct {
 	SkippedRecs  uint64
 	JournalBytes int64
 	JournalRecs  int
-	SnapshotAt   time.Time // when the newest snapshot was written
+	SnapshotAt   time.Time // when the newest image was written
 	ReadOnly     bool
 }
 
@@ -112,10 +110,10 @@ type Persistence struct {
 	perf PerfState
 	opts PersistOptions
 
-	mu           sync.Mutex // guards journal, seq, compaction
-	journal      *journal
-	seq          uint64 // current epoch (journal/snapshot sequence)
-	sinceCompact int    // records appended since the last snapshot
+	mu      sync.Mutex // guards journal, seq, base, compaction
+	journal *journal
+	seq     uint64 // the newest journal, the one receiving appends
+	base    uint64 // the journal whose image the store was last restored from or written to
 
 	readOnly atomic.Bool
 	lastErr  atomic.Value // string
@@ -124,47 +122,57 @@ type Persistence struct {
 
 	appends      atomic.Uint64
 	appendErrors atomic.Uint64
-	tornTails    atomic.Uint64
 	snapshots    atomic.Uint64
 	skipped      atomic.Uint64
-	snapshotAt   atomic.Int64 // unix nanos; 0 = no snapshot yet
+	snapshotAt   atomic.Int64 // unix nanos; 0 = no image yet
 
 	fsyncObserve atomic.Value // func(time.Duration)
-}
-
-func snapshotPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%016d.snap", seq))
 }
 
 func journalPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("journal-%016d.wal", seq))
 }
 
-// parseSeq extracts the sequence number from a data-dir file name.
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	n, err := strconv.ParseUint(mid, 10, 64)
+// journalSeqs returns the sequence numbers of dir's journals, ascending. It
+// refuses a data dir written by a pdlserved from before images lived in the
+// journal: such a dir holds snapshot files, which this version does not read.
+func journalSeqs(dir string) ([]uint64, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, false
+		return nil, err
 	}
-	return n, true
+	var seqs []uint64
+	for _, e := range ents {
+		name := e.Name()
+		if strings.HasPrefix(name, "snapshot-") {
+			return nil, fmt.Errorf("registry: %s is a snapshot file from an older pdlserved, "+
+				"which this version does not read; load the platforms into a new data dir",
+				filepath.Join(dir, name))
+		}
+		s, ok := strings.CutPrefix(name, "journal-")
+		if s, ok2 := strings.CutSuffix(s, ".wal"); ok && ok2 {
+			if n, err := strconv.ParseUint(s, 10, 64); err == nil {
+				seqs = append(seqs, n)
+			}
+		}
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs, nil
 }
 
 // OpenPersistence recovers the store from dir (creating it if needed) and
 // returns the persistence handle with the journal open for appending. The
 // registry and perf state are restored in place; both should be empty.
 //
-// Recovery state machine:
-//  1. Load the newest snapshot that verifies (magic, length, CRC, parse).
-//     Corrupt candidates are logged and skipped — fallback to the previous.
-//  2. Replay every journal with seq >= the loaded snapshot, ascending.
-//  3. A torn tail in a journal ends its replay; the active journal is
-//     truncated to the verified prefix before appends resume.
-//  4. If step 1 skipped a corrupt snapshot, a fresh compaction runs
-//     immediately so the next restart has a verifiable snapshot again.
+// Recovery:
+//  1. Restore the newest journal whose image verifies (every record whole,
+//     every platform re-parses). Journal 0 has no image and always verifies.
+//  2. Replay that journal's mutations, then those recorded behind the
+//     damaged image of each newer journal, in order.
+//  3. A torn tail ends the replay; the active journal is truncated to its
+//     verified prefix before appends resume.
+//  4. If step 1 fell back, a compaction runs before open returns, so the
+//     next restart starts from an image that verifies again.
 func OpenPersistence(dir string, reg *Registry, perf PerfState, opts PersistOptions) (*Persistence, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -174,11 +182,9 @@ func OpenPersistence(dir string, reg *Registry, perf PerfState, opts PersistOpti
 	if err := p.recover(); err != nil {
 		return nil, err
 	}
-	if p.recovery.SnapshotFallbacks > 0 {
-		// Re-establish a good snapshot right away; failure here is not
-		// fatal (the store is consistent), just logged.
+	if p.journal == nil {
 		if err := p.Compact(); err != nil {
-			p.logf("pdlserved: post-recovery compaction failed: %v", err)
+			return nil, fmt.Errorf("registry: compaction after a recovery fallback: %w", err)
 		}
 	}
 	return p, nil
@@ -192,100 +198,97 @@ func (p *Persistence) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// listSeqs returns the sorted sequence numbers of data-dir files matching
-// prefix/suffix.
-func (p *Persistence) listSeqs(prefix, suffix string) ([]uint64, error) {
-	ents, err := os.ReadDir(p.dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range ents {
-		if s, ok := parseSeq(e.Name(), prefix, suffix); ok {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// recover implements the open-time state machine described on
-// OpenPersistence.
+// recover implements the open-time steps described on OpenPersistence. It
+// leaves p.journal nil when it fell back past a newer journal.
 func (p *Persistence) recover() error {
-	snaps, err := p.listSeqs("snapshot-", ".snap")
+	seqs, err := journalSeqs(p.dir)
 	if err != nil {
 		return err
 	}
-	// 1. Newest verifiable snapshot.
-	var base uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		st, err := readSnapshot(snapshotPath(p.dir, snaps[i]))
-		if err == nil {
-			err = p.reg.restoreState(st.StoreVersion, st.Platforms)
-		}
-		if err == nil && p.perf != nil && len(st.Perfmodels) > 0 {
-			err = p.perf.RestorePerf(st.Perfmodels)
-		}
+	if len(seqs) == 0 {
+		seqs = []uint64{0} // a new data dir: journal 0, created below
+	}
+	// 1. The newest journal whose image verifies. tails[i] is what follows
+	// journal i's image; for a newer journal it is nil when even the image
+	// head is unreadable, and then nothing behind it can be found.
+	tails := make([][]byte, len(seqs))
+	var imageLen int64
+	base := len(seqs) - 1
+	for ; base >= 0; base-- {
+		data, err := readJournal(journalPath(p.dir, seqs[base]))
 		if err != nil {
-			p.recovery.SnapshotFallbacks++
-			p.logf("pdlserved: refusing snapshot seq %d: %v (falling back)", snaps[i], err)
-			continue
+			return err
 		}
-		base = snaps[i]
-		p.recovery.SnapshotLoaded = true
-		p.recovery.SnapshotSeq = base
-		p.snapshotAt.Store(st.SavedAt.UnixNano())
-		break
+		if tails[base], err = p.restore(seqs[base], data); err == nil {
+			imageLen = int64(len(data) - len(tails[base]))
+			break
+		}
+		p.recovery.Fallbacks++
+		p.logf("pdlserved: refusing the image of journal seq %d: %v (falling back)", seqs[base], err)
+	}
+	if base < 0 {
+		return fmt.Errorf("registry: no journal in %s begins with an image that verifies", p.dir)
 	}
 
-	// 2. Replay journals seq >= base, ascending.
-	journals, err := p.listSeqs("journal-", ".wal")
-	if err != nil {
-		return err
-	}
-	var lastSeq uint64 = base
-	var lastRes replayResult
-	for _, seq := range journals {
-		if seq < base {
-			continue
+	// 2. Replay the chain, base first.
+	var good int64
+	var torn bool
+	for i := base; i < len(seqs); i++ {
+		if i > base && tails[i] == nil {
+			p.logf("pdlserved: the image of journal seq %d is cut short or has no readable head; no mutations behind it are replayed", seqs[i])
+			break
 		}
-		res, err := replayJournal(journalPath(p.dir, seq), p.applyMutation)
-		if err != nil {
-			return fmt.Errorf("registry: replay journal seq %d: %w", seq, err)
-		}
-		p.recovery.ReplayedRecords += res.Records
-		if res.Torn {
+		var n int
+		n, good, torn = replayRecords(tails[i], p.applyMutation)
+		p.recovery.ReplayedRecords += n
+		if torn {
 			p.recovery.TornTail = true
-			p.tornTails.Add(1)
-			fi, statErr := os.Stat(journalPath(p.dir, seq))
-			if statErr == nil {
-				p.recovery.TruncatedBytes += fi.Size() - res.GoodBytes
-			}
-			p.logf("pdlserved: journal seq %d has a torn tail after %d record(s); truncating to %d bytes",
-				seq, res.Records, res.GoodBytes)
-		}
-		if seq >= lastSeq {
-			lastSeq, lastRes = seq, res
+			p.logf("pdlserved: journal seq %d has a torn tail after %d record(s)", seqs[i], n)
+			break
 		}
 	}
+	p.seq, p.base = seqs[len(seqs)-1], seqs[base]
+	p.recovery.BaseSeq = p.base
+	if base < len(seqs)-1 {
+		return nil // OpenPersistence compacts into a new journal
+	}
 
-	// 3. Open the active journal (highest epoch seen), truncating any torn
-	// tail to the verified prefix first.
-	if lastRes.Torn {
-		if err := os.Truncate(journalPath(p.dir, lastSeq), lastRes.GoodBytes); err != nil {
+	// 3. Append to the base, cut back to its verified prefix.
+	size := imageLen + good
+	path := journalPath(p.dir, p.seq)
+	if torn {
+		if err := os.Truncate(path, size); err != nil {
 			return fmt.Errorf("registry: truncate torn journal: %w", err)
 		}
 	}
-	j, err := openJournal(journalPath(p.dir, lastSeq), lastRes.GoodBytes, p.opts.Fsync)
+	j, err := openJournal(path, size, p.opts.Fsync)
 	if err != nil {
 		return err
 	}
-	j.records = lastRes.Records
+	j.records = p.recovery.ReplayedRecords
 	j.fsyncObserve = p.observeFsync
 	p.journal = j
-	p.seq = lastSeq
-	p.sinceCompact = lastRes.Records
 	return nil
+}
+
+// restore loads the image journal seq begins with into the registry and the
+// perf state, and returns the journal's mutations behind it (see
+// decodeImage).
+func (p *Persistence) restore(seq uint64, data []byte) ([]byte, error) {
+	if seq == 0 { // journal 0's image is the empty store
+		return data, p.reg.restoreState(0, nil)
+	}
+	img, rest, err := decodeImage(data)
+	if err == nil {
+		err = p.reg.restoreState(img.Version, img.puts)
+	}
+	if err == nil && p.perf != nil && img.perf != nil {
+		err = p.perf.RestorePerf(img.perf)
+	}
+	if err == nil {
+		p.snapshotAt.Store(img.SavedAt.UnixNano())
+	}
+	return rest, err
 }
 
 // applyMutation re-applies one journaled mutation during replay. Apply
@@ -293,7 +296,7 @@ func (p *Persistence) recover() error {
 // a record that failed to apply at commit time (e.g. an observation whose
 // platform was later deleted mid-history cannot happen, but a skew between
 // binary versions can) must not brick the store.
-func (p *Persistence) applyMutation(m mutation) error {
+func (p *Persistence) applyMutation(m record) {
 	var err error
 	switch m.Op {
 	case opPut:
@@ -313,11 +316,9 @@ func (p *Persistence) applyMutation(m mutation) error {
 		err = p.perf.Observe(e.Platform, m.Observe.Codelet, m.Observe.Size, m.Observe.Seconds)
 	}
 	if err != nil {
-		p.recovery.SkippedRecords++
 		p.skipped.Add(1)
 		p.logf("pdlserved: skipping unreplayable journal record (op %d): %v", m.Op, err)
 	}
-	return nil
 }
 
 // observeFsync forwards fsync durations to the registered observer.
@@ -344,7 +345,7 @@ func (p *Persistence) commit(op byte, body any, apply func()) error {
 	if p.readOnly.Load() {
 		return ErrReadOnly
 	}
-	payload, err := encodeMutation(op, body)
+	payload, err := encodePayload(op, body)
 	if err != nil {
 		return err
 	}
@@ -363,8 +364,7 @@ func (p *Persistence) commit(op byte, body any, apply func()) error {
 	}
 	p.appends.Add(1)
 	apply()
-	p.sinceCompact++
-	if p.opts.SnapshotEvery > 0 && p.sinceCompact >= p.opts.SnapshotEvery {
+	if p.opts.SnapshotEvery > 0 && p.journal.records >= p.opts.SnapshotEvery {
 		if err := p.compactLocked(); err != nil {
 			// Compaction failure is not a commit failure: the journal holds
 			// everything. Log and keep going unless the journal itself broke.
@@ -419,9 +419,24 @@ func (p *Persistence) LogObserve(platform, codelet string, size, seconds float64
 	}, apply)
 }
 
-// Compact writes a fresh snapshot of the current store, switches the
-// journal to a new epoch, and retires files older than the previous
-// snapshot (one full fallback epoch is always retained).
+// image renders the store as the image a compacted journal begins with. The
+// caller holds mu, so no commit lands between the registry's part and the
+// perf state's.
+func (p *Persistence) image(at time.Time) ([]byte, error) {
+	version, puts := p.reg.exportState()
+	var perf []byte
+	if p.perf != nil {
+		var err error
+		if perf, err = p.perf.SnapshotPerf(); err != nil {
+			return nil, fmt.Errorf("registry: image of the perf state: %w", err)
+		}
+	}
+	return encodeImage(imageHead{Version: version, SavedAt: at}, puts, perf)
+}
+
+// Compact writes a new journal that begins with an image of the current
+// store, switches appends to it, and retires the journals before the previous
+// image (one full fallback is always retained).
 func (p *Persistence) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -429,62 +444,142 @@ func (p *Persistence) Compact() error {
 }
 
 func (p *Persistence) compactLocked() error {
-	newSeq := p.seq + 1
-	version, pls := p.reg.exportState()
-	st := snapshotState{
-		Seq:          newSeq,
-		SavedAt:      time.Now(),
-		StoreVersion: version,
-		Platforms:    pls,
+	at, seq := time.Now(), p.seq+1
+	data, err := p.image(at)
+	if err != nil {
+		return err
 	}
-	if p.perf != nil {
-		pm, err := p.perf.SnapshotPerf()
-		if err != nil {
-			return fmt.Errorf("registry: snapshot perfmodels: %w", err)
-		}
-		st.Perfmodels = pm
+	path := journalPath(p.dir, seq)
+	if err := writeJournal(path, data); err != nil {
+		return fmt.Errorf("registry: write journal seq %d: %w", seq, err)
 	}
-	if err := writeSnapshot(snapshotPath(p.dir, newSeq), st); err != nil {
-		return fmt.Errorf("registry: write snapshot seq %d: %w", newSeq, err)
-	}
-	// From here on, new records must land in the new epoch's journal: the
-	// old journal is already folded into the snapshot and will not be
-	// replayed on top of it.
-	j, err := openJournal(journalPath(p.dir, newSeq), 0, p.opts.Fsync)
+	// From here on, new records must land in the new journal: the old one
+	// is folded into the image and is replayed only on a fallback.
+	j, err := openJournal(path, int64(len(data)), p.opts.Fsync)
 	if err != nil {
 		p.degrade(err)
-		return fmt.Errorf("%w: open journal seq %d: %v", ErrReadOnly, newSeq, err)
+		return fmt.Errorf("%w: open journal seq %d: %v", ErrReadOnly, seq, err)
 	}
 	j.fsyncObserve = p.observeFsync
-	old := p.journal
-	prevSnap := p.seq // previous epoch is the fallback we retain
-	p.journal = j
-	p.seq = newSeq
-	p.sinceCompact = 0
-	p.snapshots.Add(1)
-	p.snapshotAt.Store(st.SavedAt.UnixNano())
-	if old != nil {
-		old.close()
+	if p.journal != nil {
+		p.journal.close()
 	}
-	p.retire(prevSnap)
+	keep := p.base
+	p.journal, p.seq, p.base = j, seq, seq
+	p.snapshots.Add(1)
+	p.snapshotAt.Store(at.UnixNano())
+	p.retire(keep)
 	return nil
 }
 
-// retire removes snapshots and journals from epochs before keepFrom.
-// Best-effort: a failed unlink only wastes disk.
+// retire removes the journals before keepFrom. Best-effort: a failed unlink
+// only wastes disk.
 func (p *Persistence) retire(keepFrom uint64) {
-	snaps, _ := p.listSeqs("snapshot-", ".snap")
-	for _, s := range snaps {
-		if s < keepFrom {
-			os.Remove(snapshotPath(p.dir, s))
-		}
-	}
-	journals, _ := p.listSeqs("journal-", ".wal")
-	for _, s := range journals {
+	seqs, _ := journalSeqs(p.dir)
+	for _, s := range seqs {
 		if s < keepFrom {
 			os.Remove(journalPath(p.dir, s))
 		}
 	}
+}
+
+// BundleInfo describes an exported or imported bundle.
+type BundleInfo struct {
+	StoreVersion uint64
+	Platforms    int
+}
+
+// WriteBundle exports the store as a bundle: the image a compaction would
+// write now, a compacted journal with no mutations after its image. The data
+// dir is not modified.
+func (p *Persistence) WriteBundle(w io.Writer) (BundleInfo, error) {
+	p.mu.Lock()
+	data, err := p.image(time.Now())
+	info := BundleInfo{StoreVersion: p.reg.Version(), Platforms: p.reg.Len()}
+	p.mu.Unlock()
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	return info, err
+}
+
+// ImportBundle seeds dir, which must be empty (or not yet exist), from a
+// bundle: any compacted journal, an exported one or one copied out of a data
+// dir. Import never merges. The bundle is verified first — every record
+// whole, every platform re-parsed — so a damaged one leaves dir empty.
+func ImportBundle(r io.Reader, dir string) (BundleInfo, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return BundleInfo{}, err
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return BundleInfo{}, err
+	}
+	if len(ents) > 0 {
+		return BundleInfo{}, fmt.Errorf("registry: import target %s is not empty (%d entries)", dir, len(ents))
+	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return BundleInfo{}, fmt.Errorf("registry: read bundle: %w", err)
+	}
+	if len(data) > 262 && string(data[257:262]) == "ustar" {
+		return BundleInfo{}, errors.New("registry: the bundle is a tar archive from an older pdlserved, which this version does not read")
+	}
+	img, rest, err := decodeImage(data)
+	if err == nil {
+		err = New().restoreState(img.Version, img.puts)
+	}
+	if _, _, torn := replayRecords(rest, func(record) {}); err == nil && torn {
+		err = errors.New("records after the image do not decode")
+	}
+	if err != nil {
+		return BundleInfo{}, fmt.Errorf("registry: bundle failed verification: %w", err)
+	}
+	return BundleInfo{StoreVersion: img.Version, Platforms: len(img.puts)}, writeJournal(journalPath(dir, 1), data)
+}
+
+// exportState captures the registry's durable image under the read lock, one
+// put per platform in name order: the copy-on-write entry map makes this a
+// pointer walk, not a deep copy.
+func (r *Registry) exportState() (version uint64, puts []putRecord) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	puts = make([]putRecord, 0, len(r.entries))
+	for _, e := range r.entries {
+		puts = append(puts, putRecord{Name: e.Name, XML: e.XML, Revision: e.Revision})
+	}
+	sort.Slice(puts, func(i, j int) bool { return puts[i].Name < puts[j].Name })
+	return r.version, puts
+}
+
+// restoreState rebuilds the registry from an image: every document is
+// re-parsed (reproducing the content-hash ETag and query root) and
+// republished with its original revision; the store version is restored
+// verbatim so a recovered server reports the same version it crashed at.
+// Any unparsable platform fails the whole restore — the caller treats the
+// image as damaged and falls back.
+func (r *Registry) restoreState(version uint64, puts []putRecord) error {
+	next := make(map[string]*Entry, len(puts))
+	for _, pr := range puts {
+		p, err := r.Prepare(pr.Name, pr.XML)
+		if err != nil {
+			return fmt.Errorf("restore %q: %w", pr.Name, err)
+		}
+		next[pr.Name] = &Entry{
+			Name:     pr.Name,
+			Platform: p.pl,
+			XML:      p.canonical,
+			ETag:     p.etag,
+			Revision: pr.Revision,
+			Warnings: p.warnings,
+			root:     query.New(p.pl),
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.entries = next
+	r.version = version
+	return nil
 }
 
 // Sync forces the active journal's written records to stable storage,
@@ -525,19 +620,18 @@ func (p *Persistence) ReadOnly() bool { return p.readOnly.Load() }
 // Recovery returns what open found and did.
 func (p *Persistence) Recovery() RecoveryInfo { return p.recovery }
 
-// Dir returns the data directory.
-func (p *Persistence) Dir() string { return p.dir }
-
 // Stats snapshots the durability counters for /metrics.
 func (p *Persistence) Stats() PersistStats {
 	st := PersistStats{
 		Appends:      p.appends.Load(),
 		AppendErrors: p.appendErrors.Load(),
 		Replayed:     uint64(p.recovery.ReplayedRecords),
-		TornTails:    p.tornTails.Load(),
 		Snapshots:    p.snapshots.Load(),
 		SkippedRecs:  p.skipped.Load(),
 		ReadOnly:     p.readOnly.Load(),
+	}
+	if p.recovery.TornTail {
+		st.TornTails = 1
 	}
 	if ns := p.snapshotAt.Load(); ns != 0 {
 		st.SnapshotAt = time.Unix(0, ns)
@@ -595,11 +689,4 @@ func (p *Persistence) JournalSize() int64 {
 		return 0
 	}
 	return p.journal.size
-}
-
-// ActiveJournalPath returns the file currently receiving appends.
-func (p *Persistence) ActiveJournalPath() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return journalPath(p.dir, p.seq)
 }

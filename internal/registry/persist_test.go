@@ -142,6 +142,13 @@ func openHarness(t testing.TB, dir string, opts PersistOptions) (*Persistence, *
 	return p, reg, perf
 }
 
+// ActiveJournalPath returns the file currently receiving appends.
+func (p *Persistence) ActiveJournalPath() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return journalPath(p.dir, p.seq)
+}
+
 // copyDir clones the data dir so each truncation experiment starts from
 // the same post-crash bytes.
 func copyDir(t testing.TB, src string) string {
@@ -256,7 +263,7 @@ func TestCrashRecoveryRandomOffsets(t *testing.T) {
 }
 
 // TestCrashRecoveryWithSnapshots reruns the property with aggressive
-// automatic compaction, so recovery exercises snapshot load + short replay
+// automatic compaction, so recovery exercises an image load + short replay
 // instead of a full-journal replay.
 func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	dir := t.TempDir()
@@ -272,18 +279,75 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 
 	p2, reg2, perf2 := openHarness(t, dir, PersistOptions{Fsync: false})
 	if got := imageOf(t, reg2, perf2); !got.equal(last) {
-		t.Fatalf("snapshot+journal recovery diverged:\n got %+v\nwant %+v", got, last)
+		t.Fatalf("image+journal recovery diverged:\n got %+v\nwant %+v", got, last)
 	}
-	if p2.Recovery().SnapshotSeq == 0 {
-		t.Fatal("recovery did not start from a snapshot")
+	if p2.Recovery().BaseSeq == 0 {
+		t.Fatal("recovery did not start from an image")
 	}
 	p2.Close()
 }
 
-// TestCorruptSnapshotFallsBack flips bytes in the newest snapshot: open
-// must refuse it, fall back to the previous snapshot, and rebuild the same
-// committed state from the longer replay — then immediately write a fresh
-// good snapshot.
+// TestCrashRecoveryEveryByteOfCompaction extends the kill-and-restart
+// property to a compaction: the newest journal, which begins with the image
+// and then holds mutations, is cut at every byte. A cut inside the image
+// falls back to the journal before it and recovers the store as it was at
+// the compaction; a cut behind the image recovers the committed prefix it
+// holds. Either way the reopened store has a whole image again, and keeps
+// accepting work.
+func TestCrashRecoveryEveryByteOfCompaction(t *testing.T) {
+	dir := t.TempDir()
+	p, reg, perf := openHarness(t, dir, PersistOptions{Fsync: false})
+	for i := 0; i < 6; i++ {
+		mutationStep(t, p, reg, i)
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int64{p.JournalSize()} // index k = after k steps past the image
+	images := []storeImage{imageOf(t, reg, perf)}
+	for i := 6; i < 8; i++ {
+		mutationStep(t, p, reg, i)
+		sizes = append(sizes, p.JournalSize())
+		images = append(images, imageOf(t, reg, perf))
+	}
+	journalBase := filepath.Base(p.ActiveJournalPath())
+	p.Close()
+
+	for cut := int64(0); cut <= sizes[len(sizes)-1]; cut++ {
+		crashDir := copyDir(t, dir)
+		if err := os.Truncate(filepath.Join(crashDir, journalBase), cut); err != nil {
+			t.Fatal(err)
+		}
+		p2, reg2, perf2 := openHarness(t, crashDir, PersistOptions{Fsync: false})
+		k := 0
+		for i, s := range sizes {
+			if s <= cut {
+				k = i
+			}
+		}
+		if got := imageOf(t, reg2, perf2); !got.equal(images[k]) {
+			t.Fatalf("cut=%d: recovered store is not the committed prefix of %d step(s) past the image", cut, k)
+		}
+		if fellBack := p2.Recovery().Fallbacks > 0; fellBack != (cut < sizes[0]) {
+			t.Fatalf("cut=%d inside the image of %d bytes: fell back = %v", cut, sizes[0], fellBack)
+		}
+		mutationStep(t, p2, reg2, 8)
+		want := imageOf(t, reg2, perf2)
+		p2.Close()
+		p3, reg3, perf3 := openHarness(t, crashDir, PersistOptions{Fsync: false})
+		if got := imageOf(t, reg3, perf3); !got.equal(want) || p3.Recovery().Fallbacks != 0 {
+			t.Fatalf("cut=%d: second restart recovered %+v after %d fallback(s), want %+v from a whole image",
+				cut, got, p3.Recovery().Fallbacks, want)
+		}
+		p3.Close()
+	}
+}
+
+// TestCorruptSnapshotFallsBack flips a byte inside the newest journal's
+// image: open must refuse the image, fall back to the journal before it, and
+// still replay the mutations recorded behind the damaged image, so nothing
+// committed is lost — then compact at once, so the next restart starts from a
+// whole image again.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	p, reg, perf := openHarness(t, dir, PersistOptions{Fsync: false})
@@ -291,56 +355,56 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	var last storeImage
 	for i := 0; i < 12; i++ {
 		mutationStep(t, p, reg, i)
-		last = imageOf(t, reg, perf)
+		if i == 5 {
+			if err := p.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Two manual compactions leave snapshot seq 1 (fallback) and seq 2.
 	if err := p.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	imageLen := p.JournalSize()
+	newest := p.ActiveJournalPath()
 	for i := 12; i < 16; i++ {
 		mutationStep(t, p, reg, i)
 		last = imageOf(t, reg, perf)
 	}
-	if err := p.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	p.Close()
 
-	// Corrupt the newest snapshot's body.
-	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-	if err != nil || len(snaps) < 2 {
-		t.Fatalf("want >= 2 snapshots, got %v (%v)", snaps, err)
-	}
-	newest := snaps[len(snaps)-1]
 	data, _ := os.ReadFile(newest)
-	data[len(data)/2] ^= 0xff
+	data[imageLen/2] ^= 0xff
 	os.WriteFile(newest, data, 0o644)
 
 	p2, reg2, perf2 := openHarness(t, dir, PersistOptions{Fsync: false})
 	if got := imageOf(t, reg2, perf2); !got.equal(last) {
 		t.Fatalf("fallback recovery diverged:\n got %+v\nwant %+v", got, last)
 	}
-	if p2.Recovery().SnapshotFallbacks == 0 {
-		t.Fatal("corrupt snapshot was not reported as a fallback")
-	}
-	// Post-recovery compaction must have replaced the corrupt snapshot.
-	st, err := readSnapshot(newestSnapshot(t, dir))
-	if err != nil {
-		t.Fatalf("post-recovery snapshot unreadable: %v", err)
-	}
-	if st.StoreVersion != last.Version {
-		t.Fatalf("fresh snapshot version %d, want %d", st.StoreVersion, last.Version)
+	if r := p2.Recovery(); r.Fallbacks != 1 || r.ReplayedRecords != 6+4 {
+		t.Fatalf("recovery = %+v, want one fallback and the 6 + 4 mutations behind both images", r)
 	}
 	p2.Close()
+	p3, reg3, perf3 := openHarness(t, dir, PersistOptions{Fsync: false})
+	defer p3.Close()
+	if got := imageOf(t, reg3, perf3); !got.equal(last) || p3.Recovery().Fallbacks != 0 || p3.Recovery().ReplayedRecords != 0 {
+		t.Fatalf("restart after the fallback = %+v from %+v, want the same store from a whole image", got, p3.Recovery())
+	}
 }
 
-func newestSnapshot(t testing.TB, dir string) string {
-	t.Helper()
-	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no snapshots in %s (%v)", dir, err)
+// A data dir from before images lived in the journal holds snapshot files:
+// open refuses it with a message rather than serving a store without them,
+// and a dir whose journals all lack a verifiable image is refused too.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, "snapshot-0000000000000001.snap"), []byte("PDL..."), 0o644)
+	os.WriteFile(filepath.Join(dir, "journal-0000000000000001.wal"), nil, 0o644)
+	if _, err := OpenPersistence(dir, New(), nil, PersistOptions{Logf: t.Logf}); err == nil || !strings.Contains(err.Error(), "older pdlserved") {
+		t.Fatalf("open of an old-format dir: err = %v", err)
 	}
-	return snaps[len(snaps)-1]
+	os.Remove(filepath.Join(dir, "snapshot-0000000000000001.snap"))
+	if _, err := OpenPersistence(dir, New(), nil, PersistOptions{Logf: t.Logf}); err == nil || !strings.Contains(err.Error(), "verifies") {
+		t.Fatalf("open of a dir with no whole image: err = %v", err)
+	}
 }
 
 // TestJournalFailureDegradesToReadOnly verifies the degradation contract
@@ -494,7 +558,8 @@ func BenchmarkJournalReplay(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*records), "µs/record")
 }
 
-// BenchmarkSnapshotLoad measures snapshot restore time as the store grows.
+// BenchmarkSnapshotLoad measures recovery from a compacted journal's image as
+// the store grows.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, n := range []int{10, 100} {
 		b.Run(fmt.Sprintf("platforms=%d", n), func(b *testing.B) {

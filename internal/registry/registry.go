@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pdlxml"
@@ -43,7 +42,6 @@ type Entry struct {
 	ETag     string // strong ETag over the canonical form, quoted
 	Revision uint64 // per-platform revision, 1 on first upload
 	Warnings []string
-	Stored   time.Time
 
 	// root is the pre-built query over the parsed platform. query.Q derives
 	// new sets on filtering and never mutates shared state, so concurrent
@@ -187,7 +185,6 @@ func (r *Registry) CommitPrepared(p *Prepared) (*Entry, bool) {
 		ETag:     p.etag,
 		Revision: 1,
 		Warnings: p.warnings,
-		Stored:   time.Now(),
 		root:     query.New(p.pl),
 	}
 	if cur, ok := r.entries[p.name]; ok {

@@ -1,9 +1,9 @@
-// Write-ahead journal for the registry's durability layer (see persist.go
-// for the recovery orchestration and DESIGN.md §8 for the full state
-// machine). Every committed mutation — platform PUT, platform DELETE,
-// perfmodel observation — is appended here *before* it is applied to the
-// in-memory store, so a crashed process replays the journal on restart and
-// recovers exactly the committed history.
+// The registry's one durable format (see persist.go for recovery and
+// DESIGN.md §8 for the whole design). Everything pdlserved writes to disk is a
+// journal: a flat file of framed records. Every committed mutation — platform
+// PUT, platform DELETE, perfmodel observation — is appended *before* it is
+// applied to the in-memory store, so a crashed process replays the journal on
+// restart and recovers exactly the committed history.
 //
 // Record framing (little-endian):
 //
@@ -17,6 +17,12 @@
 // Everything before the tear is intact because records are strictly
 // append-only and (with fsync enabled) durable before the mutation is
 // acknowledged.
+//
+// A compacted journal — what compaction writes, and what an export bundle
+// is — begins with an image of the store in the same records: an image head
+// (store version, time, framed length of the rest of the image), one put per
+// platform carrying its revision, and one perf-state record. Mutations follow
+// the image. Journal 0 has no image: it starts from the empty store.
 package registry
 
 import (
@@ -27,6 +33,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -36,6 +43,8 @@ const (
 	opPut     = byte(1) // body: putRecord
 	opDelete  = byte(2) // body: deleteRecord
 	opObserve = byte(3) // body: observeRecord
+	opImage   = byte(4) // body: imageHead; the first record of a compacted journal
+	opPerf    = byte(5) // body: the perf state's own JSON; inside an image only
 )
 
 // recordHeaderLen is the fixed framing prefix: length + CRC.
@@ -60,6 +69,9 @@ var (
 type putRecord struct {
 	Name string `json:"name"`
 	XML  []byte `json:"xml"`
+	// Revision is set only inside an image, where the put restores the
+	// platform at that revision instead of committing a new one.
+	Revision uint64 `json:"revision,omitempty"`
 }
 
 // deleteRecord journals one platform removal.
@@ -78,17 +90,35 @@ type observeRecord struct {
 	Seconds  float64 `json:"seconds"`
 }
 
-// mutation is the decoded form of one journal payload: exactly one of the
-// record pointers is set, according to Op.
-type mutation struct {
+// imageHead opens a compacted journal. Bytes is the framed length of the image
+// records behind it, so recovery tells a whole image from a cut one, and finds
+// the mutations behind an image that does not verify.
+type imageHead struct {
+	Version uint64    `json:"version"` // the store version the image restores
+	SavedAt time.Time `json:"saved_at"`
+	Bytes   int64     `json:"bytes"`
+}
+
+// record is the decoded form of one journal payload: Op says which body is
+// set.
+type record struct {
 	Op      byte
 	Put     *putRecord
 	Delete  *deleteRecord
 	Observe *observeRecord
+	Image   *imageHead
+	Perf    []byte
 }
 
-// encodeMutation renders a payload: op byte followed by the JSON body.
-func encodeMutation(op byte, body any) ([]byte, error) {
+// mutation reports whether r belongs after an image (a put, delete or
+// observation) rather than inside one (a head, a put with its revision, the
+// perf state).
+func (r record) mutation() bool {
+	return r.Op == opDelete || r.Op == opObserve || r.Op == opPut && r.Put.Revision == 0
+}
+
+// encodePayload renders a payload: op byte followed by the JSON body.
+func encodePayload(op byte, body any) ([]byte, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return nil, fmt.Errorf("registry: encode journal record: %w", err)
@@ -99,48 +129,51 @@ func encodeMutation(op byte, body any) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeMutation parses a record payload. Arbitrary bytes must only ever
+// decodePayload parses a record payload. Arbitrary bytes must only ever
 // produce an error — never a panic or an unbounded allocation (the framing
 // decoder has already capped the payload length).
-func decodeMutation(payload []byte) (mutation, error) {
+func decodePayload(payload []byte) (record, error) {
 	if len(payload) < 1 {
-		return mutation{}, errors.New("registry: empty journal payload")
+		return record{}, errors.New("registry: empty journal payload")
 	}
-	op, body := payload[0], payload[1:]
-	var m mutation
-	m.Op = op
-	switch op {
+	r, body := record{Op: payload[0]}, payload[1:]
+	var dst any
+	switch r.Op {
 	case opPut:
-		m.Put = new(putRecord)
-		if err := json.Unmarshal(body, m.Put); err != nil {
-			return mutation{}, fmt.Errorf("registry: decode put record: %w", err)
-		}
-		if m.Put.Name == "" {
-			return mutation{}, errors.New("registry: put record without name")
-		}
+		r.Put = new(putRecord)
+		dst = r.Put
 	case opDelete:
-		m.Delete = new(deleteRecord)
-		if err := json.Unmarshal(body, m.Delete); err != nil {
-			return mutation{}, fmt.Errorf("registry: decode delete record: %w", err)
-		}
-		if m.Delete.Name == "" {
-			return mutation{}, errors.New("registry: delete record without name")
-		}
+		r.Delete = new(deleteRecord)
+		dst = r.Delete
 	case opObserve:
-		m.Observe = new(observeRecord)
-		if err := json.Unmarshal(body, m.Observe); err != nil {
-			return mutation{}, fmt.Errorf("registry: decode observe record: %w", err)
+		r.Observe = new(observeRecord)
+		dst = r.Observe
+	case opImage:
+		r.Image = new(imageHead)
+		dst = r.Image
+	case opPerf:
+		if !json.Valid(body) {
+			return record{}, errors.New("registry: perf record is not JSON")
 		}
-		if m.Observe.Platform == "" || m.Observe.Codelet == "" {
-			return mutation{}, errors.New("registry: observe record without platform/codelet")
-		}
-		if m.Observe.Size <= 0 || m.Observe.Seconds <= 0 {
-			return mutation{}, errors.New("registry: observe record with non-positive sample")
-		}
+		r.Perf = body
+		return r, nil
 	default:
-		return mutation{}, fmt.Errorf("registry: unknown journal op %d", op)
+		return record{}, fmt.Errorf("registry: unknown journal op %d", r.Op)
 	}
-	return m, nil
+	if err := json.Unmarshal(body, dst); err != nil {
+		return record{}, fmt.Errorf("registry: decode op %d record: %w", r.Op, err)
+	}
+	switch {
+	case r.Put != nil && r.Put.Name == "", r.Delete != nil && r.Delete.Name == "":
+		return record{}, fmt.Errorf("registry: op %d record without name", r.Op)
+	case r.Observe != nil && (r.Observe.Platform == "" || r.Observe.Codelet == ""):
+		return record{}, errors.New("registry: observe record without platform/codelet")
+	case r.Observe != nil && (r.Observe.Size <= 0 || r.Observe.Seconds <= 0):
+		return record{}, errors.New("registry: observe record with non-positive sample")
+	case r.Image != nil && r.Image.Bytes < 0:
+		return record{}, errors.New("registry: image head with negative length")
+	}
+	return r, nil
 }
 
 // encodeRecord frames a payload: header (length + CRC) followed by the
@@ -179,12 +212,123 @@ func decodeRecord(buf []byte) (payload, rest []byte, err error) {
 	return payload, buf[recordHeaderLen+int(n):], nil
 }
 
+// next decodes the first record of buf, framing and payload.
+func next(buf []byte) (record, []byte, error) {
+	payload, rest, err := decodeRecord(buf)
+	if err != nil {
+		return record{}, buf, err
+	}
+	r, err := decodePayload(payload)
+	if err != nil {
+		return record{}, buf, err
+	}
+	return r, rest, nil
+}
+
+// image is a decoded store image: the head and the records behind it.
+type image struct {
+	imageHead
+	puts []putRecord
+	perf []byte // nil when the store had no perf state attached
+}
+
+// encodeImage renders a store image as the records a compacted journal
+// begins with.
+func encodeImage(head imageHead, puts []putRecord, perf []byte) ([]byte, error) {
+	var body []byte
+	add := func(op byte, v any) error {
+		payload, err := encodePayload(op, v)
+		if err == nil {
+			var rec []byte
+			rec, err = encodeRecord(payload)
+			body = append(body, rec...)
+		}
+		return err
+	}
+	for _, pr := range puts {
+		if err := add(opPut, pr); err != nil {
+			return nil, fmt.Errorf("registry: image of %q: %w", pr.Name, err)
+		}
+	}
+	if perf != nil {
+		if err := add(opPerf, json.RawMessage(perf)); err != nil {
+			return nil, fmt.Errorf("registry: image of the perf state: %w", err)
+		}
+	}
+	head.Bytes = int64(len(body))
+	payload, err := encodePayload(opImage, head)
+	if err != nil {
+		return nil, err
+	}
+	out, err := encodeRecord(payload)
+	return append(out, body...), err
+}
+
+// decodeImage reads the image a compacted journal begins with. rest is what
+// follows the image — the journal's mutations. It is non-nil whenever the
+// head is whole, even if the image behind it is not, so recovery can replay
+// the mutations behind a damaged image.
+func decodeImage(data []byte) (img image, rest []byte, err error) {
+	r, buf, err := next(data)
+	if err != nil {
+		return img, nil, err
+	}
+	if r.Op != opImage {
+		return img, nil, errors.New("registry: journal does not begin with an image")
+	}
+	img.imageHead = *r.Image
+	if int64(len(buf)) < img.Bytes {
+		return img, nil, fmt.Errorf("%w: image of %d bytes cut at %d", errShortRecord, img.Bytes, len(buf))
+	}
+	body, rest := buf[:img.Bytes], buf[img.Bytes:]
+	for len(body) > 0 {
+		if r, body, err = next(body); err != nil {
+			return img, rest, fmt.Errorf("registry: image record: %w", err)
+		}
+		switch {
+		case r.Op == opPut && !r.mutation():
+			img.puts = append(img.puts, *r.Put)
+		case r.Op == opPerf && img.perf == nil:
+			img.perf = r.Perf
+		default:
+			return img, rest, fmt.Errorf("registry: op %d record inside an image", r.Op)
+		}
+	}
+	return img, rest, nil
+}
+
+// replayRecords hands each mutation record in buf to apply, in order. A record
+// that does not decode — short, failing its CRC, or not a mutation — is a torn
+// tail: replay stops there, and good is the length of the intact prefix.
+func replayRecords(buf []byte, apply func(record)) (n int, good int64, torn bool) {
+	for total := len(buf); len(buf) > 0; n++ {
+		r, rest, err := next(buf)
+		if err != nil || !r.mutation() {
+			// errRecordSize means a garbage length prefix — indistinguishable
+			// from any other torn or overwritten tail, so it ends replay too.
+			return n, good, true
+		}
+		apply(r)
+		buf = rest
+		good = int64(total - len(buf))
+	}
+	return n, good, false
+}
+
+// readJournal reads a journal file; a missing file is an empty journal.
+func readJournal(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	return data, err
+}
+
 // journal is an open, append-only WAL file.
 type journal struct {
 	f       *os.File
-	path    string
-	size    int64 // bytes of committed (framed) records
-	records int   // records appended or replayed through this handle
+	size    int64 // bytes of committed (framed) records, image included
+	records int   // mutations appended or replayed through this handle
 	fsync   bool  // sync after every append
 
 	// fsyncObserve, when set, receives the duration of each fsync (wired to
@@ -204,7 +348,39 @@ func openJournal(path string, size int64, fsync bool) (*journal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &journal{f: f, path: path, size: size, fsync: fsync}, nil
+	return &journal{f: f, size: size, fsync: fsync}, nil
+}
+
+// writeJournal installs a new journal holding data at path: written to a
+// temporary file, fsync'd, then renamed into place and the rename made
+// durable, so a crash mid-write leaves at worst a stray .tmp file that
+// recovery ignores — never a journal cut short.
+func writeJournal(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	// Best-effort: some filesystems refuse a directory fsync.
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		dir.Sync()
+		dir.Close()
+	}
+	return nil
 }
 
 // append frames and writes one payload, then (per policy) fsyncs. On any
@@ -251,52 +427,4 @@ func (j *journal) close() error {
 	err := j.f.Close()
 	j.f = nil
 	return err
-}
-
-// replayResult summarises one journal file's replay.
-type replayResult struct {
-	Records   int   // records decoded and handed to apply
-	GoodBytes int64 // verified prefix length (file offset of the tear, if any)
-	Torn      bool  // file ended in a short or checksum-failing record
-}
-
-// replayJournal reads the journal at path and calls apply for each intact
-// record in order. A torn tail (short header, short payload, or CRC
-// mismatch) ends the replay without error: the result reports Torn and the
-// byte offset the file should be truncated to. A missing file replays zero
-// records. apply errors abort the replay and are returned as-is.
-func replayJournal(path string, apply func(m mutation) error) (replayResult, error) {
-	var res replayResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return res, nil
-		}
-		return res, err
-	}
-	buf := data
-	for len(buf) > 0 {
-		payload, rest, err := decodeRecord(buf)
-		if err != nil {
-			// errRecordSize means a garbage length prefix — indistinguishable
-			// from any other torn/overwritten tail, so it truncates too.
-			res.Torn = true
-			return res, nil
-		}
-		m, err := decodeMutation(payload)
-		if err != nil {
-			// Framing was intact but the payload is not a valid mutation:
-			// treat like a tear at this offset. This cannot happen for
-			// records we wrote ourselves.
-			res.Torn = true
-			return res, nil
-		}
-		if err := apply(m); err != nil {
-			return res, err
-		}
-		buf = rest
-		res.Records++
-		res.GoodBytes = int64(len(data) - len(buf))
-	}
-	return res, nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRecordRoundTrip(t *testing.T) {
-	payload, err := encodeMutation(opPut, putRecord{Name: "p", XML: []byte("<x/>")})
+	payload, err := encodePayload(opPut, putRecord{Name: "p", XML: []byte("<x/>")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,17 +28,17 @@ func TestRecordRoundTrip(t *testing.T) {
 	if len(rest) != 0 {
 		t.Fatalf("unexpected %d trailing bytes", len(rest))
 	}
-	m, err := decodeMutation(got)
+	m, err := decodePayload(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Op != opPut || m.Put == nil || m.Put.Name != "p" || string(m.Put.XML) != "<x/>" {
+	if m.Op != opPut || m.Put == nil || m.Put.Name != "p" || string(m.Put.XML) != "<x/>" || !m.mutation() {
 		t.Fatalf("decoded mutation = %+v", m)
 	}
 }
 
 func TestDecodeRecordTornAndCorrupt(t *testing.T) {
-	payload, _ := encodeMutation(opDelete, deleteRecord{Name: "p"})
+	payload, _ := encodePayload(opDelete, deleteRecord{Name: "p"})
 	rec, _ := encodeRecord(payload)
 
 	// Every strict prefix of a record is torn, never valid and never a panic.
@@ -72,7 +72,7 @@ func TestJournalAppendReplayTruncates(t *testing.T) {
 	}
 	var payloads [][]byte
 	for _, name := range []string{"a", "b", "c"} {
-		p, _ := encodeMutation(opDelete, deleteRecord{Name: name})
+		p, _ := encodePayload(opDelete, deleteRecord{Name: name})
 		payloads = append(payloads, p)
 		if err := j.append(p); err != nil {
 			t.Fatal(err)
@@ -89,71 +89,89 @@ func TestJournalAppendReplayTruncates(t *testing.T) {
 	f.Write(tornRec[:len(tornRec)/2])
 	f.Close()
 
-	var names []string
-	res, err := replayJournal(path, func(m mutation) error {
-		names = append(names, m.Delete.Name)
-		return nil
-	})
+	data, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Torn {
+	var names []string
+	n, good, torn := replayRecords(data, func(m record) { names = append(names, m.Delete.Name) })
+	if !torn {
 		t.Fatal("torn tail not detected")
 	}
-	if res.GoodBytes != goodSize {
-		t.Fatalf("GoodBytes = %d, want %d", res.GoodBytes, goodSize)
+	if good != goodSize {
+		t.Fatalf("good = %d, want %d", good, goodSize)
 	}
-	if res.Records != 3 || len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("replayed %d records (%v), want the 3 intact ones", res.Records, names)
+	if n != 3 || len(names) != 3 || names[0] != "a" || names[2] != "c" {
+		t.Fatalf("replayed %d records (%v), want the 3 intact ones", n, names)
 	}
 }
 
 func TestReplayMissingFileIsEmpty(t *testing.T) {
-	res, err := replayJournal(filepath.Join(t.TempDir(), "absent.wal"), func(mutation) error {
-		t.Fatal("apply called")
-		return nil
-	})
-	if err != nil || res.Records != 0 || res.Torn {
-		t.Fatalf("res = %+v, err = %v", res, err)
+	data, err := readJournal(filepath.Join(t.TempDir(), "absent.wal"))
+	if err != nil || data != nil {
+		t.Fatalf("missing journal = %q, %v; want empty", data, err)
+	}
+	n, good, torn := replayRecords(data, func(record) { t.Fatal("apply called") })
+	if n != 0 || good != 0 || torn {
+		t.Fatalf("replay of nothing = (%d, %d, %v)", n, good, torn)
 	}
 }
 
+// An image is a compacted journal's head in the journal's own records: it
+// round-trips to the same entries and version, every strict prefix of it is
+// refused, and so is any flipped byte.
 func TestSnapshotRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.snap")
 	reg := New()
 	xml := readTestPlatform(t, "gtx480")
-	if _, _, err := reg.Put("gtx480", xml); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // revision 2 of gtx480
+		if _, _, err := reg.Put("gtx480", xml); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := reg.Put("other", platformXML("other", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	version, pls := reg.exportState()
-	if err := writeSnapshot(path, snapshotState{Seq: 1, StoreVersion: version, Platforms: pls}); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := readSnapshot(path)
+	version, puts := reg.exportState()
+	data, err := encodeImage(imageHead{Version: version}, puts, []byte(`{"observations":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	img, rest, err := decodeImage(data)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decodeImage = %v with %d bytes after the image", err, len(rest))
+	}
+	if string(img.perf) != `{"observations":[]}` || len(img.puts) != 2 {
+		t.Fatalf("image holds %d puts and perf %q", len(img.puts), img.perf)
+	}
 	restored := New()
-	if err := restored.restoreState(st.StoreVersion, st.Platforms); err != nil {
+	if err := restored.restoreState(img.Version, img.puts); err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := reg.Get("gtx480")
-	got, ok := restored.Get("gtx480")
-	if !ok || got.ETag != orig.ETag || got.Revision != orig.Revision {
-		t.Fatalf("restored entry = %+v, want etag %s rev %d", got, orig.ETag, orig.Revision)
+	for _, orig := range reg.List() {
+		got, ok := restored.Get(orig.Name)
+		if !ok || got.ETag != orig.ETag || got.Revision != orig.Revision {
+			t.Fatalf("restored entry = %+v, want etag %s rev %d", got, orig.ETag, orig.Revision)
+		}
 	}
 	if restored.Version() != reg.Version() {
 		t.Fatalf("restored version %d != %d", restored.Version(), reg.Version())
 	}
 
-	// Any flipped body byte must be refused.
-	data, _ := os.ReadFile(path)
-	data[len(data)-3] ^= 0x40
-	os.WriteFile(path, data, 0o644)
-	if _, err := readSnapshot(path); !errors.Is(err, errSnapshotCorrupt) {
-		t.Fatalf("corrupt snapshot err = %v", err)
+	for cut := 0; cut < len(data); cut++ {
+		if _, _, err := decodeImage(data[:cut]); err == nil {
+			t.Fatalf("image cut at %d of %d decoded", cut, len(data))
+		}
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-3] ^= 0x40
+	if _, rest, err := decodeImage(bad); err == nil || rest == nil {
+		t.Fatalf("flipped image byte: err = %v, rest found = %v; want refused behind a readable head", err, rest != nil)
+	}
+	// The image's records are not mutations, so replaying one as the tail
+	// of a journal stops at once.
+	if n, _, torn := replayRecords(data, func(record) {}); n != 0 || !torn {
+		t.Fatalf("replaying an image applied %d records (torn %v)", n, torn)
 	}
 }
 

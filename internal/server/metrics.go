@@ -105,7 +105,7 @@ func (m *serverMetrics) registerGauges(s *Server) {
 var fsyncBuckets = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5}
 
 // registerWAL wires the pdlserved_wal_* families over the durability
-// layer: append/replay/compaction counters, journal size and snapshot age
+// layer: append/replay/compaction counters, journal size and image age
 // gauges, the read-only flag, and an fsync latency histogram fed by the
 // journal's commit path.
 func (m *serverMetrics) registerWAL(p *registry.Persistence) {
@@ -125,7 +125,7 @@ func (m *serverMetrics) registerWAL(p *registry.Persistence) {
 		"Journal records that could not be re-applied during replay.",
 		func() float64 { return float64(p.Stats().SkippedRecs) })
 	m.reg.CounterFunc("pdlserved_wal_snapshots_total",
-		"Compacted snapshots written by this process.",
+		"Compactions (new journals that begin with a store image) written by this process.",
 		func() float64 { return float64(p.Stats().Snapshots) })
 	m.reg.GaugeFunc("pdlserved_wal_journal_bytes",
 		"Size of the active journal in bytes.",
@@ -134,7 +134,7 @@ func (m *serverMetrics) registerWAL(p *registry.Persistence) {
 		"Records in the active journal (replay cost of a restart now).",
 		func() float64 { return float64(p.Stats().JournalRecs) })
 	m.reg.GaugeFunc("pdlserved_wal_snapshot_age_seconds",
-		"Seconds since the newest snapshot was written (-1 before the first).",
+		"Seconds since the newest store image was written (-1 before the first).",
 		func() float64 {
 			at := p.Stats().SnapshotAt
 			if at.IsZero() {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -212,5 +213,44 @@ func TestDuplicateUploadJournalsNothing(t *testing.T) {
 	}
 	if got := d.persist.JournalSize(); got != size {
 		t.Fatalf("identical re-upload grew journal %d -> %d bytes", size, got)
+	}
+}
+
+// TestExportImportServesIdenticalETags is the HTTP face of export → wipe →
+// import: a server started over the imported bundle answers a conditional
+// GET with 304 for every ETag the exporting server handed out, and predicts
+// from the same samples.
+func TestExportImportServesIdenticalETags(t *testing.T) {
+	d := newDurableServer(t, t.TempDir())
+	etags := map[string]string{}
+	for _, name := range []string{"gtx480", "copy"} {
+		resp, body := doReq(t, "PUT", d.url+"/platforms/"+name, gtx480XML(t), nil)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s = %d: %s", name, resp.StatusCode, body)
+		}
+		etags[name] = resp.Header.Get("ETag")
+	}
+	doReq(t, "POST", d.url+"/platforms/gtx480/observe", []byte(`{"codelet":"dgemm","size":512,"seconds":0.004}`), nil)
+	_, predBefore := doReq(t, "GET", d.url+"/platforms/gtx480/predict?codelet=dgemm&size=1024", nil, nil)
+
+	var bundle bytes.Buffer
+	if _, err := d.persist.WriteBundle(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	d.persist.Close()
+	dir := t.TempDir()
+	if _, err := registry.ImportBundle(&bundle, dir); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDurableServer(t, dir)
+	for name, etag := range etags {
+		resp, body := doReq(t, "GET", d2.url+"/platforms/"+name, nil, map[string]string{"If-None-Match": etag})
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("conditional GET of %s after import = %d (etag drifted): %s", name, resp.StatusCode, body)
+		}
+	}
+	if _, predAfter := doReq(t, "GET", d2.url+"/platforms/gtx480/predict?codelet=dgemm&size=1024", nil, nil); !bytes.Equal(predAfter, predBefore) {
+		t.Fatalf("prediction after import = %s, want %s", predAfter, predBefore)
 	}
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim bench-taskrt loc serve clean
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,13 @@ vet:
 # they are taken (readyQueue): a scan of them per pick may not grow back either.
 # Both engines run the same two policies, ws and dmda: a sim-only policy name
 # or a seeded draw may not come back into the engine, its config or codegen.
+# A completion writes its own worker's observed totals: pool-wide totals that
+# every completion adds to may not come back into the dmda dispatcher.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready' internal/taskrt/simengine.go
 	@! grep -nE '"(eager|heft|random)"|math/rand' internal/taskrt/simengine.go internal/taskrt/taskrt.go internal/codegen/gengo.go
+	@! grep -nE 'totBusy|totCompleted' internal/taskrt/dispatch.go
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of
@@ -194,6 +197,12 @@ bench-blas:
 # series and with one build, µs and allocations per task each.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimFigure5' -count 5 ./internal/experiments
+
+# bench-taskrt times the dispatch-fork job on the real engine — SubmitBatch
+# and Run of one no-op root and 19 999 no-op dependents on two workers — under
+# ws and dmda, µs and allocations per task each.
+bench-taskrt:
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatchFork' -count 5 ./internal/taskrt
 
 # loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
 # non-test Go outside benchmark/ — in total and per package directory.

@@ -2,7 +2,9 @@ package taskrt
 
 import "fmt"
 
-// TaskContext is handed to real-mode implementation functions.
+// TaskContext is handed to real-mode implementation functions. It is valid
+// only for the duration of the Impl call: a worker reuses it, Data included,
+// for its next task, so a kernel must not keep tc or tc.Data after it returns.
 type TaskContext struct {
 	// WorkerID identifies the executing worker.
 	WorkerID int

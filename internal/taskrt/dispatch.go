@@ -1,8 +1,9 @@
 package taskrt
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,7 +101,8 @@ type dispatcher interface {
 	push(from int, t *Task)
 	// pushBatch makes every task in ts runnable with one synchronisation
 	// round: tasks are enqueued first, then the batch's credits are released
-	// together. The slice is not retained — callers may reuse it.
+	// together. The callee may reorder ts but does not retain it — callers
+	// may reuse it.
 	pushBatch(from int, ts []*Task)
 	// acquire obtains one task credit, blocking until one is available or
 	// the run ends (done) or aborts. After a true return, take is guaranteed
@@ -267,6 +269,10 @@ type predEntry struct {
 	snaps  []atomic.Pointer[predSnap]
 }
 
+// cacheLine is the padding that keeps one worker's owner-written fields off
+// the cache lines other workers write.
+const cacheLine = 64
+
 // dmdaWorker is one worker's routing state under the dmda dispatcher. The
 // queue is the same Chase-Lev deque the ws dispatcher uses, with the roles
 // flipped: arbitrary producers push at the bottom serialised by pushMu,
@@ -275,29 +281,35 @@ type predEntry struct {
 // newest task at the bottom (pop) under the victim's pushMu. All bottom-end
 // operations are mutex-serialised, so the single-owner requirement of the
 // Chase-Lev protocol holds; the top end keeps its usual CAS race handling.
+//
+// The fields come in two groups a cache line apart: what placers and thieves
+// write (pushMu, outstanding) beside what they only read, then what the owner
+// alone writes on every task.
 type dmdaWorker struct {
 	pushMu sync.Mutex
-	q      *wsDeque
-
-	arch    string
-	archIdx int // index into the dispatcher's distinct-arch tables
-	node    int // memory node (platform master index) this worker lives on
-	offline atomic.Bool
 	// outstanding is the predicted nanoseconds of work queued on or running
 	// on this worker: the placement.Candidate.Charge of every task placed
 	// here and not yet finished or stolen.
 	outstanding atomic.Int64
-	// busyNanos/completed feed the observed-mean fallback estimate.
+	q           *wsDeque
+	arch        string
+	archIdx     int // index into the dispatcher's distinct-arch tables
+	node        int // memory node (platform master index) this worker lives on
+	offline     atomic.Bool
+	_           [cacheLine]byte
+
+	// busyNanos/completed feed the observed-mean fallback estimate; summed
+	// over the pool they are the cold estimate and the stall valve's progress.
 	busyNanos atomic.Int64
 	completed atomic.Int64
 	steals    atomic.Int64
-
 	// stallDone/stallSince arm the steal-force valve. They track, across
 	// take calls, when this worker's sweeps started being declined with no
 	// pool-wide completion progress since. Owner-goroutine state: no
 	// atomics needed.
 	stallDone  int64
 	stallSince time.Time
+	_          [cacheLine]byte
 }
 
 // dmdaDispatcher implements StarPU's dmda (deque model, data aware) policy
@@ -324,10 +336,6 @@ type dmdaDispatcher struct {
 	// transfer term and skips residency upkeep entirely.
 	dataAware bool
 	links     [][]placement.Link
-
-	// Pool-wide observed totals for the cold estimate.
-	totBusy      atomic.Int64
-	totCompleted atomic.Int64
 
 	// taskrt_sched_decisions_total{policy="dmda"}, indexed by placement.Source.
 	decisions   [placement.Cold + 1]*metrics.Counter
@@ -437,13 +445,28 @@ func (d *dmdaDispatcher) candidate(t *Task, w int, xfer int64) placement.Candida
 	}
 	if snap.ok {
 		// Estimate's first link, taken here so the steady state does not
-		// load the four history counters every finishing worker writes.
+		// load the history counters every finishing worker writes.
 		return placement.Candidate{Exec: snap.nanos, Xfer: xfer, Source: placement.Model}
 	}
-	exec, src := placement.Estimate(0, false,
-		placement.History{Nanos: wk.busyNanos.Load(), Count: wk.completed.Load()},
-		placement.History{Nanos: d.totBusy.Load(), Count: d.totCompleted.Load()})
+	own := placement.History{Nanos: wk.busyNanos.Load(), Count: wk.completed.Load()}
+	var pool placement.History
+	if own.Count == 0 {
+		pool = d.pool() // the cold estimate: the only placement that reads it
+	}
+	exec, src := placement.Estimate(0, false, own, pool)
 	return placement.Candidate{Exec: exec, Xfer: xfer, Source: src}
+}
+
+// pool sums the workers' observed histories: the cold estimate, and through
+// its Count the completion progress the stall valve watches. Only those two
+// read it, so a completion writes its own worker's counters alone.
+func (d *dmdaDispatcher) pool() placement.History {
+	var h placement.History
+	for i := range d.workers {
+		h.Nanos += d.workers[i].busyNanos.Load()
+		h.Count += d.workers[i].completed.Load()
+	}
+	return h
 }
 
 // transferToNode models the nanoseconds needed to make t's read operands
@@ -576,13 +599,12 @@ func (d *dmdaDispatcher) pushBatch(from int, ts []*Task) {
 	// is consumption order on an uncontended worker (the deque serves
 	// oldest-placed first). Submitters mark the critical chain with higher
 	// priorities (e.g. POTRF over trailing GEMMs), so the chain task lands
-	// ahead of the bulk updates instead of behind them. The slice is copied:
-	// pushBatch must not retain or reorder the caller's batch.
+	// ahead of the bulk updates instead of behind them. The batch is sorted
+	// where it lies — the completing worker's own buffer — so ordering it
+	// allocates nothing.
 	for i := 1; i < len(ts); i++ {
 		if ts[i].Priority != ts[0].Priority {
-			ordered := append([]*Task(nil), ts...)
-			sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Priority > ordered[b].Priority })
-			ts = ordered
+			slices.SortStableFunc(ts, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
 			break
 		}
 	}
@@ -665,7 +687,7 @@ func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
 			wk.stallDone = -1
 			return t, -1
 		}
-		force := wk.stallDone >= 0 && wk.stallDone == d.totCompleted.Load() &&
+		force := wk.stallDone >= 0 && wk.stallDone == d.pool().Count &&
 			time.Since(wk.stallSince) > dmdaStealForceAfter
 		declined := false
 		for i := 1; i < len(d.workers); i++ {
@@ -694,7 +716,7 @@ func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
 			runtime.Gosched()
 			continue
 		}
-		if done := d.totCompleted.Load(); done != wk.stallDone {
+		if done := d.pool().Count; done != wk.stallDone {
 			wk.stallDone, wk.stallSince = done, time.Now()
 		}
 		d.sem.release(1)
@@ -720,8 +742,6 @@ func (d *dmdaDispatcher) finished(w int, t *Task, dur time.Duration, ran bool) {
 	}
 	wk.busyNanos.Add(int64(dur))
 	wk.completed.Add(1)
-	d.totBusy.Add(int64(dur))
-	d.totCompleted.Add(1)
 	if d.dataAware {
 		// A write moves the handle: it is now resident only where it was
 		// produced. (Skipped when the kernel never ran — data unchanged.)

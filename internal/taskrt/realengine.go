@@ -39,12 +39,18 @@ var errInjected = fmt.Errorf("taskrt: injected fault")
 // perfmodel history per worker architecture plus interconnect-modelled
 // transfer cost for operands not resident on the worker's memory node (one
 // node per platform master, costs from the PDL's declared interconnects) —
-// letting the steal path mop up mispredictions. The hot path is lock-free
-// and batched: dependency counters and the pending count are atomics,
-// dependents released by one completion enter the dispatcher through a
-// single pushBatch (one semaphore round per batch), and per-worker
-// statistics live in worker-owned state merged after shutdown — the
-// engine's one mutex now guards only the failure slow path.
+// letting the steal path mop up mispredictions.
+//
+// A dispatched task writes its worker's own state — the reused TaskContext,
+// the statistics, the ready buffer, padded off the other workers' cache lines
+// and merged after shutdown — and, shared with the pool, only: the credit
+// semaphore (one add per take, one per released batch), the pending count,
+// one dependency counter per dependent, and the indices of the deque it came
+// from. Under dmda, placing a released dependent also writes the target
+// worker's outstanding charge and the decision counter and takes the target's
+// pushMu to enqueue; finishing writes the worker's own observed totals, whose
+// pool-wide sum only a cold estimate and the stall valve read. The engine's
+// one mutex guards the failure slow path.
 //
 // With fault tolerance active (Config.Faults/Retry/Tracker) the engine
 // additionally: honours injected worker faults from the FaultPlan (unit ids
@@ -102,6 +108,10 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 		// ready buffers the dependents one completion unblocks, so they reach
 		// the dispatcher as a single batch. Worker-owned, reused across tasks.
 		ready []*Task
+		// tc is the context every call without fault tolerance reuses.
+		tc TaskContext
+		// A full line after the fields keeps the next worker's off them.
+		_ [cacheLine]byte
 	}
 	ws := make([]workerState, workers)
 	for w := 0; w < workers; w++ {
@@ -388,7 +398,7 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 					return // aborted mid-sweep
 				}
 				attempt := int(attempts[t.id].Load())
-				if victim >= 0 {
+				if victim >= 0 && tracing {
 					now := time.Now()
 					rec(trace.Steal, t, attempt, now, now, workerUnitID(victim))
 				}
@@ -450,7 +460,13 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 				}
 
 				im := t.Codelet.ImplFor(st.arch)
-				tc := &TaskContext{WorkerID: worker, Arch: st.arch, Task: t}
+				// A kernel under fault tolerance may outlive the call (the
+				// watchdog orphans it), so its attempt gets a context of its own.
+				tc := &st.tc
+				if ft {
+					tc = &TaskContext{}
+				}
+				*tc = TaskContext{WorkerID: worker, Arch: st.arch, Task: t, Data: tc.Data[:0]}
 				for _, a := range t.Accesses {
 					tc.Data = append(tc.Data, a.Handle.Payload)
 				}

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim bench-taskrt loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim bench-taskrt loc serve clean
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,14 @@ lint-one-format:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'archive/tar|snapshotMagic|snapshotState|readSnapshot|writeSnapshot|snapshot-%0' internal/registry cmd/pdlserved
 	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'hash/crc32' internal/registry)" = internal/registry/wal.go
 
+# lint-one-query keeps internal/query at one evaluator: a filter set and a
+# selector expression both run as a selector over the Q set, so no fluent
+# narrowing method (nor Selector.Steps or Filters.Empty) comes back, and no
+# file but New's walks the platform — a Q keeps that one walk.
+lint-one-query:
+	@! grep -nE 'func \(q \*Q\) (Filter|Class|Masters|Hybrids|Workers|WithArch|WithProp|WithPropValue|InGroup|ControlledBy|Head|First|TotalUnits)\(|func \(s \*Selector\) Steps\(|func \(f \*Filters\) Empty\(' internal/query/*.go
+	@! awk '/^func / { fn = $$0 } /\.(Walk|AllPUs|FindPU)\(/ && fn !~ /^func New\(/ { print FILENAME ":" FNR ": " $$0 }' $$(ls internal/query/*.go | grep -v _test.go) | grep .
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -163,6 +171,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRequestReader -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzResponseReader -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzFilters -fuzztime=10s ./internal/query
 
 # bench-test vets and tests the benchmark, a Go module of its own that the
 # root `go test ./...` does not reach. Its tests include the -smoke run: every
@@ -176,7 +185,7 @@ bench-test:
 # graph-state and one-format lints,
 # race subset, the portable-kernel build, crash/recovery suite, multi-process
 # cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh

@@ -50,7 +50,11 @@ func main() {
 	fmt.Println("--- queries ---")
 	gpus := query.MustSelect(platform, "//Worker[ARCHITECTURE=gpu]")
 	fmt.Printf("gpu workers: %d (%s)\n", len(gpus), gpus[0].ID)
-	fmt.Printf("cpuset group: %v\n", query.New(platform).InGroup("cpuset").IDs())
+	var cpuset []string
+	for _, pu := range query.MustSelect(platform, "//*[group=cpuset]") {
+		cpuset = append(cpuset, pu.ID)
+	}
+	fmt.Printf("cpuset group: %v\n", cpuset)
 	route, err := platform.Route("0", "1")
 	if err != nil {
 		log.Fatal(err)

@@ -1180,10 +1180,14 @@ func TestWorkerDelay(t *testing.T) {
 // straggler counters in the report, a Straggler trace instant naming the
 // node, and placement back-pressure that drains work toward the healthy node.
 func TestStragglerDetection(t *testing.T) {
-	cl := gemmTestCodelet(t, time.Millisecond)
+	// The fast node's kernel is long enough that host noise (tens of
+	// milliseconds under -race on a loaded host) cannot push it past
+	// stragglerMultiple × its estimate; the slow node stays 40× slower.
+	const kernel = 10 * time.Millisecond
+	cl := gemmTestCodelet(t, kernel)
 	tr := trace.New()
 	_, fastSrv := startWorker(t, "strag-fast", cl, WorkerConfig{Slots: 2})
-	_, slowSrv := startWorker(t, "strag-slow", cl, WorkerConfig{Slots: 2, Delay: 40 * time.Millisecond})
+	_, slowSrv := startWorker(t, "strag-slow", cl, WorkerConfig{Slots: 2, Delay: 40 * kernel})
 
 	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
 	if err != nil {
@@ -1194,7 +1198,7 @@ func TestStragglerDetection(t *testing.T) {
 	// Seed the model the placement will use, so the very first executions
 	// compare against a realistic estimate instead of running cold.
 	models := perfmodel.NewStore()
-	if err := models.Model("dgemm", "x86").Record(blas.FlopsGEMM(16, 16, 16), 1.2e-3); err != nil {
+	if err := models.Model("dgemm", "x86").Record(blas.FlopsGEMM(16, 16, 16), 1.2*kernel.Seconds()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1212,7 +1216,7 @@ func TestStragglerDetection(t *testing.T) {
 	verifyGemm(t, a, b, c) // slow, not wrong: results must stay correct
 
 	if rep.Stragglers == 0 {
-		t.Fatal("no stragglers flagged despite a 40ms injected delay vs a ~1ms estimate")
+		t.Fatal("no stragglers flagged despite a 400ms injected delay vs a ~12ms estimate")
 	}
 	var fast, slow NodeStats
 	for _, n := range rep.PerNode {

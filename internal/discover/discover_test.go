@@ -29,7 +29,7 @@ func TestGenerateBasic(t *testing.T) {
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := query.New(pl).Workers().WithArch("gpu").Count(); got != 2 {
+	if got := len(query.MustSelect(pl, "//Worker[ARCHITECTURE=gpu]")); got != 2 {
 		t.Fatalf("gpu workers = %d", got)
 	}
 	if got := pl.FindPU("host").EffectiveQuantity(); got != 8 {
@@ -174,7 +174,7 @@ func TestXeon2GPUCalibration(t *testing.T) {
 
 func TestCellBladeShape(t *testing.T) {
 	pl := MustPlatform("cell-blade")
-	if got := query.New(pl).Hybrids().Count(); got != 1 {
+	if got := len(query.MustSelect(pl, "//Hybrid")); got != 1 {
 		t.Fatalf("hybrids = %d", got)
 	}
 	spe := pl.FindPU("spe")

@@ -1,7 +1,7 @@
 // Query-string DSL shared by cmd/pdlquery and the pdlserved HTTP API: a flat
-// key=value filter vocabulary that compiles onto the fluent Q API. Both the
-// CLI (positional key=value args) and the server (URL query parameters) feed
-// the same parser, so a filter expression means the same thing everywhere.
+// key=value filter vocabulary. Both the CLI (positional key=value args) and
+// the server (URL query parameters) feed the same parser, so a filter
+// expression means the same thing everywhere.
 //
 // Vocabulary:
 //
@@ -13,6 +13,14 @@
 //	prop=NAME:VALUE                 property equality (repeatable)
 //	select=//Worker[...]            full selector expression, intersected
 //	limit=N                         keep at most N results (document order)
+//
+// ParseFilters compiles the flat keys into one selector. Its paths are those
+// of select=, or //* without one. kind= becomes the class of each path's
+// last step, and a path whose last step names another class is dropped.
+// arch, group, id and prop append [ARCHITECTURE=…], [group=…], [@id=…],
+// [NAME] and [NAME=VALUE] to that last step. So every = in the DSL is the
+// selector's =: numeric when both sides parse as numbers, and a unit that
+// lacks NAME never matches prop=NAME:VALUE, not even with an empty VALUE.
 //
 // Unknown keys, bad values and selector parse errors are all collected into
 // one *FilterError so a caller sees every problem in a single pass.
@@ -43,6 +51,8 @@ type Filters struct {
 	Props  []PropFilter
 	Select string // selector expression, intersected with the flat filters
 	Limit  int    // 0 means unlimited
+
+	sel *Selector // what ParseFilters compiled the fields into
 }
 
 // FilterError aggregates every problem found while parsing a DSL expression,
@@ -71,6 +81,7 @@ var filterKeys = []string{"arch", "group", "id", "kind", "limit", "prop", "selec
 // *FilterError listing every one.
 func ParseFilters(pairs map[string][]string) (*Filters, error) {
 	f := &Filters{}
+	var base *Selector
 	var problems []string
 	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
 
@@ -143,11 +154,12 @@ func ParseFilters(pairs map[string][]string) (*Filters, error) {
 			if !ok {
 				continue
 			}
-			if _, err := ParseSelector(v); err != nil {
+			sel, err := ParseSelector(v)
+			if err != nil {
 				bad("select: %v", err)
 				continue
 			}
-			f.Select = v
+			f.Select, base = v, sel
 		case "limit":
 			v, ok := single(key, vals)
 			if !ok {
@@ -166,7 +178,62 @@ func ParseFilters(pairs map[string][]string) (*Filters, error) {
 	if len(problems) > 0 {
 		return nil, &FilterError{Problems: problems}
 	}
+	f.sel = f.compile(base)
 	return f, nil
+}
+
+// compile turns the flat fields into predicates on the last step of every
+// path of base (the parsed Select, or nil for //*), by the rule the vocabulary
+// comment states. It takes base over.
+func (f *Filters) compile(base *Selector) *Selector {
+	if base == nil { // //*, in one allocation: every query request compiles
+		c := new(struct {
+			sel   Selector
+			paths [1][]Step
+			steps [1]Step
+		})
+		c.steps[0] = Step{Descend: true, Class: "*"}
+		c.paths[0], c.sel.Paths = c.steps[:], c.paths[:]
+		base = &c.sel
+	}
+	var preds []Pred
+	if f.Arch != "" || f.Group != "" || f.ID != "" || len(f.Props) > 0 {
+		preds = make([]Pred, 0, 3+len(f.Props))
+	}
+	if f.Arch != "" {
+		preds = append(preds, newPred(core.PropArchitecture, OpEq, f.Arch))
+	}
+	if f.Group != "" {
+		preds = append(preds, newPred("group", OpEq, f.Group))
+	}
+	if f.ID != "" {
+		preds = append(preds, newPred("@id", OpEq, f.ID))
+	}
+	for _, p := range f.Props {
+		op := OpExists
+		if p.HasValue {
+			op = OpEq
+		}
+		preds = append(preds, newPred(p.Name, op, p.Value))
+	}
+	paths := base.Paths[:0]
+	for _, path := range base.Paths {
+		last := &path[len(path)-1]
+		if f.Kind != "" && last.Class != "*" && last.Class != f.Kind {
+			continue
+		}
+		if f.Kind != "" {
+			last.Class = f.Kind
+		}
+		if len(last.Preds) == 0 {
+			last.Preds = preds[:len(preds):len(preds)] // shared read-only by every path
+		} else {
+			last.Preds = append(last.Preds, preds...)
+		}
+		paths = append(paths, path)
+	}
+	base.Paths = paths
+	return base
 }
 
 // ParseFilterArgs parses positional "key=value" arguments (the CLI shape of
@@ -196,51 +263,31 @@ func ParseFilterArgs(args []string) (*Filters, error) {
 	return f, nil
 }
 
-// Empty reports whether the filters match every PU unmodified.
-func (f *Filters) Empty() bool {
-	return f.Kind == "" && f.Arch == "" && f.Group == "" && f.ID == "" &&
-		len(f.Props) == 0 && f.Select == "" && f.Limit == 0
-}
-
-// Apply narrows q by every filter, in a fixed order so results are
-// deterministic. The receiver q is not mutated (Q chaining derives).
+// Apply returns the members of q that the filters' selector matches, cut to
+// the first Limit. The selector is the one ParseFilters compiled; filters
+// built another way are compiled on each call.
 func (f *Filters) Apply(q *Q) (*Q, error) {
-	if f.Kind != "" {
-		c, err := core.ParseClass(f.Kind)
-		if err != nil {
-			return nil, err
+	sel := f.sel
+	if sel == nil {
+		var base *Selector
+		if f.Kind != "" {
+			if _, err := core.ParseClass(f.Kind); err != nil {
+				return nil, err
+			}
 		}
-		q = q.Class(c)
-	}
-	if f.Arch != "" {
-		q = q.WithArch(f.Arch)
-	}
-	if f.Group != "" {
-		q = q.InGroup(f.Group)
-	}
-	if f.ID != "" {
-		id := f.ID
-		q = q.Filter(func(p *core.PU) bool { return p.ID == id })
-	}
-	for _, pf := range f.Props {
-		pf := pf
-		if pf.HasValue {
-			q = q.WithPropValue(pf.Name, pf.Value)
-		} else {
-			q = q.WithProp(pf.Name)
+		if f.Select != "" {
+			var err error
+			if base, err = ParseSelector(f.Select); err != nil {
+				return nil, err
+			}
 		}
+		sel = f.compile(base)
 	}
-	if f.Select != "" {
-		var err error
-		q, err = q.Select(f.Select)
-		if err != nil {
-			return nil, err
-		}
+	out := q.eval(sel)
+	if f.Limit > 0 && len(out.pos) > f.Limit {
+		out.pos = out.pos[:f.Limit]
 	}
-	if f.Limit > 0 {
-		q = q.Head(f.Limit)
-	}
-	return q, nil
+	return out, nil
 }
 
 // CacheKey returns a canonical rendering of the filters: equal filter sets

@@ -2,8 +2,12 @@ package query
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/discover"
 )
 
 func TestParseFiltersBasics(t *testing.T) {
@@ -22,9 +26,6 @@ func TestParseFiltersBasics(t *testing.T) {
 	}
 	if len(f.Props) != 2 || !f.Props[0].HasValue || f.Props[1].HasValue {
 		t.Fatalf("props = %+v", f.Props)
-	}
-	if f.Empty() {
-		t.Fatal("non-trivial filters report Empty")
 	}
 }
 
@@ -96,25 +97,42 @@ func TestParseFilterArgs(t *testing.T) {
 	}
 }
 
+// applyCases are the DSL rows over the fixture: TestFiltersApply checks
+// them and FuzzFilters starts from them.
+var applyCases = []struct {
+	args []string
+	want []string
+}{
+	{[]string{"kind=worker"}, []string{"gpu0", "gpu1", "spe0", "spe1"}},
+	{[]string{"kind=worker", "arch=gpu"}, []string{"gpu0", "gpu1"}},
+	{[]string{"group=gpuset"}, []string{"gpu0", "gpu1"}},
+	{[]string{"id=spe0"}, []string{"spe0"}},
+	{[]string{"prop=MAX_COMPUTE_UNITS"}, []string{"gpu0", "gpu1"}},
+	{[]string{"prop=MAX_COMPUTE_UNITS:30"}, []string{"gpu1"}},
+	{[]string{"kind=worker", "limit=2"}, []string{"gpu0", "gpu1"}},
+	{[]string{"select=//Worker[ARCHITECTURE=spe]"}, []string{"spe0", "spe1"}},
+	{[]string{"kind=worker", "select=//*[group=gpuset]"}, []string{"gpu0", "gpu1"}},
+	{[]string{}, []string{"cpu", "gpu0", "gpu1", "ppe", "spe0", "spe1"}},
+	{[]string{"kind=hybrid"}, []string{"ppe"}},
+	{[]string{"kind=master", "group=cpuset"}, []string{"cpu"}},
+	{[]string{"kind=worker", "arch=none"}, []string{}},
+	// An empty value is equality with "": units that lack the property
+	// do not match it.
+	{[]string{"prop=MAX_COMPUTE_UNITS:"}, []string{}},
+	// The DSL's = is the selector's: numeric when both sides are numbers.
+	{[]string{"prop=MAX_COMPUTE_UNITS:30.0"}, []string{"gpu1"}},
+	{[]string{"select=//*[MAX_COMPUTE_UNITS=30.0]"}, []string{"gpu1"}},
+	// kind= names the class of the selector's last step; a path whose
+	// last step names another class matches nothing.
+	{[]string{"kind=hybrid", "select=//Master/Worker"}, []string{}},
+	{[]string{"kind=worker", "select=//Master/*, //Hybrid"}, []string{"gpu0", "gpu1"}},
+	{[]string{"arch=spe", "select=//*[@id=ppe]//*"}, []string{"spe0", "spe1"}},
+	{[]string{"kind=worker", "prop=MAX_COMPUTE_UNITS", "limit=1"}, []string{"gpu0"}},
+}
+
 func TestFiltersApply(t *testing.T) {
-	pl := fixture(t)
-	q := New(pl)
-	cases := []struct {
-		args []string
-		want []string
-	}{
-		{[]string{"kind=worker"}, []string{"gpu0", "gpu1", "spe0", "spe1"}},
-		{[]string{"kind=worker", "arch=gpu"}, []string{"gpu0", "gpu1"}},
-		{[]string{"group=gpuset"}, []string{"gpu0", "gpu1"}},
-		{[]string{"id=spe0"}, []string{"spe0"}},
-		{[]string{"prop=MAX_COMPUTE_UNITS"}, []string{"gpu0", "gpu1"}},
-		{[]string{"prop=MAX_COMPUTE_UNITS:30"}, []string{"gpu1"}},
-		{[]string{"kind=worker", "limit=2"}, []string{"gpu0", "gpu1"}},
-		{[]string{"select=//Worker[ARCHITECTURE=spe]"}, []string{"spe0", "spe1"}},
-		{[]string{"kind=worker", "select=//*[group=gpuset]"}, []string{"gpu0", "gpu1"}},
-		{[]string{}, []string{"cpu", "gpu0", "gpu1", "ppe", "spe0", "spe1"}},
-	}
-	for _, c := range cases {
+	q := New(fixture(t))
+	for _, c := range applyCases {
 		f, err := ParseFilterArgs(c.args)
 		if err != nil {
 			t.Fatalf("%v: %v", c.args, err)
@@ -126,7 +144,130 @@ func TestFiltersApply(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs(), c.want) {
 			t.Fatalf("%v => %v; want %v", c.args, got.IDs(), c.want)
 		}
+		// Filters built without ParseFilters compile on each Apply, to
+		// the same result.
+		hand := *f
+		hand.sel = nil
+		if got, err := hand.Apply(q); err != nil || !reflect.DeepEqual(got.IDs(), c.want) {
+			t.Fatalf("%v built by hand => %v, %v; want %v", c.args, got, err, c.want)
+		}
 	}
+	if _, err := (&Filters{Kind: "worker"}).Apply(q); err == nil {
+		t.Fatal("a hand-built non-canonical kind must be rejected")
+	}
+	if _, err := (&Filters{Select: "//Gizmo"}).Apply(q); err == nil {
+		t.Fatal("a hand-built bad selector must be rejected")
+	}
+}
+
+// FuzzFilters feeds a select= expression and &-separated flat arguments to
+// ParseFilterArgs. Neither it nor Apply may panic, and whatever it accepts,
+// Apply equals the reference: the selector alone, kept where a per-unit check
+// through core's accessors holds for every flat key, cut to limit.
+func FuzzFilters(f *testing.F) {
+	for _, c := range applyCases {
+		var sel string
+		var flat []string
+		for _, a := range c.args {
+			if v, ok := strings.CutPrefix(a, "select="); ok {
+				sel = v
+			} else {
+				flat = append(flat, a)
+			}
+		}
+		f.Add(sel, strings.Join(flat, "&"))
+	}
+	pl := fixture(f)
+	root := New(pl)
+	f.Fuzz(func(t *testing.T, sel, flat string) {
+		var args []string
+		if flat != "" {
+			args = strings.Split(flat, "&")
+		}
+		if sel != "" {
+			args = append(args, "select="+sel)
+		}
+		fl, err := ParseFilterArgs(args)
+		if err != nil {
+			return
+		}
+		got, err := fl.Apply(root)
+		if err != nil {
+			t.Fatalf("%q: Apply of accepted filters: %v", args, err)
+		}
+		if want := referenceApply(pl, fl); !reflect.DeepEqual(got.IDs(), want) {
+			t.Fatalf("%q => %v; reference %v", args, got.IDs(), want)
+		}
+	})
+}
+
+// referenceApply is what a filter set means, written without the compiler.
+func referenceApply(pl *core.Platform, f *Filters) []string {
+	eq := func(have string, present bool, want string) bool {
+		if !present {
+			return false
+		}
+		h, herr := strconv.ParseFloat(have, 64)
+		w, werr := strconv.ParseFloat(want, 64)
+		if herr == nil && werr == nil {
+			return h == w
+		}
+		return have == want
+	}
+	src := f.Select
+	if src == "" {
+		src = "//*"
+	}
+	out := []string{}
+	for _, pu := range MustSelect(pl, src) {
+		arch, hasArch := pu.Descriptor.Get(core.PropArchitecture)
+		keep := (f.Kind == "" || pu.Class.String() == f.Kind) &&
+			(f.Arch == "" || eq(arch.Value, hasArch, f.Arch)) &&
+			(f.Group == "" || pu.InGroup(f.Group)) &&
+			(f.ID == "" || eq(pu.ID, true, f.ID))
+		for _, p := range f.Props {
+			prop, ok := pu.Descriptor.Get(p.Name)
+			keep = keep && ok && (!p.HasValue || eq(prop.Value, ok, p.Value))
+		}
+		if keep && (f.Limit == 0 || len(out) < f.Limit) {
+			out = append(out, pu.ID)
+		}
+	}
+	return out
+}
+
+// BenchmarkFiltersApply times the three query shapes the registry serves on
+// xeon-2gpu: flat keys, flat keys with select=, and a selector on the root.
+func BenchmarkFiltersApply(b *testing.B) {
+	root := New(discover.MustPlatform("xeon-2gpu"))
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"flat", []string{"kind=worker", "arch=gpu"}},
+		{"flat+select", []string{"kind=worker", "prop=VENDOR", "select=//*[group=devset]"}},
+	} {
+		f, err := ParseFilterArgs(c.args)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Apply(root); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("Q.Select", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := root.Select("//Worker[ARCHITECTURE=gpu]"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // CacheKey must be canonical: the same filter set renders identically no
@@ -142,7 +283,7 @@ func TestFiltersCacheKeyCanonical(t *testing.T) {
 		t.Fatalf("distinct filters share key %q", a.CacheKey())
 	}
 	empty, _ := ParseFilterArgs(nil)
-	if empty.CacheKey() != "" || !empty.Empty() {
+	if empty.CacheKey() != "" {
 		t.Fatalf("empty filters: key=%q", empty.CacheKey())
 	}
 }

@@ -2,7 +2,9 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,6 +74,19 @@ func TestSelectorBasics(t *testing.T) {
 		{"//Master, //Worker[ARCHITECTURE=gpu]", []string{"cpu", "gpu0", "gpu1"}},
 		{"//Hybrid, //Hybrid", []string{"ppe"}}, // dedup
 		{"//Worker[MAX_COMPUTE_UNITS=15], //Worker[MAX_COMPUTE_UNITS=30]", []string{"gpu0", "gpu1"}},
+		{"//Hybrid", []string{"ppe"}},
+		{"//*[MAX_COMPUTE_UNITS]", []string{"gpu0", "gpu1"}},
+		{"//*[MAX_COMPUTE_UNITS=30.0]", []string{"gpu1"}},
+		// Everything a unit controls, directly or not.
+		{"//*[@id=ppe]//*", []string{"spe0", "spe1"}},
+		{"//*[@id=cpu]//*", []string{"gpu0", "gpu1", "ppe", "spe0", "spe1"}},
+		{"//*[@id=ghost]//*", nil},
+		{"/Master//Worker", []string{"gpu0", "gpu1", "spe0", "spe1"}},
+		{"//Master/*", []string{"gpu0", "gpu1", "ppe"}},
+		// A ',' or ']' inside a quoted value neither ends the path nor
+		// closes the predicate.
+		{"//*[@name=']'], //Hybrid", []string{"ppe"}},
+		{"//*[ARCHITECTURE='g,pu'], //Master", []string{"cpu"}},
 	}
 	for _, c := range cases {
 		t.Run(c.sel, func(t *testing.T) {
@@ -101,6 +116,7 @@ func TestSelectorParseErrors(t *testing.T) {
 		"//Worker,",       // empty union branch
 		",//Worker",       // empty union branch
 		"//Worker, Gizmo", // bad second branch
+		"//Worker,,//Master",
 	}
 	for _, s := range bad {
 		if _, err := ParseSelector(s); err == nil {
@@ -117,62 +133,22 @@ func TestSelectorStringRoundInfo(t *testing.T) {
 	if sel.String() != "//Worker[ARCHITECTURE=gpu]" {
 		t.Fatalf("String() = %q", sel.String())
 	}
-	steps := sel.Steps()
-	if len(steps) != 1 || !steps[0].Descend || steps[0].Class != "Worker" {
-		t.Fatalf("Steps = %+v", steps)
+	steps := sel.Paths[0]
+	if len(sel.Paths) != 1 || len(steps) != 1 || !steps[0].Descend || steps[0].Class != "Worker" {
+		t.Fatalf("Paths = %+v", sel.Paths)
 	}
 	if got := steps[0].Preds[0].Op.String(); got != "=" {
 		t.Fatalf("Op.String() = %q", got)
-	}
-	if (&Selector{}).Steps() != nil {
-		t.Fatal("empty selector Steps should be nil")
-	}
-}
-
-func TestFluentAPI(t *testing.T) {
-	pl := fixture(t)
-	q := New(pl)
-	if got := q.Workers().WithArch("gpu").Count(); got != 2 {
-		t.Fatalf("gpu workers = %d", got)
-	}
-	if got := q.Masters().TotalUnits(); got != 8 {
-		t.Fatalf("master units = %d", got)
-	}
-	if got := q.Hybrids().IDs(); !reflect.DeepEqual(got, []string{"ppe"}) {
-		t.Fatalf("hybrids = %v", got)
-	}
-	if got := q.InGroup("gpuset").IDs(); !reflect.DeepEqual(got, []string{"gpu0", "gpu1"}) {
-		t.Fatalf("gpuset = %v", got)
-	}
-	if got := q.WithProp(core.PropComputeUnits).Count(); got != 2 {
-		t.Fatalf("WithProp = %d", got)
-	}
-	if got := q.WithPropValue(core.PropComputeUnits, "30").First(); got == nil || got.ID != "gpu1" {
-		t.Fatalf("WithPropValue First = %v", got)
-	}
-	if got := New(pl).Workers().WithArch("none").First(); got != nil {
-		t.Fatalf("First on empty set = %v", got)
-	}
-}
-
-func TestControlledBy(t *testing.T) {
-	pl := fixture(t)
-	got := New(pl).ControlledBy("ppe").IDs()
-	if !reflect.DeepEqual(got, []string{"spe0", "spe1"}) {
-		t.Fatalf("ControlledBy(ppe) = %v", got)
-	}
-	all := New(pl).ControlledBy("cpu").IDs()
-	if !reflect.DeepEqual(all, []string{"gpu0", "gpu1", "ppe", "spe0", "spe1"}) {
-		t.Fatalf("ControlledBy(cpu) = %v", all)
-	}
-	if n := New(pl).ControlledBy("ghost").Count(); n != 0 {
-		t.Fatalf("ControlledBy(ghost) = %d", n)
 	}
 }
 
 func TestQSelectComposition(t *testing.T) {
 	pl := fixture(t)
-	q, err := New(pl).InGroup("gpuset").Select("//Worker[MAX_COMPUTE_UNITS>=20]")
+	gpuset, err := New(pl).Select("//*[group=gpuset]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gpuset.Select("//Worker[MAX_COMPUTE_UNITS>=20]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +215,11 @@ func TestQuickSelectorPartition(t *testing.T) {
 	}
 }
 
-// Regression: every terminal (All, IDs, First) must materialise in document
-// order — the order Platform.Walk visits — no matter how the set was built
-// or how map-iteration scrambled it along the way. The registry caches
-// compiled results keyed on the filter expression, so a nondeterministic
-// order would poison the cache with an arbitrary permutation.
+// Regression: every terminal (All, IDs) must materialise in document
+// order — the order Platform.Walk visits — no matter how the set was built.
+// The registry caches query results keyed on the filter expression, so a
+// nondeterministic order would poison the cache with an arbitrary
+// permutation.
 func TestWalkOrderingStable(t *testing.T) {
 	pl := fixture(t)
 	var walkOrder []string
@@ -258,8 +234,8 @@ func TestWalkOrderingStable(t *testing.T) {
 	if !reflect.DeepEqual(q.IDs(), walkOrder) {
 		t.Fatalf("New(pl).IDs() = %v; want walk order %v", q.IDs(), walkOrder)
 	}
-	// Selector evaluation goes through map-keyed union/dedup internally;
-	// results must still come back in document order, repeatably.
+	// A union of paths that reach the units in another order still comes
+	// back in document order, repeatably.
 	for i := 0; i < 20; i++ {
 		got, err := q.Select("//Worker, //Hybrid, /Master")
 		if err != nil {
@@ -269,23 +245,24 @@ func TestWalkOrderingStable(t *testing.T) {
 			t.Fatalf("iteration %d: %v; want %v", i, got.IDs(), walkOrder)
 		}
 	}
-	// Filters preserve relative document order too.
-	workers := q.Workers()
-	if !reflect.DeepEqual(workers.IDs(), []string{"gpu0", "gpu1", "spe0", "spe1"}) {
-		t.Fatalf("workers = %v", workers.IDs())
+	// Filters preserve relative document order too, and limit keeps the
+	// first units in that order.
+	f, err := ParseFilterArgs([]string{"kind=worker", "limit=3"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if workers.First().ID != "gpu0" {
-		t.Fatalf("First = %v", workers.First())
+	workers, err := f.Apply(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if workers.Head(2).Count() != 2 {
-		t.Fatalf("Head(2).Count = %d", workers.Head(2).Count())
+	if got := ids(workers.All()); !reflect.DeepEqual(got, []string{"gpu0", "gpu1", "spe0"}) {
+		t.Fatalf("workers = %v", got)
 	}
 }
 
-// Two goroutines chain filters over one shared Q root: derivation must not
-// mutate shared state, so the registry can hand the same compiled root to
-// every concurrent HTTP request. Run under -race via the Makefile race
-// subset.
+// Two goroutines select over one shared Q root: selection must not mutate
+// shared state, so the registry can hand the same root to every concurrent
+// HTTP request. Run under -race via the Makefile race subset.
 func TestConcurrentReadersShareRoot(t *testing.T) {
 	pl := fixture(t)
 	root := New(pl)
@@ -301,11 +278,19 @@ func TestConcurrentReadersShareRoot(t *testing.T) {
 		}
 	}
 	wg.Add(2)
+	filters, err := ParseFilterArgs([]string{"kind=worker", "arch=gpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go reader(func() []string {
-		return root.Workers().WithArch("gpu").IDs()
+		q, err := filters.Apply(root)
+		if err != nil {
+			return []string{err.Error()}
+		}
+		return q.IDs()
 	}, []string{"gpu0", "gpu1"})
 	go reader(func() []string {
-		q, err := root.InGroup("gpuset").Select("//*[MAX_COMPUTE_UNITS>=15]")
+		q, err := root.Select("//*[group=gpuset][MAX_COMPUTE_UNITS>=15]")
 		if err != nil {
 			return []string{err.Error()}
 		}
@@ -319,5 +304,130 @@ func TestConcurrentReadersShareRoot(t *testing.T) {
 	// The shared root itself is untouched.
 	if root.Count() != 6 {
 		t.Fatalf("root mutated: count = %d", root.Count())
+	}
+}
+
+// naiveSelect is the selector's meaning written the plain way: per path, the
+// node set after each step, found by walking the tree from every node of the
+// set before it; paths unioned, sorted into Platform.Walk order.
+func naiveSelect(pl *core.Platform, sel *Selector) []string {
+	union := map[*core.PU]bool{}
+	for _, path := range sel.Paths {
+		cur := []*core.PU{nil} // nil is the virtual root above the Masters
+		for i := range path {
+			st := &path[i]
+			next := map[*core.PU]bool{}
+			for _, node := range cur {
+				var cands []*core.PU
+				switch {
+				case node == nil && st.Descend:
+					cands = pl.AllPUs()
+				case node == nil:
+					cands = pl.Masters
+				case st.Descend:
+					node.Walk(func(n, _ *core.PU) bool {
+						if n != node {
+							cands = append(cands, n)
+						}
+						return true
+					})
+				default:
+					cands = node.Children
+				}
+				for _, c := range cands {
+					if st.matches(c) {
+						next[c] = true
+					}
+				}
+			}
+			cur = cur[:0]
+			for n := range next {
+				cur = append(cur, n)
+			}
+		}
+		for _, n := range cur {
+			union[n] = true
+		}
+	}
+	var out []string
+	pl.Walk(func(pu, _ *core.PU) bool {
+		if union[pu] {
+			out = append(out, pu.ID)
+		}
+		return true
+	})
+	return out
+}
+
+// randomPlatform builds one to two Masters over Hybrids nested up to three
+// deep (every scope controls one to three units), with properties and groups drawn from small pools so predicates hit.
+func randomPlatform(r *rand.Rand) *core.Platform {
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	opts := func() []core.PUOption {
+		o := []core.PUOption{core.Arch(pick("gpu", "spe", "x86", "1"))}
+		if r.Intn(2) == 0 {
+			o = append(o, core.WithProp(core.PropComputeUnits, pick("15", "30", "30.0", "x", "")))
+		}
+		if r.Intn(2) == 0 {
+			o = append(o, core.InGroups(pick("gpuset", "cpuset")))
+		}
+		return o
+	}
+	b := core.NewBuilder("r")
+	var grow func(depth int)
+	grow = func(depth int) {
+		for i := 1 + r.Intn(3); i > 0; i-- {
+			if depth < 3 && r.Intn(3) == 0 {
+				b.Hybrid("", opts()...)
+				grow(depth + 1)
+				b.End()
+			} else {
+				b.Worker("", opts()...)
+			}
+		}
+	}
+	for m := 1 + r.Intn(2); m > 0; m-- {
+		b.Master("", opts()...)
+		grow(1)
+	}
+	return b.MustBuild()
+}
+
+// randomSelector draws one to two paths of one to three steps.
+func randomSelector(r *rand.Rand) string {
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	var paths []string
+	for p := 1 + r.Intn(2); p > 0; p-- {
+		var b strings.Builder
+		for s := 1 + r.Intn(3); s > 0; s-- {
+			b.WriteString(pick("/", "//"))
+			b.WriteString(pick("*", "*", "Master", "Hybrid", "Worker"))
+			if r.Intn(2) == 0 {
+				b.WriteString(pick("[ARCHITECTURE=gpu]", "[ARCHITECTURE!=spe]", "[ARCHITECTURE=1.0]",
+					"[MAX_COMPUTE_UNITS]", "[MAX_COMPUTE_UNITS=30]", "[MAX_COMPUTE_UNITS<20]",
+					"[MAX_COMPUTE_UNITS>=x]", "[group=gpuset]", "[group!=cpuset]", "[group]", "[@quantity=1]"))
+			}
+		}
+		paths = append(paths, b.String())
+	}
+	return strings.Join(paths, ", ")
+}
+
+// The position-interval evaluator matches the naive tree walk on random
+// platforms and selectors.
+func TestQuickSelectorMatchesNaiveWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		pl := randomPlatform(r)
+		src := randomSelector(r)
+		sel, err := ParseSelector(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		got := ids(MustSelect(pl, src))
+		want := naiveSelect(pl, sel)
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s on %s:\n got %v\nwant %v", src, pl.Summary(), got, want)
+		}
 	}
 }

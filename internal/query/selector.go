@@ -1,7 +1,8 @@
 // Package query implements the query API over PDL platform descriptions
 // referred to in the paper's case study: a compact path-selector language
-// (reminiscent of XPath, specialised to the machine model) plus a fluent
-// programmatic interface.
+// (reminiscent of XPath, specialised to the machine model), evaluated over a
+// document-ordered PU set (Q). The flat key=value DSL (dsl.go) compiles onto
+// the same selectors, so there is one evaluator.
 //
 // Selector examples:
 //
@@ -29,6 +30,10 @@
 // comma unions independent paths: "//Master, //Worker[ARCHITECTURE=gpu]"
 // matches every Master plus the gpu Workers, deduplicated in document
 // order.
+//
+// A comparison is numeric when both sides parse as numbers and compares
+// strings otherwise, so [MAX_COMPUTE_UNITS=30.0] matches a unit whose value
+// is "30". A comparison on a property the unit lacks never holds, != included.
 package query
 
 import (
@@ -53,24 +58,14 @@ const (
 	OpGe
 )
 
+// opTokens spells each operator, in Op order.
+var opTokens = [...]string{OpExists: "", OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">="}
+
 func (o Op) String() string {
-	switch o {
-	case OpExists:
-		return ""
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
+	if o < 0 || int(o) >= len(opTokens) {
+		return "?"
 	}
-	return "?"
+	return opTokens[o]
 }
 
 // Pred is one [key op value] predicate.
@@ -78,6 +73,24 @@ type Pred struct {
 	Key   string // property name, "group", or "@attr"
 	Op    Op
 	Value string
+	num   float64 // Value as a number, when isNum
+	isNum bool
+}
+
+// newPred builds a predicate, parsing its value as a number once.
+func newPred(key string, op Op, value string) Pred {
+	n, ok := parseNum(value)
+	return Pred{Key: key, Op: op, Value: value, num: n, isNum: ok}
+}
+
+// parseNum is strconv.ParseFloat without the error it allocates for a value
+// whose first byte cannot begin a number (most property values: "gpu").
+func parseNum(s string) (float64, bool) {
+	if s == "" || !strings.ContainsRune("0123456789+-.iInN", rune(s[0])) {
+		return 0, false
+	}
+	n, err := strconv.ParseFloat(s, 64)
+	return n, err == nil
 }
 
 // Step is one /Class[pred]* component of a selector.
@@ -94,50 +107,24 @@ type Selector struct {
 	src   string
 }
 
-// Steps returns the steps of the first path, preserving the original
-// single-path API for the common case.
-func (s *Selector) Steps() []Step {
-	if len(s.Paths) == 0 {
-		return nil
-	}
-	return s.Paths[0]
-}
-
 // String returns the original selector source.
 func (s *Selector) String() string { return s.src }
 
 // ParseSelector parses a selector expression.
 func ParseSelector(src string) (*Selector, error) {
+	p := &selParser{src: src}
 	sel := &Selector{src: src}
-	depth := 0
-	start := 0
-	var parts []string
-	for i := 0; i <= len(src); i++ {
-		if i == len(src) {
-			parts = append(parts, src[start:])
-			break
-		}
-		switch src[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				parts = append(parts, src[start:i])
-				start = i + 1
-			}
-		}
-	}
-	for _, part := range parts {
-		p := &selParser{src: part}
-		steps, err := p.parse()
+	for {
+		steps, err := p.path()
 		if err != nil {
 			return nil, fmt.Errorf("query: parse %q: %w", src, err)
 		}
 		sel.Paths = append(sel.Paths, steps)
+		if p.pos == len(src) {
+			return sel, nil
+		}
+		p.pos++ // the ',' between two paths
 	}
-	return sel, nil
 }
 
 type selParser struct {
@@ -145,10 +132,12 @@ type selParser struct {
 	pos int
 }
 
-func (p *selParser) parse() ([]Step, error) {
+// path parses the steps up to the end of the source or the next ',' outside
+// a predicate.
+func (p *selParser) path() ([]Step, error) {
 	var steps []Step
 	p.skipSpace()
-	for p.pos < len(p.src) {
+	for p.pos < len(p.src) && p.src[p.pos] != ',' {
 		step, err := p.step()
 		if err != nil {
 			return nil, err
@@ -157,7 +146,7 @@ func (p *selParser) parse() ([]Step, error) {
 		p.skipSpace()
 	}
 	if len(steps) == 0 {
-		return nil, fmt.Errorf("empty selector")
+		return nil, fmt.Errorf("position %d: empty path", p.pos)
 	}
 	return steps, nil
 }
@@ -205,7 +194,6 @@ func isIdentChar(c byte) bool {
 }
 
 func (p *selParser) pred() (Pred, error) {
-	var pr Pred
 	p.pos++ // consume '['
 	start := p.pos
 	if p.pos < len(p.src) && p.src[p.pos] == '@' {
@@ -214,33 +202,27 @@ func (p *selParser) pred() (Pred, error) {
 	for p.pos < len(p.src) && isIdentChar(p.src[p.pos]) {
 		p.pos++
 	}
-	pr.Key = p.src[start:p.pos]
-	if pr.Key == "" || pr.Key == "@" {
-		return pr, fmt.Errorf("position %d: empty predicate key", start)
+	key := p.src[start:p.pos]
+	if key == "" || key == "@" {
+		return Pred{}, fmt.Errorf("position %d: empty predicate key", start)
 	}
 	if p.pos < len(p.src) && p.src[p.pos] == ']' {
 		p.pos++
-		pr.Op = OpExists
-		return pr, nil
+		return newPred(key, OpExists, ""), nil
 	}
-	// operator
-	ops := []struct {
-		tok string
-		op  Op
-	}{{"!=", OpNe}, {"<=", OpLe}, {">=", OpGe}, {"=", OpEq}, {"<", OpLt}, {">", OpGt}}
-	matched := false
-	for _, o := range ops {
-		if strings.HasPrefix(p.src[p.pos:], o.tok) {
-			pr.Op = o.op
-			p.pos += len(o.tok)
-			matched = true
+	op := OpExists
+	for _, o := range []Op{OpNe, OpLe, OpGe, OpEq, OpLt, OpGt} { // two-byte tokens first
+		if strings.HasPrefix(p.src[p.pos:], o.String()) {
+			op = o
+			p.pos += len(o.String())
 			break
 		}
 	}
-	if !matched {
-		return pr, fmt.Errorf("position %d: expected operator or ]", p.pos)
+	if op == OpExists {
+		return Pred{}, fmt.Errorf("position %d: expected operator or ]", p.pos)
 	}
 	// value: quoted or bare until ']'
+	var value string
 	if p.pos < len(p.src) && (p.src[p.pos] == '\'' || p.src[p.pos] == '"') {
 		quote := p.src[p.pos]
 		p.pos++
@@ -249,89 +231,83 @@ func (p *selParser) pred() (Pred, error) {
 			p.pos++
 		}
 		if p.pos >= len(p.src) {
-			return pr, fmt.Errorf("unterminated quoted value")
+			return Pred{}, fmt.Errorf("unterminated quoted value")
 		}
-		pr.Value = p.src[vstart:p.pos]
+		value = p.src[vstart:p.pos]
 		p.pos++
 	} else {
 		vstart := p.pos
 		for p.pos < len(p.src) && p.src[p.pos] != ']' {
 			p.pos++
 		}
-		pr.Value = strings.TrimSpace(p.src[vstart:p.pos])
+		value = strings.TrimSpace(p.src[vstart:p.pos])
 	}
 	if p.pos >= len(p.src) || p.src[p.pos] != ']' {
-		return pr, fmt.Errorf("missing ] in predicate")
+		return Pred{}, fmt.Errorf("missing ] in predicate")
 	}
 	p.pos++
-	return pr, nil
+	return newPred(key, op, value), nil
+}
+
+// matches reports whether the step's class and every predicate hold for pu.
+func (st *Step) matches(pu *core.PU) bool {
+	if st.Class != "*" && st.Class != pu.Class.String() {
+		return false
+	}
+	for i := range st.Preds {
+		if !st.Preds[i].matches(pu) {
+			return false
+		}
+	}
+	return true
 }
 
 // matches reports whether the predicate holds for the PU.
-func (pr Pred) matches(pu *core.PU) bool {
+func (pr *Pred) matches(pu *core.PU) bool {
 	var have string
-	var present bool
-	switch {
-	case strings.HasPrefix(pr.Key, "@"):
-		switch pr.Key {
-		case "@id":
-			have, present = pu.ID, true
-		case "@name":
-			have, present = pu.Name, true
-		case "@class":
-			have, present = pu.Class.String(), true
-		case "@quantity":
-			have, present = strconv.Itoa(pu.EffectiveQuantity()), true
-		default:
-			return false
-		}
-	case pr.Key == "group":
-		if pr.Op == OpExists {
-			return len(pu.Groups) > 0
-		}
+	switch pr.Key {
+	case "@id":
+		have = pu.ID
+	case "@name":
+		have = pu.Name
+	case "@class":
+		have = pu.Class.String()
+	case "@quantity":
+		have = strconv.Itoa(pu.EffectiveQuantity())
+	case "group":
 		// group supports = and != only; ordered comparison is meaningless.
-		in := pu.InGroup(pr.Value)
-		if pr.Op == OpEq {
-			return in
-		}
-		if pr.Op == OpNe {
-			return !in
+		switch pr.Op {
+		case OpExists:
+			return len(pu.Groups) > 0
+		case OpEq:
+			return pu.InGroup(pr.Value)
+		case OpNe:
+			return !pu.InGroup(pr.Value)
 		}
 		return false
 	default:
+		if strings.HasPrefix(pr.Key, "@") {
+			return false
+		}
 		p, ok := pu.Descriptor.Get(pr.Key)
-		have, present = p.Value, ok
+		if !ok {
+			return false
+		}
+		have = p.Value
 	}
 	if pr.Op == OpExists {
-		return present
+		return true
 	}
-	if !present {
-		return false
+	if pr.isNum {
+		if h, ok := parseNum(have); ok {
+			return compare(h, pr.Op, pr.num)
+		}
 	}
 	return compare(have, pr.Op, pr.Value)
 }
 
-// compare applies op using numeric comparison when both sides parse as
-// floats, falling back to string comparison otherwise.
-func compare(have string, op Op, want string) bool {
-	hf, herr := strconv.ParseFloat(have, 64)
-	wf, werr := strconv.ParseFloat(want, 64)
-	if herr == nil && werr == nil {
-		switch op {
-		case OpEq:
-			return hf == wf
-		case OpNe:
-			return hf != wf
-		case OpLt:
-			return hf < wf
-		case OpLe:
-			return hf <= wf
-		case OpGt:
-			return hf > wf
-		case OpGe:
-			return hf >= wf
-		}
-	}
+// compare applies op to two numbers or two strings.
+func compare[T float64 | string](have T, op Op, want T) bool {
 	switch op {
 	case OpEq:
 		return have == want

@@ -43,9 +43,9 @@ type Entry struct {
 	Revision uint64 // per-platform revision, 1 on first upload
 	Warnings []string
 
-	// root is the pre-built query over the parsed platform. query.Q derives
-	// new sets on filtering and never mutates shared state, so concurrent
-	// requests chain filters off this one root (see the concurrent-readers
+	// root is the platform's one walk, the set of all its PUs. Selecting
+	// from a query.Q derives a new set and never changes it, so concurrent
+	// requests all evaluate against this root (see the concurrent-readers
 	// test in internal/query).
 	root *query.Q
 }

@@ -18,14 +18,18 @@ vet:
 # Task.ID()/Handle.ID() (dense by construction): no map keyed by a task or
 # handle pointer, and none keyed by an id, may grow back in the files that hold
 # engine state. The sim's ready tasks are one of those books, kept in the order
-# they are taken (readyQueue): a scan of them per pick may not grow back either.
+# they are taken (readyQueue, a bitmap over each task's rank in that order): a
+# scan of them per pick may not grow back, nor a heap of them beside the
+# bitmap. The simulated machine's links are one dense table by node pair: a
+# nested map of them may not grow back into internal/simhw.
 # Both engines run the same two policies, ws and dmda: a sim-only policy name
 # or a seeded draw may not come back into the engine, its config or codegen.
 # A completion writes its own worker's observed totals: pool-wide totals that
 # every completion adds to may not come back into the dmda dispatcher.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
-	@! grep -nE 'pickTaskIndex|range ready' internal/taskrt/simengine.go
+	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
+	@! grep -rn 'map\[int\]map\[int\]' internal/simhw
 	@! grep -nE '"(eager|heft|random)"|math/rand' internal/taskrt/simengine.go internal/taskrt/taskrt.go internal/codegen/gengo.go
 	@! grep -nE 'totBusy|totCompleted' internal/taskrt/dispatch.go
 

@@ -77,12 +77,14 @@ func TestTiledGEMMLabels(t *testing.T) {
 // alone is bounded by taskrt's TestSimRunAllocations). Tasks and access
 // lists come from two slabs, every label is a substring of one string, and
 // the runtime keeps the edges and the handles' readers in a few tables by id
-// that grow by doubling: 0.20 allocations a task. Deps and dependents cut from
+// that SubmitBatch grows once for the batch: 0.20 allocations and 325 bytes a
+// task, the byte bound 10 % above that. Grown by doubling instead, the tables
+// cost 390 bytes a task. Deps and dependents cut from
 // a shared chunk, with a reader list on every handle, measured 0.58; a label
 // string of its own per task 1.58; one allocation each for the Task, its
 // []Access, fmt.Sprintf, deps and dependents 5.6.
 func TestSimDGEMMAllocations(t *testing.T) {
-	const maxPerTask = 0.3
+	const maxPerTask, maxBytesPerTask = 0.3, 355
 	rt, err := taskrt.New(taskrt.Config{Platform: discover.MustPlatform("xeon-2gpu"), Mode: taskrt.Sim, Scheduler: "dmda"})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +99,13 @@ func TestSimDGEMMAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perTask := float64(after.Mallocs-before.Mallocs) / float64(rt.Tasks())
-	t.Logf("%d tasks, %.2f allocations per task", rt.Tasks(), perTask)
+	bytesPerTask := float64(after.TotalAlloc-before.TotalAlloc) / float64(rt.Tasks())
+	t.Logf("%d tasks, %.2f allocations and %.0f bytes per task", rt.Tasks(), perTask, bytesPerTask)
 	if perTask > maxPerTask {
 		t.Errorf("%.2f allocations per task, want at most %.1f", perTask, maxPerTask)
+	}
+	if bytesPerTask > maxBytesPerTask {
+		t.Errorf("%.0f bytes per task, want at most %d", bytesPerTask, maxBytesPerTask)
 	}
 }
 

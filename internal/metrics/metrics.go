@@ -99,6 +99,47 @@ func (h *Histogram) Observe(v float64) {
 	h.n.Add(1)
 }
 
+// Local returns an empty buffer of observations for h. The buffer belongs to
+// one goroutine: Observe touches no shared word, and Flush merges what it
+// holds into h with one atomic add per non-empty bucket. A scrape sees none of
+// it before the Flush.
+func (h *Histogram) Local() *LocalHistogram {
+	return &LocalHistogram{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// LocalHistogram is a single-goroutine buffer in front of a Histogram.
+type LocalHistogram struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+	n      uint64
+}
+
+// Observe records one observation in the buffer, bucketed as
+// Histogram.Observe buckets it.
+func (l *LocalHistogram) Observe(v float64) {
+	l.counts[sort.SearchFloat64s(l.h.bounds, v)]++
+	l.sum += v
+	l.n++
+}
+
+// Flush adds the buffered observations to the histogram and empties the
+// buffer.
+func (l *LocalHistogram) Flush() {
+	if l.n == 0 {
+		return
+	}
+	for i, c := range l.counts {
+		if c > 0 {
+			l.h.counts[i].Add(c)
+		}
+	}
+	l.h.sum.add(l.sum)
+	l.h.n.Add(l.n)
+	clear(l.counts)
+	l.sum, l.n = 0, 0
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n.Load() }
 

@@ -54,6 +54,34 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestLocalHistogramFlush: observations buffered in a LocalHistogram are
+// invisible until Flush, which leaves the histogram rendering exactly what
+// Observe on it would have; a second Flush adds nothing.
+func TestLocalHistogramFlush(t *testing.T) {
+	vs := []float64{0.5, 1, 5, 100, 10, 0.25}
+	direct, buffered := New(), New()
+	hd := direct.Histogram("h", "help", []float64{1, 10})
+	hb := buffered.Histogram("h", "help", []float64{1, 10})
+	l := hb.Local()
+	for _, v := range vs {
+		hd.Observe(v)
+		l.Observe(v)
+	}
+	if hb.Count() != 0 {
+		t.Fatalf("count before Flush = %d, want 0", hb.Count())
+	}
+	l.Flush()
+	l.Flush()
+	render := func(r *Registry) string {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return b.String()
+	}
+	if got, want := render(buffered), render(direct); got != want {
+		t.Fatalf("flushed:\n%s\nobserved:\n%s", got, want)
+	}
+}
+
 func TestVecChildrenAndRender(t *testing.T) {
 	r := New()
 	cv := r.CounterVec("tasks_total", "help", "unit")

@@ -47,8 +47,11 @@ func (l *Link) TransferTime(bytes int64) float64 {
 type Machine struct {
 	Name  string
 	Units []*Unit
-	// links[from][to] is the direct link between nodes, if any.
-	links    map[int]map[int]*Link
+	// links is the direct link between every ordered pair of memory nodes,
+	// one dense table: links[from*numNodes+to], nil where there is none. A
+	// transfer is priced for every missing operand of every bid, so finding
+	// its link is one index.
+	links    []*Link
 	numNodes int
 }
 
@@ -73,7 +76,7 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 		return nil, fmt.Errorf("simhw: %w", err)
 	}
 	ex := pl.Expand()
-	m := &Machine{Name: pl.Name, links: map[int]map[int]*Link{}}
+	m := &Machine{Name: pl.Name}
 	m.numNodes = 1 // node 0 = host RAM
 
 	// Map original (unexpanded) worker PU id -> memory node, so interconnect
@@ -100,6 +103,7 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 	})
 
 	// Wire declared interconnects between the endpoint nodes.
+	m.links = make([]*Link, m.numNodes*m.numNodes)
 	for _, ic := range ex.Interconnects() {
 		from, okF := nodeOf[ic.From]
 		to, okT := nodeOf[ic.To]
@@ -154,18 +158,10 @@ func unitLaunch(pu *core.PU) float64 {
 }
 
 func (m *Machine) addLink(from, to int, bw, lat float64) {
-	if m.links[from] == nil {
-		m.links[from] = map[int]*Link{}
-	}
-	m.links[from][to] = &Link{From: from, To: to, Bandwidth: bw, Latency: lat}
+	m.links[from*m.numNodes+to] = &Link{From: from, To: to, Bandwidth: bw, Latency: lat}
 }
 
-func (m *Machine) link(from, to int) *Link {
-	if row, ok := m.links[from]; ok {
-		return row[to]
-	}
-	return nil
-}
+func (m *Machine) link(from, to int) *Link { return m.links[from*m.numNodes+to] }
 
 // NumNodes returns the number of memory nodes.
 func (m *Machine) NumNodes() int { return m.numNodes }
@@ -177,6 +173,9 @@ func (m *Machine) NumNodes() int { return m.numNodes }
 func (m *Machine) TransferTime(from, to int, bytes int64) (float64, error) {
 	if from == to {
 		return 0, nil
+	}
+	if n := uint(m.numNodes); uint(from) >= n || uint(to) >= n {
+		return 0, fmt.Errorf("simhw: memory nodes %d and %d: the machine has %d", from, to, n)
 	}
 	if l := m.link(from, to); l != nil {
 		return l.TransferTime(bytes), nil

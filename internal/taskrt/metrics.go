@@ -16,9 +16,14 @@ import (
 // by PDL unit id rather than workerN); the busy/latency figures are only
 // comparable within one mode.
 //
-// Hot-path cost: one histogram observation per task execution (three atomic
-// ops via a per-worker cached handle); everything else is updated on the
-// failure slow path or merged once at the end of the run.
+// Hot-path cost: the real engine makes one histogram observation per task
+// execution (three atomic ops via a per-worker cached handle), live, because a
+// scrape in the middle of a run must see it progress. The sim engine observes
+// into a per-unit metrics.LocalHistogram, no shared word touched, and flushes
+// every unit's buffer once when runSim returns, on error too: a scrape ends
+// each run with the counts per-task observations would have left. Everything
+// else is updated on the failure slow path or merged once at the end of the
+// run.
 
 // taskSecondsBuckets span µs-scale no-op dispatch tasks up to second-scale
 // kernels.

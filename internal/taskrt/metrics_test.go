@@ -1,6 +1,13 @@
 package taskrt
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/discover"
+	"repro/internal/simhw"
+	"repro/internal/trace"
+)
 
 // Regression: recordReport set taskrt_unit_blacklisted to 1 for blacklisted
 // units but never wrote 0 for healthy ones, so a unit blacklisted in one run
@@ -29,5 +36,74 @@ func TestRecordReportClearsBlacklistGauge(t *testing.T) {
 	recordReport(rep)
 	if got := rtm.blacklisted.With("blgauge-w1").Value(); got != 0 {
 		t.Fatalf("recovered unit gauge = %v, want 0 after healthy run", got)
+	}
+}
+
+// TestSimTaskSecondsMatchSpans holds a Sim run's taskrt_task_seconds{unit} to
+// its own trace: per unit, the count grows by the unit's task spans and the
+// sum by their summed durations. The run that gives up after MaxAttempts
+// checks the same on the error path, where only the tasks that completed
+// before the last failure count.
+func TestSimTaskSecondsMatchSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		platform string
+		faults   *FaultPlan
+		submit   func(*Runtime)
+		wantErr  bool
+	}{
+		{"completes", "xeon-2gpu", nil, func(rt *Runtime) { submitTiledGEMM(t, rt, 4, 256) }, false},
+		{"gives up", "xeon-1core", &FaultPlan{Events: []FaultEvent{
+			{Unit: "host", AfterTasks: 3, RecoverAfter: 1e-3},
+			{Unit: "host", AfterTasks: 4, RecoverAfter: 1e-3},
+			{Unit: "host", AfterTasks: 5, RecoverAfter: 1e-3},
+		}}, func(rt *Runtime) { submitTiles(t, rt, 4, 1e9, 1<<20) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.New()
+			rt, err := New(Config{
+				Platform: discover.MustPlatform(tc.platform), Mode: Sim, Scheduler: "dmda",
+				Trace: tr, Faults: tc.faults, Retry: RetryPolicy{MaxAttempts: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.submit(rt)
+			type totals struct {
+				n   uint64
+				sum float64
+			}
+			m, err := simhw.FromPlatform(discover.MustPlatform(tc.platform))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := map[string]totals{}
+			for _, u := range m.Units {
+				h := rtm.taskSeconds.With(u.ID)
+				before[u.ID] = totals{h.Count(), h.Sum()}
+			}
+			if _, err := rt.Run(); (err != nil) != tc.wantErr {
+				t.Fatalf("Run: err = %v, want an error: %v", err, tc.wantErr)
+			}
+			spans := map[string]totals{}
+			for _, e := range tr.OfKind(trace.Task) {
+				s := spans[e.Unit]
+				spans[e.Unit] = totals{s.n + 1, s.sum + (e.End - e.Start)}
+			}
+			if len(spans) == 0 {
+				t.Fatal("the run traced no task span")
+			}
+			for id, b := range before {
+				h := rtm.taskSeconds.With(id)
+				got := totals{h.Count() - b.n, h.Sum() - b.sum}
+				want := spans[id]
+				if got.n != want.n {
+					t.Errorf("%s: count grew by %d, the trace has %d task spans", id, got.n, want.n)
+				}
+				if math.Abs(got.sum-want.sum) > 1e-9*math.Abs(want.sum) {
+					t.Errorf("%s: sum grew by %g, the task spans last %g", id, got.sum, want.sum)
+				}
+			}
+		})
 	}
 }

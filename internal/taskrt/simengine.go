@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -21,7 +22,9 @@ type simUnit struct {
 	class int // index into simState.bids: units of one class bid alike
 	res   sim.Resource
 	tasks int
-	hist  *metrics.Histogram // taskrt_task_seconds{unit}
+	// hist buffers the run's observations of taskrt_task_seconds{unit}:
+	// runSim flushes it once, on every way out.
+	hist *metrics.LocalHistogram
 
 	started   int         // attempts launched on this unit (fault triggers)
 	downUntil sim.Time    // transient blacklisting: unavailable before this
@@ -65,8 +68,9 @@ type simState struct {
 	// valid is the coherence table, one row of len(dma) nodes per handle:
 	// valid[h.id*len(dma)+node] says node holds a valid copy of h.
 	valid []bool
-	tasks []simTask // by task id
-	nodes []string  // a memory node's lane in transfer spans, when tracing
+	tasks []simTask  // by task id
+	ready readyQueue // the tasks runSim may take next
+	nodes []string   // a memory node's lane in transfer spans, when tracing
 
 	// Fault tolerance.
 	ft     bool
@@ -104,6 +108,7 @@ func newSimState(g *Graph, cfg Config) (*simState, error) {
 		cfg:     cfg,
 		valid:   make([]bool, len(g.handles)*machine.NumNodes()),
 		tasks:   make([]simTask, len(g.tasks)),
+		ready:   newReadyQueue(g),
 		ft:      cfg.ftEnabled(),
 		policy:  cfg.Retry.withDefaults(),
 	}
@@ -135,7 +140,7 @@ func newSimState(g *Graph, cfg Config) (*simState, error) {
 			class = len(classes)
 			classes[key] = class
 		}
-		su := &simUnit{hw: u, idx: len(st.units), class: class, hist: rtm.taskSeconds.With(u.ID), dead: unitAllowed(u.ID, offline)}
+		su := &simUnit{hw: u, idx: len(st.units), class: class, hist: rtm.taskSeconds.With(u.ID).Local(), dead: unitAllowed(u.ID, offline)}
 		if evs := cfg.Faults.forUnit(u.ID); len(evs) > 0 {
 			su.faults = &faultQueue{events: evs}
 		}
@@ -160,7 +165,8 @@ func runSim(g *Graph, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ready readyQueue
+	defer st.flushMetrics()
+	ready := &st.ready
 	for id, t := range g.tasks {
 		if st.tasks[id].remaining == 0 {
 			ready.push(t)
@@ -177,16 +183,24 @@ func runSim(g *Graph, cfg Config) (*Report, error) {
 	return st.report(), nil
 }
 
+// flushMetrics merges every unit's buffered task-time observations into the
+// process-wide histograms.
+func (st *simState) flushMetrics() {
+	for _, su := range st.units {
+		su.hist.Flush()
+	}
+}
+
 // step schedules one ready task: it picks the unit, runs the attempt and
 // pushes what became ready — the task's released dependents, or after a
 // failed attempt the task itself.
 func (st *simState) step(t *Task, push func(*Task)) error {
 	rec := &st.tasks[t.id]
-	u, err := st.pickUnit(t, rec.readyAt)
+	u, kernel, err := st.pickUnit(t, rec.readyAt)
 	if err != nil {
 		return err
 	}
-	end, fail, err := st.execute(t, u, rec.readyAt)
+	end, fail, err := st.execute(t, u, kernel, rec.readyAt)
 	if err != nil {
 		return err
 	}
@@ -370,15 +384,15 @@ func (st *simState) taskSpan(kind trace.Kind, t *Task, su *simUnit, start, end s
 	}
 }
 
-// execute commits task t onto unit su: stages the required transfers,
-// occupies the unit and updates coherence. It returns the completion time,
-// or a non-nil simFailure when an injected fault killed the attempt.
-func (st *simState) execute(t *Task, su *simUnit, ready sim.Time) (sim.Time, *simFailure, error) {
+// execute commits task t onto unit su, where its kernel runs dur: stages the
+// required transfers, occupies the unit and updates coherence. It returns the
+// completion time, or a non-nil simFailure when an injected fault killed the
+// attempt.
+func (st *simState) execute(t *Task, su *simUnit, dur, ready sim.Time) (sim.Time, *simFailure, error) {
 	dataReady, err := st.stage(t, su, ready, true)
 	if err != nil {
 		return 0, nil, err
 	}
-	dur := sim.Time(kernelSeconds(st.machine, t, su.hw))
 	start := max(dataReady, su.res.Available())
 	su.started++
 	if st.ft {
@@ -589,73 +603,94 @@ func (st *simState) compatibleUnits(t *Task) []*simUnit {
 	return out
 }
 
-// readyItem is a waiting task beside the keys it is ordered by, copied out of
-// the task so that a comparison reads the queue's own array only.
-type readyItem struct {
-	t    *Task
-	prio int // Task.Priority
-	id   int // Task.ID()
-}
-
-// before reports whether a is taken ahead of b.
-func (a readyItem) before(b readyItem) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.id < b.id
-}
-
 // readyQueue hands out the tasks whose dependencies have completed, highest
 // Priority first and equal priorities by id, under both policies. The order is
-// total, so a run does not depend on how the queue is laid out, and a retried
-// task re-enters under its own id. It is a binary heap on before, O(log ready)
-// a task however wide the graph (a tiled GEMM keeps every C chain ready at
-// once).
+// total, so a run does not depend on how the set is laid out, and a retried
+// task re-enters under its own id. A task's place in that order — its rank —
+// is fixed when the queue is built, so the set is a bitmap over ranks: push
+// sets a bit and pop takes the lowest set one, O(1) a task however wide the
+// graph (a tiled GEMM keeps every C chain ready at once). A task is in the set
+// at most once — a retry is pushed only after it was popped — so one bit each
+// holds it exactly.
 type readyQueue struct {
-	items []readyItem
+	tasks []*Task
+	// rank maps a task id to its rank and order a rank to its task id. Both
+	// are nil when priorities never increase with id: the rank is the id.
+	rank, order []int32
+	// levels[0] holds one bit per rank, and bit w of levels[l+1] says word w
+	// of levels[l] is non-zero. The last level is one word.
+	levels [][]uint64
 }
 
-func (q *readyQueue) empty() bool { return len(q.items) == 0 }
+// newReadyQueue returns the empty ready set of g's tasks, ranked once.
+func newReadyQueue(g *Graph) readyQueue {
+	q := readyQueue{tasks: g.tasks}
+	n := len(g.tasks)
+	if !slices.IsSortedFunc(g.tasks, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) }) {
+		q.order, q.rank = make([]int32, n), make([]int32, n)
+		for id := range q.order {
+			q.order[id] = int32(id)
+		}
+		slices.SortStableFunc(q.order, func(a, b int32) int {
+			return cmp.Compare(g.tasks[b].Priority, g.tasks[a].Priority)
+		})
+		for r, id := range q.order {
+			q.rank[id] = int32(r)
+		}
+	}
+	for size := max(n, 1); ; size = (size + 63) / 64 {
+		q.levels = append(q.levels, make([]uint64, (size+63)/64))
+		if size <= 64 {
+			return q
+		}
+	}
+}
+
+func (q *readyQueue) empty() bool { return q.levels[len(q.levels)-1][0] == 0 }
 
 func (q *readyQueue) push(t *Task) {
-	it := readyItem{t: t, prio: t.Priority, id: t.id}
-	i := len(q.items)
-	q.items = append(q.items, it)
-	for i > 0 && it.before(q.items[(i-1)/2]) {
-		q.items[i] = q.items[(i-1)/2]
-		i = (i - 1) / 2
+	r := t.id
+	if q.rank != nil {
+		r = int(q.rank[r])
 	}
-	q.items[i] = it
+	for _, lv := range q.levels {
+		w := &lv[r>>6]
+		was := *w
+		*w |= 1 << (r & 63)
+		if was != 0 {
+			return // the levels above already mark this word
+		}
+		r >>= 6
+	}
 }
 
 // pop removes and returns the next task of a non-empty queue.
 func (q *readyQueue) pop() *Task {
-	n := len(q.items) - 1
-	top, last := q.items[0].t, q.items[n]
-	q.items = q.items[:n]
-	// Sift the last item down from the root.
-	i := 0
-	for child := 1; child < n; child = 2*i + 1 {
-		if child+1 < n && q.items[child+1].before(q.items[child]) {
-			child++
-		}
-		if !q.items[child].before(last) {
+	r := 0
+	for l := len(q.levels) - 1; l >= 0; l-- {
+		r = r<<6 | bits.TrailingZeros64(q.levels[l][r])
+	}
+	id := r
+	if q.order != nil {
+		id = int(q.order[r])
+	}
+	for _, lv := range q.levels {
+		w := &lv[r>>6]
+		*w &^= 1 << (r & 63)
+		if *w != 0 {
 			break
 		}
-		q.items[i] = q.items[child]
-		i = child
+		r >>= 6
 	}
-	if n > 0 {
-		q.items[i] = last
-	}
-	return top
+	return q.tasks[id]
 }
 
-// pickUnit chooses the unit for task t.
-func (st *simState) pickUnit(t *Task, ready sim.Time) (*simUnit, error) {
+// pickUnit chooses the unit for task t and returns it with the time t's
+// kernel runs there.
+func (st *simState) pickUnit(t *Task, ready sim.Time) (*simUnit, sim.Time, error) {
 	cands := st.compatibleUnits(t)
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("taskrt: no unit can run codelet %q (impls %v; %d unit(s) blacklisted)",
+		return nil, 0, fmt.Errorf("taskrt: no unit can run codelet %q (impls %v; %d unit(s) blacklisted)",
 			t.Codelet.Name, t.Codelet.Archs(), len(st.failedUnits))
 	}
 	if st.cfg.Scheduler == "ws" {
@@ -663,34 +698,34 @@ func (st *simState) pickUnit(t *Task, ready sim.Time) (*simUnit, error) {
 		// submission; an idle unit steals when the owner is backed up. In
 		// list-scheduling terms: run on the owner unless another compatible
 		// unit would start strictly earlier.
-		owner := cands[t.id%len(cands)]
+		u := cands[t.id%len(cands)]
 		best := slices.MinFunc(cands, func(a, b *simUnit) int { return cmp.Compare(a.availAt(), b.availAt()) })
-		if owner.availAt() <= best.availAt() || owner.availAt() <= ready {
-			return owner, nil
+		if u.availAt() > best.availAt() && u.availAt() > ready {
+			u = best
 		}
-		return best, nil
+		return u, sim.Time(kernelSeconds(st.machine, t, u.hw)), nil
 	}
 	// dmda: the unit with the earliest estimated finish, transfers included,
 	// the first in unit order among equals. A class's bid is priced once per
 	// pick; a unit still blacklisted at ready stages from its recovery instead,
-	// so it is priced alone.
+	// so it is priced alone. The winner's bid carries its kernel time.
 	st.picks++
 	var best *simUnit
-	var bestEFT sim.Time
+	var bestEFT, kernel sim.Time
 	for _, su := range cands {
-		var eft sim.Time
+		var b bid
 		if su.downUntil > ready {
-			eft = st.price(t, su, ready).finish(su)
+			b = st.price(t, su, ready)
 		} else {
 			cb := &st.bids[su.class]
 			if cb.pick != st.picks {
 				cb.bid, cb.pick = st.price(t, su, ready), st.picks
 			}
-			eft = cb.finish(su)
+			b = cb.bid
 		}
-		if best == nil || eft < bestEFT {
-			best, bestEFT = su, eft
+		if eft := b.finish(su); best == nil || eft < bestEFT {
+			best, bestEFT, kernel = su, eft, b.kernel
 		}
 	}
-	return best, nil
+	return best, kernel, nil
 }

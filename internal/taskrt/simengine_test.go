@@ -336,15 +336,17 @@ type readySet interface {
 	pop() *Task
 }
 
-// simulate is runSim's loop over the ready set q: the engine's own state and
-// step, so only the order tasks are taken in can differ. It returns that order
-// beside the report.
-func simulate(rt *Runtime, q readySet) (*Report, []int, error) {
+// simulate is runSim's loop over the ready set set(st) returns: the engine's
+// own state and step, so only the order tasks are taken in can differ. It
+// returns that order beside the report.
+func simulate(rt *Runtime, set func(*simState) readySet) (*Report, []int, error) {
 	g := rt.Graph()
 	st, err := newSimState(g, rt.cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer st.flushMetrics()
+	q := set(st)
 	for _, t := range g.Tasks() {
 		if len(g.Deps(t)) == 0 {
 			q.push(t)
@@ -395,8 +397,12 @@ func runTraced(t *testing.T, cfg Config, build func(*Runtime), exec func(*Runtim
 func againstScan(t *testing.T, cfg Config, build func(*Runtime)) []int {
 	t.Helper()
 	run := func(exec func(*Runtime) (*Report, []int, error)) outcome { return runTraced(t, cfg, build, exec) }
-	scan := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &scanQueue{}) })
-	queue := run(func(rt *Runtime) (*Report, []int, error) { return simulate(rt, &readyQueue{}) })
+	scan := run(func(rt *Runtime) (*Report, []int, error) {
+		return simulate(rt, func(*simState) readySet { return &scanQueue{} })
+	})
+	queue := run(func(rt *Runtime) (*Report, []int, error) {
+		return simulate(rt, func(st *simState) readySet { return &st.ready })
+	})
 	if !reflect.DeepEqual(queue, scan) {
 		t.Errorf("%s: readyQueue and the scan disagree:\nqueue took %v\nscan took  %v\nqueue: %s %s\nscan:  %s %s",
 			cfg.Scheduler, queue.order, scan.order, queue.report, queue.err, scan.report, scan.err)
@@ -456,53 +462,130 @@ func TestReadyQueueOrders(t *testing.T) {
 	}
 }
 
-// TestQuickReadyQueueMatchesScan is the differential property: on seeded
-// random DAGs built to collide — three priorities, two work sizes, After
-// edges beside the data dependencies — under a random fault plan that makes
-// tasks retry, both policies take the tasks from readyQueue in the order the
-// scan would have, and report the same run to the bit.
-func TestQuickReadyQueueMatchesScan(t *testing.T) {
+// TestReadyQueueWide drives the queue alone against scanQueue on graphs wide
+// enough for one to four levels of bitmap, under both rank paths: random
+// pushes of tasks not in the set and pops, every pop the task the scan takes,
+// until both are empty.
+func TestReadyQueueWide(t *testing.T) {
 	cl := dgemmCodelet(t)
-	f := func(seed int64, size uint8) bool {
-		build := func(rt *Runtime) {
-			rng := rand.New(rand.NewSource(seed))
-			var outs []*Handle
-			var tasks []*Task
-			for n := 0; n < 8+int(size%56); n++ {
-				out := rt.NewHandle("h", 1<<18, nil)
-				task := &Task{
-					Codelet:  cl,
-					Accesses: []Access{W(out)},
-					Flops:    float64(1+rng.Intn(2)) * 1e8,
-					Priority: rng.Intn(3),
-				}
-				// Mostly wide: half the tasks are roots.
-				if n > 0 && rng.Intn(2) == 0 {
-					task.Accesses = append(task.Accesses, R(outs[rng.Intn(n)]))
-					if rng.Intn(2) == 0 {
-						task.After = []*Task{tasks[rng.Intn(n)]}
-					}
+	for _, n := range []int{1, 64, 65, 4096, 4097, 262145} {
+		for _, ranked := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			var rt Runtime
+			for range n {
+				task := &Task{Codelet: cl}
+				if ranked {
+					task.Priority = rng.Intn(5) - 2
 				}
 				if err := rt.Submit(task); err != nil {
 					t.Fatal(err)
 				}
-				outs, tasks = append(outs, out), append(tasks, task)
+			}
+			g := rt.Graph()
+			q, scan := newReadyQueue(g), &scanQueue{}
+			if (q.rank != nil) != (ranked && n > 1) {
+				t.Fatalf("n=%d, priorities drawn %v: ranked by a sort %v", n, ranked, q.rank != nil)
+			}
+			in := make([]bool, n)
+			for step := 0; step < 4000 || len(scan.ready) > 0; step++ {
+				if step < 4000 && (len(scan.ready) == 0 || rng.Intn(3) > 0) {
+					if id := rng.Intn(n); !in[id] {
+						in[id] = true
+						q.push(g.tasks[id])
+						scan.push(g.tasks[id])
+					}
+					continue
+				}
+				if q.empty() {
+					t.Fatalf("n=%d: the queue is empty, the scan holds %d", n, len(scan.ready))
+				}
+				got, want := q.pop(), scan.pop()
+				if got != want {
+					t.Fatalf("n=%d, priorities drawn %v: popped task %d, the scan takes %d", n, ranked, got.id, want.id)
+				}
+				in[got.id] = false
+			}
+			if !q.empty() {
+				t.Fatalf("n=%d: the queue is not empty after the scan drained", n)
 			}
 		}
+	}
+}
+
+// TestQuickReadyQueueMatchesScan is the differential property: on seeded
+// random DAGs built to collide — colliding priorities, two work sizes, After
+// edges beside the data dependencies — under a random fault plan that makes
+// tasks retry, both policies take the tasks from readyQueue in the order the
+// scan would have, and report the same run to the bit. The priorities are
+// drawn three ways: all equal and never increasing with id, which the queue
+// ranks by id, and anything, negatives included, which it ranks by a sort.
+func TestQuickReadyQueueMatchesScan(t *testing.T) {
+	cl := dgemmCodelet(t)
+	prios := []struct {
+		name     string
+		identity bool // every graph takes the queue's rank-is-id path
+		draw     func(rng *rand.Rand, prev int) int
+	}{
+		{"equal", true, func(*rand.Rand, int) int { return 0 }},
+		{"non-increasing", true, func(rng *rand.Rand, prev int) int { return prev - rng.Intn(2) }},
+		{"arbitrary", false, func(rng *rand.Rand, _ int) int { return rng.Intn(5) - 2 }},
+	}
+	sorted := 0 // graphs ranked by a sort
+	f := func(seed int64, size uint8) bool {
 		failed := t.Failed()
-		for _, sched := range []string{"ws", "dmda"} {
-			againstScan(t, Config{
-				Platform:  discover.MustPlatform("xeon-2gpu"),
-				Mode:      Sim,
-				Scheduler: sched,
-				Faults:    RandomFaultPlan(seed, []string{"dev0", "dev1", "host.1"}, 0.05),
-				Retry:     RetryPolicy{MaxAttempts: 12},
-			}, build)
+		for _, p := range prios {
+			build := func(rt *Runtime) {
+				rng := rand.New(rand.NewSource(seed))
+				var outs []*Handle
+				var tasks []*Task
+				prio := rng.Intn(3)
+				for n := 0; n < 8+int(size%56); n++ {
+					prio = p.draw(rng, prio)
+					out := rt.NewHandle("h", 1<<18, nil)
+					task := &Task{
+						Codelet:  cl,
+						Accesses: []Access{W(out)},
+						Flops:    float64(1+rng.Intn(2)) * 1e8,
+						Priority: prio,
+					}
+					// Mostly wide: half the tasks are roots.
+					if n > 0 && rng.Intn(2) == 0 {
+						task.Accesses = append(task.Accesses, R(outs[rng.Intn(n)]))
+						if rng.Intn(2) == 0 {
+							task.After = []*Task{tasks[rng.Intn(n)]}
+						}
+					}
+					if err := rt.Submit(task); err != nil {
+						t.Fatal(err)
+					}
+					outs, tasks = append(outs, out), append(tasks, task)
+				}
+			}
+			var rt Runtime
+			build(&rt)
+			if q := newReadyQueue(rt.Graph()); q.rank != nil {
+				sorted++
+				if p.identity {
+					t.Errorf("%s priorities: the queue ranks by a sort", p.name)
+				}
+			}
+			for _, sched := range []string{"ws", "dmda"} {
+				againstScan(t, Config{
+					Platform:  discover.MustPlatform("xeon-2gpu"),
+					Mode:      Sim,
+					Scheduler: sched,
+					Faults:    RandomFaultPlan(seed, []string{"dev0", "dev1", "host.1"}, 0.05),
+					Retry:     RetryPolicy{MaxAttempts: 12},
+				}, build)
+			}
 		}
 		return failed || !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if sorted == 0 {
+		t.Error("no graph took the sorted-rank path")
 	}
 }
 
@@ -552,7 +635,8 @@ func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, [
 	if err != nil {
 		return nil, nil, err
 	}
-	var q readyQueue
+	defer st.flushMetrics()
+	q := &st.ready
 	for _, task := range g.Tasks() {
 		if len(g.Deps(task)) == 0 {
 			q.push(task)
@@ -566,7 +650,7 @@ func simulateAgainstBid(t *testing.T, rt *Runtime, cov *bidCoverage) (*Report, [
 			t.Errorf("%s: task %d: compatibleUnits %v, a fresh scan %v", rt.cfg.Scheduler, task.id, unitIDs(got), unitIDs(want))
 		}
 		if rt.cfg.Scheduler == "dmda" && len(want) > 0 {
-			got, err := st.pickUnit(task, ready)
+			got, _, err := st.pickUnit(task, ready)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -291,8 +291,17 @@ func (rt *Runtime) Submit(t *Task) error {
 // index; tasks before it remain registered, exactly as sequential Submit
 // calls would leave them.
 func (rt *Runtime) SubmitBatch(tasks []*Task) error {
+	// A task logs at most one read per access and, but for a write's readers,
+	// waits on at most one task per access and per After entry.
+	accesses, after := 0, 0
+	for _, t := range tasks {
+		accesses += len(t.Accesses)
+		after += len(t.After)
+	}
 	rt.g.tasks = slices.Grow(rt.g.tasks, len(tasks))
 	rt.g.depOff = slices.Grow(rt.g.depOff, len(tasks)+1)
+	rt.g.deps = slices.Grow(rt.g.deps, accesses+after)
+	rt.reads = slices.Grow(rt.reads, accesses)
 	for i, t := range tasks {
 		if err := rt.Submit(t); err != nil {
 			return fmt.Errorf("batch task %d: %w", i, err)

@@ -62,11 +62,14 @@ lint-cluster-copy:
 	@test "$$(grep -c frameMatrix internal/cluster/proto.go)" -eq 3
 	@test "$$(grep -c matrixHeader internal/cluster/proto.go)" -eq 5
 
-# lint-one-kernel keeps internal/blas at one register-tiled micro-kernel that
-# reads A in place: one micro-kernel TEXT in the assembly, and one A pack in
-# the driver, the zero-padded tail strip.
+# lint-one-kernel keeps internal/blas at one register-tiled micro-kernel per
+# register width, both reading A in place: exactly two micro-kernel TEXTs in
+# the assembly, by name — microAVX2, the only fast path on hosts without
+# AVX-512, and microPairAVX512, which CPUID installs beside it — one call site
+# of the pair in the driver, and one A pack there, the zero-padded tail strip.
 lint-one-kernel:
-	@test "$$(grep -c '^TEXT ·micro' internal/blas/microkernel_amd64.s)" -eq 1
+	@test "$$(grep -o '^TEXT ·micro[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·microAVX2 TEXT ·microPairAVX512 "
+	@test "$$(grep -c 'microKernel2(' internal/blas/pack.go)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
 # lint-one-binding keeps one way from a task's payloads to a kernel's
@@ -200,8 +203,10 @@ bench:
 # bench-blas is the per-layer number without the benchmark module: the four
 # Cholesky and the four LU tile kernels and the packed tile DGEMM at tile 128
 # on strided views of a 1024 parent, GF/s of the kernel call alone, and the
-# micro-kernel alone on L1-resident operands for both A layouts. It records
-# nothing; numbers that are compared come from `make bench`.
+# micro-kernels alone on L1-resident operands: the 6×8 kernel for both A
+# layouts, and the AVX-512 pair (two strips a call, Pair512; skipped on hosts
+# without it). It records nothing; numbers that are compared come from
+# `make bench`.
 bench-blas:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkMicroKernel' -count 5 ./internal/blas
 

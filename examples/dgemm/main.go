@@ -40,7 +40,8 @@ func main() {
 	// Real-mode cross-check on this host: the tiled task graph computes the
 	// same result as the serial blocked kernel. With -trace, the run records
 	// causal spans and writes a Perfetto-loadable Chrome trace annotated with
-	// the dispatcher, the GEMM micro-kernel ISA and the problem size.
+	// the dispatcher, the GEMM micro-kernel's ISA and vector width, and the
+	// problem size.
 	fmt.Println()
 	const realN, realTile = 256, 64
 	cfg := taskrt.Config{Platform: discover.MustPlatform("this-host"), Mode: taskrt.Real, Scheduler: *sched}
@@ -56,6 +57,7 @@ func main() {
 	if tr := cfg.Trace; tr != nil {
 		tr.SetMeta("dispatcher", rep.Scheduler)
 		tr.SetMeta("microkernel", blas.KernelISA())
+		tr.SetMeta("microkernel_bits", strconv.Itoa(blas.KernelVectorBits()))
 		tr.SetMeta("n", strconv.Itoa(realN))
 		tr.SetMeta("tile", strconv.Itoa(realTile))
 		if err := tr.WriteFile(*traceTo, trace.FormatChrome); err != nil {

@@ -31,20 +31,50 @@ const (
 // tile's k-sum lands in.
 type microAccum [microM * microN]float64
 
+// microKernelFunc is the signature of both micro-kernel variables, and of the
+// wrappers and spies the tests install in their place.
+type microKernelFunc = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool)
+
 // microKernel applies one full micro-tile product to C: for i < microM and
 // j < microN, c[i*ldc+j] gains (neg: loses) Σ_{p<kb} a[p*aks+i*ars]·pb[p*microN+j],
 // the sum formed first and added once. It points at the fastest
 // implementation available on this CPU: the portable Go reference below, or
 // the AVX2/FMA assembly kernel installed by init on amd64 hosts whose CPUID
 // reports support.
-var microKernel = microKernelGo
+var microKernel microKernelFunc = microKernelGo
+
+// microKernel2 is microKernel on two adjacent packed strips in one call, the
+// 512-bit kernel of amd64 hosts with AVX-512, and nil everywhere else: for
+// i < microM and j < 2·microN, c[i*ldc+j] gains (neg: loses) Σ_{p<kb}
+// a[p*aks+i*ars]·b(p, j), columns microN.. read from the next strip,
+// pb[kb*microN:]. Every element's sum is the one microKernel forms and is
+// added to C the same way, so which of the two applies a tile moves no bits.
+// It writes C in place only; packedStrip calls it where both tiles are full.
+var microKernel2 microKernelFunc
 
 // microKernelName labels the selected implementation for benchmark reports.
 var microKernelName = "go"
 
 // KernelISA reports which micro-kernel implementation is active ("avx2" or
-// "go"), so benchmark artifacts record what they measured.
+// "go"), so benchmark artifacts record what they measured. It says "avx2" on
+// AVX-512 hosts too, where the pair kernel runs beside the AVX2 one: the
+// benchmark keys its 256-bit FMA probe and the host reference that scales
+// every workload's latency on this string, so a new value would change how
+// every end-to-end number is scaled. KernelVectorBits reports the width.
 func KernelISA() string { return microKernelName }
+
+// KernelVectorBits reports the widest vector registers the installed
+// micro-kernels use: 512 with the AVX-512 pair kernel, 256 with the AVX2
+// kernel alone, 0 for the portable Go body.
+func KernelVectorBits() int {
+	switch {
+	case microKernel2 != nil:
+		return 512
+	case microKernelName == "avx2":
+		return 256
+	}
+	return 0
+}
 
 // microKernelGo is the portable reference micro-kernel. It goes a row of the
 // tile at a time, so the row's eight sums are locals the compiler keeps in

@@ -12,12 +12,21 @@ package blas
 // are added to (or, sign-flipped, subtracted from) the six rows of C they
 // belong to. The row pack's four-row pass has an AVX2 body too, a 4×4
 // register transpose, and so has the eight-row triangular base solve of
-// factor.go.
-// Selection happens once at init via CPUID; hosts without AVX2, FMA or
-// OS-enabled YMM state keep the portable bodies, and so does any build with
-// the purego tag (`make test-purego`), which leaves this file out so that CI
-// on an AVX2 host still runs every packed product and factor kernel on the
-// fallback.
+// factor.go. Where the CPU also has AVX-512, a second kernel takes two
+// adjacent B strips per call: the same tile six rows by sixteen columns, one
+// ZMM register per row and strip, so each FMA retires sixteen flops; a host
+// with two 512-bit FMA pipes retires twice the FMA flops per cycle on ZMM
+// registers that it does on YMM.
+// Each lane runs the FMA chain it runs in the 6×8 kernel and is added to C
+// the same way, so a tile's bits do not depend on which kernel applied it;
+// the strip loop (packedStrip) calls the pair wherever both of its tiles are
+// full and in place, and the 6×8 kernel everywhere else.
+// Selection happens once at init via CPUID: hosts without AVX2, FMA or
+// OS-enabled YMM state keep the portable bodies, and hosts without AVX512F or
+// OS-enabled opmask and ZMM state keep the 6×8 kernel alone. Any build with
+// the purego tag (`make test-purego`) keeps the portable bodies too: it leaves
+// this file out so that CI on an AVX2 host still runs every packed product
+// and factor kernel on the fallback.
 //
 // A -race build leaves it out as well. Every read of A and B and every write
 // of C in a packed product happens in this file's assembly, which the
@@ -31,6 +40,9 @@ func init() {
 		packFour = packFourAVX2
 		solveStrip = solveStripAVX2
 		microKernelName = "avx2"
+		if cpuHasAVX512() {
+			microKernel2 = microKernelPairAVX512
+		}
 	}
 }
 
@@ -51,6 +63,24 @@ func microKernelAVX2(kb int, a []float64, ars, aks int, pb, c []float64, ldc int
 //
 //go:noescape
 func microAVX2(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
+
+func microKernelPairAVX512(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+	if kb <= 0 {
+		return
+	}
+	// As in microKernelAVX2, with two strips of B and sixteen columns of C.
+	a = a[:(microM-1)*ars+(kb-1)*aks+1]
+	pb = pb[: 2*kb*microN : 2*kb*microN]
+	c = c[:(microM-1)*ldc+2*microN]
+	microPairAVX512(int64(kb), &a[0], int64(ars), int64(aks), &pb[0], &c[0], int64(ldc), neg)
+}
+
+// microPairAVX512 applies c[i*ldc+j] ±= Σ_p a[p*aks+i*ars]·b(p, j) for a full
+// 6×16 tile, kb ≥ 1, columns j < 8 from the strip pb[:kb*8] and the rest from
+// pb[kb*8:] (implemented in microkernel_amd64.s).
+//
+//go:noescape
+func microPairAVX512(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 
 // packFourAVX2 transposes four k steps at a time in registers and leaves the
 // kb mod 4 tail to the portable body.
@@ -108,6 +138,19 @@ func cpuHasAVX2FMA() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return b7&avx2 != 0
+}
+
+// cpuHasAVX512 reports whether this CPU and OS support the pair kernel, on top
+// of what cpuHasAVX2FMA checks: CPUID must advertise AVX512F — the only
+// AVX-512 extension its instructions need — and XGETBV must confirm the OS
+// saves the opmask, ZMM_Hi256 and Hi16_ZMM state.
+func cpuHasAVX512() bool {
+	if lo, _ := xgetbv(); lo&0xe0 != 0xe0 {
+		return false
+	}
+	_, b7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	return b7&avx512f != 0
 }
 
 // cpuid executes CPUID with the given EAX/ECX inputs.

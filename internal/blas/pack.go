@@ -17,16 +17,18 @@ import (
 // into a microM×kb strip. σ ∈ {+1, −1} only picks the sign the kernel applies
 // and op ∈ {identity, transpose} only picks which pack routine reads b; the
 // micro-kernel, the buffer pool and the strip loop are shared. The kernel
-// applies a full micro-tile to C itself; the strip loop's scratch tile exists
-// only for the tiles an edge of C or the diagonal of a lower-triangular C
-// clips. The row pack (the A tail, and B of every A·Bᵀ product, which is
-// every product Cholesky does) moves four rows at a time through packFour, a
-// 4×4 register transpose where AVX2 is available. Pack buffers are recycled
-// through a sync.Pool so tiled task-runtime workloads (many calls on tile
-// views) allocate only on first use. The parallel variant splits the
-// row-panels of C across worker goroutines; every worker has its own tail
-// strip while sharing the read-only packed B panel, and workers claim strips
-// from an atomic counter so uneven strips cannot imbalance the pool.
+// applies a full micro-tile to C itself, and where the host has the AVX-512
+// pair kernel (microKernel2) two adjacent full tiles at once; the strip
+// loop's scratch tile exists only for the tiles an edge of C or the diagonal
+// of a lower-triangular C clips. The row pack (the A tail, and B of every
+// A·Bᵀ product, which is every product Cholesky does) moves four rows at a
+// time through packFour, a 4×4 register transpose where AVX2 is available.
+// Pack buffers are recycled through a sync.Pool so tiled task-runtime
+// workloads (many calls on tile views) allocate only on first use. The
+// parallel variant splits the row-panels of C across worker goroutines; every
+// worker has its own tail strip while sharing the read-only packed B panel,
+// and workers claim strips from an atomic counter so uneven strips cannot
+// imbalance the pool.
 
 // packDepth is the driver's one panel depth kc (and row-panel height): a
 // 128-tile's whole k extent, so a tile task reads and writes C once and packs
@@ -116,29 +118,35 @@ func packFourGo(kb int, src []float64, ld int, dst []float64, w int) {
 
 // packCols copies the kb×nb block of b at (p0, j0) into pb as zero-padded
 // strips of microN columns, k-major: strip s holds columns j0+s*microN.. and
-// its element (p, q) lands at pb[s*kb*microN + p*microN + q].
+// its element (p, q) lands at pb[s*kb*microN + p*microN + q]. It walks b along
+// its rows, each read once front to back and dealt out to the strips microN
+// values at a time: a B tile that arrives cold (the cluster worker's) streams
+// in row by row instead of being walked down a column per strip.
 func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
-	for j := 0; j < nb; j += microN {
-		strip := pb[j*kb : (j+microN)*kb]
-		jw := min(microN, nb-j)
-		for p := 0; p < kb; p++ {
-			dst := strip[p*microN : (p+1)*microN]
-			n := copy(dst, b.Data[(p0+p)*b.Stride+j0+j:][:jw])
-			clear(dst[n:])
+	full := nb &^ (microN - 1)
+	for p := 0; p < kb; p++ {
+		row := b.Data[(p0+p)*b.Stride+j0:][:nb]
+		for j := 0; j < full; j += microN {
+			*(*[microN]float64)(pb[j*kb+p*microN:]) = [microN]float64(row[j:])
+		}
+		if full < nb {
+			dst := pb[full*kb+p*microN:][:microN]
+			clear(dst[copy(dst, row[full:]):])
 		}
 	}
 }
 
 // packedStrip multiplies one row panel of A against the shared packed op(B)
-// panel and applies it to C — the one strip loop and the one micro-kernel
-// call site of every packed product. Row strips go outside and column strips
-// inside, so C is walked along its rows. A full strip of microM rows is
+// panel and applies it to C — the one strip loop of every packed product, and
+// the one call site of each micro-kernel. Row strips go outside and column
+// strips inside, so C is walked along its rows. A full strip of microM rows is
 // handed to the kernel where it lies in A; only the mb mod microM tail is
 // packed, zero-padded, into ps.buf. pb is the caller's packed panel for
 // (p0, j0). A micro-tile that lies wholly inside C (and, for a
 // lower-triangular C, wholly on or below the diagonal) is handed to the
-// kernel as the address of C; any other is computed by the same kernel onto
-// ps.out, zeroed, and its valid part added to C here. Either way C gains the
+// kernel as the address of C — two such tiles side by side to the pair
+// kernel, where there is one; any other is computed by the 6×8 kernel onto
+// ps.out, zeroed, and its valid part added to C here. Every way C gains the
 // one k-sum, added once.
 func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
 	out := &ps.out
@@ -155,6 +163,11 @@ func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb
 			diag := i0 + i - j0 - j + 1
 			if op.lower && diag+ih-1 <= 0 {
 				break // this micro-tile and every one to its right is strictly upper
+			}
+			if microKernel2 != nil && ih == microM && j+2*microN <= nb && (!op.lower || diag >= 2*microN) {
+				microKernel2(kb, sa, ars, aks, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
+				j += microN // the pair applied the next strip too
+				continue
 			}
 			jw := min(microN, nb-j)
 			if ih == microM && jw == microN && (!op.lower || diag >= microN) {

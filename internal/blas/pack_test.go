@@ -166,9 +166,23 @@ func viaScratch(kernel microKernelFunc) microKernelFunc {
 	}
 }
 
-// microKernelFunc is the type of microKernel, for the wrappers and spies the
-// tests install in its place.
-type microKernelFunc = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool)
+// pairOf is a pair kernel made of two calls of kernel, one per strip: what
+// microKernel2 must equal bit for bit when kernel is the installed
+// microKernel, and a stand-in for it on hosts that have none.
+func pairOf(kernel microKernelFunc) microKernelFunc {
+	return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+		kernel(kb, a, ars, aks, pb, c, ldc, neg)
+		kernel(kb, a, ars, aks, pb[kb*microN:], c[microN:], ldc, neg)
+	}
+}
+
+// keepKernels returns the installed microKernel and microKernel2 and puts
+// them back when the test ends, for tests that install others in their place.
+func keepKernels(t *testing.T) (single, pair microKernelFunc) {
+	single, pair = microKernel, microKernel2
+	t.Cleanup(func() { microKernel, microKernel2 = single, pair })
+	return single, pair
+}
 
 // productCase is one random packed product on strided views: operands and C
 // are tiles of larger parents, C's parent filled with a sentinel around (and,
@@ -218,19 +232,20 @@ func randomProduct(rng *rand.Rand) productCase {
 	return pc
 }
 
-// TestFusedWriteBackMatchesScratch: the kernel applying a full tile to C
-// gives, bit for bit, what the scratch-and-add path it replaced gave — over
-// random extents that are multiples of neither 6 nor 8, depths from 1 past
+// TestFusedWriteBackMatchesScratch: the kernels applying full tiles to C give,
+// bit for bit, what the scratch-and-add path they replaced gave — over random
+// extents that are multiples of neither 6 nor 8, depths from 1 past
 // packDepth, strided views, both signs, both B orientations and the lower
-// triangle.
+// triangle. The fused run has both installed kernels, the pair kernel where
+// the host has one; the scratch run takes the pair kernel out, so that every
+// micro-tile goes down the scratch path.
 func TestFusedWriteBackMatchesScratch(t *testing.T) {
-	kernel := microKernel
-	defer func() { microKernel = kernel }()
+	kernel, pair := keepKernels(t)
 	for seed := int64(0); seed < 300; seed++ {
 		fused, scratch := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
-		microKernel = kernel
+		microKernel, microKernel2 = kernel, pair
 		packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
-		microKernel = viaScratch(kernel)
+		microKernel, microKernel2 = viaScratch(kernel), nil
 		packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
 		if i, j, same := sameBitsOrWithin(fused.parent, scratch.parent, -1); !same {
 			t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) fused %g, via scratch %g", seed, fused.op,
@@ -239,31 +254,77 @@ func TestFusedWriteBackMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestKernelWritesOnlyItsTile: handing the kernel the address of C must not
-// let it write past C. A spy in front of the kernel checks every tile it is
-// pointed at inside C's parent: all microM×microN cells within the view and,
-// for a lower-triangular product, on or below the diagonal (a stray write of
-// a zero-padded row or column adds 0 and would not show in the values). After
+// TestPairedKernelMatchesSingle: the driver's pair branch moves no bits. 300
+// random products (randomProduct: both signs, both B orientations, the lower
+// triangle, strided views) run once with a pair kernel installed and once
+// with none, and C's whole parent, sentinel cells included, must come out the
+// same. The pair kernel is two calls of the installed single kernel — which
+// pins the pairing rule on every host — and, where the CPU has AVX-512, the
+// assembly pair kernel itself.
+func TestPairedKernelMatchesSingle(t *testing.T) {
+	single, installed := keepKernels(t)
+	for _, k := range []struct {
+		name string
+		pair microKernelFunc
+	}{{"two-calls", pairOf(single)}, {"installed", installed}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.pair == nil {
+				t.Skip("no pair kernel installed: this CPU or build has no AVX-512 kernel")
+			}
+			pairs := 0
+			counted := func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+				pairs++
+				k.pair(kb, a, ars, aks, pb, c, ldc, neg)
+			}
+			for seed := int64(0); seed < 300; seed++ {
+				paired, alone := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
+				microKernel, microKernel2 = single, counted
+				packedProduct(paired.a, paired.b, paired.c, paired.op, 1)
+				microKernel, microKernel2 = single, nil
+				packedProduct(alone.a, alone.b, alone.c, alone.op, 1)
+				if i, j, same := sameBitsOrWithin(paired.parent, alone.parent, -1); !same {
+					t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) paired %g, single %g", seed, paired.op,
+						paired.c.Rows, paired.c.Cols, paired.a.Cols, i, j, paired.parent.At(i, j), alone.parent.At(i, j))
+				}
+			}
+			if pairs == 0 {
+				t.Fatal("no product took the pair branch")
+			}
+		})
+	}
+}
+
+// TestKernelWritesOnlyItsTile: handing a kernel the address of C must not let
+// it write past C. A spy in front of each installed kernel — the 6×8 one and,
+// where there is one, the 6×16 pair — checks every tile it is pointed at
+// inside C's parent: all microM rows of its width within the view and, for a
+// lower-triangular product, on or below the diagonal (a stray write of a
+// zero-padded row or column adds 0 and would not show in the values). After
 // each product every cell of the parent outside the view, and every
 // strictly-upper cell inside a lower-triangular one, still holds the
 // sentinel's bits.
 func TestKernelWritesOnlyItsTile(t *testing.T) {
-	kernel := microKernel
-	defer func() { microKernel = kernel }()
+	kernel, pair := keepKernels(t)
 	for seed := int64(0); seed < 300; seed++ {
 		pc := randomProduct(rand.New(rand.NewSource(seed)))
 		data := pc.parent.Data
 		i0, j0 := (len(data)-len(pc.c.Data))/pc.parent.Stride, (len(data)-len(pc.c.Data))%pc.parent.Stride
-		microKernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
-			if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
-				at := len(data) - cap(c)
-				r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
-				if ldc != pc.parent.Stride || r < 0 || q < 0 || r+microM > pc.c.Rows || q+microN > pc.c.Cols || pc.op.lower && q+microN-1 > r {
-					t.Errorf("seed %d %+v C %dx%d: kernel pointed at tile (%d,%d) stride %d", seed, pc.op, pc.c.Rows, pc.c.Cols, r, q, ldc)
-				}
+		spy := func(kernel microKernelFunc, width int) microKernelFunc {
+			if kernel == nil {
+				return nil
 			}
-			kernel(kb, a, ars, aks, pb, c, ldc, neg)
+			return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+				if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
+					at := len(data) - cap(c)
+					r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
+					if ldc != pc.parent.Stride || r < 0 || q < 0 || r+microM > pc.c.Rows || q+width > pc.c.Cols || pc.op.lower && q+width-1 > r {
+						t.Errorf("seed %d %+v C %dx%d: %d-wide kernel pointed at tile (%d,%d) stride %d", seed, pc.op, pc.c.Rows, pc.c.Cols, width, r, q, ldc)
+					}
+				}
+				kernel(kb, a, ars, aks, pb, c, ldc, neg)
+			}
 		}
+		microKernel, microKernel2 = spy(kernel, microN), spy(pair, 2*microN)
 		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
 		for i := 0; i < pc.parent.Rows; i++ {
 			for j := 0; j < pc.parent.Cols; j++ {
@@ -280,35 +341,41 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 	}
 }
 
-// TestKernelReadsOnlyItsRows: a full strip of A reaches the kernel where it
-// lies in A, so the kernel must read nothing of A's parent outside the
-// strip's microM rows and kb columns. A's view is flush against the end of
-// its parent (randomProduct): a read of a seventh row, or past column p0+kb,
-// from the bottom strip runs off the parent's data and panics on the
-// kernel's re-slice. A spy in front of the kernel checks every strip: one in
-// place starts inside A's view at A's stride and its rows and columns end
-// inside the view; any other is the packed tail, k-major microM wide.
+// TestKernelReadsOnlyItsRows: a full strip of A reaches the kernels where it
+// lies in A, so a kernel must read nothing of A's parent outside the strip's
+// microM rows and kb columns. A's view is flush against the end of its parent
+// (randomProduct): a read of a seventh row, or past column p0+kb, from the
+// bottom strip runs off the parent's data and panics on the kernel's
+// re-slice. A spy in front of each installed kernel (the pair kernel too,
+// where there is one) checks every strip: one in place starts inside A's view
+// at A's stride and its rows and columns end inside the view; any other is
+// the packed tail, k-major microM wide.
 func TestKernelReadsOnlyItsRows(t *testing.T) {
-	kernel := microKernel
-	defer func() { microKernel = kernel }()
+	kernel, pair := keepKernels(t)
 	inPlace := 0
 	for seed := int64(0); seed < 300; seed++ {
 		pc := randomProduct(rand.New(rand.NewSource(seed)))
 		view := pc.a.Data
-		microKernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
-			if &a[:cap(a)][cap(a)-1] != &view[len(view)-1] { // the packed tail
-				if ars != 1 || aks != microM || len(a) < microM*kb {
-					t.Errorf("seed %d A %dx%d: a packed strip of %d at strides (%d,%d)", seed, pc.a.Rows, pc.a.Cols, len(a), ars, aks)
-				}
-			} else if at := len(view) - cap(a); ars != pc.a.Stride || aks != 1 || at < 0 ||
-				at/ars+microM > pc.a.Rows || at%ars+kb > pc.a.Cols {
-				t.Errorf("seed %d A %dx%d stride %d: an in-place strip at offset %d, strides (%d,%d), depth %d",
-					seed, pc.a.Rows, pc.a.Cols, pc.a.Stride, at, ars, aks, kb)
-			} else {
-				inPlace++
+		spy := func(kernel microKernelFunc) microKernelFunc {
+			if kernel == nil {
+				return nil
 			}
-			kernel(kb, a, ars, aks, pb, c, ldc, neg)
+			return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+				if &a[:cap(a)][cap(a)-1] != &view[len(view)-1] { // the packed tail
+					if ars != 1 || aks != microM || len(a) < microM*kb {
+						t.Errorf("seed %d A %dx%d: a packed strip of %d at strides (%d,%d)", seed, pc.a.Rows, pc.a.Cols, len(a), ars, aks)
+					}
+				} else if at := len(view) - cap(a); ars != pc.a.Stride || aks != 1 || at < 0 ||
+					at/ars+microM > pc.a.Rows || at%ars+kb > pc.a.Cols {
+					t.Errorf("seed %d A %dx%d stride %d: an in-place strip at offset %d, strides (%d,%d), depth %d",
+						seed, pc.a.Rows, pc.a.Cols, pc.a.Stride, at, ars, aks, kb)
+				} else {
+					inPlace++
+				}
+				kernel(kb, a, ars, aks, pb, c, ldc, neg)
+			}
 		}
+		microKernel, microKernel2 = spy(kernel), spy(pair)
 		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
 	}
 	if inPlace == 0 {
@@ -346,6 +413,55 @@ func TestPackRowsMatchesScalar(t *testing.T) {
 					t.Fatalf("w=%d rows=%d kb=%d: the pack wrote past its strips", w, rows, kb)
 				}
 			}
+		}
+	}
+}
+
+// packColsByColumn is packCols as it walked b before: strip by strip, down
+// each strip's columns. The reference for TestPackColsMatchesColumnWalk.
+func packColsByColumn(b *Matrix, p0, j0, kb, nb int, pb []float64) {
+	for j := 0; j < nb; j += microN {
+		strip := pb[j*kb : (j+microN)*kb]
+		jw := min(microN, nb-j)
+		for p := 0; p < kb; p++ {
+			dst := strip[p*microN : (p+1)*microN]
+			n := copy(dst, b.Data[(p0+p)*b.Stride+j0+j:][:jw])
+			clear(dst[n:])
+		}
+	}
+}
+
+// TestPackColsMatchesColumnWalk: the row-wise column pack fills every strip
+// exactly as the strip-by-strip walk did — the same values at the same
+// positions, the zero padding of a short last strip included — and writes
+// nothing past its strips, on random strided views whose width is not a
+// multiple of microN.
+func TestPackColsMatchesColumnWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		kb, nb := 1+rng.Intn(140), 1+rng.Intn(70)
+		if nb%microN == 0 {
+			nb++
+		}
+		p0, j0 := rng.Intn(5), rng.Intn(11)
+		parent := randomMatrix(p0+kb+rng.Intn(3), j0+nb+rng.Intn(9), rng.Int63())
+		pack := func(pack func(*Matrix, int, int, int, int, []float64)) []float64 {
+			dst := make([]float64, roundUp(nb, microN)*kb+microN)
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			pack(parent, p0, j0, kb, nb, dst)
+			return dst
+		}
+		got, want := pack(packCols), pack(packColsByColumn)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("kb=%d nb=%d at (%d,%d) stride %d: pb[%d] = %g, the column walk has %g",
+					kb, nb, p0, j0, parent.Stride, i, got[i], want[i])
+			}
+		}
+		if tail := got[len(got)-microN:]; tail[0] != sentinel {
+			t.Fatalf("kb=%d nb=%d: the pack wrote past its strips", kb, nb)
 		}
 	}
 }

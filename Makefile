@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim bench-taskrt loc serve clean
+.PHONY: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query lint-one-catalog race test-purego crash-test cluster-test fuzz verify bench bench-test bench-blas bench-sim bench-taskrt loc serve clean
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,15 @@ lint-one-query:
 	@! grep -nE 'func \(q \*Q\) (Filter|Class|Masters|Hybrids|Workers|WithArch|WithProp|WithPropValue|InGroup|ControlledBy|Head|First|TotalUnits)\(|func \(s \*Selector\) Steps\(|func \(f \*Filters\) Empty\(' internal/query/*.go
 	@! awk '/^func / { fn = $$0 } /\.(Walk|AllPUs|FindPU)\(/ && fn !~ /^func New\(/ { print FILENAME ":" FNR ": " $$0 }' $$(ls internal/query/*.go | grep -v _test.go) | grep .
 
+# lint-one-catalog keeps one copy of every fixed platform: the catalog is the
+# PDL documents in internal/discover/platforms, so no .pdl.xml is committed
+# anywhere else, and catalog.go builds none of them in Go — no builder chain,
+# no device constructor, no calibration step. It reads git's index, so `git
+# add` first.
+lint-one-catalog:
+	@! git ls-files '*.pdl.xml' | grep -v '^internal/discover/platforms/'
+	@! grep -nE 'NewBuilder\(|GTX480\(\)|GTX285\(\)|calibrate' internal/discover/catalog.go
+
 # The race subset covers the packages with real concurrency: the task
 # runtime (work-stealing engine, fault tolerance), the trace shards and
 # metrics instruments it updates from every worker, the performance models
@@ -171,14 +180,17 @@ cluster-test:
 # bytes — the journal decoders (record, payload, image and replay: every byte
 # pdlserved reads at start-up), the cluster payload frame decoder and
 # both ends of the execute stream, the worker's request reader and the
-# master's response reader — each on top of its committed seed corpus (which
-# plain `go test` already replays).
+# master's response reader, the query DSL, and the PDL XML parser (seeded
+# with the catalog's platform files; Marshal must be a fixed point of its
+# own output) — each on top of its committed seed corpus (which plain `go
+# test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRequestReader -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzResponseReader -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFilters -fuzztime=10s ./internal/query
+	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pdlxml
 
 # bench-test vets and tests the benchmark, a Go module of its own that the
 # root `go test ./...` does not reach. Its tests include the -smoke run: every
@@ -189,10 +201,10 @@ bench-test:
 
 # verify is the tier-1 gate: build, full tests, vet, the engine-state,
 # trace-schema, cluster-owner, cluster-copy, one-kernel, one-binding, options,
-# graph-state and one-format lints,
+# graph-state, one-format, one-query and one-catalog lints,
 # race subset, the portable-kernel build, crash/recovery suite, multi-process
 # cluster smoke, benchmark tests.
-verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query race test-purego crash-test cluster-test bench-test
+verify: build test vet lint-engine-state lint-trace-schema lint-cluster-owners lint-cluster-copy lint-one-kernel lint-one-binding lint-options lint-graph-state lint-one-format lint-one-query lint-one-catalog race test-purego crash-test cluster-test bench-test
 
 # bench runs the repo's one measuring pipeline (see benchmark/README.md):
 # seven verified workloads, host-scaled medians; `bash benchmark/run.sh
@@ -231,7 +243,7 @@ loc:
 
 # serve runs the registry service locally with the example platforms loaded.
 serve:
-	$(GO) run ./cmd/pdlserved -addr :8080 -preload internal/pdlxml/testdata
+	$(GO) run ./cmd/pdlserved -addr :8080 -preload internal/discover/platforms
 
 clean:
 	rm -rf .bench_build benchmark/out

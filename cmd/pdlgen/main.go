@@ -1,8 +1,10 @@
 // Command pdlgen generates PDL platform descriptions: either one of the
-// predefined catalog platforms (including the paper's Listing 1 node and the
-// evaluation testbed) or a description of the current machine discovered via
-// the host probe, optionally enriched with synthetic OpenCL device
-// enumeration (the paper's Listing 2 content).
+// catalog platforms (including the paper's Listing 1 node and the evaluation
+// testbed), printed as its file in internal/discover/platforms reads without
+// the comments, or a description of the current machine discovered via the
+// host probe, optionally enriched with synthetic OpenCL device enumeration
+// (the paper's Listing 2 content). -gpus and -concrete shape only the
+// discovered description; a catalog platform is fixed.
 //
 // Usage:
 //
@@ -53,6 +55,10 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case *platform != "" && *doProbe:
 		return fmt.Errorf("use either -platform or -discover, not both")
+	case *platform != "" && *gpus != 0:
+		return fmt.Errorf("-gpus needs -discover: catalog platform %q is fixed", *platform)
+	case *platform != "" && *concrete:
+		return fmt.Errorf("-concrete needs -discover: catalog platform %q is fixed", *platform)
 	case *platform != "":
 		p, err := discover.Platform(*platform)
 		if err != nil {
@@ -60,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		pl = p
 	case *doProbe:
-		var devs []discover.Device
+		var devs []*discover.OpenCLDevice
 		for i := 0; i < *gpus; i++ {
 			if i%2 == 0 {
 				devs = append(devs, discover.GTX480())

@@ -68,17 +68,27 @@ func TestDiscoverWithGPUs(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(nil, &out); err == nil {
-		t.Fatal("no args must fail")
-	}
-	if err := run([]string{"-platform", "vax"}, &out); err == nil {
-		t.Fatal("unknown platform must fail")
-	}
-	if err := run([]string{"-platform", "gpgpu-node", "-discover"}, &out); err == nil {
-		t.Fatal("conflicting flags must fail")
-	}
-	if err := run([]string{"-bogusflag"}, &out); err == nil {
-		t.Fatal("bad flag must fail")
+	for _, c := range []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"no args", nil, "nothing to do"},
+		{"unknown platform", []string{"-platform", "vax"}, "unknown catalog platform"},
+		{"conflicting flags", []string{"-platform", "gpgpu-node", "-discover"}, "not both"},
+		{"bad flag", []string{"-bogusflag"}, "bogusflag"},
+		{"gpus on a catalog platform", []string{"-platform", "xeon-cpu", "-gpus", "2"}, "-gpus needs -discover"},
+		{"concrete on a catalog platform", []string{"-platform", "gtx480", "-concrete"}, "-concrete needs -discover"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(c.args, &out)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("run(%q) = %v; want an error containing %q", c.args, err, c.want)
+			}
+			if strings.Contains(out.String(), "<Platform") {
+				t.Fatalf("run(%q) wrote a document:\n%s", c.args, &out)
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pdlserved -addr :8080
-//	pdlserved -addr :8080 -preload internal/pdlxml/testdata
+//	pdlserved -addr :8080 -preload internal/discover/platforms
 //	pdlserved -addr :8080 -rate 100 -burst 200 -max-body 1048576
 //	pdlserved -addr :8080 -data-dir /var/lib/pdlserved -snapshot-every 1000
 //	pdlserved export -data-dir /var/lib/pdlserved -out bundle.wal

@@ -10,15 +10,15 @@ import (
 	"repro/internal/registry"
 )
 
-const testdataDir = "../../internal/pdlxml/testdata"
+const platformsDir = "../../internal/discover/platforms"
 
-// mixedPreloadDir builds a preload directory with the real test platforms
+// mixedPreloadDir builds a preload directory with two catalog platforms
 // plus one file that cannot parse.
 func mixedPreloadDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range []string{"gtx480", "cell-blade"} {
-		data, err := os.ReadFile(filepath.Join(testdataDir, name+".pdl.xml"))
+		data, err := os.ReadFile(filepath.Join(platformsDir, name+".pdl.xml"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestExportImportCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"gtx480", "xeon-2gpu"} {
-		if err := preloadOne(reg, persist, name, filepath.Join(testdataDir, name+".pdl.xml")); err != nil {
+		if err := preloadOne(reg, persist, name, filepath.Join(platformsDir, name+".pdl.xml")); err != nil {
 			t.Fatal(err)
 		}
 	}

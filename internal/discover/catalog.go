@@ -1,156 +1,88 @@
 package discover
 
 import (
+	"bytes"
+	"embed"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/pdlxml"
 )
 
-// The platform catalog provides the named, ready-made PDL descriptions used
-// throughout the examples, tools and benchmark harnesses. Catalog platforms
-// carry simulator calibration (PEAK_GFLOPS_DP is always per single unit
-// instance; a Master with quantity 8 stands for 8 such cores).
+// The platform catalog is the named, ready-made PDL descriptions used
+// throughout the examples, tools and benchmark harnesses. Every fixed platform
+// is one document, platforms/NAME.pdl.xml: its first XML comment is its
+// one-line description, and its sim:-typed properties are the simulator's
+// calibration (PEAK_GFLOPS_DP is always per single unit instance; a Master
+// with quantity 8 stands for 8 such cores), each explained by an XML comment
+// beside it. Only this-host is generated, because it is a probe.
+//
+//go:embed platforms/*.pdl.xml
+var platforms embed.FS
 
-// xeonCoreGFlops is the double-precision peak of one 2.66 GHz Nehalem core
-// (4 flops/cycle SSE2), and gotoBlasEfficiency the sustained fraction
-// GotoBLAS2 1.13 reaches on large DGEMM.
 const (
-	xeonCoreGFlops     = 10.64
-	gotoBlasEfficiency = 0.92
+	platformExt = ".pdl.xml"
+	thisHost    = "this-host"
 )
 
-type catalogEntry struct {
-	doc   string
-	build func() (*core.Platform, error)
+type catalogFile struct {
+	pl  *core.Platform
+	doc string
 }
 
-var catalog = map[string]catalogEntry{
-	"gpgpu-node": {
-		doc: "the paper's Listing 1: one x86 Master, one gpu Worker, rDMA link (abstract)",
-		build: func() (*core.Platform, error) {
-			return core.NewBuilder("gpgpu-node").
-				Master("0", core.Arch("x86")).
-				Worker("1", core.Arch("gpu")).
-				Link(core.ICTypeRDMA, "0", "1", core.Scheme("")).
-				Build()
-		},
-	},
-	"xeon-2gpu": {
-		doc: "the paper's evaluation testbed: dual-socket quad-core Xeon X5550 + GTX480 + GTX285",
-		build: func() (*core.Platform, error) {
-			host := HostInfo{Arch: "x86", Cores: 8}
-			pl, err := Generate(Options{
-				Name:     "xeon-2gpu",
-				Host:     &host,
-				Devices:  []Device{GTX480(), GTX285()},
-				Concrete: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			calibrateXeonHost(pl)
-			return pl, nil
-		},
-	},
-	"xeon-cpu": {
-		doc: "the evaluation host without GPUs (the paper's 'starpu' 8-core series)",
-		build: func() (*core.Platform, error) {
-			host := HostInfo{Arch: "x86", Cores: 8}
-			pl, err := Generate(Options{Name: "xeon-cpu", Host: &host})
-			if err != nil {
-				return nil, err
-			}
-			calibrateXeonHost(pl)
-			return pl, nil
-		},
-	},
-	"xeon-1core": {
-		doc: "one Xeon X5550 core (the paper's single-threaded baseline)",
-		build: func() (*core.Platform, error) {
-			host := HostInfo{Arch: "x86", Cores: 1}
-			pl, err := Generate(Options{Name: "xeon-1core", Host: &host})
-			if err != nil {
-				return nil, err
-			}
-			calibrateXeonHost(pl)
-			return pl, nil
-		},
-	},
-	"gtx480": {
-		doc: "a single GTX480 worker with full OpenCL runtime properties (the paper's Listing 2)",
-		build: func() (*core.Platform, error) {
-			host := HostInfo{Arch: "x86", Cores: 4}
-			return Generate(Options{
-				Name:     "gtx480",
-				Host:     &host,
-				Devices:  []Device{GTX480()},
-				Concrete: true,
-			})
-		},
-	},
-	"cell-blade": {
-		doc: "a Cell B.E.-like blade: ppc Master, Hybrid controller, 8 SPE Workers",
-		build: func() (*core.Platform, error) {
-			pl, err := core.NewBuilder("cell-blade").
-				Master("ppe", core.Arch("ppc"),
-					core.WithProp(core.PropCores, "1"),
-					core.InGroups("cpuset")).
-				Hybrid("ctl", core.Arch("ppc")).
-				Worker("spe", core.Arch("spe"), core.Qty(8), core.InGroups("speset")).
-				End().
-				Link(core.ICTypeEIB, "ctl", "spe", core.Bandwidth(25), core.Latency(1)).
-				Link(core.ICTypeShared, "ppe", "ctl", core.Bandwidth(25), core.Latency(1)).
-				Build()
-			if err != nil {
-				return nil, err
-			}
-			spe := &CellSPE{LocalStoreKB: 256, GFlopsDP: 12.8}
-			w := pl.FindPU("spe")
-			for _, p := range spe.FixedProperties() {
-				w.Descriptor.Set(p)
-			}
-			for _, p := range spe.RuntimeProperties() {
-				w.Descriptor.Set(p)
-			}
-			ppe := pl.FindPU("ppe")
-			ppe.Descriptor.Set(core.Property{Name: "PEAK_GFLOPS_DP", Value: "6.4", Fixed: true, Type: simType})
-			ppe.Descriptor.Set(core.Property{Name: "DGEMM_EFFICIENCY", Value: "0.8", Fixed: true, Type: simType})
-			return pl, nil
-		},
-	},
-	"this-host": {
-		doc: "the machine running this process, probed via the Go runtime",
-		build: func() (*core.Platform, error) {
-			pl, err := Generate(Options{Name: "this-host"})
-			if err != nil {
-				return nil, err
-			}
-			// Conservative generic calibration so sim-mode still works.
-			m := pl.FindPU("host")
-			m.Descriptor.Set(core.Property{Name: "PEAK_GFLOPS_DP", Value: "8", Fixed: true, Type: simType})
-			m.Descriptor.Set(core.Property{Name: "DGEMM_EFFICIENCY", Value: "0.7", Fixed: true, Type: simType})
-			return pl, nil
-		},
-	},
-}
+// catalog parses every embedded document once; Platform hands out clones.
+var catalog = sync.OnceValues(func() (map[string]catalogFile, error) {
+	files, err := platforms.ReadDir("platforms")
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]catalogFile, len(files))
+	for _, f := range files {
+		data, err := platforms.ReadFile("platforms/" + f.Name())
+		if err != nil {
+			return nil, err
+		}
+		pl, err := pdlxml.Unmarshal(data)
+		if err != nil {
+			return nil, fmt.Errorf("discover: catalog file %s: %w", f.Name(), err)
+		}
+		_, rest, _ := bytes.Cut(data, []byte("<!--"))
+		doc, _, _ := bytes.Cut(rest, []byte("-->"))
+		out[strings.TrimSuffix(f.Name(), platformExt)] = catalogFile{pl, strings.TrimSpace(string(doc))}
+	}
+	return out, nil
+})
 
-func calibrateXeonHost(pl *core.Platform) {
-	m := pl.FindPU("host")
-	m.Descriptor.Set(core.Property{Name: core.PropDeviceName, Value: "Intel Xeon X5550", Fixed: true})
-	m.Descriptor.Set(core.Property{Name: core.PropClockMHz, Value: "2660", Unit: "MHz", Fixed: true})
-	m.Descriptor.Set(core.Property{Name: "PEAK_GFLOPS_DP", Value: trimFloat(xeonCoreGFlops), Fixed: true, Type: simType})
-	m.Descriptor.Set(core.Property{Name: "DGEMM_EFFICIENCY", Value: trimFloat(gotoBlasEfficiency), Fixed: true, Type: simType})
-	m.Descriptor.Set(core.Property{Name: "KERNEL_LAUNCH_US", Value: "1", Fixed: true, Type: simType})
-}
-
-// Platform builds the named catalog platform.
+// Platform returns a fresh copy of the named catalog platform.
 func Platform(name string) (*core.Platform, error) {
-	e, ok := catalog[name]
+	if name == thisHost {
+		return probeThisHost()
+	}
+	cat, err := catalog()
+	if err != nil {
+		return nil, err
+	}
+	e, ok := cat[name]
 	if !ok {
 		return nil, fmt.Errorf("discover: unknown catalog platform %q (known: %v)", name, CatalogNames())
 	}
-	return e.build()
+	return e.pl.Clone(), nil
+}
+
+// probeThisHost describes the machine running this process, with a
+// conservative generic calibration so sim-mode still works.
+func probeThisHost() (*core.Platform, error) {
+	pl, err := Generate(Options{Name: thisHost})
+	if err != nil {
+		return nil, err
+	}
+	m := pl.FindPU("host")
+	m.Descriptor.Set(core.Property{Name: "PEAK_GFLOPS_DP", Value: "8", Fixed: true, Type: simType})
+	m.Descriptor.Set(core.Property{Name: "DGEMM_EFFICIENCY", Value: "0.7", Fixed: true, Type: simType})
+	return pl, nil
 }
 
 // MustPlatform is Platform for fixtures; it panics on error.
@@ -162,20 +94,23 @@ func MustPlatform(name string) *core.Platform {
 	return pl
 }
 
-// CatalogNames lists the available platform names sorted alphabetically.
+// CatalogNames lists the available platform names sorted alphabetically: the
+// embedded documents plus this-host.
 func CatalogNames() []string {
-	out := make([]string, 0, len(catalog))
-	for n := range catalog {
-		out = append(out, n)
+	files, _ := platforms.ReadDir("platforms") // an embedded directory cannot fail to list
+	names := []string{thisHost}
+	for _, f := range files {
+		names = append(names, strings.TrimSuffix(f.Name(), platformExt))
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(names)
+	return names
 }
 
 // CatalogDoc returns the one-line description of a catalog platform.
 func CatalogDoc(name string) string {
-	if e, ok := catalog[name]; ok {
-		return e.doc
+	if name == thisHost {
+		return "the machine running this process, probed via the Go runtime"
 	}
-	return ""
+	cat, _ := catalog() // a catalog that fails to parse has no docs; Platform reports why
+	return cat[name].doc
 }

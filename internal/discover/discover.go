@@ -1,22 +1,22 @@
-// Package discover generates PDL platform descriptions automatically, the
-// way the paper envisions hwloc- or OpenCL-based generation of descriptors
+// Package discover is where PDL platform descriptions come from: a fixed
+// catalog of documents, and a generator that probes the machine, the way the
+// paper envisions hwloc- or OpenCL-based generation of descriptors
 // ("implementations of the PDL enable manual as well as automatic generation
 // of PDL descriptors", Section II).
 //
-// Two sources feed the generator:
+// The catalog (Platform, CatalogNames) is PDL files: every fixed platform,
+// including the paper's Listing 1 node and its evaluation testbed, is one
+// embedded platforms/NAME.pdl.xml, parsed once. The calibrated
+// PEAK_GFLOPS_DP / DGEMM_EFFICIENCY properties in those files parameterise
+// the hardware simulator (internal/simhw): the PDL document itself is the
+// single source of machine truth, exactly the role the paper assigns it.
 //
-//   - a host probe reading the real machine (core count, architecture) via
-//     the Go runtime — the portable subset of what hwloc exposes; and
-//   - a synthetic device registry standing in for the OpenCL/CUDA runtime
-//     enumeration the paper used on its GPU testbed. The registry carries the
-//     published characteristics of the paper's devices (GeForce GTX 480 and
-//     GTX 285), so the generated descriptors reproduce Listing 2 without the
-//     proprietary driver stack.
-//
-// The calibrated PEAK_GFLOPS_DP / DGEMM_EFFICIENCY properties attached to
-// devices parameterise the hardware simulator (internal/simhw): the PDL
-// document itself is the single source of machine truth, exactly the role
-// the paper assigns it.
+// Generate is the probe path. It reads the real machine (core count,
+// architecture) via the Go runtime — the portable subset of what hwloc
+// exposes — and attaches synthetic OpenCL devices standing in for the
+// runtime enumeration the paper used on its GPU testbed (GTX480, GTX285), so
+// a generated descriptor reproduces Listing 2 without the proprietary driver
+// stack.
 package discover
 
 import (
@@ -48,10 +48,10 @@ func ProbeHost() HostInfo {
 
 // Options configure platform generation.
 type Options struct {
-	Name     string    // platform name; default "discovered"
-	Host     *HostInfo // nil probes the real host
-	Devices  []Device  // accelerator devices to attach as Workers
-	Concrete bool      // attach full runtime-derived (unfixed, typed) properties
+	Name     string          // platform name; default "discovered"
+	Host     *HostInfo       // nil probes the real host
+	Devices  []*OpenCLDevice // accelerator devices to attach as Workers
+	Concrete bool            // attach full runtime-derived (unfixed, typed) properties
 }
 
 // The host-device link every generated platform declares: PCIe 2.0 x16's
@@ -82,9 +82,9 @@ func Generate(opts Options) (*core.Platform, error) {
 		Master("host", core.Arch(host.Arch), core.Qty(host.Cores),
 			core.WithProp(core.PropCores, fmt.Sprint(host.Cores)),
 			core.InGroups("cpuset"))
-	for i, dev := range opts.Devices {
+	for i := range opts.Devices {
 		id := fmt.Sprintf("dev%d", i)
-		b.Worker(id, core.Arch(dev.Architecture()), core.InGroups("devset"))
+		b.Worker(id, core.Arch("gpu"), core.InGroups("devset"))
 		b.Link(core.ICTypePCIe, "host", id,
 			core.Bandwidth(linkGBs), core.Latency(linkUSec), core.Scheme("dma"))
 	}
@@ -104,17 +104,4 @@ func Generate(opts Options) (*core.Platform, error) {
 		}
 	}
 	return pl, nil
-}
-
-// Device is an accelerator the generator can attach. Implementations model
-// the enumeration APIs of concrete runtimes (OpenCL, CUDA, Cell SDK).
-type Device interface {
-	// Architecture returns the PDL ARCHITECTURE tag ("gpu", "spe", ...).
-	Architecture() string
-	// FixedProperties returns author-level, always-attached properties
-	// (device name, calibration).
-	FixedProperties() []core.Property
-	// RuntimeProperties returns the unfixed, subschema-typed properties a
-	// runtime enumeration would add (the paper's Listing 2 content).
-	RuntimeProperties() []core.Property
 }

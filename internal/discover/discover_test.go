@@ -1,7 +1,12 @@
 package discover
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +27,7 @@ func TestProbeHost(t *testing.T) {
 
 func TestGenerateBasic(t *testing.T) {
 	host := HostInfo{Arch: "x86", Cores: 8}
-	pl, err := Generate(Options{Name: "g", Host: &host, Devices: []Device{GTX480(), GTX285()}})
+	pl, err := Generate(Options{Name: "g", Host: &host, Devices: []*OpenCLDevice{GTX480(), GTX285()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +104,9 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// TestCatalogAllEntriesValidateAndRoundTrip holds every catalog platform to
+// what pdlvalidate -strict checks (no schema error and no warning) and to a
+// round trip through the XML codec.
 func TestCatalogAllEntriesValidateAndRoundTrip(t *testing.T) {
 	for _, name := range CatalogNames() {
 		t.Run(name, func(t *testing.T) {
@@ -106,9 +114,12 @@ func TestCatalogAllEntriesValidateAndRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if pl.Name != name {
+				t.Fatalf("platform %s is named %q", name, pl.Name)
+			}
 			rep := schema.ValidatePlatform(pl, schema.Default())
-			if !rep.OK() {
-				t.Fatalf("catalog %s fails schema validation: %v", name, rep.Errors)
+			if !rep.OK() || len(rep.Warnings) > 0 {
+				t.Fatalf("catalog %s fails strict schema validation: errors %v, warnings %v", name, rep.Errors, rep.Warnings)
 			}
 			data, err := pdlxml.Marshal(pl)
 			if err != nil {
@@ -128,6 +139,81 @@ func TestCatalogAllEntriesValidateAndRoundTrip(t *testing.T) {
 	}
 	if CatalogDoc("nope") != "" {
 		t.Error("doc of unknown platform should be empty")
+	}
+}
+
+// TestCatalogIsTheFiles pins the catalog to platforms/: its names are the file
+// names plus this-host, and each platform marshals to its file's bytes minus
+// the comment lines, so the dialect on disk is exactly what Marshal writes.
+func TestCatalogIsTheFiles(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("platforms", "*"+platformExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{thisHost}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), platformExt)
+		want = append(want, name)
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pdlxml.Marshal(MustPlatform(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != withoutComments(data) {
+			t.Errorf("%s: Marshal(Platform(%q)) differs from the file without its comments:\n%s", f, name, got)
+		}
+	}
+	slices.Sort(want)
+	if got := CatalogNames(); !slices.Equal(got, want) {
+		t.Fatalf("CatalogNames() = %v; want %v", got, want)
+	}
+}
+
+func withoutComments(data []byte) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "<!--") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// TestPlatformReturnsACopy changes returned platforms, from several
+// goroutines at once, and expects the next Platform call to be unchanged: the
+// parsed catalog is shared, what Platform returns is not.
+func TestPlatformReturnsACopy(t *testing.T) {
+	before, err := pdlxml.Marshal(MustPlatform("xeon-2gpu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl, err := Platform("xeon-2gpu")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			host := pl.FindPU("host")
+			host.Links[0].Descriptor.Set(core.Property{Name: "BANDWIDTH", Value: "1", Unit: "GB/s", Fixed: true})
+			host.Descriptor.Set(core.Property{Name: "PEAK_GFLOPS_DP", Value: "1", Fixed: true, Type: simType})
+			host.Quantity = 99
+			pl.Name = "changed"
+		}()
+	}
+	wg.Wait()
+	after, err := pdlxml.Marshal(MustPlatform("xeon-2gpu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a change to a returned platform leaked into the catalog:\n%s", after)
 	}
 }
 

@@ -33,23 +33,21 @@ const oclType = "ocl:oclDevicePropertyType"
 // simType is the xsi:type of simulator calibration properties.
 const simType = "sim:simDevicePropertyType"
 
-// Architecture implements Device.
-func (d *OpenCLDevice) Architecture() string { return "gpu" }
-
-// FixedProperties implements Device: the author-level identity and
-// calibration values.
+// FixedProperties returns the author-level identity and calibration values a
+// generated Worker always carries.
 func (d *OpenCLDevice) FixedProperties() []core.Property {
 	return []core.Property{
 		{Name: core.PropDeviceName, Value: d.Name, Fixed: true},
 		{Name: core.PropVendor, Value: d.Vendor, Fixed: true},
-		{Name: "PEAK_GFLOPS_DP", Value: trimFloat(d.PeakGFlopsDP), Fixed: true, Type: simType},
-		{Name: "DGEMM_EFFICIENCY", Value: trimFloat(d.DGEMMEfficiency), Fixed: true, Type: simType},
-		{Name: "KERNEL_LAUNCH_US", Value: trimFloat(d.KernelLaunchUS), Fixed: true, Type: simType},
+		{Name: "PEAK_GFLOPS_DP", Value: fmt.Sprint(d.PeakGFlopsDP), Fixed: true, Type: simType},
+		{Name: "DGEMM_EFFICIENCY", Value: fmt.Sprint(d.DGEMMEfficiency), Fixed: true, Type: simType},
+		{Name: "KERNEL_LAUNCH_US", Value: fmt.Sprint(d.KernelLaunchUS), Fixed: true, Type: simType},
 	}
 }
 
-// RuntimeProperties implements Device: exactly the unfixed ocl-typed
-// properties of the paper's Listing 2, plus version strings.
+// RuntimeProperties returns the unfixed ocl-typed properties a runtime
+// enumeration adds: exactly those of the paper's Listing 2, plus version
+// strings.
 func (d *OpenCLDevice) RuntimeProperties() []core.Property {
 	return []core.Property{
 		{Name: "DEVICE_NAME", Value: d.Name, Fixed: false, Type: oclType},
@@ -60,11 +58,6 @@ func (d *OpenCLDevice) RuntimeProperties() []core.Property {
 		{Name: "DEVICE_VERSION", Value: d.DeviceVersion, Fixed: false, Type: oclType},
 		{Name: "DRIVER_VERSION", Value: d.DriverVersion, Fixed: false, Type: oclType},
 	}
-}
-
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
 }
 
 // GTX480 returns the GeForce GTX 480 of the paper's testbed. The Listing 2
@@ -104,32 +97,5 @@ func GTX285() *OpenCLDevice {
 		PeakGFlopsDP:    88.5,
 		DGEMMEfficiency: 0.75,
 		KernelLaunchUS:  7,
-	}
-}
-
-// CellSPE is a synthetic Cell B.E. SPE described through the same Device
-// interface, for the hybrid-platform examples.
-type CellSPE struct {
-	LocalStoreKB int64
-	GFlopsDP     float64
-}
-
-// Architecture implements Device.
-func (d *CellSPE) Architecture() string { return "spe" }
-
-// FixedProperties implements Device.
-func (d *CellSPE) FixedProperties() []core.Property {
-	return []core.Property{
-		{Name: core.PropDeviceName, Value: "Cell SPE", Fixed: true},
-		{Name: "PEAK_GFLOPS_DP", Value: trimFloat(d.GFlopsDP), Fixed: true, Type: simType},
-		{Name: "DGEMM_EFFICIENCY", Value: "0.8", Fixed: true, Type: simType},
-		{Name: "KERNEL_LAUNCH_US", Value: "2", Fixed: true, Type: simType},
-	}
-}
-
-// RuntimeProperties implements Device.
-func (d *CellSPE) RuntimeProperties() []core.Property {
-	return []core.Property{
-		{Name: "LOCAL_STORE", Value: fmt.Sprint(d.LocalStoreKB), Unit: "kB", Fixed: false, Type: "cell:cellPropertyType"},
 	}
 }

@@ -175,10 +175,10 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
-// readTestPlatform loads a document from the shared pdlxml testdata set.
+// readTestPlatform loads one of the platform catalog's documents.
 func readTestPlatform(t testing.TB, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "pdlxml", "testdata", name+".pdl.xml"))
+	data, err := os.ReadFile(filepath.Join("..", "discover", "platforms", name+".pdl.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}

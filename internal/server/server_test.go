@@ -19,7 +19,7 @@ import (
 
 func gtx480XML(t testing.TB) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "pdlxml", "testdata", "gtx480.pdl.xml"))
+	data, err := os.ReadFile(filepath.Join("..", "discover", "platforms", "gtx480.pdl.xml"))
 	if err != nil {
 		t.Fatal(err)
 	}

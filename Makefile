@@ -63,12 +63,16 @@ lint-cluster-copy:
 	@test "$$(grep -c matrixHeader internal/cluster/proto.go)" -eq 5
 
 # lint-one-kernel keeps internal/blas at one register-tiled micro-kernel per
-# register width, both reading A in place: exactly two micro-kernel TEXTs in
-# the assembly, by name — microAVX2, the only fast path on hosts without
-# AVX-512, and microPairAVX512, which CPUID installs beside it — one call site
-# of the pair in the driver, and one A pack there, the zero-padded tail strip.
+# register width, both reading A in place, and names every assembly routine
+# beside them: the TEXT list of the assembly is exactly microAVX2, the only
+# fast path on hosts without AVX-512, microPairAVX512, which CPUID installs
+# beside it, the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the
+# solves' elimAVX2 (left, a row at a time) and solve8AVX2 (right, eight rows at
+# a time), and cpuid and xgetbv — a new routine is added here on purpose — plus
+# one call site of the pair in the driver, and one A pack there, the
+# zero-padded tail strip.
 lint-one-kernel:
-	@test "$$(grep -o '^TEXT ·micro[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·microAVX2 TEXT ·microPairAVX512 "
+	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microPairAVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
 	@test "$$(grep -c 'microKernel2(' internal/blas/pack.go)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
@@ -180,10 +184,12 @@ cluster-test:
 # bytes — the journal decoders (record, payload, image and replay: every byte
 # pdlserved reads at start-up), the cluster payload frame decoder and
 # both ends of the execute stream, the worker's request reader and the
-# master's response reader, the query DSL, and the PDL XML parser (seeded
+# master's response reader, the query DSL, the PDL XML parser (seeded
 # with the catalog's platform files; Marshal must be a fixed point of its
-# own output) — each on top of its committed seed corpus (which plain `go
-# test` already replays).
+# own output), and the Cascabel frontend — the annotated-C parser (Print must
+# be a fixed point of its own output) and the pragma parser (deterministic),
+# both seeded with the annotated programs of the csrc and codegen tests — each
+# on top of its committed seed corpus (which plain `go test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=10s ./internal/cluster
@@ -191,6 +197,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzResponseReader -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzFilters -fuzztime=10s ./internal/query
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/pdlxml
+	$(GO) test -run='^$$' -fuzz=FuzzParseProgram -fuzztime=10s ./internal/csrc
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/pragma
 
 # bench-test vets and tests the benchmark, a Go module of its own that the
 # root `go test ./...` does not reach. Its tests include the -smoke run: every
@@ -214,13 +222,13 @@ bench:
 
 # bench-blas is the per-layer number without the benchmark module: the four
 # Cholesky and the four LU tile kernels and the packed tile DGEMM at tile 128
-# on strided views of a 1024 parent, GF/s of the kernel call alone, and the
-# micro-kernels alone on L1-resident operands: the 6×8 kernel for both A
-# layouts, and the AVX-512 pair (two strips a call, Pair512; skipped on hosts
-# without it). It records nothing; numbers that are compared come from
-# `make bench`.
+# on strided views of a 1024 parent, GF/s of the kernel call alone; the two B
+# packs alone on the same views, GB/s (Cols and Rows); and the micro-kernels
+# alone on L1-resident operands: the 6×8 kernel for both A layouts, and the
+# AVX-512 pair (two strips a call, Pair512; skipped on hosts without it). It
+# records nothing; numbers that are compared come from `make bench`.
 bench-blas:
-	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkMicroKernel' -count 5 ./internal/blas
+	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkPack|BenchmarkMicroKernel' -count 5 ./internal/blas
 
 # bench-sim times the simulated Figure 5 (DGEMM 8192/256, dmda, its three
 # platforms) as graph build and run apart, and the whole figure with a build per

@@ -12,9 +12,11 @@ import (
 // counts the kernel call alone (timed by hand: stopping and starting the
 // benchmark timer costs more than a 128-tile kernel); ns/op also holds
 // restoring the tile a factorization or solve overwrites — put, whose row
-// copies are the runtime.memmove row of a profile (no tile kernel calls
-// memmove). `make bench-blas` runs it; BenchmarkTileKernels/GemmNT etc. under
-// -cpuprofile is the profile EXPERIMENTS.md quotes.
+// copies are the only runtime.memmove row of a profile on an AVX2 host: there
+// both B packs go through registers, the column deal and the row transpose,
+// and no tile kernel calls memmove at this size. `make bench-blas` runs it;
+// BenchmarkTileKernels/GemmNT etc. under -cpuprofile is the profile
+// EXPERIMENTS.md quotes.
 func BenchmarkTileKernels(b *testing.B) {
 	const n, tile = 1024, 128
 	const grid = n / tile
@@ -71,6 +73,38 @@ func BenchmarkTileKernels(b *testing.B) {
 				busy += time.Since(t0)
 			}
 			b.ReportMetric(k.flops*float64(b.N)/busy.Seconds()/1e9, "GF/s")
+		})
+	}
+}
+
+// BenchmarkPack times the packed driver's two B packs alone, the "pack" of a
+// kernel-versus-pack split: Cols is packCols, which packs B as stored (GemmSub,
+// GemmPacked, and the updates inside TrsmLLUnit, Getrf and TrsmRU), and Rows
+// is packRows into microN-wide strips, which packs Bᵀ (GemmNT, SyrkNT and the
+// updates inside Potrf and TrsmRLT). Each call packs a 128×128 view of a
+// 1024×1024 parent, a different tile every call, into one buffer; GB/s counts
+// the bytes of the view. `make bench-blas` runs it.
+func BenchmarkPack(b *testing.B) {
+	const n, tile = 1024, 128
+	const grid = n / tile
+	parent := randomMatrix(n, n, 5)
+	views := make([]*Matrix, grid*grid)
+	for i := range views {
+		views[i] = parent.Sub(i/grid*tile, i%grid*tile, tile, tile)
+	}
+	pb := make([]float64, tile*tile)
+	for _, p := range []struct {
+		name string
+		pack func(m *Matrix)
+	}{
+		{"Cols", func(m *Matrix) { packCols(m, 0, 0, tile, tile, pb) }},
+		{"Rows", func(m *Matrix) { packRows(m, 0, 0, tile, tile, microN, pb) }},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.pack(views[5*i%len(views)])
+			}
+			b.ReportMetric(float64(tile*tile*8)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		})
 	}
 }

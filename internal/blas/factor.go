@@ -289,6 +289,9 @@ func getrf(a *Matrix, off int) error {
 	return getrf(&a22, off+n1)
 }
 
+// getrfBase is the unblocked right-looking LU. Its row update stays a scalar
+// loop, not an eliminate call: its rows are at most factorBase wide, and the
+// call cost more than the vector body saved (BenchmarkTileKernels/Getrf).
 func getrfBase(a *Matrix, off int) error {
 	n := a.Rows
 	for k := 0; k < n; k++ {
@@ -337,34 +340,46 @@ func trsmLLUnit(l, b *Matrix) {
 }
 
 // trsmLLUnitBase is the unblocked left solve: row i of b loses l[i][k] times
-// row k for every k < i, in order of k. Four k are applied per pass over
-// row i, so the row is loaded and stored once for the four.
+// row k for every k < i, in order of k — one eliminate call per row.
 func trsmLLUnitBase(l, b *Matrix) {
 	n, m := l.Rows, b.Cols
 	for i := 1; i < n; i++ {
-		rowi := b.Data[i*b.Stride:][:m]
-		lrow := l.Data[i*l.Stride:][:i]
-		k := 0
-		for ; k+4 <= i; k += 4 {
-			l0, l1, l2, l3 := lrow[k], lrow[k+1], lrow[k+2], lrow[k+3]
-			k0 := b.Data[k*b.Stride:][:m]
-			k1 := b.Data[(k+1)*b.Stride:][:m]
-			k2 := b.Data[(k+2)*b.Stride:][:m]
-			k3 := b.Data[(k+3)*b.Stride:][:m]
-			for j, v := range rowi {
-				v -= l0 * k0[j]
-				v -= l1 * k1[j]
-				v -= l2 * k2[j]
-				v -= l3 * k3[j]
-				rowi[j] = v
-			}
+		eliminate(b.Data[i*b.Stride:][:m], b.Data, b.Stride, l.Data[i*l.Stride:][:i])
+	}
+}
+
+// eliminate takes coef[k] times row k of src out of dst, in order of k:
+// dst[j] −= coef[k]·src[k*ld+j] for every j < len(dst), each product rounded
+// before it is subtracted. It points at the portable body below, which
+// applies four k per pass over dst so the row is loaded and stored once for
+// the four, or at the AVX2 one (multiply, then subtract — no FMA), installed
+// with the micro-kernel, which keeps thirty-two columns of dst in registers
+// across every k. Either way each element loses the same terms in the same
+// order, so the two give the same bits. The coefficients arrive as a slice of
+// the caller's matrix: one gathered into a local array would move to the heap
+// on every call through the variable.
+var eliminate = eliminateGo
+
+func eliminateGo(dst, src []float64, ld int, coef []float64) {
+	m, k := len(dst), 0
+	for ; k+4 <= len(coef); k += 4 {
+		l0, l1, l2, l3 := coef[k], coef[k+1], coef[k+2], coef[k+3]
+		k0 := src[k*ld:][:m]
+		k1 := src[(k+1)*ld:][:m]
+		k2 := src[(k+2)*ld:][:m]
+		k3 := src[(k+3)*ld:][:m]
+		for j, v := range dst {
+			v -= l0 * k0[j]
+			v -= l1 * k1[j]
+			v -= l2 * k2[j]
+			v -= l3 * k3[j]
+			dst[j] = v
 		}
-		for ; k < i; k++ {
-			lik := lrow[k]
-			rowk := b.Data[k*b.Stride:][:m]
-			for j, v := range rowk {
-				rowi[j] -= lik * v
-			}
+	}
+	for ; k < len(coef); k++ {
+		lk := coef[k]
+		for j, v := range src[k*ld:][:m] {
+			dst[j] -= lk * v
 		}
 	}
 }

@@ -10,13 +10,18 @@ package blas
 // ceiling the Go compiler can reach (it never vectorizes float64 loops and
 // does not emit FMA on amd64) — and after the last k step the same registers
 // are added to (or, sign-flipped, subtracted from) the six rows of C they
-// belong to. The row pack's four-row pass has an AVX2 body too, a 4×4
-// register transpose, and so has the eight-row triangular base solve of
-// factor.go. Where the CPU also has AVX-512, a second kernel takes two
-// adjacent B strips per call: the same tile six rows by sixteen columns, one
-// ZMM register per row and strip, so each FMA retires sixteen flops; a host
-// with two 512-bit FMA pipes retires twice the FMA flops per cycle on ZMM
-// registers that it does on YMM.
+// belong to. Both B packs have AVX2 bodies too — the row pack's four-row pass
+// is a 4×4 register transpose, and the column pack deals four rows of B per
+// pass, two YMM loads and stores per row and strip, where the portable body
+// calls runtime.memmove once per 64 bytes — and so have both triangular base
+// solves of factor.go: the right solve's eight rows at a time, and the left
+// solve's row update, thirty-two columns of a row held in registers across
+// every k. The two solves multiply and then subtract, never FMA, so they give
+// the portable bodies' bits. Where the CPU also has AVX-512, a second kernel
+// takes two adjacent B strips per call: the same tile six rows by sixteen
+// columns, one ZMM register per row and strip, so each FMA retires sixteen
+// flops; a host with two 512-bit FMA pipes retires twice the FMA flops per
+// cycle on ZMM registers that it does on YMM.
 // Each lane runs the FMA chain it runs in the 6×8 kernel and is added to C
 // the same way, so a tile's bits do not depend on which kernel applied it;
 // the strip loop (packedStrip) calls the pair wherever both of its tiles are
@@ -38,7 +43,9 @@ func init() {
 	if cpuHasAVX2FMA() {
 		microKernel = microKernelAVX2
 		packFour = packFourAVX2
+		dealCols = dealColsAVX2
 		solveStrip = solveStripAVX2
+		eliminate = eliminateAVX2
 		microKernelName = "avx2"
 		if cpuHasAVX512() {
 			microKernel2 = microKernelPairAVX512
@@ -100,6 +107,38 @@ func packFourAVX2(kb int, src []float64, ld int, dst []float64, w int) {
 //
 //go:noescape
 func transpose4AVX2(k4 int64, src *float64, ld int64, dst *float64, w int64)
+
+// dealColsAVX2 is dealCols through YMM registers, four rows of B per pass.
+func dealColsAVX2(kb, full int, src []float64, ld int, pb []float64) {
+	if kb <= 0 || full <= 0 {
+		return
+	}
+	src, pb = src[:(kb-1)*ld+full], pb[:full*kb]
+	dealAVX2(int64(kb), int64(full/microN), &src[0], int64(ld), &pb[0])
+}
+
+// dealAVX2 writes dst[s*kb*8+p*8+q] = src[p*ld+s*8+q] for p < kb, s < strips
+// and q < 8, kb and strips ≥ 1 (implemented in microkernel_amd64.s).
+//
+//go:noescape
+func dealAVX2(kb, strips int64, src *float64, ld int64, dst *float64)
+
+// eliminateAVX2 is eliminate with thirty-two columns of dst in YMM registers
+// across every k.
+func eliminateAVX2(dst, src []float64, ld int, coef []float64) {
+	m, nk := len(dst), len(coef)
+	if m == 0 || nk == 0 {
+		return
+	}
+	src = src[:(nk-1)*ld+m]
+	elimAVX2(int64(m), int64(nk), &dst[0], &src[0], int64(ld), &coef[0])
+}
+
+// elimAVX2 is eliminateGo for m = len(dst) ≥ 1 and nk = len(coef) ≥ 1
+// (implemented in microkernel_amd64.s).
+//
+//go:noescape
+func elimAVX2(m, nk int64, dst, src *float64, ld int64, coef *float64)
 
 // solveStripAVX2 is solveStrip on two YMM registers per column.
 func solveStripAVX2(n int, x, tri []float64) {

@@ -342,6 +342,202 @@ done:
 	VZEROUPPER
 	RET
 
+// func dealAVX2(kb, strips int64, src *float64, ld int64, dst *float64)
+//
+// The column pack's full strips: dst[s*kb*8+p*8+q] = src[p*ld+s*8+q] for
+// p < kb, s < strips, q < 8, kb ≥ 1 and strips ≥ 1. Four rows of B per pass:
+// each strip takes eight YMM loads, two from each row, and eight stores to
+// 256 contiguous bytes of its own, then the pass moves one strip (kb·64
+// bytes) on. The last kb mod 4 rows go one per pass, 64 bytes to each strip.
+TEXT ·dealAVX2(SB), NOSPLIT, $0-40
+	MOVQ kb+0(FP), CX
+	MOVQ strips+8(FP), BX
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), AX
+	MOVQ dst+32(FP), DI
+	SHLQ $3, AX            // source row stride in bytes
+	MOVQ CX, R10
+	SHLQ $6, R10           // one strip is kb·8 doubles
+
+dealfour:
+	CMPQ CX, $4
+	JLT  dealone
+	MOVQ SI, R11
+	LEAQ (SI)(AX*2), R8    // row 2
+	MOVQ DI, R13
+	MOVQ BX, DX
+
+dealfourstrip:
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD (R11)(AX*1), Y2
+	VMOVUPD 32(R11)(AX*1), Y3
+	VMOVUPD (R8), Y4
+	VMOVUPD 32(R8), Y5
+	VMOVUPD (R8)(AX*1), Y6
+	VMOVUPD 32(R8)(AX*1), Y7
+	VMOVUPD Y0, (R13)
+	VMOVUPD Y1, 32(R13)
+	VMOVUPD Y2, 64(R13)
+	VMOVUPD Y3, 96(R13)
+	VMOVUPD Y4, 128(R13)
+	VMOVUPD Y5, 160(R13)
+	VMOVUPD Y6, 192(R13)
+	VMOVUPD Y7, 224(R13)
+	ADDQ    $64, R11
+	ADDQ    $64, R8
+	ADDQ    R10, R13
+	DECQ    DX
+	JNZ     dealfourstrip
+
+	LEAQ (SI)(AX*4), SI
+	ADDQ $256, DI
+	SUBQ $4, CX
+	JMP  dealfour
+
+dealone:
+	TESTQ CX, CX
+	JZ    dealdone
+	MOVQ  SI, R11
+	MOVQ  DI, R13
+	MOVQ  BX, DX
+
+dealonestrip:
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD Y0, (R13)
+	VMOVUPD Y1, 32(R13)
+	ADDQ    $64, R11
+	ADDQ    R10, R13
+	DECQ    DX
+	JNZ     dealonestrip
+
+	ADDQ AX, SI
+	ADDQ $64, DI
+	DECQ CX
+	JMP  dealone
+
+dealdone:
+	VZEROUPPER
+	RET
+
+// func elimAVX2(m, nk int64, dst, src *float64, ld int64, coef *float64)
+//
+// The left solve's row update: dst[j] −= coef[k]·src[k*ld+j] for k < nk in
+// order, j < m, nk ≥ 1. Thirty-two columns of dst stay in Y0..Y7 across
+// every k, then four in Y0, then one in X0; each term is one multiply into a
+// scratch register and one subtract. Never FMA: the portable body rounds the
+// product before subtracting it, and this must give its bits.
+TEXT ·elimAVX2(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), CX
+	MOVQ nk+8(FP), BX
+	MOVQ dst+16(FP), DI
+	MOVQ src+24(FP), SI
+	MOVQ ld+32(FP), AX
+	MOVQ coef+40(FP), DX
+	SHLQ $3, AX            // source row stride in bytes
+
+elim32:
+	CMPQ    CX, $32
+	JLT     elim4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	MOVQ    SI, R8
+	MOVQ    DX, R9
+	MOVQ    BX, R10
+
+elim32k:
+	VBROADCASTSD (R9), Y8
+	VMULPD       (R8), Y8, Y9
+	VMULPD       32(R8), Y8, Y10
+	VMULPD       64(R8), Y8, Y11
+	VMULPD       96(R8), Y8, Y12
+	VSUBPD       Y9, Y0, Y0
+	VSUBPD       Y10, Y1, Y1
+	VSUBPD       Y11, Y2, Y2
+	VSUBPD       Y12, Y3, Y3
+	VMULPD       128(R8), Y8, Y9
+	VMULPD       160(R8), Y8, Y10
+	VMULPD       192(R8), Y8, Y11
+	VMULPD       224(R8), Y8, Y12
+	VSUBPD       Y9, Y4, Y4
+	VSUBPD       Y10, Y5, Y5
+	VSUBPD       Y11, Y6, Y6
+	VSUBPD       Y12, Y7, Y7
+	ADDQ         AX, R8
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          elim32k
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	SUBQ    $32, CX
+	JMP     elim32
+
+elim4:
+	CMPQ    CX, $4
+	JLT     elim1
+	VMOVUPD (DI), Y0
+	MOVQ    SI, R8
+	MOVQ    DX, R9
+	MOVQ    BX, R10
+
+elim4k:
+	VBROADCASTSD (R9), Y8
+	VMULPD       (R8), Y8, Y9
+	VSUBPD       Y9, Y0, Y0
+	ADDQ         AX, R8
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          elim4k
+
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     elim4
+
+elim1:
+	TESTQ  CX, CX
+	JZ     elimdone
+	VMOVSD (DI), X0
+	MOVQ   SI, R8
+	MOVQ   DX, R9
+	MOVQ   BX, R10
+
+elim1k:
+	VMOVSD (R9), X8
+	VMULSD (R8), X8, X9
+	VSUBSD X9, X0, X0
+	ADDQ   AX, R8
+	ADDQ   $8, R9
+	DECQ   R10
+	JNZ    elim1k
+
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    elim1
+
+elimdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL  eaxIn+0(FP), AX

@@ -174,3 +174,94 @@ func TestSolveStripMatchesPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestLUKernelsMatchPortable runs the four LU tile kernels twice on the same
+// strided views, once with the AVX2 column deal and row update installed and
+// once with the portable bodies in their place (the micro-kernel is the
+// installed one both times), and requires the same bits in the whole parent,
+// guard cells included: the deal only moves values and the row update
+// multiplies, then subtracts, in the portable order. Triangle orders from 1
+// to 129, at and around factorBase, give every i mod 4 tail of the left
+// solve's base case; the right-hand side widths give every tail of the
+// update's 32-, 4- and 1-column passes.
+func TestLUKernelsMatchPortable(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	deal, elim := dealCols, eliminate
+	t.Cleanup(func() { dealCols, eliminate = deal, elim })
+	widths := []int{1, 3, 4, 5, 8, 127, 128, 129}
+	orders := append([]int{2, 6, 7, 9, 13, 15, 16, 17, 33, 100}, widths...)
+	for _, fc := range factorCases {
+		switch fc.name {
+		case "Getrf", "TrsmLLUnit", "TrsmRU", "GemmSub":
+		default:
+			continue
+		}
+		for _, n := range orders {
+			for _, m := range widths {
+				if fc.name == "Getrf" && m != widths[0] {
+					continue // square: the order is the only extent
+				}
+				for _, poison := range []float64{math.NaN(), 1e30} {
+					shapes := fc.shapes(n, m, (n+m)/2+1)
+					run := func(d func(int, int, []float64, int, []float64), e func([]float64, []float64, int, []float64)) *Matrix {
+						dealCols, eliminate = d, e
+						parent := carveParent(shapes, poison)
+						tiles := carve(parent, shapes)
+						fc.fill(tiles, int64(31*n+m))
+						if err := fc.kernel(tiles); err != nil {
+							t.Fatalf("%s n=%d m=%d: %v", fc.name, n, m, err)
+						}
+						return parent
+					}
+					got, want := run(deal, elim), run(dealColsGo, eliminateGo)
+					if i, j, ok := sameBitsOrWithin(got, want, -1); !ok {
+						t.Fatalf("%s n=%d m=%d poison=%g: parent cell (%d,%d) = %g, portable bodies give %g",
+							fc.name, n, m, poison, i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEliminateMatchesPortable: the AVX2 row update gives the portable body's
+// bits for every width up to two 32-column passes plus every tail and for up
+// to nine coefficients, rows at a stride with other values in the gaps, Inf
+// and NaN included, and writes nothing past dst.
+func TestEliminateMatchesPortable(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip("no AVX2/FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for m := 0; m <= 70; m++ {
+		for nk := 0; nk <= 9; nk++ {
+			ld := m + rng.Intn(5)
+			src := make([]float64, nk*ld+m)
+			for i := range src {
+				src[i] = 2*rng.Float64() - 1
+			}
+			coef := make([]float64, nk)
+			for i := range coef {
+				coef[i] = 2*rng.Float64() - 1
+			}
+			if m > 0 && nk > 0 {
+				src[rng.Intn(nk)*ld+rng.Intn(m)] = math.Inf(1)
+				src[rng.Intn(nk)*ld+rng.Intn(m)] = math.NaN()
+			}
+			dst := make([]float64, m+4)
+			for i := range dst {
+				dst[i] = 2*rng.Float64() - 1
+			}
+			got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+			eliminateAVX2(got[:m], src, ld, coef)
+			eliminateGo(want[:m], src, ld, coef)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("m=%d nk=%d ld=%d: dst[%d] = %g, portable body has %g", m, nk, ld, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -22,7 +22,11 @@ import (
 // loop's scratch tile exists only for the tiles an edge of C or the diagonal
 // of a lower-triangular C clips. The row pack (the A tail, and B of every
 // A·Bᵀ product, which is every product Cholesky does) moves four rows at a
-// time through packFour, a 4×4 register transpose where AVX2 is available.
+// time through packFour, a 4×4 register transpose where AVX2 is available;
+// the column pack (B of every A·B product, which is every product the LU
+// kernels and the cluster worker's DGEMM do) deals four rows of B at a time
+// to the strips through dealCols, YMM loads and stores where AVX2 is
+// available.
 // Pack buffers are recycled through a sync.Pool so tiled task-runtime
 // workloads (many calls on tile views) allocate only on first use. The
 // parallel variant splits the row-panels of C across worker goroutines; every
@@ -121,17 +125,36 @@ func packFourGo(kb int, src []float64, ld int, dst []float64, w int) {
 // its element (p, q) lands at pb[s*kb*microN + p*microN + q]. It walks b along
 // its rows, each read once front to back and dealt out to the strips microN
 // values at a time: a B tile that arrives cold (the cluster worker's) streams
-// in row by row instead of being walked down a column per strip.
+// in row by row instead of being walked down a column per strip. The full
+// strips go through dealCols; the short last strip is copied and padded here.
 func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 	full := nb &^ (microN - 1)
+	src := b.Data[p0*b.Stride+j0:]
+	if full > 0 {
+		dealCols(kb, full, src, b.Stride, pb)
+	}
+	if full < nb {
+		for p := 0; p < kb; p++ {
+			dst := pb[full*kb+p*microN:][:microN]
+			clear(dst[copy(dst, src[p*b.Stride+full:][:nb-full]):])
+		}
+	}
+}
+
+// dealCols copies kb rows of full values — src[p*ld:][:full] for p < kb, full
+// a positive multiple of microN — into the first full/microN strips of pb:
+// pb[j*kb+p*microN+q] = src[p*ld+j+q] for j a multiple of microN and q <
+// microN. It points at the portable body below or, installed by the same init
+// as the micro-kernel, at the AVX2 deal, which moves four rows per pass so
+// that each strip receives 256 contiguous bytes (the kb mod 4 tail a row per
+// pass).
+var dealCols = dealColsGo
+
+func dealColsGo(kb, full int, src []float64, ld int, pb []float64) {
 	for p := 0; p < kb; p++ {
-		row := b.Data[(p0+p)*b.Stride+j0:][:nb]
+		row := src[p*ld:][:full]
 		for j := 0; j < full; j += microN {
 			*(*[microN]float64)(pb[j*kb+p*microN:]) = [microN]float64(row[j:])
-		}
-		if full < nb {
-			dst := pb[full*kb+p*microN:][:microN]
-			clear(dst[copy(dst, row[full:]):])
 		}
 	}
 }

@@ -434,13 +434,20 @@ func packColsByColumn(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 // TestPackColsMatchesColumnWalk: the row-wise column pack fills every strip
 // exactly as the strip-by-strip walk did — the same values at the same
 // positions, the zero padding of a short last strip included — and writes
-// nothing past its strips, on random strided views whose width is not a
-// multiple of microN.
+// nothing past its strips, on random strided views, with the installed deal
+// (the AVX2 one where there is one) and with the portable body. Depths below
+// four and off a multiple of four reach the deal's one-row tail; widths off a
+// multiple of microN the short last strip.
 func TestPackColsMatchesColumnWalk(t *testing.T) {
+	installed := dealCols
+	defer func() { dealCols = installed }()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		kb, nb := 1+rng.Intn(140), 1+rng.Intn(70)
-		if nb%microN == 0 {
+		if trial < 24 {
+			kb = 1 + trial%6 // 1, 2, 3: all tail; 4: one pass; 5, 6: both
+		}
+		if nb%microN == 0 && trial%2 == 0 {
 			nb++
 		}
 		p0, j0 := rng.Intn(5), rng.Intn(11)
@@ -453,15 +460,19 @@ func TestPackColsMatchesColumnWalk(t *testing.T) {
 			pack(parent, p0, j0, kb, nb, dst)
 			return dst
 		}
-		got, want := pack(packCols), pack(packColsByColumn)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("kb=%d nb=%d at (%d,%d) stride %d: pb[%d] = %g, the column walk has %g",
-					kb, nb, p0, j0, parent.Stride, i, got[i], want[i])
+		want := pack(packColsByColumn)
+		for _, deal := range []func(int, int, []float64, int, []float64){installed, dealColsGo} {
+			dealCols = deal
+			got := pack(packCols)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("kb=%d nb=%d at (%d,%d) stride %d: pb[%d] = %g, the column walk has %g",
+						kb, nb, p0, j0, parent.Stride, i, got[i], want[i])
+				}
 			}
-		}
-		if tail := got[len(got)-microN:]; tail[0] != sentinel {
-			t.Fatalf("kb=%d nb=%d: the pack wrote past its strips", kb, nb)
+			if tail := got[len(got)-microN:]; tail[0] != sentinel {
+				t.Fatalf("kb=%d nb=%d: the pack wrote past its strips", kb, nb)
+			}
 		}
 	}
 }

@@ -88,16 +88,17 @@ func GemmBlocked(a, b, c *Matrix, block int) error {
 			lMax := min(ll+block, k)
 			for jj := 0; jj < n; jj += block {
 				jMax := min(jj+block, n)
+				// Rows resliced to the block, so the inner loop has no bounds
+				// check; each element's sum runs over l in the same order.
 				for i := ii; i < iMax; i++ {
-					crow := c.Data[i*c.Stride : i*c.Stride+n]
-					for l := ll; l < lMax; l++ {
-						av := a.At(i, l)
+					crow := c.Data[i*c.Stride+jj : i*c.Stride+jMax]
+					for l, av := range a.Data[i*a.Stride+ll : i*a.Stride+lMax] {
 						if av == 0 {
 							continue
 						}
-						brow := b.Data[l*b.Stride : l*b.Stride+n]
-						for j := jj; j < jMax; j++ {
-							crow[j] += av * brow[j]
+						brow := b.Data[(ll+l)*b.Stride+jj:][:len(crow)]
+						for j, bv := range brow {
+							crow[j] += av * bv
 						}
 					}
 				}

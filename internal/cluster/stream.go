@@ -36,10 +36,13 @@ type execStream struct {
 // openStream starts the node's execute POST and the reader goroutine that
 // carries it. It does not wait for the node: requests may be written at once,
 // and a refused or failed POST surfaces as the stream breaking under them.
+// The request body is the read end of the pipe the sender writes, as a
+// streamBody, so that each message write — the envelope run, then each frame —
+// leaves as one HTTP chunk.
 func (st *runState) openStream(n *nodeState) (*execStream, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.cfg.Addr+PathExecute, pr)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.cfg.Addr+PathExecute, streamBody{pr})
 	if err != nil {
 		cancel()
 		return nil, err
@@ -56,6 +59,22 @@ func (st *runState) openStream(n *nodeState) (*execStream, error) {
 	st.bg.Add(1)
 	go s.read(req)
 	return s, nil
+}
+
+// streamChunk bounds one chunk of the execute POST's body: two 128×128 tiles.
+const streamChunk = 256 << 10
+
+// streamBody is an execute stream's request body. net/http copies a body
+// through a 32 KiB buffer and sends each piece as its own chunk, flushed —
+// four chunks of three socket writes each for a 128 KiB tile, and four
+// hand-offs through the pipe — unless the body is an io.WriterTo. This one
+// copies through a buffer of streamChunk bytes, allocated once for the
+// stream, so each pipe write up to that size arrives in one Read and leaves
+// as one chunk. Closing and errors are the pipe's.
+type streamBody struct{ *io.PipeReader }
+
+func (b streamBody) WriteTo(w io.Writer) (int64, error) {
+	return io.CopyBuffer(w, b.PipeReader, make([]byte, streamChunk))
 }
 
 // submit registers rec as pending and writes its request, then the payloads it

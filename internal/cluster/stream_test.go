@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -490,5 +496,136 @@ func TestStreamConcurrentShips(t *testing.T) {
 	}
 	if got := cm.reconnects.With(node).Value(); got != 0 {
 		t.Errorf("healthy runs reconnected %g times", got)
+	}
+}
+
+// --- the master's request body ---
+
+// recordingWriter keeps each Write it is given, as net/http's chunked writer
+// would send each as one chunk.
+type recordingWriter struct{ writes [][]byte }
+
+func (r *recordingWriter) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// Each pipe write reaches the transport as one Write, cut only at the
+// body's buffer, and the body ends the way the pipe does.
+func TestStreamBodyPassesWholeWrites(t *testing.T) {
+	pr, pw := io.Pipe()
+	msgs := [][]byte{make([]byte, 10), make([]byte, 128<<10), make([]byte, 300<<10)}
+	for i, m := range msgs {
+		rand.New(rand.NewSource(int64(i))).Read(m)
+	}
+	go func() {
+		for _, m := range msgs {
+			pw.Write(m)
+		}
+		pw.Close()
+	}()
+	var rec recordingWriter
+	n, err := streamBody{pr}.WriteTo(&rec)
+	sent := bytes.Join(msgs, nil)
+	if err != nil || n != int64(len(sent)) {
+		t.Fatalf("WriteTo = %d, %v; want %d, nil", n, err, len(sent))
+	}
+	var sizes []int
+	for _, w := range rec.writes {
+		sizes = append(sizes, len(w))
+	}
+	if want := []int{10, 128 << 10, streamChunk, 300<<10 - streamChunk}; !slices.Equal(sizes, want) {
+		t.Errorf("writes of %v bytes, want %v", sizes, want)
+	}
+	if !bytes.Equal(bytes.Join(rec.writes, nil), sent) {
+		t.Error("the bytes written are not the bytes sent")
+	}
+
+	// The stream's end closes the pipe with its reason: WriteTo returns it.
+	pr, pw = io.Pipe()
+	broken := errors.New("stream broken")
+	pw.CloseWithError(broken)
+	if _, err := (streamBody{pr}).WriteTo(&rec); err != broken {
+		t.Errorf("WriteTo after CloseWithError = %v, want %v", err, broken)
+	}
+
+	// The transport closes the body when it gives up on the request: the
+	// sender's write fails instead of waiting for a reader.
+	pr, pw = io.Pipe()
+	wrote := make(chan error)
+	go func() {
+		_, err := pw.Write(make([]byte, 10))
+		wrote <- err
+	}()
+	streamBody{pr}.Close()
+	if err := <-wrote; err != io.ErrClosedPipe {
+		t.Errorf("write to a closed body = %v, want %v", err, io.ErrClosedPipe)
+	}
+}
+
+// countingConn counts the writes a connection makes and the bytes in them.
+type countingConn struct {
+	net.Conn
+	writes, written atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	c.written.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// A tile crosses the socket in few large writes, not in net/http's 32 KiB
+// pieces of three writes each. It counts, never times.
+func TestExecuteStreamWritesWholeFrames(t *testing.T) {
+	cl := gemmTestCodelet(t, 0)
+	_, srv := startWorker(t, "w", cl, WorkerConfig{})
+	var mu sync.Mutex
+	var conns []*countingConn
+	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := new(net.Dialer).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		cc := &countingConn{Conn: c}
+		mu.Lock()
+		conns = append(conns, cc)
+		mu.Unlock()
+		return cc, nil
+	}}
+	t.Cleanup(transport.CloseIdleConnections)
+
+	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := submitTiledGemm(t, rt, cl, 384, 128) // 27 distinct 128×128 tiles
+	m := fastMaster(t, []NodeConfig{{Name: "w", Addr: srv.URL}},
+		func(cfg *Config) { cfg.HTTP = &http.Client{Transport: transport} })
+	rep, err := m.Run(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyGemm(t, a, b, c)
+	if rep.Transfers < 8 {
+		t.Fatalf("%d tiles shipped, want at least 8", rep.Transfers)
+	}
+
+	// The execute stream is the connection that carried the most bytes.
+	mu.Lock()
+	defer mu.Unlock()
+	var stream *countingConn
+	for _, cc := range conns {
+		if stream == nil || cc.written.Load() > stream.written.Load() {
+			stream = cc
+		}
+	}
+	writes, sent := stream.writes.Load(), stream.written.Load()
+	if sent < rep.TransferBytes {
+		t.Fatalf("the busiest connection carried %d bytes, less than the %d shipped", sent, rep.TransferBytes)
+	}
+	if per := sent / writes; per < 32<<10 {
+		t.Errorf("%d bytes in %d socket writes (%d per write) for %d tiles; want at least 32 KiB per write",
+			sent, writes, per, rep.Transfers)
 	}
 }

@@ -62,18 +62,18 @@ lint-cluster-copy:
 	@test "$$(grep -c frameMatrix internal/cluster/proto.go)" -eq 3
 	@test "$$(grep -c matrixHeader internal/cluster/proto.go)" -eq 5
 
-# lint-one-kernel keeps internal/blas at one register-tiled micro-kernel per
-# register width, both reading A in place, and names every assembly routine
-# beside them: the TEXT list of the assembly is exactly microAVX2, the only
-# fast path on hosts without AVX-512, microPairAVX512, which CPUID installs
-# beside it, the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the
-# solves' elimAVX2 (left, a row at a time) and solve8AVX2 (right, eight rows at
-# a time), and cpuid and xgetbv — a new routine is added here on purpose — plus
-# one call site of the pair in the driver, and one A pack there, the
+# lint-one-kernel keeps internal/blas at one register tile per host, its kernel
+# reading A in place, and names every assembly routine beside it: the TEXT list
+# of the assembly is exactly microAVX2, the 6×8 tile of hosts without AVX-512,
+# microAVX512, the 8×16 tile CPUID installs in its place where the CPU has it,
+# the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the solves'
+# elimAVX2 (left, a row at a time) and solve8AVX2 (right, eight rows at a
+# time), and cpuid and xgetbv — a new routine is added here on purpose — plus
+# one call site of the tile's kernel in pack.go, and one A pack there, the
 # zero-padded tail strip.
 lint-one-kernel:
-	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microPairAVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
-	@test "$$(grep -c 'microKernel2(' internal/blas/pack.go)" -eq 1
+	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microAVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
+	@test "$$(grep -c 'kernel(' internal/blas/pack.go)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
 # lint-one-binding keeps one way from a task's payloads to a kernel's
@@ -224,9 +224,10 @@ bench:
 # Cholesky and the four LU tile kernels and the packed tile DGEMM at tile 128
 # on strided views of a 1024 parent, GF/s of the kernel call alone; the two B
 # packs alone on the same views, GB/s (Cols and Rows); and the micro-kernels
-# alone on L1-resident operands: the 6×8 kernel for both A layouts, and the
-# AVX-512 pair (two strips a call, Pair512; skipped on hosts without it). It
-# records nothing; numbers that are compared come from `make bench`.
+# alone on L1-resident operands, each named by its tile and run on both A
+# layouts: the installed tile (8x16 on AVX-512 hosts, 6x8 elsewhere) and, on
+# AVX-512 hosts, the AVX2 6x8 kernel beside it. It records nothing; numbers
+# that are compared come from `make bench`.
 bench-blas:
 	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkPack|BenchmarkMicroKernel' -count 5 ./internal/blas
 

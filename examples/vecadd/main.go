@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/codegen"
 	"repro/internal/csrc"
@@ -44,38 +46,45 @@ int main() {
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example, its narrative written to w.
+func run(w io.Writer) error {
 	// Frontend: parse annotations + C subset.
 	prog, err := csrc.ParseProgram(program)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	td := prog.TaskDefs()[0]
-	fmt.Printf("task %s variant %s, params:", td.Annotation.Interface, td.Annotation.Name)
+	fmt.Fprintf(w, "task %s variant %s, params:", td.Annotation.Interface, td.Annotation.Name)
 	for _, p := range td.Annotation.Params {
-		fmt.Printf(" %s:%s", p.Name, p.Mode)
+		fmt.Fprintf(w, " %s:%s", p.Name, p.Mode)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Task registration (paper IV-C step 1).
 	repository := repo.NewWithLibrary()
 	if err := repository.RegisterProgram(prog, repo.DefaultKernels()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Static pre-selection against the target PDL (step 2).
 	platform := discover.MustPlatform("xeon-cpu")
 	plan, err := mapping.PlanProgram(prog, repository, platform)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(plan.Summary())
+	fmt.Fprint(w, plan.Summary())
 
 	// Output generation (step 3): the generated Go program.
 	src, err := codegen.GenerateGo(plan, codegen.GenOptions{PlatformFile: "xeon-cpu.pdl.xml"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("generated %d bytes of output program; compile plan:\n%s",
+	fmt.Fprintf(w, "generated %d bytes of output program; compile plan:\n%s",
 		len(src), codegen.CompilePlan(plan))
 
 	// Execution: run the translated task graph for real on this host.
@@ -91,15 +100,16 @@ func main() {
 		Args: map[string]any{"A": a, "B": b},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(report.String())
+	fmt.Fprint(w, report.String())
 
 	// Verify against the serial semantics A[i] += B[i].
 	for i := 0; i < n; i++ {
 		if a[i] != 3*float64(i) {
-			log.Fatalf("verification failed at %d: %g", i, a[i])
+			return fmt.Errorf("verification failed at %d: %g", i, a[i])
 		}
 	}
-	fmt.Printf("verified: %d elements match the serial program\n", n)
+	fmt.Fprintf(w, "verified: %d elements match the serial program\n", n)
+	return nil
 }

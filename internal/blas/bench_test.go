@@ -109,39 +109,40 @@ func BenchmarkPack(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroKernel times the installed micro-kernels alone at kb = 128 on
-// operands that stay in L1 — one 6×128 A strip, one or two 128×8 B strips, a
-// 6×8 or 6×16 tile of C. InPlace (rows of a 128-wide A) and Packed (the
-// k-major tail strip) are the 6×8 kernel on both A layouts the driver passes;
-// Pair512 is the AVX-512 pair kernel on A in place, two strips a call,
-// skipped where it is not installed. GF/s counts each call's own flops, so the
-// rows compare per flop. Read beside probe.fma_gflops (a 256-bit probe), it is
-// the kernel's share of the FMA peak with packing and cache misses
+// BenchmarkMicroKernel times the installed tile's micro-kernel alone at
+// kb = 128 on operands that stay in L1 — one tile.m×128 A strip, one or two
+// 128×8 B strips, a tile of C — and, on AVX-512 hosts, the AVX2 6×8 kernel
+// beside it. Each tile is named by its shape (8x16, 6x8) and runs on both A
+// layouts packedStrip passes: InPlace (rows of a 128-wide A) and Packed (the
+// k-major tail strip). GF/s counts each call's own flops, so the rows compare
+// per flop. Read beside probe.fma_gflops (a 256-bit probe), it is the
+// kernel's share of the FMA peak with packing and cache misses
 // (BenchmarkTileKernels) taken out. `make bench-blas` runs it.
 func BenchmarkMicroKernel(b *testing.B) {
 	const kb = packDepth
-	pb := randomMatrix(2*kb, microN, 3).Data
-	c := make([]float64, microM*2*microN)
-	inPlace := randomMatrix(microM, kb, 4).Data
-	for _, l := range []struct {
-		name     string
-		kernel   microKernelFunc
-		width    int
-		a        []float64
-		ars, aks int
-	}{
-		{"InPlace", microKernel, microN, inPlace, kb, 1},
-		{"Packed", microKernel, microN, randomMatrix(kb, microM, 4).Data, 1, microM},
-		{"Pair512", microKernel2, 2 * microN, inPlace, kb, 1},
-	} {
-		b.Run(l.name, func(b *testing.B) {
-			if l.kernel == nil {
-				b.Skip("no AVX-512 pair kernel on this CPU or build")
-			}
-			for i := 0; i < b.N; i++ {
-				l.kernel(kb, l.a, l.ars, l.aks, pb, c, l.width, i&1 == 1) // alternate the sign so c stays bounded
-			}
-			b.ReportMetric(FlopsGEMM(microM, l.width, kb)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
-		})
+	tiles := []regTile{tile}
+	for _, rt := range asmTiles() {
+		if rt.m != tile.m || rt.n != tile.n {
+			tiles = append(tiles, rt)
+		}
+	}
+	for _, rt := range tiles {
+		pb := randomMatrix(kb*rt.n/microN, microN, 3).Data
+		c := make([]float64, rt.m*rt.n)
+		for _, l := range []struct {
+			name     string
+			a        []float64
+			ars, aks int
+		}{
+			{"InPlace", randomMatrix(rt.m, kb, 4).Data, kb, 1},
+			{"Packed", randomMatrix(kb, rt.m, 4).Data, 1, rt.m},
+		} {
+			b.Run(rt.shape()+"/"+l.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rt.kernel(kb, l.a, l.ars, l.aks, pb, c, rt.n, i&1 == 1) // alternate the sign so c stays bounded
+				}
+				b.ReportMetric(FlopsGEMM(rt.m, rt.n, kb)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
+			})
+		}
 	}
 }

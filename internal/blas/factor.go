@@ -46,9 +46,10 @@ func update(a, b, c *Matrix, op product) {
 
 // splitAt returns where a triangle of order n > factorBase is halved: near
 // the middle, on a multiple of microN so that a first half read as op(B)
-// packs into full column strips. A is read in place and packs only its
-// mb mod microM tail whatever the split; the split stays where it is because
-// moving it would move the bits of every factor kernel.
+// packs into full column strips. On the 8-row tile both halves of 128 and of
+// every half of it are whole row strips, so A is read in place throughout; the
+// split stays where it is because moving it would move the bits of every
+// factor kernel.
 func splitAt(n int) int { return roundUp(n/2, microN) }
 
 // Potrf computes the lower-triangular Cholesky factor of a symmetric

@@ -17,18 +17,15 @@ package blas
 // solves of factor.go: the right solve's eight rows at a time, and the left
 // solve's row update, thirty-two columns of a row held in registers across
 // every k. The two solves multiply and then subtract, never FMA, so they give
-// the portable bodies' bits. Where the CPU also has AVX-512, a second kernel
-// takes two adjacent B strips per call: the same tile six rows by sixteen
-// columns, one ZMM register per row and strip, so each FMA retires sixteen
-// flops; a host with two 512-bit FMA pipes retires twice the FMA flops per
-// cycle on ZMM registers that it does on YMM.
-// Each lane runs the FMA chain it runs in the 6×8 kernel and is added to C
-// the same way, so a tile's bits do not depend on which kernel applied it;
-// the strip loop (packedStrip) calls the pair wherever both of its tiles are
-// full and in place, and the 6×8 kernel everywhere else.
+// the portable bodies' bits. Where the CPU also has AVX-512, the register
+// tile is 8×16 instead: sixteen ZMM accumulators, one per row and B strip, so
+// each FMA retires sixteen flops, and eight rows, so a 128-row product and
+// every half of it has no short A strip. Each lane runs the FMA chain its
+// element runs in the 6×8 kernel and is added to C the same way, so a
+// product's bits do not depend on which tile applied it.
 // Selection happens once at init via CPUID: hosts without AVX2, FMA or
 // OS-enabled YMM state keep the portable bodies, and hosts without AVX512F or
-// OS-enabled opmask and ZMM state keep the 6×8 kernel alone. Any build with
+// OS-enabled opmask and ZMM state keep the 6×8 tile. Any build with
 // the purego tag (`make test-purego`) keeps the portable bodies too: it leaves
 // this file out so that CI on an AVX2 host still runs every packed product
 // and factor kernel on the fallback.
@@ -41,14 +38,14 @@ package blas
 
 func init() {
 	if cpuHasAVX2FMA() {
-		microKernel = microKernelAVX2
+		tile = regTile{microKernelAVX2, 6, microN}
 		packFour = packFourAVX2
 		dealCols = dealColsAVX2
 		solveStrip = solveStripAVX2
 		eliminate = eliminateAVX2
 		microKernelName = "avx2"
 		if cpuHasAVX512() {
-			microKernel2 = microKernelPairAVX512
+			tile = regTile{microKernelAVX512, 8, 2 * microN}
 		}
 	}
 }
@@ -58,10 +55,10 @@ func microKernelAVX2(kb int, a []float64, ars, aks int, pb, c []float64, ldc int
 		return
 	}
 	// Re-slice so bounds checks cover the exact extent the assembly touches:
-	// the last A element it reads is row microM−1 at step kb−1.
-	a = a[:(microM-1)*ars+(kb-1)*aks+1]
+	// the last A element it reads is row 5 at step kb−1.
+	a = a[:5*ars+(kb-1)*aks+1]
 	pb = pb[: kb*microN : kb*microN]
-	c = c[:(microM-1)*ldc+microN]
+	c = c[:5*ldc+microN]
 	microAVX2(int64(kb), &a[0], int64(ars), int64(aks), &pb[0], &c[0], int64(ldc), neg)
 }
 
@@ -71,23 +68,23 @@ func microKernelAVX2(kb int, a []float64, ars, aks int, pb, c []float64, ldc int
 //go:noescape
 func microAVX2(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 
-func microKernelPairAVX512(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+func microKernelAVX512(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 	if kb <= 0 {
 		return
 	}
-	// As in microKernelAVX2, with two strips of B and sixteen columns of C.
-	a = a[:(microM-1)*ars+(kb-1)*aks+1]
+	// As in microKernelAVX2: eight rows, two strips of B, sixteen columns.
+	a = a[:7*ars+(kb-1)*aks+1]
 	pb = pb[: 2*kb*microN : 2*kb*microN]
-	c = c[:(microM-1)*ldc+2*microN]
-	microPairAVX512(int64(kb), &a[0], int64(ars), int64(aks), &pb[0], &c[0], int64(ldc), neg)
+	c = c[:7*ldc+2*microN]
+	microAVX512(int64(kb), &a[0], int64(ars), int64(aks), &pb[0], &c[0], int64(ldc), neg)
 }
 
-// microPairAVX512 applies c[i*ldc+j] ±= Σ_p a[p*aks+i*ars]·b(p, j) for a full
-// 6×16 tile, kb ≥ 1, columns j < 8 from the strip pb[:kb*8] and the rest from
+// microAVX512 applies c[i*ldc+j] ±= Σ_p a[p*aks+i*ars]·b(p, j) for a full
+// 8×16 tile, kb ≥ 1, columns j < 8 from the strip pb[:kb*8] and the rest from
 // pb[kb*8:] (implemented in microkernel_amd64.s).
 //
 //go:noescape
-func microPairAVX512(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
+func microAVX512(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 
 // packFourAVX2 transposes four k steps at a time in registers and leaves the
 // kb mod 4 tail to the portable body.
@@ -179,7 +176,7 @@ func cpuHasAVX2FMA() bool {
 	return b7&avx2 != 0
 }
 
-// cpuHasAVX512 reports whether this CPU and OS support the pair kernel, on top
+// cpuHasAVX512 reports whether this CPU and OS support the 8×16 kernel, on top
 // of what cpuHasAVX2FMA checks: CPUID must advertise AVX512F — the only
 // AVX-512 extension its instructions need — and XGETBV must confirm the OS
 // saves the opmask, ZMM_Hi256 and Hi16_ZMM state.

@@ -121,21 +121,22 @@ loop:
 	VZEROUPPER
 	RET
 
-// func microPairAVX512(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
+// func microAVX512(kb int64, a *float64, ars, aks int64, pb, c *float64, ldc int64, neg bool)
 //
-// The 6×16 pair micro-kernel: microAVX2 on two adjacent packed B strips at
-// once, in 512-bit registers. Columns 0–7 of the tile are the strip at pb,
-// columns 8–15 the next one, kb·8 doubles on (R10): c[i*ldc+j] ±= Σ_p
-// a[p*aks+i*ars]·pb[p*8+j] for j < 8 and ·pb[kb*8+p*8+j−8] for j ≥ 8, kb ≥ 1.
-// Z0..Z11 hold the accumulator tile (one ZMM per row and strip); every k step
-// loads one 8-wide vector from each strip into Z12/Z13, broadcasts the six A
-// values two at a time into Z14/Z15 and issues twelve FMAs (192 flops). A is
-// addressed exactly as in microAVX2, and every lane runs the FMA chain it
-// runs there — from zero, p = 0…kb−1 — followed by the same sign XOR and the
-// same one add onto C, so a tile's bits do not depend on which of the two
-// kernels applied it. Only AVX512F instructions: VPXORQ, not VXORPD, on Z
-// registers.
-TEXT ·microPairAVX512(SB), NOSPLIT, $0-57
+// The 8×16 micro-kernel of AVX-512 hosts: c[i*ldc+j] ±= Σ_p
+// a[p*aks+i*ars]·b(p, j) for i < 8 and j < 16, kb ≥ 1, columns 0–7 of B from
+// the packed strip at pb (pb[p*8+j]) and columns 8–15 from the next strip,
+// kb·8 doubles on (R10). Z0..Z15 hold the accumulator tile, one ZMM per row
+// and strip; every k step loads one 8-wide vector from each strip into
+// Z16/Z17, broadcasts the eight A values into Z18..Z25 and issues sixteen
+// FMAs (256 flops). A is addressed at the strides the caller passes — its own
+// rows in place, or the packed tail strip — off two pointers, SI (row 0) and
+// R8 = SI + 3·ars (row 3), with AX = ars and R11 = 3·ars as index registers.
+// Every lane runs the FMA chain microAVX2 runs for its element — from zero,
+// p = 0…kb−1 — followed by the same sign XOR and the same one add onto C, so
+// a product's bits do not depend on which of the two tiles applied it. Only
+// AVX512F instructions: VPXORQ, not VXORPD, on Z registers.
+TEXT ·microAVX512(SB), NOSPLIT, $0-57
 	MOVQ kb+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ ars+16(FP), AX
@@ -147,8 +148,8 @@ TEXT ·microPairAVX512(SB), NOSPLIT, $0-57
 	SHLQ $3, AX            // A row stride in bytes
 	SHLQ $3, R9            // A k-step stride in bytes
 	SHLQ $3, BX            // row stride of C in bytes
-	LEAQ (AX)(AX*2), R8
-	ADDQ SI, R8            // row 3
+	LEAQ (AX)(AX*2), R11   // three rows
+	LEAQ (SI)(R11*1), R8   // row 3
 	MOVQ CX, R10
 	SHLQ $6, R10           // one strip is kb·8 doubles
 	ADDQ DI, R10           // the second strip
@@ -165,84 +166,109 @@ TEXT ·microPairAVX512(SB), NOSPLIT, $0-57
 	VPXORQ Z9, Z9, Z9
 	VPXORQ Z10, Z10, Z10
 	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 
-pairloop:
-	VMOVUPD (DI), Z12
-	VMOVUPD (R10), Z13
+zmmloop:
+	VMOVUPD (DI), Z16
+	VMOVUPD (R10), Z17
 
-	VBROADCASTSD (SI), Z14
-	VBROADCASTSD (SI)(AX*1), Z15
-	VFMADD231PD  Z12, Z14, Z0
-	VFMADD231PD  Z13, Z14, Z1
-	VFMADD231PD  Z12, Z15, Z2
-	VFMADD231PD  Z13, Z15, Z3
+	VBROADCASTSD (SI), Z18
+	VBROADCASTSD (SI)(AX*1), Z19
+	VFMADD231PD  Z16, Z18, Z0
+	VFMADD231PD  Z17, Z18, Z1
+	VFMADD231PD  Z16, Z19, Z2
+	VFMADD231PD  Z17, Z19, Z3
 
-	VBROADCASTSD (SI)(AX*2), Z14
-	VBROADCASTSD (R8), Z15
-	VFMADD231PD  Z12, Z14, Z4
-	VFMADD231PD  Z13, Z14, Z5
-	VFMADD231PD  Z12, Z15, Z6
-	VFMADD231PD  Z13, Z15, Z7
+	VBROADCASTSD (SI)(AX*2), Z20
+	VBROADCASTSD (R8), Z21
+	VFMADD231PD  Z16, Z20, Z4
+	VFMADD231PD  Z17, Z20, Z5
+	VFMADD231PD  Z16, Z21, Z6
+	VFMADD231PD  Z17, Z21, Z7
 
-	VBROADCASTSD (R8)(AX*1), Z14
-	VBROADCASTSD (R8)(AX*2), Z15
-	VFMADD231PD  Z12, Z14, Z8
-	VFMADD231PD  Z13, Z14, Z9
-	VFMADD231PD  Z12, Z15, Z10
-	VFMADD231PD  Z13, Z15, Z11
+	VBROADCASTSD (SI)(AX*4), Z22
+	VBROADCASTSD (R8)(AX*2), Z23
+	VFMADD231PD  Z16, Z22, Z8
+	VFMADD231PD  Z17, Z22, Z9
+	VFMADD231PD  Z16, Z23, Z10
+	VFMADD231PD  Z17, Z23, Z11
+
+	VBROADCASTSD (R8)(R11*1), Z24
+	VBROADCASTSD (R8)(AX*4), Z25
+	VFMADD231PD  Z16, Z24, Z12
+	VFMADD231PD  Z17, Z24, Z13
+	VFMADD231PD  Z16, Z25, Z14
+	VFMADD231PD  Z17, Z25, Z15
 
 	ADDQ R9, SI
 	ADDQ R9, R8
 	ADDQ $64, DI
 	ADDQ $64, R10
 	DECQ CX
-	JNZ  pairloop
+	JNZ  zmmloop
 
 	MOVBQZX      neg+56(FP), AX
 	SHLQ         $63, AX
-	VPBROADCASTQ AX, Z12
+	VPBROADCASTQ AX, Z16
 
-	VPXORQ  Z12, Z0, Z0
-	VPXORQ  Z12, Z1, Z1
+	VPXORQ  Z16, Z0, Z0
+	VPXORQ  Z16, Z1, Z1
 	VADDPD  (DX), Z0, Z0
 	VADDPD  64(DX), Z1, Z1
 	VMOVUPD Z0, (DX)
 	VMOVUPD Z1, 64(DX)
 	ADDQ    BX, DX
-	VPXORQ  Z12, Z2, Z2
-	VPXORQ  Z12, Z3, Z3
+	VPXORQ  Z16, Z2, Z2
+	VPXORQ  Z16, Z3, Z3
 	VADDPD  (DX), Z2, Z2
 	VADDPD  64(DX), Z3, Z3
 	VMOVUPD Z2, (DX)
 	VMOVUPD Z3, 64(DX)
 	ADDQ    BX, DX
-	VPXORQ  Z12, Z4, Z4
-	VPXORQ  Z12, Z5, Z5
+	VPXORQ  Z16, Z4, Z4
+	VPXORQ  Z16, Z5, Z5
 	VADDPD  (DX), Z4, Z4
 	VADDPD  64(DX), Z5, Z5
 	VMOVUPD Z4, (DX)
 	VMOVUPD Z5, 64(DX)
 	ADDQ    BX, DX
-	VPXORQ  Z12, Z6, Z6
-	VPXORQ  Z12, Z7, Z7
+	VPXORQ  Z16, Z6, Z6
+	VPXORQ  Z16, Z7, Z7
 	VADDPD  (DX), Z6, Z6
 	VADDPD  64(DX), Z7, Z7
 	VMOVUPD Z6, (DX)
 	VMOVUPD Z7, 64(DX)
 	ADDQ    BX, DX
-	VPXORQ  Z12, Z8, Z8
-	VPXORQ  Z12, Z9, Z9
+	VPXORQ  Z16, Z8, Z8
+	VPXORQ  Z16, Z9, Z9
 	VADDPD  (DX), Z8, Z8
 	VADDPD  64(DX), Z9, Z9
 	VMOVUPD Z8, (DX)
 	VMOVUPD Z9, 64(DX)
 	ADDQ    BX, DX
-	VPXORQ  Z12, Z10, Z10
-	VPXORQ  Z12, Z11, Z11
+	VPXORQ  Z16, Z10, Z10
+	VPXORQ  Z16, Z11, Z11
 	VADDPD  (DX), Z10, Z10
 	VADDPD  64(DX), Z11, Z11
 	VMOVUPD Z10, (DX)
 	VMOVUPD Z11, 64(DX)
+	ADDQ    BX, DX
+	VPXORQ  Z16, Z12, Z12
+	VPXORQ  Z16, Z13, Z13
+	VADDPD  (DX), Z12, Z12
+	VADDPD  64(DX), Z13, Z13
+	VMOVUPD Z12, (DX)
+	VMOVUPD Z13, 64(DX)
+	ADDQ    BX, DX
+	VPXORQ  Z16, Z14, Z14
+	VPXORQ  Z16, Z15, Z15
+	VADDPD  (DX), Z14, Z14
+	VADDPD  64(DX), Z15, Z15
+	VMOVUPD Z14, (DX)
+	VMOVUPD Z15, 64(DX)
 	VZEROUPPER
 	RET
 

@@ -9,44 +9,57 @@ import (
 	"testing"
 )
 
+// asmTiles are the register tiles of this host's assembly, the AVX2 6×8 one
+// first and, where the CPU has AVX-512, the 8×16 one.
+func asmTiles() []regTile {
+	if !cpuHasAVX2FMA() {
+		return nil
+	}
+	tiles := []regTile{{microKernelAVX2, 6, microN}}
+	if cpuHasAVX512() {
+		tiles = append(tiles, regTile{microKernelAVX512, 8, 2 * microN})
+	}
+	return tiles
+}
+
 // TestMicroKernelsAgree runs the portable and the assembly micro-kernels on
-// the same strips — the 6×8 AVX2 kernel against microKernelGo, and the 6×16
-// AVX-512 pair against two microKernelGo calls, one per strip: every element
-// of the tile within kb+1 ulps of the magnitude it was summed at (the
-// assembly fuses each multiply-add, the Go body rounds twice), every element
-// of c outside the tile untouched, and — when an operand holds Inf or NaN,
-// 0·Inf included — the same elements NaN. Potrf reports an indefinite matrix
-// because a NaN pivot arrives; a kernel that dropped a 0·NaN term would hide
-// it on one of the two builds. Each kernel also runs on the A strip in both
-// layouts the driver passes — packed k-major, and in place as rows at a
-// random stride ≥ kb with other values in the gaps, the slice ending at the
-// strip's last element — and gives the same bits for both. The pair must also
-// give, bit for bit, what two calls of the AVX2 kernel give.
+// the same strips — the 6×8 AVX2 kernel against microKernelGo, and the 8×16
+// AVX-512 kernel against an 8×16 tile of microKernelGo calls (tileFrom6x8):
+// every element of the tile within kb+1 ulps of the magnitude it was summed
+// at (the assembly fuses each multiply-add, the Go body rounds twice), every
+// element of c outside the tile untouched, and — when an operand holds Inf or
+// NaN, 0·Inf included — the same elements NaN. Potrf reports an indefinite
+// matrix because a NaN pivot arrives; a kernel that dropped a 0·NaN term
+// would hide it on one of the two builds. Each kernel also runs on the A
+// strip in both layouts packedStrip passes — packed k-major, and in place as
+// rows at a random stride ≥ kb with other values in the gaps, the slice
+// ending at the strip's last element — and gives the same bits for both. The
+// 8×16 kernel must also give, bit for bit, what the AVX2 kernel gives for
+// each of its elements.
 func TestMicroKernelsAgree(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
 	}
 	for _, k := range []struct {
-		name       string
-		width      int
-		ref, asm   microKernelFunc
+		ref, asm   regTile
 		sameBitsAs microKernelFunc // nil: no second assembly form to match
 	}{
-		{"6x8", microN, microKernelGo, microKernelAVX2, nil},
-		{"6x16", 2 * microN, pairOf(microKernelGo), microKernelPairAVX512, pairOf(microKernelAVX2)},
+		{regTile{microKernelGo, 6, microN}, regTile{microKernelAVX2, 6, microN}, nil},
+		{tileFrom6x8(microKernelGo, 8, 2*microN), regTile{microKernelAVX512, 8, 2 * microN}, tileFrom6x8(microKernelAVX2, 8, 2*microN).kernel},
 	} {
-		t.Run(k.name, func(t *testing.T) {
-			if k.width > microN && !cpuHasAVX512() {
-				t.Skip("no AVX-512 on this host: the pair kernel is not installed")
+		t.Run(k.asm.shape(), func(t *testing.T) {
+			if k.asm.m == 8 && !cpuHasAVX512() {
+				t.Skip("no AVX-512 on this host: the 8x16 kernel is not installed")
 			}
-			kernelsAgree(t, k.width, k.ref, k.asm, k.sameBitsAs)
+			kernelsAgree(t, k.asm.m, k.asm.n, k.ref.kernel, k.asm.kernel, k.sameBitsAs)
 		})
 	}
 }
 
-// kernelsAgree is TestMicroKernelsAgree for one tile width: ref the portable
-// kernel, asm the assembly, same an assembly form asm must match bit for bit.
-func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
+// kernelsAgree is TestMicroKernelsAgree for one rows×width tile: ref the
+// portable kernel, asm the assembly, same an assembly form asm must match
+// bit for bit.
+func kernelsAgree(t *testing.T, rows, width int, ref, asm, same microKernelFunc) {
 	rng := rand.New(rand.NewSource(1))
 	fill := func(n int) []float64 {
 		s := make([]float64, n)
@@ -61,27 +74,27 @@ func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
 		for _, ldc := range []int{width, width + 5} {
 			for _, neg := range []bool{false, true} {
 				for _, special := range []float64{0, math.Inf(1), math.NaN()} {
-					pa, pb := fill(kb*microM), fill(kb*width)
+					pa, pb := fill(kb*rows), fill(kb*width)
 					if special != 0 && kb > 0 {
 						p := rng.Intn(kb)
-						pa[p*microM+1] = 0 // 0·special in row 1, column width−6
+						pa[p*rows+1] = 0 // 0·special in row 1, column width−6
 						pb[bAt(p, width-6)] = special
-						pa[rng.Intn(kb)*microM+5] = special // special·finite across row 5
+						pa[rng.Intn(kb)*rows+rows-1] = special // special·finite across the last row
 					}
 					lda := kb + rng.Intn(5)
-					rows := fill((microM-1)*lda + kb)
+					inPlace := fill((rows-1)*lda + kb)
 					for p := 0; p < kb; p++ {
-						for i := 0; i < microM; i++ {
-							rows[i*lda+p] = pa[p*microM+i]
+						for i := 0; i < rows; i++ {
+							inPlace[i*lda+p] = pa[p*rows+i]
 						}
 					}
-					c0 := fill((microM-1)*ldc + width + 3)
+					c0 := fill((rows-1)*ldc + width + 3)
 					run := func(kernel microKernelFunc, a []float64, ars, aks int) []float64 {
 						c := append([]float64(nil), c0...)
 						kernel(kb, a, ars, aks, pb, c, ldc, neg)
 						return c
 					}
-					cGo, cAsm := run(ref, pa, 1, microM), run(asm, pa, 1, microM)
+					cGo, cAsm := run(ref, pa, 1, rows), run(asm, pa, 1, rows)
 					type layout struct {
 						name   string
 						kernel microKernelFunc
@@ -89,10 +102,10 @@ func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
 					}
 					layouts := []layout{{"go", ref, cGo}, {"asm", asm, cAsm}}
 					if same != nil {
-						layouts = append(layouts, layout{"asm per strip", same, cAsm})
+						layouts = append(layouts, layout{"asm 6x8", same, cAsm})
 					}
 					for _, k := range layouts {
-						got := run(k.kernel, rows, lda, 1)
+						got := run(k.kernel, inPlace, lda, 1)
 						for at := range got {
 							if math.Float64bits(got[at]) != math.Float64bits(k.want[at]) {
 								t.Fatalf("kb=%d lda=%d ldc=%d neg=%v special=%g: %s c[%d] is %g with A in place, %g packed",
@@ -103,7 +116,7 @@ func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
 					for at := range c0 {
 						i, j := at/ldc, at%ldc
 						g, a := cGo[at], cAsm[at]
-						if i >= microM || j >= width {
+						if i >= rows || j >= width {
 							if g != c0[at] || a != c0[at] {
 								t.Fatalf("kb=%d ldc=%d neg=%v: c[%d] outside the tile changed: go %g asm %g was %g", kb, ldc, neg, at, g, a, c0[at])
 							}
@@ -117,7 +130,7 @@ func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
 						}
 						mag := math.Abs(c0[at])
 						for p := 0; p < kb; p++ {
-							mag += math.Abs(pa[p*microM+i] * pb[bAt(p, j)])
+							mag += math.Abs(pa[p*rows+i] * pb[bAt(p, j)])
 						}
 						if tol := float64(kb+1) * mag * 0x1p-52; !(math.Abs(g-a) <= tol) {
 							t.Fatalf("kb=%d ldc=%d neg=%v special=%g: (%d,%d) go %g asm %g differ by %g > %g", kb, ldc, neg, special, i, j, g, a, math.Abs(g-a), tol)
@@ -129,26 +142,28 @@ func kernelsAgree(t *testing.T, width int, ref, asm, same microKernelFunc) {
 	}
 }
 
-// TestKernelISAStaysAVX2: with the AVX2 kernel installed KernelISA says
-// "avx2", with or without the pair kernel beside it, and the pair kernel is
-// installed exactly where the CPU has AVX-512. The benchmark picks its FMA
-// probe and the host reference that scales every workload's latency by this
-// string; KernelVectorBits is where the width shows.
+// TestKernelISAStaysAVX2: the tile init installs is the 8×16 AVX-512 one
+// exactly where the CPU has AVX-512, and the AVX2 6×8 one elsewhere, and
+// KernelISA says "avx2" with either: the benchmark picks its FMA probe and
+// the host reference that scales every workload's latency by this string.
+// KernelVectorBits and KernelTile are where the tile shows.
 func TestKernelISAStaysAVX2(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
 	}
-	if reflect.ValueOf(microKernel).Pointer() != reflect.ValueOf(microKernelAVX2).Pointer() {
-		t.Fatal("the AVX2 kernel is not installed on an AVX2/FMA host")
+	asm := asmTiles()
+	want := asm[len(asm)-1]
+	if reflect.ValueOf(tile.kernel).Pointer() != reflect.ValueOf(want.kernel).Pointer() || tile.m != want.m || tile.n != want.n {
+		t.Fatalf("installed tile %s, want the %s assembly tile (CPU has AVX-512: %v)", KernelTile(), want.shape(), cpuHasAVX512())
 	}
-	if got, want := microKernel2 != nil, cpuHasAVX512(); got != want {
-		t.Fatalf("pair kernel installed: %v, CPU has AVX-512: %v", got, want)
-	}
-	_, pair := keepKernels(t)
-	for _, p := range []microKernelFunc{pair, nil, microKernelPairAVX512} {
-		microKernel2 = p
+	keepTile(t)
+	for _, rt := range asm {
+		tile = rt
 		if got := KernelISA(); got != "avx2" {
-			t.Fatalf("KernelISA() = %q with the pair kernel installed: %v, want \"avx2\"", got, p != nil)
+			t.Fatalf("KernelISA() = %q with the %s tile installed, want \"avx2\"", got, rt.shape())
+		}
+		if got := KernelTile(); got != rt.shape() {
+			t.Fatalf("KernelTile() = %q with the %s tile installed", got, rt.shape())
 		}
 	}
 }

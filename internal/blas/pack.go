@@ -10,23 +10,22 @@ import (
 // — DGEMM and the updates inside the factorization kernels of factor.go —
 // is computed. C += σ·A·op(B) is decomposed into panels packDepth deep;
 // within each panel, op(B) is packed once into k-major strips of microN
-// columns, zero-padded to full strips, so the register-tiled micro-kernel
-// (microkernel.go) streams B with unit stride whatever b's stride. A is not
-// copied: the kernel reads a full strip of microM rows where it lies, and
-// only the last mb mod microM rows of a row panel are packed, zero-padded,
-// into a microM×kb strip. σ ∈ {+1, −1} only picks the sign the kernel applies
-// and op ∈ {identity, transpose} only picks which pack routine reads b; the
+// columns, zero-padded to whole register tiles, so the micro-kernel of the
+// installed tile (microkernel.go) streams B with unit stride whatever b's
+// stride. A is not copied: the kernel reads a full strip of tile.m rows where
+// it lies, and only the last mb mod tile.m rows of a row panel are packed,
+// zero-padded, into a tile.m×kb strip — none for a 128-tile or any half of it
+// on the 8-row tile. σ ∈ {+1, −1} only picks the sign the kernel applies and
+// op ∈ {identity, transpose} only picks which pack routine reads b; the
 // micro-kernel, the buffer pool and the strip loop are shared. The kernel
-// applies a full micro-tile to C itself, and where the host has the AVX-512
-// pair kernel (microKernel2) two adjacent full tiles at once; the strip
-// loop's scratch tile exists only for the tiles an edge of C or the diagonal
-// of a lower-triangular C clips. The row pack (the A tail, and B of every
-// A·Bᵀ product, which is every product Cholesky does) moves four rows at a
-// time through packFour, a 4×4 register transpose where AVX2 is available;
-// the column pack (B of every A·B product, which is every product the LU
-// kernels and the cluster worker's DGEMM do) deals four rows of B at a time
-// to the strips through dealCols, YMM loads and stores where AVX2 is
-// available.
+// applies a full micro-tile to C itself; the strip loop's scratch tile exists
+// only for the tiles an edge of C or the diagonal of a lower-triangular C
+// clips. The row pack (the A tail, and B of every A·Bᵀ product, which is
+// every product Cholesky does) moves four rows at a time through packFour, a
+// 4×4 register transpose where AVX2 is available; the column pack (B of every
+// A·B product, which is every product the LU kernels and the cluster worker's
+// DGEMM do) deals four rows of B at a time to the strips through dealCols,
+// YMM loads and stores where AVX2 is available.
 // Pack buffers are recycled through a sync.Pool so tiled task-runtime
 // workloads (many calls on tile views) allocate only on first use. The
 // parallel variant splits the row-panels of C across worker goroutines; every
@@ -36,8 +35,8 @@ import (
 
 // packDepth is the driver's one panel depth kc (and row-panel height): a
 // 128-tile's whole k extent, so a tile task reads and writes C once and packs
-// B once, and a 128×8 B strip plus the 6×128 A rows it meets (14 kB) still
-// sit in L1 under the micro-kernel. Callers do not choose it: the block
+// B once, and two 128×8 B strips plus the 8×128 A rows they meet (24 kB)
+// still sit in L1 under the micro-kernel. Callers do not choose it: the block
 // argument of the exported GEMM entry points is the scalar kernels' blocking
 // factor, sized for their L2 footprint, and the packed path does not read it.
 const packDepth = 128
@@ -49,8 +48,9 @@ const packPanelCols = 2048
 
 // packScratch is one pooled pack buffer together with the scratch micro-tile
 // of the strip loop that owns it, where the k-sum of a clipped tile lands.
-// microKernel is called through a variable, so a tile declared on the stack
-// would move to the heap on every strip; here it is recycled with the buffer.
+// tile.kernel is called through a variable, so an accumulator declared on the
+// stack would move to the heap on every strip; here it is recycled with the
+// buffer.
 type packScratch struct {
 	buf []float64
 	out microAccum
@@ -83,7 +83,7 @@ type product struct {
 
 // packRows copies the rows×kb block of m at (r0, p0) into dst as zero-padded
 // strips of w rows, k-major: strip s holds rows r0+s*w.. and its element
-// (p, r) lands at dst[s*kb*w + p*w + r]. With w = microM it packs A's tail
+// (p, r) lands at dst[s*kb*w + p*w + r]. With w = tile.m it packs A's tail
 // strip; with w = microN it packs Bᵀ, whose "columns" are rows of b.
 func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 	for i := 0; i < rows; i += w {
@@ -161,53 +161,48 @@ func dealColsGo(kb, full int, src []float64, ld int, pb []float64) {
 
 // packedStrip multiplies one row panel of A against the shared packed op(B)
 // panel and applies it to C — the one strip loop of every packed product, and
-// the one call site of each micro-kernel. Row strips go outside and column
-// strips inside, so C is walked along its rows. A full strip of microM rows is
-// handed to the kernel where it lies in A; only the mb mod microM tail is
+// the one call site of the micro-kernel. Row strips go outside and column
+// tiles inside, so C is walked along its rows. A full strip of tile.m rows is
+// handed to the kernel where it lies in A; only the mb mod tile.m tail is
 // packed, zero-padded, into ps.buf. pb is the caller's packed panel for
 // (p0, j0). A micro-tile that lies wholly inside C (and, for a
 // lower-triangular C, wholly on or below the diagonal) is handed to the
-// kernel as the address of C — two such tiles side by side to the pair
-// kernel, where there is one; any other is computed by the 6×8 kernel onto
-// ps.out, zeroed, and its valid part added to C here. Every way C gains the
-// one k-sum, added once.
+// kernel as the address of C; any other is computed onto ps.out, zeroed, and
+// its valid part added to C here. Either way C gains the one k-sum, added
+// once.
 func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
-	out := &ps.out
-	for i := 0; i < mb; i += microM {
-		ih := min(microM, mb-i)
+	t := tile
+	out := ps.out[:t.m*t.n]
+	for i := 0; i < mb; i += t.m {
+		ih := min(t.m, mb-i)
 		sa, ars, aks := a.Data[(i0+i)*a.Stride+p0:], a.Stride, 1
-		if ih < microM {
-			sa, ars, aks = ps.buf, 1, microM
-			packRows(a, i0+i, p0, ih, kb, microM, sa)
+		if ih < t.m {
+			sa, ars, aks = ps.buf, 1, t.m
+			packRows(a, i0+i, p0, ih, kb, t.m, sa)
 		}
-		for j := 0; j < nb; j += microN {
+		for j := 0; j < nb; j += t.n {
 			// diag is how many columns of this micro-tile's first row lie on
 			// or below C's diagonal; each later row has one more.
 			diag := i0 + i - j0 - j + 1
 			if op.lower && diag+ih-1 <= 0 {
 				break // this micro-tile and every one to its right is strictly upper
 			}
-			if microKernel2 != nil && ih == microM && j+2*microN <= nb && (!op.lower || diag >= 2*microN) {
-				microKernel2(kb, sa, ars, aks, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
-				j += microN // the pair applied the next strip too
-				continue
+			jw := min(t.n, nb-j)
+			dst, ldc, neg := c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg
+			clipped := ih < t.m || jw < t.n || op.lower && diag < t.n
+			if clipped {
+				clear(out)
+				dst, ldc, neg = out, t.n, false
 			}
-			jw := min(microN, nb-j)
-			if ih == microM && jw == microN && (!op.lower || diag >= microN) {
-				microKernel(kb, sa, ars, aks, pb[j*kb:], c.Data[(i0+i)*c.Stride+j0+j:], c.Stride, op.neg)
-				continue
-			}
-			*out = microAccum{}
-			microKernel(kb, sa, ars, aks, pb[j*kb:], out[:], microN, false)
-			for r := 0; r < ih; r++ {
+			t.kernel(kb, sa, ars, aks, pb[j*kb:], dst, ldc, neg)
+			for r := 0; clipped && r < ih; r++ {
 				w := jw
 				if op.lower {
 					w = min(jw, diag+r)
 				}
-				if w <= 0 {
-					continue
+				if w > 0 {
+					applyRow(c.Data[(i0+i+r)*c.Stride+j0+j:][:w], out[r*t.n:], op.neg)
 				}
-				applyRow(c.Data[(i0+i+r)*c.Stride+j0+j:][:w], out[r*microN:], op.neg)
 			}
 		}
 	}
@@ -239,7 +234,7 @@ func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
 
 // packedProduct is the packed driver: C += σ·A·op(B) for conformable
 // operands (callers check shapes), a no-op when any extent is zero. The
-// micro-kernel, the tail pack of A, the buffer pool and the strip loop are
+// register tile, the tail pack of A, the buffer pool and the strip loop are
 // the same for every product; op picks the B pack and the sign and triangle
 // of the write-back.
 func packedProduct(a, b, c *Matrix, op product, workers int) {
@@ -247,13 +242,14 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
+	tm, tn := tile.m, tile.n
 	kc := min(packDepth, k)
-	mc := roundUp(kc, microM)
+	mc := roundUp(kc, tm)
 	nc := min(packPanelCols, n)
 	strips := (m + mc - 1) / mc
 	workers = clampWorkers(workers, strips)
 
-	ps := packBuf(roundUp(nc, microN) * kc)
+	ps := packBuf(roundUp(nc, tn) * kc)
 	defer packPool.Put(ps)
 	pb := ps.buf
 	for p0 := 0; p0 < k; p0 += kc {
@@ -265,8 +261,9 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 			} else {
 				packCols(b, p0, j0, kb, nb, pb)
 			}
+			clear(pb[roundUp(nb, microN)*kb : roundUp(nb, tn)*kb]) // an odd strip count's zero partner
 			if workers == 1 {
-				pa := packBuf(microM * kb)
+				pa := packBuf(tm * kb)
 				for i0 := 0; i0 < m; i0 += mc {
 					packedStrip(a, c, pa, pb, i0, p0, j0, min(mc, m-i0), kb, nb, op)
 				}
@@ -291,7 +288,7 @@ func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pa := packBuf(microM * kb)
+			pa := packBuf(tile.m * kb)
 			defer packPool.Put(pa)
 			for {
 				s := int(next.Add(1)) - 1

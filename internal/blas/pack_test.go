@@ -154,34 +154,65 @@ func TestQuickGemmPackedAgreesWithBlocked(t *testing.T) {
 
 // viaScratch is the micro-kernel's previous contract on top of the current
 // one: the k-sum lands in a scratch tile and Go code adds all of it to C.
-// Installed as microKernel it sends every micro-tile of a product down the
+// Installed as the tile it sends every micro-tile of a product down the
 // scratch path, the full ones included.
-func viaScratch(kernel microKernelFunc) microKernelFunc {
-	return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+func viaScratch(t regTile) regTile {
+	kernel := t.kernel
+	t.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 		var out microAccum
-		kernel(kb, a, ars, aks, pb, out[:], microN, false)
-		for i := 0; i < microM; i++ {
-			applyRow(c[i*ldc:][:microN], out[i*microN:], neg)
+		kernel(kb, a, ars, aks, pb, out[:], t.n, false)
+		for i := 0; i < t.m; i++ {
+			applyRow(c[i*ldc:][:t.n], out[i*t.n:], neg)
 		}
 	}
+	return t
 }
 
-// pairOf is a pair kernel made of two calls of kernel, one per strip: what
-// microKernel2 must equal bit for bit when kernel is the installed
-// microKernel, and a stand-in for it on hosts that have none.
-func pairOf(kernel microKernelFunc) microKernelFunc {
-	return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
-		kernel(kb, a, ars, aks, pb, c, ldc, neg)
-		kernel(kb, a, ars, aks, pb[kb*microN:], c[microN:], ldc, neg)
+// tileFrom6x8 is an m×n tile (m ≥ 6, n a multiple of microN) made of calls
+// of kernel, a 6×8 one: a call per strip of B and six rows of A, the last
+// six rows taken on a copy of C when m is not a multiple of six, so that the
+// rows two calls share are applied once. Each element is the 6×8 kernel's,
+// bit for bit — what the 8×16 kernel must equal when kernel is the AVX2 one,
+// and a stand-in for it on hosts that have none.
+func tileFrom6x8(kernel microKernelFunc, m, n int) regTile {
+	return regTile{m: m, n: n, kernel: func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+		for s := 0; s < n && kb > 0; s += microN {
+			for r0 := 0; r0 < m; r0 += 6 {
+				if r0+6 <= m {
+					kernel(kb, a[r0*ars:], ars, aks, pb[s*kb:], c[r0*ldc+s:], ldc, neg)
+					continue
+				}
+				r := m - 6
+				rows := append([]float64(nil), c[r*ldc+s:][:5*ldc+microN]...)
+				kernel(kb, a[r*ars:], ars, aks, pb[s*kb:], rows, ldc, neg)
+				for i := r0; i < m; i++ {
+					copy(c[i*ldc+s:][:microN], rows[(i-r)*ldc:])
+				}
+			}
+		}
+	}}
+}
+
+// keepTile returns the installed register tile and puts it back when the
+// test ends, for tests that install others in its place.
+func keepTile(t *testing.T) regTile {
+	installed := tile
+	t.Cleanup(func() { tile = installed })
+	return installed
+}
+
+// testTiles are the register tiles a product's bits may not depend on, in
+// families whose members must agree bit for bit: the portable 6×8 kernel and
+// an 8×16 tile made of it, and, where the host has them, the assembly tiles
+// (the AVX2 6×8 kernel, the AVX-512 8×16 one) with an 8×16 tile made of the
+// AVX2 kernel. The portable family rounds every product, so its bits are not
+// the assembly's.
+func testTiles() [][]regTile {
+	families := [][]regTile{{{microKernelGo, 6, microN}, tileFrom6x8(microKernelGo, 8, 2*microN)}}
+	if asm := asmTiles(); len(asm) > 0 {
+		families = append(families, append(asm, tileFrom6x8(asm[0].kernel, 8, 2*microN)))
 	}
-}
-
-// keepKernels returns the installed microKernel and microKernel2 and puts
-// them back when the test ends, for tests that install others in their place.
-func keepKernels(t *testing.T) (single, pair microKernelFunc) {
-	single, pair = microKernel, microKernel2
-	t.Cleanup(func() { microKernel, microKernel2 = single, pair })
-	return single, pair
+	return families
 }
 
 // productCase is one random packed product on strided views: operands and C
@@ -200,9 +231,13 @@ type productCase struct {
 // its bits, which a huge value would absorb.
 const sentinel = 1.0 / 3
 
-func randomProduct(rng *rand.Rand) productCase {
+func randomProduct(rng *rand.Rand) productCase { return randomProductUpTo(rng, 70, 200) }
+
+// randomProductUpTo is randomProduct with m and n drawn from 1 to ext and k
+// from 1 to depth.
+func randomProductUpTo(rng *rand.Rand, ext, depth int) productCase {
 	op := product{neg: rng.Intn(2) == 0, transB: rng.Intn(2) == 0, lower: rng.Intn(3) == 0}
-	m, n, k := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(200)
+	m, n, k := 1+rng.Intn(ext), 1+rng.Intn(ext), 1+rng.Intn(depth)
 	if op.lower {
 		n = m
 	}
@@ -232,55 +267,128 @@ func randomProduct(rng *rand.Rand) productCase {
 	return pc
 }
 
-// TestFusedWriteBackMatchesScratch: the kernels applying full tiles to C give,
-// bit for bit, what the scratch-and-add path they replaced gave — over random
-// extents that are multiples of neither 6 nor 8, depths from 1 past
+// TestFusedWriteBackMatchesScratch: a tile's kernel applying full tiles to C
+// gives, bit for bit, what the scratch-and-add path it replaced gave — over
+// random extents that are multiples of neither 6 nor 8, depths from 1 past
 // packDepth, strided views, both signs, both B orientations and the lower
-// triangle. The fused run has both installed kernels, the pair kernel where
-// the host has one; the scratch run takes the pair kernel out, so that every
-// micro-tile goes down the scratch path.
+// triangle, on every tile of testTiles. The scratch run sends every
+// micro-tile down the scratch path.
 func TestFusedWriteBackMatchesScratch(t *testing.T) {
-	kernel, pair := keepKernels(t)
-	for seed := int64(0); seed < 300; seed++ {
-		fused, scratch := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
-		microKernel, microKernel2 = kernel, pair
-		packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
-		microKernel, microKernel2 = viaScratch(kernel), nil
-		packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
-		if i, j, same := sameBitsOrWithin(fused.parent, scratch.parent, -1); !same {
-			t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) fused %g, via scratch %g", seed, fused.op,
-				fused.c.Rows, fused.c.Cols, fused.a.Cols, i, j, fused.parent.At(i, j), scratch.parent.At(i, j))
+	keepTile(t)
+	for _, family := range testTiles() {
+		for _, rt := range family {
+			for seed := int64(0); seed < 300; seed++ {
+				fused, scratch := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
+				tile = rt
+				packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
+				tile = viaScratch(rt)
+				packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
+				if i, j, same := sameBitsOrWithin(fused.parent, scratch.parent, -1); !same {
+					t.Fatalf("%s seed %d %+v %dx%dx%d: C parent cell (%d,%d) fused %g, via scratch %g", rt.shape(), seed, fused.op,
+						fused.c.Rows, fused.c.Cols, fused.a.Cols, i, j, fused.parent.At(i, j), scratch.parent.At(i, j))
+				}
+			}
 		}
 	}
 }
 
-// TestPairedKernelMatchesSingle: the driver's pair branch moves no bits. 300
-// random products (randomProduct: both signs, both B orientations, the lower
-// triangle, strided views) run once with a pair kernel installed and once
-// with none, and C's whole parent, sentinel cells included, must come out the
-// same. The pair kernel is two calls of the installed single kernel — which
-// pins the pairing rule on every host — and, where the CPU has AVX-512, the
-// assembly pair kernel itself.
+// poisonPackPool leaves two NaN-filled pack buffers in the pool, large enough
+// for every panel of a product up to 300 wide, so that the next product's B
+// panel and A tail strip start out as NaN: a pad strip packedProduct reads
+// without zeroing, or a pad column or row that reaches C, shows there.
+func poisonPackPool() {
+	for _, ps := range []*packScratch{packBuf(1 << 16), packBuf(1 << 16)} {
+		for i := range ps.buf {
+			ps.buf[i] = math.NaN()
+		}
+		for i := range ps.out {
+			ps.out[i] = math.NaN()
+		}
+		defer packPool.Put(ps)
+	}
+}
+
+// TestTileShapesGiveSameBits: which register tile applied a product does not
+// show in a single bit. Random products (randomProductUpTo: both signs, both B
+// orientations, the lower triangle, strided views) with extents from 1 to 300
+// — widths with nb mod 16 = 8, which leave the 16-wide tile an odd strip, and
+// heights off a multiple of 8, which leave the 8-row tile a packed A tail,
+// among them — run once per tile of each testTiles family onto a NaN-poisoned
+// pack pool, and C's whole parent, sentinel cells included, must come out the
+// same for every tile of the family.
+func TestTileShapesGiveSameBits(t *testing.T) {
+	keepTile(t)
+	seeds := int64(120)
+	if raceEnabled {
+		seeds = 20
+	}
+	oddStrip, aTail := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		draw := func() productCase { return randomProductUpTo(rand.New(rand.NewSource(seed)), 300, 300) }
+		pc := draw()
+		if pc.c.Cols%16 == 8 {
+			oddStrip++
+		}
+		if pc.c.Rows%8 != 0 {
+			aTail++
+		}
+		for _, family := range testTiles() {
+			var first productCase
+			for i, rt := range family {
+				got := draw()
+				tile = rt
+				poisonPackPool()
+				packedProduct(got.a, got.b, got.c, got.op, 1)
+				if i == 0 {
+					first = got
+					continue
+				}
+				if r, q, same := sameBitsOrWithin(got.parent, first.parent, -1); !same {
+					t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) is %g on the %s tile, %g on the %s tile", seed, got.op,
+						got.c.Rows, got.c.Cols, got.a.Cols, r, q, got.parent.At(r, q), rt.shape(), first.parent.At(r, q), family[0].shape())
+				}
+			}
+		}
+	}
+	if oddStrip == 0 || aTail == 0 {
+		t.Fatalf("of %d products %d had nb mod 16 = 8 and %d an A tail on the 8-row tile, want some of each", seeds, oddStrip, aTail)
+	}
+}
+
+// TestPairedKernelMatchesSingle: a tile that applies two adjacent B strips
+// per call moves no bits against the single-strip 6×8 tile. 300 random
+// products (randomProduct: both signs, both B orientations, the lower
+// triangle, strided views) run once on an 8×16 tile and once on the 6×8 one,
+// and C's whole parent, sentinel cells included, must come out the same. The
+// 16-wide tile is made of calls of the single kernel (tileFrom6x8) — which
+// pins the driver's 16-wide sizing, the zero partner strip and the clipped
+// tiles on every host — and, where the CPU has AVX-512, the installed 8×16
+// kernel itself. A spy requires that the 16-wide tile ran.
 func TestPairedKernelMatchesSingle(t *testing.T) {
-	single, installed := keepKernels(t)
+	installed := keepTile(t)
+	single := regTile{microKernelGo, 6, microN}
+	if asm := asmTiles(); len(asm) > 0 {
+		single = asm[0]
+	}
 	for _, k := range []struct {
 		name string
-		pair microKernelFunc
-	}{{"two-calls", pairOf(single)}, {"installed", installed}} {
+		pair regTile
+	}{{"two-calls", tileFrom6x8(single.kernel, 8, 2*microN)}, {"installed", installed}} {
 		t.Run(k.name, func(t *testing.T) {
-			if k.pair == nil {
-				t.Skip("no pair kernel installed: this CPU or build has no AVX-512 kernel")
+			if k.pair.n != 2*microN {
+				t.Skip("no 16-wide tile installed: this CPU or build has no AVX-512 kernel")
 			}
 			pairs := 0
-			counted := func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+			counted := k.pair
+			counted.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
 				pairs++
-				k.pair(kb, a, ars, aks, pb, c, ldc, neg)
+				k.pair.kernel(kb, a, ars, aks, pb, c, ldc, neg)
 			}
 			for seed := int64(0); seed < 300; seed++ {
 				paired, alone := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
-				microKernel, microKernel2 = single, counted
+				tile = counted
 				packedProduct(paired.a, paired.b, paired.c, paired.op, 1)
-				microKernel, microKernel2 = single, nil
+				tile = single
 				packedProduct(alone.a, alone.b, alone.c, alone.op, 1)
 				if i, j, same := sameBitsOrWithin(paired.parent, alone.parent, -1); !same {
 					t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) paired %g, single %g", seed, paired.op,
@@ -288,98 +396,128 @@ func TestPairedKernelMatchesSingle(t *testing.T) {
 				}
 			}
 			if pairs == 0 {
-				t.Fatal("no product took the pair branch")
+				t.Fatal("no product reached the 16-wide tile")
 			}
 		})
 	}
 }
 
-// TestKernelWritesOnlyItsTile: handing a kernel the address of C must not let
-// it write past C. A spy in front of each installed kernel — the 6×8 one and,
-// where there is one, the 6×16 pair — checks every tile it is pointed at
-// inside C's parent: all microM rows of its width within the view and, for a
-// lower-triangular product, on or below the diagonal (a stray write of a
-// zero-padded row or column adds 0 and would not show in the values). After
-// each product every cell of the parent outside the view, and every
-// strictly-upper cell inside a lower-triangular one, still holds the
-// sentinel's bits.
-func TestKernelWritesOnlyItsTile(t *testing.T) {
-	kernel, pair := keepKernels(t)
-	for seed := int64(0); seed < 300; seed++ {
-		pc := randomProduct(rand.New(rand.NewSource(seed)))
-		data := pc.parent.Data
-		i0, j0 := (len(data)-len(pc.c.Data))/pc.parent.Stride, (len(data)-len(pc.c.Data))%pc.parent.Stride
-		spy := func(kernel microKernelFunc, width int) microKernelFunc {
-			if kernel == nil {
-				return nil
+// TestTileOrder128PacksNoA: on the 8-row tile, a 128-tile and every half
+// splitAt makes of it split into whole strips of A, so none of the nine tile
+// kernels hands the micro-kernel a packed A strip (aks ≠ 1) at tile order 128.
+func TestTileOrder128PacksNoA(t *testing.T) {
+	installed := keepTile(t)
+	rt := installed
+	if rt.m != 8 {
+		rt = tileFrom6x8(microKernelGo, 8, 2*microN)
+	}
+	calls := 0
+	kernel := rt.kernel
+	for _, fc := range goldenKernels() {
+		rt.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+			calls++
+			if aks != 1 {
+				t.Errorf("%s at 128: a packed A strip (strides %d, %d) reached the 8x16 kernel", fc.name, ars, aks)
 			}
-			return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
-				if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
-					at := len(data) - cap(c)
-					r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
-					if ldc != pc.parent.Stride || r < 0 || q < 0 || r+microM > pc.c.Rows || q+width > pc.c.Cols || pc.op.lower && q+width-1 > r {
-						t.Errorf("seed %d %+v C %dx%d: %d-wide kernel pointed at tile (%d,%d) stride %d", seed, pc.op, pc.c.Rows, pc.c.Cols, width, r, q, ldc)
-					}
-				}
-				kernel(kb, a, ars, aks, pb, c, ldc, neg)
-			}
+			kernel(kb, a, ars, aks, pb, c, ldc, neg)
 		}
-		microKernel, microKernel2 = spy(kernel, microN), spy(pair, 2*microN)
-		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
-		for i := 0; i < pc.parent.Rows; i++ {
-			for j := 0; j < pc.parent.Cols; j++ {
-				r, q := i-i0, j-j0
-				if r >= 0 && r < pc.c.Rows && q >= 0 && q < pc.c.Cols && (!pc.op.lower || q <= r) {
-					continue // the product's own cells
+		tile = rt
+		shapes := fc.shapes(128, 128, 128)
+		tiles := carve(carveParent(shapes, 0), shapes)
+		fc.fill(tiles, 3)
+		if err := fc.kernel(tiles); err != nil {
+			t.Fatalf("%s: %v", fc.name, err)
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no kernel call reached the spy")
+	}
+}
+
+// TestKernelWritesOnlyItsTile: handing a kernel the address of C must not let
+// it write past C. A spy in front of each tile of testTiles checks every
+// micro-tile it is pointed at inside C's parent: all tile.m rows and tile.n
+// columns within the view and, for a lower-triangular product, on or below
+// the diagonal (a stray write of a zero-padded row or column adds 0 and would
+// not show in the values). After each product every cell of the parent
+// outside the view, and every strictly-upper cell inside a lower-triangular
+// one, still holds the sentinel's bits.
+func TestKernelWritesOnlyItsTile(t *testing.T) {
+	keepTile(t)
+	for _, family := range testTiles() {
+		for _, rt := range family {
+			for seed := int64(0); seed < 300; seed++ {
+				pc := randomProduct(rand.New(rand.NewSource(seed)))
+				data := pc.parent.Data
+				i0, j0 := (len(data)-len(pc.c.Data))/pc.parent.Stride, (len(data)-len(pc.c.Data))%pc.parent.Stride
+				spy := rt
+				spy.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+					if &c[:cap(c)][cap(c)-1] == &data[len(data)-1] { // a tile of C, not the scratch
+						at := len(data) - cap(c)
+						r, q := at/pc.parent.Stride-i0, at%pc.parent.Stride-j0
+						if ldc != pc.parent.Stride || r < 0 || q < 0 || r+rt.m > pc.c.Rows || q+rt.n > pc.c.Cols || pc.op.lower && q+rt.n-1 > r {
+							t.Errorf("%s seed %d %+v C %dx%d: kernel pointed at tile (%d,%d) stride %d", rt.shape(), seed, pc.op, pc.c.Rows, pc.c.Cols, r, q, ldc)
+						}
+					}
+					rt.kernel(kb, a, ars, aks, pb, c, ldc, neg)
 				}
-				if got := pc.parent.At(i, j); math.Float64bits(got) != math.Float64bits(sentinel) {
-					t.Fatalf("seed %d %+v C %dx%d at (%d,%d): parent cell (%d,%d) = %g, want the sentinel",
-						seed, pc.op, pc.c.Rows, pc.c.Cols, i0, j0, i, j, got)
+				tile = spy
+				packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+				for i := 0; i < pc.parent.Rows; i++ {
+					for j := 0; j < pc.parent.Cols; j++ {
+						r, q := i-i0, j-j0
+						if r >= 0 && r < pc.c.Rows && q >= 0 && q < pc.c.Cols && (!pc.op.lower || q <= r) {
+							continue // the product's own cells
+						}
+						if got := pc.parent.At(i, j); math.Float64bits(got) != math.Float64bits(sentinel) {
+							t.Fatalf("%s seed %d %+v C %dx%d at (%d,%d): parent cell (%d,%d) = %g, want the sentinel",
+								rt.shape(), seed, pc.op, pc.c.Rows, pc.c.Cols, i0, j0, i, j, got)
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestKernelReadsOnlyItsRows: a full strip of A reaches the kernels where it
+// TestKernelReadsOnlyItsRows: a full strip of A reaches the kernel where it
 // lies in A, so a kernel must read nothing of A's parent outside the strip's
-// microM rows and kb columns. A's view is flush against the end of its parent
-// (randomProduct): a read of a seventh row, or past column p0+kb, from the
-// bottom strip runs off the parent's data and panics on the kernel's
-// re-slice. A spy in front of each installed kernel (the pair kernel too,
-// where there is one) checks every strip: one in place starts inside A's view
-// at A's stride and its rows and columns end inside the view; any other is
-// the packed tail, k-major microM wide.
+// tile.m rows and kb columns. A's view is flush against the end of its parent
+// (randomProduct): a read of a row past the strip, or past column p0+kb, from
+// the bottom strip runs off the parent's data and panics on the kernel's
+// re-slice. A spy in front of each tile of testTiles checks every strip: one
+// in place starts inside A's view at A's stride and its rows and columns end
+// inside the view; any other is the packed tail, k-major tile.m wide.
 func TestKernelReadsOnlyItsRows(t *testing.T) {
-	kernel, pair := keepKernels(t)
-	inPlace := 0
-	for seed := int64(0); seed < 300; seed++ {
-		pc := randomProduct(rand.New(rand.NewSource(seed)))
-		view := pc.a.Data
-		spy := func(kernel microKernelFunc) microKernelFunc {
-			if kernel == nil {
-				return nil
-			}
-			return func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
-				if &a[:cap(a)][cap(a)-1] != &view[len(view)-1] { // the packed tail
-					if ars != 1 || aks != microM || len(a) < microM*kb {
-						t.Errorf("seed %d A %dx%d: a packed strip of %d at strides (%d,%d)", seed, pc.a.Rows, pc.a.Cols, len(a), ars, aks)
+	keepTile(t)
+	for _, family := range testTiles() {
+		for _, rt := range family {
+			inPlace := 0
+			for seed := int64(0); seed < 300; seed++ {
+				pc := randomProduct(rand.New(rand.NewSource(seed)))
+				view := pc.a.Data
+				spy := rt
+				spy.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
+					if &a[:cap(a)][cap(a)-1] != &view[len(view)-1] { // the packed tail
+						if ars != 1 || aks != rt.m || len(a) < rt.m*kb {
+							t.Errorf("%s seed %d A %dx%d: a packed strip of %d at strides (%d,%d)", rt.shape(), seed, pc.a.Rows, pc.a.Cols, len(a), ars, aks)
+						}
+					} else if at := len(view) - cap(a); ars != pc.a.Stride || aks != 1 || at < 0 ||
+						at/ars+rt.m > pc.a.Rows || at%ars+kb > pc.a.Cols {
+						t.Errorf("%s seed %d A %dx%d stride %d: an in-place strip at offset %d, strides (%d,%d), depth %d",
+							rt.shape(), seed, pc.a.Rows, pc.a.Cols, pc.a.Stride, at, ars, aks, kb)
+					} else {
+						inPlace++
 					}
-				} else if at := len(view) - cap(a); ars != pc.a.Stride || aks != 1 || at < 0 ||
-					at/ars+microM > pc.a.Rows || at%ars+kb > pc.a.Cols {
-					t.Errorf("seed %d A %dx%d stride %d: an in-place strip at offset %d, strides (%d,%d), depth %d",
-						seed, pc.a.Rows, pc.a.Cols, pc.a.Stride, at, ars, aks, kb)
-				} else {
-					inPlace++
+					rt.kernel(kb, a, ars, aks, pb, c, ldc, neg)
 				}
-				kernel(kb, a, ars, aks, pb, c, ldc, neg)
+				tile = spy
+				packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+			}
+			if inPlace == 0 {
+				t.Fatalf("%s: no strip of A was read in place", rt.shape())
 			}
 		}
-		microKernel, microKernel2 = spy(kernel), spy(pair)
-		packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
-	}
-	if inPlace == 0 {
-		t.Fatal("no strip of A was read in place")
 	}
 }
 
@@ -391,7 +529,7 @@ func TestPackRowsMatchesScalar(t *testing.T) {
 	defer func() { packFour = installed }()
 	src := NewMatrix(24, 40)
 	src.FillRandom(8)
-	for _, w := range []int{microM, microN} {
+	for _, w := range []int{6, microN} { // A tails of either tile, and Bᵀ
 		for rows := 1; rows <= 17; rows++ {
 			for kb := 0; kb <= 19; kb++ {
 				pack := func(four func(int, []float64, int, []float64, int)) []float64 {

@@ -1,12 +1,40 @@
 package server
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 )
+
+// pdl_build_info describes the running binary on every /metrics scrape of
+// metrics.Default: value 1, labelled with the Go version, the VCS revision it
+// was built from ("unknown" when the build recorded none) and the register
+// tile its BLAS kernels run on. pdlserved and pdlworkerd both link this
+// package, so both serve it.
+func init() {
+	metrics.Default.GaugeVec("pdl_build_info",
+		"Build of this binary and the BLAS register tile it selected; always 1.",
+		"go_version", "vcs_revision", "kernel_isa", "kernel_vector_bits", "kernel_tile").
+		With(buildLabels()...).Set(1)
+}
+
+// buildLabels are pdl_build_info's label values, in its label order.
+func buildLabels() []string {
+	rev := "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				rev = s.Value
+			}
+		}
+	}
+	return []string{runtime.Version(), rev, blas.KernelISA(), strconv.Itoa(blas.KernelVectorBits()), blas.KernelTile()}
+}
 
 // latencyBuckets are the upper bounds (seconds) of the request-latency
 // histogram, chosen for an in-memory service: sub-millisecond cache hits up

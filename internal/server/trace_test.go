@@ -1,10 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -74,5 +78,31 @@ func TestMetricsIncludesRuntimeRegistry(t *testing.T) {
 	// Server families render first, runtime families after.
 	if strings.Index(out, "pdlserved_") > strings.Index(out, "taskrt_test_") {
 		t.Fatalf("registry order wrong:\n%s", out)
+	}
+}
+
+// TestBuildInfoGauge: metrics.Default carries pdl_build_info with this
+// binary's Go version, VCS revision ("unknown" in a test binary, which
+// records none) and the BLAS tile init selected, and a server's /metrics
+// serves it, as pdlworkerd's does through the same registry.
+func TestBuildInfoGauge(t *testing.T) {
+	rev := "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				rev = s.Value
+			}
+		}
+	}
+	want := fmt.Sprintf(`pdl_build_info{go_version=%q,vcs_revision=%q,kernel_isa=%q,kernel_vector_bits="%d",kernel_tile=%q} 1`,
+		runtime.Version(), rev, blas.KernelISA(), blas.KernelVectorBits(), blas.KernelTile())
+	var b strings.Builder
+	metrics.Default.WritePrometheus(&b)
+	if !strings.Contains(b.String(), want+"\n") {
+		t.Fatalf("metrics.Default has no line\n%s\nin:\n%s", want, b.String())
+	}
+	_, ts := newTestServer(t, Config{})
+	if _, body := doReq(t, "GET", ts.URL+"/metrics", nil, nil); !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("/metrics has no line\n%s\nin:\n%s", want, body)
 	}
 }

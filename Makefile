@@ -66,13 +66,16 @@ lint-cluster-copy:
 # reading A in place, and names every assembly routine beside it: the TEXT list
 # of the assembly is exactly microAVX2, the 6×8 tile of hosts without AVX-512,
 # microAVX512, the 8×16 tile CPUID installs in its place where the CPU has it,
-# the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the solves'
-# elimAVX2 (left, a row at a time) and solve8AVX2 (right, eight rows at a
-# time), and cpuid and xgetbv — a new routine is added here on purpose — plus
-# one call site of the tile's kernel in pack.go, and one A pack there, the
-# zero-padded tail strip.
+# the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the left solve's
+# elimAVX2 (a row at a time), the right solve's base case — solve16AVX512 on
+# AVX-512 hosts (sixteen rows per pass, transposed in ZMM registers), and
+# solve8AVX2 on hosts with AVX2 alone (eight rows, transposed through
+# transpose4AVX2), the portable build solving every row in place — and cpuid
+# and xgetbv. A new routine is added here on purpose, and one that has lost its
+# last caller leaves the list with its body. Plus one call site of the tile's
+# kernel in pack.go, and one A pack there, the zero-padded tail strip.
 lint-one-kernel:
-	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microAVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
+	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microAVX512 TEXT ·solve16AVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
 	@test "$$(grep -c 'kernel(' internal/blas/pack.go)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
 
@@ -222,14 +225,16 @@ bench:
 
 # bench-blas is the per-layer number without the benchmark module: the four
 # Cholesky and the four LU tile kernels and the packed tile DGEMM at tile 128
-# on strided views of a 1024 parent, GF/s of the kernel call alone; the two B
-# packs alone on the same views, GB/s (Cols and Rows); and the micro-kernels
-# alone on L1-resident operands, each named by its tile and run on both A
-# layouts: the installed tile (8x16 on AVX-512 hosts, 6x8 elsewhere) and, on
-# AVX-512 hosts, the AVX2 6x8 kernel beside it. It records nothing; numbers
-# that are compared come from `make bench`.
+# on strided views of a 1024 parent, GF/s of the kernel call alone; the right
+# solve's base case alone on a 128×16 leaf of the same parent, GF/s (the layer
+# under TrsmRLT, TrsmRU, Potrf and Getrf); the two B packs alone on the same
+# views, GB/s (Cols and Rows); and the micro-kernels alone on L1-resident
+# operands, each named by its tile and run on both A layouts: the installed
+# tile (8x16 on AVX-512 hosts, 6x8 elsewhere) and, on AVX-512 hosts, the AVX2
+# 6x8 kernel beside it. It records nothing; numbers that are compared come
+# from `make bench`.
 bench-blas:
-	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkPack|BenchmarkMicroKernel' -count 5 ./internal/blas
+	$(GO) test -run '^$$' -bench 'BenchmarkTileKernels|BenchmarkRightSolveBase|BenchmarkPack|BenchmarkMicroKernel' -count 5 ./internal/blas
 
 # bench-sim times the simulated Figure 5 (DGEMM 8192/256, dmda, its three
 # platforms) as graph build and run apart, and the whole figure with a build per

@@ -146,3 +146,35 @@ func BenchmarkMicroKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRightSolveBase times the right solve's base case alone, the
+// layer under TrsmRLT, TrsmRU and the panel solves inside Potrf and Getrf:
+// trsmRightBase on a 128×16 leaf — what the recursion hands it at tile 128 —
+// against a 16×16 Cholesky factor read transposed, as TrsmRLT reads it. Each
+// call takes a different leaf of a 1024×1024 parent, restored before the call
+// and timed by hand as in BenchmarkTileKernels; GF/s counts m·n² per call.
+// `make bench-blas` runs it.
+func BenchmarkRightSolveBase(b *testing.B) {
+	const n, m, order = 1024, 128, factorBase
+	l := factoredSPD(order, 1)
+	fresh := randomMatrix(m, order, 2)
+	parent := NewMatrix(n, n)
+	leaves := make([]*Matrix, 0, n/m*(n/order))
+	for i := 0; i < n; i += m {
+		for j := 0; j < n; j += order {
+			leaves = append(leaves, parent.Sub(i, j, m, order))
+		}
+	}
+	var busy time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		leaf := leaves[5*i%len(leaves)]
+		for r := 0; r < m; r++ {
+			copy(leaf.Data[r*leaf.Stride:][:order], fresh.Data[r*fresh.Stride:][:order])
+		}
+		t0 := time.Now()
+		trsmRightBase(l, leaf, true)
+		busy += time.Since(t0)
+	}
+	b.ReportMetric(FlopsTRSM(order, m)*float64(b.N)/busy.Seconds()/1e9, "GF/s")
+}

@@ -155,43 +155,55 @@ func trsmRight(t, b *Matrix, trans bool) {
 
 // trsmRightBase is the unblocked right solve: for every row of b,
 // row[j] = (row[j] − Σ_{k<j} row[k]·T[k][j]) / T[j][j], the terms subtracted
-// in order of k. Rows go stripRows at a time through solveStrip, on a
-// transposed copy (the row pack's four-row transpose, there and back) and
-// against a copy of the triangle that is T whichever way t stores it; the
-// last m mod stripRows rows are solved in place, one dependent chain each.
+// in order of k. Where the assembly is in, solveStrips takes the leading rows
+// a strip at a time against a copy of the triangle that is T whichever way t
+// stores it; the rows it leaves, and all of them on the portable build, go
+// through solveRows in place.
 func trsmRightBase(t, b *Matrix, trans bool) {
 	n, m := t.Rows, b.Rows
+	i := 0
+	if solveStrips != nil && n > 0 && m >= stripRows {
+		ps := packBuf(factorBase * (factorBase + stripRows))
+		tri, x := ps.buf[:factorBase*factorBase], ps.buf[factorBase*factorBase:]
+		copyTriangle(tri, t, trans)
+		i = solveStrips(n, m, b.Data, b.Stride, tri, x)
+		packPool.Put(ps)
+	}
+	rest := b.view(i, 0, m-i, n)
+	solveRows(t, &rest, trans)
+}
+
+// copyTriangle writes T into the upper triangle of tri at stride factorBase:
+// tri[k*factorBase+j] = T[k][j] for k ≤ j < n, and past n the identity, so
+// that a solve that runs on whole groups of eight columns finds a unit
+// diagonal and no coupling in the columns it computes and then drops.
+func copyTriangle(tri []float64, t *Matrix, trans bool) {
+	n := t.Rows
 	sk, sj := t.Stride, 1 // T[k][j] = t.Data[k*sk+j*sj]
 	if trans {
 		sk, sj = 1, t.Stride
 	}
-	i := 0
-	if n > 0 && m >= stripRows {
-		ps := packBuf(factorBase * (factorBase + stripRows))
-		tri, x := ps.buf[:factorBase*factorBase], ps.buf[factorBase*factorBase:]
-		for k := 0; k < n; k++ {
-			for j := k; j < n; j++ {
-				tri[k*factorBase+j] = t.Data[k*sk+j*sj]
-			}
+	for k := 0; k < factorBase; k++ {
+		row, j := tri[k*factorBase:(k+1)*factorBase], k
+		for at := k*sk + j*sj; j < n; j, at = j+1, at+sj {
+			row[j] = t.Data[at]
 		}
-		for ; i+stripRows <= m; i += stripRows {
-			rows := b.Data[i*b.Stride:]
-			packFour(n, rows, b.Stride, x, stripRows)
-			packFour(n, rows[4*b.Stride:], b.Stride, x[4:], stripRows)
-			solveStrip(n, x, tri)
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				packFour(stripRows, x[j*stripRows:], stripRows, rows[j:], b.Stride)
-			}
-			for ; j < n; j++ {
-				for r, v := range x[j*stripRows:][:stripRows] {
-					rows[r*b.Stride+j] = v
-				}
-			}
+		clear(row[j:])
+		if k >= n {
+			row[k] = 1
 		}
-		packPool.Put(ps)
 	}
-	for ; i < m; i++ {
+}
+
+// solveRows is the right solve in place, one dependent chain per row: the
+// portable body, and the oracle the strip bodies give the bits of.
+func solveRows(t, b *Matrix, trans bool) {
+	n := t.Rows
+	sk, sj := t.Stride, 1
+	if trans {
+		sk, sj = 1, t.Stride
+	}
+	for i := 0; i < b.Rows; i++ {
 		row := b.Data[i*b.Stride:][:n]
 		for j := 0; j < n; j++ {
 			s := row[j]
@@ -205,36 +217,22 @@ func trsmRightBase(t, b *Matrix, trans bool) {
 	}
 }
 
-// stripRows is how many rows of b solveStrip carries at once: two YMM
-// registers of doubles per column.
+// stripRows is the row count of a strip: eight doubles of a column, one ZMM
+// or two YMM registers.
 const stripRows = 8
 
-// solveStrip solves X·T = B for stripRows rows at once, in place on their
-// transpose: x[j*stripRows+r] is element j of row r, tri[k*factorBase+j] is
-// T[k][j] for k ≤ j < n ≤ factorBase. Column j is finished (divided by the
-// diagonal) and then taken out of every later column, so each element loses
-// its terms in the same order, rounded the same way, as in trsmRightBase's
-// in-place loop: which rows went through here does not show in the bits. It
-// points at the portable body below or at the AVX2 one (multiply, then
-// subtract — no FMA, for that reason), installed with the micro-kernel.
-var solveStrip = solveStripGo
-
-func solveStripGo(n int, x, tri []float64) {
-	for j := 0; j < n; j++ {
-		xj := x[j*stripRows:][:stripRows]
-		d := tri[j*factorBase+j]
-		for r := range xj {
-			xj[r] /= d
-		}
-		for l := j + 1; l < n; l++ {
-			tv := tri[j*factorBase+l]
-			xl := x[l*stripRows:][:stripRows]
-			for r, v := range xj {
-				xl[r] -= v * tv
-			}
-		}
-	}
-}
+// solveStrips solves X·T = B for the leading rows of b (m ≥ stripRows rows
+// of n ≤ factorBase columns at stride ld), a whole number of strips, and
+// returns how many rows it solved. tri is the triangle copyTriangle writes
+// and x an L1 scratch of factorBase·stripRows doubles. Column j is finished
+// (divided by the diagonal) and then taken out of every later column, so each
+// element loses its terms in the same order, rounded the same way, as in
+// solveRows: which rows went through here does not show in the bits. The
+// assembly multiplies and then subtracts — no FMA — for that reason. Nil on
+// the portable build; the CPUID init installs eight-row strips through YMM
+// registers (solveStripsAVX2) or, where the CPU has AVX-512, sixteen rows at
+// a time through ZMM registers (solveStripsAVX512).
+var solveStrips func(n, m int, b []float64, ld int, tri, x []float64) int
 
 // SyrkNT applies the symmetric rank-k trailing update C := C − A·Aᵀ to the
 // lower triangle of c (diagonal included). The strictly-upper triangle of c

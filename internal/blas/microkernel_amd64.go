@@ -17,12 +17,14 @@ package blas
 // solves of factor.go: the right solve's eight rows at a time, and the left
 // solve's row update, thirty-two columns of a row held in registers across
 // every k. The two solves multiply and then subtract, never FMA, so they give
-// the portable bodies' bits. Where the CPU also has AVX-512, the register
+// the bits of the portable loops. Where the CPU also has AVX-512, the register
 // tile is 8×16 instead: sixteen ZMM accumulators, one per row and B strip, so
 // each FMA retires sixteen flops, and eight rows, so a 128-row product and
 // every half of it has no short A strip. Each lane runs the FMA chain its
 // element runs in the 6×8 kernel and is added to C the same way, so a
-// product's bits do not depend on which tile applied it.
+// product's bits do not depend on which tile applied it. The right solve
+// there goes sixteen rows per assembly pass: it reads B's rows, transposes,
+// solves and transposes back in ZMM registers and stores each element once.
 // Selection happens once at init via CPUID: hosts without AVX2, FMA or
 // OS-enabled YMM state keep the portable bodies, and hosts without AVX512F or
 // OS-enabled opmask and ZMM state keep the 6×8 tile. Any build with
@@ -41,11 +43,12 @@ func init() {
 		tile = regTile{microKernelAVX2, 6, microN}
 		packFour = packFourAVX2
 		dealCols = dealColsAVX2
-		solveStrip = solveStripAVX2
+		solveStrips = solveStripsAVX2
 		eliminate = eliminateAVX2
 		microKernelName = "avx2"
 		if cpuHasAVX512() {
 			tile = regTile{microKernelAVX512, 8, 2 * microN}
+			solveStrips = solveStripsAVX512
 		}
 	}
 }
@@ -137,20 +140,55 @@ func eliminateAVX2(dst, src []float64, ld int, coef []float64) {
 //go:noescape
 func elimAVX2(m, nk int64, dst, src *float64, ld int64, coef *float64)
 
-// solveStripAVX2 is solveStrip on two YMM registers per column.
-func solveStripAVX2(n int, x, tri []float64) {
-	if n <= 0 {
-		return
-	}
+// solveStripsAVX2 is solveStrips eight rows at a time: the strip is
+// transposed into x by the row pack's four-row pass, solved there two YMM
+// registers per column, and transposed back.
+func solveStripsAVX2(n, m int, b []float64, ld int, tri, x []float64) int {
 	x, tri = x[:n*stripRows], tri[:(n-1)*factorBase+n]
-	solve8AVX2(int64(n), &x[0], &tri[0])
+	i := 0
+	for ; i+stripRows <= m; i += stripRows {
+		rows := b[i*ld:]
+		packFourAVX2(n, rows, ld, x, stripRows)
+		packFourAVX2(n, rows[4*ld:], ld, x[4:], stripRows)
+		solve8AVX2(int64(n), &x[0], &tri[0])
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			packFourAVX2(stripRows, x[j*stripRows:], stripRows, rows[j:], ld)
+		}
+		for ; j < n; j++ {
+			for r, v := range x[j*stripRows:][:stripRows] {
+				rows[r*ld+j] = v
+			}
+		}
+	}
+	return i
 }
 
-// solve8AVX2 is solveStripGo for 1 ≤ n ≤ factorBase (implemented in
-// microkernel_amd64.s; the diagonal stride there is factorBase+1 doubles).
+// solve8AVX2 solves X·T = B in place on eight transposed rows,
+// x[j*stripRows+r] element j of row r, for 1 ≤ n ≤ factorBase
+// (implemented in microkernel_amd64.s).
 //
 //go:noescape
 func solve8AVX2(n int64, x, tri *float64)
+
+// solveStripsAVX512 is solveStrips sixteen rows at a time, in one assembly
+// pass that reads and writes b itself; an m mod 16 ≥ 8 tail goes as one
+// eight-row strip.
+func solveStripsAVX512(n, m int, b []float64, ld int, tri, x []float64) int {
+	rows := m &^ (stripRows - 1)
+	b, tri, x = b[:(rows-1)*ld+n], tri[:factorBase*factorBase], x[:2*stripRows*stripRows]
+	solve16AVX512(int64(rows), int64(n), &b[0], int64(ld), &tri[0], &x[0])
+	return rows
+}
+
+// solve16AVX512 solves X·T = B in place for rows ≥ 8 rows of b, a multiple
+// of eight, at row stride ld and 1 ≤ n ≤ factorBase columns, against the
+// triangle tri at stride factorBase (padded to sixteen columns by
+// copyTriangle), with x as scratch for 128 doubles (implemented in
+// microkernel_amd64.s).
+//
+//go:noescape
+func solve16AVX512(rows, n int64, b *float64, ld int64, tri, x *float64)
 
 // cpuHasAVX2FMA reports whether this CPU and OS support the AVX2/FMA kernel:
 // CPUID must advertise FMA and AVX2, and XGETBV must confirm the OS saves

@@ -368,6 +368,254 @@ done:
 	VZEROUPPER
 	RET
 
+// Eight rows of a strip, masked to the columns k selects: row 0 at p0, row 3
+// at p3, AX the row stride and R11 three of it.
+#define LOADROWS(off, k, p0, p3, r0, r1, r2, r3, r4, r5, r6, r7) \
+	VMOVUPD.Z off(p0), k, r0; \
+	VMOVUPD.Z off(p0)(AX*1), k, r1; \
+	VMOVUPD.Z off(p0)(AX*2), k, r2; \
+	VMOVUPD.Z off(p3), k, r3; \
+	VMOVUPD.Z off(p0)(AX*4), k, r4; \
+	VMOVUPD.Z off(p3)(AX*2), k, r5; \
+	VMOVUPD.Z off(p3)(R11*1), k, r6; \
+	VMOVUPD.Z off(p3)(AX*4), k, r7
+
+#define STOREROWS(off, k, p0, p3, r0, r1, r2, r3, r4, r5, r6, r7) \
+	VMOVUPD r0, k, off(p0); \
+	VMOVUPD r1, k, off(p0)(AX*1); \
+	VMOVUPD r2, k, off(p0)(AX*2); \
+	VMOVUPD r3, k, off(p3); \
+	VMOVUPD r4, k, off(p0)(AX*4); \
+	VMOVUPD r5, k, off(p3)(AX*2); \
+	VMOVUPD r6, k, off(p3)(R11*1); \
+	VMOVUPD r7, k, off(p3)(AX*4)
+
+// An 8×8 transpose in place through Z16..Z31: the unpacks pair the rows'
+// elements, two 128-bit lane shuffles gather the pairs of each column.
+#define TRANSPOSE8(r0, r1, r2, r3, r4, r5, r6, r7) \
+	VUNPCKLPD  r1, r0, Z16; \
+	VUNPCKHPD  r1, r0, Z17; \
+	VUNPCKLPD  r3, r2, Z18; \
+	VUNPCKHPD  r3, r2, Z19; \
+	VUNPCKLPD  r5, r4, Z20; \
+	VUNPCKHPD  r5, r4, Z21; \
+	VUNPCKLPD  r7, r6, Z22; \
+	VUNPCKHPD  r7, r6, Z23; \
+	VSHUFF64X2 $0x88, Z18, Z16, Z24; \
+	VSHUFF64X2 $0xdd, Z18, Z16, Z25; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z26; \
+	VSHUFF64X2 $0xdd, Z19, Z17, Z27; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z28; \
+	VSHUFF64X2 $0xdd, Z22, Z20, Z29; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z30; \
+	VSHUFF64X2 $0xdd, Z23, Z21, Z31; \
+	VSHUFF64X2 $0x88, Z28, Z24, r0; \
+	VSHUFF64X2 $0x88, Z30, Z26, r1; \
+	VSHUFF64X2 $0x88, Z29, Z25, r2; \
+	VSHUFF64X2 $0x88, Z31, Z27, r3; \
+	VSHUFF64X2 $0xdd, Z28, Z24, r4; \
+	VSHUFF64X2 $0xdd, Z30, Z26, r5; \
+	VSHUFF64X2 $0xdd, Z29, Z25, r6; \
+	VSHUFF64X2 $0xdd, Z31, Z27, r7
+
+// Column j of both strips (a, b) divided by T[j][j], off(BX).
+#define DIVCOL(off, a, b) \
+	VBROADCASTSD off(BX), Z16; \
+	VDIVPD       Z16, a, a; \
+	VDIVPD       Z16, b, b
+
+// T[j][l], off(BX), times column j (ja, jb) taken out of column l (la, lb).
+#define TAKEOUT(off, ja, jb, la, lb) \
+	VBROADCASTSD off(BX), Z17; \
+	VMULPD       Z17, ja, Z18; \
+	VMULPD       Z17, jb, Z19; \
+	VSUBPD       Z18, la, la; \
+	VSUBPD       Z19, lb, lb
+
+// The eight columns in Z0..Z7 and Z8..Z15 solved against the 8×8 triangle
+// at BX, stride sixteen doubles.
+#define SOLVE8 \
+	DIVCOL(0, Z0, Z8); \
+	TAKEOUT(8, Z0, Z8, Z1, Z9); \
+	TAKEOUT(16, Z0, Z8, Z2, Z10); \
+	TAKEOUT(24, Z0, Z8, Z3, Z11); \
+	TAKEOUT(32, Z0, Z8, Z4, Z12); \
+	TAKEOUT(40, Z0, Z8, Z5, Z13); \
+	TAKEOUT(48, Z0, Z8, Z6, Z14); \
+	TAKEOUT(56, Z0, Z8, Z7, Z15); \
+	DIVCOL(136, Z1, Z9); \
+	TAKEOUT(144, Z1, Z9, Z2, Z10); \
+	TAKEOUT(152, Z1, Z9, Z3, Z11); \
+	TAKEOUT(160, Z1, Z9, Z4, Z12); \
+	TAKEOUT(168, Z1, Z9, Z5, Z13); \
+	TAKEOUT(176, Z1, Z9, Z6, Z14); \
+	TAKEOUT(184, Z1, Z9, Z7, Z15); \
+	DIVCOL(272, Z2, Z10); \
+	TAKEOUT(280, Z2, Z10, Z3, Z11); \
+	TAKEOUT(288, Z2, Z10, Z4, Z12); \
+	TAKEOUT(296, Z2, Z10, Z5, Z13); \
+	TAKEOUT(304, Z2, Z10, Z6, Z14); \
+	TAKEOUT(312, Z2, Z10, Z7, Z15); \
+	DIVCOL(408, Z3, Z11); \
+	TAKEOUT(416, Z3, Z11, Z4, Z12); \
+	TAKEOUT(424, Z3, Z11, Z5, Z13); \
+	TAKEOUT(432, Z3, Z11, Z6, Z14); \
+	TAKEOUT(440, Z3, Z11, Z7, Z15); \
+	DIVCOL(544, Z4, Z12); \
+	TAKEOUT(552, Z4, Z12, Z5, Z13); \
+	TAKEOUT(560, Z4, Z12, Z6, Z14); \
+	TAKEOUT(568, Z4, Z12, Z7, Z15); \
+	DIVCOL(680, Z5, Z13); \
+	TAKEOUT(688, Z5, Z13, Z6, Z14); \
+	TAKEOUT(696, Z5, Z13, Z7, Z15); \
+	DIVCOL(816, Z6, Z14); \
+	TAKEOUT(824, Z6, Z14, Z7, Z15); \
+	DIVCOL(952, Z7, Z15)
+
+// The finished column in Z16 (Z17), times T[j][8+l] at off(BX), taken out
+// of column 8+l of the second phase (la, lb).
+#define CROSS(off, la, lb) \
+	VBROADCASTSD off(BX), Z18; \
+	VMULPD       Z18, Z16, Z19; \
+	VMULPD       Z18, Z17, Z20; \
+	VSUBPD       Z19, la, la; \
+	VSUBPD       Z20, lb, lb
+
+#define CROSSROW \
+	CROSS(0, Z0, Z8); \
+	CROSS(8, Z1, Z9); \
+	CROSS(16, Z2, Z10); \
+	CROSS(24, Z3, Z11); \
+	CROSS(32, Z4, Z12); \
+	CROSS(40, Z5, Z13); \
+	CROSS(48, Z6, Z14); \
+	CROSS(56, Z7, Z15)
+
+// func solve16AVX512(rows, n int64, b *float64, ld int64, tri, x *float64)
+//
+// The right solve's base case on AVX-512 hosts, sixteen rows of b per pass as
+// two strips of eight: rows 0–7 of the pass (off SI and R8 = SI + 3·ld) and
+// rows 8–15 (off R12 and R13). Columns go in two phases of eight, the first
+// of width min(n, 8) (opmask K1, K3 for the second strip) and the second of
+// n − 8 (K2, K4), both strips held in Z0..Z15 through a phase. A phase loads
+// eight columns of each row, masked, transposes each strip's 8×8 block so
+// that Z0..Z7 (Z8..Z15) hold its columns, solves them, transposes back and
+// stores each row once, masked. Solving column j divides it by T[j][j] and
+// then takes T[j][l] times it out of every later column l; the second phase
+// first takes the eight finished columns of the first, kept in x, out of its
+// own, in order of j. Every term is one multiply and one subtract, never an
+// FMA, so each element gets the bits solveRows gives it. The columns past n
+// start as zeros and meet copyTriangle's identity, and their stores are
+// masked off. On a last pass of eight rows K3 and K4 are zero: the second
+// strip is neither read nor written. Z16..Z31 are the transposes' and the
+// solve's scratch.
+TEXT ·solve16AVX512(SB), NOSPLIT, $0-48
+	MOVQ n+8(FP), DX
+	MOVL $0xff, BX
+	MOVL $0xff, R10
+	MOVQ DX, CX
+	CMPQ CX, $8
+	JGE  solvewide
+	NEGQ CX
+	ADDQ $8, CX
+	SHRL CX, BX            // K1: columns 0 to n−1
+	XORL R10, R10          // K2: none
+	JMP  solvemasks
+
+solvewide:
+	NEGQ CX
+	ADDQ $16, CX
+	SHRL CX, R10           // K2: columns 8 to n−1
+
+solvemasks:
+	KMOVW BX, K1
+	KMOVW R10, K2
+	MOVQ  rows+0(FP), CX
+	MOVQ  b+16(FP), SI
+	MOVQ  ld+24(FP), AX
+	MOVQ  tri+32(FP), DI
+	MOVQ  x+40(FP), R9
+	SHLQ  $3, AX           // row stride in bytes
+	LEAQ  (AX)(AX*2), R11  // three rows
+
+solveblock:
+	KMOVW K1, K3
+	KMOVW K2, K4
+	CMPQ  CX, $16
+	JGE   solvefull
+	KXORW K3, K3, K3       // eight rows left: no second strip
+	KXORW K4, K4, K4
+
+solvefull:
+	LEAQ (SI)(R11*1), R8
+	LEAQ (SI)(AX*8), R12
+	LEAQ (R12)(R11*1), R13
+	LOADROWS(0, K1, SI, R8, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	LOADROWS(0, K3, R12, R13, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ DI, BX
+	SOLVE8
+	CMPQ DX, $8
+	JLE  solveback
+	VMOVUPD Z0, (R9)
+	VMOVUPD Z1, 64(R9)
+	VMOVUPD Z2, 128(R9)
+	VMOVUPD Z3, 192(R9)
+	VMOVUPD Z4, 256(R9)
+	VMOVUPD Z5, 320(R9)
+	VMOVUPD Z6, 384(R9)
+	VMOVUPD Z7, 448(R9)
+	VMOVUPD Z8, 512(R9)
+	VMOVUPD Z9, 576(R9)
+	VMOVUPD Z10, 640(R9)
+	VMOVUPD Z11, 704(R9)
+	VMOVUPD Z12, 768(R9)
+	VMOVUPD Z13, 832(R9)
+	VMOVUPD Z14, 896(R9)
+	VMOVUPD Z15, 960(R9)
+
+solveback:
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	STOREROWS(0, K1, SI, R8, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	STOREROWS(0, K3, R12, R13, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	CMPQ DX, $8
+	JLE  solvenext
+
+	LOADROWS(64, K2, SI, R8, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	LOADROWS(64, K4, R12, R13, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ R9, R10           // finished column j of the first strip; the second's 512 bytes on
+	LEAQ 64(DI), BX        // &T[j][8]
+	MOVL $8, R12
+
+solvecross:
+	VMOVUPD (R10), Z16
+	VMOVUPD 512(R10), Z17
+	CROSSROW
+	ADDQ $64, R10
+	ADDQ $128, BX
+	DECQ R12
+	JNZ  solvecross
+
+	LEAQ 1088(DI), BX      // &T[8][8]
+	SOLVE8
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	LEAQ (SI)(AX*8), R12
+	STOREROWS(64, K2, SI, R8, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	STOREROWS(64, K4, R12, R13, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+
+solvenext:
+	LEAQ (SI)(AX*8), SI
+	LEAQ (SI)(AX*8), SI
+	SUBQ $16, CX
+	JG   solveblock
+	VZEROUPPER
+	RET
+
 // func dealAVX2(kb, strips int64, src *float64, ld int64, dst *float64)
 //
 // The column pack's full strips: dst[s*kb*8+p*8+q] = src[p*ld+s*8+q] for

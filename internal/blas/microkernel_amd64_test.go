@@ -168,23 +168,60 @@ func TestKernelISAStaysAVX2(t *testing.T) {
 	}
 }
 
-// TestSolveStripMatchesPortable: the AVX2 base solve multiplies and then
-// subtracts, as the portable body does, so for every triangle order the two
-// give the same bits — which is what keeps a solve's result independent of
-// how many of its rows went eight at a time.
+// TestSolveStripMatchesPortable: the eight-row AVX2 strips of hosts without
+// AVX-512 give the bits of the in-place row loop (see rightSolveMatches).
 func TestSolveStripMatchesPortable(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
 	}
+	rightSolveMatches(t, solveStripsAVX2)
+}
+
+// TestRightSolveMatchesPortable: the AVX-512 pass, sixteen rows at a time
+// with an eight-row tail, gives the bits of the in-place row loop (see
+// rightSolveMatches).
+func TestRightSolveMatchesPortable(t *testing.T) {
+	if !cpuHasAVX2FMA() || !cpuHasAVX512() {
+		t.Skip("no AVX-512 on this host")
+	}
+	rightSolveMatches(t, solveStripsAVX512)
+}
+
+// rightSolveMatches runs trsmRightBase with strips installed as solveStrips
+// against solveRows alone, for every triangle order up to factorBase, every
+// row count up to 40 (every tail of a sixteen- and an eight-row pass), T
+// stored as itself and transposed, on strided views of a parent whose every
+// other cell is NaN — t's unread triangle, three columns right of b and a
+// row below both — with NaN in the pack pool: the whole parent must come out
+// with the same bits both ways. Both multiply, then subtract, in order of k.
+func rightSolveMatches(t *testing.T, strips func(n, m int, b []float64, ld int, tri, x []float64) int) {
+	installed := solveStrips
+	t.Cleanup(func() { solveStrips = installed })
+	solveStrips = strips
 	for n := 0; n <= factorBase; n++ {
-		tri := factoredDD(factorBase, int64(n)).Data // U in the upper triangle, row-major at stride factorBase
-		x := randomMatrix(factorBase, stripRows, int64(n)+1).Data
-		got, want := append([]float64(nil), x...), append([]float64(nil), x...)
-		solveStripAVX2(n, got, tri)
-		solveStripGo(n, want, tri)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n=%d: x[%d] = %g, portable body has %g", n, i, got[i], want[i])
+		for m := 0; m <= 40; m++ {
+			for _, trans := range []bool{false, true} {
+				shapes := [][2]int{{n, n}, {m, n}, {0, 3}}
+				run := func(solve func(tr, b *Matrix)) *Matrix {
+					parent := carveParent(shapes, math.NaN())
+					tiles := carve(parent, shapes)
+					seed := int64(41*n + m)
+					if trans {
+						fillWhere(tiles[0], factoredSPD(n, seed), lower)
+					} else {
+						fillWhere(tiles[0], factoredDD(n, seed), upper)
+					}
+					fillWhere(tiles[1], randomMatrix(m, n, seed+1), all)
+					poisonPackPool()
+					solve(tiles[0], tiles[1])
+					return parent
+				}
+				got := run(func(tr, b *Matrix) { trsmRightBase(tr, b, trans) })
+				want := run(func(tr, b *Matrix) { solveRows(tr, b, trans) })
+				if i, j, ok := sameBitsOrWithin(got, want, -1); !ok {
+					t.Fatalf("n=%d m=%d trans=%v: parent cell (%d,%d) = %g, the in-place loop gives %g",
+						n, m, trans, i, j, got.At(i, j), want.At(i, j))
+				}
 			}
 		}
 	}

@@ -244,9 +244,11 @@ bench-sim:
 
 # bench-taskrt times the dispatch-fork job on the real engine — SubmitBatch
 # and Run of one no-op root and 19 999 no-op dependents on two workers — under
-# ws and dmda, µs and allocations per task each.
+# ws and dmda, µs and allocations per task each; and the layer under dmda's
+# share of it, one 20 000-task pushBatch on two workers, cold and warm
+# models, ns per placed task.
 bench-taskrt:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatchFork' -count 5 ./internal/taskrt
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatchFork|BenchmarkDmdaPushBatch' -count 5 ./internal/taskrt
 
 # loc prints the line count CHANGES.md quotes for simplicity PRs — tracked,
 # non-test Go outside benchmark/ — in total and per package directory.

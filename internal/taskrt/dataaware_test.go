@@ -158,10 +158,10 @@ func TestRealDmdaNoRoutesStaysTransferBlind(t *testing.T) {
 	}
 }
 
-// The untraced dmda hot path — push (place), take, finished — must not
-// allocate in steady state: the estimate snapshot is cached, choose scores
-// into a stack array, and no trace instants or reason strings are built when
-// tracing is off.
+// The untraced dmda hot path — push, take, finished, and a batch placed by
+// a worker — must not allocate in steady state: the estimate snapshot is
+// cached, a batch prices into its pusher's scratch, and no trace instants or
+// reason strings are built when tracing is off.
 func TestDmdaHotPathNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by the race detector")
@@ -195,5 +195,30 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dmda push/take/finished allocates %.1f objects per task, want 0", allocs)
+	}
+
+	// A warm 64-task batch from a worker: mixed priorities, operands on both
+	// nodes. Its scratch is the worker's own and grew on the first run.
+	hs := []*Handle{{Name: "a", Bytes: 1 << 20}, {Name: "b", Bytes: 1 << 20, id: 1}}
+	batch := make([]*Task, 64)
+	for i := range batch {
+		batch[i] = &Task{Codelet: cl, Accesses: []Access{R(hs[i%2])}, Flops: 1e9, Priority: i % 3}
+	}
+	d = newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 1}, links, numbered(batch), hs, models)
+	allocs = testing.AllocsPerRun(50, func() {
+		d.pushBatch(1, batch)
+		for range batch {
+			if !d.acquire(nil, nil) {
+				t.Fatal("acquire after the batch must succeed")
+			}
+		}
+		for w := range d.workers {
+			for got := d.workers[w].q.steal(); got != nil; got = d.workers[w].q.steal() {
+				d.finished(w, got, time.Millisecond, true)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm 64-task dmda pushBatch allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -38,6 +38,17 @@ func (d *wsDeque) push(t *Task) {
 	d.bottom.Store(b + 1)
 }
 
+// pushAll appends ts at the bottom in order: it stores every slot and then
+// publishes them with one store of bottom, so a thief sees none or all of
+// them. Owner only.
+func (d *wsDeque) pushAll(ts []*Task) {
+	b := d.bottom.Load()
+	for i, t := range ts {
+		d.buf[(b+int64(i))&d.mask].Store(t)
+	}
+	d.bottom.Store(b + int64(len(ts)))
+}
+
 // pop removes the most recently pushed task, or returns nil when the deque
 // is empty or a thief won the race for the last element. Owner only.
 func (d *wsDeque) pop() *Task {

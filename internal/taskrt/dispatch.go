@@ -101,8 +101,9 @@ type dispatcher interface {
 	push(from int, t *Task)
 	// pushBatch makes every task in ts runnable with one synchronisation
 	// round: tasks are enqueued first, then the batch's credits are released
-	// together. The callee may reorder ts but does not retain it — callers
-	// may reuse it.
+	// together (dmda releases a wide batch in pieces of dmdaShare tasks a
+	// worker, each after its tasks are enqueued). The callee may reorder ts
+	// but does not retain it — callers may reuse it.
 	pushBatch(from int, ts []*Task)
 	// acquire obtains one task credit, blocking until one is available or
 	// the run ends (done) or aborts. After a true return, take is guaranteed
@@ -173,9 +174,7 @@ func (d *stealDispatcher) push(from int, t *Task) {
 
 func (d *stealDispatcher) pushBatch(from int, ts []*Task) {
 	if from >= 0 {
-		for _, t := range ts {
-			d.deques[from].push(t)
-		}
+		d.deques[from].pushAll(ts)
 	} else {
 		d.injMu.Lock()
 		d.inj = append(d.inj, ts...)
@@ -330,6 +329,12 @@ type dmdaDispatcher struct {
 	sem     *creditSem
 	rr      atomic.Uint64 // start cursor for placement.Pick: varies tie-breaks across pushes
 
+	// batches is the pushers' scratch: one per worker, for the dependents
+	// its completions release, and a last one for pushes from outside the
+	// pool (seeding, requeue timers), which take extMu to use it.
+	batches []dmdaBatch
+	extMu   sync.Mutex
+
 	// Data-awareness tables, fixed at construction. links[i][j] prices a
 	// transfer from node i to node j; dataAware is false when the platform
 	// declares no routes (or has >maxNodes masters), which zeroes the
@@ -405,6 +410,18 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 		wk.q = newWSDeque(len(tasks))
 		wk.stallDone = -1
 	}
+	d.batches = make([]dmdaBatch, len(archs)+1)
+	shares := make([]*Task, len(d.batches)*len(archs)*dmdaShare)
+	for i := range d.batches {
+		b := &d.batches[i]
+		b.workers = make([]batchWorker, len(archs))
+		b.preds = make([]predMemo, len(distinct))
+		for w := range b.workers {
+			bw := &b.workers[w]
+			bw.node, bw.archIdx = d.workers[w].node, d.workers[w].archIdx
+			bw.placed, shares = shares[:0:dmdaShare], shares[dmdaShare:]
+		}
+	}
 	byCodelet := make(map[*Codelet]*predEntry)
 	for _, t := range tasks {
 		if t.Flops <= 0 || models == nil {
@@ -426,35 +443,43 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 	return d
 }
 
-// candidate is t's bid for worker w: execution estimate and the given
-// transfer time. The model path is lock-free in steady state: the cached
-// snapshot is valid until a Record bumps the model version.
-func (d *dmdaDispatcher) candidate(t *Task, w int, xfer int64) placement.Candidate {
-	wk := &d.workers[w]
-	var snap predSnap // zero value: the model has no answer
-	if pe := d.pred[t.id]; pe != nil {
-		ai := wk.archIdx
-		v := pe.models[ai].Version()
-		s := pe.snaps[ai].Load()
-		if s == nil || s.version != v || s.flops != t.Flops {
-			sec, ok := pe.models[ai].Estimate(t.Flops)
-			s = &predSnap{version: v, flops: t.Flops, nanos: int64(sec * 1e9), ok: ok}
-			pe.snaps[ai].Store(s)
-		}
-		snap = *s
+// candidate is a worker's bid for a task: the model's estimate s (nil: the
+// task's codelet has no model) when it has an answer, else observed (see
+// observed), with the given transfer time.
+func candidate(s *predSnap, xfer int64, observed placement.Candidate) placement.Candidate {
+	if s != nil && s.ok {
+		return placement.Candidate{Exec: s.nanos, Xfer: xfer, Source: placement.Model}
 	}
-	if snap.ok {
-		// Estimate's first link, taken here so the steady state does not
-		// load the history counters every finishing worker writes.
-		return placement.Candidate{Exec: snap.nanos, Xfer: xfer, Source: placement.Model}
+	observed.Xfer = xfer
+	return observed
+}
+
+// estimate is the model's answer for flops on arch slot ai. It is lock-free
+// in steady state: the cached snapshot is valid until a Record bumps the
+// model version.
+func (pe *predEntry) estimate(ai int, flops float64) *predSnap {
+	v := pe.models[ai].Version()
+	s := pe.snaps[ai].Load()
+	if s == nil || s.version != v || s.flops != flops {
+		sec, ok := pe.models[ai].Estimate(flops)
+		s = &predSnap{version: v, flops: flops, nanos: int64(sec * 1e9), ok: ok}
+		pe.snaps[ai].Store(s)
 	}
-	own := placement.History{Nanos: wk.busyNanos.Load(), Count: wk.completed.Load()}
-	var pool placement.History
-	if own.Count == 0 {
-		pool = d.pool() // the cold estimate: the only placement that reads it
-	}
+	return s
+}
+
+// observed is a worker's bid when the model has no answer: the rest of
+// placement.Estimate's chain, the worker's own observed mean (own), else
+// the pool's. Xfer is left 0.
+func observed(own, pool placement.History) placement.Candidate {
 	exec, src := placement.Estimate(0, false, own, pool)
-	return placement.Candidate{Exec: exec, Xfer: xfer, Source: src}
+	return placement.Candidate{Exec: exec, Source: src}
+}
+
+// history is worker w's observed total.
+func (d *dmdaDispatcher) history(w int) placement.History {
+	wk := &d.workers[w]
+	return placement.History{Nanos: wk.busyNanos.Load(), Count: wk.completed.Load()}
 }
 
 // pool sums the workers' observed histories: the cold estimate, and through
@@ -462,9 +487,10 @@ func (d *dmdaDispatcher) candidate(t *Task, w int, xfer int64) placement.Candida
 // read it, so a completion writes its own worker's counters alone.
 func (d *dmdaDispatcher) pool() placement.History {
 	var h placement.History
-	for i := range d.workers {
-		h.Nanos += d.workers[i].busyNanos.Load()
-		h.Count += d.workers[i].completed.Load()
+	for w := range d.workers {
+		own := d.history(w)
+		h.Nanos += own.Nanos
+		h.Count += own.Count
 	}
 	return h
 }
@@ -502,21 +528,110 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 	return total
 }
 
-// choose offers every online worker to a placement.Pick and returns the
-// winner. It allocates nothing: the per-node transfer times live in a stack
-// array and the estimate cache replaces per-worker map-and-lock lookups.
-func (d *dmdaDispatcher) choose(t *Task) (int, placement.Candidate) {
-	var xferByNode [maxNodes]int64
-	if d.dataAware && len(t.Accesses) > 0 {
+// dmdaShare is the most tasks a batch holds for one worker before it
+// publishes them. A tiled factorization's batches (a panel's dependents)
+// stay under it at the tile counts the benchmark runs, so each worker's
+// share lands with one publish. A wider batch (dispatch-fork's 19 999
+// dependents) publishes every dmdaShare tasks a worker, credits included:
+// holding a share the size of the batch needs a scratch a fresh dispatcher
+// grows again every run, and the other workers would wait for all of it.
+const dmdaShare = 64
+
+// dmdaBatch is one pusher's scratch for pushBatch: the snapshot of the pool
+// a batch is priced against, what the batch adds to it, and the tasks it
+// placed on each worker until they are published. Its arrays are made with
+// the dispatcher, so a batch allocates nothing.
+type dmdaBatch struct {
+	workers   []batchWorker
+	preds     []predMemo // by distinct-arch slot
+	decisions [placement.Cold + 1]int
+	xfer      int64 // modelled transfer nanoseconds charged by the batch
+	released  int   // credits already released with full shares
+	// xferByNode is, while a data-aware batch prices a task, the task's
+	// transfer time to each memory node; all zero otherwise.
+	xferByNode [maxNodes]int64
+	_          [cacheLine]byte
+}
+
+// predMemo is the model answer a batch last read for one arch slot.
+type predMemo struct {
+	pe   *predEntry
+	snap *predSnap
+}
+
+// predict is pe's answer for flops on arch slot ai, read once a batch for
+// each codelet, size and arch: a batch of like tasks (a panel's updates, a
+// fork's leaves) prices against one lookup.
+func (b *dmdaBatch) predict(pe *predEntry, ai int, flops float64) *predSnap {
+	m := &b.preds[ai]
+	if m.pe != pe || m.snap.flops != flops {
+		m.pe, m.snap = pe, pe.estimate(ai, flops)
+	}
+	return m.snap
+}
+
+// batchWorker is one worker as a batch sees it.
+type batchWorker struct {
+	node     int                 // the worker's memory node (fixed)
+	archIdx  int                 // the worker's distinct-arch slot (fixed)
+	offline  bool                // at the snapshot
+	own      placement.History   // at the snapshot
+	observed placement.Candidate // the bid without a model answer, from own and the pool
+	// backlog is the worker's outstanding at the snapshot plus the batch's
+	// charges on it, which are backlog - published.
+	backlog, published int64
+	placed             []*Task // in placement order, at most dmdaShare
+}
+
+// snapshot reads, once for a batch of n tasks, everything its placements
+// price against that other goroutines write: each worker's outstanding,
+// offline flag and observed history, and the pool's history (the model
+// answers are read at their first use, see predict). It returns the
+// batch's first placement.Pick cursor; task i of the batch uses cursor + i.
+func (d *dmdaDispatcher) snapshot(b *dmdaBatch, n int) uint64 {
+	var pool placement.History
+	for w := range b.workers {
+		bw, wk := &b.workers[w], &d.workers[w]
+		bw.offline = wk.offline.Load()
+		bw.backlog = wk.outstanding.Load()
+		bw.published = bw.backlog
+		bw.own = d.history(w)
+		pool.Nanos += bw.own.Nanos
+		pool.Count += bw.own.Count
+	}
+	for w := range b.workers {
+		b.workers[w].observed = observed(b.workers[w].own, pool)
+	}
+	clear(b.preds)
+	b.decisions = [placement.Cold + 1]int{}
+	b.xfer = 0
+	b.released = 0
+	return d.rr.Add(uint64(n)) - uint64(n)
+}
+
+// choose offers every worker online at the snapshot to a placement.Pick and
+// returns the winner. It allocates nothing: the per-node transfer times live
+// in the batch and the estimate cache replaces per-worker map-and-lock
+// lookups.
+func (d *dmdaDispatcher) choose(b *dmdaBatch, t *Task, cursor uint64) (int, placement.Candidate) {
+	if d.dataAware {
 		for n := range d.links {
-			xferByNode[n] = d.transferToNode(t, n)
+			b.xferByNode[n] = d.transferToNode(t, n)
 		}
 	}
-	pick := placement.NewPick(len(d.workers), d.rr.Add(1)-1, t.Priority > 0)
-	for k := range d.workers {
+	pe := d.pred[t.id]
+	bid := func(bw *batchWorker, xfer int64) placement.Candidate {
+		var s *predSnap
+		if pe != nil {
+			s = b.predict(pe, bw.archIdx, t.Flops)
+		}
+		return candidate(s, xfer, bw.observed)
+	}
+	pick := placement.NewPick(len(b.workers), cursor, t.Priority > 0)
+	for k := range b.workers {
 		w := pick.At(k)
-		if wk := &d.workers[w]; !wk.offline.Load() {
-			pick.Offer(w, wk.outstanding.Load(), d.candidate(t, w, xferByNode[wk.node]))
+		if bw := &b.workers[w]; !bw.offline {
+			pick.Offer(w, bw.backlog, bid(bw, b.xferByNode[bw.node]))
 		}
 	}
 	w, c, ok := pick.Best()
@@ -524,7 +639,7 @@ func (d *dmdaDispatcher) choose(t *Task) (int, placement.Candidate) {
 		// Every worker offline: place round-robin anyway — the queue stays
 		// stealable, and the engine aborts if no worker can ever recover.
 		w = pick.At(0)
-		c = d.candidate(t, w, 0)
+		c = bid(&b.workers[w], 0)
 	}
 	return w, c
 }
@@ -568,31 +683,76 @@ func (d *dmdaDispatcher) prefetch(t *Task, node int) {
 	}
 }
 
-// place routes one task: score, charge, prefetch, enqueue. The semaphore
-// release is left to push/pushBatch so a batch pays for it once.
-func (d *dmdaDispatcher) place(t *Task) {
-	w, c := d.choose(t)
-	d.decisions[c.Source].Inc()
-	d.est[t.id] = c.Charge()
-	wk := &d.workers[w]
-	wk.outstanding.Add(d.est[t.id])
-	d.prefetch(t, wk.node)
-	if c.Xfer > 0 {
-		d.xferSeconds.Add(float64(c.Xfer) / 1e9)
-	}
-	wk.pushMu.Lock()
-	wk.q.push(t)
-	wk.pushMu.Unlock()
+// place routes one task of a batch: score, charge, prefetch. The charge
+// goes to the batch's backlog and the task to its worker's share, which
+// publish makes visible. A full share is published at once with its
+// credits, so idle workers start on it while the rest of the batch is
+// priced.
+func (d *dmdaDispatcher) place(b *dmdaBatch, t *Task, cursor uint64) {
+	w, c := d.choose(b, t, cursor)
+	bw := &b.workers[w]
+	charge := c.Charge()
+	d.est[t.id] = charge
+	bw.backlog += charge
+	b.decisions[c.Source]++
+	b.xfer += c.Xfer
+	d.prefetch(t, bw.node)
 	if d.onPlace != nil {
 		d.onPlace(w, t, c)
 	}
+	bw.placed = append(bw.placed, t)
+	if len(bw.placed) == dmdaShare {
+		d.publish(w, bw)
+		d.sem.release(dmdaShare)
+		b.released += dmdaShare
+	}
 }
 
+// publish hands worker w the share of the batch it holds: one add to its
+// outstanding and one pushAll under one pushMu hold.
+func (d *dmdaDispatcher) publish(w int, bw *batchWorker) {
+	wk := &d.workers[w]
+	if charged := bw.backlog - bw.published; charged != 0 {
+		wk.outstanding.Add(charged)
+		bw.published = bw.backlog
+	}
+	wk.pushMu.Lock()
+	wk.q.pushAll(bw.placed)
+	wk.pushMu.Unlock()
+	bw.placed = bw.placed[:0]
+}
+
+// finish publishes every share the batch still holds, then adds its
+// decision and transfer counts, once each. Their credits are left to the
+// caller.
+func (d *dmdaDispatcher) finish(b *dmdaBatch) {
+	for w := range b.workers {
+		if bw := &b.workers[w]; len(bw.placed) > 0 {
+			d.publish(w, bw)
+		}
+	}
+	for src, n := range b.decisions {
+		if n > 0 {
+			d.decisions[src].Add(float64(n))
+		}
+	}
+	if b.xfer > 0 {
+		d.xferSeconds.Add(float64(b.xfer) / 1e9)
+	}
+}
+
+// push is the batch of one.
 func (d *dmdaDispatcher) push(from int, t *Task) {
-	d.place(t)
-	d.sem.release(1)
+	one := [1]*Task{t}
+	d.pushBatch(from, one[:])
 }
 
+// pushBatch prices the whole batch against one snapshot of the pool, task
+// by task in priority order as a sequence of single pushes from this
+// goroutine would, and publishes each worker's share once (every dmdaShare
+// tasks in a wider batch). Placing a batch is serial work on the completing
+// worker, so a task costs the pricing alone: no shared cursor, outstanding,
+// lock, queue index or metric is written per task.
 func (d *dmdaDispatcher) pushBatch(from int, ts []*Task) {
 	// Place higher-priority tasks first: a batch release happens whenever a
 	// finishing task readies several dependents at once, and placement order
@@ -608,10 +768,19 @@ func (d *dmdaDispatcher) pushBatch(from int, ts []*Task) {
 			break
 		}
 	}
-	for _, t := range ts {
-		d.place(t)
+	b := &d.batches[len(d.batches)-1]
+	if from >= 0 {
+		b = &d.batches[from] // the calling worker's own: no lock
+	} else {
+		d.extMu.Lock()
+		defer d.extMu.Unlock()
 	}
-	d.sem.release(len(ts))
+	cursor := d.snapshot(b, len(ts))
+	for i, t := range ts {
+		d.place(b, t, cursor+uint64(i))
+	}
+	d.finish(b)
+	d.sem.release(len(ts) - b.released)
 }
 
 func (d *dmdaDispatcher) acquire(done, abort <-chan struct{}) bool {
@@ -623,6 +792,18 @@ func (d *dmdaDispatcher) acquire(done, abort <-chan struct{}) bool {
 // EFT-unfavorable: the work is better left where the model placed it, and
 // the sleep gives the rightful owner — just woken by the returned credit —
 // the CPU to go collect it instead of racing the thief for the credit.
+//
+// How long the sleep lasts depends on the rest of the process. The Go
+// runtime fires a timer at a scheduling point of a running goroutine, so
+// beside a worker that parks, yields or blocks between tasks it wakes after
+// ≈ 51 µs; when every other P is idle (or runs without a scheduling point)
+// it waits in the netpoller, whose timeout has millisecond resolution, and
+// wakes after ≈ 1.07 ms (2-vCPU Xeon, go1.24, EXPERIMENTS Ext-I
+// 2026-10-18). Neither bound is the one to tune toward: a 1 ms constant cut
+// chol-smp's dmda throughput by 21 % (4 of 4 pairs), and a true 50 µs nap
+// even when idle (a yield loop) raised lu-skew's declined sweeps from 54–56
+// to 606–618 a rep and its makespan by 22–35 % — the thief came back before
+// the owner had run.
 const dmdaStealBackoff = 50 * time.Microsecond
 
 // dmdaStealForceAfter is the liveness valve of the EFT-aware steal
@@ -654,7 +835,16 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 		vk.pushMu.Unlock()
 		return nil, false
 	}
-	c := d.candidate(t, thief, d.transferToNode(t, tk.node))
+	own := d.history(thief)
+	var pool placement.History
+	if own.Count == 0 {
+		pool = d.pool() // the cold estimate
+	}
+	var s *predSnap
+	if pe := d.pred[t.id]; pe != nil {
+		s = pe.estimate(tk.archIdx, t.Flops)
+	}
+	c := candidate(s, d.transferToNode(t, tk.node), observed(own, pool))
 	if !force && !placement.StealPays(c, tk.outstanding.Load(), vk.outstanding.Load()) {
 		// The victim finishes its backlog (which ends with t — pop takes
 		// the newest placement) before the thief could finish t alone:

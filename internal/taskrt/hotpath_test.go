@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
 )
 
 // forkGraph is one no-op root and n-1 no-op dependents that wait on it — the
@@ -198,6 +201,52 @@ func BenchmarkDispatchFork(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*tasks), "µs/task")
 			b.ReportMetric(float64(mallocs)/float64(b.N*tasks), "allocs/task")
+		})
+	}
+}
+
+// BenchmarkDmdaPushBatch times dmda placing one 20 000-task batch on two
+// workers from a worker, the release of dispatch-fork's dependents, in ns
+// per placed task: "cold" as dispatch-fork prices it (no model answer, the
+// root's completion observed on worker 0), "warm" with a recorded model the
+// tasks have flops for. Emptying the queues between batches is outside the
+// timer.
+func BenchmarkDmdaPushBatch(b *testing.B) {
+	const tasks = 20000
+	cl := noopCodelet(b, "noop")
+	warm := perfmodel.NewStore()
+	for _, sz := range []float64{1e5, 1e6, 1e7} {
+		if err := warm.Model("noop", "x86").Record(sz, sz/1e11); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		models *perfmodel.Store
+		flops  float64
+	}{{"cold", nil, 0}, {"warm", warm, 1e6}} {
+		b.Run(c.name, func(b *testing.B) {
+			ts := make([]*Task, tasks)
+			for i := range ts {
+				ts[i] = &Task{Codelet: cl, Flops: c.flops, id: i}
+			}
+			d := newDmdaDispatcher([]string{"x86", "x86"}, []int{0, 0}, [][]placement.Link{{{}}}, ts, nil, c.models)
+			d.workers[0].busyNanos.Store(1000)
+			d.workers[0].completed.Store(1)
+			batch := make([]*Task, tasks)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(batch, ts)
+				for w := range d.workers {
+					wk := &d.workers[w]
+					wk.q.top.Store(wk.q.bottom.Load())
+					wk.outstanding.Store(0)
+				}
+				d.sem.credits.Store(0)
+				b.StartTimer()
+				d.pushBatch(0, batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tasks), "ns/task")
 		})
 	}
 }

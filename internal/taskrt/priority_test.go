@@ -86,18 +86,29 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 	}
 	task := &Task{Codelet: cl, Flops: 2e6, Priority: 1}
 	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, nil, models)
-	estFast := d.candidate(task, 0, 0).Exec
-	estSlow := d.candidate(task, 1, 0).Exec
+	estFast := d.pred[task.id].estimate(d.workers[0].archIdx, task.Flops).nanos
+	estSlow := d.pred[task.id].estimate(d.workers[1].archIdx, task.Flops).nanos
 	if estFast <= 0 || estSlow <= estFast {
 		t.Fatalf("model estimates fast=%d slow=%d, want 0 < fast < slow", estFast, estSlow)
 	}
-	// Load the fast worker until both EFTs are exactly equal.
-	d.workers[0].outstanding.Store(estSlow - estFast)
-	// choose rotates its scan start every call: the hint must win from both
+	// place pushes the task behind backlogs that make both EFTs exactly
+	// equal and returns the worker whose queue it landed on.
+	place := func() int {
+		d.workers[0].outstanding.Store(estSlow - estFast)
+		d.workers[1].outstanding.Store(0)
+		d.push(-1, task)
+		for w := range d.workers {
+			if d.workers[w].q.steal() == task {
+				return w
+			}
+		}
+		t.Fatal("pushed task is on no queue")
+		return -1
+	}
+	// Every push advances the scan's start: the hint must win from both
 	// starting points.
 	for i := 0; i < 4; i++ {
-		w, _ := d.choose(task)
-		if w != 0 {
+		if w := place(); w != 0 {
 			t.Fatalf("call %d: prioritised task tied on EFT placed on slow worker", i)
 		}
 	}
@@ -106,8 +117,7 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 	task.Priority = 0
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		w, _ := d.choose(task)
-		seen[w] = true
+		seen[place()] = true
 	}
 	if !seen[1] {
 		t.Fatal("unprioritised tie never reached the slow worker: tie-break is no longer rotation-spread")

@@ -26,12 +26,15 @@ vet:
 # or a seeded draw may not come back into the engine, its config or codegen.
 # A completion writes its own worker's observed totals: pool-wide totals that
 # every completion adds to may not come back into the dmda dispatcher.
+# The real engine's state lives in realRun and realWorker: a closure over it
+# may not grow back in realengine.go.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
 	@! grep -rn 'map\[int\]map\[int\]' internal/simhw
 	@! grep -nE '"(eager|heft|random)"|math/rand' internal/taskrt/simengine.go internal/taskrt/taskrt.go internal/codegen/gengo.go
 	@! grep -nE 'totBusy|totCompleted' internal/taskrt/dispatch.go
+	@! grep -nE '^\s+[a-zA-Z]+ := func\(' internal/taskrt/realengine.go
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -393,6 +394,68 @@ func TestRealFaultInjectionRetriesAndBlacklists(t *testing.T) {
 	}
 	if u, ok := rep.UnitByID("worker1"); !ok || u.Tasks != 0 {
 		t.Fatalf("dead worker1 completed %d tasks", u.Tasks)
+	}
+}
+
+// TestRealInjectedFaults pins the real engine's injected-fault triggers that
+// only the sim tests covered: a crash at a wall-clock instant, a permanent
+// hang the watchdog converts into a failure, and a hang whose worker comes
+// back after RecoverAfter. Each case fails worker1 once; the kernel never runs
+// for an injected fault, so every task's kernel runs exactly once.
+func TestRealInjectedFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		fault       FaultEvent
+		trips       int
+		blacklisted []string
+	}{
+		{"at-time crash", FaultEvent{Unit: "worker1", AtTime: 0.002}, 0, []string{"worker1"}},
+		{"permanent hang", FaultEvent{Unit: "worker1", AfterTasks: 1, Hang: true}, 1, []string{"worker1"}},
+		{"hang recovers", FaultEvent{Unit: "worker1", AfterTasks: 1, Hang: true, RecoverAfter: 0.005}, 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs atomic.Int64
+			// A sleeping kernel yields, so worker1 takes tasks past AtTime.
+			cl, err := NewCodelet("injected", Impl{Arch: "x86", Func: func(*TaskContext) error {
+				runs.Add(1)
+				time.Sleep(time.Millisecond)
+				return nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(Config{
+				Platform: cpuPlatform(t, 2),
+				Mode:     Real,
+				Workers:  2,
+				// The timeout bounds the injected hang and is far above the
+				// kernel's own time, so no real attempt trips it.
+				Retry:  RetryPolicy{TaskTimeout: 0.1},
+				Faults: &FaultPlan{Events: []FaultEvent{tc.fault}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 32
+			for i := 0; i < n; i++ {
+				if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := rt.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runs.Load(); got != n {
+				t.Errorf("kernel ran %d times, want %d", got, n)
+			}
+			if rep.FailedAttempts != 1 || rep.WatchdogTrips != tc.trips {
+				t.Errorf("failures=%d trips=%d, want 1 and %d", rep.FailedAttempts, rep.WatchdogTrips, tc.trips)
+			}
+			if !slices.Equal(rep.Blacklisted, tc.blacklisted) {
+				t.Errorf("blacklisted = %v, want %v", rep.Blacklisted, tc.blacklisted)
+			}
+		})
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // scrape in the middle of a run must see it progress. The sim engine observes
 // into a per-unit metrics.LocalHistogram, no shared word touched, and flushes
 // every unit's buffer once when runSim returns, on error too: a scrape ends
-// each run with the counts per-task observations would have left. Everything
-// else is updated on the failure slow path or merged once at the end of the
-// run.
+// each run with the counts per-task observations would have left. Failed
+// attempts, requeues and watchdog trips are counted where they happen, so a
+// run that gives up counts them too; the rest merges once a run completes.
 
 // taskSecondsBuckets span µs-scale no-op dispatch tasks up to second-scale
 // kernels.
@@ -108,9 +108,6 @@ func recordReport(rep *Report) {
 			rtm.busyRatio.With(u.ID).Set(u.BusySeconds / rep.MakespanSeconds)
 		}
 	}
-	rtm.retries.Add(float64(rep.RetriedTasks))
-	rtm.failures.Add(float64(rep.FailedAttempts))
-	rtm.watchdog.Add(float64(rep.WatchdogTrips))
 	rtm.transfers.Add(float64(rep.TransferCount))
 	rtm.transferB.Add(float64(rep.TransferBytes))
 	// The blacklist gauge is 1 while a unit is blacklisted, else 0 — per its

@@ -2,6 +2,7 @@ package taskrt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/discover"
@@ -103,6 +104,57 @@ func TestSimTaskSecondsMatchSpans(t *testing.T) {
 				if math.Abs(got.sum-want.sum) > 1e-9*math.Abs(want.sum) {
 					t.Errorf("%s: sum grew by %g, the task spans last %g", id, got.sum, want.sum)
 				}
+			}
+		})
+	}
+}
+
+// TestFailedRunCountsAttempts: a run that gives up after MaxAttempts returns
+// no Report, yet its failed attempts and requeues happened. Both engines count
+// them where they happen: two failed attempts and one requeue for a task that
+// fails twice under MaxAttempts 2.
+func TestFailedRunCountsAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		cl   func(t *testing.T) *Codelet
+	}{
+		{"real", Config{Platform: cpuPlatform(t, 2), Mode: Real, Workers: 2},
+			func(t *testing.T) *Codelet {
+				cl, err := NewCodelet("always-fails", Impl{Arch: "x86", Func: func(*TaskContext) error { return errInjected }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}},
+		{"sim", Config{Platform: discover.MustPlatform("xeon-1core"), Mode: Sim, Scheduler: "ws",
+			Faults: &FaultPlan{Events: []FaultEvent{
+				{Unit: "host", AfterTasks: 1, RecoverAfter: 1e-3},
+				{Unit: "host", AfterTasks: 2, RecoverAfter: 1e-3},
+			}}},
+			func(t *testing.T) *Codelet { return noopCodelet(t, "doomed") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Retry = RetryPolicy{MaxAttempts: 2}
+			rt, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Submit(&Task{Codelet: tc.cl(t), Flops: 1e9}); err != nil {
+				t.Fatal(err)
+			}
+			failures, retries, trips := rtm.failures.Value(), rtm.retries.Value(), rtm.watchdog.Value()
+			if _, err := rt.Run(); err == nil || !strings.Contains(err.Error(), "failed 2 attempts") {
+				t.Fatalf("err = %v", err)
+			}
+			if got := rtm.failures.Value() - failures; got != 2 {
+				t.Errorf("taskrt_failed_attempts_total moved by %v, want 2", got)
+			}
+			if got := rtm.retries.Value() - retries; got != 1 {
+				t.Errorf("taskrt_retries_total moved by %v, want 1", got)
+			}
+			if got := rtm.watchdog.Value() - trips; got != 0 {
+				t.Errorf("taskrt_watchdog_trips_total moved by %v, want 0", got)
 			}
 		})
 	}

@@ -213,6 +213,7 @@ func (st *simState) step(t *Task, push func(*Task)) error {
 		rec.attempt++
 		n := rec.attempt
 		st.failedAttempts++
+		rtm.failures.Inc()
 		if n == 1 {
 			st.retriedTasks++
 		}
@@ -220,6 +221,7 @@ func (st *simState) step(t *Task, push func(*Task)) error {
 			return fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
 				t.Codelet.Name, t.Label, n, fail.on.hw.ID)
 		}
+		rtm.retries.Inc()
 		retryAt := fail.at + sim.Time(Backoff(retryBackoffBase, retryBackoffCap, n))
 		if st.cfg.Trace != nil {
 			st.cfg.Trace.Record(trace.Event{
@@ -459,6 +461,7 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time) (*simF
 		// unit than crashes — but can never block the run forever.
 		detect = start + sim.Time(st.watchdogTimeout(t, su))
 		st.watchdogTrips++
+		rtm.watchdog.Inc()
 	}
 	su.faults.consume()
 	if wasted := detect - start; wasted > 0 {

@@ -27,7 +27,8 @@ vet:
 # A completion writes its own worker's observed totals: pool-wide totals that
 # every completion adds to may not come back into the dmda dispatcher.
 # The real engine's state lives in realRun and realWorker: a closure over it
-# may not grow back in realengine.go.
+# may not grow back in realengine.go. A worker counts its own successes: the
+# shared pending count takes one add, realWorker.flush's, not one a task.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
@@ -35,6 +36,7 @@ lint-engine-state:
 	@! grep -nE '"(eager|heft|random)"|math/rand' internal/taskrt/simengine.go internal/taskrt/taskrt.go internal/codegen/gengo.go
 	@! grep -nE 'totBusy|totCompleted' internal/taskrt/dispatch.go
 	@! grep -nE '^\s+[a-zA-Z]+ := func\(' internal/taskrt/realengine.go
+	@test "$$(grep -c 'pending\.Add' internal/taskrt/realengine.go)" -eq 1
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

@@ -25,7 +25,7 @@ func TestCreditSemBatchReleaseWakesAllParked(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			if s.acquire(done, abort) {
+			if s.take() || s.wait(done, abort) {
 				acquired.Add(1)
 			}
 		}()
@@ -75,7 +75,7 @@ func TestCreditSemParkWakeStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if !s.acquire(done, abort) {
+				if !(s.take() || s.wait(done, abort)) {
 					return
 				}
 				acquired.Add(1)
@@ -123,7 +123,7 @@ func TestCreditSemAbortUnparksWorkers(t *testing.T) {
 	abort := make(chan struct{})
 	res := make(chan bool, 3)
 	for i := 0; i < 3; i++ {
-		go func() { res <- s.acquire(done, abort) }()
+		go func() { res <- s.take() || s.wait(done, abort) }()
 	}
 	time.Sleep(10 * time.Millisecond)
 	close(abort)

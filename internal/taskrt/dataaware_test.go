@@ -184,7 +184,7 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 	abort := make(chan struct{})
 	allocs := testing.AllocsPerRun(200, func() {
 		d.push(-1, task)
-		if !d.acquire(nil, nil) {
+		if !d.sem.take() {
 			t.Fatal("acquire after push must succeed")
 		}
 		got, _ := d.take(0, abort)
@@ -208,7 +208,7 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 	allocs = testing.AllocsPerRun(50, func() {
 		d.pushBatch(1, batch)
 		for range batch {
-			if !d.acquire(nil, nil) {
+			if !d.sem.take() {
 				t.Fatal("acquire after the batch must succeed")
 			}
 		}

@@ -97,7 +97,7 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	d := newStealDispatcher(2, 4)
 	task := &Task{id: 7}
 	d.push(0, task)
-	if !d.acquire(nil, nil) {
+	if !d.sem.take() {
 		t.Fatal("acquire after push must succeed")
 	}
 	abort := make(chan struct{})
@@ -116,7 +116,7 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	}
 	// Injector pushes (from < 0) are not steals.
 	d.push(-1, task)
-	if !d.acquire(nil, nil) {
+	if !d.sem.take() {
 		t.Fatal("acquire after injector push must succeed")
 	}
 	got, victim = d.take(1, abort)

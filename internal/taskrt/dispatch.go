@@ -17,7 +17,7 @@ import (
 // discipline. The old implementation deposited one token on a buffered
 // channel per push and received one per take — two channel operations on
 // every task even when the consumer was already running. Here the count
-// lives in an atomic: release adds, acquire subtracts, and the wake channel
+// lives in an atomic: release adds, take subtracts, and the wake channel
 // is only touched when a worker actually has to sleep (credits went
 // negative). In steady state — workers busy, queues non-empty — push and
 // take cost one atomic add each and no channel traffic, and releasing a
@@ -55,12 +55,13 @@ func (s *creditSem) release(n int) {
 	}
 }
 
-// acquire obtains one credit, blocking until a task is available. It
+// take obtains one credit, reporting whether a task was already available.
+// When none was, the caller is counted as a waiting worker and must wait.
+func (s *creditSem) take() bool { return s.credits.Add(-1) >= 0 }
+
+// wait blocks a worker that take turned away until a task is available. It
 // returns false when done or abort closes first — the run is over.
-func (s *creditSem) acquire(done, abort <-chan struct{}) bool {
-	if s.credits.Add(-1) >= 0 {
-		return true // fast path: a task was already available
-	}
+func (s *creditSem) wait(done, abort <-chan struct{}) bool {
 	select {
 	case <-s.wake:
 		return true
@@ -105,10 +106,10 @@ type dispatcher interface {
 	// worker, each after its tasks are enqueued). The callee may reorder ts
 	// but does not retain it — callers may reuse it.
 	pushBatch(from int, ts []*Task)
-	// acquire obtains one task credit, blocking until one is available or
-	// the run ends (done) or aborts. After a true return, take is guaranteed
-	// to find a task.
-	acquire(done, abort <-chan struct{}) bool
+	// credits is the semaphore a worker obtains a task credit from before
+	// it calls take: after a true take, or a true wait that follows a false
+	// one, take is guaranteed to find a task.
+	credits() *creditSem
 	// take returns a task for worker w after a credit was acquired. It
 	// returns nil with victim -1 when abort closes mid-sweep, and nil with
 	// victim takeRetry when the dispatcher handed the worker's credit back
@@ -183,9 +184,7 @@ func (d *stealDispatcher) pushBatch(from int, ts []*Task) {
 	d.sem.release(len(ts))
 }
 
-func (d *stealDispatcher) acquire(done, abort <-chan struct{}) bool {
-	return d.sem.acquire(done, abort)
-}
+func (d *stealDispatcher) credits() *creditSem { return d.sem }
 
 // popInjector removes the oldest injected task.
 func (d *stealDispatcher) popInjector() *Task {
@@ -783,9 +782,7 @@ func (d *dmdaDispatcher) pushBatch(from int, ts []*Task) {
 	d.sem.release(len(ts) - b.released)
 }
 
-func (d *dmdaDispatcher) acquire(done, abort <-chan struct{}) bool {
-	return d.sem.acquire(done, abort)
-}
+func (d *dmdaDispatcher) credits() *creditSem { return d.sem }
 
 // dmdaStealBackoff is how long a thief sleeps after handing its credit back
 // at the end of a sweep in which every stealable task was declined as

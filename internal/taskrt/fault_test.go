@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -456,6 +457,80 @@ func TestRealInjectedFaults(t *testing.T) {
 				t.Errorf("blacklisted = %v, want %v", rep.Blacklisted, tc.blacklisted)
 			}
 		})
+	}
+}
+
+// TestRealAllBlacklistedAborts pins the one reader of the unresolved count's
+// value: once every worker is blacklisted for good, the run fails naming
+// exactly the tasks nobody resolved — none when each worker fails its first
+// attempt, all but the four resolved when each fails its third.
+func TestRealAllBlacklistedAborts(t *testing.T) {
+	const n = 8
+	cl := noopCodelet(t, "noop")
+	for _, after := range []int{1, 3} {
+		rt, err := New(Config{
+			Platform: cpuPlatform(t, 2),
+			Mode:     Real,
+			Workers:  2,
+			Retry:    RetryPolicy{MaxAttempts: 10}, // no task runs out of attempts first
+			Faults: &FaultPlan{Events: []FaultEvent{
+				{Unit: "worker0", AfterTasks: after},
+				{Unit: "worker1", AfterTasks: after},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err = rt.Run()
+		want := fmt.Sprintf("all 2 workers blacklisted with %d task(s) pending", n-2*(after-1))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("AfterTasks %d: err = %v, want %q", after, err, want)
+		}
+	}
+}
+
+// TestRealRecoveringWorkerDoesNotHoldRun checks that a run whose tasks are
+// all resolved returns at once, while a blacklisted worker still waits out
+// its RecoverAfter: the waiting worker wakes when the run is done, and
+// re-admits itself as it would have, so the Report lists nobody.
+func TestRealRecoveringWorkerDoesNotHoldRun(t *testing.T) {
+	rt, err := New(Config{
+		Platform: cpuPlatform(t, 2),
+		Mode:     Real,
+		Workers:  2,
+		Faults:   &FaultPlan{Events: []FaultEvent{{Unit: "worker1", AfterTasks: 1, RecoverAfter: 0.5}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sleeping kernel yields, so worker1 takes a task before the run ends.
+	cl, err := NewCodelet("sleepy", Impl{Arch: "x86", Func: func(*TaskContext) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := time.Now()
+	rep, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(t0); wall >= 100*time.Millisecond {
+		t.Errorf("Run took %v, want under 100ms: it waited out the 500ms recovery", wall)
+	}
+	if rep.FailedAttempts != 1 || len(rep.Blacklisted) != 0 {
+		t.Errorf("failures=%d blacklisted=%v, want 1 and none", rep.FailedAttempts, rep.Blacklisted)
 	}
 }
 

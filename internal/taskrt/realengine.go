@@ -67,7 +67,7 @@ type realRun struct {
 	// completion hot path touches no lock. attempts counts each task's failed
 	// attempts: fail adds, the next execution reads it into its spans.
 	remaining, attempts []atomic.Int32
-	pending             atomic.Int64  // tasks not yet finally resolved
+	pending             atomic.Int64  // tasks no worker has flushed as resolved
 	done                chan struct{} // closed when every task is resolved
 	aborted             chan struct{} // closed on the first fatal error
 
@@ -81,15 +81,16 @@ type realRun struct {
 }
 
 // realWorker is one worker goroutine and what a dispatched task writes of its
-// own — the reused TaskContext, the statistics, the ready buffer, the trace
-// shard — padded off the other workers' cache lines; the run reads the
-// statistics only after every worker has exited. Shared with the pool a task writes only the
-// credit semaphore (one add per take, one per released batch), the pending
-// count, one dependency counter per dependent, and the indices of the deque it
-// came from. Under dmda, placing a released dependent also writes the target
-// worker's outstanding charge and the decision counter and takes the target's
-// pushMu to enqueue; finishing writes the worker's own observed totals, whose
-// pool-wide sum only a cold estimate and the stall valve read.
+// own — the reused TaskContext, the statistics, the resolved count, the ready
+// buffer, the trace shard — padded off the other workers' cache lines; the run
+// reads the statistics only after every worker has exited. Shared with the
+// pool a task writes only the credit semaphore (one add per take, one per
+// released batch), one dependency counter per dependent, and the indices of
+// the deque it came from. Under dmda, placing a released dependent also
+// writes the target worker's outstanding charge and the decision counter and
+// takes the target's pushMu to enqueue; finishing writes the worker's own
+// observed totals, whose pool-wide sum only a cold estimate and the stall
+// valve read.
 type realWorker struct {
 	r       *realRun
 	id      int
@@ -103,7 +104,8 @@ type realWorker struct {
 
 	busy      time.Duration
 	count     int
-	startedOn int // attempts started, drives AfterTasks fault triggers
+	startedOn int   // attempts started, drives AfterTasks fault triggers
+	resolved  int64 // tasks resolved since this worker's last flush
 	// ready buffers the dependents one completion unblocks, so they reach
 	// the dispatcher as a single batch. Reused across tasks.
 	ready []*Task
@@ -193,10 +195,13 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 // one clock read. Trace events store it, in seconds.
 func (r *realRun) now() time.Duration { return time.Since(r.start) }
 
-// sleep waits d, or until the run aborts; it reports whether d passed.
+// sleep waits d, or until the run is done or aborts; it reports false only
+// for an abort. A run that is done waits for no worker to recover.
 func (r *realRun) sleep(d time.Duration) bool {
 	select {
 	case <-time.After(d):
+		return true
+	case <-r.done:
 		return true
 	case <-r.aborted:
 		return false
@@ -217,18 +222,13 @@ func (r *realRun) abort(err error) {
 	clear(r.timers)
 }
 
-// resolve counts one task that reached a final state; the last ends the run.
-func (r *realRun) resolve() {
-	if r.pending.Add(-1) == 0 {
-		close(r.done)
-	}
-}
-
 // release hands the dependents that t's successful completion on w makes
-// ready to the dispatcher, as one batch.
+// ready to the dispatcher, as one batch. The buffer grows once, to every
+// dependent t has, rather than doubling while the others wait for the batch.
 func (r *realRun) release(w *realWorker, t *Task) {
-	buf := w.ready[:0]
-	for _, dep := range r.g.succOf(t.id) {
+	succ := r.g.succOf(t.id)
+	buf := slices.Grow(w.ready[:0], len(succ))
+	for _, dep := range succ {
 		if r.remaining[dep].Add(-1) == 0 {
 			buf = append(buf, r.g.tasks[dep])
 		}
@@ -345,9 +345,16 @@ func (w *realWorker) loop() {
 		w.sh = r.cfg.Trace.NewShard(r.shardCap)
 		defer w.sh.Flush()
 	}
+	defer w.flush()
+	sem := r.disp.credits()
 	for {
-		if !r.disp.acquire(r.done, r.aborted) {
-			return
+		// Once no task is left every live worker parks, flushing first, so
+		// the last flush ends the run right after the last task resolved.
+		if !sem.take() {
+			w.flush()
+			if !sem.wait(r.done, r.aborted) {
+				return
+			}
 		}
 		t, victim := r.disp.take(w.id, r.aborted)
 		if t == nil {
@@ -448,8 +455,20 @@ func (w *realWorker) run(t *Task, attempt int) bool {
 	}
 	w.count++
 	r.release(w, t)
-	r.resolve()
+	w.resolved++
 	return true
+}
+
+// flush adds the tasks this worker resolved since its last flush to the
+// run's pending count; the flush that reaches zero ends the run.
+func (w *realWorker) flush() {
+	if w.resolved == 0 {
+		return
+	}
+	if w.r.pending.Add(-w.resolved) == 0 {
+		close(w.r.done)
+	}
+	w.resolved = 0
 }
 
 // fail books one failed attempt of t on this worker, run from t0 and detected
@@ -461,6 +480,9 @@ func (w *realWorker) run(t *Task, attempt int) bool {
 // reports whether the worker stays in the pool.
 func (w *realWorker) fail(t *Task, attempt int, cause error, t0, detected time.Duration, blacklist bool, recoverAfter time.Duration, watchdog bool) bool {
 	r := w.r
+	// Flushed here, pending is exact when every worker is blacklisted: each
+	// flushed on its way in and has resolved nothing since.
+	w.flush()
 	w.rec(trace.Failure, t, attempt, t0, detected, "")
 	rtm.failures.Inc()
 	if watchdog {
@@ -484,7 +506,7 @@ func (w *realWorker) fail(t *Task, attempt int, cause error, t0, detected time.D
 		}
 		r.abort(cause)
 		r.mu.Unlock()
-		r.resolve()
+		w.resolved++ // flushed as the worker exits
 		return false
 	}
 	backoff := retryWait(n)

@@ -42,7 +42,7 @@ func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 	d, task := buildSkewedDmda(t)
 	d.push(-1, task)
 	abort := make(chan struct{})
-	if !d.acquire(nil, nil) {
+	if !d.sem.take() {
 		t.Fatal("acquire after push must succeed")
 	}
 	// The slow worker sweeps: it must decline and return the retry sentinel.
@@ -54,7 +54,7 @@ func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 		t.Fatalf("declined sweep counted as a steal")
 	}
 	// The hand-back restored the credit: the owner can acquire and collect.
-	if !d.acquire(nil, nil) {
+	if !d.sem.take() {
 		t.Fatal("acquire after credit hand-back must succeed")
 	}
 	got, victim = d.take(0, abort)
@@ -73,7 +73,7 @@ func TestDmdaStealForcedAfterPoolStall(t *testing.T) {
 	abort := make(chan struct{})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if !d.acquire(nil, nil) {
+		if !d.sem.take() {
 			t.Fatal("acquire must succeed while the task is queued")
 		}
 		got, victim := d.take(1, abort)

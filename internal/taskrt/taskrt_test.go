@@ -303,6 +303,108 @@ func TestRealExecutionParallelismAcrossIndependentTasks(t *testing.T) {
 	}
 }
 
+// TestRealLastTaskOnEachWorker checks that a run ends exactly when its last
+// task resolves, whichever worker resolves it. A worker adds the successes it
+// counted to the run's unresolved count only before it parks, when it fails
+// and when it exits, so the last of those additions must reach zero. Where
+// the graph has a task for every worker, the kernel forces the last
+// resolution onto worker last: its first task waits until every other
+// kernel has run, and the other workers wait until it holds that task.
+func TestRealLastTaskOnEachWorker(t *testing.T) {
+	for _, sched := range []string{"ws", "dmda"} {
+		for workers := 1; workers <= 4; workers++ {
+			for _, n := range []int{0, 1, 200} {
+				for last := 0; last < workers; last++ {
+					name := fmt.Sprintf("%s/%dw/%dtasks/last%d", sched, workers, n, last)
+					t.Run(name, func(t *testing.T) {
+						lastTaskOn(t, sched, workers, n, last)
+					})
+				}
+			}
+		}
+	}
+}
+
+func lastTaskOn(t *testing.T, sched string, workers, n, last int) {
+	force := workers > 1 && n >= workers
+	var (
+		held   atomic.Bool
+		ran    atomic.Int64
+		lastOn atomic.Int64
+		runs   = make([]atomic.Int32, n)
+	)
+	cl, err := NewCodelet("last", Impl{Arch: "x86", Func: func(tc *TaskContext) error {
+		if force && tc.WorkerID == last {
+			held.Store(true)
+			for ran.Load() < int64(n-1) {
+				time.Sleep(20 * time.Microsecond)
+			}
+		} else if force {
+			for !held.Load() {
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+		runs[tc.Task.ID()].Add(1)
+		if ran.Add(1) == int64(n) {
+			lastOn.Store(int64(tc.WorkerID))
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A warm model prices every task, so a dmda thief finds stealing from
+	// the held worker's queue pays and needs no stall valve.
+	models := perfmodel.NewStore()
+	for _, sz := range []float64{1e5, 1e6, 1e7} {
+		if err := models.Model("last", "x86").Record(sz, sz/1e11); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt, err := New(Config{Platform: cpuPlatform(t, workers), Mode: Real, Scheduler: sched, Workers: workers, Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := rt.Submit(&Task{Codelet: cl, Flops: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		rep *Report
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		rep, err := rt.Run()
+		res <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-res:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Run did not return after its %d tasks", n)
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Errorf("task %d ran %d times, want once", i, got)
+		}
+	}
+	sum := 0
+	for _, u := range r.rep.PerUnit {
+		sum += u.Tasks
+	}
+	if sum != r.rep.Tasks || r.rep.Tasks != n {
+		t.Errorf("Σ PerUnit.Tasks = %d, Report.Tasks = %d, want both %d", sum, r.rep.Tasks, n)
+	}
+	if force && lastOn.Load() != int64(last) {
+		t.Errorf("the last task resolved on worker %d, want %d", lastOn.Load(), last)
+	}
+}
+
 func TestRealExecutionKernelError(t *testing.T) {
 	rt, err := New(Config{Platform: cpuPlatform(t, 2)})
 	if err != nil {

@@ -69,20 +69,28 @@ lint-cluster-copy:
 
 # lint-one-kernel keeps internal/blas at one register tile per host, its kernel
 # reading A in place, and names every assembly routine beside it: the TEXT list
-# of the assembly is exactly microAVX2, the 6×8 tile of hosts without AVX-512,
-# microAVX512, the 8×16 tile CPUID installs in its place where the CPU has it,
-# the B packs' dealAVX2 (columns) and transpose4AVX2 (rows), the left solve's
-# elimAVX2 (a row at a time), the right solve's base case — solve16AVX512 on
-# AVX-512 hosts (sixteen rows per pass, transposed in ZMM registers), and
-# solve8AVX2 on hosts with AVX2 alone (eight rows, transposed through
-# transpose4AVX2), the portable build solving every row in place — and cpuid
-# and xgetbv. A new routine is added here on purpose, and one that has lost its
-# last caller leaves the list with its body. Plus one call site of the tile's
-# kernel in pack.go, and one A pack there, the zero-padded tail strip.
+# of the assembly is exactly microAVX2, the 6×8 tile of the AVX2 family,
+# microAVX512, the 8×16 tile of the AVX-512 family, the B packs' dealAVX2
+# (columns) and transpose4AVX2 (rows), the left solve's elimAVX2 (a row at a
+# time), the right solve's base case — solve16AVX512 in the AVX-512 family
+# (sixteen rows per pass, transposed in ZMM registers), and solve8AVX2 in the
+# AVX2 one (eight rows, transposed through transpose4AVX2), the portable family
+# solving every row in place — and cpuid and xgetbv. A new routine is added
+# here on purpose, and one that has lost its last caller leaves the list with
+# its body. Plus one call site of the tile's kernel in pack.go, and one A pack
+# there, the zero-padded tail strip. The kernel family is one value: host, the
+# last of families(), is the package's only kernel state. No line of the
+# package, tests included, assigns host or one of its fields (a test builds the
+# family it needs), and none of the six package variables it replaced (tile,
+# packFour, dealCols, solveStrips, eliminate, microKernelName) is declared at
+# package level again.
+kernel_vars = tile|packFour|dealCols|solveStrips|eliminate|microKernelName
 lint-one-kernel:
 	@test "$$(grep -o '^TEXT ·[A-Za-z0-9]*' internal/blas/microkernel_amd64.s | sort | tr '\n' ' ')" = "TEXT ·cpuid TEXT ·dealAVX2 TEXT ·elimAVX2 TEXT ·microAVX2 TEXT ·microAVX512 TEXT ·solve16AVX512 TEXT ·solve8AVX2 TEXT ·transpose4AVX2 TEXT ·xgetbv "
 	@test "$$(grep -c 'kernel(' internal/blas/pack.go)" -eq 1
 	@test "$$(grep -c 'packRows(a,' internal/blas/pack.go)" -eq 1
+	@! grep -nE '^\s*([a-zA-Z_.]+, *)*host(\.[a-zA-Z]+)*(, *[a-zA-Z_.]+)* *[-+*/|&^]?=[^=]' internal/blas/*.go
+	@! awk '/^var \($$/ { v = 1 } /^\)/ { v = 0 } v || /^var / { print FILENAME ":" FNR ": " $$0 }' internal/blas/*.go | grep -E ': (var +)?\s*($(kernel_vars))\b'
 
 # lint-one-binding keeps one way from a task's payloads to a kernel's
 # arguments, taskrt.Kernel1/2/3: no other program code asserts a payload's type,

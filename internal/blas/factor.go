@@ -39,9 +39,9 @@ const factorBase = 16
 // update applies C −= A·op(B), the one way a finished half reaches the other
 // half (and all of GemmSub, GemmNT and SyrkNT): the packed driver,
 // single-threaded inside a task.
-func update(a, b, c *Matrix, op product) {
+func (f *family) update(a, b, c *Matrix, op product) {
 	op.neg = true
-	packedProduct(a, b, c, op, 1)
+	f.packedProduct(a, b, c, op, 1)
 }
 
 // splitAt returns where a triangle of order n > factorBase is halved: near
@@ -62,23 +62,23 @@ func Potrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("blas: Potrf needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	return potrf(a, 0)
+	return host.potrf(a, 0)
 }
 
 // potrf factors a, whose first pivot is pivot off of the caller's matrix.
-func potrf(a *Matrix, off int) error {
+func (f *family) potrf(a *Matrix, off int) error {
 	n := a.Rows
 	if n <= factorBase {
 		return potrfBase(a, off)
 	}
 	n1 := splitAt(n)
 	a11, a21, a22 := a.view(0, 0, n1, n1), a.view(n1, 0, n-n1, n1), a.view(n1, n1, n-n1, n-n1)
-	if err := potrf(&a11, off); err != nil {
+	if err := f.potrf(&a11, off); err != nil {
 		return err
 	}
-	trsmRight(&a11, &a21, true)
-	update(&a21, &a21, &a22, product{transB: true, lower: true})
-	return potrf(&a22, off+n1)
+	f.trsmRight(&a11, &a21, true)
+	f.update(&a21, &a21, &a22, product{transB: true, lower: true})
+	return f.potrf(&a22, off+n1)
 }
 
 func potrfBase(a *Matrix, off int) error {
@@ -127,7 +127,7 @@ func TrsmRLT(l, b *Matrix) error {
 	if j := zeroDiagonal(l); j >= 0 {
 		return fmt.Errorf("blas: TrsmRLT zero diagonal at %d", j)
 	}
-	trsmRight(l, b, true)
+	host.trsmRight(l, b, true)
 	return nil
 }
 
@@ -135,10 +135,10 @@ func TrsmRLT(l, b *Matrix) error {
 // triangle T is u itself (trans false, TrsmRU) or lᵀ (trans true, TrsmRLT: t
 // holds the lower factor and T[k][j] is read from t[j][k]). Either way
 // X₁ = B₁·T₁₁⁻¹, B₂ −= X₁·T₁₂, X₂ = B₂·T₂₂⁻¹.
-func trsmRight(t, b *Matrix, trans bool) {
+func (f *family) trsmRight(t, b *Matrix, trans bool) {
 	n, m := t.Rows, b.Rows
 	if n <= factorBase {
-		trsmRightBase(t, b, trans)
+		f.trsmRightBase(t, b, trans)
 		return
 	}
 	n1 := splitAt(n)
@@ -148,25 +148,34 @@ func trsmRight(t, b *Matrix, trans bool) {
 		t12 = t.view(n1, 0, n-n1, n1) // L₂₁, which the driver reads transposed
 	}
 	b1, b2 := b.view(0, 0, m, n1), b.view(0, n1, m, n-n1)
-	trsmRight(&t11, &b1, trans)
-	update(&b1, &t12, &b2, product{transB: trans})
-	trsmRight(&t22, &b2, trans)
+	f.trsmRight(&t11, &b1, trans)
+	f.update(&b1, &t12, &b2, product{transB: trans})
+	f.trsmRight(&t22, &b2, trans)
 }
 
 // trsmRightBase is the unblocked right solve: for every row of b,
 // row[j] = (row[j] − Σ_{k<j} row[k]·T[k][j]) / T[j][j], the terms subtracted
-// in order of k. Where the assembly is in, solveStrips takes the leading rows
-// a strip at a time against a copy of the triangle that is T whichever way t
-// stores it; the rows it leaves, and all of them on the portable build, go
-// through solveRows in place.
-func trsmRightBase(t, b *Matrix, trans bool) {
+// in order of k. Where the family has strips, f.solveStrips takes the leading
+// rows a strip at a time; the rows it leaves, and all of them on the portable
+// family, go through solveRows in place. f.solveStrips solves X·T = B for the
+// leading rows of b (m ≥ stripRows rows of n ≤ factorBase columns at stride
+// ld), a whole number of strips, and returns how many rows it solved. tri is
+// the triangle copyTriangle writes, T whichever way t stores it, and x an L1
+// scratch of factorBase·stripRows doubles. Column j is finished (divided by
+// the diagonal) and then taken out of every later column, so each element
+// loses its terms in the same order, rounded the same way, as in solveRows:
+// which rows went through the strips does not show in the bits. The assembly
+// multiplies and then subtracts — no FMA — for that reason. The AVX2 family
+// solves eight rows at a time through YMM registers (solveStripsAVX2), the
+// AVX-512 family sixteen through ZMM registers (solveStripsAVX512).
+func (f *family) trsmRightBase(t, b *Matrix, trans bool) {
 	n, m := t.Rows, b.Rows
 	i := 0
-	if solveStrips != nil && n > 0 && m >= stripRows {
+	if f.solveStrips != nil && n > 0 && m >= stripRows {
 		ps := packBuf(factorBase * (factorBase + stripRows))
 		tri, x := ps.buf[:factorBase*factorBase], ps.buf[factorBase*factorBase:]
 		copyTriangle(tri, t, trans)
-		i = solveStrips(n, m, b.Data, b.Stride, tri, x)
+		i = f.solveStrips(n, m, b.Data, b.Stride, tri, x)
 		packPool.Put(ps)
 	}
 	rest := b.view(i, 0, m-i, n)
@@ -221,19 +230,6 @@ func solveRows(t, b *Matrix, trans bool) {
 // or two YMM registers.
 const stripRows = 8
 
-// solveStrips solves X·T = B for the leading rows of b (m ≥ stripRows rows
-// of n ≤ factorBase columns at stride ld), a whole number of strips, and
-// returns how many rows it solved. tri is the triangle copyTriangle writes
-// and x an L1 scratch of factorBase·stripRows doubles. Column j is finished
-// (divided by the diagonal) and then taken out of every later column, so each
-// element loses its terms in the same order, rounded the same way, as in
-// solveRows: which rows went through here does not show in the bits. The
-// assembly multiplies and then subtracts — no FMA — for that reason. Nil on
-// the portable build; the CPUID init installs eight-row strips through YMM
-// registers (solveStripsAVX2) or, where the CPU has AVX-512, sixteen rows at
-// a time through ZMM registers (solveStripsAVX512).
-var solveStrips func(n, m int, b []float64, ld int, tri, x []float64) int
-
 // SyrkNT applies the symmetric rank-k trailing update C := C − A·Aᵀ to the
 // lower triangle of c (diagonal included). The strictly-upper triangle of c
 // is left untouched, matching what Potrf will later read.
@@ -241,7 +237,7 @@ func SyrkNT(a, c *Matrix) error {
 	if c.Rows != c.Cols || c.Rows != a.Rows {
 		return fmt.Errorf("blas: SyrkNT shape mismatch: A %dx%d, C %dx%d", a.Rows, a.Cols, c.Rows, c.Cols)
 	}
-	update(a, a, c, product{transB: true, lower: true})
+	host.update(a, a, c, product{transB: true, lower: true})
 	return nil
 }
 
@@ -253,7 +249,7 @@ func GemmNT(a, b, c *Matrix) error {
 		return fmt.Errorf("blas: GemmNT shape mismatch: A %dx%d, B %dx%d, C %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	update(a, b, c, product{transB: true})
+	host.update(a, b, c, product{transB: true})
 	return nil
 }
 
@@ -266,12 +262,12 @@ func Getrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("blas: Getrf needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	return getrf(a, 0)
+	return host.getrf(a, 0)
 }
 
 // getrf factors a, whose first pivot is pivot off of the caller's matrix:
 // A₁₁ = L₁₁·U₁₁, U₁₂ = L₁₁⁻¹·A₁₂, L₂₁ = A₂₁·U₁₁⁻¹, A₂₂ −= L₂₁·U₁₂, A₂₂ = L₂₂·U₂₂.
-func getrf(a *Matrix, off int) error {
+func (f *family) getrf(a *Matrix, off int) error {
 	n := a.Rows
 	if n <= factorBase {
 		return getrfBase(a, off)
@@ -279,18 +275,18 @@ func getrf(a *Matrix, off int) error {
 	n1 := splitAt(n)
 	a11, a12 := a.view(0, 0, n1, n1), a.view(0, n1, n1, n-n1)
 	a21, a22 := a.view(n1, 0, n-n1, n1), a.view(n1, n1, n-n1, n-n1)
-	if err := getrf(&a11, off); err != nil {
+	if err := f.getrf(&a11, off); err != nil {
 		return err
 	}
-	trsmLLUnit(&a11, &a12)
-	trsmRight(&a11, &a21, false)
-	update(&a21, &a12, &a22, product{})
-	return getrf(&a22, off+n1)
+	f.trsmLLUnit(&a11, &a12)
+	f.trsmRight(&a11, &a21, false)
+	f.update(&a21, &a12, &a22, product{})
+	return f.getrf(&a22, off+n1)
 }
 
 // getrfBase is the unblocked right-looking LU. Its row update stays a scalar
 // loop, not an eliminate call: its rows are at most factorBase wide, and the
-// call cost more than the vector body saved (BenchmarkTileKernels/Getrf).
+// call cost more than the vector body saved (BenchmarkTileKernels, Getrf).
 func getrfBase(a *Matrix, off int) error {
 	n := a.Rows
 	for k := 0; k < n; k++ {
@@ -318,47 +314,45 @@ func TrsmLLUnit(l, b *Matrix) error {
 	if l.Rows != l.Cols || l.Rows != b.Rows {
 		return fmt.Errorf("blas: TrsmLLUnit shape mismatch: L %dx%d, B %dx%d", l.Rows, l.Cols, b.Rows, b.Cols)
 	}
-	trsmLLUnit(l, b)
+	host.trsmLLUnit(l, b)
 	return nil
 }
 
 // trsmLLUnit is TrsmLLUnit on checked operands: X₁ = L₁₁⁻¹·B₁,
 // B₂ −= L₂₁·X₁, X₂ = L₂₂⁻¹·B₂.
-func trsmLLUnit(l, b *Matrix) {
+func (f *family) trsmLLUnit(l, b *Matrix) {
 	n, m := l.Rows, b.Cols
 	if n <= factorBase {
-		trsmLLUnitBase(l, b)
+		f.trsmLLUnitBase(l, b)
 		return
 	}
 	n1 := splitAt(n)
 	l11, l21, l22 := l.view(0, 0, n1, n1), l.view(n1, 0, n-n1, n1), l.view(n1, n1, n-n1, n-n1)
 	b1, b2 := b.view(0, 0, n1, m), b.view(n1, 0, n-n1, m)
-	trsmLLUnit(&l11, &b1)
-	update(&l21, &b1, &b2, product{})
-	trsmLLUnit(&l22, &b2)
+	f.trsmLLUnit(&l11, &b1)
+	f.update(&l21, &b1, &b2, product{})
+	f.trsmLLUnit(&l22, &b2)
 }
 
 // trsmLLUnitBase is the unblocked left solve: row i of b loses l[i][k] times
-// row k for every k < i, in order of k — one eliminate call per row.
-func trsmLLUnitBase(l, b *Matrix) {
+// row k for every k < i, in order of k — one f.eliminate call per row.
+func (f *family) trsmLLUnitBase(l, b *Matrix) {
 	n, m := l.Rows, b.Cols
 	for i := 1; i < n; i++ {
-		eliminate(b.Data[i*b.Stride:][:m], b.Data, b.Stride, l.Data[i*l.Stride:][:i])
+		f.eliminate(b.Data[i*b.Stride:][:m], b.Data, b.Stride, l.Data[i*l.Stride:][:i])
 	}
 }
 
-// eliminate takes coef[k] times row k of src out of dst, in order of k:
+// eliminateGo takes coef[k] times row k of src out of dst, in order of k:
 // dst[j] −= coef[k]·src[k*ld+j] for every j < len(dst), each product rounded
-// before it is subtracted. It points at the portable body below, which
+// before it is subtracted. It is the portable family's eliminate, which
 // applies four k per pass over dst so the row is loaded and stored once for
-// the four, or at the AVX2 one (multiply, then subtract — no FMA), installed
-// with the micro-kernel, which keeps thirty-two columns of dst in registers
-// across every k. Either way each element loses the same terms in the same
-// order, so the two give the same bits. The coefficients arrive as a slice of
-// the caller's matrix: one gathered into a local array would move to the heap
-// on every call through the variable.
-var eliminate = eliminateGo
-
+// the four; the other families' AVX2 one (multiply, then subtract — no FMA)
+// keeps thirty-two columns of dst in registers across every k. Either way
+// each element loses the same terms in the same order, so the two give the
+// same bits. The coefficients arrive as a slice of the caller's matrix: one
+// gathered into a local array would move to the heap on every call through
+// the func value.
 func eliminateGo(dst, src []float64, ld int, coef []float64) {
 	m, k := len(dst), 0
 	for ; k+4 <= len(coef); k += 4 {
@@ -393,7 +387,7 @@ func TrsmRU(u, b *Matrix) error {
 	if j := zeroDiagonal(u); j >= 0 {
 		return fmt.Errorf("blas: TrsmRU zero diagonal at %d", j)
 	}
-	trsmRight(u, b, false)
+	host.trsmRight(u, b, false)
 	return nil
 }
 
@@ -403,7 +397,7 @@ func GemmSub(a, b, c *Matrix) error {
 		return fmt.Errorf("blas: GemmSub shape mismatch: A %dx%d, B %dx%d, C %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	update(a, b, c, product{})
+	host.update(a, b, c, product{})
 	return nil
 }
 

@@ -479,13 +479,14 @@ func sameBitsOrWithin(got, want *Matrix, tol float64) (i, j int, ok bool) {
 }
 
 // factorCase is one kernel under test: the tile shapes for triangle order n
-// and free extents m and k, how the tiles are filled, the kernel and its
+// and free extents m and k, how the tiles are filled, the kernel on a family
+// (on host, what the exported entry point runs on checked operands) and its
 // oracle.
 type factorCase struct {
 	name   string
 	shapes func(n, m, k int) [][2]int
 	fill   func(t []*Matrix, seed int64)
-	kernel func(t []*Matrix) error
+	kernel func(f *family, t []*Matrix) error
 	oracle func(t []*Matrix)
 }
 
@@ -507,7 +508,7 @@ var factorCases = []factorCase{
 	{"Potrf",
 		func(n, m, k int) [][2]int { return [][2]int{{n, n}} },
 		func(t []*Matrix, seed int64) { fillWhere(t[0], symDiagDominant(t[0].Rows, seed), lower) },
-		func(t []*Matrix) error { return Potrf(t[0]) },
+		func(f *family, t []*Matrix) error { return f.potrf(t[0], 0) },
 		func(t []*Matrix) { potrfNaive(t[0]) }},
 	{"TrsmRLT",
 		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {m, n}} },
@@ -515,7 +516,7 @@ var factorCases = []factorCase{
 			fillWhere(t[0], factoredSPD(t[0].Rows, seed), lower)
 			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
 		},
-		func(t []*Matrix) error { return TrsmRLT(t[0], t[1]) },
+		func(f *family, t []*Matrix) error { f.trsmRight(t[0], t[1], true); return nil },
 		func(t []*Matrix) { trsmRLTNaive(t[0], t[1]) }},
 	{"SyrkNT",
 		func(n, m, k int) [][2]int { return [][2]int{{n, k}, {n, n}} },
@@ -523,7 +524,10 @@ var factorCases = []factorCase{
 			fillWhere(t[0], randomMatrix(t[0].Rows, t[0].Cols, seed), all)
 			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), lower)
 		},
-		func(t []*Matrix) error { return SyrkNT(t[0], t[1]) },
+		func(f *family, t []*Matrix) error {
+			f.update(t[0], t[0], t[1], product{transB: true, lower: true})
+			return nil
+		},
 		func(t []*Matrix) { syrkNTNaive(t[0], t[1]) }},
 	{"GemmNT",
 		func(n, m, k int) [][2]int { return [][2]int{{m, k}, {n, k}, {m, n}} },
@@ -532,12 +536,12 @@ var factorCases = []factorCase{
 				fillWhere(t[i], randomMatrix(t[i].Rows, t[i].Cols, seed+int64(i)), all)
 			}
 		},
-		func(t []*Matrix) error { return GemmNT(t[0], t[1], t[2]) },
+		func(f *family, t []*Matrix) error { f.update(t[0], t[1], t[2], product{transB: true}); return nil },
 		func(t []*Matrix) { gemmNTNaive(t[0], t[1], t[2]) }},
 	{"Getrf",
 		func(n, m, k int) [][2]int { return [][2]int{{n, n}} },
 		func(t []*Matrix, seed int64) { fillWhere(t[0], diagDominant(t[0].Rows, seed), all) },
-		func(t []*Matrix) error { return Getrf(t[0]) },
+		func(f *family, t []*Matrix) error { return f.getrf(t[0], 0) },
 		func(t []*Matrix) { getrfNaive(t[0]) }},
 	{"TrsmLLUnit",
 		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {n, m}} },
@@ -545,7 +549,7 @@ var factorCases = []factorCase{
 			fillWhere(t[0], factoredDD(t[0].Rows, seed), strictLower)
 			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
 		},
-		func(t []*Matrix) error { return TrsmLLUnit(t[0], t[1]) },
+		func(f *family, t []*Matrix) error { f.trsmLLUnit(t[0], t[1]); return nil },
 		func(t []*Matrix) { trsmLLUnitNaive(t[0], t[1]) }},
 	{"TrsmRU",
 		func(n, m, k int) [][2]int { return [][2]int{{n, n}, {m, n}} },
@@ -553,7 +557,7 @@ var factorCases = []factorCase{
 			fillWhere(t[0], factoredDD(t[0].Rows, seed), upper)
 			fillWhere(t[1], randomMatrix(t[1].Rows, t[1].Cols, seed+1), all)
 		},
-		func(t []*Matrix) error { return TrsmRU(t[0], t[1]) },
+		func(f *family, t []*Matrix) error { f.trsmRight(t[0], t[1], false); return nil },
 		func(t []*Matrix) { trsmRUNaive(t[0], t[1]) }},
 	{"GemmSub",
 		func(n, m, k int) [][2]int { return [][2]int{{m, k}, {k, n}, {m, n}} },
@@ -562,7 +566,7 @@ var factorCases = []factorCase{
 				fillWhere(t[i], randomMatrix(t[i].Rows, t[i].Cols, seed+int64(i)), all)
 			}
 		},
-		func(t []*Matrix) error { return GemmSub(t[0], t[1], t[2]) },
+		func(f *family, t []*Matrix) error { f.update(t[0], t[1], t[2], product{}); return nil },
 		func(t []*Matrix) { gemmSubNaive(t[0], t[1], t[2]) }},
 }
 
@@ -592,7 +596,7 @@ func TestFactorKernelsAgreeWithNaive(t *testing.T) {
 				want, wantTiles := build()
 				fc.oracle(wantTiles)
 				got, gotTiles := build()
-				if err := fc.kernel(gotTiles); err != nil {
+				if err := fc.kernel(&host, gotTiles); err != nil {
 					t.Fatalf("%s n=%d m=%d k=%d: %v", fc.name, n, m, k, err)
 				}
 				tol := 1e-11 * float64(max(n, m, k))
@@ -601,7 +605,7 @@ func TestFactorKernelsAgreeWithNaive(t *testing.T) {
 						fc.name, n, m, k, poison, i, j, got.At(i, j), want.At(i, j))
 				}
 				again, againTiles := build()
-				if err := fc.kernel(againTiles); err != nil {
+				if err := fc.kernel(&host, againTiles); err != nil {
 					t.Fatal(err)
 				}
 				if i, j, ok := sameBitsOrWithin(again, got, -1); !ok {
@@ -633,7 +637,7 @@ func TestFactorKernelsZeroExtents(t *testing.T) {
 			if !zero {
 				continue // this kernel has no operand with that extent
 			}
-			if err := fc.kernel(tiles); err != nil {
+			if err := fc.kernel(&host, tiles); err != nil {
 				t.Fatalf("%s %v: %v", fc.name, e, err)
 			}
 			// Either the result itself is empty or the product has no terms.
@@ -693,7 +697,7 @@ func TestFactorKernelsDoNotAllocate(t *testing.T) {
 		fresh := parent.Clone()
 		run := func() {
 			copy(parent.Data, fresh.Data) // a factored tile is not the input of the next call
-			if err := fc.kernel(tiles); err != nil {
+			if err := fc.kernel(&host, tiles); err != nil {
 				t.Fatal(err)
 			}
 		}

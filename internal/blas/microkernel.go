@@ -33,13 +33,6 @@ type regTile struct {
 	m, n   int
 }
 
-// tile is the one register tile every packed product runs on: 6×8 for the
-// portable Go body and the AVX2 kernel (twelve of sixteen YMM registers hold
-// accumulators, the Haswell-class shape of BLIS), and 8×16 where init finds
-// AVX-512 (sixteen of thirty-two ZMM registers). Eight rows divide 128 and
-// every half splitAt makes of it, so a 128-tile has no short A strip.
-var tile = regTile{microKernelGo, 6, microN}
-
 // microAccum is a micro-tile outside C, row-major, as large as the largest
 // tile: the scratch a clipped tile's k-sum lands in.
 type microAccum [8 * 2 * microN]float64
@@ -50,8 +43,34 @@ type microAccum [8 * 2 * microN]float64
 // assembly one FMA per step from zero, p in order) and added once.
 type microKernelFunc = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool)
 
-// microKernelName labels the selected implementation for benchmark reports.
-var microKernelName = "go"
+// family is the kernel bodies one CPU choice runs: the register tile every
+// packed product runs on — 6×8 for the portable Go body and the AVX2 kernel
+// (twelve of sixteen YMM registers, the Haswell-class shape of BLIS), 8×16
+// for AVX-512 (sixteen of thirty-two ZMM registers; eight rows divide 128 and
+// every half splitAt makes of it, so a 128-tile has no short A strip) — the
+// two B packs' bodies (packFourGo, dealColsGo), the right solve's strips (nil
+// on the portable family, see trsmRightBase), the left solve's row update
+// (eliminateGo), and what KernelISA and KernelVectorBits report.
+type family struct {
+	tile        regTile
+	packFour    func(kb int, src []float64, ld int, dst []float64, w int)
+	dealCols    func(kb, full int, src []float64, ld int, pb []float64)
+	solveStrips func(n, m int, b []float64, ld int, tri, x []float64) int
+	eliminate   func(dst, src []float64, ld int, coef []float64)
+	isa         string
+	bits        int
+}
+
+// goFamily is the portable family: first in families() on every build, and
+// alone where the assembly is left out.
+func goFamily() family {
+	return family{tile: regTile{microKernelGo, 6, microN}, packFour: packFourGo, dealCols: dealColsGo, eliminate: eliminateGo, isa: "go"}
+}
+
+// host is the family every exported entry point runs on, the last of
+// families(). Nothing assigns it (make lint-one-kernel): a test builds the
+// family it needs and calls the unexported kernel on it.
+var host = func() family { fs := families(); return fs[len(fs)-1] }()
 
 // KernelISA reports which micro-kernel implementation is active ("avx2" or
 // "go"), so benchmark artifacts record what they measured. It says "avx2" on
@@ -59,23 +78,15 @@ var microKernelName = "go"
 // FMA probe and the host reference that scales every workload's latency on
 // this string, so a new value would change how every end-to-end number is
 // scaled. KernelVectorBits reports the width, KernelTile the shape.
-func KernelISA() string { return microKernelName }
+func KernelISA() string { return host.isa }
 
-// KernelVectorBits reports the widest vector registers the installed tile
-// uses: 512 for the 16-wide AVX-512 tile, 256 for the AVX2 kernel, 0 for the
-// portable Go body.
-func KernelVectorBits() int {
-	switch {
-	case tile.n == 2*microN:
-		return 512
-	case microKernelName == "avx2":
-		return 256
-	}
-	return 0
-}
+// KernelVectorBits reports the widest vector registers the host family's
+// tile uses: 512 for the 16-wide AVX-512 tile, 256 for the AVX2 kernel, 0 for
+// the portable Go body.
+func KernelVectorBits() int { return host.bits }
 
-// KernelTile reports the installed register tile, "8x16" or "6x8".
-func KernelTile() string { return tile.shape() }
+// KernelTile reports the host family's register tile, "8x16" or "6x8".
+func KernelTile() string { return host.tile.shape() }
 
 // shape names t as rows×columns.
 func (t regTile) shape() string { return strconv.Itoa(t.m) + "x" + strconv.Itoa(t.n) }

@@ -25,10 +25,12 @@ package blas
 // product's bits do not depend on which tile applied it. The right solve
 // there goes sixteen rows per assembly pass: it reads B's rows, transposes,
 // solves and transposes back in ZMM registers and stores each element once.
-// Selection happens once at init via CPUID: hosts without AVX2, FMA or
-// OS-enabled YMM state keep the portable bodies, and hosts without AVX512F or
-// OS-enabled opmask and ZMM state keep the 6×8 tile. Any build with
-// the purego tag (`make test-purego`) keeps the portable bodies too: it leaves
+// families() lists what this CPU runs, from CPUID: the portable family, then
+// the AVX2 one where the CPU has AVX2 and FMA and the OS saves YMM state, then
+// the AVX-512 one (the 8×16 tile and sixteen-row solves, the AVX2 packs and
+// row update) where it also has AVX512F and the OS saves opmask and ZMM state.
+// The last is host, which every exported kernel runs on. Any build with the
+// purego tag (`make test-purego`) lists the portable family alone: it leaves
 // this file out so that CI on an AVX2 host still runs every packed product
 // and factor kernel on the fallback.
 //
@@ -38,19 +40,20 @@ package blas
 // dependency edge would race on a tile unseen. With it out, `make race` runs
 // the portable kernels, whose accesses are ordinary instrumented Go.
 
-func init() {
-	if cpuHasAVX2FMA() {
-		tile = regTile{microKernelAVX2, 6, microN}
-		packFour = packFourAVX2
-		dealCols = dealColsAVX2
-		solveStrips = solveStripsAVX2
-		eliminate = eliminateAVX2
-		microKernelName = "avx2"
-		if cpuHasAVX512() {
-			tile = regTile{microKernelAVX512, 8, 2 * microN}
-			solveStrips = solveStripsAVX512
-		}
+// families lists the families this CPU runs, portable first and host last.
+func families() []family {
+	fs := []family{goFamily()}
+	if !cpuHasAVX2FMA() {
+		return fs
 	}
+	avx2 := family{regTile{microKernelAVX2, 6, microN}, packFourAVX2, dealColsAVX2, solveStripsAVX2, eliminateAVX2, "avx2", 256}
+	fs = append(fs, avx2)
+	if cpuHasAVX512() {
+		avx512 := avx2
+		avx512.tile, avx512.solveStrips, avx512.bits = regTile{microKernelAVX512, 8, 2 * microN}, solveStripsAVX512, 512
+		fs = append(fs, avx512)
+	}
+	return fs
 }
 
 func microKernelAVX2(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {

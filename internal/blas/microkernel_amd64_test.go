@@ -3,24 +3,11 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
-
-// asmTiles are the register tiles of this host's assembly, the AVX2 6×8 one
-// first and, where the CPU has AVX-512, the 8×16 one.
-func asmTiles() []regTile {
-	if !cpuHasAVX2FMA() {
-		return nil
-	}
-	tiles := []regTile{{microKernelAVX2, 6, microN}}
-	if cpuHasAVX512() {
-		tiles = append(tiles, regTile{microKernelAVX512, 8, 2 * microN})
-	}
-	return tiles
-}
 
 // TestMicroKernelsAgree runs the portable and the assembly micro-kernels on
 // the same strips — the 6×8 AVX2 kernel against microKernelGo, and the 8×16
@@ -49,7 +36,7 @@ func TestMicroKernelsAgree(t *testing.T) {
 	} {
 		t.Run(k.asm.shape(), func(t *testing.T) {
 			if k.asm.m == 8 && !cpuHasAVX512() {
-				t.Skip("no AVX-512 on this host: the 8x16 kernel is not installed")
+				t.Skip("no AVX-512 on this host: no family has the 8x16 kernel")
 			}
 			kernelsAgree(t, k.asm.m, k.asm.n, k.ref.kernel, k.asm.kernel, k.sameBitsAs)
 		})
@@ -142,29 +129,47 @@ func kernelsAgree(t *testing.T, rows, width int, ref, asm, same microKernelFunc)
 	}
 }
 
-// TestKernelISAStaysAVX2: the tile init installs is the 8×16 AVX-512 one
-// exactly where the CPU has AVX-512, and the AVX2 6×8 one elsewhere, and
-// KernelISA says "avx2" with either: the benchmark picks its FMA probe and
-// the host reference that scales every workload's latency by this string.
-// KernelVectorBits and KernelTile are where the tile shows.
+// TestKernelFamilies: families() lists the portable family, then the AVX2
+// one exactly where the CPU has AVX2/FMA, then the AVX-512 one exactly where
+// it also has AVX-512 — 0, 256 and 512 vector bits — with the right solve's
+// strips on the assembly families alone; host is the last.
+func TestKernelFamilies(t *testing.T) {
+	n := 1
+	if cpuHasAVX2FMA() {
+		n++
+		if cpuHasAVX512() {
+			n++
+		}
+	}
+	fs := families()
+	if len(fs) != n {
+		t.Fatalf("families() lists %d families, want %d (AVX2/FMA: %v, AVX-512: %v)", len(fs), n, cpuHasAVX2FMA(), cpuHasAVX512())
+	}
+	for i, f := range fs {
+		if want := []int{0, 256, 512}[i]; f.bits != want || (f.solveStrips == nil) != (i == 0) {
+			t.Errorf("family %d is %s/%d/%s (strips %v), want %d bits", i, f.isa, f.bits, f.tile.shape(), f.solveStrips != nil, want)
+		}
+	}
+	// %v prints a func as its address, so this compares every routine too.
+	if last := fs[n-1]; fmt.Sprint(host) != fmt.Sprint(last) {
+		t.Fatalf("host %v is not the last family %v", host, last)
+	}
+}
+
+// TestKernelISAStaysAVX2: KernelISA says "avx2" on both assembly families,
+// the 8×16 AVX-512 one included: the benchmark picks its FMA probe and the
+// host reference that scales every workload's latency by this string.
 func TestKernelISAStaysAVX2(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
 	}
-	asm := asmTiles()
-	want := asm[len(asm)-1]
-	if reflect.ValueOf(tile.kernel).Pointer() != reflect.ValueOf(want.kernel).Pointer() || tile.m != want.m || tile.n != want.n {
-		t.Fatalf("installed tile %s, want the %s assembly tile (CPU has AVX-512: %v)", KernelTile(), want.shape(), cpuHasAVX512())
+	for _, f := range families()[1:] {
+		if f.isa != "avx2" {
+			t.Errorf("the %d-bit %s family reports ISA %q, want \"avx2\"", f.bits, f.tile.shape(), f.isa)
+		}
 	}
-	keepTile(t)
-	for _, rt := range asm {
-		tile = rt
-		if got := KernelISA(); got != "avx2" {
-			t.Fatalf("KernelISA() = %q with the %s tile installed, want \"avx2\"", got, rt.shape())
-		}
-		if got := KernelTile(); got != rt.shape() {
-			t.Fatalf("KernelTile() = %q with the %s tile installed", got, rt.shape())
-		}
+	if got := KernelISA(); got != "avx2" {
+		t.Fatalf("KernelISA() = %q on the %s host tile (CPU has AVX-512: %v), want \"avx2\"", got, KernelTile(), cpuHasAVX512())
 	}
 }
 
@@ -187,7 +192,7 @@ func TestRightSolveMatchesPortable(t *testing.T) {
 	rightSolveMatches(t, solveStripsAVX512)
 }
 
-// rightSolveMatches runs trsmRightBase with strips installed as solveStrips
+// rightSolveMatches runs trsmRightBase on host with strips as its solveStrips
 // against solveRows alone, for every triangle order up to factorBase, every
 // row count up to 40 (every tail of a sixteen- and an eight-row pass), T
 // stored as itself and transposed, on strided views of a parent whose every
@@ -195,9 +200,8 @@ func TestRightSolveMatchesPortable(t *testing.T) {
 // row below both — with NaN in the pack pool: the whole parent must come out
 // with the same bits both ways. Both multiply, then subtract, in order of k.
 func rightSolveMatches(t *testing.T, strips func(n, m int, b []float64, ld int, tri, x []float64) int) {
-	installed := solveStrips
-	t.Cleanup(func() { solveStrips = installed })
-	solveStrips = strips
+	f := host
+	f.solveStrips = strips
 	for n := 0; n <= factorBase; n++ {
 		for m := 0; m <= 40; m++ {
 			for _, trans := range []bool{false, true} {
@@ -216,7 +220,7 @@ func rightSolveMatches(t *testing.T, strips func(n, m int, b []float64, ld int, 
 					solve(tiles[0], tiles[1])
 					return parent
 				}
-				got := run(func(tr, b *Matrix) { trsmRightBase(tr, b, trans) })
+				got := run(func(tr, b *Matrix) { f.trsmRightBase(tr, b, trans) })
 				want := run(func(tr, b *Matrix) { solveRows(tr, b, trans) })
 				if i, j, ok := sameBitsOrWithin(got, want, -1); !ok {
 					t.Fatalf("n=%d m=%d trans=%v: parent cell (%d,%d) = %g, the in-place loop gives %g",
@@ -228,9 +232,9 @@ func rightSolveMatches(t *testing.T, strips func(n, m int, b []float64, ld int, 
 }
 
 // TestLUKernelsMatchPortable runs the four LU tile kernels twice on the same
-// strided views, once with the AVX2 column deal and row update installed and
-// once with the portable bodies in their place (the micro-kernel is the
-// installed one both times), and requires the same bits in the whole parent,
+// strided views, once on host, with the AVX2 column deal and row update, and
+// once on a copy of host with the portable bodies in their place (the
+// micro-kernel is host's both times), and requires the same bits in the whole parent,
 // guard cells included: the deal only moves values and the row update
 // multiplies, then subtracts, in the portable order. Triangle orders from 1
 // to 129, at and around factorBase, give every i mod 4 tail of the left
@@ -240,8 +244,8 @@ func TestLUKernelsMatchPortable(t *testing.T) {
 	if !cpuHasAVX2FMA() {
 		t.Skip("no AVX2/FMA on this host")
 	}
-	deal, elim := dealCols, eliminate
-	t.Cleanup(func() { dealCols, eliminate = deal, elim })
+	portable := host
+	portable.dealCols, portable.eliminate = dealColsGo, eliminateGo
 	widths := []int{1, 3, 4, 5, 8, 127, 128, 129}
 	orders := append([]int{2, 6, 7, 9, 13, 15, 16, 17, 33, 100}, widths...)
 	for _, fc := range factorCases {
@@ -257,17 +261,16 @@ func TestLUKernelsMatchPortable(t *testing.T) {
 				}
 				for _, poison := range []float64{math.NaN(), 1e30} {
 					shapes := fc.shapes(n, m, (n+m)/2+1)
-					run := func(d func(int, int, []float64, int, []float64), e func([]float64, []float64, int, []float64)) *Matrix {
-						dealCols, eliminate = d, e
+					run := func(f *family) *Matrix {
 						parent := carveParent(shapes, poison)
 						tiles := carve(parent, shapes)
 						fc.fill(tiles, int64(31*n+m))
-						if err := fc.kernel(tiles); err != nil {
+						if err := fc.kernel(f, tiles); err != nil {
 							t.Fatalf("%s n=%d m=%d: %v", fc.name, n, m, err)
 						}
 						return parent
 					}
-					got, want := run(deal, elim), run(dealColsGo, eliminateGo)
+					got, want := run(&host), run(&portable)
 					if i, j, ok := sameBitsOrWithin(got, want, -1); !ok {
 						t.Fatalf("%s n=%d m=%d poison=%g: parent cell (%d,%d) = %g, portable bodies give %g",
 							fc.name, n, m, poison, i, j, got.At(i, j), want.At(i, j))

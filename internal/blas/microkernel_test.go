@@ -2,33 +2,25 @@ package blas
 
 import "testing"
 
-// TestKernelVectorBits: the width and the shape follow the installed tile —
-// 0 bits for the portable body, 256 for the AVX2 kernel, 512 for the 16-wide
-// AVX-512 tile — while KernelISA keeps its two values.
+// TestKernelVectorBits: the width and the shape follow the family's tile —
+// 0 bits for the portable 6×8 body, 256 for the 6×8 AVX2 kernel, 512 for the
+// 8×16 AVX-512 tile — and KernelVectorBits and KernelTile report the host's.
 func TestKernelVectorBits(t *testing.T) {
-	keepTile(t)
-	name := microKernelName
-	defer func() { microKernelName = name }()
-	for _, c := range []struct {
-		name  string
+	type triple struct {
 		isa   string
-		tile  regTile
 		bits  int
 		shape string
-	}{
-		{"go", "go", regTile{microKernelGo, 6, microN}, 0, "6x8"},
-		{"avx2", "avx2", regTile{microKernelGo, 6, microN}, 256, "6x8"},
-		{"avx512", "avx2", tileFrom6x8(microKernelGo, 8, 2*microN), 512, "8x16"},
-	} {
-		microKernelName, tile = c.isa, c.tile
-		if got := KernelVectorBits(); got != c.bits {
-			t.Errorf("%s: KernelVectorBits() = %d, want %d", c.name, got, c.bits)
+	}
+	known := map[triple]bool{{"go", 0, "6x8"}: true, {"avx2", 256, "6x8"}: true, {"avx2", 512, "8x16"}: true}
+	for i, f := range families() {
+		if got := (triple{f.isa, f.bits, f.tile.shape()}); !known[got] {
+			t.Errorf("family %d is %v, not one of %v", i, got, known)
 		}
-		if got := KernelISA(); got != c.isa {
-			t.Errorf("%s: KernelISA() = %q, want %q", c.name, got, c.isa)
-		}
-		if got := KernelTile(); got != c.shape {
-			t.Errorf("%s: KernelTile() = %q, want %q", c.name, got, c.shape)
-		}
+	}
+	if got := KernelVectorBits(); got != host.bits {
+		t.Errorf("KernelVectorBits() = %d, host family has %d", got, host.bits)
+	}
+	if got := KernelTile(); got != host.tile.shape() {
+		t.Errorf("KernelTile() = %q, host family has %q", got, host.tile.shape())
 	}
 }

@@ -11,7 +11,7 @@ import (
 // is computed. C += σ·A·op(B) is decomposed into panels packDepth deep;
 // within each panel, op(B) is packed once into k-major strips of microN
 // columns, zero-padded to whole register tiles, so the micro-kernel of the
-// installed tile (microkernel.go) streams B with unit stride whatever b's
+// family's tile (microkernel.go) streams B with unit stride whatever b's
 // stride. A is not copied: the kernel reads a full strip of tile.m rows where
 // it lies, and only the last mb mod tile.m rows of a row panel are packed,
 // zero-padded, into a tile.m×kb strip — none for a 128-tile or any half of it
@@ -22,10 +22,10 @@ import (
 // only for the tiles an edge of C or the diagonal of a lower-triangular C
 // clips. The row pack (the A tail, and B of every A·Bᵀ product, which is
 // every product Cholesky does) moves four rows at a time through packFour, a
-// 4×4 register transpose where AVX2 is available; the column pack (B of every
-// A·B product, which is every product the LU kernels and the cluster worker's
-// DGEMM do) deals four rows of B at a time to the strips through dealCols,
-// YMM loads and stores where AVX2 is available.
+// 4×4 register transpose in the AVX2 and AVX-512 families; the column pack (B
+// of every A·B product, which is every product the LU kernels and the cluster
+// worker's DGEMM do) deals four rows of B at a time to the strips through
+// dealCols, YMM loads and stores in those two families.
 // Pack buffers are recycled through a sync.Pool so tiled task-runtime
 // workloads (many calls on tile views) allocate only on first use. The
 // parallel variant splits the row-panels of C across worker goroutines; every
@@ -48,9 +48,9 @@ const packPanelCols = 2048
 
 // packScratch is one pooled pack buffer together with the scratch micro-tile
 // of the strip loop that owns it, where the k-sum of a clipped tile lands.
-// tile.kernel is called through a variable, so an accumulator declared on the
-// stack would move to the heap on every strip; here it is recycled with the
-// buffer.
+// A tile's kernel is called through a func value, so an accumulator declared
+// on the stack would move to the heap on every strip; here it is recycled
+// with the buffer.
 type packScratch struct {
 	buf []float64
 	out microAccum
@@ -83,15 +83,15 @@ type product struct {
 
 // packRows copies the rows×kb block of m at (r0, p0) into dst as zero-padded
 // strips of w rows, k-major: strip s holds rows r0+s*w.. and its element
-// (p, r) lands at dst[s*kb*w + p*w + r]. With w = tile.m it packs A's tail
+// (p, r) lands at dst[s*kb*w + p*w + r]. With w = f.tile.m it packs A's tail
 // strip; with w = microN it packs Bᵀ, whose "columns" are rows of b.
-func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
+func (f *family) packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 	for i := 0; i < rows; i += w {
 		strip := dst[i*kb : (i+w)*kb]
 		h := min(w, rows-i)
 		r := 0
 		for ; kb > 0 && r+4 <= h; r += 4 { // four rows per pass: a full strip of microN rows needs no other loop
-			packFour(kb, m.Data[(r0+i+r)*m.Stride+p0:], m.Stride, strip[r:], w)
+			f.packFour(kb, m.Data[(r0+i+r)*m.Stride+p0:], m.Stride, strip[r:], w)
 		}
 		for ; r < h; r++ {
 			for p, v := range m.Data[(r0+i+r)*m.Stride+p0:][:kb] {
@@ -106,12 +106,10 @@ func packRows(m *Matrix, r0, p0, rows, kb, w int, dst []float64) {
 	}
 }
 
-// packFour writes four rows of kb ≥ 1 values — src[r*ld:][:kb] for r < 4 — as
-// four adjacent columns of a k-major strip w wide: dst[p*w+r] = src[r*ld+p].
-// It points at the portable body below or, installed by the same init as the
-// micro-kernel, at the AVX2 transpose, which uses this body for its tail.
-var packFour = packFourGo
-
+// packFourGo writes four rows of kb ≥ 1 values — src[r*ld:][:kb] for r < 4 —
+// as four adjacent columns of a k-major strip w wide: dst[p*w+r] =
+// src[r*ld+p]. It is the portable family's packFour; the AVX2 transpose of the
+// other families uses it for its tail.
 func packFourGo(kb int, src []float64, ld int, dst []float64, w int) {
 	s0, s1, s2, s3 := src[:kb], src[ld:][:kb], src[2*ld:][:kb], src[3*ld:][:kb]
 	for p, v := range s0 {
@@ -126,12 +124,12 @@ func packFourGo(kb int, src []float64, ld int, dst []float64, w int) {
 // its rows, each read once front to back and dealt out to the strips microN
 // values at a time: a B tile that arrives cold (the cluster worker's) streams
 // in row by row instead of being walked down a column per strip. The full
-// strips go through dealCols; the short last strip is copied and padded here.
-func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
+// strips go through f.dealCols; the short last strip is copied and padded here.
+func (f *family) packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 	full := nb &^ (microN - 1)
 	src := b.Data[p0*b.Stride+j0:]
 	if full > 0 {
-		dealCols(kb, full, src, b.Stride, pb)
+		f.dealCols(kb, full, src, b.Stride, pb)
 	}
 	if full < nb {
 		for p := 0; p < kb; p++ {
@@ -141,15 +139,12 @@ func packCols(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 	}
 }
 
-// dealCols copies kb rows of full values — src[p*ld:][:full] for p < kb, full
-// a positive multiple of microN — into the first full/microN strips of pb:
-// pb[j*kb+p*microN+q] = src[p*ld+j+q] for j a multiple of microN and q <
-// microN. It points at the portable body below or, installed by the same init
-// as the micro-kernel, at the AVX2 deal, which moves four rows per pass so
-// that each strip receives 256 contiguous bytes (the kb mod 4 tail a row per
-// pass).
-var dealCols = dealColsGo
-
+// dealColsGo copies kb rows of full values — src[p*ld:][:full] for p < kb,
+// full a positive multiple of microN — into the first full/microN strips of
+// pb: pb[j*kb+p*microN+q] = src[p*ld+j+q] for j a multiple of microN and q <
+// microN. It is the portable family's dealCols; the other families' AVX2 deal
+// moves four rows per pass so that each strip receives 256 contiguous bytes
+// (the kb mod 4 tail a row per pass).
 func dealColsGo(kb, full int, src []float64, ld int, pb []float64) {
 	for p := 0; p < kb; p++ {
 		row := src[p*ld:][:full]
@@ -162,23 +157,23 @@ func dealColsGo(kb, full int, src []float64, ld int, pb []float64) {
 // packedStrip multiplies one row panel of A against the shared packed op(B)
 // panel and applies it to C — the one strip loop of every packed product, and
 // the one call site of the micro-kernel. Row strips go outside and column
-// tiles inside, so C is walked along its rows. A full strip of tile.m rows is
-// handed to the kernel where it lies in A; only the mb mod tile.m tail is
+// tiles inside, so C is walked along its rows. A full strip of f.tile.m rows
+// is handed to the kernel where it lies in A; only the mb mod f.tile.m tail is
 // packed, zero-padded, into ps.buf. pb is the caller's packed panel for
 // (p0, j0). A micro-tile that lies wholly inside C (and, for a
 // lower-triangular C, wholly on or below the diagonal) is handed to the
 // kernel as the address of C; any other is computed onto ps.out, zeroed, and
 // its valid part added to C here. Either way C gains the one k-sum, added
 // once.
-func packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
-	t := tile
+func (f *family) packedStrip(a, c *Matrix, ps *packScratch, pb []float64, i0, p0, j0, mb, kb, nb int, op product) {
+	t := f.tile
 	out := ps.out[:t.m*t.n]
 	for i := 0; i < mb; i += t.m {
 		ih := min(t.m, mb-i)
 		sa, ars, aks := a.Data[(i0+i)*a.Stride+p0:], a.Stride, 1
 		if ih < t.m {
 			sa, ars, aks = ps.buf, 1, t.m
-			packRows(a, i0+i, p0, ih, kb, t.m, sa)
+			f.packRows(a, i0+i, p0, ih, kb, t.m, sa)
 		}
 		for j := 0; j < nb; j += t.n {
 			// diag is how many columns of this micro-tile's first row lie on
@@ -228,21 +223,21 @@ func GemmPackedParallel(a, b, c *Matrix, block, workers int) error {
 	if _, _, _, err := shapeGEMM(a, b, c); err != nil {
 		return err
 	}
-	packedProduct(a, b, c, product{}, workers)
+	host.packedProduct(a, b, c, product{}, workers)
 	return nil
 }
 
-// packedProduct is the packed driver: C += σ·A·op(B) for conformable
-// operands (callers check shapes), a no-op when any extent is zero. The
-// register tile, the tail pack of A, the buffer pool and the strip loop are
+// packedProduct is the packed driver: C += σ·A·op(B) on f's kernels for
+// conformable operands (callers check shapes), a no-op when any extent is
+// zero. The register tile, the tail pack of A, the buffer pool and the strip loop are
 // the same for every product; op picks the B pack and the sign and triangle
 // of the write-back.
-func packedProduct(a, b, c *Matrix, op product, workers int) {
+func (f *family) packedProduct(a, b, c *Matrix, op product, workers int) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	tm, tn := tile.m, tile.n
+	tm, tn := f.tile.m, f.tile.n
 	kc := min(packDepth, k)
 	mc := roundUp(kc, tm)
 	nc := min(packPanelCols, n)
@@ -257,20 +252,20 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 		for j0 := 0; j0 < n; j0 += nc {
 			nb := min(nc, n-j0)
 			if op.transB {
-				packRows(b, j0, p0, nb, kb, microN, pb)
+				f.packRows(b, j0, p0, nb, kb, microN, pb)
 			} else {
-				packCols(b, p0, j0, kb, nb, pb)
+				f.packCols(b, p0, j0, kb, nb, pb)
 			}
 			clear(pb[roundUp(nb, microN)*kb : roundUp(nb, tn)*kb]) // an odd strip count's zero partner
 			if workers == 1 {
 				pa := packBuf(tm * kb)
 				for i0 := 0; i0 < m; i0 += mc {
-					packedStrip(a, c, pa, pb, i0, p0, j0, min(mc, m-i0), kb, nb, op)
+					f.packedStrip(a, c, pa, pb, i0, p0, j0, min(mc, m-i0), kb, nb, op)
 				}
 				packPool.Put(pa)
 				continue
 			}
-			packedStripsParallel(*a, *c, pb, p0, j0, kb, nb, mc, op, workers)
+			f.packedStripsParallel(*a, *c, pb, p0, j0, kb, nb, mc, op, workers)
 		}
 	}
 }
@@ -280,7 +275,7 @@ func packedProduct(a, b, c *Matrix, op product, workers int) {
 // them. Every worker has its own tail-strip buffer and shares the read-only
 // pb. The operands arrive by value so that only this path moves them to the
 // heap.
-func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op product, workers int) {
+func (f *family) packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op product, workers int) {
 	strips := (c.Rows + mc - 1) / mc
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -288,7 +283,7 @@ func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pa := packBuf(tile.m * kb)
+			pa := packBuf(f.tile.m * kb)
 			defer packPool.Put(pa)
 			for {
 				s := int(next.Add(1)) - 1
@@ -296,7 +291,7 @@ func packedStripsParallel(a, c Matrix, pb []float64, p0, j0, kb, nb, mc int, op 
 					return
 				}
 				i0 := s * mc
-				packedStrip(&a, &c, pa, pb, i0, p0, j0, min(mc, c.Rows-i0), kb, nb, op)
+				f.packedStrip(&a, &c, pa, pb, i0, p0, j0, min(mc, c.Rows-i0), kb, nb, op)
 			}
 		}()
 	}

@@ -154,8 +154,8 @@ func TestQuickGemmPackedAgreesWithBlocked(t *testing.T) {
 
 // viaScratch is the micro-kernel's previous contract on top of the current
 // one: the k-sum lands in a scratch tile and Go code adds all of it to C.
-// Installed as the tile it sends every micro-tile of a product down the
-// scratch path, the full ones included.
+// As a family's tile it sends every micro-tile of a product down the scratch
+// path, the full ones included.
 func viaScratch(t regTile) regTile {
 	kernel := t.kernel
 	t.kernel = func(kb int, a []float64, ars, aks int, pb, c []float64, ldc int, neg bool) {
@@ -193,26 +193,40 @@ func tileFrom6x8(kernel microKernelFunc, m, n int) regTile {
 	}}
 }
 
-// keepTile returns the installed register tile and puts it back when the
-// test ends, for tests that install others in its place.
-func keepTile(t *testing.T) regTile {
-	installed := tile
-	t.Cleanup(func() { tile = installed })
-	return installed
+// withTile is host with rt as its register tile: the family a test runs a
+// product on to try one tile, a spy or a stand-in.
+func withTile(rt regTile) *family {
+	f := host
+	f.tile = rt
+	return &f
+}
+
+// name is f's sub-test name: go, avx2 or avx512 (which KernelISA reports as
+// avx2).
+func (f *family) name() string {
+	if f.bits == 512 {
+		return "avx512"
+	}
+	return f.isa
 }
 
 // testTiles are the register tiles a product's bits may not depend on, in
-// families whose members must agree bit for bit: the portable 6×8 kernel and
-// an 8×16 tile made of it, and, where the host has them, the assembly tiles
-// (the AVX2 6×8 kernel, the AVX-512 8×16 one) with an 8×16 tile made of the
-// AVX2 kernel. The portable family rounds every product, so its bits are not
-// the assembly's.
+// groups whose members must agree bit for bit: the portable 6×8 kernel and
+// an 8×16 tile made of it, and, where the host has them, the tiles of the
+// assembly families (the AVX2 6×8 kernel, the AVX-512 8×16 one) with an 8×16
+// tile made of the AVX2 kernel. The portable family rounds every product, so
+// its bits are not the assembly's.
 func testTiles() [][]regTile {
-	families := [][]regTile{{{microKernelGo, 6, microN}, tileFrom6x8(microKernelGo, 8, 2*microN)}}
-	if asm := asmTiles(); len(asm) > 0 {
-		families = append(families, append(asm, tileFrom6x8(asm[0].kernel, 8, 2*microN)))
+	fs := families()
+	groups := [][]regTile{{fs[0].tile, tileFrom6x8(fs[0].tile.kernel, 8, 2*microN)}}
+	if len(fs) > 1 {
+		var asm []regTile
+		for _, f := range fs[1:] {
+			asm = append(asm, f.tile)
+		}
+		groups = append(groups, append(asm, tileFrom6x8(fs[1].tile.kernel, 8, 2*microN)))
 	}
-	return families
+	return groups
 }
 
 // productCase is one random packed product on strided views: operands and C
@@ -274,15 +288,12 @@ func randomProductUpTo(rng *rand.Rand, ext, depth int) productCase {
 // triangle, on every tile of testTiles. The scratch run sends every
 // micro-tile down the scratch path.
 func TestFusedWriteBackMatchesScratch(t *testing.T) {
-	keepTile(t)
-	for _, family := range testTiles() {
-		for _, rt := range family {
+	for _, group := range testTiles() {
+		for _, rt := range group {
 			for seed := int64(0); seed < 300; seed++ {
 				fused, scratch := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
-				tile = rt
-				packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
-				tile = viaScratch(rt)
-				packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
+				withTile(rt).packedProduct(fused.a, fused.b, fused.c, fused.op, 1)
+				withTile(viaScratch(rt)).packedProduct(scratch.a, scratch.b, scratch.c, scratch.op, 1)
 				if i, j, same := sameBitsOrWithin(fused.parent, scratch.parent, -1); !same {
 					t.Fatalf("%s seed %d %+v %dx%dx%d: C parent cell (%d,%d) fused %g, via scratch %g", rt.shape(), seed, fused.op,
 						fused.c.Rows, fused.c.Cols, fused.a.Cols, i, j, fused.parent.At(i, j), scratch.parent.At(i, j))
@@ -313,11 +324,10 @@ func poisonPackPool() {
 // orientations, the lower triangle, strided views) with extents from 1 to 300
 // — widths with nb mod 16 = 8, which leave the 16-wide tile an odd strip, and
 // heights off a multiple of 8, which leave the 8-row tile a packed A tail,
-// among them — run once per tile of each testTiles family onto a NaN-poisoned
+// among them — run once per tile of each testTiles group onto a NaN-poisoned
 // pack pool, and C's whole parent, sentinel cells included, must come out the
-// same for every tile of the family.
+// same for every tile of the group.
 func TestTileShapesGiveSameBits(t *testing.T) {
-	keepTile(t)
 	seeds := int64(120)
 	if raceEnabled {
 		seeds = 20
@@ -332,20 +342,19 @@ func TestTileShapesGiveSameBits(t *testing.T) {
 		if pc.c.Rows%8 != 0 {
 			aTail++
 		}
-		for _, family := range testTiles() {
+		for _, group := range testTiles() {
 			var first productCase
-			for i, rt := range family {
+			for i, rt := range group {
 				got := draw()
-				tile = rt
 				poisonPackPool()
-				packedProduct(got.a, got.b, got.c, got.op, 1)
+				withTile(rt).packedProduct(got.a, got.b, got.c, got.op, 1)
 				if i == 0 {
 					first = got
 					continue
 				}
 				if r, q, same := sameBitsOrWithin(got.parent, first.parent, -1); !same {
 					t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) is %g on the %s tile, %g on the %s tile", seed, got.op,
-						got.c.Rows, got.c.Cols, got.a.Cols, r, q, got.parent.At(r, q), rt.shape(), first.parent.At(r, q), family[0].shape())
+						got.c.Rows, got.c.Cols, got.a.Cols, r, q, got.parent.At(r, q), rt.shape(), first.parent.At(r, q), group[0].shape())
 				}
 			}
 		}
@@ -362,21 +371,19 @@ func TestTileShapesGiveSameBits(t *testing.T) {
 // and C's whole parent, sentinel cells included, must come out the same. The
 // 16-wide tile is made of calls of the single kernel (tileFrom6x8) — which
 // pins the driver's 16-wide sizing, the zero partner strip and the clipped
-// tiles on every host — and, where the CPU has AVX-512, the installed 8×16
-// kernel itself. A spy requires that the 16-wide tile ran.
+// tiles on every host — and, where the CPU has AVX-512, host's 8×16 kernel
+// itself. The single tile is the AVX2 family's where the CPU has one. A spy
+// requires that the 16-wide tile ran.
 func TestPairedKernelMatchesSingle(t *testing.T) {
-	installed := keepTile(t)
-	single := regTile{microKernelGo, 6, microN}
-	if asm := asmTiles(); len(asm) > 0 {
-		single = asm[0]
-	}
+	fs := families()
+	single := fs[min(1, len(fs)-1)].tile
 	for _, k := range []struct {
 		name string
 		pair regTile
-	}{{"two-calls", tileFrom6x8(single.kernel, 8, 2*microN)}, {"installed", installed}} {
+	}{{"two-calls", tileFrom6x8(single.kernel, 8, 2*microN)}, {"installed", host.tile}} {
 		t.Run(k.name, func(t *testing.T) {
 			if k.pair.n != 2*microN {
-				t.Skip("no 16-wide tile installed: this CPU or build has no AVX-512 kernel")
+				t.Skip("host's tile is not 16 wide: this CPU or build has no AVX-512 kernel")
 			}
 			pairs := 0
 			counted := k.pair
@@ -386,10 +393,8 @@ func TestPairedKernelMatchesSingle(t *testing.T) {
 			}
 			for seed := int64(0); seed < 300; seed++ {
 				paired, alone := randomProduct(rand.New(rand.NewSource(seed))), randomProduct(rand.New(rand.NewSource(seed)))
-				tile = counted
-				packedProduct(paired.a, paired.b, paired.c, paired.op, 1)
-				tile = single
-				packedProduct(alone.a, alone.b, alone.c, alone.op, 1)
+				withTile(counted).packedProduct(paired.a, paired.b, paired.c, paired.op, 1)
+				withTile(single).packedProduct(alone.a, alone.b, alone.c, alone.op, 1)
 				if i, j, same := sameBitsOrWithin(paired.parent, alone.parent, -1); !same {
 					t.Fatalf("seed %d %+v %dx%dx%d: C parent cell (%d,%d) paired %g, single %g", seed, paired.op,
 						paired.c.Rows, paired.c.Cols, paired.a.Cols, i, j, paired.parent.At(i, j), alone.parent.At(i, j))
@@ -406,8 +411,7 @@ func TestPairedKernelMatchesSingle(t *testing.T) {
 // splitAt makes of it split into whole strips of A, so none of the nine tile
 // kernels hands the micro-kernel a packed A strip (aks ≠ 1) at tile order 128.
 func TestTileOrder128PacksNoA(t *testing.T) {
-	installed := keepTile(t)
-	rt := installed
+	rt := host.tile
 	if rt.m != 8 {
 		rt = tileFrom6x8(microKernelGo, 8, 2*microN)
 	}
@@ -421,11 +425,10 @@ func TestTileOrder128PacksNoA(t *testing.T) {
 			}
 			kernel(kb, a, ars, aks, pb, c, ldc, neg)
 		}
-		tile = rt
 		shapes := fc.shapes(128, 128, 128)
 		tiles := carve(carveParent(shapes, 0), shapes)
 		fc.fill(tiles, 3)
-		if err := fc.kernel(tiles); err != nil {
+		if err := fc.kernel(withTile(rt), tiles); err != nil {
 			t.Fatalf("%s: %v", fc.name, err)
 		}
 	}
@@ -443,9 +446,8 @@ func TestTileOrder128PacksNoA(t *testing.T) {
 // outside the view, and every strictly-upper cell inside a lower-triangular
 // one, still holds the sentinel's bits.
 func TestKernelWritesOnlyItsTile(t *testing.T) {
-	keepTile(t)
-	for _, family := range testTiles() {
-		for _, rt := range family {
+	for _, group := range testTiles() {
+		for _, rt := range group {
 			for seed := int64(0); seed < 300; seed++ {
 				pc := randomProduct(rand.New(rand.NewSource(seed)))
 				data := pc.parent.Data
@@ -461,8 +463,7 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 					}
 					rt.kernel(kb, a, ars, aks, pb, c, ldc, neg)
 				}
-				tile = spy
-				packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+				withTile(spy).packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
 				for i := 0; i < pc.parent.Rows; i++ {
 					for j := 0; j < pc.parent.Cols; j++ {
 						r, q := i-i0, j-j0
@@ -489,9 +490,8 @@ func TestKernelWritesOnlyItsTile(t *testing.T) {
 // in place starts inside A's view at A's stride and its rows and columns end
 // inside the view; any other is the packed tail, k-major tile.m wide.
 func TestKernelReadsOnlyItsRows(t *testing.T) {
-	keepTile(t)
-	for _, family := range testTiles() {
-		for _, rt := range family {
+	for _, group := range testTiles() {
+		for _, rt := range group {
 			inPlace := 0
 			for seed := int64(0); seed < 300; seed++ {
 				pc := randomProduct(rand.New(rand.NewSource(seed)))
@@ -511,8 +511,7 @@ func TestKernelReadsOnlyItsRows(t *testing.T) {
 					}
 					rt.kernel(kb, a, ars, aks, pb, c, ldc, neg)
 				}
-				tile = spy
-				packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
+				withTile(spy).packedProduct(pc.a, pc.b, pc.c, pc.op, 1)
 			}
 			if inPlace == 0 {
 				t.Fatalf("%s: no strip of A was read in place", rt.shape())
@@ -521,34 +520,36 @@ func TestKernelReadsOnlyItsRows(t *testing.T) {
 	}
 }
 
-// TestPackRowsMatchesScalar: the row pack with the installed four-row pass
-// (the AVX2 transpose where there is one) fills every strip exactly as the
-// portable pass does, tails and zero padding included, and stays inside it.
+// TestPackRowsMatchesScalar: the row pack of every family of families() (the
+// AVX2 transpose where there is one) fills every strip exactly as the
+// portable family's does, tails and zero padding included, and stays inside
+// it.
 func TestPackRowsMatchesScalar(t *testing.T) {
-	installed := packFour
-	defer func() { packFour = installed }()
+	fs := families()
 	src := NewMatrix(24, 40)
 	src.FillRandom(8)
 	for _, w := range []int{6, microN} { // A tails of either tile, and Bᵀ
 		for rows := 1; rows <= 17; rows++ {
 			for kb := 0; kb <= 19; kb++ {
-				pack := func(four func(int, []float64, int, []float64, int)) []float64 {
-					packFour = four
+				pack := func(f *family) []float64 {
 					dst := make([]float64, roundUp(rows, w)*kb+w)
 					for i := range dst {
 						dst[i] = sentinel
 					}
-					packRows(src, 3, 5, rows, kb, w, dst)
+					f.packRows(src, 3, 5, rows, kb, w, dst)
 					return dst
 				}
-				got, want := pack(installed), pack(packFourGo)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("w=%d rows=%d kb=%d: dst[%d] = %g, portable pack has %g", w, rows, kb, i, got[i], want[i])
-					}
-				}
+				want := pack(&fs[0])
 				if tail := want[len(want)-w:]; kb > 0 && tail[0] != sentinel {
 					t.Fatalf("w=%d rows=%d kb=%d: the pack wrote past its strips", w, rows, kb)
+				}
+				for _, f := range fs[1:] {
+					got := pack(&f)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s w=%d rows=%d kb=%d: dst[%d] = %g, portable pack has %g", f.name(), w, rows, kb, i, got[i], want[i])
+						}
+					}
 				}
 			}
 		}
@@ -572,13 +573,11 @@ func packColsByColumn(b *Matrix, p0, j0, kb, nb int, pb []float64) {
 // TestPackColsMatchesColumnWalk: the row-wise column pack fills every strip
 // exactly as the strip-by-strip walk did — the same values at the same
 // positions, the zero padding of a short last strip included — and writes
-// nothing past its strips, on random strided views, with the installed deal
-// (the AVX2 one where there is one) and with the portable body. Depths below
+// nothing past its strips, on random strided views, with the deal of every
+// family of families() (the AVX2 one where there is one). Depths below
 // four and off a multiple of four reach the deal's one-row tail; widths off a
 // multiple of microN the short last strip.
 func TestPackColsMatchesColumnWalk(t *testing.T) {
-	installed := dealCols
-	defer func() { dealCols = installed }()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
 		kb, nb := 1+rng.Intn(140), 1+rng.Intn(70)
@@ -599,13 +598,12 @@ func TestPackColsMatchesColumnWalk(t *testing.T) {
 			return dst
 		}
 		want := pack(packColsByColumn)
-		for _, deal := range []func(int, int, []float64, int, []float64){installed, dealColsGo} {
-			dealCols = deal
-			got := pack(packCols)
+		for _, f := range families() {
+			got := pack(f.packCols)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("kb=%d nb=%d at (%d,%d) stride %d: pb[%d] = %g, the column walk has %g",
-						kb, nb, p0, j0, parent.Stride, i, got[i], want[i])
+					t.Fatalf("%s kb=%d nb=%d at (%d,%d) stride %d: pb[%d] = %g, the column walk has %g",
+						f.name(), kb, nb, p0, j0, parent.Stride, i, got[i], want[i])
 				}
 			}
 			if tail := got[len(got)-microN:]; tail[0] != sentinel {

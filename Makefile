@@ -28,7 +28,10 @@ vet:
 # every completion adds to may not come back into the dmda dispatcher.
 # The real engine's state lives in realRun and realWorker: a closure over it
 # may not grow back in realengine.go. A worker counts its own successes: the
-# shared pending count takes one add, realWorker.flush's, not one a task.
+# shared pending count takes one add, realWorker.flush's, not one a task. A
+# worker parks on its own slot and a push wakes the sleepers it needs: a global
+# credit count beside the slots (creditSem, a credits() method) may not come
+# back as a second wake path.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
@@ -37,6 +40,7 @@ lint-engine-state:
 	@! grep -nE 'totBusy|totCompleted' internal/taskrt/dispatch.go
 	@! grep -nE '^\s+[a-zA-Z]+ := func\(' internal/taskrt/realengine.go
 	@test "$$(grep -c 'pending\.Add' internal/taskrt/realengine.go)" -eq 1
+	@! grep -nE 'creditSem|credits\(\)' internal/taskrt/*.go
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

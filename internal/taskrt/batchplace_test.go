@@ -22,8 +22,8 @@ type placed struct {
 // residency and cursor; one places a batch, the other pushes the batch's
 // tasks one by one in the batch's priority order. Every task must go to the
 // same worker with the same estimate and candidate, every queue must hold
-// the same tasks in the same order, and the backlogs, residency, cursor and
-// credits must end equal. The batch is wide enough that a worker's share is
+// the same tasks in the same order, every task must be queued exactly once,
+// and the backlogs, residency and cursor must end equal. The batch is wide enough that a worker's share is
 // published in more than one piece.
 func TestDmdaBatchPlacesLikeSequentialPushes(t *testing.T) {
 	cl, err := NewCodelet("twin", Impl{Arch: "fast"}, Impl{Arch: "slow"}, Impl{Arch: "x86"})
@@ -122,10 +122,14 @@ func TestDmdaBatchPlacesLikeSequentialPushes(t *testing.T) {
 				}
 			}
 			used, widest := 0, 0
+			queued := make([]int, len(tasks)) // by task id, over the batch's queues
 			for w := range batched.workers {
 				bq, sq := drain(batched.workers[w].q), drain(single.workers[w].q)
 				if !slices.Equal(bq, sq) {
 					t.Errorf("worker %d queue: batch %v, single pushes %v", w, ids(bq), ids(sq))
+				}
+				for _, task := range bq {
+					queued[task.id]++
 				}
 				if len(bq) > 0 {
 					used++
@@ -156,8 +160,10 @@ func TestDmdaBatchPlacesLikeSequentialPushes(t *testing.T) {
 			if b, s := batched.rr.Load(), single.rr.Load(); b != s || b != 7+uint64(len(tasks)) {
 				t.Errorf("cursor: batch %d, single pushes %d, want %d", b, s, 7+len(tasks))
 			}
-			if b, s := batched.sem.credits.Load(), single.sem.credits.Load(); b != s || b != int64(len(tasks)) {
-				t.Errorf("credits: batch %d, single pushes %d, want %d", b, s, len(tasks))
+			for id, n := range queued {
+				if n != 1 {
+					t.Errorf("task %d queued %d times by the batch, want once", id, n)
+				}
 			}
 			// The cold worker's bid is the pool's mean over the snapshot:
 			// 1500 ns a task on worker 1, 3000 on worker 2.

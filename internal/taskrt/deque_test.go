@@ -97,8 +97,8 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	d := newStealDispatcher(2, 4)
 	task := &Task{id: 7}
 	d.push(0, task)
-	if !d.sem.take() {
-		t.Fatal("acquire after push must succeed")
+	if d.depth(0) != 1 {
+		t.Fatal("push from worker 0 must queue the task on its deque")
 	}
 	abort := make(chan struct{})
 	got, victim := d.take(1, abort)
@@ -116,8 +116,8 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	}
 	// Injector pushes (from < 0) are not steals.
 	d.push(-1, task)
-	if !d.sem.take() {
-		t.Fatal("acquire after injector push must succeed")
+	if d.depth(-1) != 1 {
+		t.Fatal("push from outside the pool must queue the task on the injector")
 	}
 	got, victim = d.take(1, abort)
 	if got != task {

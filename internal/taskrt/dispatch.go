@@ -2,7 +2,6 @@ package taskrt
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,55 +12,42 @@ import (
 	"repro/internal/placement"
 )
 
-// creditSem is the counting semaphore behind every dispatcher's credit
-// discipline. The old implementation deposited one token on a buffered
-// channel per push and received one per take — two channel operations on
-// every task even when the consumer was already running. Here the count
-// lives in an atomic: release adds, take subtracts, and the wake channel
-// is only touched when a worker actually has to sleep (credits went
-// negative). In steady state — workers busy, queues non-empty — push and
-// take cost one atomic add each and no channel traffic, and releasing a
-// batch of n credits is a single add.
-//
-// Invariant: credits counts available tasks minus waiting workers. A
-// negative value is the number of parked (or about-to-park) workers, so
-// release hands exactly that many wake tokens.
-type creditSem struct {
-	credits atomic.Int64
-	wake    chan struct{} // struct{} buffer: capacity costs no memory
+// parkSlot is where one worker sleeps when every queue is empty. The owner
+// marks parked before its last look at the queues; a pusher that finds the
+// mark claims the slot by clearing it and only then sends the one wake token,
+// handing over a task first when it has one for the sleeper (ws). The owner
+// sets the mark before its last look and a pusher reads it after its tasks
+// are visible, so either the last look finds the tasks or the pusher finds
+// the mark: no wake is lost. In steady state — workers busy — a pusher only
+// reads the flags and a take writes no shared word.
+type parkSlot struct {
+	parked atomic.Bool
+	wake   chan struct{} // one token: only the slot's claimant sends
+	// handed is a task a pusher gave this worker as it woke it, from the
+	// pusher's worker index (-1 outside the pool); from is written before
+	// handed and read after it. The owner's next take returns it.
+	handed atomic.Pointer[Task]
+	from   int
+	_      [cacheLine]byte
 }
 
-func newCreditSem(capacity int) *creditSem {
-	// Capacity bounds simultaneous sleepers + pending wakes: workers plus
-	// every task that could be released while all workers are parked.
-	return &creditSem{wake: make(chan struct{}, capacity)}
-}
+// park marks the owner as sleeping; it must look at the queues once more,
+// then cancel or sleep.
+func (s *parkSlot) park() { s.parked.Store(true) }
 
-// release deposits n credits, waking as many parked workers as the deposit
-// covers.
-func (s *creditSem) release(n int) {
-	if n <= 0 {
-		return
-	}
-	before := s.credits.Add(int64(n)) - int64(n)
-	if before < 0 {
-		wake := int64(n)
-		if -before < wake {
-			wake = -before
-		}
-		for i := int64(0); i < wake; i++ {
-			s.wake <- struct{}{}
-		}
+// cancel takes back a park whose last look found a task. When a pusher
+// claimed the slot meanwhile, its token is on the way and is received here,
+// so the next park starts empty; a task it handed over stays for the next
+// take.
+func (s *parkSlot) cancel() {
+	if !s.parked.CompareAndSwap(true, false) {
+		<-s.wake
 	}
 }
 
-// take obtains one credit, reporting whether a task was already available.
-// When none was, the caller is counted as a waiting worker and must wait.
-func (s *creditSem) take() bool { return s.credits.Add(-1) >= 0 }
-
-// wait blocks a worker that take turned away until a task is available. It
-// returns false when done or abort closes first — the run is over.
-func (s *creditSem) wait(done, abort <-chan struct{}) bool {
+// sleep blocks a parked worker until a pusher wakes it. It returns false
+// when done or abort closes first — the run is over.
+func (s *parkSlot) sleep(done, abort <-chan struct{}) bool {
 	select {
 	case <-s.wake:
 		return true
@@ -72,50 +58,99 @@ func (s *creditSem) wait(done, abort <-chan struct{}) bool {
 	}
 }
 
-// dispatcher abstracts how ready tasks reach real-engine workers. All
-// implementations share a credit discipline: push enqueues the task and then
-// releases one credit on the semaphore; a worker first acquires a credit (or
-// learns the run is over) and only then calls take, which is guaranteed to
-// find a task somewhere. The invariant "queued tasks >= outstanding acquired
-// credits" holds because every push adds exactly one task and one credit, and
-// every acquired credit removes exactly one task. pushBatch amortises the
-// synchronisation: one queue pass and one semaphore release for the whole
-// batch.
+// claim wakes the slot's owner if it is parked, handing it t (when not nil)
+// from worker from, and reports whether it did. It writes the slot only when
+// the owner is parked.
+func (s *parkSlot) claim(t *Task, from int) bool {
+	if !s.parked.Load() || !s.parked.CompareAndSwap(true, false) {
+		return false
+	}
+	if t != nil {
+		s.from = from
+		s.handed.Store(t)
+	}
+	s.wake <- struct{}{}
+	return true
+}
+
+// sleepers is the pool's parking slots, one a worker.
+type sleepers []parkSlot
+
+func newSleepers(workers int) sleepers {
+	p := make(sleepers, workers)
+	for w := range p {
+		p[w].wake = make(chan struct{}, 1)
+	}
+	return p
+}
+
+// wake rouses up to n parked workers for n tasks just made visible: first
+// before any other (first < 0: none preferred), then the others in index
+// order. Waking others when first is awake keeps a task on a busy, offline
+// or exited owner's queue from waiting while the pool sleeps.
+func (p sleepers) wake(first, n int) {
+	if first >= 0 && n > 0 && p[first].claim(nil, -1) {
+		n--
+	}
+	for w := 0; w < len(p) && n > 0; w++ {
+		if w != first && p[w].claim(nil, -1) {
+			n--
+		}
+	}
+}
+
+// handOff gives ts's leading tasks, one each, to the workers parked now, in
+// index order, and returns how many it gave.
+func (p sleepers) handOff(from int, ts []*Task) int {
+	k := 0
+	for w := 0; w < len(p) && k < len(ts); w++ {
+		if p[w].claim(ts[k], from) {
+			k++
+		}
+	}
+	return k
+}
+
+// dispatcher abstracts how ready tasks reach real-engine workers. A worker
+// calls take; when it returns nil every queue was empty, and the worker
+// parks on its slot: it marks the slot, calls take once more, and then
+// either cancels the park or sleeps until a pusher wakes it. Every push
+// looks for sleepers after its tasks are visible and wakes one for each task
+// it queued, so a task never waits while a worker that could take it sleeps.
+// pushBatch amortises the synchronisation: one queue pass and one look for
+// sleepers for the whole batch.
 //
 // The Real engine implements exactly two policies, "ws" (the default) and
 // "dmda"; New rejects every other Config.Scheduler name in Real mode.
 //
 //   - stealDispatcher gives each worker a Chase-Lev deque plus one shared
 //     injector for pushes from outside the pool. A worker that completes a
-//     task pushes newly-ready dependents onto its own deque and pops them
-//     back LIFO — the locality hint: dependents run on the worker that just
-//     produced their inputs, with their data still cache-hot. Idle workers
-//     first drain the injector, then steal FIFO from victims.
+//     task hands the leading newly-ready dependents to parked workers and
+//     pushes the rest onto its own deque, popping them back LIFO — the
+//     locality hint: dependents run on the worker that just produced their
+//     inputs, with their data still cache-hot. Idle workers first drain the
+//     injector, then steal FIFO from victims.
 //   - dmdaDispatcher routes every push to the worker with the earliest
 //     model-predicted finish time (StarPU's dmda policy on the real engine),
 //     charging interconnect-modelled data-transfer time for handles that are
-//     not resident on the candidate's memory node. See the type comment.
+//     not resident on the candidate's memory node, and wakes that worker
+//     first. See the type comment.
 type dispatcher interface {
 	// push makes t runnable. from identifies the pushing worker so the task
 	// can land on its own deque; from < 0 marks pushes from outside the pool
 	// (initial seeding, requeue timers), which go to the shared injector.
 	push(from int, t *Task)
 	// pushBatch makes every task in ts runnable with one synchronisation
-	// round: tasks are enqueued first, then the batch's credits are released
-	// together (dmda releases a wide batch in pieces of dmdaShare tasks a
-	// worker, each after its tasks are enqueued). The callee may reorder ts
+	// round: tasks are enqueued first, then sleepers are woken for them
+	// (dmda publishes a wide batch in pieces of dmdaShare tasks a worker,
+	// each waking after its tasks are enqueued). The callee may reorder ts
 	// but does not retain it — callers may reuse it.
 	pushBatch(from int, ts []*Task)
-	// credits is the semaphore a worker obtains a task credit from before
-	// it calls take: after a true take, or a true wait that follows a false
-	// one, take is guaranteed to find a task.
-	credits() *creditSem
-	// take returns a task for worker w after a credit was acquired. It
-	// returns nil with victim -1 when abort closes mid-sweep, and nil with
-	// victim takeRetry when the dispatcher handed the worker's credit back
-	// (every available task is better left where it is) — the caller must
-	// loop to acquire. Otherwise the second result is the victim worker
-	// the task was stolen from, or -1 when it came from the worker's own
+	// slot is worker w's parking slot.
+	slot(w int) *parkSlot
+	// take returns a task for worker w, or nil when every queue is empty or
+	// abort closed. The second result is the victim worker the task was
+	// stolen (or handed over) from, or -1 when it came from the worker's own
 	// queue or the shared pool — steal provenance for traces.
 	take(w int, abort <-chan struct{}) (*Task, int)
 	// stolen reports how many tasks worker w has obtained by stealing.
@@ -134,27 +169,22 @@ type dispatcher interface {
 	setOffline(w int, offline bool)
 }
 
-// takeRetry is the sentinel victim index a dispatcher's take returns (with a
-// nil task) after handing the worker's credit back to the semaphore: the
-// worker must loop through acquire rather than treat the nil as an abort.
-const takeRetry = -2
-
 // stealDispatcher: per-worker Chase-Lev deques, a shared injector, and
 // per-worker steal counters (owner-written, merged after shutdown).
 type stealDispatcher struct {
 	deques []*wsDeque
 	steals []int64
+	sleep  sleepers
 
 	injMu sync.Mutex
 	inj   []*Task
-	sem   *creditSem
 }
 
 func newStealDispatcher(workers, tasks int) *stealDispatcher {
 	d := &stealDispatcher{
 		deques: make([]*wsDeque, workers),
 		steals: make([]int64, workers),
-		sem:    newCreditSem(workers + tasks),
+		sleep:  newSleepers(workers),
 	}
 	for w := range d.deques {
 		d.deques[w] = newWSDeque(tasks)
@@ -162,18 +192,22 @@ func newStealDispatcher(workers, tasks int) *stealDispatcher {
 	return d
 }
 
+// push is the batch of one.
 func (d *stealDispatcher) push(from int, t *Task) {
-	if from >= 0 {
-		d.deques[from].push(t)
-	} else {
-		d.injMu.Lock()
-		d.inj = append(d.inj, t)
-		d.injMu.Unlock()
-	}
-	d.sem.release(1)
+	one := [1]*Task{t}
+	d.pushBatch(from, one[:])
 }
 
+// pushBatch hands the batch's leading tasks to parked workers, one each, in
+// worker-index order, before the pusher runs any of them: on a deep chain
+// the dependent moves to a worker that was idle rather than queue behind the
+// releaser. The rest go onto the pusher's deque (or the injector), and
+// sleepers that parked meanwhile are woken for them.
 func (d *stealDispatcher) pushBatch(from int, ts []*Task) {
+	ts = ts[d.sleep.handOff(from, ts):]
+	if len(ts) == 0 {
+		return
+	}
 	if from >= 0 {
 		d.deques[from].pushAll(ts)
 	} else {
@@ -181,10 +215,10 @@ func (d *stealDispatcher) pushBatch(from int, ts []*Task) {
 		d.inj = append(d.inj, ts...)
 		d.injMu.Unlock()
 	}
-	d.sem.release(len(ts))
+	d.sleep.wake(-1, len(ts))
 }
 
-func (d *stealDispatcher) credits() *creditSem { return d.sem }
+func (d *stealDispatcher) slot(w int) *parkSlot { return &d.sleep[w] }
 
 // popInjector removes the oldest injected task.
 func (d *stealDispatcher) popInjector() *Task {
@@ -198,34 +232,34 @@ func (d *stealDispatcher) popInjector() *Task {
 	return t
 }
 
-func (d *stealDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
-	for {
-		if t := d.deques[w].pop(); t != nil {
-			return t, -1
+// take serves worker w: a task handed over as it was woken, its own deque,
+// the injector, then a steal sweep. A hand-off counts as a steal from the
+// worker that released it.
+func (d *stealDispatcher) take(w int, _ <-chan struct{}) (*Task, int) {
+	if s := &d.sleep[w]; s.handed.Load() != nil {
+		t := s.handed.Swap(nil)
+		if s.from >= 0 {
+			d.steals[w]++
 		}
-		if t := d.popInjector(); t != nil {
-			return t, -1
-		}
-		// Steal sweep, starting at the next worker so victims differ across
-		// thieves. Blacklisted workers' deques stay stealable, so a dying
-		// worker never strands its queued tasks.
-		for i := 1; i < len(d.deques); i++ {
-			victim := (w + i) % len(d.deques)
-			if t := d.deques[victim].steal(); t != nil {
-				d.steals[w]++
-				return t, victim
-			}
-		}
-		// The credit guarantees a task exists; we only get here on transient
-		// races (a concurrent pop/steal between our scans). Yield and rescan
-		// unless the run is aborting.
-		select {
-		case <-abort:
-			return nil, -1
-		default:
-		}
-		runtime.Gosched()
+		return t, s.from
 	}
+	if t := d.deques[w].pop(); t != nil {
+		return t, -1
+	}
+	if t := d.popInjector(); t != nil {
+		return t, -1
+	}
+	// Steal sweep, starting at the next worker so victims differ across
+	// thieves. Blacklisted workers' deques stay stealable, so a dying
+	// worker never strands its queued tasks.
+	for i := 1; i < len(d.deques); i++ {
+		victim := (w + i) % len(d.deques)
+		if t := d.deques[victim].steal(); t != nil {
+			d.steals[w]++
+			return t, victim
+		}
+	}
+	return nil, -1
 }
 
 func (d *stealDispatcher) stolen(w int) int { return int(d.steals[w]) }
@@ -325,7 +359,7 @@ type dmdaWorker struct {
 // its transfer charge) rather than idle time.
 type dmdaDispatcher struct {
 	workers []dmdaWorker
-	sem     *creditSem
+	sleep   sleepers
 	rr      atomic.Uint64 // start cursor for placement.Pick: varies tie-breaks across pushes
 
 	// batches is the pushers' scratch: one per worker, for the dependents
@@ -370,7 +404,7 @@ type dmdaDispatcher struct {
 func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, tasks []*Task, handles []*Handle, models *perfmodel.Store) *dmdaDispatcher {
 	d := &dmdaDispatcher{
 		workers:     make([]dmdaWorker, len(archs)),
-		sem:         newCreditSem(len(archs) + len(tasks)),
+		sleep:       newSleepers(len(archs)),
 		links:       links,
 		prefetches:  rtm.prefetches,
 		xferSeconds: rtm.schedTransfer,
@@ -531,7 +565,7 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 // publishes them. A tiled factorization's batches (a panel's dependents)
 // stay under it at the tile counts the benchmark runs, so each worker's
 // share lands with one publish. A wider batch (dispatch-fork's 19 999
-// dependents) publishes every dmdaShare tasks a worker, credits included:
+// dependents) publishes every dmdaShare tasks a worker, waking sleepers:
 // holding a share the size of the batch needs a scratch a fresh dispatcher
 // grows again every run, and the other workers would wait for all of it.
 const dmdaShare = 64
@@ -545,7 +579,6 @@ type dmdaBatch struct {
 	preds     []predMemo // by distinct-arch slot
 	decisions [placement.Cold + 1]int
 	xfer      int64 // modelled transfer nanoseconds charged by the batch
-	released  int   // credits already released with full shares
 	// xferByNode is, while a data-aware batch prices a task, the task's
 	// transfer time to each memory node; all zero otherwise.
 	xferByNode [maxNodes]int64
@@ -604,7 +637,6 @@ func (d *dmdaDispatcher) snapshot(b *dmdaBatch, n int) uint64 {
 	clear(b.preds)
 	b.decisions = [placement.Cold + 1]int{}
 	b.xfer = 0
-	b.released = 0
 	return d.rr.Add(uint64(n)) - uint64(n)
 }
 
@@ -684,9 +716,8 @@ func (d *dmdaDispatcher) prefetch(t *Task, node int) {
 
 // place routes one task of a batch: score, charge, prefetch. The charge
 // goes to the batch's backlog and the task to its worker's share, which
-// publish makes visible. A full share is published at once with its
-// credits, so idle workers start on it while the rest of the batch is
-// priced.
+// publish makes visible. A full share is published at once, so idle
+// workers start on it while the rest of the batch is priced.
 func (d *dmdaDispatcher) place(b *dmdaBatch, t *Task, cursor uint64) {
 	w, c := d.choose(b, t, cursor)
 	bw := &b.workers[w]
@@ -702,13 +733,12 @@ func (d *dmdaDispatcher) place(b *dmdaBatch, t *Task, cursor uint64) {
 	bw.placed = append(bw.placed, t)
 	if len(bw.placed) == dmdaShare {
 		d.publish(w, bw)
-		d.sem.release(dmdaShare)
-		b.released += dmdaShare
 	}
 }
 
 // publish hands worker w the share of the batch it holds: one add to its
-// outstanding and one pushAll under one pushMu hold.
+// outstanding and one pushAll under one pushMu hold. Then it wakes w if it
+// sleeps, and other sleepers up to one a task.
 func (d *dmdaDispatcher) publish(w int, bw *batchWorker) {
 	wk := &d.workers[w]
 	if charged := bw.backlog - bw.published; charged != 0 {
@@ -718,12 +748,12 @@ func (d *dmdaDispatcher) publish(w int, bw *batchWorker) {
 	wk.pushMu.Lock()
 	wk.q.pushAll(bw.placed)
 	wk.pushMu.Unlock()
+	d.sleep.wake(w, len(bw.placed))
 	bw.placed = bw.placed[:0]
 }
 
 // finish publishes every share the batch still holds, then adds its
-// decision and transfer counts, once each. Their credits are left to the
-// caller.
+// decision and transfer counts, once each.
 func (d *dmdaDispatcher) finish(b *dmdaBatch) {
 	for w := range b.workers {
 		if bw := &b.workers[w]; len(bw.placed) > 0 {
@@ -779,16 +809,15 @@ func (d *dmdaDispatcher) pushBatch(from int, ts []*Task) {
 		d.place(b, t, cursor+uint64(i))
 	}
 	d.finish(b)
-	d.sem.release(len(ts) - b.released)
 }
 
-func (d *dmdaDispatcher) credits() *creditSem { return d.sem }
+func (d *dmdaDispatcher) slot(w int) *parkSlot { return &d.sleep[w] }
 
-// dmdaStealBackoff is how long a thief sleeps after handing its credit back
-// at the end of a sweep in which every stealable task was declined as
-// EFT-unfavorable: the work is better left where the model placed it, and
-// the sleep gives the rightful owner — just woken by the returned credit —
-// the CPU to go collect it instead of racing the thief for the credit.
+// dmdaStealBackoff is how long a thief sleeps after a sweep in which every
+// stealable task was declined as EFT-unfavorable before it sweeps again: the
+// work is better left where the model placed it, and the sleep gives the
+// rightful owner — woken first by the publish that placed the task there —
+// the CPU to go collect it instead of racing the thief for it.
 //
 // How long the sleep lasts depends on the rest of the process. The Go
 // runtime fires a timer at a scheduling point of a running goroutine, so
@@ -820,9 +849,12 @@ const dmdaStealForceAfter = 10 * time.Millisecond
 // when it would finish the task sooner than the victim clears its whole
 // backlog. Otherwise — the classic failure being a slow architecture
 // picking at a fast worker's queue and dragging a near-critical task onto a
-// unit ten times worse at it — the task goes back and the thief reports a
-// decline instead. The second result distinguishes "declined" (work exists
-// but is better off where it is) from "queue empty".
+// unit ten times worse at it — the task goes back, the victim is woken in
+// case it parked while the task was out of its queue, and the thief reports
+// a decline instead. A task placed with no charge (nothing was known when
+// it was placed: a cold run's seeds) has no placement to defend and is never
+// declined. The second result distinguishes "declined" (work exists but is
+// better off where it is) from "queue empty".
 func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) {
 	vk := &d.workers[victim]
 	tk := &d.workers[thief]
@@ -842,12 +874,13 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 		s = pe.estimate(tk.archIdx, t.Flops)
 	}
 	c := candidate(s, d.transferToNode(t, tk.node), observed(own, pool))
-	if !force && !placement.StealPays(c, tk.outstanding.Load(), vk.outstanding.Load()) {
+	if !force && d.est[t.id] != 0 && !placement.StealPays(c, tk.outstanding.Load(), vk.outstanding.Load()) {
 		// The victim finishes its backlog (which ends with t — pop takes
 		// the newest placement) before the thief could finish t alone:
 		// put it back where the model wanted it.
 		vk.q.push(t)
 		vk.pushMu.Unlock()
+		d.sleep[victim].claim(nil, -1)
 		return nil, true
 	}
 	vk.pushMu.Unlock()
@@ -858,58 +891,61 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 	return t, false
 }
 
-// take serves worker w's acquired credit: own queue first (oldest placement
-// first), then a steal sweep over the other workers. When every available
-// task is declined as EFT-unfavorable, the credit does not belong to this
-// worker — the task it stands for sits on a queue whose owner may be parked
-// WITHOUT a credit (the global semaphore does not route credits to the
-// worker the placement chose). The thief hands the credit back with
-// release(1), which wakes the parked owner, naps briefly so the owner runs
-// first, and returns takeRetry so the engine loops through acquire again.
+// take serves worker w: own queue first (oldest placement first), then a
+// steal sweep over the other workers. When every available task is declined
+// as EFT-unfavorable the thief naps dmdaStealBackoff — the owner the
+// placement chose was woken by its publish and runs first — and sweeps
+// again, so take returns nil only once every queue is empty, or on abort.
 func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
-	wk := &d.workers[w]
 	for {
-		// Own queue first, oldest placement first (lock-free top end).
-		if t := wk.q.steal(); t != nil {
-			wk.stallDone = -1
-			return t, -1
-		}
-		force := wk.stallDone >= 0 && wk.stallDone == d.pool().Count &&
-			time.Since(wk.stallSince) > dmdaStealForceAfter
-		declined := false
-		for i := 1; i < len(d.workers); i++ {
-			victim := (w + i) % len(d.workers)
-			t, unfav := d.stealFrom(w, victim, force)
-			if t != nil {
-				wk.steals.Add(1)
-				if force {
-					rtm.forcedSteals.Inc()
-				}
-				wk.stallDone = -1
-				return t, victim
-			}
-			declined = declined || unfav
+		t, victim, declined := d.sweep(w)
+		if t != nil || !declined {
+			return t, victim
 		}
 		select {
 		case <-abort:
 			return nil, -1
 		default:
 		}
-		if !declined {
-			// Every queue was empty: the credit's task is mid-flight through
-			// another worker's decline-and-put-back window. Spin, it is
-			// about to reappear.
-			wk.stallDone = -1
-			runtime.Gosched()
-			continue
-		}
-		if done := d.pool().Count; done != wk.stallDone {
-			wk.stallDone, wk.stallSince = done, time.Now()
-		}
-		d.sem.release(1)
 		time.Sleep(dmdaStealBackoff)
-		return nil, takeRetry
 	}
+}
+
+// sweep is one pass of take. Its third result reports a pass that found
+// tasks and declined them all; such passes arm the stall valve, and once the
+// pool has completed nothing for dmdaStealForceAfter the next pass steals
+// unconditionally.
+func (d *dmdaDispatcher) sweep(w int) (*Task, int, bool) {
+	wk := &d.workers[w]
+	// Own queue first, oldest placement first (lock-free top end).
+	if t := wk.q.steal(); t != nil {
+		wk.stallDone = -1
+		return t, -1, false
+	}
+	force := wk.stallDone >= 0 && wk.stallDone == d.pool().Count &&
+		time.Since(wk.stallSince) > dmdaStealForceAfter
+	declined := false
+	for i := 1; i < len(d.workers); i++ {
+		victim := (w + i) % len(d.workers)
+		t, unfav := d.stealFrom(w, victim, force)
+		if t != nil {
+			wk.steals.Add(1)
+			if force {
+				rtm.forcedSteals.Inc()
+			}
+			wk.stallDone = -1
+			return t, victim, false
+		}
+		declined = declined || unfav
+	}
+	if !declined {
+		wk.stallDone = -1
+		return nil, -1, false
+	}
+	if done := d.pool().Count; done != wk.stallDone {
+		wk.stallDone, wk.stallSince = done, time.Now()
+	}
+	return nil, -1, true
 }
 
 func (d *dmdaDispatcher) stolen(w int) int { return int(d.workers[w].steals.Load()) }

@@ -8,8 +8,9 @@ package taskrt
 // replace a payload that is not dense, so the caller serialises Real and
 // cluster runs of one Graph and restores the payloads between them.
 type Graph struct {
-	tasks   []*Task   // by Task.ID()
-	handles []*Handle // by Handle.ID()
+	tasks    []*Task    // by Task.ID()
+	handles  []*Handle  // by Handle.ID()
+	codelets []*Codelet // the tasks' distinct codelets, by first submission
 
 	// The edges, in compressed sparse rows: task i waits on the ids
 	// deps[depOff[i]:depOff[i+1]] (depOff holds one entry more than there are

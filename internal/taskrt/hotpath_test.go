@@ -242,7 +242,6 @@ func BenchmarkDmdaPushBatch(b *testing.B) {
 					wk.q.top.Store(wk.q.bottom.Load())
 					wk.outstanding.Store(0)
 				}
-				d.sem.credits.Store(0)
 				b.StartTimer()
 				d.pushBatch(0, batch)
 			}

@@ -84,13 +84,13 @@ type realRun struct {
 // own — the reused TaskContext, the statistics, the resolved count, the ready
 // buffer, the trace shard — padded off the other workers' cache lines; the run
 // reads the statistics only after every worker has exited. Shared with the
-// pool a task writes only the credit semaphore (one add per take, one per
-// released batch), one dependency counter per dependent, and the indices of
-// the deque it came from. Under dmda, placing a released dependent also
-// writes the target worker's outstanding charge and the decision counter and
-// takes the target's pushMu to enqueue; finishing writes the worker's own
-// observed totals, whose pool-wide sum only a cold estimate and the stall
-// valve read.
+// pool a task writes only one dependency counter per dependent and the
+// indices of the deque it came from; releasing a batch reads the parking
+// flags and writes a slot only to wake a sleeper. Under dmda, placing a
+// released dependent also writes the target worker's outstanding charge and
+// the decision counter and takes the target's pushMu to enqueue; finishing
+// writes the worker's own observed totals, whose pool-wide sum only a cold
+// estimate and the stall valve read.
 type realWorker struct {
 	r       *realRun
 	id      int
@@ -346,22 +346,23 @@ func (w *realWorker) loop() {
 		defer w.sh.Flush()
 	}
 	defer w.flush()
-	sem := r.disp.credits()
+	slot := r.disp.slot(w.id)
 	for {
-		// Once no task is left every live worker parks, flushing first, so
-		// the last flush ends the run right after the last task resolved.
-		if !sem.take() {
-			w.flush()
-			if !sem.wait(r.done, r.aborted) {
-				return
-			}
-		}
 		t, victim := r.disp.take(w.id, r.aborted)
 		if t == nil {
-			if victim == takeRetry {
-				continue // credit handed back; re-acquire
+			// Every queue is empty: park, flushing first, so once no task is
+			// left the last flush ends the run right after the last task
+			// resolved. The look after the mark finds any task whose pusher
+			// missed it.
+			w.flush()
+			slot.park()
+			if t, victim = r.disp.take(w.id, r.aborted); t != nil {
+				slot.cancel()
+			} else if slot.sleep(r.done, r.aborted) {
+				continue
+			} else {
+				return
 			}
-			return // aborted mid-sweep
 		}
 		attempt := int(r.attempts[t.id].Load())
 		if victim >= 0 && w.sh != nil {
@@ -572,18 +573,19 @@ func (w *realWorker) rec(kind trace.Kind, t *Task, attempt int, s, e time.Durati
 	w.sh.Record(ev)
 }
 
-// checkRealImpls checks that every task has a runnable implementation for
-// every worker architecture: work-stealing dispatch routes blindly and dmda's
-// steal path ignores architecture, so any worker may end up with any task.
+// checkRealImpls checks that every codelet of the graph has a runnable
+// implementation for every worker architecture: work-stealing dispatch
+// routes blindly and dmda's steal path ignores architecture, so any worker
+// may end up with any task. It reads the graph's codelet list, not its tasks.
 func checkRealImpls(g *Graph, archs []string) error {
 	// A master's workers are adjacent, so this leaves each arch once unless
 	// masters of one arch are apart, which only repeats a check.
 	distinct := slices.Compact(slices.Clone(archs))
-	for _, t := range g.tasks {
+	for _, c := range g.codelets {
 		for _, a := range distinct {
-			im := t.Codelet.ImplFor(a)
+			im := c.ImplFor(a)
 			if im == nil || im.Func == nil {
-				return fmt.Errorf("taskrt: codelet %q has no real implementation for worker arch %q", t.Codelet.Name, a)
+				return fmt.Errorf("taskrt: codelet %q has no real implementation for worker arch %q", c.Name, a)
 			}
 		}
 	}

@@ -31,33 +31,36 @@ func buildSkewedDmda(t *testing.T) (*dmdaDispatcher, *Task) {
 	return d, task
 }
 
-// A slow worker that wins the credit for a task placed on the fast worker
-// must NOT steal it: the steal is EFT-unfavorable (the fast worker clears
-// its backlog, ending with that task, far sooner). The thief hands the
-// credit back — so a subsequent acquire still succeeds — and the rightful
-// owner collects the task. This is the regression test for the
+// A slow worker that sweeps a task placed on the fast worker must NOT steal
+// it: the steal is EFT-unfavorable (the fast worker clears its backlog,
+// ending with that task, far sooner). The sweep declines, puts the task back
+// and wakes the owner if it parked while the task was out of its queue; the
+// rightful owner collects the task. This is the regression test for the
 // placement-undone-by-blind-stealing bug the tiled-factorization experiment
 // exposed (DESIGN.md §12).
 func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 	d, task := buildSkewedDmda(t)
 	d.push(-1, task)
-	abort := make(chan struct{})
-	if !d.sem.take() {
-		t.Fatal("acquire after push must succeed")
+	if d.depth(0) != 1 {
+		t.Fatal("push must queue the task on the fast worker")
 	}
-	// The slow worker sweeps: it must decline and return the retry sentinel.
-	got, victim := d.take(1, abort)
-	if got != nil || victim != takeRetry {
-		t.Fatalf("slow worker take = (%v, %d), want declined (nil, takeRetry)", got, victim)
+	// The owner parks; the slow worker sweeps and must decline.
+	d.slot(0).park()
+	got, victim, declined := d.sweep(1)
+	if got != nil || victim != -1 || !declined {
+		t.Fatalf("slow worker sweep = (%v, %d, %v), want a decline (nil, -1, true)", got, victim, declined)
 	}
 	if d.stolen(1) != 0 {
 		t.Fatalf("declined sweep counted as a steal")
 	}
-	// The hand-back restored the credit: the owner can acquire and collect.
-	if !d.sem.take() {
-		t.Fatal("acquire after credit hand-back must succeed")
+	if d.slot(0).parked.Load() || len(d.slot(0).wake) != 1 {
+		t.Fatal("the decline's put-back did not wake the parked owner")
 	}
-	got, victim = d.take(0, abort)
+	<-d.slot(0).wake
+	if d.depth(0) != 1 {
+		t.Fatal("the declined task is not back on the owner's queue")
+	}
+	got, victim = d.take(0, make(chan struct{}))
 	if got != task || victim != -1 {
 		t.Fatalf("owner take = (%v, %d), want the placed task from its own queue", got, victim)
 	}
@@ -66,32 +69,22 @@ func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 // The liveness valve: when declines persist with zero pool-wide completion
 // progress for dmdaStealForceAfter (the victim is hung, offline, or the
 // model is badly wrong), the thief must eventually steal anyway rather than
-// spin forever — fault-injected hangs rely on queue rescue.
+// sweep forever — fault-injected hangs rely on queue rescue.
 func TestDmdaStealForcedAfterPoolStall(t *testing.T) {
 	d, task := buildSkewedDmda(t)
 	d.push(-1, task)
 	abort := make(chan struct{})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if !d.sem.take() {
-			t.Fatal("acquire must succeed while the task is queued")
-		}
-		got, victim := d.take(1, abort)
-		if got != nil {
-			if victim != 0 {
-				t.Fatalf("forced steal reported victim %d, want 0", victim)
-			}
-			if d.stolen(1) != 1 {
-				t.Fatalf("forced steal not counted")
-			}
-			return
-		}
-		if victim != takeRetry {
-			t.Fatalf("take = (nil, %d), want takeRetry while declining", victim)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("force valve never fired: hung victim's queue was never rescued")
-		}
+	tm := time.AfterFunc(5*time.Second, func() { close(abort) })
+	defer tm.Stop()
+	got, victim := d.take(1, abort)
+	if got == nil {
+		t.Fatal("force valve never fired: hung victim's queue was never rescued")
+	}
+	if got != task || victim != 0 {
+		t.Fatalf("forced steal = (%v, %d), want the task from victim 0", got, victim)
+	}
+	if d.stolen(1) != 1 {
+		t.Fatalf("forced steal not counted")
 	}
 }
 

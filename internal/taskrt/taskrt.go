@@ -280,6 +280,11 @@ func (rt *Runtime) Submit(t *Task) error {
 	}
 	g.tasks = append(g.tasks, t)
 	g.depOff = append(g.depOff, len(g.deps))
+	// A graph has a handful of codelets, and its tasks of one are mostly
+	// submitted together.
+	if n := len(g.codelets); n == 0 || g.codelets[n-1] != t.Codelet && !slices.Contains(g.codelets, t.Codelet) {
+		g.codelets = append(g.codelets, t.Codelet)
+	}
 	return nil
 }
 
@@ -333,6 +338,7 @@ func (rt *Runtime) Graph() *Graph {
 	}
 	sealed := *g
 	sealed.tasks, sealed.handles = slices.Clip(g.tasks), slices.Clip(g.handles)
+	sealed.codelets = slices.Clip(g.codelets)
 	sealed.deps, sealed.depOff = slices.Clip(g.deps), slices.Clip(g.depOff)
 	return &sealed
 }

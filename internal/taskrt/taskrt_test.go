@@ -405,6 +405,57 @@ func lastTaskOn(t *testing.T, sched string, workers, n, last int) {
 	}
 }
 
+// TestRealColdDmdaStealsFromHeldWorker holds a cold dmda run's first task on
+// its worker until every other task has run. Nothing was known when the seeds
+// were placed, so each carries no charge and the idle worker must steal the
+// held worker's queue at once: a thief that held such tasks to the EFT check
+// declined every one (a zero backlog is never beaten) and waited out the
+// stall valve for each, 99 forced steals and ≈ 1 s.
+func TestRealColdDmdaStealsFromHeldWorker(t *testing.T) {
+	const n = 200
+	var (
+		held atomic.Bool
+		ran  atomic.Int64
+	)
+	cl, err := NewCodelet("held", Impl{Arch: "x86", Func: func(*TaskContext) error {
+		if held.CompareAndSwap(false, true) {
+			for ran.Load() < n-1 {
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+		ran.Add(1)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Real, Scheduler: "dmda", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := rtm.forcedSteals.Value()
+	start := time.Now()
+	rep, err := rt.Run()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced := rtm.forcedSteals.Value() - before; forced != 0 {
+		t.Errorf("%v forced steals, want 0: the thief declined tasks placed with no charge", forced)
+	}
+	if rep.Steals == 0 {
+		t.Error("no steal: the idle worker never took the held worker's queue")
+	}
+	if elapsed >= 100*time.Millisecond {
+		t.Errorf("run took %v, want < 100ms", elapsed)
+	}
+}
+
 func TestRealExecutionKernelError(t *testing.T) {
 	rt, err := New(Config{Platform: cpuPlatform(t, 2)})
 	if err != nil {
@@ -436,6 +487,34 @@ func TestRealExecutionMissingImpl(t *testing.T) {
 	_ = rt.Submit(&Task{Codelet: gpuOnly})
 	if _, err := rt.Run(); err == nil || !strings.Contains(err.Error(), "no real implementation") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRealExecutionMissingImplMixedCodelets checks each distinct codelet of
+// a mixed graph against every worker arch: the one that lacks an arch fails
+// the run with the message that names both, wherever its tasks sit.
+func TestRealExecutionMissingImplMixedCodelets(t *testing.T) {
+	rt, err := New(Config{Platform: heteroPlatform(t, 1), Mode: Real})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func(*TaskContext) error { return nil }
+	both, err := NewCodelet("both", Impl{Arch: "x86", Func: nop}, Impl{Arch: "x86slow", Func: nop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastOnly, err := NewCodelet("fast-only", Impl{Arch: "x86", Func: nop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range []*Codelet{both, both, fastOnly, both, fastOnly} {
+		if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := `taskrt: codelet "fast-only" has no real implementation for worker arch "x86slow"`
+	if _, err := rt.Run(); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
 	}
 }
 

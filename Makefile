@@ -32,6 +32,11 @@ vet:
 # worker parks on its own slot and a push wakes the sleepers it needs: a global
 # credit count beside the slots (creditSem, a credits() method) may not come
 # back as a second wake path.
+# A run's tables sized by the task count hold no pointers, so the collector
+# neither scans them nor puts a write barrier on their stores: a deque slot is
+# a task id (no atomic.Pointer[Task] in deque.go), dmda's estimate table holds
+# codelet indices (no []*predEntry a task), and the seed list grows with its
+# seeds (no []*Task with the capacity of the task table) — outside tests.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
@@ -41,6 +46,8 @@ lint-engine-state:
 	@! grep -nE '^\s+[a-zA-Z]+ := func\(' internal/taskrt/realengine.go
 	@test "$$(grep -c 'pending\.Add' internal/taskrt/realengine.go)" -eq 1
 	@! grep -nE 'creditSem|credits\(\)' internal/taskrt/*.go
+	@! grep -n 'atomic.Pointer\[Task\]' internal/taskrt/deque.go
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]\*Task, 0, len\([A-Za-z.]*tasks\)\)|make\(\[\]\*predEntry, len\(' internal/taskrt
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of
@@ -261,8 +268,8 @@ bench-sim:
 
 # bench-taskrt times the dispatch-fork job on the real engine — SubmitBatch
 # and Run of one no-op root and 19 999 no-op dependents on two workers — under
-# ws and dmda, µs and allocations per task each; and the layer under dmda's
-# share of it, one 20 000-task pushBatch on two workers, cold and warm
+# ws and dmda, µs, allocations and bytes per task each; and the layer under
+# dmda's share of it, one 20 000-task pushBatch on two workers, cold and warm
 # models, ns per placed task.
 bench-taskrt:
 	$(GO) test -run '^$$' -bench 'BenchmarkDispatchFork|BenchmarkDmdaPushBatch' -count 5 ./internal/taskrt

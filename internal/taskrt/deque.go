@@ -14,27 +14,34 @@ import "sync/atomic"
 // (and its subtle buffer-swap memory ordering) of the original algorithm is
 // unnecessary. Go's atomics are sequentially consistent, which is stronger
 // than the fences the published algorithm requires.
+//
+// A slot holds a task id, not a pointer, and the deque resolves it through
+// the graph's task table, which the run keeps live anyway. A buffer sized for
+// the whole graph is then half as large and holds no pointers: the collector
+// never scans it, and a push stores into it without a write barrier.
 type wsDeque struct {
 	bottom atomic.Int64 // next push slot; written by the owner only
 	top    atomic.Int64 // next steal slot; CAS-advanced by anyone
 	mask   int64
-	buf    []atomic.Pointer[Task]
+	buf    []atomic.Int32 // task ids
+	tasks  []*Task        // the graph's task table, by id; read only
 }
 
-// newWSDeque returns a deque that can hold at least capacity tasks. One
-// spare slot guards the wrap-around aliasing case (bottom-top == bufsize).
-func newWSDeque(capacity int) *wsDeque {
+// newWSDeque returns a deque that can hold every task of tasks, which it
+// resolves ids through. One spare slot guards the wrap-around aliasing case
+// (bottom-top == bufsize).
+func newWSDeque(tasks []*Task) *wsDeque {
 	n := int64(1)
-	for n < int64(capacity)+1 {
+	for n < int64(len(tasks))+1 {
 		n <<= 1
 	}
-	return &wsDeque{mask: n - 1, buf: make([]atomic.Pointer[Task], n)}
+	return &wsDeque{mask: n - 1, buf: make([]atomic.Int32, n), tasks: tasks}
 }
 
 // push appends t at the bottom. Owner only.
 func (d *wsDeque) push(t *Task) {
 	b := d.bottom.Load()
-	d.buf[b&d.mask].Store(t)
+	d.buf[b&d.mask].Store(int32(t.id))
 	d.bottom.Store(b + 1)
 }
 
@@ -44,7 +51,7 @@ func (d *wsDeque) push(t *Task) {
 func (d *wsDeque) pushAll(ts []*Task) {
 	b := d.bottom.Load()
 	for i, t := range ts {
-		d.buf[(b+int64(i))&d.mask].Store(t)
+		d.buf[(b+int64(i))&d.mask].Store(int32(t.id))
 	}
 	d.bottom.Store(b + int64(len(ts)))
 }
@@ -60,15 +67,16 @@ func (d *wsDeque) pop() *Task {
 		d.bottom.Store(b + 1)
 		return nil
 	}
-	task := d.buf[b&d.mask].Load()
+	id := d.buf[b&d.mask].Load()
 	if t == b {
 		// Last element: race thieves for it via the top index.
-		if !d.top.CompareAndSwap(t, t+1) {
-			task = nil // a thief got there first
-		}
+		won := d.top.CompareAndSwap(t, t+1)
 		d.bottom.Store(b + 1)
+		if !won {
+			return nil // a thief got there first
+		}
 	}
-	return task
+	return d.tasks[id]
 }
 
 // size approximates the queued-task count from a racy snapshot of the two
@@ -81,6 +89,10 @@ func (d *wsDeque) size() int {
 	return 0
 }
 
+// empty reports whether the deque reads empty, the test steal makes before
+// it touches a slot. Racy: a task pushed after the read is missed.
+func (d *wsDeque) empty() bool { return d.top.Load() >= d.bottom.Load() }
+
 // steal removes the oldest task, or returns nil when the deque is empty or
 // another thief (or the owner, on the last element) won the race. Safe from
 // any goroutine.
@@ -90,9 +102,9 @@ func (d *wsDeque) steal() *Task {
 	if t >= b {
 		return nil
 	}
-	task := d.buf[t&d.mask].Load()
+	id := d.buf[t&d.mask].Load()
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil
 	}
-	return task
+	return d.tasks[id]
 }

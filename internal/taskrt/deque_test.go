@@ -6,12 +6,21 @@ import (
 	"testing"
 )
 
+// taskTable is n tasks with ids 0..n-1, the table a deque resolves ids
+// through.
+func taskTable(n int) []*Task {
+	ts := make([]*Task, n)
+	for i := range ts {
+		ts[i] = &Task{id: i}
+	}
+	return ts
+}
+
 func TestWSDequeOrdering(t *testing.T) {
-	d := newWSDeque(8)
-	tasks := make([]*Task, 5)
-	for i := range tasks {
-		tasks[i] = &Task{id: i}
-		d.push(tasks[i])
+	tasks := taskTable(5)
+	d := newWSDeque(tasks)
+	for _, task := range tasks {
+		d.push(task)
 	}
 	// Owner pops LIFO: most recent first.
 	if got := d.pop(); got != tasks[4] {
@@ -42,7 +51,8 @@ func TestWSDequeOrdering(t *testing.T) {
 func TestWSDequeExactlyOnceUnderContention(t *testing.T) {
 	const tasks = 2000
 	const thieves = 3
-	d := newWSDeque(tasks)
+	table := taskTable(tasks)
+	d := newWSDeque(table)
 	seen := make([]atomic.Int32, tasks)
 	var got atomic.Int64
 	var wg sync.WaitGroup
@@ -55,7 +65,7 @@ func TestWSDequeExactlyOnceUnderContention(t *testing.T) {
 	go func() { // owner: interleave pushes and pops
 		defer wg.Done()
 		for i := 0; i < tasks; i++ {
-			d.push(&Task{id: i})
+			d.push(table[i])
 			if i%3 == 0 {
 				if task := d.pop(); task != nil {
 					record(task)
@@ -94,8 +104,9 @@ func TestWSDequeExactlyOnceUnderContention(t *testing.T) {
 // parked on worker 0's deque taken by worker 1 must be counted as worker 1's
 // steal.
 func TestStealDispatcherCountsSteals(t *testing.T) {
-	d := newStealDispatcher(2, 4)
-	task := &Task{id: 7}
+	tasks := taskTable(8)
+	d := newStealDispatcher(2, tasks)
+	task := tasks[7]
 	d.push(0, task)
 	if d.depth(0) != 1 {
 		t.Fatal("push from worker 0 must queue the task on its deque")
@@ -128,5 +139,47 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	}
 	if d.stolen(1) != 1 {
 		t.Fatalf("injector take counted as steal: stolen(1) = %d", d.stolen(1))
+	}
+}
+
+// TestWSDequeWrapsAround runs pushAll/pop/steal cycles that carry the
+// indices past the buffer's capacity several times (steals advance both ends
+// for good; a pop gives its slot back to the next push): every slot is
+// reused, and each task — the table's largest id among them — comes out
+// once, as the task that went in.
+func TestWSDequeWrapsAround(t *testing.T) {
+	const n = 13 // a 16-slot buffer
+	table := taskTable(n)
+	d := newWSDeque(table)
+	if capacity := int(d.mask + 1); capacity != 16 {
+		t.Fatalf("capacity %d, want 16", capacity)
+	}
+	for cycle := 0; d.top.Load() < 5*int64(len(d.buf)); cycle++ {
+		// A batch of up to n tasks, the largest id always among them.
+		k := 1 + cycle%n
+		batch := append([]*Task{table[n-1]}, table[:k-1]...)
+		d.pushAll(batch)
+		if got := d.size(); got != k {
+			t.Fatalf("cycle %d: size %d after pushing %d", cycle, got, k)
+		}
+		// Drain it from both ends: steal takes the oldest, pop the newest.
+		lo, hi := 0, k-1
+		for lo <= hi {
+			var got *Task
+			var want int
+			if (lo+hi+cycle)%2 == 0 {
+				got, want = d.steal(), lo
+				lo++
+			} else {
+				got, want = d.pop(), hi
+				hi--
+			}
+			if got != batch[want] {
+				t.Fatalf("cycle %d (bottom %d): got %v, want task %d", cycle, d.bottom.Load(), got, batch[want].id)
+			}
+		}
+		if d.pop() != nil || d.steal() != nil {
+			t.Fatalf("cycle %d: drained deque returned a task", cycle)
+		}
 	}
 }

@@ -180,7 +180,8 @@ type stealDispatcher struct {
 	inj   []*Task
 }
 
-func newStealDispatcher(workers, tasks int) *stealDispatcher {
+// newStealDispatcher gives each of workers a deque over the task table tasks.
+func newStealDispatcher(workers int, tasks []*Task) *stealDispatcher {
 	d := &stealDispatcher{
 		deques: make([]*wsDeque, workers),
 		steals: make([]int64, workers),
@@ -382,12 +383,14 @@ type dmdaDispatcher struct {
 	// onPlace, when non-nil, observes every placement (trace recording).
 	onPlace func(w int, t *Task, c placement.Candidate)
 
-	// By task id: pred is the estimate cache of the task's codelet (nil when
-	// the model cannot answer for it), est what placing the task charged to a
-	// worker's backlog until finished releases it — guarded by the owning
-	// queue's hand-off, never concurrent.
-	pred []*predEntry
-	est  []int64
+	// By task id: pred indexes preds, the estimate caches of the codelets
+	// the model answers for after a nil entry 0 (read through predFor); est
+	// is what placing the task charged to a worker's backlog until finished
+	// releases it — guarded by the owning queue's hand-off, never concurrent.
+	// Neither holds a pointer, so the collector does not scan them.
+	pred  []int32
+	preds []*predEntry
+	est   []int64
 	// resident is, by handle id, the bitmask of the memory nodes (platform
 	// master indices) holding a valid copy; zero reads as node 0, host RAM,
 	// where every datum starts. A write collapses it to the writer's node; a
@@ -396,11 +399,11 @@ type dmdaDispatcher struct {
 	resident []atomic.Uint64
 }
 
-// newDmdaDispatcher builds the routing state: per-worker deques sized for
-// the whole task set, the distinct-arch table, the node-to-node link
-// matrix, the per-codelet estimate caches (every task's pred is looked up
-// here — the only map lookups on the dmda path happen now), and the tables
-// by task and by handle id.
+// newDmdaDispatcher builds the routing state: per-worker deques over the
+// task table, the distinct-arch table, the node-to-node link matrix, the
+// per-codelet estimate caches (every task's pred is looked up here — the
+// only map lookups on the dmda path happen now), and the tables by task and
+// by handle id.
 func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, tasks []*Task, handles []*Handle, models *perfmodel.Store) *dmdaDispatcher {
 	d := &dmdaDispatcher{
 		workers:     make([]dmdaWorker, len(archs)),
@@ -408,7 +411,8 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 		links:       links,
 		prefetches:  rtm.prefetches,
 		xferSeconds: rtm.schedTransfer,
-		pred:        make([]*predEntry, len(tasks)),
+		pred:        make([]int32, len(tasks)),
+		preds:       []*predEntry{nil},
 		est:         make([]int64, len(tasks)),
 		resident:    make([]atomic.Uint64, len(handles)),
 	}
@@ -440,7 +444,7 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 			distinct = append(distinct, archs[w])
 		}
 		wk.archIdx = ai
-		wk.q = newWSDeque(len(tasks))
+		wk.q = newWSDeque(tasks)
 		wk.stallDone = -1
 	}
 	d.batches = make([]dmdaBatch, len(archs)+1)
@@ -455,26 +459,32 @@ func newDmdaDispatcher(archs []string, nodes []int, links [][]placement.Link, ta
 			bw.placed, shares = shares[:0:dmdaShare], shares[dmdaShare:]
 		}
 	}
-	byCodelet := make(map[*Codelet]*predEntry)
+	byCodelet := make(map[*Codelet]int32)
 	for _, t := range tasks {
 		if t.Flops <= 0 || models == nil {
 			continue
 		}
-		pe := byCodelet[t.Codelet]
-		if pe == nil {
-			pe = &predEntry{
+		i, ok := byCodelet[t.Codelet]
+		if !ok {
+			pe := &predEntry{
 				models: make([]*perfmodel.Model, len(distinct)),
 				snaps:  make([]atomic.Pointer[predSnap], len(distinct)),
 			}
 			for ai, arch := range distinct {
 				pe.models[ai] = models.Model(t.Codelet.Name, arch)
 			}
-			byCodelet[t.Codelet] = pe
+			i = int32(len(d.preds))
+			d.preds = append(d.preds, pe)
+			byCodelet[t.Codelet] = i
 		}
-		d.pred[t.id] = pe
+		d.pred[t.id] = i
 	}
 	return d
 }
+
+// predFor is the estimate cache of t's codelet, nil when the model cannot
+// answer for t.
+func (d *dmdaDispatcher) predFor(t *Task) *predEntry { return d.preds[d.pred[t.id]] }
 
 // candidate is a worker's bid for a task: the model's estimate s (nil: the
 // task's codelet has no model) when it has an answer, else observed (see
@@ -650,7 +660,7 @@ func (d *dmdaDispatcher) choose(b *dmdaBatch, t *Task, cursor uint64) (int, plac
 			b.xferByNode[n] = d.transferToNode(t, n)
 		}
 	}
-	pe := d.pred[t.id]
+	pe := d.predFor(t)
 	bid := func(bw *batchWorker, xfer int64) placement.Candidate {
 		var s *predSnap
 		if pe != nil {
@@ -855,9 +865,17 @@ const dmdaStealForceAfter = 10 * time.Millisecond
 // it was placed: a cold run's seeds) has no placement to defend and is never
 // declined. The second result distinguishes "declined" (work exists but is
 // better off where it is) from "queue empty".
+//
+// A victim whose queue reads empty is passed over without its pushMu: a
+// sweep of idle workers then takes no lock. A task pushed after the read is
+// not lost, since its push wakes sleepers once it is visible and a worker
+// takes once more after it marks itself parked.
 func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) {
 	vk := &d.workers[victim]
 	tk := &d.workers[thief]
+	if vk.q.empty() {
+		return nil, false
+	}
 	vk.pushMu.Lock()
 	t := vk.q.pop()
 	if t == nil {
@@ -870,7 +888,7 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 		pool = d.pool() // the cold estimate
 	}
 	var s *predSnap
-	if pe := d.pred[t.id]; pe != nil {
+	if pe := d.predFor(t); pe != nil {
 		s = pe.estimate(tk.archIdx, t.Flops)
 	}
 	c := candidate(s, d.transferToNode(t, tk.node), observed(own, pool))

@@ -94,6 +94,53 @@ func TestRealRunAllocations(t *testing.T) {
 	}
 }
 
+// runBytes submits ts to a fresh two-worker runtime and returns the bytes
+// its Run allocated per task.
+func runBytes(t *testing.T, sched string, ts []*Task) float64 {
+	t.Helper()
+	rt, err := New(Config{Platform: cpuPlatform(t, 2), Mode: Real, Scheduler: sched, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SubmitBatch(ts); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ts))
+}
+
+// TestRealRunBytes bounds the bytes a run's tables take per task on a
+// 20 000-task fork. Every table sized by the task count holds no pointers
+// (the deques hold task ids, dmda's estimate table codelet indices) and the
+// seed list grows with its seeds: with a deque of *Task sized for the graph
+// and a seed list and estimate table of pointers a task, Run took 67.4 B a
+// task under ws and 84.1 under dmda.
+func TestRealRunBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are skewed by the race detector")
+	}
+	const tasks = 20000
+	cl := noopCodelet(t, "noop")
+	// Measured 46.1 (ws) and 58.7 (dmda) on go1.24/amd64; each bound fails
+	// when any one of the three tables takes its pointers back.
+	for _, c := range []struct {
+		sched   string
+		maxPerB float64
+	}{{"ws", 49}, {"dmda", 61}} {
+		runBytes(t, c.sched, forkGraph(cl, tasks)) // the process's lazy start-up is not a run's
+		perTask := runBytes(t, c.sched, forkGraph(cl, tasks))
+		t.Logf("%s fork: %.1f bytes per task", c.sched, perTask)
+		if perTask > c.maxPerB {
+			t.Errorf("%s fork: Run allocated %.1f bytes per task, want at most %.0f", c.sched, perTask, c.maxPerB)
+		}
+	}
+}
+
 // TestTaskContextPerCall checks that a reused TaskContext carries the call's
 // own task and exactly its payloads — a 0-payload call after a 3-payload one
 // sees none — and that under fault tolerance, where every attempt gets a
@@ -167,8 +214,8 @@ func TestTaskContextPerCall(t *testing.T) {
 
 // BenchmarkDispatchFork times the dispatch-fork job — SubmitBatch and Run of
 // one no-op root and 19 999 no-op dependents on two workers — under each
-// dispatcher, reporting µs and allocations per task. Building the graph and
-// the runtime is outside the timer. (A b.N loop: b.Loop restarts its clock at
+// dispatcher, reporting µs, allocations and bytes per task. Building the
+// graph and the runtime is outside the timer. (A b.N loop: b.Loop restarts its clock at
 // every StartTimer and would never end.)
 func BenchmarkDispatchFork(b *testing.B) {
 	const tasks = 20000
@@ -177,7 +224,7 @@ func BenchmarkDispatchFork(b *testing.B) {
 	for _, sched := range []string{"ws", "dmda"} {
 		b.Run(sched, func(b *testing.B) {
 			var ms runtime.MemStats
-			var mallocs uint64
+			var mallocs, bytes uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				ts := forkGraph(cl, tasks)
@@ -186,7 +233,7 @@ func BenchmarkDispatchFork(b *testing.B) {
 					b.Fatal(err)
 				}
 				runtime.ReadMemStats(&ms)
-				m0 := ms.Mallocs
+				m0, b0 := ms.Mallocs, ms.TotalAlloc
 				b.StartTimer()
 				if err := rt.SubmitBatch(ts); err != nil {
 					b.Fatal(err)
@@ -197,10 +244,12 @@ func BenchmarkDispatchFork(b *testing.B) {
 				b.StopTimer()
 				runtime.ReadMemStats(&ms)
 				mallocs += ms.Mallocs - m0
+				bytes += ms.TotalAlloc - b0
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*tasks), "µs/task")
 			b.ReportMetric(float64(mallocs)/float64(b.N*tasks), "allocs/task")
+			b.ReportMetric(float64(bytes)/float64(b.N*tasks), "B/task")
 		})
 	}
 }

@@ -104,7 +104,8 @@ func TestSleepersParkWakeStress(t *testing.T) {
 	total := batches * batchN
 	// The producers push from the pool's last indices: deques of their own
 	// that no worker owns, which workers steal from.
-	d := newStealDispatcher(workers+producers, total)
+	table := taskTable(total)
+	d := newStealDispatcher(workers+producers, table)
 	done := make(chan struct{})
 	abort := make(chan struct{})
 	runs := make([]atomic.Int32, total)
@@ -161,7 +162,7 @@ func TestSleepersParkWakeStress(t *testing.T) {
 			for b := p; b < batches; b += producers {
 				batch := make([]*Task, batchN)
 				for i := range batch {
-					batch[i] = &Task{id: b*batchN + i}
+					batch[i] = table[b*batchN+i]
 				}
 				d.pushBatch(workers+p, batch)
 			}

@@ -86,8 +86,8 @@ func TestDmdaPriorityTieBreaksTowardFasterArch(t *testing.T) {
 	}
 	task := &Task{Codelet: cl, Flops: 2e6, Priority: 1}
 	d := newDmdaDispatcher([]string{"fast", "slow"}, []int{0, 0}, [][]placement.Link{{{}}}, []*Task{task}, nil, models)
-	estFast := d.pred[task.id].estimate(d.workers[0].archIdx, task.Flops).nanos
-	estSlow := d.pred[task.id].estimate(d.workers[1].archIdx, task.Flops).nanos
+	estFast := d.predFor(task).estimate(d.workers[0].archIdx, task.Flops).nanos
+	estSlow := d.predFor(task).estimate(d.workers[1].archIdx, task.Flops).nanos
 	if estFast <= 0 || estSlow <= estFast {
 		t.Fatalf("model estimates fast=%d slow=%d, want 0 < fast < slow", estFast, estSlow)
 	}

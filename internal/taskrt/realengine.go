@@ -138,7 +138,7 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 		}
 		r.disp = newDmdaDispatcher(archs, nodes, interconnectLinks(cfg.Platform, nodeIDs), g.tasks, g.handles, r.cfg.Models)
 	} else {
-		r.disp = newStealDispatcher(len(archs), len(g.tasks))
+		r.disp = newStealDispatcher(len(archs), g.tasks)
 	}
 	for i := range r.workers {
 		id := workerUnitID(i)
@@ -163,8 +163,10 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 	if dd, ok := r.disp.(*dmdaDispatcher); ok && cfg.Trace != nil {
 		dd.onPlace = r.place
 	}
-	// Seed the dispatcher with the dependency-free tasks, as one batch.
-	seeds := make([]*Task, 0, len(g.tasks))
+	// Seed the dispatcher with the dependency-free tasks, as one batch. The
+	// list grows with the seeds (one on a fork) rather than being sized for
+	// the whole graph.
+	var seeds []*Task
 	for i, t := range g.tasks {
 		n := int32(g.depOff[i+1] - g.depOff[i])
 		r.remaining[i].Store(n)

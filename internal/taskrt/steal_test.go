@@ -66,6 +66,35 @@ func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 	}
 }
 
+// A sweep passes over a victim whose queue reads empty without taking its
+// pushMu: with the victim's lock held elsewhere (a pusher publishing to it,
+// another thief looking at it), a thief with nothing to take must still come
+// back empty-handed at once rather than queue behind the lock.
+func TestDmdaSweepSkipsEmptyVictim(t *testing.T) {
+	d, _ := buildSkewedDmda(t)
+	vk := &d.workers[0]
+	vk.pushMu.Lock()
+	defer vk.pushMu.Unlock()
+	type result struct {
+		task     *Task
+		victim   int
+		declined bool
+	}
+	res := make(chan result, 1)
+	go func() {
+		task, victim, declined := d.sweep(1)
+		res <- result{task, victim, declined}
+	}()
+	select {
+	case r := <-res:
+		if r.task != nil || r.victim != -1 || r.declined {
+			t.Fatalf("sweep over empty queues = (%v, %d, %v), want (nil, -1, false)", r.task, r.victim, r.declined)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("sweep blocked on the pushMu of a victim whose queue is empty")
+	}
+}
+
 // The liveness valve: when declines persist with zero pool-wide completion
 // progress for dmdaStealForceAfter (the victim is hung, offline, or the
 // model is badly wrong), the thief must eventually steal anyway rather than

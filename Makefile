@@ -20,7 +20,7 @@ vet:
 # engine state. The sim's ready tasks are one of those books, kept in the order
 # they are taken (readyQueue, a bitmap over each task's rank in that order): a
 # scan of them per pick may not grow back, nor a heap of them beside the
-# bitmap. The simulated machine's links are one dense table by node pair: a
+# bitmap. The simulated machine's routes are one dense table by node pair: a
 # nested map of them may not grow back into internal/simhw.
 # Both engines run the same two policies, ws and dmda: a sim-only policy name
 # or a seeded draw may not come back into the engine, its config or codegen.

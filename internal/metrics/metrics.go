@@ -104,7 +104,7 @@ func (h *Histogram) Observe(v float64) {
 // holds into h with one atomic add per non-empty bucket. A scrape sees none of
 // it before the Flush.
 func (h *Histogram) Local() *LocalHistogram {
-	return &LocalHistogram{h: h, counts: make([]uint64, len(h.counts))}
+	return &LocalHistogram{h: h, counts: make([]uint64, len(h.counts)), last: math.NaN()}
 }
 
 // LocalHistogram is a single-goroutine buffer in front of a Histogram.
@@ -113,12 +113,20 @@ type LocalHistogram struct {
 	counts []uint64
 	sum    float64
 	n      uint64
+	// last is the value observed last and bucket its bucket: a run of equal
+	// values (a simulated unit's tiles all take one kernel time) is bucketed
+	// once. NaN matches nothing.
+	last   float64
+	bucket int
 }
 
 // Observe records one observation in the buffer, bucketed as
 // Histogram.Observe buckets it.
 func (l *LocalHistogram) Observe(v float64) {
-	l.counts[sort.SearchFloat64s(l.h.bounds, v)]++
+	if v != l.last {
+		l.last, l.bucket = v, sort.SearchFloat64s(l.h.bounds, v)
+	}
+	l.counts[l.bucket]++
 	l.sum += v
 	l.n++
 }

@@ -56,9 +56,10 @@ func TestHistogramBuckets(t *testing.T) {
 
 // TestLocalHistogramFlush: observations buffered in a LocalHistogram are
 // invisible until Flush, which leaves the histogram rendering exactly what
-// Observe on it would have; a second Flush adds nothing.
+// Observe on it would have, runs of equal values included; a second Flush adds
+// nothing.
 func TestLocalHistogramFlush(t *testing.T) {
-	vs := []float64{0.5, 1, 5, 100, 10, 0.25}
+	vs := []float64{0.5, 1, 1, 5, 100, 100, 100, 10, 0.25, 0.25, 5}
 	direct, buffered := New(), New()
 	hd := direct.Histogram("h", "help", []float64{1, 10})
 	hb := buffered.Histogram("h", "help", []float64{1, 10})

@@ -90,7 +90,6 @@ type Resource struct {
 	Name  string
 	avail Time
 	busy  Time // accumulated occupied seconds
-	uses  int
 }
 
 // Acquire reserves the resource for dur seconds, starting no earlier than
@@ -104,7 +103,6 @@ func (r *Resource) Acquire(ready, dur Time) (start, end Time) {
 	end = start + dur
 	r.avail = end
 	r.busy += dur
-	r.uses++
 	return start, end
 }
 
@@ -113,15 +111,3 @@ func (r *Resource) Available() Time { return r.avail }
 
 // Busy returns the total occupied seconds.
 func (r *Resource) Busy() Time { return r.busy }
-
-// Uses returns how many acquisitions were made.
-func (r *Resource) Uses() int { return r.uses }
-
-// Utilization returns busy time as a fraction of the horizon (0 when the
-// horizon is empty).
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}

@@ -99,15 +99,6 @@ func TestResourceSerialization(t *testing.T) {
 	if r.Busy() != 15 {
 		t.Fatalf("busy = %v", r.Busy())
 	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d", r.Uses())
-	}
-	if u := r.Utilization(30); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if r.Utilization(0) != 0 {
-		t.Fatal("utilization with empty horizon should be 0")
-	}
 	if r.Available() != 22 {
 		t.Fatalf("available = %v", r.Available())
 	}

@@ -43,15 +43,37 @@ func (l *Link) TransferTime(bytes int64) float64 {
 	return l.Latency + float64(bytes)/l.Bandwidth
 }
 
+// Route is the way bytes take from one memory node to another: no hop between
+// a node and itself, the direct link, or two hops through node 0 (host RAM).
+type Route struct {
+	hops int // 0, 1 or 2; -1 when there is no route
+	hop  [2]Link
+}
+
+// OK reports whether the route exists.
+func (r *Route) OK() bool { return r.hops >= 0 }
+
+// Seconds returns the virtual seconds the route needs to move bytes: the sum
+// of its hops' Link.TransferTime. It is 0 on a route that does not exist.
+func (r *Route) Seconds(bytes int64) float64 {
+	switch r.hops {
+	case 1:
+		return r.hop[0].TransferTime(bytes)
+	case 2:
+		return r.hop[0].TransferTime(bytes) + r.hop[1].TransferTime(bytes)
+	}
+	return 0
+}
+
 // Machine is the simulated hardware: units, memory nodes and links.
 type Machine struct {
 	Name  string
 	Units []*Unit
-	// links is the direct link between every ordered pair of memory nodes,
-	// one dense table: links[from*numNodes+to], nil where there is none. A
-	// transfer is priced for every missing operand of every bid, so finding
-	// its link is one index.
-	links    []*Link
+	// routes is the way between every ordered pair of memory nodes, one dense
+	// table built with the machine: routes[from*numNodes+to]. A transfer is
+	// priced for every missing operand of every bid, so its route is one
+	// index, and the one rule that prices it is Route.Seconds.
+	routes   []Route
 	numNodes int
 }
 
@@ -102,8 +124,18 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 		return true
 	})
 
-	// Wire declared interconnects between the endpoint nodes.
-	m.links = make([]*Link, m.numNodes*m.numNodes)
+	// Wire declared interconnects between the endpoint nodes: each is the
+	// direct route of its pair.
+	n := m.numNodes
+	m.routes = make([]Route, n*n)
+	for i := range m.routes {
+		if i/n != i%n {
+			m.routes[i].hops = -1 // no route yet
+		}
+	}
+	addLink := func(from, to int, bw, lat float64) {
+		m.routes[from*n+to] = Route{hops: 1, hop: [2]Link{{From: from, To: to, Bandwidth: bw, Latency: lat}}}
+	}
 	for _, ic := range ex.Interconnects() {
 		from, okF := nodeOf[ic.From]
 		to, okT := nodeOf[ic.To]
@@ -118,21 +150,32 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 		if !ok {
 			lat = placement.BusLatency
 		}
-		m.addLink(from, to, bw, lat)
+		addLink(from, to, bw, lat)
 		if ic.Duplex {
-			m.addLink(to, from, bw, lat)
+			addLink(to, from, bw, lat)
 		}
 	}
 	// Guarantee host↔device connectivity even when the descriptor omits
 	// links (abstract patterns): default PCIe characteristics.
 	for _, u := range m.Units {
-		if u.MemNode != 0 && m.link(0, u.MemNode) == nil {
-			m.addLink(0, u.MemNode, placement.BusBandwidth, placement.BusLatency)
-			m.addLink(u.MemNode, 0, placement.BusBandwidth, placement.BusLatency)
+		if u.MemNode != 0 && !m.Route(0, u.MemNode).OK() {
+			addLink(0, u.MemNode, placement.BusBandwidth, placement.BusLatency)
+			addLink(u.MemNode, 0, placement.BusBandwidth, placement.BusLatency)
 		}
 	}
 	if len(m.Units) == 0 {
 		return nil, fmt.Errorf("simhw: platform %q has no units", pl.Name)
+	}
+	// Two devices without a direct link route through node 0 (host RAM),
+	// which mirrors real PCIe topologies where device-to-device copies are
+	// staged through the host. Every route to or from node 0 is direct.
+	for from := 1; from < n; from++ {
+		for to := 1; to < n; to++ {
+			up, down := m.Route(from, 0), m.Route(0, to)
+			if r := &m.routes[from*n+to]; from != to && !r.OK() && up.OK() && down.OK() {
+				*r = Route{hops: 2, hop: [2]Link{up.hop[0], down.hop[0]}}
+			}
+		}
 	}
 	return m, nil
 }
@@ -157,19 +200,16 @@ func unitLaunch(pu *core.PU) float64 {
 	return us * 1e-6
 }
 
-func (m *Machine) addLink(from, to int, bw, lat float64) {
-	m.links[from*m.numNodes+to] = &Link{From: from, To: to, Bandwidth: bw, Latency: lat}
-}
-
-func (m *Machine) link(from, to int) *Link { return m.links[from*m.numNodes+to] }
-
 // NumNodes returns the number of memory nodes.
 func (m *Machine) NumNodes() int { return m.numNodes }
 
+// Route returns the route from one memory node to another, both below
+// NumNodes. It points into the machine's table: do not write through it.
+func (m *Machine) Route(from, to int) *Route { return &m.routes[from*m.numNodes+to] }
+
 // TransferTime returns the virtual seconds to move bytes between two memory
-// nodes (0 when src == dst). Missing direct links route through node 0
-// (host RAM), which mirrors real PCIe topologies where device-to-device
-// copies are staged through the host.
+// nodes (0 when src == dst): the seconds of their Route, or an error when
+// either node does not exist or no route joins them.
 func (m *Machine) TransferTime(from, to int, bytes int64) (float64, error) {
 	if from == to {
 		return 0, nil
@@ -177,14 +217,11 @@ func (m *Machine) TransferTime(from, to int, bytes int64) (float64, error) {
 	if n := uint(m.numNodes); uint(from) >= n || uint(to) >= n {
 		return 0, fmt.Errorf("simhw: memory nodes %d and %d: the machine has %d", from, to, n)
 	}
-	if l := m.link(from, to); l != nil {
-		return l.TransferTime(bytes), nil
+	r := m.Route(from, to)
+	if !r.OK() {
+		return 0, fmt.Errorf("simhw: no route between memory nodes %d and %d", from, to)
 	}
-	l1, l2 := m.link(from, 0), m.link(0, to)
-	if from != 0 && to != 0 && l1 != nil && l2 != nil {
-		return l1.TransferTime(bytes) + l2.TransferTime(bytes), nil
-	}
-	return 0, fmt.Errorf("simhw: no route between memory nodes %d and %d", from, to)
+	return r.Seconds(bytes), nil
 }
 
 // KernelTime returns the virtual seconds unit u needs to execute flops
@@ -194,27 +231,6 @@ func (m *Machine) KernelTime(u *Unit, flops float64) float64 {
 		return u.LaunchS
 	}
 	return u.LaunchS + flops/(u.GFlopsDP*1e9)
-}
-
-// UnitsByArch returns the units with the given architecture tag.
-func (m *Machine) UnitsByArch(arch string) []*Unit {
-	var out []*Unit
-	for _, u := range m.Units {
-		if u.Arch == arch {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Unit returns the unit with the given id, or nil.
-func (m *Machine) Unit(id string) *Unit {
-	for _, u := range m.Units {
-		if u.ID == id {
-			return u
-		}
-	}
-	return nil
 }
 
 // String summarises the machine.

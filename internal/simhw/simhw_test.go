@@ -7,7 +7,29 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discover"
+	"repro/internal/placement"
 )
+
+// UnitsByArch returns the units with the given architecture tag.
+func (m *Machine) UnitsByArch(arch string) []*Unit {
+	var out []*Unit
+	for _, u := range m.Units {
+		if u.Arch == arch {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// Unit returns the unit with the given id, or nil.
+func (m *Machine) Unit(id string) *Unit {
+	for _, u := range m.Units {
+		if u.ID == id {
+			return u
+		}
+	}
+	return nil
+}
 
 func TestFromPlatformXeon2GPU(t *testing.T) {
 	pl := discover.MustPlatform("xeon-2gpu")
@@ -153,5 +175,122 @@ func TestCellBladeMachine(t *testing.T) {
 	}
 	if len(nodes) != 8 {
 		t.Fatalf("spe nodes = %d distinct", len(nodes))
+	}
+}
+
+// declaredLinks is the direct link between every ordered pair of m's memory
+// nodes, from*NumNodes+to, nil where there is none: each interconnect of pl
+// between two nodes (both ways when duplex), with the bus defaults for what
+// it omits, and the default bus link both ways to a device that has no link
+// from node 0. It is the table the machine once kept instead of routes.
+func declaredLinks(pl *core.Platform, m *Machine) []*Link {
+	n := m.NumNodes()
+	links := make([]*Link, n*n)
+	add := func(from, to int, bw, lat float64) {
+		links[from*n+to] = &Link{From: from, To: to, Bandwidth: bw, Latency: lat}
+	}
+	node := map[string]int{}
+	for _, u := range m.Units {
+		node[u.ID] = u.MemNode
+	}
+	for _, ic := range pl.Expand().Interconnects() {
+		from, okF := node[ic.From]
+		to, okT := node[ic.To]
+		if !okF || !okT || from == to {
+			continue
+		}
+		bw, ok := ic.BandwidthBytesPerSec()
+		if !ok {
+			bw = placement.BusBandwidth
+		}
+		lat, ok := ic.LatencySeconds()
+		if !ok {
+			lat = placement.BusLatency
+		}
+		add(from, to, bw, lat)
+		if ic.Duplex {
+			add(to, from, bw, lat)
+		}
+	}
+	for _, u := range m.Units {
+		if u.MemNode != 0 && links[u.MemNode] == nil {
+			add(0, u.MemNode, placement.BusBandwidth, placement.BusLatency)
+			add(u.MemNode, 0, placement.BusBandwidth, placement.BusLatency)
+		}
+	}
+	return links
+}
+
+// TestRoutesMatchLinks holds the route table to the links it is built from,
+// on every catalog platform and on one whose simplex link leaves pairs with
+// no route: the same seconds, to the bit, as the direct link's TransferTime,
+// or as the sum of the two hops through node 0 when there is no direct link;
+// none between a node and itself; and TransferTime's error where neither
+// exists.
+func TestRoutesMatchLinks(t *testing.T) {
+	platforms := []*core.Platform{
+		core.NewBuilder("simplex").
+			Master("m", core.Arch("x86")).
+			Worker("w1", core.Arch("gpu")).
+			Worker("w2", core.Arch("gpu")).
+			Link(core.ICTypePCIe, "m", "w1", core.Simplex(), core.Bandwidth(2), core.Latency(3)).
+			MustBuild(),
+	}
+	for _, name := range discover.CatalogNames() {
+		platforms = append(platforms, discover.MustPlatform(name))
+	}
+	kinds := map[int]int{} // pairs by hop count, -1 for none
+	for _, pl := range platforms {
+		m, err := FromPlatform(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.NumNodes()
+		links := declaredLinks(pl, m)
+		for from := range n {
+			for to := range n {
+				l, up, down := links[from*n+to], links[from*n], links[to]
+				staged := from != 0 && to != 0 && up != nil && down != nil
+				hops := -1
+				switch {
+				case from == to:
+					hops = 0
+				case l != nil:
+					hops = 1
+				case staged:
+					hops = 2
+				}
+				kinds[hops]++
+				r := m.Route(from, to)
+				if r.OK() != (hops >= 0) {
+					t.Fatalf("%s: %d→%d: route exists %v, want %v", pl.Name, from, to, r.OK(), hops >= 0)
+				}
+				for _, bytes := range []int64{0, 1, 64 << 10, 64 << 20} {
+					var want float64
+					switch hops {
+					case 1:
+						want = l.TransferTime(bytes)
+					case 2:
+						want = up.TransferTime(bytes) + down.TransferTime(bytes)
+					}
+					got, err := m.TransferTime(from, to, bytes)
+					if hops < 0 {
+						if err == nil {
+							t.Fatalf("%s: %d→%d has no route, TransferTime(%d) = %g with no error", pl.Name, from, to, bytes, got)
+						}
+						continue
+					}
+					if err != nil || got != want || r.Seconds(bytes) != want {
+						t.Fatalf("%s: %d→%d, %d bytes: TransferTime %g (%v), Route.Seconds %g, want %g",
+							pl.Name, from, to, bytes, got, err, r.Seconds(bytes), want)
+					}
+				}
+			}
+		}
+	}
+	for hops := -1; hops <= 2; hops++ {
+		if kinds[hops] == 0 {
+			t.Errorf("no pair took %d hops", hops)
+		}
 	}
 }

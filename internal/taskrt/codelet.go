@@ -169,10 +169,19 @@ type Handle struct {
 // name the datum on the wire.
 func (h *Handle) ID() int { return h.id }
 
+// handleChunk is how many handles NewHandle cuts from one allocation.
+const handleChunk = 256
+
 // NewHandle registers a datum of the given size with the runtime. A size of
-// zero or less moves between memory nodes for free.
+// zero or less moves between memory nodes for free. Handles are cut from
+// chunks of handleChunk, so a tiled operand's handles lie side by side.
 func (rt *Runtime) NewHandle(name string, bytes int64, payload any) *Handle {
-	h := &Handle{id: len(rt.g.handles), Name: name, Bytes: bytes, Payload: payload}
+	if len(rt.slab) == 0 {
+		rt.slab = make([]Handle, handleChunk)
+	}
+	h := &rt.slab[0]
+	rt.slab = rt.slab[1:]
+	*h = Handle{id: len(rt.g.handles), Name: name, Bytes: bytes, Payload: payload}
 	rt.g.handles = append(rt.g.handles, h)
 	rt.hist = append(rt.hist, handleHist{lastW: -1, first: -1, last: -1})
 	return h

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -181,5 +182,63 @@ func TestWSDequeWrapsAround(t *testing.T) {
 		if d.pop() != nil || d.steal() != nil {
 			t.Fatalf("cycle %d: drained deque returned a task", cycle)
 		}
+	}
+}
+
+// TestWSDequeLastTaskOwnerVersusThief makes the owner and a thief meet on the
+// last task, the one race pop settles by a CAS on top. In every round the
+// owner pushes exactly one task; a start/arrived handshake then releases the
+// owner's pop and the thief's steal together, and exactly one of them must
+// get the task. A pop that kept the task after losing its CAS would hand it
+// out twice.
+func TestWSDequeLastTaskOwnerVersusThief(t *testing.T) {
+	const rounds = 100_000
+	table := taskTable(1)
+	d := newWSDeque(table)
+	// start says which round the task is pushed for; arrived counts both
+	// sides in at each round, 2r once both are in for round r.
+	var start, arrived, stole, done atomic.Int64
+	meet := func(r int64) {
+		arrived.Add(1)
+		for n := 0; arrived.Load() < 2*r; n++ {
+			if n > 100 {
+				runtime.Gosched() // a host with one CPU runs the other side now
+			}
+		}
+	}
+	go func() { // the thief
+		for r := int64(1); r <= rounds; r++ {
+			for start.Load() != r {
+				runtime.Gosched()
+			}
+			meet(r)
+			if d.steal() != nil {
+				stole.Add(1)
+			}
+			done.Store(r)
+		}
+	}()
+	owner, both, neither := 0, 0, 0
+	for r := int64(1); r <= rounds; r++ {
+		before := stole.Load()
+		d.push(table[0])
+		start.Store(r)
+		meet(r)
+		popped := d.pop() != nil
+		for done.Load() != r {
+			runtime.Gosched()
+		}
+		switch thief := stole.Load() > before; {
+		case popped && thief:
+			both++
+		case !popped && !thief:
+			neither++
+		case popped:
+			owner++
+		}
+	}
+	t.Logf("%d rounds: the owner took the task in %d, the thief in %d", rounds, owner, rounds-owner-both-neither)
+	if both > 0 || neither > 0 {
+		t.Fatalf("%d rounds: the task went to both in %d and to neither in %d", rounds, both, neither)
 	}
 }

@@ -17,6 +17,11 @@ type Graph struct {
 	// tasks), and succ[succOff[i]:succOff[i+1]] wait on it — deps' transpose.
 	deps, depOff  []int
 	succ, succOff []int
+
+	// rising says some task's Priority is higher than the one submitted
+	// before it: the tasks are not in the order the sim's ready queue takes
+	// them, so it ranks them by a sort.
+	rising bool
 }
 
 // Tasks and Handles return the graph's tasks and handles in id order. The

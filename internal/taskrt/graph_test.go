@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -326,5 +327,50 @@ func TestRealDmdaModelsPerRun(t *testing.T) {
 	}
 	if rt.cfg.Models != nil {
 		t.Fatal("a run stored its private models into the runtime's config")
+	}
+}
+
+// TestGraphRisingMatchesSortCheck holds Submit's record of the ready order to
+// the scan newReadyQueue once made of every run's tasks: a graph is rising
+// exactly when its tasks are not sorted by descending Priority. Priorities
+// mostly fall or repeat and now and then rise; a graph is sealed after every
+// submission and must keep its own answer when a later task rises, and a
+// rejected task, however high its priority, changes nothing.
+func TestGraphRisingMatchesSortCheck(t *testing.T) {
+	cl := dgemmCodelet(t)
+	desc := func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) }
+	rng := rand.New(rand.NewSource(7))
+	kept := 0 // sealed graphs still sorted after a later task rose
+	for trial := 0; trial < 400; trial++ {
+		var rt Runtime
+		var sealed []*Graph
+		prio := rng.Intn(5)
+		for n := rng.Intn(10); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				prio += 1 + rng.Intn(2)
+			} else {
+				prio -= rng.Intn(2)
+			}
+			if err := rt.Submit(&Task{Codelet: cl, Priority: prio}); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(5) == 0 {
+				if rt.Submit(&Task{Priority: prio + 10}) == nil {
+					t.Fatal("a task without codelet was accepted")
+				}
+			}
+			sealed = append(sealed, rt.Graph())
+		}
+		for i, g := range sealed {
+			if want := !slices.IsSortedFunc(g.tasks, desc); g.rising != want {
+				t.Fatalf("trial %d, graph of %d tasks: rising %v, the scan says %v", trial, len(g.tasks), g.rising, want)
+			}
+			if !g.rising && sealed[len(sealed)-1].rising && i < len(sealed)-1 {
+				kept++
+			}
+		}
+	}
+	if kept == 0 {
+		t.Error("no sealed graph saw a later task rise")
 	}
 }

@@ -19,7 +19,7 @@ import (
 type simUnit struct {
 	hw    *simhw.Unit
 	idx   int // lane index, stamped into trace spans as Worker
-	class int // index into simState.bids: units of one class bid alike
+	class int // index into simState.bids and rates: units of one class bid alike
 	res   sim.Resource
 	tasks int
 	// hist buffers the run's observations of taskrt_task_seconds{unit}:
@@ -44,11 +44,11 @@ type simFailure struct {
 	on *simUnit
 }
 
-// simTask is the engine's record of one task.
+// simTask is the engine's record of one task, 16 bytes.
 type simTask struct {
-	remaining int      // dependencies not yet completed
-	readyAt   sim.Time // when the last of them completed, or a retry's backoff ends
-	attempt   int      // failed attempts so far, stamped into the task's spans
+	readyAt   sim.Time // when the last of its dependencies completed, or a retry's backoff ends
+	remaining int32    // dependencies not yet completed
+	attempt   int32    // failed attempts so far, stamped into the task's spans
 }
 
 // simState is the mutable state of one simulated execution: plain tables
@@ -61,6 +61,7 @@ type simState struct {
 	cands    []*simUnit
 	candsFor *Codelet
 	bids     []classBid     // dmda's per-class scratch, one row per unit class
+	rates    []classRate    // per unit class, the speed factor of the last codelet priced
 	picks    int            // dmda picks so far: a bid row is current when stamped with it
 	dma      []sim.Resource // one DMA engine per memory node
 	graph    *Graph         // the task graph: its tasks, handles and edges
@@ -147,12 +148,13 @@ func newSimState(g *Graph, cfg Config) (*simState, error) {
 		st.units = append(st.units, su)
 	}
 	st.bids = make([]classBid, len(classes))
+	st.rates = make([]classRate, len(classes))
 	// Every datum starts out in host RAM.
 	for h := range g.handles {
 		st.valid[h*len(st.dma)] = true
 	}
 	for id := range st.tasks {
-		st.tasks[id].remaining = g.depOff[id+1] - g.depOff[id]
+		st.tasks[id].remaining = int32(g.depOff[id+1] - g.depOff[id])
 	}
 	return st, nil
 }
@@ -211,7 +213,7 @@ func (st *simState) step(t *Task, push func(*Task)) error {
 		// the whole PU class is gone, on a different implementation
 		// variant (GPU codelet → CPU variant) via compatibleUnits.
 		rec.attempt++
-		n := rec.attempt
+		n := int(rec.attempt)
 		st.failedAttempts++
 		rtm.failures.Inc()
 		if n == 1 {
@@ -302,22 +304,32 @@ func unitAllowed(id string, pus []string) bool {
 	return slices.Contains(pus, id) || slices.Contains(pus, baseUnitID(id))
 }
 
+// classRate is the speed factor of one codelet's implementation on a unit
+// class: a class fixes the arch, so its every unit runs the same Impl.
+type classRate struct {
+	codelet *Codelet
+	factor  float64
+}
+
 // kernelSeconds returns the virtual execution time of t's implementation on
-// unit u, honouring per-codelet speed factors.
-func kernelSeconds(m *simhw.Machine, t *Task, u *simhw.Unit) float64 {
-	im := t.Codelet.ImplFor(u.Arch)
-	factor := im.SpeedFactor
-	if factor <= 0 {
-		factor = 1
+// su, honouring per-codelet speed factors. The factor is looked up once per
+// class and codelet in a row, not once per bid.
+func (st *simState) kernelSeconds(t *Task, su *simUnit) float64 {
+	r := &st.rates[su.class]
+	if r.codelet != t.Codelet {
+		r.codelet, r.factor = t.Codelet, t.Codelet.ImplFor(su.hw.Arch).SpeedFactor
+		if r.factor <= 0 {
+			r.factor = 1
+		}
 	}
-	return m.KernelTime(u, t.Flops/factor)
+	return st.machine.KernelTime(su.hw, t.Flops/r.factor)
 }
 
 // watchdogTimeout derives the hang-detection timeout for task t on unit su:
 // per-codelet perfmodel estimate × watchdogFactor when history exists, else
 // the simulator's own cost model × watchdogFactor.
 func (st *simState) watchdogTimeout(t *Task, su *simUnit) float64 {
-	est := kernelSeconds(st.machine, t, su.hw)
+	est := st.kernelSeconds(t, su)
 	if st.cfg.Models != nil && t.Flops > 0 {
 		if e, ok := st.cfg.Models.Model(t.Codelet.Name, su.hw.Arch).Estimate(t.Flops); ok {
 			est = e
@@ -382,7 +394,7 @@ func (st *simState) taskSpan(kind trace.Kind, t *Task, su *simUnit, start, end s
 	return trace.Event{
 		Kind: kind, Unit: su.hw.ID, Label: taskLabel(t),
 		Start: float64(start), End: float64(end),
-		TaskID: t.id, ParentIDs: st.graph.depsOf(t.id), Attempt: st.tasks[t.id].attempt, Worker: su.idx,
+		TaskID: t.id, ParentIDs: st.graph.depsOf(t.id), Attempt: int(st.tasks[t.id].attempt), Worker: su.idx,
 	}
 }
 
@@ -425,8 +437,8 @@ func (st *simState) execute(t *Task, su *simUnit, dur, ready sim.Time) (sim.Time
 			// on state held by a unit that may die: the write-back is charged
 			// to the host DMA engine and counted as a transfer. With no route
 			// the node keeps the only copy.
-			if wb, err := st.machine.TransferTime(node, 0, a.Handle.Bytes); err == nil {
-				st.transfer(a.Handle, node, 0, end, wb, t.id, -1)
+			if r := st.machine.Route(node, 0); r.OK() {
+				st.transfer(a.Handle, node, 0, end, r.Seconds(a.Handle.Bytes), t.id, -1)
 				row[0] = true
 			}
 		}
@@ -533,11 +545,11 @@ func (st *simState) cheapestSource(h *Handle, dst int) (src int, seconds float64
 		if !ok {
 			continue
 		}
-		d, err := st.machine.TransferTime(node, dst, h.Bytes)
-		if err != nil {
+		r := st.machine.Route(node, dst)
+		if !r.OK() {
 			continue
 		}
-		if d < bestT {
+		if d := r.Seconds(h.Bytes); d < bestT {
 			bestT, best = d, node
 		}
 	}
@@ -574,7 +586,7 @@ func (st *simState) price(t *Task, su *simUnit, ready sim.Time) bid {
 	if err != nil {
 		dataReady = sim.Time(math.Inf(1)) // no route to su's node: never the best
 	}
-	return bid{dataReady, sim.Time(kernelSeconds(st.machine, t, su.hw))}
+	return bid{dataReady, sim.Time(st.kernelSeconds(t, su))}
 }
 
 // compatibleUnits returns the units that have an implementation for t,
@@ -629,7 +641,7 @@ type readyQueue struct {
 func newReadyQueue(g *Graph) readyQueue {
 	q := readyQueue{tasks: g.tasks}
 	n := len(g.tasks)
-	if !slices.IsSortedFunc(g.tasks, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) }) {
+	if g.rising {
 		q.order, q.rank = make([]int32, n), make([]int32, n)
 		for id := range q.order {
 			q.order[id] = int32(id)
@@ -706,7 +718,7 @@ func (st *simState) pickUnit(t *Task, ready sim.Time) (*simUnit, sim.Time, error
 		if u.availAt() > best.availAt() && u.availAt() > ready {
 			u = best
 		}
-		return u, sim.Time(kernelSeconds(st.machine, t, u.hw)), nil
+		return u, sim.Time(st.kernelSeconds(t, u)), nil
 	}
 	// dmda: the unit with the earliest estimated finish, transfers included,
 	// the first in unit order among equals. A class's bid is priced once per

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/discover"
 	"repro/internal/sim"
 	"repro/internal/simhw"
@@ -850,6 +851,58 @@ func TestSimRunAllocations(t *testing.T) {
 		t.Logf("%s: %d tasks, %.2f allocations per task", sched, rt.Tasks(), perTask)
 		if perTask > maxPerTask {
 			t.Errorf("%s: %.2f allocations per task, want at most %.1f", sched, perTask, maxPerTask)
+		}
+	}
+}
+
+// TestCheapestSourceLowestNodeAmongEquals pins cheapestSource's choice on a
+// machine with equal-cost sources: a host and three devices, w1 and w3 also
+// joined directly by a link that costs what the host's does, w2 only through
+// the host. Among copies that cost the same the lowest node wins; a cheaper
+// copy wins whatever its node.
+func TestCheapestSourceLowestNodeAmongEquals(t *testing.T) {
+	pl := core.NewBuilder("four").
+		Master("m", core.Arch("x86")).
+		Worker("w1", core.Arch("gpu")).
+		Worker("w2", core.Arch("gpu")).
+		Worker("w3", core.Arch("gpu")).
+		Link(core.ICTypePCIe, "w1", "w3").
+		MustBuild()
+	var rt Runtime
+	h := rt.NewHandle("h", 1<<20, nil)
+	st, err := newSimState(rt.Graph(), Config{Platform: pl, Mode: Sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.flushMetrics()
+	node := map[string]int{}
+	for _, su := range st.units {
+		node[su.hw.ID] = su.hw.MemNode
+	}
+	w1, w2, w3 := node["w1"], node["w2"], node["w3"]
+	for _, c := range []struct {
+		copies []int
+		dst    int
+		want   int
+	}{
+		{[]int{0, w1}, w3, 0},     // one bus hop each
+		{[]int{w2, w1}, w3, w1},   // w1 is direct, w2 staged
+		{[]int{w1, w3}, w2, w1},   // both staged through the host
+		{[]int{w2, w3}, w1, w3},   // w3 is direct, w2 staged
+		{[]int{0, w1, w3}, w2, 0}, // the host is direct
+	} {
+		row := st.copies(h)
+		clear(row)
+		for _, n := range c.copies {
+			row[n] = true
+		}
+		src, secs, err := st.cheapestSource(h, c.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := st.machine.TransferTime(c.want, c.dst, h.Bytes)
+		if src != c.want || secs != want {
+			t.Errorf("copies on %v, to node %d: source %d (%g s), want %d (%g s)", c.copies, c.dst, src, secs, c.want, want)
 		}
 	}
 }

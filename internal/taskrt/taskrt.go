@@ -177,6 +177,11 @@ type Runtime struct {
 	// readers since its last write are a list linked through reads.
 	hist  []handleHist
 	reads []readLink
+	// prio is the Priority of the last task submitted, which the next is
+	// compared against for g.rising.
+	prio int
+	// slab is what is left of the chunk NewHandle cuts handles from.
+	slab []Handle
 }
 
 // handleHist is what Submit derives a handle's dependencies from: the last
@@ -278,6 +283,10 @@ func (rt *Runtime) Submit(t *Task) error {
 		}
 		h.last = link
 	}
+	if t.id > 0 && t.Priority > rt.prio {
+		g.rising = true
+	}
+	rt.prio = t.Priority
 	g.tasks = append(g.tasks, t)
 	g.depOff = append(g.depOff, len(g.deps))
 	// A graph has a handful of codelets, and its tasks of one are mostly
@@ -296,17 +305,22 @@ func (rt *Runtime) Submit(t *Task) error {
 // index; tasks before it remain registered, exactly as sequential Submit
 // calls would leave them.
 func (rt *Runtime) SubmitBatch(tasks []*Task) error {
-	// A task logs at most one read per access and, but for a write's readers,
-	// waits on at most one task per access and per After entry.
-	accesses, after := 0, 0
+	// A task logs one read per read-mode access and, but for a write's
+	// readers, waits on at most one task per access and per After entry.
+	accesses, reads, after := 0, 0, 0
 	for _, t := range tasks {
 		accesses += len(t.Accesses)
 		after += len(t.After)
+		for _, a := range t.Accesses {
+			if !a.Mode.Writes() {
+				reads++
+			}
+		}
 	}
 	rt.g.tasks = slices.Grow(rt.g.tasks, len(tasks))
 	rt.g.depOff = slices.Grow(rt.g.depOff, len(tasks)+1)
 	rt.g.deps = slices.Grow(rt.g.deps, accesses+after)
-	rt.reads = slices.Grow(rt.reads, accesses)
+	rt.reads = slices.Grow(rt.reads, reads)
 	for i, t := range tasks {
 		if err := rt.Submit(t); err != nil {
 			return fmt.Errorf("batch task %d: %w", i, err)

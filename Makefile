@@ -37,6 +37,10 @@ vet:
 # a task id (no atomic.Pointer[Task] in deque.go), dmda's estimate table holds
 # codelet indices (no []*predEntry a task), and the seed list grows with its
 # seeds (no []*Task with the capacity of the task table) — outside tests.
+# A parked worker spins for one wake's cost before it blocks, yielding its P
+# each round: that is the one yield loop in the engine (runtime.Gosched once in
+# non-test internal/taskrt, inside parkSlot.sleep), and no other may grow back
+# beside it.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
@@ -48,6 +52,8 @@ lint-engine-state:
 	@! grep -nE 'creditSem|credits\(\)' internal/taskrt/*.go
 	@! grep -n 'atomic.Pointer\[Task\]' internal/taskrt/deque.go
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]\*Task, 0, len\([A-Za-z.]*tasks\)\)|make\(\[\]\*predEntry, len\(' internal/taskrt
+	@test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.Gosched' internal/taskrt | wc -l)" -eq 1
+	@awk '/^func /{f=$$0} /runtime\.Gosched/{print f}' internal/taskrt/dispatch.go | grep -q '^func (s \*parkSlot) sleep('
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

@@ -205,3 +205,43 @@ func TestSchedulerVocabulary(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitBatchReservesWhatItFills submits a tiled DGEMM's graph shape as
+// one batch — 32×32×32 tasks reading A[i,k] and B[k,j] and updating C[i,j],
+// so only each C tile's k-chain adds edges — and holds the deps table it
+// reserved to what the edges fill: one slot per write-mode access, where one
+// per access reserved three times the 31 744 edges.
+func TestSubmitBatchReservesWhatItFills(t *testing.T) {
+	const T = 32
+	cl, err := NewCodelet("dgemm", Impl{Arch: "x86", Func: func(*TaskContext) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt Runtime
+	tiles := func(name string) []*Handle {
+		hs := make([]*Handle, T*T)
+		for i := range hs {
+			hs[i] = rt.NewHandle(name, 8, nil)
+		}
+		return hs
+	}
+	a, b, c := tiles("A"), tiles("B"), tiles("C")
+	var batch []*Task
+	for i := 0; i < T; i++ {
+		for j := 0; j < T; j++ {
+			for k := 0; k < T; k++ {
+				batch = append(batch, &Task{Codelet: cl,
+					Accesses: []Access{R(a[i*T+k]), R(b[k*T+j]), RW(c[i*T+j])}})
+			}
+		}
+	}
+	if err := rt.SubmitBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(rt.g.deps), T*T*(T-1); n != want {
+		t.Fatalf("%d edges, want %d (one per C tile's step)", n, want)
+	}
+	if n, c := len(rt.g.deps), cap(rt.g.deps); float64(c) > 1.05*float64(n) {
+		t.Fatalf("deps holds %d edges in a reservation of %d (> 1.05×)", n, c)
+	}
+}

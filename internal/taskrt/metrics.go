@@ -31,6 +31,12 @@ var taskSecondsBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
+// wakeSecondsBuckets span a wake taken while spinning (a few µs) up to a
+// blocked worker's slowest (milliseconds), around parkSpin's 150 µs.
+var wakeSecondsBuckets = []float64{
+	2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 7.5e-5, 1e-4, 1.5e-4, 2.5e-4, 5e-4, 1e-3, 5e-3,
+}
+
 var rtm = struct {
 	runs           *metrics.CounterVec   // {mode}
 	runSeconds     *metrics.CounterVec   // {mode}
@@ -50,6 +56,8 @@ var rtm = struct {
 	blacklisted    *metrics.GaugeVec // {unit}
 	transfers      *metrics.Counter
 	transferB      *metrics.Counter
+	parkSpins      *metrics.CounterVec // {outcome}
+	wakeSeconds    *metrics.Histogram
 }{
 	runs: metrics.Default.CounterVec("taskrt_runs_total",
 		"Completed runs of a task graph, by engine mode.", "mode"),
@@ -87,7 +95,14 @@ var rtm = struct {
 		"Data transfers staged between memory nodes (sim mode)."),
 	transferB: metrics.Default.Counter("taskrt_transfer_bytes_total",
 		"Bytes moved between memory nodes (sim mode)."),
+	parkSpins: metrics.Default.CounterVec("taskrt_park_spins_total",
+		"Real-engine parks that spun for up to parkSpin before blocking, by outcome: claimed = a pusher woke the worker during the spin, expired = the spin ran out and the worker blocked. Parks of a lone worker or of a pool wider than GOMAXPROCS do not spin.", "outcome"),
+	wakeSeconds: metrics.Default.Histogram("taskrt_wake_seconds",
+		"Real-engine wake latency: from a pusher claiming a parked worker to that worker running again, spinning or blocked.", wakeSecondsBuckets),
 }
+
+// The outcomes of a spin, resolved once.
+var spinClaimed, spinExpired = rtm.parkSpins.With("claimed"), rtm.parkSpins.With("expired")
 
 // workerUnitID names real-mode worker w in metrics and traces.
 func workerUnitID(w int) string { return fmt.Sprintf("worker%d", w) }

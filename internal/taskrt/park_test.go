@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,8 +94,19 @@ func TestSleepersWakeBatch(t *testing.T) {
 // sleepers for them — against workers that take, park, look once more and
 // cancel or sleep, as the real engine's loop does: no wake may be lost (every
 // task is run before the deadline), every task runs exactly once, and a task
-// handed over is what the owner's next take returns.
+// handed over is what the owner's next take returns. It runs with the slots
+// blocking at once and with every slot spinning first.
 func TestSleepersParkWakeStress(t *testing.T) {
+	for _, spin := range []bool{false, true} {
+		name := "block"
+		if spin {
+			name = "spin"
+		}
+		t.Run(name, func(t *testing.T) { parkWakeStress(t, spin) })
+	}
+}
+
+func parkWakeStress(t *testing.T, spin bool) {
 	const (
 		workers   = 6
 		producers = 4
@@ -106,6 +118,9 @@ func TestSleepersParkWakeStress(t *testing.T) {
 	// that no worker owns, which workers steal from.
 	table := taskTable(total)
 	d := newStealDispatcher(workers+producers, table)
+	for w := range d.sleep {
+		d.sleep[w].spin = spin
+	}
 	done := make(chan struct{})
 	abort := make(chan struct{})
 	runs := make([]atomic.Int32, total)
@@ -201,6 +216,172 @@ func TestSleepersAbortUnparks(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%d of %d parked workers did not return on abort", len(p)-i, len(p))
+		}
+	}
+}
+
+// spinCounts reads taskrt_park_spins_total's two outcomes and the number of
+// wakes taskrt_wake_seconds holds.
+func spinCounts() (claimed, expired float64, wakes uint64) {
+	return spinClaimed.Value(), spinExpired.Value(), rtm.wakeSeconds.Count()
+}
+
+// TestSleepersSpinTakesClaim claims a spinning slot of a ws dispatcher with a
+// task: sleep takes the token from inside the spin and reports the wake, the
+// owner's next take returns the task handed over, no second token is left
+// behind, and the next park starts empty.
+func TestSleepersSpinTakesClaim(t *testing.T) {
+	table := taskTable(2)
+	d := newStealDispatcher(2, table)
+	s := d.slot(0)
+	s.spin = true
+	claimed, expired, wakes := spinCounts()
+	s.park()
+	if !s.claim(table[1], 1) { // lands before the spin's first look
+		t.Fatal("a parked slot refused the claim")
+	}
+	if !s.sleep(make(chan struct{}), make(chan struct{})) {
+		t.Fatal("sleep reported the run over after a claim")
+	}
+	c, e, n := spinCounts()
+	if c-claimed != 1 || e != expired || n-wakes != 1 {
+		t.Fatalf("spins claimed +%v expired +%v, wakes +%d; want +1, +0, +1", c-claimed, e-expired, n-wakes)
+	}
+	if got, from := d.take(0, nil); got != table[1] || from != 1 {
+		t.Fatalf("take after the wake = task %v from %d, want the handed task 1 from worker 1", got, from)
+	}
+	if len(s.wake) != 0 || s.handed.Load() != nil {
+		t.Fatalf("the slot kept %d tokens and handed %v after the wake", len(s.wake), s.handed.Load())
+	}
+	// The next park starts empty: a cancel with no claim receives nothing, and
+	// a claim after it is refused.
+	s.park()
+	s.cancel()
+	if s.claim(nil, -1) || len(s.wake) != 0 {
+		t.Fatal("a cancelled park was claimed")
+	}
+
+	// A claim from another goroutine while the owner sleeps is taken once,
+	// whether it lands in the spin or after it.
+	s.park()
+	woke := make(chan bool)
+	go func() { woke <- s.sleep(make(chan struct{}), make(chan struct{})) }()
+	for !s.claim(nil, 1) {
+		runtime.Gosched()
+	}
+	if !<-woke {
+		t.Fatal("sleep reported the run over after a claim")
+	}
+	if len(s.wake) != 0 {
+		t.Fatal("a second token was left on the slot")
+	}
+}
+
+// TestSleepersSpinEndsWithRun closes done or abort on a spinning slot's
+// sleeper. Closed before the spin, sleep returns false from its first look,
+// with neither spin outcome counted; closed while it sleeps, within the
+// spin's budget plus scheduling slack.
+func TestSleepersSpinEndsWithRun(t *testing.T) {
+	for _, which := range []string{"done", "abort"} {
+		t.Run(which, func(t *testing.T) {
+			p := newSleepers(1)
+			s := &p[0]
+			s.spin = true
+			over := func() (chan struct{}, chan struct{}, chan struct{}) {
+				done, abort := make(chan struct{}), make(chan struct{})
+				if which == "done" {
+					return done, abort, done
+				}
+				return done, abort, abort
+			}
+
+			done, abort, end := over()
+			close(end)
+			claimed, expired, _ := spinCounts()
+			s.park()
+			if s.sleep(done, abort) {
+				t.Fatal("sleep reported a wake after the run ended")
+			}
+			if c, e, _ := spinCounts(); c != claimed || e != expired {
+				t.Fatalf("spins claimed +%v expired +%v: the spin did not see %s", c-claimed, e-expired, which)
+			}
+
+			done, abort, end = over()
+			returned := make(chan time.Time)
+			go func() {
+				if s.sleep(done, abort) {
+					t.Error("sleep reported a wake after the run ended")
+				}
+				returned <- time.Now()
+			}()
+			closed := time.Now()
+			close(end)
+			if d := (<-returned).Sub(closed); d > parkSpin+time.Second {
+				t.Fatalf("sleep returned %v after %s closed", d, which)
+			}
+		})
+	}
+}
+
+// TestSleepersSpinPoolRule holds the rule that decides whether a run's slots
+// spin — 2 ≤ workers ≤ GOMAXPROCS — and runs a chain of tasks on a pool of
+// four workers under GOMAXPROCS 2, lu-skew's shape, where no park may spin,
+// and on a pool of two, where the workers that wait for the chain do.
+func TestSleepersSpinPoolRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for workers, want := range map[int]bool{1: false, 2: true, 3: false, 4: false} {
+		p := newSleepers(workers)
+		for w := range p {
+			if p[w].spin != want {
+				t.Fatalf("a pool of %d workers under GOMAXPROCS 2: slot %d spins %v, want %v", workers, w, p[w].spin, want)
+			}
+		}
+	}
+	// A slot that does not spin takes a claim without counting a spin.
+	p := newSleepers(1)
+	claimed, expired, wakes := spinCounts()
+	p[0].park()
+	p[0].claim(nil, -1)
+	if !p[0].sleep(make(chan struct{}), make(chan struct{})) {
+		t.Fatal("sleep reported the run over after a claim")
+	}
+	if c, e, n := spinCounts(); c != claimed || e != expired || n-wakes != 1 {
+		t.Fatalf("a lone worker's wake: spins claimed +%v expired +%v, wakes +%d; want +0, +0, +1", c-claimed, e-expired, n-wakes)
+	}
+
+	step, err := NewCodelet("step", Impl{Arch: "x86", Func: func(*TaskContext) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{4, 2} {
+		rt, err := New(Config{Platform: cpuPlatform(t, workers), Mode: Real, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *Task
+		for i := 0; i < 8; i++ {
+			task := &Task{Codelet: step}
+			if prev != nil {
+				task.After = []*Task{prev}
+			}
+			if err := rt.Submit(task); err != nil {
+				t.Fatal(err)
+			}
+			prev = task
+		}
+		claimed, expired, _ := spinCounts()
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		spins := spinClaimed.Value() - claimed + spinExpired.Value() - expired
+		if workers > 2 && spins != 0 {
+			t.Fatalf("%d workers under GOMAXPROCS 2 spun %v times", workers, spins)
+		}
+		if workers == 2 && spins == 0 {
+			t.Fatal("2 workers under GOMAXPROCS 2 never spun while the chain ran")
 		}
 	}
 }

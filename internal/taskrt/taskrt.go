@@ -305,21 +305,24 @@ func (rt *Runtime) Submit(t *Task) error {
 // index; tasks before it remain registered, exactly as sequential Submit
 // calls would leave them.
 func (rt *Runtime) SubmitBatch(tasks []*Task) error {
-	// A task logs one read per read-mode access and, but for a write's
-	// readers, waits on at most one task per access and per After entry.
-	accesses, reads, after := 0, 0, 0
+	// A task logs one read per read-mode access, and its row of deps holds
+	// one edge per write-mode access (the previous writer) and per After
+	// entry. A write's wait on the readers since that writer, and a read's
+	// on the last writer, append past what is reserved.
+	edges, reads := 0, 0
 	for _, t := range tasks {
-		accesses += len(t.Accesses)
-		after += len(t.After)
+		edges += len(t.After)
 		for _, a := range t.Accesses {
-			if !a.Mode.Writes() {
+			if a.Mode.Writes() {
+				edges++
+			} else {
 				reads++
 			}
 		}
 	}
 	rt.g.tasks = slices.Grow(rt.g.tasks, len(tasks))
 	rt.g.depOff = slices.Grow(rt.g.depOff, len(tasks)+1)
-	rt.g.deps = slices.Grow(rt.g.deps, accesses+after)
+	rt.g.deps = slices.Grow(rt.g.deps, edges)
 	rt.reads = slices.Grow(rt.reads, reads)
 	for i, t := range tasks {
 		if err := rt.Submit(t); err != nil {

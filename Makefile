@@ -41,6 +41,11 @@ vet:
 # each round: that is the one yield loop in the engine (runtime.Gosched once in
 # non-test internal/taskrt, inside parkSlot.sleep), and no other may grow back
 # beside it.
+# A real-engine worker observes a task's seconds into a buffer of its own
+# (metrics.LocalHistogram), flushed with its resolved count: no shared
+# *metrics.Histogram may come back into realengine.go. A task costs one clock
+# read while its worker keeps going: the count of r.now() calls in
+# realengine.go is pinned, so a second read a task cannot slip back in.
 lint-engine-state:
 	@! grep -nE 'map\[\*(Task|Handle)\]|map\[int\](int|bool|uint64|\*inflightRec)' internal/taskrt/simengine.go internal/taskrt/realengine.go internal/taskrt/taskrt.go internal/cluster/master.go
 	@! grep -nE 'pickTaskIndex|range ready|readyItem|container/heap' internal/taskrt/simengine.go
@@ -54,6 +59,8 @@ lint-engine-state:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]\*Task, 0, len\([A-Za-z.]*tasks\)\)|make\(\[\]\*predEntry, len\(' internal/taskrt
 	@test "$$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.Gosched' internal/taskrt | wc -l)" -eq 1
 	@awk '/^func /{f=$$0} /runtime\.Gosched/{print f}' internal/taskrt/dispatch.go | grep -q '^func (s \*parkSlot) sleep('
+	@! grep -n '\*metrics\.Histogram\b' internal/taskrt/realengine.go
+	@test "$$(grep -c 'r\.now()' internal/taskrt/realengine.go)" -eq 9
 
 # lint-trace-schema keeps internal/trace saying each thing once: a Chrome
 # event's args are trace.Event's own JSON encoding, so chrome.go spells none of

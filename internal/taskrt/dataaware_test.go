@@ -187,7 +187,7 @@ func TestDmdaHotPathNoAllocs(t *testing.T) {
 		if d.depth(0)+d.depth(1) != 1 {
 			t.Fatal("push must queue the task")
 		}
-		got, _ := d.take(0, abort)
+		got, _, _ := d.take(0, abort)
 		if got == nil {
 			t.Fatal("take returned nil with a task queued")
 		}

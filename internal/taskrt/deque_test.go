@@ -113,7 +113,7 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 		t.Fatal("push from worker 0 must queue the task on its deque")
 	}
 	abort := make(chan struct{})
-	got, victim := d.take(1, abort)
+	got, victim, _ := d.take(1, abort)
 	if got != task {
 		t.Fatalf("take(1) = %v, want the parked task", got)
 	}
@@ -131,7 +131,7 @@ func TestStealDispatcherCountsSteals(t *testing.T) {
 	if d.depth(-1) != 1 {
 		t.Fatal("push from outside the pool must queue the task on the injector")
 	}
-	got, victim = d.take(1, abort)
+	got, victim, _ = d.take(1, abort)
 	if got != task {
 		t.Fatal("injected task not delivered")
 	}

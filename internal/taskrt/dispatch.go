@@ -206,8 +206,10 @@ type dispatcher interface {
 	// take returns a task for worker w, or nil when every queue is empty or
 	// abort closed. The second result is the victim worker the task was
 	// stolen (or handed over) from, or -1 when it came from the worker's own
-	// queue or the shared pool — steal provenance for traces.
-	take(w int, abort <-chan struct{}) (*Task, int)
+	// queue or the shared pool — steal provenance for traces. The third
+	// reports that take napped before it returned (dmda's decline nap): time
+	// went by in it that was no task's.
+	take(w int, abort <-chan struct{}) (*Task, int, bool)
 	// stolen reports how many tasks worker w has obtained by stealing.
 	stolen(w int) int
 	// depth approximates worker w's queue length (w < 0: the shared queue).
@@ -291,19 +293,19 @@ func (d *stealDispatcher) popInjector() *Task {
 // take serves worker w: a task handed over as it was woken, its own deque,
 // the injector, then a steal sweep. A hand-off counts as a steal from the
 // worker that released it.
-func (d *stealDispatcher) take(w int, _ <-chan struct{}) (*Task, int) {
+func (d *stealDispatcher) take(w int, _ <-chan struct{}) (*Task, int, bool) {
 	if s := &d.sleep[w]; s.handed.Load() != nil {
 		t := s.handed.Swap(nil)
 		if s.from >= 0 {
 			d.steals[w]++
 		}
-		return t, s.from
+		return t, s.from, false
 	}
 	if t := d.deques[w].pop(); t != nil {
-		return t, -1
+		return t, -1, false
 	}
 	if t := d.popInjector(); t != nil {
-		return t, -1
+		return t, -1, false
 	}
 	// Steal sweep, starting at the next worker so victims differ across
 	// thieves. Blacklisted workers' deques stay stealable, so a dying
@@ -312,10 +314,10 @@ func (d *stealDispatcher) take(w int, _ <-chan struct{}) (*Task, int) {
 		victim := (w + i) % len(d.deques)
 		if t := d.deques[victim].steal(); t != nil {
 			d.steals[w]++
-			return t, victim
+			return t, victim, false
 		}
 	}
-	return nil, -1
+	return nil, -1, false
 }
 
 func (d *stealDispatcher) stolen(w int) int { return int(d.steals[w]) }
@@ -968,19 +970,23 @@ func (d *dmdaDispatcher) stealFrom(thief, victim int, force bool) (*Task, bool) 
 // steal sweep over the other workers. When every available task is declined
 // as EFT-unfavorable the thief naps dmdaStealBackoff — the owner the
 // placement chose was woken by its publish and runs first — and sweeps
-// again, so take returns nil only once every queue is empty, or on abort.
-func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
+// again, so take returns nil only once every queue is empty, or on abort. It
+// reports whether it napped, so the worker does not count the nap as a task's
+// time.
+func (d *dmdaDispatcher) take(w int, abort <-chan struct{}) (*Task, int, bool) {
+	napped := false
 	for {
 		t, victim, declined := d.sweep(w)
 		if t != nil || !declined {
-			return t, victim
+			return t, victim, napped
 		}
 		select {
 		case <-abort:
-			return nil, -1
+			return nil, -1, napped
 		default:
 		}
 		time.Sleep(dmdaStealBackoff)
+		napped = true
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 // by PDL unit id rather than workerN); the busy/latency figures are only
 // comparable within one mode.
 //
-// Hot-path cost: the real engine makes one histogram observation per task
-// execution (three atomic ops via a per-worker cached handle), live, because a
-// scrape in the middle of a run must see it progress. The sim engine observes
-// into a per-unit metrics.LocalHistogram, no shared word touched, and flushes
-// every unit's buffer once when runSim returns, on error too: a scrape ends
+// Hot-path cost: each engine observes a task's seconds into a
+// metrics.LocalHistogram of its own, no shared word touched. A real-engine
+// worker flushes its buffer with its resolved count (before it parks, on a
+// failed attempt, as it exits) and every histFlushEvery tasks, so a scrape in
+// the middle of a run sees it progress. The sim engine flushes every unit's
+// buffer once when runSim returns, on error too. Either way a scrape ends
 // each run with the counts per-task observations would have left. Failed
 // attempts, requeues and watchdog trips are counted where they happen, so a
 // run that gives up counts them too; the rest merges once a run completes.

@@ -127,7 +127,7 @@ func parkWakeStress(t *testing.T, spin bool) {
 	var ran, handed atomic.Int64
 	take := func(w int) *Task {
 		want := d.slot(w).handed.Load()
-		got, _ := d.take(w, abort)
+		got, _, _ := d.take(w, abort)
 		if want != nil {
 			if got != want {
 				t.Errorf("worker %d: take returned %v ahead of the task handed over", w, got)
@@ -247,7 +247,7 @@ func TestSleepersSpinTakesClaim(t *testing.T) {
 	if c-claimed != 1 || e != expired || n-wakes != 1 {
 		t.Fatalf("spins claimed +%v expired +%v, wakes +%d; want +1, +0, +1", c-claimed, e-expired, n-wakes)
 	}
-	if got, from := d.take(0, nil); got != table[1] || from != 1 {
+	if got, from, _ := d.take(0, nil); got != table[1] || from != 1 {
 		t.Fatalf("take after the wake = task %v from %d, want the handed task 1 from worker 1", got, from)
 	}
 	if len(s.wake) != 0 || s.handed.Load() != nil {

@@ -28,7 +28,7 @@ func TestDmdaPushBatchOrdersByPriority(t *testing.T) {
 	abort := make(chan struct{})
 	// Equal priorities keep submission order (stable sort).
 	for _, want := range []string{"p5", "p3a", "p3b", "p1"} {
-		got, _ := d.take(0, abort)
+		got, _, _ := d.take(0, abort)
 		if got == nil || got.Label != want {
 			t.Fatalf("take = %v, want %s", got, want)
 		}
@@ -60,7 +60,7 @@ func TestDmdaPushBatchKeepsOrderWithoutPriorities(t *testing.T) {
 	d.pushBatch(-1, tasks)
 	abort := make(chan struct{})
 	for i := 0; i < 8; i++ {
-		got, _ := d.take(0, abort)
+		got, _, _ := d.take(0, abort)
 		if want := fmt.Sprintf("t%d", i); got == nil || got.Label != want {
 			t.Fatalf("take %d = %v, want %s", i, got, want)
 		}

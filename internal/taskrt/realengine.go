@@ -58,6 +58,7 @@ type realRun struct {
 	cfg      Config
 	policy   RetryPolicy
 	ft       bool // fault tolerance is active
+	chain    bool // a worker may start a task at its last one's end; see realWorker.loop
 	disp     dispatcher
 	workers  []realWorker
 	shardCap int       // a worker's trace shard capacity; 0 untraced
@@ -96,11 +97,11 @@ type realWorker struct {
 	id      int
 	unitID  string
 	arch    string
-	hist    *metrics.Histogram // taskrt_task_seconds{unit}
-	blGauge *metrics.Gauge     // taskrt_unit_blacklisted{unit}
-	depth   *metrics.Gauge     // taskrt_queue_depth{unit}, set by the run's sampler
-	sh      *trace.Shard       // nil untraced
-	faults  faultQueue         // this worker's injected faults; none without a plan
+	hist    *metrics.LocalHistogram // taskrt_task_seconds{unit}, flushed by flush and every histFlushEvery tasks
+	blGauge *metrics.Gauge          // taskrt_unit_blacklisted{unit}
+	depth   *metrics.Gauge          // taskrt_queue_depth{unit}, set by the run's sampler
+	sh      *trace.Shard            // nil untraced
+	faults  faultQueue              // this worker's injected faults; none without a plan
 
 	busy      time.Duration
 	count     int
@@ -143,9 +144,10 @@ func runReal(g *Graph, cfg Config) (*Report, error) {
 	for i := range r.workers {
 		id := workerUnitID(i)
 		r.workers[i] = realWorker{r: r, id: i, unitID: id, arch: archs[i],
-			hist: rtm.taskSeconds.With(id), blGauge: rtm.blacklisted.With(id),
+			hist: rtm.taskSeconds.With(id).Local(), blGauge: rtm.blacklisted.With(id),
 			depth: rtm.queueDepth.With(id), faults: faultQueue{events: cfg.Faults.forUnit(id)}}
 	}
+	r.chain = !r.ft && cfg.Trace == nil
 	if cfg.Trace != nil {
 		// Bound each shard to the run's size (x2 for retry/steal/failure
 		// events) rather than the 64k default, so a worker can never buffer
@@ -349,8 +351,19 @@ func (w *realWorker) loop() {
 	}
 	defer w.flush()
 	slot := r.disp.slot(w.id)
+	// from is where the next task starts when the worker goes straight on to
+	// it from a completed one that released nothing: that task's end, as run
+	// returns it, so a task costs one clock read and its recorded time
+	// includes the take before it. 0 reads the clock afresh: after a
+	// release, a park or a nap, which are no task's time, and always on a
+	// traced run (spans stay exact) or one with fault tolerance (a fault or a
+	// retried failure never folds into a task).
+	var from time.Duration
 	for {
-		t, victim := r.disp.take(w.id, r.aborted)
+		t, victim, napped := r.disp.take(w.id, r.aborted)
+		if napped || t == nil {
+			from = 0 // a nap or a park is no task's time
+		}
 		if t == nil {
 			// Every queue is empty: park, flushing first, so once no task is
 			// left the last flush ends the run right after the last task
@@ -358,7 +371,7 @@ func (w *realWorker) loop() {
 			// missed it.
 			w.flush()
 			slot.park()
-			if t, victim = r.disp.take(w.id, r.aborted); t != nil {
+			if t, victim, _ = r.disp.take(w.id, r.aborted); t != nil {
 				slot.cancel()
 			} else if slot.sleep(r.done, r.aborted) {
 				continue
@@ -379,9 +392,11 @@ func (w *realWorker) loop() {
 		f := w.faults.pending()
 		if f == nil || !(f.AfterTasks > 0 && w.startedOn >= f.AfterTasks ||
 			f.AtTime > 0 && r.now().Seconds() >= f.AtTime) {
-			if !w.run(t, attempt) {
+			end, stay := w.run(t, attempt, from)
+			if !stay {
 				return
 			}
+			from = end
 			continue
 		}
 		w.faults.consume()
@@ -408,8 +423,12 @@ func (w *realWorker) loop() {
 }
 
 // run executes one attempt of t's kernel on this worker and completes it:
-// the fast path. It reports whether the worker stays in the pool.
-func (w *realWorker) run(t *Task, attempt int) bool {
+// the fast path. from is the attempt's start when the worker came straight
+// from completing a task, that task's end; 0 reads the clock. It returns
+// where the worker's next task may start — this one's end, when it succeeded
+// on a chained run and released nothing, else 0 — and whether the worker
+// stays in the pool.
+func (w *realWorker) run(t *Task, attempt int, from time.Duration) (time.Duration, bool) {
 	r := w.r
 	im := t.Codelet.ImplFor(w.arch)
 	// A kernel under fault tolerance may outlive the call (the watchdog
@@ -424,7 +443,10 @@ func (w *realWorker) run(t *Task, attempt int) bool {
 	for _, a := range t.Accesses {
 		tc.Data = append(tc.Data, a.Handle.Payload)
 	}
-	t0 := r.now()
+	t0 := from
+	if t0 == 0 {
+		t0 = r.now()
+	}
 	var err error
 	wdog := false
 	if timeout > 0 {
@@ -443,31 +465,50 @@ func (w *realWorker) run(t *Task, attempt int) bool {
 	} else {
 		err = im.Func(tc)
 	}
-	d := r.now() - t0
+	end := r.now()
+	d := end - t0
 	r.disp.finished(w.id, t, d, true)
 	w.busy += d
 	if err != nil {
 		// A hung kernel condemns its worker: the unit cannot be trusted (the
 		// orphaned goroutine may still hold it).
-		return w.fail(t, attempt, err, t0, t0+d, wdog, 0, wdog)
+		return 0, w.fail(t, attempt, err, t0, end, wdog, 0, wdog)
 	}
-	w.rec(trace.Task, t, attempt, t0, t0+d, "")
+	w.rec(trace.Task, t, attempt, t0, end, "")
 	w.hist.Observe(d.Seconds())
 	if r.cfg.Models != nil && t.Flops > 0 && d > 0 {
 		_ = r.cfg.Models.Model(t.Codelet.Name, w.arch).Record(t.Flops, d.Seconds())
 	}
 	w.count++
+	if w.count%histFlushEvery == 0 {
+		w.hist.Flush()
+	}
 	r.release(w, t)
 	w.resolved++
-	return true
+	// A release that pushed dependents ends the chain: its pushes and wakes
+	// are this task's completion, not the next task's time.
+	if !r.chain || len(w.ready) > 0 {
+		return 0, true
+	}
+	return end, true
 }
 
+// histFlushEvery is how many tasks a worker that never parks runs between
+// two flushes of its task-seconds buffer: a scrape during a run sees a busy
+// worker's tasks at most this many late. A flush costs one atomic add per
+// non-empty bucket and two more.
+const histFlushEvery = 256
+
 // flush adds the tasks this worker resolved since its last flush to the
-// run's pending count; the flush that reaches zero ends the run.
+// run's pending count; the flush that reaches zero ends the run. Their
+// task-seconds observations go into the shared histogram first, so all of a
+// run's are in once it is done. A worker flushes before it parks, when it
+// fails an attempt and when it exits.
 func (w *realWorker) flush() {
 	if w.resolved == 0 {
 		return
 	}
+	w.hist.Flush()
 	if w.r.pending.Add(-w.resolved) == 0 {
 		close(w.r.done)
 	}

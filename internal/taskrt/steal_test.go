@@ -60,7 +60,7 @@ func TestDmdaStealDeclinedWhenEFTUnfavorable(t *testing.T) {
 	if d.depth(0) != 1 {
 		t.Fatal("the declined task is not back on the owner's queue")
 	}
-	got, victim = d.take(0, make(chan struct{}))
+	got, victim, _ = d.take(0, make(chan struct{}))
 	if got != task || victim != -1 {
 		t.Fatalf("owner take = (%v, %d), want the placed task from its own queue", got, victim)
 	}
@@ -105,7 +105,7 @@ func TestDmdaStealForcedAfterPoolStall(t *testing.T) {
 	abort := make(chan struct{})
 	tm := time.AfterFunc(5*time.Second, func() { close(abort) })
 	defer tm.Stop()
-	got, victim := d.take(1, abort)
+	got, victim, _ := d.take(1, abort)
 	if got == nil {
 		t.Fatal("force valve never fired: hung victim's queue was never rescued")
 	}
